@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race cover bench bench-core bench-broker bench-dist bench-overlay bench-scaling fuzz experiments examples telemetry-smoke trace-analyze clean
+.PHONY: all build vet lint test race cover bench bench-core bench-broker bench-dist bench-overlay bench-scaling bench-e2e-smoke fuzz experiments examples telemetry-smoke trace-analyze clean
 
 all: build vet lint test
 
@@ -60,12 +60,22 @@ bench-dist:
 		| $(GO) run ./cmd/lrgp-benchjson -out BENCH_dist.json
 
 # Overlay re-optimization benchmarks recorded as JSON: tree repair
-# (kill + restore cycle, allocation-bounded), the full warm path per
+# (kill + heal cycle, allocation-bounded), the full warm path per
 # failure event (repair + ResetRouting + re-solve) and the cold-rebuild
 # baseline it is judged against, all on the 10k-node pod topology.
 bench-overlay:
 	$(GO) test -run='^$$' -bench='TreeRepair|WarmResolve|ColdResolve' -benchmem ./internal/overlay/ \
 		| $(GO) run ./cmd/lrgp-benchjson -out BENCH_overlay.json
+
+# The end-to-end benchmark's own checks (bench/ is a module of its own, so
+# ./... above never reaches it) and one short link_failure run, whose
+# built-in output check — after the last heal every tree equals the tree
+# first routed, element for element — is the end-to-end oracle for the
+# overlay repair and restore paths.
+bench-e2e-smoke:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
+	bash bench/run.sh --workload link_failure --seed 1 --seconds 2 --trace 0
 
 # Scaling-regression gate: workers=8 must beat workers=1 by >= 1.5x on
 # the metro-small benchmark (skips loudly on hosts with < 4 CPUs).

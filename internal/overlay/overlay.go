@@ -20,6 +20,7 @@ package overlay
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/model"
@@ -32,8 +33,10 @@ import (
 type Topology struct {
 	nodeCount int
 	links     []TopoLink
-	// out[b] lists indices into links leaving node b.
+	// out[b] lists indices into links leaving node b, in[b] those entering
+	// it (the reverse adjacency restore's distance sweep walks).
 	out [][]int32
+	in  [][]int32
 	// deadLink[li] / deadNode[b] mark removed elements; a link is usable
 	// only when itself and both endpoints are alive. Lazily allocated so
 	// static topologies pay nothing.
@@ -60,7 +63,7 @@ var (
 
 // NewTopology returns a topology with n nodes and no links.
 func NewTopology(n int) *Topology {
-	return &Topology{nodeCount: n, out: make([][]int32, n)}
+	return &Topology{nodeCount: n, out: make([][]int32, n), in: make([][]int32, n)}
 }
 
 // NodeCount returns the number of nodes.
@@ -91,6 +94,7 @@ func (t *Topology) AddLink(from, to model.NodeID, capacity float64) (int, error)
 	id := len(t.links)
 	t.links = append(t.links, TopoLink{From: from, To: to, Capacity: capacity})
 	t.out[from] = append(t.out[from], int32(id))
+	t.in[to] = append(t.in[to], int32(id))
 	if t.deadLink != nil {
 		t.deadLink = append(t.deadLink, false)
 	}
@@ -258,6 +262,14 @@ type Scratch struct {
 	bfsSrc   int32
 	bfsTopo  int64
 	bfsValid bool
+
+	// Hop distances of the last sweeps (toward and from the swept node)
+	// and the parent-link table of the tree restoreCandidates is measuring.
+	// Allocated by the first sweep; they share nothing with the cached BFS
+	// but the queue, which bfs leaves dead once prev is filled.
+	distTo   []int32
+	distFrom []int32
+	treeUp   []int32
 }
 
 // NewScratch returns a scratch sized for t.
@@ -319,6 +331,50 @@ func (sc *Scratch) bfs(t *Topology, src model.NodeID) {
 
 // reached reports whether the cached BFS reached b.
 func (sc *Scratch) reached(b model.NodeID) bool { return sc.seen[b] == sc.epoch }
+
+// unreachable is the sweep distance of a node no alive path connects; sums
+// of three stay inside int32.
+const unreachable = math.MaxInt32 / 4
+
+// sweep returns every node's hop distance over the alive topology: from
+// root along the links, or with reverse set toward root against them. A
+// dead root reaches nothing. The result lives in sc until the next sweep
+// of the same direction.
+func (sc *Scratch) sweep(t *Topology, root model.NodeID, reverse bool) []int32 {
+	if len(sc.distTo) < t.nodeCount {
+		sc.distTo = make([]int32, t.nodeCount)
+		sc.distFrom = make([]int32, t.nodeCount)
+		sc.treeUp = make([]int32, t.nodeCount)
+	}
+	dist, adj := sc.distFrom, t.out
+	if reverse {
+		dist, adj = sc.distTo, t.in
+	}
+	for b := range dist {
+		dist[b] = unreachable
+	}
+	if !t.NodeAlive(root) {
+		return dist
+	}
+	dist[root] = 0
+	q := append(sc.queue[:0], int32(root))
+	for head := 0; head < len(q); head++ {
+		b := q[head]
+		for _, li := range adj[b] {
+			next := t.links[li].To
+			if reverse {
+				next = t.links[li].From
+			}
+			if dist[next] != unreachable || !t.NodeAlive(next) || (t.deadLink != nil && t.deadLink[li]) {
+				continue
+			}
+			dist[next] = dist[b] + 1
+			q = append(q, int32(next))
+		}
+	}
+	sc.queue = q[:0]
+	return dist
+}
 
 // ShortestPath returns the link indices of a minimum-hop path from src to
 // dst (BFS over the alive topology). An empty slice is returned when

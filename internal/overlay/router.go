@@ -20,6 +20,12 @@ import (
 // coefficients behind it — stays byte-identical, slices shared. Changes
 // accumulate into a model.RoutingDelta collected by TakeDelta.
 //
+// The topology's link set is frozen once a Router routes over it: the
+// reverse indexes, delta marks and problem link slots are sized by
+// NewRouter, so after a Topology.AddLink every repair, restore and prune
+// returns ErrBadBuild with nothing changed. Failing and healing existing
+// elements is the supported churn; a grown topology needs a new Router.
+//
 // A Router is single-goroutine, like the Engine it feeds. The returned
 // *model.Problem is live: repairs mutate its cost maps in place, and the
 // caller must not Step an engine bound to it between a repair and the
@@ -174,6 +180,9 @@ func (r *Router) subscribers(fi int, buf []model.NodeID) []model.NodeID {
 func (r *Router) PruneDeadSubscribers(consumers []int) (int, error) {
 	if len(consumers) != len(r.prob.Classes) {
 		return 0, fmt.Errorf("%w: %d populations for %d classes", ErrBadBuild, len(consumers), len(r.prob.Classes))
+	}
+	if err := r.checkFrozen(); err != nil {
+		return 0, err
 	}
 	prunedNow := 0
 	reroute := make([]bool, len(r.flows))
