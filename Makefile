@@ -46,9 +46,10 @@ bench-core:
 # Broker data-plane benchmarks recorded as JSON. -cpu=1,4 captures the
 # contended scaling of the lock-free publish path (BENCH_broker.json in
 # the repo additionally keeps the pre-refactor mutex baseline under
-# *MutexBaseline names for comparison).
+# *MutexBaseline names, and the copying-snapshot parent of the metro-shape
+# enact and detach benchmarks under *CopyBaseline names, for comparison).
 bench-broker:
-	$(GO) test -run='^$$' -bench='Publish|ApplyAllocation' -benchmem -cpu=1,4 ./internal/broker/ \
+	$(GO) test -run='^$$' -bench='Publish|ApplyAllocation|DetachAdmitted' -benchmem -cpu=1,4 ./internal/broker/ \
 		| $(GO) run ./cmd/lrgp-benchjson -out BENCH_broker.json
 
 # Distributed-runtime benchmarks recorded as JSON: codec encode/decode

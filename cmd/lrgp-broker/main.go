@@ -594,8 +594,8 @@ func runAutopilot(out io.Writer, p *model.Problem, bm *telemetry.BrokerMetrics,
 	es := b.EnactStats()
 	fmt.Fprintf(out, "autopilot: cycles=%d enacted=%d skipped=%d delta=%.4f oscillation=%.3f demand=%d\n",
 		st.Cycles, st.Enacted, st.Skipped, st.LastDelta, st.Oscillation, st.DemandConsumers)
-	fmt.Fprintf(out, "enact: applies=%d noops=%d route[noop=%d incremental=%d full=%d] classes=%d flows=%d rates=%d\n",
-		es.Applies, es.NoopApplies, es.RouteNoops, es.RouteIncrementals, es.RouteFulls,
+	fmt.Fprintf(out, "enact: applies=%d noops=%d route[noop=%d incremental=%d] classes=%d flows=%d rates=%d\n",
+		es.Applies, es.NoopApplies, es.RouteNoops, es.RouteIncrementals,
 		es.ClassesTouched, es.FlowsTouched, es.RatesChanged)
 	var published, throttled uint64
 	for i := range p.Flows {

@@ -174,7 +174,9 @@ func (a *Autopilot) Close() { a.eng.Close() }
 func (a *Autopilot) Cycle() (model.Allocation, bool, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	start := time.Now()
+	// One clock for the whole cycle — the broker's, so a fake-clock test
+	// sees the offered-rate window and the cycle duration move together.
+	now := a.b.now()
 
 	// Demand: one lock-free counter snapshot across all classes.
 	a.statsBuf = a.b.AllClassStats(a.statsBuf)
@@ -187,7 +189,6 @@ func (a *Autopilot) Cycle() (model.Allocation, bool, error) {
 	// broker's clock. The EWMA smooths scrape jitter; the headroom keeps
 	// a growing producer from being throttled for a whole cycle before
 	// the bound catches up.
-	now := a.b.now()
 	dt := now.Sub(a.lastSync).Seconds()
 	a.lastSync = now
 	needReset := false
@@ -251,14 +252,15 @@ func (a *Autopilot) Cycle() (model.Allocation, bool, error) {
 			return res.Allocation, false, err
 		}
 		a.recordMovesLocked(res.Allocation)
-		a.enacted = res.Allocation.Clone()
+		copy(a.enacted.Rates, res.Allocation.Rates)
+		copy(a.enacted.Consumers, res.Allocation.Consumers)
 		a.enactCount++
 	} else {
 		a.skipped++
 	}
 	a.lastDelta = delta
 	a.lastDemand = demand
-	a.tel.ObserveCycle(enact, time.Since(start).Nanoseconds(), delta, a.oscillationLocked(), demand)
+	a.tel.ObserveCycle(enact, a.b.now().Sub(now).Nanoseconds(), delta, a.oscillationLocked(), demand)
 	return res.Allocation, enact, nil
 }
 

@@ -1,8 +1,11 @@
 package broker
 
 import (
+	"math"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // autopilotFixture: a 4-flow fan broker on a fake clock with an autopilot
@@ -176,5 +179,54 @@ func TestAutopilotUsesEnactPath(t *testing.T) {
 	}
 	if b.route.Load() != before {
 		t.Error("steady-state autopilot cycles republished the route snapshot")
+	}
+}
+
+// TestAutopilotCycleOneClock: every timestamp of a cycle, its reported
+// duration included, comes from the broker's injected clock. On a clock
+// that advances 1 ms per reading an enacted cycle reads it three times —
+// cycle start, ApplyAllocation, cycle end — so it lasts exactly 2 ms, and
+// a skipped cycle exactly 1 ms, whatever the wall clock did meanwhile.
+func TestAutopilotCycleOneClock(t *testing.T) {
+	now := t0
+	tick := func() time.Time {
+		now = now.Add(time.Millisecond)
+		return now
+	}
+	b, err := New(fanProblem(4), WithClock(tick))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := telemetry.NewEnactMetrics(telemetry.NewRegistry())
+	a, err := NewAutopilot(b, AutopilotConfig{Telemetry: tel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	if _, err := b.AttachConsumer(1, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	rates, consumers := &a.enacted.Rates[0], &a.enacted.Consumers[0]
+	for cycle, want := range []struct {
+		enacted bool
+		seconds float64
+	}{{true, 0.002}, {false, 0.003}} {
+		_, enacted, err := a.Cycle()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if enacted != want.enacted {
+			t.Fatalf("cycle %d enacted = %v, want %v", cycle, enacted, want.enacted)
+		}
+		if _, sum := tel.CycleSeconds.CountSum(); math.Abs(sum-want.seconds) > 1e-12 {
+			t.Errorf("cycle %d: cumulative cycle seconds = %g, want %g on the injected clock", cycle, sum, want.seconds)
+		}
+	}
+	// The enacted cycle recorded its allocation in place.
+	if &a.enacted.Rates[0] != rates || &a.enacted.Consumers[0] != consumers {
+		t.Error("an enacted cycle reallocated the autopilot's record of the enacted allocation")
+	}
+	if a.enacted.Consumers[1] != 1 {
+		t.Errorf("recorded enacted n_1 = %d, want 1", a.enacted.Consumers[1])
 	}
 }

@@ -40,11 +40,12 @@ func BenchmarkPublishFanout(b *testing.B) {
 	}
 }
 
-// fanProblem builds a problem with `flows` flows, one Identity class per
-// flow, for the publish-path benchmarks. Rates go up to 1e9 msg/s so a
+// gridProblem builds a problem with `flows` flows of `perFlow` Identity
+// classes each (class IDs run flow by flow), for the publish- and
+// enact-path tests and benchmarks. Rates go up to 1e9 msg/s so a
 // real-clock benchmark loop (refilling 1e9 tokens/s from a 1e9-token
 // burst) never sees a throttle.
-func fanProblem(flows int) *model.Problem {
+func gridProblem(flows, perFlow int) *model.Problem {
 	p := &model.Problem{Name: "fan"}
 	for i := 0; i < flows; i++ {
 		p.Flows = append(p.Flows, model.Flow{
@@ -54,12 +55,46 @@ func fanProblem(flows int) *model.Problem {
 			ID: model.NodeID(i), Capacity: 9e9,
 			FlowCost: map[model.FlowID]float64{model.FlowID(i): 1},
 		})
-		p.Classes = append(p.Classes, model.Class{
-			ID: model.ClassID(i), Name: "c", Flow: model.FlowID(i), Node: model.NodeID(i),
-			MaxConsumers: 64, CostPerConsumer: 1, Utility: utility.NewLog(10),
-		})
+		for k := 0; k < perFlow; k++ {
+			p.Classes = append(p.Classes, model.Class{
+				ID: model.ClassID(len(p.Classes)), Name: "c", Flow: model.FlowID(i), Node: model.NodeID(i),
+				MaxConsumers: 64, CostPerConsumer: 1, Utility: utility.NewLog(10),
+			})
+		}
 	}
 	return p
+}
+
+// fanProblem is gridProblem with one class per flow.
+func fanProblem(flows int) *model.Problem { return gridProblem(flows, 1) }
+
+// gridBroker builds a gridProblem broker with `attached` handler-less
+// consumers on every class and `admitted` of them admitted at 1e9 msg/s,
+// and returns it with the enacted allocation. (The broker never holds
+// attachment to a class's MaxConsumers; that bound is the optimizer's.)
+func gridBroker(tb testing.TB, flows, perFlow, attached, admitted int) (*Broker, model.Allocation) {
+	tb.Helper()
+	p := gridProblem(flows, perFlow)
+	br, err := New(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	alloc := model.NewAllocation(p)
+	for j := range p.Classes {
+		for k := 0; k < attached; k++ {
+			if _, err := br.AttachConsumer(model.ClassID(j), nil, nil); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		alloc.Consumers[j] = admitted
+	}
+	for i := range p.Flows {
+		alloc.Rates[i] = 1e9
+	}
+	if err := br.ApplyAllocation(alloc); err != nil {
+		tb.Fatal(err)
+	}
+	return br, alloc
 }
 
 // benchBrokerFlows builds a broker over `flows` flows with `consumers`
@@ -137,30 +172,12 @@ func BenchmarkPublishMultiFlow(b *testing.B) {
 	})
 }
 
-// benchDeltaBroker builds a 10k-flow broker (one class and 2 admitted
-// consumers per flow) with its allocation enacted — the incremental
+// benchDeltaBroker builds a broker of one class and 2 admitted consumers
+// per flow with its allocation enacted — at 10k flows, the incremental
 // enact path's scale fixture.
 func benchDeltaBroker(tb testing.TB, flows int) (*Broker, model.Allocation) {
 	tb.Helper()
-	p := fanProblem(flows)
-	br, err := New(p)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	alloc := model.NewAllocation(p)
-	for i := 0; i < flows; i++ {
-		for k := 0; k < 2; k++ {
-			if _, err := br.AttachConsumer(model.ClassID(i), nil, nil); err != nil {
-				tb.Fatal(err)
-			}
-		}
-		alloc.Rates[i] = 1e9
-		alloc.Consumers[i] = 2
-	}
-	if err := br.ApplyAllocation(alloc); err != nil {
-		tb.Fatal(err)
-	}
-	return br, alloc
+	return gridBroker(tb, flows, 1, 2, 2)
 }
 
 // BenchmarkApplyAllocationDelta: a single-class admission delta on a
@@ -225,7 +242,7 @@ func BenchmarkApplyAllocationFullRebuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		br.mu.Lock()
-		br.rebuildRouteLocked()
+		br.route.Store(br.buildRouteTableLocked())
 		br.mu.Unlock()
 	}
 }
@@ -254,6 +271,90 @@ func BenchmarkApplyAllocation(b *testing.B) {
 		alloc.Consumers[0] = i % 400 // force real churn
 		if err := br.ApplyAllocation(alloc); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// benchMetroBroker builds the broker the end-to-end demand_churn workload
+// runs on — workload.MetroSmall(): 240 flows of 40 classes — with 100
+// consumers attached to every class and 90 of them admitted, and returns
+// it with the enacted allocation.
+func benchMetroBroker(tb testing.TB) (*Broker, model.Allocation) {
+	tb.Helper()
+	p := workload.MetroSmall()
+	br, err := New(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	alloc := model.NewAllocation(p)
+	for j := range p.Classes {
+		for k := 0; k < 100; k++ {
+			if _, err := br.AttachConsumer(model.ClassID(j), nil, nil); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		alloc.Consumers[j] = 90
+	}
+	for i, f := range p.Flows {
+		alloc.Rates[i] = f.RateMin
+	}
+	if err := br.ApplyAllocation(alloc); err != nil {
+		tb.Fatal(err)
+	}
+	return br, alloc
+}
+
+// BenchmarkApplyAllocationWide is the delta an autopilot cycle under
+// consumer churn actually enacts: n_j moves by one on 340 classes spread
+// over every third flow (80 of 240, past the quarter that used to send the
+// enact down a full rebuild), each class holding ~100 consumers. The cost
+// should follow the 340 admissions moved, not the 860,000 kept.
+func BenchmarkApplyAllocationWide(b *testing.B) {
+	br, alloc := benchMetroBroker(b)
+	var moved []model.ClassID
+	for i := 0; i < len(br.p.Flows); i += 3 {
+		n := 4
+		if i%12 == 0 {
+			n = 5
+		}
+		moved = append(moved, br.ix.ClassesByFlow(model.FlowID(i))[:n]...)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, j := range moved {
+			alloc.Consumers[j] = 89 + i%2
+		}
+		if err := br.ApplyAllocation(alloc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDetachAdmitted: detach a consumer from the middle of a class's
+// admitted prefix and attach a replacement, walking over the classes of
+// the metro broker. Each detach republishes its flow (40 class routes);
+// the allocation is re-enacted, off the clock, once per pass so that
+// every class keeps its 90 admitted.
+func BenchmarkDetachAdmitted(b *testing.B) {
+	br, alloc := benchMetroBroker(b)
+	classes := len(br.p.Classes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := model.ClassID(i * 37 % classes)
+		if err := br.DetachConsumer(br.classes[j].consumers[45].id); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := br.AttachConsumer(j, nil, nil); err != nil {
+			b.Fatal(err)
+		}
+		if i%classes == classes-1 {
+			b.StopTimer()
+			if err := br.ApplyAllocation(alloc); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,7 +36,7 @@ var (
 // consumer is one attached consumer. The fields are control-plane owned:
 // filter and handler are immutable after attach, and admitted is only
 // read and written under Broker.mu — the data plane sees consumers
-// exclusively through the admitted lists of immutable route snapshots.
+// exclusively through the admitted prefixes route snapshots publish.
 type consumer struct {
 	id       ConsumerID
 	class    model.ClassID
@@ -54,12 +55,35 @@ type classState struct {
 	// attached admitted first, latest unadmitted first on shrink).
 	consumers []*consumer
 	admitted  int
+	// published is the longest prefix of consumers' current backing array
+	// any route snapshot may still read (snapshots share the array rather
+	// than copy out of it; see enact.go). The control plane never writes
+	// an index below it; moving to a fresh array resets it to 0.
+	published int
 	// thinner, when set, caps this class's delivery rate below the
 	// flow's source rate (multirate thinning: elastic consumers receive
 	// a subsampled stream, per the latest-price scenario's "reducing
 	// the frequency of updates").
 	thinner  *TokenBucket
 	counters classCounters
+}
+
+// removeAt drops consumers[k], keeping attach order. At or past the
+// published high-water mark no snapshot can read what moves, so the tail
+// shifts down in place (slices.Delete also clears the vacated slot: the
+// array must not keep the departed consumer alive). Inside it, a snapshot
+// may still be walking the very elements a shift would overwrite: they
+// keep the old array and the class moves to a fresh one.
+func (cs *classState) removeAt(k int) {
+	old := cs.consumers
+	if k >= cs.published {
+		cs.consumers = slices.Delete(old, k, k+1)
+		return
+	}
+	fresh := make([]*consumer, len(old)-1, cap(old))
+	copy(fresh, old[:k])
+	copy(fresh[k:], old[k+1:])
+	cs.consumers, cs.published = fresh, 0
 }
 
 // FlowStats reports one flow's publish-side accounting.
@@ -275,7 +299,7 @@ func New(p *model.Problem, opts ...Option) (*Broker, error) {
 		b.flows[i].setRate(f.RateMin)
 		b.enactedRates[i].Store(math.Float64bits(f.RateMin))
 	}
-	b.rebuildRouteLocked()
+	b.route.Store(b.buildRouteTableLocked())
 	return b, nil
 }
 
@@ -299,6 +323,10 @@ func (b *Broker) AttachConsumer(class model.ClassID, filter Filter, h Handler) (
 	b.nextID++
 	c := &consumer{id: id, class: class, filter: filter, handler: h}
 	cs := &b.classes[class]
+	if len(cs.consumers) == cap(cs.consumers) {
+		// The append below moves to a fresh array no snapshot has seen.
+		cs.published = 0
+	}
 	cs.consumers = append(cs.consumers, c)
 	cs.counters.attached.Add(1)
 	b.attachedCount[class].Add(1)
@@ -337,12 +365,7 @@ func (b *Broker) DetachConsumer(id ConsumerID) error {
 	classes := 0
 	delete(b.byID, id)
 	cs := &b.classes[c.class]
-	for k, cc := range cs.consumers {
-		if cc.id == id {
-			cs.consumers = append(cs.consumers[:k], cs.consumers[k+1:]...)
-			break
-		}
-	}
+	cs.removeAt(slices.Index(cs.consumers, c))
 	cs.counters.attached.Add(-1)
 	b.attachedCount[c.class].Add(-1)
 	if c.admitted {
@@ -387,8 +410,8 @@ func (b *Broker) Admitted(id ConsumerID) (bool, error) {
 // throughput to that latency. The spin is a bounded test-and-test-and-
 // set poll (TryLock fails with a plain load while the lock is held, so
 // spinners keep the state word shared instead of bouncing it), long
-// enough to outlast a delta apply but not a full rebuild, after which
-// the caller parks like anyone else.
+// enough to outlast a narrow delta apply but not a broker-wide one, after
+// which the caller parks like anyone else.
 func (b *Broker) lockEnact() {
 	for i := 0; i < 512; i++ {
 		if b.mu.TryLock() {
@@ -407,8 +430,9 @@ func (b *Broker) lockEnact() {
 //
 // The enact cost is proportional to the delta, not to broker size: flows
 // whose rate is unchanged keep their token buckets untouched, classes
-// whose admitted count is unchanged are skipped entirely, and the new
-// snapshot shares every clean flow's route slice with its predecessor
+// whose admitted count is unchanged are skipped entirely, a class whose
+// count moved re-slices its consumer array instead of copying it, and the
+// new snapshot shares every clean flow's route slice with its predecessor
 // (see enact.go). An allocation identical to the enacted one publishes
 // no snapshot at all.
 //

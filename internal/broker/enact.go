@@ -13,26 +13,34 @@ import (
 // Every control operation that can alter admitted membership (attach
 // never does; detach, ApplyAllocation and SetClassRateCap can) appends
 // the classes it dirtied to b.dirtyClasses and then calls
-// republishLocked, which picks one of three outcomes:
+// republishLocked, which has two outcomes:
 //
 //   - route noop: no class's deliverable membership moved, so the
 //     previous snapshot stays published. A rate-only ApplyAllocation
 //     lands here — token buckets are re-rated in place and nothing swaps.
 //   - incremental: the top-level block-pointer array is copied, dirty
 //     blocks are cloned (one slice-header memcpy per routeBlockSize
-//     flows), and only the dirty flows' route slices are rebuilt; every
-//     clean block — and every clean flow's slice inside a cloned block —
-//     is shared, by reference, with the predecessor snapshot. Safe
-//     because snapshots are immutable after publication.
-//   - full rebuild: when the dirty flows are a large fraction of all
-//     flows, patching would cost more than rebuilding, so the classic
-//     full build runs instead.
+//     flows), and only the dirty flows' by-value classRoute entries are
+//     rebuilt; every clean block — and every clean flow's slice inside a
+//     cloned block — is shared, by reference, with the predecessor
+//     snapshot.
 //
-// The published per-flow slices themselves are never pooled or reused:
-// the data plane reads snapshots lock-free with no grace period, so a
-// recycled backing array could be observed mid-overwrite. Reuse is
-// confined to control-plane scratch (dirtyClasses, dirtyFlows, the
-// epoch-marked flowMark) where the mutex makes it safe.
+// No consumer pointer is copied either way: a classRoute's consumers is
+// the prefix cs.consumers[:cs.admitted] of the class's own attach-ordered
+// array (the admitted set is always that prefix; see ApplyAllocation), so
+// admitting and unadmitting re-slice. The data plane reads snapshots
+// lock-free with no grace period, so sharing is safe only under one rule:
+// an element any snapshot can reach is never overwritten. cs.published is
+// the longest prefix ever published from the array cs.consumers lives in,
+// and the control plane writes only at indices >= it: attach appends past
+// it (or append moves the class to a fresh array and old snapshots keep
+// the old one), a detach at or past it shifts the tail in place, a detach
+// inside it copies that one class to a fresh array (classState.removeAt).
+// What is written at such an index becomes reachable only through a later
+// snapshot, and route.Store is the publication point: a publisher that
+// loads the table sees every write made before the store. Other reuse is
+// confined to control-plane scratch (dirtyClasses, dirtyFlows, the epoch-
+// marked flowMark), where the mutex makes it safe.
 
 // EnactStats is the cumulative accounting of the enact path, one counter
 // set per broker. Applies counts ApplyAllocation calls; NoopApplies the
@@ -45,7 +53,6 @@ type EnactStats struct {
 	NoopApplies       uint64
 	RouteNoops        uint64
 	RouteIncrementals uint64
-	RouteFulls        uint64
 	ClassesTouched    uint64
 	FlowsTouched      uint64
 	RatesChanged      uint64
@@ -120,13 +127,6 @@ func (b *Broker) republishLocked() (mode, flowsTouched int) {
 		}
 	}
 	b.dirtyClasses = b.dirtyClasses[:0]
-	if len(b.dirtyFlows)*4 > len(b.p.Flows) {
-		// Wide delta: patching would allocate and copy nearly as much as
-		// rebuilding, so take the simple path (it also keeps the small-
-		// broker case — a handful of flows — on one code path).
-		b.rebuildRouteLocked()
-		return telemetry.EnactRouteFull, len(b.p.Flows)
-	}
 	old := b.route.Load()
 	blocks := make([][][]classRoute, len(old.blocks))
 	copy(blocks, old.blocks)
@@ -154,13 +154,10 @@ func (b *Broker) republishLocked() (mode, flowsTouched int) {
 // hold b.mu.
 func (b *Broker) observeEnactLocked(startNanos int64, mode, classes, flows, rates int) {
 	s := &b.enactStats
-	switch mode {
-	case telemetry.EnactRouteNoop:
+	if mode == telemetry.EnactRouteNoop {
 		s.RouteNoops++
-	case telemetry.EnactRouteIncremental:
+	} else {
 		s.RouteIncrementals++
-	case telemetry.EnactRouteFull:
-		s.RouteFulls++
 	}
 	s.ClassesTouched += uint64(classes)
 	s.FlowsTouched += uint64(flows)

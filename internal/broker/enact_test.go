@@ -25,25 +25,7 @@ func routesShareBacking(a, b []classRoute) bool {
 // enacted allocation.
 func enactedBroker(t *testing.T, flows, consumers int) (*Broker, model.Allocation) {
 	t.Helper()
-	p := fanProblem(flows)
-	br, err := New(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alloc := model.NewAllocation(p)
-	for i := 0; i < flows; i++ {
-		for k := 0; k < consumers; k++ {
-			if _, err := br.AttachConsumer(model.ClassID(i), nil, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		alloc.Rates[i] = 1e9
-		alloc.Consumers[i] = consumers
-	}
-	if err := br.ApplyAllocation(alloc); err != nil {
-		t.Fatal(err)
-	}
-	return br, alloc
+	return gridBroker(t, flows, 1, consumers, consumers)
 }
 
 // TestApplyAllocationNoopKeepsSnapshot: re-enacting the enacted
@@ -99,6 +81,7 @@ func TestApplyAllocationRateOnlyNoSwap(t *testing.T) {
 func TestApplyAllocationDeltaSharesCleanFlows(t *testing.T) {
 	br, alloc := enactedBroker(t, 16, 4)
 	before := br.route.Load()
+	s0 := br.EnactStats()
 	alloc.Consumers[5] = 2
 	if err := br.ApplyAllocation(alloc); err != nil {
 		t.Fatal(err)
@@ -120,8 +103,9 @@ func TestApplyAllocationDeltaSharesCleanFlows(t *testing.T) {
 			t.Errorf("clean flow %d got a new route slice", i)
 		}
 	}
-	if s := br.EnactStats(); s.RouteIncrementals != 1 {
-		t.Errorf("RouteIncrementals = %d, want 1", s.RouteIncrementals)
+	if s := br.EnactStats(); s.RouteIncrementals-s0.RouteIncrementals != 1 || s.FlowsTouched-s0.FlowsTouched != 1 {
+		t.Errorf("delta enact: %d incremental republishes touching %d flows, want 1 and 1",
+			s.RouteIncrementals-s0.RouteIncrementals, s.FlowsTouched-s0.FlowsTouched)
 	}
 }
 
@@ -199,8 +183,8 @@ func TestSetClassRateCapRemoveAbsentNoop(t *testing.T) {
 }
 
 // TestApplyAllocationShrinkLIFOIncremental: LIFO shrink semantics hold on
-// the incremental path (multi-flow broker, single dirty class) exactly as
-// on the full-rebuild path pinned by TestApplyAllocationShrinksLIFO.
+// a multi-flow broker with a single dirty class exactly as on the
+// one-flow broker of TestApplyAllocationShrinksLIFO.
 func TestApplyAllocationShrinkLIFOIncremental(t *testing.T) {
 	p := fanProblem(16)
 	br, err := New(p)
@@ -351,8 +335,8 @@ func TestEnactIncrementalMatchesFullRebuild(t *testing.T) {
 		}
 	}
 	s := br.EnactStats()
-	if s.RouteIncrementals == 0 || s.RouteFulls == 0 || s.RouteNoops == 0 {
-		t.Errorf("op mix did not exercise all republish modes: %+v", s)
+	if s.RouteIncrementals == 0 || s.RouteNoops == 0 {
+		t.Errorf("op mix did not exercise both republish outcomes: %+v", s)
 	}
 }
 

@@ -19,9 +19,10 @@ import (
 //
 // The control plane (AttachConsumer, DetachConsumer, ApplyAllocation,
 // SetClassRateCap) serializes on Broker.mu, mutates the authoritative
-// state, and publishes a freshly built snapshot (copy-on-write). A
-// Publish that raced a control operation delivers against whichever
-// snapshot it loaded — each message sees one consistent routing view.
+// state, and publishes a new snapshot that shares what did not change
+// with its predecessor (enact.go). A Publish that raced a control
+// operation delivers against whichever snapshot it loaded — each message
+// sees one consistent routing view.
 
 // flowState is the per-flow data-plane shard: the source token bucket
 // (internally locked, shared with nobody else), the per-flow sequence
@@ -68,8 +69,9 @@ type classCounters struct {
 
 // classRoute is one class's routing entry in a snapshot: the compiled
 // transform, the shared thinner handle, the counter block, and the
-// admitted consumers in attach order. Snapshots only carry classes with
-// at least one admitted consumer.
+// admitted consumers in attach order — a prefix view of the class's
+// control-plane array, not a copy. Snapshots only carry classes with at
+// least one admitted consumer.
 type classRoute struct {
 	transform Transform
 	// identity marks the Transform as the Identity fast path: the
@@ -86,10 +88,12 @@ type classRoute struct {
 // Route snapshots store per-flow slices in fixed-size blocks so an
 // incremental republish copies one small block, not one slice header per
 // flow: on a 10k-flow broker a flat [][]classRoute costs a ~240KB header
-// copy per enact, while the two-level layout costs ~40 block pointers
-// plus ~6KB per dirty block.
+// copy per enact. Both levels hold 24-byte slice headers, so a one-flow
+// republish copies 24·(flows/size + size) bytes, least near size =
+// √flows: 64 costs 5.3KB at 10,000 flows and 1.6KB at 240, where 256
+// cost 7.1KB and 5.8KB (BenchmarkApplyAllocationDelta, DetachAdmitted).
 const (
-	routeBlockBits = 8
+	routeBlockBits = 6
 	routeBlockSize = 1 << routeBlockBits
 	routeBlockMask = routeBlockSize - 1
 )
@@ -99,7 +103,8 @@ const (
 // addressed as blocks[flow>>routeBlockBits][flow&routeBlockMask]. Never
 // mutated after publication; control-plane changes build and store a new
 // table (which may share blocks, and per-flow slices inside fresh
-// blocks, with its predecessor).
+// blocks, with its predecessor, and shares every consumer array with the
+// control plane under the rule at the top of enact.go).
 type routeTable struct {
 	blocks [][][]classRoute
 }
@@ -110,25 +115,31 @@ func (rt *routeTable) flowRoutes(i model.FlowID) []classRoute {
 
 // buildFlowRoutesLocked builds one flow's deliverable class routes from
 // the authoritative control-plane state, in model.Index class order.
-// Callers must hold b.mu. The returned slice (and the admitted lists it
-// holds) is freshly allocated and never mutated after publication, so it
-// may be spliced into a snapshot that shares every other flow's slice
-// with its predecessor.
+// Callers must hold b.mu. The returned slice is freshly allocated and
+// never mutated after publication, so it may be spliced into a snapshot
+// that shares every other flow's slice with its predecessor. Each entry's
+// consumers is the admitted prefix of the class's own attach-ordered
+// array — a view, not a copy — and building it raises the class's
+// published high-water mark (see the sharing rule at the top of enact.go).
 func (b *Broker) buildFlowRoutesLocked(i model.FlowID) []classRoute {
-	var routes []classRoute
-	for _, cid := range b.ix.ClassesByFlow(i) {
+	classes := b.ix.ClassesByFlow(i)
+	n := 0
+	for _, cid := range classes {
+		if b.classes[cid].admitted > 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	routes := make([]classRoute, 0, n)
+	for _, cid := range classes {
 		cs := &b.classes[cid]
 		if cs.admitted == 0 {
 			continue
 		}
-		admitted := make([]*consumer, 0, cs.admitted)
-		for _, c := range cs.consumers {
-			if c.admitted {
-				admitted = append(admitted, c)
-			}
-		}
-		if len(admitted) == 0 {
-			continue
+		if cs.published < cs.admitted {
+			cs.published = cs.admitted
 		}
 		_, identity := cs.transform.(Identity)
 		routes = append(routes, classRoute{
@@ -136,15 +147,16 @@ func (b *Broker) buildFlowRoutesLocked(i model.FlowID) []classRoute {
 			identity:  identity,
 			thinner:   cs.thinner,
 			counters:  &cs.counters,
-			consumers: admitted,
+			consumers: cs.consumers[:cs.admitted:cs.admitted],
 		})
 	}
 	return routes
 }
 
-// buildRouteTableLocked builds a complete fresh routing snapshot from the
-// authoritative control-plane state. Callers must hold b.mu (or be inside
-// New, before the broker escapes).
+// buildRouteTableLocked builds a complete routing snapshot from the
+// authoritative control-plane state: what New publishes, and the oracle
+// the incremental path (republishLocked in enact.go) is tested against.
+// Callers must hold b.mu (or be inside New, before the broker escapes).
 func (b *Broker) buildRouteTableLocked() *routeTable {
 	flows := len(b.p.Flows)
 	nb := (flows + routeBlockSize - 1) / routeBlockSize
@@ -161,12 +173,4 @@ func (b *Broker) buildRouteTableLocked() *routeTable {
 		rt.blocks[k] = block
 	}
 	return rt
-}
-
-// rebuildRouteLocked builds and publishes a fresh routing snapshot — the
-// full-rebuild path, used at construction and when an enact delta is wide
-// enough that patching would cost more than rebuilding (see
-// republishLocked in enact.go for the incremental path).
-func (b *Broker) rebuildRouteLocked() {
-	b.route.Store(b.buildRouteTableLocked())
 }

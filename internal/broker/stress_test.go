@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -256,6 +257,180 @@ func TestPublishStressConcurrent(t *testing.T) {
 	}
 	if got := bm.WorkUnits.Value(); got != wantWork {
 		t.Errorf("telemetry work units = %d, want %d", got, wantWork)
+	}
+}
+
+// TestPublishStressConcurrentChurn races publishers against every control
+// operation that moves the boundary of a shared consumer array: attach
+// appending past the published prefix, detach inside it (the class moves
+// to a fresh array) and beyond it (the tail shifts in place), and enacts
+// that grow and shrink the admitted prefix. Under -race it is the memory-
+// safety proof of the sharing rule in enact.go. The assertion is exactly-
+// once delivery against the snapshot each publish loaded: the consumers a
+// message reached, in delivery order, must be one of the admitted
+// prefixes the control plane actually published for that class — never a
+// list with a duplicate, a gap, or halves of two different states.
+func TestPublishStressConcurrentChurn(t *testing.T) {
+	const (
+		flows      = 2
+		publishers = 4
+		perG       = 1500
+	)
+	p := stressProblem(flows)
+	b, err := New(p, WithTransform(model.ClassID(flows), Annotate{Attr: "tag", Value: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Receipts: per class, the labels a message reached in delivery order.
+	// One Publish runs its handlers sequentially, so each list is written
+	// by one goroutine at a time; the mutex orders different messages.
+	type classLog struct {
+		mu   sync.Mutex
+		seqs map[uint64][]byte
+	}
+	logs := make([]classLog, len(p.Classes))
+	for j := range logs {
+		logs[j].seqs = make(map[uint64][]byte)
+	}
+
+	// The churner's reference model of one class: labels in attach order
+	// and the admitted count. valid collects every admitted prefix that
+	// was ever in force.
+	type refClass struct {
+		labels   []byte
+		ids      []ConsumerID
+		admitted int
+		next     byte
+		valid    map[string]bool
+	}
+	ref := make([]refClass, len(p.Classes))
+	alloc := model.NewAllocation(p)
+	for i := range p.Flows {
+		alloc.Rates[i] = 1e9
+	}
+	attach := func(j int) {
+		rc := &ref[j]
+		label := rc.next
+		rc.next++
+		lg := &logs[j]
+		id, err := b.AttachConsumer(model.ClassID(j), nil, func(m Message) {
+			lg.mu.Lock()
+			lg.seqs[m.Seq] = append(lg.seqs[m.Seq], label)
+			lg.mu.Unlock()
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		rc.labels = append(rc.labels, label)
+		rc.ids = append(rc.ids, id)
+	}
+	detach := func(j, k int) {
+		rc := &ref[j]
+		if err := b.DetachConsumer(rc.ids[k]); err != nil {
+			t.Error(err)
+		}
+		rc.labels = append(rc.labels[:k:k], rc.labels[k+1:]...)
+		rc.ids = append(rc.ids[:k:k], rc.ids[k+1:]...)
+		if k < rc.admitted {
+			// Keep the shared allocation in step, or the next enact of any
+			// class would quietly re-grow this one.
+			rc.admitted--
+			alloc.Consumers[j] = rc.admitted
+		}
+	}
+	enact := func(j, n int) {
+		alloc.Consumers[j] = n
+		if err := b.ApplyAllocation(alloc); err != nil {
+			t.Error(err)
+		}
+		ref[j].admitted = n
+	}
+	noteValid := func(j int) {
+		rc := &ref[j]
+		rc.valid[string(rc.labels[:rc.admitted])] = true
+	}
+	for j := range ref {
+		ref[j].valid = make(map[string]bool)
+		for k := 0; k < 6; k++ {
+			attach(j)
+		}
+		enact(j, 4)
+		noteValid(j)
+	}
+
+	var pubWG, churnWG sync.WaitGroup
+	stop := make(chan struct{})
+	churnWG.Add(1)
+	go func() {
+		defer churnWG.Done()
+		rng := rand.New(rand.NewSource(21))
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			j := rng.Intn(len(ref))
+			rc := &ref[j]
+			switch op := rng.Intn(5); {
+			case op == 0 && len(rc.labels) < 12:
+				attach(j) // appends past every published prefix
+			case op == 1 && rc.admitted > 1:
+				detach(j, rng.Intn(rc.admitted)) // inside the admitted prefix
+			case op == 2 && len(rc.labels) > rc.admitted:
+				detach(j, rc.admitted+rng.Intn(len(rc.labels)-rc.admitted)) // beyond it
+			case op == 3 && len(rc.labels) > rc.admitted:
+				enact(j, rc.admitted+1+rng.Intn(len(rc.labels)-rc.admitted)) // grow
+			case op == 4 && rc.admitted > 1:
+				enact(j, 1+rng.Intn(rc.admitted-1)) // shrink, never to zero
+			}
+			noteValid(j)
+		}
+	}()
+
+	attrs := map[string]float64{"price": 80}
+	for g := 0; g < publishers; g++ {
+		flow := model.FlowID(g % flows)
+		pubWG.Add(1)
+		go func() {
+			defer pubWG.Done()
+			for n := 0; n < perG; n++ {
+				if err := b.Publish(flow, attrs, "x"); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { pubWG.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("stress run wedged")
+	}
+	close(stop)
+	churnWG.Wait()
+
+	// Every class keeps at least one admitted consumer throughout, so
+	// every message of its flow must have reached it, along one valid
+	// prefix.
+	const perFlow = publishers / flows * perG
+	for j := range ref {
+		if len(logs[j].seqs) != perFlow {
+			t.Errorf("class %d: %d of %d messages delivered", j, len(logs[j].seqs), perFlow)
+		}
+		bad := 0
+		for seq, got := range logs[j].seqs {
+			if !ref[j].valid[string(got)] && bad < 5 {
+				bad++
+				t.Errorf("class %d seq %d: delivered to %v, which is no admitted prefix this class ever published", j, seq, got)
+			}
+		}
+		if len(ref[j].valid) < 10 {
+			t.Errorf("class %d: only %d distinct admitted prefixes; the churn is not racing the publishers", j, len(ref[j].valid))
+		}
 	}
 }
 

@@ -7,9 +7,9 @@ package telemetry
 // everything and every observe method is lock-free and allocation-free.
 
 // Route-build outcomes reported by ObserveApply, mirroring the broker's
-// enact modes: a no-op publishes no snapshot at all, an incremental build
-// rebuilds only the affected flows' route slices and shares the rest with
-// the predecessor snapshot, and a full build rebuilds every flow.
+// enact modes: a no-op publishes no snapshot at all, and an incremental
+// build rebuilds only the affected flows' route slices and shares the
+// rest with the predecessor snapshot.
 const (
 	// EnactRouteNoop: the enact changed no admitted membership, so the
 	// previous snapshot stayed published.
@@ -17,14 +17,11 @@ const (
 	// EnactRouteIncremental: only the dirty classes' flows were rebuilt;
 	// every other flow's route slice is shared with the old snapshot.
 	EnactRouteIncremental
-	// EnactRouteFull: the delta was wide enough that a full rebuild was
-	// cheaper than patching.
-	EnactRouteFull
 )
 
 // enactModeNames labels the route-build counter in exposition output,
 // indexed by the EnactRoute* constants.
-var enactModeNames = [3]string{"noop", "incremental", "full"}
+var enactModeNames = [2]string{"noop", "incremental"}
 
 // EnactMetrics instruments the enact path. ObserveApply is called by the
 // broker once per control operation that may republish the route
@@ -37,7 +34,7 @@ type EnactMetrics struct {
 	ApplySeconds *Histogram
 	// RouteBuilds counts enacts by route-build outcome, indexed by the
 	// EnactRoute* constants.
-	RouteBuilds [3]*Counter
+	RouteBuilds [2]*Counter
 	// ClassesTouched counts classes whose admitted membership an enact
 	// changed; FlowsTouched counts flows whose route slice was rebuilt;
 	// RatesChanged counts per-flow token-bucket re-ratings. All three

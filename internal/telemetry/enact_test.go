@@ -12,18 +12,15 @@ func TestEnactMetricsObserve(t *testing.T) {
 
 	m.ObserveApply(1500, EnactRouteIncremental, 2, 1, 3)
 	m.ObserveApply(500, EnactRouteNoop, 0, 0, 0)
-	m.ObserveApply(2500, EnactRouteFull, 8, 6, 6)
+	m.ObserveApply(2500, EnactRouteIncremental, 8, 6, 6)
 	m.ObserveCycle(true, 10_000, 0.25, 0.5, 120)
 	m.ObserveCycle(false, 8_000, 0.001, 0.5, 120)
 
 	if got := m.RouteBuilds[EnactRouteNoop].Value(); got != 1 {
 		t.Errorf("noop builds = %d, want 1", got)
 	}
-	if got := m.RouteBuilds[EnactRouteIncremental].Value(); got != 1 {
-		t.Errorf("incremental builds = %d, want 1", got)
-	}
-	if got := m.RouteBuilds[EnactRouteFull].Value(); got != 1 {
-		t.Errorf("full builds = %d, want 1", got)
+	if got := m.RouteBuilds[EnactRouteIncremental].Value(); got != 2 {
+		t.Errorf("incremental builds = %d, want 2", got)
 	}
 	if got := m.ClassesTouched.Value(); got != 10 {
 		t.Errorf("classes touched = %d, want 10", got)
@@ -55,8 +52,7 @@ func TestEnactMetricsObserve(t *testing.T) {
 	for _, want := range []string{
 		`lrgp_enact_apply_seconds_bucket{le=`,
 		`lrgp_enact_route_builds_total{mode="noop"} 1`,
-		`lrgp_enact_route_builds_total{mode="incremental"} 1`,
-		`lrgp_enact_route_builds_total{mode="full"} 1`,
+		`lrgp_enact_route_builds_total{mode="incremental"} 2`,
 		`lrgp_enact_classes_touched_total 10`,
 		`lrgp_enact_flows_touched_total 7`,
 		`lrgp_enact_rates_changed_total 9`,
@@ -77,7 +73,7 @@ func TestEnactMetricsObserve(t *testing.T) {
 // instrumentation handle in this package.
 func TestEnactMetricsNilSafe(t *testing.T) {
 	var m *EnactMetrics
-	m.ObserveApply(1, EnactRouteFull, 1, 1, 1)
+	m.ObserveApply(1, EnactRouteIncremental, 1, 1, 1)
 	m.ObserveCycle(true, 1, 1, 1, 1)
 }
 

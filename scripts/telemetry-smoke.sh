@@ -196,7 +196,6 @@ for family in \
     'lrgp_enact_apply_seconds_bucket{le=' \
     'lrgp_enact_route_builds_total{mode="noop"}' \
     'lrgp_enact_route_builds_total{mode="incremental"}' \
-    'lrgp_enact_route_builds_total{mode="full"}' \
     lrgp_enact_classes_touched_total \
     lrgp_enact_flows_touched_total \
     lrgp_enact_rates_changed_total \
