@@ -52,9 +52,12 @@ bench-broker:
 	$(GO) test -run='^$$' -bench='Publish|ApplyAllocation|DetachAdmitted' -benchmem -cpu=1,4 ./internal/broker/ \
 		| $(GO) run ./cmd/lrgp-benchjson -out BENCH_broker.json
 
-# Distributed-runtime benchmarks recorded as JSON: codec encode/decode
-# ns/op (transport), JSON-vs-binary bytes/round, plain-vs-batched
-# frames/round, and rounds-to-converge per staleness bound K.
+# Distributed-runtime benchmarks recorded as JSON: codec encode ns/op
+# (transport), bytes/round on the base workload, plain-vs-batched
+# frames/round in memory and — SyncRoundTCPScaled, the shape the end-to-end
+# dist_rounds workload measures — over loopback TCP, and rounds-to-converge
+# per staleness bound K. BENCH_dist.json in the repo additionally keeps the
+# rows of the deleted JSON wire under *JSONBaseline names.
 bench-dist:
 	$(GO) test -run='^$$' -bench='DistWire|DistBatch|DistStaleness|SyncRound|Message' -benchmem \
 		./internal/dist/ ./internal/transport/ \

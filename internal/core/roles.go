@@ -40,6 +40,9 @@ type NodeAllocator struct {
 	ix     *model.Index
 	node   model.NodeID
 	active []bool
+	// ranked is admitNode's scratch, sized once for the node's classes so
+	// an Allocate call allocates nothing.
+	ranked []classBC
 }
 
 // NewNodeAllocator prepares the allocator for node b. All flows are
@@ -49,7 +52,7 @@ func NewNodeAllocator(p *model.Problem, ix *model.Index, b model.NodeID) *NodeAl
 	for i := range active {
 		active[i] = true
 	}
-	return &NodeAllocator{p: p, ix: ix, node: b, active: active}
+	return &NodeAllocator{p: p, ix: ix, node: b, active: active, ranked: make([]classBC, 0, len(ix.ClassesByNode(b)))}
 }
 
 // SetFlowActive marks a flow as participating or not (a departed flow's
@@ -62,7 +65,7 @@ func (na *NodeAllocator) SetFlowActive(i model.FlowID, active bool) {
 // slice indexed by FlowID), writing populations into consumers (full-length
 // slice indexed by ClassID; only this node's classes are written).
 func (na *NodeAllocator) Allocate(rates []float64, consumers []int) NodeAllocation {
-	res := admitNode(na.p, na.ix, na.node, rates, na.active, consumers, nil, nil, 0)
+	res := admitNode(na.p, na.ix, na.node, rates, na.active, consumers, na.ranked, nil, 0)
 	return NodeAllocation{Used: res.used, BestUnsatisfied: res.bestUnsatisfied}
 }
 

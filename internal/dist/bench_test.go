@@ -28,8 +28,7 @@ func BenchmarkSyncRoundMemory(b *testing.B) {
 	}
 }
 
-// BenchmarkSyncRoundTCP measures the same round over loopback TCP with
-// JSON framing.
+// BenchmarkSyncRoundTCP measures the same round over loopback TCP.
 func BenchmarkSyncRoundTCP(b *testing.B) {
 	net := transport.NewTCP()
 	defer net.Close()
@@ -46,27 +45,53 @@ func BenchmarkSyncRoundTCP(b *testing.B) {
 	}
 }
 
-// BenchmarkSyncRoundTCPBinary is BenchmarkSyncRoundTCP on the compact
-// binary wire (uvarint framing, no per-message json.Marshal).
-func BenchmarkSyncRoundTCPBinary(b *testing.B) {
-	net := transport.NewTCP()
-	defer net.Close()
-	cl, err := New(workload.Base(), Config{Core: core.Config{Adaptive: true}, Wire: transport.WireBinary}, net)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cl.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cl.Run(1, time.Minute); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkSyncRoundTCPScaled is the shape the end-to-end benchmark's
+// dist_rounds workload measures: 72 agents (FlowCopies 8) and a collector
+// over loopback TCP, one op a Run(10) chunk, plain and with each node's
+// agents batched behind a gateway (the default host count). frames/round
+// and bytes/round come from the TCP meter (frame bodies actually written).
+func BenchmarkSyncRoundTCPScaled(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"plain", Config{}},
+		{"batched", Config{Batch: true}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			const chunk = 10
+			net := transport.NewTCP()
+			defer net.Close()
+			cfg := bc.cfg
+			cfg.Core = core.Config{Adaptive: true}
+			cl, err := New(workload.Scaled(workload.Config{FlowCopies: 8}), cfg, net)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer cl.Close()
+			if _, err := cl.Run(chunk, time.Minute); err != nil { // dial every connection
+				b.Fatal(err)
+			}
+			before := net.NetStats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := cl.Run(chunk, time.Minute); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			after := net.NetStats()
+			rounds := float64(b.N * chunk)
+			b.ReportMetric(float64(after.Delivered-before.Delivered)/rounds, "frames/round")
+			b.ReportMetric(float64(after.Bytes-before.Bytes)/rounds, "bytes/round")
+		})
 	}
 }
 
 // benchRounds runs b.N synchronous rounds under cfg on the given problem
 // and reports frames/round and bytes/round from the transport meter, the
-// two costs the binary codec and gateway batching attack (recorded to
+// two costs the codec and gateway batching attack (recorded to
 // BENCH_dist.json by `make bench-dist`).
 func benchRounds(b *testing.B, cfg Config, flowCopies, nodeSetCopies int) {
 	p := workload.Scaled(workload.Config{FlowCopies: flowCopies, NodeSetCopies: nodeSetCopies})
@@ -88,20 +113,21 @@ func benchRounds(b *testing.B, cfg Config, flowCopies, nodeSetCopies int) {
 	b.ReportMetric(float64(m.Bytes)/float64(b.N), "bytes/round")
 }
 
-// BenchmarkDistWire compares the wire formats on the base workload.
+// BenchmarkDistWire is the wire's cost on the base workload. Its one
+// sub-benchmark keeps the name the rows recorded before the JSON wire was
+// deleted are compared under.
 func BenchmarkDistWire(b *testing.B) {
-	b.Run("json", func(b *testing.B) { benchRounds(b, Config{}, 1, 1) })
-	b.Run("binary", func(b *testing.B) { benchRounds(b, Config{Wire: transport.WireBinary}, 1, 1) })
+	b.Run("binary", func(b *testing.B) { benchRounds(b, Config{}, 1, 1) })
 }
 
 // BenchmarkDistBatch compares plain per-message delivery against per-host
 // gateway batching on the 102-flow x 102-node cluster (12 hosts).
 func BenchmarkDistBatch(b *testing.B) {
 	b.Run("plain", func(b *testing.B) {
-		benchRounds(b, Config{Wire: transport.WireBinary}, 17, 2)
+		benchRounds(b, Config{}, 17, 2)
 	})
 	b.Run("batched", func(b *testing.B) {
-		benchRounds(b, Config{Wire: transport.WireBinary, Batch: true, Hosts: 12}, 17, 2)
+		benchRounds(b, Config{Batch: true, Hosts: 12}, 17, 2)
 	})
 }
 
@@ -121,7 +147,6 @@ func BenchmarkDistRecorder(b *testing.B) {
 			defer net.Close()
 			cl, err := New(p, Config{
 				Core:      core.Config{Adaptive: true},
-				Wire:      transport.WireBinary,
 				Staleness: 1,
 				Record:    on,
 			}, net)
@@ -155,7 +180,7 @@ func BenchmarkDistStaleness(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				net := transport.NewMemory()
 				cl, err := New(p, Config{
-					Core: core.Config{Adaptive: true}, Wire: transport.WireBinary,
+					Core:  core.Config{Adaptive: true},
 					Batch: true, Hosts: 12, Staleness: k,
 				}, net)
 				if err != nil {

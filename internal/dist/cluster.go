@@ -53,11 +53,6 @@ type Config struct {
 	// (per-class delivery rates); see internal/multirate.
 	Multirate bool
 
-	// Wire selects the message encoding (transport.WireJSON, the
-	// compatible default, or transport.WireBinary for the compact
-	// varint-framed codec). The trajectory is identical either way; only
-	// the bytes on the wire differ.
-	Wire transport.Wire
 	// Batch co-locates agents onto gateway hosts: intra-host messages
 	// skip the wire entirely and cross-host traffic is batched into one
 	// frame per host pair per flush epoch (see gateway.go). In Async mode
@@ -110,6 +105,10 @@ type Config struct {
 	// Staleness == 0 (used by tests to prove the K=0 schedule is
 	// bit-identical to the barrier loop).
 	staleLoop bool
+	// parkCollector, when non-nil, keeps the collector from reading its
+	// inbox until the channel is closed (used by tests to let the agents
+	// run as far ahead of it as Run allows).
+	parkCollector chan struct{}
 }
 
 func (c Config) normalized() Config {
@@ -190,15 +189,6 @@ type Cluster struct {
 	ran     int // highest round requested in sync mode
 }
 
-// setWire applies the configured wire format to endpoints that support
-// per-endpoint selection (the TCP transport; the in-memory transport
-// passes structs through and has nothing to select).
-func setWire(ep transport.Endpoint, w transport.Wire) {
-	if ws, ok := ep.(transport.WireSelector); ok {
-		ws.SetWire(w)
-	}
-}
-
 // New validates the problem and attaches all agents to the network. Agents
 // do not process rounds until Run (Sync) or Start (Async).
 func New(p *model.Problem, cfg Config, net transport.Network) (*Cluster, error) {
@@ -224,7 +214,6 @@ func New(p *model.Problem, cfg Config, net transport.Network) (*Cluster, error) 
 	if err != nil {
 		return nil, fmt.Errorf("dist: collector endpoint: %w", err)
 	}
-	setWire(collEP, c.Wire)
 	// Only nodes that see at least one flow (directly or via an owned
 	// link) ever compute and report; the collector must not wait for the
 	// silent ones.
@@ -241,24 +230,19 @@ func New(p *model.Problem, cfg Config, net transport.Network) (*Cluster, error) 
 		}
 	}
 	cl.coll = newCollector(p, collEP, reporting, c.Staleness == 0, c.Telemetry, cl.newRec(collectorName), cl.epoch)
+	cl.coll.parked = c.parkCollector
 
 	ctrlEP, err := net.Endpoint("cluster-ctrl")
 	if err != nil {
 		return nil, fmt.Errorf("dist: control endpoint: %w", err)
 	}
-	setWire(ctrlEP, c.Wire)
 	cl.ctrl = ctrlEP
 
 	// endpointFor hands each agent its attachment: a plain network
 	// endpoint, or a port on its host's batching gateway.
 	endpointFor := func(name string) (transport.Endpoint, error) {
 		if !c.Batch {
-			ep, err := net.Endpoint(name)
-			if err != nil {
-				return nil, err
-			}
-			setWire(ep, c.Wire)
-			return ep, nil
+			return net.Endpoint(name)
 		}
 		gw := cl.gateways[hostIndex(cl.route[name], len(cl.gateways))]
 		return gw.port(name), nil
@@ -436,8 +420,7 @@ func (cl *Cluster) buildGateways(p *model.Problem, net transport.Network, c Conf
 		if err != nil {
 			return fmt.Errorf("dist: host %d endpoint: %w", k, err)
 		}
-		setWire(ep, c.Wire)
-		cl.gateways = append(cl.gateways, newGateway(ep, c.Wire, cl.route, c.Mode == Async, c.FlushInterval, c.Telemetry, cl.newRec(hostName(k))))
+		cl.gateways = append(cl.gateways, newGateway(ep, cl.route, c.Mode == Async, c.FlushInterval, c.Telemetry, cl.newRec(hostName(k))))
 	}
 	return nil
 }
@@ -460,19 +443,11 @@ var ErrMode = errors.New("dist: operation not valid in this mode")
 
 // sendCtrl encodes and delivers one control message to an agent (directly,
 // or wrapped in a single-message batch frame to the agent's host gateway
-// in batch mode). All errors surface to the caller.
+// in batch mode). Send errors surface to the caller.
 func (cl *Cluster) sendCtrl(to string, body ctrlMsg) error {
-	payload, err := encodeBody(cl.cfg.Wire, nil, body)
-	if err != nil {
-		return err
-	}
-	msg := transport.Message{From: cl.ctrl.Name(), To: to, Kind: ctrlKind, Payload: payload}
+	msg := transport.Message{From: cl.ctrl.Name(), To: to, Kind: ctrlKind, Payload: body.appendBinary(nil)}
 	if host, ok := cl.route[to]; ok && host != to {
-		bp, err := encodeBatch(cl.cfg.Wire, []transport.Message{msg})
-		if err != nil {
-			return err
-		}
-		msg = transport.Message{From: cl.ctrl.Name(), To: host, Kind: batchKind, Payload: bp}
+		msg = transport.Message{From: cl.ctrl.Name(), To: host, Kind: batchKind, Payload: encodeBatch([]transport.Message{msg})}
 	}
 	return cl.ctrl.Send(msg)
 }
@@ -481,6 +456,16 @@ func (cl *Cluster) sendCtrl(to string, body ctrlMsg) error {
 // per-round global utilities observed by the collector. In bounded-
 // staleness mode over a lossy transport, rounds whose frames were lost are
 // absent from the result.
+//
+// The collector is in no agent's barrier, so agents told to run far ahead
+// leave it behind, and what they send it while it catches up has to fit
+// its inbox: a frame that does not is dropped, and on the barrier schedule
+// — where every round must finalize — the run then never completes. So
+// there the agents are released a window at a time, each at most as many
+// rounds as the inbox holds frames for (one per flow and reporting node
+// per round), and the next once the collector has finalized the last.
+// With Staleness > 0 a lost round is skipped by design and the chirps
+// repair the final one, so there is nothing to protect.
 func (cl *Cluster) Run(rounds int, timeout time.Duration) ([]RoundStats, error) {
 	if cl.cfg.Mode != Sync {
 		return nil, ErrMode
@@ -488,20 +473,28 @@ func (cl *Cluster) Run(rounds int, timeout time.Duration) ([]RoundStats, error) 
 	if timeout <= 0 {
 		timeout = 30 * time.Second
 	}
+	deadline := time.Now().Add(timeout)
 	cl.mu.Lock()
 	from := cl.ran + 1
 	cl.ran += rounds
 	until := cl.ran
 	cl.mu.Unlock()
 
-	for _, fa := range cl.flows {
-		if err := cl.sendCtrl(fa.ep.Name(), ctrlMsg{RunUntil: until}); err != nil {
-			return nil, fmt.Errorf("dist: run ctrl: %w", err)
-		}
+	window := rounds
+	if cl.coll.inOrder {
+		window = max(1, cap(cl.coll.ep.Recv())/(len(cl.flows)+cl.coll.nodesTotal))
 	}
-	if err := cl.coll.waitRound(until, timeout); err != nil {
-		cl.postmortem()
-		return nil, err
+	for next := from - 1; next < until; {
+		next = min(next+window, until)
+		for _, fa := range cl.flows {
+			if err := cl.sendCtrl(fa.ep.Name(), ctrlMsg{RunUntil: next}); err != nil {
+				return nil, fmt.Errorf("dist: run ctrl: %w", err)
+			}
+		}
+		if err := cl.coll.waitRound(next, time.Until(deadline)); err != nil {
+			cl.postmortem()
+			return nil, err
+		}
 	}
 	return cl.coll.rounds(from, until), nil
 }

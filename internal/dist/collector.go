@@ -35,28 +35,28 @@ type collector struct {
 	consumers  []int
 	deliveries []float64
 	active     []bool
-	// sync-mode round assembly. reportSeen tracks reporting nodes as a
-	// set, not a count, so resent reports (bounded-staleness mode) are
-	// deduplicated. activeCount and roundGot (rates recorded per round
-	// from currently-active flows) are maintained incrementally so the
-	// per-message completeness check is O(1) — a full scan per message is
-	// what melts the collector on thousand-agent clusters.
-	roundRates  map[int]map[model.FlowID]float64
-	roundPops   map[int]map[model.ClassID]int
-	roundDel    map[int]map[model.ClassID]float64
-	reportSeen  map[int]map[model.NodeID]bool
+	// sync-mode round assembly: one record per round with inputs still
+	// outstanding, and the records of finalized rounds kept for reuse.
+	// activeCount and each record's count of rates from currently-active
+	// flows are maintained incrementally so the per-message completeness
+	// check is O(1) — a full scan per message is what melts the collector
+	// on thousand-agent clusters.
+	pending     map[int]*roundAsm
+	free        []*roundAsm
 	activeCount int
-	roundGot    map[int]int
 	nodesTotal  int
 	// Observability state: the frontier (freshest round seen in any
-	// message), per-agent latest rounds (for the effective-staleness
-	// scan at finalize; a node still at 0 never reports and is skipped),
-	// and each pending round's first-input timestamp.
+	// message) and per-agent latest rounds (for the effective-staleness
+	// scan at finalize; a node still at 0 never reports and is skipped).
 	frontier   int
 	latestFlow []int
 	latestNode []int
-	roundFirst map[int]int64
 	stats      []RoundStats
+	// report and batch are the decode scratch inbound reports and batch
+	// frames land in; only run's goroutine touches them.
+	report reportMsg
+	batch  []transport.Message
+	dec    transport.Decoder
 	// inOrder finalizes rounds strictly sequentially (the lossless
 	// barrier protocol). When false (bounded-staleness mode over lossy
 	// transports) any fully-assembled round finalizes, and rounds whose
@@ -67,7 +67,23 @@ type collector struct {
 	waiters      []roundWaiter
 	samples      int
 
-	done chan struct{}
+	// parked, when non-nil, holds run back until it is closed: tests use
+	// it to let the agents get as far ahead of the collector as they can.
+	parked chan struct{}
+	done   chan struct{}
+}
+
+// roundAsm assembles one round's inputs in arrays indexed by id, so a
+// round costs no allocation once a record has been through the free list.
+type roundAsm struct {
+	rates    []float64 // by flow, where rateSeen
+	rateSeen []bool
+	pops     []int     // by class
+	dels     []float64 // by class; < 0 = none reported, as in collector.deliveries
+	reported []bool    // by node; a set, so resent reports are deduplicated
+	got      int       // rateSeen flows that are currently active
+	reports  int       // reported nodes
+	first    int64     // when the first input arrived, since the epoch
 }
 
 type roundWaiter struct {
@@ -88,16 +104,11 @@ func newCollector(p *model.Problem, ep transport.Endpoint, nodesTotal int, inOrd
 		epoch:        epoch,
 		latestFlow:   make([]int, len(p.Flows)),
 		latestNode:   make([]int, len(p.Nodes)),
-		roundFirst:   make(map[int]int64),
 		rates:        make([]float64, len(p.Flows)),
 		consumers:    make([]int, len(p.Classes)),
 		deliveries:   make([]float64, len(p.Classes)),
 		active:       make([]bool, len(p.Flows)),
-		roundRates:   make(map[int]map[model.FlowID]float64),
-		roundPops:    make(map[int]map[model.ClassID]int),
-		roundDel:     make(map[int]map[model.ClassID]float64),
-		reportSeen:   make(map[int]map[model.NodeID]bool),
-		roundGot:     make(map[int]int),
+		pending:      make(map[int]*roundAsm),
 		activeCount:  len(p.Flows),
 		nodesTotal:   nodesTotal,
 		inOrder:      inOrder,
@@ -116,98 +127,113 @@ func newCollector(p *model.Problem, ep transport.Endpoint, nodesTotal int, inOrd
 
 func (c *collector) run() {
 	defer close(c.done)
+	if c.parked != nil {
+		<-c.parked
+	}
 	for m := range c.ep.Recv() {
-		if !c.handle(m) {
+		if m.Kind == batchKind {
+			// A batch frame: each inner message, none of them a batch.
+			var err error
+			if c.batch, err = decodeBatch(&c.dec, c.batch[:0], m.Payload); err != nil {
+				continue
+			}
+			for _, im := range c.batch {
+				if !c.handle(im) {
+					return
+				}
+			}
+		} else if !c.handle(m) {
 			return
 		}
 	}
 }
 
-// handle dispatches one message (or, for batch frames, each inner
-// message), returning false on Stop.
+// handle dispatches one message, returning false on Stop.
 func (c *collector) handle(m transport.Message) bool {
 	switch m.Kind {
-	case batchKind:
-		inner, err := decodeBatch(m.Payload)
-		if err != nil {
-			return true
-		}
-		for _, im := range inner {
-			if !c.handle(im) {
-				return false
-			}
-		}
 	case ctrlKind:
-		cm, err := decodeCtrl(m)
-		if err != nil {
-			return true
-		}
-		if cm.Stop {
-			return false
-		}
+		cm, err := decodeCtrl(m.Payload)
+		return err != nil || !cm.Stop
 	case rateKind:
-		rm, err := decodeRate(m)
-		if err != nil {
-			return true
+		if rm, err := decodeRate(m.Payload); err == nil && int(rm.Flow) < len(c.rates) {
+			c.absorbRate(rm)
 		}
-		c.absorbRate(rm)
 	case reportKind:
-		rm, err := decodeReport(m)
-		if err != nil {
-			return true
+		if rm := &c.report; decodeReport(m.Payload, rm) == nil && int(rm.Node) < len(c.latestNode) {
+			c.absorbReport(rm)
 		}
-		c.absorbReport(rm)
 	}
 	return true
 }
 
-// touchRoundLocked maintains the frontier, the per-flow/node latest
-// rounds, and a pending round's first-input timestamp.
-func (c *collector) touchRoundLocked(round int) {
-	if round > c.frontier {
-		c.frontier = round
+// asmLocked returns the assembly record of a round with inputs still
+// outstanding, starting one when this is the round's first input, and
+// advances the frontier. A message for a round already finalized (a resent
+// duplicate) gets nil: it still updates the latest state, nothing else.
+func (c *collector) asmLocked(round int) *roundAsm {
+	c.frontier = max(c.frontier, round)
+	if a := c.pending[round]; a != nil {
+		return a
 	}
-	if _, ok := c.roundFirst[round]; !ok {
-		c.roundFirst[round] = int64(time.Since(c.epoch))
+	if (c.inOrder && round < c.nextComplete) || c.completed[round] {
+		return nil
 	}
+	var a *roundAsm
+	if n := len(c.free); n > 0 {
+		a, c.free = c.free[n-1], c.free[:n-1]
+		clear(a.rateSeen)
+		clear(a.pops)
+		clear(a.reported)
+		a.got, a.reports = 0, 0
+	} else {
+		a = &roundAsm{
+			rates:    make([]float64, len(c.rates)),
+			rateSeen: make([]bool, len(c.rates)),
+			pops:     make([]int, len(c.consumers)),
+			dels:     make([]float64, len(c.consumers)),
+			reported: make([]bool, len(c.latestNode)),
+		}
+	}
+	for j := range a.dels {
+		a.dels[j] = -1
+	}
+	a.first = int64(time.Since(c.epoch))
+	c.pending[round] = a
+	return a
 }
 
 func (c *collector) absorbRate(rm rateMsg) {
 	c.progress.Add(1)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if rm.Round > c.latestFlow[rm.Flow] {
-		c.latestFlow[rm.Flow] = rm.Round
-	}
-	c.touchRoundLocked(rm.Round)
-	if !rm.Active {
-		if c.active[rm.Flow] {
-			c.active[rm.Flow] = false
+	c.latestFlow[rm.Flow] = max(c.latestFlow[rm.Flow], rm.Round)
+	a := c.asmLocked(rm.Round)
+	if c.active[rm.Flow] != rm.Active { // a departure, or a rejoining flow becomes active again
+		c.active[rm.Flow] = rm.Active
+		if rm.Active {
+			c.activeCount++
+		} else {
 			c.activeCount--
-			c.recountPendingLocked()
 		}
+		c.recountPendingLocked()
+	}
+	if rm.Active {
+		c.rates[rm.Flow] = rm.Rate
+		if a != nil {
+			if !a.rateSeen[rm.Flow] {
+				a.rateSeen[rm.Flow] = true
+				a.got++
+			}
+			a.rates[rm.Flow] = rm.Rate
+		}
+	} else {
 		c.rates[rm.Flow] = 0
 		for j := range c.p.Classes {
 			if c.p.Classes[j].Flow == rm.Flow {
 				c.consumers[j] = 0
 			}
 		}
-		c.completeRoundsLocked(rm.Round)
-		return
 	}
-	if !c.active[rm.Flow] { // a rejoining flow becomes active again
-		c.active[rm.Flow] = true
-		c.activeCount++
-		c.recountPendingLocked()
-	}
-	c.rates[rm.Flow] = rm.Rate
-	if c.roundRates[rm.Round] == nil {
-		c.roundRates[rm.Round] = make(map[model.FlowID]float64)
-	}
-	if _, seen := c.roundRates[rm.Round][rm.Flow]; !seen {
-		c.roundGot[rm.Round]++
-	}
-	c.roundRates[rm.Round][rm.Flow] = rm.Rate
 	c.completeRoundsLocked(rm.Round)
 }
 
@@ -215,47 +241,42 @@ func (c *collector) absorbRate(rm rateMsg) {
 // flow's activity flips. Departures and rejoins are rare control events, so
 // the full recount stays off the hot path.
 func (c *collector) recountPendingLocked() {
-	for round, rates := range c.roundRates {
-		got := 0
-		for i := range rates {
-			if c.active[i] {
-				got++
+	for _, a := range c.pending {
+		a.got = 0
+		for i, seen := range a.rateSeen {
+			if seen && c.active[i] {
+				a.got++
 			}
 		}
-		c.roundGot[round] = got
 	}
 }
 
-func (c *collector) absorbReport(rm reportMsg) {
+func (c *collector) absorbReport(rm *reportMsg) {
 	c.progress.Add(1)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if rm.Round > c.latestNode[rm.Node] {
-		c.latestNode[rm.Node] = rm.Round
-	}
-	c.touchRoundLocked(rm.Round)
-	for cid, n := range rm.Populations {
-		c.consumers[cid] = n
-	}
-	if c.roundPops[rm.Round] == nil {
-		c.roundPops[rm.Round] = make(map[model.ClassID]int)
-	}
-	for cid, n := range rm.Populations {
-		c.roundPops[rm.Round][cid] = n
-	}
-	if len(rm.Deliveries) > 0 {
-		if c.roundDel[rm.Round] == nil {
-			c.roundDel[rm.Round] = make(map[model.ClassID]float64)
-		}
-		for cid, d := range rm.Deliveries {
-			c.deliveries[cid] = d
-			c.roundDel[rm.Round][cid] = d
+	c.latestNode[rm.Node] = max(c.latestNode[rm.Node], rm.Round)
+	a := c.asmLocked(rm.Round)
+	for _, e := range rm.Populations {
+		if e.ID < len(c.consumers) {
+			c.consumers[e.ID] = e.Val
+			if a != nil {
+				a.pops[e.ID] = e.Val
+			}
 		}
 	}
-	if c.reportSeen[rm.Round] == nil {
-		c.reportSeen[rm.Round] = make(map[model.NodeID]bool)
+	for _, e := range rm.Deliveries {
+		if e.ID < len(c.deliveries) {
+			c.deliveries[e.ID] = e.Val
+			if a != nil {
+				a.dels[e.ID] = e.Val
+			}
+		}
 	}
-	c.reportSeen[rm.Round][rm.Node] = true
+	if a != nil && !a.reported[rm.Node] {
+		a.reported[rm.Node] = true
+		a.reports++
+	}
 	c.completeRoundsLocked(rm.Round)
 }
 
@@ -280,10 +301,8 @@ func (c *collector) completeRoundsLocked(touched int) {
 // computes its utility, appends stats, and wakes waiters. It reports
 // whether the round was finalized.
 func (c *collector) finalizeLocked(round int) bool {
-	if c.activeCount == 0 {
-		return false
-	}
-	if c.roundGot[round] < c.activeCount || len(c.reportSeen[round]) < c.nodesTotal {
+	a := c.pending[round]
+	if a == nil || c.activeCount == 0 || a.got < c.activeCount || a.reports < c.nodesTotal {
 		return false
 	}
 
@@ -291,18 +310,15 @@ func (c *collector) finalizeLocked(round int) bool {
 	// populations and (in multirate mode) per-class deliveries; inactive
 	// flows contribute nothing.
 	util := 0.0
-	rates := c.roundRates[round]
-	pops := c.roundPops[round]
-	dels := c.roundDel[round]
 	for j := range c.p.Classes {
 		cl := &c.p.Classes[j]
-		n, ok := pops[model.ClassID(j)]
-		if !ok || n == 0 || !c.active[cl.Flow] {
+		n := a.pops[j]
+		if n == 0 || !c.active[cl.Flow] {
 			continue
 		}
-		rate := rates[cl.Flow]
-		if d, ok := dels[model.ClassID(j)]; ok {
-			rate = d
+		rate := a.rates[cl.Flow]
+		if a.dels[j] >= 0 {
+			rate = a.dels[j]
 		}
 		util += float64(n) * cl.Utility.Value(rate)
 	}
@@ -325,18 +341,14 @@ func (c *collector) finalizeLocked(round int) bool {
 				slowest = r
 			}
 		}
-		assembly := int64(time.Since(c.epoch)) - c.roundFirst[round]
+		assembly := int64(time.Since(c.epoch)) - a.first
 		c.tel.ObserveFinalize(c.frontier-slowest, c.frontier-round, assembly)
 		c.rec.record(EvRound, round, int64(c.frontier-slowest), assembly)
 	}
-	delete(c.roundFirst, round)
-	delete(c.roundRates, round)
-	delete(c.roundPops, round)
-	delete(c.roundDel, round)
-	delete(c.reportSeen, round)
-	delete(c.roundGot, round)
+	delete(c.pending, round)
+	c.free = append(c.free, a)
 
-	var still []roundWaiter
+	still := c.waiters[:0]
 	for _, w := range c.waiters {
 		if c.waiterSatisfiedLocked(w, round) {
 			close(w.ch)

@@ -3,6 +3,7 @@ package dist
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -20,32 +21,34 @@ type flowAgent struct {
 	flow model.FlowID
 	ep   transport.Endpoint
 	ra   *core.RateAllocator
-	// mr is non-nil in multirate mode and replaces ra.
-	mr *multirate.SourceRateSolver
+	// mr is non-nil in multirate mode and replaces ra; desired is its
+	// per-class scratch.
+	mr      *multirate.SourceRateSolver
+	desired []float64
 
-	// Static path structure.
-	nodes     []model.NodeID // B_i
-	nodeCoefF map[model.NodeID]float64
-	classNode map[model.ClassID]model.NodeID
-	classCost map[model.ClassID]float64 // G_{b,j}
-	// classesAt lists the flow's classes grouped by node in ascending
-	// class-id order, so the Equation 9 coefficient sum has a fixed float
-	// association order (maps iterate randomly, which would make
-	// trajectories differ at ULP level run to run).
-	classesAt  map[model.NodeID][]classTerm
-	links      []model.LinkID // L_i
-	linkCoef   map[model.LinkID]float64
-	linkOwner  map[model.LinkID]model.NodeID
-	peerNames  []string       // node agents to exchange with (deduped)
-	peerNodes  []model.NodeID // same set as peerNames, as ids
-	peerCount  int
-	priceAvgWn int // async price-averaging window (>=1)
-	wire       transport.Wire
+	// Static path structure, in the index's ascending id order: B_i with
+	// the flow's cost and its classes at each node, L_i with the flow's
+	// cost on each link. classesAt is in ascending class-id order, so the
+	// Equation 9 coefficient sum has a fixed float association order.
+	nodes     []model.NodeID
+	nodeCost  []float64
+	classesAt [][]classTerm
+	links     []model.LinkID
+	linkCost  []float64
+	// peerNodes are the node agents to exchange with — B_i plus the owners
+	// of L_i, ascending — and peerNames their endpoints.
+	peerNodes []model.NodeID
+	peerNames []string
 
-	// Dynamic state.
+	// Dynamic state. nodePrice and linkPrice follow nodes and links,
+	// latest follows peerNodes: the round of each peer's freshest absorbed
+	// report. report is the decode scratch every inbound report lands in.
 	consumers []int
-	nodePrice map[model.NodeID]*priceWindow
-	linkPrice map[model.LinkID]*priceWindow
+	nodePrice []priceWindow
+	linkPrice []priceWindow
+	latest    []int
+	report    reportMsg
+	out       outbox
 	round     int
 	runUntil  int
 	leaving   bool
@@ -63,7 +66,7 @@ type flowAgent struct {
 
 type classTerm struct {
 	cid  model.ClassID
-	cost float64
+	cost float64 // G_{b,j}
 }
 
 // priceWindow keeps the last w prices from one resource and serves their
@@ -74,11 +77,13 @@ type priceWindow struct {
 	n    int
 }
 
-func newPriceWindow(w int) *priceWindow {
-	if w < 1 {
-		w = 1
+// newPriceWindow returns a window of w prices, seeded with the given ones.
+func newPriceWindow(w int, seed ...float64) priceWindow {
+	pw := priceWindow{vals: make([]float64, max(w, 1))}
+	for _, v := range seed {
+		pw.push(v)
 	}
-	return &priceWindow{vals: make([]float64, w)}
+	return pw
 }
 
 func (pw *priceWindow) push(v float64) {
@@ -102,62 +107,43 @@ func (pw *priceWindow) avg() float64 {
 
 func newFlowAgent(p *model.Problem, ix *model.Index, fid model.FlowID, ep transport.Endpoint, c Config) *flowAgent {
 	fa := &flowAgent{
-		p:          p,
-		flow:       fid,
-		ep:         ep,
-		ra:         core.NewRateAllocator(p, ix, fid),
-		nodeCoefF:  make(map[model.NodeID]float64),
-		classNode:  make(map[model.ClassID]model.NodeID),
-		classCost:  make(map[model.ClassID]float64),
-		classesAt:  make(map[model.NodeID][]classTerm),
-		linkCoef:   make(map[model.LinkID]float64),
-		linkOwner:  make(map[model.LinkID]model.NodeID),
-		consumers:  make([]int, len(p.Classes)),
-		nodePrice:  make(map[model.NodeID]*priceWindow),
-		linkPrice:  make(map[model.LinkID]*priceWindow),
-		priceAvgWn: c.PriceWindow,
-		wire:       c.Wire,
-		round:      1,
-		tickEvery:  c.Tick,
-		staleness:  c.Staleness,
-		resend:     c.Resend,
-		done:       make(chan struct{}),
+		p:         p,
+		flow:      fid,
+		ep:        ep,
+		ra:        core.NewRateAllocator(p, ix, fid),
+		nodes:     ix.NodesByFlow(fid),
+		nodeCost:  ix.NodeCostsByFlow(fid),
+		links:     ix.LinksByFlow(fid),
+		linkCost:  ix.LinkCostsByFlow(fid),
+		consumers: make([]int, len(p.Classes)),
+		round:     1,
+		tickEvery: c.Tick,
+		staleness: c.Staleness,
+		resend:    c.Resend,
+		done:      make(chan struct{}),
 	}
-	peers := make(map[model.NodeID]bool)
-	for _, b := range ix.NodesByFlow(fid) {
-		fa.nodes = append(fa.nodes, b)
-		fa.nodeCoefF[b] = p.Nodes[b].FlowCost[fid]
-		fa.nodePrice[b] = newPriceWindow(c.PriceWindow)
-		fa.nodePrice[b].push(c.Core.InitialNodePrice)
-		peers[b] = true
+	fa.peerNodes = slices.Clone(fa.nodes)
+	for _, cids := range ix.ClassesByFlowNode(fid) {
+		terms := make([]classTerm, len(cids))
+		for k, cid := range cids {
+			terms[k] = classTerm{cid: cid, cost: p.Classes[cid].CostPerConsumer}
+		}
+		fa.classesAt = append(fa.classesAt, terms)
+		fa.nodePrice = append(fa.nodePrice, newPriceWindow(c.PriceWindow, c.Core.InitialNodePrice))
 	}
-	for _, cid := range ix.ClassesByFlow(fid) {
-		cl := &p.Classes[cid]
-		fa.classNode[cid] = cl.Node
-		fa.classCost[cid] = cl.CostPerConsumer
-		fa.classesAt[cl.Node] = append(fa.classesAt[cl.Node], classTerm{cid: cid, cost: cl.CostPerConsumer})
-	}
-	for _, terms := range fa.classesAt {
-		slices.SortFunc(terms, func(a, b classTerm) int { return int(a.cid) - int(b.cid) })
-	}
-	for _, l := range ix.LinksByFlow(fid) {
-		fa.links = append(fa.links, l)
-		fa.linkCoef[l] = p.Links[l].FlowCost[fid]
-		fa.linkOwner[l] = p.Links[l].To
-		fa.linkPrice[l] = newPriceWindow(c.PriceWindow)
-		fa.linkPrice[l].push(c.Core.InitialLinkPrice)
-		peers[p.Links[l].To] = true
-	}
-	for b := range peers {
-		fa.peerNodes = append(fa.peerNodes, b)
+	for _, l := range fa.links {
+		fa.linkPrice = append(fa.linkPrice, newPriceWindow(c.PriceWindow, c.Core.InitialLinkPrice))
+		fa.peerNodes = append(fa.peerNodes, p.Links[l].To)
 	}
 	slices.Sort(fa.peerNodes)
+	fa.peerNodes = slices.Compact(fa.peerNodes)
 	for _, b := range fa.peerNodes {
 		fa.peerNames = append(fa.peerNames, nodeName(b))
 	}
-	fa.peerCount = len(fa.peerNames)
+	fa.latest = make([]int, len(fa.peerNodes))
 	if c.Multirate {
 		fa.mr = multirate.NewSourceRateSolver(p, ix, fid)
+		fa.desired = make([]float64, len(p.Classes))
 	}
 	return fa
 }
@@ -170,52 +156,69 @@ func (fa *flowAgent) computeRate() float64 {
 	}
 	// Multirate: consumer-independent path price, plus locally computed
 	// desired deliveries from each class's node price.
-	price := 0.0
-	for _, l := range fa.links {
-		price += fa.linkCoef[l] * fa.linkPrice[l].avg()
-	}
-	for _, b := range fa.nodes {
-		price += fa.nodeCoefF[b] * fa.nodePrice[b].avg()
-	}
-	desired := make([]float64, len(fa.p.Classes))
+	price := fa.linkPathPrice()
 	f := fa.p.Flows[fa.flow]
-	for cid, node := range fa.classNode {
-		u := fa.p.Classes[cid].Utility
-		desired[cid] = multirate.DesiredDelivery(u, fa.classCost[cid]*fa.nodePrice[node].avg(), f.RateMin, f.RateMax)
+	for k := range fa.nodes {
+		nodePrice := fa.nodePrice[k].avg()
+		price += fa.nodeCost[k] * nodePrice
+		for _, ct := range fa.classesAt[k] {
+			fa.desired[ct.cid] = multirate.DesiredDelivery(fa.p.Classes[ct.cid].Utility, ct.cost*nodePrice, f.RateMin, f.RateMax)
+		}
 	}
-	return fa.mr.Rate(fa.consumers, desired, price)
+	return fa.mr.Rate(fa.consumers, fa.desired, price)
+}
+
+// linkPathPrice is PL_i (Equation 8) from the current (averaged) prices.
+func (fa *flowAgent) linkPathPrice() float64 {
+	price := 0.0
+	for k := range fa.links {
+		price += fa.linkCost[k] * fa.linkPrice[k].avg()
+	}
+	return price
 }
 
 // pathPrice computes PL_i + PB_i (Equations 8 and 9) from the current
 // (averaged) prices and populations.
 func (fa *flowAgent) pathPrice() float64 {
-	price := 0.0
-	for _, l := range fa.links {
-		price += fa.linkCoef[l] * fa.linkPrice[l].avg()
-	}
-	for _, b := range fa.nodes {
-		coeff := fa.nodeCoefF[b]
-		for _, ct := range fa.classesAt[b] {
+	price := fa.linkPathPrice()
+	for k := range fa.nodes {
+		coeff := fa.nodeCost[k]
+		for _, ct := range fa.classesAt[k] {
 			coeff += ct.cost * float64(fa.consumers[ct.cid])
 		}
-		price += coeff * fa.nodePrice[b].avg()
+		price += coeff * fa.nodePrice[k].avg()
 	}
 	return price
 }
 
-// absorbReport folds a node report into local state.
-func (fa *flowAgent) absorbReport(rm reportMsg) {
-	if pw, ok := fa.nodePrice[rm.Node]; ok {
-		pw.push(rm.Price)
+// absorb decodes one node report into the agent's scratch and folds it
+// into local state — unless it is no newer than what that peer already
+// reported: resent duplicates and out-of-order stragglers must not push
+// into the price windows twice. One recorder event per frame: absorb when
+// accepted (an absorb implies the receive), recv when rejected.
+func (fa *flowAgent) absorb(payload []byte) {
+	rm := &fa.report
+	if decodeReport(payload, rm) != nil {
+		return
 	}
-	for cid, n := range rm.Populations {
-		if _, mine := fa.classNode[cid]; mine {
-			fa.consumers[cid] = n
+	peer, ok := slices.BinarySearch(fa.peerNodes, rm.Node)
+	if !ok || rm.Round <= fa.latest[peer] {
+		fa.rec.record(EvRecv, rm.Round, int64(rm.Node), 0)
+		return
+	}
+	fa.latest[peer] = rm.Round
+	fa.rec.record(EvAbsorb, rm.Round, int64(rm.Node), 0)
+	if k, ok := slices.BinarySearch(fa.nodes, rm.Node); ok {
+		fa.nodePrice[k].push(rm.Price)
+	}
+	for _, e := range rm.Populations {
+		if e.ID < len(fa.consumers) && fa.p.Classes[e.ID].Flow == fa.flow {
+			fa.consumers[e.ID] = e.Val
 		}
 	}
-	for lid, pr := range rm.LinkPrices {
-		if pw, ok := fa.linkPrice[lid]; ok {
-			pw.push(pr)
+	for _, e := range rm.LinkPrices {
+		if k, ok := slices.BinarySearch(fa.links, model.LinkID(e.ID)); ok {
+			fa.linkPrice[k].push(e.Val)
 		}
 	}
 }
@@ -228,22 +231,27 @@ func (fa *flowAgent) absorbReport(rm reportMsg) {
 // transports are lossless; only a closed transport is fatal.
 func (fa *flowAgent) announce(round int, rate float64, active bool) error {
 	body := rateMsg{Round: round, Flow: fa.flow, Rate: rate, Active: active}
-	payload, err := encodeBody(fa.wire, nil, body)
-	if err != nil {
-		return err
-	}
-	from := fa.ep.Name()
+	msg := transport.Message{From: fa.ep.Name(), Kind: rateKind, Payload: fa.out.seal(body.appendBinary(fa.out.enc[:0]))}
 	for _, peer := range fa.peerNames {
-		msg := transport.Message{From: from, To: peer, Kind: rateKind, Payload: payload}
+		msg.To = peer
 		if err := fa.ep.Send(msg); errors.Is(err, transport.ErrClosed) {
 			return fmt.Errorf("dist: flow %d announce to %s: %w", fa.flow, peer, err)
 		}
 	}
-	msg := transport.Message{From: from, To: collectorName, Kind: rateKind, Payload: payload}
+	msg.To = collectorName
 	if err := fa.ep.Send(msg); errors.Is(err, transport.ErrClosed) {
 		return err
 	}
 	return nil
+}
+
+// depart announces a pending departure and idles the agent.
+func (fa *flowAgent) depart() {
+	fa.leaving = false
+	if !fa.idle {
+		_ = fa.announce(fa.round, 0, false) // a closed transport ends the loop at its next receive
+		fa.idle = true
+	}
 }
 
 // runSync is the synchronous round loop. It blocks until a Stop control or
@@ -252,45 +260,26 @@ func (fa *flowAgent) announce(round int, rate float64, active bool) error {
 // round (the cluster calls both only between Run invocations).
 func (fa *flowAgent) runSync() {
 	defer close(fa.done)
-	reportsSeen := make(map[int]map[model.NodeID]bool)
-
 	for {
-		// Process a pending departure.
 		if fa.leaving {
-			fa.leaving = false
-			if !fa.idle {
-				_ = fa.announce(fa.round, 0, false)
-				fa.idle = true
-			}
+			fa.depart()
 		}
 
 		// Pause until allowed to run this round, or idle until Join.
-		// Reports arriving here are still recorded: a node that computed
+		// Reports arriving here are still absorbed: a node that computed
 		// our next round before seeing our (re)announce has already sent
-		// its report, and dropping the record would stall the barrier
-		// below.
+		// its report, and the barrier below counts it.
 		for fa.runUntil < fa.round || fa.idle {
-			if !fa.handleOne(reportsSeen) {
+			m, ok := <-fa.ep.Recv()
+			if !ok || !fa.handle(m) {
 				return
 			}
 			if fa.idle {
 				// Track the cluster's round counter passively so a later
-				// Join resumes at the right round, and drop report records
-				// for rounds this agent sat out.
-				if fa.round <= fa.runUntil {
-					fa.round = fa.runUntil + 1
-					for r := range reportsSeen {
-						if r < fa.round {
-							delete(reportsSeen, r)
-						}
-					}
-				}
-				continue
-			}
-			if fa.leaving {
-				fa.leaving = false
-				_ = fa.announce(fa.round, 0, false)
-				fa.idle = true
+				// Join resumes at the right round.
+				fa.round = max(fa.round, fa.runUntil+1)
+			} else if fa.leaving {
+				fa.depart()
 			}
 		}
 
@@ -299,15 +288,16 @@ func (fa *flowAgent) runSync() {
 		}
 		fa.recordProgress(fa.round, 0)
 
-		// Await this round's reports from every peer node. A Leave
-		// arriving mid-round finishes the handshake first so peers are
-		// not left waiting.
-		for len(reportsSeen[fa.round]) < fa.peerCount {
-			if !fa.handleOne(reportsSeen) {
+		// Await this round's reports from every peer node: a node reports
+		// its rounds in order, so its freshest report says how far it is.
+		// A Leave arriving mid-round finishes the handshake first so peers
+		// are not left waiting.
+		for fa.reported() < fa.round {
+			m, ok := <-fa.ep.Recv()
+			if !ok || !fa.handle(m) {
 				return
 			}
 		}
-		delete(reportsSeen, fa.round)
 		fa.round++
 	}
 }
@@ -316,13 +306,10 @@ func (fa *flowAgent) runSync() {
 // t as soon as every peer's freshest report is at most `staleness` rounds
 // behind (round t-1 exactly when staleness is 0 — which reduces to the
 // barrier-synchronous schedule), instead of waiting for the full round
-// t-1 report set. Reports are absorbed with a strictly-newer guard so
-// duplicate resends cannot skew the Section 3.5 price averages, and a
-// resend timer re-announces the latest rate while stalled so dropped
-// frames cannot deadlock the cluster.
+// t-1 report set. A resend timer re-announces the latest rate while
+// stalled so dropped frames cannot deadlock the cluster.
 func (fa *flowAgent) runStale() {
 	defer close(fa.done)
-	reportRound := make(map[model.NodeID]int, len(fa.peerNodes))
 	lastRound, lastRate := 0, 0.0
 	backoff := fa.resend
 	timer, timerC := newResendTimer(fa.resend)
@@ -331,12 +318,12 @@ func (fa *flowAgent) runStale() {
 	for {
 		// Announce every round currently permitted by the staleness bound.
 		announced := false
-		for !fa.idle && fa.round <= fa.runUntil && fa.canAnnounce(reportRound) {
+		for !fa.idle && fa.round <= fa.runUntil && fa.canAnnounce() {
 			rate := fa.computeRate()
 			if err := fa.announce(fa.round, rate, true); err != nil {
 				return
 			}
-			fa.recordProgress(fa.round, fa.observedLag(reportRound))
+			fa.recordProgress(fa.round, fa.observedLag())
 			lastRound, lastRate = fa.round, rate
 			fa.round++
 			announced = true
@@ -349,22 +336,15 @@ func (fa *flowAgent) runStale() {
 			timer.Reset(backoff)
 		}
 		if fa.leaving {
-			fa.leaving = false
-			if !fa.idle {
-				_ = fa.announce(fa.round, 0, false)
-				fa.idle = true
-			}
+			fa.depart()
 		}
-		if fa.idle && fa.round <= fa.runUntil {
-			fa.round = fa.runUntil + 1
+		if fa.idle {
+			fa.round = max(fa.round, fa.runUntil+1)
 		}
 
 		select {
 		case m, ok := <-fa.ep.Recv():
-			if !ok {
-				return
-			}
-			if !fa.handleStale(m, reportRound) {
+			if !ok || !fa.handle(m) {
 				return
 			}
 		case <-timerC:
@@ -394,28 +374,25 @@ func (fa *flowAgent) runStale() {
 // fa.round: every peer node's freshest absorbed report must be no older
 // than round-1-staleness. Round 1 is unconditional (there is nothing to
 // be stale against).
-func (fa *flowAgent) canAnnounce(reportRound map[model.NodeID]int) bool {
-	if fa.round == 1 {
-		return true
-	}
-	need := fa.round - 1 - fa.staleness
-	if need < 1 {
-		need = 1
-	}
-	for _, b := range fa.peerNodes {
-		if reportRound[b] < need {
-			return false
-		}
-	}
-	return true
+func (fa *flowAgent) canAnnounce() bool {
+	return fa.round == 1 || fa.reported() >= max(fa.round-1-fa.staleness, 1)
 }
 
-// handleStale processes one inbound message for the bounded-staleness
-// loop, returning false on shutdown.
-func (fa *flowAgent) handleStale(m transport.Message, reportRound map[model.NodeID]int) bool {
+// reported is the round every peer has reported through. A flow without
+// peers waits for nobody.
+func (fa *flowAgent) reported() int {
+	if len(fa.latest) == 0 {
+		return math.MaxInt
+	}
+	return slices.Min(fa.latest)
+}
+
+// handle processes one inbound message for the round loops, returning
+// false on Stop.
+func (fa *flowAgent) handle(m transport.Message) bool {
 	switch m.Kind {
 	case ctrlKind:
-		cm, err := decodeCtrl(m)
+		cm, err := decodeCtrl(m.Payload)
 		if err != nil {
 			return true
 		}
@@ -427,29 +404,11 @@ func (fa *flowAgent) handleStale(m transport.Message, reportRound map[model.Node
 		}
 		if cm.Join && fa.idle {
 			fa.idle = false
-			if fa.round <= fa.runUntil {
-				fa.round = fa.runUntil + 1
-			}
+			fa.round = max(fa.round, fa.runUntil+1)
 		}
-		if cm.RunUntil > fa.runUntil {
-			fa.runUntil = cm.RunUntil
-		}
+		fa.runUntil = max(fa.runUntil, cm.RunUntil)
 	case reportKind:
-		rm, err := decodeReport(m)
-		if err != nil {
-			return true
-		}
-		// Strictly-newer guard: resent duplicates and out-of-order
-		// stragglers must not push into the price windows twice. One
-		// event per frame: absorb when accepted (an absorb implies the
-		// receive), recv when rejected.
-		if rm.Round > reportRound[rm.Node] {
-			reportRound[rm.Node] = rm.Round
-			fa.absorbReport(rm)
-			fa.rec.record(EvAbsorb, rm.Round, int64(rm.Node), 0)
-		} else {
-			fa.rec.record(EvRecv, rm.Round, int64(rm.Node), 0)
-		}
+		fa.absorb(m.Payload)
 	}
 	return true
 }
@@ -458,7 +417,7 @@ func (fa *flowAgent) handleStale(m transport.Message, reportRound map[model.Node
 // advance) and credits a pending chirp with the repair: progress right
 // after a chirp means the re-announce plausibly replaced a lost frame.
 func (fa *flowAgent) recordProgress(round, lag int) {
-	fa.rec.record(EvSend, round, int64(lag), int64(fa.peerCount))
+	fa.rec.record(EvSend, round, int64(lag), int64(len(fa.peerNames)))
 	fa.rec.record(EvRound, round, 0, 0)
 	if fa.chirped {
 		fa.chirped = false
@@ -469,66 +428,8 @@ func (fa *flowAgent) recordProgress(round, lag int) {
 // observedLag is the effective staleness of the inputs used for fa.round:
 // the gap between the newest report the round could use (round-1) and the
 // oldest peer report actually absorbed.
-func (fa *flowAgent) observedLag(reportRound map[model.NodeID]int) int {
-	if fa.round == 1 || fa.peerCount == 0 {
-		return 0
-	}
-	oldest := fa.round
-	for _, b := range fa.peerNodes {
-		if r := reportRound[b]; r < oldest {
-			oldest = r
-		}
-	}
-	lag := fa.round - 1 - oldest
-	if lag < 0 {
-		lag = 0
-	}
-	return lag
-}
-
-// handleOne processes a single inbound message, returning false on
-// shutdown. When seen is non-nil, node reports are tallied per round.
-func (fa *flowAgent) handleOne(seen map[int]map[model.NodeID]bool) bool {
-	m, ok := <-fa.ep.Recv()
-	if !ok {
-		return false
-	}
-	switch m.Kind {
-	case ctrlKind:
-		cm, err := decodeCtrl(m)
-		if err != nil {
-			return true
-		}
-		if cm.Stop {
-			return false
-		}
-		if cm.Leave && !fa.idle {
-			fa.leaving = true
-		}
-		if cm.Join && fa.idle {
-			fa.idle = false
-			if fa.round <= fa.runUntil {
-				fa.round = fa.runUntil + 1
-			}
-		}
-		if cm.RunUntil > fa.runUntil {
-			fa.runUntil = cm.RunUntil
-		}
-	case reportKind:
-		rm, err := decodeReport(m)
-		if err != nil {
-			return true
-		}
-		fa.absorbReport(rm)
-		fa.rec.record(EvAbsorb, rm.Round, int64(rm.Node), 0)
-		if seen != nil {
-			if seen[rm.Round] == nil {
-				seen[rm.Round] = make(map[model.NodeID]bool)
-			}
-			seen[rm.Round][rm.Node] = true
-		}
-	}
-	return true
+func (fa *flowAgent) observedLag() int {
+	return max(fa.round-1-fa.reported(), 0)
 }
 
 // runAsync ticks on a timer, announcing rates computed from the latest
@@ -545,27 +446,21 @@ func (fa *flowAgent) runAsync() {
 			}
 			switch m.Kind {
 			case ctrlKind:
-				cm, err := decodeCtrl(m)
+				cm, err := decodeCtrl(m.Payload)
 				if err != nil {
 					continue
 				}
 				if cm.Stop {
 					return
 				}
-				if cm.Leave && !fa.idle {
-					_ = fa.announce(fa.round, 0, false)
-					fa.idle = true
+				if cm.Leave {
+					fa.depart()
 				}
 				if cm.Join {
 					fa.idle = false
 				}
 			case reportKind:
-				rm, err := decodeReport(m)
-				if err != nil {
-					continue
-				}
-				fa.absorbReport(rm)
-				fa.rec.record(EvAbsorb, rm.Round, int64(rm.Node), 0)
+				fa.absorb(m.Payload)
 			}
 		case <-ticker.C:
 			if fa.idle {

@@ -24,7 +24,6 @@ const DefaultFlushInterval = 200 * time.Microsecond
 // per-agent ports.
 type gateway struct {
 	ep         transport.Endpoint
-	wire       transport.Wire
 	route      map[string]string // agent endpoint name -> host endpoint name
 	coalesce   bool              // keep only the freshest (from,to,kind) per epoch
 	flushEvery time.Duration
@@ -44,13 +43,12 @@ type coalesceKey struct {
 	from, to, kind string
 }
 
-func newGateway(ep transport.Endpoint, wire transport.Wire, route map[string]string, coalesce bool, flushEvery time.Duration, tel *telemetry.DistMetrics, rec *recorder) *gateway {
+func newGateway(ep transport.Endpoint, route map[string]string, coalesce bool, flushEvery time.Duration, tel *telemetry.DistMetrics, rec *recorder) *gateway {
 	if flushEvery <= 0 {
 		flushEvery = DefaultFlushInterval
 	}
 	g := &gateway{
 		ep:         ep,
-		wire:       wire,
 		route:      route,
 		coalesce:   coalesce,
 		flushEvery: flushEvery,
@@ -150,11 +148,7 @@ func (g *gateway) flush() {
 	for dst, msgs := range staged {
 		total += len(msgs)
 		g.tel.ObserveFlushFrame(len(msgs))
-		payload, err := encodeBatch(g.wire, msgs)
-		if err != nil {
-			continue
-		}
-		_ = g.ep.Send(transport.Message{From: from, To: dst, Kind: batchKind, Payload: payload})
+		_ = g.ep.Send(transport.Message{From: from, To: dst, Kind: batchKind, Payload: encodeBatch(msgs)})
 	}
 	g.tel.ObserveFlush(total)
 	g.rec.record(EvFlush, 0, int64(total), int64(len(staged)))
@@ -165,6 +159,10 @@ func (g *gateway) flush() {
 // observe the shutdown.
 func (g *gateway) demuxLoop() {
 	defer func() { g.loopDone <- struct{}{} }()
+	var (
+		dec   transport.Decoder
+		inner []transport.Message // reused: the ports get copies
+	)
 	for {
 		select {
 		case m, ok := <-g.ep.Recv():
@@ -175,8 +173,8 @@ func (g *gateway) demuxLoop() {
 			if m.Kind != batchKind {
 				continue
 			}
-			inner, err := decodeBatch(m.Payload)
-			if err != nil {
+			var err error
+			if inner, err = decodeBatch(&dec, inner[:0], m.Payload); err != nil {
 				continue
 			}
 			g.mu.Lock()
@@ -263,49 +261,38 @@ func (p *hostPort) enqueueLocked(msg transport.Message) error {
 	}
 }
 
-// encodeBatch packs whole messages into one payload. The binary layout is
-// the concatenation of transport.AppendMessage frames (first byte 'B');
-// the JSON layout is a plain message array (first byte '['), so receivers
-// distinguish them from the first payload byte.
-func encodeBatch(wire transport.Wire, msgs []transport.Message) ([]byte, error) {
-	if wire == transport.WireBinary {
-		size := 0
-		for i := range msgs {
-			size += transport.BinarySize(&msgs[i])
-		}
-		payload := make([]byte, 0, size)
-		for i := range msgs {
-			payload = transport.AppendMessage(payload, &msgs[i])
-		}
-		return payload, nil
+// encodeBatch packs whole messages into one payload: the concatenation
+// of their transport.AppendMessage frames (first byte 'B').
+func encodeBatch(msgs []transport.Message) []byte {
+	size := 0
+	for i := range msgs {
+		size += transport.BinarySize(&msgs[i])
 	}
-	payload, err := json.Marshal(msgs)
-	if err != nil {
-		return nil, fmt.Errorf("dist: encode batch: %w", err)
+	payload := make([]byte, 0, size)
+	for i := range msgs {
+		payload = transport.AppendMessage(payload, &msgs[i])
 	}
-	return payload, nil
+	return payload
 }
 
-// decodeBatch unpacks a batch payload in either layout.
-func decodeBatch(payload []byte) ([]transport.Message, error) {
-	if len(payload) == 0 {
-		return nil, nil
-	}
-	if payload[0] == '[' {
+// decodeBatch appends a batch payload's messages to dst. Their payloads
+// alias the batch's, which like any received payload is read-only. The
+// plain message array JSON senders wrote (first byte '[') still decodes.
+func decodeBatch(dec *transport.Decoder, dst []transport.Message, payload []byte) ([]transport.Message, error) {
+	if len(payload) > 0 && payload[0] == '[' {
 		var msgs []transport.Message
 		if err := json.Unmarshal(payload, &msgs); err != nil {
 			return nil, fmt.Errorf("dist: decode batch: %w", err)
 		}
-		return msgs, nil
+		return append(dst, msgs...), nil
 	}
-	var msgs []transport.Message
 	for off := 0; off < len(payload); {
-		m, n, err := transport.DecodeMessage(payload[off:])
+		m, n, err := dec.Decode(payload[off:])
 		if err != nil {
 			return nil, err
 		}
-		msgs = append(msgs, m)
+		dst = append(dst, m)
 		off += n
 	}
-	return msgs, nil
+	return dst, nil
 }

@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/transport"
@@ -82,6 +83,31 @@ type rateMsg struct {
 	Active bool `json:"active"`
 }
 
+// keyed is one id-tagged value of a report section, and a section lists
+// them in ascending id order: the order they are encoded in, so that a
+// report's bytes depend on nothing but its content, and the order a
+// receiver walks them in.
+type keyed[V any] struct {
+	ID  int
+	Val V
+}
+
+type section[V any] []keyed[V]
+
+// UnmarshalJSON reads the id-keyed object a JSON sender wrote.
+func (s *section[V]) UnmarshalJSON(b []byte) error {
+	var m map[int]V
+	if err := json.Unmarshal(b, &m); err != nil {
+		return err
+	}
+	*s = (*s)[:0]
+	for id, v := range m {
+		*s = append(*s, keyed[V]{id, v})
+	}
+	slices.SortFunc(*s, func(a, b keyed[V]) int { return a.ID - b.ID })
+	return nil
+}
+
 // reportMsg carries a node's consumer allocation and prices for one round
 // (node agent -> flow agents and collector).
 type reportMsg struct {
@@ -89,13 +115,13 @@ type reportMsg struct {
 	Node  model.NodeID `json:"node"`
 	Price float64      `json:"price"`
 	// Populations holds n_j for the classes attached at this node.
-	Populations map[model.ClassID]int `json:"populations,omitempty"`
+	Populations section[int] `json:"populations"`
 	// Deliveries holds d_j for the classes attached at this node
 	// (multirate mode only; absent in single-rate mode, where d_j = r_i).
-	Deliveries map[model.ClassID]float64 `json:"deliveries,omitempty"`
+	Deliveries section[float64] `json:"deliveries"`
 	// LinkPrices holds the prices of the links this node owns (links
 	// whose To endpoint is this node).
-	LinkPrices map[model.LinkID]float64 `json:"linkPrices,omitempty"`
+	LinkPrices section[float64] `json:"linkPrices"`
 	// Used and BestBC expose the Equation 12 inputs for observability.
 	Used   float64 `json:"used"`
 	BestBC float64 `json:"bestBC"`
@@ -115,38 +141,38 @@ type ctrlMsg struct {
 	Stop bool `json:"stop,omitempty"`
 }
 
-// Binary payload encoding. Every dist payload has a compact binary layout
-// alongside its JSON one; the first payload byte distinguishes them ('{'
-// opens JSON, a type tag below opens binary), so mixed-wire clusters
-// interoperate. Layouts use uvarints for ids/rounds/counts and fixed
-// 8-byte floats (transport.AppendFloat64).
+// Payload encoding. Every dist payload opens with a type tag and uses
+// uvarints for ids/rounds/counts and fixed 8-byte floats
+// (transport.AppendFloat64); encoding is pure appends, so a caller with a
+// reusable buffer pays no allocation. The decoders also read the JSON
+// object older senders wrote (first byte '{') — a debug aid nothing here
+// produces; the struct tags above exist for it.
 const (
 	rateTag   = 0x01
 	reportTag = 0x02
 	ctrlTag   = 0x03
 )
 
-// encodeBody encodes a dist payload in the given wire format. The binary
-// path is pure appends: callers passing a reusable buffer get a 0 alloc/op
-// steady state.
-func encodeBody(wire transport.Wire, buf []byte, v any) ([]byte, error) {
-	if wire == transport.WireBinary {
-		switch b := v.(type) {
-		case rateMsg:
-			return b.appendBinary(buf), nil
-		case reportMsg:
-			return b.appendBinary(buf), nil
-		case ctrlMsg:
-			return b.appendBinary(buf), nil
-		}
-		// Fall through for types without a binary layout.
-	}
-	data, err := json.Marshal(v)
-	if err != nil {
-		return nil, fmt.Errorf("dist: encode: %w", err)
-	}
-	return append(buf, data...), nil
+// outbox turns what an agent sends into payloads. A payload is shared with
+// its receivers — the in-memory transport hands over the slice itself, and
+// the collector may be rounds behind — so each is cut from a slab and never
+// rewritten; enc, the encode scratch, stays the agent's own.
+type outbox struct {
+	enc  []byte
+	slab transport.Slab
 }
+
+// seal keeps enc as the scratch for the next encode and returns its
+// content as a payload.
+func (o *outbox) seal(enc []byte) []byte {
+	o.enc = enc
+	return o.slab.Copy(enc)
+}
+
+// isJSON reports whether a payload is the JSON object an older sender
+// wrote. Each decoder declares the value json.Unmarshal needs on the heap
+// inside that branch, so a binary payload decodes without allocating.
+func isJSON(payload []byte) bool { return len(payload) > 0 && payload[0] == '{' }
 
 func (rm rateMsg) appendBinary(dst []byte) []byte {
 	dst = append(dst, rateTag)
@@ -159,29 +185,36 @@ func (rm rateMsg) appendBinary(dst []byte) []byte {
 	return append(dst, 0)
 }
 
-func decodeRate(m transport.Message) (rateMsg, error) {
-	var rm rateMsg
-	if len(m.Payload) > 0 && m.Payload[0] == '{' {
-		return rm, transport.Decode(m, &rm)
+func decodeRate(payload []byte) (rateMsg, error) {
+	if isJSON(payload) {
+		var rm rateMsg
+		err := json.Unmarshal(payload, &rm)
+		return rm, err
 	}
-	c := transport.Cursor{Data: m.Payload}
+	c := transport.Cursor{Data: payload}
 	if tag := c.Byte(); tag != rateTag && c.Err() == nil {
-		return rm, fmt.Errorf("%w: rate tag 0x%02x", transport.ErrCorruptFrame, tag)
+		return rateMsg{}, fmt.Errorf("%w: rate tag 0x%02x", transport.ErrCorruptFrame, tag)
 	}
-	rm.Round = c.Int()
-	rm.Flow = model.FlowID(c.Int())
-	rm.Rate = c.Float64()
-	rm.Active = c.Byte() != 0
-	if err := c.Err(); err != nil {
+	rm := rateMsg{Round: c.Int(), Flow: model.FlowID(c.Int()), Rate: c.Float64(), Active: c.Byte() != 0}
+	if err := trailing(&c, rateKind); err != nil {
 		return rateMsg{}, err
-	}
-	if c.Rest() != 0 {
-		return rateMsg{}, fmt.Errorf("%w: %d trailing bytes after rate", transport.ErrCorruptFrame, c.Rest())
 	}
 	return rm, nil
 }
 
-func (rm reportMsg) appendBinary(dst []byte) []byte {
+// trailing closes a decode: the cursor's first error, or an error for
+// bytes left over.
+func trailing(c *transport.Cursor, kind string) error {
+	if err := c.Err(); err != nil {
+		return err
+	}
+	if c.Rest() != 0 {
+		return fmt.Errorf("%w: %d trailing bytes after %s", transport.ErrCorruptFrame, c.Rest(), kind)
+	}
+	return nil
+}
+
+func (rm *reportMsg) appendBinary(dst []byte) []byte {
 	dst = append(dst, reportTag)
 	dst = binary.AppendUvarint(dst, uint64(rm.Round))
 	dst = binary.AppendUvarint(dst, uint64(rm.Node))
@@ -189,77 +222,56 @@ func (rm reportMsg) appendBinary(dst []byte) []byte {
 	dst = transport.AppendFloat64(dst, rm.Used)
 	dst = transport.AppendFloat64(dst, rm.BestBC)
 	dst = binary.AppendUvarint(dst, uint64(len(rm.Populations)))
-	for cid, n := range rm.Populations {
-		dst = binary.AppendUvarint(dst, uint64(cid))
-		dst = binary.AppendUvarint(dst, uint64(n))
+	for _, e := range rm.Populations {
+		dst = binary.AppendUvarint(dst, uint64(e.ID))
+		dst = binary.AppendUvarint(dst, uint64(e.Val))
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(rm.Deliveries)))
-	for cid, d := range rm.Deliveries {
-		dst = binary.AppendUvarint(dst, uint64(cid))
-		dst = transport.AppendFloat64(dst, d)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(rm.LinkPrices)))
-	for lid, pr := range rm.LinkPrices {
-		dst = binary.AppendUvarint(dst, uint64(lid))
-		dst = transport.AppendFloat64(dst, pr)
+	dst = appendValues(dst, rm.Deliveries)
+	return appendValues(dst, rm.LinkPrices)
+}
+
+func appendValues(dst []byte, s section[float64]) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	for _, e := range s {
+		dst = binary.AppendUvarint(dst, uint64(e.ID))
+		dst = transport.AppendFloat64(dst, e.Val)
 	}
 	return dst
 }
 
-func decodeReport(m transport.Message) (reportMsg, error) {
-	var rm reportMsg
-	if len(m.Payload) > 0 && m.Payload[0] == '{' {
-		return rm, transport.Decode(m, &rm)
+// decodeReport decodes into rm, which the receiving agent owns and hands
+// in again for its next report: the sections are rewritten in place and
+// grow only until they have held the agent's largest report. Nothing is
+// sized from a declared count, and every entry consumes payload bytes, so
+// a corrupt count can neither over-read nor cause a large allocation.
+func decodeReport(payload []byte, rm *reportMsg) error {
+	if isJSON(payload) {
+		*rm = reportMsg{}
+		return json.Unmarshal(payload, rm)
 	}
-	c := transport.Cursor{Data: m.Payload}
+	c := transport.Cursor{Data: payload}
 	if tag := c.Byte(); tag != reportTag && c.Err() == nil {
-		return rm, fmt.Errorf("%w: report tag 0x%02x", transport.ErrCorruptFrame, tag)
+		return fmt.Errorf("%w: report tag 0x%02x", transport.ErrCorruptFrame, tag)
 	}
 	rm.Round = c.Int()
 	rm.Node = model.NodeID(c.Int())
 	rm.Price = c.Float64()
 	rm.Used = c.Float64()
 	rm.BestBC = c.Float64()
-	// Count-0 sections decode to nil maps, matching JSON omitempty
-	// round-trip semantics. Counts are bounded by the remaining payload
-	// size (each entry is at least 2 bytes) before allocating.
-	if n := c.Int(); n > 0 && c.Err() == nil {
-		if n > c.Rest()/2 {
-			return reportMsg{}, fmt.Errorf("%w: population count %d", transport.ErrCorruptFrame, n)
-		}
-		rm.Populations = make(map[model.ClassID]int, n)
-		for k := 0; k < n && c.Err() == nil; k++ {
-			cid := model.ClassID(c.Int())
-			rm.Populations[cid] = c.Int()
-		}
+	rm.Populations = rm.Populations[:0]
+	for n := c.Int(); n > 0 && c.Err() == nil; n-- {
+		rm.Populations = append(rm.Populations, keyed[int]{c.Int(), c.Int()})
 	}
-	if n := c.Int(); n > 0 && c.Err() == nil {
-		if n > c.Rest()/2 {
-			return reportMsg{}, fmt.Errorf("%w: delivery count %d", transport.ErrCorruptFrame, n)
-		}
-		rm.Deliveries = make(map[model.ClassID]float64, n)
-		for k := 0; k < n && c.Err() == nil; k++ {
-			cid := model.ClassID(c.Int())
-			rm.Deliveries[cid] = c.Float64()
-		}
+	rm.Deliveries = readValues(&c, rm.Deliveries[:0])
+	rm.LinkPrices = readValues(&c, rm.LinkPrices[:0])
+	return trailing(&c, reportKind)
+}
+
+func readValues(c *transport.Cursor, dst section[float64]) section[float64] {
+	for n := c.Int(); n > 0 && c.Err() == nil; n-- {
+		dst = append(dst, keyed[float64]{c.Int(), c.Float64()})
 	}
-	if n := c.Int(); n > 0 && c.Err() == nil {
-		if n > c.Rest()/2 {
-			return reportMsg{}, fmt.Errorf("%w: link price count %d", transport.ErrCorruptFrame, n)
-		}
-		rm.LinkPrices = make(map[model.LinkID]float64, n)
-		for k := 0; k < n && c.Err() == nil; k++ {
-			lid := model.LinkID(c.Int())
-			rm.LinkPrices[lid] = c.Float64()
-		}
-	}
-	if err := c.Err(); err != nil {
-		return reportMsg{}, err
-	}
-	if c.Rest() != 0 {
-		return reportMsg{}, fmt.Errorf("%w: %d trailing bytes after report", transport.ErrCorruptFrame, c.Rest())
-	}
-	return rm, nil
+	return dst
 }
 
 func (cm ctrlMsg) appendBinary(dst []byte) []byte {
@@ -278,25 +290,21 @@ func (cm ctrlMsg) appendBinary(dst []byte) []byte {
 	return append(dst, flags)
 }
 
-func decodeCtrl(m transport.Message) (ctrlMsg, error) {
-	var cm ctrlMsg
-	if len(m.Payload) > 0 && m.Payload[0] == '{' {
-		return cm, transport.Decode(m, &cm)
+func decodeCtrl(payload []byte) (ctrlMsg, error) {
+	if isJSON(payload) {
+		var cm ctrlMsg
+		err := json.Unmarshal(payload, &cm)
+		return cm, err
 	}
-	c := transport.Cursor{Data: m.Payload}
+	c := transport.Cursor{Data: payload}
 	if tag := c.Byte(); tag != ctrlTag && c.Err() == nil {
-		return cm, fmt.Errorf("%w: ctrl tag 0x%02x", transport.ErrCorruptFrame, tag)
+		return ctrlMsg{}, fmt.Errorf("%w: ctrl tag 0x%02x", transport.ErrCorruptFrame, tag)
 	}
-	cm.RunUntil = c.Int()
+	cm := ctrlMsg{RunUntil: c.Int()}
 	flags := c.Byte()
-	cm.Leave = flags&1 != 0
-	cm.Join = flags&2 != 0
-	cm.Stop = flags&4 != 0
-	if err := c.Err(); err != nil {
+	cm.Leave, cm.Join, cm.Stop = flags&1 != 0, flags&2 != 0, flags&4 != 0
+	if err := trailing(&c, ctrlKind); err != nil {
 		return ctrlMsg{}, err
-	}
-	if c.Rest() != 0 {
-		return ctrlMsg{}, fmt.Errorf("%w: %d trailing bytes after ctrl", transport.ErrCorruptFrame, c.Rest())
 	}
 	return cm, nil
 }

@@ -2,16 +2,17 @@ package dist
 
 import (
 	"bytes"
+	"encoding/hex"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
-	"repro/internal/model"
 	"repro/internal/transport"
 )
 
-// distPayloadCases enumerates representative dist payloads, including the
-// map-edge cases (empty vs omitted) whose JSON omitempty semantics the
-// binary codec must reproduce exactly.
+// distPayloadCases enumerates representative dist payloads, including
+// empty report sections.
 func distPayloadCases() (rates []rateMsg, reports []reportMsg, ctrls []ctrlMsg) {
 	rates = []rateMsg{
 		{},
@@ -25,15 +26,15 @@ func distPayloadCases() (rates []rateMsg, reports []reportMsg, ctrls []ctrlMsg) 
 		{Round: 1, Node: 0, Price: 0.5, Used: 10, BestBC: 2},
 		{
 			Round: 42, Node: 17, Price: 3.25, Used: 99.5, BestBC: 0.125,
-			Populations: map[model.ClassID]int{0: 5, 3: 0, 19: 1200},
+			Populations: section[int]{{0, 5}, {3, 0}, {19, 1200}},
 		},
 		{
 			Round: 9, Node: 2, Price: 1e-9,
-			Populations: map[model.ClassID]int{7: 3},
-			Deliveries:  map[model.ClassID]float64{7: 0.75},
-			LinkPrices:  map[model.LinkID]float64{0: 0.001, 4: 12.5},
+			Populations: section[int]{{7, 3}},
+			Deliveries:  section[float64]{{7, 0.75}},
+			LinkPrices:  section[float64]{{0, 0.001}, {4, 12.5}},
 		},
-		{Round: 2, Node: 1, LinkPrices: map[model.LinkID]float64{3: 0}},
+		{Round: 2, Node: 1, LinkPrices: section[float64]{{3, 0}}},
 	}
 	ctrls = []ctrlMsg{
 		{},
@@ -46,40 +47,107 @@ func distPayloadCases() (rates []rateMsg, reports []reportMsg, ctrls []ctrlMsg) 
 	return rates, reports, ctrls
 }
 
+// sameReport compares two reports, an empty section equal to an absent one
+// (a decode into reused scratch leaves a section empty, not nil).
+func sameReport(a, b reportMsg) bool {
+	return a.Round == b.Round && a.Node == b.Node && a.Price == b.Price && a.Used == b.Used && a.BestBC == b.BestBC &&
+		slices.Equal(a.Populations, b.Populations) && slices.Equal(a.Deliveries, b.Deliveries) && slices.Equal(a.LinkPrices, b.LinkPrices)
+}
+
 // TestDistPayloadRoundTrip is the codec property test: every payload must
-// decode to identical values through both wire formats, and the binary
-// decoding must equal the JSON decoding (nil-vs-empty maps included).
+// decode to the values it was encoded from — a report also when it lands
+// in scratch that still holds a larger one.
 func TestDistPayloadRoundTrip(t *testing.T) {
 	rates, reports, ctrls := distPayloadCases()
-	roundTrip := func(t *testing.T, v any, decode func(transport.Message) (any, error)) {
-		t.Helper()
-		var decoded [2]any
-		for i, wire := range []transport.Wire{transport.WireJSON, transport.WireBinary} {
-			payload, err := encodeBody(wire, nil, v)
-			if err != nil {
-				t.Fatalf("%v encode: %v", wire, err)
-			}
-			got, err := decode(transport.Message{Payload: payload})
-			if err != nil {
-				t.Fatalf("%v decode: %v", wire, err)
-			}
-			if !reflect.DeepEqual(got, v) {
-				t.Fatalf("%v round trip: got %+v, want %+v", wire, got, v)
-			}
-			decoded[i] = got
-		}
-		if !reflect.DeepEqual(decoded[0], decoded[1]) {
-			t.Fatalf("wire formats disagree: json %+v, binary %+v", decoded[0], decoded[1])
-		}
-	}
 	for _, rm := range rates {
-		roundTrip(t, rm, func(m transport.Message) (any, error) { return decodeRate(m) })
+		if got, err := decodeRate(rm.appendBinary(nil)); err != nil || got != rm {
+			t.Errorf("rate round trip: got %+v, %v; want %+v", got, err, rm)
+		}
 	}
+	scratch := reports[3]
 	for _, rm := range reports {
-		roundTrip(t, rm, func(m transport.Message) (any, error) { return decodeReport(m) })
+		if err := decodeReport(rm.appendBinary(nil), &scratch); err != nil || !sameReport(scratch, rm) {
+			t.Errorf("report round trip: got %+v, %v; want %+v", scratch, err, rm)
+		}
 	}
 	for _, cm := range ctrls {
-		roundTrip(t, cm, func(m transport.Message) (any, error) { return decodeCtrl(m) })
+		if got, err := decodeCtrl(cm.appendBinary(nil)); err != nil || got != cm {
+			t.Errorf("ctrl round trip: got %+v, %v; want %+v", got, err, cm)
+		}
+	}
+}
+
+// TestGoldenBytes pins the encodings byte for byte. A report's sections
+// are written in ascending id order, so its bytes depend on nothing but
+// its content and a change of layout cannot hide behind a round trip.
+func TestGoldenBytes(t *testing.T) {
+	rate := rateMsg{Round: 300, Flow: 5, Rate: 1.5, Active: true}
+	report := reportMsg{
+		Round: 9, Node: 2, Price: 0.5, Used: 2, BestBC: -1,
+		Populations: section[int]{{7, 3}, {130, 0}},
+		Deliveries:  section[float64]{{7, 0.75}},
+		LinkPrices:  section[float64]{{0, 1}, {4, 12.5}},
+	}
+	ctrl := ctrlMsg{RunUntil: 10, Join: true, Stop: true}
+	batch := encodeBatch([]transport.Message{
+		{From: "flow/5", To: "node/2", Kind: rateKind, Payload: rate.appendBinary(nil)},
+		{From: "cluster-ctrl", To: "flow/5", Kind: ctrlKind, Payload: ctrl.appendBinary(nil)},
+	})
+	for _, tc := range []struct {
+		name string
+		got  []byte
+		want string
+	}{
+		{"rate", rate.appendBinary(nil), "01 ac02 05 000000000000f83f 01"},
+		{"report", report.appendBinary(nil), "02 09 02 000000000000e03f 0000000000000040 000000000000f0bf" +
+			"02 07 03 8201 00" + "01 07 000000000000e83f" + "02 00 000000000000f03f 04 0000000000002940"},
+		{"ctrl", ctrl.appendBinary(nil), "03 0a 06"},
+		{"batch", batch, "42 06 666c6f772f35 06 6e6f64652f32 04 72617465 0d 01ac0205000000000000f83f01" +
+			"42 0c 636c75737465722d6374726c 06 666c6f772f35 04 6374726c 03 030a06"},
+	} {
+		if want := strings.ReplaceAll(tc.want, " ", ""); hex.EncodeToString(tc.got) != want {
+			t.Errorf("%s encodes to\n  %x, want\n  %s", tc.name, tc.got, want)
+		}
+	}
+}
+
+// TestDecodesLegacyJSON: nothing writes JSON payloads any more, but every
+// decoder still reads the object (and decodeBatch the array) an older
+// sender wrote, into the same struct as the binary twin.
+func TestDecodesLegacyJSON(t *testing.T) {
+	rate := rateMsg{Round: 7, Flow: 5, Rate: 123.456, Active: true}
+	if got, err := decodeRate([]byte(`{"round":7,"flow":5,"rate":123.456,"active":true}`)); err != nil || got != rate {
+		t.Errorf("rate: got %+v, %v; want %+v", got, err, rate)
+	}
+	_, reports, _ := distPayloadCases()
+	var got reportMsg
+	literal := `{"round":9,"node":2,"price":1e-9,"populations":{"7":3},"deliveries":{"7":0.75},"linkPrices":{"4":12.5,"0":0.001},"used":0,"bestBC":0}`
+	if err := decodeReport([]byte(literal), &got); err != nil || !sameReport(got, reports[3]) {
+		t.Errorf("report: got %+v, %v; want %+v", got, err, reports[3])
+	}
+	// A single-rate sender omitted the empty sections.
+	if err := decodeReport([]byte(`{"round":1,"node":0,"price":0.5,"used":10,"bestBC":2}`), &got); err != nil || !sameReport(got, reports[1]) {
+		t.Errorf("report without sections: got %+v, %v; want %+v", got, err, reports[1])
+	}
+	ctrl := ctrlMsg{RunUntil: 100, Stop: true}
+	if got, err := decodeCtrl([]byte(`{"runUntil":100,"stop":true}`)); err != nil || got != ctrl {
+		t.Errorf("ctrl: got %+v, %v; want %+v", got, err, ctrl)
+	}
+
+	var dec transport.Decoder
+	want := []transport.Message{
+		{From: "flow/1", To: "node/0", Kind: rateKind, Payload: []byte(`{"round":3,"flow":1,"rate":2.5,"active":true}`)},
+		{From: "cluster-ctrl", To: "flow/1", Kind: ctrlKind, Payload: []byte(`{"stop":true}`)},
+	}
+	array := `[{"from":"flow/1","to":"node/0","kind":"rate","payload":{"round":3,"flow":1,"rate":2.5,"active":true}},` +
+		`{"from":"cluster-ctrl","to":"flow/1","kind":"ctrl","payload":{"stop":true}}]`
+	fromJSON, err := decodeBatch(&dec, nil, []byte(array))
+	if err != nil || !reflect.DeepEqual(fromJSON, want) {
+		t.Errorf("JSON batch: got %+v, %v; want %+v", fromJSON, err, want)
+	}
+	fromBinary, err := decodeBatch(&dec, nil, encodeBatch(want))
+	if err != nil || !reflect.DeepEqual(fromBinary, fromJSON) {
+		t.Errorf("binary batch: got %+v, %v; want what the JSON array decoded to", fromBinary, err)
 	}
 }
 
@@ -89,51 +157,46 @@ func TestDistPayloadRoundTrip(t *testing.T) {
 func TestDistPayloadDecodeRejectsCorruption(t *testing.T) {
 	_, reports, _ := distPayloadCases()
 	full := reports[3].appendBinary(nil)
+	var rm reportMsg
 	for cut := 0; cut < len(full); cut++ {
-		if _, err := decodeReport(transport.Message{Payload: full[:cut:cut]}); err == nil {
+		if err := decodeReport(full[:cut:cut], &rm); err == nil {
 			t.Errorf("truncation at %d decoded successfully", cut)
 		}
 	}
-	if _, err := decodeReport(transport.Message{Payload: append(bytes.Clone(full), 0xFF)}); err == nil {
+	if err := decodeReport(append(bytes.Clone(full), 0xFF), &rm); err == nil {
 		t.Error("trailing garbage decoded successfully")
 	}
-	if _, err := decodeRate(transport.Message{Payload: []byte{reportTag, 1, 2}}); err == nil {
+	if _, err := decodeRate([]byte{reportTag, 1, 2}); err == nil {
 		t.Error("wrong tag accepted by decodeRate")
 	}
-	// A huge declared map count must not allocate or over-read.
+	// A huge declared section count must not allocate or over-read.
 	huge := []byte{reportTag, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0x7F}
-	if _, err := decodeReport(transport.Message{Payload: huge}); err == nil {
+	if err := decodeReport(huge, &rm); err == nil {
 		t.Error("oversized population count accepted")
+	}
+	if cap(rm.Populations) > len(huge) {
+		t.Errorf("oversized population count grew the scratch to %d entries", cap(rm.Populations))
 	}
 }
 
-// TestEncodeDecodeBatch round-trips gateway batch frames in both layouts.
-// A batch's inner payloads use the same wire as its envelope (the JSON
-// array layout cannot carry non-JSON payloads: Payload is json.RawMessage),
-// which holds by construction since a cluster runs one wire format.
+// TestEncodeDecodeBatch round-trips a gateway batch frame; the inner
+// payloads alias the batch payload instead of copying it.
 func TestEncodeDecodeBatch(t *testing.T) {
-	for _, wire := range []transport.Wire{transport.WireJSON, transport.WireBinary} {
-		rate, _ := encodeBody(wire, nil, rateMsg{Round: 3, Flow: 1, Rate: 2.5, Active: true})
-		report, _ := encodeBody(wire, nil, reportMsg{Round: 3, Node: 0, Price: 1.5})
-		ctrl, _ := encodeBody(wire, nil, ctrlMsg{Stop: true})
-		msgs := []transport.Message{
-			{From: "flow/1", To: "node/0", Kind: rateKind, Payload: rate},
-			{From: "node/0", To: "flow/1", Kind: reportKind, Payload: report},
-			{From: "cluster-ctrl", To: "flow/1", Kind: ctrlKind, Payload: ctrl},
-		}
-		payload, err := encodeBatch(wire, msgs)
-		if err != nil {
-			t.Fatalf("%v: %v", wire, err)
-		}
-		got, err := decodeBatch(payload)
-		if err != nil {
-			t.Fatalf("%v: %v", wire, err)
-		}
-		if !reflect.DeepEqual(got, msgs) {
-			t.Fatalf("%v batch round trip: got %+v, want %+v", wire, got, msgs)
-		}
+	msgs := []transport.Message{
+		{From: "flow/1", To: "node/0", Kind: rateKind, Payload: rateMsg{Round: 3, Flow: 1, Rate: 2.5, Active: true}.appendBinary(nil)},
+		{From: "node/0", To: "flow/1", Kind: reportKind, Payload: (&reportMsg{Round: 3, Node: 0, Price: 1.5}).appendBinary(nil)},
+		{From: "cluster-ctrl", To: "flow/1", Kind: ctrlKind, Payload: ctrlMsg{Stop: true}.appendBinary(nil)},
 	}
-	if got, err := decodeBatch(nil); err != nil || got != nil {
+	var dec transport.Decoder
+	payload := encodeBatch(msgs)
+	got, err := decodeBatch(&dec, nil, payload)
+	if err != nil || !reflect.DeepEqual(got, msgs) {
+		t.Fatalf("batch round trip: got %+v, %v; want %+v", got, err, msgs)
+	}
+	if last := got[2].Payload; &last[len(last)-1] != &payload[len(payload)-1] {
+		t.Error("inner payload does not alias the batch payload")
+	}
+	if got, err := decodeBatch(&dec, nil, nil); err != nil || len(got) != 0 {
 		t.Errorf("empty batch: %v, %v", got, err)
 	}
 }
@@ -153,35 +216,33 @@ func FuzzDecodeDistPayloads(f *testing.F) {
 		f.Add(cm.appendBinary(nil))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m := transport.Message{Payload: data}
+		// The oracle compares canonical bytes, not structs: a decoded
+		// float may be NaN, which no struct comparison finds equal.
 		binary := len(data) > 0 && data[0] != '{'
-		if rm, err := decodeRate(m); err == nil && binary {
-			again, err := decodeRate(transport.Message{Payload: rm.appendBinary(nil)})
-			if err != nil || !reflect.DeepEqual(again, rm) {
+		if rm, err := decodeRate(data); err == nil && binary {
+			again, err := decodeRate(rm.appendBinary(nil))
+			if err != nil || !bytes.Equal(again.appendBinary(nil), rm.appendBinary(nil)) {
 				t.Fatalf("rate re-encode mismatch: %+v vs %+v (%v)", again, rm, err)
 			}
 		}
-		if rm, err := decodeReport(m); err == nil && binary {
-			again, err := decodeReport(transport.Message{Payload: rm.appendBinary(nil)})
-			if err != nil || !reflect.DeepEqual(again, rm) {
+		var rm, again reportMsg
+		if err := decodeReport(data, &rm); err == nil && binary {
+			if err := decodeReport(rm.appendBinary(nil), &again); err != nil || !bytes.Equal(again.appendBinary(nil), rm.appendBinary(nil)) {
 				t.Fatalf("report re-encode mismatch: %+v vs %+v (%v)", again, rm, err)
 			}
 		}
-		if cm, err := decodeCtrl(m); err == nil && binary {
-			again, err := decodeCtrl(transport.Message{Payload: cm.appendBinary(nil)})
-			if err != nil || !reflect.DeepEqual(again, cm) {
+		if cm, err := decodeCtrl(data); err == nil && binary {
+			again, err := decodeCtrl(cm.appendBinary(nil))
+			if err != nil || again != cm {
 				t.Fatalf("ctrl re-encode mismatch: %+v vs %+v (%v)", again, cm, err)
 			}
 		}
 		// The batch oracle covers the binary envelope layout only: a JSON
 		// array batch may decode an empty payload as non-nil, which the
 		// canonical binary re-decode represents as nil.
-		if msgs, err := decodeBatch(data); err == nil && binary && data[0] != '[' {
-			payload, err := encodeBatch(transport.WireBinary, msgs)
-			if err != nil {
-				t.Fatalf("batch re-encode: %v", err)
-			}
-			again, err := decodeBatch(payload)
+		var dec transport.Decoder
+		if msgs, err := decodeBatch(&dec, nil, data); err == nil && binary && data[0] != '[' {
+			again, err := decodeBatch(&dec, nil, encodeBatch(msgs))
 			if err != nil || !reflect.DeepEqual(again, msgs) {
 				t.Fatalf("batch re-encode mismatch (%v)", err)
 			}

@@ -3,6 +3,7 @@ package dist
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -29,28 +30,32 @@ type nodeAgent struct {
 	mrAlloc    *multirate.NodeAllocator
 	deliveries []float64
 
-	// classes attached at this node.
+	// classes attached at this node, ascending.
 	classes []model.ClassID
-	// ownedLinks and their static flow coefficients.
+	// ownedLinks, ascending, with the flows on each and its price.
 	ownedLinks []model.LinkID
-	linkFlows  map[model.LinkID][]model.FlowID
+	linkFlows  [][]model.FlowID
+	linkPrices []float64
 
-	// expected is the set of flows whose rates this agent needs each
-	// round: flows through the node plus flows of owned links.
-	expected map[model.FlowID]bool
-	// peers maps each expected flow to its agent endpoint name.
-	peers map[model.FlowID]string
+	// flows is the ascending set of flows whose rates this agent needs
+	// each round — flows through the node plus flows of owned links — and
+	// peerNames their agents' endpoints. inactive and latest (the freshest
+	// round each flow announced) follow it.
+	flows     []model.FlowID
+	peerNames []string
+	inactive  []bool
+	latest    []int
 
-	// Dynamic state.
-	rates      []float64
-	consumers  []int
-	price      float64
-	linkPrices map[model.LinkID]float64
-	inactive   map[model.FlowID]bool
-	tickEvery  time.Duration
-	wire       transport.Wire
-	staleness  int           // bounded-staleness window (runStale only)
-	resend     time.Duration // re-broadcast interval when stalled (runStale)
+	// Dynamic state. report is what compute fills and broadcast sends: the
+	// node's latest report, kept for the resend chirp.
+	rates     []float64
+	consumers []int
+	price     float64
+	report    reportMsg
+	out       outbox
+	tickEvery time.Duration
+	staleness int           // bounded-staleness window
+	resend    time.Duration // re-broadcast interval when stalled (runStale)
 
 	rec     *recorder              // flight recorder (nil = off)
 	tel     *telemetry.DistMetrics // dist telemetry (nil = off)
@@ -62,30 +67,21 @@ type nodeAgent struct {
 func newNodeAgent(p *model.Problem, ix *model.Index, b model.NodeID, ep transport.Endpoint, c Config) *nodeAgent {
 	cfg := c.Core
 	na := &nodeAgent{
-		p:          p,
-		node:       b,
-		ep:         ep,
-		cfg:        cfg,
-		alloc:      core.NewNodeAllocator(p, ix, b),
-		gamma:      core.NewAdaptiveGamma(cfg),
-		classes:    ix.ClassesByNode(b),
-		linkFlows:  make(map[model.LinkID][]model.FlowID),
-		expected:   make(map[model.FlowID]bool),
-		peers:      make(map[model.FlowID]string),
-		rates:      make([]float64, len(p.Flows)),
-		consumers:  make([]int, len(p.Classes)),
-		price:      cfg.InitialNodePrice,
-		linkPrices: make(map[model.LinkID]float64),
-		inactive:   make(map[model.FlowID]bool),
-		tickEvery:  c.Tick,
-		wire:       c.Wire,
-		staleness:  c.Staleness,
-		resend:     c.Resend,
-		done:       make(chan struct{}),
-	}
-	for _, i := range ix.FlowsByNode(b) {
-		na.expected[i] = true
-		na.peers[i] = flowName(i)
+		p:         p,
+		node:      b,
+		ep:        ep,
+		cfg:       cfg,
+		alloc:     core.NewNodeAllocator(p, ix, b),
+		gamma:     core.NewAdaptiveGamma(cfg),
+		classes:   ix.ClassesByNode(b),
+		flows:     slices.Clone(ix.FlowsByNode(b)),
+		rates:     make([]float64, len(p.Flows)),
+		consumers: make([]int, len(p.Classes)),
+		price:     cfg.InitialNodePrice,
+		tickEvery: c.Tick,
+		staleness: c.Staleness,
+		resend:    c.Resend,
+		done:      make(chan struct{}),
 	}
 	for l := range p.Links {
 		if p.Links[l].To != b {
@@ -93,13 +89,17 @@ func newNodeAgent(p *model.Problem, ix *model.Index, b model.NodeID, ep transpor
 		}
 		lid := model.LinkID(l)
 		na.ownedLinks = append(na.ownedLinks, lid)
-		na.linkPrices[lid] = cfg.InitialLinkPrice
-		for _, i := range ix.FlowsByLink(lid) {
-			na.linkFlows[lid] = append(na.linkFlows[lid], i)
-			na.expected[i] = true
-			na.peers[i] = flowName(i)
-		}
+		na.linkFlows = append(na.linkFlows, ix.FlowsByLink(lid))
+		na.linkPrices = append(na.linkPrices, cfg.InitialLinkPrice)
+		na.flows = append(na.flows, ix.FlowsByLink(lid)...)
 	}
+	slices.Sort(na.flows)
+	na.flows = slices.Compact(na.flows)
+	for _, i := range na.flows {
+		na.peerNames = append(na.peerNames, flowName(i))
+	}
+	na.inactive = make([]bool, len(na.flows))
+	na.latest = make([]int, len(na.flows))
 	if c.Multirate {
 		na.mrAlloc = multirate.NewNodeAllocator(p, ix, b)
 		na.deliveries = make([]float64, len(p.Classes))
@@ -108,8 +108,8 @@ func newNodeAgent(p *model.Problem, ix *model.Index, b model.NodeID, ep transpor
 }
 
 // compute runs one allocation + price update from the current rates and
-// returns the report to broadcast.
-func (na *nodeAgent) compute(round int) reportMsg {
+// fills na.report with the round's report.
+func (na *nodeAgent) compute(round int) {
 	var out core.NodeAllocation
 	if na.mrAlloc != nil {
 		mrOut := na.mrAlloc.Allocate(na.rates, na.price, na.consumers, na.deliveries)
@@ -130,197 +130,161 @@ func (na *nodeAgent) compute(round int) reportMsg {
 		na.gamma.Observe(core.PriceGap(prev, out.BestUnsatisfied, out.Used, capacity), prev)
 	}
 
-	rm := reportMsg{
-		Round:  round,
-		Node:   na.node,
-		Price:  na.price,
-		Used:   out.Used,
-		BestBC: out.BestUnsatisfied,
-	}
-	if len(na.classes) > 0 {
-		rm.Populations = make(map[model.ClassID]int, len(na.classes))
-		for _, cid := range na.classes {
-			rm.Populations[cid] = na.consumers[cid]
-		}
+	rm := &na.report
+	rm.Round, rm.Node, rm.Price, rm.Used, rm.BestBC = round, na.node, na.price, out.Used, out.BestUnsatisfied
+	rm.Populations, rm.Deliveries, rm.LinkPrices = rm.Populations[:0], rm.Deliveries[:0], rm.LinkPrices[:0]
+	for _, cid := range na.classes {
+		rm.Populations = append(rm.Populations, keyed[int]{int(cid), na.consumers[cid]})
 		if na.mrAlloc != nil {
-			rm.Deliveries = make(map[model.ClassID]float64, len(na.classes))
-			for _, cid := range na.classes {
-				rm.Deliveries[cid] = na.deliveries[cid]
-			}
+			rm.Deliveries = append(rm.Deliveries, keyed[float64]{int(cid), na.deliveries[cid]})
 		}
 	}
-	if len(na.ownedLinks) > 0 {
-		rm.LinkPrices = make(map[model.LinkID]float64, len(na.ownedLinks))
-		for _, lid := range na.ownedLinks {
-			used := 0.0
-			for _, i := range na.linkFlows[lid] {
-				used += na.p.Links[lid].FlowCost[i] * na.rates[i]
-			}
-			na.linkPrices[lid] = core.LinkPriceStep(na.linkPrices[lid], used, na.p.Links[lid].Capacity, na.cfg.LinkGamma)
-			rm.LinkPrices[lid] = na.linkPrices[lid]
+	for k, lid := range na.ownedLinks {
+		link := &na.p.Links[lid]
+		used := 0.0
+		for _, i := range na.linkFlows[k] {
+			used += link.FlowCost[i] * na.rates[i]
 		}
+		na.linkPrices[k] = core.LinkPriceStep(na.linkPrices[k], used, link.Capacity, na.cfg.LinkGamma)
+		rm.LinkPrices = append(rm.LinkPrices, keyed[float64]{int(lid), na.linkPrices[k]})
 	}
-	return rm
 }
 
-// broadcast sends a report to every (still expected) flow agent and the
+// broadcast sends na.report to every expected flow agent and the
 // collector. The body is encoded once and the payload shared across all
 // peer messages (receivers treat payloads as read-only). As in
 // flowAgent.announce, only a closed transport is fatal; lossy-delivery
 // failures are tolerated.
-func (na *nodeAgent) broadcast(rm reportMsg) error {
-	payload, err := encodeBody(na.wire, nil, rm)
-	if err != nil {
-		return err
-	}
-	from := na.ep.Name()
+func (na *nodeAgent) broadcast() error {
+	msg := transport.Message{From: na.ep.Name(), Kind: reportKind, Payload: na.out.seal(na.report.appendBinary(na.out.enc[:0]))}
 	// Inactive flows are reported to as well: a rejoining flow's first
 	// announce can race this node's round computation (the node learns of
 	// the rejoin only from that announce), and if it loses the race the
 	// flow still needs this round's report to pass its barrier — skipping
 	// inactive peers deadlocked exactly that interleaving. Idle agents
 	// drain their inbox, so the extra frames are harmless.
-	for _, peer := range na.peers {
-		msg := transport.Message{From: from, To: peer, Kind: reportKind, Payload: payload}
+	for _, peer := range na.peerNames {
+		msg.To = peer
 		if err := na.ep.Send(msg); errors.Is(err, transport.ErrClosed) {
 			return fmt.Errorf("dist: node %d report to %s: %w", na.node, peer, err)
 		}
 	}
-	msg := transport.Message{From: from, To: collectorName, Kind: reportKind, Payload: payload}
+	msg.To = collectorName
 	if err := na.ep.Send(msg); errors.Is(err, transport.ErrClosed) {
 		return err
 	}
 	return nil
 }
 
-// markInactive processes a flow departure.
-func (na *nodeAgent) markInactive(i model.FlowID) {
-	na.inactive[i] = true
-	na.rates[i] = 0
-	na.alloc.SetFlowActive(i, false)
-	if na.mrAlloc != nil {
-		na.mrAlloc.SetFlowActive(i, false)
+// step computes and broadcasts one round and logs it (the report
+// broadcast plus the round advance), crediting a pending chirp with the
+// repair.
+func (na *nodeAgent) step(round, lag int) error {
+	na.compute(round)
+	if err := na.broadcast(); err != nil {
+		return err
 	}
-}
-
-// markActive processes a flow (re)join.
-func (na *nodeAgent) markActive(i model.FlowID) {
-	na.inactive[i] = false
-	na.alloc.SetFlowActive(i, true)
-	if na.mrAlloc != nil {
-		na.mrAlloc.SetFlowActive(i, true)
-	}
-}
-
-// recordProgress logs one computed round (the report broadcast plus the
-// round advance) and credits a pending chirp with the repair.
-func (na *nodeAgent) recordProgress(round, lag int) {
-	na.rec.record(EvSend, round, int64(lag), int64(len(na.peers)))
+	na.rec.record(EvSend, round, int64(lag), int64(len(na.peerNames)))
 	na.rec.record(EvRound, round, 0, 0)
 	if na.chirped {
 		na.chirped = false
 		na.tel.ObserveRepair(false)
 	}
+	return nil
+}
+
+// absorbRate folds one rate announcement into the node's state: a
+// departure, a rejoin (only legal between Run calls, when no rounds are
+// pending; see Cluster.JoinFlow), or a rate — which a resent or reordered
+// older one must not overwrite. It reports whether the message was a
+// well-formed announcement of an expected flow.
+func (na *nodeAgent) absorbRate(payload []byte) bool {
+	rm, err := decodeRate(payload)
+	k, ok := slices.BinarySearch(na.flows, rm.Flow)
+	if err != nil || !ok {
+		return false
+	}
+	if rm.Active == na.inactive[k] {
+		na.setActive(k, rm.Active)
+	}
+	if rm.Active && rm.Round >= na.latest[k] {
+		na.latest[k] = rm.Round
+		na.rates[rm.Flow] = rm.Rate
+		na.rec.record(EvAbsorb, rm.Round, int64(rm.Flow), 0)
+	} else {
+		na.rec.record(EvRecv, rm.Round, int64(rm.Flow), 0)
+	}
+	return true
+}
+
+// setActive processes the departure or (re)join of the flow at position k;
+// a departed flow's rate counts as zero.
+func (na *nodeAgent) setActive(k int, on bool) {
+	i := na.flows[k]
+	na.inactive[k] = !on
+	if !on {
+		na.rates[i] = 0
+	}
+	na.alloc.SetFlowActive(i, on)
+	if na.mrAlloc != nil {
+		na.mrAlloc.SetFlowActive(i, on)
+	}
 }
 
 // observedLag is the effective staleness of round t's inputs: the gap
 // between t and the oldest absorbed rate among active flows.
-func (na *nodeAgent) observedLag(t int, latest map[model.FlowID]int) int {
+func (na *nodeAgent) observedLag(t int) int {
 	oldest := t
-	for i := range na.expected {
-		if na.inactive[i] {
-			continue
-		}
-		if r := latest[i]; r < oldest {
-			oldest = r
+	for k, r := range na.latest {
+		if !na.inactive[k] {
+			oldest = min(oldest, r)
 		}
 	}
-	lag := t - oldest
-	if lag < 0 {
-		lag = 0
-	}
-	return lag
+	return t - oldest
 }
 
-// activeCount returns how many expected flows are still active.
-func (na *nodeAgent) activeCount() int {
-	n := 0
-	for i := range na.expected {
-		if !na.inactive[i] {
-			n++
+// canCompute reports whether round t's inputs satisfy the staleness bound:
+// some active flow has reached round t, and no active flow is more than
+// `staleness` rounds behind it. At staleness 0 that is the barrier: every
+// active flow has announced round t, and its latest rate then is its
+// round-t rate, since a flow waits for this node's round-t report before
+// it announces t+1.
+func (na *nodeAgent) canCompute(t int) bool {
+	need := max(t-na.staleness, 1)
+	reached := false
+	for k, r := range na.latest {
+		if na.inactive[k] {
+			continue
 		}
+		if r < need {
+			return false
+		}
+		reached = reached || r >= t
 	}
-	return n
+	return reached
 }
 
 // runSync reacts to rate announcements in lock-step rounds: once all
 // active expected flows have announced round t, it computes and broadcasts
-// its round-t report.
+// its round-t report. Rounds are processed in order — the price update is
+// sequential state — and a departure may complete pending rounds.
 func (na *nodeAgent) runSync() {
 	defer close(na.done)
-	pending := make(map[int]map[model.FlowID]bool)
 	nextRound := 1
-
-	for {
-		m, ok := <-na.ep.Recv()
-		if !ok {
-			return
-		}
+	for m := range na.ep.Recv() {
 		switch m.Kind {
 		case ctrlKind:
-			cm, err := decodeCtrl(m)
-			if err != nil {
-				continue
-			}
-			if cm.Stop {
+			if cm, err := decodeCtrl(m.Payload); err == nil && cm.Stop {
 				return
 			}
 		case rateKind:
-			rm, err := decodeRate(m)
-			if err != nil {
+			if !na.absorbRate(m.Payload) {
 				continue
 			}
-			if !na.expected[rm.Flow] {
-				continue
-			}
-			if !rm.Active {
-				na.rec.record(EvRecv, rm.Round, int64(rm.Flow), 0)
-				if !na.inactive[rm.Flow] {
-					na.markInactive(rm.Flow)
-				}
-				// A departure may complete pending rounds.
-			} else {
-				if na.inactive[rm.Flow] {
-					// Rejoin (only legal between Run calls, when no
-					// rounds are pending; see Cluster.JoinFlow).
-					na.markActive(rm.Flow)
-				}
-				na.rates[rm.Flow] = rm.Rate
-				na.rec.record(EvAbsorb, rm.Round, int64(rm.Flow), 0)
-				if pending[rm.Round] == nil {
-					pending[rm.Round] = make(map[model.FlowID]bool)
-				}
-				pending[rm.Round][rm.Flow] = true
-			}
-			// Rounds must be processed in order: the price update is
-			// sequential state. Complete rounds from nextRound upward
-			// while each has a full active set.
-			for na.activeCount() > 0 {
-				got := 0
-				for i := range pending[nextRound] {
-					if !na.inactive[i] {
-						got++
-					}
-				}
-				if got < na.activeCount() {
-					break
-				}
-				report := na.compute(nextRound)
-				if err := na.broadcast(report); err != nil {
+			for na.canCompute(nextRound) {
+				if na.step(nextRound, 0) != nil {
 					return
 				}
-				na.recordProgress(nextRound, 0)
-				delete(pending, nextRound)
 				nextRound++
 			}
 		}
@@ -328,19 +292,13 @@ func (na *nodeAgent) runSync() {
 }
 
 // runStale is the bounded-staleness round loop: the node computes round t
-// as soon as (a) at least one flow has actually announced round t and (b)
-// every active expected flow's freshest rate is at most `staleness` rounds
-// behind t, using the latest absorbed rate for each flow. With staleness 0
-// this reduces exactly to the barrier schedule (every flow must have
-// announced round t, and its latest rate then is its round-t rate). A
+// as soon as canCompute allows, using the latest absorbed rate for each
+// flow. With staleness 0 this reduces exactly to the barrier schedule. A
 // resend timer re-broadcasts the latest report while idle so dropped
 // report frames cannot deadlock flows or starve the collector.
 func (na *nodeAgent) runStale() {
 	defer close(na.done)
-	latest := make(map[model.FlowID]int, len(na.expected)) // freshest announced round per flow
 	nextRound := 1
-	var lastReport reportMsg
-	haveReport := false
 	backoff := na.resend
 	timer, timerC := newResendTimer(na.resend)
 	defer stopResendTimer(timer)
@@ -353,45 +311,19 @@ func (na *nodeAgent) runStale() {
 			}
 			switch m.Kind {
 			case ctrlKind:
-				cm, err := decodeCtrl(m)
-				if err != nil {
-					continue
-				}
-				if cm.Stop {
+				if cm, err := decodeCtrl(m.Payload); err == nil && cm.Stop {
 					return
 				}
 			case rateKind:
-				rm, err := decodeRate(m)
-				if err != nil || !na.expected[rm.Flow] {
-					continue
-				}
-				if !rm.Active {
-					na.rec.record(EvRecv, rm.Round, int64(rm.Flow), 0)
-					if !na.inactive[rm.Flow] {
-						na.markInactive(rm.Flow)
-					}
-				} else {
-					if na.inactive[rm.Flow] {
-						na.markActive(rm.Flow)
-					}
-					// Monotonic guard: a resent or reordered older rate
-					// must not overwrite a fresher one.
-					if rm.Round >= latest[rm.Flow] {
-						latest[rm.Flow] = rm.Round
-						na.rates[rm.Flow] = rm.Rate
-						na.rec.record(EvAbsorb, rm.Round, int64(rm.Flow), 0)
-					} else {
-						na.rec.record(EvRecv, rm.Round, int64(rm.Flow), 0)
-					}
-				}
+				na.absorbRate(m.Payload)
 			}
 		case <-timerC:
 			// Chirp with exponential backoff; see flowAgent.runStale.
-			if haveReport {
-				if err := na.broadcast(lastReport); err != nil {
+			if nextRound > 1 {
+				if err := na.broadcast(); err != nil {
 					return
 				}
-				na.rec.record(EvResend, lastReport.Round, int64(backoff), 0)
+				na.rec.record(EvResend, na.report.Round, int64(backoff), 0)
 				na.tel.ObserveChirp(false)
 				na.chirped = true
 			}
@@ -407,14 +339,10 @@ func (na *nodeAgent) runStale() {
 		// order; the staleness bound only relaxes which inputs each one
 		// needs.
 		computed := false
-		for na.canComputeStale(nextRound, latest) {
-			lag := na.observedLag(nextRound, latest)
-			lastReport = na.compute(nextRound)
-			haveReport = true
-			if err := na.broadcast(lastReport); err != nil {
+		for na.canCompute(nextRound) {
+			if na.step(nextRound, na.observedLag(nextRound)) != nil {
 				return
 			}
-			na.recordProgress(nextRound, lag)
 			nextRound++
 			computed = true
 		}
@@ -425,30 +353,6 @@ func (na *nodeAgent) runStale() {
 			timer.Reset(backoff)
 		}
 	}
-}
-
-// canComputeStale reports whether round t's inputs satisfy the staleness
-// bound: some active flow has reached round t, and no active flow is more
-// than `staleness` rounds behind it.
-func (na *nodeAgent) canComputeStale(t int, latest map[model.FlowID]int) bool {
-	need := t - na.staleness
-	if need < 1 {
-		need = 1
-	}
-	reached := false
-	for i := range na.expected {
-		if na.inactive[i] {
-			continue
-		}
-		r := latest[i]
-		if r < need {
-			return false
-		}
-		if r >= t {
-			reached = true
-		}
-	}
-	return reached
 }
 
 // runAsync recomputes on a timer from the latest rates.
@@ -465,38 +369,16 @@ func (na *nodeAgent) runAsync() {
 			}
 			switch m.Kind {
 			case ctrlKind:
-				cm, err := decodeCtrl(m)
-				if err != nil {
-					continue
-				}
-				if cm.Stop {
+				if cm, err := decodeCtrl(m.Payload); err == nil && cm.Stop {
 					return
 				}
 			case rateKind:
-				rm, err := decodeRate(m)
-				if err != nil {
-					continue
-				}
-				if !na.expected[rm.Flow] {
-					continue
-				}
-				if !rm.Active {
-					na.rec.record(EvRecv, rm.Round, int64(rm.Flow), 0)
-					na.markInactive(rm.Flow)
-				} else {
-					if na.inactive[rm.Flow] {
-						na.markActive(rm.Flow)
-					}
-					na.rates[rm.Flow] = rm.Rate
-					na.rec.record(EvAbsorb, rm.Round, int64(rm.Flow), 0)
-				}
+				na.absorbRate(m.Payload)
 			}
 		case <-ticker.C:
-			report := na.compute(round)
-			if err := na.broadcast(report); err != nil {
+			if na.step(round, 0) != nil {
 				return
 			}
-			na.recordProgress(round, 0)
 			round++
 		}
 	}

@@ -233,7 +233,6 @@ func TestTraceAnalyzeThousandAgents(t *testing.T) {
 
 	cl, err := New(p, Config{
 		Core:       core.Config{Adaptive: true},
-		Wire:       transport.WireBinary,
 		Staleness:  2,
 		Resend:     5 * time.Millisecond,
 		Record:     true,

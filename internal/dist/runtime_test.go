@@ -2,19 +2,25 @@ package dist
 
 import (
 	"math"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/model"
 	"repro/internal/transport"
 	"repro/internal/workload"
 )
 
 // runTrajectory spins up a cluster, runs it for the given rounds, closes
 // it, and returns the per-round stats.
-func runTrajectory(t *testing.T, cfg Config, net transport.Network, rounds int) []RoundStats {
+func runTrajectory(t *testing.T, p *model.Problem, cfg Config, net transport.Network, rounds int) []RoundStats {
 	t.Helper()
-	cl, err := New(workload.Base(), cfg, net)
+	cl, err := New(p, cfg, net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,24 +48,69 @@ func requireIdentical(t *testing.T, tag string, got, want []RoundStats) {
 	}
 }
 
-// TestBinaryWireBitIdentical: the binary codec must change bytes on the
-// wire, not the computation — the trajectory is exactly the JSON one.
-func TestBinaryWireBitIdentical(t *testing.T) {
-	cfg := Config{Core: core.Config{Adaptive: true}}
-	netJ := transport.NewMemory()
-	defer netJ.Close()
-	ref := runTrajectory(t, cfg, netJ, 50)
-
-	cfg.Wire = transport.WireBinary
-	netB := transport.NewMemory()
-	defer netB.Close()
-	got := runTrajectory(t, cfg, netB, 50)
-	requireIdentical(t, "binary vs json", got, ref)
+// frozenTrajectory reads testdata/<name>.bits: one round's utility per
+// line as the hex of its math.Float64bits, recorded at commit 525a158 —
+// the last one that could run the JSON wire, map-keyed reports and per-
+// round map tallies — from a JSON-wire barrier run (its binary, batched
+// and staleLoop runs produced the same bits).
+func frozenTrajectory(t *testing.T, name string) []RoundStats {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name+".bits"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []RoundStats
+	for i, line := range strings.Fields(string(data)) {
+		bits, err := strconv.ParseUint(line, 16, 64)
+		if err != nil {
+			t.Fatalf("%s line %d: %v", name, i+1, err)
+		}
+		want = append(want, RoundStats{Round: i + 1, Utility: math.Float64frombits(bits)})
+	}
+	return want
 }
 
-// TestBinaryWireOverTCP runs the binary codec through the real TCP framing
-// end to end and checks engine parity.
-func TestBinaryWireOverTCP(t *testing.T) {
+// TestTrajectoryMatchesFrozenOracle: the trajectory is the one recorded
+// before reports became id-sorted slices and the agents' tallies arrays —
+// not one float sum may have been reordered — and neither gateway batching
+// (which changes framing, not values) nor the bounded-staleness loop at
+// K=0 (whose schedule must collapse to the barrier's) moves a bit of it.
+func TestTrajectoryMatchesFrozenOracle(t *testing.T) {
+	for _, shape := range []struct {
+		name  string
+		p     *model.Problem
+		hosts int
+	}{
+		{"base_50", workload.Base(), 4},
+		{"scaled102_40", workload.Scaled(workload.Config{FlowCopies: 17, NodeSetCopies: 2}), 12},
+	} {
+		want := frozenTrajectory(t, shape.name)
+		adaptive := core.Config{Adaptive: true}
+		for _, run := range []struct {
+			tag string
+			cfg Config
+			tcp bool
+		}{
+			{tag: "plain", cfg: Config{Core: adaptive}},
+			{tag: "batched", cfg: Config{Core: adaptive, Batch: true, Hosts: shape.hosts}},
+			{tag: "staleLoop K=0", cfg: Config{Core: adaptive, staleLoop: true}},
+			{tag: "batched staleLoop K=0", cfg: Config{Core: adaptive, Batch: true, Hosts: shape.hosts, staleLoop: true}},
+			{tag: "plain over TCP", cfg: Config{Core: adaptive}, tcp: true},
+		} {
+			var net transport.Network = transport.NewMemory()
+			if run.tcp {
+				net = transport.NewTCP()
+			}
+			got := runTrajectory(t, shape.p, run.cfg, net, len(want))
+			net.Close()
+			requireIdentical(t, shape.name+" "+run.tag, got, want)
+		}
+	}
+}
+
+// TestSyncOverTCPMatchesEngine runs the rounds through the real TCP
+// framing end to end and checks engine parity.
+func TestSyncOverTCPMatchesEngine(t *testing.T) {
 	p := workload.Base()
 	e, err := core.NewEngine(p.Clone(), core.Config{Adaptive: true})
 	if err != nil {
@@ -73,7 +124,7 @@ func TestBinaryWireOverTCP(t *testing.T) {
 
 	net := transport.NewTCP()
 	defer net.Close()
-	cl, err := New(p, Config{Core: core.Config{Adaptive: true}, Wire: transport.WireBinary}, net)
+	cl, err := New(p, Config{Core: core.Config{Adaptive: true}}, net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,27 +135,8 @@ func TestBinaryWireOverTCP(t *testing.T) {
 	}
 	for i, s := range stats {
 		if rel := math.Abs(s.Utility-engineTrace[i]) / math.Max(1, engineTrace[i]); rel > 1e-9 {
-			t.Fatalf("round %d: dist-tcp-binary %g vs engine %g", i+1, s.Utility, engineTrace[i])
+			t.Fatalf("round %d: dist-tcp %g vs engine %g", i+1, s.Utility, engineTrace[i])
 		}
-	}
-}
-
-// TestBatchedBitIdentical: gateway batching changes framing, not values —
-// the batched trajectory must exactly equal the unbatched one, for both
-// wire formats.
-func TestBatchedBitIdentical(t *testing.T) {
-	for _, wire := range []transport.Wire{transport.WireJSON, transport.WireBinary} {
-		cfg := Config{Core: core.Config{Adaptive: true}, Wire: wire}
-		netPlain := transport.NewMemory()
-		ref := runTrajectory(t, cfg, netPlain, 40)
-		netPlain.Close()
-
-		cfg.Batch = true
-		cfg.Hosts = 4
-		netBatch := transport.NewMemory()
-		got := runTrajectory(t, cfg, netBatch, 40)
-		netBatch.Close()
-		requireIdentical(t, "batched vs plain ("+wire.String()+")", got, ref)
 	}
 }
 
@@ -116,13 +148,13 @@ func TestStalenessZeroBitIdentical(t *testing.T) {
 	for _, adaptive := range []bool{false, true} {
 		cfg := Config{Core: core.Config{Adaptive: adaptive}}
 		netRef := transport.NewMemory()
-		ref := runTrajectory(t, cfg, netRef, 60)
+		ref := runTrajectory(t, workload.Base(), cfg, netRef, 60)
 		netRef.Close()
 
 		// staleLoop forces the bounded-staleness code path at K=0.
 		cfg.staleLoop = true
 		netK0 := transport.NewMemory()
-		got := runTrajectory(t, cfg, netK0, 60)
+		got := runTrajectory(t, workload.Base(), cfg, netK0, 60)
 		netK0.Close()
 		requireIdentical(t, "staleness K=0 vs barrier", got, ref)
 	}
@@ -211,7 +243,6 @@ func TestClusterThousandAgents(t *testing.T) {
 
 	cl, err := New(p, Config{
 		Core:      core.Config{Adaptive: true},
-		Wire:      transport.WireBinary,
 		Batch:     true,
 		Hosts:     24,
 		Staleness: 2,
@@ -235,29 +266,6 @@ func TestClusterThousandAgents(t *testing.T) {
 	}
 	if net.NetStats().Dropped == 0 {
 		t.Error("fault injection inactive: nothing was dropped")
-	}
-}
-
-// TestBinaryBytesReduction: the binary codec must move at least 3x fewer
-// payload bytes per round than JSON for the same trajectory.
-func TestBinaryBytesReduction(t *testing.T) {
-	cfg := Config{Core: core.Config{Adaptive: true}}
-	netJ := transport.NewMemory()
-	runTrajectory(t, cfg, netJ, 20)
-	jsonBytes := netJ.NetStats().Bytes
-	netJ.Close()
-
-	cfg.Wire = transport.WireBinary
-	netB := transport.NewMemory()
-	runTrajectory(t, cfg, netB, 20)
-	binBytes := netB.NetStats().Bytes
-	netB.Close()
-
-	if binBytes == 0 || jsonBytes == 0 {
-		t.Fatalf("byte meters did not advance: json=%d binary=%d", jsonBytes, binBytes)
-	}
-	if ratio := float64(jsonBytes) / float64(binBytes); ratio < 3 {
-		t.Errorf("binary codec saves %.2fx bytes (json %d, binary %d), want >= 3x", ratio, jsonBytes, binBytes)
 	}
 }
 
@@ -311,5 +319,86 @@ func TestCloseSurfacesSendFailure(t *testing.T) {
 	net.Close() // control sends now fail with ErrClosed
 	if err := cl.Close(); err == nil {
 		t.Error("Close returned nil after the transport failed its control sends")
+	}
+}
+
+// TestRunSurvivesParkedCollector: the collector is in no agent's barrier,
+// so Run must not let the agents get further ahead of it than its inbox
+// can absorb — past that, frames are dropped and a barrier round can never
+// finalize (Run(500) in one call timed out in 1 of 30 trials at commit
+// 525a158; nothing here depends on timing). The collector is parked until
+// its inbox holds everything the agents may send before Run waits for it —
+// as far ahead as they can get — and then 2000 rounds asked for in one
+// call must all finalize, in order, with nothing dropped.
+func TestRunSurvivesParkedCollector(t *testing.T) {
+	net := transport.NewMemory()
+	defer net.Close()
+	park := make(chan struct{})
+	cl, err := New(workload.Base(), Config{Core: core.Config{Adaptive: true}, parkCollector: park}, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	const rounds = 2000
+	inbox := cl.coll.ep.Recv()
+	senders := len(cl.flows) + cl.coll.nodesTotal
+	window := cap(inbox) / senders
+	if window >= rounds {
+		t.Fatalf("a window of %d rounds covers the whole run; the test proves nothing", window)
+	}
+	go func() {
+		// The window is full when every sender's frame of each of its
+		// rounds has arrived; a run that overruns it fills the inbox.
+		for len(inbox) < window*senders {
+			runtime.Gosched()
+		}
+		close(park)
+	}()
+	stats, err := cl.Run(rounds, 2*time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stats) != rounds {
+		t.Fatalf("%d rounds finalized, want %d", len(stats), rounds)
+	}
+	for i, s := range stats {
+		if s.Round != i+1 {
+			t.Fatalf("stats[%d] is round %d: the run has a gap", i, s.Round)
+		}
+	}
+	if dropped := net.NetStats().Dropped; dropped != 0 {
+		t.Errorf("%d frames dropped", dropped)
+	}
+}
+
+// TestRoundAllocationBudget is the deterministic cost gate on the round's
+// steady state: heap objects allocated per round over Run(100) on the base
+// workload in memory. At commit 525a158 the binary wire allocated 143 per
+// round (BenchmarkDistWire/binary); the gate is a third of that. The
+// figure after this change: 0.4 (a timer and a waiter per Run call, a slab
+// chunk per agent every few dozen rounds).
+func TestRoundAllocationBudget(t *testing.T) {
+	net := transport.NewMemory()
+	defer net.Close()
+	cl, err := New(workload.Base(), Config{Core: core.Config{Adaptive: true}}, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.Run(100, time.Minute); err != nil { // warm-up: scratch grows to its working size
+		t.Fatal(err)
+	}
+	const rounds = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := cl.Run(rounds, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	perRound := float64(after.Mallocs-before.Mallocs) / rounds
+	t.Logf("%.1f allocations per round", perRound)
+	if perRound > 143.0/3 {
+		t.Errorf("%.1f allocations per round, want at most %.1f", perRound, 143.0/3)
 	}
 }

@@ -118,8 +118,8 @@ func TestDistRuntimeExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 6 {
-		t.Fatalf("rows = %d, want 6", len(rows))
+	if len(rows) != 5 {
+		t.Fatalf("rows = %d, want 5", len(rows))
 	}
 	byConfig := make(map[string]RuntimeRow, len(rows))
 	for _, r := range rows {
@@ -132,17 +132,19 @@ func TestDistRuntimeExperiment(t *testing.T) {
 		byConfig[r.Config] = r
 	}
 	// The headline claims of the runtime rebuild, measured not asserted by
-	// construction: binary >= 3x fewer bytes/round, batching >= 5x fewer
-	// frames/round.
-	if j, b := byConfig["json"], byConfig["binary"]; j.BytesPerRound < 3*b.BytesPerRound {
-		t.Errorf("binary saves only %.2fx bytes/round (json %.0f, binary %.0f)",
-			j.BytesPerRound/b.BytesPerRound, j.BytesPerRound, b.BytesPerRound)
+	// construction: binary >= 3x fewer bytes/round than the JSON wire
+	// moved on this run before it was deleted (120,607 at commit 525a158,
+	// EXPERIMENTS.md X5b), batching >= 5x fewer frames/round.
+	const jsonBytesPerRound = 120607
+	if b := byConfig["binary"]; jsonBytesPerRound < 3*b.BytesPerRound {
+		t.Errorf("binary saves only %.2fx bytes/round (json %d, binary %.0f)",
+			jsonBytesPerRound/b.BytesPerRound, jsonBytesPerRound, b.BytesPerRound)
 	}
 	if b, bb := byConfig["binary"], byConfig["binary+batch"]; b.FramesPerRound < 5*bb.FramesPerRound {
 		t.Errorf("batching saves only %.2fx frames/round (plain %.1f, batched %.1f)",
 			b.FramesPerRound/bb.FramesPerRound, b.FramesPerRound, bb.FramesPerRound)
 	}
-	for _, label := range []string{"json", "binary", "binary+batch"} {
+	for _, label := range []string{"binary", "binary+batch"} {
 		if byConfig[label].RoundsToConverge == 0 {
 			t.Errorf("%s: never reached the 1%% band", label)
 		}

@@ -2,8 +2,8 @@ package telemetry
 
 // DistMetrics instruments the distributed runtime (package dist): round
 // progress and staleness at the collector, resend-chirp repair traffic at
-// the agents, gateway batching occupancy, stall-detector trips, and
-// per-wire network attribution. Construct with NewDistMetrics and pass
+// the agents, gateway batching occupancy, stall-detector trips, and the
+// transport's traffic counters. Construct with NewDistMetrics and pass
 // via dist.Config.Telemetry; a nil handle disables everything. All
 // observe methods are called from agent hot loops — they must stay
 // atomic-only, no locks, no allocation (the registry's instruments
@@ -41,13 +41,12 @@ type DistMetrics struct {
 	// Stalls counts stall-detector trips (no collector progress within
 	// the deadline while rounds were pending).
 	Stalls *Counter
-	// Per-wire traffic mirrored from the transport's Meter after a run:
-	// frames and payload bytes by encoding, plus fault-injected drops.
-	NetFramesJSON   *Gauge
-	NetFramesBinary *Gauge
-	NetBytesJSON    *Gauge
-	NetBytesBinary  *Gauge
-	NetDropped      *Gauge
+	// Traffic mirrored from the transport's Meter after a run: frames and
+	// the bytes they carried, plus what was lost to fault injection or a
+	// full inbox.
+	NetFrames  *Gauge
+	NetBytes   *Gauge
+	NetDropped *Gauge
 }
 
 // DistBuckets overrides the histogram layouts used by
@@ -106,16 +105,12 @@ func NewDistMetricsBuckets(reg *Registry, b DistBuckets) *DistMetrics {
 			"Messages per flushed gateway batch frame.", b.FlushOccupancy),
 		Stalls: reg.Counter("lrgp_dist_stalls_total",
 			"Stall-detector trips (no collector progress within the deadline)."),
-		NetFramesJSON: reg.Gauge("lrgp_dist_net_frames",
-			"Transport frames by wire format.", Label{Key: "wire", Value: "json"}),
-		NetFramesBinary: reg.Gauge("lrgp_dist_net_frames",
-			"Transport frames by wire format.", Label{Key: "wire", Value: "binary"}),
-		NetBytesJSON: reg.Gauge("lrgp_dist_net_bytes",
-			"Transport payload bytes by wire format.", Label{Key: "wire", Value: "json"}),
-		NetBytesBinary: reg.Gauge("lrgp_dist_net_bytes",
-			"Transport payload bytes by wire format.", Label{Key: "wire", Value: "binary"}),
+		NetFrames: reg.Gauge("lrgp_dist_net_frames",
+			"Transport frames delivered."),
+		NetBytes: reg.Gauge("lrgp_dist_net_bytes",
+			"Bytes the delivered transport frames carried."),
 		NetDropped: reg.Gauge("lrgp_dist_net_dropped",
-			"Messages lost to fault injection or partitions."),
+			"Messages lost to fault injection, partitions or a full inbox."),
 	}
 }
 
@@ -196,13 +191,11 @@ func (m *DistMetrics) ObserveStall() {
 // ObserveNet mirrors a transport Meter snapshot into the net gauges. The
 // arguments are plain counts so the telemetry package stays free of a
 // transport dependency.
-func (m *DistMetrics) ObserveNet(jsonFrames, jsonBytes, binFrames, binBytes, dropped uint64) {
+func (m *DistMetrics) ObserveNet(frames, bytes, dropped uint64) {
 	if m == nil {
 		return
 	}
-	m.NetFramesJSON.Set(float64(jsonFrames))
-	m.NetBytesJSON.Set(float64(jsonBytes))
-	m.NetFramesBinary.Set(float64(binFrames))
-	m.NetBytesBinary.Set(float64(binBytes))
+	m.NetFrames.Set(float64(frames))
+	m.NetBytes.Set(float64(bytes))
 	m.NetDropped.Set(float64(dropped))
 }

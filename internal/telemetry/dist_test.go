@@ -20,7 +20,7 @@ func TestDistMetricsObserve(t *testing.T) {
 	dm.ObserveFlushFrame(5)
 	dm.ObserveFlushFrame(7)
 	dm.ObserveStall()
-	dm.ObserveNet(10, 1000, 20, 800, 3)
+	dm.ObserveNet(30, 1800, 3)
 
 	if dm.RoundsFinalized.Value() != 2 {
 		t.Errorf("rounds finalized = %d, want 2", dm.RoundsFinalized.Value())
@@ -47,7 +47,7 @@ func TestDistMetricsObserve(t *testing.T) {
 	if dm.Stalls.Value() != 1 {
 		t.Errorf("stalls = %d, want 1", dm.Stalls.Value())
 	}
-	if dm.NetFramesJSON.Value() != 10 || dm.NetBytesBinary.Value() != 800 || dm.NetDropped.Value() != 3 {
+	if dm.NetFrames.Value() != 30 || dm.NetBytes.Value() != 1800 || dm.NetDropped.Value() != 3 {
 		t.Error("net gauges wrong")
 	}
 
@@ -84,7 +84,7 @@ func TestDistMetricsNilSafeAndZeroAlloc(t *testing.T) {
 	dm.ObserveFlush(3)
 	dm.ObserveFlushFrame(3)
 	dm.ObserveStall()
-	dm.ObserveNet(1, 2, 3, 4, 5)
+	dm.ObserveNet(1, 2, 3)
 
 	live := NewDistMetrics(NewRegistry())
 	for _, m := range []*DistMetrics{nil, live} {

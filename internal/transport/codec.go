@@ -1,59 +1,16 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 )
 
-// Wire selects the frame encoding an endpoint writes. Both formats can be
-// decoded by every receiver (frames are self-describing), so endpoints
-// with different wire settings interoperate; the setting only controls
-// what an endpoint emits.
-type Wire uint8
-
-// Wire formats.
-const (
-	// WireJSON writes JSON message bodies (the original format, kept as
-	// the compatibility and debug mode: frames are human-readable).
-	WireJSON Wire = iota
-	// WireBinary writes compact varint-framed binary bodies: no
-	// per-message JSON marshal, ~4-6x smaller frames, and an
-	// allocation-free append-style encode path.
-	WireBinary
-)
-
-// String implements fmt.Stringer.
-func (w Wire) String() string {
-	switch w {
-	case WireBinary:
-		return "binary"
-	default:
-		return "json"
-	}
-}
-
-// ParseWire parses "json" or "binary".
-func ParseWire(s string) (Wire, error) {
-	switch s {
-	case "json", "":
-		return WireJSON, nil
-	case "binary":
-		return WireBinary, nil
-	}
-	return WireJSON, fmt.Errorf("transport: unknown wire format %q (want json or binary)", s)
-}
-
-// WireSelector is implemented by endpoints whose outbound wire format can
-// be chosen. Call SetWire before the endpoint carries traffic.
-type WireSelector interface {
-	SetWire(Wire)
-}
-
-// binaryTag is the first byte of a binary-encoded message body. JSON
-// bodies start with '{' (and JSON batch payloads with '['), so a receiver
-// distinguishes the formats from the first byte alone.
+// binaryTag is the first byte of an encoded message body. The JSON bodies
+// older senders wrote start with '{' (and their batch payloads with '['),
+// so a receiver tells them apart from the first byte alone.
 const binaryTag = 'B'
 
 // ErrCorruptFrame reports a binary body that could not be decoded.
@@ -99,28 +56,83 @@ func appendLenBytes(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// DecodeMessage decodes one binary message from the front of data and
-// returns it along with the number of bytes consumed, so callers can
-// iterate over concatenated messages (batch payloads). The returned
-// message's strings and payload are copies: they do not alias data.
+// Decoder decodes the messages of one stream. A connection carries one
+// sender's frames to one receiver and senders use a handful of kinds, so
+// the envelope strings repeat frame after frame: Decode hands back the
+// string it saw last wherever the bytes still match and allocates only
+// when one changes. The zero value is ready; not safe for concurrent use.
+type Decoder struct {
+	from, to, kind string
+}
+
+// Decode decodes one message from the front of data and returns it along
+// with the number of bytes consumed, so callers can iterate over
+// concatenated messages (batch payloads). The payload aliases data.
 // Truncated or corrupt input returns ErrCorruptFrame-wrapped errors and
 // never panics or reads past len(data).
-func DecodeMessage(data []byte) (Message, int, error) {
-	var msg Message
+func (d *Decoder) Decode(data []byte) (Message, int, error) {
 	c := Cursor{Data: data}
 	if tag := c.Byte(); tag != binaryTag {
 		return Message{}, 0, fmt.Errorf("%w: bad tag 0x%02x", ErrCorruptFrame, tag)
 	}
-	msg.From = c.String()
-	msg.To = c.String()
-	msg.Kind = c.String()
+	msg := Message{From: reuse(&d.from, c.Bytes()), To: reuse(&d.to, c.Bytes()), Kind: reuse(&d.kind, c.Bytes())}
 	if payload := c.Bytes(); len(payload) > 0 {
-		msg.Payload = append([]byte(nil), payload...)
+		msg.Payload = payload
 	}
 	if err := c.Err(); err != nil {
 		return Message{}, 0, err
 	}
 	return msg, c.Off, nil
+}
+
+// reuse returns *last when b spells it, and otherwise b as a new string
+// that it also remembers.
+func reuse(last *string, b []byte) string {
+	if string(b) != *last {
+		*last = string(b)
+	}
+	return *last
+}
+
+// DecodeMessage is Decode for a lone message whose buffer the caller goes
+// on to reuse: the returned strings and payload are copies.
+func DecodeMessage(data []byte) (Message, int, error) {
+	var d Decoder
+	msg, n, err := d.Decode(data)
+	msg.Payload = bytes.Clone(msg.Payload)
+	return msg, n, err
+}
+
+// slabChunk is what a Slab allocates at a time: some tens of dist frames,
+// and small enough that one chunk per connection and per agent does not
+// show beside the inbox channels.
+const slabChunk = 1024
+
+// Slab hands out byte slices that are written once and from then on only
+// read — payloads a receiver may hold for as long as it likes — carved
+// from shared chunks so that many small ones cost one allocation. A chunk
+// is never handed out twice: when it runs out the Slab moves to a fresh
+// one and the old chunk lives until the last slice cut from it is dropped.
+// The zero value is ready; not safe for concurrent use.
+type Slab struct {
+	free []byte
+}
+
+// Take returns n bytes that no earlier call returned.
+func (s *Slab) Take(n int) []byte {
+	if len(s.free) < n {
+		s.free = make([]byte, max(n, slabChunk))
+	}
+	b := s.free[:n:n]
+	s.free = s.free[n:]
+	return b
+}
+
+// Copy returns a copy of b cut from the slab.
+func (s *Slab) Copy(b []byte) []byte {
+	p := s.Take(len(b))
+	copy(p, b)
+	return p
 }
 
 // Cursor is a bounds-checked reader over a binary-encoded buffer. All
@@ -212,11 +224,6 @@ func (c *Cursor) Bytes() []byte {
 	b := c.Data[c.Off : c.Off+int(n)]
 	c.Off += int(n)
 	return b
-}
-
-// String reads a uvarint-length-prefixed string (copied, does not alias).
-func (c *Cursor) String() string {
-	return string(c.Bytes())
 }
 
 // AppendFloat64 appends v as fixed 8-byte little-endian bits.

@@ -5,31 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"net"
 	"strings"
 	"testing"
 	"time"
 )
-
-func TestParseWire(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Wire
-		ok   bool
-	}{
-		{"json", WireJSON, true},
-		{"", WireJSON, true},
-		{"binary", WireBinary, true},
-		{"protobuf", WireJSON, false},
-	} {
-		got, err := ParseWire(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Errorf("ParseWire(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
-		}
-	}
-	if WireJSON.String() != "json" || WireBinary.String() != "binary" {
-		t.Errorf("Wire.String: %q %q", WireJSON, WireBinary)
-	}
-}
 
 func TestMessageBinaryRoundTrip(t *testing.T) {
 	cases := []Message{
@@ -157,12 +137,10 @@ func TestAppendMessageZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestTCPBinaryWire runs traffic over the binary wire and checks payloads
-// arrive intact; TestTCPMixedWires checks a binary sender and a JSON
-// sender interoperate on one network, including a live format switch.
-func TestTCPBinaryWire(t *testing.T) {
+// TestTCPFrames runs traffic over the one frame the transport writes and
+// checks payloads arrive intact and in order.
+func TestTCPFrames(t *testing.T) {
 	net := NewTCP()
-	net.SetWire(WireBinary)
 	defer net.Close()
 
 	a, _ := net.Endpoint("a")
@@ -187,39 +165,77 @@ func TestTCPBinaryWire(t *testing.T) {
 	}
 }
 
-func TestTCPMixedWires(t *testing.T) {
-	net := NewTCP()
-	defer net.Close()
+// TestTCPReadsLegacyFrame: nothing writes the 4-byte-length JSON frame any
+// more, but a reader still parses one — here written by hand onto a raw
+// connection, back to back with a current frame — into the same Message.
+func TestTCPReadsLegacyFrame(t *testing.T) {
+	tn := NewTCP()
+	defer tn.Close()
+	b, _ := tn.Endpoint("b")
 
-	a, _ := net.Endpoint("a") // JSON (default)
-	b, _ := net.Endpoint("b")
-	c, _ := net.Endpoint("c")
-	c.(WireSelector).SetWire(WireBinary)
+	want := Message{From: "a", To: "b", Kind: "k", Payload: []byte(`{"x":1}`)}
+	body := []byte(`{"from":"a","to":"b","kind":"k","payload":{"x":1}}`)
+	legacy := append([]byte{0, 0, 0, byte(len(body))}, body...)
+	current := AppendMessage([]byte{byte(BinarySize(&want))}, &want)
 
-	ma, _ := Encode("a", "b", "from-json", "j")
-	mc, _ := Encode("c", "b", "from-binary", "c")
-	if err := a.Send(ma); err != nil {
+	conn, err := net.Dial("tcp", b.(*tcpEndpoint).Addr())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Send(mc); err != nil {
+	defer conn.Close()
+	if _, err := conn.Write(append(legacy, current...)); err != nil {
 		t.Fatal(err)
 	}
-	kinds := map[string]bool{}
-	for i := 0; i < 2; i++ {
-		kinds[recvOne(t, b).Kind] = true
+	for _, layout := range []string{"legacy", "current"} {
+		got := recvOne(t, b)
+		if got.From != want.From || got.To != want.To || got.Kind != want.Kind || !bytes.Equal(got.Payload, want.Payload) {
+			t.Errorf("%s frame parsed to %+v, want %+v", layout, got, want)
+		}
 	}
-	if !kinds["from-json"] || !kinds["from-binary"] {
-		t.Errorf("kinds = %v", kinds)
-	}
+}
 
-	// Switch a live endpoint to binary mid-stream: the same connection
-	// carries both layouts back to back.
-	a.(WireSelector).SetWire(WireBinary)
-	if err := a.Send(ma); err != nil {
+// TestDecoderReusesStrings: a stream's repeating envelope strings cost no
+// allocation after the first frame, the payload aliases the frame, and a
+// change of sender or kind is still decoded correctly.
+func TestDecoderReusesStrings(t *testing.T) {
+	var d Decoder
+	first := AppendMessage(nil, &Message{From: "flow/1", To: "node/2", Kind: "rate", Payload: []byte{1, 2, 3}})
+	if _, _, err := d.Decode(first); err != nil {
 		t.Fatal(err)
 	}
-	if got := recvOne(t, b); got.Kind != "from-json" {
-		t.Errorf("post-switch kind = %q", got.Kind)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := d.Decode(first); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Decode of a repeating envelope allocs/op = %v, want 0", allocs)
+	}
+	got, _, _ := d.Decode(first)
+	if &got.Payload[0] != &first[len(first)-3] {
+		t.Error("payload does not alias the frame")
+	}
+	other := AppendMessage(nil, &Message{From: "flow/9", To: "node/2", Kind: "echo"})
+	if got, _, err := d.Decode(other); err != nil || got.From != "flow/9" || got.To != "node/2" || got.Kind != "echo" || got.Payload != nil {
+		t.Errorf("changed envelope decoded to %+v, %v", got, err)
+	}
+}
+
+// TestSlabNeverReusesBytes: slices cut from a Slab do not overlap, across
+// a chunk boundary and for a request larger than a chunk.
+func TestSlabNeverReusesBytes(t *testing.T) {
+	var s Slab
+	var cut [][]byte
+	for i, n := range []int{100, 900, 100, 3 * slabChunk, 1} {
+		b := s.Copy(bytes.Repeat([]byte{byte(i)}, n))
+		if len(b) != n || cap(b) != n {
+			t.Fatalf("slice %d: len %d cap %d, want %d", i, len(b), cap(b), n)
+		}
+		cut = append(cut, b)
+	}
+	for i, b := range cut {
+		if !bytes.Equal(b, bytes.Repeat([]byte{byte(i)}, len(b))) {
+			t.Errorf("slice %d was overwritten by a later one", i)
+		}
 	}
 }
 
@@ -337,16 +353,5 @@ func BenchmarkAppendMessage(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buf = AppendMessage(buf[:0], &msg)
-	}
-}
-
-func BenchmarkEncodeJSONMessage(b *testing.B) {
-	msg := Message{From: "flow/42", To: "node/7", Kind: "rate",
-		Payload: []byte(`{"round":9,"flow":42,"rate":1.52,"active":true}`)}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := json.Marshal(msg); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -1,15 +1,16 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"time"
 )
 
-// memoryBuffer is the per-endpoint inbound queue size. Deliveries beyond a
-// full buffer block the sender briefly rather than dropping, keeping the
-// in-memory transport lossless unless faults are injected.
+// memoryBuffer is the per-endpoint inbound queue size on both transports:
+// several rounds of what the busiest dist agent receives. A delivery to a
+// full queue is refused and counted in Stats.Dropped.
 const memoryBuffer = 1024
 
 // Memory is an in-process Network: endpoints exchange messages through
@@ -19,6 +20,7 @@ type Memory struct {
 	mu        sync.Mutex
 	endpoints map[string]*memoryEndpoint
 	closed    bool
+	inbox     int // queue size of endpoints created from now on
 
 	dropRate float64
 	rng      *rand.Rand
@@ -51,6 +53,7 @@ func NewMemory() *Memory {
 	return &Memory{
 		endpoints: make(map[string]*memoryEndpoint),
 		partition: make(map[string]int),
+		inbox:     memoryBuffer,
 	}
 }
 
@@ -139,7 +142,7 @@ func (m *Memory) Endpoint(name string) (Endpoint, error) {
 	ep := &memoryEndpoint{
 		net:  m,
 		name: name,
-		in:   make(chan Message, memoryBuffer),
+		in:   make(chan Message, m.inbox),
 	}
 	m.endpoints[name] = ep
 	return ep, nil
@@ -183,7 +186,7 @@ func (m *Memory) deliver(msg Message) error {
 		// fires. Late failures — destination closed or full — count as
 		// drops since the sender already saw success.
 		m.mu.Unlock()
-		time.AfterFunc(d, func() { m.enqueue(msg, true) })
+		time.AfterFunc(d, func() { m.enqueueLate(msg) })
 		return nil
 	}
 	err := m.enqueueLocked(msg)
@@ -191,16 +194,15 @@ func (m *Memory) deliver(msg Message) error {
 	return err
 }
 
-// enqueue delivers under the lock; lateDropsOnly converts all failures
-// into silent Dropped accounting (used by the delay timer path, where the
-// sender is long gone).
-func (m *Memory) enqueue(msg Message, lateDropsOnly bool) {
+// enqueueLate is the delay timer's delivery: the sender is long gone, so
+// a destination that closed in the meantime is a silent drop too.
+func (m *Memory) enqueueLate(msg Message) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return
 	}
-	if err := m.enqueueLocked(msg); err != nil && lateDropsOnly {
+	if err := m.enqueueLocked(msg); errors.Is(err, ErrUnknownDest) {
 		m.stats.Dropped++
 	}
 }
@@ -208,8 +210,8 @@ func (m *Memory) enqueue(msg Message, lateDropsOnly bool) {
 // enqueueLocked hands msg to its destination endpoint. Callers hold m.mu;
 // enqueueing under the lock means the channel cannot be closed
 // concurrently. The buffer is large relative to a round's message count,
-// so a full buffer signals gross imbalance; surface it instead of
-// blocking with the network lock held.
+// so a full buffer signals gross imbalance; count the drop and surface it
+// instead of blocking with the network lock held.
 func (m *Memory) enqueueLocked(msg Message) error {
 	dst, ok := m.endpoints[msg.To]
 	if !ok || dst.closed {
@@ -219,15 +221,9 @@ func (m *Memory) enqueueLocked(msg Message) error {
 	case dst.in <- msg:
 		m.stats.Delivered++
 		m.stats.Bytes += uint64(len(msg.Payload))
-		if classifyPayload(msg.Payload) {
-			m.stats.JSON.Frames++
-			m.stats.JSON.Bytes += uint64(len(msg.Payload))
-		} else {
-			m.stats.Binary.Frames++
-			m.stats.Binary.Bytes += uint64(len(msg.Payload))
-		}
 		return nil
 	default:
+		m.stats.Dropped++
 		return fmt.Errorf("transport: %q inbound buffer full", msg.To)
 	}
 }

@@ -3,89 +3,70 @@ package transport
 import (
 	"errors"
 	"testing"
+	"time"
 )
 
-// Per-wire attribution must split counters correctly when endpoints of one
-// network write different formats (the WireSelector mixed-wire setup).
-func TestTCPPerWireStats(t *testing.T) {
-	net := NewTCP()
-	defer net.Close()
-
-	a, _ := net.Endpoint("a") // JSON (default)
-	b, _ := net.Endpoint("b")
-	c, _ := net.Endpoint("c")
-	c.(WireSelector).SetWire(WireBinary)
-
-	for i := 0; i < 3; i++ {
-		m, err := Encode("a", "b", "from-json", i)
-		if err != nil {
-			t.Fatal(err)
+// Delivered counts messages and Bytes what they carried — frame bodies on
+// TCP, payloads in memory — which is what the overhead experiments and the
+// end-to-end benchmark divide by rounds.
+func TestNetStatsCountFramesAndBytes(t *testing.T) {
+	payloads := [][]byte{[]byte(`{"round":1}`), {0x01, 0x02, 0x03}, nil}
+	for name, net := range map[string]interface {
+		Network
+		Meter
+	}{"memory": NewMemory(), "tcp": NewTCP()} {
+		a, _ := net.Endpoint("a")
+		b, _ := net.Endpoint("b")
+		var want uint64
+		for _, p := range payloads {
+			msg := Message{From: "a", To: "b", Kind: "k", Payload: p}
+			if err := a.Send(msg); err != nil {
+				t.Fatal(err)
+			}
+			if name == "tcp" {
+				want += uint64(BinarySize(&msg))
+			} else {
+				want += uint64(len(p))
+			}
 		}
-		if err := a.Send(m); err != nil {
-			t.Fatal(err)
+		for range payloads {
+			recvOne(t, b)
 		}
-	}
-	for i := 0; i < 2; i++ {
-		m, err := Encode("c", "b", "from-binary", i)
-		if err != nil {
-			t.Fatal(err)
+		if st := net.NetStats(); st.Delivered != uint64(len(payloads)) || st.Bytes != want || st.Dropped != 0 {
+			t.Errorf("%s: stats = %+v, want %d delivered, %d bytes, 0 dropped", name, st, len(payloads), want)
 		}
-		if err := c.Send(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 5; i++ {
-		recvOne(t, b)
-	}
-
-	st := net.NetStats()
-	if st.JSON.Frames != 3 || st.Binary.Frames != 2 {
-		t.Fatalf("frames = JSON %d / binary %d, want 3 / 2", st.JSON.Frames, st.Binary.Frames)
-	}
-	if st.JSON.Bytes == 0 || st.Binary.Bytes == 0 {
-		t.Errorf("bytes = JSON %d / binary %d, want both > 0", st.JSON.Bytes, st.Binary.Bytes)
-	}
-	if st.Delivered != 5 {
-		t.Errorf("Delivered = %d, want 5", st.Delivered)
-	}
-	if st.Bytes != st.JSON.Bytes+st.Binary.Bytes {
-		t.Errorf("Bytes = %d, want JSON+Binary = %d", st.Bytes, st.JSON.Bytes+st.Binary.Bytes)
+		net.Close()
 	}
 }
 
-// The in-memory transport has no frames; it attributes by the
-// self-describing first payload byte.
-func TestMemoryPerWireStats(t *testing.T) {
-	net := NewMemory()
-	defer net.Close()
-
-	a, _ := net.Endpoint("a")
-	if _, err := net.Endpoint("b"); err != nil {
-		t.Fatal(err)
-	}
-
-	payloads := [][]byte{
-		[]byte(`{"round":1}`), // JSON object
-		[]byte(`[1,2,3]`),     // JSON array (batch layout)
-		{0x01, 0x02, 0x03},    // dist binary tag
-		{'B', 0x00},           // binary batch tag
-		nil,                   // empty counts as JSON (legacy encoding)
-	}
-	for _, p := range payloads {
-		if err := a.Send(Message{To: "b", Kind: "k", Payload: p}); err != nil {
-			t.Fatal(err)
+// A message that meets a full inbox is discarded on either transport; it
+// must leave a trace in Dropped. The inbox here holds one message and
+// nothing reads it while three are sent.
+func TestFullInboxCountsDropped(t *testing.T) {
+	mem, tcp := NewMemory(), NewTCP()
+	mem.inbox, tcp.inbox = 1, 1
+	for name, net := range map[string]interface {
+		Network
+		Meter
+	}{"memory": mem, "tcp": tcp} {
+		a, _ := net.Endpoint("a")
+		b, _ := net.Endpoint("b")
+		for i := 0; i < 3; i++ {
+			// The in-memory sender is told; a TCP sender has written
+			// the frame by the time its reader finds the inbox full.
+			if err := a.Send(Message{To: "b", Kind: "k"}); (err != nil) != (name == "memory" && i > 0) {
+				t.Errorf("%s: send %d: %v", name, i, err)
+			}
 		}
-	}
-
-	st := net.NetStats()
-	if st.JSON.Frames != 3 || st.Binary.Frames != 2 {
-		t.Fatalf("frames = JSON %d / binary %d, want 3 / 2", st.JSON.Frames, st.Binary.Frames)
-	}
-	if st.JSON.Bytes+st.Binary.Bytes != st.Bytes {
-		t.Errorf("per-wire bytes %d+%d do not sum to total %d", st.JSON.Bytes, st.Binary.Bytes, st.Bytes)
-	}
-	if st.Delivered != uint64(len(payloads)) {
-		t.Errorf("Delivered = %d, want %d", st.Delivered, len(payloads))
+		deadline := time.Now().Add(5 * time.Second)
+		for net.NetStats().Dropped < 2 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond) // the TCP reader counts as it goes
+		}
+		if got := net.NetStats().Dropped; got != 2 {
+			t.Errorf("%s: Dropped = %d, want 2", name, got)
+		}
+		recvOne(t, b)
+		net.Close()
 	}
 }
 

@@ -18,22 +18,18 @@ import (
 // 127.0.0.1 and fills the registry automatically; for multi-process
 // deployments, construct endpoints with ListenTCP/RegisterPeer directly.
 //
-// Two frame layouts coexist on every connection and are distinguished by
-// the first byte of the frame header:
-//
-//   - legacy: 4-byte big-endian length + JSON message body. Frames are
-//     capped at 16 MiB, so the first header byte is always 0x00.
-//   - varint: uvarint length + binary message body (see AppendMessage).
-//     A uvarint never starts with 0x00 for a non-empty frame.
-//
-// Receivers accept both unconditionally; SetWire selects what an endpoint
-// writes (WireJSON, the default, keeps the legacy layout byte-for-byte).
+// Every frame written is a uvarint length followed by a binary message
+// body (see AppendMessage); a uvarint never starts with 0x00 for a
+// non-empty frame. Readers also accept the layout older senders wrote — a
+// 4-byte big-endian length and a JSON message body, whose first header
+// byte is always 0x00 because frames are capped at 16 MiB — so a captured
+// or hand-written JSON frame still parses; nothing here produces one.
 type TCP struct {
 	mu        sync.Mutex
 	registry  map[string]string // endpoint name -> host:port
 	endpoints []*tcpEndpoint
 	closed    bool
-	wire      Wire
+	inbox     int // queue size of endpoints created from now on
 	meter     tcpMeter
 }
 
@@ -44,54 +40,25 @@ var (
 
 // NewTCP returns an empty TCP network with an in-process registry.
 func NewTCP() *TCP {
-	return &TCP{registry: make(map[string]string)}
+	return &TCP{registry: make(map[string]string), inbox: memoryBuffer}
 }
 
-// tcpMeter accumulates frame counters across a TCP network's endpoints.
-// Counting happens on the send path, where the frame layout being written
-// is known, so mixed-wire runs attribute each frame to the format that
-// actually hit the socket.
+// tcpMeter accumulates the counters of a TCP network's endpoints: frames
+// and body bytes on the send path, discarded frames on the receive path.
 type tcpMeter struct {
-	frames, bytes                              atomic.Uint64
-	jsonFrames, jsonBytes, binFrames, binBytes atomic.Uint64
-}
-
-// countFrame records one successfully written frame of n body bytes.
-func (m *tcpMeter) countFrame(w Wire, n int) {
-	if m == nil {
-		return
-	}
-	m.frames.Add(1)
-	m.bytes.Add(uint64(n))
-	if w == WireBinary {
-		m.binFrames.Add(1)
-		m.binBytes.Add(uint64(n))
-	} else {
-		m.jsonFrames.Add(1)
-		m.jsonBytes.Add(uint64(n))
-	}
+	frames, bytes, dropped atomic.Uint64
 }
 
 // NetStats implements Meter. Delivered counts frames written to a peer
 // socket (the transport is reliable, so written means delivered unless the
-// peer dies); Bytes totals frame body bytes. TCP reports no Dropped —
-// loss shows up as send errors instead.
+// peer dies, which shows up as a send error); Bytes totals frame body
+// bytes; Dropped counts frames a reader discarded at a full inbox.
 func (t *TCP) NetStats() Stats {
 	return Stats{
 		Delivered: t.meter.frames.Load(),
 		Bytes:     t.meter.bytes.Load(),
-		JSON:      WireStats{Frames: t.meter.jsonFrames.Load(), Bytes: t.meter.jsonBytes.Load()},
-		Binary:    WireStats{Frames: t.meter.binFrames.Load(), Bytes: t.meter.binBytes.Load()},
+		Dropped:   t.meter.dropped.Load(),
 	}
-}
-
-// SetWire sets the outbound wire format for endpoints created after this
-// call. Existing endpoints are unaffected; use the endpoint's own SetWire
-// (via the WireSelector interface) to switch one in place.
-func (t *TCP) SetWire(w Wire) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.wire = w
 }
 
 // Endpoint implements Network: it starts a listener on a loopback port and
@@ -105,12 +72,10 @@ func (t *TCP) Endpoint(name string) (Endpoint, error) {
 	if _, ok := t.registry[name]; ok {
 		return nil, fmt.Errorf("%w: %q", ErrDuplicate, name)
 	}
-	ep, err := listenTCP(name, "127.0.0.1:0", t.lookup)
+	ep, err := listenTCP(name, "127.0.0.1:0", t.lookup, t.inbox, &t.meter)
 	if err != nil {
 		return nil, err
 	}
-	ep.meter = &t.meter
-	ep.SetWire(t.wire)
 	t.registry[name] = ep.listener.Addr().String()
 	t.endpoints = append(t.endpoints, ep)
 	return ep, nil
@@ -146,30 +111,24 @@ type tcpEndpoint struct {
 	name     string
 	listener net.Listener
 	resolve  func(string) (string, error)
-	wire     atomic.Uint32
-	meter    *tcpMeter // shared with the owning network; nil for standalone endpoints
+	meter    *tcpMeter // the owning network's; a standalone endpoint has its own
 
 	in      chan Message
+	closed  atomic.Bool // set under mu; read loops poll it without
 	mu      sync.Mutex
 	conns   map[string]*outConn
 	inConns map[net.Conn]struct{}
-	closed  bool
 	wg      sync.WaitGroup
 }
 
-var (
-	_ Endpoint     = (*tcpEndpoint)(nil)
-	_ WireSelector = (*tcpEndpoint)(nil)
-)
+var _ Endpoint = (*tcpEndpoint)(nil)
 
 type outConn struct {
 	conn net.Conn
-	w    *bufio.Writer
 	mu   sync.Mutex
-	// buf is the reusable frame-encode scratch for the binary wire,
-	// guarded by mu. After warm-up the encode path performs no
-	// allocations: header and body are appended here and written in one
-	// call.
+	// buf is the reusable frame-encode scratch, guarded by mu. After
+	// warm-up the encode path performs no allocations: header and body
+	// are appended here and written in one call.
 	buf []byte
 }
 
@@ -177,10 +136,10 @@ type outConn struct {
 // through the supplied function. It is exported for multi-process use; the
 // in-process TCP network uses it internally.
 func ListenTCP(name, addr string, resolve func(string) (string, error)) (Endpoint, error) {
-	return listenTCP(name, addr, resolve)
+	return listenTCP(name, addr, resolve, memoryBuffer, new(tcpMeter))
 }
 
-func listenTCP(name, addr string, resolve func(string) (string, error)) (*tcpEndpoint, error) {
+func listenTCP(name, addr string, resolve func(string) (string, error), inbox int, meter *tcpMeter) (*tcpEndpoint, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
@@ -189,7 +148,8 @@ func listenTCP(name, addr string, resolve func(string) (string, error)) (*tcpEnd
 		name:     name,
 		listener: ln,
 		resolve:  resolve,
-		in:       make(chan Message, memoryBuffer),
+		meter:    meter,
+		in:       make(chan Message, inbox),
 		conns:    make(map[string]*outConn),
 		inConns:  make(map[net.Conn]struct{}),
 	}
@@ -204,70 +164,27 @@ func (e *tcpEndpoint) Name() string { return e.name }
 // Addr returns the listener address (useful for registries).
 func (e *tcpEndpoint) Addr() string { return e.listener.Addr().String() }
 
-// SetWire implements WireSelector: it selects the outbound frame format.
-// Safe to call concurrently with Send.
-func (e *tcpEndpoint) SetWire(w Wire) { e.wire.Store(uint32(w)) }
-
 // Send implements Endpoint: it lazily dials the destination, caches the
-// connection, and writes one frame in the endpoint's wire format.
+// connection, and writes one frame — uvarint body length + AppendMessage
+// body, assembled in the connection's scratch buffer so the steady-state
+// path allocates nothing.
 func (e *tcpEndpoint) Send(msg Message) error {
 	msg.From = e.name
 	c, err := e.connTo(msg.To)
 	if err != nil {
 		return err
 	}
-	if Wire(e.wire.Load()) == WireBinary {
-		return e.sendBinary(c, &msg)
-	}
-	return e.sendJSON(c, &msg)
-}
-
-// sendJSON writes the legacy frame layout: 4-byte big-endian length +
-// JSON body. Byte-for-byte identical to the pre-binary transport.
-func (e *tcpEndpoint) sendJSON(c *outConn, msg *Message) error {
-	data, err := json.Marshal(msg)
-	if err != nil {
-		return fmt.Errorf("transport: marshal: %w", err)
-	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var lenbuf [4]byte
-	binary.BigEndian.PutUint32(lenbuf[:], uint32(len(data)))
-	if _, err := c.w.Write(lenbuf[:]); err != nil {
-		e.dropConn(msg.To)
-		return fmt.Errorf("transport: send to %q: %w", msg.To, err)
-	}
-	if _, err := c.w.Write(data); err != nil {
-		e.dropConn(msg.To)
-		return fmt.Errorf("transport: send to %q: %w", msg.To, err)
-	}
-	if err := c.w.Flush(); err != nil {
-		e.dropConn(msg.To)
-		return fmt.Errorf("transport: send to %q: %w", msg.To, err)
-	}
-	e.meter.countFrame(WireJSON, len(data))
-	return nil
-}
-
-// sendBinary writes the varint frame layout: uvarint body length +
-// AppendMessage body, assembled in the connection's scratch buffer so the
-// steady-state encode path allocates nothing.
-func (e *tcpEndpoint) sendBinary(c *outConn, msg *Message) error {
-	body := BinarySize(msg)
+	body := BinarySize(&msg)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.buf = binary.AppendUvarint(c.buf[:0], uint64(body))
-	c.buf = AppendMessage(c.buf, msg)
-	if _, err := c.w.Write(c.buf); err != nil {
+	c.buf = AppendMessage(c.buf, &msg)
+	if _, err := c.conn.Write(c.buf); err != nil {
 		e.dropConn(msg.To)
 		return fmt.Errorf("transport: send to %q: %w", msg.To, err)
 	}
-	if err := c.w.Flush(); err != nil {
-		e.dropConn(msg.To)
-		return fmt.Errorf("transport: send to %q: %w", msg.To, err)
-	}
-	e.meter.countFrame(WireBinary, body)
+	e.meter.frames.Add(1)
+	e.meter.bytes.Add(uint64(body))
 	return nil
 }
 
@@ -277,11 +194,11 @@ func (e *tcpEndpoint) Recv() <-chan Message { return e.in }
 // Close implements Endpoint.
 func (e *tcpEndpoint) Close() error {
 	e.mu.Lock()
-	if e.closed {
+	if e.closed.Load() {
 		e.mu.Unlock()
 		return nil
 	}
-	e.closed = true
+	e.closed.Store(true)
 	conns := e.conns
 	e.conns = map[string]*outConn{}
 	inConns := e.inConns
@@ -302,7 +219,7 @@ func (e *tcpEndpoint) Close() error {
 
 func (e *tcpEndpoint) connTo(to string) (*outConn, error) {
 	e.mu.Lock()
-	if e.closed {
+	if e.closed.Load() {
 		e.mu.Unlock()
 		return nil, ErrClosed
 	}
@@ -323,7 +240,7 @@ func (e *tcpEndpoint) connTo(to string) (*outConn, error) {
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
+	if e.closed.Load() {
 		_ = conn.Close()
 		return nil, ErrClosed
 	}
@@ -332,7 +249,7 @@ func (e *tcpEndpoint) connTo(to string) (*outConn, error) {
 		_ = conn.Close()
 		return existing, nil
 	}
-	c := &outConn{conn: conn, w: bufio.NewWriter(conn)}
+	c := &outConn{conn: conn}
 	e.conns[to] = c
 	return c, nil
 }
@@ -354,7 +271,7 @@ func (e *tcpEndpoint) acceptLoop() {
 			return // listener closed
 		}
 		e.mu.Lock()
-		if e.closed {
+		if e.closed.Load() {
 			e.mu.Unlock()
 			_ = conn.Close()
 			return
@@ -404,7 +321,10 @@ func (e *tcpEndpoint) readLoop(conn net.Conn) {
 		e.mu.Unlock()
 	}()
 	r := bufio.NewReader(conn)
-	var data []byte // reused across frames; decoded messages never alias it
+	var (
+		dec  Decoder
+		slab Slab // frames are read into it, so a delivered payload is never overwritten
+	)
 	for {
 		n, err := readFrameLen(r)
 		if err != nil {
@@ -413,28 +333,20 @@ func (e *tcpEndpoint) readLoop(conn net.Conn) {
 		if n > maxFrame {
 			return // corrupt or hostile frame; drop the connection
 		}
-		if uint64(cap(data)) < n {
-			data = make([]byte, n)
-		}
-		data = data[:n]
+		data := slab.Take(int(n))
 		if _, err := io.ReadFull(r, data); err != nil {
 			return
 		}
 		var msg Message
 		if len(data) > 0 && data[0] == binaryTag {
-			m, _, err := DecodeMessage(data)
-			if err != nil {
-				continue // skip undecodable frame
-			}
-			msg = m
-		} else if err := json.Unmarshal(data, &msg); err != nil {
+			msg, _, err = dec.Decode(data)
+		} else {
+			msg, err = decodeLegacy(data)
+		}
+		if err != nil {
 			continue // skip undecodable frame
 		}
-
-		e.mu.Lock()
-		closed := e.closed
-		e.mu.Unlock()
-		if closed {
+		if e.closed.Load() {
 			return
 		}
 		select {
@@ -442,7 +354,17 @@ func (e *tcpEndpoint) readLoop(conn net.Conn) {
 		default:
 			// Inbound buffer full: drop the frame (TCP transport is
 			// best-effort at the application layer, like UDP semantics
-			// over a reliable stream).
+			// over a reliable stream) and count it.
+			e.meter.dropped.Add(1)
 		}
 	}
+}
+
+// decodeLegacy parses the JSON message body older senders wrote. It is a
+// function of its own so that the message json.Unmarshal needs on the heap
+// is allocated only for such a frame.
+func decodeLegacy(data []byte) (Message, error) {
+	var msg Message
+	err := json.Unmarshal(data, &msg)
+	return msg, err
 }

@@ -3,11 +3,10 @@
 //
 // Two implementations share one interface: an in-memory hub with
 // deterministic delivery and optional fault injection (drops, delay,
-// partitions), and a TCP transport with length-prefixed frames in either
-// of two selectable wire formats (JSON for compatibility and debugging,
-// compact varint-framed binary for throughput — see Wire). Agents address
-// each other by endpoint name ("node/2", "flow/5", "collector"), so the
-// same agent code runs over either.
+// partitions), and a TCP transport that writes uvarint-length-prefixed
+// binary frames (and still reads the 4-byte-length JSON frames older
+// senders wrote). Agents address each other by endpoint name ("node/2",
+// "flow/5", "collector"), so the same agent code runs over either.
 package transport
 
 import (
@@ -17,9 +16,7 @@ import (
 )
 
 // Message is one addressed datagram. Payloads are pre-encoded by the
-// sender (JSON or a self-describing binary layout — receivers tell them
-// apart by the first payload byte), so the bytes carried are identical
-// across transports.
+// sender, so the bytes carried are identical across transports.
 //
 // Payload is shared, not copied, on in-memory delivery and when one
 // encoded payload fans out to several peers, so receivers must treat it
@@ -81,39 +78,16 @@ var (
 	ErrDropped     = errors.New("transport: message dropped by fault injection")
 )
 
-// WireStats attributes traffic to one wire format.
-type WireStats struct {
-	// Frames counts messages (or TCP frames) carried in this format.
-	Frames uint64
-	// Bytes totals the payload bytes carried in this format.
-	Bytes uint64
-}
-
 // Stats counts traffic through a network, for communication-overhead
 // experiments and the dist telemetry families.
 type Stats struct {
 	// Delivered counts messages handed to a destination endpoint.
 	Delivered uint64
-	// Dropped counts messages lost to fault injection or partitions.
+	// Dropped counts messages lost to fault injection or partitions, or
+	// discarded because the destination's inbox was full.
 	Dropped uint64
 	// Bytes totals the payload bytes of delivered messages.
 	Bytes uint64
-	// JSON and Binary split the delivered traffic per wire format, so
-	// mixed-wire runs can attribute bytes and frames to each encoding.
-	// The in-memory transport classifies by the self-describing first
-	// payload byte; the TCP transport counts by the frame layout it
-	// actually wrote.
-	JSON   WireStats
-	Binary WireStats
-}
-
-// classifyPayload reports whether an encoded payload is JSON. Payloads are
-// self-describing by their first byte (see Message): '{' or '[' open a
-// JSON document, anything else (the 'B' batch tag, the dist binary tags)
-// is binary. Empty payloads count as JSON — only the legacy encoding
-// omits bodies.
-func classifyPayload(p []byte) (isJSON bool) {
-	return len(p) == 0 || p[0] == '{' || p[0] == '['
 }
 
 // Meter is implemented by networks that count their traffic.

@@ -128,9 +128,8 @@ for family in \
     lrgp_dist_gateway_queue_depth \
     'lrgp_dist_gateway_flush_occupancy_bucket{le=' \
     lrgp_dist_stalls_total \
-    'lrgp_dist_net_frames{wire="json"}' \
-    'lrgp_dist_net_frames{wire="binary"}' \
-    'lrgp_dist_net_bytes{wire=' \
+    lrgp_dist_net_frames \
+    lrgp_dist_net_bytes \
     lrgp_dist_net_dropped; do
     if ! grep -Fq "${family}" <<<"${metrics}"; then
         echo "telemetry-smoke: /metrics missing ${family}" >&2
