@@ -46,7 +46,7 @@ func TestRunSweepExperiment(t *testing.T) {
 
 // TestRunScalingExperiment: -run scaling accepts the metro presets by
 // name and reports one row per worker count with the execution mode; on
-// metro-small the sharded engines must be on the fused schedule.
+// metro-small every Workers > 1 engine must actually shard.
 func TestRunScalingExperiment(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-run", "scaling", "-workload", "metro-small", "-iters", "30"}, &out); err != nil {
@@ -56,7 +56,7 @@ func TestRunScalingExperiment(t *testing.T) {
 	if !strings.Contains(s, "X9: Step scaling vs workers (metro-small: 240 flows, 1200 nodes, 9600 classes") {
 		t.Errorf("missing scaling table title:\n%s", s)
 	}
-	if !strings.Contains(s, "serial") || !strings.Contains(s, "fused") {
+	if !strings.Contains(s, "serial") || !strings.Contains(s, "sharded") {
 		t.Errorf("missing execution modes:\n%s", s)
 	}
 	if err := run([]string{"-run", "scaling", "-workload", "nope"}, &out); err == nil {

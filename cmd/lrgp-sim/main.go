@@ -4,7 +4,7 @@
 // Usage:
 //
 //	lrgp-sim [-workload base|tiny|metro|metro-small|12f-6n|@file.json] [-shape log|r0.25|r0.5|r0.75]
-//	         [-iters 250] [-gamma 0.1] [-adaptive] [-workers 0] [-full-step]
+//	         [-iters 250] [-gamma 0.1] [-adaptive] [-workers 0]
 //	         [-multirate] [-verbose] [-chart] [-csv] [-json] [-alloc]
 //	         [-telemetry-addr :9090]
 //
@@ -45,7 +45,6 @@ func run(args []string, out io.Writer) error {
 		gamma        = fs.Float64("gamma", 0.1, "fixed node-price stepsize (ignored with -adaptive)")
 		adaptive     = fs.Bool("adaptive", true, "use the adaptive gamma heuristic")
 		workers      = fs.Int("workers", 0, "engine Step workers (0 = GOMAXPROCS, 1 = serial); results are identical for every count")
-		fullStep     = fs.Bool("full-step", false, "disable incremental dirty-set skipping and recompute every flow and constraint each iteration; results are identical either way")
 		chart        = fs.Bool("chart", false, "draw an ASCII chart of the utility trace")
 		csv          = fs.Bool("csv", false, "emit the utility trace as CSV")
 		showAlloc    = fs.Bool("alloc", false, "print the final allocation")
@@ -67,7 +66,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	cfg := core.Config{Adaptive: *adaptive, Workers: *workers, FullRecompute: *fullStep}
+	cfg := core.Config{Adaptive: *adaptive, Workers: *workers}
 	if !*adaptive {
 		cfg.Gamma1 = *gamma
 		cfg.Gamma2 = *gamma

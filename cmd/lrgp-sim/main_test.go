@@ -37,8 +37,8 @@ func TestRunWithAllocAndChart(t *testing.T) {
 }
 
 // TestRunMetroSmallWorkload: the metro presets resolve by name, and the
-// componentized pod structure puts the sharded engine on the fused
-// schedule (visible in the -verbose snapshot summary).
+// componentized pod structure lets Step fan out over the workers (visible
+// in the -verbose snapshot summary).
 func TestRunMetroSmallWorkload(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{"-workload", "metro-small", "-iters", "40", "-workers", "4", "-verbose"}, &out)
@@ -49,25 +49,8 @@ func TestRunMetroSmallWorkload(t *testing.T) {
 	if !strings.Contains(s, "workload  metro-24p-240f-1200n (240 flows, 1200 nodes, 9600 classes)") {
 		t.Errorf("missing metro workload line:\n%.400s", s)
 	}
-	if !strings.Contains(s, "(fused)") {
-		t.Errorf("snapshot summary not on the fused schedule:\n%.400s", s)
-	}
-}
-
-// TestRunFullStepIdentical: -full-step disables dirty-set skipping but
-// must not change a single byte of the report (the incremental engine is
-// bit-identical by construction).
-func TestRunFullStepIdentical(t *testing.T) {
-	var inc, full bytes.Buffer
-	if err := run([]string{"-iters", "100"}, &inc); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-iters", "100", "-full-step"}, &full); err != nil {
-		t.Fatal(err)
-	}
-	if inc.String() != full.String() {
-		t.Errorf("-full-step changed the output:\n--- incremental ---\n%s--- full ---\n%s",
-			inc.String(), full.String())
+	if !strings.Contains(s, "(sharded)") {
+		t.Errorf("snapshot summary does not report a sharded Step:\n%.400s", s)
 	}
 }
 

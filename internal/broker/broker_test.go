@@ -408,6 +408,54 @@ func TestControllerEndToEnd(t *testing.T) {
 	}
 }
 
+// TestControllerAdmitsNewDemandAtFixpoint: with capacity to spare the
+// engine reaches an exact fixpoint and stops re-running admission, so
+// demand that arrives afterwards is admitted only if Reoptimize tells the
+// engine the class changed (Engine.SetClassDemand) instead of writing the
+// new n^max into the shared problem behind its back.
+func TestControllerAdmitsNewDemandAtFixpoint(t *testing.T) {
+	p := workload.Base()
+	for b := range p.Nodes {
+		p.Nodes[b].Capacity *= 1000
+	}
+	for l := range p.Links {
+		p.Links[l].Capacity *= 1000
+	}
+	b, err := New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range p.Classes {
+		for k := 0; k < 2; k++ {
+			if _, err := b.AttachConsumer(model.ClassID(j), nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ctrl, err := NewController(b, ControllerConfig{Core: core.Config{Adaptive: true}, ItersPerCycle: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Engine().Close()
+	if _, _, err := ctrl.Reoptimize(); err != nil {
+		t.Fatal(err)
+	}
+	if cs, _ := b.ClassStats(0); cs.Admitted != 2 {
+		t.Fatalf("first cycle admitted %d of 2 in class 0", cs.Admitted)
+	}
+	for k := 0; k < 3; k++ {
+		if _, err := b.AttachConsumer(0, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := ctrl.Reoptimize(); err != nil {
+		t.Fatal(err)
+	}
+	if cs, _ := b.ClassStats(0); cs.Admitted != 5 {
+		t.Errorf("after 3 more attached, class 0 admits %d of %d", cs.Admitted, cs.Attached)
+	}
+}
+
 func TestControllerLoop(t *testing.T) {
 	b, err := New(workload.Base())
 	if err != nil {

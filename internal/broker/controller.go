@@ -86,10 +86,19 @@ func (c *Controller) Reoptimize() (model.Allocation, bool, error) {
 	// greedy allocator. One AllClassStats snapshot replaces the previous
 	// per-class ClassStats loop — with thousands of classes that loop
 	// was the controller's dominant cost before the solve even started.
-	p := c.b.Problem()
+	// Changes go through SetClassDemand, not straight into the problem the
+	// engine shares with the broker: the incremental Step re-runs a node's
+	// admission only when told its inputs moved, so a silent write would
+	// leave new demand unadmitted at a node already at its fixpoint.
+	classes := c.eng.Problem().Classes
 	c.statsBuf = c.b.AllClassStats(c.statsBuf)
 	for j, stats := range c.statsBuf {
-		p.Classes[j].MaxConsumers = stats.Attached
+		if classes[j].MaxConsumers == stats.Attached {
+			continue
+		}
+		if err := c.eng.SetClassDemand(model.ClassID(j), stats.Attached); err != nil {
+			return model.Allocation{}, false, fmt.Errorf("broker: controller: %w", err)
+		}
 	}
 
 	res := c.eng.Solve(c.itersPerCycle)

@@ -45,13 +45,14 @@ const (
 // prices, and as many Step workers as GOMAXPROCS.
 type Config struct {
 	// Workers is how many goroutines (including the caller) execute each
-	// Step stage. 0 resolves to runtime.GOMAXPROCS(0); 1 forces the serial
-	// path. Results are bit-identical for every worker count — the stages
-	// are data-independent within themselves, so sharding changes neither
-	// the arithmetic nor its order. Workloads too small to shard (fewer
-	// than minParallelItems flows, nodes and links) run serially whatever
-	// Workers says; see DESIGN.md for when Workers=1 is still the right
-	// choice.
+	// Step. 0 resolves to runtime.GOMAXPROCS(0); 1 forces one shard on the
+	// caller's goroutine. Results are bit-identical for every worker count
+	// — Step fans out whole connected components of the topology, so
+	// sharding changes neither the arithmetic nor its order. Entangled
+	// topologies (fewer balanced components than workers) and workloads
+	// with fewer than minParallelItems flows, nodes and links run one
+	// shard whatever Workers says; see DESIGN.md §5 for when Workers=1 is
+	// still the right choice.
 	Workers int
 	// Gamma1 is the damping stepsize toward the benefit-cost price when
 	// the node is within capacity (Equation 12, first branch). Default
@@ -90,12 +91,6 @@ type Config struct {
 	// (false) enables the dead band and surge refinements documented in
 	// EXPERIMENTS.md.
 	GammaLiteral bool
-	// FullRecompute disables the incremental dirty-set machinery and makes
-	// every Step re-solve all flows, re-admit all nodes and re-sum all
-	// links, exactly like the pre-incremental engine. Results are
-	// bit-identical either way (see DESIGN.md §9); the flag exists as an
-	// escape hatch and as the baseline for the steady-state benchmarks.
-	FullRecompute bool
 	// LinkGamma is the gradient-projection stepsize for link prices
 	// (Equation 13). Default DefaultLinkGamma.
 	LinkGamma float64
@@ -106,8 +101,8 @@ type Config struct {
 	// Telemetry, when non-nil, receives per-Step instrumentation: stage
 	// wall times, utility, overloads, price-update counts and (from
 	// Solve) convergence state. The default nil keeps Step free of all
-	// timing calls and observation work — the disabled path is one
-	// branch per stage and preserves the 0 allocs/op guarantee. The
+	// timing calls and observation work — the disabled path is a few
+	// predictable branches and preserves the 0 allocs/op guarantee. The
 	// enabled path is lock-free and also allocation-free; its only cost
 	// is the clock reads and atomic updates.
 	Telemetry *telemetry.EngineMetrics

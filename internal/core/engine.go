@@ -9,23 +9,17 @@ import (
 	"repro/internal/model"
 )
 
-// minParallelItems is the smallest per-stage item count (flows, nodes or
-// links) worth fanning out over the worker pool; below it the stage's work
-// is comparable to the dispatch overhead and the engine runs it inline.
-// Because parallel and serial execution are bit-identical, the cutover is
-// purely a performance decision.
-const minParallelItems = 16
-
 // Engine runs synchronous LRGP iterations over a problem. It is the
 // colocated formulation discussed in Section 3.5: all per-flow and per-node
 // algorithm pieces execute in one process, in the same data-dependency
 // order as the distributed version (rates, then populations, then prices).
 //
-// With Config.Workers > 1 (the default resolves to GOMAXPROCS) each Step
-// stage is sharded across a persistent worker pool; results are
-// bit-identical to the serial engine for any worker count. The pool's
-// goroutines live only inside Step's stage barriers, so Step remains
-// synchronous from the caller's point of view.
+// With Config.Workers > 1 (the default resolves to GOMAXPROCS) Step fans
+// whole connected components of the topology out over a persistent worker
+// pool; entangled topologies run one shard on the caller's goroutine.
+// Results are bit-identical for any worker count. The pool's goroutines
+// live only inside Step's one barrier, so Step remains synchronous from the
+// caller's point of view.
 //
 // An Engine is still not safe for concurrent use: no method — including
 // the mid-run mutators SetFlowActive, SetClassDemand and SetNodeCapacity —
@@ -54,24 +48,23 @@ type Engine struct {
 	gamma      *gammaBank
 
 	solvers []*rateSolver
-	// scratch[s] is shard s's admission scratch; the serial path uses
-	// scratch[0]. Sized by the widest node, not the class count.
-	scratch [][]classBC
 
-	// pool is non-nil when the engine shards stages across workers.
-	pool   *workerPool
-	shards int
-	// plan is the crossing-writes analysis result; fused selects the
-	// single-barrier Step path (see stagePlan). Both are fixed at NewEngine
-	// — Reset preserves topology — and rebuilt only by ResetRouting, which
-	// changes it.
-	plan  *stagePlan
-	fused bool
+	// plan is Step's schedule (see stagePlan): fixed at NewEngine — Reset
+	// preserves topology — and rebuilt only by ResetRouting, which changes
+	// it. sh holds one shardState per plan shard and pool is non-nil once a
+	// plan has had more than one; both only ever grow (adoptPlan).
+	plan *stagePlan
+	sh   []shardState
+	pool *workerPool
+	// shardFn is stepShard bound once, so dispatching a Step allocates
+	// nothing.
+	shardFn func(shard int)
+	// stageMark holds shard 0's clock readings after its rate and node
+	// lists, written only when Config.Telemetry is set.
+	stageMark [2]time.Time
 	// closed is set by Close; stepping a closed engine panics
 	// deterministically instead of racing the pool shutdown.
 	closed bool
-	// full disables the dirty-set machinery (Config.FullRecompute).
-	full bool
 
 	// Incremental dirty-set state (DESIGN.md §9). The epoch slices record
 	// the iteration at which each quantity last changed value; a stage
@@ -105,34 +98,31 @@ type Engine struct {
 	// objective refresh touches only flows whose rate or populations moved
 	// plus an O(flows) sum — a full class sweep would dominate Step at
 	// metro scale. flowUtilEpoch[i] is the iteration the cache was last
-	// written; touchIDs[s]/touchSeen[s] are shard s's dedup'd list of flows
-	// whose populations the admission stage moved this iteration.
+	// written.
 	flowUtil      []float64
 	flowUtilEpoch []int
-	touchIDs      [][]int32
-	touchSeen     [][]int
+}
 
-	// Per-shard stage accumulators, each of length shards. overNode[s]
-	// and overLink[s] collect shard s's max overload; the reduction over
-	// shards after the stage barrier is order-independent (max is
-	// associative and commutative), so the result is bit-identical to the
-	// serial scan. The dirty/skip counters and changed flags reduce by
-	// integer sum and boolean OR, which are order-independent too. When a
-	// stage runs inline (serial engine, or too few items to shard), only
-	// slot 0 is written and reduced.
-	overNode       []float64
-	overLink       []float64
-	dirtyFlowsSh   []int
-	skippedNodesSh []int
-	skippedLinksSh []int
-	rateChangedSh  []bool
-	popChangedSh   []bool
+// shardState is one plan shard's private working state; everything else a
+// shard writes is indexed by the flows, nodes and links its plan lists
+// hold. The accumulators are reduced by the caller after the
+// barrier: max (overloads), integer sum (counters) and boolean OR (changed
+// flags) are all order-independent, so the result is bit-identical to the
+// serial scan.
+type shardState struct {
+	// scratch is the admission sort buffer, sized by the widest node, not
+	// the class count.
+	scratch []classBC
+	// touchIDs is the dedup'd list of flows whose populations the
+	// admission stage moved this iteration; touchSeen[i] is the iteration
+	// flow i last entered it.
+	touchIDs  []int32
+	touchSeen []int
 
-	// stageFns are the three-barrier shard entry points and fusedFn the
-	// single-barrier one, bound once so dispatching a stage allocates
-	// nothing.
-	stageFns [3]func(shard int)
-	fusedFn  func(shard int)
+	overNode, overLink         float64
+	dirtyFlows                 int
+	skippedNodes, skippedLinks int
+	rateChanged, popChanged    bool
 }
 
 // StepResult summarizes one LRGP iteration.
@@ -150,14 +140,15 @@ type StepResult struct {
 	MaxLinkOverload float64
 	// StageNanos holds the wall time of the rate, admission and
 	// link-price stages (indexed by telemetry.StageRate/StageAdmission/
-	// StagePrice). Populated only when Config.Telemetry is set; all
-	// zero otherwise, so the untelemetered Step never reads the clock.
+	// StagePrice) as the caller's goroutine ran them; the price slot also
+	// holds the wait for the other shards. Populated only when
+	// Config.Telemetry is set; all zero otherwise, so the untelemetered
+	// Step never reads the clock.
 	StageNanos [3]int64
 	// DirtyFlows counts flows whose rate problem was re-solved this
 	// iteration; SkippedNodes and SkippedLinks count constraints that
 	// reused their cached admission/usage instead of recomputing.
-	// Deterministic for any worker count. With Config.FullRecompute every
-	// flow is dirty and nothing is skipped.
+	// Deterministic for any worker count.
 	DirtyFlows   int
 	SkippedNodes int
 	SkippedLinks int
@@ -173,25 +164,10 @@ func NewEngine(p *model.Problem, cfg Config) (*Engine, error) {
 	c := cfg.normalized()
 	ix := model.NewIndex(p)
 
-	shards := 1
-	if c.Workers > 1 {
-		n := len(p.Flows)
-		if len(p.Nodes) > n {
-			n = len(p.Nodes)
-		}
-		if len(p.Links) > n {
-			n = len(p.Links)
-		}
-		if n >= minParallelItems {
-			shards = c.Workers
-		}
-	}
-
 	e := &Engine{
 		p:          p,
 		ix:         ix,
 		cfg:        c,
-		full:       c.FullRecompute,
 		rates:      make([]float64, len(p.Flows)),
 		consumers:  make([]int, len(p.Classes)),
 		active:     make([]bool, len(p.Flows)),
@@ -201,8 +177,6 @@ func NewEngine(p *model.Problem, cfg Config) (*Engine, error) {
 		linkCap:    make([]float64, len(p.Links)),
 		gamma:      newGammaBank(c, len(p.Nodes)),
 		solvers:    make([]*rateSolver, len(p.Flows)),
-		shards:     shards,
-		scratch:    make([][]classBC, shards),
 
 		flowForced:     make([]bool, len(p.Flows)),
 		nodeForced:     make([]bool, len(p.Nodes)),
@@ -217,32 +191,9 @@ func NewEngine(p *model.Problem, cfg Config) (*Engine, error) {
 		utilStale:      true,
 		flowUtil:       make([]float64, len(p.Flows)),
 		flowUtilEpoch:  make([]int, len(p.Flows)),
-		touchIDs:       make([][]int32, shards),
-		touchSeen:      make([][]int, shards),
-
-		overNode:       make([]float64, shards),
-		overLink:       make([]float64, shards),
-		dirtyFlowsSh:   make([]int, shards),
-		skippedNodesSh: make([]int, shards),
-		skippedLinksSh: make([]int, shards),
-		rateChangedSh:  make([]bool, shards),
-		popChangedSh:   make([]bool, shards),
 	}
-	// The admission sort never sees more candidates than the widest node
-	// has classes; sizing scratch by that (not the total class count) keeps
-	// per-shard scratch bounded on metro-scale problems where classes
-	// number ~10^6 but each node carries a few dozen.
-	maxNodeClasses := 0
-	for b := range p.Nodes {
-		if n := len(ix.ClassesByNode(model.NodeID(b))); n > maxNodeClasses {
-			maxNodeClasses = n
-		}
-	}
-	for s := range e.scratch {
-		e.scratch[s] = make([]classBC, 0, maxNodeClasses)
-		e.touchIDs[s] = make([]int32, 0, len(p.Flows))
-		e.touchSeen[s] = make([]int, len(p.Flows))
-	}
+	e.shardFn = e.stepShard
+	e.adoptPlan(newStagePlan(p, ix, c.Workers))
 	for i := range p.Flows {
 		e.rates[i] = p.Flows[i].RateMin
 		e.active[i] = true
@@ -259,24 +210,45 @@ func NewEngine(p *model.Problem, cfg Config) (*Engine, error) {
 		e.linkCap[l] = p.Links[l].Capacity
 		e.linkForced[l] = true
 	}
-	if shards > 1 {
-		e.stageFns = [3]func(int){e.rateShard, e.nodeShard, e.linkShard}
-		e.plan = newStagePlan(p, ix, shards)
-		e.fused = e.plan.fused
-		e.fusedFn = e.fusedShard
-		e.pool = newWorkerPool(shards - 1)
+	return e, nil
+}
+
+// adoptPlan installs plan as Step's schedule, adding the shard states and
+// starting the worker pool it needs beyond what earlier plans left.
+func (e *Engine) adoptPlan(plan *stagePlan) {
+	e.plan = plan
+	if len(e.sh) < plan.shards {
+		// The admission sort never sees more candidates than the widest
+		// node has classes; sizing scratch by that (not the total class
+		// count) keeps per-shard scratch bounded on metro-scale problems
+		// where classes number ~10^6 but each node carries a few dozen.
+		maxNodeClasses := 0
+		for b := range e.p.Nodes {
+			if n := len(e.ix.ClassesByNode(model.NodeID(b))); n > maxNodeClasses {
+				maxNodeClasses = n
+			}
+		}
+		for len(e.sh) < plan.shards {
+			e.sh = append(e.sh, shardState{
+				scratch:   make([]classBC, 0, maxNodeClasses),
+				touchIDs:  make([]int32, 0, len(e.p.Flows)),
+				touchSeen: make([]int, len(e.p.Flows)),
+			})
+		}
+	}
+	if plan.shards > 1 && e.pool == nil {
+		e.pool = newWorkerPool(plan.shards - 1)
 		// Backstop for engines dropped without Close: idle workers hold no
 		// reference to e (see workerPool), so the finalizer can fire and
 		// release them.
 		runtime.SetFinalizer(e, (*Engine).Close)
 	}
-	return e, nil
 }
 
 // Close releases the engine's worker pool and marks the engine closed;
-// Step, Solve and Reset panic deterministically afterwards (for serial and
-// sharded engines alike — before this flag a closed sharded engine died on
-// the pool's closed channel, and a serial one silently kept working).
+// Step, Solve and Reset panic deterministically afterwards, with or without
+// a pool (a closed pool would die on its closed channel; an engine without
+// one would silently keep working).
 // Close is idempotent. Abandoned engines are closed by the garbage
 // collector as a backstop, but deterministic shutdown should call Close
 // explicitly.
@@ -288,29 +260,21 @@ func (e *Engine) Close() {
 	}
 }
 
-// shardRange returns shard s's half-open slice [lo, hi) of n items under
-// the engine's fixed contiguous partition. The boundaries depend only on
-// n, the shard count and s — never on scheduling — which is what makes
-// parallel execution deterministic.
-func (e *Engine) shardRange(n, s int) (lo, hi int) {
-	return n * s / e.shards, n * (s + 1) / e.shards
-}
-
 // Step performs one synchronous LRGP iteration: Algorithm 1 at every flow
 // source, then Algorithm 2 and the Equation 12 price update at every node,
-// then Algorithm 3 (Equation 13) for every link. With Workers > 1 the
-// iteration fans out over the worker pool; results are bit-identical to
-// the serial engine for any worker count.
+// then Algorithm 3 (Equation 13) for every link.
 //
-// Two parallel schedules exist. When the crossing-writes analysis proves
-// the problem decomposes into at least Workers independent components
-// (stagePlan), each worker runs all three stages back to back over whole
-// components — one barrier per Step. Otherwise each stage fans out over
-// fixed contiguous shards and barriers before the next — three barriers,
-// but correct for arbitrarily entangled topologies. Both schedules perform
-// exactly the serial arithmetic: within a shard the stages run in serial
-// order, and every cross-shard reduction (max overload, counter sums,
-// changed flags) is order-independent.
+// There is one schedule. The stage plan assigns every flow, node and link
+// to a shard; each shard runs all three stages back to back over its own
+// lists (stepShard) and the shards meet at one barrier. When the
+// crossing-writes analysis proves the problem decomposes into at least
+// Workers balanced groups of independent components the plan has Workers
+// shards, fanned out over the worker pool; otherwise it has one, run on the
+// caller's goroutine. Either way Step performs exactly the serial
+// arithmetic: within a shard the stages run in serial order over ascending
+// lists, and every cross-shard reduction (max overload, counter sums,
+// changed flags) is order-independent, so results are bit-identical for
+// any worker count.
 //
 // Step is incremental: a flow re-solves its rate problem only when some
 // price on its path or some consuming class's population changed last
@@ -318,9 +282,9 @@ func (e *Engine) shardRange(n, s int) (lo, hi int) {
 // changed this iteration (or a mutator touched its inputs); a link re-sums
 // its usage under the same rule. Everything else reuses the previous
 // iteration's values verbatim, so results are bit-identical to a full
-// recompute (Config.FullRecompute; see DESIGN.md §9 for the invariants).
-// The O(1) price updates and adaptive-gamma observations always run —
-// they move every iteration until the exact fixpoint.
+// recompute (see DESIGN.md §9 for the invariants). The O(1) price updates
+// and adaptive-gamma observations always run — they move every iteration
+// until the exact fixpoint.
 func (e *Engine) Step() StepResult {
 	if e.closed {
 		panic("core: Engine.Step called after Close")
@@ -336,123 +300,39 @@ func (e *Engine) Step() StepResult {
 		t0 = time.Now()
 	}
 
-	var rateChanged, popChanged bool
-	if e.fused {
-		// Fused path: one barrier, each worker runs
-		// rates → admission → node prices → links → flow-utility refresh
-		// for its own components.
-		e.pool.run(e.fusedFn, e.plan.shards)
-		for s := 0; s < e.plan.shards; s++ {
-			res.DirtyFlows += e.dirtyFlowsSh[s]
-			rateChanged = rateChanged || e.rateChangedSh[s]
-			if e.overNode[s] > res.MaxNodeOverload {
-				res.MaxNodeOverload = e.overNode[s]
-			}
-			res.SkippedNodes += e.skippedNodesSh[s]
-			popChanged = popChanged || e.popChangedSh[s]
-			if e.overLink[s] > res.MaxLinkOverload {
-				res.MaxLinkOverload = e.overLink[s]
-			}
-			res.SkippedLinks += e.skippedLinksSh[s]
-		}
-		if tel != nil {
-			// The fused super-stage has no internal barriers to time;
-			// its whole wall time lands in the rate slot.
-			res.StageNanos[0] = time.Since(t0).Nanoseconds()
-		}
+	if e.plan.shards == 1 {
+		e.stepShard(0)
 	} else {
-		// 1. Rate allocation, using last iteration's populations and
-		// prices.
-		slots := 1
-		if e.pool != nil && len(e.p.Flows) >= minParallelItems {
-			e.pool.run(e.stageFns[0], e.shards)
-			slots = e.shards
-		} else {
-			e.rateRange(0, len(e.p.Flows), 0)
-		}
-		for s := 0; s < slots; s++ {
-			res.DirtyFlows += e.dirtyFlowsSh[s]
-			rateChanged = rateChanged || e.rateChangedSh[s]
-		}
-		if tel != nil {
-			now := time.Now()
-			res.StageNanos[0] = now.Sub(t0).Nanoseconds()
-			t0 = now
-		}
+		e.pool.run(e.shardFn, e.plan.shards)
+	}
+	if tel != nil {
+		res.StageNanos[0] = e.stageMark[0].Sub(t0).Nanoseconds()
+		res.StageNanos[1] = e.stageMark[1].Sub(e.stageMark[0]).Nanoseconds()
+		res.StageNanos[2] = time.Since(e.stageMark[1]).Nanoseconds()
+	}
 
-		// 2. Greedy consumer allocation and node price update.
-		nodeSlots := 1
-		if e.pool != nil && len(e.p.Nodes) >= minParallelItems {
-			e.pool.run(e.stageFns[1], e.shards)
-			nodeSlots = e.shards
-		} else {
-			e.nodeRange(0, len(e.p.Nodes), 0)
+	var rateChanged, popChanged bool
+	for s := range e.sh[:e.plan.shards] {
+		sh := &e.sh[s]
+		res.DirtyFlows += sh.dirtyFlows
+		rateChanged = rateChanged || sh.rateChanged
+		if sh.overNode > res.MaxNodeOverload {
+			res.MaxNodeOverload = sh.overNode
 		}
-		for s := 0; s < nodeSlots; s++ {
-			if e.overNode[s] > res.MaxNodeOverload {
-				res.MaxNodeOverload = e.overNode[s]
-			}
-			res.SkippedNodes += e.skippedNodesSh[s]
-			popChanged = popChanged || e.popChangedSh[s]
+		res.SkippedNodes += sh.skippedNodes
+		popChanged = popChanged || sh.popChanged
+		if sh.overLink > res.MaxLinkOverload {
+			res.MaxLinkOverload = sh.overLink
 		}
-		if tel != nil {
-			now := time.Now()
-			res.StageNanos[1] = now.Sub(t0).Nanoseconds()
-			t0 = now
-		}
-
-		// 3. Link price update.
-		slots = 1
-		if e.pool != nil && len(e.p.Links) >= minParallelItems {
-			e.pool.run(e.stageFns[2], e.shards)
-			slots = e.shards
-		} else {
-			e.linkRange(0, len(e.p.Links), 0)
-		}
-		for s := 0; s < slots; s++ {
-			if e.overLink[s] > res.MaxLinkOverload {
-				res.MaxLinkOverload = e.overLink[s]
-			}
-			res.SkippedLinks += e.skippedLinksSh[s]
-		}
-		if tel != nil {
-			res.StageNanos[2] = time.Since(t0).Nanoseconds()
-		}
-
-		// Refresh the per-flow utility cache serially: rate-dirty flows
-		// plus the flows whose populations the admission stage touched
-		// (the fused path does this inside each shard).
-		t := e.iteration
-		if e.utilStale || e.full {
-			for i := range e.flowUtil {
-				e.flowUtilItem(i)
-			}
-		} else {
-			for i := range e.flowUtil {
-				if e.rateEpoch[i] == t {
-					e.flowUtilItem(i)
-				}
-			}
-			for s := 0; s < nodeSlots; s++ {
-				for _, i := range e.touchIDs[s] {
-					if e.flowUtilEpoch[i] != t {
-						e.flowUtilItem(int(i))
-					}
-				}
-			}
-		}
-		for s := range e.touchIDs {
-			e.touchIDs[s] = e.touchIDs[s][:0]
-		}
+		res.SkippedLinks += sh.skippedLinks
 	}
 
 	// The objective only moves when a rate or population moved; otherwise
 	// the cached sum is the exact value the full recomputation would
-	// produce. Full mode recomputes unconditionally, like the
-	// pre-incremental engine. The sum runs over the per-flow cache in
-	// ascending flow order — the same association Utility uses — so the
-	// incremental value is bit-identical to the from-scratch one.
-	if e.full || rateChanged || popChanged || e.utilStale {
+	// produce. The sum runs over the per-flow cache in ascending flow order
+	// — the same association Utility uses — so the incremental value is
+	// bit-identical to the from-scratch one.
+	if rateChanged || popChanged || e.utilStale {
 		total := 0.0
 		for _, u := range e.flowUtil {
 			total += u
@@ -509,7 +389,7 @@ func (e *Engine) rateOne(i int) {
 // Algorithm 1, epoch bookkeeping), accumulating into the caller's dirty
 // count and changed flag.
 func (e *Engine) rateItem(i, prev int, dirty *int, changed *bool) {
-	if !(e.full || e.flowForced[i] || e.flowDirty(i, prev)) {
+	if !(e.flowForced[i] || e.flowDirty(i, prev)) {
 		return
 	}
 	e.flowForced[i] = false
@@ -522,38 +402,25 @@ func (e *Engine) rateItem(i, prev int, dirty *int, changed *bool) {
 	}
 }
 
-// rateRange runs the rate stage over flows [lo, hi), writing shard slot s
-// of the stage accumulators.
-func (e *Engine) rateRange(lo, hi, s int) {
-	prev := e.iteration - 1
-	dirty, changed := 0, false
-	for i := lo; i < hi; i++ {
-		e.rateItem(i, prev, &dirty, &changed)
-	}
-	e.dirtyFlowsSh[s] = dirty
-	e.rateChangedSh[s] = changed
-}
-
-// rateList is rateRange over an explicit flow list (the fused path's
-// component shards).
-func (e *Engine) rateList(ids []int32, s int) {
+// rateList runs the rate stage over a shard's flows.
+func (e *Engine) rateList(ids []int32, sh *shardState) {
 	prev := e.iteration - 1
 	dirty, changed := 0, false
 	for _, i := range ids {
 		e.rateItem(int(i), prev, &dirty, &changed)
 	}
-	e.dirtyFlowsSh[s] = dirty
-	e.rateChangedSh[s] = changed
+	sh.dirtyFlows = dirty
+	sh.rateChanged = changed
 }
 
 // admitItem runs the admission half of the node stage for node b:
 // Algorithm 2 when a crossing flow's rate changed this iteration (or a
 // mutator forced the node), cache reuse otherwise. Population changes mark
-// the node's crossing flows in shard s's touch list so the flow-utility
+// the node's crossing flows in the shard's touch list so the flow-utility
 // cache refresh knows what moved.
-func (e *Engine) admitItem(b, s int, scratch []classBC, skipped *int, popChanged *bool) {
+func (e *Engine) admitItem(b int, sh *shardState, skipped *int, popChanged *bool) {
 	bid := model.NodeID(b)
-	recompute := e.full || e.nodeForced[b]
+	recompute := e.nodeForced[b]
 	if !recompute {
 		t := e.iteration
 		for _, i := range e.ix.FlowsByNode(bid) {
@@ -568,76 +435,39 @@ func (e *Engine) admitItem(b, s int, scratch []classBC, skipped *int, popChanged
 		return
 	}
 	e.nodeForced[b] = false
-	out := admitNode(e.p, e.ix, bid, e.rates, e.active, e.consumers, scratch,
+	out := admitNode(e.p, e.ix, bid, e.rates, e.active, e.consumers, sh.scratch,
 		e.popEpoch, e.iteration)
 	e.nodeUsed[b], e.nodeBest[b] = out.used, out.bestUnsatisfied
 	if out.popChanged {
 		*popChanged = true
-		e.touchFlows(s, bid)
+		sh.touchFlows(e.ix.FlowsByNode(bid), e.iteration)
 	}
 }
 
-// touchFlows adds node b's crossing flows to shard s's touch list —
+// touchFlows adds a node's crossing flows to the shard's touch list —
 // a superset of the flows whose populations actually moved, which is safe:
 // re-deriving a clean flow's cached utility reproduces the identical
-// float. touchSeen dedups per shard and iteration, bounding the list by
-// the flow count so appends never grow the preallocated backing array.
-func (e *Engine) touchFlows(s int, b model.NodeID) {
-	t := e.iteration
-	seen := e.touchSeen[s]
-	ids := e.touchIDs[s]
-	for _, i := range e.ix.FlowsByNode(b) {
+// float. touchSeen dedups per iteration t, bounding the list by the flow
+// count so appends never grow the preallocated backing array.
+func (sh *shardState) touchFlows(flows []model.FlowID, t int) {
+	seen := sh.touchSeen
+	ids := sh.touchIDs
+	for _, i := range flows {
 		if seen[i] != t {
 			seen[i] = t
 			ids = append(ids, int32(i))
 		}
 	}
-	e.touchIDs[s] = ids
+	sh.touchIDs = ids
 }
 
-// nodePriceRange is the price half of the node stage over nodes [lo, hi):
+// nodePriceList is the price half of the node stage over a shard's nodes:
 // the Equation 12 sweep as a branch-light pass over the flat
-// price/used/best/capacity arrays, returning the range's max overload.
+// price/used/best/capacity arrays, returning the list's max overload.
 // It is split from admission so the sweep reads SoA state the admission
 // pass has fully settled — admission never reads prices, so running all
 // admissions before all price updates performs the serial arithmetic
 // exactly.
-func (e *Engine) nodePriceRange(lo, hi int) float64 {
-	over := 0.0
-	t := e.iteration
-	prices, used, best, caps := e.nodePrices, e.nodeUsed, e.nodeBest, e.nodeCap
-	if e.cfg.Adaptive {
-		for b := lo; b < hi; b++ {
-			u, cp, prev := used[b], caps[b], prices[b]
-			g := e.gamma.val[b]
-			next := nodePriceUpdate(prev, best[b], u, cp, g, g)
-			e.gamma.observe(b, priceGap(prev, best[b], u, cp), prev)
-			if next != prev {
-				e.nodePriceEpoch[b] = t
-			}
-			prices[b] = next
-			if o := u - cp; o > over {
-				over = o
-			}
-		}
-		return over
-	}
-	g1, g2 := e.cfg.Gamma1, e.cfg.Gamma2
-	for b := lo; b < hi; b++ {
-		u, cp, prev := used[b], caps[b], prices[b]
-		next := nodePriceUpdate(prev, best[b], u, cp, g1, g2)
-		if next != prev {
-			e.nodePriceEpoch[b] = t
-		}
-		prices[b] = next
-		if o := u - cp; o > over {
-			over = o
-		}
-	}
-	return over
-}
-
-// nodePriceList is nodePriceRange over an explicit node list.
 func (e *Engine) nodePriceList(ids []int32) float64 {
 	over := 0.0
 	t := e.iteration
@@ -673,29 +503,16 @@ func (e *Engine) nodePriceList(ids []int32) float64 {
 	return over
 }
 
-// nodeRange runs the node stage over nodes [lo, hi) — all admissions, then
-// the price sweep — writing shard slot s of the stage accumulators.
-func (e *Engine) nodeRange(lo, hi, s int) {
-	scratch := e.scratch[s]
-	skipped, popChanged := 0, false
-	for b := lo; b < hi; b++ {
-		e.admitItem(b, s, scratch, &skipped, &popChanged)
-	}
-	e.overNode[s] = e.nodePriceRange(lo, hi)
-	e.skippedNodesSh[s] = skipped
-	e.popChangedSh[s] = popChanged
-}
-
-// nodeList is nodeRange over an explicit node list.
-func (e *Engine) nodeList(ids []int32, s int) {
-	scratch := e.scratch[s]
+// nodeList runs the node stage over a shard's nodes — all admissions, then
+// the price sweep.
+func (e *Engine) nodeList(ids []int32, sh *shardState) {
 	skipped, popChanged := 0, false
 	for _, b := range ids {
-		e.admitItem(int(b), s, scratch, &skipped, &popChanged)
+		e.admitItem(int(b), sh, &skipped, &popChanged)
 	}
-	e.overNode[s] = e.nodePriceList(ids)
-	e.skippedNodesSh[s] = skipped
-	e.popChangedSh[s] = popChanged
+	sh.overNode = e.nodePriceList(ids)
+	sh.skippedNodes = skipped
+	sh.popChanged = popChanged
 }
 
 // linkUsageItem is the usage half of the link stage for link l: re-sum
@@ -706,7 +523,7 @@ func (e *Engine) nodeList(ids []int32, s int) {
 // every term is non-negative, adding its exact 0.0 cannot perturb the sum.
 func (e *Engine) linkUsageItem(l int, skipped *int) {
 	lid := model.LinkID(l)
-	recompute := e.full || e.linkForced[l]
+	recompute := e.linkForced[l]
 	if !recompute {
 		t := e.iteration
 		for _, i := range e.ix.FlowsByLink(lid) {
@@ -729,29 +546,9 @@ func (e *Engine) linkUsageItem(l int, skipped *int) {
 	e.linkUsed[l] = used
 }
 
-// linkPriceRange is the Equation 13 sweep over links [lo, hi) as a
+// linkPriceList is the Equation 13 sweep over a shard's links as a
 // branch-light pass over the flat price/used/capacity arrays, returning
-// the range's max overload.
-func (e *Engine) linkPriceRange(lo, hi int) float64 {
-	over := 0.0
-	t := e.iteration
-	g := e.cfg.LinkGamma
-	prices, used, caps := e.linkPrices, e.linkUsed, e.linkCap
-	for l := lo; l < hi; l++ {
-		u, cp, prev := used[l], caps[l], prices[l]
-		next := linkPriceUpdate(prev, u, cp, g)
-		if next != prev {
-			e.linkPriceEpoch[l] = t
-		}
-		prices[l] = next
-		if o := u - cp; o > over {
-			over = o
-		}
-	}
-	return over
-}
-
-// linkPriceList is linkPriceRange over an explicit link list.
+// the list's max overload.
 func (e *Engine) linkPriceList(ids []int32) float64 {
 	over := 0.0
 	t := e.iteration
@@ -771,59 +568,42 @@ func (e *Engine) linkPriceList(ids []int32) float64 {
 	return over
 }
 
-// linkRange runs the link stage over links [lo, hi) — all usage re-sums,
-// then the price sweep — writing shard slot s of the stage accumulators.
-func (e *Engine) linkRange(lo, hi, s int) {
-	skipped := 0
-	for l := lo; l < hi; l++ {
-		e.linkUsageItem(l, &skipped)
-	}
-	e.overLink[s] = e.linkPriceRange(lo, hi)
-	e.skippedLinksSh[s] = skipped
-}
-
-// linkList is linkRange over an explicit link list.
-func (e *Engine) linkList(ids []int32, s int) {
+// linkList runs the link stage over a shard's links — all usage re-sums,
+// then the price sweep.
+func (e *Engine) linkList(ids []int32, sh *shardState) {
 	skipped := 0
 	for _, l := range ids {
 		e.linkUsageItem(int(l), &skipped)
 	}
-	e.overLink[s] = e.linkPriceList(ids)
-	e.skippedLinksSh[s] = skipped
+	sh.overLink = e.linkPriceList(ids)
+	sh.skippedLinks = skipped
 }
 
-// rateShard, nodeShard and linkShard execute one contiguous shard of their
-// stage; shard boundaries are fixed by the item count and shard count, so
-// every shard touches a disjoint index range.
-func (e *Engine) rateShard(s int) {
-	lo, hi := e.shardRange(len(e.p.Flows), s)
-	e.rateRange(lo, hi, s)
-}
-
-func (e *Engine) nodeShard(s int) {
-	lo, hi := e.shardRange(len(e.p.Nodes), s)
-	e.nodeRange(lo, hi, s)
-}
-
-func (e *Engine) linkShard(s int) {
-	lo, hi := e.shardRange(len(e.p.Links), s)
-	e.linkRange(lo, hi, s)
-}
-
-// fusedShard runs the whole iteration for shard s of the stage plan: the
-// shard's flows, nodes and links are unions of connected components, so
-// every value a stage reads was either written by this same goroutine
-// earlier in the call (rates before admissions before link sums, exactly
-// the serial order) or is untouched this iteration by anyone else. The
-// trailing flow-utility refresh likewise touches only this shard's flows.
-func (e *Engine) fusedShard(s int) {
-	e.rateList(e.plan.flows[s], s)
-	e.nodeList(e.plan.nodes[s], s)
-	e.linkList(e.plan.links[s], s)
+// stepShard runs the whole iteration for shard s of the stage plan. In a
+// multi-shard plan the shard's flows, nodes and links are unions of
+// connected components, so every value a stage reads was either written by
+// this same goroutine earlier in the call (rates before admissions before
+// link sums, exactly the serial order) or is untouched this iteration by
+// anyone else. The trailing flow-utility refresh — rate-dirty flows plus
+// the flows whose populations the admission stage touched — likewise
+// touches only this shard's flows. Shard 0 always runs on Step's caller,
+// so it is the one that stamps the stage boundaries for telemetry.
+func (e *Engine) stepShard(s int) {
+	sh := &e.sh[s]
+	timed := s == 0 && e.cfg.Telemetry != nil
+	flows := e.plan.flows[s]
+	e.rateList(flows, sh)
+	if timed {
+		e.stageMark[0] = time.Now()
+	}
+	e.nodeList(e.plan.nodes[s], sh)
+	if timed {
+		e.stageMark[1] = time.Now()
+	}
+	e.linkList(e.plan.links[s], sh)
 
 	t := e.iteration
-	flows := e.plan.flows[s]
-	if e.utilStale || e.full {
+	if e.utilStale {
 		for _, i := range flows {
 			e.flowUtilItem(int(i))
 		}
@@ -833,13 +613,13 @@ func (e *Engine) fusedShard(s int) {
 				e.flowUtilItem(int(i))
 			}
 		}
-		for _, i := range e.touchIDs[s] {
+		for _, i := range sh.touchIDs {
 			if e.flowUtilEpoch[i] != t {
 				e.flowUtilItem(int(i))
 			}
 		}
 	}
-	e.touchIDs[s] = e.touchIDs[s][:0]
+	sh.touchIDs = sh.touchIDs[:0]
 }
 
 // flowUtilItem recomputes flow i's cached objective contribution from the
@@ -1031,10 +811,7 @@ func (e *Engine) ResetRouting(p *model.Problem, d model.RoutingDelta) error {
 	if err := e.ix.RefreshRouting(p, d); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	if e.shards > 1 {
-		e.plan = newStagePlan(p, e.ix, e.shards)
-		e.fused = e.plan.fused
-	}
+	e.adoptPlan(newStagePlan(p, e.ix, e.cfg.Workers))
 	if e.cfg.Adaptive {
 		// Re-routing changes the load composition on every node a dirty
 		// flow now crosses, not just the nodes whose membership changed:
@@ -1102,12 +879,12 @@ func (e *Engine) warmRestart(p *model.Problem) {
 	for j := range e.popEpoch {
 		e.popEpoch[j] = 0
 	}
-	for s := range e.touchSeen {
-		seen := e.touchSeen[s]
-		for i := range seen {
-			seen[i] = 0
+	for s := range e.sh {
+		sh := &e.sh[s]
+		for i := range sh.touchSeen {
+			sh.touchSeen[i] = 0
 		}
-		e.touchIDs[s] = e.touchIDs[s][:0]
+		sh.touchIDs = sh.touchIDs[:0]
 	}
 }
 

@@ -9,13 +9,14 @@ import (
 	"repro/internal/workload"
 )
 
-// Fused-schedule equivalence: when the crossing-writes analysis proves a
-// problem componentized, Step runs all three stages under one barrier —
-// and must still be bit-identical to the serial engine, mutations and all.
-// The Random workloads of engine_parallel_test.go are one connected
-// component (classes attach anywhere), so they pin the unfused fallback;
-// the Scaled workloads here replicate the base problem into independent
-// copies, which is exactly the structure the fused path exists for.
+// Multi-shard equivalence: when the crossing-writes analysis proves a
+// problem componentized, Step fans whole components out over the workers
+// under one barrier — and must still be bit-identical to the one-shard
+// engine, mutations and all. The Random workloads of
+// engine_parallel_test.go are one connected component (classes attach
+// anywhere), so they pin the one-shard fallback; the Scaled workloads here
+// replicate the base problem into independent copies, which is exactly the
+// structure the component packing exists for.
 
 // fusedTestProblem builds a componentized workload: FlowCopies independent
 // replicas of the base problem, each with its own node sets, plus one
@@ -51,9 +52,9 @@ func TestFusedStepBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
 			}
-			if !par.fused {
-				t.Fatalf("trial %d workers %d: expected fused engine (%d components)",
-					trial, workers, par.plan.components)
+			if par.plan.shards != workers {
+				t.Fatalf("trial %d workers %d: plan has %d shards (%d components)",
+					trial, workers, par.plan.shards, par.plan.components)
 			}
 			ser, err := NewEngine(p.Clone(), serialCfg)
 			if err != nil {
@@ -111,8 +112,8 @@ func TestFusedResetKeepsBitIdentity(t *testing.T) {
 	}
 	defer ser.Close()
 	defer par.Close()
-	if !par.fused {
-		t.Fatal("expected fused engine")
+	if par.plan.shards != 4 {
+		t.Fatalf("plan has %d shards, want 4", par.plan.shards)
 	}
 	for it := 0; it < 50; it++ {
 		ser.Step()
@@ -137,8 +138,24 @@ func TestFusedResetKeepsBitIdentity(t *testing.T) {
 	assertStateEqual(t, 60, 4, ser, par)
 }
 
+// identityLists reports whether lists is the one-shard identity plan over
+// n items: a single list 0..n-1.
+func identityLists(lists [][]int32, n int) bool {
+	if len(lists) != 1 || len(lists[0]) != n {
+		return false
+	}
+	for v, id := range lists[0] {
+		if int(id) != v {
+			return false
+		}
+	}
+	return true
+}
+
 // TestStagePlanFallsBackOnEntangledTopology: a single-component problem
-// must not fuse — every shard would need every other shard's writes.
+// must not shard — every shard would need every other shard's writes. It
+// gets the one-shard identity plan and starts no pool, whatever Workers
+// says.
 func TestStagePlanFallsBackOnEntangledTopology(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p := parallelTestProblem(rng, true)
@@ -147,75 +164,151 @@ func TestStagePlanFallsBackOnEntangledTopology(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if e.pool == nil {
-		t.Fatal("expected sharded engine")
-	}
-	if e.fused {
-		t.Fatal("random single-component workload unexpectedly fused")
-	}
 	if e.plan.components >= 4 {
 		t.Fatalf("expected < 4 components, got %d", e.plan.components)
 	}
-	if s := e.Snapshot(); s.Fused {
-		t.Error("snapshot reports Fused for unfused engine")
+	if e.plan.shards != 1 {
+		t.Fatalf("entangled workload got %d shards, want 1", e.plan.shards)
+	}
+	if !identityLists(e.plan.flows, len(p.Flows)) ||
+		!identityLists(e.plan.nodes, len(p.Nodes)) ||
+		!identityLists(e.plan.links, len(p.Links)) {
+		t.Errorf("one-shard plan lists are not the identity: %+v", e.plan)
+	}
+	if e.pool != nil {
+		t.Error("one-shard engine started a worker pool")
+	}
+	if s := e.Snapshot(); s.Sharded {
+		t.Error("snapshot reports Sharded for a one-shard engine")
 	}
 }
 
-// TestStagePlanPartition: the plan must place every flow, node and link in
-// exactly one shard, in ascending order, and be deterministic across
-// rebuilds.
+// TestStagePlanPartition: every plan — packed components or the one-shard
+// fallback — must place every flow, node and link in exactly one shard, in
+// ascending order, and be deterministic across rebuilds.
 func TestStagePlanPartition(t *testing.T) {
-	p := fusedTestProblem(16, 1, true)
-	ix := model.NewIndex(p)
-	plan := newStagePlan(p, ix, 4)
-	if !plan.fused {
-		t.Fatalf("expected fused plan, components=%d", plan.components)
-	}
-	if plan.components != 16 {
-		t.Errorf("components = %d, want 16", plan.components)
-	}
-	check := func(name string, lists [][]int32, n int) {
-		seen := make([]bool, n)
-		for s, ids := range lists {
-			for k, v := range ids {
-				if k > 0 && ids[k-1] >= v {
-					t.Fatalf("%s shard %d not ascending at %d", name, s, k)
+	componentized := fusedTestProblem(16, 1, true)
+	entangled := parallelTestProblem(rand.New(rand.NewSource(7)), true)
+	for _, c := range []struct {
+		name               string
+		p                  *model.Problem
+		workers            int
+		shards, components int
+	}{
+		{"componentized", componentized, 4, 4, 16},
+		{"workers=1", componentized, 1, 1, 0},
+		{"entangled", entangled, 4, 1, 2},
+	} {
+		ix := model.NewIndex(c.p)
+		plan := newStagePlan(c.p, ix, c.workers)
+		if plan.shards != c.shards || plan.components != c.components {
+			t.Fatalf("%s: %d shards, %d components; want %d, %d",
+				c.name, plan.shards, plan.components, c.shards, c.components)
+		}
+		check := func(kind string, lists [][]int32, n int) {
+			if len(lists) != c.shards {
+				t.Fatalf("%s: %d %s lists, want %d", c.name, len(lists), kind, c.shards)
+			}
+			seen := make([]bool, n)
+			for s, ids := range lists {
+				for k, v := range ids {
+					if k > 0 && ids[k-1] >= v {
+						t.Fatalf("%s: %s shard %d not ascending at %d", c.name, kind, s, k)
+					}
+					if seen[v] {
+						t.Fatalf("%s: %s %d assigned twice", c.name, kind, v)
+					}
+					seen[v] = true
 				}
-				if seen[v] {
-					t.Fatalf("%s %d assigned twice", name, v)
+			}
+			for v, ok := range seen {
+				if !ok {
+					t.Fatalf("%s: %s %d unassigned", c.name, kind, v)
 				}
-				seen[v] = true
 			}
 		}
-		for v, ok := range seen {
-			if !ok {
-				t.Fatalf("%s %d unassigned", name, v)
-			}
-		}
-	}
-	check("flow", plan.flows, len(p.Flows))
-	check("node", plan.nodes, len(p.Nodes))
-	check("link", plan.links, len(p.Links))
+		check("flow", plan.flows, len(c.p.Flows))
+		check("node", plan.nodes, len(c.p.Nodes))
+		check("link", plan.links, len(c.p.Links))
 
-	again := newStagePlan(p, model.NewIndex(p), 4)
-	if !reflect.DeepEqual(plan, again) {
-		t.Error("plan not deterministic across rebuilds")
+		again := newStagePlan(c.p, model.NewIndex(c.p), c.workers)
+		if !reflect.DeepEqual(plan, again) {
+			t.Errorf("%s: plan not deterministic across rebuilds", c.name)
+		}
 	}
 }
 
-// TestStepFusedNoAllocs: the fused dispatch reuses the pool, the plan
-// lists and the touch buffers, so steady-state Step stays at 0 allocs/op.
+// TestStepFusedNoAllocs: the multi-shard dispatch reuses the pool, the
+// plan lists and the touch buffers, so steady-state Step stays at
+// 0 allocs/op.
 func TestStepFusedNoAllocs(t *testing.T) {
 	e, err := NewEngine(fusedTestProblem(8, 2, true), Config{Workers: 4, Adaptive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if !e.fused {
-		t.Fatal("expected fused engine")
+	if e.plan.shards != 4 {
+		t.Fatalf("plan has %d shards, want 4", e.plan.shards)
 	}
 	e.Step()
 	if allocs := testing.AllocsPerRun(50, func() { e.Step() }); allocs > 0 {
-		t.Errorf("%v allocs per fused Step, want 0", allocs)
+		t.Errorf("%v allocs per multi-shard Step, want 0", allocs)
+	}
+}
+
+// TestResetRoutingChangesShardCount: routing decides whether the topology
+// splits, so ResetRouting can move an engine between the one-shard plan
+// and the packed one in either direction. The engine that starts entangled
+// must start its pool only when a plan first needs it, and both must stay
+// bit-identical to Workers: 1 throughout.
+func TestResetRoutingChangesShardCount(t *testing.T) {
+	split := fusedTestProblem(16, 1, true)
+	// Every flow also traverses link 0: one connected component.
+	joined := split.Clone()
+	var delta model.RoutingDelta
+	delta.Links = []model.LinkID{0}
+	for i := range joined.Flows {
+		joined.Links[0].FlowCost[model.FlowID(i)] = 1
+		delta.Flows = append(delta.Flows, model.FlowID(i))
+	}
+	joined.Links[0].Capacity *= float64(len(joined.Flows))
+
+	for _, order := range [][]*model.Problem{{split, joined, split}, {joined, split, joined}} {
+		ser, err := NewEngine(order[0].Clone(), Config{Adaptive: true, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, err := NewEngine(order[0].Clone(), Config{Adaptive: true, Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for leg, p := range order {
+			if leg > 0 {
+				if err := ser.ResetRouting(p.Clone(), delta); err != nil {
+					t.Fatal(err)
+				}
+				if err := par.ResetRouting(p.Clone(), delta); err != nil {
+					t.Fatal(err)
+				}
+			}
+			wantShards := 4
+			if p == joined {
+				wantShards = 1
+			}
+			if par.plan.shards != wantShards {
+				t.Fatalf("leg %d: plan has %d shards, want %d", leg, par.plan.shards, wantShards)
+			}
+			if leg == 0 && (par.pool != nil) != (wantShards > 1) {
+				t.Fatalf("leg 0: pool started = %v with %d shards", par.pool != nil, wantShards)
+			}
+			for it := 0; it < 60; it++ {
+				if rs, rp := ser.Step(), par.Step(); rs != rp {
+					t.Fatalf("leg %d iter %d: StepResult %+v, serial %+v", leg, it, rp, rs)
+				}
+			}
+			assertStateEqual(t, leg, 4, ser, par)
+		}
+		ser.Close()
+		par.Close()
 	}
 }

@@ -9,15 +9,17 @@ import (
 	"repro/internal/workload"
 )
 
-// Parallel-engine equivalence: for any worker count, Step must produce
+// Worker-count equivalence: for any worker count, Step must produce
 // bit-identical rates, populations, prices, gammas and StepResults to the
-// serial engine. The stages are data-independent within themselves and the
-// only cross-shard reduction (max overload) is order-independent, so exact
-// float equality — not tolerance — is the contract. `go test -race ./...`
-// runs these tests and covers the sharded paths for data races.
+// Workers: 1 engine; exact float equality — not tolerance — is the
+// contract. The Random workloads here are entangled (classes attach
+// anywhere, so the topology is one connected component): they prove that
+// asking for 2, 4 or 8 workers on a topology that cannot shard changes
+// nothing. engine_fused_test.go is the same contract on topologies that do
+// shard.
 
-// parallelTestProblem builds a random workload big enough that all three
-// stages clear the minParallelItems cutover.
+// parallelTestProblem builds a random entangled workload big enough to
+// clear the minParallelItems cutover.
 func parallelTestProblem(rng *rand.Rand, withLinks bool) *model.Problem {
 	p := workload.Random(rng, workload.RandomConfig{
 		Flows:          minParallelItems + rng.Intn(16),
@@ -94,9 +96,6 @@ func TestParallelStepBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
 			}
-			if par.pool == nil {
-				t.Fatalf("trial %d workers %d: expected sharded engine", trial, workers)
-			}
 
 			// Replay the serial engine from scratch alongside each
 			// parallel engine so both see the same mutation schedule.
@@ -106,8 +105,8 @@ func TestParallelStepBitIdentical(t *testing.T) {
 			}
 			mutate := func(e *Engine, it int) {
 				// Mid-run workload changes are applied between Step
-				// calls, the only safe point now that Step fans out
-				// over worker goroutines.
+				// calls, the only safe point for an engine whose Step
+				// may fan out over worker goroutines.
 				switch it {
 				case 40:
 					e.SetFlowActive(0, false)
@@ -171,7 +170,7 @@ func TestParallelSolveMatchesSerial(t *testing.T) {
 }
 
 // TestWorkersDefaultResolvesToGOMAXPROCS pins the documented Config
-// semantics: 0 = GOMAXPROCS, 1 = serial, small problems stay serial.
+// semantics: 0 = GOMAXPROCS, small problems stay one shard.
 func TestWorkersDefaultResolvesToGOMAXPROCS(t *testing.T) {
 	if got := (Config{}).WithDefaults().Workers; got != runtime.GOMAXPROCS(0) {
 		t.Errorf("default Workers = %d, want GOMAXPROCS = %d", got, runtime.GOMAXPROCS(0))
@@ -194,8 +193,8 @@ func TestWorkersDefaultResolvesToGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestEngineCloseIdempotent: Close must be safe to call repeatedly and on
-// serial engines.
+// TestEngineCloseIdempotent: Close must be safe to call repeatedly, with
+// and without a pool.
 func TestEngineCloseIdempotent(t *testing.T) {
 	ser, err := NewEngine(workload.Base(), Config{Workers: 1})
 	if err != nil {
@@ -204,18 +203,20 @@ func TestEngineCloseIdempotent(t *testing.T) {
 	ser.Close()
 	ser.Close()
 
-	rng := rand.New(rand.NewSource(3))
-	par, err := NewEngine(parallelTestProblem(rng, false), Config{Workers: 4})
+	par, err := NewEngine(fusedTestProblem(8, 2, false), Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if par.pool == nil {
+		t.Fatal("expected a pool")
 	}
 	par.Step()
 	par.Close()
 	par.Close()
 }
 
-// TestStepSerialNoAllocs: the serial path must not allocate per Step —
-// the admission sort, the rate solvers and the price updates all run on
+// TestStepSerialNoAllocs: a one-shard Step must not allocate — the
+// admission sort, the rate solvers and the price updates all run on
 // preallocated state. This is the perf guardrail for small problems that
 // never clear the parallel cutover.
 func TestStepSerialNoAllocs(t *testing.T) {
@@ -234,9 +235,9 @@ func TestStepSerialNoAllocs(t *testing.T) {
 	}
 }
 
-// TestStepParallelNoAllocs: dispatching shards over the persistent pool
-// must not allocate either — tasks, stage closures and scratch are all
-// reused across Steps.
+// TestStepParallelNoAllocs: the one-shard fallback of an entangled
+// topology that asked for workers must not allocate either
+// (TestStepFusedNoAllocs covers the pool dispatch).
 func TestStepParallelNoAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	e, err := NewEngine(parallelTestProblem(rng, true), Config{Workers: 4, Adaptive: true})
@@ -244,11 +245,11 @@ func TestStepParallelNoAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if e.pool == nil {
-		t.Fatal("expected sharded engine")
+	if e.plan.shards != 1 {
+		t.Fatalf("entangled workload got %d shards, want 1", e.plan.shards)
 	}
 	e.Step()
 	if allocs := testing.AllocsPerRun(50, func() { e.Step() }); allocs > 0 {
-		t.Errorf("%v allocs per parallel Step, want 0", allocs)
+		t.Errorf("%v allocs per Step, want 0", allocs)
 	}
 }

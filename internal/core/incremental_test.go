@@ -17,6 +17,25 @@ import (
 // contract, at every iteration, for any worker count. `go test -race ./...`
 // runs these tests and covers the sharded paths for data races.
 
+// forceFull makes e's next Step the from-scratch iteration: every flow
+// re-solves, every node re-admits, every link re-sums and the objective is
+// rebuilt, as warmRestart forces for the first Step after a Reset. Called
+// before every Step it turns e into the full-recompute oracle the
+// incremental engine is compared against; production code has no such
+// mode.
+func forceFull(e *Engine) {
+	for i := range e.flowForced {
+		e.flowForced[i] = true
+	}
+	for b := range e.nodeForced {
+		e.nodeForced[b] = true
+	}
+	for l := range e.linkForced {
+		e.linkForced[l] = true
+	}
+	e.utilStale = true
+}
+
 // assertEnginesEqual compares the complete observable state of the
 // incremental engine against the full-recompute reference exactly.
 func assertEnginesEqual(t *testing.T, iter, workers int, full, inc *Engine) {
@@ -57,35 +76,49 @@ func assertEnginesEqual(t *testing.T, iter, workers int, full, inc *Engine) {
 	}
 }
 
-// TestIncrementalStepBitIdentical steps a FullRecompute engine and an
-// incremental engine in lockstep over randomized workloads (with and
-// without link bottlenecks, fixed and adaptive gamma, serial and sharded),
-// applies mid-run mutations, and requires every observable — rates,
-// populations, node and link prices, gamma state, utility, overloads — to
-// match exactly at every single iteration.
+// TestIncrementalStepBitIdentical steps the forced-full oracle and an
+// incremental engine in lockstep over randomized entangled workloads and
+// componentized ones (with and without link bottlenecks, fixed and
+// adaptive gamma, one shard and four), applies mid-run mutations, and
+// requires every observable — rates, populations, node and link prices,
+// gamma state, utility, overloads — to match exactly at every single
+// iteration.
 func TestIncrementalStepBitIdentical(t *testing.T) {
 	const iters = 150
 	rng := rand.New(rand.NewSource(20260806))
-	for trial := 0; trial < 4; trial++ {
+	for trial := 0; trial < 6; trial++ {
 		p := parallelTestProblem(rng, trial%2 == 1)
+		if trial >= 4 {
+			// Componentized, so Workers 4 really runs four shards; half
+			// the copies get capacity headroom, so they quiesce and the
+			// incremental engine has something to skip.
+			p = fusedTestProblem(8, 2, trial%2 == 1)
+			for b := len(p.Nodes) / 2; b < len(p.Nodes); b++ {
+				p.Nodes[b].Capacity *= 250
+			}
+		}
 		cfg := Config{Adaptive: trial%2 == 0}
 		if !cfg.Adaptive {
 			cfg.Gamma1 = 0.01 + rng.Float64()*0.2
 			cfg.Gamma2 = cfg.Gamma1
 		}
 		for _, workers := range []int{1, 4} {
-			fullCfg := cfg
-			fullCfg.Workers = workers
-			fullCfg.FullRecompute = true
-			full, err := NewEngine(p.Clone(), fullCfg)
+			cfg.Workers = workers
+			full, err := NewEngine(p.Clone(), cfg)
 			if err != nil {
 				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
 			}
-			incCfg := cfg
-			incCfg.Workers = workers
-			inc, err := NewEngine(p.Clone(), incCfg)
+			inc, err := NewEngine(p.Clone(), cfg)
 			if err != nil {
 				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
+			}
+			wantShards := 1
+			if trial >= 4 {
+				wantShards = workers
+			}
+			if inc.plan.shards != wantShards {
+				t.Fatalf("trial %d workers %d: plan has %d shards, want %d",
+					trial, workers, inc.plan.shards, wantShards)
 			}
 			mutate := func(e *Engine, it int) {
 				switch it {
@@ -110,6 +143,7 @@ func TestIncrementalStepBitIdentical(t *testing.T) {
 			for it := 0; it < iters; it++ {
 				mutate(full, it)
 				mutate(inc, it)
+				forceFull(full)
 				rf, ri := full.Step(), inc.Step()
 				if rf.Utility != ri.Utility ||
 					rf.MaxNodeOverload != ri.MaxNodeOverload ||
@@ -119,7 +153,7 @@ func TestIncrementalStepBitIdentical(t *testing.T) {
 						trial, workers, it, ri, rf)
 				}
 				if rf.SkippedNodes != 0 || rf.SkippedLinks != 0 || rf.DirtyFlows != len(p.Flows) {
-					t.Fatalf("trial %d iter %d: FullRecompute engine skipped work: %+v", trial, it, rf)
+					t.Fatalf("trial %d iter %d: forced-full oracle skipped work: %+v", trial, it, rf)
 				}
 				skipped += ri.SkippedNodes + ri.SkippedLinks
 				assertEnginesEqual(t, it, workers, full, inc)
@@ -176,9 +210,9 @@ func TestIncrementalSteadyStateQuiesces(t *testing.T) {
 }
 
 // TestStepAfterClosePanics pins the deterministic post-Close contract for
-// Step, Solve and Reset, on serial and sharded engines alike (the old
-// behavior was a send on a closed channel for sharded engines and a silent
-// success for serial ones).
+// Step, Solve and Reset, on serial and sharded engines alike (without the
+// closed flag a sharded engine dies on a send on a closed channel and a
+// serial one silently succeeds).
 func TestStepAfterClosePanics(t *testing.T) {
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
@@ -199,8 +233,7 @@ func TestStepAfterClosePanics(t *testing.T) {
 	mustPanic("serial Solve", func() { ser.Solve(10) })
 	mustPanic("serial Reset", func() { _ = ser.Reset(workload.Base()) })
 
-	rng := rand.New(rand.NewSource(7))
-	par, err := NewEngine(parallelTestProblem(rng, false), Config{Workers: 4})
+	par, err := NewEngine(fusedTestProblem(8, 2, false), Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,38 +6,41 @@ import (
 	"repro/internal/model"
 )
 
-// Stage-fusion planning (DESIGN.md §5). The three Step stages barrier
-// because, in general, a node's admission reads rates of flows solved by
-// another shard and a flow's next rate reads prices of nodes updated by
-// another shard. But that data flow is confined to the connected components
-// of the flow/node/link incidence graph: a node only ever reads flows that
-// reach it, a link only flows that traverse it, and a flow only nodes and
-// links on its own path. When shards are unions of whole components, every
-// cross-stage read stays inside the shard, so one worker can run
-// rate-solve → admission → price update for its components back to back —
-// one barrier per Step instead of three — and still perform exactly the
-// serial arithmetic on exactly the serial values.
+// Stage planning (DESIGN.md §5). Within one Step a node's admission reads
+// the rates of the flows that reach it and a flow's next rate reads the
+// prices of the nodes and links on its path, so in general every stage
+// needs every other stage's writes. But that data flow is confined to the
+// connected components of the flow/node/link incidence graph: a node only
+// ever reads flows that reach it, a link only flows that traverse it, and
+// a flow only nodes and links on its own path. When shards are unions of
+// whole components, every cross-stage read stays inside the shard, so one
+// worker can run rate-solve → admission → price update for its components
+// back to back — one barrier per Step — and still perform exactly the
+// serial arithmetic on exactly the serial values. A topology that does not
+// split that way runs as one shard on the caller's goroutine.
 //
-// The analysis runs once per NewEngine/Reset topology (Reset keeps the
-// topology, so the plan survives it) over the index's dense membership
-// views; it never consults costs or capacities, which may change.
+// The analysis runs once per topology (NewEngine and ResetRouting; Reset
+// keeps the topology, so the plan survives it) over the index's dense
+// membership views; it never consults costs or capacities, which may
+// change.
 
-// stagePlan is the result of the crossing-writes analysis: a fixed
-// assignment of whole components to shards, or the verdict that the fused
-// path does not apply (fused == false) and Step should fall back to the
-// three-barrier contiguous sharding.
+// minParallelItems is the smallest item count (the largest of flows, nodes
+// and links) worth fanning out over the worker pool; below it a Step's
+// work is comparable to the dispatch overhead and the plan is one shard.
+// Because every plan performs the serial arithmetic, the cutover is purely
+// a performance decision.
+const minParallelItems = 16
+
+// stagePlan is Step's schedule: a fixed assignment of every flow, node and
+// link to a shard. Either whole connected components packed onto the
+// requested number of shards, or one shard holding everything.
 type stagePlan struct {
-	// fused reports whether the single-barrier fused path applies: at
-	// least as many components as shards (so every worker gets whole
-	// components without idling) and an assignment balanced within 2x of
-	// the mean shard weight.
-	fused bool
-	// components is the number of connected components found (informational;
-	// set even when fused is false).
+	// components is the number of connected components found
+	// (informational; 0 when the analysis did not run).
 	components int
-	// shards is the fan-out of the fused path; flows/nodes/links are
-	// indexed by shard, each list ascending so per-shard iteration order
-	// matches the serial scan order.
+	// shards is Step's fan-out; flows/nodes/links are indexed by shard,
+	// each list ascending so per-shard iteration order matches the serial
+	// scan order.
 	shards int
 	flows  [][]int32
 	nodes  [][]int32
@@ -59,19 +62,58 @@ func planWeight(ix *model.Index, flows, nodes, links int, v int) int {
 	}
 }
 
-// newStagePlan runs the crossing-writes analysis for p under the given
-// shard count. Deterministic: union-find roots, component order and the
-// greedy assignment depend only on the topology, never on scheduling or
-// map iteration.
-func newStagePlan(p *model.Problem, ix *model.Index, shards int) *stagePlan {
+// newStagePlan builds Step's schedule for p: the component packing over
+// workers shards when the topology allows it, otherwise — Workers 1, fewer
+// than minParallelItems items, or a topology packComponents rejects — one
+// shard whose lists are the identity, i.e. the serial scan.
+func newStagePlan(p *model.Problem, ix *model.Index, workers int) *stagePlan {
 	nf, nn, nl := len(p.Flows), len(p.Nodes), len(p.Links)
-	total := nf + nn + nl
-	plan := &stagePlan{}
-	if shards <= 1 || total == 0 {
-		return plan
+	plan := &stagePlan{shards: 1}
+	var shardOf []int32 // per vertex: flows, then nodes, then links
+	if workers > 1 && max(nf, nn, nl) >= minParallelItems {
+		plan.components, shardOf = packComponents(ix, nf, nn, nl, workers)
 	}
+	if shardOf != nil {
+		plan.shards = workers
+	} else {
+		shardOf = make([]int32, nf+nn+nl) // every vertex in shard 0
+	}
+	counts := make([]int, plan.shards)
+	fill := func(base, n int) [][]int32 {
+		for s := range counts {
+			counts[s] = 0
+		}
+		for v := 0; v < n; v++ {
+			counts[shardOf[base+v]]++
+		}
+		lists := make([][]int32, plan.shards)
+		for s := range lists {
+			lists[s] = make([]int32, 0, counts[s])
+		}
+		for v := 0; v < n; v++ {
+			s := shardOf[base+v]
+			lists[s] = append(lists[s], int32(v))
+		}
+		return lists
+	}
+	plan.flows = fill(0, nf)
+	plan.nodes = fill(nf, nn)
+	plan.links = fill(nf+nn, nl)
+	return plan
+}
 
-	// Union-find over flows [0,nf), nodes [nf,nf+nn), links [nf+nn,total).
+// packComponents runs the crossing-writes analysis: it finds the connected
+// components of the flow/node/link incidence graph and packs them onto
+// shards, returning the component count and each vertex's shard (flows
+// [0,nf), nodes [nf,nf+nn), links after). The shard slice is nil when the
+// topology does not split: fewer components than shards (a worker would
+// idle), or no assignment balanced within 2x of the mean shard weight.
+// Deterministic: union-find roots, component order and the greedy
+// assignment depend only on the topology, never on scheduling or map
+// iteration.
+func packComponents(ix *model.Index, nf, nn, nl, shards int) (int, []int32) {
+	total := nf + nn + nl
+
 	// Union-by-minimum keeps every root the smallest vertex of its
 	// component, which both orders components deterministically and lets
 	// the collection pass below recognize roots on first visit.
@@ -125,9 +167,8 @@ func newStagePlan(p *model.Problem, ix *model.Index, shards int) *stagePlan {
 		}
 		comps[compOf[v]].weight += planWeight(ix, nf, nn, nl, v)
 	}
-	plan.components = len(comps)
 	if len(comps) < shards {
-		return plan
+		return len(comps), nil
 	}
 
 	// Longest-processing-time assignment: heaviest component first into the
@@ -164,36 +205,13 @@ func newStagePlan(p *model.Problem, ix *model.Index, shards int) *stagePlan {
 			maxWeight = w
 		}
 	}
-	// A shard more than 2x the mean would serialize the whole fused Step
-	// behind it; the three-barrier path splits such lopsided problems
-	// contiguously instead.
+	// A shard more than 2x the mean would serialize the whole Step behind
+	// it while the others idle at the barrier.
 	if maxWeight*shards > 2*totalWeight {
-		return plan
+		return len(comps), nil
 	}
-
-	plan.fused = true
-	plan.shards = shards
-	plan.flows = make([][]int32, shards)
-	plan.nodes = make([][]int32, shards)
-	plan.links = make([][]int32, shards)
-	counts := make([]int, shards)
-	fill := func(lists [][]int32, base, n int) {
-		for s := range counts {
-			counts[s] = 0
-		}
-		for v := 0; v < n; v++ {
-			counts[shardOf[compOf[base+v]]]++
-		}
-		for s := 0; s < shards; s++ {
-			lists[s] = make([]int32, 0, counts[s])
-		}
-		for v := 0; v < n; v++ {
-			s := shardOf[compOf[base+v]]
-			lists[s] = append(lists[s], int32(v))
-		}
+	for v, k := range compOf {
+		compOf[v] = shardOf[k]
 	}
-	fill(plan.flows, 0, nf)
-	fill(plan.nodes, nf, nn)
-	fill(plan.links, nf+nn, nl)
-	return plan
+	return len(comps), compOf
 }

@@ -2,14 +2,13 @@ package core
 
 import "sync"
 
-// workerPool is the engine's persistent shard-execution pool. The three
-// LRGP stages are embarrassingly parallel within themselves (rates are
-// per-flow, admissions per-node, prices per-link), so each stage fans out
-// over fixed contiguous shards and barriers before the next stage starts.
+// workerPool is the engine's persistent shard-execution pool: one run per
+// Step fans the stage plan's shards out and barriers before Step reduces
+// their accumulators.
 //
-// The pool parks workers goroutines on a task channel between stages;
+// The pool parks workers goroutines on a task channel between Steps;
 // run executes shard 0 on the calling goroutine so a pool serving W-way
-// sharding needs only W-1 workers. Tasks carry the stage function by
+// sharding needs only W-1 workers. Tasks carry the shard function by
 // value, so idle workers hold no reference to the Engine and an abandoned
 // engine's finalizer can still fire and shut the pool down.
 type workerPool struct {
@@ -41,8 +40,8 @@ func (p *workerPool) worker() {
 
 // run executes fn(s) for every shard s in [0, shards) and returns when all
 // shards have completed. Shard 0 runs on the calling goroutine. The
-// WaitGroup barrier establishes the happens-before edge the next stage
-// needs to observe every shard's writes.
+// WaitGroup barrier establishes the happens-before edge the caller needs
+// to observe every shard's writes.
 func (p *workerPool) run(fn func(shard int), shards int) {
 	p.wg.Add(shards - 1)
 	for s := 1; s < shards; s++ {

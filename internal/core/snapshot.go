@@ -29,14 +29,12 @@ type Snapshot struct {
 	// FlowActive marks flows participating in iterations.
 	FlowActive []bool
 	// Workers is the engine's normalized worker count and Sharded reports
-	// whether Step actually fans out over the pool (large-enough problem
-	// and Workers > 1); results are identical either way, so these matter
-	// only for performance diagnostics. Fused reports that the crossing-
-	// writes analysis proved the problem componentized and Step runs the
-	// single-barrier fused schedule (DESIGN.md §5).
+	// whether Step actually fans out over the pool (Workers > 1 and the
+	// crossing-writes analysis proved the problem componentized, DESIGN.md
+	// §5); results are identical either way, so these matter only for
+	// performance diagnostics.
 	Workers int
 	Sharded bool
-	Fused   bool
 }
 
 // String renders a one-line summary of the snapshot: iteration, utility,
@@ -52,10 +50,7 @@ func (s Snapshot) String() string {
 		fmt.Fprintf(&b, " peak-link-load=%.1f%%", 100*load)
 	}
 	mode := "serial"
-	switch {
-	case s.Fused:
-		mode = "fused"
-	case s.Sharded:
+	if s.Sharded {
 		mode = "sharded"
 	}
 	fmt.Fprintf(&b, " workers=%d (%s)", s.Workers, mode)
@@ -92,8 +87,7 @@ func (e *Engine) Snapshot() Snapshot {
 		LinkCapacity: make([]float64, len(e.p.Links)),
 		FlowActive:   make([]bool, len(e.p.Flows)),
 		Workers:      e.cfg.Workers,
-		Sharded:      e.pool != nil,
-		Fused:        e.fused,
+		Sharded:      e.plan.shards > 1,
 	}
 	copy(s.FlowActive, e.active)
 

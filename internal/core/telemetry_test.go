@@ -4,61 +4,79 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
 // TestStepTelemetryObservations: with Config.Telemetry set, Step must
-// populate StageNanos and mirror its results into the registry; the
-// parallel engine must report the same counters as the serial one.
+// populate StageNanos — split by stage under every plan, one shard or many
+// — and mirror its results into the registry; the counters must not depend
+// on the worker count.
 func TestStepTelemetryObservations(t *testing.T) {
-	for _, workers := range []int{1, 4} {
+	entangled := parallelTestProblem(rand.New(rand.NewSource(5)), true)
+	for _, c := range []struct {
+		name    string
+		p       *model.Problem
+		workers int
+		shards  int
+		steps   int
+	}{
+		{"entangled/workers=1", entangled, 1, 1, 7},
+		{"entangled/workers=4", entangled, 4, 1, 7},
+		{"metro-small/workers=4", workload.MetroSmall(), 4, 4, 50},
+	} {
 		reg := telemetry.NewRegistry()
 		em := telemetry.NewEngineMetrics(reg)
-		rng := rand.New(rand.NewSource(5))
-		p := parallelTestProblem(rng, true)
-		e, err := NewEngine(p, Config{Adaptive: true, Workers: workers, Telemetry: em})
+		e, err := NewEngine(c.p, Config{Adaptive: true, Workers: c.workers, Telemetry: em})
 		if err != nil {
 			t.Fatal(err)
 		}
-		const steps = 7
+		if e.plan.shards != c.shards {
+			t.Fatalf("%s: plan has %d shards, want %d", c.name, e.plan.shards, c.shards)
+		}
 		var last StepResult
-		for i := 0; i < steps; i++ {
+		var nanos [3]int64
+		for i := 0; i < c.steps; i++ {
 			last = e.Step()
+			for s, n := range last.StageNanos {
+				nanos[s] += n
+			}
 		}
 		e.Close()
 
-		if got := em.Steps.Value(); got != steps {
-			t.Errorf("workers=%d: steps counter = %d, want %d", workers, got, steps)
+		if got := em.Steps.Value(); got != uint64(c.steps) {
+			t.Errorf("%s: steps counter = %d, want %d", c.name, got, c.steps)
 		}
 		if got := em.Utility.Value(); got != last.Utility {
-			t.Errorf("workers=%d: utility gauge = %g, want %g", workers, got, last.Utility)
+			t.Errorf("%s: utility gauge = %g, want %g", c.name, got, last.Utility)
 		}
 		if got := em.MaxNodeOverload.Value(); got != last.MaxNodeOverload {
-			t.Errorf("workers=%d: node overload gauge = %g, want %g", workers, got, last.MaxNodeOverload)
+			t.Errorf("%s: node overload gauge = %g, want %g", c.name, got, last.MaxNodeOverload)
 		}
-		wantNode := uint64(steps * len(p.Nodes))
+		wantNode := uint64(c.steps * len(c.p.Nodes))
 		if got := em.NodePriceUpdates.Value(); got != wantNode {
-			t.Errorf("workers=%d: node price updates = %d, want %d", workers, got, wantNode)
+			t.Errorf("%s: node price updates = %d, want %d", c.name, got, wantNode)
 		}
-		wantLink := uint64(steps * len(p.Links))
+		wantLink := uint64(c.steps * len(c.p.Links))
 		if got := em.LinkPriceUpdates.Value(); got != wantLink {
-			t.Errorf("workers=%d: link price updates = %d, want %d", workers, got, wantLink)
+			t.Errorf("%s: link price updates = %d, want %d", c.name, got, wantLink)
 		}
 		for s := range em.StageSeconds {
 			count, sum := em.StageSeconds[s].CountSum()
-			if count != steps {
-				t.Errorf("workers=%d: stage %d histogram count = %d, want %d", workers, s, count, steps)
+			if count != uint64(c.steps) {
+				t.Errorf("%s: stage %d histogram count = %d, want %d", c.name, s, count, c.steps)
 			}
 			if sum < 0 {
-				t.Errorf("workers=%d: stage %d wall time sum = %g", workers, s, sum)
+				t.Errorf("%s: stage %d wall time sum = %g", c.name, s, sum)
 			}
 		}
-		// StageNanos must be populated (a monotonic-clock stage can
-		// legitimately read 0ns only on an extremely coarse clock; the
-		// three stages summed should be positive).
-		if last.StageNanos[0]+last.StageNanos[1]+last.StageNanos[2] <= 0 {
-			t.Errorf("workers=%d: StageNanos = %v, want positive total", workers, last.StageNanos)
+		// Every stage must get its own share of the clock (a single stage
+		// of a single Step can legitimately read 0ns on a coarse clock;
+		// admission and price together over the whole run cannot). A Step
+		// that lumped its wall time into the rate slot would fail here.
+		if nanos[0] <= 0 || nanos[1]+nanos[2] <= 0 {
+			t.Errorf("%s: accumulated StageNanos = %v, want rate > 0 and admission+price > 0", c.name, nanos)
 		}
 	}
 }
@@ -119,8 +137,7 @@ func TestStepTelemetryNoAllocs(t *testing.T) {
 		t.Errorf("%v allocs per telemetered serial Step, want 0", allocs)
 	}
 
-	rng := rand.New(rand.NewSource(8))
-	par, err := NewEngine(parallelTestProblem(rng, true), Config{Adaptive: true, Workers: 4,
+	par, err := NewEngine(fusedTestProblem(8, 2, true), Config{Adaptive: true, Workers: 4,
 		Telemetry: telemetry.NewEngineMetrics(reg)})
 	if err != nil {
 		t.Fatal(err)

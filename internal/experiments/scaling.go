@@ -14,8 +14,8 @@ import (
 type ScalingRow struct {
 	// Workers is the engine's configured worker count.
 	Workers int
-	// Mode reports how Step executed: "serial", "sharded" (three-barrier
-	// stages) or "fused" (single-barrier componentized schedule).
+	// Mode reports how Step executed: "serial" (one shard on the caller)
+	// or "sharded" (whole components fanned out over the worker pool).
 	Mode string
 	// NsPerStep is the mean steady-state Step wall time.
 	NsPerStep float64
@@ -38,7 +38,7 @@ type ScalingResult struct {
 
 // ScalingExperiment measures steady-state Step wall time against worker
 // count on a named workload (Options.Workload; default the metro-small
-// pod preset, whose componentized structure runs the fused schedule —
+// pod preset, whose componentized structure shards across workers —
 // DESIGN.md §5). Each engine first settles so the dirty-set skip path is
 // active, as in production steady state; results are bit-identical across
 // worker counts, so the rows differ only in wall clock. Wall times are
@@ -76,12 +76,8 @@ func ScalingExperiment(opts Options) (*ScalingResult, error) {
 			e.Step()
 		}
 		elapsed := time.Since(start)
-		s := e.Snapshot()
 		mode := "serial"
-		switch {
-		case s.Fused:
-			mode = "fused"
-		case s.Sharded:
+		if e.Snapshot().Sharded {
 			mode = "sharded"
 		}
 		row := ScalingRow{

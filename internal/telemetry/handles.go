@@ -45,8 +45,7 @@ type EngineMetrics struct {
 	// recent iteration actually re-solved; SkippedConstraints is the
 	// number of node and link constraints that reused their cached
 	// admission/usage instead of recomputing. Together they expose how
-	// quiet the incremental engine's dirty set has become (both pinned at
-	// the full-recompute values when core.Config.FullRecompute is set).
+	// quiet the incremental engine's dirty set has become.
 	DirtyFlows         *Gauge
 	SkippedConstraints *Gauge
 	// Converged is 1 once the paper's 0.1% amplitude rule has been met

@@ -11,7 +11,7 @@ import (
 // independent pods (point-of-presence clusters), each with its own flows,
 // nodes, classes and one bottleneck link per flow. Pods share nothing, so
 // the crossing-writes analysis (core/plan.go) proves the problem
-// componentized and the engine runs the fused single-barrier schedule.
+// componentized and the engine fans whole pods out over its workers.
 //
 // Heterogeneity is the point: "hot" pods get capacities tight against
 // demand, so their prices keep orbiting a limit cycle and their flows stay

@@ -39,7 +39,7 @@ func TestMetroDeterministic(t *testing.T) {
 }
 
 // TestMetroShape pins the advertised scale and the structural properties
-// the engine's fused schedule and the benchmarks rely on.
+// the engine's component sharding and the benchmarks rely on.
 func TestMetroShape(t *testing.T) {
 	p := MetroSmall()
 	if got, want := len(p.Flows), 240; got != want {

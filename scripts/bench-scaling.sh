@@ -3,8 +3,8 @@
 #
 # Runs the metro-small scaling benchmark at workers=1 and workers=8 and
 # fails if the workers=8 speedup falls below MIN_SPEEDUP (default 1.5x),
-# so the flat speedup curve BENCH_core.json recorded before the fused
-# schedule can never silently return. Parallel speedup needs real cores:
+# so the flat speedup curve BENCH_core.json once recorded can never
+# silently return. Parallel speedup needs real cores:
 # on hosts with fewer than MIN_CPUS (default 4) the script skips loudly
 # instead of measuring scheduler noise. Run via `make bench-scaling`.
 set -euo pipefail
