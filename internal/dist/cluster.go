@@ -25,15 +25,10 @@ const (
 	Async
 )
 
-// Default async parameters.
-const (
-	DefaultTick        = 2 * time.Millisecond
-	DefaultPriceWindow = 3
-	// DefaultResend is the stall re-announce interval in bounded-staleness
-	// mode: an agent blocked this long re-sends its freshest value so a
-	// dropped frame cannot deadlock the cluster.
-	DefaultResend = 10 * time.Millisecond
-)
+// DefaultResend is the stall re-announce interval when Staleness > 0: an
+// agent blocked this long re-sends its freshest value so a dropped frame
+// cannot deadlock the cluster.
+const DefaultResend = 10 * time.Millisecond
 
 // Config tunes a Cluster.
 type Config struct {
@@ -41,38 +36,29 @@ type Config struct {
 	Core core.Config
 	// Mode selects Sync (default) or Async execution.
 	Mode Mode
-	// Tick is the agent recompute interval in Async mode (default
-	// DefaultTick).
-	Tick time.Duration
-	// PriceWindow is how many recent prices a flow source averages per
-	// resource (default DefaultPriceWindow). Barrier-synchronous runs
-	// always use the latest price only; Async and bounded-staleness runs
-	// average per Section 3.5.
-	PriceWindow int
 	// Multirate runs the multirate extension's algorithms at the agents
 	// (per-class delivery rates); see internal/multirate.
 	Multirate bool
 
 	// Batch co-locates agents onto gateway hosts: intra-host messages
 	// skip the wire entirely and cross-host traffic is batched into one
-	// frame per host pair per flush epoch (see gateway.go). In Async mode
-	// later writes within an epoch coalesce over unsent earlier ones.
+	// frame per host pair per flush epoch (see gateway.go). Sync mode only:
+	// New returns ErrMode for Async with Batch.
 	Batch bool
 	// Hosts is the number of gateway hosts when batching (default: one
 	// per node). Nodes map to hosts in contiguous blocks; each flow agent
 	// is co-located with its source node.
 	Hosts int
-	// FlushInterval is the gateway batch epoch (default
-	// DefaultFlushInterval).
-	FlushInterval time.Duration
 
 	// Staleness bounds how many rounds behind an agent's inputs may be in
-	// Sync mode (Section 3.5 averaging tolerates the skew). 0 keeps the
-	// exact barrier schedule; K > 0 lets agents proceed on values up to K
-	// rounds stale, which overlaps rounds and rides out message loss.
+	// Sync mode (Section 3.5 averaging tolerates the skew). 0 is the exact
+	// barrier schedule — the same round loop, latest price only; K > 0
+	// lets agents proceed on values up to K rounds stale, which overlaps
+	// rounds and rides out message loss.
 	Staleness int
-	// Resend is the stall re-announce interval for bounded-staleness
-	// runs (default DefaultResend when Staleness > 0; < 0 disables).
+	// Resend is the stall re-announce interval in Sync mode (default
+	// DefaultResend when Staleness > 0, so the default barrier arms no
+	// timer; < 0 disables).
 	Resend time.Duration
 
 	// Telemetry, when non-nil, streams runtime metrics (round progress,
@@ -101,10 +87,6 @@ type Config struct {
 	// lost, making the grace period the shutdown deadline.
 	StopGrace time.Duration
 
-	// staleLoop forces the bounded-staleness agent loop even at
-	// Staleness == 0 (used by tests to prove the K=0 schedule is
-	// bit-identical to the barrier loop).
-	staleLoop bool
 	// parkCollector, when non-nil, keeps the collector from reading its
 	// inbox until the channel is closed (used by tests to let the agents
 	// run as far ahead of it as Run allows).
@@ -116,28 +98,11 @@ func (c Config) normalized() Config {
 	if c.Mode == 0 {
 		c.Mode = Sync
 	}
-	if c.Tick <= 0 {
-		c.Tick = DefaultTick
-	}
-	if c.PriceWindow <= 0 {
-		c.PriceWindow = DefaultPriceWindow
-	}
 	if c.Staleness < 0 {
 		c.Staleness = 0
 	}
-	if c.Staleness > 0 {
-		c.staleLoop = true
-	}
-	if c.Mode == Sync && c.Staleness == 0 {
-		// Barrier schedule (and its bit-identical K=0 staleness variant):
-		// latest price only.
-		c.PriceWindow = 1
-	}
-	if c.staleLoop && c.Resend == 0 {
+	if c.Staleness > 0 && c.Resend == 0 {
 		c.Resend = DefaultResend
-	}
-	if c.FlushInterval <= 0 {
-		c.FlushInterval = DefaultFlushInterval
 	}
 	if c.Postmortem != nil || c.StallTimeout > 0 {
 		c.Record = true
@@ -183,19 +148,21 @@ type Cluster struct {
 	pmMu     sync.Mutex
 	pmDumped bool
 
-	mu      sync.Mutex
-	started bool
-	closed  bool
-	ran     int // highest round requested in sync mode
+	mu     sync.Mutex
+	closed bool
+	ran    int // highest round requested in sync mode
 }
 
-// New validates the problem and attaches all agents to the network. Agents
-// do not process rounds until Run (Sync) or Start (Async).
+// New validates the problem and attaches all agents to the network. Sync
+// agents process no rounds until Run; Async agents start ticking at once.
 func New(p *model.Problem, cfg Config, net transport.Network) (*Cluster, error) {
 	if err := model.Validate(p); err != nil {
 		return nil, fmt.Errorf("dist: %w", err)
 	}
 	c := cfg.normalized()
+	if c.Mode == Async && c.Batch {
+		return nil, ErrMode
+	}
 	ix := model.NewIndex(p)
 
 	cl := &Cluster{p: p, cfg: c, epoch: time.Now()}
@@ -230,6 +197,7 @@ func New(p *model.Problem, cfg Config, net transport.Network) (*Cluster, error) 
 		}
 	}
 	cl.coll = newCollector(p, collEP, reporting, c.Staleness == 0, c.Telemetry, cl.newRec(collectorName), cl.epoch)
+	cl.coll.latestOnly = c.Mode == Async
 	cl.coll.parked = c.parkCollector
 
 	ctrlEP, err := net.Endpoint("cluster-ctrl")
@@ -279,25 +247,17 @@ func New(p *model.Problem, cfg Config, net transport.Network) (*Cluster, error) 
 	// control arrives.
 	go cl.coll.run()
 	for _, fa := range cl.flows {
-		fa := fa
-		switch {
-		case c.Mode != Sync:
+		if c.Mode == Sync {
+			go fa.run()
+		} else {
 			go fa.runAsync()
-		case c.staleLoop:
-			go fa.runStale()
-		default:
-			go fa.runSync()
 		}
 	}
 	for _, na := range cl.nodes {
-		na := na
-		switch {
-		case c.Mode != Sync:
+		if c.Mode == Sync {
+			go na.run()
+		} else {
 			go na.runAsync()
-		case c.staleLoop:
-			go na.runStale()
-		default:
-			go na.runSync()
 		}
 	}
 	if c.StallTimeout > 0 && c.Mode == Sync {
@@ -305,7 +265,6 @@ func New(p *model.Problem, cfg Config, net transport.Network) (*Cluster, error) 
 		cl.stallDone = make(chan struct{})
 		go cl.stallWatch()
 	}
-	cl.started = true
 	ok = true
 	return cl, nil
 }
@@ -420,7 +379,7 @@ func (cl *Cluster) buildGateways(p *model.Problem, net transport.Network, c Conf
 		if err != nil {
 			return fmt.Errorf("dist: host %d endpoint: %w", k, err)
 		}
-		cl.gateways = append(cl.gateways, newGateway(ep, cl.route, c.Mode == Async, c.FlushInterval, c.Telemetry, cl.newRec(hostName(k))))
+		cl.gateways = append(cl.gateways, newGateway(ep, cl.route, c.Telemetry, cl.newRec(hostName(k))))
 	}
 	return nil
 }

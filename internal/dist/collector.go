@@ -67,6 +67,12 @@ type collector struct {
 	waiters      []roundWaiter
 	samples      int
 
+	// latestOnly (Async mode) keeps the latest state and assembles no
+	// rounds: nobody reads them there (Run returns ErrMode), and one lost
+	// frame would pin an in-order assembly — and every later tick's record
+	// behind it — in pending forever.
+	latestOnly bool
+
 	// parked, when non-nil, holds run back until it is closed: tests use
 	// it to let the agents get as far ahead of the collector as they can.
 	parked chan struct{}
@@ -169,13 +175,14 @@ func (c *collector) handle(m transport.Message) bool {
 // asmLocked returns the assembly record of a round with inputs still
 // outstanding, starting one when this is the round's first input, and
 // advances the frontier. A message for a round already finalized (a resent
-// duplicate) gets nil: it still updates the latest state, nothing else.
+// duplicate) gets nil, as does every message of a latestOnly collector: it
+// still updates the latest state, nothing else.
 func (c *collector) asmLocked(round int) *roundAsm {
 	c.frontier = max(c.frontier, round)
 	if a := c.pending[round]; a != nil {
 		return a
 	}
-	if (c.inOrder && round < c.nextComplete) || c.completed[round] {
+	if c.latestOnly || (c.inOrder && round < c.nextComplete) || c.completed[round] {
 		return nil
 	}
 	var a *roundAsm

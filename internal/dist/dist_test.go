@@ -337,7 +337,6 @@ func TestAsyncConverges(t *testing.T) {
 	cl, err := New(p, Config{
 		Core: core.Config{Adaptive: true},
 		Mode: Async,
-		Tick: time.Millisecond,
 	}, net)
 	if err != nil {
 		t.Fatal(err)
@@ -380,13 +379,17 @@ func TestAsyncRunRejected(t *testing.T) {
 	p := workload.Base()
 	net := transport.NewMemory()
 	defer net.Close()
-	cl, err := New(p, Config{Mode: Async, Tick: time.Millisecond}, net)
+	cl, err := New(p, Config{Mode: Async}, net)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 	if _, err := cl.Run(1, time.Second); err != ErrMode {
 		t.Errorf("error = %v, want ErrMode", err)
+	}
+	// The gateways batch rounds; Async has none.
+	if _, err := New(p, Config{Mode: Async, Batch: true}, net); err != ErrMode {
+		t.Errorf("Async with Batch: error = %v, want ErrMode", err)
 	}
 }
 

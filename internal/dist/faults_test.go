@@ -33,7 +33,6 @@ func TestAsyncToleratesMessageLoss(t *testing.T) {
 	cl, err := New(p, Config{
 		Core: core.Config{Adaptive: true},
 		Mode: Async,
-		Tick: time.Millisecond,
 	}, net)
 	if err != nil {
 		t.Fatal(err)
@@ -65,6 +64,44 @@ func TestAsyncToleratesMessageLoss(t *testing.T) {
 	}
 }
 
+// TestAsyncCollectorKeepsNoRounds: nobody reads an Async cluster's rounds
+// (Run returns ErrMode), so its collector must hold none. It used to get the
+// barrier schedule's in-order assembler, where the first lost frame pins
+// nextComplete for good and every later tick's record stays in pending
+// (919 of them after 1 s at 10% loss) — and without loss the finalized
+// rounds piled up in stats instead.
+func TestAsyncCollectorKeepsNoRounds(t *testing.T) {
+	net := transport.NewMemory()
+	defer net.Close()
+	net.SetDropRate(0.10, 42)
+	net.SetDropExempt("cluster-ctrl")
+	cl, err := New(workload.Base(), Config{Core: core.Config{Adaptive: true}, Mode: Async}, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	const ticks = 300
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		cl.coll.mu.Lock()
+		frontier, held := cl.coll.frontier, len(cl.coll.pending)+len(cl.coll.stats)
+		cl.coll.mu.Unlock()
+		if frontier >= ticks {
+			// Anything kept per tick would be in the hundreds by now.
+			if held > ticks/10 {
+				t.Errorf("collector holds %d round records after %d ticks", held, frontier)
+			}
+			if net.NetStats().Dropped == 0 {
+				t.Error("fault injection inactive: nothing was dropped")
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("agents reached tick %d of %d", frontier, ticks)
+		}
+	}
+}
+
 // TestAsyncSurvivesTransientPartition cuts one node agent off from the
 // rest mid-run and heals it; the system must re-stabilize.
 func TestAsyncSurvivesTransientPartition(t *testing.T) {
@@ -74,7 +111,6 @@ func TestAsyncSurvivesTransientPartition(t *testing.T) {
 	cl, err := New(p, Config{
 		Core: core.Config{Adaptive: true},
 		Mode: Async,
-		Tick: time.Millisecond,
 	}, net)
 	if err != nil {
 		t.Fatal(err)

@@ -53,9 +53,8 @@ type flowAgent struct {
 	runUntil  int
 	leaving   bool
 	idle      bool          // departed but able to rejoin
-	tickEvery time.Duration // async mode when > 0
-	staleness int           // bounded-staleness window (runStale only)
-	resend    time.Duration // re-announce interval when stalled (runStale)
+	staleness int           // how many rounds behind a peer's report may be
+	resend    time.Duration // stalled re-announce interval; <= 0 disables
 
 	rec     *recorder              // flight recorder (nil = off)
 	tel     *telemetry.DistMetrics // dist telemetry (nil = off)
@@ -68,6 +67,11 @@ type classTerm struct {
 	cid  model.ClassID
 	cost float64 // G_{b,j}
 }
+
+// priceWindowSize is how many recent prices a flow source averages per
+// resource when its inputs may be stale (Section 3.5): Async and
+// Staleness > 0. The barrier schedule uses the latest price only.
+const priceWindowSize = 3
 
 // priceWindow keeps the last w prices from one resource and serves their
 // average (Section 3.5's asynchronous smoothing; w=1 reduces to "latest").
@@ -117,22 +121,25 @@ func newFlowAgent(p *model.Problem, ix *model.Index, fid model.FlowID, ep transp
 		linkCost:  ix.LinkCostsByFlow(fid),
 		consumers: make([]int, len(p.Classes)),
 		round:     1,
-		tickEvery: c.Tick,
 		staleness: c.Staleness,
 		resend:    c.Resend,
 		done:      make(chan struct{}),
 	}
 	fa.peerNodes = slices.Clone(fa.nodes)
+	window := priceWindowSize
+	if c.Mode == Sync && c.Staleness == 0 {
+		window = 1
+	}
 	for _, cids := range ix.ClassesByFlowNode(fid) {
 		terms := make([]classTerm, len(cids))
 		for k, cid := range cids {
 			terms[k] = classTerm{cid: cid, cost: p.Classes[cid].CostPerConsumer}
 		}
 		fa.classesAt = append(fa.classesAt, terms)
-		fa.nodePrice = append(fa.nodePrice, newPriceWindow(c.PriceWindow, c.Core.InitialNodePrice))
+		fa.nodePrice = append(fa.nodePrice, newPriceWindow(window, c.Core.InitialNodePrice))
 	}
 	for _, l := range fa.links {
-		fa.linkPrice = append(fa.linkPrice, newPriceWindow(c.PriceWindow, c.Core.InitialLinkPrice))
+		fa.linkPrice = append(fa.linkPrice, newPriceWindow(window, c.Core.InitialLinkPrice))
 		fa.peerNodes = append(fa.peerNodes, p.Links[l].To)
 	}
 	slices.Sort(fa.peerNodes)
@@ -254,66 +261,19 @@ func (fa *flowAgent) depart() {
 	}
 }
 
-// runSync is the synchronous round loop. It blocks until a Stop control or
-// transport shutdown. A Leave control makes the agent announce departure
-// and idle; a later Join control re-announces it at the cluster's current
-// round (the cluster calls both only between Run invocations).
-func (fa *flowAgent) runSync() {
-	defer close(fa.done)
-	for {
-		if fa.leaving {
-			fa.depart()
-		}
-
-		// Pause until allowed to run this round, or idle until Join.
-		// Reports arriving here are still absorbed: a node that computed
-		// our next round before seeing our (re)announce has already sent
-		// its report, and the barrier below counts it.
-		for fa.runUntil < fa.round || fa.idle {
-			m, ok := <-fa.ep.Recv()
-			if !ok || !fa.handle(m) {
-				return
-			}
-			if fa.idle {
-				// Track the cluster's round counter passively so a later
-				// Join resumes at the right round.
-				fa.round = max(fa.round, fa.runUntil+1)
-			} else if fa.leaving {
-				fa.depart()
-			}
-		}
-
-		if err := fa.announce(fa.round, fa.computeRate(), true); err != nil {
-			return
-		}
-		fa.recordProgress(fa.round, 0)
-
-		// Await this round's reports from every peer node: a node reports
-		// its rounds in order, so its freshest report says how far it is.
-		// A Leave arriving mid-round finishes the handshake first so peers
-		// are not left waiting.
-		for fa.reported() < fa.round {
-			m, ok := <-fa.ep.Recv()
-			if !ok || !fa.handle(m) {
-				return
-			}
-		}
-		fa.round++
-	}
-}
-
-// runStale is the bounded-staleness round loop: the agent announces round
-// t as soon as every peer's freshest report is at most `staleness` rounds
-// behind (round t-1 exactly when staleness is 0 — which reduces to the
-// barrier-synchronous schedule), instead of waiting for the full round
-// t-1 report set. A resend timer re-announces the latest rate while
-// stalled so dropped frames cannot deadlock the cluster.
-func (fa *flowAgent) runStale() {
+// run is the round loop. It blocks until a Stop control or transport
+// shutdown. The agent announces round t as soon as every peer's freshest
+// report is at most `staleness` rounds behind round t-1; at staleness 0
+// that is the barrier-synchronous schedule — the full round t-1 report
+// set. A Leave control makes the agent announce departure and idle; a later
+// Join control re-announces it at the cluster's current round (the cluster
+// calls both only between Run invocations). While stalled, the chirp
+// re-announces the latest rate.
+func (fa *flowAgent) run() {
 	defer close(fa.done)
 	lastRound, lastRate := 0, 0.0
-	backoff := fa.resend
-	timer, timerC := newResendTimer(fa.resend)
-	defer stopResendTimer(timer)
+	resend := newChirp(fa.resend)
+	defer resend.stop()
 
 	for {
 		// Announce every round currently permitted by the staleness bound.
@@ -328,17 +288,17 @@ func (fa *flowAgent) runStale() {
 			fa.round++
 			announced = true
 		}
-		if announced && timer != nil {
-			// Progress: push the resend deadline out so chirps fire only
-			// after a genuine stall, not on a periodic schedule (a periodic
-			// chirp from every agent of a large cluster is a message storm).
-			backoff = fa.resend
-			timer.Reset(backoff)
+		if announced {
+			resend.progress()
 		}
 		if fa.leaving {
 			fa.depart()
 		}
 		if fa.idle {
+			// Track the cluster's round counter passively so a later Join
+			// resumes at the right round. Reports arriving meanwhile are
+			// still absorbed: a node that computed our next round before
+			// seeing our re-announce has already sent its report.
 			fa.round = max(fa.round, fa.runUntil+1)
 		}
 
@@ -347,25 +307,20 @@ func (fa *flowAgent) runStale() {
 			if !ok || !fa.handle(m) {
 				return
 			}
-		case <-timerC:
+		case <-resend.C:
 			// Stalled: re-announce the freshest rate so peers (and the
-			// collector) that lost the original frame can catch up. Repeated
-			// stalls back off exponentially — when the whole cluster is slow
-			// (not lossy), fixed-period chirps from every agent feed back
-			// into the slowness.
+			// collector) that lost the original frame can catch up.
 			if lastRound > 0 && !fa.idle {
 				if err := fa.announce(lastRound, lastRate, true); err != nil {
 					return
 				}
-				fa.rec.record(EvResend, lastRound, int64(backoff), 0)
+				fa.rec.record(EvResend, lastRound, int64(resend.wait), 0)
 				fa.tel.ObserveChirp(true)
 				fa.chirped = true
 			}
-			if backoff < 16*fa.resend {
-				backoff *= 2
+			if resend.stalled() {
 				fa.tel.ObserveBackoff(true)
 			}
-			timer.Reset(backoff)
 		}
 	}
 }
@@ -387,8 +342,8 @@ func (fa *flowAgent) reported() int {
 	return slices.Min(fa.latest)
 }
 
-// handle processes one inbound message for the round loops, returning
-// false on Stop.
+// handle processes one inbound message for either loop, returning false on
+// Stop.
 func (fa *flowAgent) handle(m transport.Message) bool {
 	switch m.Kind {
 	case ctrlKind:
@@ -432,35 +387,23 @@ func (fa *flowAgent) observedLag() int {
 	return max(fa.round-1-fa.reported(), 0)
 }
 
+// asyncTick is the agents' recompute interval in Async mode.
+const asyncTick = time.Millisecond
+
 // runAsync ticks on a timer, announcing rates computed from the latest
 // absorbed reports.
 func (fa *flowAgent) runAsync() {
 	defer close(fa.done)
-	ticker := time.NewTicker(fa.tickEvery)
+	ticker := time.NewTicker(asyncTick)
 	defer ticker.Stop()
 	for {
 		select {
 		case m, ok := <-fa.ep.Recv():
-			if !ok {
+			if !ok || !fa.handle(m) {
 				return
 			}
-			switch m.Kind {
-			case ctrlKind:
-				cm, err := decodeCtrl(m.Payload)
-				if err != nil {
-					continue
-				}
-				if cm.Stop {
-					return
-				}
-				if cm.Leave {
-					fa.depart()
-				}
-				if cm.Join {
-					fa.idle = false
-				}
-			case reportKind:
-				fa.absorb(m.Payload)
+			if fa.leaving {
+				fa.depart()
 			}
 		case <-ticker.C:
 			if fa.idle {
@@ -472,21 +415,5 @@ func (fa *flowAgent) runAsync() {
 			fa.recordProgress(fa.round, 0)
 			fa.round++
 		}
-	}
-}
-
-// newResendTimer returns a timer (and its channel) firing after d, or a
-// nil channel that never fires when resends are disabled (d <= 0).
-func newResendTimer(d time.Duration) (*time.Timer, <-chan time.Time) {
-	if d <= 0 {
-		return nil, nil
-	}
-	t := time.NewTimer(d)
-	return t, t.C
-}
-
-func stopResendTimer(t *time.Timer) {
-	if t != nil {
-		t.Stop()
 	}
 }

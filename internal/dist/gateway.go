@@ -10,10 +10,10 @@ import (
 	"repro/internal/transport"
 )
 
-// DefaultFlushInterval is the gateway epoch length: staged cross-host
-// messages are coalesced into one frame per destination host and flushed
-// at this cadence.
-const DefaultFlushInterval = 200 * time.Microsecond
+// flushInterval is the gateway epoch length: staged cross-host messages
+// are packed into one frame per destination host and flushed at this
+// cadence.
+const flushInterval = 200 * time.Microsecond
 
 // gateway multiplexes the agents of one simulated host onto a single
 // network endpoint. Agent sends to co-located agents are delivered
@@ -23,42 +23,29 @@ const DefaultFlushInterval = 200 * time.Microsecond
 // one per agent pair. Inbound batch frames are demultiplexed back to the
 // per-agent ports.
 type gateway struct {
-	ep         transport.Endpoint
-	route      map[string]string // agent endpoint name -> host endpoint name
-	coalesce   bool              // keep only the freshest (from,to,kind) per epoch
-	flushEvery time.Duration
-	tel        *telemetry.DistMetrics
-	rec        *recorder
+	ep    transport.Endpoint
+	route map[string]string // agent endpoint name -> host endpoint name
+	tel   *telemetry.DistMetrics
+	rec   *recorder
 
 	mu       sync.Mutex
 	ports    map[string]*hostPort
 	outbox   map[string][]transport.Message
-	outIdx   map[string]map[coalesceKey]int // dst -> key -> index into outbox[dst]
 	closed   bool
 	quit     chan struct{}
 	loopDone chan struct{} // flush + demux loops
 }
 
-type coalesceKey struct {
-	from, to, kind string
-}
-
-func newGateway(ep transport.Endpoint, route map[string]string, coalesce bool, flushEvery time.Duration, tel *telemetry.DistMetrics, rec *recorder) *gateway {
-	if flushEvery <= 0 {
-		flushEvery = DefaultFlushInterval
-	}
+func newGateway(ep transport.Endpoint, route map[string]string, tel *telemetry.DistMetrics, rec *recorder) *gateway {
 	g := &gateway{
-		ep:         ep,
-		route:      route,
-		coalesce:   coalesce,
-		flushEvery: flushEvery,
-		tel:        tel,
-		rec:        rec,
-		ports:      make(map[string]*hostPort),
-		outbox:     make(map[string][]transport.Message),
-		outIdx:     make(map[string]map[coalesceKey]int),
-		quit:       make(chan struct{}),
-		loopDone:   make(chan struct{}, 2),
+		ep:       ep,
+		route:    route,
+		tel:      tel,
+		rec:      rec,
+		ports:    make(map[string]*hostPort),
+		outbox:   make(map[string][]transport.Message),
+		quit:     make(chan struct{}),
+		loopDone: make(chan struct{}, 2),
 	}
 	go g.flushLoop()
 	go g.demuxLoop()
@@ -96,25 +83,13 @@ func (g *gateway) send(msg transport.Message) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", transport.ErrUnknownDest, msg.To)
 	}
-	if g.coalesce {
-		key := coalesceKey{from: msg.From, to: msg.To, kind: msg.Kind}
-		if idx, ok := g.outIdx[dst]; ok {
-			if i, seen := idx[key]; seen {
-				g.outbox[dst][i] = msg // freshest write wins within the epoch
-				return nil
-			}
-		} else {
-			g.outIdx[dst] = make(map[coalesceKey]int)
-		}
-		g.outIdx[dst][key] = len(g.outbox[dst])
-	}
 	g.outbox[dst] = append(g.outbox[dst], msg)
 	return nil
 }
 
 func (g *gateway) flushLoop() {
 	defer func() { g.loopDone <- struct{}{} }()
-	ticker := time.NewTicker(g.flushEvery)
+	ticker := time.NewTicker(flushInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -138,9 +113,6 @@ func (g *gateway) flush() {
 	}
 	staged := g.outbox
 	g.outbox = make(map[string][]transport.Message)
-	for dst := range g.outIdx {
-		delete(g.outIdx, dst)
-	}
 	from := g.ep.Name()
 	g.mu.Unlock()
 

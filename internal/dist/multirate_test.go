@@ -77,7 +77,6 @@ func TestMultirateAsyncConverges(t *testing.T) {
 	cl, err := New(p, Config{
 		Core:      core.Config{Adaptive: true},
 		Mode:      Async,
-		Tick:      time.Millisecond,
 		Multirate: true,
 	}, net)
 	if err != nil {

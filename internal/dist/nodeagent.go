@@ -53,9 +53,8 @@ type nodeAgent struct {
 	price     float64
 	report    reportMsg
 	out       outbox
-	tickEvery time.Duration
-	staleness int           // bounded-staleness window
-	resend    time.Duration // re-broadcast interval when stalled (runStale)
+	staleness int           // how many rounds behind a flow's rate may be
+	resend    time.Duration // stalled re-broadcast interval; <= 0 disables
 
 	rec     *recorder              // flight recorder (nil = off)
 	tel     *telemetry.DistMetrics // dist telemetry (nil = off)
@@ -78,7 +77,6 @@ func newNodeAgent(p *model.Problem, ix *model.Index, b model.NodeID, ep transpor
 		rates:     make([]float64, len(p.Flows)),
 		consumers: make([]int, len(p.Classes)),
 		price:     cfg.InitialNodePrice,
-		tickEvery: c.Tick,
 		staleness: c.Staleness,
 		resend:    c.Resend,
 		done:      make(chan struct{}),
@@ -196,13 +194,13 @@ func (na *nodeAgent) step(round, lag int) error {
 // absorbRate folds one rate announcement into the node's state: a
 // departure, a rejoin (only legal between Run calls, when no rounds are
 // pending; see Cluster.JoinFlow), or a rate — which a resent or reordered
-// older one must not overwrite. It reports whether the message was a
-// well-formed announcement of an expected flow.
-func (na *nodeAgent) absorbRate(payload []byte) bool {
+// older one must not overwrite. Anything but a well-formed announcement of
+// an expected flow is ignored.
+func (na *nodeAgent) absorbRate(payload []byte) {
 	rm, err := decodeRate(payload)
 	k, ok := slices.BinarySearch(na.flows, rm.Flow)
 	if err != nil || !ok {
-		return false
+		return
 	}
 	if rm.Active == na.inactive[k] {
 		na.setActive(k, rm.Active)
@@ -214,7 +212,6 @@ func (na *nodeAgent) absorbRate(payload []byte) bool {
 	} else {
 		na.rec.record(EvRecv, rm.Round, int64(rm.Flow), 0)
 	}
-	return true
 }
 
 // setActive processes the departure or (re)join of the flow at position k;
@@ -264,74 +261,48 @@ func (na *nodeAgent) canCompute(t int) bool {
 	return reached
 }
 
-// runSync reacts to rate announcements in lock-step rounds: once all
-// active expected flows have announced round t, it computes and broadcasts
-// its round-t report. Rounds are processed in order — the price update is
-// sequential state — and a departure may complete pending rounds.
-func (na *nodeAgent) runSync() {
-	defer close(na.done)
-	nextRound := 1
-	for m := range na.ep.Recv() {
-		switch m.Kind {
-		case ctrlKind:
-			if cm, err := decodeCtrl(m.Payload); err == nil && cm.Stop {
-				return
-			}
-		case rateKind:
-			if !na.absorbRate(m.Payload) {
-				continue
-			}
-			for na.canCompute(nextRound) {
-				if na.step(nextRound, 0) != nil {
-					return
-				}
-				nextRound++
-			}
-		}
+// handle processes one inbound message for either loop, returning false on
+// Stop.
+func (na *nodeAgent) handle(m transport.Message) bool {
+	switch m.Kind {
+	case ctrlKind:
+		cm, err := decodeCtrl(m.Payload)
+		return err != nil || !cm.Stop
+	case rateKind:
+		na.absorbRate(m.Payload)
 	}
+	return true
 }
 
-// runStale is the bounded-staleness round loop: the node computes round t
-// as soon as canCompute allows, using the latest absorbed rate for each
-// flow. With staleness 0 this reduces exactly to the barrier schedule. A
-// resend timer re-broadcasts the latest report while idle so dropped
-// report frames cannot deadlock flows or starve the collector.
-func (na *nodeAgent) runStale() {
+// run is the round loop: the node computes round t as soon as canCompute
+// allows, using the latest absorbed rate for each flow, and broadcasts its
+// round-t report; a departure may complete pending rounds. While stalled,
+// the chirp re-broadcasts the latest report so dropped report frames cannot
+// deadlock flows or starve the collector.
+func (na *nodeAgent) run() {
 	defer close(na.done)
 	nextRound := 1
-	backoff := na.resend
-	timer, timerC := newResendTimer(na.resend)
-	defer stopResendTimer(timer)
+	resend := newChirp(na.resend)
+	defer resend.stop()
 
 	for {
 		select {
 		case m, ok := <-na.ep.Recv():
-			if !ok {
+			if !ok || !na.handle(m) {
 				return
 			}
-			switch m.Kind {
-			case ctrlKind:
-				if cm, err := decodeCtrl(m.Payload); err == nil && cm.Stop {
-					return
-				}
-			case rateKind:
-				na.absorbRate(m.Payload)
-			}
-		case <-timerC:
-			// Chirp with exponential backoff; see flowAgent.runStale.
+		case <-resend.C:
 			if nextRound > 1 {
 				if err := na.broadcast(); err != nil {
 					return
 				}
-				na.rec.record(EvResend, na.report.Round, int64(backoff), 0)
+				na.rec.record(EvResend, na.report.Round, int64(resend.wait), 0)
 				na.tel.ObserveChirp(false)
 				na.chirped = true
 			}
-			if backoff < 16*na.resend {
-				backoff *= 2
+			if resend.stalled() {
 				na.tel.ObserveBackoff(false)
 			}
-			timer.Reset(backoff)
 			continue
 		}
 
@@ -346,11 +317,8 @@ func (na *nodeAgent) runStale() {
 			nextRound++
 			computed = true
 		}
-		if computed && timer != nil {
-			// Progress: defer the re-broadcast so it fires only after a
-			// genuine stall (see flowAgent.runStale).
-			backoff = na.resend
-			timer.Reset(backoff)
+		if computed {
+			resend.progress()
 		}
 	}
 }
@@ -358,22 +326,14 @@ func (na *nodeAgent) runStale() {
 // runAsync recomputes on a timer from the latest rates.
 func (na *nodeAgent) runAsync() {
 	defer close(na.done)
-	ticker := time.NewTicker(na.tickEvery)
+	ticker := time.NewTicker(asyncTick)
 	defer ticker.Stop()
 	round := 1
 	for {
 		select {
 		case m, ok := <-na.ep.Recv():
-			if !ok {
+			if !ok || !na.handle(m) {
 				return
-			}
-			switch m.Kind {
-			case ctrlKind:
-				if cm, err := decodeCtrl(m.Payload); err == nil && cm.Stop {
-					return
-				}
-			case rateKind:
-				na.absorbRate(m.Payload)
 			}
 		case <-ticker.C:
 			if na.step(round, 0) != nil {

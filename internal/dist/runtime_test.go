@@ -16,24 +16,6 @@ import (
 	"repro/internal/workload"
 )
 
-// runTrajectory spins up a cluster, runs it for the given rounds, closes
-// it, and returns the per-round stats.
-func runTrajectory(t *testing.T, p *model.Problem, cfg Config, net transport.Network, rounds int) []RoundStats {
-	t.Helper()
-	cl, err := New(p, cfg, net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := cl.Run(rounds, 2*time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Close(); err != nil {
-		t.Errorf("close: %v", err)
-	}
-	return stats
-}
-
 // requireIdentical asserts two trajectories are bit-identical: same rounds,
 // exactly equal utilities.
 func requireIdentical(t *testing.T, tag string, got, want []RoundStats) {
@@ -49,10 +31,13 @@ func requireIdentical(t *testing.T, tag string, got, want []RoundStats) {
 }
 
 // frozenTrajectory reads testdata/<name>.bits: one round's utility per
-// line as the hex of its math.Float64bits, recorded at commit 525a158 —
-// the last one that could run the JSON wire, map-keyed reports and per-
-// round map tallies — from a JSON-wire barrier run (its binary, batched
-// and staleLoop runs produced the same bits).
+// line as the hex of its math.Float64bits, recorded from barrier runs of
+// code that has since been deleted. base_50 and scaled102_40 (adaptive γ)
+// come from commit 525a158 — the last one that could run the JSON wire,
+// map-keyed reports and per-round map tallies — whose binary, batched and
+// bounded-staleness K=0 runs produced the same bits; base_fixed_60 (fixed
+// γ) from the separate synchronous agent loop at 67266ed, the last commit
+// that had one.
 func frozenTrajectory(t *testing.T, name string) []RoundStats {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("testdata", name+".bits"))
@@ -70,38 +55,86 @@ func frozenTrajectory(t *testing.T, name string) []RoundStats {
 	return want
 }
 
-// TestTrajectoryMatchesFrozenOracle: the trajectory is the one recorded
-// before reports became id-sorted slices and the agents' tallies arrays —
-// not one float sum may have been reordered — and neither gateway batching
-// (which changes framing, not values) nor the bounded-staleness loop at
-// K=0 (whose schedule must collapse to the barrier's) moves a bit of it.
+// awaitChirps blocks until the flight recorders show as many resend
+// chirps as the cluster has reporting agents. With the resend timer armed,
+// idle agents — between Run calls all of them are — each chirp within one
+// Resend interval.
+func awaitChirps(t *testing.T, cl *Cluster) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		chirps := 0
+		for _, e := range cl.snapshot() {
+			if e.Type == EvResend {
+				chirps++
+			}
+		}
+		if chirps >= len(cl.flows)+cl.coll.nodesTotal {
+			return
+		}
+	}
+	t.Fatal("the agents did not chirp")
+}
+
+// TestTrajectoryMatchesFrozenOracle is the only proof of the barrier
+// schedule: the one round loop at K=0 must emit, bit for bit, the
+// trajectory recorded from the barrier loops it replaced — before reports
+// became id-sorted slices and the agents' tallies arrays, so not one float
+// sum may have been reordered. Neither gateway batching nor TCP (which
+// change framing, not values) moves a bit of it, and neither do duplicates:
+// with the resend timer armed at K=0 the agents chirp their last round
+// mid-trajectory, and the absorb guards must make that harmless.
 func TestTrajectoryMatchesFrozenOracle(t *testing.T) {
+	adaptive := core.Config{Adaptive: true}
 	for _, shape := range []struct {
 		name  string
 		p     *model.Problem
+		core  core.Config
 		hosts int
 	}{
-		{"base_50", workload.Base(), 4},
-		{"scaled102_40", workload.Scaled(workload.Config{FlowCopies: 17, NodeSetCopies: 2}), 12},
+		{"base_50", workload.Base(), adaptive, 4},
+		{"scaled102_40", workload.Scaled(workload.Config{FlowCopies: 17, NodeSetCopies: 2}), adaptive, 12},
+		{"base_fixed_60", workload.Base(), core.Config{}, 4},
 	} {
 		want := frozenTrajectory(t, shape.name)
-		adaptive := core.Config{Adaptive: true}
 		for _, run := range []struct {
 			tag string
 			cfg Config
 			tcp bool
 		}{
-			{tag: "plain", cfg: Config{Core: adaptive}},
-			{tag: "batched", cfg: Config{Core: adaptive, Batch: true, Hosts: shape.hosts}},
-			{tag: "staleLoop K=0", cfg: Config{Core: adaptive, staleLoop: true}},
-			{tag: "batched staleLoop K=0", cfg: Config{Core: adaptive, Batch: true, Hosts: shape.hosts, staleLoop: true}},
-			{tag: "plain over TCP", cfg: Config{Core: adaptive}, tcp: true},
+			{tag: "plain", cfg: Config{Core: shape.core}},
+			{tag: "batched", cfg: Config{Core: shape.core, Batch: true, Hosts: shape.hosts}},
+			{tag: "plain over TCP", cfg: Config{Core: shape.core}, tcp: true},
+			{tag: "Resend armed at K=0", cfg: Config{Core: shape.core, Resend: DefaultResend, Record: true}},
 		} {
 			var net transport.Network = transport.NewMemory()
 			if run.tcp {
 				net = transport.NewTCP()
 			}
-			got := runTrajectory(t, shape.p, run.cfg, net, len(want))
+			cl, err := New(shape.p, run.cfg, net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// With the resend timer armed the run pauses halfway: between
+			// Run calls every agent is idle, so the chirps are certain.
+			first := len(want)
+			if run.cfg.Resend > 0 {
+				first /= 2
+			}
+			got, err := cl.Run(first, 2*time.Minute)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first < len(want) {
+				awaitChirps(t, cl)
+				rest, err := cl.Run(len(want)-first, 2*time.Minute)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, rest...)
+			}
+			if err := cl.Close(); err != nil {
+				t.Errorf("close: %v", err)
+			}
 			net.Close()
 			requireIdentical(t, shape.name+" "+run.tag, got, want)
 		}
@@ -137,26 +170,6 @@ func TestSyncOverTCPMatchesEngine(t *testing.T) {
 		if rel := math.Abs(s.Utility-engineTrace[i]) / math.Max(1, engineTrace[i]); rel > 1e-9 {
 			t.Fatalf("round %d: dist-tcp %g vs engine %g", i+1, s.Utility, engineTrace[i])
 		}
-	}
-}
-
-// TestStalenessZeroBitIdentical is the golden test for the bounded-
-// staleness loop: with K=0 its schedule must collapse to the barrier
-// schedule exactly, producing a bit-identical trajectory to the legacy
-// synchronous loop.
-func TestStalenessZeroBitIdentical(t *testing.T) {
-	for _, adaptive := range []bool{false, true} {
-		cfg := Config{Core: core.Config{Adaptive: adaptive}}
-		netRef := transport.NewMemory()
-		ref := runTrajectory(t, workload.Base(), cfg, netRef, 60)
-		netRef.Close()
-
-		// staleLoop forces the bounded-staleness code path at K=0.
-		cfg.staleLoop = true
-		netK0 := transport.NewMemory()
-		got := runTrajectory(t, workload.Base(), cfg, netK0, 60)
-		netK0.Close()
-		requireIdentical(t, "staleness K=0 vs barrier", got, ref)
 	}
 }
 

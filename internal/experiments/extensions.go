@@ -47,7 +47,6 @@ func AsyncExperiment(opts Options, timeout time.Duration) (*AsyncResult, error) 
 	cl, err := dist.New(workload.Base(), dist.Config{
 		Core: core.Config{Adaptive: true},
 		Mode: dist.Async,
-		Tick: time.Millisecond,
 	}, net)
 	if err != nil {
 		return nil, err

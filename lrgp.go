@@ -108,7 +108,7 @@ type (
 type (
 	// Cluster runs LRGP as message-passing agents.
 	Cluster = dist.Cluster
-	// ClusterConfig tunes a cluster (mode, tick, price window).
+	// ClusterConfig tunes a cluster (mode, staleness, batching).
 	ClusterConfig = dist.Config
 	// Network provides named message endpoints.
 	Network = transport.Network
