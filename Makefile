@@ -111,6 +111,7 @@ examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/tradedata
 	$(GO) run ./examples/latestprice
+	$(GO) run ./examples/multiratefeed
 	$(GO) run ./examples/autoscale
 	$(GO) run ./examples/overlaycity
 

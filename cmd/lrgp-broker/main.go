@@ -63,7 +63,6 @@ import (
 	"repro/internal/broker"
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
@@ -168,7 +167,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		res, err := solveTraced(e, len(p.Classes), *rounds, tw, 0)
+		res, err := e.SolveTraced(*rounds, tw, 0)
 		if err != nil {
 			return err
 		}
@@ -199,7 +198,7 @@ func run(args []string, out io.Writer) error {
 				return err
 			}
 			rs := time.Now()
-			res, err = solveTraced(e, len(p.Classes), *rounds, tw, iterBase)
+			res, err = e.SolveTraced(*rounds, tw, iterBase)
 			if err != nil {
 				return err
 			}
@@ -398,65 +397,6 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "%-10s  %8d/%-8d   %9d\n", p.Classes[j].Name, cs.Admitted, cs.Attached, cs.Delivered)
 	}
 	return nil
-}
-
-// solveTraced mirrors Engine.Solve's loop — same convergence detector,
-// same stopping rule — while writing one IterationRecord per iteration
-// to tw, numbered from iterBase+1 so -reopt rounds continue the trace
-// file rather than restarting it. With a nil tw it is exactly Solve.
-func solveTraced(e *core.Engine, nClasses, rounds int, tw *telemetry.TraceWriter, iterBase int) (core.Result, error) {
-	if tw == nil {
-		return e.Solve(rounds), nil
-	}
-	det := metrics.NewConvergenceDetector(0, 0)
-	utilTrace := make([]float64, 0, rounds)
-	prev := make([]int, nClasses)
-	for t := 0; t < rounds; t++ {
-		r := e.Step()
-		utilTrace = append(utilTrace, r.Utility)
-		done := det.Observe(r.Utility)
-
-		alloc := e.Allocation()
-		delta := 0
-		for j, n := range alloc.Consumers {
-			if d := n - prev[j]; d >= 0 {
-				delta += d
-			} else {
-				delta -= d
-			}
-			prev[j] = n
-		}
-		rec := telemetry.IterationRecord{
-			Iteration:       iterBase + t + 1,
-			Utility:         r.Utility,
-			MaxNodeOverload: r.MaxNodeOverload,
-			MaxLinkOverload: r.MaxLinkOverload,
-			StageNanos:      r.StageNanos,
-			Rates:           alloc.Rates,
-			Consumers:       alloc.Consumers,
-			NodePrices:      e.NodePrices(),
-			LinkPrices:      e.LinkPrices(),
-			AdmissionDelta:  delta,
-			Converged:       det.Converged(),
-		}
-		if err := tw.Write(&rec); err != nil {
-			return core.Result{}, fmt.Errorf("trace record %d: %w", rec.Iteration, err)
-		}
-		if done {
-			break
-		}
-	}
-	if len(utilTrace) == 0 {
-		return core.Result{Allocation: e.Allocation()}, nil
-	}
-	return core.Result{
-		Utility:     utilTrace[len(utilTrace)-1],
-		Iterations:  len(utilTrace),
-		Converged:   det.Converged(),
-		ConvergedAt: det.ConvergedAt(),
-		Allocation:  e.Allocation(),
-		Trace:       utilTrace,
-	}, nil
 }
 
 func totalAttached(p *model.Problem) int {

@@ -4,10 +4,10 @@
 //
 // A broker hosts two flows; consumers attach and detach over time and a
 // node loses half its capacity mid-run (hardware degradation). After each
-// change the controller re-reads demand from the broker, warm-starts the
-// LRGP engine from its current prices, and enacts the new allocation only
-// when it differs enough from the previous one (Section 2.1's enactment
-// hysteresis).
+// change one autopilot cycle re-reads demand from the broker, warm-starts
+// the LRGP engine from its current prices, and enacts the new allocation
+// only when it differs enough from the previous one (Section 2.1's
+// enactment hysteresis).
 //
 //	go run ./examples/autoscale
 package main
@@ -34,8 +34,8 @@ func buildProblem() *model.Problem {
 			{ID: 1, Name: "west", Capacity: 400_000, FlowCost: map[model.FlowID]float64{0: 3, 1: 3}},
 		},
 		Classes: []model.Class{
-			// MaxConsumers values here are placeholders; the controller
-			// overwrites them with live attach counts each cycle.
+			// MaxConsumers values here are placeholders; the autopilot
+			// solves with live attach counts each cycle.
 			{ID: 0, Name: "orders-east", Flow: 0, Node: 0, MaxConsumers: 1,
 				CostPerConsumer: 19, Utility: utility.NewLog(30)},
 			{ID: 1, Name: "orders-west", Flow: 0, Node: 1, MaxConsumers: 1,
@@ -54,7 +54,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ctrl, err := broker.NewController(b, broker.ControllerConfig{
+	ap, err := broker.NewAutopilot(b, broker.AutopilotConfig{
 		Core:           core.Config{Adaptive: true},
 		EnactThreshold: 0.02,
 		ItersPerCycle:  150,
@@ -62,6 +62,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer ap.Close()
 
 	attach := func(class model.ClassID, n int) []broker.ConsumerID {
 		ids := make([]broker.ConsumerID, 0, n)
@@ -75,7 +76,7 @@ func main() {
 		return ids
 	}
 	report := func(event string) {
-		alloc, enacted, err := ctrl.Reoptimize()
+		alloc, enacted, err := ap.Cycle()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -111,7 +112,7 @@ func main() {
 	report("telemetry-west demand x3")
 
 	// Phase 4: east loses half its capacity.
-	if err := ctrl.Engine().SetNodeCapacity(0, p.Nodes[0].Capacity/2); err != nil {
+	if err := ap.Engine().SetNodeCapacity(0, p.Nodes[0].Capacity/2); err != nil {
 		log.Fatal(err)
 	}
 	report("east capacity halved")
@@ -127,6 +128,6 @@ func main() {
 	}
 	report("the 200 extras detach again")
 
-	total, skipped := ctrl.Cycles()
-	fmt.Printf("\ncontroller ran %d cycles, %d skipped enactment (hysteresis)\n", total, skipped)
+	st := ap.Stats()
+	fmt.Printf("\ncontroller ran %d cycles, %d skipped enactment (hysteresis)\n", st.Cycles, st.Skipped)
 }

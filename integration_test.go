@@ -169,14 +169,15 @@ func TestFullStackPipeline(t *testing.T) {
 		t.Fatal("no deliveries across the full stack")
 	}
 
-	// One controller cycle keeps the system consistent.
-	ctrl, err := repro.NewBrokerController(b, broker.ControllerConfig{
+	// One autopilot cycle keeps the system consistent.
+	ap, err := repro.NewBrokerAutopilot(b, broker.AutopilotConfig{
 		Core: repro.Config{Adaptive: true},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ctrl.Reoptimize(); err != nil {
+	defer ap.Close()
+	if _, _, err := ap.Cycle(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -2,6 +2,7 @@ package broker
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -10,12 +11,14 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Autopilot is the closed self-regulation loop the paper sketches in
-// Section 2.1 ("the optimization runs all the time, responding to changes
-// in workload"), built on the incremental enact path: each cycle it
-// estimates live demand from the broker's counters, perturbs its private
-// copy of the problem, warm re-solves, and enacts only when the solution
-// moved past the enactment threshold.
+// Autopilot is the broker's one control loop, the closed self-regulation
+// loop the paper sketches in Section 2.1 ("the optimization runs all the
+// time, responding to changes in workload ... decisions may not be enacted
+// until their values are sufficiently different from the previous enacted
+// values"): each cycle it estimates live demand from the broker's counters,
+// perturbs its private copy of the problem, warm re-solves (the engine
+// keeps its prices across cycles), and enacts only when the solution moved
+// past the enactment threshold.
 //
 // Two signals drive the perturbation:
 //
@@ -24,16 +27,17 @@ import (
 //     changes go through Engine.SetClassDemand, which dirties just the
 //     affected node — no engine reset.
 //   - Per-flow offered rate: the EWMA of (published+throttled) deltas
-//     between cycles, scaled by RateHeadroom, caps the flow's RateMax
+//     between cycles, scaled by rateHeadroom, caps the flow's RateMax
 //     below its configured ceiling. There is no utility in granting a
 //     flow more rate than its producers offer; shrinking the bound stops
 //     the optimizer from parking capacity on idle flows. Bound changes
 //     require Engine.Reset (warm-started: prices and populations carry
 //     over, so a nearby problem re-converges in a few iterations).
 //
-// Unlike Controller, the Autopilot clones the broker's problem at
-// construction and perturbs only the clone: the broker's shared problem
-// definition is never mutated behind its users' backs.
+// The Autopilot clones the broker's problem at construction and perturbs
+// only the clone: the broker's shared problem definition is never mutated
+// behind its users' backs, and Engine().Problem() is where the synced
+// demand shows.
 //
 // Enactment goes through Broker.ApplyAllocation's delta path, so a cycle
 // whose solution barely moved costs a route no-op, not a rebuild. The
@@ -47,7 +51,6 @@ type Autopilot struct {
 
 	enactThreshold float64
 	itersPerCycle  int
-	rateHeadroom   float64
 
 	mu sync.Mutex
 	// prob is the autopilot-owned clone the engine solves; rateMax0
@@ -79,9 +82,7 @@ type Autopilot struct {
 }
 
 // AutopilotConfig tunes an Autopilot. The zero value enacts every change
-// of at least 1% after up to 100 LRGP iterations per cycle, grants
-// offered load 25% headroom, and scores oscillation over the last 64
-// admission moves.
+// of at least 1% after up to 100 LRGP iterations per cycle.
 type AutopilotConfig struct {
 	// Core configures the embedded LRGP engine.
 	Core core.Config
@@ -91,17 +92,21 @@ type AutopilotConfig struct {
 	// ItersPerCycle bounds the LRGP iterations of each cycle's warm
 	// re-solve (default 100).
 	ItersPerCycle int
-	// RateHeadroom scales the estimated offered rate into the flow's
-	// effective RateMax (default 1.25; values <= 1 take the default).
-	RateHeadroom float64
-	// OscillationWindow is how many recent per-class admission moves the
-	// oscillation score averages over (default 64).
-	OscillationWindow int
 	// Telemetry, when non-nil, receives per-cycle observations (and is
 	// typically the same handle passed to WithEnactTelemetry so apply
 	// and cycle metrics land in one family).
 	Telemetry *telemetry.EnactMetrics
 }
+
+const (
+	// rateHeadroom scales a flow's estimated offered rate into its
+	// effective RateMax, so a growing producer is not throttled for a whole
+	// cycle before the bound catches up.
+	rateHeadroom = 1.25
+	// oscillationWindow is how many recent per-class admission moves the
+	// oscillation score averages over.
+	oscillationWindow = 64
+)
 
 // AutopilotStats is a snapshot of the autopilot's cycle accounting.
 type AutopilotStats struct {
@@ -127,12 +132,6 @@ func NewAutopilot(b *Broker, cfg AutopilotConfig) (*Autopilot, error) {
 	if cfg.ItersPerCycle <= 0 {
 		cfg.ItersPerCycle = 100
 	}
-	if cfg.RateHeadroom <= 1 {
-		cfg.RateHeadroom = 1.25
-	}
-	if cfg.OscillationWindow <= 0 {
-		cfg.OscillationWindow = 64
-	}
 	prob := b.Problem().Clone()
 	eng, err := core.NewEngine(prob, cfg.Core)
 	if err != nil {
@@ -143,7 +142,6 @@ func NewAutopilot(b *Broker, cfg AutopilotConfig) (*Autopilot, error) {
 		eng:            eng,
 		enactThreshold: cfg.EnactThreshold,
 		itersPerCycle:  cfg.ItersPerCycle,
-		rateHeadroom:   cfg.RateHeadroom,
 		prob:           prob,
 		rateMax0:       make([]float64, len(prob.Flows)),
 		enacted:        model.NewAllocation(prob),
@@ -151,7 +149,7 @@ func NewAutopilot(b *Broker, cfg AutopilotConfig) (*Autopilot, error) {
 		offered:        make([]float64, len(prob.Flows)),
 		lastSync:       b.now(),
 		lastDir:        make([]int8, len(prob.Classes)),
-		ring:           make([]int8, 0, cfg.OscillationWindow),
+		ring:           make([]int8, 0, oscillationWindow),
 		tel:            cfg.Telemetry,
 	}
 	for i := range prob.Flows {
@@ -209,7 +207,7 @@ func (a *Autopilot) Cycle() (model.Allocation, bool, error) {
 			f := &a.prob.Flows[i]
 			want := a.rateMax0[i]
 			if a.offered[i] > 0 {
-				if est := a.offered[i] * a.rateHeadroom; est < want {
+				if est := a.offered[i] * rateHeadroom; est < want {
 					want = est
 				}
 				if want < f.RateMin {
@@ -262,6 +260,36 @@ func (a *Autopilot) Cycle() (model.Allocation, bool, error) {
 	a.lastDemand = demand
 	a.tel.ObserveCycle(enact, a.b.now().Sub(now).Nanoseconds(), delta, a.oscillationLocked(), demand)
 	return res.Allocation, enact, nil
+}
+
+// maxRelChange returns the largest relative change of any rate or
+// admitted population between two same-shape allocations — the value the
+// enactment threshold compares against.
+func maxRelChange(prev, next model.Allocation) float64 {
+	var worst float64
+	for i, r := range next.Rates {
+		if d := relChange(prev.Rates[i], r); d > worst {
+			worst = d
+		}
+	}
+	for j, n := range next.Consumers {
+		if d := relChange(float64(prev.Consumers[j]), float64(n)); d > worst {
+			worst = d
+		}
+	}
+	return worst
+}
+
+// relChange is the symmetric relative difference |next-prev| / max(|prev|,
+// |next|): 0 for equal values (including 0→0, where the naive ratio is
+// 0/0) and 1 for any change away from or to a zero baseline — so a class
+// going 0→1 consumers always crosses any threshold ≤ 1.
+func relChange(prev, next float64) float64 {
+	if prev == next {
+		return 0
+	}
+	base := math.Max(math.Abs(prev), math.Abs(next))
+	return math.Abs(next-prev) / base
 }
 
 // recordMovesLocked folds an enacted allocation's per-class admission

@@ -5,7 +5,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/model"
 	"repro/internal/telemetry"
+	"repro/internal/utility"
+	"repro/internal/workload"
 )
 
 // autopilotFixture: a 4-flow fan broker on a fake clock with an autopilot
@@ -127,19 +131,22 @@ func TestAutopilotOfferedRateCapsBound(t *testing.T) {
 	}
 }
 
-// TestAutopilotLoop: the background loop runs cycles until stopped.
+// TestAutopilotLoop: the background loop runs cycles on the base workload
+// until stopped, and stops when told to.
 func TestAutopilotLoop(t *testing.T) {
-	b, err := New(fanProblem(2))
+	b, err := New(workload.Base())
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := NewAutopilot(b, AutopilotConfig{ItersPerCycle: 10})
+	a, err := NewAutopilot(b, AutopilotConfig{Core: core.Config{Adaptive: true}, ItersPerCycle: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	if _, err := b.AttachConsumer(0, nil, nil); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 10; i++ {
+		if _, err := b.AttachConsumer(0, nil, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	stop := make(chan struct{})
 	done := a.Loop(time.Millisecond, stop, nil)
@@ -147,12 +154,16 @@ func TestAutopilotLoop(t *testing.T) {
 	for a.Stats().Cycles < 3 {
 		select {
 		case <-deadline:
-			t.Fatal("autopilot loop made no progress")
+			t.Fatal("loop did not run 3 cycles in time")
 		case <-time.After(time.Millisecond):
 		}
 	}
 	close(stop)
-	<-done
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("loop did not stop")
+	}
 	if st := a.Stats(); st.Enacted == 0 {
 		t.Errorf("loop stats = %+v, want at least one enacted cycle", st)
 	}
@@ -228,5 +239,234 @@ func TestAutopilotCycleOneClock(t *testing.T) {
 	}
 	if a.enacted.Consumers[1] != 1 {
 		t.Errorf("recorded enacted n_1 = %d, want 1", a.enacted.Consumers[1])
+	}
+}
+
+// TestAutopilotEndToEnd: the full loop on the base workload — attach
+// consumers, run a cycle, and verify the broker enforces the optimizer's
+// decisions.
+func TestAutopilotEndToEnd(t *testing.T) {
+	clock := newFakeClock()
+	p := workload.Base()
+	b, err := New(p, WithClock(clock.Now))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Demand: 100 consumers for the top class (4, rank 1 flow 0 node 0)
+	// and 50 for class 18 (rank 100).
+	for i := 0; i < 100; i++ {
+		if _, err := b.AttachConsumer(4, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		if _, err := b.AttachConsumer(18, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ap, err := NewAutopilot(b, AutopilotConfig{Core: core.Config{Adaptive: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ap.Close()
+	alloc, enacted, err := ap.Cycle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !enacted {
+		t.Fatal("first cycle did not enact")
+	}
+	// Demand sync: n^max became the attached counts — in the problem the
+	// engine solves, not in the broker's.
+	solved := ap.Engine().Problem().Classes
+	if solved[4].MaxConsumers != 100 || solved[18].MaxConsumers != 50 {
+		t.Errorf("demand sync: nmax = %d/%d", solved[4].MaxConsumers, solved[18].MaxConsumers)
+	}
+	if base := workload.Base().Classes; p.Classes[4].MaxConsumers != base[4].MaxConsumers || p.Classes[18].MaxConsumers != base[18].MaxConsumers {
+		t.Error("demand sync wrote into the broker's shared problem")
+	}
+	// With tiny demand relative to capacity everyone is admitted at high
+	// rates.
+	cs4, _ := b.ClassStats(4)
+	cs18, _ := b.ClassStats(18)
+	if cs4.Admitted != 100 || cs18.Admitted != 50 {
+		t.Errorf("admitted = %d/%d, want 100/50", cs4.Admitted, cs18.Admitted)
+	}
+	if alloc.Rates[0] <= 0 {
+		t.Errorf("rate[0] = %g", alloc.Rates[0])
+	}
+
+	// A second cycle with identical demand converges to (nearly) the
+	// same allocation and is typically below the enactment threshold.
+	_, enacted2, err := ap.Cycle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := ap.Stats()
+	if st.Cycles != 2 {
+		t.Errorf("cycles = %d", st.Cycles)
+	}
+	if enacted2 && st.Skipped != 0 {
+		t.Errorf("inconsistent: enacted2=%v skipped=%d", enacted2, st.Skipped)
+	}
+}
+
+// TestAutopilotAdmitsNewDemandAtFixpoint: with capacity to spare the
+// engine reaches an exact fixpoint and stops re-running admission, so
+// demand that arrives afterwards is admitted only if the cycle tells the
+// engine the class changed (Engine.SetClassDemand) instead of writing the
+// new n^max into the problem behind its back.
+func TestAutopilotAdmitsNewDemandAtFixpoint(t *testing.T) {
+	p := workload.Base()
+	for b := range p.Nodes {
+		p.Nodes[b].Capacity *= 1000
+	}
+	for l := range p.Links {
+		p.Links[l].Capacity *= 1000
+	}
+	b, err := New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range p.Classes {
+		for k := 0; k < 2; k++ {
+			if _, err := b.AttachConsumer(model.ClassID(j), nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ap, err := NewAutopilot(b, AutopilotConfig{Core: core.Config{Adaptive: true}, ItersPerCycle: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ap.Close()
+	if _, _, err := ap.Cycle(); err != nil {
+		t.Fatal(err)
+	}
+	if cs, _ := b.ClassStats(0); cs.Admitted != 2 {
+		t.Fatalf("first cycle admitted %d of 2 in class 0", cs.Admitted)
+	}
+	for k := 0; k < 3; k++ {
+		if _, err := b.AttachConsumer(0, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := ap.Cycle(); err != nil {
+		t.Fatal(err)
+	}
+	if cs, _ := b.ClassStats(0); cs.Admitted != 5 {
+		t.Errorf("after 3 more attached, class 0 admits %d of %d", cs.Admitted, cs.Attached)
+	}
+}
+
+// TestAutopilotAutoscaleScenario replays the six phases of
+// examples/autoscale — demand arrives, holds, triples on a saturated node,
+// a node loses half its capacity, a burst of high-value consumers attaches
+// and leaves — and pins which cycles enacted and what each left admitted.
+func TestAutopilotAutoscaleScenario(t *testing.T) {
+	class := func(id model.ClassID, flow model.FlowID, node model.NodeID, weight float64) model.Class {
+		return model.Class{ID: id, Name: "c", Flow: flow, Node: node, MaxConsumers: 1,
+			CostPerConsumer: 19, Utility: utility.NewLog(weight)}
+	}
+	p := &model.Problem{
+		Name: "autoscale",
+		Flows: []model.Flow{
+			{ID: 0, Name: "orders", Source: 0, RateMin: 10, RateMax: 500},
+			{ID: 1, Name: "telemetry", Source: 1, RateMin: 10, RateMax: 500},
+		},
+		Nodes: []model.Node{
+			{ID: 0, Name: "east", Capacity: 400_000, FlowCost: map[model.FlowID]float64{0: 3, 1: 3}},
+			{ID: 1, Name: "west", Capacity: 400_000, FlowCost: map[model.FlowID]float64{0: 3, 1: 3}},
+		},
+		// orders-east, orders-west, telemetry-east, telemetry-west.
+		Classes: []model.Class{class(0, 0, 0, 30), class(1, 0, 1, 30), class(2, 1, 0, 5), class(3, 1, 1, 5)},
+	}
+	b, err := New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ap, err := NewAutopilot(b, AutopilotConfig{
+		Core:           core.Config{Adaptive: true},
+		EnactThreshold: 0.02,
+		ItersPerCycle:  150,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ap.Close()
+	attach := func(class model.ClassID, n int) []ConsumerID {
+		ids := make([]ConsumerID, n)
+		for i := range ids {
+			if ids[i], err = b.AttachConsumer(class, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return ids
+	}
+	var extra []ConsumerID
+	for _, ph := range []struct {
+		name     string
+		change   func()
+		enacted  bool
+		admitted [4]int
+		attached [4]int
+	}{
+		{"initial demand", func() { attach(0, 300); attach(1, 200); attach(2, 1000); attach(3, 1500) },
+			true, [4]int{300, 200, 1000, 1376}, [4]int{300, 200, 1000, 1500}},
+		{"steady state", func() {},
+			false, [4]int{300, 200, 1000, 1376}, [4]int{300, 200, 1000, 1500}},
+		{"telemetry-west demand x3", func() { attach(3, 3000) },
+			false, [4]int{300, 200, 1000, 1376}, [4]int{300, 200, 1000, 4500}},
+		{"east capacity halved", func() {
+			if err := ap.Engine().SetNodeCapacity(0, p.Nodes[0].Capacity/2); err != nil {
+				t.Fatal(err)
+			}
+		}, true, [4]int{300, 200, 302, 1605}, [4]int{300, 200, 1000, 4500}},
+		{"200 extra orders-east attach", func() { extra = attach(0, 200) },
+			true, [4]int{500, 200, 39, 1699}, [4]int{500, 200, 1000, 4500}},
+		{"the 200 extras detach again", func() {
+			for _, id := range extra {
+				if err := b.DetachConsumer(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}, true, [4]int{300, 200, 412, 1678}, [4]int{300, 200, 1000, 4500}},
+	} {
+		ph.change()
+		_, enacted, err := ap.Cycle()
+		if err != nil {
+			t.Fatalf("%s: %v", ph.name, err)
+		}
+		if enacted != ph.enacted {
+			t.Errorf("%s: enacted = %v, want %v", ph.name, enacted, ph.enacted)
+		}
+		for j := range p.Classes {
+			cs, _ := b.ClassStats(model.ClassID(j))
+			if cs.Admitted != ph.admitted[j] || cs.Attached != ph.attached[j] {
+				t.Errorf("%s: class %d = %d/%d, want %d/%d", ph.name, j, cs.Admitted, cs.Attached, ph.admitted[j], ph.attached[j])
+			}
+		}
+	}
+	if st := ap.Stats(); st.Cycles != 6 || st.Skipped != 2 {
+		t.Errorf("stats = %+v, want 6 cycles, 2 skipped", st)
+	}
+}
+
+func TestRelChange(t *testing.T) {
+	tests := []struct {
+		prev, next, want float64
+	}{
+		{0, 0, 0},
+		{10, 10, 0},
+		{10, 11, 0.1 / 1.1}, // |1|/11
+		{0, 5, 1},
+	}
+	for _, tt := range tests {
+		got := relChange(tt.prev, tt.next)
+		if diff := got - tt.want; diff > 1e-12 || diff < -1e-12 {
+			t.Errorf("relChange(%g,%g) = %g, want %g", tt.prev, tt.next, got, tt.want)
+		}
 	}
 }

@@ -197,27 +197,6 @@ func BenchmarkApplyAllocationDelta(b *testing.B) {
 	}
 }
 
-// BenchmarkApplyAllocationDeltaParallel contends the same single-class
-// delta from all procs (-cpu=1,4): enacts serialize on the broker mutex,
-// so per-op cost at -cpu=4 should stay close to -cpu=1 now that the
-// critical section no longer rebuilds 10k flows.
-func BenchmarkApplyAllocationDeltaParallel(b *testing.B) {
-	br, alloc := benchDeltaBroker(b, 10000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		a := alloc.Clone()
-		i := 0
-		for pb.Next() {
-			i++
-			a.Consumers[0] = 1 + i%2
-			if err := br.ApplyAllocation(a); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkApplyAllocationNoop: re-enacting the enacted allocation on a
 // 10k-flow broker. Acceptance bar: ≤ 2 allocs/op (designed for 0) and
 // no snapshot publication.

@@ -31,6 +31,8 @@ var (
 	ErrUnknownFlow     = errors.New("broker: unknown flow")
 	ErrUnknownConsumer = errors.New("broker: unknown consumer")
 	ErrThrottled       = errors.New("broker: rate limit exceeded")
+	// ErrBadRate: an allocation holds a negative, NaN or infinite rate.
+	ErrBadRate = errors.New("broker: rate is negative or not finite")
 )
 
 // consumer is one attached consumer. The fields are control-plane owned:
@@ -135,10 +137,7 @@ type Broker struct {
 	flows []flowState
 	route atomic.Pointer[routeTable]
 
-	// Control plane, guarded by mu. ApplyAllocation's optimistic diff
-	// scan runs before taking mu (against the atomic mirrors below), so
-	// concurrent enacts scan in parallel and only the delta application
-	// serializes (see ApplyAllocation).
+	// Control plane, guarded by mu.
 	mu           sync.Mutex
 	classes      []classState
 	nextID       ConsumerID
@@ -165,60 +164,14 @@ type Broker struct {
 	enactStats   EnactStats
 	enactTel     *telemetry.EnactMetrics
 
-	// Dense mirrors of each flow's enacted rate (as Float64bits) and
-	// each class's attached/admitted counts. Written only under mu,
-	// atomically, so ApplyAllocation's diff scan reads them with no lock
-	// at all: on a 10k-flow broker the scan streams sequential arrays
-	// instead of dereferencing every padded flowState and classState
-	// (~20k scattered cache misses), the read-mostly lines stay cached
-	// across cores, and concurrent enacts overlap their scans entirely.
-	enactedRates  []atomic.Uint64
-	attachedCount []atomic.Int32
-	admittedCount []atomic.Int32
-
-	// Mutation journal over the mirrors: every mirror write under mu
-	// appends an entry and bumps mutGen, so a lock-free optimistic scan
-	// that loaded mutGen before reading the mirrors can validate itself
-	// once it holds mu — it replays only the entries journaled since its
-	// snapshot instead of rescanning the world. (Go atomics are
-	// sequentially consistent: a mirror write the scan did not observe
-	// must have a generation >= the scan's snapshot, so replay covers
-	// every miss.) The ring is bounded; a scanner that fell more than
-	// mutLogSize entries behind rescans under the lock.
-	mutGen atomic.Uint64
-	mutLog []uint64
-}
-
-// Mutation-journal entry encoding: the low bits carry the flow or class
-// index, the mutClassBit flag distinguishes class-population entries
-// (attached or admitted count moved) from flow-rate entries.
-const (
-	mutLogSize  = 1024
-	mutClassBit = uint64(1) << 62
-)
-
-// journalLocked records one mirror mutation. Callers must hold mu, and
-// must store the mirror value before journaling it — the scan-coverage
-// argument above relies on that order.
-func (b *Broker) journalLocked(entry uint64) {
-	g := b.mutGen.Load()
-	b.mutLog[g%mutLogSize] = entry
-	b.mutGen.Store(g + 1)
-}
-
-// classWantsChange reports whether enacting want admitted consumers for
-// class j would move its admitted count, after clamping want to the
-// attached population. Reads only the atomic mirrors, so it is safe both
-// under mu and from the lock-free scan (where a torn attached/admitted
-// pair can only involve writes the journal replay re-checks anyway).
-func (b *Broker) classWantsChange(j, want int) bool {
-	if att := int(b.attachedCount[j].Load()); want > att {
-		want = att
-	}
-	if want < 0 {
-		want = 0
-	}
-	return want != int(b.admittedCount[j].Load())
+	// Dense copies of each flow's enacted rate and each class's attached
+	// and admitted counts, guarded by mu like the state they copy.
+	// ApplyAllocation's diff streams these sequential arrays instead of
+	// dereferencing every padded flowState and classState (~20k scattered
+	// cache misses on a 10k-flow broker).
+	enactedRates  []float64
+	attachedCount []int32
+	admittedCount []int32
 }
 
 // Option configures a Broker.
@@ -282,10 +235,9 @@ func New(p *model.Problem, opts ...Option) (*Broker, error) {
 		producers:     make(map[ProducerID]*Producer),
 		flowMark:      make([]uint64, len(p.Flows)),
 		blockMark:     make([]uint64, (len(p.Flows)+routeBlockSize-1)/routeBlockSize),
-		enactedRates:  make([]atomic.Uint64, len(p.Flows)),
-		attachedCount: make([]atomic.Int32, len(p.Classes)),
-		admittedCount: make([]atomic.Int32, len(p.Classes)),
-		mutLog:        make([]uint64, mutLogSize),
+		enactedRates:  make([]float64, len(p.Flows)),
+		attachedCount: make([]int32, len(p.Classes)),
+		admittedCount: make([]int32, len(p.Classes)),
 	}
 	for j := range b.classes {
 		b.classes[j].transform = Identity{}
@@ -297,7 +249,7 @@ func New(p *model.Problem, opts ...Option) (*Broker, error) {
 	for i, f := range p.Flows {
 		b.flows[i].bucket = NewTokenBucket(f.RateMin, 0, start)
 		b.flows[i].setRate(f.RateMin)
-		b.enactedRates[i].Store(math.Float64bits(f.RateMin))
+		b.enactedRates[i] = f.RateMin
 	}
 	b.route.Store(b.buildRouteTableLocked())
 	return b, nil
@@ -329,8 +281,7 @@ func (b *Broker) AttachConsumer(class model.ClassID, filter Filter, h Handler) (
 	}
 	cs.consumers = append(cs.consumers, c)
 	cs.counters.attached.Add(1)
-	b.attachedCount[class].Add(1)
-	b.journalLocked(uint64(class) | mutClassBit)
+	b.attachedCount[class]++
 	b.byID[id] = c
 	if b.tel != nil {
 		b.tel.ObserveConsumers(b.consumerTotalsLocked())
@@ -339,14 +290,14 @@ func (b *Broker) AttachConsumer(class model.ClassID, filter Filter, h Handler) (
 }
 
 // consumerTotalsLocked returns the attached and admitted consumer counts
-// across all classes, summed from the dense admitted mirror. Callers
+// across all classes, summed from the dense admitted counts. Callers
 // must hold b.mu and should skip the call entirely when b.tel is nil —
 // it is telemetry-only, and even a dense O(classes) scan is measurable
 // inside the enact critical section.
 func (b *Broker) consumerTotalsLocked() (attached, admitted int) {
 	attached = len(b.byID)
-	for j := range b.admittedCount {
-		admitted += int(b.admittedCount[j].Load())
+	for _, n := range b.admittedCount {
+		admitted += int(n)
 	}
 	return attached, admitted
 }
@@ -367,11 +318,11 @@ func (b *Broker) DetachConsumer(id ConsumerID) error {
 	cs := &b.classes[c.class]
 	cs.removeAt(slices.Index(cs.consumers, c))
 	cs.counters.attached.Add(-1)
-	b.attachedCount[c.class].Add(-1)
+	b.attachedCount[c.class]--
 	if c.admitted {
 		cs.admitted--
 		cs.counters.admitted.Add(-1)
-		b.admittedCount[c.class].Add(-1)
+		b.admittedCount[c.class]--
 		// Only an admitted consumer is visible to the data plane; its
 		// departure dirties exactly its class's flow. Detaching a
 		// never-admitted consumer (the common case in attach/detach
@@ -379,9 +330,6 @@ func (b *Broker) DetachConsumer(id ConsumerID) error {
 		b.dirtyClasses = append(b.dirtyClasses, c.class)
 		classes = 1
 	}
-	// Journaled once, after every mirror write it covers (see
-	// journalLocked: mirror stores must precede their journal entry).
-	b.journalLocked(uint64(c.class) | mutClassBit)
 	mode, flows := b.republishLocked()
 	b.observeEnactLocked(start, mode, classes, flows, 0)
 	if b.tel != nil {
@@ -401,32 +349,14 @@ func (b *Broker) Admitted(id ConsumerID) (bool, error) {
 	return c.admitted, nil
 }
 
-// lockEnact acquires b.mu for an enact, spinning briefly before
-// parking. A delta apply's critical section is single-digit
-// microseconds — shorter than a futex sleep/wake — and once waiters
-// park, sync.Mutex escalates sustained contention into starvation-mode
-// direct handoff, putting a scheduler wake-up on every subsequent
-// acquisition; enacts racing on a parked mutex lose a third of their
-// throughput to that latency. The spin is a bounded test-and-test-and-
-// set poll (TryLock fails with a plain load while the lock is held, so
-// spinners keep the state word shared instead of bouncing it), long
-// enough to outlast a narrow delta apply but not a broker-wide one, after
-// which the caller parks like anyone else.
-func (b *Broker) lockEnact() {
-	for i := 0; i < 512; i++ {
-		if b.mu.TryLock() {
-			return
-		}
-	}
-	b.mu.Lock()
-}
-
 // ApplyAllocation enacts an optimizer allocation: flow token buckets are
 // re-rated and each class admits (or unadmits) consumers to match n_j.
 // Admission is capped by the number of attached consumers; earlier
 // attachments are admitted first and the latest admitted are unadmitted
 // first when shrinking. The change becomes visible to publishers as one
-// atomic snapshot swap.
+// atomic snapshot swap. An allocation of the wrong shape, or holding a
+// rate a token bucket cannot run at (ErrBadRate), is refused before
+// anything changes.
 //
 // The enact cost is proportional to the delta, not to broker size: flows
 // whose rate is unchanged keep their token buckets untouched, classes
@@ -434,106 +364,47 @@ func (b *Broker) lockEnact() {
 // count moved re-slices its consumer array instead of copying it, and the
 // new snapshot shares every clean flow's route slice with its predecessor
 // (see enact.go). An allocation identical to the enacted one publishes
-// no snapshot at all.
-//
-// The O(flows+classes) diff scan takes no lock at all — it streams the
-// atomic mirrors — so concurrent enacts scan in parallel and serialize
-// only on the O(delta) application. The scan's result is validated
-// under the lock by replaying the mirror mutation journal — only the
-// entries recorded since the scan's generation snapshot — so the apply
-// phase never trusts a stale candidate and never misses a change that
-// landed mid-scan.
+// no snapshot at all. What does grow with the broker is the diff itself,
+// one pass over the dense enacted arrays under mu.
 func (b *Broker) ApplyAllocation(a model.Allocation) error {
 	if len(a.Rates) != len(b.p.Flows) || len(a.Consumers) != len(b.p.Classes) {
 		return fmt.Errorf("broker: allocation shape %d/%d, want %d/%d",
 			len(a.Rates), len(a.Consumers), len(b.p.Flows), len(b.p.Classes))
 	}
+	for i, r := range a.Rates {
+		// A NaN refill rate makes the bucket's token count NaN, after which
+		// it admits everything and no later rate repairs it.
+		if !(r >= 0 && r <= math.MaxFloat64) {
+			return fmt.Errorf("%w: flow %d rate %g", ErrBadRate, i, r)
+		}
+	}
 	now := b.now()
 	start := b.enactStartNanos()
-
-	// Phase A: optimistic lock-free diff against the atomic mirrors.
-	// Candidate indices land in stack buffers so a small delta allocates
-	// nothing here. The generation snapshot must be loaded before the
-	// mirror reads: sequential consistency then guarantees any mirror
-	// write the scan misses was journaled at a generation >= g0.
-	var rateBuf, classBuf [32]int32
-	rateIdx, classIdx := rateBuf[:0], classBuf[:0]
-	g0 := b.mutGen.Load()
-	for i, r := range a.Rates {
-		if math.Float64frombits(b.enactedRates[i].Load()) != r {
-			rateIdx = append(rateIdx, int32(i))
-		}
-	}
-	for j, want := range a.Consumers {
-		if b.classWantsChange(j, want) {
-			classIdx = append(classIdx, int32(j))
-		}
-	}
-
-	// Phase B: apply the delta under the lock.
-	b.lockEnact()
+	b.mu.Lock()
 	defer b.mu.Unlock()
-	if gen := b.mutGen.Load(); gen-g0 > mutLogSize {
-		// The scan fell further behind than the journal remembers
-		// (possible only under extreme churn): rescan authoritatively.
-		rateIdx, classIdx = rateIdx[:0], classIdx[:0]
-		for i, r := range a.Rates {
-			if math.Float64frombits(b.enactedRates[i].Load()) != r {
-				rateIdx = append(rateIdx, int32(i))
-			}
-		}
-		for j, want := range a.Consumers {
-			if b.classWantsChange(j, want) {
-				classIdx = append(classIdx, int32(j))
-			}
-		}
-	} else {
-		// Replay every mutation journaled since the scan. Duplicated
-		// candidates are harmless — the apply loops re-verify each one.
-		for g := g0; g != gen; g++ {
-			e := b.mutLog[g%mutLogSize]
-			idx := int32(e &^ mutClassBit)
-			if e&mutClassBit != 0 {
-				if b.classWantsChange(int(idx), a.Consumers[idx]) {
-					classIdx = append(classIdx, idx)
-				}
-			} else if math.Float64frombits(b.enactedRates[idx].Load()) != a.Rates[idx] {
-				rateIdx = append(rateIdx, idx)
-			}
-		}
-	}
 	rates := 0
-	for _, i := range rateIdx {
-		r := a.Rates[i]
-		if math.Float64frombits(b.enactedRates[i].Load()) == r {
-			// Candidate went stale between scan and apply. Skipping a
-			// same-rate SetRate is also what keeps re-enacts transcript-
-			// identical: token-bucket refill is associative (a min-
-			// clamped linear ramp), so not touching the bucket leaves
+	for i, r := range a.Rates {
+		if b.enactedRates[i] == r {
+			// Skipping a same-rate SetRate is also what keeps re-enacts
+			// transcript-identical: token-bucket refill is associative (a
+			// min-clamped linear ramp), so not touching the bucket leaves
 			// every future admission decision bit-identical.
 			continue
 		}
 		f := &b.flows[i]
 		f.bucket.SetRate(r, now)
 		f.setRate(r)
-		b.enactedRates[i].Store(math.Float64bits(r))
-		b.journalLocked(uint64(i))
+		b.enactedRates[i] = r
 		rates++
 	}
 	classes := 0
-	for _, j := range classIdx {
-		want := a.Consumers[j]
-		if att := int(b.attachedCount[j].Load()); want > att {
-			want = att
-		}
-		if want < 0 {
-			want = 0
-		}
-		if want == int(b.admittedCount[j].Load()) {
-			// Stale candidate, or: the admitted set is always the first
-			// cs.admitted consumers in attach order (attach appends
-			// unadmitted; detach and the flips below preserve the
-			// prefix), so an equal count means identical membership.
+	for j, want := range a.Consumers {
+		want = min(max(want, 0), int(b.attachedCount[j]))
+		if want == int(b.admittedCount[j]) {
+			// The admitted set is always the first cs.admitted consumers in
+			// attach order (attach appends unadmitted; detach and the flips
+			// below preserve the prefix), so an equal count means identical
+			// membership.
 			continue
 		}
 		cs := &b.classes[j]
@@ -548,8 +419,7 @@ func (b *Broker) ApplyAllocation(a model.Allocation) error {
 		}
 		cs.admitted = want
 		cs.counters.admitted.Store(int64(want))
-		b.admittedCount[j].Store(int32(want))
-		b.journalLocked(uint64(j) | mutClassBit)
+		b.admittedCount[j] = int32(want)
 		b.dirtyClasses = append(b.dirtyClasses, model.ClassID(j))
 		classes++
 	}

@@ -6,10 +6,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/utility"
-	"repro/internal/workload"
 )
 
 // fakeClock is a manually advanced time source.
@@ -341,167 +339,5 @@ func TestWorkUnitsDeterministic(t *testing.T) {
 	// deliveries) = 240.
 	if a != 240 {
 		t.Errorf("work units = %d, want 240", a)
-	}
-}
-
-func TestControllerEndToEnd(t *testing.T) {
-	// Full loop on the base workload: attach consumers, reoptimize, and
-	// verify the broker enforces the optimizer's decisions.
-	clock := newFakeClock()
-	p := workload.Base()
-	b, err := New(p, WithClock(clock.Now))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Demand: 100 consumers for the top class (4, rank 1 flow 0 node 0)
-	// and 50 for class 18 (rank 100).
-	for i := 0; i < 100; i++ {
-		if _, err := b.AttachConsumer(4, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 50; i++ {
-		if _, err := b.AttachConsumer(18, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	ctrl, err := NewController(b, ControllerConfig{Core: core.Config{Adaptive: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	alloc, enacted, err := ctrl.Reoptimize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !enacted {
-		t.Fatal("first cycle did not enact")
-	}
-	// Demand sync: n^max became the attached counts.
-	if p.Classes[4].MaxConsumers != 100 || p.Classes[18].MaxConsumers != 50 {
-		t.Errorf("demand sync: nmax = %d/%d", p.Classes[4].MaxConsumers, p.Classes[18].MaxConsumers)
-	}
-	// With tiny demand relative to capacity everyone is admitted at high
-	// rates.
-	cs4, _ := b.ClassStats(4)
-	cs18, _ := b.ClassStats(18)
-	if cs4.Admitted != 100 || cs18.Admitted != 50 {
-		t.Errorf("admitted = %d/%d, want 100/50", cs4.Admitted, cs18.Admitted)
-	}
-	if alloc.Rates[0] <= 0 {
-		t.Errorf("rate[0] = %g", alloc.Rates[0])
-	}
-
-	// A second cycle with identical demand converges to (nearly) the
-	// same allocation and is typically below the enactment threshold.
-	_, enacted2, err := ctrl.Reoptimize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	total, skipped := ctrl.Cycles()
-	if total != 2 {
-		t.Errorf("cycles = %d", total)
-	}
-	if enacted2 && skipped != 0 {
-		t.Errorf("inconsistent: enacted2=%v skipped=%d", enacted2, skipped)
-	}
-}
-
-// TestControllerAdmitsNewDemandAtFixpoint: with capacity to spare the
-// engine reaches an exact fixpoint and stops re-running admission, so
-// demand that arrives afterwards is admitted only if Reoptimize tells the
-// engine the class changed (Engine.SetClassDemand) instead of writing the
-// new n^max into the shared problem behind its back.
-func TestControllerAdmitsNewDemandAtFixpoint(t *testing.T) {
-	p := workload.Base()
-	for b := range p.Nodes {
-		p.Nodes[b].Capacity *= 1000
-	}
-	for l := range p.Links {
-		p.Links[l].Capacity *= 1000
-	}
-	b, err := New(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range p.Classes {
-		for k := 0; k < 2; k++ {
-			if _, err := b.AttachConsumer(model.ClassID(j), nil, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	ctrl, err := NewController(b, ControllerConfig{Core: core.Config{Adaptive: true}, ItersPerCycle: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctrl.Engine().Close()
-	if _, _, err := ctrl.Reoptimize(); err != nil {
-		t.Fatal(err)
-	}
-	if cs, _ := b.ClassStats(0); cs.Admitted != 2 {
-		t.Fatalf("first cycle admitted %d of 2 in class 0", cs.Admitted)
-	}
-	for k := 0; k < 3; k++ {
-		if _, err := b.AttachConsumer(0, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, _, err := ctrl.Reoptimize(); err != nil {
-		t.Fatal(err)
-	}
-	if cs, _ := b.ClassStats(0); cs.Admitted != 5 {
-		t.Errorf("after 3 more attached, class 0 admits %d of %d", cs.Admitted, cs.Attached)
-	}
-}
-
-func TestControllerLoop(t *testing.T) {
-	b, err := New(workload.Base())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		_, _ = b.AttachConsumer(0, nil, nil)
-	}
-	ctrl, err := NewController(b, ControllerConfig{Core: core.Config{Adaptive: true}, ItersPerCycle: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop := make(chan struct{})
-	done := ctrl.Loop(time.Millisecond, stop, nil)
-	deadline := time.After(5 * time.Second)
-	for {
-		if total, _ := ctrl.Cycles(); total >= 3 {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("loop did not run 3 cycles in time")
-		case <-time.After(time.Millisecond):
-		}
-	}
-	close(stop)
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("loop did not stop")
-	}
-}
-
-func TestRelChange(t *testing.T) {
-	tests := []struct {
-		prev, next, want float64
-	}{
-		{0, 0, 0},
-		{10, 10, 0},
-		{10, 11, 0.1 / 1.1}, // |1|/11
-		{0, 5, 1},
-	}
-	for _, tt := range tests {
-		got := relChange(tt.prev, tt.next)
-		if diff := got - tt.want; diff > 1e-12 || diff < -1e-12 {
-			t.Errorf("relChange(%g,%g) = %g, want %g", tt.prev, tt.next, got, tt.want)
-		}
 	}
 }

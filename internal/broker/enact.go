@@ -82,8 +82,8 @@ func WithEnactTelemetry(m *telemetry.EnactMetrics) Option {
 // AllClassStats returns a snapshot of every class's delivery-side
 // counters in one call, appending into dst (reused when capacity
 // suffices) and returning it. Served from atomics like ClassStats —
-// never takes the broker mutex, never stalls publishers — so a
-// controller syncing demand for thousands of classes pays no per-class
+// never takes the broker mutex, never stalls publishers — so the
+// autopilot syncing demand for thousands of classes pays no per-class
 // locking. Within one class the fields are individually exact; across
 // classes the snapshot is not atomic, same as any multi-counter scrape.
 func (b *Broker) AllClassStats(dst []ClassStats) []ClassStats {

@@ -1,8 +1,12 @@
 package broker
 
 import (
+	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/model"
 )
@@ -120,6 +124,62 @@ func TestApplyAllocationNoopAllocs(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Errorf("no-op ApplyAllocation allocs/op = %g, want <= 2", allocs)
+	}
+}
+
+// TestApplyAllocationRejectsBadRate: a rate no token bucket can run at is
+// refused with ErrBadRate before anything changes — a NaN refill rate would
+// turn the bucket's token count NaN, and a NaN count admits every message
+// from then on whatever rate is enacted later. The bad rate sits behind a
+// valid change to flow 0 and beside an admission change, neither of which
+// may land.
+func TestApplyAllocationRejectsBadRate(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		clock := newFakeClock()
+		br, err := New(fanProblem(3), WithClock(clock.Now))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := br.AttachConsumer(1, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		good := model.Allocation{Rates: []float64{20, 20, 20}, Consumers: []int{0, 1, 0}}
+		if err := br.ApplyAllocation(good); err != nil {
+			t.Fatal(err)
+		}
+		before, stats := br.route.Load(), br.EnactStats()
+		err = br.ApplyAllocation(model.Allocation{Rates: []float64{30, bad, 20}, Consumers: []int{0, 0, 0}})
+		if !errors.Is(err, ErrBadRate) {
+			t.Fatalf("rate %g: err = %v, want ErrBadRate", bad, err)
+		}
+		for i := range good.Rates {
+			if got := br.flows[i].bucket.Rate(); got != 20 {
+				t.Errorf("rate %g: flow %d bucket rate = %g, want 20", bad, i, got)
+			}
+			if fs, _ := br.FlowStats(model.FlowID(i)); fs.Rate != 20 {
+				t.Errorf("rate %g: flow %d reported rate = %g, want 20", bad, i, fs.Rate)
+			}
+		}
+		if !slices.Equal(br.enactedRates, good.Rates) || !slices.Equal(br.admittedCount, []int32{0, 1, 0}) {
+			t.Errorf("rate %g: enacted state = %v / %v, want %v / [0 1 0]", bad, br.enactedRates, br.admittedCount, good.Rates)
+		}
+		if br.route.Load() != before || br.EnactStats() != stats {
+			t.Errorf("rate %g: a refused allocation republished or was counted", bad)
+		}
+		// The bucket still works: a valid enact takes, and throttles.
+		if err := br.ApplyAllocation(model.Allocation{Rates: []float64{20, 5, 20}, Consumers: []int{0, 1, 0}}); err != nil {
+			t.Fatal(err)
+		}
+		clock.Advance(time.Second)
+		passed := 0
+		for k := 0; k < 100; k++ {
+			if br.Publish(1, nil, "") == nil {
+				passed++
+			}
+		}
+		if passed == 0 || passed > 20 {
+			t.Errorf("rate %g: %d of 100 publishes passed a 5 msg/s bucket after the refused enact", bad, passed)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/model"
+	"repro/internal/telemetry"
 )
 
 // Engine runs synchronous LRGP iterations over a problem. It is the
@@ -952,6 +953,56 @@ type Result struct {
 // one full window after first detection so the reported utility is the
 // settled value.
 func (e *Engine) Solve(maxIter int) Result {
+	res, _ := e.solve(maxIter, nil)
+	return res
+}
+
+// SolveTraced is Solve writing one telemetry.IterationRecord per iteration
+// to tw, numbered from iterBase+1 so that successive warm re-solves of one
+// engine continue a trace file rather than restart it. The recorded
+// utility series replayed through a fresh detector reproduces ConvergedAt.
+// The caller owns tw and must Flush it; a nil tw is plain Solve.
+func (e *Engine) SolveTraced(maxIter int, tw *telemetry.TraceWriter, iterBase int) (Result, error) {
+	if tw == nil {
+		return e.Solve(maxIter), nil
+	}
+	prev := make([]int, len(e.consumers))
+	return e.solve(maxIter, func(t int, r StepResult, converged bool) error {
+		alloc := e.Allocation()
+		delta := 0
+		for j, n := range alloc.Consumers {
+			if d := n - prev[j]; d >= 0 {
+				delta += d
+			} else {
+				delta -= d
+			}
+			prev[j] = n
+		}
+		rec := telemetry.IterationRecord{
+			Iteration:       iterBase + t + 1,
+			Utility:         r.Utility,
+			MaxNodeOverload: r.MaxNodeOverload,
+			MaxLinkOverload: r.MaxLinkOverload,
+			StageNanos:      r.StageNanos,
+			Rates:           alloc.Rates,
+			Consumers:       alloc.Consumers,
+			NodePrices:      e.NodePrices(),
+			LinkPrices:      e.LinkPrices(),
+			AdmissionDelta:  delta,
+			Converged:       converged,
+		}
+		if err := tw.Write(&rec); err != nil {
+			return fmt.Errorf("writing trace record %d: %w", rec.Iteration, err)
+		}
+		return nil
+	})
+}
+
+// solve is the one solve loop: it owns the convergence detector and the
+// stopping rule, and hands each iteration (0-based t, whether the
+// amplitude rule has been met by its end) to each, when non-nil. An error
+// from each ends the solve.
+func (e *Engine) solve(maxIter int, each func(t int, r StepResult, converged bool) error) (Result, error) {
 	if maxIter <= 0 {
 		maxIter = 250
 	}
@@ -960,7 +1011,13 @@ func (e *Engine) Solve(maxIter int) Result {
 	for t := 0; t < maxIter; t++ {
 		r := e.Step()
 		trace = append(trace, r.Utility)
-		if det.Observe(r.Utility) {
+		done := det.Observe(r.Utility)
+		if each != nil {
+			if err := each(t, r, det.Converged()); err != nil {
+				return Result{}, err
+			}
+		}
+		if done {
 			break
 		}
 	}
@@ -972,5 +1029,5 @@ func (e *Engine) Solve(maxIter int) Result {
 		ConvergedAt: det.ConvergedAt(),
 		Allocation:  e.Allocation(),
 		Trace:       trace,
-	}
+	}, nil
 }

@@ -1,73 +1,21 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
 // TracedRun solves the base workload with the adaptive engine, writing one
-// telemetry.IterationRecord per iteration to tw. The loop mirrors
-// core.Engine.Solve exactly — same convergence detector, same stopping
-// rule — so the recorded utility series replayed through a fresh detector
-// reproduces the run's ConvergedAt. The caller owns tw and must Flush it.
+// telemetry.IterationRecord per iteration to tw (core.Engine.SolveTraced).
+// The caller owns tw and must Flush it.
 func TracedRun(opts Options, tw *telemetry.TraceWriter) (core.Result, error) {
 	o := opts.normalized()
-	p := workload.Base()
 	em := telemetry.NewEngineMetrics(telemetry.NewRegistry())
-	e, err := core.NewEngine(p, o.engineConfig(core.Config{Adaptive: true, Telemetry: em}))
+	e, err := core.NewEngine(workload.Base(), o.engineConfig(core.Config{Adaptive: true, Telemetry: em}))
 	if err != nil {
 		return core.Result{}, err
 	}
 	defer e.Close()
-
-	det := metrics.NewConvergenceDetector(0, 0)
-	utilTrace := make([]float64, 0, o.Iterations)
-	prev := make([]int, len(p.Classes))
-	for t := 0; t < o.Iterations; t++ {
-		r := e.Step()
-		utilTrace = append(utilTrace, r.Utility)
-		done := det.Observe(r.Utility)
-
-		alloc := e.Allocation()
-		delta := 0
-		for j, n := range alloc.Consumers {
-			if d := n - prev[j]; d >= 0 {
-				delta += d
-			} else {
-				delta -= d
-			}
-			prev[j] = n
-		}
-		rec := telemetry.IterationRecord{
-			Iteration:       t + 1,
-			Utility:         r.Utility,
-			MaxNodeOverload: r.MaxNodeOverload,
-			MaxLinkOverload: r.MaxLinkOverload,
-			StageNanos:      r.StageNanos,
-			Rates:           alloc.Rates,
-			Consumers:       alloc.Consumers,
-			NodePrices:      e.NodePrices(),
-			LinkPrices:      e.LinkPrices(),
-			AdmissionDelta:  delta,
-			Converged:       det.Converged(),
-		}
-		if err := tw.Write(&rec); err != nil {
-			return core.Result{}, fmt.Errorf("writing trace record %d: %w", t+1, err)
-		}
-		if done {
-			break
-		}
-	}
-	return core.Result{
-		Utility:     utilTrace[len(utilTrace)-1],
-		Iterations:  len(utilTrace),
-		Converged:   det.Converged(),
-		ConvergedAt: det.ConvergedAt(),
-		Allocation:  e.Allocation(),
-		Trace:       utilTrace,
-	}, nil
+	return e.SolveTraced(o.Iterations, tw, 0)
 }

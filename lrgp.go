@@ -19,8 +19,9 @@
 //
 // Layered on top of the optimizer:
 //
-//   - NewBroker / NewController: a pub/sub enactment substrate with token-
-//     bucket rate limits and consumer admission control;
+//   - NewBroker / NewBrokerAutopilot: a pub/sub enactment substrate with
+//     token-bucket rate limits and consumer admission control, and the
+//     control loop that keeps re-optimizing it;
 //   - NewCluster: the optimizer as distributed message-passing agents over
 //     in-memory or TCP transports;
 //   - NewMultirateEngine: the multirate extension (per-class thinned
@@ -94,8 +95,8 @@ type (
 type (
 	// Broker is the pub/sub substrate that enacts allocations.
 	Broker = broker.Broker
-	// BrokerController closes the measure-optimize-enact loop.
-	BrokerController = broker.Controller
+	// BrokerAutopilot closes the measure-optimize-enact loop.
+	BrokerAutopilot = broker.Autopilot
 	// Message is one published event.
 	Message = broker.Message
 	// Filter is a content-based subscription predicate.
@@ -163,8 +164,8 @@ var (
 
 	// NewBroker builds the enactment substrate.
 	NewBroker = broker.New
-	// NewBrokerController wires a re-optimization loop around a broker.
-	NewBrokerController = broker.NewController
+	// NewBrokerAutopilot wires the re-optimization loop around a broker.
+	NewBrokerAutopilot = broker.NewAutopilot
 
 	// NewCluster attaches distributed LRGP agents to a network.
 	NewCluster = dist.New
