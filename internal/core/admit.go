@@ -51,7 +51,9 @@ type classBC struct {
 // also records epoch in popEpoch[class] and sets popChanged on the result;
 // the incremental engine uses this to seed the next iteration's dirty set.
 // Callers outside the engine (greedy seeding, the distributed node agent)
-// pass nil, 0 to disable tracking.
+// pass nil, 0 to disable tracking. vc, when non-nil, must hold the basis
+// of rates (see valueCache); the same outside callers pass nil and get the
+// per-class Utility.Value call.
 func admitNode(
 	p *model.Problem,
 	ix *model.Index,
@@ -60,6 +62,7 @@ func admitNode(
 	active []bool,
 	consumers []int,
 	scratch []classBC,
+	vc *valueCache,
 	popEpoch []int,
 	epoch int,
 ) admitResult {
@@ -85,7 +88,7 @@ func admitNode(
 			continue
 		}
 		r := rates[c.Flow]
-		value := c.Utility.Value(r)
+		value := vc.value(c, cid, r)
 		if value <= 0 {
 			// A consumer with non-positive utility at this rate would
 			// spend node resource without increasing the objective

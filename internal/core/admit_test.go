@@ -38,7 +38,7 @@ func admitAll(t *testing.T, p *model.Problem, ix *model.Index, rates []float64) 
 	for i := range active {
 		active[i] = true
 	}
-	res := admitNode(p, ix, 0, rates, active, consumers, nil, nil, 0)
+	res := admitNode(p, ix, 0, rates, active, consumers, nil, nil, nil, 0)
 	return consumers, res
 }
 
@@ -112,7 +112,7 @@ func TestAdmitInactiveFlowSkipped(t *testing.T) {
 	consumers := make([]int, len(p.Classes))
 	consumers[2] = 17 // stale population from when flow 1 was active
 	active := []bool{true, false}
-	res := admitNode(p, ix, 0, []float64{10, 0}, active, consumers, nil, nil, 0)
+	res := admitNode(p, ix, 0, []float64{10, 0}, active, consumers, nil, nil, nil, 0)
 
 	if consumers[2] != 0 {
 		t.Errorf("inactive flow class population = %d, want 0", consumers[2])
@@ -144,7 +144,7 @@ func TestAdmitDeterministicTieBreak(t *testing.T) {
 	ix := model.NewIndex(p)
 	consumers := make([]int, 2)
 	// Budget = 100 - 10 = 90; unit cost 30; 3 consumers fit.
-	admitNode(p, ix, 0, []float64{10}, []bool{true}, consumers, nil, nil, 0)
+	admitNode(p, ix, 0, []float64{10}, []bool{true}, consumers, nil, nil, nil, 0)
 	if consumers[0] != 3 || consumers[1] != 0 {
 		t.Errorf("consumers = %v, want [3 0] (deterministic tie-break)", consumers)
 	}
@@ -172,7 +172,7 @@ func TestAdmitSkipsNonPositiveUtility(t *testing.T) {
 	// a rate where it is negative: r such that Shift + r < 1, i.e. r=0.5.
 	// Rate bounds say RateMin=1; craft rate slice directly (admitNode
 	// trusts the caller's rates).
-	admitNode(p, ix, 0, []float64{0.5}, []bool{true}, consumers, nil, nil, 0)
+	admitNode(p, ix, 0, []float64{0.5}, []bool{true}, consumers, nil, nil, nil, 0)
 	if consumers[0] != 0 {
 		t.Errorf("negative-utility class admitted %d consumers", consumers[0])
 	}

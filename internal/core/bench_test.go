@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -298,4 +299,64 @@ func BenchmarkRateSolverBisection(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rs.solve(consumers, 37.5)
 	}
+}
+
+// churnEngine is the demand_churn cycle's optimizer half without the
+// broker: MetroSmall with every class's demand at half its ceiling, solved
+// once, plus the seeded stream of ±1 demand moves an attach/detach batch
+// becomes by the time the autopilot hands it to SetClassDemand.
+type churnEngine struct {
+	*Engine
+	rng    *rand.Rand
+	demand []int
+}
+
+func newChurnEngine(tb testing.TB, workers int) *churnEngine {
+	p := workload.MetroSmall()
+	demand := make([]int, len(p.Classes))
+	for j := range p.Classes {
+		p.Classes[j].MaxConsumers /= 2
+		demand[j] = p.Classes[j].MaxConsumers
+	}
+	e, err := NewEngine(p, Config{Adaptive: true, Workers: workers})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e.Solve(4000)
+	return &churnEngine{Engine: e, rng: rand.New(rand.NewSource(1)), demand: demand}
+}
+
+// batch applies ops seeded ±1 demand moves.
+func (c *churnEngine) batch(tb testing.TB, ops int) {
+	for k := 0; k < ops; k++ {
+		j := c.rng.Intn(len(c.demand))
+		if c.rng.Intn(2) == 0 && c.demand[j] > 0 {
+			c.demand[j]--
+		} else {
+			c.demand[j]++
+		}
+		if err := c.SetClassDemand(model.ClassID(j), c.demand[j]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWarmResolveChurn is one demand_churn cycle as the engine sees
+// it: a 200-op batch, then the autopilot's Solve(100). iters/op is the
+// mean iteration count of those solves.
+func BenchmarkWarmResolveChurn(b *testing.B) {
+	c := newChurnEngine(b, 0)
+	defer c.Close()
+	for i := 0; i < 20; i++ {
+		c.batch(b, 200)
+		c.Solve(100)
+	}
+	iters := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.batch(b, 200)
+		iters += c.Solve(100).Iterations
+	}
+	b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
 }

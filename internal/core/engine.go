@@ -102,6 +102,40 @@ type Engine struct {
 	// written.
 	flowUtil      []float64
 	flowUtilEpoch []int
+
+	// vc is the flow-basis value cache (DESIGN.md §9): what the node and
+	// utility stages read instead of calling Utility.Value per class.
+	vc valueCache
+}
+
+// valueCache holds, per flow whose classes all have the form
+// U_j(r) = Scale_j * g(r) (rateSolver.cached), the shared factor g(r_i) at
+// the flow's current rate, and per class its Scale_j. scale[j] * basis[i]
+// is then the expression Log.Value and Power.Value evaluate — one
+// multiplication of the same two floats — so it is the same float, at one
+// transcendental per flow per rate change instead of one per class per
+// stage. basis[i] is NaN for a flow with no such form; its classes keep
+// the interface call.
+//
+// basis[i] is written wherever e.rates[i] is: by the rate stage when the
+// rate moves, by SetFlowActive, and by NewEngine and warmRestart (which
+// also refill scale, after the solvers re-bind). Its readers — admitNode
+// and flowUtilItem — run later in the same shard's stepShard, so a shard
+// only ever reads what it wrote itself.
+type valueCache struct {
+	basis []float64
+	scale []float64
+}
+
+// value returns U_j(r) for class cid of flow c.Flow at that flow's current
+// rate r; a nil cache is the plain interface call.
+func (vc *valueCache) value(c *model.Class, cid model.ClassID, r float64) float64 {
+	if vc != nil {
+		if g := vc.basis[c.Flow]; g == g {
+			return vc.scale[cid] * g
+		}
+	}
+	return c.Utility.Value(r)
 }
 
 // shardState is one plan shard's private working state; everything else a
@@ -192,6 +226,10 @@ func NewEngine(p *model.Problem, cfg Config) (*Engine, error) {
 		utilStale:      true,
 		flowUtil:       make([]float64, len(p.Flows)),
 		flowUtilEpoch:  make([]int, len(p.Flows)),
+		vc: valueCache{
+			basis: make([]float64, len(p.Flows)),
+			scale: make([]float64, len(p.Classes)),
+		},
 	}
 	e.shardFn = e.stepShard
 	e.adoptPlan(newStagePlan(p, ix, c.Workers))
@@ -200,6 +238,7 @@ func NewEngine(p *model.Problem, cfg Config) (*Engine, error) {
 		e.active[i] = true
 		e.flowForced[i] = true
 		e.solvers[i] = newRateSolver(p, ix, model.FlowID(i))
+		e.rebase(i)
 	}
 	for b := range e.nodePrices {
 		e.nodePrices[b] = c.InitialNodePrice
@@ -399,6 +438,7 @@ func (e *Engine) rateItem(i, prev int, dirty *int, changed *bool) {
 	e.rateOne(i)
 	if e.rates[i] != old {
 		e.rateEpoch[i] = e.iteration
+		e.vc.basis[i] = e.solvers[i].basis(e.rates[i])
 		*changed = true
 	}
 }
@@ -437,7 +477,7 @@ func (e *Engine) admitItem(b int, sh *shardState, skipped *int, popChanged *bool
 	}
 	e.nodeForced[b] = false
 	out := admitNode(e.p, e.ix, bid, e.rates, e.active, e.consumers, sh.scratch,
-		e.popEpoch, e.iteration)
+		&e.vc, e.popEpoch, e.iteration)
 	e.nodeUsed[b], e.nodeBest[b] = out.used, out.bestUnsatisfied
 	if out.popChanged {
 		*popChanged = true
@@ -627,15 +667,34 @@ func (e *Engine) stepShard(s int) {
 // current rate and populations, stamping the cache epoch.
 func (e *Engine) flowUtilItem(i int) {
 	total := 0.0
-	r := e.rates[i]
-	classes := e.p.Classes
-	for _, cid := range e.ix.ClassesByFlow(model.FlowID(i)) {
-		if n := e.consumers[cid]; n != 0 {
-			total += float64(n) * classes[cid].Utility.Value(r)
+	if g := e.vc.basis[i]; g == g {
+		scale := e.vc.scale
+		for _, cid := range e.ix.ClassesByFlow(model.FlowID(i)) {
+			if n := e.consumers[cid]; n != 0 {
+				total += float64(n) * (scale[cid] * g)
+			}
+		}
+	} else {
+		r := e.rates[i]
+		classes := e.p.Classes
+		for _, cid := range e.ix.ClassesByFlow(model.FlowID(i)) {
+			if n := e.consumers[cid]; n != 0 {
+				total += float64(n) * classes[cid].Utility.Value(r)
+			}
 		}
 	}
 	e.flowUtil[i] = total
 	e.flowUtilEpoch[i] = e.iteration
+}
+
+// rebase refills flow i's side of the value cache from its solver's
+// current binding and the flow's current rate.
+func (e *Engine) rebase(i int) {
+	rs := e.solvers[i]
+	for k, cid := range rs.classes {
+		e.vc.scale[cid] = rs.scales[k]
+	}
+	e.vc.basis[i] = rs.basis(e.rates[i])
 }
 
 // flowPrice computes PL_i + PB_i (Equations 8 and 9) for flow i from the
@@ -697,6 +756,7 @@ func (e *Engine) SetFlowActive(i model.FlowID, active bool) {
 	} else {
 		e.rates[i] = e.p.Flows[i].RateMin
 	}
+	e.vc.basis[i] = e.solvers[i].basis(e.rates[i])
 	// The rate and populations changed outside Step, so the epoch checks
 	// cannot see it: force the flow, every node its path crosses (their
 	// cached admission reflects the old rate) and every link it traverses
@@ -841,13 +901,12 @@ func (e *Engine) ResetRouting(p *model.Problem, d model.RoutingDelta) error {
 // recomputes everything.
 func (e *Engine) warmRestart(p *model.Problem) {
 	e.p = p
-	for i := range e.solvers {
-		e.solvers[i].bind(p)
-	}
 	for i := range p.Flows {
+		e.solvers[i].bind(p)
 		if e.active[i] {
 			e.rates[i] = clamp(e.rates[i], p.Flows[i].RateMin, p.Flows[i].RateMax)
 		}
+		e.rebase(i)
 	}
 	for j := range p.Classes {
 		if e.consumers[j] > p.Classes[j].MaxConsumers {

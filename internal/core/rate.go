@@ -45,6 +45,16 @@ type rateSolver struct {
 	exponent float64
 	// scales[k] is the rank/scale of classes[k] (famLog/famPower).
 	scales []float64
+	// cached reports that bind proved every class of the flow to be
+	// Scale_j * g(r) for one g (famLog or famPower), so boundPow and the
+	// engine's flow-basis cache may stand in for the per-class interface
+	// calls. Tests clear it to get the interface-call oracle.
+	cached bool
+	// boundPow is math.Pow(r^min, k-1), math.Pow(r^max, k-1) for famPower:
+	// the one transcendental the two saturation tests of solve share
+	// across the flow's classes. bind always rewrites it — the exponent can
+	// change at unchanged bounds.
+	boundPow [2]float64
 
 	// bisectFn is built on first use and reused so the famGeneral path
 	// does not allocate a closure per solve; bisectConsumers and
@@ -83,6 +93,7 @@ func (rs *rateSolver) bind(p *model.Problem) {
 
 	rs.family = famGeneral
 	rs.shift, rs.exponent = 0, 0
+	rs.cached = false
 	if len(rs.classes) == 0 {
 		return
 	}
@@ -108,6 +119,13 @@ func (rs *rateSolver) bind(p *model.Problem) {
 			rs.scales[k] = u.Scale
 		}
 	}
+	rs.cached = rs.family != famGeneral
+	if rs.family == famPower {
+		rs.boundPow = [2]float64{
+			math.Pow(rs.flow.RateMin, rs.exponent-1),
+			math.Pow(rs.flow.RateMax, rs.exponent-1),
+		}
+	}
 }
 
 // solve returns the rate maximizing Equation 7 for the given populations
@@ -129,10 +147,10 @@ func (rs *rateSolver) solve(consumers []int, price float64) float64 {
 	}
 
 	// Marginal utility at the bounds decides saturation.
-	if rs.marginal(consumers, rmin) <= price {
+	if rs.marginalAtBound(consumers, 0) <= price {
 		return rmin
 	}
-	if rs.marginal(consumers, rmax) >= price {
+	if rs.marginalAtBound(consumers, 1) >= price {
 		return rmax
 	}
 
@@ -173,6 +191,51 @@ func (rs *rateSolver) marginal(consumers []int, r float64) float64 {
 		}
 	}
 	return sum
+}
+
+// marginalAtBound is marginal at r^min (hi = 0) or r^max (hi = 1). For a
+// cached flow each term is the expression the class's Deriv evaluates —
+// Scale/(Shift+r) for Log, Scale*Exponent*r^(Exponent-1) for Power, in
+// that association — with the part the classes share computed once, so the
+// sum is the same float.
+func (rs *rateSolver) marginalAtBound(consumers []int, hi int) float64 {
+	r := rs.flow.RateMin
+	if hi == 1 {
+		r = rs.flow.RateMax
+	}
+	if !rs.cached {
+		return rs.marginal(consumers, r)
+	}
+	sum := 0.0
+	if rs.family == famLog {
+		d := rs.shift + r
+		for k, cid := range rs.classes {
+			if n := consumers[cid]; n > 0 {
+				sum += float64(n) * (rs.scales[k] / d)
+			}
+		}
+		return sum
+	}
+	pw := rs.boundPow[hi]
+	for k, cid := range rs.classes {
+		if n := consumers[cid]; n > 0 {
+			sum += float64(n) * (rs.scales[k] * rs.exponent * pw)
+		}
+	}
+	return sum
+}
+
+// basis returns g(r), the factor every class utility of a cached flow
+// shares — U_j(r) = Scale_j * g(r) — and NaN for a flow that has none.
+func (rs *rateSolver) basis(r float64) float64 {
+	switch {
+	case !rs.cached:
+		return math.NaN()
+	case rs.family == famLog:
+		return math.Log(rs.shift + r)
+	default:
+		return math.Pow(r, rs.exponent)
+	}
 }
 
 // weightedScale returns sum_j n_j scale_j for the homogeneous fast paths.

@@ -65,7 +65,7 @@ func (na *NodeAllocator) SetFlowActive(i model.FlowID, active bool) {
 // slice indexed by FlowID), writing populations into consumers (full-length
 // slice indexed by ClassID; only this node's classes are written).
 func (na *NodeAllocator) Allocate(rates []float64, consumers []int) NodeAllocation {
-	res := admitNode(na.p, na.ix, na.node, rates, na.active, consumers, na.ranked, nil, 0)
+	res := admitNode(na.p, na.ix, na.node, rates, na.active, consumers, na.ranked, nil, nil, 0)
 	return NodeAllocation{Used: res.used, BestUnsatisfied: res.bestUnsatisfied}
 }
 
