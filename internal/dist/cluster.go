@@ -200,7 +200,7 @@ func New(p *model.Problem, cfg Config, net transport.Network) (*Cluster, error) 
 	cl.coll.latestOnly = c.Mode == Async
 	cl.coll.parked = c.parkCollector
 
-	ctrlEP, err := net.Endpoint("cluster-ctrl")
+	ctrlEP, err := net.Endpoint(ctrlName)
 	if err != nil {
 		return nil, fmt.Errorf("dist: control endpoint: %w", err)
 	}
@@ -374,6 +374,7 @@ func (cl *Cluster) buildGateways(p *model.Problem, net transport.Network, c Conf
 		cl.route[flowName(model.FlowID(i))] = cl.route[nodeName(p.Flows[i].Source)]
 	}
 	cl.route[collectorName] = collectorName
+	cl.route[ctrlName] = ctrlName
 	for k := 0; k < hosts; k++ {
 		ep, err := net.Endpoint(hostName(k))
 		if err != nil {
@@ -475,10 +476,79 @@ func (cl *Cluster) RemoveFlow(i model.FlowID) error {
 // JoinFlow re-activates a previously removed flow: its agent re-announces
 // itself and the node agents resume expecting it. Like RemoveFlow, it
 // must be invoked between Run calls in Sync mode (when no rounds are
-// pending anywhere).
+// pending anywhere), and not concurrently with itself.
+//
+// The rejoin happens before the next round: JoinFlow returns only once
+// every node agent the flow exchanges with, and the collector, have
+// acknowledged that they count the flow active again. Telling the flow's
+// agent alone is not enough — the others would learn of the rejoin from
+// its first announcement, and until that arrives their barrier does not
+// wait for it, so a whole Run could finish before the idle agent's
+// goroutine was scheduled to read its Join. Notices and acknowledgements
+// that a lossy transport drops are asked for again.
 func (cl *Cluster) JoinFlow(i model.FlowID) error {
+	if i < 0 || int(i) >= len(cl.flows) {
+		return fmt.Errorf("dist: join: unknown flow %d", i)
+	}
+	waiting := map[string]bool{collectorName: true}
+	for _, peer := range cl.flows[i].peerNames {
+		waiting[peer] = true
+	}
+	notify := func() error {
+		for to := range waiting {
+			if err := cl.sendCtrl(to, ctrlMsg{Expect: true, Flow: i}); err != nil && !errors.Is(err, transport.ErrDropped) {
+				return fmt.Errorf("dist: join ctrl: %w", err)
+			}
+		}
+		return nil
+	}
+	if err := notify(); err != nil {
+		return err
+	}
+	deadline := time.NewTimer(joinTimeout)
+	defer deadline.Stop()
+	again := time.NewTicker(joinResend)
+	defer again.Stop()
+	var (
+		dec   transport.Decoder
+		inner []transport.Message
+	)
+	for len(waiting) > 0 {
+		select {
+		case m, ok := <-cl.ctrl.Recv():
+			if !ok {
+				return fmt.Errorf("dist: join: %w", transport.ErrClosed)
+			}
+			// Batch-mode agents answer through their host's gateway.
+			inner = append(inner[:0], m)
+			if m.Kind == batchKind {
+				var err error
+				if inner, err = decodeBatch(&dec, inner[:0], m.Payload); err != nil {
+					continue
+				}
+			}
+			for _, im := range inner {
+				if cm, err := decodeCtrl(im.Payload); im.Kind == ctrlKind && err == nil && cm.Expect && cm.Flow == i {
+					delete(waiting, im.From)
+				}
+			}
+		case <-again.C:
+			if err := notify(); err != nil {
+				return err
+			}
+		case <-deadline.C:
+			return fmt.Errorf("dist: join of flow %d: %d agents did not acknowledge within %v", i, len(waiting), joinTimeout)
+		}
+	}
 	return cl.sendCtrl(flowName(i), ctrlMsg{Join: true})
 }
+
+// JoinFlow gives the agents joinTimeout to acknowledge, asking those still
+// silent again every joinResend.
+const (
+	joinTimeout = 30 * time.Second
+	joinResend  = 50 * time.Millisecond
+)
 
 // Allocation returns the collector's latest global allocation view.
 func (cl *Cluster) Allocation() model.Allocation {

@@ -159,6 +159,14 @@ func (c *collector) handle(m transport.Message) bool {
 	switch m.Kind {
 	case ctrlKind:
 		cm, err := decodeCtrl(m.Payload)
+		if err == nil && cm.Expect {
+			if int(cm.Flow) < len(c.active) {
+				c.mu.Lock()
+				c.setActiveLocked(cm.Flow, true)
+				c.mu.Unlock()
+			}
+			echoExpect(c.ep, m)
+		}
 		return err != nil || !cm.Stop
 	case rateKind:
 		if rm, err := decodeRate(m.Payload); err == nil && int(rm.Flow) < len(c.rates) {
@@ -215,15 +223,7 @@ func (c *collector) absorbRate(rm rateMsg) {
 	defer c.mu.Unlock()
 	c.latestFlow[rm.Flow] = max(c.latestFlow[rm.Flow], rm.Round)
 	a := c.asmLocked(rm.Round)
-	if c.active[rm.Flow] != rm.Active { // a departure, or a rejoining flow becomes active again
-		c.active[rm.Flow] = rm.Active
-		if rm.Active {
-			c.activeCount++
-		} else {
-			c.activeCount--
-		}
-		c.recountPendingLocked()
-	}
+	c.setActiveLocked(rm.Flow, rm.Active)
 	if rm.Active {
 		c.rates[rm.Flow] = rm.Rate
 		if a != nil {
@@ -242,6 +242,22 @@ func (c *collector) absorbRate(rm rateMsg) {
 		}
 	}
 	c.completeRoundsLocked(rm.Round)
+}
+
+// setActiveLocked records a flow's departure or its rejoin (announced by
+// the flow's own rate, or ahead of it by Cluster.JoinFlow's Expect
+// control); only a change of state does anything.
+func (c *collector) setActiveLocked(i model.FlowID, on bool) {
+	if c.active[i] == on {
+		return
+	}
+	c.active[i] = on
+	if on {
+		c.activeCount++
+	} else {
+		c.activeCount--
+	}
+	c.recountPendingLocked()
 }
 
 // recountPendingLocked rebuilds the per-round active-rate counters after a

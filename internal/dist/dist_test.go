@@ -305,6 +305,103 @@ func TestRemoveAndRejoinFlow(t *testing.T) {
 	}
 }
 
+// TestRejoinHappensBeforeNextRound: JoinFlow returns only once the flow's
+// peers and the collector expect it, so the very next round — a Run of one —
+// already carries it, on every transport and with batching gateways in
+// between. (A fire-and-forget Join let that round, and as many after it as
+// the scheduler pleased, finish without the flow.)
+func TestRejoinHappensBeforeNextRound(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		net  func() transport.Network
+		cfg  Config
+	}{
+		{"memory", func() transport.Network { return transport.NewMemory() }, Config{}},
+		{"memory/batched", func() transport.Network { return transport.NewMemory() }, Config{Batch: true, Hosts: 2}},
+		{"tcp", func() transport.Network { return transport.NewTCP() }, Config{}},
+		{"tcp/batched", func() transport.Network { return transport.NewTCP() }, Config{Batch: true, Hosts: 2}},
+		{"memory/staleness=2", func() transport.Network { return transport.NewMemory() }, Config{Staleness: 2}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			net := c.net()
+			defer net.Close()
+			c.cfg.Core = core.Config{Adaptive: true}
+			cl, err := New(workload.Base(), c.cfg, net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			for k := 0; k < 5; k++ {
+				if _, err := cl.Run(20, time.Minute); err != nil {
+					t.Fatal(err)
+				}
+				if err := cl.RemoveFlow(5); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := cl.Run(20, time.Minute); err != nil {
+					t.Fatal(err)
+				}
+				if a := cl.Allocation(); a.Rates[5] != 0 || a.Consumers[18] != 0 {
+					t.Fatalf("cycle %d: removed flow 5 still allocated: rate=%g n18=%d", k, a.Rates[5], a.Consumers[18])
+				}
+				if err := cl.JoinFlow(5); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := cl.Run(1, time.Minute); err != nil {
+					t.Fatal(err)
+				}
+				if a := cl.Allocation(); a.Rates[5] <= 0 {
+					t.Fatalf("cycle %d: flow 5 missed the round after its rejoin: rate=%g", k, a.Rates[5])
+				}
+			}
+		})
+	}
+}
+
+// TestJoinFlowRepairsLostAcknowledgement: an acknowledgement the transport
+// drops is asked for again, so JoinFlow still returns once the path heals.
+func TestJoinFlowRepairsLostAcknowledgement(t *testing.T) {
+	net := transport.NewMemory()
+	defer net.Close()
+	cl, err := New(workload.Base(), Config{Core: core.Config{Adaptive: true}}, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.Run(10, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.RemoveFlow(5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Run(10, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	deaf := cl.flows[5].peerNames[0]
+	net.SetOneWay(deaf, ctrlName, true)
+	dropped := net.NetStats().Dropped
+	joined := make(chan error, 1)
+	go func() { joined <- cl.JoinFlow(5) }()
+	for net.NetStats().Dropped == dropped { // until the first acknowledgement is lost
+		select {
+		case err := <-joined:
+			t.Fatalf("JoinFlow returned (%v) without %s's acknowledgement", err, deaf)
+		default:
+			time.Sleep(time.Millisecond)
+		}
+	}
+	net.SetOneWay(deaf, ctrlName, false)
+	if err := <-joined; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Run(1, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if a := cl.Allocation(); a.Rates[5] <= 0 {
+		t.Fatalf("flow 5 missed the round after its rejoin: rate=%g", a.Rates[5])
+	}
+}
+
 func TestJoinActiveFlowIsNoop(t *testing.T) {
 	p := workload.Base()
 	net := transport.NewMemory()

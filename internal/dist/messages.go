@@ -28,6 +28,7 @@ import (
 // Endpoint naming scheme.
 const (
 	collectorName = "collector"
+	ctrlName      = "cluster-ctrl"
 	ctrlKind      = "ctrl"
 	rateKind      = "rate"
 	reportKind    = "report"
@@ -139,6 +140,12 @@ type ctrlMsg struct {
 	Join bool `json:"join,omitempty"`
 	// Stop tells any agent to exit immediately.
 	Stop bool `json:"stop,omitempty"`
+	// Expect tells a node agent or the collector that flow Flow is
+	// rejoining: it counts the flow active from its next round on and
+	// echoes the message to its sender, which is how Cluster.JoinFlow
+	// knows the rejoin happens before that round.
+	Expect bool         `json:"expect,omitempty"`
+	Flow   model.FlowID `json:"flow,omitempty"`
 }
 
 // Payload encoding. Every dist payload opens with a type tag and uses
@@ -287,7 +294,10 @@ func (cm ctrlMsg) appendBinary(dst []byte) []byte {
 	if cm.Stop {
 		flags |= 4
 	}
-	return append(dst, flags)
+	if !cm.Expect {
+		return append(dst, flags)
+	}
+	return binary.AppendUvarint(append(dst, flags|8), uint64(cm.Flow))
 }
 
 func decodeCtrl(payload []byte) (ctrlMsg, error) {
@@ -302,7 +312,10 @@ func decodeCtrl(payload []byte) (ctrlMsg, error) {
 	}
 	cm := ctrlMsg{RunUntil: c.Int()}
 	flags := c.Byte()
-	cm.Leave, cm.Join, cm.Stop = flags&1 != 0, flags&2 != 0, flags&4 != 0
+	cm.Leave, cm.Join, cm.Stop, cm.Expect = flags&1 != 0, flags&2 != 0, flags&4 != 0, flags&8 != 0
+	if cm.Expect {
+		cm.Flow = model.FlowID(c.Int())
+	}
 	if err := trailing(&c, ctrlKind); err != nil {
 		return ctrlMsg{}, err
 	}

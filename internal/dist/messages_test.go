@@ -43,6 +43,9 @@ func distPayloadCases() (rates []rateMsg, reports []reportMsg, ctrls []ctrlMsg) 
 		{Join: true},
 		{Stop: true},
 		{RunUntil: 1 << 30, Leave: true, Join: true, Stop: true},
+		{Expect: true},
+		{Expect: true, Flow: 300},
+		{RunUntil: 7, Stop: true, Expect: true, Flow: 5},
 	}
 	return rates, reports, ctrls
 }

@@ -192,8 +192,9 @@ func (na *nodeAgent) step(round, lag int) error {
 }
 
 // absorbRate folds one rate announcement into the node's state: a
-// departure, a rejoin (only legal between Run calls, when no rounds are
-// pending; see Cluster.JoinFlow), or a rate — which a resent or reordered
+// departure, a rejoin (Cluster.JoinFlow's Expect control normally got
+// here first; only legal between Run calls, when no rounds are pending),
+// or a rate — which a resent or reordered
 // older one must not overwrite. Anything but a well-formed announcement of
 // an expected flow is ignored.
 func (na *nodeAgent) absorbRate(payload []byte) {
@@ -267,11 +268,23 @@ func (na *nodeAgent) handle(m transport.Message) bool {
 	switch m.Kind {
 	case ctrlKind:
 		cm, err := decodeCtrl(m.Payload)
+		if err == nil && cm.Expect {
+			if k, ok := slices.BinarySearch(na.flows, cm.Flow); ok && na.inactive[k] {
+				na.setActive(k, true)
+			}
+			echoExpect(na.ep, m)
+		}
 		return err != nil || !cm.Stop
 	case rateKind:
 		na.absorbRate(m.Payload)
 	}
 	return true
+}
+
+// echoExpect returns an Expect control to its sender once it has taken
+// effect. A lost echo is the sender's to repair (it asks again).
+func echoExpect(ep transport.Endpoint, m transport.Message) {
+	_ = ep.Send(transport.Message{From: ep.Name(), To: m.From, Kind: ctrlKind, Payload: m.Payload})
 }
 
 // run is the round loop: the node computes round t as soon as canCompute
