@@ -423,9 +423,9 @@ func TestAutopilotAutoscaleScenario(t *testing.T) {
 			if err := ap.Engine().SetNodeCapacity(0, p.Nodes[0].Capacity/2); err != nil {
 				t.Fatal(err)
 			}
-		}, true, [4]int{300, 200, 302, 1605}, [4]int{300, 200, 1000, 4500}},
+		}, true, [4]int{300, 200, 305, 1606}, [4]int{300, 200, 1000, 4500}},
 		{"200 extra orders-east attach", func() { extra = attach(0, 200) },
-			true, [4]int{500, 200, 39, 1699}, [4]int{500, 200, 1000, 4500}},
+			true, [4]int{500, 200, 40, 1700}, [4]int{500, 200, 1000, 4500}},
 		{"the 200 extras detach again", func() {
 			for _, id := range extra {
 				if err := b.DetachConsumer(id); err != nil {

@@ -311,14 +311,14 @@ type churnEngine struct {
 	demand []int
 }
 
-func newChurnEngine(tb testing.TB, workers int) *churnEngine {
+func newChurnEngine(tb testing.TB, cfg Config) *churnEngine {
 	p := workload.MetroSmall()
 	demand := make([]int, len(p.Classes))
 	for j := range p.Classes {
 		p.Classes[j].MaxConsumers /= 2
 		demand[j] = p.Classes[j].MaxConsumers
 	}
-	e, err := NewEngine(p, Config{Adaptive: true, Workers: workers})
+	e, err := NewEngine(p, cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func (c *churnEngine) batch(tb testing.TB, ops int) {
 // it: a 200-op batch, then the autopilot's Solve(100). iters/op is the
 // mean iteration count of those solves.
 func BenchmarkWarmResolveChurn(b *testing.B) {
-	c := newChurnEngine(b, 0)
+	c := newChurnEngine(b, Config{Adaptive: true})
 	defer c.Close()
 	for i := 0; i < 20; i++ {
 		c.batch(b, 200)

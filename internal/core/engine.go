@@ -103,6 +103,19 @@ type Engine struct {
 	flowUtil      []float64
 	flowUtilEpoch []int
 
+	// det follows the one utility series this engine produces, across Solve
+	// calls, mutators and Reset*: the paper's optimizer runs all the time
+	// and is judged on one continuing series (§2.1, §4.3), so a warm
+	// re-solve continues the window instead of refilling it. work holds the
+	// last Step's DirtyFlows/SkippedNodes/SkippedLinks and workSteady
+	// whether they equalled the Step's before; settled is set by a Solve
+	// that converged and cleared by anything that could move the
+	// allocation (Step, the mutators, Reset*). See solve for the rule.
+	det        *metrics.ConvergenceDetector
+	work       [3]int
+	workSteady bool
+	settled    bool
+
 	// vc is the flow-basis value cache (DESIGN.md §9): what the node and
 	// utility stages read instead of calling Utility.Value per class.
 	vc valueCache
@@ -224,6 +237,7 @@ func NewEngine(p *model.Problem, cfg Config) (*Engine, error) {
 		nodeBest:       make([]float64, len(p.Nodes)),
 		linkUsed:       make([]float64, len(p.Links)),
 		utilStale:      true,
+		det:            metrics.NewConvergenceDetector(0, 0),
 		flowUtil:       make([]float64, len(p.Flows)),
 		flowUtilEpoch:  make([]int, len(p.Flows)),
 		vc: valueCache{
@@ -381,6 +395,11 @@ func (e *Engine) Step() StepResult {
 		e.utilStale = false
 	}
 	res.Utility = e.util
+
+	work := [3]int{res.DirtyFlows, res.SkippedNodes, res.SkippedLinks}
+	e.workSteady = work == e.work
+	e.work = work
+	e.settled = false
 
 	if tel != nil {
 		tel.ObserveStep(res.StageNanos, res.Utility,
@@ -747,6 +766,7 @@ func (e *Engine) SetFlowActive(i model.FlowID, active bool) {
 		return
 	}
 	e.active[i] = active
+	e.settled = false
 	if !active {
 		e.rates[i] = 0
 		for _, cid := range e.ix.ClassesByFlow(i) {
@@ -792,6 +812,7 @@ func (e *Engine) SetClassDemand(j model.ClassID, maxConsumers int) error {
 		return fmt.Errorf("core: class %d demand %d < 0", j, maxConsumers)
 	}
 	e.p.Classes[j].MaxConsumers = maxConsumers
+	e.settled = false
 	if e.consumers[j] > maxConsumers {
 		e.consumers[j] = maxConsumers
 		// The truncated population is an out-of-Step change: the class's
@@ -817,6 +838,7 @@ func (e *Engine) SetNodeCapacity(b model.NodeID, capacity float64) error {
 	}
 	e.p.Nodes[b].Capacity = capacity
 	e.nodeCap[b] = capacity
+	e.settled = false
 	// The admission budget changed; the cached used/bestUnsatisfied are
 	// stale. (The price sweep reads the capacity mirror each iteration.)
 	e.nodeForced[b] = true
@@ -921,6 +943,7 @@ func (e *Engine) warmRestart(p *model.Problem) {
 	// stale match would wrongly skip a recompute.
 	e.iteration = 0
 	e.util, e.utilStale = 0, true
+	e.settled = false
 	for i := range e.flowForced {
 		e.flowForced[i] = true
 		e.rateEpoch[i] = 0
@@ -992,25 +1015,47 @@ func (e *Engine) Gammas() []float64 {
 
 // Result summarizes a Solve run.
 type Result struct {
-	// Utility is the objective value at the final iteration.
+	// Utility is the objective value at the final iteration (the standing
+	// value when no iteration ran).
 	Utility float64
-	// Iterations is the number of iterations executed.
+	// Iterations is the number of iterations this Solve executed; 0 when
+	// Stop is StopSettled.
 	Iterations int
-	// Converged reports whether the 0.1% amplitude rule was met.
+	// Converged reports whether the 0.1% amplitude rule was met, i.e. Stop
+	// is not StopBudget.
 	Converged bool
-	// ConvergedAt is the first iteration satisfying the rule (or -1).
+	// ConvergedAt is the iteration of this Solve at which the rule was met
+	// — the last one, since the solve stops there; 0 when no iteration
+	// was needed, -1 when the rule was not met.
 	ConvergedAt int
+	// Stop says why the Solve returned.
+	Stop telemetry.StopReason
 	// Allocation is the final allocation.
 	Allocation model.Allocation
-	// Trace is the utility after each iteration.
+	// Trace is the utility after each iteration of this Solve.
 	Trace []float64
 }
 
-// Solve runs until the paper's convergence rule (utility oscillation
-// amplitude < 0.1% over a trailing window) or maxIter iterations,
-// whichever comes first, and returns the outcome. Iterations continue for
-// one full window after first detection so the reported utility is the
-// settled value.
+// Solve iterates until the paper's convergence rule — utility oscillation
+// amplitude below 0.1% over the trailing metrics.DefaultWindow iterations
+// — or maxIter iterations, whichever comes first, and stops at the first
+// iteration that meets it.
+//
+// The window belongs to the engine, not to the call: the utility series
+// continues across Solve calls, the mutators and Reset*, as the paper's
+// always-running optimizer's does. From its DefaultWindow-th iteration on
+// a Solve is judged on its own iterations alone (StopWindow), which is the
+// only way the first Solve of a fresh engine can stop. Earlier than that a
+// warm re-solve may stop on a window that reaches back into the solves
+// before it, but only at a Step whose work counters (DirtyFlows,
+// SkippedNodes, SkippedLinks) equal the previous Step's (StopDrained): the
+// perturbation has stopped spreading and what is still dirty is what the
+// steady state keeps dirty. A perturbation that moves utility by more than
+// the band breaks the carried window and runs until the window is its own.
+//
+// A Solve on an engine whose last Solve converged and which nothing has
+// touched since (no Step, mutator or Reset*) runs no iteration and
+// returns the standing allocation (StopSettled).
 func (e *Engine) Solve(maxIter int) Result {
 	res, _ := e.solve(maxIter, nil)
 	return res
@@ -1018,9 +1063,12 @@ func (e *Engine) Solve(maxIter int) Result {
 
 // SolveTraced is Solve writing one telemetry.IterationRecord per iteration
 // to tw, numbered from iterBase+1 so that successive warm re-solves of one
-// engine continue a trace file rather than restart it. The recorded
-// utility series replayed through a fresh detector reproduces ConvergedAt.
-// The caller owns tw and must Flush it; a nil tw is plain Solve.
+// engine continue a trace file rather than restart it. For the first solve
+// of an engine the recorded utility series replayed through a fresh
+// detector reproduces ConvergedAt; a warm re-solve may stop on a window
+// that began in the records before it (see Solve), and a settled one
+// writes no record. The caller owns tw and must Flush it; a nil tw is
+// plain Solve.
 func (e *Engine) SolveTraced(maxIter int, tw *telemetry.TraceWriter, iterBase int) (Result, error) {
 	if tw == nil {
 		return e.Solve(maxIter), nil
@@ -1057,35 +1105,62 @@ func (e *Engine) SolveTraced(maxIter int, tw *telemetry.TraceWriter, iterBase in
 	})
 }
 
-// solve is the one solve loop: it owns the convergence detector and the
-// stopping rule, and hands each iteration (0-based t, whether the
-// amplitude rule has been met by its end) to each, when non-nil. An error
-// from each ends the solve.
+// solve is the one solve loop: it owns the stopping rule (see Solve), and
+// hands each iteration (0-based t, whether the rule has been met by its
+// end) to each, when non-nil. An error from each ends the solve.
 func (e *Engine) solve(maxIter int, each func(t int, r StepResult, converged bool) error) (Result, error) {
 	if maxIter <= 0 {
 		maxIter = 250
 	}
-	det := metrics.NewConvergenceDetector(0, 0)
+	tel := e.cfg.Telemetry
+	if e.settled {
+		tel.ObserveConvergence(true, 0)
+		tel.ObserveSolveStop(telemetry.StopSettled)
+		return Result{
+			Utility:    e.util,
+			Converged:  true,
+			Stop:       telemetry.StopSettled,
+			Allocation: e.Allocation(),
+		}, nil
+	}
+	e.det.Rearm()
+	stop, at := telemetry.StopBudget, -1
 	trace := make([]float64, 0, maxIter)
 	for t := 0; t < maxIter; t++ {
 		r := e.Step()
 		trace = append(trace, r.Utility)
-		done := det.Observe(r.Utility)
+		if e.det.Observe(r.Utility) {
+			switch {
+			case t+1 >= metrics.DefaultWindow:
+				stop = telemetry.StopWindow
+			case e.workSteady:
+				stop = telemetry.StopDrained
+			default:
+				// The carried window is flat but the dirty set is still
+				// changing size: look again next iteration.
+				e.det.Rearm()
+			}
+		}
+		done := stop != telemetry.StopBudget
 		if each != nil {
-			if err := each(t, r, det.Converged()); err != nil {
+			if err := each(t, r, done); err != nil {
 				return Result{}, err
 			}
 		}
 		if done {
+			at = t + 1
 			break
 		}
 	}
-	e.cfg.Telemetry.ObserveConvergence(det.Converged(), det.ConvergedAt())
+	e.settled = at > 0
+	tel.ObserveConvergence(e.settled, at)
+	tel.ObserveSolveStop(stop)
 	return Result{
 		Utility:     trace[len(trace)-1],
 		Iterations:  len(trace),
-		Converged:   det.Converged(),
-		ConvergedAt: det.ConvergedAt(),
+		Converged:   e.settled,
+		ConvergedAt: at,
+		Stop:        stop,
 		Allocation:  e.Allocation(),
 		Trace:       trace,
 	}, nil

@@ -119,6 +119,45 @@ func TestSolveReportsConvergence(t *testing.T) {
 	}
 }
 
+// TestSolveReportsStopReason: every Solve lands in exactly one
+// lrgp_solve_stop_total{reason} counter, so an early exit can be told from
+// a full window without reading iteration counts; a nil handle is a no-op
+// (every untelemetered test in this package runs that path), and the
+// observation is one atomic add per Solve, not per Step.
+func TestSolveReportsStopReason(t *testing.T) {
+	em := telemetry.NewEngineMetrics(telemetry.NewRegistry())
+	c := newChurnEngine(t, Config{Adaptive: true, Workers: 1, Telemetry: em})
+	defer c.Close()
+
+	// Building the churn engine ran its one cold solve.
+	want := map[telemetry.StopReason]uint64{telemetry.StopWindow: 1}
+	solve := func(maxIter int, reason telemetry.StopReason) {
+		t.Helper()
+		r := c.Solve(maxIter)
+		if r.Stop != reason {
+			t.Fatalf("Solve(%d) stopped for %v, want %v", maxIter, r.Stop, reason)
+		}
+		want[reason]++
+		for _, k := range []telemetry.StopReason{telemetry.StopBudget, telemetry.StopWindow,
+			telemetry.StopDrained, telemetry.StopSettled} {
+			if got := em.SolveStops[k].Value(); got != want[k] {
+				t.Fatalf("after a %v stop: lrgp_solve_stop_total{reason=%q} = %d, want %d", reason, k, got, want[k])
+			}
+		}
+	}
+	solve(100, telemetry.StopSettled)
+	if got := em.ConvergedIteration.Value(); got != 0 {
+		t.Errorf("converged iteration gauge after a settled solve = %g, want 0", got)
+	}
+	c.batch(t, 200)
+	solve(1, telemetry.StopBudget)
+	solve(100, telemetry.StopDrained)
+	solve(100, telemetry.StopSettled)
+
+	var off *telemetry.EngineMetrics
+	off.ObserveSolveStop(telemetry.StopDrained)
+}
+
 // TestStepTelemetryNoAllocs: the *enabled* telemetry path is lock-free
 // over preallocated state, so even the instrumented Step stays at
 // 0 allocs/op on both the serial and the sharded engine. (The disabled

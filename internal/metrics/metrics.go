@@ -93,6 +93,14 @@ func (d *ConvergenceDetector) Converged() bool { return d.converged }
 // of observations, so the earliest possible answer is the window length.
 func (d *ConvergenceDetector) ConvergedAt() int { return d.at }
 
+// Rearm forgets the verdict and keeps the window: the series continues, and
+// the next Observe judges its trailing window afresh. A detector following
+// one long-running series rearms where a fresh one would be built, and so
+// can converge on observations it already holds.
+func (d *ConvergenceDetector) Rearm() {
+	d.converged, d.at = false, -1
+}
+
 // Reset clears all state, e.g. after a workload change mid-run, so recovery
 // time can be measured with the same rule.
 func (d *ConvergenceDetector) Reset() {

@@ -20,6 +20,31 @@ const (
 // stageNames labels the stage histograms in exposition output.
 var stageNames = [3]string{"rate", "admission", "price"}
 
+// StopReason says why an Engine.Solve returned. It indexes
+// EngineMetrics.SolveStops and labels lrgp_solve_stop_total.
+type StopReason uint8
+
+const (
+	// StopBudget: maxIter iterations ran without the convergence rule
+	// being met.
+	StopBudget StopReason = iota
+	// StopWindow: the 0.1% amplitude rule was met over a trailing window
+	// of this solve's own iterations — the only way a cold solve converges.
+	StopWindow
+	// StopDrained: the rule was met over a window reaching back into
+	// earlier solves, and the Step's work counters had stopped changing: a
+	// warm re-solve whose perturbation merged into the steady state early.
+	StopDrained
+	// StopSettled: nothing had touched the engine since its last converged
+	// solve, so no iteration ran.
+	StopSettled
+)
+
+var stopNames = [4]string{"budget", "window", "drained", "settled"}
+
+// String returns the reason's label value.
+func (r StopReason) String() string { return stopNames[r] }
+
 // EngineMetrics instruments core.Engine: per-stage wall-time histograms,
 // step and price-update counters, and gauges tracking the most recent
 // iteration's utility, overloads and convergence state. Construct with
@@ -53,6 +78,10 @@ type EngineMetrics struct {
 	// iteration of first detection, or -1.
 	Converged          *Gauge
 	ConvergedIteration *Gauge
+	// SolveStops counts Solve calls by why they returned, indexed by
+	// StopReason: it tells an early exit from a full window without
+	// reading iteration counts.
+	SolveStops [4]*Counter
 }
 
 // NewEngineMetrics registers the engine metric family in reg and returns
@@ -95,6 +124,10 @@ func NewEngineMetricsBuckets(reg *Registry, stageBuckets []float64) *EngineMetri
 			"Wall time of each Step stage.", stageBuckets,
 			Label{Key: "stage", Value: name})
 	}
+	for r, name := range stopNames {
+		m.SolveStops[r] = reg.Counter("lrgp_solve_stop_total",
+			"Engine.Solve calls by stop reason.", Label{Key: "reason", Value: name})
+	}
 	m.ConvergedIteration.Set(-1)
 	return m
 }
@@ -133,6 +166,14 @@ func (m *EngineMetrics) ObserveConvergence(converged bool, at int) {
 		m.Converged.Set(0)
 	}
 	m.ConvergedIteration.Set(float64(at))
+}
+
+// ObserveSolveStop counts one finished Solve under its stop reason.
+func (m *EngineMetrics) ObserveSolveStop(r StopReason) {
+	if m == nil {
+		return
+	}
+	m.SolveStops[r].Inc()
 }
 
 // BrokerMetrics instruments broker.Broker: message counters on the
