@@ -38,7 +38,10 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Engine-core benchmarks recorded as JSON (ns/op, allocs/op per benchmark)
-# so the perf trajectory is tracked PR over PR.
+# so the perf trajectory is tracked PR over PR. BENCH_core.json in the repo
+# additionally holds, for BenchmarkWarmResolveChurn, ten alternating runs of
+# the per-call-window parent (*PerCallWindowBaseline) and of the current
+# engine; this target overwrites the file, so they are spliced back by hand.
 bench-core:
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/core/ \
 		| $(GO) run ./cmd/lrgp-benchjson -out BENCH_core.json

@@ -1152,13 +1152,14 @@ func (e *Engine) solve(maxIter int, each func(t int, r StepResult, converged boo
 			break
 		}
 	}
-	e.settled = at > 0
-	tel.ObserveConvergence(e.settled, at)
+	converged := stop != telemetry.StopBudget
+	e.settled = converged
+	tel.ObserveConvergence(converged, at)
 	tel.ObserveSolveStop(stop)
 	return Result{
 		Utility:     trace[len(trace)-1],
 		Iterations:  len(trace),
-		Converged:   e.settled,
+		Converged:   converged,
 		ConvergedAt: at,
 		Stop:        stop,
 		Allocation:  e.Allocation(),
