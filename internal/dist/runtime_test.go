@@ -37,7 +37,9 @@ func requireIdentical(t *testing.T, tag string, got, want []RoundStats) {
 // map-keyed reports and per-round map tallies — whose binary, batched and
 // bounded-staleness K=0 runs produced the same bits; base_fixed_60 (fixed
 // γ) from the separate synchronous agent loop at 67266ed, the last commit
-// that had one.
+// that had one; multirate_40 (Multirate, adaptive γ: the Deliveries section
+// and the two multirate branches of the agents) from 188eb84, the commit
+// before the gateway became the only attachment.
 func frozenTrajectory(t *testing.T, name string) []RoundStats {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("testdata", name+".bits"))
@@ -88,12 +90,13 @@ func TestTrajectoryMatchesFrozenOracle(t *testing.T) {
 	for _, shape := range []struct {
 		name  string
 		p     *model.Problem
-		core  core.Config
+		cfg   Config
 		hosts int
 	}{
-		{"base_50", workload.Base(), adaptive, 4},
-		{"scaled102_40", workload.Scaled(workload.Config{FlowCopies: 17, NodeSetCopies: 2}), adaptive, 12},
-		{"base_fixed_60", workload.Base(), core.Config{}, 4},
+		{"base_50", workload.Base(), Config{Core: adaptive}, 4},
+		{"scaled102_40", workload.Scaled(workload.Config{FlowCopies: 17, NodeSetCopies: 2}), Config{Core: adaptive}, 12},
+		{"base_fixed_60", workload.Base(), Config{}, 4},
+		{"multirate_40", workload.Base(), Config{Core: adaptive, Multirate: true}, 4},
 	} {
 		want := frozenTrajectory(t, shape.name)
 		for _, run := range []struct {
@@ -101,15 +104,16 @@ func TestTrajectoryMatchesFrozenOracle(t *testing.T) {
 			cfg Config
 			tcp bool
 		}{
-			{tag: "plain", cfg: Config{Core: shape.core}},
-			{tag: "batched", cfg: Config{Core: shape.core, Batch: true, Hosts: shape.hosts}},
-			{tag: "plain over TCP", cfg: Config{Core: shape.core}, tcp: true},
-			{tag: "Resend armed at K=0", cfg: Config{Core: shape.core, Resend: DefaultResend, Record: true}},
+			{tag: "plain"},
+			{tag: "batched", cfg: Config{Batch: true, Hosts: shape.hosts}},
+			{tag: "plain over TCP", tcp: true},
+			{tag: "Resend armed at K=0", cfg: Config{Resend: DefaultResend, Record: true}},
 		} {
 			var net transport.Network = transport.NewMemory()
 			if run.tcp {
 				net = transport.NewTCP()
 			}
+			run.cfg.Core, run.cfg.Multirate = shape.cfg.Core, shape.cfg.Multirate
 			cl, err := New(shape.p, run.cfg, net)
 			if err != nil {
 				t.Fatal(err)
