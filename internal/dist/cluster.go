@@ -375,12 +375,19 @@ func (cl *Cluster) buildGateways(p *model.Problem, net transport.Network, c Conf
 	}
 	cl.route[collectorName] = collectorName
 	cl.route[ctrlName] = ctrlName
+	names := make(map[string]string, len(cl.route)+3)
+	for name := range cl.route {
+		names[name] = name
+	}
+	for _, kind := range []string{ctrlKind, rateKind, reportKind} {
+		names[kind] = kind
+	}
 	for k := 0; k < hosts; k++ {
 		ep, err := net.Endpoint(hostName(k))
 		if err != nil {
 			return fmt.Errorf("dist: host %d endpoint: %w", k, err)
 		}
-		cl.gateways = append(cl.gateways, newGateway(ep, cl.route, c.Telemetry, cl.newRec(hostName(k))))
+		cl.gateways = append(cl.gateways, newGateway(ep, cl.route, names, c.Telemetry, cl.newRec(hostName(k))))
 	}
 	return nil
 }

@@ -4,46 +4,67 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
-// flushInterval is the gateway epoch length: staged cross-host messages
-// are packed into one frame per destination host and flushed at this
-// cadence.
-const flushInterval = 200 * time.Microsecond
-
-// gateway multiplexes the agents of one simulated host onto a single
-// network endpoint. Agent sends to co-located agents are delivered
-// directly (no wire traffic at all); sends to remote agents and the
-// collector are staged per destination endpoint and flushed as one batch
-// frame per epoch, so a round costs one frame per host pair instead of
-// one per agent pair. Inbound batch frames are demultiplexed back to the
-// per-agent ports.
+// gateway multiplexes the agents of one host onto a single network
+// endpoint. A send to a co-located agent is delivered directly (no wire
+// traffic at all); a send to a remote agent is appended, already encoded,
+// to the buffer staged for the destination's host, and the first byte
+// staged wakes the flusher, which writes one batch frame per destination
+// host with whatever has been staged by the time it runs. Inbound batch
+// frames are demultiplexed back to the per-agent ports.
+//
+// Order: messages from one sender to one receiver are staged in one buffer
+// in send order, flushes are serialized, and the transport and the
+// receiving gateway's demux loop keep frame and message order — so every
+// (sender, receiver) pair is FIFO.
 type gateway struct {
 	ep    transport.Endpoint
 	route map[string]string // agent endpoint name -> host endpoint name
+	names map[string]string // every name and kind an envelope can carry, for demux
 	tel   *telemetry.DistMetrics
 	rec   *recorder
 
-	mu       sync.Mutex
-	ports    map[string]*hostPort
-	outbox   map[string][]transport.Message
-	closed   bool
+	mu     sync.Mutex
+	ports  map[string]*hostPort
+	out    map[string]*staged // by destination host, created on first use
+	dirty  []*staged          // those with bytes staged, in the order they got their first
+	closed bool
+	// kick wakes the flusher; a token is put when dirty gets its first
+	// entry. Closed, under mu, by close.
+	kick chan struct{}
+
+	// flushMu serializes flushes; frames and slab are the flusher's scratch.
+	flushMu sync.Mutex
+	frames  []transport.Message
+	slab    transport.Slab
+
 	quit     chan struct{}
 	loopDone chan struct{} // flush + demux loops
 }
 
-func newGateway(ep transport.Endpoint, route map[string]string, tel *telemetry.DistMetrics, rec *recorder) *gateway {
+// staged is what a gateway holds for one destination host until the next
+// flush: the concatenated transport.AppendMessage encodings of msgs
+// messages.
+type staged struct {
+	host string
+	buf  []byte
+	msgs int
+}
+
+func newGateway(ep transport.Endpoint, route, names map[string]string, tel *telemetry.DistMetrics, rec *recorder) *gateway {
 	g := &gateway{
 		ep:       ep,
 		route:    route,
+		names:    names,
 		tel:      tel,
 		rec:      rec,
 		ports:    make(map[string]*hostPort),
-		outbox:   make(map[string][]transport.Message),
+		out:      make(map[string]*staged),
+		kick:     make(chan struct{}, 1),
 		quit:     make(chan struct{}),
 		loopDone: make(chan struct{}, 2),
 	}
@@ -79,51 +100,77 @@ func (g *gateway) send(msg transport.Message) error {
 	if p, ok := g.ports[msg.To]; ok {
 		return p.enqueueLocked(msg)
 	}
-	dst, ok := g.route[msg.To]
+	host, ok := g.route[msg.To]
 	if !ok {
 		return fmt.Errorf("%w: %q", transport.ErrUnknownDest, msg.To)
 	}
-	g.outbox[dst] = append(g.outbox[dst], msg)
+	st := g.out[host]
+	if st == nil {
+		st = &staged{host: host}
+		g.out[host] = st
+	}
+	if st.msgs == 0 {
+		if g.dirty = append(g.dirty, st); len(g.dirty) == 1 {
+			select {
+			case g.kick <- struct{}{}:
+			default: // a wake-up is already pending
+			}
+		}
+	}
+	st.buf = transport.AppendMessage(st.buf, &msg)
+	st.msgs++
 	return nil
 }
 
+// flushLoop flushes whenever something has been staged, and once more on
+// the way out so that what the agents sent while shutting down (their
+// Expect echoes) is not lost.
 func (g *gateway) flushLoop() {
 	defer func() { g.loopDone <- struct{}{} }()
-	ticker := time.NewTicker(flushInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			g.flush()
-		case <-g.quit:
-			g.flush() // drain staged traffic so shutdown ctrl replies are not lost
-			return
-		}
+	for range g.kick {
+		g.flush()
 	}
+	g.flush()
 }
 
-// flush encodes one batch frame per destination with staged traffic and
-// sends it. Send failures are tolerated like agent sends: the protocol
+// flush cuts one batch frame per destination host with staged traffic and
+// sends them. Send failures are tolerated like agent sends: the protocol
 // handles loss, and a closed transport surfaces via the demux loop.
 func (g *gateway) flush() {
+	g.flushMu.Lock()
+	defer g.flushMu.Unlock()
 	g.mu.Lock()
-	if len(g.outbox) == 0 {
-		g.mu.Unlock()
+	total := 0
+	for _, st := range g.dirty {
+		// The frame is cut from a slab because the in-memory transport
+		// hands the receiver this very slice, and st.buf is about to be
+		// written again.
+		g.frames = append(g.frames, transport.Message{To: st.host, Kind: batchKind, Payload: g.slab.Copy(st.buf)})
+		g.tel.ObserveFlushFrame(st.msgs)
+		total += st.msgs
+		st.buf, st.msgs = st.buf[:0], 0
+	}
+	g.dirty = g.dirty[:0]
+	g.mu.Unlock()
+	if total == 0 {
 		return
 	}
-	staged := g.outbox
-	g.outbox = make(map[string][]transport.Message)
-	from := g.ep.Name()
-	g.mu.Unlock()
-
-	total := 0
-	for dst, msgs := range staged {
-		total += len(msgs)
-		g.tel.ObserveFlushFrame(len(msgs))
-		_ = g.ep.Send(transport.Message{From: from, To: dst, Kind: batchKind, Payload: encodeBatch(msgs)})
+	for _, f := range g.frames {
+		_ = g.ep.Send(f)
 	}
 	g.tel.ObserveFlush(total)
-	g.rec.record(EvFlush, 0, int64(total), int64(len(staged)))
+	g.rec.record(EvFlush, 0, int64(total), int64(len(g.frames)))
+	clear(g.frames) // drop the payload references
+	g.frames = g.frames[:0]
+}
+
+// intern returns the cluster's own string for an envelope field, and a new
+// one only for a name the cluster does not know.
+func (g *gateway) intern(b []byte) string {
+	if s, ok := g.names[string(b)]; ok {
+		return s
+	}
+	return string(b)
 }
 
 // demuxLoop unpacks inbound batch frames to the local agent ports. It
@@ -131,10 +178,6 @@ func (g *gateway) flush() {
 // observe the shutdown.
 func (g *gateway) demuxLoop() {
 	defer func() { g.loopDone <- struct{}{} }()
-	var (
-		dec   transport.Decoder
-		inner []transport.Message // reused: the ports get copies
-	)
 	for {
 		select {
 		case m, ok := <-g.ep.Recv():
@@ -142,20 +185,9 @@ func (g *gateway) demuxLoop() {
 				g.closePorts()
 				return
 			}
-			if m.Kind != batchKind {
-				continue
+			if m.Kind == batchKind {
+				g.demux(m.Payload)
 			}
-			var err error
-			if inner, err = decodeBatch(&dec, inner[:0], m.Payload); err != nil {
-				continue
-			}
-			g.mu.Lock()
-			for _, im := range inner {
-				if p, ok := g.ports[im.To]; ok {
-					_ = p.enqueueLocked(im) // full-buffer drops mirror transport semantics
-				}
-			}
-			g.mu.Unlock()
 		case <-g.quit:
 			g.closePorts()
 			return
@@ -163,8 +195,25 @@ func (g *gateway) demuxLoop() {
 	}
 }
 
-// close stops the gateway's loops. The underlying endpoint belongs to the
-// network owner and is left open.
+// demux delivers a batch frame's messages, whose payloads alias the
+// frame's, to their ports, up to the first that does not decode.
+func (g *gateway) demux(frame []byte) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for len(frame) > 0 {
+		from, to, kind, payload, n, err := transport.SplitMessage(frame)
+		if err != nil {
+			return
+		}
+		frame = frame[n:]
+		if p, ok := g.ports[string(to)]; ok {
+			_ = p.enqueueLocked(transport.Message{From: g.intern(from), To: p.name, Kind: g.intern(kind), Payload: payload}) // full-buffer drops mirror transport semantics
+		}
+	}
+}
+
+// close stops the gateway's loops once what is staged has been flushed.
+// The underlying endpoint belongs to the network owner and is left open.
 func (g *gateway) close() {
 	g.mu.Lock()
 	if g.closed {
@@ -172,6 +221,7 @@ func (g *gateway) close() {
 		return
 	}
 	g.closed = true
+	close(g.kick) // under mu, like every send on it
 	g.mu.Unlock()
 	close(g.quit)
 	<-g.loopDone

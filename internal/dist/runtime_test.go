@@ -286,8 +286,12 @@ func TestClusterThousandAgents(t *testing.T) {
 	}
 }
 
-// TestBatchFrameReduction: on a 102-flow/102-node cluster, gateway
-// batching must cut network frames per round by at least 5x.
+// TestBatchFrameReduction: on a 102-flow/102-node cluster at 12 hosts,
+// gateway batching must cut network frames per round by at least 2.5x. The
+// flusher is woken by the first staged byte and writes what is staged when
+// it runs, so how much shares a frame is up to the scheduler: 3.5-3.8x in
+// sixteen runs here (the 200 µs ticker this replaced waited for more, 14x,
+// and took twice as long over a round).
 func TestBatchFrameReduction(t *testing.T) {
 	p := workload.Scaled(workload.Config{FlowCopies: 17, NodeSetCopies: 2})
 	if len(p.Flows) != 102 || len(p.Nodes) != 102 {
@@ -315,8 +319,8 @@ func TestBatchFrameReduction(t *testing.T) {
 	if batched == 0 || plain == 0 {
 		t.Fatalf("frame meters did not advance: plain=%d batched=%d", plain, batched)
 	}
-	if ratio := float64(plain) / float64(batched); ratio < 5 {
-		t.Errorf("batching saves %.2fx frames (plain %d, batched %d), want >= 5x", ratio, plain, batched)
+	if ratio := float64(plain) / float64(batched); ratio < 2.5 {
+		t.Errorf("batching saves %.2fx frames (plain %d, batched %d), want >= 2.5x", ratio, plain, batched)
 	}
 }
 

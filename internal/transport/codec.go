@@ -71,18 +71,29 @@ type Decoder struct {
 // Truncated or corrupt input returns ErrCorruptFrame-wrapped errors and
 // never panics or reads past len(data).
 func (d *Decoder) Decode(data []byte) (Message, int, error) {
-	c := Cursor{Data: data}
-	if tag := c.Byte(); tag != binaryTag {
-		return Message{}, 0, fmt.Errorf("%w: bad tag 0x%02x", ErrCorruptFrame, tag)
-	}
-	msg := Message{From: reuse(&d.from, c.Bytes()), To: reuse(&d.to, c.Bytes()), Kind: reuse(&d.kind, c.Bytes())}
-	if payload := c.Bytes(); len(payload) > 0 {
-		msg.Payload = payload
-	}
-	if err := c.Err(); err != nil {
+	from, to, kind, payload, n, err := SplitMessage(data)
+	if err != nil {
 		return Message{}, 0, err
 	}
-	return msg, c.Off, nil
+	return Message{From: reuse(&d.from, from), To: reuse(&d.to, to), Kind: reuse(&d.kind, kind), Payload: payload}, n, nil
+}
+
+// SplitMessage cuts the message at the front of data into its envelope
+// fields and payload — all aliasing data, an empty payload nil — and
+// returns the number of bytes consumed, for a receiver that has its own
+// way of turning the envelope bytes into strings. Truncated or corrupt
+// input returns an ErrCorruptFrame-wrapped error and never panics or
+// reads past len(data).
+func SplitMessage(data []byte) (from, to, kind, payload []byte, n int, err error) {
+	c := Cursor{Data: data}
+	if tag := c.Byte(); tag != binaryTag {
+		return nil, nil, nil, nil, 0, fmt.Errorf("%w: bad tag 0x%02x", ErrCorruptFrame, tag)
+	}
+	from, to, kind = c.Bytes(), c.Bytes(), c.Bytes()
+	if payload = c.Bytes(); len(payload) == 0 {
+		payload = nil
+	}
+	return from, to, kind, payload, c.Off, c.Err()
 }
 
 // reuse returns *last when b spells it, and otherwise b as a new string
