@@ -81,8 +81,7 @@ func run(args []string, out io.Writer) error {
 	var (
 		optimizer     = fs.String("optimizer", "colocated", "optimizer formulation: colocated (synchronous engine) or dist (message-passing agents)")
 		transportName = fs.String("transport", "memory", "transport for -optimizer dist: memory or tcp")
-		distBatch     = fs.Bool("dist-batch", false, "coalesce -optimizer dist traffic into one frame per host per flush")
-		distHosts     = fs.Int("dist-hosts", 0, "simulated host count for -dist-batch gateways (0 = one per node)")
+		distHosts     = fs.Int("dist-hosts", 0, "hosts the -optimizer dist node agents are spread over; agents sharing a host exchange nothing over the transport (0 = one per node)")
 		distStaleness = fs.Int("dist-staleness", 0, "bounded-staleness K for -optimizer dist rounds (0 = synchronous barrier)")
 		distEvents    = fs.String("dist-events", "", "write the -optimizer dist flight-recorder event log (JSONL, lrgp-trace input) to this file; a stall post-mortem lands here too")
 		distStall     = fs.Duration("dist-stall-timeout", 0, "arm the dist stall detector: count a stall and dump a post-mortem after this long without collector progress (0 disables)")
@@ -226,11 +225,10 @@ func run(args []string, out io.Writer) error {
 		}
 		defer net.Close()
 
-		fmt.Fprintf(out, "optimizing %s over %s transport (%d agents, batch=%v, K=%d)...\n",
-			p.Name, *transportName, len(p.Flows)+len(p.Nodes), *distBatch, *distStaleness)
+		fmt.Fprintf(out, "optimizing %s over %s transport (%d agents, K=%d)...\n",
+			p.Name, *transportName, len(p.Flows)+len(p.Nodes), *distStaleness)
 		cfg := dist.Config{
 			Core:         core.Config{Adaptive: true},
-			Batch:        *distBatch,
 			Hosts:        *distHosts,
 			Staleness:    *distStaleness,
 			Telemetry:    dm,
@@ -265,11 +263,12 @@ func run(args []string, out io.Writer) error {
 			}
 		}
 		// Mirror the transport's traffic counters into the lrgp_dist_net
-		// gauges so a scraper sees frames, bytes and drops.
+		// gauges so a scraper sees frames, bytes and drops — on the wire
+		// and at the agents' inboxes.
 		if dm != nil {
 			if m, ok := net.(transport.Meter); ok {
 				st := m.NetStats()
-				dm.ObserveNet(st.Delivered, st.Bytes, st.Dropped)
+				dm.ObserveNet(st.Delivered, st.Bytes, st.Dropped+cl.Traffic().Dropped)
 			}
 		}
 		if evFile != nil {

@@ -47,16 +47,16 @@ func BenchmarkSyncRoundTCP(b *testing.B) {
 
 // BenchmarkSyncRoundTCPScaled is the shape the end-to-end benchmark's
 // dist_rounds workload measures: 72 agents (FlowCopies 8) and a collector
-// over loopback TCP, one op a Run(10) chunk, plain and with each node's
-// agents batched behind a gateway (the default host count). frames/round
-// and bytes/round come from the TCP meter (frame bodies actually written).
+// over loopback TCP, one op a Run(10) chunk, at one host per node (the
+// default, 24 here) and at 12. frames/round and bytes/round come from the
+// TCP meter (frame bodies actually written).
 func BenchmarkSyncRoundTCPScaled(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		cfg  Config
 	}{
-		{"plain", Config{}},
-		{"batched", Config{Batch: true}},
+		{"hosts=node", Config{}},
+		{"hosts=12", Config{Hosts: 12}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			const chunk = 10
@@ -91,8 +91,8 @@ func BenchmarkSyncRoundTCPScaled(b *testing.B) {
 
 // benchRounds runs b.N synchronous rounds under cfg on the given problem
 // and reports frames/round and bytes/round from the transport meter, the
-// two costs the codec and gateway batching attack (recorded to
-// BENCH_dist.json by `make bench-dist`).
+// two costs the codec and the gateways attack (recorded to BENCH_dist.json
+// by `make bench-dist`).
 func benchRounds(b *testing.B, cfg Config, flowCopies, nodeSetCopies int) {
 	p := workload.Scaled(workload.Config{FlowCopies: flowCopies, NodeSetCopies: nodeSetCopies})
 	net := transport.NewMemory()
@@ -120,14 +120,15 @@ func BenchmarkDistWire(b *testing.B) {
 	b.Run("binary", func(b *testing.B) { benchRounds(b, Config{}, 1, 1) })
 }
 
-// BenchmarkDistBatch compares plain per-message delivery against per-host
-// gateway batching on the 102-flow x 102-node cluster (12 hosts).
+// BenchmarkDistBatch runs the 102-flow x 102-node cluster at one host per
+// node and at 12 hosts: the fewer the hosts, the more of a round stays off
+// the wire and the more shares a frame.
 func BenchmarkDistBatch(b *testing.B) {
-	b.Run("plain", func(b *testing.B) {
+	b.Run("hosts=node", func(b *testing.B) {
 		benchRounds(b, Config{}, 17, 2)
 	})
-	b.Run("batched", func(b *testing.B) {
-		benchRounds(b, Config{Batch: true, Hosts: 12}, 17, 2)
+	b.Run("hosts=12", func(b *testing.B) {
+		benchRounds(b, Config{Hosts: 12}, 17, 2)
 	})
 }
 
@@ -181,7 +182,7 @@ func BenchmarkDistStaleness(b *testing.B) {
 				net := transport.NewMemory()
 				cl, err := New(p, Config{
 					Core:  core.Config{Adaptive: true},
-					Batch: true, Hosts: 12, Staleness: k,
+					Hosts: 12, Staleness: k,
 				}, net)
 				if err != nil {
 					b.Fatal(err)

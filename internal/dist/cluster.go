@@ -40,14 +40,13 @@ type Config struct {
 	// (per-class delivery rates); see internal/multirate.
 	Multirate bool
 
-	// Batch co-locates agents onto gateway hosts: intra-host messages
-	// skip the wire entirely and cross-host traffic is batched into one
-	// frame per host pair per flush epoch (see gateway.go). Sync mode only:
-	// New returns ErrMode for Async with Batch.
-	Batch bool
-	// Hosts is the number of gateway hosts when batching (default: one
-	// per node). Nodes map to hosts in contiguous blocks; each flow agent
-	// is co-located with its source node.
+	// Hosts is the number of hosts the node agents are spread over, in
+	// contiguous blocks (default, and at most, one per node). Every agent
+	// is a port on its host's gateway (see gateway.go): a flow agent rides
+	// its source node's host, messages between co-located agents never
+	// touch the wire, and what crosses it leaves as one frame per
+	// destination host per flush. The collector and the control endpoint
+	// share one more host.
 	Hosts int
 
 	// Staleness bounds how many rounds behind an agent's inputs may be in
@@ -91,6 +90,9 @@ type Config struct {
 	// inbox until the channel is closed (used by tests to let the agents
 	// run as far ahead of it as Run allows).
 	parkCollector chan struct{}
+	// ownHost names one agent that gets a host to itself, so that a test
+	// can cut exactly that agent off with the transport's fault injection.
+	ownHost string
 }
 
 func (c Config) normalized() Config {
@@ -128,12 +130,15 @@ type Cluster struct {
 	p   *model.Problem
 	cfg Config
 
-	flows    []*flowAgent
-	nodes    []*nodeAgent
-	ctrl     transport.Endpoint // for sending control messages
-	coll     *collector
-	gateways []*gateway
-	route    map[string]string // agent name -> host endpoint (batch mode)
+	flows []*flowAgent
+	nodes []*nodeAgent
+	// agents names everyone a Stop goes to: the flow agents first (a
+	// RunUntil goes to those alone), then the node agents and the collector.
+	agents []string
+	ctrl   *hostPort // for sending control messages
+	coll   *collector
+	hosts  map[string]*gateway // by host endpoint name
+	route  map[string]string   // agent name -> host endpoint name
 
 	// Observability: the shared monotonic epoch every recorder stamps
 	// against (via the coarse shared clock), all rings (for snapshots),
@@ -160,9 +165,6 @@ func New(p *model.Problem, cfg Config, net transport.Network) (*Cluster, error) 
 		return nil, fmt.Errorf("dist: %w", err)
 	}
 	c := cfg.normalized()
-	if c.Mode == Async && c.Batch {
-		return nil, ErrMode
-	}
 	ix := model.NewIndex(p)
 
 	cl := &Cluster{p: p, cfg: c, epoch: time.Now()}
@@ -171,16 +173,21 @@ func New(p *model.Problem, cfg Config, net transport.Network) (*Cluster, error) 
 	}
 	ok := false
 	defer func() {
-		if !ok && cl.clk != nil {
+		if ok {
+			return
+		}
+		for _, gw := range cl.hosts {
+			gw.close()
+		}
+		if cl.clk != nil {
 			cl.clk.stop()
 		}
 	}()
 	cl.clusterRec = cl.newRec("cluster")
-
-	collEP, err := net.Endpoint(collectorName)
-	if err != nil {
-		return nil, fmt.Errorf("dist: collector endpoint: %w", err)
+	if err := cl.buildHosts(net); err != nil {
+		return nil, err
 	}
+
 	// Only nodes that see at least one flow (directly or via an owned
 	// link) ever compute and report; the collector must not wait for the
 	// silent ones.
@@ -196,52 +203,33 @@ func New(p *model.Problem, cfg Config, net transport.Network) (*Cluster, error) 
 			reporting++
 		}
 	}
-	cl.coll = newCollector(p, collEP, reporting, c.Staleness == 0, c.Telemetry, cl.newRec(collectorName), cl.epoch)
+	control := cl.hosts[ctrlHost]
+	cl.coll = newCollector(p, control.portDepth(collectorName, collectorInbox), reporting, c.Staleness == 0, c.Telemetry, cl.newRec(collectorName), cl.epoch)
 	cl.coll.latestOnly = c.Mode == Async
 	cl.coll.parked = c.parkCollector
-
-	ctrlEP, err := net.Endpoint(ctrlName)
-	if err != nil {
-		return nil, fmt.Errorf("dist: control endpoint: %w", err)
-	}
-	cl.ctrl = ctrlEP
-
-	// endpointFor hands each agent its attachment: a plain network
-	// endpoint, or a port on its host's batching gateway.
-	endpointFor := func(name string) (transport.Endpoint, error) {
-		if !c.Batch {
-			return net.Endpoint(name)
-		}
-		gw := cl.gateways[hostIndex(cl.route[name], len(cl.gateways))]
-		return gw.port(name), nil
-	}
-
-	if c.Batch {
-		if err := cl.buildGateways(p, net, c); err != nil {
-			return nil, err
-		}
-	}
+	// The control endpoint's peers are whoever acknowledges a JoinFlow:
+	// at most every node agent and the collector.
+	cl.ctrl = control.port(ctrlName, c.Staleness, len(p.Nodes)+1)
 
 	for i := range p.Flows {
-		ep, err := endpointFor(flowName(model.FlowID(i)))
-		if err != nil {
-			return nil, fmt.Errorf("dist: flow %d endpoint: %w", i, err)
-		}
-		fa := newFlowAgent(p, ix, model.FlowID(i), ep, c)
-		fa.rec = cl.newRec(flowName(model.FlowID(i)))
+		name := flowName(model.FlowID(i))
+		fa := newFlowAgent(p, ix, model.FlowID(i), c)
+		fa.ep = cl.hosts[cl.route[name]].port(name, c.Staleness, len(fa.peerNames))
+		fa.rec = cl.newRec(name)
 		fa.tel = c.Telemetry
 		cl.flows = append(cl.flows, fa)
+		cl.agents = append(cl.agents, name)
 	}
 	for b := range p.Nodes {
-		ep, err := endpointFor(nodeName(model.NodeID(b)))
-		if err != nil {
-			return nil, fmt.Errorf("dist: node %d endpoint: %w", b, err)
-		}
-		na := newNodeAgent(p, ix, model.NodeID(b), ep, c)
-		na.rec = cl.newRec(nodeName(model.NodeID(b)))
+		name := nodeName(model.NodeID(b))
+		na := newNodeAgent(p, ix, model.NodeID(b), c)
+		na.ep = cl.hosts[cl.route[name]].port(name, c.Staleness, len(na.peerNames))
+		na.rec = cl.newRec(name)
 		na.tel = c.Telemetry
 		cl.nodes = append(cl.nodes, na)
+		cl.agents = append(cl.agents, name)
 	}
+	cl.agents = append(cl.agents, collectorName)
 
 	// Launch all agents; in Sync mode flow agents idle until a RunUntil
 	// control arrives.
@@ -358,65 +346,106 @@ func (cl *Cluster) postmortem() {
 	}
 }
 
-// buildGateways creates the host endpoints and the agent->host routing
-// table. Nodes map to hosts in contiguous blocks; flow agents co-locate
+// ctrlHost is the host of the collector and the control endpoint.
+const ctrlHost = "host/ctrl"
+
+// collectorInbox is the depth of the collector's port: Run releases the
+// agents in windows of as many rounds as it holds frames for.
+const collectorInbox = 1024
+
+// buildHosts places every agent on a host and starts one gateway per
+// host. Nodes map to hosts in contiguous blocks; flow agents co-locate
 // with their source node, so source-local exchanges never touch the wire.
-func (cl *Cluster) buildGateways(p *model.Problem, net transport.Network, c Config) error {
-	hosts := c.Hosts
+func (cl *Cluster) buildHosts(net transport.Network) error {
+	p := cl.p
+	hosts := cl.cfg.Hosts
 	if hosts <= 0 || hosts > len(p.Nodes) {
 		hosts = len(p.Nodes)
 	}
-	cl.route = make(map[string]string, len(p.Flows)+len(p.Nodes)+1)
+	cl.route = make(map[string]string, len(p.Flows)+len(p.Nodes)+2)
 	for b := range p.Nodes {
 		cl.route[nodeName(model.NodeID(b))] = hostName(b * hosts / len(p.Nodes))
 	}
 	for i := range p.Flows {
 		cl.route[flowName(model.FlowID(i))] = cl.route[nodeName(p.Flows[i].Source)]
 	}
-	cl.route[collectorName] = collectorName
-	cl.route[ctrlName] = ctrlName
-	names := make(map[string]string, len(cl.route)+3)
-	for name := range cl.route {
-		names[name] = name
+	if own := cl.cfg.ownHost; own != "" {
+		cl.route[own] = "host/" + own
 	}
+	cl.route[collectorName] = ctrlHost
+	cl.route[ctrlName] = ctrlHost
+
+	names := make(map[string]string, len(cl.route)+3)
 	for _, kind := range []string{ctrlKind, rateKind, reportKind} {
 		names[kind] = kind
 	}
-	for k := 0; k < hosts; k++ {
-		ep, err := net.Endpoint(hostName(k))
-		if err != nil {
-			return fmt.Errorf("dist: host %d endpoint: %w", k, err)
+	for name := range cl.route {
+		names[name] = name
+	}
+	cl.hosts = make(map[string]*gateway, hosts+1)
+	for _, host := range cl.route {
+		if cl.hosts[host] != nil {
+			continue
 		}
-		cl.gateways = append(cl.gateways, newGateway(ep, cl.route, names, c.Telemetry, cl.newRec(hostName(k))))
+		ep, err := net.Endpoint(host)
+		if err != nil {
+			return fmt.Errorf("dist: host endpoint %s: %w", host, err)
+		}
+		cl.hosts[host] = newGateway(ep, cl.route, names, host == ctrlHost, cl.cfg.Telemetry, cl.newRec(host))
 	}
 	return nil
 }
 
-// hostIndex parses the numeric suffix of a host endpoint name ("host/7").
-func hostIndex(host string, n int) int {
-	k := 0
-	for i := len("host/"); i < len(host); i++ {
-		k = k*10 + int(host[i]-'0')
+// Traffic counts what a cluster's agents have sent and what it cost on the
+// wire.
+type Traffic struct {
+	// Messages counts agent messages — rate announcements, node reports,
+	// controls — whether the receiver was co-located or not, and Bytes
+	// their payload bytes: the paper's communication cost.
+	Messages uint64
+	Bytes    uint64
+	// Frames counts the frames the gateways wrote to carry those that
+	// crossed hosts.
+	Frames uint64
+	// Dropped counts messages discarded because the receiving agent's
+	// inbox was full; the transport's Meter counts what was lost on the
+	// wire.
+	Dropped uint64
+}
+
+// Traffic returns the sum of the gateways' counters.
+func (cl *Cluster) Traffic() Traffic {
+	var t Traffic
+	for _, gw := range cl.hosts {
+		gw.mu.Lock()
+		t.Messages += gw.traffic.Messages
+		t.Bytes += gw.traffic.Bytes
+		t.Frames += gw.traffic.Frames
+		t.Dropped += gw.traffic.Dropped
+		gw.mu.Unlock()
 	}
-	if k < 0 || k >= n {
-		return 0
-	}
-	return k
+	return t
 }
 
 // ErrMode is returned when an operation does not apply to the cluster's
 // execution mode.
 var ErrMode = errors.New("dist: operation not valid in this mode")
 
-// sendCtrl encodes and delivers one control message to an agent (directly,
-// or wrapped in a single-message batch frame to the agent's host gateway
-// in batch mode). Send errors surface to the caller.
-func (cl *Cluster) sendCtrl(to string, body ctrlMsg) error {
-	msg := transport.Message{From: cl.ctrl.Name(), To: to, Kind: ctrlKind, Payload: body.appendBinary(nil)}
-	if host, ok := cl.route[to]; ok && host != to {
-		msg = transport.Message{From: cl.ctrl.Name(), To: host, Kind: batchKind, Payload: encodeBatch([]transport.Message{msg})}
+// sendCtrl delivers one control message to each named agent, as one flush
+// of the control host: one frame per host they live on. Send errors surface
+// to the caller.
+func (cl *Cluster) sendCtrl(body ctrlMsg, to ...string) error {
+	msg := transport.Message{From: ctrlName, Kind: ctrlKind, Payload: body.appendBinary(nil)}
+	var failed error
+	for _, msg.To = range to {
+		if err := cl.ctrl.gw.stage(msg); err != nil && failed == nil {
+			failed = err
+		}
 	}
-	return cl.ctrl.Send(msg)
+	if err := cl.ctrl.gw.flush(); err != nil && (failed == nil || errors.Is(failed, transport.ErrDropped)) {
+		failed = err
+	}
+	return failed
 }
 
 // Run advances a Sync cluster by `rounds` lock-step rounds and returns the
@@ -453,10 +482,8 @@ func (cl *Cluster) Run(rounds int, timeout time.Duration) ([]RoundStats, error) 
 	}
 	for next := from - 1; next < until; {
 		next = min(next+window, until)
-		for _, fa := range cl.flows {
-			if err := cl.sendCtrl(fa.ep.Name(), ctrlMsg{RunUntil: next}); err != nil {
-				return nil, fmt.Errorf("dist: run ctrl: %w", err)
-			}
+		if err := cl.sendCtrl(ctrlMsg{RunUntil: next}, cl.agents[:len(cl.flows)]...); err != nil {
+			return nil, fmt.Errorf("dist: run ctrl: %w", err)
 		}
 		if err := cl.coll.waitRound(next, time.Until(deadline)); err != nil {
 			cl.postmortem()
@@ -477,7 +504,7 @@ func (cl *Cluster) Sample() RoundStats {
 // callers must invoke it between Run calls. A removed flow's agent idles
 // and can rejoin via JoinFlow.
 func (cl *Cluster) RemoveFlow(i model.FlowID) error {
-	return cl.sendCtrl(flowName(i), ctrlMsg{Leave: true})
+	return cl.sendCtrl(ctrlMsg{Leave: true}, flowName(i))
 }
 
 // JoinFlow re-activates a previously removed flow: its agent re-announces
@@ -502,10 +529,12 @@ func (cl *Cluster) JoinFlow(i model.FlowID) error {
 		waiting[peer] = true
 	}
 	notify := func() error {
+		silent := make([]string, 0, len(waiting))
 		for to := range waiting {
-			if err := cl.sendCtrl(to, ctrlMsg{Expect: true, Flow: i}); err != nil && !errors.Is(err, transport.ErrDropped) {
-				return fmt.Errorf("dist: join ctrl: %w", err)
-			}
+			silent = append(silent, to)
+		}
+		if err := cl.sendCtrl(ctrlMsg{Expect: true, Flow: i}, silent...); err != nil && !errors.Is(err, transport.ErrDropped) {
+			return fmt.Errorf("dist: join ctrl: %w", err)
 		}
 		return nil
 	}
@@ -516,28 +545,14 @@ func (cl *Cluster) JoinFlow(i model.FlowID) error {
 	defer deadline.Stop()
 	again := time.NewTicker(joinResend)
 	defer again.Stop()
-	var (
-		dec   transport.Decoder
-		inner []transport.Message
-	)
 	for len(waiting) > 0 {
 		select {
 		case m, ok := <-cl.ctrl.Recv():
 			if !ok {
 				return fmt.Errorf("dist: join: %w", transport.ErrClosed)
 			}
-			// Batch-mode agents answer through their host's gateway.
-			inner = append(inner[:0], m)
-			if m.Kind == batchKind {
-				var err error
-				if inner, err = decodeBatch(&dec, inner[:0], m.Payload); err != nil {
-					continue
-				}
-			}
-			for _, im := range inner {
-				if cm, err := decodeCtrl(im.Payload); im.Kind == ctrlKind && err == nil && cm.Expect && cm.Flow == i {
-					delete(waiting, im.From)
-				}
+			if cm, err := decodeCtrl(m.Payload); m.Kind == ctrlKind && err == nil && cm.Expect && cm.Flow == i {
+				delete(waiting, m.From)
 			}
 		case <-again.C:
 			if err := notify(); err != nil {
@@ -547,7 +562,7 @@ func (cl *Cluster) JoinFlow(i model.FlowID) error {
 			return fmt.Errorf("dist: join of flow %d: %d agents did not acknowledge within %v", i, len(waiting), joinTimeout)
 		}
 	}
-	return cl.sendCtrl(flowName(i), ctrlMsg{Join: true})
+	return cl.sendCtrl(ctrlMsg{Join: true}, flowName(i))
 }
 
 // JoinFlow gives the agents joinTimeout to acknowledge, asking those still
@@ -581,19 +596,9 @@ func (cl *Cluster) Close() error {
 	}
 
 	var errs []error
-	ctrlErr := func(err error) {
-		if err != nil && !errors.Is(err, transport.ErrDropped) {
-			errs = append(errs, err)
-		}
+	if err := cl.sendCtrl(ctrlMsg{Stop: true}, cl.agents...); err != nil && !errors.Is(err, transport.ErrDropped) {
+		errs = append(errs, err)
 	}
-	stop := ctrlMsg{Stop: true}
-	for _, fa := range cl.flows {
-		ctrlErr(cl.sendCtrl(fa.ep.Name(), stop))
-	}
-	for _, na := range cl.nodes {
-		ctrlErr(cl.sendCtrl(na.ep.Name(), stop))
-	}
-	ctrlErr(cl.sendCtrl(collectorName, stop))
 
 	// One shared grace period across all agents. A Stop can be lost under
 	// fault injection, so an agent may legitimately never stop; once the
@@ -629,7 +634,7 @@ func (cl *Cluster) Close() error {
 		// everyone was (not) doing.
 		cl.postmortem()
 	}
-	for _, gw := range cl.gateways {
+	for _, gw := range cl.hosts {
 		gw.close()
 	}
 	if cl.clk != nil {

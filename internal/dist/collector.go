@@ -52,11 +52,9 @@ type collector struct {
 	latestFlow []int
 	latestNode []int
 	stats      []RoundStats
-	// report and batch are the decode scratch inbound reports and batch
-	// frames land in; only run's goroutine touches them.
+	// report is the decode scratch inbound reports land in; only run's
+	// goroutine touches it.
 	report reportMsg
-	batch  []transport.Message
-	dec    transport.Decoder
 	// inOrder finalizes rounds strictly sequentially (the lossless
 	// barrier protocol). When false (bounded-staleness mode over lossy
 	// transports) any fully-assembled round finalizes, and rounds whose
@@ -137,18 +135,7 @@ func (c *collector) run() {
 		<-c.parked
 	}
 	for m := range c.ep.Recv() {
-		if m.Kind == batchKind {
-			// A batch frame: each inner message, none of them a batch.
-			var err error
-			if c.batch, err = decodeBatch(&c.dec, c.batch[:0], m.Payload); err != nil {
-				continue
-			}
-			for _, im := range c.batch {
-				if !c.handle(im) {
-					return
-				}
-			}
-		} else if !c.handle(m) {
+		if !c.handle(m) {
 			return
 		}
 	}

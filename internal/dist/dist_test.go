@@ -12,6 +12,10 @@ import (
 	"repro/internal/workload"
 )
 
+// hostOf is the network endpoint an agent's traffic goes through: what the
+// transport's fault injection has to name to reach the agent.
+func hostOf(cl *Cluster, agent string) string { return cl.route[agent] }
+
 func TestItoa(t *testing.T) {
 	tests := []struct {
 		give int
@@ -307,9 +311,9 @@ func TestRemoveAndRejoinFlow(t *testing.T) {
 
 // TestRejoinHappensBeforeNextRound: JoinFlow returns only once the flow's
 // peers and the collector expect it, so the very next round — a Run of one —
-// already carries it, on every transport and with batching gateways in
-// between. (A fire-and-forget Join let that round, and as many after it as
-// the scheduler pleased, finish without the flow.)
+// already carries it, on every transport and host count. (A fire-and-forget
+// Join let that round, and as many after it as the scheduler pleased, finish
+// without the flow.)
 func TestRejoinHappensBeforeNextRound(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -317,9 +321,9 @@ func TestRejoinHappensBeforeNextRound(t *testing.T) {
 		cfg  Config
 	}{
 		{"memory", func() transport.Network { return transport.NewMemory() }, Config{}},
-		{"memory/batched", func() transport.Network { return transport.NewMemory() }, Config{Batch: true, Hosts: 2}},
+		{"memory/hosts=2", func() transport.Network { return transport.NewMemory() }, Config{Hosts: 2}},
 		{"tcp", func() transport.Network { return transport.NewTCP() }, Config{}},
-		{"tcp/batched", func() transport.Network { return transport.NewTCP() }, Config{Batch: true, Hosts: 2}},
+		{"tcp/hosts=2", func() transport.Network { return transport.NewTCP() }, Config{Hosts: 2}},
 		{"memory/staleness=2", func() transport.Network { return transport.NewMemory() }, Config{Staleness: 2}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -378,7 +382,7 @@ func TestJoinFlowRepairsLostAcknowledgement(t *testing.T) {
 		t.Fatal(err)
 	}
 	deaf := cl.flows[5].peerNames[0]
-	net.SetOneWay(deaf, ctrlName, true)
+	net.SetOneWay(hostOf(cl, deaf), ctrlHost, true)
 	dropped := net.NetStats().Dropped
 	joined := make(chan error, 1)
 	go func() { joined <- cl.JoinFlow(5) }()
@@ -390,7 +394,7 @@ func TestJoinFlowRepairsLostAcknowledgement(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	net.SetOneWay(deaf, ctrlName, false)
+	net.SetOneWay(hostOf(cl, deaf), ctrlHost, false)
 	if err := <-joined; err != nil {
 		t.Fatal(err)
 	}
@@ -483,10 +487,6 @@ func TestAsyncRunRejected(t *testing.T) {
 	defer cl.Close()
 	if _, err := cl.Run(1, time.Second); err != ErrMode {
 		t.Errorf("error = %v, want ErrMode", err)
-	}
-	// The gateways batch rounds; Async has none.
-	if _, err := New(p, Config{Mode: Async, Batch: true}, net); err != ErrMode {
-		t.Errorf("Async with Batch: error = %v, want ErrMode", err)
 	}
 }
 

@@ -74,7 +74,7 @@ func TestAsyncCollectorKeepsNoRounds(t *testing.T) {
 	net := transport.NewMemory()
 	defer net.Close()
 	net.SetDropRate(0.10, 42)
-	net.SetDropExempt("cluster-ctrl")
+	net.SetDropExempt(ctrlHost)
 	cl, err := New(workload.Base(), Config{Core: core.Config{Adaptive: true}, Mode: Async}, net)
 	if err != nil {
 		t.Fatal(err)
@@ -109,8 +109,9 @@ func TestAsyncSurvivesTransientPartition(t *testing.T) {
 	net := transport.NewMemory()
 	defer net.Close()
 	cl, err := New(p, Config{
-		Core: core.Config{Adaptive: true},
-		Mode: Async,
+		Core:    core.Config{Adaptive: true},
+		Mode:    Async,
+		ownHost: nodeName(1),
 	}, net)
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +139,7 @@ func TestAsyncSurvivesTransientPartition(t *testing.T) {
 
 	// Cut node/1 off for a while. Its flows stop hearing its price; the
 	// collector keeps the last reported populations.
-	net.SetPartition(nodeName(1), 9)
+	net.SetPartition(hostOf(cl, nodeName(1)), 9)
 	time.Sleep(100 * time.Millisecond)
 	net.ClearPartitions()
 
@@ -174,6 +175,7 @@ func TestStaleRepairsAsymmetricPartition(t *testing.T) {
 		Staleness: 1,
 		Resend:    2 * time.Millisecond,
 		Telemetry: tel,
+		ownHost:   flowName(0), // so that the block below cuts one edge, not a host's worth
 	}, net)
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +190,7 @@ func TestStaleRepairsAsymmetricPartition(t *testing.T) {
 	// announces still reach the node. The whole (single-component)
 	// cluster stalls behind flow/0 within K rounds.
 	peer := model.NewIndex(p).NodesByFlow(0)[0]
-	net.SetOneWay(nodeName(peer), flowName(0), true)
+	net.SetOneWay(hostOf(cl, nodeName(peer)), hostOf(cl, flowName(0)), true)
 	done := make(chan error, 1)
 	var stats []RoundStats
 	go func() {
@@ -202,7 +204,7 @@ func TestStaleRepairsAsymmetricPartition(t *testing.T) {
 		t.Fatalf("run finished during the one-way block: %v", err)
 	default:
 	}
-	net.SetOneWay(nodeName(peer), flowName(0), false)
+	net.SetOneWay(hostOf(cl, nodeName(peer)), hostOf(cl, flowName(0)), false)
 	healed := time.Now()
 
 	select {
@@ -236,9 +238,10 @@ func TestStaleRepairsAsymmetricPartition(t *testing.T) {
 	}
 }
 
-// TestMemoryMeterCountsClusterTraffic sanity-checks the transport meter
-// against a known round structure: every synchronous round moves at least
-// one message per flow and per node.
+// TestMemoryMeterCountsClusterTraffic sanity-checks the two meters against
+// a known round structure: every synchronous round moves at least one
+// agent message per flow and per node, and the frames the gateways wrote
+// are the frames the transport delivered.
 func TestMemoryMeterCountsClusterTraffic(t *testing.T) {
 	p := workload.Base()
 	net := transport.NewMemory()
@@ -247,21 +250,26 @@ func TestMemoryMeterCountsClusterTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
 
 	const rounds = 10
 	if _, err := cl.Run(rounds, time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	stats := net.NetStats()
+	if err := cl.Close(); err != nil { // the gateways have stopped: the counters are final
+		t.Fatal(err)
+	}
+	stats, tr := net.NetStats(), cl.Traffic()
 	minPerRound := uint64(len(p.Flows) + len(p.Nodes))
-	if stats.Delivered < rounds*minPerRound {
-		t.Errorf("delivered %d messages over %d rounds, want >= %d", stats.Delivered, rounds, rounds*minPerRound)
+	if tr.Messages < rounds*minPerRound {
+		t.Errorf("%d agent messages over %d rounds, want >= %d", tr.Messages, rounds, rounds*minPerRound)
 	}
-	if stats.Bytes == 0 {
-		t.Error("byte counter did not advance")
+	if stats.Delivered == 0 || stats.Delivered != tr.Frames {
+		t.Errorf("transport delivered %d frames, gateways wrote %d", stats.Delivered, tr.Frames)
 	}
-	if stats.Dropped != 0 {
-		t.Errorf("dropped %d without fault injection", stats.Dropped)
+	if stats.Bytes == 0 || tr.Bytes == 0 {
+		t.Errorf("byte counters did not advance: %d on the wire, %d of payload", stats.Bytes, tr.Bytes)
+	}
+	if stats.Dropped != 0 || tr.Dropped != 0 {
+		t.Errorf("dropped %d frames and %d messages without fault injection", stats.Dropped, tr.Dropped)
 	}
 }

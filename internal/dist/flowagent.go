@@ -109,11 +109,10 @@ func (pw *priceWindow) avg() float64 {
 	return sum / float64(pw.n)
 }
 
-func newFlowAgent(p *model.Problem, ix *model.Index, fid model.FlowID, ep transport.Endpoint, c Config) *flowAgent {
+func newFlowAgent(p *model.Problem, ix *model.Index, fid model.FlowID, c Config) *flowAgent {
 	fa := &flowAgent{
 		p:         p,
 		flow:      fid,
-		ep:        ep,
 		ra:        core.NewRateAllocator(p, ix, fid),
 		nodes:     ix.NodesByFlow(fid),
 		nodeCost:  ix.NodeCostsByFlow(fid),
@@ -296,9 +295,8 @@ func (fa *flowAgent) run() {
 		}
 		if fa.idle {
 			// Track the cluster's round counter passively so a later Join
-			// resumes at the right round. Reports arriving meanwhile are
-			// still absorbed: a node that computed our next round before
-			// seeing our re-announce has already sent its report.
+			// resumes at the right round; each peer node then sends the
+			// report of the round before it (nodeAgent.setActive).
 			fa.round = max(fa.round, fa.runUntil+1)
 		}
 

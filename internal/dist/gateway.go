@@ -1,7 +1,7 @@
 package dist
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -9,18 +9,21 @@ import (
 	"repro/internal/transport"
 )
 
-// gateway multiplexes the agents of one host onto a single network
-// endpoint. A send to a co-located agent is delivered directly (no wire
-// traffic at all); a send to a remote agent is appended, already encoded,
-// to the buffer staged for the destination's host, and the first byte
-// staged wakes the flusher, which writes one batch frame per destination
-// host with whatever has been staged by the time it runs. Inbound batch
-// frames are demultiplexed back to the per-agent ports.
+// gateway puts the agents of one host onto the wire: it owns the host's
+// single network endpoint and every agent on the host is a port on it. A
+// send to a co-located agent is delivered directly (no wire traffic at
+// all); a send to a remote agent is appended, already encoded, to the
+// buffer staged for the destination's host, and the first byte staged
+// wakes the flusher, which writes one batch frame per destination host
+// with whatever has been staged by the time it runs. Inbound batch frames
+// are demultiplexed back to the ports.
 //
 // Order: messages from one sender to one receiver are staged in one buffer
 // in send order, flushes are serialized, and the transport and the
 // receiving gateway's demux loop keep frame and message order — so every
-// (sender, receiver) pair is FIFO.
+// (sender, receiver) pair is FIFO, which is what Cluster.JoinFlow's
+// happens-before (Expect acknowledged, then Join, then the next RunUntil)
+// rests on.
 type gateway struct {
 	ep    transport.Endpoint
 	route map[string]string // agent endpoint name -> host endpoint name
@@ -28,13 +31,15 @@ type gateway struct {
 	tel   *telemetry.DistMetrics
 	rec   *recorder
 
-	mu     sync.Mutex
-	ports  map[string]*hostPort
-	out    map[string]*staged // by destination host, created on first use
-	dirty  []*staged          // those with bytes staged, in the order they got their first
-	closed bool
+	mu      sync.Mutex
+	ports   map[string]*hostPort
+	out     map[string]*staged // by destination host, created on first use
+	dirty   []*staged          // those with bytes staged, in the order they got their first
+	traffic Traffic
+	closed  bool
 	// kick wakes the flusher; a token is put when dirty gets its first
-	// entry. Closed, under mu, by close.
+	// entry. Closed, under mu, by close. Nil on the control host, whose
+	// senders flush inline.
 	kick chan struct{}
 
 	// flushMu serializes flushes; frames and slab are the flusher's scratch.
@@ -43,7 +48,7 @@ type gateway struct {
 	slab    transport.Slab
 
 	quit     chan struct{}
-	loopDone chan struct{} // flush + demux loops
+	loopDone chan struct{} // the demux loop, and the flush loop where there is one
 }
 
 // staged is what a gateway holds for one destination host until the next
@@ -55,7 +60,11 @@ type staged struct {
 	msgs int
 }
 
-func newGateway(ep transport.Endpoint, route, names map[string]string, tel *telemetry.DistMetrics, rec *recorder) *gateway {
+// newGateway starts a host's gateway. An inline gateway has no flusher of
+// its own: a send through one of its ports flushes before it returns and
+// reports what the transport said, which is what the control endpoint
+// needs (Close, Run and JoinFlow surface control-plane failures).
+func newGateway(ep transport.Endpoint, route, names map[string]string, inline bool, tel *telemetry.DistMetrics, rec *recorder) *gateway {
 	g := &gateway{
 		ep:       ep,
 		route:    route,
@@ -64,41 +73,58 @@ func newGateway(ep transport.Endpoint, route, names map[string]string, tel *tele
 		rec:      rec,
 		ports:    make(map[string]*hostPort),
 		out:      make(map[string]*staged),
-		kick:     make(chan struct{}, 1),
 		quit:     make(chan struct{}),
 		loopDone: make(chan struct{}, 2),
 	}
-	go g.flushLoop()
+	if inline {
+		g.loopDone <- struct{}{}
+	} else {
+		g.kick = make(chan struct{}, 1)
+		go g.flushLoop()
+	}
 	go g.demuxLoop()
 	return g
 }
 
-// port attaches a local agent to the gateway and returns its endpoint.
-func (g *gateway) port(name string) *hostPort {
-	p := &hostPort{
-		name: name,
-		gw:   g,
-		in:   make(chan transport.Message, memoryBuffer),
-	}
+// portSlack is the room a port keeps for control messages beside its
+// peers' values: a RunUntil per window, a Leave, a Join, a Stop, and the
+// Expect of a JoinFlow with the repeats it sends while unanswered.
+const portSlack = 8
+
+// port attaches a local agent that exchanges values with `peers` others
+// and returns its endpoint. The inbox holds what the protocol can have in
+// flight towards the agent, however long its goroutine is kept off the
+// processor: an agent proceeds to round r on inputs down to round r-1-K
+// (K = staleness) and a peer proceeds to r+K on what the agent sent for r,
+// so a peer has at most 2K+1 values out that the agent has not read — one
+// at the barrier — and the slot after them takes a resent duplicate. A
+// message that finds the inbox full all the same is dropped and counted
+// (Traffic.Dropped).
+func (g *gateway) port(name string, staleness, peers int) *hostPort {
+	return g.portDepth(name, (2*staleness+2)*peers+portSlack)
+}
+
+func (g *gateway) portDepth(name string, depth int) *hostPort {
+	p := &hostPort{name: name, gw: g, in: make(chan transport.Message, depth)}
 	g.mu.Lock()
 	g.ports[name] = p
 	g.mu.Unlock()
 	return p
 }
 
-// memoryBuffer mirrors the in-memory transport's per-endpoint queue depth.
-const memoryBuffer = 1024
-
-// send routes one agent message: direct local delivery when the
-// destination lives on this host, otherwise staged for the next flush.
-func (g *gateway) send(msg transport.Message) error {
+// stage routes one agent message: direct local delivery when the
+// destination lives on this host, otherwise appended to what the next
+// flush sends to the destination's host.
+func (g *gateway) stage(msg transport.Message) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.closed {
 		return transport.ErrClosed
 	}
+	g.traffic.Messages++
+	g.traffic.Bytes += uint64(len(msg.Payload))
 	if p, ok := g.ports[msg.To]; ok {
-		return p.enqueueLocked(msg)
+		return g.enqueueLocked(p, msg)
 	}
 	host, ok := g.route[msg.To]
 	if !ok {
@@ -113,7 +139,7 @@ func (g *gateway) send(msg transport.Message) error {
 		if g.dirty = append(g.dirty, st); len(g.dirty) == 1 {
 			select {
 			case g.kick <- struct{}{}:
-			default: // a wake-up is already pending
+			default: // a wake-up is already pending, or the sender flushes
 			}
 		}
 	}
@@ -124,19 +150,21 @@ func (g *gateway) send(msg transport.Message) error {
 
 // flushLoop flushes whenever something has been staged, and once more on
 // the way out so that what the agents sent while shutting down (their
-// Expect echoes) is not lost.
+// Expect echoes) is not lost. Send failures are tolerated like agent
+// sends: the protocol handles loss, and a closed transport surfaces via
+// the demux loop.
 func (g *gateway) flushLoop() {
 	defer func() { g.loopDone <- struct{}{} }()
 	for range g.kick {
-		g.flush()
+		_ = g.flush()
 	}
-	g.flush()
+	_ = g.flush()
 }
 
 // flush cuts one batch frame per destination host with staged traffic and
-// sends them. Send failures are tolerated like agent sends: the protocol
-// handles loss, and a closed transport surfaces via the demux loop.
-func (g *gateway) flush() {
+// sends them. It returns the first send failure, an injected drop
+// (transport.ErrDropped) only if nothing worse happened.
+func (g *gateway) flush() error {
 	g.flushMu.Lock()
 	defer g.flushMu.Unlock()
 	g.mu.Lock()
@@ -151,17 +179,22 @@ func (g *gateway) flush() {
 		st.buf, st.msgs = st.buf[:0], 0
 	}
 	g.dirty = g.dirty[:0]
+	g.traffic.Frames += uint64(len(g.frames))
 	g.mu.Unlock()
 	if total == 0 {
-		return
+		return nil
 	}
+	var failed error
 	for _, f := range g.frames {
-		_ = g.ep.Send(f)
+		if err := g.ep.Send(f); err != nil && (failed == nil || errors.Is(failed, transport.ErrDropped)) {
+			failed = fmt.Errorf("dist: frame to %s: %w", f.To, err)
+		}
 	}
 	g.tel.ObserveFlush(total)
 	g.rec.record(EvFlush, 0, int64(total), int64(len(g.frames)))
 	clear(g.frames) // drop the payload references
 	g.frames = g.frames[:0]
+	return failed
 }
 
 // intern returns the cluster's own string for an envelope field, and a new
@@ -196,7 +229,8 @@ func (g *gateway) demuxLoop() {
 }
 
 // demux delivers a batch frame's messages, whose payloads alias the
-// frame's, to their ports, up to the first that does not decode.
+// frame's, to their ports. A frame is input from outside the program:
+// delivery stops at the first message that does not decode.
 func (g *gateway) demux(frame []byte) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -207,8 +241,24 @@ func (g *gateway) demux(frame []byte) {
 		}
 		frame = frame[n:]
 		if p, ok := g.ports[string(to)]; ok {
-			_ = p.enqueueLocked(transport.Message{From: g.intern(from), To: p.name, Kind: g.intern(kind), Payload: payload}) // full-buffer drops mirror transport semantics
+			// A full inbox is counted in enqueueLocked; there is nobody to tell.
+			_ = g.enqueueLocked(p, transport.Message{From: g.intern(from), To: p.name, Kind: g.intern(kind), Payload: payload})
 		}
+	}
+}
+
+// enqueueLocked delivers into a port's inbox. Callers hold g.mu, which also
+// protects the closed flag, so a close cannot race the send.
+func (g *gateway) enqueueLocked(p *hostPort, msg transport.Message) error {
+	if p.closed {
+		return transport.ErrClosed
+	}
+	select {
+	case p.in <- msg:
+		return nil
+	default:
+		g.traffic.Dropped++
+		return fmt.Errorf("dist: %q inbound buffer full", p.name)
 	}
 }
 
@@ -221,7 +271,9 @@ func (g *gateway) close() {
 		return
 	}
 	g.closed = true
-	close(g.kick) // under mu, like every send on it
+	if g.kick != nil {
+		close(g.kick) // under mu, like every send on it
+	}
 	g.mu.Unlock()
 	close(g.quit)
 	<-g.loopDone
@@ -242,8 +294,8 @@ func (g *gateway) closePorts() {
 	}
 }
 
-// hostPort is one agent's endpoint on a gateway host. It satisfies
-// transport.Endpoint so agent code is oblivious to batching.
+// hostPort is one agent's endpoint on its host's gateway. It satisfies
+// transport.Endpoint, so agent code knows nothing of hosts or frames.
 type hostPort struct {
 	name   string
 	gw     *gateway
@@ -259,7 +311,11 @@ func (p *hostPort) Name() string { return p.name }
 // Send implements transport.Endpoint.
 func (p *hostPort) Send(msg transport.Message) error {
 	msg.From = p.name
-	return p.gw.send(msg)
+	err := p.gw.stage(msg)
+	if err == nil && p.gw.kick == nil {
+		err = p.gw.flush()
+	}
+	return err
 }
 
 // Recv implements transport.Endpoint.
@@ -268,53 +324,3 @@ func (p *hostPort) Recv() <-chan transport.Message { return p.in }
 // Close implements transport.Endpoint. Ports close collectively with
 // their gateway; an individual close is a no-op.
 func (p *hostPort) Close() error { return nil }
-
-// enqueueLocked delivers into the port buffer. Callers hold gw.mu, which
-// also protects the closed flag, so a close cannot race the send.
-func (p *hostPort) enqueueLocked(msg transport.Message) error {
-	if p.closed {
-		return transport.ErrClosed
-	}
-	select {
-	case p.in <- msg:
-		return nil
-	default:
-		return fmt.Errorf("dist: %q inbound buffer full", p.name)
-	}
-}
-
-// encodeBatch packs whole messages into one payload: the concatenation
-// of their transport.AppendMessage frames (first byte 'B').
-func encodeBatch(msgs []transport.Message) []byte {
-	size := 0
-	for i := range msgs {
-		size += transport.BinarySize(&msgs[i])
-	}
-	payload := make([]byte, 0, size)
-	for i := range msgs {
-		payload = transport.AppendMessage(payload, &msgs[i])
-	}
-	return payload
-}
-
-// decodeBatch appends a batch payload's messages to dst. Their payloads
-// alias the batch's, which like any received payload is read-only. The
-// plain message array JSON senders wrote (first byte '[') still decodes.
-func decodeBatch(dec *transport.Decoder, dst []transport.Message, payload []byte) ([]transport.Message, error) {
-	if len(payload) > 0 && payload[0] == '[' {
-		var msgs []transport.Message
-		if err := json.Unmarshal(payload, &msgs); err != nil {
-			return nil, fmt.Errorf("dist: decode batch: %w", err)
-		}
-		return append(dst, msgs...), nil
-	}
-	for off := 0; off < len(payload); {
-		m, n, err := dec.Decode(payload[off:])
-		if err != nil {
-			return nil, err
-		}
-		dst = append(dst, m)
-		off += n
-	}
-	return dst, nil
-}

@@ -32,8 +32,8 @@ const (
 	ctrlKind      = "ctrl"
 	rateKind      = "rate"
 	reportKind    = "report"
-	// batchKind tags a frame whose payload is a batch of whole messages
-	// (see gateway.go); receivers demux and handle each inner message.
+	// batchKind tags what the gateways exchange: a frame whose payload is a
+	// batch of whole messages (see gateway.go). No agent sees one.
 	batchKind = "batch"
 )
 

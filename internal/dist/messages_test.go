@@ -11,6 +11,17 @@ import (
 	"repro/internal/transport"
 )
 
+// encodeBatch is the layout of a gateway's batch frame: the concatenation
+// of its messages' transport.AppendMessage encodings (first byte 'B').
+// TestGatewayContract holds the frames a gateway writes to it.
+func encodeBatch(msgs []transport.Message) []byte {
+	var frame []byte
+	for i := range msgs {
+		frame = transport.AppendMessage(frame, &msgs[i])
+	}
+	return frame
+}
+
 // distPayloadCases enumerates representative dist payloads, including
 // empty report sections.
 func distPayloadCases() (rates []rateMsg, reports []reportMsg, ctrls []ctrlMsg) {
@@ -115,8 +126,8 @@ func TestGoldenBytes(t *testing.T) {
 }
 
 // TestDecodesLegacyJSON: nothing writes JSON payloads any more, but every
-// decoder still reads the object (and decodeBatch the array) an older
-// sender wrote, into the same struct as the binary twin.
+// decoder still reads the object an older sender wrote, into the same
+// struct as the binary twin.
 func TestDecodesLegacyJSON(t *testing.T) {
 	rate := rateMsg{Round: 7, Flow: 5, Rate: 123.456, Active: true}
 	if got, err := decodeRate([]byte(`{"round":7,"flow":5,"rate":123.456,"active":true}`)); err != nil || got != rate {
@@ -137,21 +148,6 @@ func TestDecodesLegacyJSON(t *testing.T) {
 		t.Errorf("ctrl: got %+v, %v; want %+v", got, err, ctrl)
 	}
 
-	var dec transport.Decoder
-	want := []transport.Message{
-		{From: "flow/1", To: "node/0", Kind: rateKind, Payload: []byte(`{"round":3,"flow":1,"rate":2.5,"active":true}`)},
-		{From: "cluster-ctrl", To: "flow/1", Kind: ctrlKind, Payload: []byte(`{"stop":true}`)},
-	}
-	array := `[{"from":"flow/1","to":"node/0","kind":"rate","payload":{"round":3,"flow":1,"rate":2.5,"active":true}},` +
-		`{"from":"cluster-ctrl","to":"flow/1","kind":"ctrl","payload":{"stop":true}}]`
-	fromJSON, err := decodeBatch(&dec, nil, []byte(array))
-	if err != nil || !reflect.DeepEqual(fromJSON, want) {
-		t.Errorf("JSON batch: got %+v, %v; want %+v", fromJSON, err, want)
-	}
-	fromBinary, err := decodeBatch(&dec, nil, encodeBatch(want))
-	if err != nil || !reflect.DeepEqual(fromBinary, fromJSON) {
-		t.Errorf("binary batch: got %+v, %v; want what the JSON array decoded to", fromBinary, err)
-	}
 }
 
 // TestDistPayloadDecodeRejectsCorruption: every truncation of a binary
@@ -182,25 +178,30 @@ func TestDistPayloadDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestEncodeDecodeBatch round-trips a gateway batch frame; the inner
-// payloads alias the batch payload instead of copying it.
+// TestEncodeDecodeBatch round-trips a batch frame through a gateway's
+// demux: every message reaches its port as it was sent, in order, its
+// payload aliasing the frame's instead of copying it.
 func TestEncodeDecodeBatch(t *testing.T) {
 	msgs := []transport.Message{
 		{From: "flow/1", To: "node/0", Kind: rateKind, Payload: rateMsg{Round: 3, Flow: 1, Rate: 2.5, Active: true}.appendBinary(nil)},
 		{From: "node/0", To: "flow/1", Kind: reportKind, Payload: (&reportMsg{Round: 3, Node: 0, Price: 1.5}).appendBinary(nil)},
 		{From: "cluster-ctrl", To: "flow/1", Kind: ctrlKind, Payload: ctrlMsg{Stop: true}.appendBinary(nil)},
 	}
-	var dec transport.Decoder
-	payload := encodeBatch(msgs)
-	got, err := decodeBatch(&dec, nil, payload)
-	if err != nil || !reflect.DeepEqual(got, msgs) {
-		t.Fatalf("batch round trip: got %+v, %v; want %+v", got, err, msgs)
+	net := transport.NewMemory()
+	defer net.Close()
+	g, ports := testGateway(t, net, "host/0", map[string]string{"node/0": "host/0", "flow/1": "host/0"}, false)
+	frame := encodeBatch(msgs)
+	g.demux(frame)
+	got := append(drain(ports["node/0"]), drain(ports["flow/1"])...)
+	if !reflect.DeepEqual(got, msgs) {
+		t.Fatalf("batch round trip: got %+v, want %+v", got, msgs)
 	}
-	if last := got[2].Payload; &last[len(last)-1] != &payload[len(payload)-1] {
+	if last := got[2].Payload; &last[len(last)-1] != &frame[len(frame)-1] {
 		t.Error("inner payload does not alias the batch payload")
 	}
-	if got, err := decodeBatch(&dec, nil, nil); err != nil || len(got) != 0 {
-		t.Errorf("empty batch: %v, %v", got, err)
+	g.demux(nil)
+	if got := append(drain(ports["node/0"]), drain(ports["flow/1"])...); len(got) != 0 {
+		t.Errorf("empty batch delivered %v", got)
 	}
 }
 
@@ -218,6 +219,11 @@ func FuzzDecodeDistPayloads(f *testing.F) {
 	for _, cm := range ctrls {
 		f.Add(cm.appendBinary(nil))
 	}
+	f.Add(encodeBatch([]transport.Message{{From: "flow/1", To: "node/0", Kind: rateKind, Payload: rates[2].appendBinary(nil)}}))
+	net := transport.NewMemory()
+	defer net.Close()
+	g, ports := testGateway(f, net, "host/0", map[string]string{"node/0": "host/0"}, false)
+	port := ports["node/0"]
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The oracle compares canonical bytes, not structs: a decoded
 		// float may be NaN, which no struct comparison finds equal.
@@ -240,14 +246,13 @@ func FuzzDecodeDistPayloads(f *testing.F) {
 				t.Fatalf("ctrl re-encode mismatch: %+v vs %+v (%v)", again, cm, err)
 			}
 		}
-		// The batch oracle covers the binary envelope layout only: a JSON
-		// array batch may decode an empty payload as non-nil, which the
-		// canonical binary re-decode represents as nil.
-		var dec transport.Decoder
-		if msgs, err := decodeBatch(&dec, nil, data); err == nil && binary && data[0] != '[' {
-			again, err := decodeBatch(&dec, nil, encodeBatch(msgs))
-			if err != nil || !reflect.DeepEqual(again, msgs) {
-				t.Fatalf("batch re-encode mismatch (%v)", err)
+		// A gateway delivers the messages of a frame up to the first that
+		// does not decode; what it delivered must survive a re-encode.
+		g.demux(data)
+		if msgs := drain(port); len(msgs) > 0 {
+			g.demux(encodeBatch(msgs))
+			if again := drain(port); !reflect.DeepEqual(again, msgs) {
+				t.Fatalf("batch re-encode mismatch: %+v vs %+v", again, msgs)
 			}
 		}
 	})

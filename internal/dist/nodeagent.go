@@ -63,12 +63,11 @@ type nodeAgent struct {
 	done chan struct{}
 }
 
-func newNodeAgent(p *model.Problem, ix *model.Index, b model.NodeID, ep transport.Endpoint, c Config) *nodeAgent {
+func newNodeAgent(p *model.Problem, ix *model.Index, b model.NodeID, c Config) *nodeAgent {
 	cfg := c.Core
 	na := &nodeAgent{
 		p:         p,
 		node:      b,
-		ep:        ep,
 		cfg:       cfg,
 		alloc:     core.NewNodeAllocator(p, ix, b),
 		gamma:     core.NewAdaptiveGamma(cfg),
@@ -148,20 +147,21 @@ func (na *nodeAgent) compute(round int) {
 	}
 }
 
-// broadcast sends na.report to every expected flow agent and the
-// collector. The body is encoded once and the payload shared across all
-// peer messages (receivers treat payloads as read-only). As in
-// flowAgent.announce, only a closed transport is fatal; lossy-delivery
-// failures are tolerated.
+// broadcast sends na.report to every active flow agent and the collector.
+// The body is encoded once and the payload shared across all peer messages
+// (receivers treat payloads as read-only). As in flowAgent.announce, only a
+// closed transport is fatal; lossy-delivery failures are tolerated.
+//
+// A departed flow is told nothing: the node does not wait for it, so
+// nothing would bound what piles up in its inbox, and the one report it
+// needs — the latest, to pass its barrier when it rejoins — is what
+// setActive sends it then.
 func (na *nodeAgent) broadcast() error {
 	msg := transport.Message{From: na.ep.Name(), Kind: reportKind, Payload: na.out.seal(na.report.appendBinary(na.out.enc[:0]))}
-	// Inactive flows are reported to as well: a rejoining flow's first
-	// announce can race this node's round computation (the node learns of
-	// the rejoin only from that announce), and if it loses the race the
-	// flow still needs this round's report to pass its barrier — skipping
-	// inactive peers deadlocked exactly that interleaving. Idle agents
-	// drain their inbox, so the extra frames are harmless.
-	for _, peer := range na.peerNames {
+	for k, peer := range na.peerNames {
+		if na.inactive[k] {
+			continue
+		}
 		msg.To = peer
 		if err := na.ep.Send(msg); errors.Is(err, transport.ErrClosed) {
 			return fmt.Errorf("dist: node %d report to %s: %w", na.node, peer, err)
@@ -215,8 +215,9 @@ func (na *nodeAgent) absorbRate(payload []byte) {
 	}
 }
 
-// setActive processes the departure or (re)join of the flow at position k;
-// a departed flow's rate counts as zero.
+// setActive processes the departure or (re)join of the flow at position k.
+// A departed flow's rate counts as zero; a rejoining one is sent the
+// node's latest report, which it did not get while it was away.
 func (na *nodeAgent) setActive(k int, on bool) {
 	i := na.flows[k]
 	na.inactive[k] = !on
@@ -226,6 +227,10 @@ func (na *nodeAgent) setActive(k int, on bool) {
 	na.alloc.SetFlowActive(i, on)
 	if na.mrAlloc != nil {
 		na.mrAlloc.SetFlowActive(i, on)
+	}
+	if on && na.report.Round > 0 {
+		// A closed transport ends the loop at its next receive.
+		_ = na.ep.Send(transport.Message{From: na.ep.Name(), To: na.peerNames[k], Kind: reportKind, Payload: na.out.seal(na.report.appendBinary(na.out.enc[:0]))})
 	}
 }
 

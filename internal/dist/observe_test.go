@@ -137,7 +137,7 @@ func TestStallPostmortemOnLostStop(t *testing.T) {
 	// Cut the control endpoint off: Stop frames now vanish exactly like
 	// fault-injected drops (ErrDropped is tolerated by Close's error
 	// filter), so no agent ever sees its Stop.
-	net.SetPartition("cluster-ctrl", 9)
+	net.SetPartition(ctrlHost, 9)
 	err = cl.Close()
 	if err == nil || !strings.Contains(err.Error(), "timeout stopping") {
 		t.Fatalf("Close error = %v, want stop timeout", err)
@@ -171,7 +171,7 @@ func TestStallDetectorTripsMidRun(t *testing.T) {
 	p := workload.Base()
 	net := transport.NewMemory()
 	defer net.Close()
-	net.SetDropExempt("cluster-ctrl")
+	net.SetDropExempt(ctrlHost)
 	reg := telemetry.NewRegistry()
 	tel := telemetry.NewDistMetrics(reg)
 	pm := &syncWriter{}
@@ -229,7 +229,7 @@ func TestTraceAnalyzeThousandAgents(t *testing.T) {
 	net := transport.NewMemory()
 	defer net.Close()
 	net.SetDropRate(0.10, 1)
-	net.SetDropExempt("cluster-ctrl")
+	net.SetDropExempt(ctrlHost)
 
 	cl, err := New(p, Config{
 		Core:       core.Config{Adaptive: true},
@@ -237,6 +237,7 @@ func TestTraceAnalyzeThousandAgents(t *testing.T) {
 		Resend:     5 * time.Millisecond,
 		Record:     true,
 		RecordSize: 1024,
+		ownHost:    flowName(straggler),
 	}, net)
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +258,7 @@ func TestTraceAnalyzeThousandAgents(t *testing.T) {
 	}()
 
 	time.Sleep(50 * time.Millisecond)
-	net.SetPartition(flowName(straggler), 9)
+	net.SetPartition(hostOf(cl, flowName(straggler)), 9)
 	time.Sleep(400 * time.Millisecond)
 	net.ClearPartitions()
 

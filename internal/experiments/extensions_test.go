@@ -100,6 +100,13 @@ func TestOverheadExperiment(t *testing.T) {
 			t.Errorf("%s: utility = %g", r.Workload, r.Utility)
 		}
 	}
+	// The binary payloads are >= 3x smaller than the JSON ones this run
+	// moved before they were deleted (3,532 bytes/round on 6f/3n at commit
+	// 525a158, EXPERIMENTS.md X5).
+	if const6f3n := 3532.0; const6f3n < 3*rows[0].BytesPerRound {
+		t.Errorf("binary saves only %.2fx bytes/round (json %.0f, binary %.0f)",
+			const6f3n/rows[0].BytesPerRound, const6f3n, rows[0].BytesPerRound)
+	}
 	// Message volume grows with system size.
 	if rows[2].MessagesPerRound <= rows[0].MessagesPerRound {
 		t.Errorf("24f/12n msgs/round %.1f not above base %.1f",
@@ -131,22 +138,13 @@ func TestDistRuntimeExperiment(t *testing.T) {
 		}
 		byConfig[r.Config] = r
 	}
-	// The headline claims of the runtime rebuild, measured not asserted by
-	// construction: binary >= 3x fewer bytes/round than the JSON wire
-	// moved on this run before it was deleted (120,607 at commit 525a158,
-	// EXPERIMENTS.md X5b), batching >= 2.5x fewer frames/round (what the
-	// event-driven flusher coalesces is up to the scheduler; see
-	// dist.TestBatchFrameReduction).
-	const jsonBytesPerRound = 120607
-	if b := byConfig["binary"]; jsonBytesPerRound < 3*b.BytesPerRound {
-		t.Errorf("binary saves only %.2fx bytes/round (json %d, binary %.0f)",
-			jsonBytesPerRound/b.BytesPerRound, jsonBytesPerRound, b.BytesPerRound)
+	// Measured, not asserted by construction: at 12 hosts a wire frame
+	// carries >= 2.5 agent messages, on that run's own counters (the bound
+	// and why it is what it is: dist.TestBatchFrameReduction).
+	if r := byConfig["hosts=12"]; r.MessagesPerRound < 2.5*r.FramesPerRound {
+		t.Errorf("12 hosts: %.1f messages/round in %.1f frames/round, want >= 2.5 a frame", r.MessagesPerRound, r.FramesPerRound)
 	}
-	if b, bb := byConfig["binary"], byConfig["binary+batch"]; b.FramesPerRound < 2.5*bb.FramesPerRound {
-		t.Errorf("batching saves only %.2fx frames/round (plain %.1f, batched %.1f)",
-			b.FramesPerRound/bb.FramesPerRound, b.FramesPerRound, bb.FramesPerRound)
-	}
-	for _, label := range []string{"binary", "binary+batch"} {
+	for _, label := range []string{"hosts=node", "hosts=12"} {
 		if byConfig[label].RoundsToConverge == 0 {
 			t.Errorf("%s: never reached the 1%% band", label)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/model"
 	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/workload"
@@ -43,50 +44,58 @@ func OverheadExperiment(opts Options, rounds int) ([]OverheadRow, error) {
 
 	var out []OverheadRow
 	for _, p := range workload.Table2Workloads() {
-		net := transport.NewMemory()
-		cl, err := dist.New(p, dist.Config{Core: core.Config{Adaptive: true}}, net)
+		stats, tr, _, err := runCluster(p, dist.Config{}, rounds)
 		if err != nil {
-			net.Close()
 			return nil, err
 		}
-		stats, err := cl.Run(rounds, 2*time.Minute)
-		if err != nil {
-			cl.Close()
-			net.Close()
-			return nil, err
-		}
-		m := net.NetStats()
-		if err := cl.Close(); err != nil {
-			net.Close()
-			return nil, err
-		}
-		net.Close()
-
 		out = append(out, OverheadRow{
 			Workload:         p.Name,
 			Flows:            len(p.Flows),
 			Nodes:            len(p.Nodes),
 			Rounds:           rounds,
-			MessagesPerRound: float64(m.Delivered) / float64(rounds),
-			BytesPerRound:    float64(m.Bytes) / float64(rounds),
+			MessagesPerRound: float64(tr.Messages) / float64(rounds),
+			BytesPerRound:    float64(tr.Bytes) / float64(rounds),
 			Utility:          stats[len(stats)-1].Utility,
 		})
 	}
 	return out, nil
 }
 
+// runCluster runs `rounds` synchronous rounds of p over a metered in-memory
+// network and returns the trajectory with what the agents sent (the
+// paper's message count: every agent message, co-located or not) and what
+// the network carried (frames and their bytes), both read when the last
+// round has finalized.
+func runCluster(p *model.Problem, cfg dist.Config, rounds int) ([]dist.RoundStats, dist.Traffic, transport.Stats, error) {
+	cfg.Core = core.Config{Adaptive: true}
+	net := transport.NewMemory()
+	defer net.Close()
+	cl, err := dist.New(p, cfg, net)
+	if err != nil {
+		return nil, dist.Traffic{}, transport.Stats{}, err
+	}
+	stats, err := cl.Run(rounds, 2*time.Minute)
+	if err != nil {
+		cl.Close()
+		return nil, dist.Traffic{}, transport.Stats{}, err
+	}
+	tr, m := cl.Traffic(), net.NetStats()
+	return stats, tr, m, cl.Close()
+}
+
 // RuntimeRow records one dist-runtime configuration of the X5 extension:
-// the same workload optimized under a batching / staleness combination,
+// the same workload optimized under a host count / staleness combination,
 // with its communication cost and convergence speed.
 type RuntimeRow struct {
-	Config string // human label, e.g. "binary+batch K=2"
-	// Batch and Staleness echo the dist.Config knobs.
-	Batch     bool
+	Config string // human label, e.g. "hosts=12 K=2"
+	// Staleness echoes the dist.Config knob.
 	Staleness int
-	// FramesPerRound counts transport frames (after batching), while
-	// BytesPerRound counts payload bytes on the wire.
-	FramesPerRound float64
-	BytesPerRound  float64
+	// MessagesPerRound counts agent messages as X5 does, FramesPerRound
+	// the transport frames that carried those that crossed hosts, and
+	// BytesPerRound the bytes in the frames.
+	MessagesPerRound float64
+	FramesPerRound   float64
+	BytesPerRound    float64
 	// RoundsToConverge is the first finalized round whose utility is
 	// within 1% of the synchronous engine's converged utility (0 when the
 	// run never entered the band).
@@ -95,11 +104,9 @@ type RuntimeRow struct {
 }
 
 // DistRuntimeExperiment (X5 extension) fixes one mid-size workload (102
-// flows x 102 nodes) and sweeps the distributed runtime's throughput
-// knobs: per-host batching and bounded staleness K, on the one (binary)
-// wire — the labels keep "binary" so the rows line up with the tables
-// recorded while a JSON wire could still be chosen. It reports
-// frames/round and bytes/round (the costs batching attacks) and
+// flows x 102 nodes) and sweeps the distributed runtime's deployment and
+// schedule: one host per node against 12 hosts, and bounded staleness K.
+// It reports frames/round and bytes/round (what sharing hosts saves) and
 // rounds-to-converge (the cost staleness pays, or does not, for
 // overlapping rounds).
 func DistRuntimeExperiment(opts Options, rounds int) ([]RuntimeRow, error) {
@@ -118,40 +125,21 @@ func DistRuntimeExperiment(opts Options, rounds int) ([]RuntimeRow, error) {
 	}
 	want := ref.Solve(2 * rounds).Utility
 
-	configs := []struct {
+	var out []RuntimeRow
+	for _, c := range []struct {
 		label string
 		cfg   dist.Config
 	}{
-		{"binary", dist.Config{}},
-		{"binary+batch", dist.Config{Batch: true, Hosts: 12}},
-		{"binary+batch K=1", dist.Config{Batch: true, Hosts: 12, Staleness: 1}},
-		{"binary+batch K=2", dist.Config{Batch: true, Hosts: 12, Staleness: 2}},
-		{"binary+batch K=4", dist.Config{Batch: true, Hosts: 12, Staleness: 4}},
-	}
-
-	var out []RuntimeRow
-	for _, c := range configs {
-		cfg := c.cfg
-		cfg.Core = core.Config{Adaptive: true}
-		net := transport.NewMemory()
-		cl, err := dist.New(p, cfg, net)
+		{"hosts=node", dist.Config{}},
+		{"hosts=12", dist.Config{Hosts: 12}},
+		{"hosts=12 K=1", dist.Config{Hosts: 12, Staleness: 1}},
+		{"hosts=12 K=2", dist.Config{Hosts: 12, Staleness: 2}},
+		{"hosts=12 K=4", dist.Config{Hosts: 12, Staleness: 4}},
+	} {
+		stats, tr, m, err := runCluster(p, c.cfg, rounds)
 		if err != nil {
-			net.Close()
 			return nil, err
 		}
-		stats, err := cl.Run(rounds, 2*time.Minute)
-		if err != nil {
-			cl.Close()
-			net.Close()
-			return nil, err
-		}
-		m := net.NetStats()
-		if err := cl.Close(); err != nil {
-			net.Close()
-			return nil, err
-		}
-		net.Close()
-
 		converged := 0
 		for _, s := range stats {
 			if rel := (s.Utility - want) / want; rel > -0.01 && rel < 0.01 {
@@ -161,8 +149,8 @@ func DistRuntimeExperiment(opts Options, rounds int) ([]RuntimeRow, error) {
 		}
 		out = append(out, RuntimeRow{
 			Config:           c.label,
-			Batch:            cfg.Batch,
-			Staleness:        cfg.Staleness,
+			Staleness:        c.cfg.Staleness,
+			MessagesPerRound: float64(tr.Messages) / float64(rounds),
 			FramesPerRound:   float64(m.Delivered) / float64(rounds),
 			BytesPerRound:    float64(m.Bytes) / float64(rounds),
 			RoundsToConverge: converged,
@@ -174,14 +162,15 @@ func DistRuntimeExperiment(opts Options, rounds int) ([]RuntimeRow, error) {
 
 // RenderDistRuntime renders the X5 extension rows.
 func RenderDistRuntime(rows []RuntimeRow) *trace.Table {
-	t := trace.NewTable("X5b: dist runtime — batching, staleness (102f x 102n)",
-		"Config", "Frames/round", "Bytes/round", "Rounds to 1%", "Utility")
+	t := trace.NewTable("X5b: dist runtime — hosts, staleness (102f x 102n)",
+		"Config", "Msgs/round", "Frames/round", "Bytes/round", "Rounds to 1%", "Utility")
 	for _, r := range rows {
 		conv := "-"
 		if r.RoundsToConverge > 0 {
 			conv = fmt.Sprint(r.RoundsToConverge)
 		}
 		t.Add(r.Config,
+			fmt.Sprintf("%.1f", r.MessagesPerRound),
 			fmt.Sprintf("%.1f", r.FramesPerRound),
 			fmt.Sprintf("%.0f", r.BytesPerRound),
 			conv,

@@ -109,7 +109,7 @@ type (
 type (
 	// Cluster runs LRGP as message-passing agents.
 	Cluster = dist.Cluster
-	// ClusterConfig tunes a cluster (mode, staleness, batching).
+	// ClusterConfig tunes a cluster (mode, staleness, hosts).
 	ClusterConfig = dist.Config
 	// Network provides named message endpoints.
 	Network = transport.Network
