@@ -27,9 +27,12 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Default stepsizes and bounds. The paper constrains the node-price
-// stepsize gamma to [0.001, 0.1] after the damping study (Section 4.2) and
-// adapts it by +0.001 per quiet iteration and halving on fluctuation.
+// Default stepsizes, and the adaptive controller's bounds and thresholds.
+// The paper constrains the node-price stepsize gamma to [0.001, 0.1] after
+// the damping study (Section 4.2) and adapts it by +0.001 per quiet
+// iteration and halving on fluctuation; it starts at the upper bound. The
+// dead band and surge thresholds are the refinements documented in
+// EXPERIMENTS.md (see gammaController). All prices start at zero.
 const (
 	DefaultGamma         = 0.1
 	DefaultGammaMin      = 0.001
@@ -63,30 +66,14 @@ type Config struct {
 	// gamma1 = gamma2 throughout its experiments.
 	Gamma2 float64
 	// Adaptive enables the per-node adaptive gamma heuristic of Section
-	// 4.2: start at GammaInit, add GammaStep per iteration while the
-	// price is not fluctuating, halve on fluctuation, clamp to
-	// [GammaMin, GammaMax]. When set, Gamma1/Gamma2 are ignored.
+	// 4.2: start at DefaultGammaMax, add DefaultGammaStep per iteration
+	// while the price is not fluctuating, halve on fluctuation, clamp to
+	// [DefaultGammaMin, DefaultGammaMax]. When set, Gamma1/Gamma2 are
+	// ignored.
 	Adaptive bool
-	// GammaInit is the adaptive starting value (default GammaMax).
-	GammaInit float64
-	// GammaMin and GammaMax bound the adaptive gamma (defaults
-	// DefaultGammaMin, DefaultGammaMax).
-	GammaMin float64
-	GammaMax float64
-	// GammaStep is the additive increase per quiet iteration (default
-	// DefaultGammaStep).
-	GammaStep float64
-	// GammaDeadband is the relative gap significance below which a sign
-	// flip is not treated as a fluctuation (default
-	// DefaultGammaDeadband); see gammaController.
-	GammaDeadband float64
-	// GammaSurge is the relative gap significance above which gamma
-	// ramps multiplicatively for fast recovery from workload changes
-	// (default DefaultGammaSurge); see gammaController.
-	GammaSurge float64
 	// GammaLiteral selects the paper's Section 4.2 heuristic exactly as
 	// written: any sign flip of the price movement halves gamma and any
-	// quiet iteration adds GammaStep, with no dead band and no surge
+	// quiet iteration adds the step, with no dead band and no surge
 	// ramp. Used by the controller-ablation experiment; the default
 	// (false) enables the dead band and surge refinements documented in
 	// EXPERIMENTS.md.
@@ -94,10 +81,6 @@ type Config struct {
 	// LinkGamma is the gradient-projection stepsize for link prices
 	// (Equation 13). Default DefaultLinkGamma.
 	LinkGamma float64
-	// InitialNodePrice and InitialLinkPrice seed the price vectors.
-	// Default 0.
-	InitialNodePrice float64
-	InitialLinkPrice float64
 	// Telemetry, when non-nil, receives per-Step instrumentation: stage
 	// wall times, utility, overloads, price-update counts and (from
 	// Solve) convergence state. The default nil keeps Step free of all
@@ -126,37 +109,8 @@ func (c Config) normalized() Config {
 	if c.Gamma2 <= 0 {
 		c.Gamma2 = c.Gamma1
 	}
-	if c.GammaMin <= 0 {
-		c.GammaMin = DefaultGammaMin
-	}
-	if c.GammaMax <= 0 {
-		c.GammaMax = DefaultGammaMax
-	}
-	if c.GammaMax < c.GammaMin {
-		// An inverted clamp would freeze the controller; collapse it to
-		// the single point the caller's lower bound defines.
-		c.GammaMax = c.GammaMin
-	}
-	if c.GammaInit <= 0 {
-		c.GammaInit = c.GammaMax
-	}
-	if c.GammaStep <= 0 {
-		c.GammaStep = DefaultGammaStep
-	}
-	if c.GammaDeadband <= 0 {
-		c.GammaDeadband = DefaultGammaDeadband
-	}
-	if c.GammaSurge <= 0 {
-		c.GammaSurge = DefaultGammaSurge
-	}
 	if c.LinkGamma <= 0 {
 		c.LinkGamma = DefaultLinkGamma
-	}
-	if c.InitialNodePrice < 0 {
-		c.InitialNodePrice = 0
-	}
-	if c.InitialLinkPrice < 0 {
-		c.InitialLinkPrice = 0
 	}
 	return c
 }

@@ -223,7 +223,7 @@ func NewEngine(p *model.Problem, cfg Config) (*Engine, error) {
 		linkPrices: make([]float64, len(p.Links)),
 		nodeCap:    make([]float64, len(p.Nodes)),
 		linkCap:    make([]float64, len(p.Links)),
-		gamma:      newGammaBank(c, len(p.Nodes)),
+		gamma:      newGammaBank(c.GammaLiteral, len(p.Nodes)),
 		solvers:    make([]*rateSolver, len(p.Flows)),
 
 		flowForced:     make([]bool, len(p.Flows)),
@@ -255,12 +255,10 @@ func NewEngine(p *model.Problem, cfg Config) (*Engine, error) {
 		e.rebase(i)
 	}
 	for b := range e.nodePrices {
-		e.nodePrices[b] = c.InitialNodePrice
 		e.nodeCap[b] = p.Nodes[b].Capacity
 		e.nodeForced[b] = true
 	}
 	for l := range e.linkPrices {
-		e.linkPrices[l] = c.InitialLinkPrice
 		e.linkCap[l] = p.Links[l].Capacity
 		e.linkForced[l] = true
 	}

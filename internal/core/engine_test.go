@@ -19,7 +19,7 @@ func TestNewEngineValidates(t *testing.T) {
 
 func TestEngineInitialState(t *testing.T) {
 	p := workload.Base()
-	e, err := NewEngine(p, Config{InitialNodePrice: 0.5})
+	e, err := NewEngine(p, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,8 +35,8 @@ func TestEngineInitialState(t *testing.T) {
 		}
 	}
 	for b, pr := range e.NodePrices() {
-		if pr != 0.5 {
-			t.Errorf("initial node price[%d] = %g, want 0.5", b, pr)
+		if pr != 0 {
+			t.Errorf("initial node price[%d] = %g, want 0", b, pr)
 		}
 	}
 	if e.Utility() != 0 {

@@ -44,16 +44,18 @@ type gammaController struct {
 // seen before the multiplicative ramp engages.
 const surgeRuns = 3
 
-func newGammaController(cfg Config) gammaController {
+// newGammaController starts a controller at the upper bound; literal
+// selects Config.GammaLiteral's behaviour.
+func newGammaController(literal bool) gammaController {
 	g := gammaController{
-		gamma:    clamp(cfg.GammaInit, cfg.GammaMin, cfg.GammaMax),
-		min:      cfg.GammaMin,
-		max:      cfg.GammaMax,
-		step:     cfg.GammaStep,
-		deadband: cfg.GammaDeadband,
-		surge:    cfg.GammaSurge,
+		gamma:    DefaultGammaMax,
+		min:      DefaultGammaMin,
+		max:      DefaultGammaMax,
+		step:     DefaultGammaStep,
+		deadband: DefaultGammaDeadband,
+		surge:    DefaultGammaSurge,
 	}
-	if cfg.GammaLiteral {
+	if literal {
 		// The paper's heuristic verbatim: every sign flip counts, no
 		// multiplicative ramp (surge > 1 can never trigger since the
 		// significance score s is bounded by 1).
@@ -122,10 +124,10 @@ type gammaBank struct {
 	surge    float64
 }
 
-// newGammaBank builds the bank for n nodes, normalizing the config exactly
-// like newGammaController (including the GammaLiteral overrides).
-func newGammaBank(cfg Config, n int) *gammaBank {
-	proto := newGammaController(cfg)
+// newGammaBank builds the bank for n nodes from newGammaController's
+// initial state (including the GammaLiteral overrides).
+func newGammaBank(literal bool, n int) *gammaBank {
+	proto := newGammaController(literal)
 	g := &gammaBank{
 		val:      make([]float64, n),
 		prevGap:  make([]float64, n),

@@ -60,10 +60,16 @@ func TestLinkPriceGradientProjection(t *testing.T) {
 	}
 }
 
+// controllerAt is the default controller (bounds [0.001, 0.1], step 0.001,
+// dead band 0.01, surge 0.3) moved to the given gamma.
+func controllerAt(gamma float64) gammaController {
+	g := newGammaController(false)
+	g.gamma = gamma
+	return g
+}
+
 func TestGammaControllerIncreasesWhenQuiet(t *testing.T) {
-	g := newGammaController(Config{
-		GammaInit: 0.05, GammaMin: 0.001, GammaMax: 0.1, GammaStep: 0.001,
-	}.normalized())
+	g := controllerAt(0.05)
 	// Deltas with a constant sign: gamma grows additively.
 	got := g.observe(0.1, 1)
 	if math.Abs(got-0.051) > 1e-12 {
@@ -76,9 +82,7 @@ func TestGammaControllerIncreasesWhenQuiet(t *testing.T) {
 }
 
 func TestGammaControllerHalvesOnFluctuation(t *testing.T) {
-	g := newGammaController(Config{
-		GammaInit: 0.08, GammaMin: 0.001, GammaMax: 0.1, GammaStep: 0.001,
-	}.normalized())
+	g := controllerAt(0.08)
 	g.observe(0.1, 1)  // 0.081
 	g.observe(-0.1, 1) // sign flip: halve to 0.0405
 	if math.Abs(g.gamma-0.0405) > 1e-12 {
@@ -87,9 +91,7 @@ func TestGammaControllerHalvesOnFluctuation(t *testing.T) {
 }
 
 func TestGammaControllerClamps(t *testing.T) {
-	g := newGammaController(Config{
-		GammaInit: 0.1, GammaMin: 0.001, GammaMax: 0.1, GammaStep: 0.001,
-	}.normalized())
+	g := controllerAt(0.1)
 	// Quiet forever: stays at max.
 	for i := 0; i < 10; i++ {
 		g.observe(0.1, 1)
@@ -109,9 +111,7 @@ func TestGammaControllerClamps(t *testing.T) {
 }
 
 func TestGammaControllerZeroDeltaKeepsSign(t *testing.T) {
-	g := newGammaController(Config{
-		GammaInit: 0.05, GammaMin: 0.001, GammaMax: 0.1, GammaStep: 0.001,
-	}.normalized())
+	g := controllerAt(0.05)
 	g.observe(0.1, 1)
 	g.observe(0, 1) // no movement: not a fluctuation, prev sign retained
 	if math.Abs(g.gamma-0.052) > 1e-12 {
@@ -125,10 +125,7 @@ func TestGammaControllerZeroDeltaKeepsSign(t *testing.T) {
 }
 
 func TestGammaControllerDeadband(t *testing.T) {
-	g := newGammaController(Config{
-		GammaInit: 0.05, GammaMin: 0.001, GammaMax: 0.1,
-		GammaStep: 0.001, GammaDeadband: 0.01,
-	}.normalized())
+	g := controllerAt(0.05)
 	g.observe(0.1, 1) // significant, stores +0.1
 	// Hair-width jitter around a price of 1: |delta| = 0.001 < 1% of 1,
 	// so sign flips do NOT halve gamma and do not overwrite the stored
@@ -146,10 +143,7 @@ func TestGammaControllerDeadband(t *testing.T) {
 }
 
 func TestGammaControllerSurge(t *testing.T) {
-	g := newGammaController(Config{
-		GammaInit: 0.004, GammaMin: 0.001, GammaMax: 0.1,
-		GammaStep: 0.001, GammaDeadband: 0.01, GammaSurge: 0.3,
-	}.normalized())
+	g := controllerAt(0.004)
 	// Price far from target (e.g. after a flow departure): the gap
 	// dominates the price level and keeps one sign. The multiplicative
 	// ramp engages only after surgeRuns consecutive same-signed
@@ -197,22 +191,18 @@ func TestConfigNormalized(t *testing.T) {
 	if c.Gamma1 != DefaultGamma || c.Gamma2 != DefaultGamma {
 		t.Errorf("gammas = %g/%g", c.Gamma1, c.Gamma2)
 	}
-	if c.GammaMin != DefaultGammaMin || c.GammaMax != DefaultGammaMax {
-		t.Errorf("gamma bounds = %g/%g", c.GammaMin, c.GammaMax)
+	if c.LinkGamma != DefaultLinkGamma {
+		t.Errorf("link gamma = %g", c.LinkGamma)
 	}
-	if c.GammaInit != DefaultGammaMax {
-		t.Errorf("gamma init = %g, want %g", c.GammaInit, float64(DefaultGammaMax))
+	if g := newGammaController(false); g.gamma != DefaultGammaMax || g.min != DefaultGammaMin || g.max != DefaultGammaMax ||
+		g.step != DefaultGammaStep || g.deadband != DefaultGammaDeadband || g.surge != DefaultGammaSurge {
+		t.Errorf("default controller = %+v", g)
 	}
-	if c.GammaStep != DefaultGammaStep || c.LinkGamma != DefaultLinkGamma {
-		t.Errorf("step/link = %g/%g", c.GammaStep, c.LinkGamma)
+	if g := newGammaController(true); g.deadband != 0 || g.surge <= 1 {
+		t.Errorf("literal controller = %+v, want no dead band and an unreachable surge", g)
 	}
 	c = Config{Gamma1: 0.3}.normalized()
 	if c.Gamma2 != 0.3 {
 		t.Errorf("Gamma2 = %g, want to follow Gamma1", c.Gamma2)
-	}
-	// An inverted clamp collapses to the lower bound.
-	c = Config{GammaMin: 0.5, GammaMax: 0.2}.normalized()
-	if c.GammaMax != 0.5 {
-		t.Errorf("inverted clamp: max = %g, want 0.5", c.GammaMax)
 	}
 }

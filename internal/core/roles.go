@@ -88,9 +88,9 @@ type AdaptiveGamma struct {
 }
 
 // NewAdaptiveGamma builds a controller from the engine configuration
-// (GammaInit/GammaMin/GammaMax/GammaStep are honored).
+// (GammaLiteral is honored).
 func NewAdaptiveGamma(cfg Config) *AdaptiveGamma {
-	return &AdaptiveGamma{g: newGammaController(cfg.normalized())}
+	return &AdaptiveGamma{g: newGammaController(cfg.GammaLiteral)}
 }
 
 // Observe folds in the latest price-update gap (see PriceGap) and the

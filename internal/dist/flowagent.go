@@ -135,10 +135,10 @@ func newFlowAgent(p *model.Problem, ix *model.Index, fid model.FlowID, c Config)
 			terms[k] = classTerm{cid: cid, cost: p.Classes[cid].CostPerConsumer}
 		}
 		fa.classesAt = append(fa.classesAt, terms)
-		fa.nodePrice = append(fa.nodePrice, newPriceWindow(window, c.Core.InitialNodePrice))
+		fa.nodePrice = append(fa.nodePrice, newPriceWindow(window, 0))
 	}
 	for _, l := range fa.links {
-		fa.linkPrice = append(fa.linkPrice, newPriceWindow(window, c.Core.InitialLinkPrice))
+		fa.linkPrice = append(fa.linkPrice, newPriceWindow(window, 0))
 		fa.peerNodes = append(fa.peerNodes, p.Links[l].To)
 	}
 	slices.Sort(fa.peerNodes)

@@ -17,9 +17,7 @@ package dist
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"slices"
 
 	"repro/internal/model"
 	"repro/internal/transport"
@@ -76,12 +74,12 @@ func itoa(v int) string {
 // rateMsg announces a flow's rate for one round (flow agent -> node agents
 // and collector).
 type rateMsg struct {
-	Round int          `json:"round"`
-	Flow  model.FlowID `json:"flow"`
-	Rate  float64      `json:"rate"`
+	Round int
+	Flow  model.FlowID
+	Rate  float64
 	// Active false announces the flow's departure: this is the flow's
 	// final message, and receivers must stop expecting it afterwards.
-	Active bool `json:"active"`
+	Active bool
 }
 
 // keyed is one id-tagged value of a report section, and a section lists
@@ -95,65 +93,50 @@ type keyed[V any] struct {
 
 type section[V any] []keyed[V]
 
-// UnmarshalJSON reads the id-keyed object a JSON sender wrote.
-func (s *section[V]) UnmarshalJSON(b []byte) error {
-	var m map[int]V
-	if err := json.Unmarshal(b, &m); err != nil {
-		return err
-	}
-	*s = (*s)[:0]
-	for id, v := range m {
-		*s = append(*s, keyed[V]{id, v})
-	}
-	slices.SortFunc(*s, func(a, b keyed[V]) int { return a.ID - b.ID })
-	return nil
-}
-
 // reportMsg carries a node's consumer allocation and prices for one round
 // (node agent -> flow agents and collector).
 type reportMsg struct {
-	Round int          `json:"round"`
-	Node  model.NodeID `json:"node"`
-	Price float64      `json:"price"`
+	Round int
+	Node  model.NodeID
+	Price float64
 	// Populations holds n_j for the classes attached at this node.
-	Populations section[int] `json:"populations"`
+	Populations section[int]
 	// Deliveries holds d_j for the classes attached at this node
 	// (multirate mode only; absent in single-rate mode, where d_j = r_i).
-	Deliveries section[float64] `json:"deliveries"`
+	Deliveries section[float64]
 	// LinkPrices holds the prices of the links this node owns (links
 	// whose To endpoint is this node).
-	LinkPrices section[float64] `json:"linkPrices"`
+	LinkPrices section[float64]
 	// Used and BestBC expose the Equation 12 inputs for observability.
-	Used   float64 `json:"used"`
-	BestBC float64 `json:"bestBC"`
+	Used   float64
+	BestBC float64
 }
 
 // ctrlMsg drives agents from the cluster.
 type ctrlMsg struct {
 	// RunUntil lets a synchronous flow agent advance up to (and
 	// including) the given round, then pause.
-	RunUntil int `json:"runUntil,omitempty"`
+	RunUntil int
 	// Leave tells a flow agent to announce departure and idle (it can
 	// rejoin later).
-	Leave bool `json:"leave,omitempty"`
+	Leave bool
 	// Join tells an idled flow agent to re-announce itself and resume.
-	Join bool `json:"join,omitempty"`
+	Join bool
 	// Stop tells any agent to exit immediately.
-	Stop bool `json:"stop,omitempty"`
+	Stop bool
 	// Expect tells a node agent or the collector that flow Flow is
 	// rejoining: it counts the flow active from its next round on and
 	// echoes the message to its sender, which is how Cluster.JoinFlow
 	// knows the rejoin happens before that round.
-	Expect bool         `json:"expect,omitempty"`
-	Flow   model.FlowID `json:"flow,omitempty"`
+	Expect bool
+	Flow   model.FlowID
 }
 
 // Payload encoding. Every dist payload opens with a type tag and uses
 // uvarints for ids/rounds/counts and fixed 8-byte floats
 // (transport.AppendFloat64); encoding is pure appends, so a caller with a
-// reusable buffer pays no allocation. The decoders also read the JSON
-// object older senders wrote (first byte '{') — a debug aid nothing here
-// produces; the struct tags above exist for it.
+// reusable buffer pays no allocation. A payload with any other first byte
+// is rejected with transport.ErrCorruptFrame.
 const (
 	rateTag   = 0x01
 	reportTag = 0x02
@@ -176,11 +159,6 @@ func (o *outbox) seal(enc []byte) []byte {
 	return o.slab.Copy(enc)
 }
 
-// isJSON reports whether a payload is the JSON object an older sender
-// wrote. Each decoder declares the value json.Unmarshal needs on the heap
-// inside that branch, so a binary payload decodes without allocating.
-func isJSON(payload []byte) bool { return len(payload) > 0 && payload[0] == '{' }
-
 func (rm rateMsg) appendBinary(dst []byte) []byte {
 	dst = append(dst, rateTag)
 	dst = binary.AppendUvarint(dst, uint64(rm.Round))
@@ -193,11 +171,6 @@ func (rm rateMsg) appendBinary(dst []byte) []byte {
 }
 
 func decodeRate(payload []byte) (rateMsg, error) {
-	if isJSON(payload) {
-		var rm rateMsg
-		err := json.Unmarshal(payload, &rm)
-		return rm, err
-	}
 	c := transport.Cursor{Data: payload}
 	if tag := c.Byte(); tag != rateTag && c.Err() == nil {
 		return rateMsg{}, fmt.Errorf("%w: rate tag 0x%02x", transport.ErrCorruptFrame, tag)
@@ -252,10 +225,6 @@ func appendValues(dst []byte, s section[float64]) []byte {
 // sized from a declared count, and every entry consumes payload bytes, so
 // a corrupt count can neither over-read nor cause a large allocation.
 func decodeReport(payload []byte, rm *reportMsg) error {
-	if isJSON(payload) {
-		*rm = reportMsg{}
-		return json.Unmarshal(payload, rm)
-	}
 	c := transport.Cursor{Data: payload}
 	if tag := c.Byte(); tag != reportTag && c.Err() == nil {
 		return fmt.Errorf("%w: report tag 0x%02x", transport.ErrCorruptFrame, tag)
@@ -301,11 +270,6 @@ func (cm ctrlMsg) appendBinary(dst []byte) []byte {
 }
 
 func decodeCtrl(payload []byte) (ctrlMsg, error) {
-	if isJSON(payload) {
-		var cm ctrlMsg
-		err := json.Unmarshal(payload, &cm)
-		return cm, err
-	}
 	c := transport.Cursor{Data: payload}
 	if tag := c.Byte(); tag != ctrlTag && c.Err() == nil {
 		return ctrlMsg{}, fmt.Errorf("%w: ctrl tag 0x%02x", transport.ErrCorruptFrame, tag)

@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"reflect"
 	"slices"
 	"strings"
@@ -125,31 +126,6 @@ func TestGoldenBytes(t *testing.T) {
 	}
 }
 
-// TestDecodesLegacyJSON: nothing writes JSON payloads any more, but every
-// decoder still reads the object an older sender wrote, into the same
-// struct as the binary twin.
-func TestDecodesLegacyJSON(t *testing.T) {
-	rate := rateMsg{Round: 7, Flow: 5, Rate: 123.456, Active: true}
-	if got, err := decodeRate([]byte(`{"round":7,"flow":5,"rate":123.456,"active":true}`)); err != nil || got != rate {
-		t.Errorf("rate: got %+v, %v; want %+v", got, err, rate)
-	}
-	_, reports, _ := distPayloadCases()
-	var got reportMsg
-	literal := `{"round":9,"node":2,"price":1e-9,"populations":{"7":3},"deliveries":{"7":0.75},"linkPrices":{"4":12.5,"0":0.001},"used":0,"bestBC":0}`
-	if err := decodeReport([]byte(literal), &got); err != nil || !sameReport(got, reports[3]) {
-		t.Errorf("report: got %+v, %v; want %+v", got, err, reports[3])
-	}
-	// A single-rate sender omitted the empty sections.
-	if err := decodeReport([]byte(`{"round":1,"node":0,"price":0.5,"used":10,"bestBC":2}`), &got); err != nil || !sameReport(got, reports[1]) {
-		t.Errorf("report without sections: got %+v, %v; want %+v", got, err, reports[1])
-	}
-	ctrl := ctrlMsg{RunUntil: 100, Stop: true}
-	if got, err := decodeCtrl([]byte(`{"runUntil":100,"stop":true}`)); err != nil || got != ctrl {
-		t.Errorf("ctrl: got %+v, %v; want %+v", got, err, ctrl)
-	}
-
-}
-
 // TestDistPayloadDecodeRejectsCorruption: every truncation of a binary
 // payload, and trailing garbage after it, must error — never panic or
 // silently succeed.
@@ -167,6 +143,17 @@ func TestDistPayloadDecodeRejectsCorruption(t *testing.T) {
 	}
 	if _, err := decodeRate([]byte{reportTag, 1, 2}); err == nil {
 		t.Error("wrong tag accepted by decodeRate")
+	}
+	// The JSON objects deleted senders wrote are an unknown tag like any
+	// other: rejected, not parsed.
+	for _, legacy := range []string{`{"round":7,"flow":5,"rate":123.456,"active":true}`, `{"round":1,"node":0,"price":0.5}`, `{"runUntil":100,"stop":true}`} {
+		_, rateErr := decodeRate([]byte(legacy))
+		_, ctrlErr := decodeCtrl([]byte(legacy))
+		for _, err := range []error{rateErr, ctrlErr, decodeReport([]byte(legacy), &rm)} {
+			if !errors.Is(err, transport.ErrCorruptFrame) {
+				t.Errorf("%s: %v, want ErrCorruptFrame", legacy, err)
+			}
+		}
 	}
 	// A huge declared section count must not allocate or over-read.
 	huge := []byte{reportTag, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0x7F}
@@ -220,6 +207,8 @@ func FuzzDecodeDistPayloads(f *testing.F) {
 		f.Add(cm.appendBinary(nil))
 	}
 	f.Add(encodeBatch([]transport.Message{{From: "flow/1", To: "node/0", Kind: rateKind, Payload: rates[2].appendBinary(nil)}}))
+	f.Add([]byte(`{"round":7,"flow":5,"rate":123.456,"active":true}`)) // what JSON senders wrote: rejected
+	f.Add([]byte(`[{"from":"flow/1","to":"node/0","kind":"rate","payload":{"round":3}}]`))
 	net := transport.NewMemory()
 	defer net.Close()
 	g, ports := testGateway(f, net, "host/0", map[string]string{"node/0": "host/0"}, false)
@@ -227,22 +216,21 @@ func FuzzDecodeDistPayloads(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The oracle compares canonical bytes, not structs: a decoded
 		// float may be NaN, which no struct comparison finds equal.
-		binary := len(data) > 0 && data[0] != '{'
-		if rm, err := decodeRate(data); err == nil && binary {
+		if rm, err := decodeRate(data); err == nil {
 			again, err := decodeRate(rm.appendBinary(nil))
-			if err != nil || !bytes.Equal(again.appendBinary(nil), rm.appendBinary(nil)) {
+			if err != nil || data[0] != rateTag || !bytes.Equal(again.appendBinary(nil), rm.appendBinary(nil)) {
 				t.Fatalf("rate re-encode mismatch: %+v vs %+v (%v)", again, rm, err)
 			}
 		}
 		var rm, again reportMsg
-		if err := decodeReport(data, &rm); err == nil && binary {
-			if err := decodeReport(rm.appendBinary(nil), &again); err != nil || !bytes.Equal(again.appendBinary(nil), rm.appendBinary(nil)) {
+		if err := decodeReport(data, &rm); err == nil {
+			if err := decodeReport(rm.appendBinary(nil), &again); err != nil || data[0] != reportTag || !bytes.Equal(again.appendBinary(nil), rm.appendBinary(nil)) {
 				t.Fatalf("report re-encode mismatch: %+v vs %+v (%v)", again, rm, err)
 			}
 		}
-		if cm, err := decodeCtrl(data); err == nil && binary {
+		if cm, err := decodeCtrl(data); err == nil {
 			again, err := decodeCtrl(cm.appendBinary(nil))
-			if err != nil || again != cm {
+			if err != nil || data[0] != ctrlTag || again != cm {
 				t.Fatalf("ctrl re-encode mismatch: %+v vs %+v (%v)", again, cm, err)
 			}
 		}

@@ -75,7 +75,6 @@ func newNodeAgent(p *model.Problem, ix *model.Index, b model.NodeID, c Config) *
 		flows:     slices.Clone(ix.FlowsByNode(b)),
 		rates:     make([]float64, len(p.Flows)),
 		consumers: make([]int, len(p.Classes)),
-		price:     cfg.InitialNodePrice,
 		staleness: c.Staleness,
 		resend:    c.Resend,
 		done:      make(chan struct{}),
@@ -87,7 +86,7 @@ func newNodeAgent(p *model.Problem, ix *model.Index, b model.NodeID, c Config) *
 		lid := model.LinkID(l)
 		na.ownedLinks = append(na.ownedLinks, lid)
 		na.linkFlows = append(na.linkFlows, ix.FlowsByLink(lid))
-		na.linkPrices = append(na.linkPrices, cfg.InitialLinkPrice)
+		na.linkPrices = append(na.linkPrices, 0) // prices start at zero, as the engine's do
 		na.flows = append(na.flows, ix.FlowsByLink(lid)...)
 	}
 	slices.Sort(na.flows)

@@ -171,12 +171,8 @@ func NewEngine(p *model.Problem, cfg core.Config) (*Engine, error) {
 		e.delivery[j] = p.Flows[cl.Flow].RateMin
 	}
 	for b := range e.nodePrices {
-		e.nodePrices[b] = c.InitialNodePrice
 		e.gammas[b] = core.NewAdaptiveGamma(c)
 		e.allocs = append(e.allocs, NewNodeAllocator(p, e.ix, model.NodeID(b)))
-	}
-	for l := range e.linkPrices {
-		e.linkPrices[l] = c.InitialLinkPrice
 	}
 	return e, nil
 }

@@ -8,9 +8,8 @@ import (
 	"math"
 )
 
-// binaryTag is the first byte of an encoded message body. The JSON bodies
-// older senders wrote start with '{' (and their batch payloads with '['),
-// so a receiver tells them apart from the first byte alone.
+// binaryTag is the first byte of an encoded message body; a body that
+// starts with anything else is corrupt.
 const binaryTag = 'B'
 
 // ErrCorruptFrame reports a binary body that could not be decoded.

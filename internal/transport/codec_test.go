@@ -2,7 +2,7 @@ package transport
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"math"
 	"net"
@@ -165,32 +165,59 @@ func TestTCPFrames(t *testing.T) {
 	}
 }
 
-// TestTCPReadsLegacyFrame: nothing writes the 4-byte-length JSON frame any
-// more, but a reader still parses one — here written by hand onto a raw
-// connection, back to back with a current frame — into the same Message.
-func TestTCPReadsLegacyFrame(t *testing.T) {
-	tn := NewTCP()
-	defer tn.Close()
-	b, _ := tn.Endpoint("b")
-
-	want := Message{From: "a", To: "b", Kind: "k", Payload: []byte(`{"x":1}`)}
-	body := []byte(`{"from":"a","to":"b","kind":"k","payload":{"x":1}}`)
-	legacy := append([]byte{0, 0, 0, byte(len(body))}, body...)
-	current := AppendMessage([]byte{byte(BinarySize(&want))}, &want)
-
-	conn, err := net.Dial("tcp", b.(*tcpEndpoint).Addr())
-	if err != nil {
-		t.Fatal(err)
+// TestTCPRejectsForeignFrames: what arrives on a socket is input from
+// outside the program. A frame no sender here writes — the 4-byte-length
+// JSON layout deleted writers used, a body that is not a binary message, a
+// length beyond maxFrame — is skipped or costs the sender its connection;
+// it is never delivered, and the endpoint goes on serving others.
+func TestTCPRejectsForeignFrames(t *testing.T) {
+	good := Message{From: "a", To: "b", Kind: "k", Payload: []byte("ok")}
+	frame := func(body []byte) []byte {
+		return append(binary.AppendUvarint(nil, uint64(len(body))), body...)
 	}
-	defer conn.Close()
-	if _, err := conn.Write(append(legacy, current...)); err != nil {
-		t.Fatal(err)
-	}
-	for _, layout := range []string{"legacy", "current"} {
-		got := recvOne(t, b)
-		if got.From != want.From || got.To != want.To || got.Kind != want.Kind || !bytes.Equal(got.Payload, want.Payload) {
-			t.Errorf("%s frame parsed to %+v, want %+v", layout, got, want)
-		}
+	jsonBody := []byte(`{"from":"a","to":"b","kind":"k","payload":{"x":1}}`)
+	for _, tc := range []struct {
+		name    string
+		give    []byte
+		dropped bool // the connection, as opposed to the frame alone
+	}{
+		{"legacy 4-byte header", append([]byte{0, 0, 0, byte(len(jsonBody))}, jsonBody...), true},
+		{"length beyond maxFrame", binary.AppendUvarint(nil, maxFrame+1), true},
+		{"JSON body", frame(jsonBody), false},
+		{"corrupt inner length", frame([]byte{binaryTag, 0xff, 0xff, 0xff, 0xff, 0x7f}), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tn := NewTCP()
+			defer tn.Close()
+			b, _ := tn.Endpoint("b")
+			conn, err := net.Dial("tcp", b.(*tcpEndpoint).Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			// The foreign bytes, then a good frame on the same connection.
+			if _, err := conn.Write(append(bytes.Clone(tc.give), frame(AppendMessage(nil, &good))...)); err != nil {
+				t.Fatal(err)
+			}
+			if !tc.dropped {
+				if got := recvOne(t, b); got.Kind != "k" || string(got.Payload) != "ok" {
+					t.Fatalf("after the skipped frame: %+v, want the good one", got)
+				}
+				return
+			}
+			// The reader hangs up; nothing of the stream was delivered, and
+			// another sender still gets through.
+			if _, err := conn.Read(make([]byte, 1)); err == nil {
+				t.Fatal("the reader answered instead of closing the connection")
+			}
+			a, _ := tn.Endpoint("a")
+			if err := a.Send(Message{To: "b", Kind: "next"}); err != nil {
+				t.Fatal(err)
+			}
+			if got := recvOne(t, b); got.Kind != "next" {
+				t.Fatalf("delivered %+v from a dropped connection", got)
+			}
+		})
 	}
 }
 
@@ -242,11 +269,8 @@ func TestSlabNeverReusesBytes(t *testing.T) {
 func TestTCPBinaryFramesSmaller(t *testing.T) {
 	msg := Message{From: "flow/42", To: "node/7", Kind: "rate",
 		Payload: []byte(`{"round":9,"flow":42,"rate":1.52}`)}
-	jsonFrame, err := json.Marshal(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jsonLen := 4 + len(jsonFrame)
+	// The frame the JSON wire (deleted at 525a158) wrote for it.
+	jsonLen := 4 + len(`{"from":"flow/42","to":"node/7","kind":"rate","payload":{"round":9,"flow":42,"rate":1.52}}`)
 	binLen := 1 + BinarySize(&msg) // 1-byte uvarint header at this size
 	if binLen >= jsonLen {
 		t.Errorf("binary frame %dB not smaller than JSON frame %dB", binLen, jsonLen)
@@ -326,7 +350,13 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, n, err := DecodeMessage(data)
 		if err != nil {
+			if !errors.Is(err, ErrCorruptFrame) {
+				t.Fatalf("rejected with %v, want ErrCorruptFrame", err)
+			}
 			return
+		}
+		if data[0] != binaryTag {
+			t.Fatalf("decoded a body that starts with %q", data[0])
 		}
 		if n <= 0 || n > len(data) {
 			t.Fatalf("consumed %d bytes of %d", n, len(data))

@@ -3,7 +3,6 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -18,12 +17,10 @@ import (
 // 127.0.0.1 and fills the registry automatically; for multi-process
 // deployments, construct endpoints with ListenTCP/RegisterPeer directly.
 //
-// Every frame written is a uvarint length followed by a binary message
-// body (see AppendMessage); a uvarint never starts with 0x00 for a
-// non-empty frame. Readers also accept the layout older senders wrote — a
-// 4-byte big-endian length and a JSON message body, whose first header
-// byte is always 0x00 because frames are capped at 16 MiB — so a captured
-// or hand-written JSON frame still parses; nothing here produces one.
+// Every frame is a uvarint length followed by a binary message body (see
+// AppendMessage). A reader that meets anything else — an empty or oversized
+// frame, a body that does not decode — drops the connection or skips the
+// frame; it never trusts it.
 type TCP struct {
 	mu        sync.Mutex
 	registry  map[string]string // endpoint name -> host:port
@@ -283,34 +280,8 @@ func (e *tcpEndpoint) acceptLoop() {
 	}
 }
 
-// maxFrame bounds a single frame body. Legacy 4-byte headers therefore
-// always start with 0x00, which is how the reader tells the layouts apart.
+// maxFrame bounds a single frame body.
 const maxFrame = 16 << 20
-
-// readFrameLen reads one frame header and returns the body length.
-// A leading 0x00 byte means a legacy 4-byte big-endian header; anything
-// else starts a uvarint header.
-func readFrameLen(r *bufio.Reader) (uint64, error) {
-	b0, err := r.ReadByte()
-	if err != nil {
-		return 0, err
-	}
-	if b0 == 0 {
-		var rest [3]byte
-		if _, err := io.ReadFull(r, rest[:]); err != nil {
-			return 0, err
-		}
-		return uint64(rest[0])<<16 | uint64(rest[1])<<8 | uint64(rest[2]), nil
-	}
-	if err := r.UnreadByte(); err != nil {
-		return 0, err
-	}
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, err
-	}
-	return n, nil
-}
 
 func (e *tcpEndpoint) readLoop(conn net.Conn) {
 	defer e.wg.Done()
@@ -326,23 +297,18 @@ func (e *tcpEndpoint) readLoop(conn net.Conn) {
 		slab Slab // frames are read into it, so a delivered payload is never overwritten
 	)
 	for {
-		n, err := readFrameLen(r)
+		n, err := binary.ReadUvarint(r)
 		if err != nil {
 			return
 		}
-		if n > maxFrame {
-			return // corrupt or hostile frame; drop the connection
+		if n == 0 || n > maxFrame {
+			return // no sender writes such a frame: corrupt or hostile, drop the connection
 		}
 		data := slab.Take(int(n))
 		if _, err := io.ReadFull(r, data); err != nil {
 			return
 		}
-		var msg Message
-		if len(data) > 0 && data[0] == binaryTag {
-			msg, _, err = dec.Decode(data)
-		} else {
-			msg, err = decodeLegacy(data)
-		}
+		msg, _, err := dec.Decode(data)
 		if err != nil {
 			continue // skip undecodable frame
 		}
@@ -358,13 +324,4 @@ func (e *tcpEndpoint) readLoop(conn net.Conn) {
 			e.meter.dropped.Add(1)
 		}
 	}
-}
-
-// decodeLegacy parses the JSON message body older senders wrote. It is a
-// function of its own so that the message json.Unmarshal needs on the heap
-// is allocated only for such a frame.
-func decodeLegacy(data []byte) (Message, error) {
-	var msg Message
-	err := json.Unmarshal(data, &msg)
-	return msg, err
 }

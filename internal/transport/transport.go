@@ -4,16 +4,11 @@
 // Two implementations share one interface: an in-memory hub with
 // deterministic delivery and optional fault injection (drops, delay,
 // partitions), and a TCP transport that writes uvarint-length-prefixed
-// binary frames (and still reads the 4-byte-length JSON frames older
-// senders wrote). Agents address each other by endpoint name ("node/2",
-// "flow/5", "collector"), so the same agent code runs over either.
+// binary frames. Endpoints address each other by name ("host/2",
+// "host/ctrl"), so the same code runs over either.
 package transport
 
-import (
-	"encoding/json"
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // Message is one addressed datagram. Payloads are pre-encoded by the
 // sender, so the bytes carried are identical across transports.
@@ -23,29 +18,12 @@ import (
 // as read-only.
 type Message struct {
 	// From and To are endpoint names.
-	From string `json:"from"`
-	To   string `json:"to"`
-	// Kind tags the payload type (e.g. "rate", "node", "link").
-	Kind string `json:"kind"`
+	From string
+	To   string
+	// Kind tags the payload type (e.g. "rate", "report", "batch").
+	Kind string
 	// Payload is the encoded body. Read-only for receivers.
-	Payload json.RawMessage `json:"payload,omitempty"`
-}
-
-// Encode marshals v into a Message payload.
-func Encode(from, to, kind string, v any) (Message, error) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return Message{}, fmt.Errorf("transport: encode %s: %w", kind, err)
-	}
-	return Message{From: from, To: to, Kind: kind, Payload: data}, nil
-}
-
-// Decode unmarshals a Message payload into v.
-func Decode(m Message, v any) error {
-	if err := json.Unmarshal(m.Payload, v); err != nil {
-		return fmt.Errorf("transport: decode %s: %w", m.Kind, err)
-	}
-	return nil
+	Payload []byte
 }
 
 // Endpoint is one agent's attachment to a network.

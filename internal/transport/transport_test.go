@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -12,6 +13,23 @@ import (
 var networkFactories = map[string]func() Network{
 	"memory": func() Network { return NewMemory() },
 	"tcp":    func() Network { return NewTCP() },
+}
+
+// Encode marshals v into a Message payload: what these tests send.
+func Encode(from, to, kind string, v any) (Message, error) {
+	data, err := json.Marshal(v)
+	if err != nil {
+		return Message{}, fmt.Errorf("transport: encode %s: %w", kind, err)
+	}
+	return Message{From: from, To: to, Kind: kind, Payload: data}, nil
+}
+
+// Decode unmarshals a Message payload into v.
+func Decode(m Message, v any) error {
+	if err := json.Unmarshal(m.Payload, v); err != nil {
+		return fmt.Errorf("transport: decode %s: %w", m.Kind, err)
+	}
+	return nil
 }
 
 func recvOne(t *testing.T, ep Endpoint) Message {
