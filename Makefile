@@ -56,11 +56,15 @@ bench-broker:
 		| $(GO) run ./cmd/lrgp-benchjson -out BENCH_broker.json
 
 # Distributed-runtime benchmarks recorded as JSON: codec encode ns/op
-# (transport), bytes/round on the base workload, plain-vs-batched
-# frames/round in memory and — SyncRoundTCPScaled, the shape the end-to-end
-# dist_rounds workload measures — over loopback TCP, and rounds-to-converge
-# per staleness bound K. BENCH_dist.json in the repo additionally keeps the
-# rows of the deleted JSON wire under *JSONBaseline names.
+# (transport), bytes/round on the base workload, frames/round at one host
+# per node and at 12 hosts in memory and — SyncRoundTCPScaled, the shape the
+# end-to-end dist_rounds workload measures — over loopback TCP, and
+# rounds-to-converge per staleness bound K. BENCH_dist.json in the repo
+# additionally keeps the rows of the two attachments the gateway replaced
+# (agents as endpoints of their own: *PlainBaseline; gateways flushing on a
+# 200 µs ticker: *TickerBaseline), run from the parent's test binary in the
+# same session; this target overwrites the file, so they are spliced back
+# by hand.
 bench-dist:
 	$(GO) test -run='^$$' -bench='DistWire|DistBatch|DistStaleness|SyncRound|Message' -benchmem \
 		./internal/dist/ ./internal/transport/ \

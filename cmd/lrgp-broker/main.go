@@ -16,9 +16,9 @@
 //	lrgp-broker [-optimizer colocated|dist] [-transport memory|tcp]
 //	            [-rounds 120] [-workers 0] [-reopt 0] [-publish-seconds 2]
 //	            [-producers 1] [-telemetry-addr :9090] [-trace-out run.jsonl]
-//	            [-dist-events events.jsonl] [-dist-stall-timeout 0]
-//	            [-autopilot] [-autopilot-seconds 5] [-autopilot-interval 50ms]
-//	            [-churn storm,flash,diurnal]
+//	            [-dist-hosts 0] [-dist-staleness 0] [-dist-events events.jsonl]
+//	            [-dist-stall-timeout 0] [-autopilot] [-autopilot-seconds 5]
+//	            [-autopilot-interval 50ms] [-churn storm,flash,diurnal]
 //
 // -trace-out records a JSONL iteration trace (one
 // telemetry.IterationRecord per line): the full per-iteration optimizer

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -211,23 +212,19 @@ func New(p *model.Problem, cfg Config, net transport.Network) (*Cluster, error) 
 	// at most every node agent and the collector.
 	cl.ctrl = control.port(ctrlName, c.Staleness, len(p.Nodes)+1)
 
-	for i := range p.Flows {
-		name := flowName(model.FlowID(i))
-		fa := newFlowAgent(p, ix, model.FlowID(i), c)
-		fa.ep = cl.hosts[cl.route[name]].port(name, c.Staleness, len(fa.peerNames))
-		fa.rec = cl.newRec(name)
-		fa.tel = c.Telemetry
-		cl.flows = append(cl.flows, fa)
+	attach := func(name string, peers int) (transport.Endpoint, *recorder) {
 		cl.agents = append(cl.agents, name)
+		return cl.hosts[cl.route[name]].port(name, c.Staleness, peers), cl.newRec(name)
+	}
+	for i := range p.Flows {
+		fa := newFlowAgent(p, ix, model.FlowID(i), c)
+		fa.ep, fa.rec = attach(flowName(fa.flow), len(fa.peerNames))
+		cl.flows = append(cl.flows, fa)
 	}
 	for b := range p.Nodes {
-		name := nodeName(model.NodeID(b))
 		na := newNodeAgent(p, ix, model.NodeID(b), c)
-		na.ep = cl.hosts[cl.route[name]].port(name, c.Staleness, len(na.peerNames))
-		na.rec = cl.newRec(name)
-		na.tel = c.Telemetry
+		na.ep, na.rec = attach(nodeName(na.node), len(na.peerNames))
 		cl.nodes = append(cl.nodes, na)
-		cl.agents = append(cl.agents, name)
 	}
 	cl.agents = append(cl.agents, collectorName)
 
@@ -375,13 +372,7 @@ func (cl *Cluster) buildHosts(net transport.Network) error {
 	cl.route[collectorName] = ctrlHost
 	cl.route[ctrlName] = ctrlHost
 
-	names := make(map[string]string, len(cl.route)+3)
-	for _, kind := range []string{ctrlKind, rateKind, reportKind} {
-		names[kind] = kind
-	}
-	for name := range cl.route {
-		names[name] = name
-	}
+	names := internTable(cl.route)
 	cl.hosts = make(map[string]*gateway, hosts+1)
 	for _, host := range cl.route {
 		if cl.hosts[host] != nil {
@@ -417,12 +408,11 @@ type Traffic struct {
 func (cl *Cluster) Traffic() Traffic {
 	var t Traffic
 	for _, gw := range cl.hosts {
-		gw.mu.Lock()
-		t.Messages += gw.traffic.Messages
-		t.Bytes += gw.traffic.Bytes
-		t.Frames += gw.traffic.Frames
-		t.Dropped += gw.traffic.Dropped
-		gw.mu.Unlock()
+		g := gw.trafficNow()
+		t.Messages += g.Messages
+		t.Bytes += g.Bytes
+		t.Frames += g.Frames
+		t.Dropped += g.Dropped
 	}
 	return t
 }
@@ -442,7 +432,8 @@ func (cl *Cluster) sendCtrl(body ctrlMsg, to ...string) error {
 			failed = err
 		}
 	}
-	if err := cl.ctrl.gw.flush(); err != nil && (failed == nil || errors.Is(failed, transport.ErrDropped)) {
+	// A message that could not even be staged is the worse news.
+	if err := cl.ctrl.gw.flush(); failed == nil {
 		failed = err
 	}
 	return failed
@@ -524,15 +515,8 @@ func (cl *Cluster) JoinFlow(i model.FlowID) error {
 	if i < 0 || int(i) >= len(cl.flows) {
 		return fmt.Errorf("dist: join: unknown flow %d", i)
 	}
-	waiting := map[string]bool{collectorName: true}
-	for _, peer := range cl.flows[i].peerNames {
-		waiting[peer] = true
-	}
+	silent := append([]string{collectorName}, cl.flows[i].peerNames...)
 	notify := func() error {
-		silent := make([]string, 0, len(waiting))
-		for to := range waiting {
-			silent = append(silent, to)
-		}
 		if err := cl.sendCtrl(ctrlMsg{Expect: true, Flow: i}, silent...); err != nil && !errors.Is(err, transport.ErrDropped) {
 			return fmt.Errorf("dist: join ctrl: %w", err)
 		}
@@ -545,21 +529,21 @@ func (cl *Cluster) JoinFlow(i model.FlowID) error {
 	defer deadline.Stop()
 	again := time.NewTicker(joinResend)
 	defer again.Stop()
-	for len(waiting) > 0 {
+	for len(silent) > 0 {
 		select {
 		case m, ok := <-cl.ctrl.Recv():
 			if !ok {
 				return fmt.Errorf("dist: join: %w", transport.ErrClosed)
 			}
 			if cm, err := decodeCtrl(m.Payload); m.Kind == ctrlKind && err == nil && cm.Expect && cm.Flow == i {
-				delete(waiting, m.From)
+				silent = slices.DeleteFunc(silent, func(name string) bool { return name == m.From })
 			}
 		case <-again.C:
 			if err := notify(); err != nil {
 				return err
 			}
 		case <-deadline.C:
-			return fmt.Errorf("dist: join of flow %d: %d agents did not acknowledge within %v", i, len(waiting), joinTimeout)
+			return fmt.Errorf("dist: join of flow %d: %d agents did not acknowledge within %v", i, len(silent), joinTimeout)
 		}
 	}
 	return cl.sendCtrl(ctrlMsg{Join: true}, flowName(i))

@@ -122,6 +122,7 @@ func newFlowAgent(p *model.Problem, ix *model.Index, fid model.FlowID, c Config)
 		round:     1,
 		staleness: c.Staleness,
 		resend:    c.Resend,
+		tel:       c.Telemetry,
 		done:      make(chan struct{}),
 	}
 	fa.peerNodes = slices.Clone(fa.nodes)

@@ -47,8 +47,8 @@ type gateway struct {
 	frames  []transport.Message
 	slab    transport.Slab
 
-	quit     chan struct{}
-	loopDone chan struct{} // the demux loop, and the flush loop where there is one
+	quit  chan struct{}
+	loops sync.WaitGroup // the demux loop, and the flush loop where there is one
 }
 
 // staged is what a gateway holds for one destination host until the next
@@ -66,22 +66,21 @@ type staged struct {
 // needs (Close, Run and JoinFlow surface control-plane failures).
 func newGateway(ep transport.Endpoint, route, names map[string]string, inline bool, tel *telemetry.DistMetrics, rec *recorder) *gateway {
 	g := &gateway{
-		ep:       ep,
-		route:    route,
-		names:    names,
-		tel:      tel,
-		rec:      rec,
-		ports:    make(map[string]*hostPort),
-		out:      make(map[string]*staged),
-		quit:     make(chan struct{}),
-		loopDone: make(chan struct{}, 2),
+		ep:    ep,
+		route: route,
+		names: names,
+		tel:   tel,
+		rec:   rec,
+		ports: make(map[string]*hostPort),
+		out:   make(map[string]*staged),
+		quit:  make(chan struct{}),
 	}
-	if inline {
-		g.loopDone <- struct{}{}
-	} else {
+	if !inline {
 		g.kick = make(chan struct{}, 1)
+		g.loops.Add(1)
 		go g.flushLoop()
 	}
+	g.loops.Add(1)
 	go g.demuxLoop()
 	return g
 }
@@ -154,7 +153,7 @@ func (g *gateway) stage(msg transport.Message) error {
 // sends: the protocol handles loss, and a closed transport surfaces via
 // the demux loop.
 func (g *gateway) flushLoop() {
-	defer func() { g.loopDone <- struct{}{} }()
+	defer g.loops.Done()
 	for range g.kick {
 		_ = g.flush()
 	}
@@ -197,6 +196,19 @@ func (g *gateway) flush() error {
 	return failed
 }
 
+// internTable lists every string an envelope of this cluster can carry —
+// the agents' names and the message kinds — keyed by itself.
+func internTable(route map[string]string) map[string]string {
+	names := make(map[string]string, len(route)+3)
+	for _, kind := range []string{ctrlKind, rateKind, reportKind} {
+		names[kind] = kind
+	}
+	for name := range route {
+		names[name] = name
+	}
+	return names
+}
+
 // intern returns the cluster's own string for an envelope field, and a new
 // one only for a name the cluster does not know.
 func (g *gateway) intern(b []byte) string {
@@ -210,7 +222,7 @@ func (g *gateway) intern(b []byte) string {
 // exits when the underlying endpoint closes, closing every port so agents
 // observe the shutdown.
 func (g *gateway) demuxLoop() {
-	defer func() { g.loopDone <- struct{}{} }()
+	defer g.loops.Done()
 	for {
 		select {
 		case m, ok := <-g.ep.Recv():
@@ -262,6 +274,13 @@ func (g *gateway) enqueueLocked(p *hostPort, msg transport.Message) error {
 	}
 }
 
+// trafficNow is the gateway's share of Cluster.Traffic.
+func (g *gateway) trafficNow() Traffic {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.traffic
+}
+
 // close stops the gateway's loops once what is staged has been flushed.
 // The underlying endpoint belongs to the network owner and is left open.
 func (g *gateway) close() {
@@ -276,8 +295,7 @@ func (g *gateway) close() {
 	}
 	g.mu.Unlock()
 	close(g.quit)
-	<-g.loopDone
-	<-g.loopDone
+	g.loops.Wait()
 }
 
 // closePorts closes every local port channel. All port sends happen under

@@ -21,11 +21,7 @@ func testGateway(t testing.TB, net transport.Network, host string, route map[str
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := map[string]string{ctrlKind: ctrlKind, rateKind: rateKind, reportKind: reportKind}
-	for name := range route {
-		names[name] = name
-	}
-	g := newGateway(ep, route, names, inline, nil, nil)
+	g := newGateway(ep, route, internTable(route), inline, nil, nil)
 	t.Cleanup(g.close)
 	ports := make(map[string]*hostPort)
 	for name, h := range route {
@@ -277,11 +273,4 @@ func TestGatewayContract(t *testing.T) {
 			}
 		}
 	})
-}
-
-// trafficNow is the gateway's own share of Cluster.Traffic.
-func (g *gateway) trafficNow() Traffic {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.traffic
 }

@@ -77,6 +77,7 @@ func newNodeAgent(p *model.Problem, ix *model.Index, b model.NodeID, c Config) *
 		consumers: make([]int, len(p.Classes)),
 		staleness: c.Staleness,
 		resend:    c.Resend,
+		tel:       c.Telemetry,
 		done:      make(chan struct{}),
 	}
 	for l := range p.Links {
@@ -156,7 +157,7 @@ func (na *nodeAgent) compute(round int) {
 // needs — the latest, to pass its barrier when it rejoins — is what
 // setActive sends it then.
 func (na *nodeAgent) broadcast() error {
-	msg := transport.Message{From: na.ep.Name(), Kind: reportKind, Payload: na.out.seal(na.report.appendBinary(na.out.enc[:0]))}
+	msg := na.sealReport()
 	for k, peer := range na.peerNames {
 		if na.inactive[k] {
 			continue
@@ -228,9 +229,16 @@ func (na *nodeAgent) setActive(k int, on bool) {
 		na.mrAlloc.SetFlowActive(i, on)
 	}
 	if on && na.report.Round > 0 {
-		// A closed transport ends the loop at its next receive.
-		_ = na.ep.Send(transport.Message{From: na.ep.Name(), To: na.peerNames[k], Kind: reportKind, Payload: na.out.seal(na.report.appendBinary(na.out.enc[:0]))})
+		msg := na.sealReport()
+		msg.To = na.peerNames[k]
+		_ = na.ep.Send(msg) // a closed transport ends the loop at its next receive
 	}
+}
+
+// sealReport encodes na.report into a message that still lacks its
+// receiver.
+func (na *nodeAgent) sealReport() transport.Message {
+	return transport.Message{From: na.ep.Name(), Kind: reportKind, Payload: na.out.seal(na.report.appendBinary(na.out.enc[:0]))}
 }
 
 // observedLag is the effective staleness of round t's inputs: the gap

@@ -137,6 +137,17 @@ for family in \
     fi
 done
 
+# Every dist run goes through the gateways, so their families are
+# populated on this default run, not merely registered.
+for populated in \
+    '^lrgp_dist_gateway_flushes_total [1-9]' \
+    '^lrgp_dist_gateway_flush_occupancy_count [1-9]'; do
+    if ! grep -Eq "${populated}" <<<"${metrics}"; then
+        echo "telemetry-smoke: /metrics has no ${populated}" >&2
+        exit 1
+    fi
+done
+
 # The event log lands after the full dist run; wait for the broker's
 # confirmation line before killing it.
 deadline=$((SECONDS + 60))
