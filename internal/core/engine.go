@@ -39,9 +39,9 @@ type Engine struct {
 	// nodePrices/linkPrices and the capacity mirrors below are the SoA
 	// operands of the Eq. 12/13 price sweeps: flat float64 arrays indexed
 	// by node/link, so the per-iteration sweep is a branch-light pass over
-	// contiguous memory. nodeCap/linkCap mirror Problem capacities and are
-	// kept in sync by NewEngine, Reset and SetNodeCapacity (the only
-	// supported capacity mutation points).
+	// contiguous memory. nodeCap/linkCap mirror the Problem capacities of
+	// the constraints the plan lists, kept in sync by rearm (NewEngine,
+	// Reset*) and SetNodeCapacity, the only supported mutation points.
 	nodePrices []float64
 	linkPrices []float64
 	nodeCap    []float64
@@ -167,7 +167,9 @@ type shardState struct {
 	touchIDs  []int32
 	touchSeen []int
 
-	overNode, overLink         float64
+	overNode, overLink float64
+	// work is the items the shard recomputed in the last Step.
+	work                       int
 	dirtyFlows                 int
 	skippedNodes, skippedLinks int
 	rateChanged, popChanged    bool
@@ -194,12 +196,21 @@ type StepResult struct {
 	// Step never reads the clock.
 	StageNanos [3]int64
 	// DirtyFlows counts flows whose rate problem was re-solved this
-	// iteration; SkippedNodes and SkippedLinks count constraints that
-	// reused their cached admission/usage instead of recomputing.
-	// Deterministic for any worker count.
+	// iteration; SkippedNodes and SkippedLinks count the live constraints —
+	// the ones the stage plan lists: a flow crosses them or they hold a
+	// price — that reused their cached admission/usage instead of
+	// recomputing. A node or link no flow crosses at price 0 is not swept
+	// and counts nowhere. Deterministic for any worker count.
 	DirtyFlows   int
 	SkippedNodes int
 	SkippedLinks int
+	// ShardImbalance is the largest shard's share of this iteration's
+	// recomputed items (flows re-solved, nodes re-admitted, links re-summed)
+	// over the mean share: the single-barrier schedule's work ÷ span, so
+	// shards ÷ ShardImbalance bounds the Step's speedup on any number of
+	// cores. 1 on a one-shard plan and when nothing was recomputed;
+	// deterministic, but by construction it depends on the worker count.
+	ShardImbalance float64
 }
 
 // NewEngine validates the problem and prepares an engine. The initial state
@@ -236,7 +247,6 @@ func NewEngine(p *model.Problem, cfg Config) (*Engine, error) {
 		nodeUsed:       make([]float64, len(p.Nodes)),
 		nodeBest:       make([]float64, len(p.Nodes)),
 		linkUsed:       make([]float64, len(p.Links)),
-		utilStale:      true,
 		det:            metrics.NewConvergenceDetector(0, 0),
 		flowUtil:       make([]float64, len(p.Flows)),
 		flowUtilEpoch:  make([]int, len(p.Flows)),
@@ -246,22 +256,14 @@ func NewEngine(p *model.Problem, cfg Config) (*Engine, error) {
 		},
 	}
 	e.shardFn = e.stepShard
-	e.adoptPlan(newStagePlan(p, ix, c.Workers))
+	e.adoptPlan(newStagePlan(ix, e.nodePrices, e.linkPrices, c.Workers, nil))
 	for i := range p.Flows {
 		e.rates[i] = p.Flows[i].RateMin
 		e.active[i] = true
-		e.flowForced[i] = true
 		e.solvers[i] = newRateSolver(p, ix, model.FlowID(i))
 		e.rebase(i)
 	}
-	for b := range e.nodePrices {
-		e.nodeCap[b] = p.Nodes[b].Capacity
-		e.nodeForced[b] = true
-	}
-	for l := range e.linkPrices {
-		e.linkCap[l] = p.Links[l].Capacity
-		e.linkForced[l] = true
-	}
+	e.rearm()
 	return e, nil
 }
 
@@ -316,13 +318,15 @@ func (e *Engine) Close() {
 // source, then Algorithm 2 and the Equation 12 price update at every node,
 // then Algorithm 3 (Equation 13) for every link.
 //
-// There is one schedule. The stage plan assigns every flow, node and link
-// to a shard; each shard runs all three stages back to back over its own
-// lists (stepShard) and the shards meet at one barrier. When the
-// crossing-writes analysis proves the problem decomposes into at least
-// Workers balanced groups of independent components the plan has Workers
-// shards, fanned out over the worker pool; otherwise it has one, run on the
-// caller's goroutine. Either way Step performs exactly the serial
+// There is one schedule. The stage plan assigns every flow and every live
+// node and link (one a flow crosses or that holds a price; the rest sit at
+// price 0, a fixed point of both updates) to a shard; each shard runs all
+// three stages back to back over its own lists (stepShard) and the shards
+// meet at one barrier. When the crossing-writes analysis proves the problem
+// decomposes into at least Workers balanced groups of independent
+// components the plan has Workers shards, fanned out over the worker pool;
+// otherwise it has one, run on the caller's goroutine. Either way Step
+// performs exactly the serial
 // arithmetic: within a shard the stages run in serial order over ascending
 // lists, and every cross-shard reduction (max overload, counter sums,
 // changed flags) is order-independent, so results are bit-identical for
@@ -366,6 +370,7 @@ func (e *Engine) Step() StepResult {
 	var rateChanged, popChanged bool
 	for s := range e.sh[:e.plan.shards] {
 		sh := &e.sh[s]
+		sh.work = sh.dirtyFlows + len(e.plan.nodes[s]) - sh.skippedNodes + len(e.plan.links[s]) - sh.skippedLinks
 		res.DirtyFlows += sh.dirtyFlows
 		rateChanged = rateChanged || sh.rateChanged
 		if sh.overNode > res.MaxNodeOverload {
@@ -378,6 +383,7 @@ func (e *Engine) Step() StepResult {
 		}
 		res.SkippedLinks += sh.skippedLinks
 	}
+	res.ShardImbalance = e.shardImbalance()
 
 	// The objective only moves when a rate or population moved; otherwise
 	// the cached sum is the exact value the full recomputation would
@@ -402,10 +408,23 @@ func (e *Engine) Step() StepResult {
 	if tel != nil {
 		tel.ObserveStep(res.StageNanos, res.Utility,
 			res.MaxNodeOverload, res.MaxLinkOverload,
-			len(e.p.Nodes), len(e.p.Links),
+			listed(e.plan.nodes), listed(e.plan.links),
 			res.DirtyFlows, res.SkippedNodes+res.SkippedLinks)
 	}
 	return res
+}
+
+// shardImbalance is max ÷ mean of the plan shards' last-Step work.
+func (e *Engine) shardImbalance() float64 {
+	maxWork, sumWork := 0, 0
+	for s := range e.sh[:e.plan.shards] {
+		maxWork = max(maxWork, e.sh[s].work)
+		sumWork += e.sh[s].work
+	}
+	if sumWork == 0 {
+		return 1
+	}
+	return float64(maxWork*e.plan.shards) / float64(sumWork)
 }
 
 // flowDirty reports whether flow i's rate inputs changed during iteration
@@ -875,24 +894,37 @@ func (e *Engine) Reset(p *model.Problem) error {
 // ResetRouting is Reset for problems whose routing moved: the member sets
 // (flows, nodes, links, classes and class attachments) must be unchanged,
 // but dirty elements named by d may have gained or lost (resource, flow)
-// cost entries — the shape Refresh rejects. The index is re-targeted
-// incrementally (model.Index.RefreshRouting, cost proportional to the
-// delta) and, unlike Reset, the stage plan is rebuilt: routing defines
-// which flows share resources, so the crossing-writes analysis fixed at
-// NewEngine no longer holds. Warm state carries over exactly as in Reset.
-// On an index error the engine still runs the old problem; plan rebuild
-// happens only after the index committed.
+// cost entries — the shape Refresh rejects. Only what d names may differ
+// from the problem the engine last saw: the index is re-targeted
+// incrementally and the rules of model.Validate are re-applied to the dirty
+// elements alone (model.Index.RefreshRouting; errors wrap model.ErrInvalid),
+// so the call costs the delta plus the live part of the problem, never the
+// size of the overlay. Unlike Reset, the stage plan is rebuilt: routing
+// defines which flows share resources and which constraints carry a flow at
+// all, so the analysis fixed at NewEngine no longer holds. Warm state
+// carries over exactly as in Reset. On error the engine still runs the old
+// problem with its index, plan and warm state untouched.
 func (e *Engine) ResetRouting(p *model.Problem, d model.RoutingDelta) error {
 	if e.closed {
 		panic("core: Engine.ResetRouting called after Close")
 	}
-	if err := model.Validate(p); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
 	if err := e.ix.RefreshRouting(p, d); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	e.adoptPlan(newStagePlan(p, e.ix, e.cfg.Workers))
+	e.adoptPlan(newStagePlan(e.ix, e.nodePrices, e.linkPrices, e.cfg.Workers, e.plan))
+	// A dirty constraint that no flow crosses any more and that holds no
+	// price has left the plan: nothing will refresh what it cached, so it
+	// goes back to the state of a constraint no flow ever crossed.
+	for _, b := range d.Nodes {
+		if len(e.ix.FlowsByNode(b)) == 0 && e.nodePrices[b] == 0 {
+			e.nodeUsed[b], e.nodeBest[b], e.nodeForced[b] = 0, 0, false
+		}
+	}
+	for _, l := range d.Links {
+		if len(e.ix.FlowsByLink(l)) == 0 && e.linkPrices[l] == 0 {
+			e.linkUsed[l], e.linkForced[l] = 0, false
+		}
+	}
 	if e.cfg.Adaptive {
 		// Re-routing changes the load composition on every node a dirty
 		// flow now crosses, not just the nodes whose membership changed:
@@ -934,11 +966,17 @@ func (e *Engine) warmRestart(p *model.Problem) {
 		}
 	}
 
-	// Every cached value is suspect under the new problem: restart the
-	// epoch clock and force a full first iteration. The epoch and
-	// touch-dedup arrays must really be cleared, not just left behind —
-	// the restarted iteration counter will revisit their old values, and a
-	// stale match would wrongly skip a recompute.
+	e.rearm()
+}
+
+// rearm restarts the incremental machinery so that the next Step recomputes
+// everything the plan lists: every cached value is suspect under a new
+// problem. The epoch and touch-dedup arrays must really be cleared, not
+// just left behind — the restarted iteration counter will revisit their
+// old values, and a stale match would wrongly skip a recompute. Constraints
+// the plan does not list are not read by Step and are armed when a plan
+// first lists them, which is also when their capacity mirror is read.
+func (e *Engine) rearm() {
 	e.iteration = 0
 	e.util, e.utilStale = 0, true
 	e.settled = false
@@ -947,15 +985,17 @@ func (e *Engine) warmRestart(p *model.Problem) {
 		e.rateEpoch[i] = 0
 		e.flowUtilEpoch[i] = 0
 	}
-	for b := range e.nodeForced {
-		e.nodeForced[b] = true
-		e.nodePriceEpoch[b] = 0
-		e.nodeCap[b] = p.Nodes[b].Capacity
-	}
-	for l := range e.linkForced {
-		e.linkForced[l] = true
-		e.linkPriceEpoch[l] = 0
-		e.linkCap[l] = p.Links[l].Capacity
+	for s := 0; s < e.plan.shards; s++ {
+		for _, b := range e.plan.nodes[s] {
+			e.nodeForced[b] = true
+			e.nodePriceEpoch[b] = 0
+			e.nodeCap[b] = e.p.Nodes[b].Capacity
+		}
+		for _, l := range e.plan.links[s] {
+			e.linkForced[l] = true
+			e.linkPriceEpoch[l] = 0
+			e.linkCap[l] = e.p.Links[l].Capacity
+		}
 	}
 	for j := range e.popEpoch {
 		e.popEpoch[j] = 0

@@ -79,7 +79,7 @@ func TestFusedStepBitIdentical(t *testing.T) {
 				mutate(ser, it)
 				mutate(par, it)
 				rs, rp := ser.Step(), par.Step()
-				if rs != rp {
+				if !sameStep(rs, rp) {
 					t.Fatalf("trial %d workers %d iter %d: StepResult %+v, serial %+v",
 						trial, workers, it, rp, rs)
 				}
@@ -131,31 +131,47 @@ func TestFusedResetKeepsBitIdentity(t *testing.T) {
 	}
 	for it := 0; it < 60; it++ {
 		rs, rp := ser.Step(), par.Step()
-		if rs != rp {
+		if !sameStep(rs, rp) {
 			t.Fatalf("post-Reset iter %d: StepResult %+v, serial %+v", it, rp, rs)
 		}
 	}
 	assertStateEqual(t, 60, 4, ser, par)
 }
 
-// identityLists reports whether lists is the one-shard identity plan over
-// n items: a single list 0..n-1.
-func identityLists(lists [][]int32, n int) bool {
-	if len(lists) != 1 || len(lists[0]) != n {
+// oneShardLists reports whether lists is the one-shard plan over the ids
+// below n that live admits: a single ascending list of exactly those.
+func oneShardLists(lists [][]int32, n int, live func(id int) bool) bool {
+	if len(lists) != 1 {
 		return false
 	}
-	for v, id := range lists[0] {
-		if int(id) != v {
+	k := 0
+	for id := 0; id < n; id++ {
+		if !live(id) {
+			continue
+		}
+		if k >= len(lists[0]) || int(lists[0][k]) != id {
 			return false
 		}
+		k++
 	}
-	return true
+	return k == len(lists[0])
+}
+
+// loadedNode and loadedLink are the plan's liveness rule at price 0 (every
+// plan built here is built at NewEngine prices): some flow crosses it.
+func loadedNode(ix *model.Index) func(int) bool {
+	return func(b int) bool { return len(ix.FlowsByNode(model.NodeID(b))) > 0 }
+}
+
+func loadedLink(ix *model.Index) func(int) bool {
+	return func(l int) bool { return len(ix.FlowsByLink(model.LinkID(l))) > 0 }
 }
 
 // TestStagePlanFallsBackOnEntangledTopology: a single-component problem
 // must not shard — every shard would need every other shard's writes. It
-// gets the one-shard identity plan and starts no pool, whatever Workers
-// says.
+// gets the one-shard plan — every flow, and every node and link a flow
+// crosses (the fixture's node 14 carries none and is not listed), in serial
+// scan order — and starts no pool, whatever Workers says.
 func TestStagePlanFallsBackOnEntangledTopology(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p := parallelTestProblem(rng, true)
@@ -170,10 +186,13 @@ func TestStagePlanFallsBackOnEntangledTopology(t *testing.T) {
 	if e.plan.shards != 1 {
 		t.Fatalf("entangled workload got %d shards, want 1", e.plan.shards)
 	}
-	if !identityLists(e.plan.flows, len(p.Flows)) ||
-		!identityLists(e.plan.nodes, len(p.Nodes)) ||
-		!identityLists(e.plan.links, len(p.Links)) {
-		t.Errorf("one-shard plan lists are not the identity: %+v", e.plan)
+	if !oneShardLists(e.plan.flows, len(p.Flows), func(int) bool { return true }) ||
+		!oneShardLists(e.plan.nodes, len(p.Nodes), loadedNode(e.ix)) ||
+		!oneShardLists(e.plan.links, len(p.Links), loadedLink(e.ix)) {
+		t.Errorf("one-shard plan lists are not the live ids in order: %+v", e.plan)
+	}
+	if len(e.plan.nodes[0]) == len(p.Nodes) {
+		t.Error("fixture has no unloaded node; the test no longer shows one being left out")
 	}
 	if e.pool != nil {
 		t.Error("one-shard engine started a worker pool")
@@ -184,8 +203,9 @@ func TestStagePlanFallsBackOnEntangledTopology(t *testing.T) {
 }
 
 // TestStagePlanPartition: every plan — packed components or the one-shard
-// fallback — must place every flow, node and link in exactly one shard, in
-// ascending order, and be deterministic across rebuilds.
+// fallback — must place every flow and every live node and link (at
+// NewEngine prices: the ones a flow crosses) in exactly one shard, in
+// ascending order, list nothing else, and be deterministic across rebuilds.
 func TestStagePlanPartition(t *testing.T) {
 	componentized := fusedTestProblem(16, 1, true)
 	entangled := parallelTestProblem(rand.New(rand.NewSource(7)), true)
@@ -197,15 +217,18 @@ func TestStagePlanPartition(t *testing.T) {
 	}{
 		{"componentized", componentized, 4, 4, 16},
 		{"workers=1", componentized, 1, 1, 0},
-		{"entangled", entangled, 4, 1, 2},
+		// One component: the fixture's node 14, which no flow crosses, used
+		// to count as a second one.
+		{"entangled", entangled, 4, 1, 1},
 	} {
 		ix := model.NewIndex(c.p)
-		plan := newStagePlan(c.p, ix, c.workers)
+		nodePrices, linkPrices := make([]float64, len(c.p.Nodes)), make([]float64, len(c.p.Links))
+		plan := newStagePlan(ix, nodePrices, linkPrices, c.workers, nil)
 		if plan.shards != c.shards || plan.components != c.components {
 			t.Fatalf("%s: %d shards, %d components; want %d, %d",
 				c.name, plan.shards, plan.components, c.shards, c.components)
 		}
-		check := func(kind string, lists [][]int32, n int) {
+		check := func(kind string, lists [][]int32, n int, live func(int) bool) {
 			if len(lists) != c.shards {
 				t.Fatalf("%s: %d %s lists, want %d", c.name, len(lists), kind, c.shards)
 			}
@@ -222,16 +245,16 @@ func TestStagePlanPartition(t *testing.T) {
 				}
 			}
 			for v, ok := range seen {
-				if !ok {
-					t.Fatalf("%s: %s %d unassigned", c.name, kind, v)
+				if ok != live(v) {
+					t.Fatalf("%s: %s %d assigned = %v, live = %v", c.name, kind, v, ok, live(v))
 				}
 			}
 		}
-		check("flow", plan.flows, len(c.p.Flows))
-		check("node", plan.nodes, len(c.p.Nodes))
-		check("link", plan.links, len(c.p.Links))
+		check("flow", plan.flows, len(c.p.Flows), func(int) bool { return true })
+		check("node", plan.nodes, len(c.p.Nodes), loadedNode(ix))
+		check("link", plan.links, len(c.p.Links), loadedLink(ix))
 
-		again := newStagePlan(c.p, model.NewIndex(c.p), c.workers)
+		again := newStagePlan(model.NewIndex(c.p), nodePrices, linkPrices, c.workers, nil)
 		if !reflect.DeepEqual(plan, again) {
 			t.Errorf("%s: plan not deterministic across rebuilds", c.name)
 		}
@@ -302,7 +325,7 @@ func TestResetRoutingChangesShardCount(t *testing.T) {
 				t.Fatalf("leg 0: pool started = %v with %d shards", par.pool != nil, wantShards)
 			}
 			for it := 0; it < 60; it++ {
-				if rs, rp := ser.Step(), par.Step(); rs != rp {
+				if rs, rp := ser.Step(), par.Step(); !sameStep(rs, rp) {
 					t.Fatalf("leg %d iter %d: StepResult %+v, serial %+v", leg, it, rp, rs)
 				}
 			}

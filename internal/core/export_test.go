@@ -1,0 +1,90 @@
+package core
+
+import (
+	"fmt"
+	"slices"
+
+	"repro/internal/model"
+)
+
+// Hooks for the tests of package core_test, which has to be a package of
+// its own to import overlay (overlay imports core).
+
+// SweepAll makes e the full-sweep oracle: it replaces e's plan with one
+// shard listing every flow, node and link of the problem — what every Step
+// swept before the plan listed live constraints only — and re-arms the
+// engine over it. ResetRouting adopts a live plan again, so the oracle
+// calls SweepAll after NewEngine and after every ResetRouting, before the
+// next Step. Production code has no such plan.
+func SweepAll(e *Engine) {
+	identity := func(n int) [][]int32 {
+		ids := make([]int32, n)
+		for i := range ids {
+			ids[i] = int32(i)
+		}
+		return [][]int32{ids}
+	}
+	e.plan = &stagePlan{
+		shards: 1,
+		flows:  identity(len(e.p.Flows)),
+		nodes:  identity(len(e.p.Nodes)),
+		links:  identity(len(e.p.Links)),
+	}
+	e.rearm()
+}
+
+// Listed returns how many shards, nodes and links e's plan has.
+func Listed(e *Engine) (shards, nodes, links int) {
+	return e.plan.shards, listed(e.plan.nodes), listed(e.plan.links)
+}
+
+// CheckPlanFresh reports how e's plan differs from one built from scratch —
+// a fresh index of e's problem, e's current prices, no previous plan.
+func CheckPlanFresh(e *Engine) error {
+	want := newStagePlan(model.NewIndex(e.p), e.nodePrices, e.linkPrices, e.cfg.Workers, nil)
+	got := e.plan
+	if got.shards != want.shards || got.components != want.components {
+		return fmt.Errorf("plan has %d shards, %d components; from scratch %d, %d",
+			got.shards, got.components, want.shards, want.components)
+	}
+	for _, kind := range []struct {
+		name      string
+		got, want [][]int32
+	}{
+		{"flow", got.flows, want.flows},
+		{"node", got.nodes, want.nodes},
+		{"link", got.links, want.links},
+	} {
+		for s := range kind.want {
+			if !slices.Equal(kind.got[s], kind.want[s]) {
+				return fmt.Errorf("shard %d %s list %v, from scratch %v", s, kind.name, kind.got[s], kind.want[s])
+			}
+		}
+	}
+	return nil
+}
+
+// CheckIdleCaches reports the first node or link outside the plan's reach —
+// no flow crosses it and its price is 0 — that still holds a cached usage,
+// a cached benefit-cost ratio or a pending force: what a constraint no flow
+// ever crossed holds is zeros.
+func CheckIdleCaches(e *Engine) error {
+	for b := range e.p.Nodes {
+		if len(e.ix.FlowsByNode(model.NodeID(b))) > 0 || e.nodePrices[b] != 0 {
+			continue
+		}
+		if e.nodeUsed[b] != 0 || e.nodeBest[b] != 0 || e.nodeForced[b] {
+			return fmt.Errorf("idle node %d holds used %g, best %g, forced %v",
+				b, e.nodeUsed[b], e.nodeBest[b], e.nodeForced[b])
+		}
+	}
+	for l := range e.p.Links {
+		if len(e.ix.FlowsByLink(model.LinkID(l))) > 0 || e.linkPrices[l] != 0 {
+			continue
+		}
+		if e.linkUsed[l] != 0 || e.linkForced[l] {
+			return fmt.Errorf("idle link %d holds used %g, forced %v", l, e.linkUsed[l], e.linkForced[l])
+		}
+	}
+	return nil
+}

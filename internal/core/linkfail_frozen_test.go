@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -37,21 +38,31 @@ const (
 
 var freeze = flag.Bool("freeze", false, "rewrite testdata/linkfail_*.bits from the running code")
 
-// linkfailRouter routes the seeded workload. Every call builds its own
-// topology: a Router fails and heals links of the topology it was given.
-func linkfailRouter(t testing.TB, seed int64) *overlay.Router {
-	t.Helper()
+// linkfailRouter routes the seeded 300-node workload: link capacities
+// log-uniform on [2, 2000] and node capacities on [10, 3000], so some links
+// and relays on the trees overload and hold a price.
+func linkfailRouter(tb testing.TB, seed int64) *overlay.Router {
+	return sparseRouter(tb, seed, linkfailNodes, linkfailFlows, 2, 2e3,
+		func(rng *rand.Rand) float64 { return 10 * math.Pow(300, rng.Float64()) })
+}
+
+// sparseRouter routes nFlows seeded flows of three classes each over a
+// RandomTopologyHetero of the given size — the shape bench/inputs.go gives
+// link_failure. Every call builds its own topology: a Router fails and
+// heals links of the topology it was given.
+func sparseRouter(tb testing.TB, seed int64, nodes, nFlows int, linkCapMin, linkCapMax float64, nodeCap func(*rand.Rand) float64) *overlay.Router {
+	tb.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	tp := overlay.RandomTopologyHetero(rng, linkfailNodes, 2, 2, 2e3)
-	caps := make([]float64, linkfailNodes)
+	tp := overlay.RandomTopologyHetero(rng, nodes, 2, linkCapMin, linkCapMax)
+	caps := make([]float64, nodes)
 	for b := range caps {
-		caps[b] = 10 * math.Pow(300, rng.Float64()) // log-uniform on [10, 3000]: some relays overload
+		caps[b] = nodeCap(rng)
 	}
-	flows := make([]overlay.FlowSpec, linkfailFlows)
+	flows := make([]overlay.FlowSpec, nFlows)
 	for fi := range flows {
 		fs := overlay.FlowSpec{
 			Name:     fmt.Sprintf("f%d", fi),
-			Source:   model.NodeID(rng.Intn(linkfailNodes)),
+			Source:   model.NodeID(rng.Intn(nodes)),
 			RateMin:  1,
 			RateMax:  100,
 			LinkCost: 1,
@@ -60,7 +71,7 @@ func linkfailRouter(t testing.TB, seed int64) *overlay.Router {
 		for s := 0; s < 3; s++ {
 			fs.Classes = append(fs.Classes, overlay.ClassSpec{
 				Name:            fmt.Sprintf("f%d-c%d", fi, s),
-				Node:            model.NodeID(rng.Intn(linkfailNodes)),
+				Node:            model.NodeID(rng.Intn(nodes)),
 				MaxConsumers:    10 + rng.Intn(50),
 				CostPerConsumer: 5,
 				Utility:         utility.NewLog(1 + rng.Float64()*20),
@@ -70,7 +81,7 @@ func linkfailRouter(t testing.TB, seed int64) *overlay.Router {
 	}
 	r, err := overlay.NewRouter(tp, caps, flows)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return r
 }
@@ -114,6 +125,15 @@ func (ev linkfailEvent) apply(t testing.TB, r *overlay.Router) (ok bool) {
 		t.Fatalf("event %+v: %v", ev, err)
 	}
 	return true
+}
+
+// track returns the links down after ev succeeded, given the ones before.
+func (ev linkfailEvent) track(dead []int) []int {
+	if !ev.heal {
+		return append(dead, ev.link)
+	}
+	k := slices.Index(dead, ev.link)
+	return slices.Delete(dead, k, k+1)
 }
 
 // stateLine is one transcript line: the Step's utility as the hex of its
@@ -219,16 +239,7 @@ func linkfailTranscript(t *testing.T, cfg core.Config) ([]string, linkfailKinds)
 			continue
 		}
 		n++
-		if ev.heal {
-			for k, li := range dead {
-				if li == ev.link {
-					dead = append(dead[:k], dead[k+1:]...)
-					break
-				}
-			}
-		} else {
-			dead = append(dead, ev.link)
-		}
+		dead = ev.track(dead)
 		d := r.TakeDelta()
 		lb := noteBefore(e, d)
 		if err := e.ResetRouting(r.Problem(), d); err != nil {

@@ -19,21 +19,30 @@ import (
 // serial arithmetic on exactly the serial values. A topology that does not
 // split that way runs as one shard on the caller's goroutine.
 //
+// The plan lists every flow but only the live nodes and links: those some
+// flow crosses, and those still holding a price. A constraint no flow
+// crosses has usage 0 and no unsatisfied class (a class with demand sits on
+// its flow's tree, model.Validate), so at price 0 Equations 12 and 13 leave
+// it at 0 — p + γ(0 − p) and [p + γ(0 − c)]⁺ — and sweeping it computes
+// nothing. One that loses its last flow while priced stays listed until its
+// price has decayed to exactly 0; one that gains a flow is named by the
+// routing delta that rebuilds the plan.
+//
 // The analysis runs once per topology (NewEngine and ResetRouting; Reset
 // keeps the topology, so the plan survives it) over the index's dense
-// membership views; it never consults costs or capacities, which may
-// change.
+// membership views and the two price vectors; it never consults costs or
+// capacities, which may change.
 
-// minParallelItems is the smallest item count (the largest of flows, nodes
-// and links) worth fanning out over the worker pool; below it a Step's
-// work is comparable to the dispatch overhead and the plan is one shard.
-// Because every plan performs the serial arithmetic, the cutover is purely
-// a performance decision.
+// minParallelItems is the smallest item count (the largest of flows, live
+// nodes and live links) worth fanning out over the worker pool; below it a
+// Step's work is comparable to the dispatch overhead and the plan is one
+// shard. Because every plan performs the serial arithmetic, the cutover is
+// purely a performance decision.
 const minParallelItems = 16
 
-// stagePlan is Step's schedule: a fixed assignment of every flow, node and
-// link to a shard. Either whole connected components packed onto the
-// requested number of shards, or one shard holding everything.
+// stagePlan is Step's schedule: a fixed assignment of every flow and every
+// live node and link to a shard. Either whole connected components packed
+// onto the requested number of shards, or one shard holding everything.
 type stagePlan struct {
 	// components is the number of connected components found
 	// (informational; 0 when the analysis did not run).
@@ -47,80 +56,68 @@ type stagePlan struct {
 	links  [][]int32
 }
 
-// planWeight estimates one vertex's per-iteration work for balancing:
-// classes dominate both the rate solve (per-flow class scan) and the
-// admission sort (per-node class scan), so flows and nodes count their
-// attached classes on top of themselves.
-func planWeight(ix *model.Index, flows, nodes, links int, v int) int {
-	switch {
-	case v < flows:
-		return 1 + len(ix.ClassesByFlow(model.FlowID(v)))
-	case v < flows+nodes:
-		return 1 + len(ix.ClassesByNode(model.NodeID(v-flows)))
-	default:
-		return 1
+// newStagePlan builds Step's schedule for the indexed problem at the given
+// prices: the component packing over workers shards when the topology
+// allows it, otherwise — Workers 1, fewer than minParallelItems items, or a
+// topology pack rejects — one shard whose lists are every flow and the live
+// constraints in ascending order, i.e. the serial scan. prev, the plan being
+// replaced if there is one, only sizes the lists: a routing event moves few
+// constraints in or out.
+func newStagePlan(ix *model.Index, nodePrices, linkPrices []float64, workers int, prev *stagePlan) *stagePlan {
+	flows := make([]int32, len(ix.Problem().Flows))
+	for i := range flows {
+		flows[i] = int32(i)
 	}
-}
-
-// newStagePlan builds Step's schedule for p: the component packing over
-// workers shards when the topology allows it, otherwise — Workers 1, fewer
-// than minParallelItems items, or a topology packComponents rejects — one
-// shard whose lists are the identity, i.e. the serial scan.
-func newStagePlan(p *model.Problem, ix *model.Index, workers int) *stagePlan {
-	nf, nn, nl := len(p.Flows), len(p.Nodes), len(p.Links)
-	plan := &stagePlan{shards: 1}
-	var shardOf []int32 // per vertex: flows, then nodes, then links
-	if workers > 1 && max(nf, nn, nl) >= minParallelItems {
-		plan.components, shardOf = packComponents(ix, nf, nn, nl, workers)
+	var nodes, links []int32
+	if prev != nil {
+		const slack = 64
+		nodes = make([]int32, 0, listed(prev.nodes)+slack)
+		links = make([]int32, 0, listed(prev.links)+slack)
 	}
-	if shardOf != nil {
-		plan.shards = workers
-	} else {
-		shardOf = make([]int32, nf+nn+nl) // every vertex in shard 0
+	for b, price := range nodePrices {
+		if price != 0 || len(ix.FlowsByNode(model.NodeID(b))) > 0 {
+			nodes = append(nodes, int32(b))
+		}
 	}
-	counts := make([]int, plan.shards)
-	fill := func(base, n int) [][]int32 {
-		for s := range counts {
-			counts[s] = 0
+	for l, price := range linkPrices {
+		if price != 0 || len(ix.FlowsByLink(model.LinkID(l))) > 0 {
+			links = append(links, int32(l))
 		}
-		for v := 0; v < n; v++ {
-			counts[shardOf[base+v]]++
-		}
-		lists := make([][]int32, plan.shards)
-		for s := range lists {
-			lists[s] = make([]int32, 0, counts[s])
-		}
-		for v := 0; v < n; v++ {
-			s := shardOf[base+v]
-			lists[s] = append(lists[s], int32(v))
-		}
-		return lists
 	}
-	plan.flows = fill(0, nf)
-	plan.nodes = fill(nf, nn)
-	plan.links = fill(nf+nn, nl)
+	plan := &stagePlan{shards: 1, flows: [][]int32{flows}, nodes: [][]int32{nodes}, links: [][]int32{links}}
+	if workers > 1 && max(len(flows), len(nodes), len(links)) >= minParallelItems {
+		plan.pack(ix, workers)
+	}
 	return plan
 }
 
-// packComponents runs the crossing-writes analysis: it finds the connected
-// components of the flow/node/link incidence graph and packs them onto
-// shards, returning the component count and each vertex's shard (flows
-// [0,nf), nodes [nf,nf+nn), links after). The shard slice is nil when the
-// topology does not split: fewer components than shards (a worker would
-// idle), or no assignment balanced within 2x of the mean shard weight.
-// Deterministic: union-find roots, component order and the greedy
-// assignment depend only on the topology, never on scheduling or map
-// iteration.
-func packComponents(ix *model.Index, nf, nn, nl, shards int) (int, []int32) {
-	total := nf + nn + nl
-
-	// Union-by-minimum keeps every root the smallest vertex of its
-	// component, which both orders components deterministically and lets
-	// the collection pass below recognize roots on first visit.
-	parent := make([]int32, total)
-	for v := range parent {
-		parent[v] = int32(v)
+// listed is the number of ids a plan's per-shard lists hold.
+func listed(lists [][]int32) int {
+	n := 0
+	for _, ids := range lists {
+		n += len(ids)
 	}
+	return n
+}
+
+// pack runs the crossing-writes analysis on a one-shard plan: it finds the
+// connected components of the flow/node/link incidence graph, packs them
+// onto shards and splits the lists accordingly. The plan stays one shard
+// when the topology does not split: fewer components than shards (a worker
+// would idle), or no assignment balanced within 2x of the mean shard
+// weight and two thirds of the total. Deterministic: union-find roots, component order and the greedy
+// assignment depend only on the topology and on which unloaded constraints
+// hold a price, never on scheduling or map iteration.
+func (plan *stagePlan) pack(ix *model.Index, shards int) {
+	flows, nodes, links := plan.flows[0], plan.nodes[0], plan.links[0]
+
+	// Two flows share a component iff a chain of shared nodes and links
+	// joins them, so the union-find runs over flows alone. Union-by-minimum
+	// keeps every root the smallest flow of its component, which both
+	// orders components deterministically and lets the collection pass
+	// below recognize roots on first visit.
+	parent := make([]int32, len(flows))
+	copy(parent, flows)
 	find := func(v int32) int32 {
 		for parent[v] != v {
 			parent[v] = parent[parent[v]]
@@ -128,66 +125,81 @@ func packComponents(ix *model.Index, nf, nn, nl, shards int) (int, []int32) {
 		}
 		return v
 	}
-	union := func(a, b int32) {
-		ra, rb := find(a), find(b)
-		switch {
-		case ra < rb:
-			parent[rb] = ra
-		case rb < ra:
-			parent[ra] = rb
+	join := func(crossing []model.FlowID) {
+		for _, i := range crossing[1:] {
+			ra, rb := find(int32(crossing[0])), find(int32(i))
+			switch {
+			case ra < rb:
+				parent[rb] = ra
+			case rb < ra:
+				parent[ra] = rb
+			}
 		}
 	}
-	for b := 0; b < nn; b++ {
-		for _, i := range ix.FlowsByNode(model.NodeID(b)) {
-			union(int32(i), int32(nf+b))
+	for _, b := range nodes {
+		if fl := ix.FlowsByNode(model.NodeID(b)); len(fl) > 1 {
+			join(fl)
 		}
 	}
-	for l := 0; l < nl; l++ {
-		for _, i := range ix.FlowsByLink(model.LinkID(l)) {
-			union(int32(i), int32(nf+nn+l))
+	for _, l := range links {
+		if fl := ix.FlowsByLink(model.LinkID(l)); len(fl) > 1 {
+			join(fl)
 		}
 	}
 	// Classes add no edges: a class's node is required (model.Validate) to
 	// carry the class's flow, so that flow-node pair is already united.
 
-	// Collect components in root order with their balancing weights.
-	type component struct {
-		root   int32
-		weight int
-	}
-	compOf := make([]int32, total)
-	var comps []component
-	for v := 0; v < total; v++ {
-		r := find(int32(v))
-		if int(r) == v {
-			compOf[v] = int32(len(comps))
-			comps = append(comps, component{root: r})
+	// Components in root order — flow components by smallest flow, then
+	// each priced constraint no flow crosses as a component of its own —
+	// with their balancing weights: classes dominate both the rate solve
+	// (per-flow class scan) and the admission sort (per-node class scan),
+	// so flows and nodes count their attached classes on top of themselves.
+	var weight []int
+	flowComp := make([]int32, len(flows))
+	for v := range flows {
+		if r := find(int32(v)); int(r) == v {
+			flowComp[v] = int32(len(weight))
+			weight = append(weight, 0)
 		} else {
-			compOf[v] = compOf[r]
+			flowComp[v] = flowComp[r]
 		}
-		comps[compOf[v]].weight += planWeight(ix, nf, nn, nl, v)
+		weight[flowComp[v]] += 1 + len(ix.ClassesByFlow(model.FlowID(v)))
 	}
-	if len(comps) < shards {
-		return len(comps), nil
+	place := func(ids []int32, crossing func(int32) []model.FlowID, w func(int32) int) []int32 {
+		comp := make([]int32, len(ids))
+		for k, id := range ids {
+			if fl := crossing(id); len(fl) > 0 {
+				comp[k] = flowComp[fl[0]]
+			} else {
+				comp[k] = int32(len(weight))
+				weight = append(weight, 0)
+			}
+			weight[comp[k]] += w(id)
+		}
+		return comp
+	}
+	nodeComp := place(nodes,
+		func(b int32) []model.FlowID { return ix.FlowsByNode(model.NodeID(b)) },
+		func(b int32) int { return 1 + len(ix.ClassesByNode(model.NodeID(b))) })
+	linkComp := place(links,
+		func(l int32) []model.FlowID { return ix.FlowsByLink(model.LinkID(l)) },
+		func(int32) int { return 1 })
+	plan.components = len(weight)
+	if len(weight) < shards {
+		return
 	}
 
 	// Longest-processing-time assignment: heaviest component first into the
-	// lightest shard. Ties break on root (components) and shard index
-	// (shards), keeping the whole assignment deterministic.
-	order := make([]int, len(comps))
+	// lightest shard. Ties break on root order (the stable sort) and shard
+	// index, keeping the whole assignment deterministic.
+	order := make([]int, len(weight))
 	for k := range order {
 		order[k] = k
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ca, cb := comps[order[a]], comps[order[b]]
-		if ca.weight != cb.weight {
-			return ca.weight > cb.weight
-		}
-		return ca.root < cb.root
-	})
+	sort.SliceStable(order, func(a, b int) bool { return weight[order[a]] > weight[order[b]] })
 	shardWeight := make([]int, shards)
-	shardOf := make([]int32, len(comps))
-	totalWeight := 0
+	shardOf := make([]int32, len(weight))
+	totalWeight, maxWeight := 0, 0
 	for _, k := range order {
 		s := 0
 		for t := 1; t < shards; t++ {
@@ -196,22 +208,26 @@ func packComponents(ix *model.Index, nf, nn, nl, shards int) (int, []int32) {
 			}
 		}
 		shardOf[k] = int32(s)
-		shardWeight[s] += comps[k].weight
-		totalWeight += comps[k].weight
-	}
-	maxWeight := 0
-	for _, w := range shardWeight {
-		if w > maxWeight {
-			maxWeight = w
-		}
+		shardWeight[s] += weight[k]
+		totalWeight += weight[k]
+		maxWeight = max(maxWeight, shardWeight[s])
 	}
 	// A shard more than 2x the mean would serialize the whole Step behind
-	// it while the others idle at the barrier.
-	if maxWeight*shards > 2*totalWeight {
-		return len(comps), nil
+	// it while the others idle at the barrier. Two shards can never be that
+	// far apart, so there the heavier one must also stay under two thirds of
+	// everything: once idle singletons no longer pad the light side, a giant
+	// component beside one stray flow is a barrier bought for nothing.
+	if maxWeight*max(shards, 3) > 2*totalWeight {
+		return
 	}
-	for v, k := range compOf {
-		compOf[v] = shardOf[k]
+	split := func(ids, comp []int32) [][]int32 {
+		lists := make([][]int32, shards)
+		for k, id := range ids {
+			s := shardOf[comp[k]]
+			lists[s] = append(lists[s], id)
+		}
+		return lists
 	}
-	return len(comps), compOf
+	plan.shards = shards
+	plan.flows, plan.nodes, plan.links = split(flows, flowComp), split(nodes, nodeComp), split(links, linkComp)
 }

@@ -35,6 +35,10 @@ type Snapshot struct {
 	// performance diagnostics.
 	Workers int
 	Sharded bool
+	// ShardWork lists, per plan shard, the items the last Step recomputed,
+	// and ShardImbalance its max ÷ mean (StepResult.ShardImbalance).
+	ShardWork      []int
+	ShardImbalance float64
 }
 
 // String renders a one-line summary of the snapshot: iteration, utility,
@@ -88,6 +92,11 @@ func (e *Engine) Snapshot() Snapshot {
 		FlowActive:   make([]bool, len(e.p.Flows)),
 		Workers:      e.cfg.Workers,
 		Sharded:      e.plan.shards > 1,
+
+		ShardImbalance: e.shardImbalance(),
+	}
+	for k := range e.sh[:e.plan.shards] {
+		s.ShardWork = append(s.ShardWork, e.sh[k].work)
 	}
 	copy(s.FlowActive, e.active)
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/model"
@@ -54,11 +55,25 @@ func TestStepTelemetryObservations(t *testing.T) {
 		if got := em.MaxNodeOverload.Value(); got != last.MaxNodeOverload {
 			t.Errorf("%s: node overload gauge = %g, want %g", c.name, got, last.MaxNodeOverload)
 		}
-		wantNode := uint64(c.steps * len(c.p.Nodes))
+		// The price sweeps cover the live constraints: with no routing
+		// change and every price starting at 0, the ones a flow crosses
+		// (metro-small has 30 nodes of 1,200 that none does).
+		liveNodes, liveLinks := 0, 0
+		for b := range c.p.Nodes {
+			if len(e.Index().FlowsByNode(model.NodeID(b))) > 0 {
+				liveNodes++
+			}
+		}
+		for l := range c.p.Links {
+			if len(e.Index().FlowsByLink(model.LinkID(l))) > 0 {
+				liveLinks++
+			}
+		}
+		wantNode := uint64(c.steps * liveNodes)
 		if got := em.NodePriceUpdates.Value(); got != wantNode {
 			t.Errorf("%s: node price updates = %d, want %d", c.name, got, wantNode)
 		}
-		wantLink := uint64(c.steps * len(c.p.Links))
+		wantLink := uint64(c.steps * liveLinks)
 		if got := em.LinkPriceUpdates.Value(); got != wantLink {
 			t.Errorf("%s: link price updates = %d, want %d", c.name, got, wantLink)
 		}
@@ -188,5 +203,85 @@ func TestStepTelemetryNoAllocs(t *testing.T) {
 	par.Step()
 	if allocs := testing.AllocsPerRun(50, func() { par.Step() }); allocs > 0 {
 		t.Errorf("%v allocs per telemetered parallel Step, want 0", allocs)
+	}
+}
+
+// TestShardImbalance: the work ÷ span number of a Step is 1 on a one-shard
+// plan, is max ÷ mean of the per-shard recompute counts Snapshot reports on
+// a sharded one, repeats exactly from run to run, and counts what the
+// shards recomputed — on a Step that recomputed nothing it is 1 again.
+func TestShardImbalance(t *testing.T) {
+	one, err := NewEngine(workload.Base(), Config{Adaptive: true, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer one.Close()
+	if s := one.Snapshot(); s.ShardImbalance != 1 || len(s.ShardWork) != 1 {
+		t.Fatalf("before any Step: imbalance %v, work %v; want 1 and one shard", s.ShardImbalance, s.ShardWork)
+	}
+	if r := one.Step(); r.ShardImbalance != 1 {
+		t.Fatalf("one-shard Step reports imbalance %v", r.ShardImbalance)
+	}
+
+	run := func() []float64 {
+		e, err := NewEngine(fusedTestProblem(8, 2, true), Config{Adaptive: true, Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		// Shard 0's nodes get headroom and its components go quiet, so the
+		// shards end up with different amounts to recompute.
+		for _, b := range e.plan.nodes[0] {
+			if err := e.SetNodeCapacity(model.NodeID(b), 250*e.p.Nodes[b].Capacity); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var series []float64
+		for i := 0; i < 60; i++ {
+			r := e.Step()
+			s := e.Snapshot()
+			if len(s.ShardWork) != 4 {
+				t.Fatalf("Step %d: %d shards of work, want 4", i, len(s.ShardWork))
+			}
+			maxWork, sum := 0, 0
+			for _, w := range s.ShardWork {
+				maxWork = max(maxWork, w)
+				sum += w
+			}
+			nodes, links := listed(e.plan.nodes), listed(e.plan.links)
+			if want := r.DirtyFlows + nodes - r.SkippedNodes + links - r.SkippedLinks; sum != want {
+				t.Fatalf("Step %d: shards recomputed %d items, the counters say %d", i, sum, want)
+			}
+			if want := float64(maxWork*4) / float64(sum); r.ShardImbalance != want || s.ShardImbalance != want {
+				t.Fatalf("Step %d: imbalance %v (snapshot %v), max ÷ mean of %v is %v",
+					i, r.ShardImbalance, s.ShardImbalance, s.ShardWork, want)
+			}
+			series = append(series, r.ShardImbalance)
+		}
+		return series
+	}
+	a, b := run(), run()
+	if !slices.Equal(a, b) {
+		t.Fatalf("imbalance differs between two runs:\n%v\n%v", a, b)
+	}
+	if a[len(a)-1] <= 1 {
+		t.Errorf("imbalance stayed at %v although one shard's components went quiet", a[len(a)-1])
+	}
+
+	quiet := workload.Base()
+	for b := range quiet.Nodes {
+		quiet.Nodes[b].Capacity *= 250
+	}
+	q, err := NewEngine(quiet, Config{Adaptive: true, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	var last StepResult
+	for i := 0; i < 50; i++ {
+		last = q.Step()
+	}
+	if last.DirtyFlows != 0 || last.ShardImbalance != 1 {
+		t.Errorf("quiet Step: %+v, want no work and imbalance 1", last)
 	}
 }

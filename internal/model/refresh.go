@@ -31,14 +31,16 @@ func (d RoutingDelta) Empty() bool {
 // flow, node, link and class counts, and every class's (flow, node)
 // attachment — are unchanged.
 //
-// The delta must be complete: a node or link whose FlowCost changed but is
-// not listed keeps a stale view. Membership changes at dirty elements must
-// involve dirty flows only; RefreshRouting verifies this and reports the
-// first violation without mutating anything it has not already rebuilt
-// (dirty-element views may be partially rebuilt on error — treat an error
-// as fatal to the index). Cost values of clean elements must be unchanged
-// (RefreshRouting does not re-read them; use Refresh for value-only
-// changes). It must not run concurrently with readers.
+// Only what d names may differ from the problem the index last saw. The
+// delta must be complete: a node or link whose FlowCost changed but is not
+// listed keeps a stale view, and cost values, capacities and bounds of
+// clean elements are not re-read (use Refresh for value-only changes).
+// What d does name is checked before anything is rebuilt — Validate's
+// per-element rules on the dirty flows, their classes, the dirty nodes and
+// the dirty links (errors wrap ErrInvalid), and that every membership
+// change at a dirty element involves a dirty flow — so a problem that was
+// valid stays valid without a sweep, and on error the index is unchanged.
+// It must not run concurrently with readers.
 func (ix *Index) RefreshRouting(p *Problem, d RoutingDelta) error {
 	old := ix.p
 	switch {
@@ -58,45 +60,78 @@ func (ix *Index) RefreshRouting(p *Problem, d RoutingDelta) error {
 				j, oc.Flow, c.Flow, oc.Node, c.Node)
 		}
 	}
-	for _, i := range d.Flows {
-		if i < 0 || int(i) >= len(p.Flows) {
-			return fmt.Errorf("model: refresh-routing: dirty flow %d out of range", i)
-		}
-	}
-
 	// Sorted, deduplicated dirty sets. The flow mark set doubles as the
 	// membership-change guard below.
 	dirtyNodes := sortedDedup(d.Nodes)
 	dirtyLinks := sortedDedup(d.Links)
 	dirtyFlow := make(map[FlowID]bool, len(d.Flows))
-	for _, i := range d.Flows {
-		dirtyFlow[i] = true
-	}
 
-	// Resource side: rebuild each dirty node's and link's membership list
-	// and cost view from its map, guarding that any flow entering or
-	// leaving is a dirty flow.
+	// Validate's rules, on what d names and before anything is rebuilt:
+	// every other element is unchanged since it last passed them. A class's
+	// reach can only change with its flow's tree, so the dirty flows'
+	// classes are the classes to re-check.
+	for _, i := range d.Flows {
+		if i < 0 || int(i) >= len(p.Flows) {
+			return fmt.Errorf("model: refresh-routing: dirty flow %d out of range", i)
+		}
+		dirtyFlow[i] = true
+		if err := validateFlow(p, int(i)); err != nil {
+			return err
+		}
+		for _, j := range ix.classesByFlow[i] {
+			if err := validateClass(p, int(j)); err != nil {
+				return err
+			}
+		}
+	}
 	for _, b := range dirtyNodes {
 		if b < 0 || int(b) >= len(p.Nodes) {
 			return fmt.Errorf("model: refresh-routing: dirty node %d out of range", b)
 		}
-		flows, costs, err := rebuildMembership(p.Nodes[b].FlowCost, ix.flowsByNode[b], dirtyFlow,
-			func(i FlowID) string { return fmt.Sprintf("node %d flow %d", b, i) })
-		if err != nil {
+		if err := validateNode(p, int(b)); err != nil {
 			return err
 		}
-		ix.flowsByNode[b], ix.flowCostByNode[b] = flows, costs
 	}
 	for _, l := range dirtyLinks {
 		if l < 0 || int(l) >= len(p.Links) {
 			return fmt.Errorf("model: refresh-routing: dirty link %d out of range", l)
 		}
+		if err := validateLink(p, int(l)); err != nil {
+			return err
+		}
+	}
+
+	// Resource side: rebuild each dirty node's and link's membership list
+	// and cost view from its map, guarding that any flow entering or
+	// leaving is a dirty flow. The views are staged and committed together:
+	// the guard is the last thing that can fail.
+	type view struct {
+		flows []FlowID
+		costs []float64
+	}
+	views := make([]view, 0, len(dirtyNodes)+len(dirtyLinks))
+	for _, b := range dirtyNodes {
+		flows, costs, err := rebuildMembership(p.Nodes[b].FlowCost, ix.flowsByNode[b], dirtyFlow,
+			func(i FlowID) string { return fmt.Sprintf("node %d flow %d", b, i) })
+		if err != nil {
+			return err
+		}
+		views = append(views, view{flows, costs})
+	}
+	for _, l := range dirtyLinks {
 		flows, costs, err := rebuildMembership(p.Links[l].FlowCost, ix.flowsByLink[l], dirtyFlow,
 			func(i FlowID) string { return fmt.Sprintf("link %d flow %d", l, i) })
 		if err != nil {
 			return err
 		}
-		ix.flowsByLink[l], ix.flowCostByLink[l] = flows, costs
+		views = append(views, view{flows, costs})
+	}
+	for k, b := range dirtyNodes {
+		ix.flowsByNode[b], ix.flowCostByNode[b] = views[k].flows, views[k].costs
+	}
+	for k, l := range dirtyLinks {
+		v := views[len(dirtyNodes)+k]
+		ix.flowsByLink[l], ix.flowCostByLink[l] = v.flows, v.costs
 	}
 
 	// Flow side: a dirty flow's node (and link) list changes only at dirty
@@ -128,17 +163,12 @@ func (ix *Index) RefreshRouting(p *Problem, d RoutingDelta) error {
 		}
 
 		// Classes stay attached where they were; ones whose node left the
-		// tree drop out of the per-node lists. Only a class with zero
-		// demand may be detached from its flow's tree (Validate enforces
-		// it problem-wide; the check here catches it at the source).
+		// tree (demand-less, or validateClass refused them above) drop out
+		// of the per-node lists.
 		lists := make([][]ClassID, len(nodes))
 		for _, cid := range ix.classesByFlow[i] {
-			k, ok := slices.BinarySearch(nodes, p.Classes[cid].Node)
-			if ok {
+			if k, ok := slices.BinarySearch(nodes, p.Classes[cid].Node); ok {
 				lists[k] = append(lists[k], cid)
-			} else if p.Classes[cid].MaxConsumers > 0 {
-				return fmt.Errorf("model: refresh-routing: class %d (demand %d) at node %d detached from flow %d's tree",
-					cid, p.Classes[cid].MaxConsumers, p.Classes[cid].Node, i)
 			}
 		}
 

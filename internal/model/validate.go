@@ -21,99 +21,120 @@ var ErrInvalid = errors.New("model: invalid problem")
 //   - every flow's source node exists and link endpoints are distinct
 //     existing nodes.
 //
-// Validate returns the first violation found, wrapped in ErrInvalid.
+// Validate returns the first violation found, wrapped in ErrInvalid. The
+// rules are per element (validateFlow, validateClass, validateNode,
+// validateLink), so Index.RefreshRouting can re-establish them on the
+// elements a routing delta names without sweeping the problem.
 func Validate(p *Problem) error {
-	nF, nC, nN, nL := len(p.Flows), len(p.Classes), len(p.Nodes), len(p.Links)
-	if nF == 0 {
+	if len(p.Flows) == 0 {
 		return fmt.Errorf("%w: no flows", ErrInvalid)
 	}
-	if nN == 0 {
+	if len(p.Nodes) == 0 {
 		return fmt.Errorf("%w: no nodes", ErrInvalid)
 	}
-
-	for i, f := range p.Flows {
-		if int(f.ID) != i {
-			return fmt.Errorf("%w: flow at index %d has ID %d", ErrInvalid, i, f.ID)
-		}
-		if f.Source < 0 || int(f.Source) >= nN {
-			return fmt.Errorf("%w: flow %d source node %d out of range", ErrInvalid, i, f.Source)
-		}
-		if !(f.RateMin > 0) || f.RateMin > f.RateMax {
-			return fmt.Errorf("%w: flow %d rate bounds [%g, %g]", ErrInvalid, i, f.RateMin, f.RateMax)
-		}
-	}
-
-	for j, c := range p.Classes {
-		if int(c.ID) != j {
-			return fmt.Errorf("%w: class at index %d has ID %d", ErrInvalid, j, c.ID)
-		}
-		if c.Flow < 0 || int(c.Flow) >= nF {
-			return fmt.Errorf("%w: class %d flow %d out of range", ErrInvalid, j, c.Flow)
-		}
-		if c.Node < 0 || int(c.Node) >= nN {
-			return fmt.Errorf("%w: class %d node %d out of range", ErrInvalid, j, c.Node)
-		}
-		if c.MaxConsumers < 0 {
-			return fmt.Errorf("%w: class %d MaxConsumers %d", ErrInvalid, j, c.MaxConsumers)
-		}
-		if !(c.CostPerConsumer > 0) {
-			return fmt.Errorf("%w: class %d CostPerConsumer %g", ErrInvalid, j, c.CostPerConsumer)
-		}
-		if c.Utility == nil {
-			return fmt.Errorf("%w: class %d has no utility function", ErrInvalid, j)
-		}
-		if _, ok := p.Nodes[c.Node].FlowCost[c.Flow]; !ok && c.MaxConsumers > 0 {
-			// A demand-less class may sit off its flow's tree: two-stage
-			// pruning zeroes MaxConsumers instead of dropping classes so the
-			// member set stays Refresh-compatible, and a zero-demand class
-			// admits nothing wherever it is.
-			return fmt.Errorf("%w: class %d attached at node %d but flow %d does not reach it",
-				ErrInvalid, j, c.Node, c.Flow)
-		}
-	}
-
-	for b, n := range p.Nodes {
-		if int(n.ID) != b {
-			return fmt.Errorf("%w: node at index %d has ID %d", ErrInvalid, b, n.ID)
-		}
-		if !(n.Capacity > 0) {
-			return fmt.Errorf("%w: node %d capacity %g", ErrInvalid, b, n.Capacity)
-		}
-		for i, cost := range n.FlowCost {
-			if i < 0 || int(i) >= nF {
-				return fmt.Errorf("%w: node %d has cost for unknown flow %d", ErrInvalid, b, i)
-			}
-			if !(cost > 0) {
-				return fmt.Errorf("%w: node %d flow %d cost %g", ErrInvalid, b, i, cost)
+	for _, part := range []struct {
+		n     int
+		check func(*Problem, int) error
+	}{
+		{len(p.Flows), validateFlow},
+		{len(p.Classes), validateClass},
+		{len(p.Nodes), validateNode},
+		{len(p.Links), validateLink},
+	} {
+		for k := 0; k < part.n; k++ {
+			if err := part.check(p, k); err != nil {
+				return err
 			}
 		}
 	}
-
-	for li, l := range p.Links {
-		if int(l.ID) != li {
-			return fmt.Errorf("%w: link at index %d has ID %d", ErrInvalid, li, l.ID)
-		}
-		if l.From < 0 || int(l.From) >= nN || l.To < 0 || int(l.To) >= nN {
-			return fmt.Errorf("%w: link %d endpoints %d->%d out of range", ErrInvalid, li, l.From, l.To)
-		}
-		if l.From == l.To {
-			return fmt.Errorf("%w: link %d is a self-loop at node %d", ErrInvalid, li, l.From)
-		}
-		if !(l.Capacity > 0) {
-			return fmt.Errorf("%w: link %d capacity %g", ErrInvalid, li, l.Capacity)
-		}
-		for i, cost := range l.FlowCost {
-			if i < 0 || int(i) >= nF {
-				return fmt.Errorf("%w: link %d has cost for unknown flow %d", ErrInvalid, li, i)
-			}
-			if !(cost > 0) {
-				return fmt.Errorf("%w: link %d flow %d cost %g", ErrInvalid, li, i, cost)
-			}
-		}
-	}
-	if nC == 0 {
+	if len(p.Classes) == 0 {
 		return fmt.Errorf("%w: no consumer classes", ErrInvalid)
 	}
-	_ = nL
+	return nil
+}
+
+func validateFlow(p *Problem, i int) error {
+	f := &p.Flows[i]
+	if int(f.ID) != i {
+		return fmt.Errorf("%w: flow at index %d has ID %d", ErrInvalid, i, f.ID)
+	}
+	if f.Source < 0 || int(f.Source) >= len(p.Nodes) {
+		return fmt.Errorf("%w: flow %d source node %d out of range", ErrInvalid, i, f.Source)
+	}
+	if !(f.RateMin > 0) || f.RateMin > f.RateMax {
+		return fmt.Errorf("%w: flow %d rate bounds [%g, %g]", ErrInvalid, i, f.RateMin, f.RateMax)
+	}
+	return nil
+}
+
+func validateClass(p *Problem, j int) error {
+	c := &p.Classes[j]
+	if int(c.ID) != j {
+		return fmt.Errorf("%w: class at index %d has ID %d", ErrInvalid, j, c.ID)
+	}
+	if c.Flow < 0 || int(c.Flow) >= len(p.Flows) {
+		return fmt.Errorf("%w: class %d flow %d out of range", ErrInvalid, j, c.Flow)
+	}
+	if c.Node < 0 || int(c.Node) >= len(p.Nodes) {
+		return fmt.Errorf("%w: class %d node %d out of range", ErrInvalid, j, c.Node)
+	}
+	if c.MaxConsumers < 0 {
+		return fmt.Errorf("%w: class %d MaxConsumers %d", ErrInvalid, j, c.MaxConsumers)
+	}
+	if !(c.CostPerConsumer > 0) {
+		return fmt.Errorf("%w: class %d CostPerConsumer %g", ErrInvalid, j, c.CostPerConsumer)
+	}
+	if c.Utility == nil {
+		return fmt.Errorf("%w: class %d has no utility function", ErrInvalid, j)
+	}
+	if _, ok := p.Nodes[c.Node].FlowCost[c.Flow]; !ok && c.MaxConsumers > 0 {
+		// A demand-less class may sit off its flow's tree: two-stage
+		// pruning zeroes MaxConsumers instead of dropping classes so the
+		// member set stays Refresh-compatible, and a zero-demand class
+		// admits nothing wherever it is.
+		return fmt.Errorf("%w: class %d attached at node %d but flow %d does not reach it",
+			ErrInvalid, j, c.Node, c.Flow)
+	}
+	return nil
+}
+
+func validateNode(p *Problem, b int) error {
+	n := &p.Nodes[b]
+	if int(n.ID) != b {
+		return fmt.Errorf("%w: node at index %d has ID %d", ErrInvalid, b, n.ID)
+	}
+	if !(n.Capacity > 0) {
+		return fmt.Errorf("%w: node %d capacity %g", ErrInvalid, b, n.Capacity)
+	}
+	return validateCosts(p, n.FlowCost, "node", b)
+}
+
+func validateLink(p *Problem, li int) error {
+	l := &p.Links[li]
+	if int(l.ID) != li {
+		return fmt.Errorf("%w: link at index %d has ID %d", ErrInvalid, li, l.ID)
+	}
+	if l.From < 0 || int(l.From) >= len(p.Nodes) || l.To < 0 || int(l.To) >= len(p.Nodes) {
+		return fmt.Errorf("%w: link %d endpoints %d->%d out of range", ErrInvalid, li, l.From, l.To)
+	}
+	if l.From == l.To {
+		return fmt.Errorf("%w: link %d is a self-loop at node %d", ErrInvalid, li, l.From)
+	}
+	if !(l.Capacity > 0) {
+		return fmt.Errorf("%w: link %d capacity %g", ErrInvalid, li, l.Capacity)
+	}
+	return validateCosts(p, l.FlowCost, "link", li)
+}
+
+// validateCosts checks one resource's cost map: known flows, positive costs.
+func validateCosts(p *Problem, costs map[FlowID]float64, kind string, id int) error {
+	for i, cost := range costs {
+		if i < 0 || int(i) >= len(p.Flows) {
+			return fmt.Errorf("%w: %s %d has cost for unknown flow %d", ErrInvalid, kind, id, i)
+		}
+		if !(cost > 0) {
+			return fmt.Errorf("%w: %s %d flow %d cost %g", ErrInvalid, kind, id, i, cost)
+		}
+	}
 	return nil
 }

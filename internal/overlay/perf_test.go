@@ -1,7 +1,9 @@
 package overlay
 
 import (
+	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/model"
@@ -253,4 +255,77 @@ func BenchmarkColdResolve(b *testing.B) {
 		eng.Solve(4000)
 		eng.Close()
 	}
+}
+
+// linkFailureShape is the end-to-end link_failure workload's input
+// (bench/inputs.go): 200 flows of three classes over a 10,000-node
+// RandomTopologyHetero, node capacities on [2000, 4000]. Under 3,000 of its
+// nodes and about 3,000 of its ≈60,000 directed links carry a flow.
+func linkFailureShape(rng *rand.Rand) (*Topology, []float64, []FlowSpec) {
+	const nodes = 10_000
+	tp := RandomTopologyHetero(rng, nodes, 2, 1e5, 1e6)
+	caps := make([]float64, nodes)
+	for b := range caps {
+		caps[b] = 2000 + rng.Float64()*2000
+	}
+	flows := make([]FlowSpec, 200)
+	for fi := range flows {
+		fs := FlowSpec{
+			Name: "f", Source: model.NodeID(rng.Intn(nodes)),
+			RateMin: 1, RateMax: 100, LinkCost: 1, NodeCost: 2,
+		}
+		for s := 0; s < 3; s++ {
+			fs.Classes = append(fs.Classes, ClassSpec{
+				Name: "c", Node: model.NodeID(rng.Intn(nodes)),
+				MaxConsumers: 10 + rng.Intn(50), CostPerConsumer: 5,
+				Utility: utility.NewLog(1 + rng.Float64()*20),
+			})
+		}
+		flows[fi] = fs
+	}
+	return tp, caps, flows
+}
+
+// BenchmarkResetRoutingSparse is the routing half of one link_failure
+// pair on that shape: fail a loaded link, republish, heal it, republish —
+// no Step in between, so the engine stays where the warm-up left it. The
+// whole pair is timed and its allocations counted; reset-µs/op is the part
+// spent inside the two ResetRouting calls.
+func BenchmarkResetRoutingSparse(b *testing.B) {
+	tp, caps, flows := linkFailureShape(rand.New(rand.NewSource(1)))
+	r, err := NewRouter(tp, caps, flows)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := core.NewEngine(r.Problem(), core.Config{Adaptive: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	for i := 0; i < 100; i++ {
+		eng.Step()
+	}
+	li := r.Tree(0).Links[0]
+	var inReset time.Duration
+	republish := func() {
+		d := r.TakeDelta()
+		t0 := time.Now()
+		if err := eng.ResetRouting(r.Problem(), d); err != nil {
+			b.Fatal(err)
+		}
+		inReset += time.Since(t0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.RepairLink(li); err != nil {
+			b.Fatal(err)
+		}
+		republish()
+		if _, err := r.RestoreLink(li); err != nil {
+			b.Fatal(err)
+		}
+		republish()
+	}
+	b.ReportMetric(float64(inReset.Microseconds())/float64(b.N), "reset-µs/op")
 }
