@@ -41,9 +41,13 @@ bench:
 # so the perf trajectory is tracked PR over PR. BENCH_core.json in the repo
 # additionally holds, for BenchmarkWarmResolveChurn, ten alternating runs of
 # the per-call-window parent (*PerCallWindowBaseline) and of the current
-# engine; this target overwrites the file, so they are spliced back by hand.
+# engine, and for BenchmarkEngineStepSparse (one Step on the link_failure
+# shape, here also at -cpu=1,4) alternating runs of the sweep-everything
+# parent (*FullSweepBaseline); this target overwrites the file, so they are
+# spliced back by hand.
 bench-core:
-	$(GO) test -run='^$$' -bench=. -benchmem ./internal/core/ \
+	{ $(GO) test -run='^$$' -bench=. -benchmem ./internal/core/ ; \
+	  $(GO) test -run='^$$' -bench=EngineStepSparse -benchmem -cpu=1,4 ./internal/core/ ; } \
 		| $(GO) run ./cmd/lrgp-benchjson -out BENCH_core.json
 
 # Broker data-plane benchmarks recorded as JSON. -cpu=1,4 captures the
@@ -73,9 +77,13 @@ bench-dist:
 # Overlay re-optimization benchmarks recorded as JSON: tree repair
 # (kill + heal cycle, allocation-bounded), the full warm path per
 # failure event (repair + ResetRouting + re-solve) and the cold-rebuild
-# baseline it is judged against, all on the 10k-node pod topology.
+# baseline it is judged against, all on the 10k-node pod topology; and
+# ResetRoutingSparse, the routing half of a fail + heal pair on the
+# link_failure shape (BENCH_overlay.json keeps alternating runs of its
+# sweep-everything parent as *FullSweepBaseline, spliced back by hand).
+# -cpu=1,4: Workers 0 resolves to one shard and to a real pool.
 bench-overlay:
-	$(GO) test -run='^$$' -bench='TreeRepair|WarmResolve|ColdResolve' -benchmem ./internal/overlay/ \
+	$(GO) test -run='^$$' -bench='TreeRepair|WarmResolve|ColdResolve|ResetRoutingSparse' -benchmem -cpu=1,4 ./internal/overlay/ \
 		| $(GO) run ./cmd/lrgp-benchjson -out BENCH_overlay.json
 
 # The end-to-end benchmark's own checks (bench/ is a module of its own, so

@@ -127,13 +127,27 @@ func (ev linkfailEvent) apply(t testing.TB, r *overlay.Router) (ok bool) {
 	return true
 }
 
-// track returns the links down after ev succeeded, given the ones before.
-func (ev linkfailEvent) track(dead []int) []int {
-	if !ev.heal {
-		return append(dead, ev.link)
+// runLinkfailSequence drives r through the seeded sequence of
+// linkfailEvents events that succeed, calling after with each one's
+// 1-based number once r holds its routing and its pending delta.
+func runLinkfailSequence(t testing.TB, r *overlay.Router, after func(n int, ev linkfailEvent)) {
+	t.Helper()
+	var dead []int
+	rng := rand.New(rand.NewSource(20062))
+	for n := 0; n < linkfailEvents; {
+		ev := nextLinkfailEvent(rng, r, dead)
+		if !ev.apply(t, r) {
+			continue
+		}
+		n++
+		if ev.heal {
+			k := slices.Index(dead, ev.link)
+			dead = slices.Delete(dead, k, k+1)
+		} else {
+			dead = append(dead, ev.link)
+		}
+		after(n, ev)
 	}
-	k := slices.Index(dead, ev.link)
-	return slices.Delete(dead, k, k+1)
 }
 
 // stateLine is one transcript line: the Step's utility as the hex of its
@@ -231,15 +245,7 @@ func linkfailTranscript(t *testing.T, cfg core.Config) ([]string, linkfailKinds)
 	steps(linkfailWarmup)
 
 	var kinds linkfailKinds
-	var dead []int
-	rng := rand.New(rand.NewSource(20062))
-	for n := 0; n < linkfailEvents; {
-		ev := nextLinkfailEvent(rng, r, dead)
-		if !ev.apply(t, r) {
-			continue
-		}
-		n++
-		dead = ev.track(dead)
+	runLinkfailSequence(t, r, func(n int, ev linkfailEvent) {
 		d := r.TakeDelta()
 		lb := noteBefore(e, d)
 		if err := e.ResetRouting(r.Problem(), d); err != nil {
@@ -247,7 +253,7 @@ func linkfailTranscript(t *testing.T, cfg core.Config) ([]string, linkfailKinds)
 		}
 		kinds.noteAfter(e, d, lb)
 		steps(linkfailSteps)
-	}
+	})
 	return lines, kinds
 }
 

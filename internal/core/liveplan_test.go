@@ -81,15 +81,16 @@ func TestLivePlanBitIdentical(t *testing.T) {
 		return sparseRouter(t, 20063, 1500, 12, 2, 2e3,
 			func(rng *rand.Rand) float64 { return 10 * math.Pow(300, rng.Float64()) })
 	}
+	entangled := func() *overlay.Router { return linkfailRouter(t, 20061) }
 	for _, c := range []struct {
 		route   func() *overlay.Router
 		cfg     core.Config
 		workers int
 		shards  bool
 	}{
-		{func() *overlay.Router { return linkfailRouter(t, 20061) }, core.Config{Adaptive: true}, 1, false},
-		{func() *overlay.Router { return linkfailRouter(t, 20061) }, core.Config{Adaptive: true}, 4, false},
-		{func() *overlay.Router { return linkfailRouter(t, 20061) }, core.Config{}, 4, false},
+		{entangled, core.Config{Adaptive: true}, 1, false},
+		{entangled, core.Config{Adaptive: true}, 4, false},
+		{entangled, core.Config{}, 4, false},
 		{scattered, core.Config{Adaptive: true}, 4, true},
 		{scattered, core.Config{}, 4, true},
 	} {
@@ -128,17 +129,10 @@ func TestLivePlanBitIdentical(t *testing.T) {
 			}
 			steps("warm-up", linkfailWarmup)
 
-			var dead []int
 			maxShards := 1
-			rng := rand.New(rand.NewSource(20062))
-			for n := 0; n < linkfailEvents; {
-				ev := nextLinkfailEvent(rng, rLive, dead)
-				if !ev.apply(t, rLive) {
-					continue
-				}
+			rng := rand.New(rand.NewSource(20064)) // picks the mutators' targets
+			runLinkfailSequence(t, rLive, func(n int, ev linkfailEvent) {
 				ev.apply(t, rFull)
-				n++
-				dead = ev.track(dead)
 				both(func(e *core.Engine) error {
 					r := rFull
 					if e == live {
@@ -194,7 +188,7 @@ func TestLivePlanBitIdentical(t *testing.T) {
 					both(func(e *core.Engine) error { return e.SetClassDemand(model.ClassID((n-1)%len(p.Classes)), 40) })
 				}
 				steps("after the mutator", linkfailSteps/2)
-			}
+			})
 			if c.shards && maxShards == 1 {
 				t.Errorf("workers %d: every plan of the scattered sequence was one shard", workers)
 			}
@@ -223,16 +217,8 @@ func TestNothingStaleLeavesThePlan(t *testing.T) {
 	for i := 0; i < linkfailWarmup; i++ {
 		e.Step()
 	}
-	var dead []int
 	left := 0
-	rng := rand.New(rand.NewSource(20062))
-	for n := 0; n < linkfailEvents; {
-		ev := nextLinkfailEvent(rng, r, dead)
-		if !ev.apply(t, r) {
-			continue
-		}
-		n++
-		dead = ev.track(dead)
+	runLinkfailSequence(t, r, func(n int, ev linkfailEvent) {
 		_, nodesBefore, linksBefore := core.Listed(e)
 		if err := e.ResetRouting(r.Problem(), r.TakeDelta()); err != nil {
 			t.Fatal(err)
@@ -246,7 +232,7 @@ func TestNothingStaleLeavesThePlan(t *testing.T) {
 		for i := 0; i < linkfailSteps; i++ {
 			e.Step()
 		}
-	}
+	})
 	if left == 0 {
 		t.Fatal("no event shrank the plan; the test is vacuous")
 	}

@@ -105,9 +105,10 @@ func listed(lists [][]int32) int {
 // onto shards and splits the lists accordingly. The plan stays one shard
 // when the topology does not split: fewer components than shards (a worker
 // would idle), or no assignment balanced within 2x of the mean shard
-// weight and two thirds of the total. Deterministic: union-find roots, component order and the greedy
-// assignment depend only on the topology and on which unloaded constraints
-// hold a price, never on scheduling or map iteration.
+// weight and two thirds of the total. Deterministic: union-find roots,
+// component order and the greedy assignment depend only on the topology
+// and on which unloaded constraints hold a price, never on scheduling or
+// map iteration.
 func (plan *stagePlan) pack(ix *model.Index, shards int) {
 	flows, nodes, links := plan.flows[0], plan.nodes[0], plan.links[0]
 

@@ -60,12 +60,12 @@ func TestStepTelemetryObservations(t *testing.T) {
 		// (metro-small has 30 nodes of 1,200 that none does).
 		liveNodes, liveLinks := 0, 0
 		for b := range c.p.Nodes {
-			if len(e.Index().FlowsByNode(model.NodeID(b))) > 0 {
+			if loadedNode(e.ix)(b) {
 				liveNodes++
 			}
 		}
 		for l := range c.p.Links {
-			if len(e.Index().FlowsByLink(model.LinkID(l))) > 0 {
+			if loadedLink(e.ix)(l) {
 				liveLinks++
 			}
 		}

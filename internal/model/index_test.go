@@ -1,7 +1,9 @@
 package model
 
 import (
+	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/utility"
@@ -142,4 +144,61 @@ func TestIndexDenseViewsMatchMaps(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRefreshRoutingRefusesWithoutMutating: a delta that RefreshRouting
+// refuses — here a flow that leaves the second of two dirty nodes without
+// being named, found only after the first node's view has been rebuilt, and
+// a dirty node whose capacity fails Validate's rule — must leave the index
+// exactly as it was; an accepted one must leave it equal to a fresh NewIndex.
+func TestRefreshRoutingRefusesWithoutMutating(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 20; trial++ {
+		p := randomIndexProblem(rng)
+		// Flow 0 leaves a node it crosses other than its source; its classes
+		// there give up their demand, as a pruned subscriber's do.
+		ix := NewIndex(p)
+		leave := NodeID(-1)
+		for _, b := range ix.NodesByFlow(0) {
+			if b != p.Flows[0].Source {
+				leave = b
+			}
+		}
+		if leave < 0 {
+			continue
+		}
+		other := (leave + 1) % NodeID(len(p.Nodes))
+		q := p.Clone()
+		delete(q.Nodes[leave].FlowCost, 0)
+		for _, j := range ix.ClassesByFlow(0) {
+			if q.Classes[j].Node == leave {
+				q.Classes[j].MaxConsumers = 0
+			}
+		}
+		dirty := []NodeID{other, leave}
+
+		if err := ix.RefreshRouting(q, RoutingDelta{Nodes: dirty}); err == nil {
+			t.Fatalf("trial %d: accepted flow 0 leaving node %d unnamed", trial, leave)
+		}
+		if !reflect.DeepEqual(ix, NewIndex(p)) {
+			t.Fatalf("trial %d: the refused delta changed the index", trial)
+		}
+		bad := q.Clone()
+		bad.Nodes[other].Capacity = -1
+		err := ix.RefreshRouting(bad, RoutingDelta{Flows: []FlowID{0}, Nodes: dirty})
+		if !errors.Is(err, ErrInvalid) {
+			t.Fatalf("trial %d: dirty node with capacity -1: %v, want ErrInvalid", trial, err)
+		}
+		if !reflect.DeepEqual(ix, NewIndex(p)) {
+			t.Fatalf("trial %d: the invalid delta changed the index", trial)
+		}
+		if err := ix.RefreshRouting(q, RoutingDelta{Flows: []FlowID{0}, Nodes: dirty}); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !reflect.DeepEqual(ix, NewIndex(q)) {
+			t.Fatalf("trial %d: the refreshed index differs from a fresh NewIndex", trial)
+		}
+		return
+	}
+	t.Fatal("no trial had a node flow 0 could leave")
 }
