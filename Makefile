@@ -43,8 +43,10 @@ bench:
 # the per-call-window parent (*PerCallWindowBaseline) and of the current
 # engine, and for BenchmarkEngineStepSparse (one Step on the link_failure
 # shape, here also at -cpu=1,4) alternating runs of the sweep-everything
-# parent (*FullSweepBaseline); this target overwrites the file, so they are
-# spliced back by hand.
+# parent (*FullSweepBaseline) and of the parent that swept every constraint
+# a flow crosses (*CrossedSweepBaseline, with MetroSmall, SteadyState and
+# WarmResolveChurn recorded beside it); this target overwrites the file, so
+# they are spliced back by hand.
 bench-core:
 	{ $(GO) test -run='^$$' -bench=. -benchmem ./internal/core/ ; \
 	  $(GO) test -run='^$$' -bench=EngineStepSparse -benchmem -cpu=1,4 ./internal/core/ ; } \
@@ -80,7 +82,9 @@ bench-dist:
 # baseline it is judged against, all on the 10k-node pod topology; and
 # ResetRoutingSparse, the routing half of a fail + heal pair on the
 # link_failure shape (BENCH_overlay.json keeps alternating runs of its
-# sweep-everything parent as *FullSweepBaseline, spliced back by hand).
+# sweep-everything parent as *FullSweepBaseline and of the parent that
+# re-planned by scanning every price as *CrossedSweepBaseline, spliced back
+# by hand).
 # -cpu=1,4: Workers 0 resolves to one shard and to a real pool.
 bench-overlay:
 	$(GO) test -run='^$$' -bench='TreeRepair|WarmResolve|ColdResolve|ResetRoutingSparse' -benchmem -cpu=1,4 ./internal/overlay/ \

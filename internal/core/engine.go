@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/metrics"
@@ -158,6 +160,10 @@ func (vc *valueCache) value(c *model.Class, cid model.ClassID, r float64) float6
 // flags) are all order-independent, so the result is bit-identical to the
 // serial scan.
 type shardState struct {
+	// nodes and links are the armed sublists of the shard's plan lists —
+	// what Step sweeps (see rearm); each keeps the capacity to hold its whole
+	// plan list, so waking a constraint allocates nothing.
+	nodes, links []int32
 	// scratch is the admission sort buffer, sized by the widest node, not
 	// the class count.
 	scratch []classBC
@@ -196,11 +202,12 @@ type StepResult struct {
 	// Step never reads the clock.
 	StageNanos [3]int64
 	// DirtyFlows counts flows whose rate problem was re-solved this
-	// iteration; SkippedNodes and SkippedLinks count the live constraints —
-	// the ones the stage plan lists: a flow crosses them or they hold a
-	// price — that reused their cached admission/usage instead of
-	// recomputing. A node or link no flow crosses at price 0 is not swept
-	// and counts nowhere. Deterministic for any worker count.
+	// iteration; SkippedNodes and SkippedLinks count the armed constraints —
+	// the ones Step sweeps: they hold a price, or a flow crosses them and
+	// either some rate in the box could fill them or they carry a class —
+	// that reused their cached admission/usage instead of recomputing. A
+	// node or link parked at price 0 is not swept and counts nowhere.
+	// Deterministic for any worker count.
 	DirtyFlows   int
 	SkippedNodes int
 	SkippedLinks int
@@ -256,7 +263,7 @@ func NewEngine(p *model.Problem, cfg Config) (*Engine, error) {
 		},
 	}
 	e.shardFn = e.stepShard
-	e.adoptPlan(newStagePlan(ix, e.nodePrices, e.linkPrices, c.Workers, nil))
+	e.adoptPlan(newStagePlan(ix, e.nodePrices, e.linkPrices, c.Workers, nil, model.RoutingDelta{}))
 	for i := range p.Flows {
 		e.rates[i] = p.Flows[i].RateMin
 		e.active[i] = true
@@ -321,8 +328,9 @@ func (e *Engine) Close() {
 // There is one schedule. The stage plan assigns every flow and every live
 // node and link (one a flow crosses or that holds a price; the rest sit at
 // price 0, a fixed point of both updates) to a shard; each shard runs all
-// three stages back to back over its own lists (stepShard) and the shards
-// meet at one barrier. When the crossing-writes analysis proves the problem
+// three stages back to back over its flows and the armed part of its node
+// and link lists (stepShard, rearm) and the shards meet at one barrier.
+// When the crossing-writes analysis proves the problem
 // decomposes into at least Workers balanced groups of independent
 // components the plan has Workers shards, fanned out over the worker pool;
 // otherwise it has one, run on the caller's goroutine. Either way Step
@@ -339,8 +347,8 @@ func (e *Engine) Close() {
 // its usage under the same rule. Everything else reuses the previous
 // iteration's values verbatim, so results are bit-identical to a full
 // recompute (see DESIGN.md §9 for the invariants). The O(1) price updates
-// and adaptive-gamma observations always run — they move every iteration
-// until the exact fixpoint.
+// and adaptive-gamma observations run for every armed constraint — they
+// move every iteration until the exact fixpoint.
 func (e *Engine) Step() StepResult {
 	if e.closed {
 		panic("core: Engine.Step called after Close")
@@ -368,9 +376,12 @@ func (e *Engine) Step() StepResult {
 	}
 
 	var rateChanged, popChanged bool
+	armedNodes, armedLinks := 0, 0
 	for s := range e.sh[:e.plan.shards] {
 		sh := &e.sh[s]
-		sh.work = sh.dirtyFlows + len(e.plan.nodes[s]) - sh.skippedNodes + len(e.plan.links[s]) - sh.skippedLinks
+		sh.work = sh.dirtyFlows + len(sh.nodes) - sh.skippedNodes + len(sh.links) - sh.skippedLinks
+		armedNodes += len(sh.nodes)
+		armedLinks += len(sh.links)
 		res.DirtyFlows += sh.dirtyFlows
 		rateChanged = rateChanged || sh.rateChanged
 		if sh.overNode > res.MaxNodeOverload {
@@ -408,7 +419,7 @@ func (e *Engine) Step() StepResult {
 	if tel != nil {
 		tel.ObserveStep(res.StageNanos, res.Utility,
 			res.MaxNodeOverload, res.MaxLinkOverload,
-			listed(e.plan.nodes), listed(e.plan.links),
+			armedNodes, armedLinks,
 			res.DirtyFlows, res.SkippedNodes+res.SkippedLinks)
 	}
 	return res
@@ -673,11 +684,11 @@ func (e *Engine) stepShard(s int) {
 	if timed {
 		e.stageMark[0] = time.Now()
 	}
-	e.nodeList(e.plan.nodes[s], sh)
+	e.nodeList(sh.nodes, sh)
 	if timed {
 		e.stageMark[1] = time.Now()
 	}
-	e.linkList(e.plan.links[s], sh)
+	e.linkList(sh.links, sh)
 
 	t := e.iteration
 	if e.utilStale {
@@ -859,6 +870,18 @@ func (e *Engine) SetNodeCapacity(b model.NodeID, capacity float64) error {
 	// The admission budget changed; the cached used/bestUnsatisfied are
 	// stale. (The price sweep reads the capacity mirror each iteration.)
 	e.nodeForced[b] = true
+	if !slack(e.ix.FlowsByNode(b), e.ix.FlowCostsByNode(b), e.p.Flows, capacity) {
+		// The node can bind now: if rearm parked it, it wakes.
+		for s := range e.sh[:e.plan.shards] {
+			sh := &e.sh[s]
+			if _, listed := slices.BinarySearch(e.plan.nodes[s], int32(b)); !listed {
+				continue
+			}
+			if k, armed := slices.BinarySearch(sh.nodes, int32(b)); !armed {
+				sh.nodes = slices.Insert(sh.nodes, k, int32(b))
+			}
+		}
+	}
 	return nil
 }
 
@@ -898,8 +921,9 @@ func (e *Engine) Reset(p *model.Problem) error {
 // from the problem the engine last saw: the index is re-targeted
 // incrementally and the rules of model.Validate are re-applied to the dirty
 // elements alone (model.Index.RefreshRouting; errors wrap model.ErrInvalid),
-// so the call costs the delta plus the live part of the problem, never the
-// size of the overlay. Unlike Reset, the stage plan is rebuilt: routing
+// so the call costs the delta plus the live part of the problem — the
+// re-plan tests what the old plan lists and what d names — never the size
+// of the overlay. Unlike Reset, the stage plan is rebuilt: routing
 // defines which flows share resources and which constraints carry a flow at
 // all, so the analysis fixed at NewEngine no longer holds. Warm state
 // carries over exactly as in Reset. On error the engine still runs the old
@@ -911,7 +935,7 @@ func (e *Engine) ResetRouting(p *model.Problem, d model.RoutingDelta) error {
 	if err := e.ix.RefreshRouting(p, d); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	e.adoptPlan(newStagePlan(e.ix, e.nodePrices, e.linkPrices, e.cfg.Workers, e.plan))
+	e.adoptPlan(newStagePlan(e.ix, e.nodePrices, e.linkPrices, e.cfg.Workers, e.plan, d))
 	// A dirty constraint that no flow crosses any more and that holds no
 	// price has left the plan: nothing will refresh what it cached, so it
 	// goes back to the state of a constraint no flow ever crossed.
@@ -970,12 +994,22 @@ func (e *Engine) warmRestart(p *model.Problem) {
 }
 
 // rearm restarts the incremental machinery so that the next Step recomputes
-// everything the plan lists: every cached value is suspect under a new
-// problem. The epoch and touch-dedup arrays must really be cleared, not
-// just left behind — the restarted iteration counter will revisit their
-// old values, and a stale match would wrongly skip a recompute. Constraints
-// the plan does not list are not read by Step and are armed when a plan
-// first lists them, which is also when their capacity mirror is read.
+// everything it sweeps: every cached value is suspect under a new problem.
+// The epoch and touch-dedup arrays must really be cleared, not just left
+// behind — the restarted iteration counter will revisit their old values,
+// and a stale match would wrongly skip a recompute. Constraints the plan
+// does not list are not read by Step and are armed when a plan first lists
+// them, which is also when their capacity mirror is read.
+//
+// Of the constraints the plan lists, Step sweeps the armed ones: rearm parks
+// a link at price 0 that no rates in the box can fill (slack), and a node at
+// price 0 that is slack too, carries no class — so no benefit-cost ratio and
+// no population — and, under Adaptive, has its γ at the ceiling, where
+// observing a zero gap leaves it. Sweeping a parked constraint would compute
+// [0 + γ·(used − c)]⁺ with used ≤ c, or 0 + γ·(0 − 0): price 0 again, no
+// epoch, no overload (DESIGN.md §5). A constraint that is slack but still
+// priced stays armed until its price has decayed to exactly 0 and a later
+// rearm parks it.
 func (e *Engine) rearm() {
 	e.iteration = 0
 	e.util, e.utilStale = 0, true
@@ -985,16 +1019,33 @@ func (e *Engine) rearm() {
 		e.rateEpoch[i] = 0
 		e.flowUtilEpoch[i] = 0
 	}
+	flows := e.p.Flows
 	for s := 0; s < e.plan.shards; s++ {
+		sh := &e.sh[s]
+		sh.nodes = slices.Grow(sh.nodes[:0], len(e.plan.nodes[s]))
 		for _, b := range e.plan.nodes[s] {
-			e.nodeForced[b] = true
+			bid := model.NodeID(b)
 			e.nodePriceEpoch[b] = 0
 			e.nodeCap[b] = e.p.Nodes[b].Capacity
+			parked := e.nodePrices[b] == 0 && len(e.ix.ClassesByNode(bid)) == 0 &&
+				(!e.cfg.Adaptive || e.gamma.val[b] == e.gamma.max) &&
+				slack(e.ix.FlowsByNode(bid), e.ix.FlowCostsByNode(bid), flows, e.nodeCap[b])
+			e.nodeForced[b] = !parked
+			if !parked {
+				sh.nodes = append(sh.nodes, b)
+			}
 		}
+		sh.links = slices.Grow(sh.links[:0], len(e.plan.links[s]))
 		for _, l := range e.plan.links[s] {
-			e.linkForced[l] = true
+			lid := model.LinkID(l)
 			e.linkPriceEpoch[l] = 0
 			e.linkCap[l] = e.p.Links[l].Capacity
+			parked := e.linkPrices[l] == 0 &&
+				slack(e.ix.FlowsByLink(lid), e.ix.FlowCostsByLink(lid), flows, e.linkCap[l])
+			e.linkForced[l] = !parked
+			if !parked {
+				sh.links = append(sh.links, l)
+			}
 		}
 	}
 	for j := range e.popEpoch {
@@ -1007,6 +1058,21 @@ func (e *Engine) rearm() {
 		}
 		sh.touchIDs = sh.touchIDs[:0]
 	}
+}
+
+// slack reports whether no rates in the box can fill a constraint of the
+// given capacity: the bound Σ_k cost_k·RateMax_{i_k} fits. It is summed in
+// the order and over the views linkUsageItem and admitNode sum the usage, and
+// every rate is 0 or inside its flow's [RateMin, RateMax], so by monotonicity
+// of IEEE multiply and add the usage Step would compute never exceeds the
+// bound computed here. A NaN anywhere says false, and so — more than
+// exactness needs — does an infinite capacity or RateMax.
+func slack(crossing []model.FlowID, costs []float64, flows []model.Flow, capacity float64) bool {
+	bound := 0.0
+	for k, i := range crossing {
+		bound += costs[k] * flows[i].RateMax
+	}
+	return bound <= capacity && capacity < math.Inf(1)
 }
 
 // Iteration returns the number of completed iterations.

@@ -223,7 +223,7 @@ func TestStagePlanPartition(t *testing.T) {
 	} {
 		ix := model.NewIndex(c.p)
 		nodePrices, linkPrices := make([]float64, len(c.p.Nodes)), make([]float64, len(c.p.Links))
-		plan := newStagePlan(ix, nodePrices, linkPrices, c.workers, nil)
+		plan := newStagePlan(ix, nodePrices, linkPrices, c.workers, nil, model.RoutingDelta{})
 		if plan.shards != c.shards || plan.components != c.components {
 			t.Fatalf("%s: %d shards, %d components; want %d, %d",
 				c.name, plan.shards, plan.components, c.shards, c.components)
@@ -254,7 +254,7 @@ func TestStagePlanPartition(t *testing.T) {
 		check("node", plan.nodes, len(c.p.Nodes), loadedNode(ix))
 		check("link", plan.links, len(c.p.Links), loadedLink(ix))
 
-		again := newStagePlan(model.NewIndex(c.p), nodePrices, linkPrices, c.workers, nil)
+		again := newStagePlan(model.NewIndex(c.p), nodePrices, linkPrices, c.workers, nil, model.RoutingDelta{})
 		if !reflect.DeepEqual(plan, again) {
 			t.Errorf("%s: plan not deterministic across rebuilds", c.name)
 		}

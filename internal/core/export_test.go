@@ -12,10 +12,12 @@ import (
 
 // SweepAll makes e the full-sweep oracle: it replaces e's plan with one
 // shard listing every flow, node and link of the problem — what every Step
-// swept before the plan listed live constraints only — and re-arms the
-// engine over it. ResetRouting adopts a live plan again, so the oracle
-// calls SweepAll after NewEngine and after every ResetRouting, before the
-// next Step. Production code has no such plan.
+// swept before the plan listed live constraints only — re-arms the engine
+// over it and then arms what rearm parked, whatever the bound says, so that
+// every Step sweeps every constraint. Reset and ResetRouting re-arm by the
+// rule again (and ResetRouting adopts a live plan), so the oracle calls
+// SweepAll after NewEngine and after every Reset*, before the next Step.
+// Production code has no such plan and no such switch.
 func SweepAll(e *Engine) {
 	identity := func(n int) [][]int32 {
 		ids := make([]int32, n)
@@ -31,7 +33,40 @@ func SweepAll(e *Engine) {
 		links:  identity(len(e.p.Links)),
 	}
 	e.rearm()
+	sh := &e.sh[0]
+	sh.nodes = append(sh.nodes[:0], e.plan.nodes[0]...)
+	sh.links = append(sh.links[:0], e.plan.links[0]...)
+	for b := range e.nodeForced {
+		e.nodeForced[b] = true
+	}
+	for l := range e.linkForced {
+		e.linkForced[l] = true
+	}
 }
+
+// Armed returns the nodes and links e's Step sweeps, each ascending.
+func Armed(e *Engine) (nodes, links []int32) {
+	for s := range e.sh[:e.plan.shards] {
+		nodes = append(nodes, e.sh[s].nodes...)
+		links = append(links, e.sh[s].links...)
+	}
+	slices.Sort(nodes)
+	slices.Sort(links)
+	return nodes, links
+}
+
+// ListedIDs returns the nodes and links e's plan lists, each ascending.
+func ListedIDs(e *Engine) (nodes, links []int32) {
+	nodes = slices.Concat(e.plan.nodes...)
+	links = slices.Concat(e.plan.links...)
+	slices.Sort(nodes)
+	slices.Sort(links)
+	return nodes, links
+}
+
+// PlanTested returns how many node and link ids the live test looked at to
+// build e's plan.
+func PlanTested(e *Engine) int { return e.plan.tested }
 
 // Listed returns how many shards, nodes and links e's plan has.
 func Listed(e *Engine) (shards, nodes, links int) {
@@ -41,7 +76,7 @@ func Listed(e *Engine) (shards, nodes, links int) {
 // CheckPlanFresh reports how e's plan differs from one built from scratch —
 // a fresh index of e's problem, e's current prices, no previous plan.
 func CheckPlanFresh(e *Engine) error {
-	want := newStagePlan(model.NewIndex(e.p), e.nodePrices, e.linkPrices, e.cfg.Workers, nil)
+	want := newStagePlan(model.NewIndex(e.p), e.nodePrices, e.linkPrices, e.cfg.Workers, nil, model.RoutingDelta{})
 	got := e.plan
 	if got.shards != want.shards || got.components != want.components {
 		return fmt.Errorf("plan has %d shards, %d components; from scratch %d, %d",

@@ -191,11 +191,11 @@ func TestIncrementalSteadyStateQuiesces(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		last = e.Step()
 	}
-	// SkippedNodes counts live nodes — the ones the plan lists. Every node
-	// of the base workload carries a flow, so that is all of them.
-	live := len(e.plan.nodes[0])
+	// SkippedNodes counts armed nodes — the ones Step sweeps. Every node of
+	// the base workload carries a flow and a class, so that is all of them.
+	live := len(e.sh[0].nodes)
 	if live != len(p.Nodes) {
-		t.Fatalf("plan lists %d of %d nodes; the base workload loads every node", live, len(p.Nodes))
+		t.Fatalf("Step sweeps %d of %d nodes; the base workload loads every node", live, len(p.Nodes))
 	}
 	if last.DirtyFlows != 0 || last.SkippedNodes != live {
 		t.Errorf("after 50 iterations: DirtyFlows=%d SkippedNodes=%d/%d; want fully quiet",

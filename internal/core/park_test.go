@@ -1,0 +1,353 @@
+package core
+
+import (
+	"math"
+	"math/big"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/model"
+	"repro/internal/utility"
+)
+
+// parkProblem: flows from node 0 over transit node 1 and link 0 (1→2) to
+// node 2, where each has one class. Node 1 and link 0 charge costs[i] for
+// flow i and have the given capacity; nodes 0 and 2 have room for anything.
+// Node 1 carries no class, so whether Step sweeps it and link 0 is the
+// arming rule's bound against capacity and nothing else.
+func parkProblem(costs, rateMax []float64, capacity float64) *model.Problem {
+	p := &model.Problem{
+		Nodes: []model.Node{
+			{ID: 0, Capacity: 1e300, FlowCost: map[model.FlowID]float64{}},
+			{ID: 1, Capacity: capacity, FlowCost: map[model.FlowID]float64{}},
+			{ID: 2, Capacity: 1e300, FlowCost: map[model.FlowID]float64{}},
+		},
+		Links: []model.Link{{ID: 0, From: 1, To: 2, Capacity: capacity, FlowCost: map[model.FlowID]float64{}}},
+	}
+	for i, c := range costs {
+		fid := model.FlowID(i)
+		p.Flows = append(p.Flows, model.Flow{ID: fid, Source: 0, RateMin: rateMax[i] / 4, RateMax: rateMax[i]})
+		p.Classes = append(p.Classes, model.Class{ID: model.ClassID(i), Flow: fid, Node: 2,
+			MaxConsumers: 5, CostPerConsumer: 1, Utility: utility.NewLog(10)})
+		p.Nodes[0].FlowCost[fid], p.Nodes[2].FlowCost[fid] = 1, 1
+		p.Nodes[1].FlowCost[fid], p.Links[0].FlowCost[fid] = c, c
+	}
+	return p
+}
+
+// isArmed reports whether Step sweeps the engine's node or link id.
+func isArmed(armed []int32, id int32) bool {
+	_, ok := slices.BinarySearch(armed, id)
+	return ok
+}
+
+// sweptUsage sets the rates (0 for a flow that is inactive) and returns
+// what the sweep itself computes for node 1 and link 0: admitNode's used and
+// linkUsageItem's sum.
+func sweptUsage(e *Engine, rates []float64, active []bool) (node, link float64) {
+	copy(e.rates, rates)
+	copy(e.active, active)
+	out := admitNode(e.p, e.ix, 1, e.rates, e.active, e.consumers, e.sh[0].scratch, &e.vc, e.popEpoch, 1)
+	e.linkForced[0] = true
+	skipped := 0
+	e.linkUsageItem(0, &skipped)
+	return out.used, e.linkUsed[0]
+}
+
+// TestParkedMeansTheSweepCannotBind: the arming rule compares capacity with
+// the bound the sweep would have computed — the same products, summed in the
+// same order — not with the real-number sum. Capacities are placed within an
+// ulp of both, where the two disagree: a constraint must be parked when the
+// float sum fits although the exact sum does not (whatever rates Step picks
+// in the box, active or not, the usage it computes fits too), and armed when
+// the float sum does not fit although the exact sum does (at RateMax the
+// computed usage really exceeds capacity, and Equation 13 would price it).
+func TestParkedMeansTheSweepCannotBind(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	exact := func(costs, rateMax []float64) *big.Float {
+		sum := new(big.Float).SetPrec(2000)
+		for k := range costs {
+			term := new(big.Float).SetPrec(2000).SetFloat64(costs[k])
+			sum.Add(sum, term.Mul(term, new(big.Float).SetPrec(2000).SetFloat64(rateMax[k])))
+		}
+		return sum
+	}
+	var parkedOverExact, armedUnderExact, parkedCases, armedCases int
+	for trial := 0; trial < 400; trial++ {
+		k := 2 + rng.Intn(5)
+		costs, rateMax := make([]float64, k), make([]float64, k)
+		for i := range costs {
+			// Tenths and thirds round in every product and every partial sum.
+			costs[i] = float64(1+rng.Intn(9)) / 10
+			rateMax[i] = float64(1+rng.Intn(30)) / 3
+		}
+		floatSum := 0.0
+		for i := range costs {
+			floatSum += costs[i] * rateMax[i]
+		}
+		real := exact(costs, rateMax)
+		for _, capacity := range []float64{
+			math.Nextafter(floatSum, 0), floatSum, math.Nextafter(floatSum, math.Inf(1)), 2 * floatSum, floatSum / 2,
+		} {
+			e, err := NewEngine(parkProblem(costs, rateMax, capacity), Config{Adaptive: trial%2 == 0, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes, links := Armed(e)
+			nodeArmed, linkArmed := isArmed(nodes, 1), isArmed(links, 0)
+			if nodeArmed != linkArmed {
+				t.Fatalf("costs %v RateMax %v capacity %v: node armed %v, link armed %v on the same costs",
+					costs, rateMax, capacity, nodeArmed, linkArmed)
+			}
+			exactFits := real.Cmp(new(big.Float).SetFloat64(capacity)) <= 0
+			allActive := make([]bool, k)
+			for i := range allActive {
+				allActive[i] = true
+			}
+			if nodeArmed {
+				armedCases++
+				// Arming was needed: at RateMax the sweep's own sums overflow.
+				node, link := sweptUsage(e, rateMax, allActive)
+				if !(node > capacity && link > capacity) {
+					t.Fatalf("costs %v RateMax %v capacity %v: armed, but the sweep computes %v and %v at RateMax",
+						costs, rateMax, capacity, node, link)
+				}
+				if exactFits {
+					armedUnderExact++
+				}
+			} else {
+				parkedCases++
+				if !exactFits {
+					parkedOverExact++
+				}
+				if e.nodeForced[1] || e.linkForced[0] {
+					t.Fatalf("a parked constraint is left forced: node %v, link %v", e.nodeForced[1], e.linkForced[0])
+				}
+				// Parking was safe: no rates of the box, with any flows
+				// inactive (pinned to 0), make the sweep compute more.
+				for try := 0; try < 8; try++ {
+					rates, active := make([]float64, k), make([]bool, k)
+					for i := range rates {
+						active[i] = try < 2 || rng.Intn(3) > 0
+						switch {
+						case !active[i]:
+						case try%2 == 0:
+							rates[i] = rateMax[i]
+						default:
+							rates[i] = rateMax[i]/4 + rng.Float64()*(rateMax[i]-rateMax[i]/4)
+						}
+					}
+					if node, link := sweptUsage(e, rates, active); !(node <= capacity && link <= capacity) {
+						t.Fatalf("costs %v RateMax %v capacity %v: parked, but rates %v compute %v and %v",
+							costs, rateMax, capacity, rates, node, link)
+					}
+				}
+			}
+			e.Close()
+		}
+	}
+	if parkedOverExact == 0 || armedUnderExact == 0 || parkedCases == 0 || armedCases == 0 {
+		t.Fatalf("vacuous: %d parked (%d with the exact sum over capacity), %d armed (%d with the exact sum fitting)",
+			parkedCases, parkedOverExact, armedCases, armedUnderExact)
+	}
+}
+
+// TestInactiveFlowsCountAtRateMax: reactivating a flow re-arms nothing, so a
+// flow that is inactive when the engine re-arms still counts with its
+// RateMax against the bound.
+func TestInactiveFlowsCountAtRateMax(t *testing.T) {
+	// Two flows of cost 1 and RateMax 10 on capacity 15: either alone fits.
+	p := parkProblem([]float64{1, 1}, []float64{10, 10}, 15)
+	e, err := NewEngine(p, Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	e.SetFlowActive(1, false)
+	if err := e.Reset(p); err != nil {
+		t.Fatal(err)
+	}
+	if nodes, links := Armed(e); !isArmed(nodes, 1) || !isArmed(links, 0) {
+		t.Fatalf("with flow 1 inactive the engine armed nodes %v and links %v; node 1 and link 0 can bind once it is back", nodes, links)
+	}
+}
+
+// TestNonFiniteNeverParks: a NaN or infinite capacity or RateMax arms — the
+// comparison is written so that a NaN anywhere says "can bind" — directly on
+// the predicate and through NewEngine and SetNodeCapacity.
+func TestNonFiniteNeverParks(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	flows := []model.Flow{{RateMax: 10}, {RateMax: inf}, {RateMax: nan}}
+	one := []float64{1}
+	for _, c := range []struct {
+		name     string
+		flow     model.FlowID
+		cost     float64
+		capacity float64
+		want     bool
+	}{
+		{"finite and fitting", 0, 1, 10, true},
+		{"finite and one ulp short", 0, 1, math.Nextafter(10, 0), false},
+		{"NaN capacity", 0, 1, nan, false},
+		{"+Inf capacity", 0, 1, inf, false},
+		{"-Inf capacity", 0, 1, -inf, false},
+		{"+Inf RateMax", 1, 1, 1e300, false},
+		{"+Inf RateMax, +Inf capacity", 1, 1, inf, false},
+		{"NaN RateMax", 2, 1, 1e300, false},
+		{"NaN cost", 0, nan, 1e300, false},
+	} {
+		one[0] = c.cost
+		if got := slack([]model.FlowID{c.flow}, one, flows, c.capacity); got != c.want {
+			t.Errorf("%s: slack = %v, want %v", c.name, got, c.want)
+		}
+	}
+
+	// Validate lets +Inf through as a capacity and as a RateMax.
+	for _, c := range []struct {
+		name              string
+		rateMax, capacity float64
+	}{
+		{"+Inf capacity", 10, inf},
+		{"+Inf RateMax", inf, 1e300},
+	} {
+		e, err := NewEngine(parkProblem([]float64{1}, []float64{c.rateMax}, c.capacity), Config{Workers: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if nodes, links := Armed(e); !isArmed(nodes, 1) || !isArmed(links, 0) {
+			t.Errorf("%s: armed nodes %v, links %v; node 1 and link 0 must be", c.name, nodes, links)
+		}
+		e.Close()
+	}
+	// SetNodeCapacity refuses only capacity <= 0, which NaN is not.
+	e, err := NewEngine(parkProblem([]float64{1}, []float64{10}, 100), Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if nodes, _ := Armed(e); isArmed(nodes, 1) {
+		t.Fatal("node 1 has ten times the room its flow can use and is armed")
+	}
+	if err := e.SetNodeCapacity(1, nan); err != nil {
+		t.Fatal(err)
+	}
+	if nodes, _ := Armed(e); !isArmed(nodes, 1) {
+		t.Error("NaN capacity left node 1 parked")
+	}
+}
+
+// TestWakeForcesARecompute: a parked constraint's forced flag is cleared
+// when it is parked and set when it wakes, so the woken node's first Step
+// recomputes its usage instead of reusing what was cached before it slept;
+// waking allocates nothing, and neither does the re-arm that parks it again.
+func TestWakeForcesARecompute(t *testing.T) {
+	p := parkProblem([]float64{2, 3}, []float64{10, 10}, 1000)
+	e, err := NewEngine(p, Config{Adaptive: true, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for i := 0; i < 20; i++ {
+		e.Step()
+	}
+	nodes, links := Armed(e)
+	if isArmed(nodes, 1) || isArmed(links, 0) || e.nodeForced[1] || e.linkForced[0] {
+		t.Fatalf("armed nodes %v links %v, forced %v %v; node 1 and link 0 should be parked and clean",
+			nodes, links, e.nodeForced[1], e.linkForced[0])
+	}
+	if e.nodePrices[1] != 0 || e.linkPrices[0] != 0 || e.gamma.val[1] != e.gamma.max {
+		t.Fatalf("a parked constraint moved: prices %v %v, gamma %v", e.nodePrices[1], e.linkPrices[0], e.gamma.val[1])
+	}
+	// Whatever the cache holds from before, the wake must not trust it.
+	e.nodeUsed[1] = 12345
+	if err := e.SetNodeCapacity(1, 30); err != nil { // bound 2·10 + 3·10 = 50
+		t.Fatal(err)
+	}
+	if nodes, _ := Armed(e); !isArmed(nodes, 1) || !e.nodeForced[1] {
+		t.Fatalf("capacity 30 under bound 50: armed nodes %v, forced %v", nodes, e.nodeForced[1])
+	}
+	e.Step()
+	if want := 2*e.rates[0] + 3*e.rates[1]; e.nodeUsed[1] != want || e.nodeForced[1] {
+		t.Fatalf("after the wake's Step node 1 caches usage %v (forced %v), its flows use %v", e.nodeUsed[1], e.nodeForced[1], want)
+	}
+
+	if err := e.SetNodeCapacity(1, 1000); err != nil {
+		t.Fatal(err)
+	}
+	if nodes, _ := Armed(e); !isArmed(nodes, 1) {
+		t.Fatal("SetNodeCapacity parked node 1; only a re-arm may")
+	}
+
+	// Node 1 overloaded at capacity 30 and is priced now; the park-and-wake
+	// cycle is counted on an engine whose node never was.
+	fresh, err := NewEngine(p, Config{Adaptive: true, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if allocs := testing.AllocsPerRun(20, func() {
+		fresh.rearm()
+		if isArmed(fresh.sh[0].nodes, 1) {
+			t.Fatal("the re-arm left node 1 armed")
+		}
+		if err := fresh.SetNodeCapacity(1, 30); err != nil {
+			t.Fatal(err)
+		}
+		if !isArmed(fresh.sh[0].nodes, 1) {
+			t.Fatal("capacity 30 left node 1 parked")
+		}
+		if err := fresh.SetNodeCapacity(1, 1000); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("%v allocs per park-and-wake, want 0", allocs)
+	}
+}
+
+// TestClimbingGammaStaysArmed: observing a zero gap leaves an adaptive
+// stepsize alone only at the ceiling; below it the controller adds its step
+// every iteration, so a node that could otherwise be parked stays armed until
+// it is there — beside the arm-everything oracle, γ for γ.
+func TestClimbingGammaStaysArmed(t *testing.T) {
+	p := parkProblem([]float64{2, 3}, []float64{10, 10}, 1000)
+	cfg := Config{Adaptive: true, Workers: 1}
+	live, err := NewEngine(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	full, err := NewEngine(p.Clone(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer full.Close()
+	SweepAll(full)
+	if nodes, _ := Armed(live); isArmed(nodes, 1) {
+		t.Fatal("node 1 starts at the ceiling and should be parked")
+	}
+	const below = DefaultGammaMax / 2
+	live.gamma.val[1], full.gamma.val[1] = below, below
+	live.rearm()
+	SweepAll(full)
+	if nodes, _ := Armed(live); !isArmed(nodes, 1) {
+		t.Fatalf("node 1 at γ %v under the ceiling %v was parked", below, live.gamma.max)
+	}
+	for i := 0; i < 80; i++ {
+		rf, rl := full.Step(), live.Step()
+		if rf.Utility != rl.Utility || !slices.Equal(full.gamma.val, live.gamma.val) ||
+			!slices.Equal(full.nodePrices, live.nodePrices) {
+			t.Fatalf("Step %d: γ %v prices %v utility %v; oracle %v %v %v",
+				i+1, live.gamma.val, live.nodePrices, rl.Utility, full.gamma.val, full.nodePrices, rf.Utility)
+		}
+	}
+	if live.gamma.val[1] != live.gamma.max {
+		t.Fatalf("γ of node 1 is %v after 80 Steps, want the ceiling", live.gamma.val[1])
+	}
+	if err := live.Reset(p); err != nil {
+		t.Fatal(err)
+	}
+	if nodes, _ := Armed(live); isArmed(nodes, 1) {
+		t.Fatal("node 1 reached the ceiling and the re-arm did not park it")
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/model"
@@ -26,7 +27,8 @@ import (
 // it at 0 — p + γ(0 − p) and [p + γ(0 − c)]⁺ — and sweeping it computes
 // nothing. One that loses its last flow while priced stays listed until its
 // price has decayed to exactly 0; one that gains a flow is named by the
-// routing delta that rebuilds the plan.
+// routing delta that rebuilds the plan. Which of the listed constraints a
+// Step sweeps is not the plan's business: rearm parks those that cannot bind.
 //
 // The analysis runs once per topology (NewEngine and ResetRouting; Reset
 // keeps the topology, so the plan survives it) over the index's dense
@@ -47,6 +49,9 @@ type stagePlan struct {
 	// components is the number of connected components found
 	// (informational; 0 when the analysis did not run).
 	components int
+	// tested is the number of node and link ids the live test ran on to
+	// build the plan (informational).
+	tested int
 	// shards is Step's fan-out; flows/nodes/links are indexed by shard,
 	// each list ascending so per-shard iteration order matches the serial
 	// scan order.
@@ -57,38 +62,68 @@ type stagePlan struct {
 }
 
 // newStagePlan builds Step's schedule for the indexed problem at the given
-// prices: the component packing over workers shards when the topology
-// allows it, otherwise — Workers 1, fewer than minParallelItems items, or a
+// prices: the component packing over workers shards when the topology allows
+// it, otherwise — Workers 1, fewer than minParallelItems items, or a
 // topology pack rejects — one shard whose lists are every flow and the live
-// constraints in ascending order, i.e. the serial scan. prev, the plan being
-// replaced if there is one, only sizes the lists: a routing event moves few
-// constraints in or out.
-func newStagePlan(ix *model.Index, nodePrices, linkPrices []float64, workers int, prev *stagePlan) *stagePlan {
+// constraints in ascending order, i.e. the serial scan.
+//
+// With prev nil the live test runs on every node and link of the problem.
+// With prev, the plan being replaced, it runs on what prev lists and what
+// the routing delta d names, and finds the same lists: a constraint neither
+// listed nor named had no flow and price 0 when prev was built, no delta
+// since gave it a flow and no Step has swept it. A re-plan then costs
+// listed + delta, never the size of the overlay.
+func newStagePlan(ix *model.Index, nodePrices, linkPrices []float64, workers int, prev *stagePlan, d model.RoutingDelta) *stagePlan {
 	flows := make([]int32, len(ix.Problem().Flows))
 	for i := range flows {
 		flows[i] = int32(i)
 	}
-	var nodes, links []int32
+	plan := &stagePlan{shards: 1, flows: [][]int32{flows}}
+	var prevNodes, prevLinks [][]int32
 	if prev != nil {
-		const slack = 64
-		nodes = make([]int32, 0, listed(prev.nodes)+slack)
-		links = make([]int32, 0, listed(prev.links)+slack)
+		prevNodes, prevLinks = prev.nodes, prev.links
 	}
-	for b, price := range nodePrices {
-		if price != 0 || len(ix.FlowsByNode(model.NodeID(b))) > 0 {
-			nodes = append(nodes, int32(b))
-		}
-	}
-	for l, price := range linkPrices {
-		if price != 0 || len(ix.FlowsByLink(model.LinkID(l))) > 0 {
-			links = append(links, int32(l))
-		}
-	}
-	plan := &stagePlan{shards: 1, flows: [][]int32{flows}, nodes: [][]int32{nodes}, links: [][]int32{links}}
+	nodes := liveIDs(len(nodePrices), prevNodes, d.Nodes, &plan.tested, func(b int32) bool {
+		return len(ix.FlowsByNode(model.NodeID(b))) == 0 && nodePrices[b] == 0
+	})
+	links := liveIDs(len(linkPrices), prevLinks, d.Links, &plan.tested, func(l int32) bool {
+		return len(ix.FlowsByLink(model.LinkID(l))) == 0 && linkPrices[l] == 0
+	})
+	plan.nodes, plan.links = [][]int32{nodes}, [][]int32{links}
 	if workers > 1 && max(len(flows), len(nodes), len(links)) >= minParallelItems {
 		plan.pack(ix, workers)
 	}
 	return plan
+}
+
+// liveIDs returns in ascending order the ids that are not idle: of all n
+// when prev is nil, otherwise of those prev lists and those named. tested
+// grows by the number of ids it looked at.
+func liveIDs[ID ~int](n int, prev [][]int32, named []ID, tested *int, idle func(int32) bool) []int32 {
+	var ids []int32
+	if prev == nil {
+		*tested += n
+		for id := int32(0); int(id) < n; id++ {
+			if !idle(id) {
+				ids = append(ids, id)
+			}
+		}
+		return ids
+	}
+	ids = make([]int32, 0, listed(prev)+len(named))
+	for _, list := range prev {
+		ids = append(ids, list...)
+	}
+	if len(prev) > 1 {
+		slices.Sort(ids)
+	}
+	for _, id := range named {
+		if k, found := slices.BinarySearch(ids, int32(id)); !found {
+			ids = slices.Insert(ids, k, int32(id))
+		}
+	}
+	*tested += len(ids)
+	return slices.DeleteFunc(ids, idle)
 }
 
 // listed is the number of ids a plan's per-shard lists hold.

@@ -22,10 +22,11 @@ func TestStepTelemetryObservations(t *testing.T) {
 		workers int
 		shards  int
 		steps   int
+		armed   [2]int // nodes, links
 	}{
-		{"entangled/workers=1", entangled, 1, 1, 7},
-		{"entangled/workers=4", entangled, 4, 1, 7},
-		{"metro-small/workers=4", workload.MetroSmall(), 4, 4, 50},
+		{"entangled/workers=1", entangled, 1, 1, 7, [2]int{20, 26}},
+		{"entangled/workers=4", entangled, 4, 1, 7, [2]int{20, 26}},
+		{"metro-small/workers=4", workload.MetroSmall(), 4, 4, 50, [2]int{1139, 60}},
 	} {
 		reg := telemetry.NewRegistry()
 		em := telemetry.NewEngineMetrics(reg)
@@ -55,19 +56,36 @@ func TestStepTelemetryObservations(t *testing.T) {
 		if got := em.MaxNodeOverload.Value(); got != last.MaxNodeOverload {
 			t.Errorf("%s: node overload gauge = %g, want %g", c.name, got, last.MaxNodeOverload)
 		}
-		// The price sweeps cover the live constraints: with no routing
-		// change and every price starting at 0, the ones a flow crosses
-		// (metro-small has 30 nodes of 1,200 that none does).
+		// The price sweeps cover the armed constraints. With no routing
+		// change, every price starting at 0 and every γ at the ceiling, that
+		// is — re-stated here from the problem, not asked of the engine — a
+		// node some flow crosses that carries a class or that its flows at
+		// RateMax could fill, and a link they could fill. Metro-small arms
+		// 1,139 of its 1,200 nodes (30 carry no flow, 31 are slack) and 60
+		// of its 240 links.
+		canFill := func(crossing []model.FlowID, costs []float64, capacity float64) bool {
+			bound := 0.0
+			for k, i := range crossing {
+				bound += costs[k] * c.p.Flows[i].RateMax
+			}
+			return len(crossing) > 0 && !(bound <= capacity)
+		}
 		liveNodes, liveLinks := 0, 0
 		for b := range c.p.Nodes {
-			if loadedNode(e.ix)(b) {
+			bid := model.NodeID(b)
+			crossing := e.ix.FlowsByNode(bid)
+			if len(crossing) > 0 && len(e.ix.ClassesByNode(bid)) > 0 || canFill(crossing, e.ix.FlowCostsByNode(bid), c.p.Nodes[b].Capacity) {
 				liveNodes++
 			}
 		}
 		for l := range c.p.Links {
-			if loadedLink(e.ix)(l) {
+			lid := model.LinkID(l)
+			if canFill(e.ix.FlowsByLink(lid), e.ix.FlowCostsByLink(lid), c.p.Links[l].Capacity) {
 				liveLinks++
 			}
+		}
+		if c.armed != [2]int{liveNodes, liveLinks} {
+			t.Errorf("%s: the rule arms %d nodes and %d links, want %v", c.name, liveNodes, liveLinks, c.armed)
 		}
 		wantNode := uint64(c.steps * liveNodes)
 		if got := em.NodePriceUpdates.Value(); got != wantNode {
@@ -248,8 +266,8 @@ func TestShardImbalance(t *testing.T) {
 				maxWork = max(maxWork, w)
 				sum += w
 			}
-			nodes, links := listed(e.plan.nodes), listed(e.plan.links)
-			if want := r.DirtyFlows + nodes - r.SkippedNodes + links - r.SkippedLinks; sum != want {
+			nodes, links := Armed(e)
+			if want := r.DirtyFlows + len(nodes) - r.SkippedNodes + len(links) - r.SkippedLinks; sum != want {
 				t.Fatalf("Step %d: shards recomputed %d items, the counters say %d", i, sum, want)
 			}
 			if want := float64(maxWork*4) / float64(sum); r.ShardImbalance != want || s.ShardImbalance != want {

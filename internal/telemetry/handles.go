@@ -63,13 +63,14 @@ type EngineMetrics struct {
 	MaxNodeOverload *Gauge
 	MaxLinkOverload *Gauge
 	// NodePriceUpdates and LinkPriceUpdates count Equation 12/13 price
-	// recomputations: one per step per live node resp. link — one a flow
-	// crosses or that holds a price; the engine sweeps no others.
+	// recomputations: one per step per armed node resp. link — one that
+	// holds a price, carries a class or that the flows crossing it could
+	// fill at their RateMax; the engine sweeps no others.
 	NodePriceUpdates *Counter
 	LinkPriceUpdates *Counter
 	// DirtyFlows is the number of flows whose rate problem the most
 	// recent iteration actually re-solved; SkippedConstraints is the
-	// number of live node and link constraints that reused their cached
+	// number of armed node and link constraints that reused their cached
 	// admission/usage instead of recomputing. Together they expose how
 	// quiet the incremental engine's dirty set has become.
 	DirtyFlows         *Gauge
@@ -114,7 +115,7 @@ func NewEngineMetricsBuckets(reg *Registry, stageBuckets []float64) *EngineMetri
 		DirtyFlows: reg.Gauge("lrgp_engine_dirty_flows",
 			"Flows re-solved by the most recent incremental iteration."),
 		SkippedConstraints: reg.Gauge("lrgp_engine_skipped_constraints",
-			"Live node+link constraints that reused cached state in the most recent iteration."),
+			"Armed node+link constraints that reused cached state in the most recent iteration."),
 		Converged: reg.Gauge("lrgp_engine_converged",
 			"1 once the 0.1% amplitude convergence rule has been met, else 0."),
 		ConvergedIteration: reg.Gauge("lrgp_engine_converged_iteration",
