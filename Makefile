@@ -85,7 +85,7 @@ bench-dist:
 # sweep-everything parent as *FullSweepBaseline and of the parent that
 # re-planned by scanning every price as *CrossedSweepBaseline, spliced back
 # by hand).
-# -cpu=1,4: Workers 0 resolves to one shard and to a real pool.
+# -cpu=1,4: the shard budget is GOMAXPROCS, so one shard and a real pool.
 bench-overlay:
 	$(GO) test -run='^$$' -bench='TreeRepair|WarmResolve|ColdResolve|ResetRoutingSparse' -benchmem -cpu=1,4 ./internal/overlay/ \
 		| $(GO) run ./cmd/lrgp-benchjson -out BENCH_overlay.json

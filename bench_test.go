@@ -19,7 +19,6 @@
 package repro
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -37,24 +36,20 @@ func benchOptions() experiments.Options {
 	}
 }
 
-// BenchmarkSolveScaledWorkers measures the public-API Solve loop on a
-// scaled workload (48 flows, 96 nodes) at serial and parallel worker
-// counts; results are bit-identical across counts, so the sub-benchmarks
-// differ only in wall-clock.
-func BenchmarkSolveScaledWorkers(b *testing.B) {
+// BenchmarkSolveScaled measures the public-API Solve loop on a scaled
+// workload (48 flows, 96 nodes). The engine's shard budget is GOMAXPROCS,
+// so -cpu=1,4 runs it serial and sharded; results are bit-identical
+// either way, so the two differ only in wall-clock.
+func BenchmarkSolveScaled(b *testing.B) {
 	p := workload.Scaled(workload.Config{FlowCopies: 8, NodeSetCopies: 4})
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e, err := NewEngine(p, Config{Adaptive: true, Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res := e.Solve(100)
-				e.Close()
-				b.ReportMetric(res.Utility, "final-utility")
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		e, err := NewEngine(p, Config{Adaptive: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res := e.Solve(100)
+		e.Close()
+		b.ReportMetric(res.Utility, "final-utility")
 	}
 }
 

@@ -14,7 +14,7 @@
 // Usage:
 //
 //	lrgp-broker [-optimizer colocated|dist] [-transport memory|tcp]
-//	            [-rounds 120] [-workers 0] [-reopt 0] [-publish-seconds 2]
+//	            [-rounds 120] [-publish-seconds 2]
 //	            [-producers 1] [-telemetry-addr :9090] [-trace-out run.jsonl]
 //	            [-dist-hosts 0] [-dist-staleness 0] [-dist-events events.jsonl]
 //	            [-dist-stall-timeout 0] [-autopilot] [-autopilot-seconds 5]
@@ -30,12 +30,6 @@
 // no progress for that long while rounds are pending, the stall is
 // counted (lrgp_dist_stalls_total) and every agent's ring is dumped to
 // the -dist-events file as a post-mortem.
-//
-// -reopt N (colocated only) follows the initial solve with N
-// re-optimization rounds: each perturbs the workload's node capacities
-// and warm re-solves from the previous fixpoint via Engine.Reset instead
-// of rebuilding the engine, the steady-state loop a long-lived broker
-// runs. The last round's allocation is the one enacted.
 //
 // -autopilot replaces the solve-once-then-publish flow entirely: a
 // broker.Autopilot re-optimizes continuously (every -autopilot-interval)
@@ -87,8 +81,6 @@ func run(args []string, out io.Writer) error {
 		distStall     = fs.Duration("dist-stall-timeout", 0, "arm the dist stall detector: count a stall and dump a post-mortem after this long without collector progress (0 disables)")
 		traceOut      = fs.String("trace-out", "", "record a JSONL iteration trace (telemetry.IterationRecord per iteration or round) to this file")
 		rounds        = fs.Int("rounds", 120, "LRGP iterations (colocated) or synchronous rounds (dist)")
-		workers       = fs.Int("workers", 0, "colocated engine Step workers (0 = GOMAXPROCS, 1 = serial)")
-		reopt         = fs.Int("reopt", 0, "warm re-optimization rounds after the initial colocated solve (perturb capacities, Engine.Reset, re-solve)")
 		pubSeconds    = fs.Float64("publish-seconds", 2, "how long to publish synthetic traffic")
 		producersN    = fs.Int("producers", 1, "concurrent producer goroutines generating the synthetic traffic (flows are spread round-robin; several producers may share a flow)")
 		telemetryAddr = fs.String("telemetry-addr", "", "serve /metrics, /debug/pprof, /debug/vars and /snapshot on this address (e.g. :9090); empty disables")
@@ -140,12 +132,10 @@ func run(args []string, out io.Writer) error {
 		if *optimizer != "colocated" {
 			return fmt.Errorf("-autopilot requires -optimizer colocated (the dist formulation has no live re-optimization loop yet)")
 		}
-		return runAutopilot(out, p, bm, enm, *apSeconds, *apInterval, *churnSpec, *workers)
+		return runAutopilot(out, p, bm, enm, *apSeconds, *apInterval, *churnSpec)
 	}
 
-	// -trace-out: one JSONL IterationRecord per optimizer step. The
-	// initial colocated solve and any -reopt rounds share the file, with
-	// iteration numbers running continuously through it.
+	// -trace-out: one JSONL IterationRecord per optimizer step.
 	var tw *telemetry.TraceWriter
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
@@ -162,15 +152,14 @@ func run(args []string, out io.Writer) error {
 	switch *optimizer {
 	case "colocated":
 		fmt.Fprintf(out, "optimizing %s with the colocated engine...\n", p.Name)
-		e, err := core.NewEngine(p, core.Config{Adaptive: true, Workers: *workers, Telemetry: em})
+		e, err := core.NewEngine(p, core.Config{Adaptive: true, Telemetry: em})
 		if err != nil {
 			return err
 		}
-		res, err := e.SolveTraced(*rounds, tw, 0)
+		res, err := e.SolveTraced(*rounds, tw)
 		if err != nil {
 			return err
 		}
-		iterBase := res.Iterations
 		s := e.Snapshot()
 		snap.Store(&s)
 		alloc = res.Allocation
@@ -180,38 +169,6 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "  %d iterations in %v, final utility %.0f (%s)\n",
 			res.Iterations, time.Since(start).Round(time.Millisecond), res.Utility, converged)
-		// Warm re-optimization rounds: perturb node capacities and
-		// re-solve from the previous fixpoint, the pattern a long-lived
-		// broker uses to track drifting conditions without rebuilding the
-		// engine (or paying cold-start iterations) each time.
-		for k := 1; k <= *reopt; k++ {
-			scale := 0.9
-			if k%2 == 0 {
-				scale = 1.1
-			}
-			q := p.Clone()
-			for b := range q.Nodes {
-				q.Nodes[b].Capacity *= scale
-			}
-			if err := e.Reset(q); err != nil {
-				return err
-			}
-			rs := time.Now()
-			res, err = e.SolveTraced(*rounds, tw, iterBase)
-			if err != nil {
-				return err
-			}
-			iterBase += res.Iterations
-			s := e.Snapshot()
-			snap.Store(&s)
-			alloc = res.Allocation
-			converged := "not converged"
-			if res.Converged {
-				converged = fmt.Sprintf("converged at %d", res.ConvergedAt)
-			}
-			fmt.Fprintf(out, "  reopt %d: capacity %.1fx, warm re-solve in %v, utility %.0f (%s)\n",
-				k, scale, time.Since(rs).Round(time.Millisecond), res.Utility, converged)
-		}
 		e.Close()
 	case "dist":
 		var net transport.Network
@@ -414,7 +371,7 @@ func totalAttached(p *model.Problem) int {
 // the lrgp_enact_* family.
 func runAutopilot(out io.Writer, p *model.Problem, bm *telemetry.BrokerMetrics,
 	enm *telemetry.EnactMetrics, seconds float64, interval time.Duration,
-	churnSpec string, workers int) error {
+	churnSpec string) error {
 	b, err := broker.New(p, broker.WithTelemetry(bm), broker.WithEnactTelemetry(enm))
 	if err != nil {
 		return err
@@ -432,7 +389,7 @@ func runAutopilot(out io.Writer, p *model.Problem, bm *telemetry.BrokerMetrics,
 		}
 	}
 	ap, err := broker.NewAutopilot(b, broker.AutopilotConfig{
-		Core:      core.Config{Adaptive: true, Workers: workers},
+		Core:      core.Config{Adaptive: true},
 		Telemetry: enm,
 	})
 	if err != nil {

@@ -38,27 +38,6 @@ func TestRunColocatedDefault(t *testing.T) {
 	}
 }
 
-// TestRunWarmReopt exercises -reopt: after the initial colocated solve
-// the engine is kept alive and warm re-solves perturbed problems via
-// Engine.Reset; the enacted allocation is the last round's.
-func TestRunWarmReopt(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-rounds", "120", "-reopt", "2", "-publish-seconds", "0.2"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	for _, want := range []string{
-		"reopt 1: capacity 0.9x, warm re-solve in",
-		"reopt 2: capacity 1.1x, warm re-solve in",
-		"enacted allocation into broker",
-		"class       admitted/attached",
-	} {
-		if !strings.Contains(s, want) {
-			t.Errorf("output missing %q:\n%s", want, s)
-		}
-	}
-}
-
 // TestRunConcurrentProducers exercises the -producers flag: the synthetic
 // load is generated by more goroutines than flows, so several producers
 // share flows and publish concurrently through the lock-free data plane.
@@ -123,13 +102,13 @@ func TestRunUnknownOptimizer(t *testing.T) {
 }
 
 // TestRunTraceOutRoundTrips exercises -trace-out on the colocated path:
-// the per-iteration JSONL must decode via telemetry.ReadTrace with
-// continuous iteration numbering across -reopt rounds.
+// the per-iteration JSONL must decode via telemetry.ReadTrace with one
+// record per iteration of the solve, numbered from 1.
 func TestRunTraceOutRoundTrips(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
 	var out bytes.Buffer
 	if err := run([]string{
-		"-rounds", "60", "-reopt", "1", "-publish-seconds", "0.1",
+		"-rounds", "60", "-publish-seconds", "0.1",
 		"-trace-out", path,
 	}, &out); err != nil {
 		t.Fatal(err)
@@ -143,8 +122,7 @@ func TestRunTraceOutRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 60 rounds initial + up to 60 for the reopt (either may converge
-	// early, but both must contribute).
+	// Up to 60 iterations (the solve may converge early).
 	if len(recs) <= 2 {
 		t.Fatalf("trace has %d records, want a full solve's worth", len(recs))
 	}

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	lrgp-experiments [-run all|fig1|fig2|fig3|fig4|table2|table3|async|ablation|links|prune|overhead|gamma|multirate|sweep|scaling|churn]
-//	                 [-iters 250] [-sa-steps 1000000] [-seed 1] [-workers 0]
+//	                 [-iters 250] [-sa-steps 1000000] [-seed 1]
 //	                 [-workload metro-small] [-csv] [-chart] [-trace-out run.jsonl]
 //	                 [-topo-nodes 10000] [-fail-every 400] [-fail-kind link|node] [-short]
 //
@@ -47,7 +47,6 @@ func run(args []string, out io.Writer) error {
 		iters    = fs.Int("iters", 250, "LRGP iterations per run")
 		saSteps  = fs.Int("sa-steps", 1_000_000, "full-state annealing steps per start temperature")
 		seed     = fs.Int64("seed", 1, "random seed for stochastic baselines")
-		workers  = fs.Int("workers", 0, "engine Step workers (0 = GOMAXPROCS, 1 = serial); results are identical for every count")
 		wlSpec   = fs.String("workload", "", "workload for the scaling experiment: metro, metro-small, base, <F>f-<N>n, @file.json (default metro-small)")
 		csv      = fs.Bool("csv", false, "emit figures/tables as CSV instead of text")
 		markdown = fs.Bool("markdown", false, "emit tables as GitHub-flavored Markdown")
@@ -63,7 +62,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	opts := experiments.Options{Iterations: *iters, SASteps: *saSteps, Seed: *seed, Workers: *workers, Workload: *wlSpec}
+	opts := experiments.Options{Iterations: *iters, SASteps: *saSteps, Seed: *seed, Workload: *wlSpec}
 
 	if *traceOut != "" {
 		if err := recordTrace(out, opts, *traceOut); err != nil {

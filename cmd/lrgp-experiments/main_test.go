@@ -45,15 +45,15 @@ func TestRunSweepExperiment(t *testing.T) {
 }
 
 // TestRunScalingExperiment: -run scaling accepts the metro presets by
-// name and reports one row per worker count with the execution mode; on
-// metro-small every Workers > 1 engine must actually shard.
+// name and reports one row per GOMAXPROCS setting with the execution mode;
+// on metro-small every GOMAXPROCS > 1 engine must actually shard.
 func TestRunScalingExperiment(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-run", "scaling", "-workload", "metro-small", "-iters", "30"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
-	if !strings.Contains(s, "X9: Step scaling vs workers (metro-small: 240 flows, 1200 nodes, 9600 classes") {
+	if !strings.Contains(s, "X9: Step scaling vs GOMAXPROCS (metro-small: 240 flows, 1200 nodes, 9600 classes") {
 		t.Errorf("missing scaling table title:\n%s", s)
 	}
 	if !strings.Contains(s, "serial") || !strings.Contains(s, "sharded") {

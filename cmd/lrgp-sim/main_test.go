@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -37,11 +38,12 @@ func TestRunWithAllocAndChart(t *testing.T) {
 }
 
 // TestRunMetroSmallWorkload: the metro presets resolve by name, and the
-// componentized pod structure lets Step fan out over the workers (visible
-// in the -verbose snapshot summary).
+// componentized pod structure lets Step fan out over GOMAXPROCS shards
+// (visible in the -verbose snapshot summary).
 func TestRunMetroSmallWorkload(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	var out bytes.Buffer
-	err := run([]string{"-workload", "metro-small", "-iters", "40", "-workers", "4", "-verbose"}, &out)
+	err := run([]string{"-workload", "metro-small", "-iters", "40", "-verbose"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}

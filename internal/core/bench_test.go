@@ -94,14 +94,14 @@ func BenchmarkEngineStepTelemetryOn(b *testing.B) {
 
 // BenchmarkEngineStepHuge is the serial-vs-parallel headline benchmark:
 // a production-scale workload (96 flows, 384 nodes, 2560 classes) stepped
-// at increasing worker counts. Workers=1 is the serial baseline; the
+// at increasing shard budgets. workers=1 is the serial baseline; the
 // parallel sub-benchmarks shard every stage. `make bench-core` records the
 // trajectory in BENCH_core.json.
 func BenchmarkEngineStepHuge(b *testing.B) {
 	p := workload.Scaled(workload.Config{FlowCopies: 16, NodeSetCopies: 8})
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			e, err := NewEngine(p, Config{Adaptive: true, Workers: workers})
+			e, err := NewEngine(p, Config{Adaptive: true, workers: workers})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -149,7 +149,7 @@ func BenchmarkEngineStepMetroSmall(b *testing.B) {
 func benchMetroWorkers(b *testing.B, p *model.Problem, settle int) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			e, err := NewEngine(p, Config{Adaptive: true, Workers: workers})
+			e, err := NewEngine(p, Config{Adaptive: true, workers: workers})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -193,7 +193,7 @@ func BenchmarkEngineStepSteadyState(b *testing.B) {
 	}{{"incremental", false}, {"full", true}} {
 		for _, workers := range []int{1, 4} {
 			b.Run(fmt.Sprintf("%s/workers=%d", mode.name, workers), func(b *testing.B) {
-				e, err := NewEngine(steadyStateProblem(), Config{Adaptive: true, Workers: workers})
+				e, err := NewEngine(steadyStateProblem(), Config{Adaptive: true, workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -230,7 +230,7 @@ func BenchmarkSweepWarmStart(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, p := range points {
-				e, err := NewEngine(p.Clone(), Config{Adaptive: true, Workers: 1})
+				e, err := NewEngine(p.Clone(), Config{Adaptive: true, workers: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -240,7 +240,7 @@ func BenchmarkSweepWarmStart(b *testing.B) {
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
-		e, err := NewEngine(points[0].Clone(), Config{Adaptive: true, Workers: 1})
+		e, err := NewEngine(points[0].Clone(), Config{Adaptive: true, workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -44,19 +44,16 @@ const (
 )
 
 // Config tunes an Engine. The zero value is normalized to the paper's
-// defaults: fixed gamma1 = gamma2 = 0.1, link gamma 0.001, zero initial
-// prices, and as many Step workers as GOMAXPROCS.
+// defaults: fixed gamma1 = gamma2 = 0.1, link gamma 0.001 and zero initial
+// prices.
+//
+// How far a Step fans out is not configured: the shard budget is
+// runtime.GOMAXPROCS(0), read once by NewEngine. Step fans out whole
+// connected components of the topology, so results are bit-identical for
+// every budget; entangled topologies (fewer balanced components than the
+// budget) and workloads with fewer than minParallelItems flows, nodes and
+// links run one shard on the caller's goroutine (DESIGN.md §5).
 type Config struct {
-	// Workers is how many goroutines (including the caller) execute each
-	// Step. 0 resolves to runtime.GOMAXPROCS(0); 1 forces one shard on the
-	// caller's goroutine. Results are bit-identical for every worker count
-	// — Step fans out whole connected components of the topology, so
-	// sharding changes neither the arithmetic nor its order. Entangled
-	// topologies (fewer balanced components than workers) and workloads
-	// with fewer than minParallelItems flows, nodes and links run one
-	// shard whatever Workers says; see DESIGN.md §5 for when Workers=1 is
-	// still the right choice.
-	Workers int
 	// Gamma1 is the damping stepsize toward the benefit-cost price when
 	// the node is within capacity (Equation 12, first branch). Default
 	// DefaultGamma.
@@ -89,6 +86,11 @@ type Config struct {
 	// enabled path is lock-free and also allocation-free; its only cost
 	// is the clock reads and atomic updates.
 	Telemetry *telemetry.EngineMetrics
+
+	// workers is the shard budget, 0 until normalized resolves it to
+	// GOMAXPROCS. Only tests set it (export_test.go), to get shard counts
+	// the host does not have.
+	workers int
 }
 
 // WithDefaults returns the configuration with every unset field replaced
@@ -100,8 +102,8 @@ func (c Config) WithDefaults() Config {
 }
 
 func (c Config) normalized() Config {
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
+	if c.workers <= 0 {
+		c.workers = runtime.GOMAXPROCS(0)
 	}
 	if c.Gamma1 <= 0 {
 		c.Gamma1 = DefaultGamma

@@ -17,12 +17,11 @@ import (
 // algorithm pieces execute in one process, in the same data-dependency
 // order as the distributed version (rates, then populations, then prices).
 //
-// With Config.Workers > 1 (the default resolves to GOMAXPROCS) Step fans
-// whole connected components of the topology out over a persistent worker
-// pool; entangled topologies run one shard on the caller's goroutine.
-// Results are bit-identical for any worker count. The pool's goroutines
-// live only inside Step's one barrier, so Step remains synchronous from the
-// caller's point of view.
+// With GOMAXPROCS > 1 at NewEngine Step fans whole connected components of
+// the topology out over a persistent worker pool; entangled topologies run
+// one shard on the caller's goroutine. Results are bit-identical for any
+// shard count. The pool's goroutines live only inside Step's one barrier,
+// so Step remains synchronous from the caller's point of view.
 //
 // An Engine is still not safe for concurrent use: no method — including
 // the mid-run mutators SetFlowActive, SetClassDemand and SetNodeCapacity —
@@ -263,7 +262,7 @@ func NewEngine(p *model.Problem, cfg Config) (*Engine, error) {
 		},
 	}
 	e.shardFn = e.stepShard
-	e.adoptPlan(newStagePlan(ix, e.nodePrices, e.linkPrices, c.Workers, nil, model.RoutingDelta{}))
+	e.adoptPlan(newStagePlan(ix, e.nodePrices, e.linkPrices, c.workers, nil, model.RoutingDelta{}))
 	for i := range p.Flows {
 		e.rates[i] = p.Flows[i].RateMin
 		e.active[i] = true
@@ -331,14 +330,14 @@ func (e *Engine) Close() {
 // three stages back to back over its flows and the armed part of its node
 // and link lists (stepShard, rearm) and the shards meet at one barrier.
 // When the crossing-writes analysis proves the problem
-// decomposes into at least Workers balanced groups of independent
-// components the plan has Workers shards, fanned out over the worker pool;
-// otherwise it has one, run on the caller's goroutine. Either way Step
-// performs exactly the serial
+// decomposes into at least as many balanced groups of independent
+// components as the shard budget (GOMAXPROCS at NewEngine) the plan has
+// that many shards, fanned out over the worker pool; otherwise it has one,
+// run on the caller's goroutine. Either way Step performs exactly the serial
 // arithmetic: within a shard the stages run in serial order over ascending
 // lists, and every cross-shard reduction (max overload, counter sums,
 // changed flags) is order-independent, so results are bit-identical for
-// any worker count.
+// any shard count.
 //
 // Step is incremental: a flow re-solves its rate problem only when some
 // price on its path or some consuming class's population changed last
@@ -826,7 +825,9 @@ func (e *Engine) FlowActive(i model.FlowID) bool { return e.active[i] }
 // arriving at or leaving the system (the engine "runs all the time,
 // responding to changes in workload", Section 2.1). The next iteration's
 // greedy allocation picks the change up; prices adapt over the following
-// iterations.
+// iterations. A demand model.Validate would refuse — negative, or positive
+// for a class whose flow does not reach its node — is refused with
+// model.ErrInvalid and changes nothing.
 //
 // Like every Engine method, SetClassDemand is safe only between Step
 // calls: Step's worker goroutines read the class table and populations
@@ -836,51 +837,60 @@ func (e *Engine) SetClassDemand(j model.ClassID, maxConsumers int) error {
 	if j < 0 || int(j) >= len(e.p.Classes) {
 		return fmt.Errorf("core: unknown class %d", j)
 	}
+	c := &e.p.Classes[j]
 	if maxConsumers < 0 {
-		return fmt.Errorf("core: class %d demand %d < 0", j, maxConsumers)
+		return fmt.Errorf("core: %w: class %d demand %d < 0", model.ErrInvalid, j, maxConsumers)
 	}
-	e.p.Classes[j].MaxConsumers = maxConsumers
+	if _, reaches := e.p.Nodes[c.Node].FlowCost[c.Flow]; !reaches && maxConsumers > 0 {
+		return fmt.Errorf("core: %w: class %d demand %d at node %d, which flow %d does not reach",
+			model.ErrInvalid, j, maxConsumers, c.Node, c.Flow)
+	}
+	c.MaxConsumers = maxConsumers
 	e.settled = false
 	if e.consumers[j] > maxConsumers {
 		e.consumers[j] = maxConsumers
 		// The truncated population is an out-of-Step change: the class's
 		// flow must re-solve its rate and the objective moved.
-		e.flowForced[e.p.Classes[j].Flow] = true
+		e.flowForced[c.Flow] = true
 		e.utilStale = true
 	}
 	// Whether or not the population was truncated, the node's greedy
 	// admission may now admit a different mix.
-	e.nodeForced[e.p.Classes[j].Node] = true
+	e.nodeForced[c.Node] = true
 	return nil
 }
 
 // SetNodeCapacity changes a node's capacity mid-run, modeling hardware
-// degradation or scale-out. Safe only between Step calls, never
-// concurrently with Step (see SetClassDemand).
+// degradation or scale-out. A capacity model.Validate would refuse — not
+// > 0, NaN included — is refused with model.ErrInvalid and changes nothing.
+// Safe only between Step calls, never concurrently with Step (see
+// SetClassDemand).
 func (e *Engine) SetNodeCapacity(b model.NodeID, capacity float64) error {
 	if b < 0 || int(b) >= len(e.p.Nodes) {
 		return fmt.Errorf("core: unknown node %d", b)
 	}
-	if capacity <= 0 {
-		return fmt.Errorf("core: node %d capacity %g <= 0", b, capacity)
+	if !(capacity > 0) {
+		return fmt.Errorf("core: %w: node %d capacity %g", model.ErrInvalid, b, capacity)
 	}
 	e.p.Nodes[b].Capacity = capacity
-	e.nodeCap[b] = capacity
 	e.settled = false
-	// The admission budget changed; the cached used/bestUnsatisfied are
-	// stale. (The price sweep reads the capacity mirror each iteration.)
-	e.nodeForced[b] = true
-	if !slack(e.ix.FlowsByNode(b), e.ix.FlowCostsByNode(b), e.p.Flows, capacity) {
-		// The node can bind now: if rearm parked it, it wakes.
-		for s := range e.sh[:e.plan.shards] {
-			sh := &e.sh[s]
-			if _, listed := slices.BinarySearch(e.plan.nodes[s], int32(b)); !listed {
-				continue
-			}
-			if k, armed := slices.BinarySearch(sh.nodes, int32(b)); !armed {
-				sh.nodes = slices.Insert(sh.nodes, k, int32(b))
-			}
+	// A node the plan does not list is not swept: rearm reads its capacity
+	// when a plan first lists it.
+	for s := range e.sh[:e.plan.shards] {
+		if _, listed := slices.BinarySearch(e.plan.nodes[s], int32(b)); !listed {
+			continue
 		}
+		// The admission budget changed; the cached used/bestUnsatisfied are
+		// stale. (The price sweep reads the capacity mirror each iteration.)
+		e.nodeCap[b] = capacity
+		e.nodeForced[b] = true
+		sh := &e.sh[s]
+		if k, armed := slices.BinarySearch(sh.nodes, int32(b)); !armed &&
+			!slack(e.ix.FlowsByNode(b), e.ix.FlowCostsByNode(b), e.p.Flows, capacity) {
+			// The node can bind now: rearm parked it, so it wakes.
+			sh.nodes = slices.Insert(sh.nodes, k, int32(b))
+		}
+		break
 	}
 	return nil
 }
@@ -935,7 +945,7 @@ func (e *Engine) ResetRouting(p *model.Problem, d model.RoutingDelta) error {
 	if err := e.ix.RefreshRouting(p, d); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	e.adoptPlan(newStagePlan(e.ix, e.nodePrices, e.linkPrices, e.cfg.Workers, e.plan, d))
+	e.adoptPlan(newStagePlan(e.ix, e.nodePrices, e.linkPrices, e.cfg.workers, e.plan, d))
 	// A dirty constraint that no flow crosses any more and that holds no
 	// price has left the plan: nothing will refresh what it cached, so it
 	// goes back to the state of a constraint no flow ever crossed.
@@ -1166,14 +1176,12 @@ func (e *Engine) Solve(maxIter int) Result {
 }
 
 // SolveTraced is Solve writing one telemetry.IterationRecord per iteration
-// to tw, numbered from iterBase+1 so that successive warm re-solves of one
-// engine continue a trace file rather than restart it. For the first solve
-// of an engine the recorded utility series replayed through a fresh
-// detector reproduces ConvergedAt; a warm re-solve may stop on a window
-// that began in the records before it (see Solve), and a settled one
-// writes no record. The caller owns tw and must Flush it; a nil tw is
-// plain Solve.
-func (e *Engine) SolveTraced(maxIter int, tw *telemetry.TraceWriter, iterBase int) (Result, error) {
+// to tw, numbered from 1. For the first solve of an engine the recorded
+// utility series replayed through a fresh detector reproduces ConvergedAt;
+// a warm re-solve may stop on a window that began before it (see Solve),
+// and a settled one writes no record. The caller owns tw and must Flush
+// it; a nil tw is plain Solve.
+func (e *Engine) SolveTraced(maxIter int, tw *telemetry.TraceWriter) (Result, error) {
 	if tw == nil {
 		return e.Solve(maxIter), nil
 	}
@@ -1190,7 +1198,7 @@ func (e *Engine) SolveTraced(maxIter int, tw *telemetry.TraceWriter, iterBase in
 			prev[j] = n
 		}
 		rec := telemetry.IterationRecord{
-			Iteration:       iterBase + t + 1,
+			Iteration:       t + 1,
 			Utility:         r.Utility,
 			MaxNodeOverload: r.MaxNodeOverload,
 			MaxLinkOverload: r.MaxLinkOverload,

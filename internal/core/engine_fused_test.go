@@ -43,11 +43,11 @@ func TestFusedStepBitIdentical(t *testing.T) {
 			cfg.Gamma2 = cfg.Gamma1
 		}
 		serialCfg := cfg
-		serialCfg.Workers = 1
+		serialCfg.workers = 1
 
 		for _, workers := range []int{2, 4, 8} {
 			parCfg := cfg
-			parCfg.Workers = workers
+			parCfg.workers = workers
 			par, err := NewEngine(p.Clone(), parCfg)
 			if err != nil {
 				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
@@ -102,11 +102,11 @@ func TestFusedStepBitIdentical(t *testing.T) {
 // the new run at matching iteration numbers.
 func TestFusedResetKeepsBitIdentity(t *testing.T) {
 	p := fusedTestProblem(8, 2, true)
-	ser, err := NewEngine(p.Clone(), Config{Adaptive: true, Workers: 1})
+	ser, err := NewEngine(p.Clone(), Config{Adaptive: true, workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := NewEngine(p.Clone(), Config{Adaptive: true, Workers: 4})
+	par, err := NewEngine(p.Clone(), Config{Adaptive: true, workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,11 +171,11 @@ func loadedLink(ix *model.Index) func(int) bool {
 // must not shard — every shard would need every other shard's writes. It
 // gets the one-shard plan — every flow, and every node and link a flow
 // crosses (the fixture's node 14 carries none and is not listed), in serial
-// scan order — and starts no pool, whatever Workers says.
+// scan order — and starts no pool, whatever the budget.
 func TestStagePlanFallsBackOnEntangledTopology(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p := parallelTestProblem(rng, true)
-	e, err := NewEngine(p, Config{Workers: 4})
+	e, err := NewEngine(p, Config{workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestStagePlanPartition(t *testing.T) {
 // plan lists and the touch buffers, so steady-state Step stays at
 // 0 allocs/op.
 func TestStepFusedNoAllocs(t *testing.T) {
-	e, err := NewEngine(fusedTestProblem(8, 2, true), Config{Workers: 4, Adaptive: true})
+	e, err := NewEngine(fusedTestProblem(8, 2, true), Config{workers: 4, Adaptive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestStepFusedNoAllocs(t *testing.T) {
 // splits, so ResetRouting can move an engine between the one-shard plan
 // and the packed one in either direction. The engine that starts entangled
 // must start its pool only when a plan first needs it, and both must stay
-// bit-identical to Workers: 1 throughout.
+// bit-identical to workers: 1 throughout.
 func TestResetRoutingChangesShardCount(t *testing.T) {
 	split := fusedTestProblem(16, 1, true)
 	// Every flow also traverses link 0: one connected component.
@@ -297,11 +297,11 @@ func TestResetRoutingChangesShardCount(t *testing.T) {
 	joined.Links[0].Capacity *= float64(len(joined.Flows))
 
 	for _, order := range [][]*model.Problem{{split, joined, split}, {joined, split, joined}} {
-		ser, err := NewEngine(order[0].Clone(), Config{Adaptive: true, Workers: 1})
+		ser, err := NewEngine(order[0].Clone(), Config{Adaptive: true, workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := NewEngine(order[0].Clone(), Config{Adaptive: true, Workers: 4})
+		par, err := NewEngine(order[0].Clone(), Config{Adaptive: true, workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

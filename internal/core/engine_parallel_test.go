@@ -11,7 +11,7 @@ import (
 
 // Worker-count equivalence: for any worker count, Step must produce
 // bit-identical rates, populations, prices, gammas and StepResults to the
-// Workers: 1 engine; exact float equality — not tolerance — is the
+// workers: 1 engine; exact float equality — not tolerance — is the
 // contract. The Random workloads here are entangled (classes attach
 // anywhere, so the topology is one connected component): they prove that
 // asking for 2, 4 or 8 workers on a topology that cannot shard changes
@@ -94,11 +94,11 @@ func TestParallelStepBitIdentical(t *testing.T) {
 		}
 
 		serialCfg := cfg
-		serialCfg.Workers = 1
+		serialCfg.workers = 1
 
 		for _, workers := range []int{2, 4, 8} {
 			parCfg := cfg
-			parCfg.Workers = workers
+			parCfg.workers = workers
 			par, err := NewEngine(p.Clone(), parCfg)
 			if err != nil {
 				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
@@ -151,13 +151,13 @@ func TestParallelStepBitIdentical(t *testing.T) {
 func TestParallelSolveMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	p := parallelTestProblem(rng, true)
-	ser, err := NewEngine(p.Clone(), Config{Adaptive: true, Workers: 1})
+	ser, err := NewEngine(p.Clone(), Config{Adaptive: true, workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := ser.Solve(150)
 	for _, workers := range []int{2, 4, 8} {
-		par, err := NewEngine(p.Clone(), Config{Adaptive: true, Workers: workers})
+		par, err := NewEngine(p.Clone(), Config{Adaptive: true, workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,18 +176,18 @@ func TestParallelSolveMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestWorkersDefaultResolvesToGOMAXPROCS pins the documented Config
-// semantics: 0 = GOMAXPROCS, small problems stay one shard.
+// TestWorkersDefaultResolvesToGOMAXPROCS pins the shard budget: GOMAXPROCS
+// unless a test set one, and small problems stay one shard whatever it is.
 func TestWorkersDefaultResolvesToGOMAXPROCS(t *testing.T) {
-	if got := (Config{}).WithDefaults().Workers; got != runtime.GOMAXPROCS(0) {
-		t.Errorf("default Workers = %d, want GOMAXPROCS = %d", got, runtime.GOMAXPROCS(0))
+	if got := (Config{}).WithDefaults().workers; got != runtime.GOMAXPROCS(0) {
+		t.Errorf("default budget = %d, want GOMAXPROCS = %d", got, runtime.GOMAXPROCS(0))
 	}
-	if got := (Config{Workers: 3}).WithDefaults().Workers; got != 3 {
-		t.Errorf("Workers=3 normalized to %d", got)
+	if got := (Config{workers: 3}).WithDefaults().workers; got != 3 {
+		t.Errorf("budget 3 normalized to %d", got)
 	}
 	// The base workload (6 flows, 3 nodes) is below the parallel cutover:
-	// no pool regardless of the worker count.
-	e, err := NewEngine(workload.Base(), Config{Workers: 8})
+	// no pool regardless of the budget.
+	e, err := NewEngine(workload.Base(), Config{workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,17 +200,52 @@ func TestWorkersDefaultResolvesToGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// TestShardBudgetIsGOMAXPROCS: the budget is read once, at NewEngine. An
+// engine built under GOMAXPROCS 4 plans four shards and keeps planning four
+// across a ResetRouting after GOMAXPROCS is lowered; one built under 1
+// plans one.
+func TestShardBudgetIsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	p := fusedTestProblem(8, 2, false)
+	e, err := NewEngine(p, Config{Adaptive: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if e.plan.shards != 4 {
+		t.Fatalf("built under GOMAXPROCS 4: %d shards, want 4", e.plan.shards)
+	}
+	runtime.GOMAXPROCS(1)
+	e.Step()
+	if err := e.ResetRouting(e.Problem(), model.RoutingDelta{}); err != nil {
+		t.Fatal(err)
+	}
+	if s := e.Snapshot(); e.plan.shards != 4 || s.Workers != 4 || !s.Sharded {
+		t.Errorf("after ResetRouting under GOMAXPROCS 1: %d shards, snapshot Workers=%d Sharded=%v; want 4, 4, true",
+			e.plan.shards, s.Workers, s.Sharded)
+	}
+	one, err := NewEngine(p.Clone(), Config{Adaptive: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer one.Close()
+	if s := one.Snapshot(); one.plan.shards != 1 || s.Workers != 1 || s.Sharded {
+		t.Errorf("built under GOMAXPROCS 1: %d shards, snapshot Workers=%d Sharded=%v; want 1, 1, false",
+			one.plan.shards, s.Workers, s.Sharded)
+	}
+}
+
 // TestEngineCloseIdempotent: Close must be safe to call repeatedly, with
 // and without a pool.
 func TestEngineCloseIdempotent(t *testing.T) {
-	ser, err := NewEngine(workload.Base(), Config{Workers: 1})
+	ser, err := NewEngine(workload.Base(), Config{workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ser.Close()
 	ser.Close()
 
-	par, err := NewEngine(fusedTestProblem(8, 2, false), Config{Workers: 4})
+	par, err := NewEngine(fusedTestProblem(8, 2, false), Config{workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,8 +263,8 @@ func TestEngineCloseIdempotent(t *testing.T) {
 // never clear the parallel cutover.
 func TestStepSerialNoAllocs(t *testing.T) {
 	for _, cfg := range []Config{
-		{Workers: 1, Adaptive: true},
-		{Workers: 1, Gamma1: 0.1},
+		{workers: 1, Adaptive: true},
+		{workers: 1, Gamma1: 0.1},
 	} {
 		e, err := NewEngine(workload.Base(), cfg)
 		if err != nil {
@@ -247,7 +282,7 @@ func TestStepSerialNoAllocs(t *testing.T) {
 // (TestStepFusedNoAllocs covers the pool dispatch).
 func TestStepParallelNoAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	e, err := NewEngine(parallelTestProblem(rng, true), Config{Workers: 4, Adaptive: true})
+	e, err := NewEngine(parallelTestProblem(rng, true), Config{workers: 4, Adaptive: true})
 	if err != nil {
 		t.Fatal(err)
 	}

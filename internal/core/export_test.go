@@ -10,6 +10,14 @@ import (
 // Hooks for the tests of package core_test, which has to be a package of
 // its own to import overlay (overlay imports core).
 
+// WithWorkers returns cfg with a shard budget of n instead of GOMAXPROCS,
+// for the tests that need shard counts the host does not have. Tests of
+// package core set the field directly.
+func WithWorkers(cfg Config, n int) Config {
+	cfg.workers = n
+	return cfg
+}
+
 // SweepAll makes e the full-sweep oracle: it replaces e's plan with one
 // shard listing every flow, node and link of the problem — what every Step
 // swept before the plan listed live constraints only — re-arms the engine
@@ -76,7 +84,7 @@ func Listed(e *Engine) (shards, nodes, links int) {
 // CheckPlanFresh reports how e's plan differs from one built from scratch —
 // a fresh index of e's problem, e's current prices, no previous plan.
 func CheckPlanFresh(e *Engine) error {
-	want := newStagePlan(model.NewIndex(e.p), e.nodePrices, e.linkPrices, e.cfg.Workers, nil, model.RoutingDelta{})
+	want := newStagePlan(model.NewIndex(e.p), e.nodePrices, e.linkPrices, e.cfg.workers, nil, model.RoutingDelta{})
 	got := e.plan
 	if got.shards != want.shards || got.components != want.components {
 		return fmt.Errorf("plan has %d shards, %d components; from scratch %d, %d",

@@ -89,7 +89,7 @@ func TestIncrementalStepBitIdentical(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		p := parallelTestProblem(rng, trial%2 == 1)
 		if trial >= 4 {
-			// Componentized, so Workers 4 really runs four shards; half
+			// Componentized, so a budget of 4 really runs four shards; half
 			// the copies get capacity headroom, so they quiesce and the
 			// incremental engine has something to skip.
 			p = fusedTestProblem(8, 2, trial%2 == 1)
@@ -103,7 +103,7 @@ func TestIncrementalStepBitIdentical(t *testing.T) {
 			cfg.Gamma2 = cfg.Gamma1
 		}
 		for _, workers := range []int{1, 4} {
-			cfg.Workers = workers
+			cfg.workers = workers
 			full, err := NewEngine(p.Clone(), cfg)
 			if err != nil {
 				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
@@ -183,7 +183,7 @@ func TestIncrementalSteadyStateQuiesces(t *testing.T) {
 	for b := range p.Nodes {
 		p.Nodes[b].Capacity *= 250 // all demand fits at r^max
 	}
-	e, err := NewEngine(p, Config{Adaptive: true, Workers: 1})
+	e, err := NewEngine(p, Config{Adaptive: true, workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestStepAfterClosePanics(t *testing.T) {
 		}()
 		fn()
 	}
-	ser, err := NewEngine(workload.Base(), Config{Workers: 1})
+	ser, err := NewEngine(workload.Base(), Config{workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestStepAfterClosePanics(t *testing.T) {
 	mustPanic("serial Solve", func() { ser.Solve(10) })
 	mustPanic("serial Reset", func() { _ = ser.Reset(workload.Base()) })
 
-	par, err := NewEngine(fusedTestProblem(8, 2, false), Config{Workers: 4})
+	par, err := NewEngine(fusedTestProblem(8, 2, false), Config{workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestStepAfterClosePanics(t *testing.T) {
 // actually carried over (non-zero prices at iteration zero).
 func TestEngineResetWarmStart(t *testing.T) {
 	base := workload.Base()
-	e, err := NewEngine(base, Config{Adaptive: true, Workers: 1})
+	e, err := NewEngine(base, Config{Adaptive: true, workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestEngineResetWarmStart(t *testing.T) {
 		t.Fatal("warm re-solve did not converge")
 	}
 
-	cold, err := NewEngine(perturbed.Clone(), Config{Adaptive: true, Workers: 1})
+	cold, err := NewEngine(perturbed.Clone(), Config{Adaptive: true, workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestEngineResetWarmStart(t *testing.T) {
 // a flow deactivated before Reset stays inactive, its rate pinned at zero
 // (not clamped up to the new problem's RateMin).
 func TestEngineResetAfterFlowRemoval(t *testing.T) {
-	e, err := NewEngine(workload.Base(), Config{Adaptive: true, Workers: 1})
+	e, err := NewEngine(workload.Base(), Config{Adaptive: true, workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestEngineResetAfterFlowRemoval(t *testing.T) {
 // TestEngineResetRejectsIncompatible: topology changes must error without
 // corrupting the running engine.
 func TestEngineResetRejectsIncompatible(t *testing.T) {
-	e, err := NewEngine(workload.Base(), Config{Adaptive: true, Workers: 1})
+	e, err := NewEngine(workload.Base(), Config{Adaptive: true, workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestEngineResetRejectsIncompatible(t *testing.T) {
 // TestEngineResetNoAllocsSteady: Reset reuses the index views, solvers and
 // scratch; a Step immediately after Reset must still be 0 allocs/op.
 func TestEngineResetStepNoAllocs(t *testing.T) {
-	e, err := NewEngine(workload.Base(), Config{Adaptive: true, Workers: 1})
+	e, err := NewEngine(workload.Base(), Config{Adaptive: true, workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -261,8 +261,8 @@ func linkfailTranscript(t *testing.T, cfg core.Config) ([]string, linkfailKinds)
 // recorded at 4c86252, whose Step swept every node and link of the problem
 // and whose ResetRouting validated and re-planned all of it: utility and a
 // digest of every rate, population, price and γ after each Step of a seeded
-// fail/heal sequence, 12 Steps an event, under adaptive and fixed γ. One
-// and four workers must both reproduce it byte for byte. The sequence
+// fail/heal sequence, 12 Steps an event, under adaptive and fixed γ. Shard
+// budgets of one and four must both reproduce it byte for byte. The sequence
 // includes priced nodes and links that lose their last flow and unloaded
 // ones that gain their first.
 func TestLinkfailMatchesFrozenTranscript(t *testing.T) {
@@ -275,8 +275,8 @@ func TestLinkfailMatchesFrozenTranscript(t *testing.T) {
 	} {
 		path := filepath.Join("testdata", c.name+".bits")
 		for _, workers := range []int{1, 4} {
-			c.cfg.Workers = workers
-			lines, kinds := linkfailTranscript(t, c.cfg)
+			cfg := core.WithWorkers(c.cfg, workers)
+			lines, kinds := linkfailTranscript(t, cfg)
 			if kinds.pricedNodeEmptied == 0 || kinds.nodeFirstFlow == 0 ||
 				kinds.pricedLinkEmptied == 0 || kinds.linkFirstFlow == 0 {
 				t.Fatalf("%s: the sequence misses an event kind: %+v", c.name, kinds)

@@ -159,11 +159,10 @@ func TestLivePlanBitIdentical(t *testing.T) {
 		{scattered, core.Config{}, 4, true},
 	} {
 		func() {
-			cfg, workers := c.cfg, c.workers
-			cfg.Workers = workers
+			workers := c.workers
+			cfg := core.WithWorkers(c.cfg, workers)
 			rFull, rLive := c.route(), c.route()
-			oracleCfg := cfg
-			oracleCfg.Workers = 1
+			oracleCfg := core.WithWorkers(cfg, 1)
 			full, err := core.NewEngine(rFull.Problem(), oracleCfg)
 			if err != nil {
 				t.Fatal(err)
@@ -443,7 +442,7 @@ func TestSparseShapeArmsWhatCanBind(t *testing.T) {
 	r := sparseRouter(t, 1, 10_000, 200, 1e5, 1e6,
 		func(rng *rand.Rand) float64 { return 2000 + rng.Float64()*2000 })
 	p := r.Problem()
-	e, err := core.NewEngine(p, core.Config{Adaptive: true, Workers: 1})
+	e, err := core.NewEngine(p, core.WithWorkers(core.Config{Adaptive: true}, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +499,7 @@ func TestSparseShapeArmsWhatCanBind(t *testing.T) {
 // equality with the full scan after each of the 48 events.
 func TestReplanFromListedAndDelta(t *testing.T) {
 	r := linkfailRouter(t, 20061)
-	e, err := core.NewEngine(r.Problem(), core.Config{Gamma1: 1, Workers: 1})
+	e, err := core.NewEngine(r.Problem(), core.WithWorkers(core.Config{Gamma1: 1}, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -583,7 +582,7 @@ func TestReplanFromListedAndDelta(t *testing.T) {
 // later healed reads, in between, what a link never touched reads.
 func TestNothingStaleLeavesThePlan(t *testing.T) {
 	r := linkfailRouter(t, 20061)
-	e, err := core.NewEngine(r.Problem(), core.Config{Adaptive: true, Workers: 1})
+	e, err := core.NewEngine(r.Problem(), core.WithWorkers(core.Config{Adaptive: true}, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -612,6 +611,67 @@ func TestNothingStaleLeavesThePlan(t *testing.T) {
 	})
 	if left == 0 {
 		t.Fatal("no event shrank the plan; the test is vacuous")
+	}
+}
+
+// TestResetRoutingWorkersBitIdentical: after a repair + ResetRouting, the
+// serial and sharded engines stay bit-identical — this fails if
+// ResetRouting forgets to rebuild the stage plan for the new routing. On
+// the entangled shape (80 roomy nodes, ten flows) a budget of four still
+// plans one shard; the scattered one of TestLivePlanBitIdentical really
+// gets four.
+func TestResetRoutingWorkersBitIdentical(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		route  func() *overlay.Router
+		shards int
+	}{
+		{"entangled", func() *overlay.Router {
+			return sparseRouter(t, 23, 80, 10, 1e5, 1e6,
+				func(rng *rand.Rand) float64 { return 5e4 + rng.Float64()*1e5 })
+		}, 1},
+		{"scattered", func() *overlay.Router {
+			return sparseRouter(t, 20063, 1500, 12, 2, 2e3,
+				func(rng *rand.Rand) float64 { return 10 * math.Pow(300, rng.Float64()) })
+		}, 4},
+	} {
+		run := func(workers int) (model.Allocation, int) {
+			r := c.route()
+			eng, err := core.NewEngine(r.Problem(), core.WithWorkers(core.Config{}, workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			eng.Solve(200)
+
+			// Kill the first link some flow uses.
+			for li := 0; li < r.Topology().LinkCount(); li++ {
+				if len(r.FlowsThroughLink(li)) == 0 {
+					continue
+				}
+				if _, err := r.RepairLink(li); err == nil {
+					break
+				}
+			}
+			if err := eng.ResetRouting(r.Problem(), r.TakeDelta()); err != nil {
+				t.Fatal(err)
+			}
+			eng.Solve(200)
+			shards, _, _ := core.Listed(eng)
+			return eng.Allocation(), shards
+		}
+
+		serial, _ := run(1)
+		sharded, shards := run(4)
+		if shards != c.shards {
+			t.Fatalf("%s: a budget of 4 plans %d shards after the repair, want %d", c.name, shards, c.shards)
+		}
+		if !slices.Equal(serial.Rates, sharded.Rates) {
+			t.Fatalf("%s: rates diverge between shard budgets:\nserial  %v\nsharded %v", c.name, serial.Rates, sharded.Rates)
+		}
+		if !slices.Equal(serial.Consumers, sharded.Consumers) {
+			t.Fatalf("%s: consumers diverge between shard budgets:\nserial  %v\nsharded %v", c.name, serial.Consumers, sharded.Consumers)
+		}
 	}
 }
 
@@ -703,7 +763,7 @@ func TestResetRoutingValidatesTheDelta(t *testing.T) {
 
 func mustEngine(t *testing.T, p *model.Problem) *core.Engine {
 	t.Helper()
-	e, err := core.NewEngine(p, core.Config{Adaptive: true, Workers: 1})
+	e, err := core.NewEngine(p, core.WithWorkers(core.Config{Adaptive: true}, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

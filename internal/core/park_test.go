@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/big"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -90,7 +92,7 @@ func TestParkedMeansTheSweepCannotBind(t *testing.T) {
 		for _, capacity := range []float64{
 			math.Nextafter(floatSum, 0), floatSum, math.Nextafter(floatSum, math.Inf(1)), 2 * floatSum, floatSum / 2,
 		} {
-			e, err := NewEngine(parkProblem(costs, rateMax, capacity), Config{Adaptive: trial%2 == 0, Workers: 1})
+			e, err := NewEngine(parkProblem(costs, rateMax, capacity), Config{Adaptive: trial%2 == 0, workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,7 +161,7 @@ func TestParkedMeansTheSweepCannotBind(t *testing.T) {
 func TestInactiveFlowsCountAtRateMax(t *testing.T) {
 	// Two flows of cost 1 and RateMax 10 on capacity 15: either alone fits.
 	p := parkProblem([]float64{1, 1}, []float64{10, 10}, 15)
-	e, err := NewEngine(p, Config{Workers: 1})
+	e, err := NewEngine(p, Config{workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +177,7 @@ func TestInactiveFlowsCountAtRateMax(t *testing.T) {
 
 // TestNonFiniteNeverParks: a NaN or infinite capacity or RateMax arms — the
 // comparison is written so that a NaN anywhere says "can bind" — directly on
-// the predicate and through NewEngine and SetNodeCapacity.
+// the predicate and through NewEngine; SetNodeCapacity refuses a NaN.
 func TestNonFiniteNeverParks(t *testing.T) {
 	inf, nan := math.Inf(1), math.NaN()
 	flows := []model.Flow{{RateMax: 10}, {RateMax: inf}, {RateMax: nan}}
@@ -211,7 +213,7 @@ func TestNonFiniteNeverParks(t *testing.T) {
 		{"+Inf capacity", 10, inf},
 		{"+Inf RateMax", inf, 1e300},
 	} {
-		e, err := NewEngine(parkProblem([]float64{1}, []float64{c.rateMax}, c.capacity), Config{Workers: 1})
+		e, err := NewEngine(parkProblem([]float64{1}, []float64{c.rateMax}, c.capacity), Config{workers: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -220,8 +222,9 @@ func TestNonFiniteNeverParks(t *testing.T) {
 		}
 		e.Close()
 	}
-	// SetNodeCapacity refuses only capacity <= 0, which NaN is not.
-	e, err := NewEngine(parkProblem([]float64{1}, []float64{10}, 100), Config{Workers: 1})
+	// SetNodeCapacity refuses a NaN capacity, as Validate does, so it never
+	// reaches the arming rule or Eq. 12.
+	e, err := NewEngine(parkProblem([]float64{1}, []float64{10}, 100), Config{workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,12 +232,109 @@ func TestNonFiniteNeverParks(t *testing.T) {
 	if nodes, _ := Armed(e); isArmed(nodes, 1) {
 		t.Fatal("node 1 has ten times the room its flow can use and is armed")
 	}
-	if err := e.SetNodeCapacity(1, nan); err != nil {
+	if err := e.SetNodeCapacity(1, nan); !errors.Is(err, model.ErrInvalid) {
+		t.Fatalf("NaN capacity: err %v, want model.ErrInvalid", err)
+	}
+	if nodes, _ := Armed(e); isArmed(nodes, 1) || e.p.Nodes[1].Capacity != 100 {
+		t.Errorf("the refused NaN capacity armed node 1 (%v) or reached the problem (%v)",
+			isArmed(nodes, 1), e.p.Nodes[1].Capacity)
+	}
+}
+
+// mutatorProblem is parkProblem with node 1 binding, plus a node 3 no flow
+// reaches — the plan does not list it — holding a demand-less class of flow
+// 0, the off-tree shape two-stage pruning leaves.
+func mutatorProblem() *model.Problem {
+	p := parkProblem([]float64{2, 3}, []float64{10, 10}, 30)
+	p.Nodes = append(p.Nodes, model.Node{ID: 3, Capacity: 100, FlowCost: map[model.FlowID]float64{}})
+	p.Classes = append(p.Classes, model.Class{ID: 2, Flow: 0, Node: 3,
+		CostPerConsumer: 1, Utility: utility.NewLog(10)})
+	return p
+}
+
+// TestMutatorsRefuseWhatValidateRefuses: SetNodeCapacity and SetClassDemand
+// refuse what model.Validate refuses, with model.ErrInvalid, and a refusal
+// touches nothing — not the problem, the forced flags, the armed lists or
+// settled — so the ten Steps after it are bit-identical to those of a twin
+// engine that was never asked. A new capacity for a node the plan does not
+// list is taken, and leaves it as idle as it was.
+func TestMutatorsRefuseWhatValidateRefuses(t *testing.T) {
+	type state struct {
+		capacity                           float64
+		demand                             int
+		flowForced, nodeForced, linkForced []bool
+		armedNodes, armedLinks             []int32
+		settled                            bool
+	}
+	stateOf := func(e *Engine) state {
+		return state{e.p.Nodes[1].Capacity, e.p.Classes[2].MaxConsumers,
+			slices.Clone(e.flowForced), slices.Clone(e.nodeForced), slices.Clone(e.linkForced),
+			slices.Clone(e.sh[0].nodes), slices.Clone(e.sh[0].links), e.settled}
+	}
+	// twins returns two engines solved to the same settled state.
+	twins := func() (e, twin *Engine) {
+		t.Helper()
+		var err error
+		if e, err = NewEngine(mutatorProblem(), Config{Adaptive: true, workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if twin, err = NewEngine(mutatorProblem(), Config{Adaptive: true, workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if r, rt := e.Solve(250), twin.Solve(250); !r.Converged || !rt.Converged {
+			t.Fatal("the fixture did not converge")
+		}
+		return e, twin
+	}
+	stepTogether := func(name string, e, twin *Engine) {
+		t.Helper()
+		for it := 1; it <= 10; it++ {
+			if r, rt := e.Step(), twin.Step(); !sameStep(r, rt) {
+				t.Fatalf("%s: Step %d %+v, untouched twin %+v", name, it, r, rt)
+			}
+			assertStateEqual(t, it, 1, twin, e)
+		}
+	}
+
+	for _, c := range []struct {
+		name   string
+		mutate func(*Engine) error
+	}{
+		{"NaN capacity", func(e *Engine) error { return e.SetNodeCapacity(1, math.NaN()) }},
+		{"-Inf capacity", func(e *Engine) error { return e.SetNodeCapacity(1, math.Inf(-1)) }},
+		{"zero capacity", func(e *Engine) error { return e.SetNodeCapacity(1, 0) }},
+		{"negative demand", func(e *Engine) error { return e.SetClassDemand(2, -1) }},
+		{"off-tree demand", func(e *Engine) error { return e.SetClassDemand(2, 1) }},
+	} {
+		e, twin := twins()
+		before := stateOf(e)
+		if err := c.mutate(e); !errors.Is(err, model.ErrInvalid) {
+			t.Fatalf("%s: err %v, want model.ErrInvalid", c.name, err)
+		}
+		if after := stateOf(e); !reflect.DeepEqual(before, after) {
+			t.Fatalf("%s: the refusal changed the engine: %+v, before %+v", c.name, after, before)
+		}
+		if err := model.Validate(e.Problem()); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		stepTogether(c.name, e, twin)
+		e.Close()
+		twin.Close()
+	}
+
+	e, twin := twins()
+	defer e.Close()
+	defer twin.Close()
+	if _, listed := slices.BinarySearch(e.plan.nodes[0], 3); listed {
+		t.Fatal("the plan lists node 3, which no flow reaches")
+	}
+	if err := e.SetNodeCapacity(3, 50); err != nil {
 		t.Fatal(err)
 	}
-	if nodes, _ := Armed(e); !isArmed(nodes, 1) {
-		t.Error("NaN capacity left node 1 parked")
+	if err := CheckIdleCaches(e); err != nil {
+		t.Fatalf("after a new capacity for an unlisted node: %v", err)
 	}
+	stepTogether("unlisted node's capacity", e, twin)
 }
 
 // TestWakeForcesARecompute: a parked constraint's forced flag is cleared
@@ -243,7 +343,7 @@ func TestNonFiniteNeverParks(t *testing.T) {
 // waking allocates nothing, and neither does the re-arm that parks it again.
 func TestWakeForcesARecompute(t *testing.T) {
 	p := parkProblem([]float64{2, 3}, []float64{10, 10}, 1000)
-	e, err := NewEngine(p, Config{Adaptive: true, Workers: 1})
+	e, err := NewEngine(p, Config{Adaptive: true, workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +381,7 @@ func TestWakeForcesARecompute(t *testing.T) {
 
 	// Node 1 overloaded at capacity 30 and is priced now; the park-and-wake
 	// cycle is counted on an engine whose node never was.
-	fresh, err := NewEngine(p, Config{Adaptive: true, Workers: 1})
+	fresh, err := NewEngine(p, Config{Adaptive: true, workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +411,7 @@ func TestWakeForcesARecompute(t *testing.T) {
 // it is there — beside the arm-everything oracle, γ for γ.
 func TestClimbingGammaStaysArmed(t *testing.T) {
 	p := parkProblem([]float64{2, 3}, []float64{10, 10}, 1000)
-	cfg := Config{Adaptive: true, Workers: 1}
+	cfg := Config{Adaptive: true, workers: 1}
 	live, err := NewEngine(p, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -63,7 +63,7 @@ type stagePlan struct {
 
 // newStagePlan builds Step's schedule for the indexed problem at the given
 // prices: the component packing over workers shards when the topology allows
-// it, otherwise — Workers 1, fewer than minParallelItems items, or a
+// it, otherwise — a budget of 1, fewer than minParallelItems items, or a
 // topology pack rejects — one shard whose lists are every flow and the live
 // constraints in ascending order, i.e. the serial scan.
 //

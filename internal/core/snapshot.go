@@ -28,11 +28,11 @@ type Snapshot struct {
 	LinkCapacity []float64
 	// FlowActive marks flows participating in iterations.
 	FlowActive []bool
-	// Workers is the engine's normalized worker count and Sharded reports
-	// whether Step actually fans out over the pool (Workers > 1 and the
-	// crossing-writes analysis proved the problem componentized, DESIGN.md
-	// §5); results are identical either way, so these matter only for
-	// performance diagnostics.
+	// Workers is the engine's shard budget (GOMAXPROCS at NewEngine) and
+	// Sharded reports whether Step actually fans out over the pool (Workers
+	// > 1 and the crossing-writes analysis proved the problem
+	// componentized, DESIGN.md §5); results are identical either way, so
+	// these matter only for performance diagnostics.
 	Workers int
 	Sharded bool
 	// ShardWork lists, per plan shard, the items the last Step recomputed,
@@ -90,7 +90,7 @@ func (e *Engine) Snapshot() Snapshot {
 		LinkUsage:    make([]float64, len(e.p.Links)),
 		LinkCapacity: make([]float64, len(e.p.Links)),
 		FlowActive:   make([]bool, len(e.p.Flows)),
-		Workers:      e.cfg.Workers,
+		Workers:      e.cfg.workers,
 		Sharded:      e.plan.shards > 1,
 
 		ShardImbalance: e.shardImbalance(),

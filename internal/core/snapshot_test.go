@@ -57,7 +57,7 @@ func TestSnapshot(t *testing.T) {
 // peak loads, and the workers/sharded execution mode.
 func TestSnapshotString(t *testing.T) {
 	p := workload.WithLinkBottlenecks(workload.Base(), 0.5)
-	e, err := NewEngine(p, Config{Adaptive: true, Workers: 1})
+	e, err := NewEngine(p, Config{Adaptive: true, workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,7 @@ func TestSolveFirstSolveMatchesParent(t *testing.T) {
 // window out the old way on a twin engine with the identical history.
 func TestSolveStopsOnceDrained(t *testing.T) {
 	for _, cycles := range []int{1, 2, 7, 25} {
-		serial := Config{Adaptive: true, Workers: 1}
+		serial := Config{Adaptive: true, workers: 1}
 		early, full := newChurnEngine(t, serial), newChurnEngine(t, serial)
 		for k := 1; k < cycles; k++ {
 			early.batch(t, 200)
@@ -140,7 +140,7 @@ func TestSolveStopsOnceDrained(t *testing.T) {
 // runs no iteration; anything that could move the allocation ends that.
 func TestSolveSettledIsNoOp(t *testing.T) {
 	p := workload.Base()
-	e, err := NewEngine(p, Config{Adaptive: true, Workers: 1})
+	e, err := NewEngine(p, Config{Adaptive: true, workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,14 +201,14 @@ func TestSolveSettledIsNoOp(t *testing.T) {
 // TestSolveTracedSettledWritesNothing: the traced solve takes the same
 // no-op.
 func TestSolveTracedSettledWritesNothing(t *testing.T) {
-	e, err := NewEngine(workload.Base(), Config{Adaptive: true, Workers: 1})
+	e, err := NewEngine(workload.Base(), Config{Adaptive: true, workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
 	var buf bytes.Buffer
 	tw := telemetry.NewTraceWriter(&buf)
-	first, err := e.SolveTraced(250, tw, 0)
+	first, err := e.SolveTraced(250, tw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestSolveTracedSettledWritesNothing(t *testing.T) {
 		t.Fatalf("first traced solve: %d records for %d iterations (%v)", len(recs), first.Iterations, err)
 	}
 	buf.Reset()
-	again, err := e.SolveTraced(250, tw, first.Iterations)
+	again, err := e.SolveTraced(250, tw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestSolveStopIdenticalAcrossWorkers(t *testing.T) {
 		alloc   uint64
 	}
 	run := func(workers int) []cycle {
-		c := newChurnEngine(t, Config{Adaptive: true, Workers: workers})
+		c := newChurnEngine(t, Config{Adaptive: true, workers: workers})
 		defer c.Close()
 		if workers > 1 && c.plan.shards != workers {
 			t.Fatalf("workers %d: plan has %d shards", workers, c.plan.shards)
@@ -289,7 +289,7 @@ func TestSolveStopIdenticalAcrossWorkers(t *testing.T) {
 // cannot end the solve early.
 func TestSolveLargePerturbationRunsItsWindow(t *testing.T) {
 	p := workload.Base()
-	e, err := NewEngine(p, Config{Adaptive: true, Workers: 1})
+	e, err := NewEngine(p, Config{Adaptive: true, workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,11 +306,12 @@ func TestSolveLargePerturbationRunsItsWindow(t *testing.T) {
 		t.Errorf("re-solve ran %d iterations, stop %v; want a full window of its own",
 			after.Iterations, after.Stop)
 	}
-	tail := metrics.Series{}
-	for _, u := range after.Trace {
-		tail.Append(u)
+	tail := after.Trace[len(after.Trace)-metrics.DefaultWindow:]
+	lo, hi, mean := tail[0], tail[0], 0.0
+	for _, u := range tail {
+		lo, hi, mean = math.Min(lo, u), math.Max(hi, u), mean+u/float64(len(tail))
 	}
-	if amp := tail.TailAmplitude(metrics.DefaultWindow); amp > metrics.DefaultRelAmplitude {
+	if amp := (hi - lo) / math.Abs(mean); amp > metrics.DefaultRelAmplitude {
 		t.Errorf("trailing window amplitude %.3g at the stop, want within the band", amp)
 	}
 }

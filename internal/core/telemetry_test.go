@@ -30,7 +30,7 @@ func TestStepTelemetryObservations(t *testing.T) {
 	} {
 		reg := telemetry.NewRegistry()
 		em := telemetry.NewEngineMetrics(reg)
-		e, err := NewEngine(c.p, Config{Adaptive: true, Workers: c.workers, Telemetry: em})
+		e, err := NewEngine(c.p, Config{Adaptive: true, workers: c.workers, Telemetry: em})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestStepTelemetryObservations(t *testing.T) {
 // TestStepWithoutTelemetryLeavesStageNanosZero: the untelemetered Step
 // must not read the clock, so StageNanos stays zero.
 func TestStepWithoutTelemetryLeavesStageNanosZero(t *testing.T) {
-	e, err := NewEngine(workload.Base(), Config{Adaptive: true, Workers: 1})
+	e, err := NewEngine(workload.Base(), Config{Adaptive: true, workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestStepWithoutTelemetryLeavesStageNanosZero(t *testing.T) {
 func TestSolveReportsConvergence(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	em := telemetry.NewEngineMetrics(reg)
-	e, err := NewEngine(workload.Base(), Config{Adaptive: true, Workers: 1, Telemetry: em})
+	e, err := NewEngine(workload.Base(), Config{Adaptive: true, workers: 1, Telemetry: em})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestSolveReportsConvergence(t *testing.T) {
 // observation is one atomic add per Solve, not per Step.
 func TestSolveReportsStopReason(t *testing.T) {
 	em := telemetry.NewEngineMetrics(telemetry.NewRegistry())
-	c := newChurnEngine(t, Config{Adaptive: true, Workers: 1, Telemetry: em})
+	c := newChurnEngine(t, Config{Adaptive: true, workers: 1, Telemetry: em})
 	defer c.Close()
 
 	// Building the churn engine ran its one cold solve.
@@ -198,7 +198,7 @@ func TestSolveReportsStopReason(t *testing.T) {
 func TestStepTelemetryNoAllocs(t *testing.T) {
 	reg := telemetry.NewRegistry()
 
-	ser, err := NewEngine(workload.Base(), Config{Adaptive: true, Workers: 1,
+	ser, err := NewEngine(workload.Base(), Config{Adaptive: true, workers: 1,
 		Telemetry: telemetry.NewEngineMetrics(reg)})
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +209,7 @@ func TestStepTelemetryNoAllocs(t *testing.T) {
 		t.Errorf("%v allocs per telemetered serial Step, want 0", allocs)
 	}
 
-	par, err := NewEngine(fusedTestProblem(8, 2, true), Config{Adaptive: true, Workers: 4,
+	par, err := NewEngine(fusedTestProblem(8, 2, true), Config{Adaptive: true, workers: 4,
 		Telemetry: telemetry.NewEngineMetrics(reg)})
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +229,7 @@ func TestStepTelemetryNoAllocs(t *testing.T) {
 // a sharded one, repeats exactly from run to run, and counts what the
 // shards recomputed — on a Step that recomputed nothing it is 1 again.
 func TestShardImbalance(t *testing.T) {
-	one, err := NewEngine(workload.Base(), Config{Adaptive: true, Workers: 1})
+	one, err := NewEngine(workload.Base(), Config{Adaptive: true, workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestShardImbalance(t *testing.T) {
 	}
 
 	run := func() []float64 {
-		e, err := NewEngine(fusedTestProblem(8, 2, true), Config{Adaptive: true, Workers: 4})
+		e, err := NewEngine(fusedTestProblem(8, 2, true), Config{Adaptive: true, workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +290,7 @@ func TestShardImbalance(t *testing.T) {
 	for b := range quiet.Nodes {
 		quiet.Nodes[b].Capacity *= 250
 	}
-	q, err := NewEngine(quiet, Config{Adaptive: true, Workers: 1})
+	q, err := NewEngine(quiet, Config{Adaptive: true, workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

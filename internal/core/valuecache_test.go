@@ -101,8 +101,8 @@ func TestValueCacheBitIdentical(t *testing.T) {
 	const iters = 140
 	rng := rand.New(rand.NewSource(20261004))
 	for trial := 0; trial < 6; trial++ {
-		// Even trials are entangled (one shard whatever Workers says), odd
-		// ones componentized so Workers 4 really runs four shards.
+		// Even trials are entangled (one shard whatever the budget), odd
+		// ones componentized so a budget of 4 really runs four shards.
 		var p *model.Problem
 		if trial%2 == 0 {
 			p = parallelTestProblem(rng, trial%4 == 0)
@@ -117,7 +117,7 @@ func TestValueCacheBitIdentical(t *testing.T) {
 			cfg.Gamma2 = cfg.Gamma1
 		}
 		for _, workers := range []int{1, 4} {
-			cfg.Workers = workers
+			cfg.workers = workers
 			oracle, err := NewEngine(p.Clone(), cfg)
 			if err != nil {
 				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
@@ -210,7 +210,7 @@ func TestValueCacheBitIdentical(t *testing.T) {
 func TestValueCacheStepAllocatesNothing(t *testing.T) {
 	p := fusedTestProblem(8, 2, true)
 	mixFamilies(rand.New(rand.NewSource(7)), p)
-	e, err := NewEngine(p, Config{Adaptive: true, Workers: 1})
+	e, err := NewEngine(p, Config{Adaptive: true, workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -186,7 +186,7 @@ func ChurnExperiment(opts Options, cc ChurnConfig) (*ChurnResult, error) {
 	o := opts.normalized()
 	cc = cc.normalized()
 	rng := rand.New(rand.NewSource(o.Seed))
-	cfg := o.engineConfig(core.Config{Adaptive: true})
+	cfg := core.Config{Adaptive: true}
 
 	tp, caps, flows := churnWorkload(rng, cc)
 	r, err := overlay.NewRouter(tp, caps, flows)

@@ -6,7 +6,7 @@ import (
 )
 
 func TestChurnExperimentLink(t *testing.T) {
-	res, err := ChurnExperiment(Options{Workers: 1}, ChurnConfig{
+	res, err := ChurnExperiment(Options{}, ChurnConfig{
 		TopoNodes: 300, Flows: 6, Events: 4, FailEvery: 200, ColdBudget: 1200,
 	})
 	if err != nil {
@@ -49,7 +49,7 @@ func TestChurnExperimentLink(t *testing.T) {
 }
 
 func TestChurnExperimentNode(t *testing.T) {
-	res, err := ChurnExperiment(Options{Workers: 1, Seed: 3}, ChurnConfig{
+	res, err := ChurnExperiment(Options{Seed: 3}, ChurnConfig{
 		TopoNodes: 300, Flows: 6, Events: 2, FailEvery: 200, FailKind: "node", ColdBudget: 1200,
 	})
 	if err != nil {

@@ -31,11 +31,6 @@ type Options struct {
 	SATemps []float64
 	// Seed seeds stochastic baselines.
 	Seed int64
-	// Workers is passed through to core.Config.Workers for every engine
-	// the harness builds (0 = GOMAXPROCS, 1 = serial). Results are
-	// bit-identical across worker counts, so this only changes wall-clock
-	// time.
-	Workers int
 	// Workload names the instance for experiments that take one (today
 	// the X9 scaling experiment): any workload.Parse spec — "metro",
 	// "metro-small", "base", "<F>f-<N>n", "@file.json". Empty selects the
@@ -61,13 +56,6 @@ func (o Options) normalized() Options {
 	return o
 }
 
-// engineConfig applies the harness-wide engine options (currently the
-// worker count) to one experiment's engine configuration.
-func (o Options) engineConfig(c core.Config) core.Config {
-	c.Workers = o.Workers
-	return c
-}
-
 // runTrace runs an engine for n iterations and returns the utility trace,
 // releasing the engine's worker pool afterwards.
 func runTrace(e *core.Engine, n int) []float64 {
@@ -88,7 +76,7 @@ func Figure1Damping(opts Options) (*trace.SeriesSet, error) {
 		fig.X = append(fig.X, float64(i+1))
 	}
 	for _, gamma := range []float64{1, 0.1, 0.01} {
-		e, err := core.NewEngine(workload.Base(), o.engineConfig(core.Config{Gamma1: gamma, Gamma2: gamma}))
+		e, err := core.NewEngine(workload.Base(), core.Config{Gamma1: gamma, Gamma2: gamma})
 		if err != nil {
 			return nil, err
 		}
@@ -106,13 +94,13 @@ func Figure2AdaptiveGamma(opts Options) (*trace.SeriesSet, error) {
 		fig.X = append(fig.X, float64(i+1))
 	}
 
-	fixed, err := core.NewEngine(workload.Base(), o.engineConfig(core.Config{Gamma1: 0.01}))
+	fixed, err := core.NewEngine(workload.Base(), core.Config{Gamma1: 0.01})
 	if err != nil {
 		return nil, err
 	}
 	fig.AddSeries("fixed gamma=0.01", runTrace(fixed, o.Iterations))
 
-	adaptive, err := core.NewEngine(workload.Base(), o.engineConfig(core.Config{Adaptive: true}))
+	adaptive, err := core.NewEngine(workload.Base(), core.Config{Adaptive: true})
 	if err != nil {
 		return nil, err
 	}
@@ -171,7 +159,7 @@ func Figure3Recovery(opts Options) (*RecoveryResult, error) {
 	}
 
 	run := func(name string, cfg core.Config) error {
-		e, err := core.NewEngine(workload.Base(), o.engineConfig(cfg))
+		e, err := core.NewEngine(workload.Base(), cfg)
 		if err != nil {
 			return err
 		}
@@ -205,7 +193,7 @@ func Figure4PowerUtility(opts Options) (*trace.SeriesSet, error) {
 	for i := 0; i < o.Iterations; i++ {
 		fig.X = append(fig.X, float64(i+1))
 	}
-	e, err := core.NewEngine(workload.Scaled(workload.Config{Shape: workload.ShapePow75}), o.engineConfig(core.Config{Adaptive: true}))
+	e, err := core.NewEngine(workload.Scaled(workload.Config{Shape: workload.ShapePow75}), core.Config{Adaptive: true})
 	if err != nil {
 		return nil, err
 	}
@@ -237,7 +225,7 @@ type ComparisonRow struct {
 func compare(p *model.Problem, o Options) (ComparisonRow, error) {
 	row := ComparisonRow{Workload: p.Name}
 
-	e, err := core.NewEngine(p.Clone(), o.engineConfig(core.Config{Adaptive: true}))
+	e, err := core.NewEngine(p.Clone(), core.Config{Adaptive: true})
 	if err != nil {
 		return row, err
 	}

@@ -35,7 +35,7 @@ func AsyncExperiment(opts Options, timeout time.Duration) (*AsyncResult, error) 
 		timeout = 30 * time.Second
 	}
 
-	ref, err := core.NewEngine(workload.Base(), o.engineConfig(core.Config{Adaptive: true}))
+	ref, err := core.NewEngine(workload.Base(), core.Config{Adaptive: true})
 	if err != nil {
 		return nil, err
 	}
@@ -101,7 +101,7 @@ func AblationAdmission(opts Options) ([]AblationRow, error) {
 
 	var rows []AblationRow
 
-	e, err := core.NewEngine(p.Clone(), o.engineConfig(core.Config{Adaptive: true}))
+	e, err := core.NewEngine(p.Clone(), core.Config{Adaptive: true})
 	if err != nil {
 		return nil, err
 	}
@@ -186,7 +186,7 @@ func LinkBottleneckExperiment(opts Options, utilization float64) (*LinkResult, e
 		utilization = 0.015
 	}
 
-	base, err := core.NewEngine(workload.Base(), o.engineConfig(core.Config{Adaptive: true}))
+	base, err := core.NewEngine(workload.Base(), core.Config{Adaptive: true})
 	if err != nil {
 		return nil, err
 	}
@@ -201,7 +201,7 @@ func LinkBottleneckExperiment(opts Options, utilization float64) (*LinkResult, e
 	// convergence rule because utility plateaus at quantized values
 	// while link prices are still climbing.
 	p := workload.WithLinkBottlenecks(workload.Base(), utilization)
-	e, err := core.NewEngine(p, o.engineConfig(core.Config{Adaptive: true, LinkGamma: 10}))
+	e, err := core.NewEngine(p, core.Config{Adaptive: true, LinkGamma: 10})
 	if err != nil {
 		return nil, err
 	}

@@ -53,7 +53,7 @@ func GammaControllerAblation(opts Options) ([]GammaRow, error) {
 
 		for si, shape := range workload.Table3Shapes() {
 			p := workload.Scaled(workload.Config{Shape: shape})
-			e, err := core.NewEngine(p, o.engineConfig(v.cfg))
+			e, err := core.NewEngine(p, v.cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -66,7 +66,7 @@ func GammaControllerAblation(opts Options) ([]GammaRow, error) {
 		}
 
 		// Recovery: remove flow 5 at the midpoint of a 2x horizon.
-		e, err := core.NewEngine(workload.Base(), o.engineConfig(v.cfg))
+		e, err := core.NewEngine(workload.Base(), v.cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -31,7 +31,7 @@ func MultirateExperiment(opts Options) ([]MultirateRow, error) {
 
 	var rows []MultirateRow
 	for _, p := range []*model.Problem{hetero, workload.Base()} {
-		single, err := core.NewEngine(p.Clone(), o.engineConfig(core.Config{Adaptive: true}))
+		single, err := core.NewEngine(p.Clone(), core.Config{Adaptive: true})
 		if err != nil {
 			return nil, err
 		}

@@ -45,5 +45,5 @@ func PruneExperiment(opts Options) (*overlay.TwoStageResult, error) {
 			},
 		},
 	}
-	return overlay.TwoStageSolve(topo, 40_000, flows, o.engineConfig(core.Config{Adaptive: true}), 3*o.Iterations)
+	return overlay.TwoStageSolve(topo, 40_000, flows, core.Config{Adaptive: true}, 3*o.Iterations)
 }

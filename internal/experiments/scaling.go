@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -9,17 +10,18 @@ import (
 	"repro/internal/workload"
 )
 
-// ScalingRow is one worker count's measured Step cost on the scaling
+// ScalingRow is one GOMAXPROCS setting's measured Step cost on the scaling
 // workload.
 type ScalingRow struct {
-	// Workers is the engine's configured worker count.
-	Workers int
+	// GOMAXPROCS is the setting the row's engine was built under, and so
+	// its shard budget.
+	GOMAXPROCS int
 	// Mode reports how Step executed: "serial" (one shard on the caller)
 	// or "sharded" (whole components fanned out over the worker pool).
 	Mode string
 	// NsPerStep is the mean steady-state Step wall time.
 	NsPerStep float64
-	// Speedup is the workers=1 NsPerStep divided by this row's.
+	// Speedup is the GOMAXPROCS=1 NsPerStep divided by this row's.
 	Speedup float64
 }
 
@@ -30,20 +32,21 @@ type ScalingResult struct {
 	// Flows, Nodes and Classes record the instance size.
 	Flows, Nodes, Classes int
 	// Settle and Measured are the iteration counts spent reaching steady
-	// state and timing, per worker count.
+	// state and timing, per row.
 	Settle, Measured int
-	// Rows has one entry per worker count, ascending.
+	// Rows has one entry per GOMAXPROCS setting, ascending.
 	Rows []ScalingRow
 }
 
-// ScalingExperiment measures steady-state Step wall time against worker
-// count on a named workload (Options.Workload; default the metro-small
-// pod preset, whose componentized structure shards across workers —
-// DESIGN.md §5). Each engine first settles so the dirty-set skip path is
-// active, as in production steady state; results are bit-identical across
-// worker counts, so the rows differ only in wall clock. Wall times are
-// machine- and load-dependent: on a single-CPU host every speedup sits
-// near 1.0 by construction.
+// ScalingExperiment measures steady-state Step wall time against GOMAXPROCS
+// — the engine's shard budget — on a named workload (Options.Workload;
+// default the metro-small pod preset, whose componentized structure shards
+// — DESIGN.md §5). Each row sets GOMAXPROCS for its engine, as go test -cpu
+// does, and the setting the caller had is restored on return. Each engine
+// first settles so the dirty-set skip path is active, as in production
+// steady state; results are bit-identical across rows, so they differ only
+// in wall clock. Wall times are machine- and load-dependent: on a
+// single-CPU host every speedup sits near 1.0 by construction.
 func ScalingExperiment(opts Options) (*ScalingResult, error) {
 	o := opts.normalized()
 	spec := o.Workload
@@ -63,8 +66,10 @@ func ScalingExperiment(opts Options) (*ScalingResult, error) {
 		Settle:   o.Iterations / 2,
 		Measured: o.Iterations,
 	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		e, err := core.NewEngine(p, core.Config{Adaptive: true, Workers: workers})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		e, err := core.NewEngine(p, core.Config{Adaptive: true})
 		if err != nil {
 			return nil, err
 		}
@@ -81,10 +86,10 @@ func ScalingExperiment(opts Options) (*ScalingResult, error) {
 			mode = "sharded"
 		}
 		row := ScalingRow{
-			Workers:   workers,
-			Mode:      mode,
-			NsPerStep: float64(elapsed.Nanoseconds()) / float64(res.Measured),
-			Speedup:   1,
+			GOMAXPROCS: procs,
+			Mode:       mode,
+			NsPerStep:  float64(elapsed.Nanoseconds()) / float64(res.Measured),
+			Speedup:    1,
 		}
 		if len(res.Rows) > 0 && row.NsPerStep > 0 {
 			row.Speedup = res.Rows[0].NsPerStep / row.NsPerStep
@@ -98,12 +103,12 @@ func ScalingExperiment(opts Options) (*ScalingResult, error) {
 // RenderScaling renders the scaling experiment as a table.
 func RenderScaling(res *ScalingResult) *trace.Table {
 	t := trace.NewTable(
-		fmt.Sprintf("X9: Step scaling vs workers (%s: %d flows, %d nodes, %d classes; %d steps after %d settling)",
+		fmt.Sprintf("X9: Step scaling vs GOMAXPROCS (%s: %d flows, %d nodes, %d classes; %d steps after %d settling)",
 			res.Workload, res.Flows, res.Nodes, res.Classes, res.Measured, res.Settle),
-		"Workers", "Mode", "ns/step", "Speedup")
+		"GOMAXPROCS", "Mode", "ns/step", "Speedup")
 	for _, r := range res.Rows {
 		t.Add(
-			fmt.Sprint(r.Workers),
+			fmt.Sprint(r.GOMAXPROCS),
 			r.Mode,
 			fmt.Sprintf("%.0f", r.NsPerStep),
 			fmt.Sprintf("%.2fx", r.Speedup),

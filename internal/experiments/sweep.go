@@ -73,7 +73,7 @@ func WarmStartSweep(opts Options) (*SweepResult, error) {
 	for k, scale := range scales {
 		row := SweepRow{Scale: scale}
 
-		cold, err := core.NewEngine(point(scale), o.engineConfig(core.Config{Adaptive: true}))
+		cold, err := core.NewEngine(point(scale), core.Config{Adaptive: true})
 		if err != nil {
 			return nil, err
 		}
@@ -84,7 +84,7 @@ func WarmStartSweep(opts Options) (*SweepResult, error) {
 		row.ColdConvergedAt = cr.ConvergedAt
 
 		if k == 0 {
-			warm, err = core.NewEngine(point(scale), o.engineConfig(core.Config{Adaptive: true}))
+			warm, err = core.NewEngine(point(scale), core.Config{Adaptive: true})
 			if err != nil {
 				return nil, err
 			}

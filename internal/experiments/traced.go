@@ -12,10 +12,10 @@ import (
 func TracedRun(opts Options, tw *telemetry.TraceWriter) (core.Result, error) {
 	o := opts.normalized()
 	em := telemetry.NewEngineMetrics(telemetry.NewRegistry())
-	e, err := core.NewEngine(workload.Base(), o.engineConfig(core.Config{Adaptive: true, Telemetry: em}))
+	e, err := core.NewEngine(workload.Base(), core.Config{Adaptive: true, Telemetry: em})
 	if err != nil {
 		return core.Result{}, err
 	}
 	defer e.Close()
-	return e.SolveTraced(o.Iterations, tw, 0)
+	return e.SolveTraced(o.Iterations, tw)
 }

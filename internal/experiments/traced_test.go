@@ -14,7 +14,7 @@ import (
 func TestTracedRunRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	tw := telemetry.NewTraceWriter(&buf)
-	res, err := TracedRun(Options{Iterations: 250, Workers: 1}, tw)
+	res, err := TracedRun(Options{Iterations: 250}, tw)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,12 @@
-// Package metrics provides convergence detection and summary statistics for
-// optimizer traces.
+// Package metrics provides convergence detection for optimizer traces.
 //
 // The paper's convergence rule (Section 4.3): the algorithm has converged
 // once the amplitude of the oscillations in total utility becomes less than
 // 0.1% of the utility value. ConvergenceDetector implements that rule over
-// a sliding window; Series collects and summarizes scalar time series.
+// a sliding window.
 package metrics
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // DefaultWindow is the sliding-window length (iterations) over which
 // oscillation amplitude is measured.
@@ -106,101 +102,4 @@ func (d *ConvergenceDetector) Rearm() {
 func (d *ConvergenceDetector) Reset() {
 	d.next, d.count, d.iteration = 0, 0, 0
 	d.converged, d.at = false, -1
-}
-
-// Series is an append-only scalar time series with summary statistics.
-type Series struct {
-	vals []float64
-}
-
-// Append adds an observation.
-func (s *Series) Append(v float64) { s.vals = append(s.vals, v) }
-
-// Len returns the number of observations.
-func (s *Series) Len() int { return len(s.vals) }
-
-// At returns the i-th observation (0-based).
-func (s *Series) At(i int) float64 { return s.vals[i] }
-
-// Values returns a copy of the observations.
-func (s *Series) Values() []float64 {
-	out := make([]float64, len(s.vals))
-	copy(out, s.vals)
-	return out
-}
-
-// Last returns the final observation, or 0 for an empty series.
-func (s *Series) Last() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	return s.vals[len(s.vals)-1]
-}
-
-// Min returns the smallest observation, or 0 for an empty series.
-func (s *Series) Min() float64 { return s.fold(math.Min, math.Inf(1)) }
-
-// Max returns the largest observation, or 0 for an empty series.
-func (s *Series) Max() float64 { return s.fold(math.Max, math.Inf(-1)) }
-
-func (s *Series) fold(f func(a, b float64) float64, id float64) float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	acc := id
-	for _, v := range s.vals {
-		acc = f(acc, v)
-	}
-	return acc
-}
-
-// Mean returns the arithmetic mean, or 0 for an empty series.
-func (s *Series) Mean() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range s.vals {
-		sum += v
-	}
-	return sum / float64(len(s.vals))
-}
-
-// Quantile returns the q-quantile (0<=q<=1) by nearest-rank on a sorted
-// copy, or 0 for an empty series.
-func (s *Series) Quantile(q float64) float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	sorted := s.Values()
-	sort.Float64s(sorted)
-	idx := int(q*float64(len(sorted)-1) + 0.5)
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
-// TailAmplitude returns (max-min)/|mean| over the trailing window
-// observations, the quantity the convergence rule thresholds. It returns
-// +Inf when fewer than window observations exist or the mean is zero.
-func (s *Series) TailAmplitude(window int) float64 {
-	if window <= 0 || len(s.vals) < window {
-		return math.Inf(1)
-	}
-	tail := s.vals[len(s.vals)-window:]
-	lo, hi, mean := tail[0], tail[0], 0.0
-	for _, v := range tail {
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-		mean += v
-	}
-	mean /= float64(window)
-	if mean == 0 {
-		return math.Inf(1)
-	}
-	return (hi - lo) / math.Abs(mean)
 }

@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestConvergenceDetectorFlatSeries(t *testing.T) {
 	d := NewConvergenceDetector(5, 0.001)
@@ -85,131 +82,6 @@ func TestConvergenceDetectorDefaults(t *testing.T) {
 	d := NewConvergenceDetector(0, 0)
 	if d.window != DefaultWindow || d.threshold != DefaultRelAmplitude {
 		t.Errorf("defaults: window=%d threshold=%g", d.window, d.threshold)
-	}
-}
-
-func TestSeriesStats(t *testing.T) {
-	var s Series
-	if s.Len() != 0 || s.Last() != 0 || s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 {
-		t.Error("empty series stats not zero")
-	}
-	for _, v := range []float64{4, 1, 3, 2} {
-		s.Append(v)
-	}
-	if s.Len() != 4 || s.At(0) != 4 || s.Last() != 2 {
-		t.Errorf("Len/At/Last = %d/%g/%g", s.Len(), s.At(0), s.Last())
-	}
-	if s.Min() != 1 || s.Max() != 4 || s.Mean() != 2.5 {
-		t.Errorf("Min/Max/Mean = %g/%g/%g", s.Min(), s.Max(), s.Mean())
-	}
-	if q := s.Quantile(0.5); q != 2 && q != 3 {
-		t.Errorf("median = %g, want 2 or 3", q)
-	}
-	if q := s.Quantile(0); q != 1 {
-		t.Errorf("q0 = %g, want 1", q)
-	}
-	if q := s.Quantile(1); q != 4 {
-		t.Errorf("q1 = %g, want 4", q)
-	}
-}
-
-func TestSeriesValuesIsCopy(t *testing.T) {
-	var s Series
-	s.Append(1)
-	v := s.Values()
-	v[0] = 99
-	if s.At(0) != 1 {
-		t.Error("Values aliases internal storage")
-	}
-}
-
-func TestTailAmplitude(t *testing.T) {
-	var s Series
-	for _, v := range []float64{100, 200, 100, 100, 100} {
-		s.Append(v)
-	}
-	if got := s.TailAmplitude(3); got != 0 {
-		t.Errorf("flat tail amplitude = %g, want 0", got)
-	}
-	if got := s.TailAmplitude(4); math.Abs(got-100.0/125) > 1e-12 {
-		t.Errorf("tail-4 amplitude = %g, want 0.8", got)
-	}
-	if !math.IsInf(s.TailAmplitude(10), 1) {
-		t.Error("short series amplitude not +Inf")
-	}
-	if !math.IsInf(s.TailAmplitude(0), 1) {
-		t.Error("zero window amplitude not +Inf")
-	}
-}
-
-func TestTailAmplitudeZeroMean(t *testing.T) {
-	var s Series
-	s.Append(-1)
-	s.Append(1)
-	if !math.IsInf(s.TailAmplitude(2), 1) {
-		t.Error("zero-mean amplitude not +Inf")
-	}
-}
-
-// TestSeriesSingleObservation: every statistic of a one-element series
-// collapses to that element.
-func TestSeriesSingleObservation(t *testing.T) {
-	var s Series
-	s.Append(7)
-	if s.Min() != 7 || s.Max() != 7 || s.Mean() != 7 || s.Last() != 7 {
-		t.Errorf("Min/Max/Mean/Last = %g/%g/%g/%g, want all 7",
-			s.Min(), s.Max(), s.Mean(), s.Last())
-	}
-	for _, q := range []float64{0, 0.5, 1} {
-		if got := s.Quantile(q); got != 7 {
-			t.Errorf("Quantile(%g) = %g, want 7", q, got)
-		}
-	}
-	if !math.IsInf(s.TailAmplitude(2), 1) {
-		t.Error("window larger than series should give +Inf amplitude")
-	}
-}
-
-// TestSeriesEmptyQuantile: quantiles of an empty series are 0, matching
-// the other empty-series statistics, for any q including out-of-range.
-func TestSeriesEmptyQuantile(t *testing.T) {
-	var s Series
-	for _, q := range []float64{-1, 0, 0.5, 1, 2} {
-		if got := s.Quantile(q); got != 0 {
-			t.Errorf("empty Quantile(%g) = %g, want 0", q, got)
-		}
-	}
-}
-
-// TestSeriesNaNAndInf: non-finite observations propagate rather than
-// panic. NaN poisons min/max/mean (IEEE semantics through math.Min/Max);
-// +Inf dominates Max and drives Mean and TailAmplitude to +Inf.
-func TestSeriesNaNAndInf(t *testing.T) {
-	var nan Series
-	nan.Append(1)
-	nan.Append(math.NaN())
-	if !math.IsNaN(nan.Mean()) {
-		t.Errorf("Mean with NaN = %g, want NaN", nan.Mean())
-	}
-	if !math.IsNaN(nan.Min()) || !math.IsNaN(nan.Max()) {
-		t.Errorf("Min/Max with NaN = %g/%g, want NaN (math.Min/Max propagate)",
-			nan.Min(), nan.Max())
-	}
-
-	var inf Series
-	inf.Append(1)
-	inf.Append(math.Inf(1))
-	if !math.IsInf(inf.Max(), 1) || !math.IsInf(inf.Mean(), 1) {
-		t.Errorf("Max/Mean with +Inf = %g/%g, want +Inf", inf.Max(), inf.Mean())
-	}
-	if inf.Min() != 1 {
-		t.Errorf("Min with +Inf = %g, want 1", inf.Min())
-	}
-	// (hi-lo)/|mean| = Inf/Inf = NaN: a non-finite utility can never
-	// satisfy `amplitude <= threshold`, so convergence correctly never
-	// fires on such a series.
-	if got := inf.TailAmplitude(2); !math.IsNaN(got) {
-		t.Errorf("TailAmplitude with +Inf = %g, want NaN", got)
 	}
 }
 

@@ -72,8 +72,7 @@ func TestWarmResolveSpeedup10k(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.Config{Workers: 1}
-	eng, err := core.NewEngine(r.Problem(), cfg)
+	eng, err := core.NewEngine(r.Problem(), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +129,7 @@ func TestWarmResolveSpeedup10k(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ec, err := core.NewEngine(rc.Problem(), cfg)
+	ec, err := core.NewEngine(rc.Problem(), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +208,7 @@ func BenchmarkWarmResolve(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, err := core.NewEngine(r.Problem(), core.Config{Workers: 1})
+	eng, err := core.NewEngine(r.Problem(), core.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -248,7 +247,7 @@ func BenchmarkColdResolve(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		eng, err := core.NewEngine(r.Problem(), core.Config{Workers: 1})
+		eng, err := core.NewEngine(r.Problem(), core.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}

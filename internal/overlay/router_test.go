@@ -382,7 +382,7 @@ func TestRepairNodeRejectsAnchors(t *testing.T) {
 // utility as the cold TwoStageSolve, without rebuilding problem or engine.
 func TestTwoStageReSolveMatchesCold(t *testing.T) {
 	iters := 4000
-	cfg := core.Config{Workers: 1}
+	cfg := core.Config{}
 
 	topo, capacity, flows := pruneScenario()
 	cold, err := TwoStageSolve(topo, capacity, flows, cfg, iters)
@@ -424,50 +424,6 @@ func TestTwoStageReSolveMatchesCold(t *testing.T) {
 	// The hot flow's tree shrank to the near class only.
 	if got := len(r.Tree(0).Nodes); got != 2 {
 		t.Fatalf("hot tree spans %d nodes after prune, want 2", got)
-	}
-}
-
-// TestResetRoutingWorkersBitIdentical: after a repair + ResetRouting, the
-// serial and sharded engines stay bit-identical — this fails if
-// ResetRouting forgets to rebuild the stage plan for the new routing.
-func TestResetRoutingWorkersBitIdentical(t *testing.T) {
-	run := func(workers int) model.Allocation {
-		rng := rand.New(rand.NewSource(23))
-		tp, caps, flows := randomRouterWorkload(rng, 80, 10, 3)
-		r, err := NewRouter(tp, caps, flows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, err := core.NewEngine(r.Problem(), core.Config{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer eng.Close()
-		eng.Solve(200)
-
-		// Kill the first link some flow uses.
-		for li := 0; li < tp.LinkCount(); li++ {
-			if len(r.FlowsThroughLink(li)) == 0 {
-				continue
-			}
-			if _, err := r.RepairLink(li); err == nil {
-				break
-			}
-		}
-		if err := eng.ResetRouting(r.Problem(), r.TakeDelta()); err != nil {
-			t.Fatal(err)
-		}
-		eng.Solve(200)
-		return eng.Allocation()
-	}
-
-	serial := run(1)
-	sharded := run(4)
-	if !equalFloats(serial.Rates, sharded.Rates) {
-		t.Fatalf("rates diverge between worker counts:\nserial  %v\nsharded %v", serial.Rates, sharded.Rates)
-	}
-	if !equalIDs(serial.Consumers, sharded.Consumers) {
-		t.Fatalf("consumers diverge between worker counts:\nserial  %v\nsharded %v", serial.Consumers, sharded.Consumers)
 	}
 }
 

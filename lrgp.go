@@ -75,7 +75,8 @@ type (
 type (
 	// Engine runs synchronous LRGP iterations.
 	Engine = core.Engine
-	// Config tunes the engine (stepsizes, adaptive gamma, prices).
+	// Config tunes the engine (stepsizes, adaptive gamma, telemetry); the
+	// Step shard budget is not in it — it is GOMAXPROCS at NewEngine.
 	Config = core.Config
 	// Result summarizes a Solve run.
 	Result = core.Result
