@@ -81,10 +81,13 @@ bench-dist:
 # failure event (repair + ResetRouting + re-solve) and the cold-rebuild
 # baseline it is judged against, all on the 10k-node pod topology; and
 # ResetRoutingSparse, the routing half of a fail + heal pair on the
-# link_failure shape (BENCH_overlay.json keeps alternating runs of its
-# sweep-everything parent as *FullSweepBaseline and of the parent that
-# re-planned by scanning every price as *CrossedSweepBaseline, spliced back
-# by hand).
+# link_failure shape, which reports the time inside RepairLink, RestoreLink
+# and the two ResetRouting calls as repair-µs/op, restore-µs/op and
+# reset-µs/op (BENCH_overlay.json keeps alternating runs of its
+# sweep-everything parent as *FullSweepBaseline, of the parent that
+# re-planned by scanning every price as *CrossedSweepBaseline, and of the
+# parent whose heals swept the whole graph and whose BFS ran to exhaustion
+# as *UnboundedHealBaseline, all four families; spliced back by hand).
 # -cpu=1,4: the shard budget is GOMAXPROCS, so one shard and a real pool.
 bench-overlay:
 	$(GO) test -run='^$$' -bench='TreeRepair|WarmResolve|ColdResolve|ResetRoutingSparse' -benchmem -cpu=1,4 ./internal/overlay/ \

@@ -45,7 +45,7 @@ func checkFlowSpecs(flows []FlowSpec) error {
 		return fmt.Errorf("%w: no flows", ErrBadBuild)
 	}
 	for fi, fs := range flows {
-		if fs.NodeCost <= 0 || fs.LinkCost <= 0 {
+		if !(fs.NodeCost > 0) || !(fs.LinkCost > 0) {
 			return fmt.Errorf("%w: flow %d costs L=%g F=%g", ErrBadBuild, fi, fs.LinkCost, fs.NodeCost)
 		}
 	}
@@ -53,9 +53,11 @@ func checkFlowSpecs(flows []FlowSpec) error {
 }
 
 // routeTrees routes every flow over t (one multi-target BFS per flow,
-// shared scratch) and returns the dissemination trees.
-func routeTrees(t *Topology, sc *Scratch, flows []FlowSpec) ([]Tree, error) {
+// shared scratch) and returns the dissemination trees and each class's
+// hop depth in its flow's tree, classes flow-major.
+func routeTrees(t *Topology, sc *Scratch, flows []FlowSpec) ([]Tree, []int32, error) {
 	trees := make([]Tree, len(flows))
+	var depth []int32
 	var subs []model.NodeID
 	for fi, fs := range flows {
 		subs = subs[:0]
@@ -64,11 +66,14 @@ func routeTrees(t *Topology, sc *Scratch, flows []FlowSpec) ([]Tree, error) {
 		}
 		tree, _, err := t.BuildTreeInto(sc, fs.Source, subs, Tree{Source: -1})
 		if err != nil {
-			return nil, fmt.Errorf("flow %d (%s): %w", fi, fs.Name, err)
+			return nil, nil, fmt.Errorf("flow %d (%s): %w", fi, fs.Name, err)
 		}
 		trees[fi] = tree
+		for _, b := range subs {
+			depth = append(depth, sc.hops(t, b))
+		}
 	}
-	return trees, nil
+	return trees, depth, nil
 }
 
 // Build routes every flow over the topology and assembles the
@@ -79,13 +84,13 @@ func routeTrees(t *Topology, sc *Scratch, flows []FlowSpec) ([]Tree, error) {
 // link IDs renumbered; for a problem whose shape survives re-routing use
 // NewRouter instead, which keeps every link.
 func Build(t *Topology, nodeCapacity float64, flows []FlowSpec) (*model.Problem, error) {
-	if nodeCapacity <= 0 {
+	if !(nodeCapacity > 0) {
 		return nil, fmt.Errorf("%w: node capacity %g", ErrBadBuild, nodeCapacity)
 	}
 	if err := checkFlowSpecs(flows); err != nil {
 		return nil, err
 	}
-	trees, err := routeTrees(t, NewScratch(t), flows)
+	trees, _, err := routeTrees(t, NewScratch(t), flows)
 	if err != nil {
 		return nil, err
 	}

@@ -20,7 +20,6 @@ package overlay
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 
 	"repro/internal/model"
@@ -88,7 +87,7 @@ func (t *Topology) AddLink(from, to model.NodeID, capacity float64) (int, error)
 	if from == to {
 		return 0, fmt.Errorf("%w: self-loop at %d", ErrBadLink, from)
 	}
-	if capacity <= 0 {
+	if !(capacity > 0) {
 		return 0, fmt.Errorf("%w: capacity %g", ErrBadLink, capacity)
 	}
 	id := len(t.links)
@@ -238,16 +237,20 @@ func Star(n int, capacity float64) *Topology {
 // Scratch holds the reusable state of breadth-first routing: the BFS
 // parent tree, epoch-marked visit/membership sets and the queue. One
 // Scratch serves any number of BuildTreeInto calls over one topology, and
-// it caches the most recent BFS so consecutive flows sharing a source (or
-// repeated traces after one failure) pay for a single traversal. A Scratch
-// belongs to one goroutine.
+// it caches the most recent BFS as a resumable prefix — expanded only as far
+// as the subscribers traced so far needed — so consecutive flows sharing a
+// source (or repeated traces after one failure) pay for a single traversal.
+// A Scratch belongs to one goroutine.
 type Scratch struct {
 	// prev[b] is the link that first reached b in the cached BFS, valid
 	// when seen[b] == epoch; the BFS tree is a function of (source, alive
 	// topology) only, so every flow from the same source shares it.
+	// queue[head:] holds the reached nodes not yet expanded: the cached
+	// BFS resumes there.
 	prev  []int32
 	seen  []int32
 	queue []int32
+	head  int
 	epoch int32
 
 	// Tree-merge marks and accumulation buffers for one trace.
@@ -262,14 +265,6 @@ type Scratch struct {
 	bfsSrc   int32
 	bfsTopo  int64
 	bfsValid bool
-
-	// Hop distances of the last sweeps (toward and from the swept node)
-	// and the parent-link table of the tree restoreCandidates is measuring.
-	// Allocated by the first sweep; they share nothing with the cached BFS
-	// but the queue, which bfs leaves dead once prev is filled.
-	distTo   []int32
-	distFrom []int32
-	treeUp   []int32
 }
 
 // NewScratch returns a scratch sized for t.
@@ -294,11 +289,12 @@ func (sc *Scratch) ensure(t *Topology) {
 	}
 }
 
-// bfs computes (or reuses) the breadth-first parent tree from src over the
-// alive topology. Traversal order is deterministic: FIFO queue, adjacency
-// lists in insertion order, dead elements skipped in place — so the tree
-// is a pure function of (src, alive sets) and repairs that re-run it
-// reproduce from-scratch routing exactly.
+// bfs starts the breadth-first parent tree from src over the alive
+// topology, or keeps the cached one when it has the same source and
+// topology epoch; reach expands it. Traversal order is deterministic: FIFO
+// queue, adjacency lists in insertion order, dead elements skipped in
+// place — so the tree is a pure function of (src, alive sets) and repairs
+// that re-run it reproduce from-scratch routing exactly.
 func (sc *Scratch) bfs(t *Topology, src model.NodeID) {
 	sc.ensure(t)
 	if sc.bfsValid && sc.bfsSrc == int32(src) && sc.bfsTopo == t.epoch {
@@ -309,14 +305,23 @@ func (sc *Scratch) bfs(t *Topology, src model.NodeID) {
 		sc.epoch = 1
 		clear(sc.seen)
 	}
-	e := sc.epoch
-	sc.queue = sc.queue[:0]
-	sc.queue = append(sc.queue, int32(src))
-	sc.seen[src] = e
+	sc.queue = append(sc.queue[:0], int32(src))
+	sc.head = 0
+	sc.seen[src] = sc.epoch
 	sc.prev[src] = -1
-	for head := 0; head < len(sc.queue); head++ {
-		b := sc.queue[head]
-		for _, li := range t.out[b] {
+	sc.bfsSrc, sc.bfsTopo, sc.bfsValid = int32(src), t.epoch, true
+}
+
+// reach expands the BFS bfs started until b has a parent or the queue
+// drains, and reports whether b was reached. A FIFO BFS never rewrites a
+// prev, so every node reached so far has the parent a traversal run to
+// exhaustion would give it: stopping early changes no tree.
+func (sc *Scratch) reach(t *Topology, b model.NodeID) bool {
+	e := sc.epoch
+	for sc.seen[b] != e && sc.head < len(sc.queue) {
+		at := sc.queue[sc.head]
+		sc.head++
+		for _, li := range t.out[at] {
 			to := t.links[li].To
 			if sc.seen[to] == e || !t.linkUsable(li) {
 				continue
@@ -326,54 +331,17 @@ func (sc *Scratch) bfs(t *Topology, src model.NodeID) {
 			sc.queue = append(sc.queue, int32(to))
 		}
 	}
-	sc.bfsSrc, sc.bfsTopo, sc.bfsValid = int32(src), t.epoch, true
+	return sc.seen[b] == e
 }
 
-// reached reports whether the cached BFS reached b.
-func (sc *Scratch) reached(b model.NodeID) bool { return sc.seen[b] == sc.epoch }
-
-// unreachable is the sweep distance of a node no alive path connects; sums
-// of three stay inside int32.
-const unreachable = math.MaxInt32 / 4
-
-// sweep returns every node's hop distance over the alive topology: from
-// root along the links, or with reverse set toward root against them. A
-// dead root reaches nothing. The result lives in sc until the next sweep
-// of the same direction.
-func (sc *Scratch) sweep(t *Topology, root model.NodeID, reverse bool) []int32 {
-	if len(sc.distTo) < t.nodeCount {
-		sc.distTo = make([]int32, t.nodeCount)
-		sc.distFrom = make([]int32, t.nodeCount)
-		sc.treeUp = make([]int32, t.nodeCount)
+// hops returns the length of the cached BFS's path to b, which must have
+// been reached.
+func (sc *Scratch) hops(t *Topology, b model.NodeID) int32 {
+	n := int32(0)
+	for li := sc.prev[b]; li >= 0; li = sc.prev[t.links[li].From] {
+		n++
 	}
-	dist, adj := sc.distFrom, t.out
-	if reverse {
-		dist, adj = sc.distTo, t.in
-	}
-	for b := range dist {
-		dist[b] = unreachable
-	}
-	if !t.NodeAlive(root) {
-		return dist
-	}
-	dist[root] = 0
-	q := append(sc.queue[:0], int32(root))
-	for head := 0; head < len(q); head++ {
-		b := q[head]
-		for _, li := range adj[b] {
-			next := t.links[li].To
-			if reverse {
-				next = t.links[li].From
-			}
-			if dist[next] != unreachable || !t.NodeAlive(next) || (t.deadLink != nil && t.deadLink[li]) {
-				continue
-			}
-			dist[next] = dist[b] + 1
-			q = append(q, int32(next))
-		}
-	}
-	sc.queue = q[:0]
-	return dist
+	return n
 }
 
 // ShortestPath returns the link indices of a minimum-hop path from src to
@@ -394,7 +362,7 @@ func (t *Topology) ShortestPath(src, dst model.NodeID) ([]int, error) {
 	}
 	sc := NewScratch(t)
 	sc.bfs(t, src)
-	if !sc.reached(dst) {
+	if !sc.reach(t, dst) {
 		return nil, fmt.Errorf("%w: %d -> %d", ErrNoPath, src, dst)
 	}
 	var rev []int
@@ -437,13 +405,13 @@ func (t *Topology) BuildTree(src model.NodeID, subscribers []model.NodeID) (Tree
 }
 
 // BuildTreeInto computes the dissemination tree for a flow using sc's
-// reusable state: one multi-target BFS from src (cached across calls that
-// share a source and topology state), then one backward trace per
-// subscriber that stops at the first already-merged node. When the result
-// is identical to old, old is returned unchanged (changed == false) and
-// its slices stay shared — the no-spurious-reroute guarantee repairs rely
-// on. Otherwise a freshly allocated tree is returned; only changed trees
-// cost heap.
+// reusable state: one multi-target BFS from src, expanded only until each
+// subscriber is reached (and resumed by later calls that share a source
+// and topology state), then one backward trace per subscriber that stops
+// at the first already-merged node. When the result is identical to old,
+// old is returned unchanged (changed == false) and its slices stay shared
+// — the no-spurious-reroute guarantee repairs rely on. Otherwise a freshly
+// allocated tree is returned; only changed trees cost heap.
 func (t *Topology) BuildTreeInto(sc *Scratch, src model.NodeID, subscribers []model.NodeID, old Tree) (tree Tree, changed bool, err error) {
 	if src < 0 || int(src) >= t.nodeCount {
 		return Tree{}, false, fmt.Errorf("%w: source %d of %d nodes", ErrNoPath, src, t.nodeCount)
@@ -466,7 +434,7 @@ func (t *Topology) BuildTreeInto(sc *Scratch, src model.NodeID, subscribers []mo
 	sc.treeNodes = append(sc.treeNodes, int32(src))
 
 	for _, dst := range subscribers {
-		if dst < 0 || int(dst) >= t.nodeCount || !sc.reached(dst) {
+		if dst < 0 || int(dst) >= t.nodeCount || !sc.reach(t, dst) {
 			return Tree{}, false, fmt.Errorf("subscriber %d: %w: %d -> %d", dst, ErrNoPath, src, dst)
 		}
 		// Walk the BFS tree rootward, stopping at the first node already

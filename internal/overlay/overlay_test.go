@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -23,6 +24,62 @@ func TestAddLinkValidation(t *testing.T) {
 	id, err := tp.AddLink(0, 1, 10)
 	if err != nil || id != 0 {
 		t.Errorf("first link: id=%d err=%v", id, err)
+	}
+}
+
+// TestNaNRefusedBeforeRouting: a link capacity, node capacity or per-flow
+// cost that is NaN, -Inf, zero or negative is refused with ErrBadLink or
+// ErrBadBuild before anything is added or routed (NaN passes a `<= 0`
+// test, and used to be routed and then refused by model.Validate with an
+// error outside ErrBadBuild). Node 3 is dead, so routing first would
+// surface as ErrNoPath instead.
+func TestNaNRefusedBeforeRouting(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(-1), 0, -1} {
+		tp := Line(4, 100)
+		if err := tp.RemoveNode(3); err != nil {
+			t.Fatal(err)
+		}
+		epoch, links := tp.epoch, tp.LinkCount()
+		withFlow := func(edit func(*FlowSpec)) []FlowSpec {
+			flows := buildSpec()
+			edit(&flows[1])
+			return flows
+		}
+		routerCaps := func(b int) []float64 {
+			caps := uniformCaps(4, 100)
+			caps[b] = v
+			return caps
+		}
+		cases := []struct {
+			name string
+			want error
+			call func() error
+		}{
+			{"AddLink capacity", ErrBadLink, func() error { _, err := tp.AddLink(0, 2, v); return err }},
+			{"AddBidirectional capacity", ErrBadLink, func() error { _, _, err := tp.AddBidirectional(0, 2, v); return err }},
+			{"NewRouter node capacity", ErrBadBuild, func() error { _, err := NewRouter(tp, routerCaps(1), buildSpec()); return err }},
+			{"NewRouter link cost", ErrBadBuild, func() error {
+				_, err := NewRouter(tp, uniformCaps(4, 100), withFlow(func(fs *FlowSpec) { fs.LinkCost = v }))
+				return err
+			}},
+			{"NewRouter node cost", ErrBadBuild, func() error {
+				_, err := NewRouter(tp, uniformCaps(4, 100), withFlow(func(fs *FlowSpec) { fs.NodeCost = v }))
+				return err
+			}},
+			{"Build node capacity", ErrBadBuild, func() error { _, err := Build(tp, v, buildSpec()); return err }},
+			{"Build link cost", ErrBadBuild, func() error {
+				_, err := Build(tp, 100, withFlow(func(fs *FlowSpec) { fs.LinkCost = v }))
+				return err
+			}},
+		}
+		for _, c := range cases {
+			if err := c.call(); !errors.Is(err, c.want) {
+				t.Errorf("%s %g: err = %v, want %v", c.name, v, err, c.want)
+			}
+			if tp.epoch != epoch || tp.LinkCount() != links {
+				t.Fatalf("%s %g: refused call changed the topology (epoch %d -> %d, links %d -> %d)", c.name, v, epoch, tp.epoch, links, tp.LinkCount())
+			}
+		}
 	}
 }
 

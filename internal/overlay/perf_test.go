@@ -289,7 +289,8 @@ func linkFailureShape(rng *rand.Rand) (*Topology, []float64, []FlowSpec) {
 // pair on that shape: fail a loaded link, republish, heal it, republish —
 // no Step in between, so the engine stays where the warm-up left it. The
 // whole pair is timed and its allocations counted; reset-µs/op is the part
-// spent inside the two ResetRouting calls.
+// spent inside the two ResetRouting calls, repair-µs/op inside RepairLink
+// and restore-µs/op inside RestoreLink.
 func BenchmarkResetRoutingSparse(b *testing.B) {
 	tp, caps, flows := linkFailureShape(rand.New(rand.NewSource(1)))
 	r, err := NewRouter(tp, caps, flows)
@@ -305,7 +306,7 @@ func BenchmarkResetRoutingSparse(b *testing.B) {
 		eng.Step()
 	}
 	li := r.Tree(0).Links[0]
-	var inReset time.Duration
+	var inReset, inRepair, inRestore time.Duration
 	republish := func() {
 		d := r.TakeDelta()
 		t0 := time.Now()
@@ -317,14 +318,21 @@ func BenchmarkResetRoutingSparse(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
 		if _, err := r.RepairLink(li); err != nil {
 			b.Fatal(err)
 		}
+		inRepair += time.Since(t0)
 		republish()
+		t0 = time.Now()
 		if _, err := r.RestoreLink(li); err != nil {
 			b.Fatal(err)
 		}
+		inRestore += time.Since(t0)
 		republish()
 	}
-	b.ReportMetric(float64(inReset.Microseconds())/float64(b.N), "reset-µs/op")
+	perOp := func(d time.Duration) float64 { return float64(d.Microseconds()) / float64(b.N) }
+	b.ReportMetric(perOp(inReset), "reset-µs/op")
+	b.ReportMetric(perOp(inRepair), "repair-µs/op")
+	b.ReportMetric(perOp(inRestore), "restore-µs/op")
 }

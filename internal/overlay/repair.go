@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/model"
@@ -149,39 +150,181 @@ func (r *Router) RestoreNode(b model.NodeID) (RepairStats, error) {
 // least as short as the old one. The test is a superset on purpose: on a
 // tie it cannot tell which path the BFS prefers, so the flow is re-traced
 // and BuildTreeInto's compare-and-keep decides.
+//
+// The distances a(x) = d(x, in) and b(x) = d(out, x) come from two sweeps
+// over the healed topology, grown one level at a time, the side with the
+// smaller frontier first, and stopped as soon as no pair (flow f,
+// unpruned subscriber t) left unsettled can qualify. The toward side has
+// settled every pair whose source it found; for the rest it must reach
+// radius depth_f(t) − hop − lb_b(t), where lb_b(t) is the from side's lower
+// bound on b(t): b(t) once found, its radius + 1 while it can grow,
+// unreachable once it has drained. The from side mirrors that over the
+// subscribers it has not found. A qualifying pair has a(source) ≤ depth −
+// hop − b(t) ≤ the radius the toward side ran to, and the mirror for b(t),
+// so both its distances are found and the candidates are exactly those of
+// sweeps run over the whole topology. Bounds only rise as the sides grow,
+// so a side that may stop stays stopped. The radii are taken per pair: one
+// global bound would combine the deepest depth of any flow with the
+// smallest b of any subscriber — 0 whenever out is one — and sweep nearly
+// everything.
 func (r *Router) restoreCandidates(st *RepairStats, in, out model.NodeID, hop int32) []int32 {
-	toIn := r.sc.sweep(r.topo, in, true)
-	fromOut := r.sc.sweep(r.topo, out, false)
 	st.BFSRuns += 2
-	up := r.sc.treeUp
+	a, b := &r.toIn, &r.fromOut
+	a.start(r.topo, in, true)
+	b.start(r.topo, out, false)
+	foundA, foundB, open := r.stopTerms(hop)
+	for {
+		growA := !a.drained() && a.k < max(foundA, open-b.beyond())
+		growB := !b.drained() && b.k < max(foundB, open-a.beyond())
+		if !growA && !growB {
+			break
+		}
+		s := b
+		if growA && (!growB || a.frontier() <= b.frontier()) {
+			s = a
+		}
+		s.grow(r.topo)
+		// The terms move only when the toward side finds a source or the
+		// from side a subscriber.
+		role := anchorSubscriber
+		if s == a {
+			role = anchorSource
+		}
+		if slices.ContainsFunc(s.queue[s.lo:], func(x int32) bool { return r.anchor[x]&role != 0 }) {
+			foundA, foundB, open = r.stopTerms(hop)
+		}
+	}
 	var cands []int32
 	for fi := range r.flows {
 		fs := &r.flows[fi]
-		reach := toIn[fs.Source] + hop
-		if reach >= unreachable {
+		if !a.found(fs.Source) {
 			continue
 		}
-		// up[b] is the tree link entering b; a tree holds one per node but
-		// the source, so walks from tree nodes read only fresh entries.
-		for _, li := range r.trees[fi].Links {
-			up[r.topo.links[li].To] = int32(li)
-		}
+		reach := a.dist[fs.Source] + hop
 		off := r.classOff[fi]
 		for k, cs := range fs.Classes {
-			if r.pruned[off+k] {
-				continue
-			}
-			depth := int32(0)
-			for at := cs.Node; at != fs.Source; at = r.topo.links[up[at]].From {
-				depth++
-			}
-			if reach+fromOut[cs.Node] <= depth {
+			if !r.pruned[off+k] && b.found(cs.Node) && reach+b.dist[cs.Node] <= r.depth[off+k] {
 				cands = append(cands, int32(fi))
 				break
 			}
 		}
 	}
 	return cands
+}
+
+// stopTerms condenses the pairs a restore's search has not settled into
+// the three terms its stop radii are built from, with slack =
+// depth_f(t) − hop: foundA is the largest slack − b(t) over pairs whose t
+// the from side found but whose source the toward side has not, foundB the
+// largest slack − a(source) over pairs whose source was found but t not,
+// and open the largest slack over pairs neither side has found. The toward
+// side must then reach radius max(foundA, open − b.beyond()) and the from
+// side max(foundB, open − a.beyond()). Each term is -1 when it covers no
+// pair.
+func (r *Router) stopTerms(hop int32) (foundA, foundB, open int32) {
+	a, b := &r.toIn, &r.fromOut
+	foundA, foundB, open = -1, -1, -1
+	for fi := range r.flows {
+		fs := &r.flows[fi]
+		srcFound := a.found(fs.Source)
+		off := r.classOff[fi]
+		for k, cs := range fs.Classes {
+			if r.pruned[off+k] {
+				continue
+			}
+			slack := r.depth[off+k] - hop
+			switch tFound := b.found(cs.Node); {
+			case srcFound && !tFound:
+				foundB = max(foundB, slack-a.dist[fs.Source])
+			case !srcFound && tFound:
+				foundA = max(foundA, slack-b.dist[cs.Node])
+			case !srcFound:
+				open = max(open, slack)
+			}
+		}
+	}
+	return foundA, foundB, open
+}
+
+// unreachable bounds the distance of a node a drained sweep did not find;
+// depth minus it stays inside int32.
+const unreachable = math.MaxInt32 / 4
+
+// levelSweep is one side of a restore's search: a breadth-first sweep of
+// hop distances over the alive topology from root, along the links or
+// (reverse) against them, grown one whole level at a time so its radius —
+// every node within k hops found — is known between steps. A dead root
+// reaches nothing. Distances are stamped with the sweep's epoch, so a
+// start costs nothing per node, and the queue is its own: the cached
+// canonical BFS keeps its half-expanded queue across a restore.
+type levelSweep struct {
+	reverse bool
+	dist    []int32 // valid where seen == epoch
+	seen    []int32
+	queue   []int32
+	epoch   int32
+	lo      int   // queue[lo:] is the frontier, the nodes k hops away
+	k       int32 // the radius
+}
+
+// start begins a sweep from root.
+func (s *levelSweep) start(t *Topology, root model.NodeID, reverse bool) {
+	if len(s.seen) < t.nodeCount {
+		s.dist = make([]int32, t.nodeCount)
+		s.seen = make([]int32, t.nodeCount)
+		s.queue = make([]int32, 0, t.nodeCount)
+	}
+	s.epoch++
+	if s.epoch <= 0 { // wrapped: reset marks
+		s.epoch = 1
+		clear(s.seen)
+	}
+	s.reverse, s.queue, s.lo, s.k = reverse, s.queue[:0], 0, 0
+	if t.NodeAlive(root) {
+		s.seen[root], s.dist[root] = s.epoch, 0
+		s.queue = append(s.queue, int32(root))
+	}
+}
+
+// grow finds the next level: the alive nodes one usable link beyond the
+// frontier.
+func (s *levelSweep) grow(t *Topology) {
+	adj := t.out
+	if s.reverse {
+		adj = t.in
+	}
+	hi := len(s.queue)
+	s.k++
+	for _, b := range s.queue[s.lo:hi] {
+		for _, li := range adj[b] {
+			next := t.links[li].To
+			if s.reverse {
+				next = t.links[li].From
+			}
+			if s.seen[next] == s.epoch || !t.NodeAlive(next) || (t.deadLink != nil && t.deadLink[li]) {
+				continue
+			}
+			s.seen[next], s.dist[next] = s.epoch, s.k
+			s.queue = append(s.queue, int32(next))
+		}
+	}
+	s.lo = hi
+}
+
+func (s *levelSweep) found(b model.NodeID) bool { return s.seen[b] == s.epoch }
+
+// drained reports whether the sweep has found every node it can reach.
+func (s *levelSweep) drained() bool { return s.lo == len(s.queue) }
+
+func (s *levelSweep) frontier() int { return len(s.queue) - s.lo }
+
+// beyond returns a lower bound on the distance of every node the sweep has
+// not found: k+1 while it can still grow, unreachable once it has drained.
+func (s *levelSweep) beyond() int32 {
+	if s.drained() {
+		return unreachable
+	}
+	return s.k + 1
 }
 
 // checkFrozen rejects a repair once links were added to the topology after
@@ -229,6 +372,7 @@ func (r *Router) rerouteAffected(st *RepairStats, affected []int32) error {
 			return fmt.Errorf("flow %d (%s): %w", fi, fs.Name, err)
 		}
 		if changed {
+			r.noteDepths(int(fi))
 			pending = append(pending, pendingTree{flow: model.FlowID(fi), tree: tree})
 		} else {
 			st.Unchanged++
@@ -242,7 +386,7 @@ func (r *Router) rerouteAffected(st *RepairStats, affected []int32) error {
 }
 
 // bfsCached reports whether the scratch already holds the BFS tree for
-// src over the current topology state.
+// src over the current topology state, expanded or still to resume.
 func (r *Router) bfsCached(src model.NodeID) bool {
 	return r.sc.bfsValid && r.sc.bfsSrc == int32(src) && r.sc.bfsTopo == r.topo.epoch
 }

@@ -50,6 +50,20 @@ type Router struct {
 	// pruned[j] marks classes zeroed by PruneDeadSubscribers; their nodes
 	// no longer anchor the flow's tree.
 	pruned []bool
+	// depth[j] is unpruned class j's hop depth in its flow's tree, kept
+	// from the BFS that traced the tree (set by NewRouter and commitTree),
+	// so a restore reads it instead of walking the tree. traced[j] holds
+	// the depth found by the latest trace of j's flow that changed its
+	// tree, until commitTree adopts it.
+	depth  []int32
+	traced []int32
+
+	// The two sides of a restore's distance search (restoreCandidates),
+	// allocated by the first restore, and anchor[b], whose bits mark a
+	// node as some flow's source and as some class's node: the search
+	// recounts its stop terms only when it finds one of those.
+	toIn, fromOut levelSweep
+	anchor        []uint8
 
 	// Accumulated routing delta since the last TakeDelta.
 	flowMark   []bool
@@ -60,6 +74,12 @@ type Router struct {
 	dirtyLinks []model.LinkID
 }
 
+// Router.anchor bits.
+const (
+	anchorSource uint8 = 1 << iota
+	anchorSubscriber
+)
+
 // NewRouter routes every flow over t and returns a Router owning the
 // resulting problem. nodeCaps gives each node's capacity (len must equal
 // t.NodeCount()). The problem retains all topology links; Validate runs on
@@ -69,7 +89,7 @@ func NewRouter(t *Topology, nodeCaps []float64, flows []FlowSpec) (*Router, erro
 		return nil, fmt.Errorf("%w: %d capacities for %d nodes", ErrBadBuild, len(nodeCaps), t.NodeCount())
 	}
 	for b, c := range nodeCaps {
-		if c <= 0 {
+		if !(c > 0) {
 			return nil, fmt.Errorf("%w: node %d capacity %g", ErrBadBuild, b, c)
 		}
 	}
@@ -77,19 +97,24 @@ func NewRouter(t *Topology, nodeCaps []float64, flows []FlowSpec) (*Router, erro
 		return nil, err
 	}
 	sc := NewScratch(t)
-	trees, err := routeTrees(t, sc, flows)
+	trees, depth, err := routeTrees(t, sc, flows)
 	if err != nil {
 		return nil, err
 	}
 
 	specs := make([]FlowSpec, len(flows))
 	classOff := make([]int, len(flows))
+	anchor := make([]uint8, t.NodeCount())
 	nClasses := 0
 	for fi, fs := range flows {
 		specs[fi] = fs
 		specs[fi].Classes = slices.Clone(fs.Classes)
 		classOff[fi] = nClasses
 		nClasses += len(fs.Classes)
+		anchor[fs.Source] |= anchorSource
+		for _, cs := range fs.Classes {
+			anchor[cs.Node] |= anchorSubscriber
+		}
 	}
 
 	p := assembleProblem(t, nodeCaps, flows, trees)
@@ -107,6 +132,9 @@ func NewRouter(t *Topology, nodeCaps []float64, flows []FlowSpec) (*Router, erro
 		flowsByNode: make([][]int32, t.NodeCount()),
 		classOff:    classOff,
 		pruned:      make([]bool, nClasses),
+		depth:       depth,
+		traced:      make([]int32, nClasses),
+		anchor:      anchor,
 		flowMark:    make([]bool, len(flows)),
 		nodeMark:    make([]bool, t.NodeCount()),
 		linkMark:    make([]bool, t.LinkCount()),
@@ -169,6 +197,17 @@ func (r *Router) subscribers(fi int, buf []model.NodeID) []model.NodeID {
 	return buf
 }
 
+// noteDepths records in traced the depth of each unpruned class of flow fi
+// in the tree just traced for it, read off the BFS the scratch still holds.
+func (r *Router) noteDepths(fi int) {
+	off := r.classOff[fi]
+	for k, cs := range r.flows[fi].Classes {
+		if !r.pruned[off+k] {
+			r.traced[off+k] = r.sc.hops(r.topo, cs.Node)
+		}
+	}
+}
+
 // PruneDeadSubscribers implements the re-entrant half of the Section 2.4
 // second stage: every class whose admitted population in consumers is zero
 // has its demand zeroed (MaxConsumers = 0 — the class stays in the
@@ -211,6 +250,7 @@ func (r *Router) PruneDeadSubscribers(consumers []int) (int, error) {
 			return prunedNow, fmt.Errorf("overlay: prune re-route flow %d (%s): %w", fi, r.flows[fi].Name, err)
 		}
 		if changed {
+			r.noteDepths(fi)
 			r.commitTree(model.FlowID(fi), tree)
 		} else {
 			// The demand change alone dirties the flow: populations and the
@@ -232,9 +272,10 @@ func (r *Router) indexTree(i model.FlowID, tree Tree) {
 }
 
 // commitTree replaces flow i's tree, updating the problem's cost maps, the
-// reverse indexes and the routing delta. Old and new element lists are
-// ascending, so the symmetric difference is a two-pointer walk; elements
-// in both trees are untouched (their cost entry is already right).
+// reverse indexes, the routing delta and its classes' depths (from traced,
+// which noteDepths filled when the tree was traced). Old and new element
+// lists are ascending, so the symmetric difference is a two-pointer walk;
+// elements in both trees are untouched (their cost entry is already right).
 func (r *Router) commitTree(i model.FlowID, tree Tree) {
 	old := r.trees[i]
 	fs := &r.flows[i]
@@ -280,6 +321,8 @@ func (r *Router) commitTree(i model.FlowID, tree Tree) {
 		}
 	}
 
+	off := r.classOff[i]
+	copy(r.depth[off:off+len(fs.Classes)], r.traced[off:])
 	r.trees[i] = tree
 	r.markFlow(i)
 }

@@ -438,28 +438,138 @@ func (r *Router) retraceAll(st *RepairStats) error {
 	return r.rerouteAffected(st, all)
 }
 
+// fullSweep returns every node's hop distance over the alive topology: from
+// root along the links, or with reverse set toward root against them. A
+// dead root reaches nothing. It is the unbounded sweep restores ran before
+// the two-sided search, kept as the reference the search is checked against.
+func fullSweep(t *Topology, root model.NodeID, reverse bool) []int32 {
+	dist, adj := make([]int32, t.nodeCount), t.out
+	if reverse {
+		adj = t.in
+	}
+	for b := range dist {
+		dist[b] = unreachable
+	}
+	if !t.NodeAlive(root) {
+		return dist
+	}
+	dist[root] = 0
+	q := []int32{int32(root)}
+	for head := 0; head < len(q); head++ {
+		b := q[head]
+		for _, li := range adj[b] {
+			next := t.links[li].To
+			if reverse {
+				next = t.links[li].From
+			}
+			if dist[next] != unreachable || !t.NodeAlive(next) || (t.deadLink != nil && t.deadLink[li]) {
+				continue
+			}
+			dist[next] = dist[b] + 1
+			q = append(q, int32(next))
+		}
+	}
+	return dist
+}
+
+// treeDepths returns each unpruned class's hop depth in its flow's current
+// tree, found by walking the tree from the class's node to the source (-1
+// for a pruned class, whose node may be off the tree).
+func treeDepths(r *Router) []int32 {
+	depths := make([]int32, len(r.pruned))
+	up := make(map[model.NodeID]int)
+	for fi, fs := range r.flows {
+		clear(up)
+		for _, li := range r.trees[fi].Links {
+			up[r.topo.links[li].To] = li
+		}
+		off := r.classOff[fi]
+		for k, cs := range fs.Classes {
+			depths[off+k] = -1
+			if r.pruned[off+k] {
+				continue
+			}
+			depths[off+k] = 0
+			for at := cs.Node; at != fs.Source; at = r.topo.links[up[at]].From {
+				depths[off+k]++
+			}
+		}
+	}
+	return depths
+}
+
+// fullSweepCandidates is the restore filter as it ran before the two-sided
+// search: both sweeps over the whole topology, each class's depth walked
+// off its tree, every flow tested. It returns the candidates, ascending,
+// and how many nodes the two sweeps reached.
+func fullSweepCandidates(r *Router, in, out model.NodeID, hop int32) (cands []int32, visited int) {
+	toIn, fromOut := fullSweep(r.topo, in, true), fullSweep(r.topo, out, false)
+	for b := range toIn {
+		if toIn[b] != unreachable {
+			visited++
+		}
+		if fromOut[b] != unreachable {
+			visited++
+		}
+	}
+	depths := treeDepths(r)
+	for fi, fs := range r.flows {
+		reach := toIn[fs.Source] + hop
+		if reach >= unreachable {
+			continue
+		}
+		off := r.classOff[fi]
+		for k, cs := range fs.Classes {
+			if !r.pruned[off+k] && reach+fromOut[cs.Node] <= depths[off+k] {
+				cands = append(cands, int32(fi))
+				break
+			}
+		}
+	}
+	return cands, visited
+}
+
+// healOracle records, for the latest heal on the oracle Router, the
+// candidates that the bounded search (which the filtering Router runs
+// inside RestoreLink/RestoreNode) and the full sweep pick on the same
+// healed state, and how many nodes each visited.
+type healOracle struct {
+	bounded, full               []int32
+	boundedVisited, fullVisited int
+}
+
+// heal records both candidate lists for an element r has just restored,
+// then re-traces every flow.
+func (h *healOracle) heal(r *Router, st *RepairStats, in, out model.NodeID, hop int32) error {
+	h.bounded = r.restoreCandidates(&RepairStats{}, in, out, hop)
+	h.boundedVisited = len(r.toIn.queue) + len(r.fromOut.queue)
+	h.full, h.fullVisited = fullSweepCandidates(r, in, out, hop)
+	return r.retraceAll(st)
+}
+
 // healLink / healNode restore an element on r: through the candidate
-// filter, or with oracle set through the full sweep.
-func healLink(r *Router, li int, oracle bool) (RepairStats, error) {
-	if !oracle {
+// filter, or with h set through the full sweep.
+func healLink(r *Router, li int, h *healOracle) (RepairStats, error) {
+	if h == nil {
 		return r.RestoreLink(li)
 	}
 	st := RepairStats{Kind: "link-restore", Element: li}
 	if err := r.topo.RestoreLink(li); err != nil {
 		return st, err
 	}
-	return st, r.retraceAll(&st)
+	l := r.topo.links[li]
+	return st, h.heal(r, &st, l.From, l.To, 1)
 }
 
-func healNode(r *Router, b model.NodeID, oracle bool) (RepairStats, error) {
-	if !oracle {
+func healNode(r *Router, b model.NodeID, h *healOracle) (RepairStats, error) {
+	if h == nil {
 		return r.RestoreNode(b)
 	}
 	st := RepairStats{Kind: "node-restore", Element: int(b)}
 	if err := r.topo.RestoreNode(b); err != nil {
 		return st, err
 	}
-	return st, r.retraceAll(&st)
+	return st, h.heal(r, &st, b, b, 0)
 }
 
 // restoreWorkload builds one differential-test instance from rng: the
@@ -468,6 +578,8 @@ func healNode(r *Router, b model.NodeID, oracle bool) (RepairStats, error) {
 func restoreWorkload(rng *rand.Rand, shape string, nodes, nFlows int, salt bool) (*Topology, []float64, []FlowSpec) {
 	var tp *Topology
 	switch shape {
+	case "linkfail":
+		return linkFailureShape(rng)
 	case "line":
 		tp = Line(nodes, 1e6)
 	case "ring":
@@ -516,26 +628,34 @@ func restoreWorkload(rng *rand.Rand, shape string, nodes, nFlows int, salt bool)
 // heals in an order unrelated to the failures'; one heals through
 // RestoreLink/RestoreNode, the other through the full sweep. After every
 // event their trees, slice sharing, deltas and reverse indexes must agree
-// exactly.
+// exactly, the filtering Router's stored depths must match its trees, and
+// on every heal the bounded search must pick the candidates the full sweep
+// picks. The small shapes are swept to their full radius anyway; the
+// benchmark's own 10,000-node shape, with failures drawn from the trees so
+// that heals move flows, is where the search stops early.
 func TestRestoreFilterMatchesFullSweep(t *testing.T) {
 	cases := []struct {
 		shape         string
 		nodes, nFlows int
 		salt          bool
+		seeds, events int
+		treeLinks     bool // fail links the trees use
 	}{
-		{"line", 14, 6, false},
-		{"line", 14, 6, true},
-		{"ring", 16, 8, false},
-		{"ring", 16, 8, true},
-		{"star", 12, 6, false},
-		{"star", 12, 6, true},
-		{"random", 40, 12, false},
-		{"random", 40, 12, true},
-		{"random", 150, 30, true},
+		{"line", 14, 6, false, 4, 250, false},
+		{"line", 14, 6, true, 4, 250, false},
+		{"ring", 16, 8, false, 4, 250, false},
+		{"ring", 16, 8, true, 4, 250, false},
+		{"star", 12, 6, false, 4, 250, false},
+		{"star", 12, 6, true, 4, 250, false},
+		{"random", 40, 12, false, 4, 250, false},
+		{"random", 40, 12, true, 4, 250, false},
+		{"random", 150, 30, true, 4, 250, false},
+		{"linkfail", 10_000, 200, false, 1, 120, true},
 	}
 	var heals, healCands, healFlows, healRerouted, deadEndpointHeals int
 	for ci, c := range cases {
-		for seed := int64(1); seed <= 4; seed++ {
+		var boundedVisited, fullVisited int
+		for seed := int64(1); seed <= int64(c.seeds); seed++ {
 			var rs [2]*Router // [0] heals through the filter, [1] is the oracle
 			for k := range rs {
 				tp, caps, flows := restoreWorkload(rand.New(rand.NewSource(100*int64(ci)+seed)), c.shape, c.nodes, c.nFlows, c.salt)
@@ -547,31 +667,37 @@ func TestRestoreFilterMatchesFullSweep(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(seed))
 			tp := rs[0].topo
+			var oracle healOracle
 			var deadLinks []int
 			var deadNodes []model.NodeID
-			for ev := 0; ev < 250; ev++ {
+			for ev := 0; ev < c.events; ev++ {
 				var before [2][]Tree
 				for k, r := range rs {
 					before[k] = slices.Clone(r.trees)
 				}
-				// One event, applied to both Routers.
-				var apply func(r *Router, oracle bool) (RepairStats, error)
+				// One event, applied to both Routers; h is nil for the filter.
+				var apply func(r *Router, h *healOracle) (RepairStats, error)
 				heal := false
 				failed := func() {} // records the element once both Routers took the failure
 				switch op := rng.Intn(10); {
 				case op < 3: // fail a link, sometimes one beside a dead node
 					li := rng.Intn(tp.LinkCount())
+					if c.treeLinks {
+						if links := rs[0].trees[rng.Intn(len(rs[0].trees))].Links; len(links) > 0 {
+							li = links[rng.Intn(len(links))]
+						}
+					}
 					if len(deadNodes) > 0 && rng.Intn(2) == 0 {
 						b := deadNodes[rng.Intn(len(deadNodes))]
 						if adj := append(slices.Clone(tp.out[b]), tp.in[b]...); len(adj) > 0 {
 							li = int(adj[rng.Intn(len(adj))])
 						}
 					}
-					apply = func(r *Router, _ bool) (RepairStats, error) { return r.RepairLink(li) }
+					apply = func(r *Router, _ *healOracle) (RepairStats, error) { return r.RepairLink(li) }
 					failed = func() { deadLinks = append(deadLinks, li) }
 				case op < 5: // fail a node
 					b := model.NodeID(rng.Intn(tp.NodeCount()))
-					apply = func(r *Router, _ bool) (RepairStats, error) { return r.RepairNode(b) }
+					apply = func(r *Router, _ *healOracle) (RepairStats, error) { return r.RepairNode(b) }
 					failed = func() { deadNodes = append(deadNodes, b) }
 				case op < 6: // prune one class
 					consumers := make([]int, len(rs[0].prob.Classes))
@@ -579,7 +705,7 @@ func TestRestoreFilterMatchesFullSweep(t *testing.T) {
 						consumers[j] = 1
 					}
 					consumers[rng.Intn(len(consumers))] = 0
-					apply = func(r *Router, _ bool) (RepairStats, error) {
+					apply = func(r *Router, _ *healOracle) (RepairStats, error) {
 						_, err := r.PruneDeadSubscribers(consumers)
 						return RepairStats{}, err
 					}
@@ -587,7 +713,7 @@ func TestRestoreFilterMatchesFullSweep(t *testing.T) {
 					k := rng.Intn(len(deadLinks))
 					li := deadLinks[k]
 					deadLinks = slices.Delete(deadLinks, k, k+1)
-					apply = func(r *Router, oracle bool) (RepairStats, error) { return healLink(r, li, oracle) }
+					apply = func(r *Router, h *healOracle) (RepairStats, error) { return healLink(r, li, h) }
 					heal = true
 					if l := tp.links[li]; !tp.NodeAlive(l.From) || !tp.NodeAlive(l.To) {
 						deadEndpointHeals++
@@ -596,13 +722,13 @@ func TestRestoreFilterMatchesFullSweep(t *testing.T) {
 					k := rng.Intn(len(deadNodes))
 					b := deadNodes[k]
 					deadNodes = slices.Delete(deadNodes, k, k+1)
-					apply = func(r *Router, oracle bool) (RepairStats, error) { return healNode(r, b, oracle) }
+					apply = func(r *Router, h *healOracle) (RepairStats, error) { return healNode(r, b, h) }
 					heal = true
 				default:
 					continue
 				}
-				st, err := apply(rs[0], false)
-				ost, oerr := apply(rs[1], true)
+				st, err := apply(rs[0], nil)
+				ost, oerr := apply(rs[1], &oracle)
 				if (err == nil) != (oerr == nil) {
 					t.Fatalf("%s seed %d event %d: filter err %v, oracle err %v", c.shape, seed, ev, err, oerr)
 				}
@@ -627,8 +753,19 @@ func TestRestoreFilterMatchesFullSweep(t *testing.T) {
 					healCands += st.Affected
 					healFlows += ost.Affected
 					healRerouted += st.Rerouted
+					boundedVisited += oracle.boundedVisited
+					fullVisited += oracle.fullVisited
+					if !slices.Equal(oracle.bounded, oracle.full) || st.Affected != len(oracle.full) {
+						t.Fatalf("%s seed %d event %d (%s %d): bounded search picked %v (filter affected %d), full sweep %v",
+							c.shape, seed, ev, st.Kind, st.Element, oracle.bounded, st.Affected, oracle.full)
+					}
 					if st.Rerouted != ost.Rerouted || st.Rerouted > st.Affected || st.Affected > c.nFlows || st.BFSRuns > st.Affected+2 {
 						t.Fatalf("%s seed %d event %d: heal stats %+v vs oracle %+v", c.shape, seed, ev, st, ost)
+					}
+				}
+				for j, d := range treeDepths(rs[0]) {
+					if d >= 0 && rs[0].depth[j] != d {
+						t.Fatalf("%s seed %d event %d: class %d stored depth %d, tree depth %d", c.shape, seed, ev, j, rs[0].depth[j], d)
 					}
 				}
 				for fi := range rs[0].trees {
@@ -658,6 +795,12 @@ func TestRestoreFilterMatchesFullSweep(t *testing.T) {
 				}
 			}
 		}
+		if c.treeLinks {
+			t.Logf("%s: the bounded search visited %d nodes, the full sweep %d", c.shape, boundedVisited, fullVisited)
+			if boundedVisited >= fullVisited {
+				t.Fatalf("%s: the bounded search never stopped early", c.shape)
+			}
+		}
 	}
 	t.Logf("%d heals: %d candidates of %d flow re-traces the sweep made, %d rerouted, %d heals beside a dead endpoint",
 		heals, healCands, healFlows, healRerouted, deadEndpointHeals)
@@ -666,73 +809,253 @@ func TestRestoreFilterMatchesFullSweep(t *testing.T) {
 	}
 }
 
-// TestRestoreSweepsLeaveBFSCacheAlone: the distance sweeps share a Scratch
-// with the cached canonical BFS. They must not overwrite it (a trace after
-// the sweeps still reads the right parents without a new BFS) and must not
-// pass for it (a trace from the swept node still runs its own BFS).
-func TestRestoreSweepsLeaveBFSCacheAlone(t *testing.T) {
-	tp := Ring(8, 1e6)
-	sc := NewScratch(tp)
-	subs := []model.NodeID{2, 6}
-	want, _, err := tp.BuildTreeInto(sc, 0, subs, Tree{Source: -1})
-	if err != nil {
-		t.Fatal(err)
+// TestRestoreSearchMatchesFullSweepEverywhere holds the bounded search to
+// the full sweep for every element of small topologies, not just the ones
+// a stream happens to heal: with some links and nodes failed, every link
+// u->v (hop 1) and every node (hop 0) is taken as the healed element, and
+// both must pick the same candidates. A line doubled by parallel twins
+// makes every heal of a twin a tie, where a stop one level early loses the
+// candidate.
+func TestRestoreSearchMatchesFullSweepEverywhere(t *testing.T) {
+	type instance struct {
+		tp    *Topology
+		caps  []float64
+		flows []FlowSpec
 	}
-	if !sc.bfsValid || sc.bfsSrc != 0 || sc.bfsTopo != tp.epoch {
-		t.Fatalf("trace cached no BFS: valid=%v src=%d", sc.bfsValid, sc.bfsSrc)
-	}
-	bfsRuns := sc.epoch
-
-	toward := slices.Clone(sc.sweep(tp, 3, true))
-	from := slices.Clone(sc.sweep(tp, 3, false))
-	for b := 0; b < 8; b++ {
-		ring := int32(min((b-3+8)%8, (3-b+8)%8))
-		if toward[b] != ring || from[b] != ring {
-			t.Fatalf("node %d: distance toward 3 = %d, from 3 = %d, want %d", b, toward[b], from[b], ring)
+	var instances []instance
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		twins := Line(12, 1e6)
+		for _, l := range twins.Links() {
+			_, _ = twins.AddLink(l.From, l.To, 1e6)
+		}
+		flows := make([]FlowSpec, 4)
+		for fi := range flows {
+			flows[fi] = FlowSpec{Name: "f", Source: model.NodeID(rng.Intn(12)), RateMin: 1, RateMax: 100, LinkCost: 1, NodeCost: 2,
+				Classes: []ClassSpec{{Name: "c", Node: model.NodeID(rng.Intn(12)), MaxConsumers: 10, CostPerConsumer: 5, Utility: utility.NewLog(5)}}}
+		}
+		instances = append(instances, instance{twins, uniformCaps(12, 1e6), flows})
+		for _, shape := range []string{"ring", "star", "random"} {
+			tp, caps, flows := restoreWorkload(rng, shape, 30, 8, true)
+			instances = append(instances, instance{tp, caps, flows})
 		}
 	}
-	if !sc.bfsValid || sc.bfsSrc != 0 || sc.bfsTopo != tp.epoch || sc.epoch != bfsRuns {
-		t.Fatalf("sweeps disturbed the cache identity: valid=%v src=%d epoch %d -> %d", sc.bfsValid, sc.bfsSrc, bfsRuns, sc.epoch)
+	compared, cands := 0, 0
+	for i, in := range instances {
+		r, err := NewRouter(in.tp, in.caps, in.flows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(i)))
+		for k := 0; k < 4; k++ { // refusals (anchors, bridges) are fine
+			_, _ = r.RepairLink(rng.Intn(in.tp.LinkCount()))
+			_, _ = r.RepairNode(model.NodeID(rng.Intn(in.tp.NodeCount())))
+		}
+		check := func(u, v model.NodeID, hop int32) {
+			got := r.restoreCandidates(&RepairStats{}, u, v, hop)
+			want, _ := fullSweepCandidates(r, u, v, hop)
+			if !slices.Equal(got, want) {
+				t.Fatalf("instance %d: heal %d->%d (hop %d): bounded search %v, full sweep %v", i, u, v, hop, got, want)
+			}
+			compared++
+			cands += len(want)
+		}
+		for _, l := range in.tp.links {
+			check(l.From, l.To, 1)
+		}
+		for b := 0; b < in.tp.NodeCount(); b++ {
+			check(model.NodeID(b), model.NodeID(b), 0)
+		}
 	}
-	// Served from the cache, and still the same tree.
-	got, changed, err := tp.BuildTreeInto(sc, 0, subs, want)
-	if err != nil || changed || sc.epoch != bfsRuns {
-		t.Fatalf("trace after sweeps: changed=%v err=%v bfs epoch %d -> %d", changed, err, bfsRuns, sc.epoch)
+	if cands == 0 {
+		t.Fatalf("%d heals compared, none with a candidate", compared)
 	}
-	if !sameSlice(got.Links, want.Links) {
-		t.Fatal("unchanged tree lost its slices")
+}
+
+// TestRestoreSweepsLeaveBFSCacheAlone: a restore's search shares a Router
+// with the cached canonical BFS, which is a resumable prefix whose queue is
+// live state. A restore between two traces from the same source must
+// neither overwrite nor advance that prefix: the second trace resumes it
+// without a new BFS and still finds the from-scratch tree.
+func TestRestoreSweepsLeaveBFSCacheAlone(t *testing.T) {
+	tp := Ring(16, 1e6)
+	class := func(b model.NodeID) ClassSpec {
+		return ClassSpec{Name: "c", Node: b, MaxConsumers: 5, CostPerConsumer: 1, Utility: utility.NewLog(1)}
 	}
-	// A trace from the swept node is not served by the sweeps.
-	fresh, err := tp.BuildTree(3, subs)
+	flows := []FlowSpec{
+		{Name: "deep", Source: 4, RateMin: 1, RateMax: 10, LinkCost: 1, NodeCost: 1, Classes: []ClassSpec{class(12)}},
+		{Name: "near", Source: 0, RateMin: 1, RateMax: 10, LinkCost: 1, NodeCost: 1, Classes: []ClassSpec{class(1)}},
+	}
+	r, err := NewRouter(tp, uniformCaps(16, 1e6), flows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaSc, _, err := tp.BuildTreeInto(sc, 3, subs, Tree{Source: -1})
-	if err != nil || sc.epoch != bfsRuns+1 || !viaSc.equal(fresh) {
-		t.Fatalf("trace from the swept node: err=%v bfs epoch %d -> %d, tree %+v want %+v", err, bfsRuns, sc.epoch, viaSc, fresh)
+	// Routing the near flow last left its BFS half-expanded: node 1 is one
+	// hop from the source, so the queue stopped there.
+	sc := r.sc
+	if !sc.bfsValid || sc.bfsSrc != 0 || sc.bfsTopo != tp.epoch || sc.head >= len(sc.queue) {
+		t.Fatalf("no half-expanded BFS cached: valid=%v src=%d head %d of %d", sc.bfsValid, sc.bfsSrc, sc.head, len(sc.queue))
+	}
+	bfsRuns, head, queue := sc.epoch, sc.head, slices.Clone(sc.queue)
+
+	// A node heal at 8, opposite the source: both sides of the search grow
+	// (the deep flow's path 4 -> 8 -> 12 ties its tree, so it is a candidate).
+	if cands := r.restoreCandidates(&RepairStats{}, 8, 8, 0); !slices.Equal(cands, []int32{0}) {
+		t.Fatalf("candidates %v, want [0]", cands)
+	}
+	if r.toIn.k == 0 || r.fromOut.k == 0 {
+		t.Fatalf("the search did not grow: radii %d and %d", r.toIn.k, r.fromOut.k)
+	}
+	if !sc.bfsValid || sc.bfsSrc != 0 || sc.epoch != bfsRuns || sc.head != head || !slices.Equal(sc.queue, queue) {
+		t.Fatalf("the search disturbed the cached BFS: valid=%v src=%d epoch %d -> %d head %d -> %d", sc.bfsValid, sc.bfsSrc, bfsRuns, sc.epoch, head, sc.head)
+	}
+	// The next trace from the same source resumes the prefix to reach the
+	// far subscribers, and finds what a fresh BFS finds.
+	subs := []model.NodeID{1, 8, 12}
+	want, err := tp.BuildTree(0, subs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := tp.BuildTreeInto(sc, 0, subs, r.trees[1])
+	if err != nil || sc.epoch != bfsRuns || !got.equal(want) {
+		t.Fatalf("resumed trace: err=%v bfs epoch %d -> %d, tree %+v want %+v", err, bfsRuns, sc.epoch, got, want)
 	}
 
 	// Directionality and dead elements: on a one-way line 0->1->2 node 2 is
-	// reachable from 0 but not toward it, and a dead relay cuts both.
+	// reachable from 0 but not toward it, and a dead relay or link cuts it.
 	ow := NewTopology(3)
 	_, _ = ow.AddLink(0, 1, 1)
 	_, _ = ow.AddLink(1, 2, 1)
-	osc := NewScratch(ow)
-	if d := osc.sweep(ow, 0, false); d[2] != 2 {
-		t.Fatalf("forward distance 0->2 = %d, want 2", d[2])
+	var s levelSweep
+	dist := func(root, b model.NodeID, reverse bool) int32 {
+		s.start(ow, root, reverse)
+		for !s.drained() {
+			s.grow(ow)
+		}
+		if s.found(b) {
+			return s.dist[b]
+		}
+		return s.beyond()
 	}
-	if d := osc.sweep(ow, 0, true); d[2] != unreachable {
-		t.Fatalf("distance 2->0 = %d, want unreachable", d[2])
+	if d := dist(0, 2, false); d != 2 {
+		t.Fatalf("forward distance 0->2 = %d, want 2", d)
 	}
-	if d := osc.sweep(ow, 2, true); d[0] != 2 {
-		t.Fatalf("distance 0->2 by reverse sweep = %d, want 2", d[0])
+	if d := dist(0, 2, true); d != unreachable {
+		t.Fatalf("distance 2->0 = %d, want unreachable", d)
+	}
+	if d := dist(2, 0, true); d != 2 {
+		t.Fatalf("distance 0->2 by reverse sweep = %d, want 2", d)
 	}
 	_ = ow.RemoveNode(1)
-	if d := osc.sweep(ow, 0, false); d[2] != unreachable {
-		t.Fatalf("distance past a dead relay = %d, want unreachable", d[2])
+	if d := dist(0, 2, false); d != unreachable {
+		t.Fatalf("distance past a dead relay = %d, want unreachable", d)
 	}
-	if d := osc.sweep(ow, 1, false); d[1] != unreachable {
-		t.Fatalf("a dead root reached itself: %d", d[1])
+	if d := dist(1, 1, false); d != unreachable {
+		t.Fatalf("a dead root reached itself: %d", d)
+	}
+	_ = ow.RestoreNode(1)
+	_ = ow.RemoveLink(1)
+	if d := dist(0, 2, false); d != unreachable {
+		t.Fatalf("distance over a dead link = %d, want unreachable", d)
+	}
+	if d := dist(2, 1, true); d != unreachable {
+		t.Fatalf("reverse distance over a dead link = %d, want unreachable", d)
+	}
+}
+
+// fullBFS is the canonical BFS written out plainly and run to exhaustion:
+// prev[b] is the link that first reached b (-1 at src, -2 where nothing
+// reached).
+func fullBFS(t *Topology, src model.NodeID) []int32 {
+	prev := make([]int32, t.nodeCount)
+	for b := range prev {
+		prev[b] = -2
+	}
+	prev[src] = -1
+	q := []model.NodeID{src}
+	for head := 0; head < len(q); head++ {
+		for _, li := range t.out[q[head]] {
+			to := t.links[li].To
+			if prev[to] != -2 || !t.LinkAlive(int(li)) {
+				continue
+			}
+			prev[to] = li
+			q = append(q, to)
+		}
+	}
+	return prev
+}
+
+// TestLazyBFSMatchesFullBFS: the canonical BFS expanded only until each
+// target in turn is reached gives every node it reached the parent a
+// traversal run to exhaustion gives, over random topologies with one-way,
+// dead and parallel links and dead nodes. A same-source resume starts no
+// new BFS, a topology mutation does, and an unreachable target drains the
+// queue and is reported as ErrNoPath.
+func TestLazyBFSMatchesFullBFS(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 20 + rng.Intn(60)
+		tp := RandomTopologyHetero(rng, n, 1, 1, 10)
+		for k := 0; k < n/2; k++ {
+			_, _ = tp.AddLink(model.NodeID(rng.Intn(n)), model.NodeID(rng.Intn(n)), 1)
+		}
+		for k := 0; k < n/3; k++ {
+			_ = tp.RemoveLink(rng.Intn(tp.LinkCount()))
+		}
+		for k := 0; k < n/8; k++ {
+			_ = tp.RemoveNode(model.NodeID(rng.Intn(n)))
+		}
+		sc := NewScratch(tp)
+		for round := 0; round < 12; round++ {
+			src := model.NodeID(rng.Intn(n))
+			if !tp.NodeAlive(src) {
+				continue
+			}
+			full := fullBFS(tp, src)
+			sc.bfs(tp, src)
+			runs := sc.epoch
+			for q := 0; q < 6; q++ {
+				b := model.NodeID(rng.Intn(n))
+				if got := sc.reach(tp, b); got != (full[b] != -2) {
+					t.Fatalf("seed %d: reach(%d) from %d = %v, full BFS prev %d", seed, b, src, got, full[b])
+				}
+				if full[b] == -2 && sc.head != len(sc.queue) {
+					t.Fatalf("seed %d: unreachable target %d left %d nodes queued", seed, b, len(sc.queue)-sc.head)
+				}
+				for x := range full {
+					if sc.seen[x] == sc.epoch && sc.prev[x] != full[x] {
+						t.Fatalf("seed %d: from %d node %d prev %d, full BFS %d", seed, src, x, sc.prev[x], full[x])
+					}
+				}
+				sc.bfs(tp, src)
+				if sc.epoch != runs {
+					t.Fatalf("seed %d: a same-source resume started a new BFS", seed)
+				}
+			}
+			li := rng.Intn(tp.LinkCount())
+			if tp.RemoveLink(li) != nil {
+				_ = tp.RestoreLink(li)
+			}
+			sc.bfs(tp, src)
+			if sc.epoch == runs {
+				t.Fatalf("seed %d: a topology mutation left the BFS cached", seed)
+			}
+		}
+	}
+
+	// An unreachable subscriber drains the queue and gives ErrNoPath.
+	tp := Line(5, 1)
+	_ = tp.RemoveNode(3)
+	sc := NewScratch(tp)
+	if _, _, err := tp.BuildTreeInto(sc, 0, []model.NodeID{1, 4}, Tree{Source: -1}); !errors.Is(err, ErrNoPath) {
+		t.Fatalf("BuildTreeInto past a dead relay: err = %v, want ErrNoPath", err)
+	}
+	if sc.head != len(sc.queue) || len(sc.queue) != 3 {
+		t.Fatalf("unreachable subscriber: %d of %d queued nodes expanded, want all 3", sc.head, len(sc.queue))
+	}
+	if _, err := tp.ShortestPath(0, 4); !errors.Is(err, ErrNoPath) {
+		t.Fatalf("ShortestPath past a dead relay: err = %v, want ErrNoPath", err)
 	}
 }
 
