@@ -87,10 +87,13 @@ bench-dist:
 # sweep-everything parent as *FullSweepBaseline, of the parent that
 # re-planned by scanning every price as *CrossedSweepBaseline, and of the
 # parent whose heals swept the whole graph and whose BFS ran to exhaustion
-# as *UnboundedHealBaseline, all four families; spliced back by hand).
+# as *UnboundedHealBaseline, all four families, and of the parent whose
+# re-trace ran the BFS until its deepest subscriber as
+# *UnidirectionalTraceBaseline, these four plus NewRouterSparse, NewRouter
+# on the link_failure shape; spliced back by hand).
 # -cpu=1,4: the shard budget is GOMAXPROCS, so one shard and a real pool.
 bench-overlay:
-	$(GO) test -run='^$$' -bench='TreeRepair|WarmResolve|ColdResolve|ResetRoutingSparse' -benchmem -cpu=1,4 ./internal/overlay/ \
+	$(GO) test -run='^$$' -bench='TreeRepair|WarmResolve|ColdResolve|ResetRoutingSparse|NewRouterSparse' -benchmem -cpu=1,4 ./internal/overlay/ \
 		| $(GO) run ./cmd/lrgp-benchjson -out BENCH_overlay.json
 
 # The end-to-end benchmark's own checks (bench/ is a module of its own, so

@@ -52,9 +52,9 @@ func checkFlowSpecs(flows []FlowSpec) error {
 	return nil
 }
 
-// routeTrees routes every flow over t (one multi-target BFS per flow,
-// shared scratch) and returns the dissemination trees and each class's
-// hop depth in its flow's tree, classes flow-major.
+// routeTrees routes every flow over t (one BuildTreeInto per flow, shared
+// scratch) and returns the dissemination trees and each class's hop depth
+// in its flow's tree, as the trace found it, classes flow-major.
 func routeTrees(t *Topology, sc *Scratch, flows []FlowSpec) ([]Tree, []int32, error) {
 	trees := make([]Tree, len(flows))
 	var depth []int32
@@ -69,9 +69,7 @@ func routeTrees(t *Topology, sc *Scratch, flows []FlowSpec) ([]Tree, []int32, er
 			return nil, nil, fmt.Errorf("flow %d (%s): %w", fi, fs.Name, err)
 		}
 		trees[fi] = tree
-		for _, b := range subs {
-			depth = append(depth, sc.hops(t, b))
-		}
+		depth = append(depth, sc.depth...)
 	}
 	return trees, depth, nil
 }

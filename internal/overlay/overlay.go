@@ -234,37 +234,51 @@ func Star(n int, capacity float64) *Topology {
 	return t
 }
 
-// Scratch holds the reusable state of breadth-first routing: the BFS
-// parent tree, epoch-marked visit/membership sets and the queue. One
-// Scratch serves any number of BuildTreeInto calls over one topology, and
-// it caches the most recent BFS as a resumable prefix — expanded only as far
-// as the subscribers traced so far needed — so consecutive flows sharing a
-// source (or repeated traces after one failure) pay for a single traversal.
-// A Scratch belongs to one goroutine.
+// Scratch holds the reusable state of breadth-first routing. One Scratch
+// serves any number of BuildTreeInto calls, and it caches the canonical
+// BFS from the latest source as a resumable prefix: every node within lvl
+// hops, with the parent the full FIFO BFS gives it. A subscriber past the
+// prefix is traced by a search from both ends (trace), so a re-trace costs
+// the balls around its endpoints rather than the BFS up to its deepest
+// subscriber, and consecutive flows sharing a source (or repeated traces
+// after one failure) share the prefix. A Scratch belongs to one goroutine.
 type Scratch struct {
-	// prev[b] is the link that first reached b in the cached BFS, valid
-	// when seen[b] == epoch; the BFS tree is a function of (source, alive
-	// topology) only, so every flow from the same source shares it.
-	// queue[head:] holds the reached nodes not yet expanded: the cached
-	// BFS resumes there.
+	// prev[b] is the link that first reached b in the cached BFS and
+	// dist[b] its hop distance, valid when seen[b] == epoch; the BFS tree
+	// is a function of (source, alive topology) only, so every flow from
+	// the same source shares it. The queue holds the prefix in BFS order
+	// and queue[head:] is exactly level lvl, the last complete one: the
+	// cached BFS resumes there.
 	prev  []int32
+	dist  []int32
 	seen  []int32
 	queue []int32
 	head  int
+	lvl   int32
 	epoch int32
 
+	// The subscriber's side of a trace past the prefix: a reverse level
+	// sweep from it, then the restricted pass's queue and the parents it
+	// sets (rprev, valid for the nodes of the latest pass).
+	back  levelSweep
+	rq    []int32
+	rprev []int32
+
+	// depth[k] is the hop depth of subscriber k in the tree the latest
+	// BuildTreeInto traced.
+	depth []int32
+
 	// Tree-merge marks and accumulation buffers for one trace.
-	linkSeen   []int32
 	nodeSeen   []int32
 	mergeEpoch int32
 	treeLinks  []int32
 	treeNodes  []int32
 
-	// Cached-BFS identity: source node and the topology epoch it was
-	// computed at.
+	// Cached-BFS identity: the topology, its epoch and the source node. A
+	// Scratch may move between topologies, whose epochs are unrelated.
+	bfsTopo  *Topology
+	bfsEpoch int64
 	bfsSrc   int32
-	bfsTopo  int64
-	bfsValid bool
 }
 
 // NewScratch returns a scratch sized for t.
@@ -274,30 +288,33 @@ func NewScratch(t *Topology) *Scratch {
 	return sc
 }
 
-// ensure (re)sizes the scratch arrays for t, preserving nothing.
+// ensure sizes the scratch arrays for t. Every mark is epoch-stamped, so
+// arrays sized for a larger topology serve a smaller one as they are.
 func (sc *Scratch) ensure(t *Topology) {
 	if len(sc.seen) < t.nodeCount {
 		sc.prev = make([]int32, t.nodeCount)
+		sc.dist = make([]int32, t.nodeCount)
 		sc.seen = make([]int32, t.nodeCount)
 		sc.nodeSeen = make([]int32, t.nodeCount)
 		sc.queue = make([]int32, 0, t.nodeCount)
-		sc.bfsValid = false
-	}
-	if len(sc.linkSeen) < len(t.links) {
-		sc.linkSeen = make([]int32, len(t.links))
-		sc.bfsValid = false
 	}
 }
 
+// cached reports whether the scratch holds the BFS prefix from src over
+// t's current state.
+func (sc *Scratch) cached(t *Topology, src model.NodeID) bool {
+	return sc.bfsTopo == t && sc.bfsEpoch == t.epoch && sc.bfsSrc == int32(src)
+}
+
 // bfs starts the breadth-first parent tree from src over the alive
-// topology, or keeps the cached one when it has the same source and
-// topology epoch; reach expands it. Traversal order is deterministic: FIFO
-// queue, adjacency lists in insertion order, dead elements skipped in
-// place — so the tree is a pure function of (src, alive sets) and repairs
-// that re-run it reproduce from-scratch routing exactly.
+// topology, or keeps the cached one; trace expands it. Traversal order is
+// deterministic: FIFO queue, adjacency lists in insertion order, dead
+// elements skipped in place — so the tree is a pure function of (src,
+// alive sets) and repairs that re-run it reproduce from-scratch routing
+// exactly.
 func (sc *Scratch) bfs(t *Topology, src model.NodeID) {
 	sc.ensure(t)
-	if sc.bfsValid && sc.bfsSrc == int32(src) && sc.bfsTopo == t.epoch {
+	if sc.cached(t, src) {
 		return
 	}
 	sc.epoch++
@@ -306,47 +323,111 @@ func (sc *Scratch) bfs(t *Topology, src model.NodeID) {
 		clear(sc.seen)
 	}
 	sc.queue = append(sc.queue[:0], int32(src))
-	sc.head = 0
-	sc.seen[src] = sc.epoch
-	sc.prev[src] = -1
-	sc.bfsSrc, sc.bfsTopo, sc.bfsValid = int32(src), t.epoch, true
+	sc.head, sc.lvl = 0, 0
+	sc.seen[src], sc.prev[src], sc.dist[src] = sc.epoch, -1, 0
+	sc.bfsTopo, sc.bfsEpoch, sc.bfsSrc = t, t.epoch, int32(src)
 }
 
-// reach expands the BFS bfs started until b has a parent or the queue
-// drains, and reports whether b was reached. A FIFO BFS never rewrites a
-// prev, so every node reached so far has the parent a traversal run to
-// exhaustion would give it: stopping early changes no tree.
-func (sc *Scratch) reach(t *Topology, b model.NodeID) bool {
-	e := sc.epoch
-	for sc.seen[b] != e && sc.head < len(sc.queue) {
-		at := sc.queue[sc.head]
-		sc.head++
+// grow expands the prefix by one whole level. A FIFO BFS never rewrites a
+// prev, so every node of the prefix has the parent a traversal run to
+// exhaustion gives it: stopping at a level changes no tree.
+func (sc *Scratch) grow(t *Topology) {
+	e, hi := sc.epoch, len(sc.queue)
+	sc.lvl++
+	for _, at := range sc.queue[sc.head:hi] {
 		for _, li := range t.out[at] {
 			to := t.links[li].To
 			if sc.seen[to] == e || !t.linkUsable(li) {
 				continue
 			}
-			sc.seen[to] = e
-			sc.prev[to] = li
+			sc.seen[to], sc.prev[to], sc.dist[to] = e, li, sc.lvl
 			sc.queue = append(sc.queue, int32(to))
 		}
 	}
-	return sc.seen[b] == e
+	sc.head = hi
 }
 
-// hops returns the length of the cached BFS's path to b, which must have
-// been reached.
-func (sc *Scratch) hops(t *Topology, b model.NodeID) int32 {
-	n := int32(0)
-	for li := sc.prev[b]; li >= 0; li = sc.prev[t.links[li].From] {
-		n++
+// trace finds the canonical path to dst — the one the full FIFO BFS from
+// the cached source gives it — and returns its hop count, or false when
+// dst is unreachable; parent then walks it. Inside the prefix the path is
+// read off prev. Past it, a reverse level sweep from dst and the prefix
+// grow one whole level at a time, the smaller frontier first, until a node
+// is found by both; a side that drains first proves dst unreachable. At
+// the first meeting, with radii a and b, d(src, dst) = a+b: no shorter path
+// existed, or the previous radii would have met on it. The meeting nodes
+// are then the prefix's level a at backward distance b.
+//
+// The rest of the path comes from a FIFO pass restricted to the shortest
+// paths: from the meeting nodes in queue order over the nodes at backward
+// distance b−1, …, 0, adjacency order, usable links, first discovery wins.
+// It sets the parent the full BFS sets. There a node at depth d takes its
+// first-dequeued in-neighbour at depth d−1; when the node lies on a
+// shortest path to dst every such in-neighbour does too, so it is in the
+// restricted level before, and the restricted levels are dequeued in the
+// full BFS's relative order. The pass writes nothing of the prefix, which
+// stays resumable.
+func (sc *Scratch) trace(t *Topology, dst model.NodeID) (int32, bool) {
+	e := sc.epoch
+	if sc.seen[dst] == e {
+		return sc.dist[dst], true
 	}
-	return n
+	back := &sc.back
+	back.start(t, dst, true)
+	inPrefix := func(x int32) bool { return sc.seen[x] == e }
+	inBack := func(x int32) bool { return back.found(model.NodeID(x)) }
+	for met := false; !met; {
+		if sc.head == len(sc.queue) || back.drained() {
+			return 0, false
+		}
+		if len(sc.queue)-sc.head <= back.frontier() {
+			sc.grow(t)
+			met = slices.ContainsFunc(sc.queue[sc.head:], inBack)
+		} else {
+			back.grow(t)
+			met = slices.ContainsFunc(back.queue[back.lo:], inPrefix)
+		}
+	}
+
+	b := back.k
+	sc.rq = sc.rq[:0]
+	for _, x := range sc.queue[sc.head:] {
+		if inBack(x) && back.dist[x] == b {
+			sc.rq = append(sc.rq, x)
+		}
+	}
+	if len(sc.rprev) < t.nodeCount {
+		sc.rprev = make([]int32, t.nodeCount)
+	}
+	for j, lo := b-1, 0; j >= 0; j-- {
+		hi := len(sc.rq)
+		for _, at := range sc.rq[lo:hi] {
+			for _, li := range t.out[at] {
+				to := t.links[li].To
+				if !back.found(to) || back.dist[to] != j || !t.linkUsable(li) {
+					continue
+				}
+				back.dist[to] = -1 // claimed: the first discovery is the parent
+				sc.rprev[to] = li
+				sc.rq = append(sc.rq, int32(to))
+			}
+		}
+		lo = hi
+	}
+	return sc.lvl + b, true
+}
+
+// parent returns the link into b on the path the latest trace found: the
+// prefix's parent inside it, the restricted pass's past it.
+func (sc *Scratch) parent(b model.NodeID) int32 {
+	if sc.seen[b] == sc.epoch {
+		return sc.prev[b]
+	}
+	return sc.rprev[b]
 }
 
 // ShortestPath returns the link indices of a minimum-hop path from src to
-// dst (BFS over the alive topology). An empty slice is returned when
-// src == dst.
+// dst (the canonical BFS path over the alive topology). An empty slice is
+// returned when src == dst.
 func (t *Topology) ShortestPath(src, dst model.NodeID) ([]int, error) {
 	if src < 0 || int(src) >= t.nodeCount || dst < 0 || int(dst) >= t.nodeCount {
 		return nil, fmt.Errorf("%w: %d -> %d", ErrNoPath, src, dst)
@@ -362,17 +443,17 @@ func (t *Topology) ShortestPath(src, dst model.NodeID) ([]int, error) {
 	}
 	sc := NewScratch(t)
 	sc.bfs(t, src)
-	if !sc.reach(t, dst) {
+	d, ok := sc.trace(t, dst)
+	if !ok {
 		return nil, fmt.Errorf("%w: %d -> %d", ErrNoPath, src, dst)
 	}
-	var rev []int
-	for at := dst; at != src; {
-		li := sc.prev[at]
-		rev = append(rev, int(li))
+	path := make([]int, d)
+	for k, at := d-1, dst; k >= 0; k-- {
+		li := sc.parent(at)
+		path[k] = int(li)
 		at = t.links[li].From
 	}
-	slices.Reverse(rev)
-	return rev, nil
+	return path, nil
 }
 
 // Tree is a flow's dissemination tree: the union of shortest paths from
@@ -405,10 +486,10 @@ func (t *Topology) BuildTree(src model.NodeID, subscribers []model.NodeID) (Tree
 }
 
 // BuildTreeInto computes the dissemination tree for a flow using sc's
-// reusable state: one multi-target BFS from src, expanded only until each
-// subscriber is reached (and resumed by later calls that share a source
-// and topology state), then one backward trace per subscriber that stops
-// at the first already-merged node. When the result is identical to old,
+// reusable state: the canonical BFS path to each subscriber, found by a
+// search from both ends around the BFS prefix from src (which later calls
+// that share a source and topology state resume), and walked rootward
+// until the first already-merged node. When the result is identical to old,
 // old is returned unchanged (changed == false) and its slices stay shared
 // — the no-spurious-reroute guarantee repairs rely on. Otherwise a freshly
 // allocated tree is returned; only changed trees cost heap.
@@ -425,18 +506,23 @@ func (t *Topology) BuildTreeInto(sc *Scratch, src model.NodeID, subscribers []mo
 	if sc.mergeEpoch <= 0 {
 		sc.mergeEpoch = 1
 		clear(sc.nodeSeen)
-		clear(sc.linkSeen)
 	}
 	me := sc.mergeEpoch
 	sc.treeLinks = sc.treeLinks[:0]
 	sc.treeNodes = sc.treeNodes[:0]
+	sc.depth = sc.depth[:0]
 	sc.nodeSeen[src] = me
 	sc.treeNodes = append(sc.treeNodes, int32(src))
 
 	for _, dst := range subscribers {
-		if dst < 0 || int(dst) >= t.nodeCount || !sc.reach(t, dst) {
+		d, ok := int32(0), false
+		if dst >= 0 && int(dst) < t.nodeCount {
+			d, ok = sc.trace(t, dst)
+		}
+		if !ok {
 			return Tree{}, false, fmt.Errorf("subscriber %d: %w: %d -> %d", dst, ErrNoPath, src, dst)
 		}
+		sc.depth = append(sc.depth, d)
 		// Walk the BFS tree rootward, stopping at the first node already
 		// in the merged tree: everything above it was traced by an earlier
 		// subscriber. Each link's To node is unique in the BFS tree, so a
@@ -444,7 +530,7 @@ func (t *Topology) BuildTreeInto(sc *Scratch, src model.NodeID, subscribers []mo
 		for at := dst; sc.nodeSeen[at] != me; {
 			sc.nodeSeen[at] = me
 			sc.treeNodes = append(sc.treeNodes, int32(at))
-			li := sc.prev[at]
+			li := sc.parent(at)
 			sc.treeLinks = append(sc.treeLinks, li)
 			at = t.links[li].From
 		}

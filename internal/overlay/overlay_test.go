@@ -3,6 +3,8 @@ package overlay
 import (
 	"errors"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -293,5 +295,187 @@ func TestBuiltProblemOptimizes(t *testing.T) {
 		if used := model.LinkUsage(p, ix, res.Allocation, l.ID); used > l.Capacity*1.05 {
 			t.Errorf("link %d usage %g exceeds capacity %g by >5%%", l.ID, used, l.Capacity)
 		}
+	}
+}
+
+// TestScratchFollowsItsTopology: a Scratch moved to another topology must
+// not serve the first one's cached BFS, even when the two epochs agree —
+// each topology counts its own mutations, and Line(5) and a five-node
+// topology built with eight AddLink calls both stand at 8.
+func TestScratchFollowsItsTopology(t *testing.T) {
+	line := Line(5, 1)
+	other := NewTopology(5)
+	for _, l := range [][2]model.NodeID{{0, 4}, {4, 0}, {0, 1}, {1, 0}, {1, 2}, {2, 1}, {2, 3}, {3, 2}} {
+		if _, err := other.AddLink(l[0], l[1], 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if line.epoch != other.epoch {
+		t.Fatalf("epochs %d and %d, want them equal", line.epoch, other.epoch)
+	}
+	sc := NewScratch(line)
+	for k, tp := range []*Topology{line, other, Ring(9, 1), line, other} {
+		want, err := tp.BuildTree(0, []model.NodeID{4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := tp.BuildTreeInto(sc, 0, []model.NodeID{4}, Tree{Source: -1})
+		if err != nil || !got.equal(want) {
+			t.Fatalf("topology %d: reused scratch gave %+v (err %v), a fresh one %+v", k, got, err, want)
+		}
+	}
+	if got, err := other.BuildTree(0, []model.NodeID{4}); err != nil || !got.equal(Tree{Source: 0, Links: []int{0}, Nodes: []model.NodeID{0, 4}}) {
+		t.Fatalf("0 -> 4 over the direct link: %+v, %v", got, err)
+	}
+}
+
+// TestTraceMatchesExhaustiveBFS holds BuildTreeInto to the canonical BFS
+// written out inside the tests (fullBFS, which shares no code with
+// Scratch): every tree is the union of the full BFS's paths to the
+// subscribers, every depth the full BFS's distance, and an unreachable
+// subscriber or dead source gives ErrNoPath. The graphs are rings, stars
+// and random ones salted with one-way and parallel links, and a 2,000-node
+// RandomTopologyHetero; one scratch serves each graph while links and nodes
+// fail and heal between its traces, and a source is often traced again so
+// that its prefix is resumed. On the link_failure shape the trace must also
+// visit fewer nodes than the one-sided BFS run until the subscriber is
+// reached, itself a fraction of the full BFS.
+func TestTraceMatchesExhaustiveBFS(t *testing.T) {
+	cases := []struct {
+		shape        string
+		nodes, seeds int
+		salt         bool
+	}{
+		{"ring", 24, 3, false},
+		{"ring", 24, 3, true},
+		{"star", 16, 3, true},
+		{"random", 40, 3, true},
+		{"random", 120, 3, true},
+		{"random", 2000, 1, false},
+	}
+	var trees, depths, noPath, resumed, kept int
+	for ci, c := range cases {
+		for seed := int64(1); seed <= int64(c.seeds); seed++ {
+			rng := rand.New(rand.NewSource(100*int64(ci) + seed))
+			tp, _, _ := restoreWorkload(rng, c.shape, c.nodes, 1, c.salt)
+			sc := NewScratch(tp)
+			src := model.NodeID(0)
+			var deadLinks []int
+			var deadNodes []model.NodeID
+			for round := 0; round < 300; round++ {
+				switch op := rng.Intn(10); {
+				case op < 2 && len(deadLinks) < tp.LinkCount()/8:
+					if li := rng.Intn(tp.LinkCount()); tp.RemoveLink(li) == nil {
+						deadLinks = append(deadLinks, li)
+					}
+				case op < 4 && len(deadLinks) > 0:
+					k := rng.Intn(len(deadLinks))
+					_ = tp.RestoreLink(deadLinks[k])
+					deadLinks = slices.Delete(deadLinks, k, k+1)
+				case op < 5 && len(deadNodes) < c.nodes/12:
+					if b := model.NodeID(rng.Intn(c.nodes)); tp.RemoveNode(b) == nil {
+						deadNodes = append(deadNodes, b)
+					}
+				case op < 6 && len(deadNodes) > 0:
+					k := rng.Intn(len(deadNodes))
+					_ = tp.RestoreNode(deadNodes[k])
+					deadNodes = slices.Delete(deadNodes, k, k+1)
+				}
+				if rng.Intn(2) == 0 {
+					src = model.NodeID(rng.Intn(c.nodes))
+				}
+				subs := make([]model.NodeID, 1+rng.Intn(4))
+				for k := range subs {
+					subs[k] = model.NodeID(rng.Intn(c.nodes))
+				}
+
+				// The expected tree: every subscriber's full-BFS path.
+				prev, dist, _ := fullBFS(tp, src)
+				want := Tree{Source: src, Nodes: []model.NodeID{src}}
+				reachable := tp.NodeAlive(src)
+				for _, b := range subs {
+					if dist[b] < 0 {
+						reachable = false
+						break
+					}
+					for at := b; at != src && !slices.Contains(want.Nodes, at); {
+						want.Nodes = append(want.Nodes, at)
+						want.Links = append(want.Links, int(prev[at]))
+						at = tp.links[prev[at]].From
+					}
+				}
+				slices.Sort(want.Links)
+				slices.Sort(want.Nodes)
+
+				old := Tree{Source: -1}
+				if rng.Intn(2) == 0 {
+					old = want
+				}
+				if sc.cached(tp, src) {
+					resumed++
+				}
+				got, changed, err := tp.BuildTreeInto(sc, src, subs, old)
+				if !reachable {
+					if !errors.Is(err, ErrNoPath) {
+						t.Fatalf("%s seed %d round %d: %d -> %v unreachable, err = %v", c.shape, seed, round, src, subs, err)
+					}
+					noPath++
+					continue
+				}
+				if err != nil || !got.equal(want) {
+					t.Fatalf("%s seed %d round %d: %d -> %v: err=%v\n got %+v\nwant %+v", c.shape, seed, round, src, subs, err, got, want)
+				}
+				if changed == (old.Source == src) || !changed && !sameSlice(got.Links, old.Links) {
+					t.Fatalf("%s seed %d round %d: changed=%v against old %+v", c.shape, seed, round, changed, old)
+				}
+				if !changed {
+					kept++
+				}
+				for k, b := range subs {
+					if sc.depth[k] != dist[b] {
+						t.Fatalf("%s seed %d round %d: subscriber %d depth %d, full BFS %d", c.shape, seed, round, b, sc.depth[k], dist[b])
+					}
+				}
+				trees++
+				depths += len(subs)
+			}
+		}
+	}
+	t.Logf("%d trees and %d depths matched, %d ErrNoPath, %d traces resumed a prefix, %d kept the old tree", trees, depths, noPath, resumed, kept)
+	if noPath == 0 || resumed == 0 || kept == 0 {
+		t.Fatal("the streams never hit an unreachable subscriber, a resumed prefix or an unchanged tree")
+	}
+
+	// Vacuity: each subscriber of the link_failure shape traced from a
+	// prefix that holds only its source.
+	tp, _, flows := linkFailureShape(rand.New(rand.NewSource(1)))
+	sc := NewScratch(tp)
+	var traces, searched, lazy, full int
+	for _, fs := range flows {
+		prev, dist, order := fullBFS(tp, fs.Source)
+		for _, cs := range fs.Classes {
+			if cs.Node == fs.Source {
+				continue
+			}
+			sc.bfsTopo = nil
+			sc.bfs(tp, fs.Source)
+			d, ok := sc.trace(tp, cs.Node)
+			if !ok || d != dist[cs.Node] || sc.parent(cs.Node) != prev[cs.Node] {
+				t.Fatalf("link_failure %d -> %d: trace %d, %v; full BFS %d", fs.Source, cs.Node, d, ok, dist[cs.Node])
+			}
+			searched += len(sc.queue)
+			for _, e := range sc.back.seen {
+				if e == sc.back.epoch {
+					searched++
+				}
+			}
+			lazy += slices.Index(order, cs.Node) + 1
+			full += len(order)
+			traces++
+		}
+	}
+	t.Logf("link_failure, %d subscribers: the two-sided trace visited %d nodes, the BFS until each subscriber %d, the full BFS %d", traces, searched, lazy, full)
+	if searched >= lazy || lazy >= full {
+		t.Fatal("the two-sided trace did not visit fewer nodes than the one-sided BFS")
 	}
 }

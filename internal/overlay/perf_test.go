@@ -285,6 +285,21 @@ func linkFailureShape(rng *rand.Rand) (*Topology, []float64, []FlowSpec) {
 	return tp, caps, flows
 }
 
+// BenchmarkNewRouterSparse routes the link_failure shape from scratch: 200
+// flows of three subscribers traced over 10,000 nodes, then the problem
+// assembled and validated — the overlay.new_router_ms span of that
+// workload's set-up.
+func BenchmarkNewRouterSparse(b *testing.B) {
+	tp, caps, flows := linkFailureShape(rand.New(rand.NewSource(1)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewRouter(tp, caps, flows); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkResetRoutingSparse is the routing half of one link_failure
 // pair on that shape: fail a loaded link, republish, heal it, republish —
 // no Step in between, so the engine stays where the warm-up left it. The

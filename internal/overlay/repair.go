@@ -27,8 +27,9 @@ type RepairStats struct {
 	// restore, the candidates whose tie the canonical BFS broke the old way.
 	Rerouted  int
 	Unchanged int
-	// BFSRuns counts breadth-first traversals performed; flows sharing a
-	// source share one run, and a restore adds its two distance sweeps.
+	// BFSRuns counts the canonical BFS prefixes started — flows sharing a
+	// source share one, and the per-subscriber searches that meet a prefix
+	// are not counted — plus, on a restore, its two distance sweeps.
 	BFSRuns int
 }
 
@@ -364,7 +365,7 @@ func (r *Router) rerouteAffected(st *RepairStats, affected []int32) error {
 	for _, fi := range order {
 		fs := &r.flows[fi]
 		subs = r.subscribers(int(fi), subs[:0])
-		if !r.bfsCached(fs.Source) {
+		if !r.sc.cached(r.topo, fs.Source) {
 			st.BFSRuns++
 		}
 		tree, changed, err := r.topo.BuildTreeInto(r.sc, fs.Source, subs, r.trees[fi])
@@ -383,10 +384,4 @@ func (r *Router) rerouteAffected(st *RepairStats, affected []int32) error {
 	}
 	st.Rerouted = len(pending)
 	return nil
-}
-
-// bfsCached reports whether the scratch already holds the BFS tree for
-// src over the current topology state, expanded or still to resume.
-func (r *Router) bfsCached(src model.NodeID) bool {
-	return r.sc.bfsValid && r.sc.bfsSrc == int32(src) && r.sc.bfsTopo == r.topo.epoch
 }

@@ -51,7 +51,7 @@ type Router struct {
 	// no longer anchor the flow's tree.
 	pruned []bool
 	// depth[j] is unpruned class j's hop depth in its flow's tree, kept
-	// from the BFS that traced the tree (set by NewRouter and commitTree),
+	// from the trace that found the tree (set by NewRouter and commitTree),
 	// so a restore reads it instead of walking the tree. traced[j] holds
 	// the depth found by the latest trace of j's flow that changed its
 	// tree, until commitTree adopts it.
@@ -198,12 +198,14 @@ func (r *Router) subscribers(fi int, buf []model.NodeID) []model.NodeID {
 }
 
 // noteDepths records in traced the depth of each unpruned class of flow fi
-// in the tree just traced for it, read off the BFS the scratch still holds.
+// in the tree just traced for it, as the trace found it (the scratch holds
+// one depth per subscriber, in class order).
 func (r *Router) noteDepths(fi int) {
-	off := r.classOff[fi]
-	for k, cs := range r.flows[fi].Classes {
+	off, n := r.classOff[fi], 0
+	for k := range r.flows[fi].Classes {
 		if !r.pruned[off+k] {
-			r.traced[off+k] = r.sc.hops(r.topo, cs.Node)
+			r.traced[off+k] = r.sc.depth[n]
+			n++
 		}
 	}
 }

@@ -876,7 +876,9 @@ func TestRestoreSearchMatchesFullSweepEverywhere(t *testing.T) {
 // with the cached canonical BFS, which is a resumable prefix whose queue is
 // live state. A restore between two traces from the same source must
 // neither overwrite nor advance that prefix: the second trace resumes it
-// without a new BFS and still finds the from-scratch tree.
+// without a new BFS and still finds the from-scratch tree. The same holds
+// for a trace's own search from a subscriber past the prefix, whether it
+// meets the prefix or drains into ErrNoPath.
 func TestRestoreSweepsLeaveBFSCacheAlone(t *testing.T) {
 	tp := Ring(16, 1e6)
 	class := func(b model.NodeID) ClassSpec {
@@ -891,12 +893,12 @@ func TestRestoreSweepsLeaveBFSCacheAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Routing the near flow last left its BFS half-expanded: node 1 is one
-	// hop from the source, so the queue stopped there.
+	// hop from the source, so the prefix stopped at that level.
 	sc := r.sc
-	if !sc.bfsValid || sc.bfsSrc != 0 || sc.bfsTopo != tp.epoch || sc.head >= len(sc.queue) {
-		t.Fatalf("no half-expanded BFS cached: valid=%v src=%d head %d of %d", sc.bfsValid, sc.bfsSrc, sc.head, len(sc.queue))
+	if !sc.cached(tp, 0) || sc.head >= len(sc.queue) {
+		t.Fatalf("no half-expanded BFS cached: source %d, head %d of %d", sc.bfsSrc, sc.head, len(sc.queue))
 	}
-	bfsRuns, head, queue := sc.epoch, sc.head, slices.Clone(sc.queue)
+	before := prefixOf(sc)
 
 	// A node heal at 8, opposite the source: both sides of the search grow
 	// (the deep flow's path 4 -> 8 -> 12 ties its tree, so it is a candidate).
@@ -906,8 +908,8 @@ func TestRestoreSweepsLeaveBFSCacheAlone(t *testing.T) {
 	if r.toIn.k == 0 || r.fromOut.k == 0 {
 		t.Fatalf("the search did not grow: radii %d and %d", r.toIn.k, r.fromOut.k)
 	}
-	if !sc.bfsValid || sc.bfsSrc != 0 || sc.epoch != bfsRuns || sc.head != head || !slices.Equal(sc.queue, queue) {
-		t.Fatalf("the search disturbed the cached BFS: valid=%v src=%d epoch %d -> %d head %d -> %d", sc.bfsValid, sc.bfsSrc, bfsRuns, sc.epoch, head, sc.head)
+	if !sc.cached(tp, 0) || !prefixOf(sc).equal(before) {
+		t.Fatalf("the search disturbed the cached BFS:\n got %+v\nwant %+v", prefixOf(sc), before)
 	}
 	// The next trace from the same source resumes the prefix to reach the
 	// far subscribers, and finds what a fresh BFS finds.
@@ -917,8 +919,47 @@ func TestRestoreSweepsLeaveBFSCacheAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _, err := tp.BuildTreeInto(sc, 0, subs, r.trees[1])
-	if err != nil || sc.epoch != bfsRuns || !got.equal(want) {
-		t.Fatalf("resumed trace: err=%v bfs epoch %d -> %d, tree %+v want %+v", err, bfsRuns, sc.epoch, got, want)
+	if err != nil || sc.epoch != before.epoch || !got.equal(want) {
+		t.Fatalf("resumed trace: err=%v bfs epoch %d -> %d, tree %+v want %+v", err, before.epoch, sc.epoch, got, want)
+	}
+
+	// A trace's own search past the prefix leaves it alone too. Node 0 fans
+	// out to 1..8 and a chain 1 -> 9 -> 10 -> 11 leads on, so once the
+	// prefix holds level 1 the subscriber's side is always the smaller one:
+	// 11 is met at node 1 and traced by the restricted pass alone. Node 12
+	// is entered only from 13, which nothing enters, so its side drains.
+	fan := NewTopology(14)
+	for b := model.NodeID(1); b <= 8; b++ {
+		_, _ = fan.AddLink(0, b, 1)
+	}
+	for _, l := range [][2]model.NodeID{{1, 9}, {9, 10}, {10, 11}, {13, 12}} {
+		_, _ = fan.AddLink(l[0], l[1], 1)
+	}
+	sc = NewScratch(fan)
+	if _, _, err := fan.BuildTreeInto(sc, 0, []model.NodeID{1}, Tree{Source: -1}); err != nil {
+		t.Fatal(err)
+	}
+	before = prefixOf(sc)
+	if before.lvl != 1 || len(before.queue) != 9 {
+		t.Fatalf("fan prefix at level %d with %d nodes, want level 1 with 9", before.lvl, len(before.queue))
+	}
+	want, err = fan.BuildTree(0, []model.NodeID{11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err = fan.BuildTreeInto(sc, 0, []model.NodeID{11}, Tree{Source: -1})
+	if err != nil || !got.equal(want) || sc.depth[0] != 4 || !prefixOf(sc).equal(before) {
+		t.Fatalf("trace past the prefix: err=%v tree %+v want %+v, depth %v, prefix %+v want %+v", err, got, want, sc.depth, prefixOf(sc), before)
+	}
+	if _, _, err := fan.BuildTreeInto(sc, 0, []model.NodeID{12}, Tree{Source: -1}); !errors.Is(err, ErrNoPath) || !prefixOf(sc).equal(before) {
+		t.Fatalf("drained subscriber side: err=%v, prefix %+v want %+v", err, prefixOf(sc), before)
+	}
+	subs = []model.NodeID{11, 5, 9, 0}
+	if want, err = fan.BuildTree(0, subs); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, err = fan.BuildTreeInto(sc, 0, subs, Tree{Source: -1}); err != nil || sc.epoch != before.epoch || !got.equal(want) {
+		t.Fatalf("resumed fan trace: err=%v bfs epoch %d -> %d, tree %+v want %+v", err, before.epoch, sc.epoch, got, want)
 	}
 
 	// Directionality and dead elements: on a one-way line 0->1->2 node 2 is
@@ -965,33 +1006,91 @@ func TestRestoreSweepsLeaveBFSCacheAlone(t *testing.T) {
 
 // fullBFS is the canonical BFS written out plainly and run to exhaustion:
 // prev[b] is the link that first reached b (-1 at src, -2 where nothing
-// reached).
-func fullBFS(t *Topology, src model.NodeID) []int32 {
-	prev := make([]int32, t.nodeCount)
+// reached), dist[b] its hop distance (-1 where nothing reached) and order
+// the nodes in the order the BFS reached them.
+func fullBFS(t *Topology, src model.NodeID) (prev, dist []int32, order []model.NodeID) {
+	prev, dist = make([]int32, t.nodeCount), make([]int32, t.nodeCount)
 	for b := range prev {
-		prev[b] = -2
+		prev[b], dist[b] = -2, -1
 	}
-	prev[src] = -1
-	q := []model.NodeID{src}
-	for head := 0; head < len(q); head++ {
-		for _, li := range t.out[q[head]] {
+	prev[src], dist[src] = -1, 0
+	order = []model.NodeID{src}
+	for head := 0; head < len(order); head++ {
+		at := order[head]
+		for _, li := range t.out[at] {
 			to := t.links[li].To
 			if prev[to] != -2 || !t.LinkAlive(int(li)) {
 				continue
 			}
-			prev[to] = li
-			q = append(q, to)
+			prev[to], dist[to] = li, dist[at]+1
+			order = append(order, to)
 		}
 	}
-	return prev
+	return prev, dist, order
 }
 
-// TestLazyBFSMatchesFullBFS: the canonical BFS expanded only until each
-// target in turn is reached gives every node it reached the parent a
-// traversal run to exhaustion gives, over random topologies with one-way,
-// dead and parallel links and dead nodes. A same-source resume starts no
-// new BFS, a topology mutation does, and an unreachable target drains the
-// queue and is reported as ErrNoPath.
+// prefix is a copy of the BFS prefix a Scratch caches: what a search past
+// it must leave as it was.
+type prefix struct {
+	epoch, lvl  int32
+	head        int
+	queue, prev []int32
+}
+
+func prefixOf(sc *Scratch) prefix {
+	p := prefix{epoch: sc.epoch, lvl: sc.lvl, head: sc.head, queue: slices.Clone(sc.queue)}
+	for _, b := range sc.queue {
+		p.prev = append(p.prev, sc.prev[b])
+	}
+	return p
+}
+
+func (p prefix) equal(o prefix) bool {
+	return p.epoch == o.epoch && p.lvl == o.lvl && p.head == o.head &&
+		slices.Equal(p.queue, o.queue) && slices.Equal(p.prev, o.prev)
+}
+
+// checkPrefix holds the prefix sc caches to the full BFS from its source:
+// the queue is the full BFS order cut after level lvl, queue[head:] is
+// exactly level lvl, every queued node has the full BFS's parent and
+// distance, and no other node is marked seen.
+func checkPrefix(t *testing.T, sc *Scratch, prev, dist []int32, order []model.NodeID) {
+	t.Helper()
+	n, head := 0, 0
+	for _, b := range order {
+		if dist[b] <= sc.lvl {
+			n++
+		}
+		if dist[b] < sc.lvl {
+			head++
+		}
+	}
+	if len(sc.queue) != n || sc.head != head {
+		t.Fatalf("prefix at level %d: %d queued, head %d; the full BFS has %d within it, %d before it", sc.lvl, len(sc.queue), sc.head, n, head)
+	}
+	seen := 0
+	for _, b := range sc.seen {
+		if b == sc.epoch {
+			seen++
+		}
+	}
+	if seen != n {
+		t.Fatalf("prefix of %d nodes marks %d seen", n, seen)
+	}
+	for k, b := range sc.queue {
+		if b != int32(order[k]) || sc.prev[b] != prev[b] || sc.dist[b] != dist[b] {
+			t.Fatalf("prefix position %d: node %d prev %d dist %d, full BFS node %d prev %d dist %d",
+				k, b, sc.prev[b], sc.dist[b], order[k], prev[order[k]], dist[order[k]])
+		}
+	}
+}
+
+// TestLazyBFSMatchesFullBFS: a trace finds the path and depth a traversal
+// run to exhaustion gives, and leaves behind a prefix that is that
+// traversal cut at a level, over random topologies with one-way, dead and
+// parallel links and dead nodes. A same-source resume starts no new BFS, a
+// topology mutation does, and an unreachable target is reported as
+// ErrNoPath.
 func TestLazyBFSMatchesFullBFS(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -1012,22 +1111,23 @@ func TestLazyBFSMatchesFullBFS(t *testing.T) {
 			if !tp.NodeAlive(src) {
 				continue
 			}
-			full := fullBFS(tp, src)
+			prev, dist, order := fullBFS(tp, src)
 			sc.bfs(tp, src)
 			runs := sc.epoch
 			for q := 0; q < 6; q++ {
 				b := model.NodeID(rng.Intn(n))
-				if got := sc.reach(tp, b); got != (full[b] != -2) {
-					t.Fatalf("seed %d: reach(%d) from %d = %v, full BFS prev %d", seed, b, src, got, full[b])
+				d, ok := sc.trace(tp, b)
+				if ok != (dist[b] >= 0) || ok && d != dist[b] {
+					t.Fatalf("seed %d: trace(%d) from %d = %d, %v; full BFS distance %d", seed, b, src, d, ok, dist[b])
 				}
-				if full[b] == -2 && sc.head != len(sc.queue) {
-					t.Fatalf("seed %d: unreachable target %d left %d nodes queued", seed, b, len(sc.queue)-sc.head)
-				}
-				for x := range full {
-					if sc.seen[x] == sc.epoch && sc.prev[x] != full[x] {
-						t.Fatalf("seed %d: from %d node %d prev %d, full BFS %d", seed, src, x, sc.prev[x], full[x])
+				for at := b; ok && at != src; {
+					li := sc.parent(at)
+					if li != prev[at] {
+						t.Fatalf("seed %d: from %d node %d parent %d, full BFS %d", seed, src, at, li, prev[at])
 					}
+					at = tp.links[li].From
 				}
+				checkPrefix(t, sc, prev, dist, order)
 				sc.bfs(tp, src)
 				if sc.epoch != runs {
 					t.Fatalf("seed %d: a same-source resume started a new BFS", seed)
@@ -1044,7 +1144,8 @@ func TestLazyBFSMatchesFullBFS(t *testing.T) {
 		}
 	}
 
-	// An unreachable subscriber drains the queue and gives ErrNoPath.
+	// An unreachable subscriber gives ErrNoPath; here the source's side
+	// drains first, so the prefix is all the source reaches.
 	tp := Line(5, 1)
 	_ = tp.RemoveNode(3)
 	sc := NewScratch(tp)
