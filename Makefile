@@ -45,8 +45,10 @@ bench:
 # shape, here also at -cpu=1,4) alternating runs of the sweep-everything
 # parent (*FullSweepBaseline) and of the parent that swept every constraint
 # a flow crosses (*CrossedSweepBaseline, with MetroSmall, SteadyState and
-# WarmResolveChurn recorded beside it); this target overwrites the file, so
-# they are spliced back by hand.
+# WarmResolveChurn recorded beside it), and for its warm/aged sub-benchmarks
+# alternating runs of the parent whose prices sank into the subnormal range
+# (*SubnormalBaseline); this target overwrites the file, so they are
+# spliced back by hand.
 bench-core:
 	{ $(GO) test -run='^$$' -bench=. -benchmem ./internal/core/ ; \
 	  $(GO) test -run='^$$' -bench=EngineStepSparse -benchmem -cpu=1,4 ./internal/core/ ; } \

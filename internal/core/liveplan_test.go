@@ -154,6 +154,8 @@ func TestLivePlanBitIdentical(t *testing.T) {
 		{entangled, core.Config{Adaptive: true}, 1, false},
 		{entangled, core.Config{Adaptive: true}, 4, false},
 		{entangled, core.Config{}, 4, false},
+		// γ = ¾ only shortens a slack node's decay to 0, so that the
+		// decay phase below sees nodes re-park.
 		{entangled, core.Config{Gamma1: 0.75}, 1, false},
 		{scattered, core.Config{Adaptive: true}, 4, true},
 		{scattered, core.Config{}, 4, true},
@@ -392,11 +394,13 @@ func TestLivePlanBitIdentical(t *testing.T) {
 
 			// A slack link's price falls by γ_l·(c − used) a Step and is
 			// projected to exactly 0 within a few hundred. A slack node's
-			// falls by the factor 1 − γ, and reaches 0 only if γ > ½ (some
-			// 540 Steps at ¾): at γ ≤ ½ the product γ·p rounds to nothing a
-			// few denormal steps above 0 — 2e-323 at the default 0.1 — and
-			// Equation 12 holds the price there for ever, so such a node is
-			// priced and stays armed. Every Step is compared; the re-arm
+			// falls by the factor 1 − γ and is projected to exactly 0 once
+			// it drops below 2⁻¹⁰²², after ≈log(2⁻¹⁰²²/p)/log(1 − γ) Steps:
+			// some 510 at ¾, ≈6,700 at the default 0.1 (the floor keeps
+			// prices out of the subnormal range, whose arithmetic is ≈100×
+			// slower on x86). γ = ¾ only shortens the decay so that this
+			// phase sees nodes re-park; at γ ≤ ½ its 150 Steps leave them
+			// priced and armed. Every Step is compared; the re-arm
 			// afterwards parks what has reached 0.
 			decaySteps := 150
 			if cfg.Gamma1 > 0.5 {
@@ -491,9 +495,10 @@ func TestSparseShapeArmsWhatCanBind(t *testing.T) {
 
 // TestReplanFromListedAndDelta follows the fail/heal sequence at γ = 1, where
 // Equation 12 takes the price of a node that lost its last flow to exactly 0
-// in one Step (at the default 0.1 it never gets there, see
-// TestLivePlanBitIdentical). Such a node is in the plan being replaced, the
-// next delta does not name it, and it must leave the lists all the same: the
+// in one Step. At the default 0.1 it gets there too, but only after ≈6,700
+// Steps (TestNodePriceReachesZero), so γ = 1 only shortens the decay. Such
+// a node is in the plan being replaced, the next delta does not name it,
+// and it must leave the lists all the same: the
 // re-plan tests what the old plan lists, not only what the delta names — and
 // nothing else, which the count of ids tested shows. CheckPlanFresh is the
 // equality with the full scan after each of the 48 events.

@@ -180,15 +180,28 @@ func abs(x float64) float64 {
 //	p(t+1) = p(t) + gamma1*(BC(b,t) - p(t))   if used <= capacity
 //	p(t+1) = p(t) + gamma2*(used - capacity)  if used >  capacity
 //
-// Prices are projected to be non-negative.
+// Prices are projected by project.
 func nodePriceUpdate(price, bestBC, used, capacity, gamma1, gamma2 float64) float64 {
-	var next float64
 	if used <= capacity {
-		next = price + gamma1*(bestBC-price)
-	} else {
-		next = price + gamma2*(used-capacity)
+		return project(price + gamma1*(bestBC-price))
 	}
-	if next < 0 {
+	return project(price + gamma2*(used-capacity))
+}
+
+// minNormal is the smallest normal float64, 2^-1022.
+const minNormal = 0x1p-1022
+
+// project is the projection of Equations 12 and 13 onto [0, inf), with
+// everything below the smallest normal float64 sent to exactly 0. A slack
+// node's price decays by 1-gamma per Step; without the floor it would sink
+// into the subnormal range and stay there (at gamma <= 1/2 rounding stops
+// it short of 0), and subnormal operands take the x86 slow path, ≈100x the
+// cost of a normal multiply or divide, in every flow-price, gap and gamma
+// computation that reads the price. A price of 2^-1022 is ≈1e-304 of any
+// marginal utility the rate solver compares it with, so the floor changes
+// no allocation. NaN compares false and passes through unchanged.
+func project(next float64) float64 {
+	if next < minNormal {
 		return 0
 	}
 	return next
@@ -208,9 +221,5 @@ func priceGap(price, bestBC, used, capacity float64) float64 {
 //
 //	p(t+1) = [p(t) + gamma_l * (sum_i L_{l,i} r_i - c_l)]+
 func linkPriceUpdate(price, used, capacity, gamma float64) float64 {
-	next := price + gamma*(used-capacity)
-	if next < 0 {
-		return 0
-	}
-	return next
+	return project(price + gamma*(used-capacity))
 }

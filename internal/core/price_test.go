@@ -42,6 +42,44 @@ func TestNodePriceNonNegative(t *testing.T) {
 	}
 }
 
+// TestProjectFloorsAtSmallestNormal: both updates send a result below the
+// smallest normal float64 to exactly 0, keep 2^-1022 itself, and pass NaN
+// through as before. Each case makes the update produce x exactly: within
+// capacity from price 0 at γ1 = 1 toward BC = x, overloaded from price x at
+// γ2 = 0, and a link from price x at zero excess.
+func TestProjectFloorsAtSmallestNormal(t *testing.T) {
+	largestSubnormal := math.Float64frombits(1<<52 - 1)
+	for _, c := range []struct {
+		name string
+		x    float64
+		want float64
+	}{
+		{"smallest normal", 0x1p-1022, 0x1p-1022},
+		{"one", 1, 1},
+		{"2^-1023", 0x1p-1023, 0},
+		{"largest subnormal", largestSubnormal, 0},
+		{"smallest subnormal", math.SmallestNonzeroFloat64, 0},
+		{"negative subnormal", -math.SmallestNonzeroFloat64, 0},
+		{"negative", -1, 0},
+		{"-Inf", math.Inf(-1), 0},
+		{"+Inf", math.Inf(1), math.Inf(1)},
+		{"NaN", math.NaN(), math.NaN()},
+	} {
+		for _, u := range []struct {
+			name string
+			got  float64
+		}{
+			{"node within capacity", nodePriceUpdate(0, c.x, 1, 2, 1, 1)},
+			{"node overloaded", nodePriceUpdate(c.x, 0, 2, 1, 1, 0)},
+			{"link", linkPriceUpdate(c.x, 1, 1, 1)},
+		} {
+			if u.got != c.want && !(math.IsNaN(u.got) && math.IsNaN(c.want)) {
+				t.Errorf("%s, %s: got %v (bits %#x), want %v", c.name, u.name, u.got, math.Float64bits(u.got), c.want)
+			}
+		}
+	}
+}
+
 func TestLinkPriceGradientProjection(t *testing.T) {
 	// Overloaded link: price rises.
 	got := linkPriceUpdate(1.0, 600, 500, 0.01)
@@ -204,5 +242,63 @@ func TestConfigNormalized(t *testing.T) {
 	c = Config{Gamma1: 0.3}.normalized()
 	if c.Gamma2 != 0.3 {
 		t.Errorf("Gamma2 = %g, want to follow Gamma1", c.Gamma2)
+	}
+}
+
+// TestNodePriceReachesZero: a slack, priced, class-free transit node decays
+// by the factor 1 − γ a Step at the default γ = 0.1, fixed or adaptive, and
+// reaches exactly 0 after ≈log(2^-1022/p)/log(1 − γ) Steps instead of
+// sticking in the subnormal range. No price or γ is ever subnormal on the
+// way, and the next re-arm parks the node.
+func TestNodePriceReachesZero(t *testing.T) {
+	subnormal := func(v float64) bool { return v != 0 && math.Abs(v) < minNormal }
+	for _, adaptive := range []bool{false, true} {
+		p := parkProblem([]float64{2, 3}, []float64{10, 10}, 20)
+		e, err := NewEngine(p, Config{Adaptive: adaptive, workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 50 && e.nodePrices[1] == 0; i++ {
+			e.Step()
+		}
+		start := e.nodePrices[1]
+		if start == 0 {
+			t.Fatalf("adaptive %v: node 1 never got a price", adaptive)
+		}
+		p.Nodes[1].Capacity, p.Links[0].Capacity = 1e6, 1e6
+		if err := e.Reset(p); err != nil {
+			t.Fatal(err)
+		}
+		if nodes, _ := Armed(e); !isArmed(nodes, 1) {
+			t.Fatalf("adaptive %v: slack node 1 at price %v was parked", adaptive, start)
+		}
+		// The default γ is the adaptive ceiling, and a node whose gap is a
+		// constant share of its price surges to it, so both decay by 0.9.
+		want := int(math.Ceil(math.Log(minNormal/start) / math.Log(1-DefaultGamma)))
+		steps := 0
+		for ; e.nodePrices[1] != 0; steps++ {
+			if steps > want+10 {
+				t.Fatalf("adaptive %v: node 1 still at %v after %d Steps, want 0 after ≈%d", adaptive, e.nodePrices[1], steps, want)
+			}
+			e.Step()
+			for name, vs := range map[string][]float64{"node price": e.NodePrices(), "link price": e.LinkPrices(), "gamma": e.Gammas()} {
+				for k, v := range vs {
+					if subnormal(v) {
+						t.Fatalf("adaptive %v, Step %d: %s %d is subnormal (%v)", adaptive, steps+1, name, k, v)
+					}
+				}
+			}
+		}
+		t.Logf("adaptive %v: node 1 went from %v to 0 in %d Steps (estimate %d)", adaptive, start, steps, want)
+		if steps < want-10 {
+			t.Errorf("adaptive %v: node 1 reached 0 from %v after %d Steps, want ≈%d", adaptive, start, steps, want)
+		}
+		if err := e.Reset(p); err != nil {
+			t.Fatal(err)
+		}
+		if nodes, _ := Armed(e); isArmed(nodes, 1) {
+			t.Errorf("adaptive %v: node 1 reached price 0 and γ %v, and the re-arm did not park it", adaptive, e.gamma.val[1])
+		}
+		e.Close()
 	}
 }

@@ -97,6 +97,80 @@ func TestSyncMatchesEngine(t *testing.T) {
 	}
 }
 
+// TestSyncMatchesEnginePastSubnormalHorizon runs the distributed rounds
+// long enough for a slack node's price to decay, by 1 − γ a round, below
+// the smallest normal float64 and be projected to exactly 0 (≈6,700 rounds
+// at γ = 0.1; on Tiny one node's price takes that path). The node agents
+// reach the projection through core.NodePriceStep, so at the end every
+// node price and rate must equal the engine's bit for bit. Utility is
+// summed in another order by the collector and is held to 1e-9, as in
+// TestSyncMatchesEngine.
+func TestSyncMatchesEnginePastSubnormalHorizon(t *testing.T) {
+	const rounds = 7000
+	for _, adaptive := range []bool{false, true} {
+		p := workload.Tiny()
+		coreCfg := core.Config{Adaptive: adaptive}
+
+		e, err := core.NewEngine(p.Clone(), coreCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engineTrace := make([]float64, rounds)
+		everPriced := make([]bool, len(p.Nodes))
+		for i := range engineTrace {
+			engineTrace[i] = e.Step().Utility
+			for b, v := range e.NodePrices() {
+				everPriced[b] = everPriced[b] || v != 0
+			}
+		}
+		wantPrices, wantAlloc := e.NodePrices(), e.Allocation()
+		e.Close()
+		decayed := 0
+		for b, v := range wantPrices {
+			if everPriced[b] && v == 0 {
+				decayed++
+			}
+		}
+		if decayed == 0 {
+			t.Fatalf("adaptive=%v: no node price decayed to 0 in %d rounds: %v", adaptive, rounds, wantPrices)
+		}
+
+		net := transport.NewMemory()
+		cl, err := New(p, Config{Core: coreCfg, Mode: Sync}, net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err := cl.Run(rounds, time.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotAlloc := cl.Allocation()
+		if err := cl.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		net.Close()
+
+		if len(stats) != rounds {
+			t.Fatalf("adaptive=%v: got %d rounds, want %d", adaptive, len(stats), rounds)
+		}
+		for i, s := range stats {
+			if rel := math.Abs(s.Utility-engineTrace[i]) / math.Max(1, engineTrace[i]); rel > 1e-9 {
+				t.Fatalf("adaptive=%v round %d: dist %v vs engine %v", adaptive, i+1, s.Utility, engineTrace[i])
+			}
+		}
+		for b, na := range cl.nodes {
+			if math.Float64bits(na.price) != math.Float64bits(wantPrices[b]) {
+				t.Errorf("adaptive=%v node %d: dist price %v vs engine %v", adaptive, b, na.price, wantPrices[b])
+			}
+		}
+		for i, r := range gotAlloc.Rates {
+			if math.Float64bits(r) != math.Float64bits(wantAlloc.Rates[i]) {
+				t.Errorf("adaptive=%v flow %d: dist rate %v vs engine %v", adaptive, i, r, wantAlloc.Rates[i])
+			}
+		}
+	}
+}
+
 // TestSyncMatchesEngineRandomWorkloads extends the keystone parity test
 // across randomized problem shapes: whatever the topology of flows,
 // classes and nodes, the distributed rounds must replay the engine.
