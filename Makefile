@@ -47,8 +47,11 @@ bench:
 # a flow crosses (*CrossedSweepBaseline, with MetroSmall, SteadyState and
 # WarmResolveChurn recorded beside it), and for its warm/aged sub-benchmarks
 # alternating runs of the parent whose prices sank into the subnormal range
-# (*SubnormalBaseline); this target overwrites the file, so they are
-# spliced back by hand.
+# (*SubnormalBaseline), and for WarmResolveChurn and EngineStepMetroSmall,
+# both at -cpu=1,2, five alternating runs of the parent that re-sorted each
+# node's classes from index order on every admission and planned GOMAXPROCS
+# shards (*ResortBaseline) beside five of the current engine; this target
+# overwrites the file, so they are spliced back by hand.
 bench-core:
 	{ $(GO) test -run='^$$' -bench=. -benchmem ./internal/core/ ; \
 	  $(GO) test -run='^$$' -bench=EngineStepSparse -benchmem -cpu=1,4 ./internal/core/ ; } \
@@ -93,7 +96,8 @@ bench-dist:
 # re-trace ran the BFS until its deepest subscriber as
 # *UnidirectionalTraceBaseline, these four plus NewRouterSparse, NewRouter
 # on the link_failure shape; spliced back by hand).
-# -cpu=1,4: the shard budget is GOMAXPROCS, so one shard and a real pool.
+# -cpu=1,4: the shard budget is two shards per GOMAXPROCS, one at 1, so one
+# shard and a real pool.
 bench-overlay:
 	$(GO) test -run='^$$' -bench='TreeRepair|WarmResolve|ColdResolve|ResetRoutingSparse|NewRouterSparse' -benchmem -cpu=1,4 ./internal/overlay/ \
 		| $(GO) run ./cmd/lrgp-benchjson -out BENCH_overlay.json

@@ -37,8 +37,8 @@ func benchOptions() experiments.Options {
 }
 
 // BenchmarkSolveScaled measures the public-API Solve loop on a scaled
-// workload (48 flows, 96 nodes). The engine's shard budget is GOMAXPROCS,
-// so -cpu=1,4 runs it serial and sharded; results are bit-identical
+// workload (48 flows, 96 nodes). The engine's shard budget is a multiple
+// of GOMAXPROCS, so -cpu=1,4 runs it serial and sharded; results are bit-identical
 // either way, so the two differ only in wall-clock.
 func BenchmarkSolveScaled(b *testing.B) {
 	p := workload.Scaled(workload.Config{FlowCopies: 8, NodeSetCopies: 4})

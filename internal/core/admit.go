@@ -38,14 +38,16 @@ type classBC struct {
 	bc float64
 	// unitCost is G_{b,j} * r: node resource per admitted consumer.
 	unitCost float64
-	// value is U_j(r), cached for the utility bookkeeping.
-	value float64
 }
 
 // admitNode runs the greedy allocation for node b, writing the resulting
 // populations into consumers (indexed by ClassID). active reports whether a
 // flow participates this iteration; classes of inactive flows are forced to
 // zero and ignored.
+//
+// rank, when non-nil, carries the node's ranking from one call to the
+// next (see ranking); callers that keep no state (greedy seeding) pass nil
+// and rank in index order. Either way the result is the same.
 //
 // When popEpoch is non-nil, every population write that changes a value
 // also records epoch in popEpoch[class] and sets popChanged on the result;
@@ -62,6 +64,7 @@ func admitNode(
 	active []bool,
 	consumers []int,
 	scratch []classBC,
+	rank *ranking,
 	vc *valueCache,
 	popEpoch []int,
 	epoch int,
@@ -77,33 +80,60 @@ func admitNode(
 		}
 	}
 
-	// Rank classes by benefit-cost ratio (Equation 10). The ratio does
-	// not depend on n_j, so a single sort implements the paper's
-	// "increase the best class until full, then move on" loop.
-	ranked := scratch[:0]
-	for _, cid := range ix.ClassesByNode(b) {
-		c := &p.Classes[cid]
-		if !active[c.Flow] {
-			setPop(consumers, popEpoch, epoch, cid, 0, &res)
-			continue
+	// Rank classes by benefit-cost ratio (Equation 10). The ratio does not
+	// depend on n_j, so a single sort implements the paper's "increase the
+	// best class until full, then move on" loop. The candidates are gathered
+	// in the order the node's last sort left in rank, if any (see ranking).
+	classes := ix.ClassesByNode(b)
+	var order, at []model.ClassID
+	if rank != nil && len(classes) > 1 {
+		// A node with one class has one order; carrying it only costs.
+		order, at = rank.order, rank.at
+		if at == nil {
+			at = classes
 		}
-		r := rates[c.Flow]
-		value := vc.value(c, cid, r)
-		if value <= 0 {
-			// A consumer with non-positive utility at this rate would
-			// spend node resource without increasing the objective
-			// (possible for utilities that start negative or at zero
-			// when r is pinned very low); never admit it.
-			setPop(consumers, popEpoch, epoch, cid, 0, &res)
-			continue
+	}
+	ranked, rest := scratch[:0], 0
+	for pass := 0; ; pass++ {
+		nan := false
+		for k, cid := range classes {
+			if order != nil {
+				cid = order[at[k]]
+			}
+			c := &p.Classes[cid]
+			value, r := 0.0, rates[c.Flow]
+			if active[c.Flow] {
+				value = vc.value(c, cid, r)
+			}
+			if value <= 0 {
+				// An inactive flow's class, or a consumer with non-positive
+				// utility at this rate, which would spend node resource
+				// without increasing the objective (possible for utilities
+				// that start negative or at zero when r is pinned very
+				// low): never admit it.
+				setPop(consumers, popEpoch, epoch, cid, 0, &res)
+				if order != nil {
+					// Every slot up to this one has been read.
+					order[at[rest]] = cid
+					rest++
+				}
+				continue
+			}
+			unit := c.CostPerConsumer * r
+			bc := value / unit
+			nan = nan || bc != bc
+			ranked = append(ranked, classBC{id: cid, bc: bc, unitCost: unit})
 		}
-		unit := c.CostPerConsumer * r
-		ranked = append(ranked, classBC{
-			id:       cid,
-			bc:       value / unit,
-			unitCost: unit,
-			value:    value,
-		})
+		if !nan || order == nil || pass > 0 {
+			break
+		}
+		// A NaN ratio leaves the comparator without a total order, so the
+		// sorted result would depend on the input order: gather again in
+		// index order, the order a nil rank uses.
+		for k, cid := range classes {
+			order[at[k]] = cid
+		}
+		ranked, rest = ranked[:0], 0
 	}
 	// slices.SortFunc avoids sort.Slice's interface boxing and reflection
 	// swaps in this per-node, per-iteration sort. The id tie-break makes
@@ -122,6 +152,11 @@ func admitNode(
 			return 0
 		}
 	})
+	if order != nil {
+		for k, cb := range ranked {
+			order[at[rest+k]] = cb.id
+		}
+	}
 
 	budget := node.Capacity - flowUse
 	used := flowUse
@@ -130,9 +165,13 @@ func admitNode(
 		c := &p.Classes[cb.id]
 		n := 0
 		if budget > 0 {
-			n = int(budget / cb.unitCost)
-			if n > c.MaxConsumers {
+			// Compare before converting: a quotient of 2^63 or more (a tiny
+			// unit cost under a large budget) has no int value, and a NaN
+			// one admits nobody.
+			if q := budget / cb.unitCost; q >= float64(c.MaxConsumers) {
 				n = c.MaxConsumers
+			} else if q > 0 {
+				n = int(q)
 			}
 			// budget/unitCost can round up across an integer boundary
 			// (e.g. 3 - 2^-52 dividing to exactly 3.0), admitting a
@@ -152,6 +191,26 @@ func admitNode(
 	}
 	res.used, res.bestUnsatisfied = used, best
 	return res
+}
+
+// ranking is where a caller carries node rankings from one admission to
+// the next: the k-th class of a node's last ranking is order[at[k]], at
+// being the node's ClassesByNode list when nil. The Engine keeps one order
+// indexed by ClassID for every node — the node's own classes are its slots,
+// so it needs no room per node and shards never share one — and a
+// NodeAllocator one of its node's size, with at = 0, 1, …. Start order as a
+// permutation of each node's classes over its slots (the identity does);
+// admitNode keeps it one, writing back the inadmissible classes, then the
+// ranking.
+//
+// Carrying the order is exact. For non-NaN ratios the comparator is a
+// strict total order, so the sorted sequence is the same whatever order
+// the candidates are gathered in, and a warm re-solve, which moves rates
+// only a little, hands the sort nearly sorted input. A NaN ratio breaks
+// totality; admitNode then resets the node's order to index order and
+// gathers again, which is what a stateless caller's nil rank does.
+type ranking struct {
+	order, at []model.ClassID
 }
 
 // setPop writes consumers[cid] = n, recording the change epoch when the

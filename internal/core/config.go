@@ -48,11 +48,13 @@ const (
 // prices.
 //
 // How far a Step fans out is not configured: the shard budget is
-// runtime.GOMAXPROCS(0), read once by NewEngine. Step fans out whole
-// connected components of the topology, so results are bit-identical for
-// every budget; entangled topologies (fewer balanced components than the
-// budget) and workloads with fewer than minParallelItems flows, nodes and
-// links run one shard on the caller's goroutine (DESIGN.md §5).
+// shardsPerProc × runtime.GOMAXPROCS(0), read once by NewEngine, and 1 at
+// GOMAXPROCS 1. Step fans out whole connected components of the topology
+// over the widest of budget, budget/2, …, GOMAXPROCS shards they pack onto,
+// so results are bit-identical for every budget; entangled topologies
+// (fewer balanced components than GOMAXPROCS) and workloads with fewer than
+// minParallelItems flows, nodes and links run one shard on the caller's
+// goroutine (DESIGN.md §5).
 type Config struct {
 	// Gamma1 is the damping stepsize toward the benefit-cost price when
 	// the node is within capacity (Equation 12, first branch). Default
@@ -87,10 +89,25 @@ type Config struct {
 	// is the clock reads and atomic updates.
 	Telemetry *telemetry.EngineMetrics
 
-	// workers is the shard budget, 0 until normalized resolves it to
-	// GOMAXPROCS. Only tests set it (export_test.go), to get shard counts
-	// the host does not have.
+	// workers is the shard budget — the widest plan Step may run — 0
+	// until normalized resolves it (shardBudget). Only tests set it
+	// (export_test.go), to get shard counts the host does not have.
 	workers int
+}
+
+// shardsPerProc is how many shards the budget allows per GOMAXPROCS. With
+// more shards than cores the runtime spreads heavy components over every
+// core instead of leaving one shard's core idle at the barrier behind
+// another's hot pods; end to end on demand_churn 2 beat 4 (DESIGN.md §5).
+const shardsPerProc = 2
+
+// shardBudget is the shard budget under GOMAXPROCS procs: shardsPerProc
+// shards per proc, and one shard with no pool at 1.
+func shardBudget(procs int) int {
+	if procs <= 1 {
+		return 1
+	}
+	return shardsPerProc * procs
 }
 
 // WithDefaults returns the configuration with every unset field replaced
@@ -103,7 +120,7 @@ func (c Config) WithDefaults() Config {
 
 func (c Config) normalized() Config {
 	if c.workers <= 0 {
-		c.workers = runtime.GOMAXPROCS(0)
+		c.workers = shardBudget(runtime.GOMAXPROCS(0))
 	}
 	if c.Gamma1 <= 0 {
 		c.Gamma1 = DefaultGamma

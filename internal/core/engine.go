@@ -18,10 +18,11 @@ import (
 // order as the distributed version (rates, then populations, then prices).
 //
 // With GOMAXPROCS > 1 at NewEngine Step fans whole connected components of
-// the topology out over a persistent worker pool; entangled topologies run
-// one shard on the caller's goroutine. Results are bit-identical for any
-// shard count. The pool's goroutines live only inside Step's one barrier,
-// so Step remains synchronous from the caller's point of view.
+// the topology out over a persistent worker pool, up to shardsPerProc shards
+// per GOMAXPROCS; entangled topologies run one shard on the caller's
+// goroutine. Results are bit-identical for any shard count. The pool's
+// goroutines live only inside Step's one barrier, so Step remains
+// synchronous from the caller's point of view.
 //
 // An Engine is still not safe for concurrent use: no method — including
 // the mid-run mutators SetFlowActive, SetClassDemand and SetNodeCapacity —
@@ -120,6 +121,11 @@ type Engine struct {
 	// vc is the flow-basis value cache (DESIGN.md §9): what the node and
 	// utility stages read instead of calling Utility.Value per class.
 	vc valueCache
+	// rank carries each node's admission ranking from one recompute to the
+	// next (see ranking): one order indexed by ClassID, the identity at
+	// NewEngine. Class attachments never change, so neither Reset nor
+	// ResetRouting touches it.
+	rank ranking
 }
 
 // valueCache holds, per flow whose classes all have the form
@@ -260,6 +266,10 @@ func NewEngine(p *model.Problem, cfg Config) (*Engine, error) {
 			basis: make([]float64, len(p.Flows)),
 			scale: make([]float64, len(p.Classes)),
 		},
+		rank: ranking{order: make([]model.ClassID, len(p.Classes))},
+	}
+	for j := range e.rank.order {
+		e.rank.order[j] = model.ClassID(j)
 	}
 	e.shardFn = e.stepShard
 	e.adoptPlan(newStagePlan(ix, e.nodePrices, e.linkPrices, c.workers, nil, model.RoutingDelta{}))
@@ -297,7 +307,9 @@ func (e *Engine) adoptPlan(plan *stagePlan) {
 		}
 	}
 	if plan.shards > 1 && e.pool == nil {
-		e.pool = newWorkerPool(plan.shards - 1)
+		// Sized by the budget, not by this plan: a later plan may be wider,
+		// and each shard keeps a goroutine of its own.
+		e.pool = newWorkerPool(e.cfg.workers - 1)
 		// Backstop for engines dropped without Close: idle workers hold no
 		// reference to e (see workerPool), so the finalizer can fire and
 		// release them.
@@ -330,10 +342,11 @@ func (e *Engine) Close() {
 // three stages back to back over its flows and the armed part of its node
 // and link lists (stepShard, rearm) and the shards meet at one barrier.
 // When the crossing-writes analysis proves the problem
-// decomposes into at least as many balanced groups of independent
-// components as the shard budget (GOMAXPROCS at NewEngine) the plan has
-// that many shards, fanned out over the worker pool; otherwise it has one,
-// run on the caller's goroutine. Either way Step performs exactly the serial
+// decomposes into balanced groups of independent components — as many as
+// the shard budget (shardsPerProc × GOMAXPROCS at NewEngine) or, failing
+// that, half of it, down to GOMAXPROCS — the plan has that many shards,
+// fanned out over the worker pool; otherwise it has one, run on the
+// caller's goroutine. Either way Step performs exactly the serial
 // arithmetic: within a shard the stages run in serial order over ascending
 // lists, and every cross-shard reduction (max overload, counter sums,
 // changed flags) is order-independent, so results are bit-identical for
@@ -523,7 +536,7 @@ func (e *Engine) admitItem(b int, sh *shardState, skipped *int, popChanged *bool
 	}
 	e.nodeForced[b] = false
 	out := admitNode(e.p, e.ix, bid, e.rates, e.active, e.consumers, sh.scratch,
-		&e.vc, e.popEpoch, e.iteration)
+		&e.rank, &e.vc, e.popEpoch, e.iteration)
 	e.nodeUsed[b], e.nodeBest[b] = out.used, out.bestUnsatisfied
 	if out.popChanged {
 		*popChanged = true

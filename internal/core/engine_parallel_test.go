@@ -176,11 +176,16 @@ func TestParallelSolveMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestWorkersDefaultResolvesToGOMAXPROCS pins the shard budget: GOMAXPROCS
-// unless a test set one, and small problems stay one shard whatever it is.
-func TestWorkersDefaultResolvesToGOMAXPROCS(t *testing.T) {
-	if got := (Config{}).WithDefaults().workers; got != runtime.GOMAXPROCS(0) {
-		t.Errorf("default budget = %d, want GOMAXPROCS = %d", got, runtime.GOMAXPROCS(0))
+// TestWorkersDefaultResolvesToShardBudget pins the shard budget:
+// shardsPerProc × GOMAXPROCS, one shard at GOMAXPROCS 1, unless a test set
+// one; and small problems stay one shard whatever it is.
+func TestWorkersDefaultResolvesToShardBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for procs, want := range map[int]int{1: 1, 2: 2 * shardsPerProc, 3: 3 * shardsPerProc} {
+		runtime.GOMAXPROCS(procs)
+		if got := (Config{}).WithDefaults().workers; got != want {
+			t.Errorf("GOMAXPROCS %d: default budget = %d, want %d", procs, got, want)
+		}
 	}
 	if got := (Config{workers: 3}).WithDefaults().workers; got != 3 {
 		t.Errorf("budget 3 normalized to %d", got)
@@ -200,11 +205,16 @@ func TestWorkersDefaultResolvesToGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestShardBudgetIsGOMAXPROCS: the budget is read once, at NewEngine. An
-// engine built under GOMAXPROCS 4 plans four shards and keeps planning four
-// across a ResetRouting after GOMAXPROCS is lowered; one built under 1
-// plans one.
-func TestShardBudgetIsGOMAXPROCS(t *testing.T) {
+// TestShardBudgetIsAMultipleOfGOMAXPROCS: the budget is read once, at
+// NewEngine. An engine built under GOMAXPROCS 4 may plan up to
+// shardsPerProc × 4 shards and plans the widest of them, its halves and 4
+// that its components pack onto — 8 for eight copies of the base problem —
+// and keeps that plan across a ResetRouting after GOMAXPROCS is lowered; one
+// built under 1 plans one shard and starts no pool. A topology that packs at
+// GOMAXPROCS shards never packs narrower: three components are too few for
+// the budget at GOMAXPROCS 2 and still get the two shards a budget of
+// GOMAXPROCS gave them.
+func TestShardBudgetIsAMultipleOfGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	p := fusedTestProblem(8, 2, false)
 	e, err := NewEngine(p, Config{Adaptive: true})
@@ -212,26 +222,41 @@ func TestShardBudgetIsGOMAXPROCS(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if e.plan.shards != 4 {
-		t.Fatalf("built under GOMAXPROCS 4: %d shards, want 4", e.plan.shards)
+	if s := e.Snapshot(); e.plan.shards != 8 || s.Workers != 4*shardsPerProc {
+		t.Fatalf("built under GOMAXPROCS 4: %d shards of a budget of %d, want 8 of %d",
+			e.plan.shards, s.Workers, 4*shardsPerProc)
 	}
 	runtime.GOMAXPROCS(1)
 	e.Step()
 	if err := e.ResetRouting(e.Problem(), model.RoutingDelta{}); err != nil {
 		t.Fatal(err)
 	}
-	if s := e.Snapshot(); e.plan.shards != 4 || s.Workers != 4 || !s.Sharded {
-		t.Errorf("after ResetRouting under GOMAXPROCS 1: %d shards, snapshot Workers=%d Sharded=%v; want 4, 4, true",
-			e.plan.shards, s.Workers, s.Sharded)
+	if s := e.Snapshot(); e.plan.shards != 8 || s.Workers != 4*shardsPerProc || !s.Sharded {
+		t.Errorf("after ResetRouting under GOMAXPROCS 1: %d shards, snapshot Workers=%d Sharded=%v; want 8, %d, true",
+			e.plan.shards, s.Workers, s.Sharded, 4*shardsPerProc)
 	}
 	one, err := NewEngine(p.Clone(), Config{Adaptive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer one.Close()
-	if s := one.Snapshot(); one.plan.shards != 1 || s.Workers != 1 || s.Sharded {
-		t.Errorf("built under GOMAXPROCS 1: %d shards, snapshot Workers=%d Sharded=%v; want 1, 1, false",
-			one.plan.shards, s.Workers, s.Sharded)
+	if s := one.Snapshot(); one.plan.shards != 1 || s.Workers != 1 || s.Sharded || one.pool != nil {
+		t.Errorf("built under GOMAXPROCS 1: %d shards, snapshot Workers=%d Sharded=%v, pool %v; want 1, 1, false, none",
+			one.plan.shards, s.Workers, s.Sharded, one.pool != nil)
+	}
+
+	runtime.GOMAXPROCS(2)
+	three := fusedTestProblem(3, 1, false)
+	for _, budget := range []int{2, 0} {
+		e, err := NewEngine(three.Clone(), Config{Adaptive: true, workers: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.plan.components != 3 || e.plan.shards != 2 {
+			t.Errorf("budget %d under GOMAXPROCS 2: %d components on %d shards, want 3 on 2",
+				e.cfg.workers, e.plan.components, e.plan.shards)
+		}
+		e.Close()
 	}
 }
 

@@ -50,7 +50,7 @@ func isArmed(armed []int32, id int32) bool {
 func sweptUsage(e *Engine, rates []float64, active []bool) (node, link float64) {
 	copy(e.rates, rates)
 	copy(e.active, active)
-	out := admitNode(e.p, e.ix, 1, e.rates, e.active, e.consumers, e.sh[0].scratch, &e.vc, e.popEpoch, 1)
+	out := admitNode(e.p, e.ix, 1, e.rates, e.active, e.consumers, e.sh[0].scratch, &e.rank, &e.vc, e.popEpoch, 1)
 	e.linkForced[0] = true
 	skipped := 0
 	e.linkUsageItem(0, &skipped)

@@ -62,10 +62,11 @@ type stagePlan struct {
 }
 
 // newStagePlan builds Step's schedule for the indexed problem at the given
-// prices: the component packing over workers shards when the topology allows
-// it, otherwise — a budget of 1, fewer than minParallelItems items, or a
-// topology pack rejects — one shard whose lists are every flow and the live
-// constraints in ascending order, i.e. the serial scan.
+// prices: the component packing over at most workers shards when the
+// topology allows it (pack), otherwise — a budget of 1, fewer than
+// minParallelItems items, or a topology pack rejects — one shard whose lists
+// are every flow and the live constraints in ascending order, i.e. the
+// serial scan.
 //
 // With prev nil the live test runs on every node and link of the problem.
 // With prev, the plan being replaced, it runs on what prev lists and what
@@ -137,14 +138,12 @@ func listed(lists [][]int32) int {
 
 // pack runs the crossing-writes analysis on a one-shard plan: it finds the
 // connected components of the flow/node/link incidence graph, packs them
-// onto shards and splits the lists accordingly. The plan stays one shard
-// when the topology does not split: fewer components than shards (a worker
-// would idle), or no assignment balanced within 2x of the mean shard
-// weight and two thirds of the total. Deterministic: union-find roots,
-// component order and the greedy assignment depend only on the topology
-// and on which unloaded constraints hold a price, never on scheduling or
-// map iteration.
-func (plan *stagePlan) pack(ix *model.Index, shards int) {
+// onto the widest shard count within budget that assign accepts and splits
+// the lists accordingly. The plan stays one shard when the topology does
+// not split at any of them. Deterministic: union-find roots, component
+// order and the greedy assignment depend only on the topology and on which
+// unloaded constraints hold a price, never on scheduling or map iteration.
+func (plan *stagePlan) pack(ix *model.Index, budget int) {
 	flows, nodes, links := plan.flows[0], plan.nodes[0], plan.links[0]
 
 	// Two flows share a component iff a chain of shared nodes and links
@@ -221,18 +220,48 @@ func (plan *stagePlan) pack(ix *model.Index, shards int) {
 		func(l int32) []model.FlowID { return ix.FlowsByLink(model.LinkID(l)) },
 		func(int32) int { return 1 })
 	plan.components = len(weight)
-	if len(weight) < shards {
-		return
-	}
 
-	// Longest-processing-time assignment: heaviest component first into the
-	// lightest shard. Ties break on root order (the stable sort) and shard
-	// index, keeping the whole assignment deterministic.
+	// The widest plan the budget allows: the budget itself, then halves of
+	// it down to budget/shardsPerProc — GOMAXPROCS, when the budget is
+	// NewEngine's — so a topology that packs at GOMAXPROCS shards never
+	// packs narrower than it, however few components it has.
 	order := make([]int, len(weight))
 	for k := range order {
 		order[k] = k
 	}
 	sort.SliceStable(order, func(a, b int) bool { return weight[order[a]] > weight[order[b]] })
+	for shards := budget; shards >= max(2, budget/shardsPerProc); shards /= 2 {
+		shardOf := assign(weight, order, shards)
+		if shardOf == nil {
+			continue
+		}
+		split := func(ids, comp []int32) [][]int32 {
+			lists := make([][]int32, shards)
+			for k, id := range ids {
+				s := shardOf[comp[k]]
+				lists[s] = append(lists[s], id)
+			}
+			return lists
+		}
+		plan.shards = shards
+		plan.flows, plan.nodes, plan.links = split(flows, flowComp), split(nodes, nodeComp), split(links, linkComp)
+		return
+	}
+}
+
+// assign packs components of the given weights onto shards, returning each
+// component's shard, or nil when it does not split that way: fewer
+// components than shards (a worker would idle), or no assignment balanced
+// within 2x of the mean shard weight and two thirds of the total. order
+// lists the components heaviest first, ties in root order.
+//
+// Longest-processing-time assignment: heaviest component first into the
+// lightest shard. Ties break on root order and shard index, keeping the
+// whole assignment deterministic.
+func assign(weight, order []int, shards int) []int32 {
+	if len(weight) < shards {
+		return nil
+	}
 	shardWeight := make([]int, shards)
 	shardOf := make([]int32, len(weight))
 	totalWeight, maxWeight := 0, 0
@@ -254,16 +283,7 @@ func (plan *stagePlan) pack(ix *model.Index, shards int) {
 	// everything: once idle singletons no longer pad the light side, a giant
 	// component beside one stray flow is a barrier bought for nothing.
 	if maxWeight*max(shards, 3) > 2*totalWeight {
-		return
+		return nil
 	}
-	split := func(ids, comp []int32) [][]int32 {
-		lists := make([][]int32, shards)
-		for k, id := range ids {
-			s := shardOf[comp[k]]
-			lists[s] = append(lists[s], id)
-		}
-		return lists
-	}
-	plan.shards = shards
-	plan.flows, plan.nodes, plan.links = split(flows, flowComp), split(nodes, nodeComp), split(links, linkComp)
+	return shardOf
 }

@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/model"
+import (
+	"slices"
+
+	"repro/internal/model"
+)
 
 // Per-role primitives of LRGP, exported for the distributed runtime
 // (package dist) so the message-passing agents execute exactly the same
@@ -41,8 +45,10 @@ type NodeAllocator struct {
 	node   model.NodeID
 	active []bool
 	// ranked is admitNode's scratch, sized once for the node's classes so
-	// an Allocate call allocates nothing.
+	// an Allocate call allocates nothing; rank carries the node's ranking
+	// between calls, as the Engine's does, in room for this node alone.
 	ranked []classBC
+	rank   ranking
 }
 
 // NewNodeAllocator prepares the allocator for node b. All flows are
@@ -52,7 +58,13 @@ func NewNodeAllocator(p *model.Problem, ix *model.Index, b model.NodeID) *NodeAl
 	for i := range active {
 		active[i] = true
 	}
-	return &NodeAllocator{p: p, ix: ix, node: b, active: active, ranked: make([]classBC, 0, len(ix.ClassesByNode(b)))}
+	classes := ix.ClassesByNode(b)
+	rank := ranking{order: slices.Clone(classes), at: make([]model.ClassID, len(classes))}
+	for k := range rank.at {
+		rank.at[k] = model.ClassID(k)
+	}
+	return &NodeAllocator{p: p, ix: ix, node: b, active: active,
+		ranked: make([]classBC, 0, len(classes)), rank: rank}
 }
 
 // SetFlowActive marks a flow as participating or not (a departed flow's
@@ -65,7 +77,7 @@ func (na *NodeAllocator) SetFlowActive(i model.FlowID, active bool) {
 // slice indexed by FlowID), writing populations into consumers (full-length
 // slice indexed by ClassID; only this node's classes are written).
 func (na *NodeAllocator) Allocate(rates []float64, consumers []int) NodeAllocation {
-	res := admitNode(na.p, na.ix, na.node, rates, na.active, consumers, na.ranked, nil, nil, 0)
+	res := admitNode(na.p, na.ix, na.node, rates, na.active, consumers, na.ranked, &na.rank, nil, nil, 0)
 	return NodeAllocation{Used: res.used, BestUnsatisfied: res.bestUnsatisfied}
 }
 

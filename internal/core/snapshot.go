@@ -28,11 +28,12 @@ type Snapshot struct {
 	LinkCapacity []float64
 	// FlowActive marks flows participating in iterations.
 	FlowActive []bool
-	// Workers is the engine's shard budget (GOMAXPROCS at NewEngine) and
-	// Sharded reports whether Step actually fans out over the pool (Workers
-	// > 1 and the crossing-writes analysis proved the problem
-	// componentized, DESIGN.md §5); results are identical either way, so
-	// these matter only for performance diagnostics.
+	// Workers is the engine's shard budget (shardsPerProc × GOMAXPROCS at
+	// NewEngine, 1 at GOMAXPROCS 1) and Sharded reports whether Step
+	// actually fans out over the pool (Workers > 1 and the crossing-writes
+	// analysis proved the problem componentized, DESIGN.md §5; len(ShardWork)
+	// is how wide); results are identical either way, so these matter only
+	// for performance diagnostics.
 	Workers int
 	Sharded bool
 	// ShardWork lists, per plan shard, the items the last Step recomputed,

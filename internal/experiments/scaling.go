@@ -13,12 +13,14 @@ import (
 // ScalingRow is one GOMAXPROCS setting's measured Step cost on the scaling
 // workload.
 type ScalingRow struct {
-	// GOMAXPROCS is the setting the row's engine was built under, and so
-	// its shard budget.
+	// GOMAXPROCS is the setting the row's engine was built under, which
+	// sets its shard budget (a fixed multiple of it, one shard at 1).
 	GOMAXPROCS int
 	// Mode reports how Step executed: "serial" (one shard on the caller)
-	// or "sharded" (whole components fanned out over the worker pool).
-	Mode string
+	// or "sharded" (whole components fanned out over the worker pool), and
+	// Shards over how many.
+	Mode   string
+	Shards int
 	// NsPerStep is the mean steady-state Step wall time.
 	NsPerStep float64
 	// Speedup is the GOMAXPROCS=1 NsPerStep divided by this row's.
@@ -39,7 +41,7 @@ type ScalingResult struct {
 }
 
 // ScalingExperiment measures steady-state Step wall time against GOMAXPROCS
-// — the engine's shard budget — on a named workload (Options.Workload;
+// — which sets the engine's shard budget — on a named workload (Options.Workload;
 // default the metro-small pod preset, whose componentized structure shards
 // — DESIGN.md §5). Each row sets GOMAXPROCS for its engine, as go test -cpu
 // does, and the setting the caller had is restored on return. Each engine
@@ -81,13 +83,15 @@ func ScalingExperiment(opts Options) (*ScalingResult, error) {
 			e.Step()
 		}
 		elapsed := time.Since(start)
+		snap := e.Snapshot()
 		mode := "serial"
-		if e.Snapshot().Sharded {
+		if snap.Sharded {
 			mode = "sharded"
 		}
 		row := ScalingRow{
 			GOMAXPROCS: procs,
 			Mode:       mode,
+			Shards:     len(snap.ShardWork),
 			NsPerStep:  float64(elapsed.Nanoseconds()) / float64(res.Measured),
 			Speedup:    1,
 		}
@@ -105,11 +109,12 @@ func RenderScaling(res *ScalingResult) *trace.Table {
 	t := trace.NewTable(
 		fmt.Sprintf("X9: Step scaling vs GOMAXPROCS (%s: %d flows, %d nodes, %d classes; %d steps after %d settling)",
 			res.Workload, res.Flows, res.Nodes, res.Classes, res.Measured, res.Settle),
-		"GOMAXPROCS", "Mode", "ns/step", "Speedup")
+		"GOMAXPROCS", "Mode", "Shards", "ns/step", "Speedup")
 	for _, r := range res.Rows {
 		t.Add(
 			fmt.Sprint(r.GOMAXPROCS),
 			r.Mode,
+			fmt.Sprint(r.Shards),
 			fmt.Sprintf("%.0f", r.NsPerStep),
 			fmt.Sprintf("%.2fx", r.Speedup),
 		)

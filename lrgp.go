@@ -76,7 +76,8 @@ type (
 	// Engine runs synchronous LRGP iterations.
 	Engine = core.Engine
 	// Config tunes the engine (stepsizes, adaptive gamma, telemetry); the
-	// Step shard budget is not in it — it is GOMAXPROCS at NewEngine.
+	// Step shard budget is not in it — it is a fixed multiple of GOMAXPROCS
+	// at NewEngine (one shard at GOMAXPROCS 1).
 	Config = core.Config
 	// Result summarizes a Solve run.
 	Result = core.Result
