@@ -45,6 +45,12 @@ type classBC struct {
 // flow participates this iteration; classes of inactive flows are forced to
 // zero and ignored.
 //
+// delivery, when non-nil, is the rate each class (indexed by ClassID) is
+// delivered at — the multirate extension's d_j <= r_i, which sets the
+// class's utility and per-consumer cost G_{b,j} d_j; flow-node costs stay
+// on the flow rates. nil delivers every class at its flow's rate, which is
+// single-rate LRGP. vc must then be nil, as its basis is the flow rates.
+//
 // rank, when non-nil, carries the node's ranking from one call to the
 // next (see ranking); callers that keep no state (greedy seeding) pass nil
 // and rank in index order. Either way the result is the same.
@@ -60,7 +66,7 @@ func admitNode(
 	p *model.Problem,
 	ix *model.Index,
 	b model.NodeID,
-	rates []float64,
+	rates, delivery []float64,
 	active []bool,
 	consumers []int,
 	scratch []classBC,
@@ -102,6 +108,9 @@ func admitNode(
 			}
 			c := &p.Classes[cid]
 			value, r := 0.0, rates[c.Flow]
+			if delivery != nil {
+				r = delivery[cid]
+			}
 			if active[c.Flow] {
 				value = vc.value(c, cid, r)
 			}

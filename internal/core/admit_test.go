@@ -41,7 +41,7 @@ func admitAll(t *testing.T, p *model.Problem, ix *model.Index, rates []float64) 
 	for i := range active {
 		active[i] = true
 	}
-	res := admitNode(p, ix, 0, rates, active, consumers, nil, nil, nil, nil, 0)
+	res := admitNode(p, ix, 0, rates, nil, active, consumers, nil, nil, nil, nil, 0)
 	return consumers, res
 }
 
@@ -115,7 +115,7 @@ func TestAdmitInactiveFlowSkipped(t *testing.T) {
 	consumers := make([]int, len(p.Classes))
 	consumers[2] = 17 // stale population from when flow 1 was active
 	active := []bool{true, false}
-	res := admitNode(p, ix, 0, []float64{10, 0}, active, consumers, nil, nil, nil, nil, 0)
+	res := admitNode(p, ix, 0, []float64{10, 0}, nil, active, consumers, nil, nil, nil, nil, 0)
 
 	if consumers[2] != 0 {
 		t.Errorf("inactive flow class population = %d, want 0", consumers[2])
@@ -147,7 +147,7 @@ func TestAdmitDeterministicTieBreak(t *testing.T) {
 	ix := model.NewIndex(p)
 	consumers := make([]int, 2)
 	// Budget = 100 - 10 = 90; unit cost 30; 3 consumers fit.
-	admitNode(p, ix, 0, []float64{10}, []bool{true}, consumers, nil, nil, nil, nil, 0)
+	admitNode(p, ix, 0, []float64{10}, nil, []bool{true}, consumers, nil, nil, nil, nil, 0)
 	if consumers[0] != 3 || consumers[1] != 0 {
 		t.Errorf("consumers = %v, want [3 0] (deterministic tie-break)", consumers)
 	}
@@ -175,7 +175,7 @@ func TestAdmitSkipsNonPositiveUtility(t *testing.T) {
 	// a rate where it is negative: r such that Shift + r < 1, i.e. r=0.5.
 	// Rate bounds say RateMin=1; craft rate slice directly (admitNode
 	// trusts the caller's rates).
-	admitNode(p, ix, 0, []float64{0.5}, []bool{true}, consumers, nil, nil, nil, nil, 0)
+	admitNode(p, ix, 0, []float64{0.5}, nil, []bool{true}, consumers, nil, nil, nil, nil, 0)
 	if consumers[0] != 0 {
 		t.Errorf("negative-utility class admitted %d consumers", consumers[0])
 	}
@@ -228,7 +228,7 @@ func TestAdmitHugeQuotientClampsToDemand(t *testing.T) {
 	p := problem()
 	ix := model.NewIndex(p)
 	consumers := make([]int, 1)
-	out := NewNodeAllocator(p, ix, 0).Allocate([]float64{1e-12}, consumers)
+	out := NewNodeAllocator(p, ix, 0).Allocate([]float64{1e-12}, nil, consumers)
 	if consumers[0] != 5 || out.BestUnsatisfied != 0 {
 		t.Errorf("NodeAllocator.Allocate admitted %d consumers, best unsatisfied %g; want 5, 0",
 			consumers[0], out.BestUnsatisfied)
@@ -338,7 +338,7 @@ func TestCarriedRankingMatchesIndexOrder(t *testing.T) {
 			}
 			for b := 0; b < nNodes; b++ {
 				bid := model.NodeID(b)
-				want := admitNode(p, ix, bid, rates, active, fresh, nil, nil, nil, nil, 0)
+				want := admitNode(p, ix, bid, rates, nil, active, fresh, nil, nil, nil, nil, 0)
 				for _, c := range []struct {
 					name      string
 					rank      *ranking
@@ -348,7 +348,7 @@ func TestCarriedRankingMatchesIndexOrder(t *testing.T) {
 					{"shared", &shared, carried, lists[b]},
 					{"own", &own[b], alone, own[b].at},
 				} {
-					got := admitNode(p, ix, bid, rates, active, c.consumers, scratch, c.rank, nil, nil, 0)
+					got := admitNode(p, ix, bid, rates, nil, active, c.consumers, scratch, c.rank, nil, nil, 0)
 					if !slices.Equal(c.consumers, fresh) ||
 						math.Float64bits(got.used) != math.Float64bits(want.used) ||
 						math.Float64bits(got.bestUnsatisfied) != math.Float64bits(want.bestUnsatisfied) {

@@ -32,7 +32,7 @@ import (
 // the damping study (Section 4.2) and adapts it by +0.001 per quiet
 // iteration and halving on fluctuation; it starts at the upper bound. The
 // dead band and surge thresholds are the refinements documented in
-// EXPERIMENTS.md (see gammaController). All prices start at zero.
+// EXPERIMENTS.md (see gammaBank). All prices start at zero.
 const (
 	DefaultGamma         = 0.1
 	DefaultGammaMin      = 0.001

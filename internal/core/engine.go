@@ -535,7 +535,7 @@ func (e *Engine) admitItem(b int, sh *shardState, skipped *int, popChanged *bool
 		return
 	}
 	e.nodeForced[b] = false
-	out := admitNode(e.p, e.ix, bid, e.rates, e.active, e.consumers, sh.scratch,
+	out := admitNode(e.p, e.ix, bid, e.rates, nil, e.active, e.consumers, sh.scratch,
 		&e.rank, &e.vc, e.popEpoch, e.iteration)
 	e.nodeUsed[b], e.nodeBest[b] = out.used, out.bestUnsatisfied
 	if out.popChanged {

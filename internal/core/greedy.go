@@ -18,7 +18,7 @@ func GreedyPopulations(p *model.Problem, ix *model.Index, rates []float64) ([]in
 		active[i] = true
 	}
 	for b := range p.Nodes {
-		admitNode(p, ix, model.NodeID(b), rates, active, consumers, nil, nil, nil, nil, 0)
+		admitNode(p, ix, model.NodeID(b), rates, nil, active, consumers, nil, nil, nil, nil, 0)
 	}
 	util := 0.0
 	for j := range p.Classes {

@@ -7,15 +7,18 @@ package core
 // node with the Section 4.2 heuristic. Link prices follow the gradient
 // projection of Low & Lapsley (Equation 13).
 
-// gammaController implements the Section 4.2 adaptive stepsize heuristic:
-// while the node's price is not fluctuating, increase gamma additively;
-// when a fluctuation is detected, halve gamma; clamp to [min, max].
+// gammaBank holds the Section 4.2 adaptive stepsize state for every node in
+// structure-of-arrays layout: the engine's price sweep reads val[b] with a
+// plain indexed load, and the controller-state arrays are touched only on
+// the observe path. A NodePricer keeps a bank of one.
 //
-// The controller watches the price-update *gap* — the distance the
-// Equation 12 update is trying to move the price (BC - p when within
-// capacity, the overload excess otherwise) — rather than the applied
-// delta, because the delta's magnitude is proportional to gamma itself.
-// Each observation is scored by its relative significance
+// While the node's price is not fluctuating, gamma grows additively; when
+// a fluctuation is detected it is halved; it is clamped to [min, max]. The
+// controller watches the price-update *gap* — the distance the Equation 12
+// update is trying to move the price (BC - p when within capacity, the
+// overload excess otherwise) — rather than the applied delta, because the
+// delta's magnitude is proportional to gamma itself. Each observation is
+// scored by its relative significance
 //
 //	s = |gap| / (|price| + |gap|),
 //
@@ -29,88 +32,6 @@ package core
 //     requirement keeps large-amplitude oscillation from re-triggering
 //     the ramp;
 //   - otherwise: quiet, grow additively (the paper's +0.001).
-type gammaController struct {
-	gamma    float64
-	min, max float64
-	step     float64
-	deadband float64
-	surge    float64
-	prevGap  float64
-	havePrev bool
-	sameRun  int
-}
-
-// surgeRuns is how many consecutive same-signed significant gaps must be
-// seen before the multiplicative ramp engages.
-const surgeRuns = 3
-
-// newGammaController starts a controller at the upper bound; literal
-// selects Config.GammaLiteral's behaviour.
-func newGammaController(literal bool) gammaController {
-	g := gammaController{
-		gamma:    DefaultGammaMax,
-		min:      DefaultGammaMin,
-		max:      DefaultGammaMax,
-		step:     DefaultGammaStep,
-		deadband: DefaultGammaDeadband,
-		surge:    DefaultGammaSurge,
-	}
-	if literal {
-		// The paper's heuristic verbatim: every sign flip counts, no
-		// multiplicative ramp (surge > 1 can never trigger since the
-		// significance score s is bounded by 1).
-		g.deadband = 0
-		g.surge = 2
-	}
-	return g
-}
-
-// observe folds one price-update gap (and the price level it applied to)
-// into the controller and returns the gamma for the next update.
-func (g *gammaController) observe(gap, price float64) float64 {
-	g.gamma, g.prevGap, g.sameRun, g.havePrev = gammaStep(
-		g.gamma, gap, price, g.prevGap, g.sameRun, g.havePrev,
-		g.min, g.max, g.step, g.deadband, g.surge)
-	return g.gamma
-}
-
-// gammaStep is the controller transition function, shared verbatim by the
-// AoS gammaController (distributed node agents own one controller each) and
-// the engine's SoA gammaBank so the two can never drift: it takes the
-// current state plus one (gap, price) observation and returns the next
-// state.
-func gammaStep(gamma, gap, price, prevGap float64, sameRun int, havePrev bool,
-	min, max, step, deadband, surge float64) (float64, float64, int, bool) {
-	s := 0.0
-	if gap != 0 {
-		s = abs(gap) / (abs(price) + abs(gap))
-	}
-	flipped := havePrev && s > deadband && gap*prevGap < 0
-	if s > deadband {
-		if flipped {
-			sameRun = 0
-		} else if havePrev && gap*prevGap > 0 {
-			sameRun++
-		}
-		prevGap = gap
-		havePrev = true
-	}
-	switch {
-	case flipped:
-		gamma /= 2
-	case s > surge && sameRun >= surgeRuns:
-		gamma *= 2
-	default:
-		gamma += step
-	}
-	return clamp(gamma, min, max), prevGap, sameRun, havePrev
-}
-
-// gammaBank holds the adaptive-gamma state for every node in
-// structure-of-arrays layout: the engine's price sweep reads val[b] with a
-// plain indexed load instead of striding over an array of seven-field
-// structs, and the controller-state arrays are touched only on the observe
-// path. All banks of one engine share the scalar clamp/threshold config.
 type gammaBank struct {
 	val      []float64
 	prevGap  []float64
@@ -124,24 +45,34 @@ type gammaBank struct {
 	surge    float64
 }
 
-// newGammaBank builds the bank for n nodes from newGammaController's
-// initial state (including the GammaLiteral overrides).
+// surgeRuns is how many consecutive same-signed significant gaps must be
+// seen before the multiplicative ramp engages.
+const surgeRuns = 3
+
+// newGammaBank builds the bank for n nodes, each starting at the upper
+// bound; literal selects Config.GammaLiteral's behaviour.
 func newGammaBank(literal bool, n int) *gammaBank {
-	proto := newGammaController(literal)
 	g := &gammaBank{
 		val:      make([]float64, n),
 		prevGap:  make([]float64, n),
 		sameRun:  make([]int32, n),
 		havePrev: make([]bool, n),
-		init:     proto.gamma,
-		min:      proto.min,
-		max:      proto.max,
-		step:     proto.step,
-		deadband: proto.deadband,
-		surge:    proto.surge,
+		init:     DefaultGammaMax,
+		min:      DefaultGammaMin,
+		max:      DefaultGammaMax,
+		step:     DefaultGammaStep,
+		deadband: DefaultGammaDeadband,
+		surge:    DefaultGammaSurge,
+	}
+	if literal {
+		// The paper's heuristic verbatim: every sign flip counts, no
+		// multiplicative ramp (surge > 1 can never trigger since the
+		// significance score s is bounded by 1).
+		g.deadband = 0
+		g.surge = 2
 	}
 	for b := range g.val {
-		g.val[b] = proto.gamma
+		g.val[b] = g.init
 	}
 	return g
 }
@@ -159,13 +90,34 @@ func (g *gammaBank) reseed(b int) {
 	g.havePrev[b] = false
 }
 
-// observe folds one observation into node b's controller state.
+// observe folds one price-update gap, and the price level it applied to,
+// into node b's controller and sets val[b] to the gamma for its next
+// update.
 func (g *gammaBank) observe(b int, gap, price float64) {
-	run := int(g.sameRun[b])
-	g.val[b], g.prevGap[b], run, g.havePrev[b] = gammaStep(
-		g.val[b], gap, price, g.prevGap[b], run, g.havePrev[b],
-		g.min, g.max, g.step, g.deadband, g.surge)
-	g.sameRun[b] = int32(run)
+	s := 0.0
+	if gap != 0 {
+		s = abs(gap) / (abs(price) + abs(gap))
+	}
+	prevGap, havePrev := g.prevGap[b], g.havePrev[b]
+	flipped := havePrev && s > g.deadband && gap*prevGap < 0
+	if s > g.deadband {
+		if flipped {
+			g.sameRun[b] = 0
+		} else if havePrev && gap*prevGap > 0 {
+			g.sameRun[b]++
+		}
+		g.prevGap[b], g.havePrev[b] = gap, true
+	}
+	gamma := g.val[b]
+	switch {
+	case flipped:
+		gamma /= 2
+	case s > g.surge && g.sameRun[b] >= surgeRuns:
+		gamma *= 2
+	default:
+		gamma += g.step
+	}
+	g.val[b] = clamp(gamma, g.min, g.max)
 }
 
 func abs(x float64) float64 {

@@ -98,12 +98,22 @@ func TestLinkPriceGradientProjection(t *testing.T) {
 	}
 }
 
+// controller is one node's adaptive stepsize: a one-node gammaBank, as a
+// NodePricer keeps it.
+type controller struct{ *gammaBank }
+
+// observe folds in one gap and returns the gamma for the next update.
+func (g controller) observe(gap, price float64) float64 {
+	g.gammaBank.observe(0, gap, price)
+	return g.val[0]
+}
+
 // controllerAt is the default controller (bounds [0.001, 0.1], step 0.001,
 // dead band 0.01, surge 0.3) moved to the given gamma.
-func controllerAt(gamma float64) gammaController {
-	g := newGammaController(false)
-	g.gamma = gamma
-	return g
+func controllerAt(gamma float64) controller {
+	g := newGammaBank(false, 1)
+	g.val[0] = gamma
+	return controller{g}
 }
 
 func TestGammaControllerIncreasesWhenQuiet(t *testing.T) {
@@ -123,8 +133,8 @@ func TestGammaControllerHalvesOnFluctuation(t *testing.T) {
 	g := controllerAt(0.08)
 	g.observe(0.1, 1)  // 0.081
 	g.observe(-0.1, 1) // sign flip: halve to 0.0405
-	if math.Abs(g.gamma-0.0405) > 1e-12 {
-		t.Errorf("gamma = %g, want 0.0405", g.gamma)
+	if math.Abs(g.val[0]-0.0405) > 1e-12 {
+		t.Errorf("gamma = %g, want 0.0405", g.val[0])
 	}
 }
 
@@ -134,8 +144,8 @@ func TestGammaControllerClamps(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		g.observe(0.1, 1)
 	}
-	if g.gamma != 0.1 {
-		t.Errorf("gamma = %g, want clamped at 0.1", g.gamma)
+	if g.val[0] != 0.1 {
+		t.Errorf("gamma = %g, want clamped at 0.1", g.val[0])
 	}
 	// Oscillate forever: floors at min.
 	sign := 1.0
@@ -143,8 +153,8 @@ func TestGammaControllerClamps(t *testing.T) {
 		g.observe(sign, 1)
 		sign = -sign
 	}
-	if g.gamma != 0.001 {
-		t.Errorf("gamma = %g, want clamped at 0.001", g.gamma)
+	if g.val[0] != 0.001 {
+		t.Errorf("gamma = %g, want clamped at 0.001", g.val[0])
 	}
 }
 
@@ -152,13 +162,13 @@ func TestGammaControllerZeroDeltaKeepsSign(t *testing.T) {
 	g := controllerAt(0.05)
 	g.observe(0.1, 1)
 	g.observe(0, 1) // no movement: not a fluctuation, prev sign retained
-	if math.Abs(g.gamma-0.052) > 1e-12 {
-		t.Errorf("gamma = %g, want 0.052", g.gamma)
+	if math.Abs(g.val[0]-0.052) > 1e-12 {
+		t.Errorf("gamma = %g, want 0.052", g.val[0])
 	}
 	// A negative delta now still counts as a flip against the stored +0.1.
 	g.observe(-0.1, 1)
-	if math.Abs(g.gamma-0.026) > 1e-12 {
-		t.Errorf("gamma = %g, want 0.026", g.gamma)
+	if math.Abs(g.val[0]-0.026) > 1e-12 {
+		t.Errorf("gamma = %g, want 0.026", g.val[0])
 	}
 }
 
@@ -170,13 +180,13 @@ func TestGammaControllerDeadband(t *testing.T) {
 	// direction.
 	g.observe(-0.001, 1)
 	g.observe(0.001, 1)
-	if math.Abs(g.gamma-0.053) > 1e-12 {
-		t.Errorf("gamma = %g, want 0.053 (jitter ignored)", g.gamma)
+	if math.Abs(g.val[0]-0.053) > 1e-12 {
+		t.Errorf("gamma = %g, want 0.053 (jitter ignored)", g.val[0])
 	}
 	// A significant flip still halves.
 	g.observe(-0.1, 1)
-	if math.Abs(g.gamma-0.0265) > 1e-12 {
-		t.Errorf("gamma = %g, want 0.0265", g.gamma)
+	if math.Abs(g.val[0]-0.0265) > 1e-12 {
+		t.Errorf("gamma = %g, want 0.0265", g.val[0])
 	}
 }
 
@@ -192,21 +202,21 @@ func TestGammaControllerSurge(t *testing.T) {
 	// surgeRuns+1 observations: additive growth until the run is
 	// established, then one doubling.
 	want := 2 * (0.004 + float64(surgeRuns)*0.001)
-	if math.Abs(g.gamma-want) > 1e-12 {
-		t.Errorf("gamma = %g, want %g after ramp engages", g.gamma, want)
+	if math.Abs(g.val[0]-want) > 1e-12 {
+		t.Errorf("gamma = %g, want %g after ramp engages", g.val[0], want)
 	}
 	g.observe(0.8, 0.3)
-	if math.Abs(g.gamma-2*want) > 1e-12 {
-		t.Errorf("gamma = %g, want %g (ramp continues)", g.gamma, 2*want)
+	if math.Abs(g.val[0]-2*want) > 1e-12 {
+		t.Errorf("gamma = %g, want %g (ramp continues)", g.val[0], 2*want)
 	}
 	// A flip resets the run and halves.
 	g.observe(-0.8, 0.3)
-	if math.Abs(g.gamma-want) > 1e-12 {
-		t.Errorf("gamma = %g, want halved to %g", g.gamma, want)
+	if math.Abs(g.val[0]-want) > 1e-12 {
+		t.Errorf("gamma = %g, want halved to %g", g.val[0], want)
 	}
 	g.observe(-0.8, 0.3) // same sign again, run = 1 < surgeRuns: additive
-	if math.Abs(g.gamma-(want+0.001)) > 1e-12 {
-		t.Errorf("gamma = %g, want additive %g", g.gamma, want+0.001)
+	if math.Abs(g.val[0]-(want+0.001)) > 1e-12 {
+		t.Errorf("gamma = %g, want additive %g", g.val[0], want+0.001)
 	}
 }
 
@@ -232,11 +242,11 @@ func TestConfigNormalized(t *testing.T) {
 	if c.LinkGamma != DefaultLinkGamma {
 		t.Errorf("link gamma = %g", c.LinkGamma)
 	}
-	if g := newGammaController(false); g.gamma != DefaultGammaMax || g.min != DefaultGammaMin || g.max != DefaultGammaMax ||
+	if g := newGammaBank(false, 1); g.val[0] != DefaultGammaMax || g.init != DefaultGammaMax || g.min != DefaultGammaMin || g.max != DefaultGammaMax ||
 		g.step != DefaultGammaStep || g.deadband != DefaultGammaDeadband || g.surge != DefaultGammaSurge {
 		t.Errorf("default controller = %+v", g)
 	}
-	if g := newGammaController(true); g.deadband != 0 || g.surge <= 1 {
+	if g := newGammaBank(true, 1); g.deadband != 0 || g.surge <= 1 {
 		t.Errorf("literal controller = %+v, want no dead band and an unreachable surge", g)
 	}
 	c = Config{Gamma1: 0.3}.normalized()

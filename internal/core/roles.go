@@ -76,48 +76,58 @@ func (na *NodeAllocator) SetFlowActive(i model.FlowID, active bool) {
 // Allocate runs the greedy admission for the given rates (full-length
 // slice indexed by FlowID), writing populations into consumers (full-length
 // slice indexed by ClassID; only this node's classes are written).
-func (na *NodeAllocator) Allocate(rates []float64, consumers []int) NodeAllocation {
-	res := admitNode(na.p, na.ix, na.node, rates, na.active, consumers, na.ranked, &na.rank, nil, nil, 0)
+// delivery, when non-nil, is each class's delivery rate (indexed by
+// ClassID), at which it is valued and charged per consumer — the multirate
+// extension's d_j; nil delivers every class at its flow's rate.
+func (na *NodeAllocator) Allocate(rates, delivery []float64, consumers []int) NodeAllocation {
+	res := admitNode(na.p, na.ix, na.node, rates, delivery, na.active, consumers, na.ranked, &na.rank, nil, nil, 0)
 	return NodeAllocation{Used: res.used, BestUnsatisfied: res.bestUnsatisfied}
 }
 
-// NodePriceStep applies the Equation 12 node-price update (see
-// nodePriceUpdate) — exported for the distributed node agent.
-func NodePriceStep(price, bestBC, used, capacity, gamma1, gamma2 float64) float64 {
-	return nodePriceUpdate(price, bestBC, used, capacity, gamma1, gamma2)
+// NodePricer is the price half of Algorithm 2 for one node: the node's
+// Equation 12 price and the stepsize that moves it — Config.Gamma1/Gamma2,
+// or under Config.Adaptive the Section 4.2 heuristic on a one-node
+// gammaBank, the state and transition the Engine's price sweep runs for
+// every node. The distributed node agent and the multirate engine own one
+// per node.
+type NodePricer struct {
+	price          float64
+	gamma1, gamma2 float64
+	adaptive       *gammaBank // nil for fixed stepsizes
+}
+
+// NewNodePricer starts a node at price zero under cfg, normalized as
+// NewEngine normalizes it.
+func NewNodePricer(cfg Config) *NodePricer {
+	c := cfg.normalized()
+	np := &NodePricer{gamma1: c.Gamma1, gamma2: c.Gamma2}
+	if c.Adaptive {
+		np.adaptive = newGammaBank(c.GammaLiteral, 1)
+	}
+	return np
+}
+
+// Update applies Equation 12 to one admission at a node of the given
+// capacity, folds the update's gap into the adaptive stepsize, and returns
+// the new price.
+func (np *NodePricer) Update(out NodeAllocation, capacity float64) float64 {
+	prev, g1, g2 := np.price, np.gamma1, np.gamma2
+	if g := np.adaptive; g != nil {
+		g1 = g.val[0]
+		g2 = g1
+		g.observe(0, priceGap(prev, out.BestUnsatisfied, out.Used, capacity), prev)
+	}
+	np.price = nodePriceUpdate(prev, out.BestUnsatisfied, out.Used, capacity, g1, g2)
+	return np.price
+}
+
+// Price returns the node's current price.
+func (np *NodePricer) Price() float64 {
+	return np.price
 }
 
 // LinkPriceStep applies the Equation 13 link-price update — exported for
 // the distributed node agent that owns the link.
 func LinkPriceStep(price, used, capacity, gamma float64) float64 {
 	return linkPriceUpdate(price, used, capacity, gamma)
-}
-
-// AdaptiveGamma is the Section 4.2 adaptive stepsize controller, exported
-// for the distributed node agent.
-type AdaptiveGamma struct {
-	g gammaController
-}
-
-// NewAdaptiveGamma builds a controller from the engine configuration
-// (GammaLiteral is honored).
-func NewAdaptiveGamma(cfg Config) *AdaptiveGamma {
-	return &AdaptiveGamma{g: newGammaController(cfg.GammaLiteral)}
-}
-
-// Observe folds in the latest price-update gap (see PriceGap) and the
-// price level it applied to, returning the stepsize for the next update.
-func (a *AdaptiveGamma) Observe(gap, price float64) float64 {
-	return a.g.observe(gap, price)
-}
-
-// PriceGap exposes the controller's input signal for the distributed node
-// agent: the distance the Equation 12 update pulls the price.
-func PriceGap(price, bestBC, used, capacity float64) float64 {
-	return priceGap(price, bestBC, used, capacity)
-}
-
-// Value returns the current stepsize without observing anything.
-func (a *AdaptiveGamma) Value() float64 {
-	return a.g.gamma
 }

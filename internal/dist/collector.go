@@ -402,16 +402,23 @@ func (c *collector) waitRound(round int, timeout time.Duration) error {
 }
 
 // rounds returns the finalized stats for rounds [from, to], in round
-// order. In skip mode, rounds whose frames were lost are absent.
+// order, and forgets every round up to to: Run asks for each round once,
+// so the collector holds only rounds finalized ahead of the caller. In
+// skip mode, rounds whose frames were lost are absent.
 func (c *collector) rounds(from, to int) []RoundStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var out []RoundStats
+	keep := c.stats[:0]
 	for _, s := range c.stats {
-		if s.Round >= from && s.Round <= to {
+		switch {
+		case s.Round > to:
+			keep = append(keep, s)
+		case s.Round >= from:
 			out = append(out, s)
 		}
 	}
+	c.stats = keep
 	slices.SortFunc(out, func(a, b RoundStats) int { return a.Round - b.Round })
 	return out
 }

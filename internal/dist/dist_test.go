@@ -101,7 +101,7 @@ func TestSyncMatchesEngine(t *testing.T) {
 // long enough for a slack node's price to decay, by 1 − γ a round, below
 // the smallest normal float64 and be projected to exactly 0 (≈6,700 rounds
 // at γ = 0.1; on Tiny one node's price takes that path). The node agents
-// reach the projection through core.NodePriceStep, so at the end every
+// reach the projection through core.NodePricer, so at the end every
 // node price and rate must equal the engine's bit for bit. Utility is
 // summed in another order by the collector and is held to 1e-9, as in
 // TestSyncMatchesEngine.
@@ -159,8 +159,8 @@ func TestSyncMatchesEnginePastSubnormalHorizon(t *testing.T) {
 			}
 		}
 		for b, na := range cl.nodes {
-			if math.Float64bits(na.price) != math.Float64bits(wantPrices[b]) {
-				t.Errorf("adaptive=%v node %d: dist price %v vs engine %v", adaptive, b, na.price, wantPrices[b])
+			if got := na.pricer.Price(); math.Float64bits(got) != math.Float64bits(wantPrices[b]) {
+				t.Errorf("adaptive=%v node %d: dist price %v vs engine %v", adaptive, b, got, wantPrices[b])
 			}
 		}
 		for i, r := range gotAlloc.Rates {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/multirate"
 	"repro/internal/transport"
+	"repro/internal/utility"
 	"repro/internal/workload"
 )
 
@@ -56,6 +57,99 @@ func TestMultirateSyncMatchesEngine(t *testing.T) {
 				t.Fatalf("%s round %d: dist %g vs engine %g", p.Name, i+1, s.Utility, engineTrace[i])
 			}
 		}
+	}
+}
+
+// TestMultirateAdmitHugeQuotientClampsToDemand is core's
+// TestAdmitHugeQuotientClampsToDemand on the multirate paths: a delivery
+// rate of 1e-12 at G = 1e-9 under a budget of 1e9 divides to 1e30
+// consumers, past what an int holds, and both the multirate engine and a
+// Multirate cluster must admit the class's demand of 5, not the -2^63
+// amd64 makes of the out-of-range conversion.
+func TestMultirateAdmitHugeQuotientClampsToDemand(t *testing.T) {
+	problem := func() *model.Problem {
+		return &model.Problem{
+			Flows: []model.Flow{{ID: 0, Source: 0, RateMin: 1e-12, RateMax: 1e-12}},
+			Nodes: []model.Node{{ID: 0, Capacity: 1e9, FlowCost: map[model.FlowID]float64{0: 1}}},
+			Classes: []model.Class{
+				{ID: 0, Flow: 0, Node: 0, MaxConsumers: 5, CostPerConsumer: 1e-9, Utility: utility.NewLog(10)},
+			},
+		}
+	}
+
+	e, err := multirate.NewEngine(problem(), core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Step()
+	if got := e.Allocation().Consumers[0]; got != 5 {
+		t.Errorf("multirate Engine.Step admitted %d consumers, want 5", got)
+	}
+
+	net := transport.NewMemory()
+	defer net.Close()
+	cl, err := New(problem(), Config{Multirate: true}, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.Run(1, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if got := cl.Allocation().Consumers[0]; got != 5 {
+		t.Errorf("Multirate cluster admitted %d consumers, want 5", got)
+	}
+}
+
+// TestMultirateNodeAgentSetFlowActive: a multirate node agent admits a
+// departed flow's classes 0, delivers them at 0 and charges the node 0 for
+// the flow, and admits them again once the flow rejoins.
+func TestMultirateNodeAgentSetFlowActive(t *testing.T) {
+	p := workload.Heterogeneous()
+	net := transport.NewMemory()
+	defer net.Close()
+	na := newNodeAgent(p, model.NewIndex(p), 0, Config{Multirate: true}.normalized())
+	ep, err := net.Endpoint(nodeName(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	na.ep = ep
+
+	admitted := func() int {
+		n := 0
+		for _, e := range na.report.Populations {
+			n += e.Val
+		}
+		return n
+	}
+	na.rates[0] = 100
+	na.compute(1)
+	if admitted() == 0 {
+		t.Fatal("nothing admitted with the flow active")
+	}
+	if na.report.Used <= 0 {
+		t.Fatalf("used = %g", na.report.Used)
+	}
+
+	na.setActive(0, false)
+	na.compute(2)
+	if n := admitted(); n != 0 {
+		t.Errorf("departed flow still admitted %d consumers: %v", n, na.report.Populations)
+	}
+	for _, d := range na.report.Deliveries {
+		if d.Val != 0 {
+			t.Errorf("departed flow still delivered: %v", na.report.Deliveries)
+		}
+	}
+	if na.report.Used != 0 {
+		t.Errorf("used = %g with the only flow departed", na.report.Used)
+	}
+
+	na.setActive(0, true)
+	na.rates[0] = 100
+	na.compute(3)
+	if admitted() == 0 {
+		t.Error("rejoined flow not admitted")
 	}
 }
 

@@ -23,11 +23,10 @@ type nodeAgent struct {
 	ep   transport.Endpoint
 	cfg  core.Config
 
-	alloc *core.NodeAllocator
-	gamma *core.AdaptiveGamma
-	// mrAlloc is non-nil in multirate mode and replaces alloc; deliveries
-	// buffers the per-class delivery rates it computes.
-	mrAlloc    *multirate.NodeAllocator
+	alloc  *core.NodeAllocator
+	pricer *core.NodePricer
+	// deliveries is non-nil in multirate mode: the rate each class here is
+	// delivered and admitted at (see deliver).
 	deliveries []float64
 
 	// classes attached at this node, ascending.
@@ -50,7 +49,6 @@ type nodeAgent struct {
 	// node's latest report, kept for the resend chirp.
 	rates     []float64
 	consumers []int
-	price     float64
 	report    reportMsg
 	out       outbox
 	staleness int           // how many rounds behind a flow's rate may be
@@ -70,7 +68,7 @@ func newNodeAgent(p *model.Problem, ix *model.Index, b model.NodeID, c Config) *
 		node:      b,
 		cfg:       cfg,
 		alloc:     core.NewNodeAllocator(p, ix, b),
-		gamma:     core.NewAdaptiveGamma(cfg),
+		pricer:    core.NewNodePricer(cfg),
 		classes:   ix.ClassesByNode(b),
 		flows:     slices.Clone(ix.FlowsByNode(b)),
 		rates:     make([]float64, len(p.Flows)),
@@ -98,7 +96,6 @@ func newNodeAgent(p *model.Problem, ix *model.Index, b model.NodeID, c Config) *
 	na.inactive = make([]bool, len(na.flows))
 	na.latest = make([]int, len(na.flows))
 	if c.Multirate {
-		na.mrAlloc = multirate.NewNodeAllocator(p, ix, b)
 		na.deliveries = make([]float64, len(p.Classes))
 	}
 	return na
@@ -107,32 +104,18 @@ func newNodeAgent(p *model.Problem, ix *model.Index, b model.NodeID, c Config) *
 // compute runs one allocation + price update from the current rates and
 // fills na.report with the round's report.
 func (na *nodeAgent) compute(round int) {
-	var out core.NodeAllocation
-	if na.mrAlloc != nil {
-		mrOut := na.mrAlloc.Allocate(na.rates, na.price, na.consumers, na.deliveries)
-		out = core.NodeAllocation{Used: mrOut.Used, BestUnsatisfied: mrOut.BestUnsatisfied}
-	} else {
-		out = na.alloc.Allocate(na.rates, na.consumers)
+	if na.deliveries != nil {
+		na.deliver()
 	}
-
-	gamma1, gamma2 := na.cfg.Gamma1, na.cfg.Gamma2
-	if na.cfg.Adaptive {
-		gamma1 = na.gamma.Value()
-		gamma2 = gamma1
-	}
-	prev := na.price
-	capacity := na.p.Nodes[na.node].Capacity
-	na.price = core.NodePriceStep(prev, out.BestUnsatisfied, out.Used, capacity, gamma1, gamma2)
-	if na.cfg.Adaptive {
-		na.gamma.Observe(core.PriceGap(prev, out.BestUnsatisfied, out.Used, capacity), prev)
-	}
+	out := na.alloc.Allocate(na.rates, na.deliveries, na.consumers)
+	price := na.pricer.Update(out, na.p.Nodes[na.node].Capacity)
 
 	rm := &na.report
-	rm.Round, rm.Node, rm.Price, rm.Used, rm.BestBC = round, na.node, na.price, out.Used, out.BestUnsatisfied
+	rm.Round, rm.Node, rm.Price, rm.Used, rm.BestBC = round, na.node, price, out.Used, out.BestUnsatisfied
 	rm.Populations, rm.Deliveries, rm.LinkPrices = rm.Populations[:0], rm.Deliveries[:0], rm.LinkPrices[:0]
 	for _, cid := range na.classes {
 		rm.Populations = append(rm.Populations, keyed[int]{int(cid), na.consumers[cid]})
-		if na.mrAlloc != nil {
+		if na.deliveries != nil {
 			rm.Deliveries = append(rm.Deliveries, keyed[float64]{int(cid), na.deliveries[cid]})
 		}
 	}
@@ -144,6 +127,22 @@ func (na *nodeAgent) compute(round int) {
 		}
 		na.linkPrices[k] = core.LinkPriceStep(na.linkPrices[k], used, link.Capacity, na.cfg.LinkGamma)
 		rm.LinkPrices = append(rm.LinkPrices, keyed[float64]{int(lid), na.linkPrices[k]})
+	}
+}
+
+// deliver sets the delivery rate of each class here for the multirate
+// extension: its desired delivery at the node's price, capped by its flow's
+// rate — so 0 for a departed flow, whose rate setActive zeroed.
+func (na *nodeAgent) deliver() {
+	price := na.pricer.Price()
+	for _, cid := range na.classes {
+		c := &na.p.Classes[cid]
+		f := &na.p.Flows[c.Flow]
+		d := multirate.DesiredDelivery(c.Utility, c.CostPerConsumer*price, f.RateMin, f.RateMax)
+		if r := na.rates[c.Flow]; d > r {
+			d = r
+		}
+		na.deliveries[cid] = d
 	}
 }
 
@@ -225,9 +224,6 @@ func (na *nodeAgent) setActive(k int, on bool) {
 		na.rates[i] = 0
 	}
 	na.alloc.SetFlowActive(i, on)
-	if na.mrAlloc != nil {
-		na.mrAlloc.SetFlowActive(i, on)
-	}
 	if on && na.report.Round > 0 {
 		msg := na.sealReport()
 		msg.To = na.peerNames[k]

@@ -390,6 +390,14 @@ func TestRunSurvivesParkedCollector(t *testing.T) {
 	if onWire, atPorts := net.NetStats().Dropped, cl.Traffic().Dropped; onWire != 0 || atPorts != 0 {
 		t.Errorf("%d frames dropped on the wire, %d messages at full ports", onWire, atPorts)
 	}
+	// Run has handed every finalized round to its caller, so the collector
+	// keeps none of them.
+	cl.coll.mu.Lock()
+	held := len(cl.coll.stats)
+	cl.coll.mu.Unlock()
+	if held != 0 {
+		t.Errorf("collector holds %d rounds' stats after Run returned them", held)
+	}
 }
 
 // TestRoundAllocationBudget is the deterministic cost gate on the round's

@@ -73,43 +73,6 @@ func TestCheckFeasibleLinkOverload(t *testing.T) {
 	}
 }
 
-func TestNodeAllocatorSetFlowActive(t *testing.T) {
-	p := workload.Heterogeneous()
-	ix := model.NewIndex(p)
-	na := NewNodeAllocator(p, ix, 0)
-
-	consumers := make([]int, len(p.Classes))
-	deliveries := make([]float64, len(p.Classes))
-	rates := []float64{100}
-
-	out := na.Allocate(rates, 0.01, consumers, deliveries)
-	if consumers[0] == 0 && consumers[1] == 0 {
-		t.Fatal("nothing admitted with the flow active")
-	}
-	if out.Used <= 0 {
-		t.Fatalf("used = %g", out.Used)
-	}
-
-	na.SetFlowActive(0, false)
-	out = na.Allocate(rates, 0.01, consumers, deliveries)
-	if consumers[0] != 0 || consumers[1] != 0 {
-		t.Errorf("inactive flow still admitted: %v", consumers)
-	}
-	if deliveries[0] != 0 || deliveries[1] != 0 {
-		t.Errorf("inactive flow still delivered: %v", deliveries)
-	}
-	if out.Used != 0 {
-		t.Errorf("used = %g with the only flow inactive", out.Used)
-	}
-
-	na.SetFlowActive(0, true)
-	out = na.Allocate(rates, 0.01, consumers, deliveries)
-	if consumers[0] == 0 && consumers[1] == 0 {
-		t.Error("reactivated flow not admitted")
-	}
-	_ = out
-}
-
 func TestDesiredDeliveryExported(t *testing.T) {
 	u := workload.ShapeLog.Utility(20) // 20*log(1+r), U'(r) = 20/(1+r)
 	// U'(d) = 0.5 => d = 39.

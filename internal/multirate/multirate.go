@@ -27,8 +27,10 @@
 //     rate is capped by the source rate (uncapped classes gain nothing
 //     from raising r), and the right side prices the consumer-independent
 //     resources (F at nodes, L at links).
-//  3. Populations and prices: the same greedy admission and Equation
-//     12/13 price updates as LRGP, with per-consumer cost G_{b,j} * d_j.
+//  3. Populations and prices: LRGP's own greedy admission
+//     (core.NodeAllocator) at the delivery rates d_j = min(d*_j, r_i), so
+//     per-consumer cost G_{b,j} * d_j, and its Equation 12/13 price
+//     updates (core.NodePricer, core.LinkPriceStep).
 package multirate
 
 import (
@@ -137,12 +139,11 @@ type Engine struct {
 	desired     []float64 // d*_j before the r_i cap
 	consumers   []int
 
-	nodePrices []float64
 	linkPrices []float64
-	gammas     []*core.AdaptiveGamma
 
 	solvers []*SourceRateSolver
-	allocs  []*NodeAllocator
+	allocs  []*core.NodeAllocator
+	pricers []*core.NodePricer
 }
 
 // NewEngine validates the problem and prepares a multirate engine.
@@ -159,9 +160,7 @@ func NewEngine(p *model.Problem, cfg core.Config) (*Engine, error) {
 		delivery:    make([]float64, len(p.Classes)),
 		desired:     make([]float64, len(p.Classes)),
 		consumers:   make([]int, len(p.Classes)),
-		nodePrices:  make([]float64, len(p.Nodes)),
 		linkPrices:  make([]float64, len(p.Links)),
-		gammas:      make([]*core.AdaptiveGamma, len(p.Nodes)),
 	}
 	for i, f := range p.Flows {
 		e.sourceRates[i] = f.RateMin
@@ -170,9 +169,9 @@ func NewEngine(p *model.Problem, cfg core.Config) (*Engine, error) {
 	for j, cl := range p.Classes {
 		e.delivery[j] = p.Flows[cl.Flow].RateMin
 	}
-	for b := range e.nodePrices {
-		e.gammas[b] = core.NewAdaptiveGamma(c)
-		e.allocs = append(e.allocs, NewNodeAllocator(p, e.ix, model.NodeID(b)))
+	for b := range p.Nodes {
+		e.allocs = append(e.allocs, core.NewNodeAllocator(p, e.ix, model.NodeID(b)))
+		e.pricers = append(e.pricers, core.NewNodePricer(c))
 	}
 	return e, nil
 }
@@ -186,7 +185,7 @@ func (e *Engine) Step() float64 {
 	for j := range e.p.Classes {
 		c := &e.p.Classes[j]
 		f := e.p.Flows[c.Flow]
-		price := c.CostPerConsumer * e.nodePrices[c.Node]
+		price := c.CostPerConsumer * e.pricers[c.Node].Price()
 		e.desired[j] = desiredDelivery(c.Utility, price, f.RateMin, f.RateMax)
 	}
 
@@ -196,22 +195,17 @@ func (e *Engine) Step() float64 {
 		e.sourceRates[i] = e.solvers[i].Rate(e.consumers, e.desired, e.pathPrice(model.FlowID(i)))
 	}
 
-	// 3. Greedy admission at per-consumer cost G_j * d_j, plus the
-	// Equation 12 price update.
-	for b := range e.p.Nodes {
-		prev := e.nodePrices[b]
-		out := e.allocs[b].Allocate(e.sourceRates, prev, e.consumers, e.delivery)
-
-		gamma1, gamma2 := e.cfg.Gamma1, e.cfg.Gamma2
-		if e.cfg.Adaptive {
-			gamma1 = e.gammas[b].Value()
-			gamma2 = gamma1
+	// 3. Delivery rates d_j = min(d*_j, r_i), then greedy admission at
+	// per-consumer cost G_j * d_j and the Equation 12 price update.
+	for j := range e.p.Classes {
+		d, r := e.desired[j], e.sourceRates[e.p.Classes[j].Flow]
+		if d > r {
+			d = r
 		}
-		capacity := e.p.Nodes[b].Capacity
-		e.nodePrices[b] = core.NodePriceStep(prev, out.BestUnsatisfied, out.Used, capacity, gamma1, gamma2)
-		if e.cfg.Adaptive {
-			e.gammas[b].Observe(core.PriceGap(prev, out.BestUnsatisfied, out.Used, capacity), prev)
-		}
+		e.delivery[j] = d
+	}
+	for b, na := range e.allocs {
+		e.pricers[b].Update(na.Allocate(e.sourceRates, e.delivery, e.consumers), e.p.Nodes[b].Capacity)
 	}
 
 	// 4. Link prices on source rates.
@@ -272,7 +266,7 @@ func (e *Engine) pathPrice(i model.FlowID) float64 {
 		price += e.p.Links[l].FlowCost[i] * e.linkPrices[l]
 	}
 	for _, b := range e.ix.NodesByFlow(i) {
-		price += e.p.Nodes[b].FlowCost[i] * e.nodePrices[b]
+		price += e.p.Nodes[b].FlowCost[i] * e.pricers[b].Price()
 	}
 	return price
 }

@@ -5,9 +5,10 @@ import (
 	"repro/internal/solver"
 )
 
-// Per-role primitives of multirate LRGP, exported for the distributed
-// runtime (and used by this package's Engine), mirroring core.RateAllocator
-// and core.NodeAllocator.
+// The flow-source role of multirate LRGP, exported for the distributed
+// runtime (and used by this package's Engine), mirroring core.RateAllocator.
+// The node role is core's: core.NodeAllocator admits at the classes'
+// delivery rates and core.NodePricer prices the node.
 
 // SourceRateSolver is the flow-source half: it owns one flow's source-rate
 // stationarity condition over the classes whose desired delivery the
@@ -70,108 +71,4 @@ func (s *SourceRateSolver) Rate(consumers []int, desired []float64, price float6
 		return f.RateMin
 	}
 	return r
-}
-
-// NodeAllocation is the outcome of one node's multirate greedy admission.
-type NodeAllocation struct {
-	// Used is the node resource consumed (flow costs + consumer costs at
-	// the classes' delivery rates).
-	Used float64
-	// BestUnsatisfied is the Equation 11 benefit-cost ratio at the
-	// classes' delivery rates.
-	BestUnsatisfied float64
-}
-
-// NodeAllocator is the node half: greedy admission at per-class unit cost
-// G_j * d_j, where each class's delivery rate d_j is the marginal-
-// condition solution capped by its flow's source rate.
-type NodeAllocator struct {
-	p      *model.Problem
-	ix     *model.Index
-	node   model.NodeID
-	active []bool
-}
-
-// NewNodeAllocator prepares the allocator for node b.
-func NewNodeAllocator(p *model.Problem, ix *model.Index, b model.NodeID) *NodeAllocator {
-	active := make([]bool, len(p.Flows))
-	for i := range active {
-		active[i] = true
-	}
-	return &NodeAllocator{p: p, ix: ix, node: b, active: active}
-}
-
-// SetFlowActive marks a flow as participating or not.
-func (na *NodeAllocator) SetFlowActive(i model.FlowID, active bool) {
-	na.active[i] = active
-}
-
-// Allocate computes delivery rates for the node's classes from the node
-// price, runs the greedy admission, and writes populations and deliveries
-// into the full-length slices. sourceRates is indexed by FlowID.
-func (na *NodeAllocator) Allocate(sourceRates []float64, price float64, consumers []int, deliveries []float64) NodeAllocation {
-	node := &na.p.Nodes[na.node]
-	flowUse := 0.0
-	for _, i := range na.ix.FlowsByNode(na.node) {
-		if na.active[i] {
-			flowUse += node.FlowCost[i] * sourceRates[i]
-		}
-	}
-
-	type cand struct {
-		id   model.ClassID
-		bc   float64
-		unit float64
-	}
-	var ranked []cand
-	for _, cid := range na.ix.ClassesByNode(na.node) {
-		c := &na.p.Classes[cid]
-		if !na.active[c.Flow] {
-			consumers[cid] = 0
-			deliveries[cid] = 0
-			continue
-		}
-		f := na.p.Flows[c.Flow]
-		d := desiredDelivery(c.Utility, c.CostPerConsumer*price, f.RateMin, f.RateMax)
-		if d > sourceRates[c.Flow] {
-			d = sourceRates[c.Flow]
-		}
-		deliveries[cid] = d
-		value := c.Utility.Value(d)
-		if value <= 0 {
-			consumers[cid] = 0
-			continue
-		}
-		unit := c.CostPerConsumer * d
-		ranked = append(ranked, cand{id: cid, bc: value / unit, unit: unit})
-	}
-	// Insertion sort by descending benefit-cost ratio, ties by id.
-	for x := 1; x < len(ranked); x++ {
-		for y := x; y > 0 && (ranked[y].bc > ranked[y-1].bc ||
-			(ranked[y].bc == ranked[y-1].bc && ranked[y].id < ranked[y-1].id)); y-- {
-			ranked[y], ranked[y-1] = ranked[y-1], ranked[y]
-		}
-	}
-
-	budget := node.Capacity - flowUse
-	used := flowUse
-	best := 0.0
-	for _, cb := range ranked {
-		c := &na.p.Classes[cb.id]
-		n := 0
-		if budget > 0 {
-			n = int(budget / cb.unit)
-			if n > c.MaxConsumers {
-				n = c.MaxConsumers
-			}
-		}
-		consumers[cb.id] = n
-		cost := float64(n) * cb.unit
-		budget -= cost
-		used += cost
-		if n < c.MaxConsumers && cb.bc > best {
-			best = cb.bc
-		}
-	}
-	return NodeAllocation{Used: used, BestUnsatisfied: best}
 }

@@ -121,59 +121,6 @@ func TwoStageSolve(t *Topology, nodeCapacity float64, flows []FlowSpec, cfg core
 	return out, nil
 }
 
-// TwoStageReSolve is the re-entrant form of TwoStageSolve for a problem
-// owned by a Router: stage 1 runs eng (warm from whatever state it
-// carries) on the routed problem; stage 2 zeroes the demand of classes
-// that received no consumers (Router.PruneDeadSubscribers — classes are
-// kept, not dropped, so the member set survives), re-routes the affected
-// trees, republishes through Engine.ResetRouting and re-solves the SAME
-// engine. Against TwoStageSolve this skips the full problem rebuild and
-// the cold engine construction, and prices/rates warm-start stage 2.
-//
-// Both StageResults reference the Router's live problem (stage 1 numbers
-// are computed before pruning mutates it). PrunedClasses counts classes
-// newly pruned by this call, so repeated invocations under churn report
-// incremental pruning, not the cumulative total.
-func TwoStageReSolve(r *Router, eng *core.Engine, iters int) (*TwoStageResult, error) {
-	p := r.Problem()
-	r1 := eng.Solve(iters)
-	out := &TwoStageResult{Stage1: StageResult{Problem: p, Result: r1}}
-
-	live := 0
-	for j := range p.Classes {
-		if p.Classes[j].MaxConsumers > 0 && r1.Allocation.Consumers[j] > 0 {
-			live++
-		}
-	}
-	if live == 0 {
-		// Nothing survives: a fully pruned problem is degenerate (every
-		// flow idles at RateMin). Report stage 1 as final, prune nothing.
-		out.Stage2 = out.Stage1
-		return out, nil
-	}
-
-	nodeBefore, linkBefore := routingEntries(p), linkEntries(p)
-	pruned, err := r.PruneDeadSubscribers(r1.Allocation.Consumers)
-	if err != nil {
-		return nil, fmt.Errorf("stage 2: %w", err)
-	}
-	out.PrunedClasses = pruned
-	if pruned == 0 {
-		out.Stage2 = out.Stage1
-		return out, nil
-	}
-	out.PrunedNodeVisits = nodeBefore - routingEntries(p)
-	out.PrunedLinkVisits = linkBefore - linkEntries(p)
-
-	if err := eng.ResetRouting(p, r.TakeDelta()); err != nil {
-		return nil, fmt.Errorf("stage 2: %w", err)
-	}
-	r2 := eng.Solve(iters)
-	out.Stage2 = StageResult{Problem: p, Result: r2}
-	out.UtilityGain = r2.Utility - r1.Utility
-	return out, nil
-}
-
 func routingEntries(p *model.Problem) int {
 	n := 0
 	for _, node := range p.Nodes {

@@ -59,10 +59,9 @@ func (r *Router) RepairLink(li int) (RepairStats, error) {
 }
 
 // RepairNode marks node b failed and re-routes exactly the flows whose
-// trees touched it. A flow sourced at b, or with an unpruned class
-// attached at b, cannot be repaired — the repair fails atomically (prune
-// the class first, or accept a full rebuild). Restore/republish semantics
-// match RepairLink.
+// trees touched it. A flow sourced at b, or with a class attached at b,
+// cannot be repaired — the repair fails atomically (accept a full rebuild).
+// Restore/republish semantics match RepairLink.
 func (r *Router) RepairNode(b model.NodeID) (RepairStats, error) {
 	if err := r.checkFrozen(); err != nil {
 		return RepairStats{}, err
@@ -83,7 +82,7 @@ func (r *Router) RepairNode(b model.NodeID) (RepairStats, error) {
 		}
 		off := r.classOff[fi]
 		for k, cs := range fs.Classes {
-			if cs.Node == b && !r.pruned[off+k] {
+			if cs.Node == b {
 				rollback()
 				return RepairStats{}, fmt.Errorf("overlay: repair node %d: flow %d (%s) class %d (%s) subscribes there",
 					b, fi, fs.Name, off+k, cs.Name)
@@ -155,7 +154,7 @@ func (r *Router) RestoreNode(b model.NodeID) (RepairStats, error) {
 // The distances a(x) = d(x, in) and b(x) = d(out, x) come from two sweeps
 // over the healed topology, grown one level at a time, the side with the
 // smaller frontier first, and stopped as soon as no pair (flow f,
-// unpruned subscriber t) left unsettled can qualify. The toward side has
+// subscriber t) left unsettled can qualify. The toward side has
 // settled every pair whose source it found; for the rest it must reach
 // radius depth_f(t) − hop − lb_b(t), where lb_b(t) is the from side's lower
 // bound on b(t): b(t) once found, its radius + 1 while it can grow,
@@ -204,7 +203,7 @@ func (r *Router) restoreCandidates(st *RepairStats, in, out model.NodeID, hop in
 		reach := a.dist[fs.Source] + hop
 		off := r.classOff[fi]
 		for k, cs := range fs.Classes {
-			if !r.pruned[off+k] && b.found(cs.Node) && reach+b.dist[cs.Node] <= r.depth[off+k] {
+			if b.found(cs.Node) && reach+b.dist[cs.Node] <= r.depth[off+k] {
 				cands = append(cands, int32(fi))
 				break
 			}
@@ -230,9 +229,6 @@ func (r *Router) stopTerms(hop int32) (foundA, foundB, open int32) {
 		srcFound := a.found(fs.Source)
 		off := r.classOff[fi]
 		for k, cs := range fs.Classes {
-			if r.pruned[off+k] {
-				continue
-			}
 			slack := r.depth[off+k] - hop
 			switch tFound := b.found(cs.Node); {
 			case srcFound && !tFound:

@@ -22,7 +22,7 @@ import (
 //
 // The topology's link set is frozen once a Router routes over it: the
 // reverse indexes, delta marks and problem link slots are sized by
-// NewRouter, so after a Topology.AddLink every repair, restore and prune
+// NewRouter, so after a Topology.AddLink every repair and restore
 // returns ErrBadBuild with nothing changed. Failing and healing existing
 // elements is the supported churn; a grown topology needs a new Router.
 //
@@ -47,10 +47,7 @@ type Router struct {
 	// classOff[fi] is the global ID of flow fi's first class (classes are
 	// laid out flow-major, matching assembleProblem).
 	classOff []int
-	// pruned[j] marks classes zeroed by PruneDeadSubscribers; their nodes
-	// no longer anchor the flow's tree.
-	pruned []bool
-	// depth[j] is unpruned class j's hop depth in its flow's tree, kept
+	// depth[j] is class j's hop depth in its flow's tree, kept
 	// from the trace that found the tree (set by NewRouter and commitTree),
 	// so a restore reads it instead of walking the tree. traced[j] holds
 	// the depth found by the latest trace of j's flow that changed its
@@ -131,7 +128,6 @@ func NewRouter(t *Topology, nodeCaps []float64, flows []FlowSpec) (*Router, erro
 		flowsByLink: make([][]int32, t.LinkCount()),
 		flowsByNode: make([][]int32, t.NodeCount()),
 		classOff:    classOff,
-		pruned:      make([]bool, nClasses),
 		depth:       depth,
 		traced:      make([]int32, nClasses),
 		anchor:      anchor,
@@ -186,81 +182,20 @@ func (r *Router) TakeDelta() model.RoutingDelta {
 }
 
 // subscribers appends flow fi's routing anchors — the nodes of its
-// unpruned classes — to buf and returns it.
+// classes — to buf and returns it.
 func (r *Router) subscribers(fi int, buf []model.NodeID) []model.NodeID {
-	off := r.classOff[fi]
-	for k, cs := range r.flows[fi].Classes {
-		if !r.pruned[off+k] {
-			buf = append(buf, cs.Node)
-		}
+	for _, cs := range r.flows[fi].Classes {
+		buf = append(buf, cs.Node)
 	}
 	return buf
 }
 
-// noteDepths records in traced the depth of each unpruned class of flow fi
-// in the tree just traced for it, as the trace found it (the scratch holds
-// one depth per subscriber, in class order).
+// noteDepths records in traced the depth of each class of flow fi in the
+// tree just traced for it, as the trace found it (the scratch holds one
+// depth per subscriber, in class order).
 func (r *Router) noteDepths(fi int) {
-	off, n := r.classOff[fi], 0
-	for k := range r.flows[fi].Classes {
-		if !r.pruned[off+k] {
-			r.traced[off+k] = r.sc.depth[n]
-			n++
-		}
-	}
-}
-
-// PruneDeadSubscribers implements the re-entrant half of the Section 2.4
-// second stage: every class whose admitted population in consumers is zero
-// has its demand zeroed (MaxConsumers = 0 — the class stays in the
-// problem, keeping the member set Refresh-compatible), and each affected
-// flow's tree is re-routed to its surviving subscribers. Returns the
-// number of newly pruned classes. Pruning is monotone; already-pruned
-// classes are skipped. The caller republishes via TakeDelta +
-// Engine.ResetRouting.
-func (r *Router) PruneDeadSubscribers(consumers []int) (int, error) {
-	if len(consumers) != len(r.prob.Classes) {
-		return 0, fmt.Errorf("%w: %d populations for %d classes", ErrBadBuild, len(consumers), len(r.prob.Classes))
-	}
-	if err := r.checkFrozen(); err != nil {
-		return 0, err
-	}
-	prunedNow := 0
-	reroute := make([]bool, len(r.flows))
-	for j, n := range consumers {
-		if n > 0 || r.pruned[j] || r.prob.Classes[j].MaxConsumers == 0 {
-			continue
-		}
-		r.pruned[j] = true
-		r.prob.Classes[j].MaxConsumers = 0
-		reroute[r.prob.Classes[j].Flow] = true
-		prunedNow++
-	}
-	if prunedNow == 0 {
-		return 0, nil
-	}
-	var subs []model.NodeID
-	for fi := range r.flows {
-		if !reroute[fi] {
-			continue
-		}
-		subs = r.subscribers(fi, subs[:0])
-		// Routing to a subset of the old subscribers over the same alive
-		// topology cannot fail: the old tree already reached them all.
-		tree, changed, err := r.topo.BuildTreeInto(r.sc, r.flows[fi].Source, subs, r.trees[fi])
-		if err != nil {
-			return prunedNow, fmt.Errorf("overlay: prune re-route flow %d (%s): %w", fi, r.flows[fi].Name, err)
-		}
-		if changed {
-			r.noteDepths(fi)
-			r.commitTree(model.FlowID(fi), tree)
-		} else {
-			// The demand change alone dirties the flow: populations and the
-			// node's admission mix must be recomputed from it.
-			r.markFlow(model.FlowID(fi))
-		}
-	}
-	return prunedNow, nil
+	off := r.classOff[fi]
+	copy(r.traced[off:off+len(r.flows[fi].Classes)], r.sc.depth)
 }
 
 // indexTree adds flow i to the reverse indexes for every element of tree.

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/utility"
 )
@@ -62,11 +61,8 @@ func checkRouterInvariants(t *testing.T, r *Router) {
 	var subs []model.NodeID
 	for fi := range p.Flows {
 		subs = subs[:0]
-		off := r.classOff[fi]
-		for k, cs := range r.flows[fi].Classes {
-			if !r.pruned[off+k] {
-				subs = append(subs, cs.Node)
-			}
+		for _, cs := range r.flows[fi].Classes {
+			subs = append(subs, cs.Node)
 		}
 		want, err := r.Topology().BuildTree(r.flows[fi].Source, subs)
 		if err != nil {
@@ -353,8 +349,8 @@ func TestBuildTreeErrNoPathAfterNodeRemoval(t *testing.T) {
 	}
 }
 
-// TestRepairNodeRejectsAnchors: a node hosting a flow source or an
-// unpruned subscriber cannot be repaired away; the failure is atomic.
+// TestRepairNodeRejectsAnchors: a node hosting a flow source or a
+// subscriber cannot be repaired away; the failure is atomic.
 func TestRepairNodeRejectsAnchors(t *testing.T) {
 	tp := Line(4, 1000)
 	caps := uniformCaps(4, 1000)
@@ -374,56 +370,6 @@ func TestRepairNodeRejectsAnchors(t *testing.T) {
 	}
 	if !tp.NodeAlive(2) {
 		t.Fatal("failed repair left subscriber node dead")
-	}
-}
-
-// TestTwoStageReSolveMatchesCold: the re-entrant two-stage solve on the
-// prune scenario prunes the same classes and reaches the same stage-2
-// utility as the cold TwoStageSolve, without rebuilding problem or engine.
-func TestTwoStageReSolveMatchesCold(t *testing.T) {
-	iters := 4000
-	cfg := core.Config{}
-
-	topo, capacity, flows := pruneScenario()
-	cold, err := TwoStageSolve(topo, capacity, flows, cfg, iters)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	topo2, _, _ := pruneScenario()
-	r, err := NewRouter(topo2, uniformCaps(topo2.NodeCount(), capacity), flows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := core.NewEngine(r.Problem(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	warm, err := TwoStageReSolve(r, eng, iters)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if warm.PrunedClasses != cold.PrunedClasses {
-		t.Fatalf("pruned %d classes, cold path pruned %d", warm.PrunedClasses, cold.PrunedClasses)
-	}
-	if warm.PrunedClasses == 0 {
-		t.Fatal("scenario pruned nothing; test is vacuous")
-	}
-	// Same final objective, within convergence tolerance (both stage-2
-	// problems describe identical routing; the warm path just starts from
-	// stage-1 prices).
-	rel := (warm.Stage2.Result.Utility - cold.Stage2.Result.Utility) / cold.Stage2.Result.Utility
-	if rel < -1e-3 || rel > 1e-3 {
-		t.Fatalf("stage-2 utility %g vs cold %g (rel %g)", warm.Stage2.Result.Utility, cold.Stage2.Result.Utility, rel)
-	}
-	if warm.UtilityGain <= 0 {
-		t.Fatalf("pruning gained %g utility, want > 0", warm.UtilityGain)
-	}
-	// The hot flow's tree shrank to the near class only.
-	if got := len(r.Tree(0).Nodes); got != 2 {
-		t.Fatalf("hot tree spans %d nodes after prune, want 2", got)
 	}
 }
 
@@ -472,11 +418,10 @@ func fullSweep(t *Topology, root model.NodeID, reverse bool) []int32 {
 	return dist
 }
 
-// treeDepths returns each unpruned class's hop depth in its flow's current
-// tree, found by walking the tree from the class's node to the source (-1
-// for a pruned class, whose node may be off the tree).
+// treeDepths returns each class's hop depth in its flow's current tree,
+// found by walking the tree from the class's node to the source.
 func treeDepths(r *Router) []int32 {
-	depths := make([]int32, len(r.pruned))
+	depths := make([]int32, len(r.depth))
 	up := make(map[model.NodeID]int)
 	for fi, fs := range r.flows {
 		clear(up)
@@ -485,11 +430,6 @@ func treeDepths(r *Router) []int32 {
 		}
 		off := r.classOff[fi]
 		for k, cs := range fs.Classes {
-			depths[off+k] = -1
-			if r.pruned[off+k] {
-				continue
-			}
-			depths[off+k] = 0
 			for at := cs.Node; at != fs.Source; at = r.topo.links[up[at]].From {
 				depths[off+k]++
 			}
@@ -520,7 +460,7 @@ func fullSweepCandidates(r *Router, in, out model.NodeID, hop int32) (cands []in
 		}
 		off := r.classOff[fi]
 		for k, cs := range fs.Classes {
-			if !r.pruned[off+k] && reach+fromOut[cs.Node] <= depths[off+k] {
+			if reach+fromOut[cs.Node] <= depths[off+k] {
 				cands = append(cands, int32(fi))
 				break
 			}
@@ -624,8 +564,8 @@ func restoreWorkload(rng *rand.Rand, shape string, nodes, nFlows int, salt bool)
 
 // TestRestoreFilterMatchesFullSweep is the differential proof of the
 // restore candidate filter: two Routers over identical inputs take the
-// same seeded stream of overlapping link and node failures, prunes, and
-// heals in an order unrelated to the failures'; one heals through
+// same seeded stream of overlapping link and node failures and of heals
+// in an order unrelated to the failures'; one heals through
 // RestoreLink/RestoreNode, the other through the full sweep. After every
 // event their trees, slice sharing, deltas and reverse indexes must agree
 // exactly, the filtering Router's stored depths must match its trees, and
@@ -699,16 +639,6 @@ func TestRestoreFilterMatchesFullSweep(t *testing.T) {
 					b := model.NodeID(rng.Intn(tp.NodeCount()))
 					apply = func(r *Router, _ *healOracle) (RepairStats, error) { return r.RepairNode(b) }
 					failed = func() { deadNodes = append(deadNodes, b) }
-				case op < 6: // prune one class
-					consumers := make([]int, len(rs[0].prob.Classes))
-					for j := range consumers {
-						consumers[j] = 1
-					}
-					consumers[rng.Intn(len(consumers))] = 0
-					apply = func(r *Router, _ *healOracle) (RepairStats, error) {
-						_, err := r.PruneDeadSubscribers(consumers)
-						return RepairStats{}, err
-					}
 				case op < 8 && len(deadLinks) > 0: // heal a link, any order
 					k := rng.Intn(len(deadLinks))
 					li := deadLinks[k]
@@ -1214,8 +1144,8 @@ func TestReverseAdjacencyInStep(t *testing.T) {
 }
 
 // TestRouterRejectsGrownTopology: AddLink under a live Router grows the
-// graph past the Router's per-link state; every repair, restore and prune
-// must then refuse with ErrBadBuild and leave topology and routing alone
+// graph past the Router's per-link state; every repair and restore must
+// then refuse with ErrBadBuild and leave topology and routing alone
 // (routing over the new link used to index out of range in commitTree).
 func TestRouterRejectsGrownTopology(t *testing.T) {
 	tp := Ring(4, 1000)
@@ -1238,10 +1168,6 @@ func TestRouterRejectsGrownTopology(t *testing.T) {
 		"RepairNode":  func() error { _, err := r.RepairNode(1); return err },
 		"RestoreLink": func() error { _, err := r.RestoreLink(0); return err },
 		"RestoreNode": func() error { _, err := r.RestoreNode(1); return err },
-		"PruneDeadSubscribers": func() error {
-			_, err := r.PruneDeadSubscribers(make([]int, len(r.prob.Classes)))
-			return err
-		},
 	}
 	for name, call := range calls {
 		if err := call(); !errors.Is(err, ErrBadBuild) {
@@ -1256,7 +1182,7 @@ func TestRouterRejectsGrownTopology(t *testing.T) {
 			t.Fatalf("a refused call re-routed flow %d", fi)
 		}
 	}
-	if d := r.TakeDelta(); len(d.Flows)+len(d.Nodes)+len(d.Links) != 0 || slices.Contains(r.pruned, true) {
-		t.Fatalf("a refused call left a delta %+v or pruned a class", d)
+	if d := r.TakeDelta(); len(d.Flows)+len(d.Nodes)+len(d.Links) != 0 {
+		t.Fatalf("a refused call left a delta %+v", d)
 	}
 }

@@ -49,31 +49,10 @@ type DistMetrics struct {
 	NetDropped *Gauge
 }
 
-// DistBuckets overrides the histogram layouts used by
-// NewDistMetricsBuckets. Nil fields keep the defaults.
-type DistBuckets struct {
-	// AssemblySeconds buckets (default MicroDurationBuckets).
-	AssemblySeconds []float64
-	// FlushOccupancy buckets (default OccupancyBuckets).
-	FlushOccupancy []float64
-}
-
 // NewDistMetrics registers the dist metric family in reg and returns the
-// handle, with the default µs-scale assembly and occupancy layouts.
+// handle, with the µs-scale assembly (MicroDurationBuckets) and occupancy
+// (OccupancyBuckets) layouts.
 func NewDistMetrics(reg *Registry) *DistMetrics {
-	return NewDistMetricsBuckets(reg, DistBuckets{})
-}
-
-// NewDistMetricsBuckets is NewDistMetrics with caller-chosen bucket
-// layouts. As with NewEngineMetricsBuckets, layouts apply only on first
-// registration of each family in reg.
-func NewDistMetricsBuckets(reg *Registry, b DistBuckets) *DistMetrics {
-	if b.AssemblySeconds == nil {
-		b.AssemblySeconds = MicroDurationBuckets()
-	}
-	if b.FlushOccupancy == nil {
-		b.FlushOccupancy = OccupancyBuckets()
-	}
 	flow := Label{Key: "agent", Value: "flow"}
 	node := Label{Key: "agent", Value: "node"}
 	return &DistMetrics{
@@ -84,7 +63,7 @@ func NewDistMetricsBuckets(reg *Registry, b DistBuckets) *DistMetrics {
 		FinalizeLag: reg.Gauge("lrgp_dist_collector_finalize_lag",
 			"Frontier round minus the most recently finalized round."),
 		AssemblySeconds: reg.Histogram("lrgp_dist_round_assembly_seconds",
-			"Time from a round's first absorbed input to its finalize.", b.AssemblySeconds),
+			"Time from a round's first absorbed input to its finalize.", MicroDurationBuckets()),
 		FlowChirps: reg.Counter("lrgp_dist_resend_chirps_total",
 			"Stall re-announces by agent kind.", flow),
 		NodeChirps: reg.Counter("lrgp_dist_resend_chirps_total",
@@ -102,7 +81,7 @@ func NewDistMetricsBuckets(reg *Registry, b DistBuckets) *DistMetrics {
 		GatewayQueueDepth: reg.Gauge("lrgp_dist_gateway_queue_depth",
 			"Staged messages at the most recent gateway flush."),
 		FlushOccupancy: reg.Histogram("lrgp_dist_gateway_flush_occupancy",
-			"Messages per flushed gateway batch frame.", b.FlushOccupancy),
+			"Messages per flushed gateway batch frame.", OccupancyBuckets()),
 		Stalls: reg.Counter("lrgp_dist_stalls_total",
 			"Stall-detector trips (no collector progress within the deadline)."),
 		NetFrames: reg.Gauge("lrgp_dist_net_frames",

@@ -102,9 +102,10 @@ func TestDistMetricsNilSafeAndZeroAlloc(t *testing.T) {
 	}
 }
 
-// Bucket overrides apply to fresh registries; the no-argument constructors
-// keep the historical layouts byte-for-byte.
-func TestConfigurableBuckets(t *testing.T) {
+// TestDefaultBuckets: the constructors keep the historical layouts
+// byte-for-byte, and the µs-scale layout resolves sub-µs latencies that
+// DurationBuckets flattens into its first bucket.
+func TestDefaultBuckets(t *testing.T) {
 	var def strings.Builder
 	reg := NewRegistry()
 	NewEngineMetrics(reg)
@@ -116,32 +117,6 @@ func TestConfigurableBuckets(t *testing.T) {
 	if !strings.Contains(def.String(), `lrgp_broker_fanout_bucket{le="1000"}`) {
 		t.Error("default broker fanout buckets lost the 1000 bound")
 	}
-
-	var custom strings.Builder
-	reg2 := NewRegistry()
-	NewEngineMetricsBuckets(reg2, []float64{0.25, 0.75})
-	NewBrokerMetricsBuckets(reg2, []float64{3, 33})
-	NewDistMetricsBuckets(reg2, DistBuckets{
-		AssemblySeconds: []float64{1e-8, 1e-4},
-		FlushOccupancy:  []float64{2, 64},
-	})
-	reg2.WritePrometheus(&custom)
-	for _, want := range []string{
-		`lrgp_engine_stage_seconds_bucket{stage="rate",le="0.25"}`,
-		`lrgp_broker_fanout_bucket{le="33"}`,
-		`lrgp_dist_round_assembly_seconds_bucket{le="1e-08"}`,
-		`lrgp_dist_gateway_flush_occupancy_bucket{le="64"}`,
-	} {
-		if !strings.Contains(custom.String(), want) {
-			t.Errorf("custom layout missing sample %s", want)
-		}
-	}
-	if strings.Contains(custom.String(), `stage="rate",le="1e-06"`) {
-		t.Error("custom engine layout still contains the default 1µs bound")
-	}
-
-	// The µs-scale default resolves sub-µs latencies that DurationBuckets
-	// flattens into its first bucket.
 	if MicroDurationBuckets()[0] >= DurationBuckets()[0] {
 		t.Error("MicroDurationBuckets does not extend below DurationBuckets")
 	}

@@ -66,19 +66,10 @@ type EnactMetrics struct {
 }
 
 // NewEnactMetrics registers the enact metric family in reg and returns
-// the handle, with the default DurationBuckets layout for both wall-time
+// the handle, with the DurationBuckets layout for both wall-time
 // histograms.
 func NewEnactMetrics(reg *Registry) *EnactMetrics {
-	return NewEnactMetricsBuckets(reg, nil)
-}
-
-// NewEnactMetricsBuckets is NewEnactMetrics with a caller-chosen bucket
-// layout for the wall-time histograms (nil keeps DurationBuckets). As
-// with the other families, bucket bounds are fixed at first registration.
-func NewEnactMetricsBuckets(reg *Registry, buckets []float64) *EnactMetrics {
-	if buckets == nil {
-		buckets = DurationBuckets()
-	}
+	buckets := DurationBuckets()
 	m := &EnactMetrics{
 		ApplySeconds: reg.Histogram("lrgp_enact_apply_seconds",
 			"Wall time of one broker enact (diff + snapshot publication).", buckets),

@@ -87,19 +87,9 @@ type EngineMetrics struct {
 }
 
 // NewEngineMetrics registers the engine metric family in reg and returns
-// the handle, with the default DurationBuckets stage layout.
+// the handle, with the DurationBuckets stage layout.
 func NewEngineMetrics(reg *Registry) *EngineMetrics {
-	return NewEngineMetricsBuckets(reg, nil)
-}
-
-// NewEngineMetricsBuckets is NewEngineMetrics with a caller-chosen bucket
-// layout for the stage wall-time histograms (nil keeps DurationBuckets).
-// Bucket bounds are fixed at first registration: the layout applies only
-// when this call is the one that creates the family in reg.
-func NewEngineMetricsBuckets(reg *Registry, stageBuckets []float64) *EngineMetrics {
-	if stageBuckets == nil {
-		stageBuckets = DurationBuckets()
-	}
+	stageBuckets := DurationBuckets()
 	m := &EngineMetrics{
 		Steps: reg.Counter("lrgp_engine_steps_total", "Completed LRGP iterations (Engine.Step calls)."),
 		Utility: reg.Gauge("lrgp_engine_utility",
@@ -211,18 +201,8 @@ type BrokerMetrics struct {
 }
 
 // NewBrokerMetrics registers the broker metric family in reg and returns
-// the handle, with the default FanoutBuckets layout.
+// the handle, with the FanoutBuckets layout.
 func NewBrokerMetrics(reg *Registry) *BrokerMetrics {
-	return NewBrokerMetricsBuckets(reg, nil)
-}
-
-// NewBrokerMetricsBuckets is NewBrokerMetrics with a caller-chosen bucket
-// layout for the fan-out histogram (nil keeps FanoutBuckets). As with
-// NewEngineMetricsBuckets, the layout applies only on first registration.
-func NewBrokerMetricsBuckets(reg *Registry, fanoutBuckets []float64) *BrokerMetrics {
-	if fanoutBuckets == nil {
-		fanoutBuckets = FanoutBuckets()
-	}
 	return &BrokerMetrics{
 		Published: reg.Counter("lrgp_broker_published_total",
 			"Messages accepted by the per-flow source rate limiter."),
@@ -235,7 +215,7 @@ func NewBrokerMetricsBuckets(reg *Registry, fanoutBuckets []float64) *BrokerMetr
 		Thinned: reg.Counter("lrgp_broker_thinned_total",
 			"Class streams subsampled by a multirate delivery-rate cap."),
 		Fanout: reg.Histogram("lrgp_broker_fanout",
-			"Delivery queue depth per accepted publish.", fanoutBuckets),
+			"Delivery queue depth per accepted publish.", FanoutBuckets()),
 		Attached: reg.Gauge("lrgp_broker_consumers_attached",
 			"Consumers attached across all classes."),
 		Admitted: reg.Gauge("lrgp_broker_consumers_admitted",
