@@ -38,30 +38,16 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Engine-core benchmarks recorded as JSON (ns/op, allocs/op per benchmark)
-# so the perf trajectory is tracked PR over PR. BENCH_core.json in the repo
-# additionally holds, for BenchmarkWarmResolveChurn, ten alternating runs of
-# the per-call-window parent (*PerCallWindowBaseline) and of the current
-# engine, and for BenchmarkEngineStepSparse (one Step on the link_failure
-# shape, here also at -cpu=1,4) alternating runs of the sweep-everything
-# parent (*FullSweepBaseline) and of the parent that swept every constraint
-# a flow crosses (*CrossedSweepBaseline, with MetroSmall, SteadyState and
-# WarmResolveChurn recorded beside it), and for its warm/aged sub-benchmarks
-# alternating runs of the parent whose prices sank into the subnormal range
-# (*SubnormalBaseline), and for WarmResolveChurn and EngineStepMetroSmall,
-# both at -cpu=1,2, five alternating runs of the parent that re-sorted each
-# node's classes from index order on every admission and planned GOMAXPROCS
-# shards (*ResortBaseline) beside five of the current engine; this target
-# overwrites the file, so they are spliced back by hand.
+# so the perf trajectory is tracked PR over PR; BenchmarkEngineStepSparse
+# (one Step on the link_failure shape) is also recorded at -cpu=1,4. Parent
+# commits' numbers go to CHANGES.md, not into this file.
 bench-core:
 	{ $(GO) test -run='^$$' -bench=. -benchmem ./internal/core/ ; \
 	  $(GO) test -run='^$$' -bench=EngineStepSparse -benchmem -cpu=1,4 ./internal/core/ ; } \
 		| $(GO) run ./cmd/lrgp-benchjson -out BENCH_core.json
 
 # Broker data-plane benchmarks recorded as JSON. -cpu=1,4 captures the
-# contended scaling of the lock-free publish path (BENCH_broker.json in
-# the repo additionally keeps the pre-refactor mutex baseline under
-# *MutexBaseline names, and the copying-snapshot parent of the metro-shape
-# enact and detach benchmarks under *CopyBaseline names, for comparison).
+# contended scaling of the lock-free publish path.
 bench-broker:
 	$(GO) test -run='^$$' -bench='Publish|ApplyAllocation|DetachAdmitted' -benchmem -cpu=1,4 ./internal/broker/ \
 		| $(GO) run ./cmd/lrgp-benchjson -out BENCH_broker.json
@@ -85,11 +71,12 @@ bench-dist:
 # (kill + heal cycle, allocation-bounded), the full warm path per
 # failure event (repair + ResetRouting + re-solve) and the cold-rebuild
 # baseline it is judged against, all on the 10k-node pod topology; and
-# ResetRoutingSparse, the routing half of a fail + heal pair on the
-# link_failure shape, which reports the time inside RepairLink, RestoreLink
-# and the two ResetRouting calls as repair-µs/op, restore-µs/op and
-# reset-µs/op (BENCH_overlay.json keeps alternating runs of its
-# sweep-everything parent as *FullSweepBaseline, of the parent that
+# ResetRoutingSparse, a fail + heal pair on the link_failure shape, which
+# reports the time inside RepairLink, RestoreLink and the two ResetRouting
+# calls as repair-µs/op, restore-µs/op and reset-µs/op — routing is the
+# routing half alone, steps adds the 10 Steps after each ResetRouting as
+# step-µs/op (BENCH_overlay.json keeps alternating runs of the routing
+# half's sweep-everything parent as *FullSweepBaseline, of the parent that
 # re-planned by scanning every price as *CrossedSweepBaseline, and of the
 # parent whose heals swept the whole graph and whose BFS ran to exhaustion
 # as *UnboundedHealBaseline, all four families, and of the parent whose

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"time"
@@ -42,8 +43,8 @@ type Engine struct {
 	// operands of the Eq. 12/13 price sweeps: flat float64 arrays indexed
 	// by node/link, so the per-iteration sweep is a branch-light pass over
 	// contiguous memory. nodeCap/linkCap mirror the Problem capacities of
-	// the constraints the plan lists, kept in sync by rearm (NewEngine,
-	// Reset*) and SetNodeCapacity, the only supported mutation points.
+	// the armed constraints, written by rearm (NewEngine, Reset*) and
+	// SetNodeCapacity, the only supported mutation points.
 	nodePrices []float64
 	linkPrices []float64
 	nodeCap    []float64
@@ -85,6 +86,16 @@ type Engine struct {
 	popEpoch       []int
 	nodePriceEpoch []int
 	linkPriceEpoch []int
+	// views[i] is flow i's armed path view: the armed nodes and links on
+	// its path, in path order (see pathView). nodeArmed/linkArmed hold a bit
+	// per node/link, set iff some shard's armed list holds it. candNodes,
+	// candLinks and flowMark are rearm's scratch marks, all clear between
+	// calls; rearmTested is the number of constraints the last re-arm tested.
+	views                []pathView
+	nodeArmed, linkArmed bitset
+	candNodes, candLinks bitset
+	flowMark             bitset
+	rearmTested          int
 	// nodeUsed/nodeBest cache admitNode's outputs per node; linkUsed
 	// caches each link's usage sum. A skipped constraint reuses these
 	// verbatim — they are the exact floats the skipped recomputation
@@ -167,7 +178,7 @@ func (vc *valueCache) value(c *model.Class, cid model.ClassID, r float64) float6
 type shardState struct {
 	// nodes and links are the armed sublists of the shard's plan lists —
 	// what Step sweeps (see rearm); each keeps the capacity to hold its whole
-	// plan list, so waking a constraint allocates nothing.
+	// plan list, so a wake's sorted insert allocates nothing.
 	nodes, links []int32
 	// scratch is the admission sort buffer, sized by the widest node, not
 	// the class count.
@@ -262,6 +273,12 @@ func NewEngine(p *model.Problem, cfg Config) (*Engine, error) {
 		det:            metrics.NewConvergenceDetector(0, 0),
 		flowUtil:       make([]float64, len(p.Flows)),
 		flowUtilEpoch:  make([]int, len(p.Flows)),
+		views:          make([]pathView, len(p.Flows)),
+		nodeArmed:      newBitset(len(p.Nodes)),
+		linkArmed:      newBitset(len(p.Links)),
+		candNodes:      newBitset(len(p.Nodes)),
+		candLinks:      newBitset(len(p.Links)),
+		flowMark:       newBitset(len(p.Flows)),
 		vc: valueCache{
 			basis: make([]float64, len(p.Flows)),
 			scale: make([]float64, len(p.Classes)),
@@ -279,7 +296,7 @@ func NewEngine(p *model.Problem, cfg Config) (*Engine, error) {
 		e.solvers[i] = newRateSolver(p, ix, model.FlowID(i))
 		e.rebase(i)
 	}
-	e.rearm()
+	e.rearm(nil)
 	return e, nil
 }
 
@@ -453,20 +470,21 @@ func (e *Engine) shardImbalance() float64 {
 // flowDirty reports whether flow i's rate inputs changed during iteration
 // prev: a link or node price on its path moved, or a consuming class's
 // population moved. Clean flows re-solve to the exact same rate, so the
-// engine keeps the cached value instead.
+// engine keeps the cached value instead. Only the armed path view is looked
+// at: a parked constraint is not swept, so its price cannot move.
 func (e *Engine) flowDirty(i int, prev int) bool {
-	fid := model.FlowID(i)
-	for _, l := range e.ix.LinksByFlow(fid) {
-		if e.linkPriceEpoch[l] == prev {
+	v := &e.views[i]
+	for _, a := range v.links {
+		if e.linkPriceEpoch[a.id] == prev {
 			return true
 		}
 	}
-	for _, b := range e.ix.NodesByFlow(fid) {
-		if e.nodePriceEpoch[b] == prev {
+	for _, a := range v.nodes {
+		if e.nodePriceEpoch[a.id] == prev {
 			return true
 		}
 	}
-	for _, cid := range e.ix.ClassesByFlow(fid) {
+	for _, cid := range e.ix.ClassesByFlow(model.FlowID(i)) {
 		if e.popEpoch[cid] == prev {
 			return true
 		}
@@ -758,21 +776,23 @@ func (e *Engine) rebase(i int) {
 
 // flowPrice computes PL_i + PB_i (Equations 8 and 9) for flow i from the
 // current prices and populations, using the index's dense per-flow cost
-// views and precomputed per-(flow, node) class lists.
+// views and precomputed per-(flow, node) class lists, over the flow's armed
+// path view in path order (see pathView for why that sum is exact).
 func (e *Engine) flowPrice(i model.FlowID) float64 {
 	price := 0.0
+	v := &e.views[i]
 	lcosts := e.ix.LinkCostsByFlow(i)
-	for k, l := range e.ix.LinksByFlow(i) {
-		price += lcosts[k] * e.linkPrices[l]
+	for _, a := range v.links {
+		price += lcosts[a.k] * e.linkPrices[a.id]
 	}
 	ncosts := e.ix.NodeCostsByFlow(i)
 	classes := e.ix.ClassesByFlowNode(i)
-	for k, b := range e.ix.NodesByFlow(i) {
-		coeff := ncosts[k]
-		for _, cid := range classes[k] {
+	for _, a := range v.nodes {
+		coeff := ncosts[a.k]
+		for _, cid := range classes[a.k] {
 			coeff += e.p.Classes[cid].CostPerConsumer * float64(e.consumers[cid])
 		}
-		price += coeff * e.nodePrices[b]
+		price += coeff * e.nodePrices[a.id]
 	}
 	return price
 }
@@ -887,8 +907,8 @@ func (e *Engine) SetNodeCapacity(b model.NodeID, capacity float64) error {
 	}
 	e.p.Nodes[b].Capacity = capacity
 	e.settled = false
-	// A node the plan does not list is not swept: rearm reads its capacity
-	// when a plan first lists it.
+	// A node the plan does not list is not swept: the re-arm that first arms
+	// it reads its capacity.
 	for s := range e.sh[:e.plan.shards] {
 		if _, listed := slices.BinarySearch(e.plan.nodes[s], int32(b)); !listed {
 			continue
@@ -900,8 +920,14 @@ func (e *Engine) SetNodeCapacity(b model.NodeID, capacity float64) error {
 		sh := &e.sh[s]
 		if k, armed := slices.BinarySearch(sh.nodes, int32(b)); !armed &&
 			!slack(e.ix.FlowsByNode(b), e.ix.FlowCostsByNode(b), e.p.Flows, capacity) {
-			// The node can bind now: rearm parked it, so it wakes.
+			// The node can bind now: rearm parked it, so it wakes — with no
+			// epoch of its own yet, and on the views of the flows crossing it.
 			sh.nodes = slices.Insert(sh.nodes, k, int32(b))
+			e.nodePriceEpoch[b] = 0
+			e.nodeArmed.set(int32(b))
+			for _, i := range e.ix.FlowsByNode(b) {
+				e.buildView(int(i))
+			}
 		}
 		break
 	}
@@ -933,7 +959,7 @@ func (e *Engine) Reset(p *model.Problem) error {
 	if err := e.ix.Refresh(p); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	e.warmRestart(p)
+	e.warmRestart(p, nil)
 	return nil
 }
 
@@ -945,8 +971,9 @@ func (e *Engine) Reset(p *model.Problem) error {
 // incrementally and the rules of model.Validate are re-applied to the dirty
 // elements alone (model.Index.RefreshRouting; errors wrap model.ErrInvalid),
 // so the call costs the delta plus the live part of the problem — the
-// re-plan tests what the old plan lists and what d names — never the size
-// of the overlay. Unlike Reset, the stage plan is rebuilt: routing
+// re-plan tests what the old plan lists and what d names, the re-arm what
+// was armed, what d names and what d's flows cross — never the size of the
+// overlay. Unlike Reset, the stage plan is rebuilt: routing
 // defines which flows share resources and which constraints carry a flow at
 // all, so the analysis fixed at NewEngine no longer holds. Warm state
 // carries over exactly as in Reset. On error the engine still runs the old
@@ -990,15 +1017,16 @@ func (e *Engine) ResetRouting(p *model.Problem, d model.RoutingDelta) error {
 			}
 		}
 	}
-	e.warmRestart(p)
+	e.warmRestart(p, &d)
 	return nil
 }
 
 // warmRestart is the shared tail of Reset and ResetRouting: re-targets
 // solvers at p, clamps the carried-over rates and populations into p's
 // bounds, and restarts the incremental machinery so the first Step
-// recomputes everything.
-func (e *Engine) warmRestart(p *model.Problem) {
+// recomputes everything. d is ResetRouting's delta, nil for Reset (see
+// rearm).
+func (e *Engine) warmRestart(p *model.Problem, d *model.RoutingDelta) {
 	e.p = p
 	for i := range p.Flows {
 		e.solvers[i].bind(p)
@@ -1013,16 +1041,14 @@ func (e *Engine) warmRestart(p *model.Problem) {
 		}
 	}
 
-	e.rearm()
+	e.rearm(d)
 }
 
 // rearm restarts the incremental machinery so that the next Step recomputes
 // everything it sweeps: every cached value is suspect under a new problem.
-// The epoch and touch-dedup arrays must really be cleared, not just left
-// behind — the restarted iteration counter will revisit their old values,
-// and a stale match would wrongly skip a recompute. Constraints the plan
-// does not list are not read by Step and are armed when a plan first lists
-// them, which is also when their capacity mirror is read.
+// The per-flow and per-class epochs and the touch dedup are cleared, not
+// left behind — the restarted iteration counter will revisit their old
+// values, and a stale match would wrongly skip a recompute.
 //
 // Of the constraints the plan lists, Step sweeps the armed ones: rearm parks
 // a link at price 0 that no rates in the box can fill (slack), and a node at
@@ -1033,7 +1059,17 @@ func (e *Engine) warmRestart(p *model.Problem) {
 // epoch, no overload (DESIGN.md §5). A constraint that is slack but still
 // priced stays armed until its price has decayed to exactly 0 and a later
 // rearm parks it.
-func (e *Engine) rearm() {
+//
+// With d nil (NewEngine, Reset, which may change capacities and RateMax
+// anywhere) the rule is tested on every listed constraint. With
+// ResetRouting's delta it is tested on what was armed, what d names and
+// what d's flows cross: only those may differ from the problem the last
+// re-arm saw, so nothing else can change status. A constraint is written
+// only when it is armed — its epoch cleared, its capacity mirror read, its
+// force set; a parked one's are not read until a re-arm or a wake arms it
+// again. The path views of the flows crossing a constraint whose status
+// changed, and of d's flows, are rebuilt; the others are still exact.
+func (e *Engine) rearm(d *model.RoutingDelta) {
 	e.iteration = 0
 	e.util, e.utilStale = 0, true
 	e.settled = false
@@ -1042,34 +1078,90 @@ func (e *Engine) rearm() {
 		e.rateEpoch[i] = 0
 		e.flowUtilEpoch[i] = 0
 	}
+	if d == nil {
+		e.candNodes.fill()
+		e.candLinks.fill()
+	} else {
+		copy(e.candNodes, e.nodeArmed)
+		copy(e.candLinks, e.linkArmed)
+		for _, b := range d.Nodes {
+			e.candNodes.set(int32(b))
+		}
+		for _, l := range d.Links {
+			e.candLinks.set(int32(l))
+		}
+		for _, i := range d.Flows {
+			e.flowMark.set(int32(i))
+			for _, b := range e.ix.NodesByFlow(i) {
+				e.candNodes.set(int32(b))
+			}
+			for _, l := range e.ix.LinksByFlow(i) {
+				e.candLinks.set(int32(l))
+			}
+		}
+	}
+	e.rearmTested = 0
 	flows := e.p.Flows
 	for s := 0; s < e.plan.shards; s++ {
 		sh := &e.sh[s]
 		sh.nodes = slices.Grow(sh.nodes[:0], len(e.plan.nodes[s]))
 		for _, b := range e.plan.nodes[s] {
+			if !e.candNodes.take(b) {
+				if e.nodeArmed.has(b) {
+					sh.nodes = append(sh.nodes, b)
+				}
+				continue
+			}
+			e.rearmTested++
 			bid := model.NodeID(b)
-			e.nodePriceEpoch[b] = 0
-			e.nodeCap[b] = e.p.Nodes[b].Capacity
-			parked := e.nodePrices[b] == 0 && len(e.ix.ClassesByNode(bid)) == 0 &&
-				(!e.cfg.Adaptive || e.gamma.val[b] == e.gamma.max) &&
-				slack(e.ix.FlowsByNode(bid), e.ix.FlowCostsByNode(bid), flows, e.nodeCap[b])
-			e.nodeForced[b] = !parked
-			if !parked {
+			capacity := e.p.Nodes[b].Capacity
+			armed := e.nodePrices[b] != 0 || len(e.ix.ClassesByNode(bid)) != 0 ||
+				(e.cfg.Adaptive && e.gamma.val[b] != e.gamma.max) ||
+				!slack(e.ix.FlowsByNode(bid), e.ix.FlowCostsByNode(bid), flows, capacity)
+			if armed {
+				e.nodePriceEpoch[b], e.nodeCap[b], e.nodeForced[b] = 0, capacity, true
 				sh.nodes = append(sh.nodes, b)
+			}
+			if armed != e.nodeArmed.has(b) {
+				e.nodeArmed.flip(b)
+				e.markFlows(e.ix.FlowsByNode(bid))
 			}
 		}
 		sh.links = slices.Grow(sh.links[:0], len(e.plan.links[s]))
 		for _, l := range e.plan.links[s] {
+			if !e.candLinks.take(l) {
+				if e.linkArmed.has(l) {
+					sh.links = append(sh.links, l)
+				}
+				continue
+			}
+			e.rearmTested++
 			lid := model.LinkID(l)
-			e.linkPriceEpoch[l] = 0
-			e.linkCap[l] = e.p.Links[l].Capacity
-			parked := e.linkPrices[l] == 0 &&
-				slack(e.ix.FlowsByLink(lid), e.ix.FlowCostsByLink(lid), flows, e.linkCap[l])
-			e.linkForced[l] = !parked
-			if !parked {
+			capacity := e.p.Links[l].Capacity
+			armed := e.linkPrices[l] != 0 ||
+				!slack(e.ix.FlowsByLink(lid), e.ix.FlowCostsByLink(lid), flows, capacity)
+			if armed {
+				e.linkPriceEpoch[l], e.linkCap[l], e.linkForced[l] = 0, capacity, true
 				sh.links = append(sh.links, l)
 			}
+			if armed != e.linkArmed.has(l) {
+				e.linkArmed.flip(l)
+				e.markFlows(e.ix.FlowsByLink(lid))
+			}
 		}
+	}
+	// A marked constraint the plan does not list has no flow and no price:
+	// it is parked like one no flow ever crossed, and the flows that left it
+	// are d's.
+	e.nodeArmed.andNot(e.candNodes)
+	e.linkArmed.andNot(e.candLinks)
+	clear(e.candNodes)
+	clear(e.candLinks)
+	for w, word := range e.flowMark {
+		for ; word != 0; word &= word - 1 {
+			e.buildView(w<<6 + bits.TrailingZeros64(word))
+		}
+		e.flowMark[w] = 0
 	}
 	for j := range e.popEpoch {
 		e.popEpoch[j] = 0
@@ -1080,6 +1172,80 @@ func (e *Engine) rearm() {
 			sh.touchSeen[i] = 0
 		}
 		sh.touchIDs = sh.touchIDs[:0]
+	}
+}
+
+// markFlows marks flows for rearm's view rebuild.
+func (e *Engine) markFlows(flows []model.FlowID) {
+	for _, i := range flows {
+		e.flowMark.set(int32(i))
+	}
+}
+
+// pathView is a flow's armed path view: the armed links and nodes on its
+// path, each as its id and its position in the index's per-flow lists
+// (LinksByFlow and LinkCostsByFlow; NodesByFlow, NodeCostsByFlow and
+// ClassesByFlowNode), in path order. flowPrice and flowDirty walk it instead
+// of the whole path. That is exact: a parked constraint sits at price
+// exactly 0 with a finite cost — slack refuses an infinite one, and
+// model.Validate requires costs > 0 — and no class attached, so its term in
+// Eq. 8/9 is +0, which leaves the non-negative sum as it is; and it is not
+// swept, so its price never moves.
+type pathView struct {
+	links, nodes []armedAt
+}
+
+// armedAt is one entry of a pathView.
+type armedAt struct {
+	id, k int32
+}
+
+// buildView rebuilds flow i's path view from its index path and the armed
+// marks, reusing the view's storage.
+func (e *Engine) buildView(i int) {
+	fid := model.FlowID(i)
+	v := &e.views[i]
+	v.links = v.links[:0]
+	for k, l := range e.ix.LinksByFlow(fid) {
+		if e.linkArmed.has(int32(l)) {
+			v.links = append(v.links, armedAt{int32(l), int32(k)})
+		}
+	}
+	v.nodes = v.nodes[:0]
+	for k, b := range e.ix.NodesByFlow(fid) {
+		if e.nodeArmed.has(int32(b)) {
+			v.nodes = append(v.nodes, armedAt{int32(b), int32(k)})
+		}
+	}
+}
+
+// bitset is one bit per id.
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+func (s bitset) has(id int32) bool { return s[id>>6]&(1<<(id&63)) != 0 }
+func (s bitset) set(id int32)      { s[id>>6] |= 1 << (id & 63) }
+func (s bitset) flip(id int32)     { s[id>>6] ^= 1 << (id & 63) }
+
+// take clears id's bit and reports whether it was set.
+func (s bitset) take(id int32) bool {
+	w, m := &s[id>>6], uint64(1)<<(id&63)
+	had := *w&m != 0
+	*w &^= m
+	return had
+}
+
+// andNot clears in s every bit set in t.
+func (s bitset) andNot(t bitset) {
+	for w := range s {
+		s[w] &^= t[w]
+	}
+}
+
+func (s bitset) fill() {
+	for w := range s {
+		s[w] = ^uint64(0)
 	}
 }
 

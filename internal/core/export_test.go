@@ -22,10 +22,11 @@ func WithWorkers(cfg Config, n int) Config {
 // shard listing every flow, node and link of the problem — what every Step
 // swept before the plan listed live constraints only — re-arms the engine
 // over it and then arms what rearm parked, whatever the bound says, so that
-// every Step sweeps every constraint. Reset and ResetRouting re-arm by the
-// rule again (and ResetRouting adopts a live plan), so the oracle calls
-// SweepAll after NewEngine and after every Reset*, before the next Step.
-// Production code has no such plan and no such switch.
+// every Step sweeps every constraint and every path view holds the whole
+// path. Reset and ResetRouting re-arm by the rule again (and ResetRouting
+// adopts a live plan), so the oracle calls SweepAll after NewEngine and
+// after every Reset*, before the next Step. Production code has no such plan
+// and no such switch.
 func SweepAll(e *Engine) {
 	identity := func(n int) [][]int32 {
 		ids := make([]int32, n)
@@ -40,15 +41,20 @@ func SweepAll(e *Engine) {
 		nodes:  identity(len(e.p.Nodes)),
 		links:  identity(len(e.p.Links)),
 	}
-	e.rearm()
+	e.rearm(nil)
 	sh := &e.sh[0]
 	sh.nodes = append(sh.nodes[:0], e.plan.nodes[0]...)
 	sh.links = append(sh.links[:0], e.plan.links[0]...)
-	for b := range e.nodeForced {
-		e.nodeForced[b] = true
+	for b := range e.p.Nodes {
+		e.nodePriceEpoch[b], e.nodeCap[b], e.nodeForced[b] = 0, e.p.Nodes[b].Capacity, true
+		e.nodeArmed.set(int32(b))
 	}
-	for l := range e.linkForced {
-		e.linkForced[l] = true
+	for l := range e.p.Links {
+		e.linkPriceEpoch[l], e.linkCap[l], e.linkForced[l] = 0, e.p.Links[l].Capacity, true
+		e.linkArmed.set(int32(l))
+	}
+	for i := range e.views {
+		e.buildView(i)
 	}
 }
 
@@ -75,6 +81,23 @@ func ListedIDs(e *Engine) (nodes, links []int32) {
 // PlanTested returns how many node and link ids the live test looked at to
 // build e's plan.
 func PlanTested(e *Engine) int { return e.plan.tested }
+
+// RearmTested returns how many nodes and links e's last re-arm tested the
+// parking rule on.
+func RearmTested(e *Engine) int { return e.rearmTested }
+
+// PathView returns flow i's armed path view as (id, position on the path)
+// pairs, nodes and links each in path order.
+func PathView(e *Engine, i model.FlowID) (nodes, links [][2]int32) {
+	v := &e.views[i]
+	for _, a := range v.nodes {
+		nodes = append(nodes, [2]int32{a.id, a.k})
+	}
+	for _, a := range v.links {
+		links = append(links, [2]int32{a.id, a.k})
+	}
+	return nodes, links
+}
 
 // Listed returns how many shards, nodes and links e's plan has.
 func Listed(e *Engine) (shards, nodes, links int) {

@@ -337,10 +337,11 @@ func TestMutatorsRefuseWhatValidateRefuses(t *testing.T) {
 	stepTogether("unlisted node's capacity", e, twin)
 }
 
-// TestWakeForcesARecompute: a parked constraint's forced flag is cleared
-// when it is parked and set when it wakes, so the woken node's first Step
-// recomputes its usage instead of reusing what was cached before it slept;
-// waking allocates nothing, and neither does the re-arm that parks it again.
+// TestWakeForcesARecompute: a constraint parked since NewEngine is not
+// forced, and the wake forces it, so the woken node's first Step recomputes
+// its usage instead of reusing what was cached before it slept; waking
+// allocates nothing once its flows' views have held it, and neither does the
+// re-arm that parks it again.
 func TestWakeForcesARecompute(t *testing.T) {
 	p := parkProblem([]float64{2, 3}, []float64{10, 10}, 1000)
 	e, err := NewEngine(p, Config{Adaptive: true, workers: 1})
@@ -387,7 +388,7 @@ func TestWakeForcesARecompute(t *testing.T) {
 	}
 	defer fresh.Close()
 	if allocs := testing.AllocsPerRun(20, func() {
-		fresh.rearm()
+		fresh.rearm(nil)
 		if isArmed(fresh.sh[0].nodes, 1) {
 			t.Fatal("the re-arm left node 1 armed")
 		}
@@ -428,7 +429,7 @@ func TestClimbingGammaStaysArmed(t *testing.T) {
 	}
 	const below = DefaultGammaMax / 2
 	live.gamma.val[1], full.gamma.val[1] = below, below
-	live.rearm()
+	live.rearm(nil)
 	SweepAll(full)
 	if nodes, _ := Armed(live); !isArmed(nodes, 1) {
 		t.Fatalf("node 1 at γ %v under the ceiling %v was parked", below, live.gamma.max)
@@ -449,5 +450,82 @@ func TestClimbingGammaStaysArmed(t *testing.T) {
 	}
 	if nodes, _ := Armed(live); isArmed(nodes, 1) {
 		t.Fatal("node 1 reached the ceiling and the re-arm did not park it")
+	}
+}
+
+// TestWakeClearsAStaleEpoch: a parked constraint keeps whatever price epoch
+// it had when a re-arm parked it, and nothing reads it while it is parked.
+// The wake must clear it: node 1's price reaches 0 at some iteration K of a
+// decay, a Reset parks it there, and after the wake no Step may take that
+// old K for a price move — DirtyFlows stays the full sweep's at every Step,
+// K+1 included.
+func TestWakeClearsAStaleEpoch(t *testing.T) {
+	p := parkProblem([]float64{2, 3}, []float64{10, 10}, 30)
+	p.Links[0].Capacity = 1e6
+	cfg := Config{Gamma1: 0.75, workers: 1}
+	live, err := NewEngine(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	full, err := NewEngine(p.Clone(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer full.Close()
+	SweepAll(full)
+	steps := func(tag string, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			rl, rf := live.Step(), full.Step()
+			if rl.DirtyFlows != rf.DirtyFlows || rl.Utility != rf.Utility {
+				t.Fatalf("%s, Step %d: DirtyFlows %d utility %v, full sweep %d %v",
+					tag, rl.Iteration, rl.DirtyFlows, rl.Utility, rf.DirtyFlows, rf.Utility)
+			}
+		}
+	}
+	reset := func() {
+		t.Helper()
+		if err := live.Reset(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := full.Reset(p.Clone()); err != nil {
+			t.Fatal(err)
+		}
+		SweepAll(full)
+	}
+	steps("overloaded", 40)
+	if live.nodePrices[1] == 0 {
+		t.Fatal("node 1 holds no price at capacity 30")
+	}
+	// Room for everything: armed while its price decays to 0.
+	p.Nodes[1].Capacity = 1000
+	reset()
+	for live.nodePrices[1] != 0 {
+		if live.iteration > 5000 {
+			t.Fatalf("node 1's price %g has not reached 0", live.nodePrices[1])
+		}
+		steps("decaying", 1)
+	}
+	k := live.nodePriceEpoch[1]
+	steps("decayed", 5)
+	reset()
+	if nodes, _ := Armed(live); isArmed(nodes, 1) {
+		t.Fatal("the re-arm left node 1 armed at price 0 and capacity 1000")
+	}
+	// Flow 1 off: node 1 uses 20 of a capacity 30 under its bound 50, so it
+	// wakes and its price stays 0.
+	for _, e := range []*Engine{live, full} {
+		e.SetFlowActive(1, false)
+		if err := e.SetNodeCapacity(1, 30); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if nodes, _ := Armed(live); !isArmed(nodes, 1) {
+		t.Fatal("capacity 30 under the bound 50 left node 1 parked")
+	}
+	steps("woken", k+5)
+	if live.nodePrices[1] != 0 {
+		t.Fatalf("node 1 is priced %g after the wake; the test needs it at 0", live.nodePrices[1])
 	}
 }

@@ -300,54 +300,71 @@ func BenchmarkNewRouterSparse(b *testing.B) {
 	}
 }
 
-// BenchmarkResetRoutingSparse is the routing half of one link_failure
-// pair on that shape: fail a loaded link, republish, heal it, republish —
-// no Step in between, so the engine stays where the warm-up left it. The
-// whole pair is timed and its allocations counted; reset-µs/op is the part
-// spent inside the two ResetRouting calls, repair-µs/op inside RepairLink
-// and restore-µs/op inside RestoreLink.
+// BenchmarkResetRoutingSparse is one link_failure pair on that shape: fail
+// a loaded link, republish, heal it, republish. routing is its routing half
+// — no Step in between, so the engine stays where the warm-up left it;
+// steps runs the 10 Steps bench/linkfail.go's re-solve runs after each
+// republish, the whole event but the enact. The pair is timed and its
+// allocations counted; reset-µs/op is the part spent inside the two
+// ResetRouting calls, step-µs/op inside the Steps, repair-µs/op inside
+// RepairLink and restore-µs/op inside RestoreLink.
 func BenchmarkResetRoutingSparse(b *testing.B) {
-	tp, caps, flows := linkFailureShape(rand.New(rand.NewSource(1)))
-	r, err := NewRouter(tp, caps, flows)
-	if err != nil {
-		b.Fatal(err)
+	for _, c := range []struct {
+		name  string
+		steps int
+	}{{"routing", 0}, {"steps", 10}} {
+		b.Run(c.name, func(b *testing.B) {
+			tp, caps, flows := linkFailureShape(rand.New(rand.NewSource(1)))
+			r, err := NewRouter(tp, caps, flows)
+			if err != nil {
+				b.Fatal(err)
+			}
+			eng, err := core.NewEngine(r.Problem(), core.Config{Adaptive: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer eng.Close()
+			for i := 0; i < 100; i++ {
+				eng.Step()
+			}
+			li := r.Tree(0).Links[0]
+			var inReset, inStep, inRepair, inRestore time.Duration
+			republish := func() {
+				d := r.TakeDelta()
+				t0 := time.Now()
+				if err := eng.ResetRouting(r.Problem(), d); err != nil {
+					b.Fatal(err)
+				}
+				t1 := time.Now()
+				for k := 0; k < c.steps; k++ {
+					eng.Step()
+				}
+				inReset += t1.Sub(t0)
+				inStep += time.Since(t1)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				if _, err := r.RepairLink(li); err != nil {
+					b.Fatal(err)
+				}
+				inRepair += time.Since(t0)
+				republish()
+				t0 = time.Now()
+				if _, err := r.RestoreLink(li); err != nil {
+					b.Fatal(err)
+				}
+				inRestore += time.Since(t0)
+				republish()
+			}
+			perOp := func(d time.Duration) float64 { return float64(d.Microseconds()) / float64(b.N) }
+			b.ReportMetric(perOp(inReset), "reset-µs/op")
+			if c.steps > 0 {
+				b.ReportMetric(perOp(inStep), "step-µs/op")
+			}
+			b.ReportMetric(perOp(inRepair), "repair-µs/op")
+			b.ReportMetric(perOp(inRestore), "restore-µs/op")
+		})
 	}
-	eng, err := core.NewEngine(r.Problem(), core.Config{Adaptive: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	for i := 0; i < 100; i++ {
-		eng.Step()
-	}
-	li := r.Tree(0).Links[0]
-	var inReset, inRepair, inRestore time.Duration
-	republish := func() {
-		d := r.TakeDelta()
-		t0 := time.Now()
-		if err := eng.ResetRouting(r.Problem(), d); err != nil {
-			b.Fatal(err)
-		}
-		inReset += time.Since(t0)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		if _, err := r.RepairLink(li); err != nil {
-			b.Fatal(err)
-		}
-		inRepair += time.Since(t0)
-		republish()
-		t0 = time.Now()
-		if _, err := r.RestoreLink(li); err != nil {
-			b.Fatal(err)
-		}
-		inRestore += time.Since(t0)
-		republish()
-	}
-	perOp := func(d time.Duration) float64 { return float64(d.Microseconds()) / float64(b.N) }
-	b.ReportMetric(perOp(inReset), "reset-µs/op")
-	b.ReportMetric(perOp(inRepair), "repair-µs/op")
-	b.ReportMetric(perOp(inRestore), "restore-µs/op")
 }
