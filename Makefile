@@ -56,12 +56,8 @@ bench-broker:
 # (transport), bytes/round on the base workload, frames/round at one host
 # per node and at 12 hosts in memory and — SyncRoundTCPScaled, the shape the
 # end-to-end dist_rounds workload measures — over loopback TCP, and
-# rounds-to-converge per staleness bound K. BENCH_dist.json in the repo
-# additionally keeps the rows of the two attachments the gateway replaced
-# (agents as endpoints of their own: *PlainBaseline; gateways flushing on a
-# 200 µs ticker: *TickerBaseline), run from the parent's test binary in the
-# same session; this target overwrites the file, so they are spliced back
-# by hand.
+# rounds-to-converge per staleness bound K. Parent commits' numbers go to
+# CHANGES.md, not into this file.
 bench-dist:
 	$(GO) test -run='^$$' -bench='DistWire|DistBatch|DistStaleness|SyncRound|Message' -benchmem \
 		./internal/dist/ ./internal/transport/ \
@@ -75,14 +71,8 @@ bench-dist:
 # reports the time inside RepairLink, RestoreLink and the two ResetRouting
 # calls as repair-µs/op, restore-µs/op and reset-µs/op — routing is the
 # routing half alone, steps adds the 10 Steps after each ResetRouting as
-# step-µs/op (BENCH_overlay.json keeps alternating runs of the routing
-# half's sweep-everything parent as *FullSweepBaseline, of the parent that
-# re-planned by scanning every price as *CrossedSweepBaseline, and of the
-# parent whose heals swept the whole graph and whose BFS ran to exhaustion
-# as *UnboundedHealBaseline, all four families, and of the parent whose
-# re-trace ran the BFS until its deepest subscriber as
-# *UnidirectionalTraceBaseline, these four plus NewRouterSparse, NewRouter
-# on the link_failure shape; spliced back by hand).
+# step-µs/op. NewRouterSparse is NewRouter on the link_failure shape.
+# Parent commits' numbers go to CHANGES.md, not into this file.
 # -cpu=1,4: the shard budget is two shards per GOMAXPROCS, one at 1, so one
 # shard and a real pool.
 bench-overlay:

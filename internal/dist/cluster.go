@@ -212,7 +212,7 @@ func New(p *model.Problem, cfg Config, net transport.Network) (*Cluster, error) 
 	// at most every node agent and the collector.
 	cl.ctrl = control.port(ctrlName, c.Staleness, len(p.Nodes)+1)
 
-	attach := func(name string, peers int) (transport.Endpoint, *recorder) {
+	attach := func(name string, peers int) (*hostPort, *recorder) {
 		cl.agents = append(cl.agents, name)
 		return cl.hosts[cl.route[name]].port(name, c.Staleness, peers), cl.newRec(name)
 	}
@@ -428,7 +428,7 @@ func (cl *Cluster) sendCtrl(body ctrlMsg, to ...string) error {
 	msg := transport.Message{From: ctrlName, Kind: ctrlKind, Payload: body.appendBinary(nil)}
 	var failed error
 	for _, msg.To = range to {
-		if err := cl.ctrl.gw.stage(msg); err != nil && failed == nil {
+		if err := cl.ctrl.stage(msg); err != nil && failed == nil {
 			failed = err
 		}
 	}

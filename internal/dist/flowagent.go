@@ -19,7 +19,7 @@ import (
 type flowAgent struct {
 	p    *model.Problem
 	flow model.FlowID
-	ep   transport.Endpoint
+	ep   *hostPort
 	ra   *core.RateAllocator
 	// mr is non-nil in multirate mode and replaces ra; desired is its
 	// per-class scratch.
@@ -249,6 +249,7 @@ func (fa *flowAgent) announce(round int, rate float64, active bool) error {
 	if err := fa.ep.Send(msg); errors.Is(err, transport.ErrClosed) {
 		return err
 	}
+	fa.ep.stepped()
 	return nil
 }
 
@@ -271,6 +272,7 @@ func (fa *flowAgent) depart() {
 // re-announces the latest rate.
 func (fa *flowAgent) run() {
 	defer close(fa.done)
+	defer fa.ep.detach()
 	lastRound, lastRate := 0, 0.0
 	resend := newChirp(fa.resend)
 	defer resend.stop()
@@ -301,6 +303,7 @@ func (fa *flowAgent) run() {
 			fa.round = max(fa.round, fa.runUntil+1)
 		}
 
+		fa.ep.idle()
 		select {
 		case m, ok := <-fa.ep.Recv():
 			if !ok || !fa.handle(m) {
@@ -393,9 +396,11 @@ const asyncTick = time.Millisecond
 // absorbed reports.
 func (fa *flowAgent) runAsync() {
 	defer close(fa.done)
+	defer fa.ep.detach()
 	ticker := time.NewTicker(asyncTick)
 	defer ticker.Stop()
 	for {
+		fa.ep.idle()
 		select {
 		case m, ok := <-fa.ep.Recv():
 			if !ok || !fa.handle(m) {

@@ -13,10 +13,19 @@ import (
 // single network endpoint and every agent on the host is a port on it. A
 // send to a co-located agent is delivered directly (no wire traffic at
 // all); a send to a remote agent is appended, already encoded, to the
-// buffer staged for the destination's host, and the first byte staged
-// wakes the flusher, which writes one batch frame per destination host
-// with whatever has been staged by the time it runs. Inbound batch frames
-// are demultiplexed back to the ports.
+// buffer staged for the destination's host, and the flusher writes one
+// batch frame per destination host with whatever has been staged by the
+// time it runs. Inbound batch frames are demultiplexed back to the ports.
+//
+// What wakes the flusher is what the host's agents are doing. A port is
+// busy from the moment a message is queued for it until its agent is about
+// to block on an empty inbox (hostPort.idle), and the flusher is woken
+// when (a) the host's last busy port goes idle with something staged, (b)
+// a port that is not busy sends — a chirp, an Async tick: nothing the
+// host is working on will follow it — or (c) a port ends a round step
+// while its previous one is still staged (hostPort.stepped), so
+// co-located agents cannot trade rounds among themselves while the host
+// holds back what their peers elsewhere wait for.
 //
 // Order: messages from one sender to one receiver are staged in one buffer
 // in send order, flushes are serialized, and the transport and the
@@ -37,9 +46,12 @@ type gateway struct {
 	dirty   []*staged          // those with bytes staged, in the order they got their first
 	traffic Traffic
 	closed  bool
-	// kick wakes the flusher; a token is put when dirty gets its first
-	// entry. Closed, under mu, by close. Nil on the control host, whose
-	// senders flush inline.
+	// busy counts the busy ports, and cuts the flushes: a port whose last
+	// step was at the current cut has that step still staged.
+	busy int
+	cuts uint64
+	// kick wakes the flusher (wakeLocked). Closed, under mu, by close. Nil
+	// on the control host, whose senders flush inline.
 	kick chan struct{}
 
 	// flushMu serializes flushes; frames and slab are the flusher's scratch.
@@ -111,10 +123,12 @@ func (g *gateway) portDepth(name string, depth int) *hostPort {
 	return p
 }
 
-// stage routes one agent message: direct local delivery when the
+// stage routes one message from p: direct local delivery when the
 // destination lives on this host, otherwise appended to what the next
-// flush sends to the destination's host.
-func (g *gateway) stage(msg transport.Message) error {
+// flush sends to the destination's host — at once if p is not busy.
+func (p *hostPort) stage(msg transport.Message) error {
+	g := p.gw
+	msg.From = p.name
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.closed {
@@ -122,8 +136,8 @@ func (g *gateway) stage(msg transport.Message) error {
 	}
 	g.traffic.Messages++
 	g.traffic.Bytes += uint64(len(msg.Payload))
-	if p, ok := g.ports[msg.To]; ok {
-		return g.enqueueLocked(p, msg)
+	if q, ok := g.ports[msg.To]; ok {
+		return g.enqueueLocked(q, msg)
 	}
 	host, ok := g.route[msg.To]
 	if !ok {
@@ -135,23 +149,29 @@ func (g *gateway) stage(msg transport.Message) error {
 		g.out[host] = st
 	}
 	if st.msgs == 0 {
-		if g.dirty = append(g.dirty, st); len(g.dirty) == 1 {
-			select {
-			case g.kick <- struct{}{}:
-			default: // a wake-up is already pending, or the sender flushes
-			}
-		}
+		g.dirty = append(g.dirty, st)
 	}
 	st.buf = transport.AppendMessage(st.buf, &msg)
 	st.msgs++
+	if !p.busy {
+		g.wakeLocked()
+	}
 	return nil
 }
 
-// flushLoop flushes whenever something has been staged, and once more on
-// the way out so that what the agents sent while shutting down (their
-// Expect echoes) is not lost. Send failures are tolerated like agent
-// sends: the protocol handles loss, and a closed transport surfaces via
-// the demux loop.
+// wakeLocked wakes the flusher. Callers hold g.mu, under which close
+// closes the channel.
+func (g *gateway) wakeLocked() {
+	select {
+	case g.kick <- struct{}{}:
+	default: // a wake-up is already pending, or the sender flushes
+	}
+}
+
+// flushLoop flushes whenever it is woken, and once more on the way out so
+// that what the agents sent while shutting down (their Expect echoes) is
+// not lost. Send failures are tolerated like agent sends: the protocol
+// handles loss, and a closed transport surfaces via the demux loop.
 func (g *gateway) flushLoop() {
 	defer g.loops.Done()
 	for range g.kick {
@@ -167,6 +187,7 @@ func (g *gateway) flush() error {
 	g.flushMu.Lock()
 	defer g.flushMu.Unlock()
 	g.mu.Lock()
+	g.cuts++
 	total := 0
 	for _, st := range g.dirty {
 		// The frame is cut from a slab because the in-memory transport
@@ -267,6 +288,10 @@ func (g *gateway) enqueueLocked(p *hostPort, msg transport.Message) error {
 	}
 	select {
 	case p.in <- msg:
+		if !p.busy && !p.detached {
+			p.busy = true
+			g.busy++
+		}
 		return nil
 	default:
 		g.traffic.Dropped++
@@ -313,12 +338,22 @@ func (g *gateway) closePorts() {
 }
 
 // hostPort is one agent's endpoint on its host's gateway. It satisfies
-// transport.Endpoint, so agent code knows nothing of hosts or frames.
+// transport.Endpoint, so agent code knows nothing of hosts or frames; an
+// agent's round loop tells its port only when it is about to block
+// (idle), when it ends a round step (stepped) and when it returns
+// (detach).
 type hostPort struct {
-	name   string
-	gw     *gateway
-	in     chan transport.Message
-	closed bool // guarded by gw.mu
+	name string
+	gw   *gateway
+	in   chan transport.Message
+	// Guarded by gw.mu: closed with the gateway; busy from a message queued
+	// until the agent is about to block on an empty inbox; detached once
+	// the agent's loop has returned, after which nothing makes it busy;
+	// step is gw.cuts+1 as it was when the agent last ended a round step.
+	closed   bool
+	busy     bool
+	detached bool
+	step     uint64
 }
 
 var _ transport.Endpoint = (*hostPort)(nil)
@@ -328,8 +363,7 @@ func (p *hostPort) Name() string { return p.name }
 
 // Send implements transport.Endpoint.
 func (p *hostPort) Send(msg transport.Message) error {
-	msg.From = p.name
-	err := p.gw.stage(msg)
+	err := p.stage(msg)
 	if err == nil && p.gw.kick == nil {
 		err = p.gw.flush()
 	}
@@ -342,3 +376,54 @@ func (p *hostPort) Recv() <-chan transport.Message { return p.in }
 // Close implements transport.Endpoint. Ports close collectively with
 // their gateway; an individual close is a no-op.
 func (p *hostPort) Close() error { return nil }
+
+// idle is called by an agent about to block on its inbox. With the inbox
+// empty the port stops being busy, and the host's last busy port going
+// idle flushes what its agents have staged.
+func (p *hostPort) idle() {
+	if len(p.in) > 0 {
+		return // input to read: the agent is not about to block
+	}
+	g := p.gw
+	g.mu.Lock()
+	if len(p.in) == 0 {
+		g.releaseLocked(p)
+	}
+	g.mu.Unlock()
+}
+
+// detach is called by an agent whose loop has returned: nobody reads its
+// inbox any more, so the port does not hold its host busy, now or later.
+func (p *hostPort) detach() {
+	g := p.gw
+	g.mu.Lock()
+	p.detached = true
+	g.releaseLocked(p)
+	g.mu.Unlock()
+}
+
+// releaseLocked takes p out of the busy count.
+func (g *gateway) releaseLocked(p *hostPort) {
+	if !p.busy {
+		return
+	}
+	p.busy = false
+	if g.busy--; g.busy == 0 && len(g.dirty) > 0 {
+		g.wakeLocked()
+	}
+}
+
+// stepped is called by an agent that has sent a round step. A second step
+// while the first is still staged flushes both: a port that keeps stepping
+// on what its co-located peers feed it would otherwise hold its host busy,
+// and its values off the wire, for as many rounds as the staleness bound
+// lets it run ahead.
+func (p *hostPort) stepped() {
+	g := p.gw
+	g.mu.Lock()
+	if p.step == g.cuts+1 && len(g.dirty) > 0 {
+		g.wakeLocked()
+	}
+	p.step = g.cuts + 1
+	g.mu.Unlock()
+}

@@ -32,6 +32,38 @@ func testGateway(t testing.TB, net transport.Network, host string, route map[str
 	return g, ports
 }
 
+// heldGateway is testGateway with the flusher's part played by the test: a
+// wake-up stays in g.kick, where woken finds it, and nothing is flushed
+// unless the test calls flush.
+func heldGateway(t testing.TB, net transport.Network, host string, route map[string]string) (*gateway, map[string]*hostPort) {
+	t.Helper()
+	g, ports := testGateway(t, net, host, route, true)
+	g.mu.Lock()
+	g.kick = make(chan struct{}, 1)
+	g.mu.Unlock()
+	return g, ports
+}
+
+// woken takes the wake-up the gateway has put for its flusher, if any.
+func woken(g *gateway) bool {
+	select {
+	case <-g.kick:
+		return true
+	default:
+		return false
+	}
+}
+
+// busy makes the named ports of g busy the way a peer does: by a frame
+// with a message for each.
+func busy(g *gateway, names ...string) {
+	var frame []transport.Message
+	for k, name := range names {
+		frame = append(frame, seq("node/1", name, k))
+	}
+	g.demux(encodeBatch(frame))
+}
+
 // drain empties a port's inbox without waiting.
 func drain(p *hostPort) []transport.Message {
 	var got []transport.Message
@@ -87,7 +119,7 @@ func TestGatewayContract(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		g0.flushMu.Lock() // the flusher is woken by the first send and waits here
+		g0.flushMu.Lock() // the flusher is woken by the first send, from an idle port, and waits here
 		var to1, to2 []transport.Message
 		for k := 0; k < 5; k++ {
 			to1 = append(to1, seq("flow/0", "node/1", k), seq("node/0", "flow/1", k))
@@ -110,6 +142,145 @@ func TestGatewayContract(t *testing.T) {
 		recvN(t, p1["flow/1"], 5)
 		if st, tr := net.NetStats(), g0.trafficNow(); st.Delivered != 2 || tr.Frames != 2 || tr.Messages != 15 {
 			t.Errorf("15 messages to two hosts left as %d frames (%d delivered, %d messages counted), want 2", tr.Frames, st.Delivered, tr.Messages)
+		}
+	})
+
+	t.Run("nothing goes on the wire while a port is busy", func(t *testing.T) {
+		net := transport.NewMemory()
+		defer net.Close()
+		g0, p0 := heldGateway(t, net, "host/0", route)
+		busy(g0, "flow/0")
+		for k := 0; k < 3; k++ {
+			for _, to := range []string{"node/1", "node/2", "flow/1"} {
+				if err := p0["flow/0"].Send(seq("", to, k)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if woken(g0) {
+			t.Error("a busy port's sends woke the flusher")
+		}
+		p0["flow/0"].idle() // its input is still unread: it is not about to block
+		if woken(g0) {
+			t.Error("a port with unread input went idle")
+		}
+		drain(p0["flow/0"])
+		p0["flow/0"].idle()
+		if !woken(g0) {
+			t.Error("the last busy port went idle and the flusher slept on")
+		}
+		if st := net.NetStats(); st.Delivered != 0 {
+			t.Errorf("%d frames on the wire with nobody flushing", st.Delivered)
+		}
+	})
+
+	t.Run("the last busy port going idle writes one frame per destination host", func(t *testing.T) {
+		net := transport.NewMemory()
+		defer net.Close()
+		g0, p0 := testGateway(t, net, "host/0", route, false)
+		_, p1 := testGateway(t, net, "host/1", route, false)
+		host2, err := net.Endpoint("host/2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		busy(g0, "flow/0", "node/0")
+		var to2 []transport.Message
+		for k := 0; k < 5; k++ {
+			to2 = append(to2, seq("flow/0", "node/2", k))
+			for _, m := range []transport.Message{seq("flow/0", "node/1", k), seq("node/0", "flow/1", k), to2[k]} {
+				if err := p0[m.From].Send(m); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, name := range []string{"flow/0", "node/0"} {
+			drain(p0[name])
+			p0[name].idle()
+		}
+		select {
+		case frame := <-host2.Recv():
+			if !reflect.DeepEqual([]byte(frame.Payload), encodeBatch(to2)) {
+				t.Errorf("frame to host/2 carries % x, want the five messages in send order", frame.Payload)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("nothing flushed after the last busy port went idle")
+		}
+		recvN(t, p1["node/1"], 5)
+		recvN(t, p1["flow/1"], 5)
+		if st, tr := net.NetStats(), g0.trafficNow(); st.Delivered != 2 || tr.Frames != 2 {
+			t.Errorf("one round to two hosts left as %d frames (%d delivered), want 2", tr.Frames, st.Delivered)
+		}
+	})
+
+	t.Run("a send from an idle port is flushed at once", func(t *testing.T) {
+		net := transport.NewMemory()
+		defer net.Close()
+		g0, p0 := heldGateway(t, net, "host/0", route)
+		busy(g0, "flow/0") // the host is busy; the sender is not
+		if err := p0["node/0"].Send(seq("", "flow/1", 0)); err != nil {
+			t.Fatal(err)
+		}
+		if !woken(g0) {
+			t.Fatal("a send from an idle port waited for the host")
+		}
+		if err := p0["node/0"].Send(seq("", "flow/0", 1)); err != nil {
+			t.Fatal(err)
+		}
+		if woken(g0) {
+			t.Error("a co-located send woke the flusher")
+		}
+	})
+
+	t.Run("a port's second step before a flush flushes its first", func(t *testing.T) {
+		net := transport.NewMemory()
+		defer net.Close()
+		g0, p0 := heldGateway(t, net, "host/0", route)
+		_, p1 := testGateway(t, net, "host/1", route, false)
+		busy(g0, "flow/0", "node/0")
+		step := func(k int) {
+			if err := p0["flow/0"].Send(seq("", "node/1", k)); err != nil {
+				t.Fatal(err)
+			}
+			p0["flow/0"].stepped()
+		}
+		step(0)
+		if woken(g0) {
+			t.Fatal("a busy port's first step woke the flusher")
+		}
+		step(1)
+		if !woken(g0) {
+			t.Fatal("a second step on top of a staged one did not wake the flusher")
+		}
+		if err := g0.flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got := recvN(t, p1["node/1"], 2); got[0].Payload[0] != 0 || got[1].Payload[0] != 1 {
+			t.Errorf("the flush delivered %v", got)
+		}
+		step(2)
+		p0["node/0"].stepped()
+		if woken(g0) {
+			t.Error("a step after a flush, or another port's first, woke the flusher")
+		}
+	})
+
+	t.Run("a detached port with unread input does not hold its host busy", func(t *testing.T) {
+		net := transport.NewMemory()
+		defer net.Close()
+		g0, p0 := heldGateway(t, net, "host/0", route)
+		busy(g0, "flow/0", "node/0")
+		if err := p0["node/0"].Send(seq("", "flow/1", 0)); err != nil {
+			t.Fatal(err)
+		}
+		p0["flow/0"].detach()
+		busy(g0, "flow/0") // more input nobody will read
+		if woken(g0) {
+			t.Fatal("the flusher woke with node/0 still busy")
+		}
+		drain(p0["node/0"])
+		p0["node/0"].idle()
+		if !woken(g0) {
+			t.Error("a detached port's unread inbox held the host busy")
 		}
 	})
 
@@ -142,10 +313,10 @@ func TestGatewayContract(t *testing.T) {
 	t.Run("control sends flush inline, behind what was staged", func(t *testing.T) {
 		net := transport.NewMemory()
 		defer net.Close()
-		ctrl, cp := testGateway(t, net, ctrlHost, route, true)
+		_, cp := testGateway(t, net, ctrlHost, route, true)
 		_, p1 := testGateway(t, net, "host/1", route, false)
 		for k := 0; k < 3; k++ {
-			if err := ctrl.stage(seq(ctrlName, "node/1", k)); err != nil {
+			if err := cp[ctrlName].stage(seq(ctrlName, "node/1", k)); err != nil {
 				t.Fatal(err)
 			}
 		}

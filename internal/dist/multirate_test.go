@@ -109,11 +109,8 @@ func TestMultirateNodeAgentSetFlowActive(t *testing.T) {
 	net := transport.NewMemory()
 	defer net.Close()
 	na := newNodeAgent(p, model.NewIndex(p), 0, Config{Multirate: true}.normalized())
-	ep, err := net.Endpoint(nodeName(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	na.ep = ep
+	_, ports := testGateway(t, net, hostName(0), map[string]string{nodeName(0): hostName(0), flowName(0): hostName(0)}, false)
+	na.ep = ports[nodeName(0)]
 
 	admitted := func() int {
 		n := 0

@@ -20,7 +20,7 @@ import (
 type nodeAgent struct {
 	p    *model.Problem
 	node model.NodeID
-	ep   transport.Endpoint
+	ep   *hostPort
 	cfg  core.Config
 
 	alloc  *core.NodeAllocator
@@ -181,6 +181,7 @@ func (na *nodeAgent) step(round, lag int) error {
 	if err := na.broadcast(); err != nil {
 		return err
 	}
+	na.ep.stepped()
 	na.rec.record(EvSend, round, int64(lag), int64(len(na.peerNames)))
 	na.rec.record(EvRound, round, 0, 0)
 	if na.chirped {
@@ -302,11 +303,13 @@ func echoExpect(ep transport.Endpoint, m transport.Message) {
 // deadlock flows or starve the collector.
 func (na *nodeAgent) run() {
 	defer close(na.done)
+	defer na.ep.detach()
 	nextRound := 1
 	resend := newChirp(na.resend)
 	defer resend.stop()
 
 	for {
+		na.ep.idle()
 		select {
 		case m, ok := <-na.ep.Recv():
 			if !ok || !na.handle(m) {
@@ -347,10 +350,12 @@ func (na *nodeAgent) run() {
 // runAsync recomputes on a timer from the latest rates.
 func (na *nodeAgent) runAsync() {
 	defer close(na.done)
+	defer na.ep.detach()
 	ticker := time.NewTicker(asyncTick)
 	defer ticker.Stop()
 	round := 1
 	for {
+		na.ep.idle()
 		select {
 		case m, ok := <-na.ep.Recv():
 			if !ok || !na.handle(m) {

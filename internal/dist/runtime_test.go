@@ -288,14 +288,10 @@ func TestClusterThousandAgents(t *testing.T) {
 // TestBatchFrameReduction: on a 102-flow/102-node cluster at 12 hosts the
 // gateways must put at least 2.5 agent messages into a wire frame, counted
 // on one run: co-located exchanges never reach the wire and what does
-// shares a frame per destination host. The flusher is woken by the first
-// staged byte and writes what is staged when it runs, so how much shares a
-// frame is up to the scheduler — 3.5 to 3.8 in sixteen runs here; the bound
-// leaves it a third. (The 200 µs ticker this replaced read 14 and took
-// twice as long over a round. A flusher that yields once before it drains
-// reads 16.6-24.4 and ran dist_rounds 11% faster, but frames that large
-// make the 10%-loss runs so smooth that TestTraceAnalyzeThousandAgents'
-// wall-clock ranking fails 18 of 36 runs instead of 8; see CHANGES.)
+// shares a frame per destination host. The bound was set when the first
+// staged byte woke the flusher (3.5 to 3.8 a frame then); woken when a
+// host's agents go quiet, the flusher puts ≈24 in a frame (X5b,
+// EXPERIMENTS.md).
 func TestBatchFrameReduction(t *testing.T) {
 	p := workload.Scaled(workload.Config{FlowCopies: 17, NodeSetCopies: 2})
 	if len(p.Flows) != 102 || len(p.Nodes) != 102 {
