@@ -9,7 +9,7 @@
 //	BenchmarkFigure4PowerUtility — Fig. 4, final utility under rank*r^0.75
 //	BenchmarkTable2Scalability   — Table 2, LRGP utility and SA gap per workload
 //	BenchmarkTable3UtilityShapes — Table 3, utility and convergence per shape
-//	BenchmarkAsyncLRGP           — X1, asynchronous distributed LRGP
+//	BenchmarkAsyncLRGP           — X1, asynchronous distributed LRGP: rounds to band at K=1
 //	BenchmarkAblationAdmission   — X2, admission-control ablation
 //	BenchmarkLinkBottleneck      — X3, link pricing under binding caps
 //
@@ -20,7 +20,6 @@ package repro
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/workload"
@@ -121,12 +120,13 @@ func BenchmarkTable3UtilityShapes(b *testing.B) {
 
 func BenchmarkAsyncLRGP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.AsyncExperiment(benchOptions(), time.Minute)
+		res, err := experiments.AsyncExperiment(benchOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ReportMetric(res.AsyncUtility, "async-utility")
 		b.ReportMetric(res.RelativeError*100, "rel-err-pct")
+		b.ReportMetric(float64(res.ConvergedAt), "rounds-to-band")
 	}
 }
 

@@ -14,18 +14,6 @@ import (
 	"repro/internal/transport"
 )
 
-// Mode selects the execution style.
-type Mode int
-
-// Execution modes.
-const (
-	// Sync runs lock-step rounds (the paper's main formulation).
-	Sync Mode = iota + 1
-	// Async runs free-running agents on tickers with price averaging
-	// (Section 3.5).
-	Async
-)
-
 // DefaultResend is the stall re-announce interval when Staleness > 0: an
 // agent blocked this long re-sends its freshest value so a dropped frame
 // cannot deadlock the cluster.
@@ -35,8 +23,6 @@ const DefaultResend = 10 * time.Millisecond
 type Config struct {
 	// Core carries the LRGP algorithm parameters.
 	Core core.Config
-	// Mode selects Sync (default) or Async execution.
-	Mode Mode
 	// Multirate runs the multirate extension's algorithms at the agents
 	// (per-class delivery rates); see internal/multirate.
 	Multirate bool
@@ -50,15 +36,15 @@ type Config struct {
 	// share one more host.
 	Hosts int
 
-	// Staleness bounds how many rounds behind an agent's inputs may be in
-	// Sync mode (Section 3.5 averaging tolerates the skew). 0 is the exact
-	// barrier schedule — the same round loop, latest price only; K > 0
-	// lets agents proceed on values up to K rounds stale, which overlaps
-	// rounds and rides out message loss.
+	// Staleness bounds how many rounds behind an agent's inputs may be.
+	// 0 is the exact barrier schedule, latest price only; K > 0 is the
+	// paper's asynchronous formulation (Section 3.5) on the same round
+	// loop: agents proceed on values up to K rounds stale and average
+	// the last few prices, which overlaps rounds and rides out message
+	// loss.
 	Staleness int
-	// Resend is the stall re-announce interval in Sync mode (default
-	// DefaultResend when Staleness > 0, so the default barrier arms no
-	// timer; < 0 disables).
+	// Resend is the stall re-announce interval (default DefaultResend when
+	// Staleness > 0, so the default barrier arms no timer; < 0 disables).
 	Resend time.Duration
 
 	// Telemetry, when non-nil, streams runtime metrics (round progress,
@@ -74,9 +60,9 @@ type Config struct {
 	// RecordSize is the per-agent ring capacity in events (default
 	// DefaultRecordSize, rounded up to a power of two).
 	RecordSize int
-	// StallTimeout arms the stall detector (Sync mode): if rounds are
-	// pending and the collector absorbs nothing for this long, the
-	// cluster records a stall and dumps a post-mortem. 0 disables.
+	// StallTimeout arms the stall detector: if rounds are pending and the
+	// collector absorbs nothing for this long, the cluster records a stall
+	// and dumps a post-mortem. 0 disables.
 	StallTimeout time.Duration
 	// Postmortem receives one JSONL dump of every agent's ring the first
 	// time the cluster stalls (detector trip, Run timeout, or Close
@@ -98,9 +84,6 @@ type Config struct {
 
 func (c Config) normalized() Config {
 	c.Core = c.Core.WithDefaults()
-	if c.Mode == 0 {
-		c.Mode = Sync
-	}
 	if c.Staleness < 0 {
 		c.Staleness = 0
 	}
@@ -116,10 +99,9 @@ func (c Config) normalized() Config {
 	return c
 }
 
-// RoundStats is the collector's view of one completed synchronous round
-// (or one asynchronous sample).
+// RoundStats is the collector's view of one completed round.
 type RoundStats struct {
-	// Round is the 1-based round number (sample number in Async mode).
+	// Round is the 1-based round number.
 	Round int
 	// Utility is the global objective value.
 	Utility float64
@@ -156,11 +138,11 @@ type Cluster struct {
 
 	mu     sync.Mutex
 	closed bool
-	ran    int // highest round requested in sync mode
+	ran    int // highest round requested
 }
 
-// New validates the problem and attaches all agents to the network. Sync
-// agents process no rounds until Run; Async agents start ticking at once.
+// New validates the problem and attaches all agents to the network. The
+// agents process no rounds until Run.
 func New(p *model.Problem, cfg Config, net transport.Network) (*Cluster, error) {
 	if err := model.Validate(p); err != nil {
 		return nil, fmt.Errorf("dist: %w", err)
@@ -206,7 +188,6 @@ func New(p *model.Problem, cfg Config, net transport.Network) (*Cluster, error) 
 	}
 	control := cl.hosts[ctrlHost]
 	cl.coll = newCollector(p, control.portDepth(collectorName, collectorInbox), reporting, c.Staleness == 0, c.Telemetry, cl.newRec(collectorName), cl.epoch)
-	cl.coll.latestOnly = c.Mode == Async
 	cl.coll.parked = c.parkCollector
 	// The control endpoint's peers are whoever acknowledges a JoinFlow:
 	// at most every node agent and the collector.
@@ -228,24 +209,15 @@ func New(p *model.Problem, cfg Config, net transport.Network) (*Cluster, error) 
 	}
 	cl.agents = append(cl.agents, collectorName)
 
-	// Launch all agents; in Sync mode flow agents idle until a RunUntil
-	// control arrives.
+	// Launch all agents; flow agents idle until a RunUntil control arrives.
 	go cl.coll.run()
 	for _, fa := range cl.flows {
-		if c.Mode == Sync {
-			go fa.run()
-		} else {
-			go fa.runAsync()
-		}
+		go fa.run()
 	}
 	for _, na := range cl.nodes {
-		if c.Mode == Sync {
-			go na.run()
-		} else {
-			go na.runAsync()
-		}
+		go na.run()
 	}
-	if c.StallTimeout > 0 && c.Mode == Sync {
+	if c.StallTimeout > 0 {
 		cl.stallQuit = make(chan struct{})
 		cl.stallDone = make(chan struct{})
 		go cl.stallWatch()
@@ -417,10 +389,6 @@ func (cl *Cluster) Traffic() Traffic {
 	return t
 }
 
-// ErrMode is returned when an operation does not apply to the cluster's
-// execution mode.
-var ErrMode = errors.New("dist: operation not valid in this mode")
-
 // sendCtrl delivers one control message to each named agent, as one flush
 // of the control host: one frame per host they live on. Send errors surface
 // to the caller.
@@ -439,10 +407,10 @@ func (cl *Cluster) sendCtrl(body ctrlMsg, to ...string) error {
 	return failed
 }
 
-// Run advances a Sync cluster by `rounds` lock-step rounds and returns the
-// per-round global utilities observed by the collector. In bounded-
-// staleness mode over a lossy transport, rounds whose frames were lost are
-// absent from the result.
+// Run advances the cluster by `rounds` rounds and returns the per-round
+// global utilities observed by the collector. With Staleness > 0 over a
+// lossy transport, a round that lost a frame, or that a later round
+// finalized ahead of, is absent from the result.
 //
 // The collector is in no agent's barrier, so agents told to run far ahead
 // leave it behind, and what they send it while it catches up has to fit
@@ -454,9 +422,6 @@ func (cl *Cluster) sendCtrl(body ctrlMsg, to ...string) error {
 // With Staleness > 0 a lost round is skipped by design and the chirps
 // repair the final one, so there is nothing to protect.
 func (cl *Cluster) Run(rounds int, timeout time.Duration) ([]RoundStats, error) {
-	if cl.cfg.Mode != Sync {
-		return nil, ErrMode
-	}
 	if timeout <= 0 {
 		timeout = 30 * time.Second
 	}
@@ -484,15 +449,9 @@ func (cl *Cluster) Run(rounds int, timeout time.Duration) ([]RoundStats, error) 
 	return cl.coll.rounds(from, until), nil
 }
 
-// Sample returns the collector's current view of global utility, for Async
-// clusters.
-func (cl *Cluster) Sample() RoundStats {
-	return cl.coll.sample()
-}
-
-// RemoveFlow announces a flow's departure (the Figure 3 experiment). In
-// Sync mode the departure takes effect at the flow's next scheduled round;
-// callers must invoke it between Run calls. A removed flow's agent idles
+// RemoveFlow announces a flow's departure (the Figure 3 experiment). The
+// departure takes effect at the flow's next scheduled round; callers must
+// invoke it between Run calls. A removed flow's agent idles
 // and can rejoin via JoinFlow.
 func (cl *Cluster) RemoveFlow(i model.FlowID) error {
 	return cl.sendCtrl(ctrlMsg{Leave: true}, flowName(i))
@@ -500,8 +459,8 @@ func (cl *Cluster) RemoveFlow(i model.FlowID) error {
 
 // JoinFlow re-activates a previously removed flow: its agent re-announces
 // itself and the node agents resume expecting it. Like RemoveFlow, it
-// must be invoked between Run calls in Sync mode (when no rounds are
-// pending anywhere), and not concurrently with itself.
+// must be invoked between Run calls (when no rounds are pending
+// anywhere), and not concurrently with itself.
 //
 // The rejoin happens before the next round: JoinFlow returns only once
 // every node agent the flow exchanges with, and the collector, have

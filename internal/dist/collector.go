@@ -12,9 +12,8 @@ import (
 	"repro/internal/transport"
 )
 
-// collector aggregates rate announcements and node reports into a global
-// view: per-round utilities in Sync mode, latest-state utility samples in
-// Async mode.
+// collector aggregates rate announcements and node reports into per-round
+// global utilities and the latest global allocation.
 type collector struct {
 	p     *model.Problem
 	ep    transport.Endpoint
@@ -24,19 +23,19 @@ type collector struct {
 
 	// progress counts every absorbed message and lastFinal holds the
 	// highest finalized round; the stall detector polls both without
-	// taking mu.
+	// taking mu. No round at or below lastFinal is assembled again.
 	progress  atomic.Uint64
 	lastFinal atomic.Int64
 
 	mu sync.Mutex
-	// latest state (both modes). deliveries[j] < 0 means "no per-class
-	// delivery reported": the class receives at its flow's rate.
+	// latest state. deliveries[j] < 0 means "no per-class delivery
+	// reported": the class receives at its flow's rate.
 	rates      []float64
 	consumers  []int
 	deliveries []float64
 	active     []bool
-	// sync-mode round assembly: one record per round with inputs still
-	// outstanding, and the records of finalized rounds kept for reuse.
+	// round assembly: one record per round with inputs still outstanding,
+	// and the records of finalized rounds kept for reuse.
 	// activeCount and each record's count of rates from currently-active
 	// flows are maintained incrementally so the per-message completeness
 	// check is O(1) — a full scan per message is what melts the collector
@@ -58,18 +57,10 @@ type collector struct {
 	// inOrder finalizes rounds strictly sequentially (the lossless
 	// barrier protocol). When false (bounded-staleness mode over lossy
 	// transports) any fully-assembled round finalizes, and rounds whose
-	// frames were lost are simply skipped.
-	inOrder      bool
-	nextComplete int
-	completed    map[int]bool // skip mode only
-	waiters      []roundWaiter
-	samples      int
-
-	// latestOnly (Async mode) keeps the latest state and assembles no
-	// rounds: nobody reads them there (Run returns ErrMode), and one lost
-	// frame would pin an in-order assembly — and every later tick's record
-	// behind it — in pending forever.
-	latestOnly bool
+	// frames were lost are simply skipped: freed once a later round
+	// finalizes.
+	inOrder bool
+	waiters []roundWaiter
 
 	// parked, when non-nil, holds run back until it is closed: tests use
 	// it to let the agents get as far ahead of the collector as they can.
@@ -101,24 +92,22 @@ type roundWaiter struct {
 // never computes).
 func newCollector(p *model.Problem, ep transport.Endpoint, nodesTotal int, inOrder bool, tel *telemetry.DistMetrics, rec *recorder, epoch time.Time) *collector {
 	c := &collector{
-		p:            p,
-		ep:           ep,
-		tel:          tel,
-		rec:          rec,
-		epoch:        epoch,
-		latestFlow:   make([]int, len(p.Flows)),
-		latestNode:   make([]int, len(p.Nodes)),
-		rates:        make([]float64, len(p.Flows)),
-		consumers:    make([]int, len(p.Classes)),
-		deliveries:   make([]float64, len(p.Classes)),
-		active:       make([]bool, len(p.Flows)),
-		pending:      make(map[int]*roundAsm),
-		activeCount:  len(p.Flows),
-		nodesTotal:   nodesTotal,
-		inOrder:      inOrder,
-		nextComplete: 1,
-		completed:    make(map[int]bool),
-		done:         make(chan struct{}),
+		p:           p,
+		ep:          ep,
+		tel:         tel,
+		rec:         rec,
+		epoch:       epoch,
+		latestFlow:  make([]int, len(p.Flows)),
+		latestNode:  make([]int, len(p.Nodes)),
+		rates:       make([]float64, len(p.Flows)),
+		consumers:   make([]int, len(p.Classes)),
+		deliveries:  make([]float64, len(p.Classes)),
+		active:      make([]bool, len(p.Flows)),
+		pending:     make(map[int]*roundAsm),
+		activeCount: len(p.Flows),
+		nodesTotal:  nodesTotal,
+		inOrder:     inOrder,
+		done:        make(chan struct{}),
 	}
 	for i := range c.active {
 		c.active[i] = true
@@ -169,15 +158,15 @@ func (c *collector) handle(m transport.Message) bool {
 
 // asmLocked returns the assembly record of a round with inputs still
 // outstanding, starting one when this is the round's first input, and
-// advances the frontier. A message for a round already finalized (a resent
-// duplicate) gets nil, as does every message of a latestOnly collector: it
-// still updates the latest state, nothing else.
+// advances the frontier. A message for a round at or below the last
+// finalized one (a resent duplicate, or a straggler a later round overtook)
+// gets nil: it still updates the latest state, nothing else.
 func (c *collector) asmLocked(round int) *roundAsm {
 	c.frontier = max(c.frontier, round)
 	if a := c.pending[round]; a != nil {
 		return a
 	}
-	if c.latestOnly || (c.inOrder && round < c.nextComplete) || c.completed[round] {
+	if round <= int(c.lastFinal.Load()) {
 		return nil
 	}
 	var a *roundAsm
@@ -291,19 +280,16 @@ func (c *collector) absorbReport(rm *reportMsg) {
 }
 
 // completeRoundsLocked finalizes rounds whose full input set has arrived.
-// In inOrder mode rounds finalize strictly sequentially from nextComplete;
-// in skip mode (bounded staleness over lossy transports) the round just
+// In inOrder mode rounds finalize strictly sequentially after lastFinal; in
+// skip mode (bounded staleness over lossy transports) the round just
 // touched finalizes independently, since earlier rounds may never
 // assemble.
 func (c *collector) completeRoundsLocked(touched int) {
-	if c.inOrder {
-		for c.finalizeLocked(c.nextComplete) {
-			c.nextComplete++
-		}
+	if !c.inOrder {
+		c.finalizeLocked(touched)
 		return
 	}
-	if !c.completed[touched] && c.finalizeLocked(touched) {
-		c.completed[touched] = true
+	for c.finalizeLocked(int(c.lastFinal.Load()) + 1) {
 	}
 }
 
@@ -357,10 +343,22 @@ func (c *collector) finalizeLocked(round int) bool {
 	}
 	delete(c.pending, round)
 	c.free = append(c.free, a)
+	if !c.inOrder {
+		// Every agent's input to this round has arrived, each sender's
+		// frames arrive in order, and a chirp resends only its sender's
+		// latest value: a round below this one still pending has lost a
+		// frame for good (or, under injected delay, comes too late).
+		for r, a := range c.pending {
+			if r < round {
+				delete(c.pending, r)
+				c.free = append(c.free, a)
+			}
+		}
+	}
 
 	still := c.waiters[:0]
 	for _, w := range c.waiters {
-		if c.waiterSatisfiedLocked(w, round) {
+		if round >= w.round {
 			close(w.ch)
 		} else {
 			still = append(still, w)
@@ -370,20 +368,11 @@ func (c *collector) finalizeLocked(round int) bool {
 	return true
 }
 
-// waiterSatisfiedLocked reports whether finalizing `round` releases w: in
-// inOrder mode every round up to w.round has then completed; in skip mode
-// the waited-for round itself must finalize (earlier ones may never).
-func (c *collector) waiterSatisfiedLocked(w roundWaiter, round int) bool {
-	if c.inOrder {
-		return round >= w.round
-	}
-	return round == w.round || c.completed[w.round]
-}
-
-// waitRound blocks until the given round has been finalized.
+// waitRound blocks until the given round, or in skip mode a later one, has
+// been finalized.
 func (c *collector) waitRound(round int, timeout time.Duration) error {
 	c.mu.Lock()
-	if (c.inOrder && c.nextComplete > round) || (!c.inOrder && c.completed[round]) {
+	if int(c.lastFinal.Load()) >= round {
 		c.mu.Unlock()
 		return nil
 	}
@@ -421,27 +410,6 @@ func (c *collector) rounds(from, to int) []RoundStats {
 	c.stats = keep
 	slices.SortFunc(out, func(a, b RoundStats) int { return a.Round - b.Round })
 	return out
-}
-
-// sample computes utility from the latest absorbed state (Async mode).
-func (c *collector) sample() RoundStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	util := 0.0
-	for j := range c.p.Classes {
-		cl := &c.p.Classes[j]
-		n := c.consumers[j]
-		if n == 0 || !c.active[cl.Flow] {
-			continue
-		}
-		rate := c.rates[cl.Flow]
-		if c.deliveries[j] >= 0 {
-			rate = c.deliveries[j]
-		}
-		util += float64(n) * cl.Utility.Value(rate)
-	}
-	c.samples++
-	return RoundStats{Round: c.samples, Utility: util}
 }
 
 // allocation snapshots the latest global allocation.

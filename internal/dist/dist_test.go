@@ -73,7 +73,7 @@ func TestSyncMatchesEngine(t *testing.T) {
 		}
 
 		net := transport.NewMemory()
-		cl, err := New(p, Config{Core: coreCfg, Mode: Sync}, net)
+		cl, err := New(p, Config{Core: coreCfg}, net)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func TestSyncMatchesEnginePastSubnormalHorizon(t *testing.T) {
 		}
 
 		net := transport.NewMemory()
-		cl, err := New(p, Config{Core: coreCfg, Mode: Sync}, net)
+		cl, err := New(p, Config{Core: coreCfg}, net)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +228,7 @@ func TestSyncOverTCP(t *testing.T) {
 
 	net := transport.NewTCP()
 	defer net.Close()
-	cl, err := New(p, Config{Core: coreCfg, Mode: Sync}, net)
+	cl, err := New(p, Config{Core: coreCfg}, net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,65 +502,6 @@ func TestJoinActiveFlowIsNoop(t *testing.T) {
 	}
 	if len(first) != 10 || len(second) != 10 {
 		t.Errorf("round counts %d/%d", len(first), len(second))
-	}
-}
-
-func TestAsyncConverges(t *testing.T) {
-	p := workload.Base()
-	net := transport.NewMemory()
-	defer net.Close()
-	cl, err := New(p, Config{
-		Core: core.Config{Adaptive: true},
-		Mode: Async,
-	}, net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	// Reference utility from the synchronous engine.
-	e, err := core.NewEngine(p.Clone(), core.Config{Adaptive: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := e.Solve(400).Utility
-
-	// Sample until the async system holds the reference band (10
-	// consecutive in-band samples) or time runs out. Async allocations
-	// legitimately flicker between near-equivalent discrete optima, so
-	// the criterion is band membership, not amplitude.
-	deadline := time.After(20 * time.Second)
-	inBand := 0
-	for {
-		select {
-		case <-deadline:
-			t.Fatalf("async did not reach %g; last sample %g", want, cl.Sample().Utility)
-		default:
-		}
-		s := cl.Sample()
-		if math.Abs(s.Utility-want)/want < 0.02 {
-			inBand++
-			if inBand >= 10 {
-				return // held within 2% of the synchronous optimum
-			}
-		} else {
-			inBand = 0
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-func TestAsyncRunRejected(t *testing.T) {
-	p := workload.Base()
-	net := transport.NewMemory()
-	defer net.Close()
-	cl, err := New(p, Config{Mode: Async}, net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if _, err := cl.Run(1, time.Second); err != ErrMode {
-		t.Errorf("error = %v, want ErrMode", err)
 	}
 }
 

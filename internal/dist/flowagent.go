@@ -69,12 +69,12 @@ type classTerm struct {
 }
 
 // priceWindowSize is how many recent prices a flow source averages per
-// resource when its inputs may be stale (Section 3.5): Async and
-// Staleness > 0. The barrier schedule uses the latest price only.
+// resource when its inputs may be stale (Section 3.5): Staleness > 0. The
+// barrier schedule uses the latest price only.
 const priceWindowSize = 3
 
 // priceWindow keeps the last w prices from one resource and serves their
-// average (Section 3.5's asynchronous smoothing; w=1 reduces to "latest").
+// average (Section 3.5's smoothing; w=1 reduces to "latest").
 type priceWindow struct {
 	vals []float64
 	next int
@@ -127,7 +127,7 @@ func newFlowAgent(p *model.Problem, ix *model.Index, fid model.FlowID, c Config)
 	}
 	fa.peerNodes = slices.Clone(fa.nodes)
 	window := priceWindowSize
-	if c.Mode == Sync && c.Staleness == 0 {
+	if c.Staleness == 0 {
 		window = 1
 	}
 	for _, cids := range ix.ClassesByFlowNode(fid) {
@@ -233,9 +233,9 @@ func (fa *flowAgent) absorb(payload []byte) {
 // announce sends the flow's rate for the given round to every peer node
 // agent and the collector. The body is encoded once and the payload shared
 // across all peer messages (receivers treat payloads as read-only).
-// Lossy-transport failures (drops, partitions) are tolerated — the
-// asynchronous mode is designed for them, and in the synchronous mode the
-// transports are lossless; only a closed transport is fatal.
+// Lossy-transport failures (drops, partitions) are tolerated — bounded
+// staleness is designed for them, and the barrier schedule runs on
+// lossless transports; only a closed transport is fatal.
 func (fa *flowAgent) announce(round int, rate float64, active bool) error {
 	body := rateMsg{Round: round, Flow: fa.flow, Rate: rate, Active: active}
 	msg := transport.Message{From: fa.ep.Name(), Kind: rateKind, Payload: fa.out.seal(body.appendBinary(fa.out.enc[:0]))}
@@ -344,8 +344,7 @@ func (fa *flowAgent) reported() int {
 	return slices.Min(fa.latest)
 }
 
-// handle processes one inbound message for either loop, returning false on
-// Stop.
+// handle processes one inbound message, returning false on Stop.
 func (fa *flowAgent) handle(m transport.Message) bool {
 	switch m.Kind {
 	case ctrlKind:
@@ -387,37 +386,4 @@ func (fa *flowAgent) recordProgress(round, lag int) {
 // oldest peer report actually absorbed.
 func (fa *flowAgent) observedLag() int {
 	return max(fa.round-1-fa.reported(), 0)
-}
-
-// asyncTick is the agents' recompute interval in Async mode.
-const asyncTick = time.Millisecond
-
-// runAsync ticks on a timer, announcing rates computed from the latest
-// absorbed reports.
-func (fa *flowAgent) runAsync() {
-	defer close(fa.done)
-	defer fa.ep.detach()
-	ticker := time.NewTicker(asyncTick)
-	defer ticker.Stop()
-	for {
-		fa.ep.idle()
-		select {
-		case m, ok := <-fa.ep.Recv():
-			if !ok || !fa.handle(m) {
-				return
-			}
-			if fa.leaving {
-				fa.depart()
-			}
-		case <-ticker.C:
-			if fa.idle {
-				continue
-			}
-			if err := fa.announce(fa.round, fa.computeRate(), true); err != nil {
-				return
-			}
-			fa.recordProgress(fa.round, 0)
-			fa.round++
-		}
-	}
 }

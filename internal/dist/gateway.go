@@ -21,11 +21,11 @@ import (
 // busy from the moment a message is queued for it until its agent is about
 // to block on an empty inbox (hostPort.idle), and the flusher is woken
 // when (a) the host's last busy port goes idle with something staged, (b)
-// a port that is not busy sends — a chirp, an Async tick: nothing the
-// host is working on will follow it — or (c) a port ends a round step
-// while its previous one is still staged (hostPort.stepped), so
-// co-located agents cannot trade rounds among themselves while the host
-// holds back what their peers elsewhere wait for.
+// a port that is not busy sends — a chirp: nothing the host is working on
+// will follow it — or (c) a port ends a round step while its previous one
+// is still staged (hostPort.stepped), so co-located agents cannot trade
+// rounds among themselves while the host holds back what their peers
+// elsewhere wait for.
 //
 // Order: messages from one sender to one receiver are staged in one buffer
 // in send order, flushes are serialized, and the transport and the

@@ -5,14 +5,14 @@
 // callers can observe the global utility the same way the paper's
 // simulations do.
 //
-// Two execution modes are provided:
+// Every agent runs one round loop, bounded by Config.Staleness:
 //
-//   - Synchronous (the paper's main formulation): agents proceed in
-//     lock-step rounds, each waiting for the full set of round-t inputs
-//     before computing round t (or t+1) outputs.
-//   - Asynchronous (Section 3.5): agents run on independent tickers using
-//     the latest values received, with flow sources averaging the last few
-//     prices from each resource to tolerate missing or stale updates.
+//   - K = 0 (the paper's main formulation): agents proceed in lock-step
+//     rounds, each waiting for the full set of round-t inputs before
+//     computing round t (or t+1) outputs.
+//   - K > 0 (Section 3.5's asynchronous formulation): agents proceed on
+//     inputs up to K rounds stale, with flow sources averaging the last
+//     few prices from each resource, and resend chirps repair lost frames.
 package dist
 
 import (

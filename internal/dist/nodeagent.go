@@ -271,8 +271,7 @@ func (na *nodeAgent) canCompute(t int) bool {
 	return reached
 }
 
-// handle processes one inbound message for either loop, returning false on
-// Stop.
+// handle processes one inbound message, returning false on Stop.
 func (na *nodeAgent) handle(m transport.Message) bool {
 	switch m.Kind {
 	case ctrlKind:
@@ -343,29 +342,6 @@ func (na *nodeAgent) run() {
 		}
 		if computed {
 			resend.progress()
-		}
-	}
-}
-
-// runAsync recomputes on a timer from the latest rates.
-func (na *nodeAgent) runAsync() {
-	defer close(na.done)
-	defer na.ep.detach()
-	ticker := time.NewTicker(asyncTick)
-	defer ticker.Stop()
-	round := 1
-	for {
-		na.ep.idle()
-		select {
-		case m, ok := <-na.ep.Recv():
-			if !ok || !na.handle(m) {
-				return
-			}
-		case <-ticker.C:
-			if na.step(round, 0) != nil {
-				return
-			}
-			round++
 		}
 	}
 }

@@ -179,8 +179,8 @@ func TestSyncOverTCPMatchesEngine(t *testing.T) {
 
 // tailMeanDeviation returns the relative deviation of the mean utility of
 // the last (up to) n finalized rounds from want. Individual converged
-// rounds flicker between near-equivalent discrete optima (see
-// TestAsyncConverges), so the converged level is judged on a tail mean.
+// rounds flicker between near-equivalent discrete optima, so the
+// converged level is judged on a tail mean.
 func tailMeanDeviation(stats []RoundStats, want float64, n int) float64 {
 	if len(stats) > n {
 		stats = stats[len(stats)-n:]

@@ -194,12 +194,12 @@ func TestRenderComparison(t *testing.T) {
 }
 
 func TestAsyncExperiment(t *testing.T) {
-	res, err := AsyncExperiment(quick(), 30*time.Second)
+	res, err := AsyncExperiment(quick())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Converged {
-		t.Fatalf("async did not converge; last utility %.0f vs sync %.0f", res.AsyncUtility, res.SyncUtility)
+		t.Fatalf("async did not converge in %d rounds; tail utility %.0f vs sync %.0f", res.Rounds, res.AsyncUtility, res.SyncUtility)
 	}
 	if res.RelativeError > 0.02 {
 		t.Errorf("async error %.4f exceeds 2%%", res.RelativeError)

@@ -111,7 +111,7 @@ type (
 type (
 	// Cluster runs LRGP as message-passing agents.
 	Cluster = dist.Cluster
-	// ClusterConfig tunes a cluster (mode, staleness, hosts).
+	// ClusterConfig tunes a cluster (staleness, hosts, multirate).
 	ClusterConfig = dist.Config
 	// Network provides named message endpoints.
 	Network = transport.Network
@@ -204,12 +204,4 @@ var (
 	BuildOverlayProblem = overlay.Build
 	// TwoStageSolve runs the Section 2.4 two-stage approximation.
 	TwoStageSolve = overlay.TwoStageSolve
-)
-
-// Distributed execution modes.
-const (
-	// SyncMode runs lock-step rounds.
-	SyncMode = dist.Sync
-	// AsyncMode runs free-running agents with price averaging.
-	AsyncMode = dist.Async
 )

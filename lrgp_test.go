@@ -69,7 +69,6 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	defer net.Close()
 	cluster, err := repro.NewCluster(repro.BaseWorkload(), repro.ClusterConfig{
 		Core: repro.Config{Adaptive: true},
-		Mode: repro.SyncMode,
 	}, net)
 	if err != nil {
 		t.Fatal(err)
