@@ -244,9 +244,10 @@ func TestTraceAnalyzeThousandAgents(t *testing.T) {
 	}
 	defer cl.Close()
 
-	// Run in the background; the RunUntil controls are all sent before
-	// waitRound blocks, so fault injection after a short delay cannot
-	// lose them.
+	// Run in the background and cut the straggler off once the collector
+	// has heard it announce round 5, so the cut lands mid-run however
+	// slowly the cluster starts. (Waiting for a finalized round would not
+	// do: under 10% loss almost no round assembles before the last.)
 	type runResult struct {
 		stats []RoundStats
 		err   error
@@ -257,9 +258,34 @@ func TestTraceAnalyzeThousandAgents(t *testing.T) {
 		resCh <- runResult{stats, err}
 	}()
 
-	time.Sleep(50 * time.Millisecond)
-	net.SetPartition(hostOf(cl, flowName(straggler)), 9)
-	time.Sleep(400 * time.Millisecond)
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(time.Millisecond) {
+		cl.coll.mu.Lock()
+		heard := cl.coll.latestFlow[straggler]
+		cl.coll.mu.Unlock()
+		if heard >= 5 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("collector heard %s only through round %d", flowName(straggler), heard)
+		}
+	}
+	// The cut closes inbound first. Deaf, flow/5 stops at its staleness
+	// bound and its chirps hand its last round to both of its nodes, so
+	// the full cut that follows cannot split that round between them: a
+	// node that missed it would stall as far behind the frontier as
+	// flow/5, or further, and could rank above it. Cut off, flow/5
+	// sits 2K+1 = 5 rounds behind (its component stalls with it) and its
+	// nodes K+1. Loss alone puts a node up to 8 behind until a chirp
+	// repairs it, which over the rest of the run (≈0.5 s on 2 vCPUs)
+	// sums to what a 400 ms cut gives flow/5; the cut outlasts the rest
+	// of the run so that it decides the ranking.
+	own := hostOf(cl, flowName(straggler))
+	for _, b := range cl.flows[straggler].peerNodes {
+		net.SetOneWay(hostOf(cl, nodeName(b)), own, true)
+	}
+	time.Sleep(100 * time.Millisecond)
+	net.SetPartition(own, 9)
+	time.Sleep(1400 * time.Millisecond)
 	net.ClearPartitions()
 
 	res := <-resCh
