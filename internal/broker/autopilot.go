@@ -22,8 +22,8 @@ import (
 //
 // Two signals drive the perturbation:
 //
-//   - Per-class demand: the attached-consumer count from one
-//     AllClassStats snapshot becomes each class's n^max. Demand-only
+//   - Per-class demand: each class's attached-consumer count, copied in
+//     one read of the broker's dense counts, becomes its n^max. Demand-only
 //     changes go through Engine.SetClassDemand, which dirties just the
 //     affected node — no engine reset.
 //   - Per-flow offered rate: the EWMA of (published+throttled) deltas
@@ -59,7 +59,8 @@ type Autopilot struct {
 	prob     *model.Problem
 	rateMax0 []float64
 	enacted  model.Allocation
-	statsBuf []ClassStats
+	// attached is the per-class demand each cycle reads.
+	attached []int32
 	// Offered-rate estimation state: previous published+throttled totals
 	// per flow, their EWMA rate, and the broker-clock time of the last
 	// sync (so fake-clock tests stay deterministic).
@@ -176,11 +177,11 @@ func (a *Autopilot) Cycle() (model.Allocation, bool, error) {
 	// sees the offered-rate window and the cycle duration move together.
 	now := a.b.now()
 
-	// Demand: one lock-free counter snapshot across all classes.
-	a.statsBuf = a.b.AllClassStats(a.statsBuf)
+	// Demand: one copy of the dense attached counts.
+	a.attached = a.b.attachedCounts(a.attached)
 	demand := 0
-	for _, st := range a.statsBuf {
-		demand += st.Attached
+	for _, n := range a.attached {
+		demand += int(n)
 	}
 
 	// Offered rates: publish-attempt deltas since the last cycle, on the
@@ -224,18 +225,18 @@ func (a *Autopilot) Cycle() (model.Allocation, bool, error) {
 	// Perturb: a rate-bound change needs the (warm) engine reset; pure
 	// demand drift goes through the cheap in-place path.
 	if needReset {
-		for j, st := range a.statsBuf {
-			a.prob.Classes[j].MaxConsumers = st.Attached
+		for j, n := range a.attached {
+			a.prob.Classes[j].MaxConsumers = int(n)
 		}
 		if err := a.eng.Reset(a.prob); err != nil {
 			return model.Allocation{}, false, fmt.Errorf("broker: autopilot: %w", err)
 		}
 	} else {
-		for j, st := range a.statsBuf {
-			if a.prob.Classes[j].MaxConsumers == st.Attached {
+		for j, n := range a.attached {
+			if a.prob.Classes[j].MaxConsumers == int(n) {
 				continue
 			}
-			if err := a.eng.SetClassDemand(model.ClassID(j), st.Attached); err != nil {
+			if err := a.eng.SetClassDemand(model.ClassID(j), int(n)); err != nil {
 				return model.Allocation{}, false, fmt.Errorf("broker: autopilot: %w", err)
 			}
 		}

@@ -312,8 +312,8 @@ func BenchmarkApplyAllocationWide(b *testing.B) {
 
 // BenchmarkDetachAdmitted: detach a consumer from the middle of a class's
 // admitted prefix and attach a replacement, walking over the classes of
-// the metro broker. Each detach republishes its flow (40 class routes);
-// the allocation is re-enacted, off the clock, once per pass so that
+// the metro broker. Each detach rebuilds its class's entry and its flow's
+// list of 40 entry pointers; the allocation is re-enacted, off the clock, once per pass so that
 // every class keeps its 90 admitted.
 func BenchmarkDetachAdmitted(b *testing.B) {
 	br, alloc := benchMetroBroker(b)

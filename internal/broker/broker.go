@@ -31,7 +31,8 @@ var (
 	ErrUnknownFlow     = errors.New("broker: unknown flow")
 	ErrUnknownConsumer = errors.New("broker: unknown consumer")
 	ErrThrottled       = errors.New("broker: rate limit exceeded")
-	// ErrBadRate: an allocation holds a negative, NaN or infinite rate.
+	// ErrBadRate: an allocation holds a negative, NaN or infinite rate,
+	// or a class rate cap is NaN or +Inf.
 	ErrBadRate = errors.New("broker: rate is negative or not finite")
 )
 
@@ -68,6 +69,10 @@ type classState struct {
 	// the frequency of updates").
 	thinner  *TokenBucket
 	counters classCounters
+	// route is the immutable entry the published snapshot holds for this
+	// class, nil when it admits nobody; republishLocked replaces it when
+	// the class is dirty, and every clean flow list keeps pointing at it.
+	route *classRoute
 }
 
 // removeAt drops consumers[k], keeping attach order. At or past the
@@ -234,7 +239,6 @@ func New(p *model.Problem, opts ...Option) (*Broker, error) {
 		byID:          make(map[ConsumerID]*consumer),
 		producers:     make(map[ProducerID]*Producer),
 		flowMark:      make([]uint64, len(p.Flows)),
-		blockMark:     make([]uint64, (len(p.Flows)+routeBlockSize-1)/routeBlockSize),
 		enactedRates:  make([]float64, len(p.Flows)),
 		attachedCount: make([]int32, len(p.Classes)),
 		admittedCount: make([]int32, len(p.Classes)),
@@ -251,7 +255,11 @@ func New(p *model.Problem, opts ...Option) (*Broker, error) {
 		b.flows[i].setRate(f.RateMin)
 		b.enactedRates[i] = f.RateMin
 	}
-	b.route.Store(b.buildRouteTableLocked())
+	// Nothing is admitted yet: the table holds no entry, and every
+	// classState.route starts nil to match it.
+	rt := b.buildRouteTableLocked()
+	b.blockMark = make([]uint64, len(rt.blocks))
+	b.route.Store(rt)
 	return b, nil
 }
 
@@ -287,6 +295,15 @@ func (b *Broker) AttachConsumer(class model.ClassID, filter Filter, h Handler) (
 		b.tel.ObserveConsumers(b.consumerTotalsLocked())
 	}
 	return id, nil
+}
+
+// attachedCounts copies every class's attached-consumer count into dst
+// (reused when its capacity suffices) and returns it: the autopilot's
+// demand read, one dense copy under b.mu, which publishers never take.
+func (b *Broker) attachedCounts(dst []int32) []int32 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return append(dst[:0], b.attachedCount...)
 }
 
 // consumerTotalsLocked returns the attached and admitted consumer counts
@@ -362,10 +379,11 @@ func (b *Broker) Admitted(id ConsumerID) (bool, error) {
 // whose rate is unchanged keep their token buckets untouched, classes
 // whose admitted count is unchanged are skipped entirely, a class whose
 // count moved re-slices its consumer array instead of copying it, and the
-// new snapshot shares every clean flow's route slice with its predecessor
-// (see enact.go). An allocation identical to the enacted one publishes
-// no snapshot at all. What does grow with the broker is the diff itself,
-// one pass over the dense enacted arrays under mu.
+// new snapshot shares every clean class's entry and every clean flow's
+// entry list with its predecessor (see enact.go). An allocation identical
+// to the enacted one publishes no snapshot at all. What does grow with
+// the broker is the diff itself, one pass over the dense enacted arrays
+// under mu.
 func (b *Broker) ApplyAllocation(a model.Allocation) error {
 	if len(a.Rates) != len(b.p.Flows) || len(a.Consumers) != len(b.p.Classes) {
 		return fmt.Errorf("broker: allocation shape %d/%d, want %d/%d",
@@ -472,7 +490,7 @@ func (b *Broker) Publish(flow model.FlowID, attrs map[string]float64, body strin
 	delivered, filtered := 0, 0
 	routes := b.route.Load().flowRoutes(flow)
 	for ri := range routes {
-		cr := &routes[ri]
+		cr := routes[ri]
 		if cr.thinner != nil && !cr.thinner.Allow(now) {
 			cr.counters.thinned.Add(1)
 			b.tel.ObserveThinned()
@@ -561,10 +579,15 @@ func (b *Broker) ClassStats(class model.ClassID) (ClassStats, error) {
 // SetClassRateCap installs (or, with rate <= 0, removes) a delivery-rate
 // cap for one class, thinning its stream below the flow's source rate.
 // This is the enactment hook for multirate extensions: different classes
-// of the same flow can receive different effective rates.
+// of the same flow can receive different effective rates. A NaN or +Inf
+// cap is refused with ErrBadRate before anything changes: a bucket
+// refilled at either holds NaN or infinite tokens and thins nothing.
 func (b *Broker) SetClassRateCap(class model.ClassID, rate float64) error {
 	if class < 0 || int(class) >= len(b.p.Classes) {
 		return fmt.Errorf("%w: %d", ErrUnknownClass, class)
+	}
+	if math.IsNaN(rate) || math.IsInf(rate, 1) {
+		return fmt.Errorf("%w: class %d cap %g", ErrBadRate, class, rate)
 	}
 	now := b.now()
 	b.mu.Lock()
@@ -586,7 +609,7 @@ func (b *Broker) SetClassRateCap(class model.ClassID, rate float64) error {
 		cs.thinner = NewTokenBucket(rate, 0, now)
 	}
 	// Installing or removing the bucket changes the class's routing
-	// entry, which lives in exactly one flow's slice — republish just it.
+	// entry — republish just it.
 	start := b.enactStartNanos()
 	b.dirtyClasses = append(b.dirtyClasses, class)
 	mode, flows := b.republishLocked()

@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/telemetry"
@@ -18,12 +19,15 @@ import (
 //   - route noop: no class's deliverable membership moved, so the
 //     previous snapshot stays published. A rate-only ApplyAllocation
 //     lands here — token buckets are re-rated in place and nothing swaps.
-//   - incremental: the top-level block-pointer array is copied, dirty
-//     blocks are cloned (one slice-header memcpy per routeBlockSize
-//     flows), and only the dirty flows' by-value classRoute entries are
-//     rebuilt; every clean block — and every clean flow's slice inside a
-//     cloned block — is shared, by reference, with the predecessor
-//     snapshot.
+//   - incremental: each dirty class's entry is rebuilt into one
+//     []classRoute slab and becomes its classState.route (nil when the
+//     class admits nobody); each dirty flow's pointer list is gathered
+//     from its classes' route fields into one []*classRoute slab; the
+//     top-level block array is copied and every block holding a dirty
+//     flow is cloned. Every clean entry, flow list and block is shared,
+//     by pointer, with the predecessor snapshot: a republish builds one
+//     entry per class it changed, not one per class of the flows it
+//     dirtied, and a dirty flow costs one pointer per deliverable class.
 //
 // No consumer pointer is copied either way: a classRoute's consumers is
 // the prefix cs.consumers[:cs.admitted] of the class's own attach-ordered
@@ -38,9 +42,10 @@ import (
 // inside it copies that one class to a fresh array (classState.removeAt).
 // What is written at such an index becomes reachable only through a later
 // snapshot, and route.Store is the publication point: a publisher that
-// loads the table sees every write made before the store. Other reuse is
-// confined to control-plane scratch (dirtyClasses, dirtyFlows, the epoch-
-// marked flowMark), where the mutex makes it safe.
+// loads the table sees every write made before the store. The entry and
+// pointer slabs are never reused either; reuse is confined to
+// control-plane scratch (dirtyClasses, dirtyFlows, the epoch-marked
+// flowMark and blockMark), where the mutex makes it safe.
 
 // EnactStats is the cumulative accounting of the enact path, one counter
 // set per broker. Applies counts ApplyAllocation calls; NoopApplies the
@@ -81,11 +86,11 @@ func WithEnactTelemetry(m *telemetry.EnactMetrics) Option {
 
 // AllClassStats returns a snapshot of every class's delivery-side
 // counters in one call, appending into dst (reused when capacity
-// suffices) and returning it. Served from atomics like ClassStats —
-// never takes the broker mutex, never stalls publishers — so the
-// autopilot syncing demand for thousands of classes pays no per-class
-// locking. Within one class the fields are individually exact; across
-// classes the snapshot is not atomic, same as any multi-counter scrape.
+// suffices) and returning it: one scrape of thousands of classes without
+// a call per class. Served from atomics like ClassStats — never takes
+// the broker mutex, never stalls publishers. Within one class the fields
+// are individually exact; across classes the snapshot is not atomic,
+// same as any multi-counter scrape.
 func (b *Broker) AllClassStats(dst []ClassStats) []ClassStats {
 	if cap(dst) < len(b.classes) {
 		dst = make([]ClassStats, len(b.classes))
@@ -108,18 +113,31 @@ func (b *Broker) AllClassStats(dst []ClassStats) []ClassStats {
 // republishLocked publishes the route-snapshot consequence of the dirty
 // classes accumulated since the last republish, consuming b.dirtyClasses.
 // Callers must hold b.mu. Returns the telemetry.EnactRoute* outcome and
-// the number of flows whose route slice was rebuilt.
+// the number of flows whose route list was rebuilt.
 func (b *Broker) republishLocked() (mode, flowsTouched int) {
 	if len(b.dirtyClasses) == 0 {
 		return telemetry.EnactRouteNoop, 0
 	}
-	// Map dirty classes to their flows, deduplicating with the epoch
-	// marker so several dirty classes of one flow rebuild it once. The
-	// epoch bump replaces clearing flowMark, keeping the noop and
-	// small-delta paths O(delta) rather than O(flows).
+	// Rebuild the dirty classes' entries, all in one slab, and map them to
+	// their flows, deduplicating with the epoch marker so several dirty
+	// classes of one flow gather it once. The epoch bump replaces clearing
+	// flowMark, keeping the small-delta path O(delta) rather than O(flows).
+	n := 0
+	for _, cid := range b.dirtyClasses {
+		if b.admittedCount[cid] > 0 {
+			n++
+		}
+	}
+	entries := make([]classRoute, n)
 	b.markEpoch++
 	b.dirtyFlows = b.dirtyFlows[:0]
 	for _, cid := range b.dirtyClasses {
+		cs := &b.classes[cid]
+		cs.route = nil
+		if cs.admitted > 0 {
+			entries[0] = cs.routeLocked()
+			cs.route, entries = &entries[0], entries[1:]
+		}
 		fid := b.p.Classes[cid].Flow
 		if b.flowMark[fid] != b.markEpoch {
 			b.flowMark[fid] = b.markEpoch
@@ -127,22 +145,44 @@ func (b *Broker) republishLocked() (mode, flowsTouched int) {
 		}
 	}
 	b.dirtyClasses = b.dirtyClasses[:0]
-	old := b.route.Load()
-	blocks := make([][][]classRoute, len(old.blocks))
-	copy(blocks, old.blocks)
+	// Gather the dirty flows' entry lists into one slab. A class holds an
+	// entry exactly when it admits somebody: every change of its admitted
+	// count dirties it.
+	n = 0
 	for _, fid := range b.dirtyFlows {
-		k := int(fid) >> routeBlockBits
+		for _, cid := range b.ix.ClassesByFlow(fid) {
+			if b.admittedCount[cid] > 0 {
+				n++
+			}
+		}
+	}
+	ptrs := make([]*classRoute, n)
+	old := b.route.Load()
+	blocks := make([][][]*classRoute, len(old.blocks))
+	copy(blocks, old.blocks)
+	mask := 1<<old.shift - 1
+	for _, fid := range b.dirtyFlows {
+		k := int(fid) >> old.shift
 		if b.blockMark[k] != b.markEpoch {
 			// First dirty flow in this block: clone it (the markEpoch bump
 			// above doubles as the per-republish block dedup).
 			b.blockMark[k] = b.markEpoch
-			nb := make([][]classRoute, len(old.blocks[k]))
-			copy(nb, old.blocks[k])
-			blocks[k] = nb
+			blocks[k] = slices.Clone(old.blocks[k])
 		}
-		blocks[k][int(fid)&routeBlockMask] = b.buildFlowRoutesLocked(fid)
+		n = 0
+		for _, cid := range b.ix.ClassesByFlow(fid) {
+			if r := b.classes[cid].route; r != nil {
+				ptrs[n] = r
+				n++
+			}
+		}
+		var routes []*classRoute
+		if n > 0 {
+			routes, ptrs = ptrs[:n:n], ptrs[n:]
+		}
+		blocks[k][int(fid)&mask] = routes
 	}
-	b.route.Store(&routeTable{blocks: blocks})
+	b.route.Store(&routeTable{shift: old.shift, blocks: blocks})
 	return telemetry.EnactRouteIncremental, len(b.dirtyFlows)
 }
 

@@ -11,10 +11,10 @@ import (
 	"repro/internal/model"
 )
 
-// routesShareBacking reports whether two per-flow route slices are the
-// same published slice (same backing array), the incremental path's
+// routesShareBacking reports whether two per-flow route lists are the
+// same published list (same backing array), the incremental path's
 // sharing contract for clean flows.
-func routesShareBacking(a, b []classRoute) bool {
+func routesShareBacking(a, b []*classRoute) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -183,6 +183,63 @@ func TestApplyAllocationRejectsBadRate(t *testing.T) {
 	}
 }
 
+// TestSetClassRateCapRejectsBadRate: a NaN or +Inf cap is refused with
+// ErrBadRate and leaves the class's thinner, its rate and the published
+// snapshot as they were — a bucket refilled at either would thin nothing.
+// A cap of 0 or below removes the thinner, a finite cap installs one or
+// re-rates it in place. Each case runs on an uncapped class and on one
+// capped at 10 msg/s.
+func TestSetClassRateCapRejectsBadRate(t *testing.T) {
+	cases := []struct {
+		rate    float64
+		refused bool
+		want    float64 // unless refused, the thinner's rate afterwards; 0 means none
+	}{
+		{math.NaN(), true, 0},
+		{math.Inf(1), true, 0},
+		{0, false, 0},
+		{-1, false, 0},
+		{5, false, 5},
+	}
+	for _, c := range cases {
+		for _, capped := range []bool{false, true} {
+			br, _ := enactedBroker(t, 4, 2)
+			if capped {
+				if err := br.SetClassRateCap(2, 10); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before, route := br.classes[2].thinner, br.route.Load()
+			err := br.SetClassRateCap(2, c.rate)
+			after := br.classes[2].thinner
+			if c.refused {
+				if !errors.Is(err, ErrBadRate) {
+					t.Errorf("cap %g (capped %v): err = %v, want ErrBadRate", c.rate, capped, err)
+				}
+				if after != before || br.route.Load() != route {
+					t.Errorf("cap %g (capped %v): a refused cap changed the thinner or republished", c.rate, capped)
+				}
+				if capped && before.Rate() != 10 {
+					t.Errorf("cap %g: refused, yet the thinner's rate moved to %g from 10", c.rate, before.Rate())
+				}
+				continue
+			}
+			if err != nil {
+				t.Errorf("cap %g (capped %v): err = %v", c.rate, capped, err)
+				continue
+			}
+			switch {
+			case c.want == 0 && after != nil:
+				t.Errorf("cap %g (capped %v): thinner still installed", c.rate, capped)
+			case c.want != 0 && (after == nil || after.Rate() != c.want):
+				t.Errorf("cap %g (capped %v): thinner %v, want one at %g", c.rate, capped, after, c.want)
+			case c.want != 0 && capped && after != before:
+				t.Errorf("cap %g: re-rating a cap replaced its thinner", c.rate)
+			}
+		}
+	}
+}
+
 // TestDetachUnadmittedNoSwap: detaching a consumer that was never
 // admitted is invisible to the data plane and publishes nothing — the
 // attach/detach-storm fast path.
@@ -335,7 +392,8 @@ func equalRouteTables(t *testing.T, got, want *routeTable, op string) {
 // TestEnactIncrementalMatchesFullRebuild is the incremental path's
 // property test: after every random control operation, the published
 // snapshot must be semantically identical to a from-scratch full build
-// of the authoritative state.
+// of the authoritative state, and every class's route must be the entry
+// that snapshot carries for it.
 func TestEnactIncrementalMatchesFullRebuild(t *testing.T) {
 	p := stressProblem(8)
 	br, err := New(p)
@@ -350,6 +408,7 @@ func TestEnactIncrementalMatchesFullRebuild(t *testing.T) {
 		want := br.buildRouteTableLocked()
 		br.mu.Unlock()
 		equalRouteTables(t, br.route.Load(), want, op)
+		checkClassRoutes(t, br, op)
 	}
 	for step := 0; step < 400; step++ {
 		switch rng.Intn(4) {

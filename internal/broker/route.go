@@ -2,6 +2,7 @@ package broker
 
 import (
 	"math"
+	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/model"
@@ -12,17 +13,18 @@ import (
 //
 // The data plane (Publish) never takes the broker mutex: it reads an
 // immutable routing snapshot through an atomic pointer, admits the
-// message on its flow's own token bucket, and walks the snapshot's
-// admitted-consumer lists, accumulating into atomic counters. Per-flow
-// state is sharded so publishes on distinct flows share nothing but the
-// snapshot pointer.
+// message on its flow's own token bucket, and walks the flow's class
+// entries and their admitted-consumer lists, accumulating into atomic
+// counters. Per-flow state is sharded so publishes on distinct flows
+// share nothing but the snapshot pointer.
 //
 // The control plane (AttachConsumer, DetachConsumer, ApplyAllocation,
 // SetClassRateCap) serializes on Broker.mu, mutates the authoritative
 // state, and publishes a new snapshot that shares what did not change
-// with its predecessor (enact.go). A Publish that raced a control
-// operation delivers against whichever snapshot it loaded — each message
-// sees one consistent routing view.
+// with its predecessor: a class's entry is rebuilt only when that class
+// changes (enact.go). A Publish that raced a control operation delivers
+// against whichever snapshot it loaded — each message sees one
+// consistent routing view.
 
 // flowState is the per-flow data-plane shard: the source token bucket
 // (internally locked, shared with nobody else), the per-flow sequence
@@ -70,8 +72,10 @@ type classCounters struct {
 // classRoute is one class's routing entry in a snapshot: the compiled
 // transform, the shared thinner handle, the counter block, and the
 // admitted consumers in attach order — a prefix view of the class's
-// control-plane array, not a copy. Snapshots only carry classes with at
-// least one admitted consumer.
+// control-plane array, not a copy. An entry is immutable once published
+// and is shared, by pointer, by every snapshot until its class changes
+// (classState.route); snapshots only carry classes with at least one
+// admitted consumer.
 type classRoute struct {
 	transform Transform
 	// identity marks the Transform as the Identity fast path: the
@@ -85,92 +89,83 @@ type classRoute struct {
 	consumers []*consumer
 }
 
-// Route snapshots store per-flow slices in fixed-size blocks so an
-// incremental republish copies one small block, not one slice header per
-// flow: on a 10k-flow broker a flat [][]classRoute costs a ~240KB header
-// copy per enact. Both levels hold 24-byte slice headers, so a one-flow
-// republish copies 24·(flows/size + size) bytes, least near size =
-// √flows: 64 costs 5.3KB at 10,000 flows and 1.6KB at 240, where 256
-// cost 7.1KB and 5.8KB (BenchmarkApplyAllocationDelta, DetachAdmitted).
-const (
-	routeBlockBits = 6
-	routeBlockSize = 1 << routeBlockBits
-	routeBlockMask = routeBlockSize - 1
-)
-
 // routeTable is the immutable routing snapshot the data plane reads: for
-// every flow, the deliverable class routes in model.Index class order,
-// addressed as blocks[flow>>routeBlockBits][flow&routeBlockMask]. Never
-// mutated after publication; control-plane changes build and store a new
-// table (which may share blocks, and per-flow slices inside fresh
-// blocks, with its predecessor, and shares every consumer array with the
-// control plane under the rule at the top of enact.go).
+// every flow, pointers to its deliverable class entries in model.Index
+// class order, addressed as blocks[flow>>shift][flow&(1<<shift-1)].
+// Never mutated after publication; control-plane changes build and store
+// a new table, which shares blocks, per-flow lists and entries with its
+// predecessor and every consumer array with the control plane under the
+// rule at the top of enact.go.
+//
+// The blocks keep an incremental republish from copying one slice header
+// per flow. Both levels hold 24-byte headers, so a one-flow republish
+// copies 24·(flows/size + size) bytes, least near size = √flows: shift
+// is half the flow count's bit length, 16 flows per block at 240 flows
+// and 128 at 10,000.
 type routeTable struct {
-	blocks [][][]classRoute
+	shift  uint
+	blocks [][][]*classRoute
 }
 
-func (rt *routeTable) flowRoutes(i model.FlowID) []classRoute {
-	return rt.blocks[i>>routeBlockBits][i&routeBlockMask]
+func (rt *routeTable) flowRoutes(i model.FlowID) []*classRoute {
+	return rt.blocks[uint(i)>>rt.shift][int(i)&(1<<rt.shift-1)]
 }
 
-// buildFlowRoutesLocked builds one flow's deliverable class routes from
-// the authoritative control-plane state, in model.Index class order.
-// Callers must hold b.mu. The returned slice is freshly allocated and
-// never mutated after publication, so it may be spliced into a snapshot
-// that shares every other flow's slice with its predecessor. Each entry's
+// routeLocked returns cs's routing entry as the state stands. Its
 // consumers is the admitted prefix of the class's own attach-ordered
 // array — a view, not a copy — and building it raises the class's
-// published high-water mark (see the sharing rule at the top of enact.go).
-func (b *Broker) buildFlowRoutesLocked(i model.FlowID) []classRoute {
-	classes := b.ix.ClassesByFlow(i)
-	n := 0
-	for _, cid := range classes {
-		if b.classes[cid].admitted > 0 {
-			n++
-		}
+// published high-water mark (see the sharing rule at the top of
+// enact.go). Callers must hold b.mu and only call it for a class that
+// admits somebody.
+func (cs *classState) routeLocked() classRoute {
+	if cs.published < cs.admitted {
+		cs.published = cs.admitted
 	}
-	if n == 0 {
-		return nil
+	_, identity := cs.transform.(Identity)
+	return classRoute{
+		transform: cs.transform,
+		identity:  identity,
+		thinner:   cs.thinner,
+		counters:  &cs.counters,
+		consumers: cs.consumers[:cs.admitted:cs.admitted],
 	}
-	routes := make([]classRoute, 0, n)
-	for _, cid := range classes {
-		cs := &b.classes[cid]
-		if cs.admitted == 0 {
-			continue
-		}
-		if cs.published < cs.admitted {
-			cs.published = cs.admitted
-		}
-		_, identity := cs.transform.(Identity)
-		routes = append(routes, classRoute{
-			transform: cs.transform,
-			identity:  identity,
-			thinner:   cs.thinner,
-			counters:  &cs.counters,
-			consumers: cs.consumers[:cs.admitted:cs.admitted],
-		})
-	}
-	return routes
 }
 
 // buildRouteTableLocked builds a complete routing snapshot from the
 // authoritative control-plane state: what New publishes, and the oracle
 // the incremental path (republishLocked in enact.go) is tested against.
-// Callers must hold b.mu (or be inside New, before the broker escapes).
+// It builds entries of its own, all in one slab, and never writes
+// classState.route. Callers must hold b.mu (or be inside New, before the
+// broker escapes).
 func (b *Broker) buildRouteTableLocked() *routeTable {
+	n := 0
+	for j := range b.classes {
+		if b.classes[j].admitted > 0 {
+			n++
+		}
+	}
+	entries := make([]classRoute, n)
+	ptrs := make([]*classRoute, n)
 	flows := len(b.p.Flows)
-	nb := (flows + routeBlockSize - 1) / routeBlockSize
-	rt := &routeTable{blocks: make([][][]classRoute, nb)}
-	for k := 0; k < nb; k++ {
-		n := flows - k*routeBlockSize
-		if n > routeBlockSize {
-			n = routeBlockSize
-		}
-		block := make([][]classRoute, n)
+	shift := uint(bits.Len(uint(flows)) / 2)
+	size := 1 << shift
+	rt := &routeTable{shift: shift, blocks: make([][][]*classRoute, 0, (flows+size-1)/size)}
+	for start := 0; start < flows; start += size {
+		block := make([][]*classRoute, min(size, flows-start))
 		for o := range block {
-			block[o] = b.buildFlowRoutesLocked(model.FlowID(k*routeBlockSize + o))
+			k := 0
+			for _, cid := range b.ix.ClassesByFlow(model.FlowID(start + o)) {
+				if cs := &b.classes[cid]; cs.admitted > 0 {
+					entries[0] = cs.routeLocked()
+					ptrs[k], entries = &entries[0], entries[1:]
+					k++
+				}
+			}
+			if k > 0 {
+				block[o], ptrs = ptrs[:k:k], ptrs[k:]
+			}
 		}
-		rt.blocks[k] = block
+		rt.blocks = append(rt.blocks, block)
 	}
 	return rt
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/model"
 )
@@ -14,13 +15,26 @@ import (
 // classRouteOf returns class j's entry in the published snapshot, nil when
 // the class is not deliverable.
 func classRouteOf(br *Broker, j model.ClassID) *classRoute {
-	routes := br.route.Load().flowRoutes(br.p.Classes[j].Flow)
-	for k := range routes {
-		if routes[k].counters == &br.classes[j].counters {
-			return &routes[k]
+	for _, cr := range br.route.Load().flowRoutes(br.p.Classes[j].Flow) {
+		if cr.counters == &br.classes[j].counters {
+			return cr
 		}
 	}
 	return nil
+}
+
+// checkClassRoutes asserts that every class's classState.route is the
+// entry the published snapshot carries for it, or nil when it carries
+// none.
+func checkClassRoutes(t *testing.T, br *Broker, op string) {
+	t.Helper()
+	br.mu.Lock()
+	defer br.mu.Unlock()
+	for j := range br.classes {
+		if got, want := br.classes[j].route, classRouteOf(br, model.ClassID(j)); got != want {
+			t.Fatalf("%s: class %d holds route %p, the snapshot carries %p", op, j, got, want)
+		}
+	}
 }
 
 // TestEnactCostIndependentOfClassSize: an ApplyAllocation that moves n_j
@@ -58,10 +72,44 @@ func TestEnactCostIndependentOfClassSize(t *testing.T) {
 		t.Errorf("enact of 4 classes: %g objects / %d B at 10 consumers per class, %g objects / %d B at 1,000; want equal",
 			smallObjects, smallBytes, largeObjects, largeBytes)
 	}
-	// Four dirty flows: the table, the block array, one block clone and a
-	// route slice per flow.
+	// Four dirty flows in two blocks: the table, the block array, two
+	// block clones, the entry slab and the pointer slab.
 	if smallObjects > 8 {
 		t.Errorf("enact of 4 classes in 4 flows allocated %g objects, want <= 8", smallObjects)
+	}
+}
+
+// TestDetachCostIndependentOfFlowWidth: detaching an admitted consumer
+// rebuilds one class entry whether its flow carries 4 deliverable classes
+// or 40. Only the flow's list of entry pointers follows its width, at
+// one pointer per class; the allocation count is the same, and so are
+// the bytes beyond that list.
+func TestDetachCostIndependentOfFlowWidth(t *testing.T) {
+	const detaches = 32
+	cost := func(width int) (objects, bytes uint64) {
+		br, _ := gridBroker(t, 8, width, 2*detaches, 2*detaches)
+		cs := &br.classes[3*width+1] // a class of flow 3
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for k := 0; k < detaches; k++ {
+			if err := br.DetachConsumer(cs.consumers[0].id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&m1)
+		if cs.admitted != detaches {
+			t.Fatalf("width %d: %d admitted after %d detaches, want %d", width, cs.admitted, detaches, detaches)
+		}
+		return (m1.Mallocs - m0.Mallocs) / detaches, (m1.TotalAlloc - m0.TotalAlloc) / detaches
+	}
+	ptr := uint64(unsafe.Sizeof((*classRoute)(nil)))
+	narrowObjects, narrowBytes := cost(4)
+	wideObjects, wideBytes := cost(40)
+	if narrowObjects != wideObjects || wideBytes-40*ptr != narrowBytes-4*ptr {
+		t.Errorf("admitted detach: %d objects / %d B in a 4-class flow, %d objects / %d B in a 40-class flow; "+
+			"want the same objects and the same bytes beyond one %d-byte pointer per class",
+			narrowObjects, narrowBytes, wideObjects, wideBytes, ptr)
 	}
 }
 
@@ -172,7 +220,8 @@ func TestDetachBehindHighWaterCopies(t *testing.T) {
 // TestPublishedPrefixesNeverChange is the sharing rule's property test:
 // across random attach, detach, enact and rate-cap operations, every
 // snapshot ever published still lists exactly the consumers it listed
-// when it was stored.
+// when it was stored, and after every operation each class's route is
+// the entry the latest snapshot carries for it.
 func TestPublishedPrefixesNeverChange(t *testing.T) {
 	p := stressProblem(4)
 	br, err := New(p)
@@ -228,6 +277,7 @@ func TestPublishedPrefixesNeverChange(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		checkClassRoutes(t, br, "step")
 		if rt := br.route.Load(); rt != snapshots[len(snapshots)-1].rt {
 			snapshots = append(snapshots, freeze(rt))
 		}
