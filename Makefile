@@ -49,7 +49,7 @@ bench-core:
 # Broker data-plane benchmarks recorded as JSON. -cpu=1,4 captures the
 # contended scaling of the lock-free publish path.
 bench-broker:
-	$(GO) test -run='^$$' -bench='Publish|ApplyAllocation|DetachAdmitted' -benchmem -cpu=1,4 ./internal/broker/ \
+	$(GO) test -run='^$$' -bench='Publish|ApplyAllocation|DetachAdmitted|AttachConsumer' -benchmem -cpu=1,4 ./internal/broker/ \
 		| $(GO) run ./cmd/lrgp-benchjson -out BENCH_broker.json
 
 # Distributed-runtime benchmarks recorded as JSON: codec encode ns/op

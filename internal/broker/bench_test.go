@@ -70,7 +70,8 @@ func fanProblem(flows int) *model.Problem { return gridProblem(flows, 1) }
 
 // gridBroker builds a gridProblem broker with `attached` handler-less
 // consumers on every class and `admitted` of them admitted at 1e9 msg/s,
-// and returns it with the enacted allocation. (The broker never holds
+// and returns it with the enacted allocation. Each consumer's filter is
+// its own label, numbered in attach order. (The broker never holds
 // attachment to a class's MaxConsumers; that bound is the optimizer's.)
 func gridBroker(tb testing.TB, flows, perFlow, attached, admitted int) (*Broker, model.Allocation) {
 	tb.Helper()
@@ -82,7 +83,7 @@ func gridBroker(tb testing.TB, flows, perFlow, attached, admitted int) (*Broker,
 	alloc := model.NewAllocation(p)
 	for j := range p.Classes {
 		for k := 0; k < attached; k++ {
-			if _, err := br.AttachConsumer(model.ClassID(j), nil, nil); err != nil {
+			if _, err := br.AttachConsumer(model.ClassID(j), label(j*attached+k), nil); err != nil {
 				tb.Fatal(err)
 			}
 		}
@@ -310,6 +311,35 @@ func BenchmarkApplyAllocationWide(b *testing.B) {
 	}
 }
 
+// BenchmarkAttachConsumer: attach one consumer to a class of the metro
+// broker, walking over its classes, as demand_churn's attach batches do.
+// Once per pass, off the clock, the pass's consumers (never admitted) are
+// detached again, so every class stays at about 100.
+func BenchmarkAttachConsumer(b *testing.B) {
+	br, _ := benchMetroBroker(b)
+	classes := len(br.p.Classes)
+	ids := make([]ConsumerID, 0, classes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id, err := br.AttachConsumer(model.ClassID(i*37%classes), nil, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ids = append(ids, id)
+		if len(ids) == classes {
+			b.StopTimer()
+			for _, id := range ids {
+				if err := br.DetachConsumer(id); err != nil {
+					b.Fatal(err)
+				}
+			}
+			ids = ids[:0]
+			b.StartTimer()
+		}
+	}
+}
+
 // BenchmarkDetachAdmitted: detach a consumer from the middle of a class's
 // admitted prefix and attach a replacement, walking over the classes of
 // the metro broker. Each detach rebuilds its class's entry and its flow's
@@ -322,7 +352,7 @@ func BenchmarkDetachAdmitted(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j := model.ClassID(i * 37 % classes)
-		if err := br.DetachConsumer(br.classes[j].consumers[45].id); err != nil {
+		if err := br.DetachConsumer(br.classes[j].ids[45]); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := br.AttachConsumer(j, nil, nil); err != nil {

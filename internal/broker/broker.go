@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -13,8 +14,23 @@ import (
 	"repro/internal/telemetry"
 )
 
-// ConsumerID identifies an attached consumer.
-type ConsumerID int
+// This file holds the broker's control-plane state and its operations.
+//
+// A consumer is a slot in its class, not an object of its own: each
+// classState keeps two arrays in the same attach order, consumers (value
+// entries of filter and handler, which route snapshots share under the
+// published-prefix rule of enact.go) and ids (the control plane's alone).
+// DetachConsumer and Admitted decode the class from the ConsumerID and
+// binary-search its ids, which ascend; there is no broker-wide map.
+// Admission is position: the first classState.admitted entries are
+// admitted, so an enact stores a count and flips nothing per consumer.
+
+// ConsumerID identifies an attached consumer. Its low bits are the
+// consumer's class (as many as bits.Len of the broker's class count) and
+// its upper bits a broker-wide attach sequence, so IDs are never reused
+// and, within one class, grow in attach order. An ID is valid only on the
+// broker that issued it.
+type ConsumerID int64
 
 // Handler receives messages delivered to one consumer. Handlers run
 // synchronously inside Publish and must return quickly. Concurrent
@@ -34,29 +50,35 @@ var (
 	// ErrBadRate: an allocation holds a negative, NaN or infinite rate,
 	// or a class rate cap is NaN or +Inf.
 	ErrBadRate = errors.New("broker: rate is negative or not finite")
+	// ErrConsumerIDsExhausted: the attach sequence has no room left in a
+	// ConsumerID; attaching refuses rather than reuse an ID.
+	ErrConsumerIDsExhausted = errors.New("broker: consumer IDs exhausted")
 )
 
-// consumer is one attached consumer. The fields are control-plane owned:
-// filter and handler are immutable after attach, and admitted is only
-// read and written under Broker.mu — the data plane sees consumers
-// exclusively through the admitted prefixes route snapshots publish.
+// consumer is one attached consumer, held by value in its class's
+// attach-ordered array and immutable once attached. A nil filter matches
+// everything (AttachConsumer stores MatchAll as nil, so Publish skips the
+// call). Whether it is admitted is its position: the first
+// classState.admitted entries are.
 type consumer struct {
-	id       ConsumerID
-	class    model.ClassID
-	filter   Filter
-	handler  Handler
-	admitted bool
+	filter  Filter
+	handler Handler
 }
 
 // classState is the authoritative (control-plane) state of one class.
-// The broker mutex guards transform, consumers, admitted and thinner
+// The broker mutex guards transform, consumers, ids, admitted and thinner
 // installation; the counter block is updated with atomics from both
 // planes and shared by pointer with every route snapshot.
 type classState struct {
 	transform Transform
-	// attach-ordered consumers; admission follows this order (earliest
-	// attached admitted first, latest unadmitted first on shrink).
-	consumers []*consumer
+	// consumers and ids are the attached consumers in attach order, entry
+	// for entry; admission follows this order (earliest attached admitted
+	// first, latest unadmitted first on shrink), so the admitted set is
+	// consumers[:admitted]. Snapshots share consumers' array under the
+	// published rule; ids is the control plane's alone, ascending (IDs
+	// grow in attach order), and found by binary search.
+	consumers []consumer
+	ids       []ConsumerID
 	admitted  int
 	// published is the longest prefix of consumers' current backing array
 	// any route snapshot may still read (snapshots share the array rather
@@ -75,19 +97,21 @@ type classState struct {
 	route *classRoute
 }
 
-// removeAt drops consumers[k], keeping attach order. At or past the
-// published high-water mark no snapshot can read what moves, so the tail
-// shifts down in place (slices.Delete also clears the vacated slot: the
-// array must not keep the departed consumer alive). Inside it, a snapshot
-// may still be walking the very elements a shift would overwrite: they
-// keep the old array and the class moves to a fresh one.
+// removeAt drops entry k, keeping attach order. ids is never published,
+// so it always shifts in place. At or past the published high-water mark
+// no snapshot can read what moves in consumers either, so its tail shifts
+// down in place too (slices.Delete also clears the vacated slot: the array
+// must not keep the departed consumer's filter and handler alive). Inside
+// it, a snapshot may still be walking the very entries a shift would
+// overwrite: they keep the old array and the class moves to a fresh one.
 func (cs *classState) removeAt(k int) {
+	cs.ids = slices.Delete(cs.ids, k, k+1)
 	old := cs.consumers
 	if k >= cs.published {
 		cs.consumers = slices.Delete(old, k, k+1)
 		return
 	}
-	fresh := make([]*consumer, len(old)-1, cap(old))
+	fresh := make([]consumer, len(old)-1, cap(old))
 	copy(fresh, old[:k])
 	copy(fresh[k:], old[k+1:])
 	cs.consumers, cs.published = fresh, 0
@@ -143,10 +167,12 @@ type Broker struct {
 	route atomic.Pointer[routeTable]
 
 	// Control plane, guarded by mu.
-	mu           sync.Mutex
-	classes      []classState
-	nextID       ConsumerID
-	byID         map[ConsumerID]*consumer
+	mu      sync.Mutex
+	classes []classState
+	// classBits is how many low bits of a ConsumerID hold its class;
+	// nextSeq is the attach sequence the next ID carries above them.
+	classBits    uint
+	nextSeq      int64
 	nextProducer int
 	producers    map[ProducerID]*Producer
 
@@ -236,7 +262,7 @@ func New(p *model.Problem, opts ...Option) (*Broker, error) {
 		now:           time.Now,
 		flows:         make([]flowState, len(p.Flows)),
 		classes:       make([]classState, len(p.Classes)),
-		byID:          make(map[ConsumerID]*consumer),
+		classBits:     uint(bits.Len(uint(len(p.Classes)))),
 		producers:     make(map[ProducerID]*Producer),
 		flowMark:      make([]uint64, len(p.Flows)),
 		enactedRates:  make([]float64, len(p.Flows)),
@@ -274,27 +300,45 @@ func (b *Broker) AttachConsumer(class model.ClassID, filter Filter, h Handler) (
 	if class < 0 || int(class) >= len(b.p.Classes) {
 		return 0, fmt.Errorf("%w: %d", ErrUnknownClass, class)
 	}
-	if filter == nil {
-		filter = MatchAll{}
+	if _, all := filter.(MatchAll); all {
+		filter = nil
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	id := b.nextID
-	b.nextID++
-	c := &consumer{id: id, class: class, filter: filter, handler: h}
+	if b.nextSeq > math.MaxInt64>>b.classBits {
+		return 0, ErrConsumerIDsExhausted
+	}
+	id := ConsumerID(b.nextSeq<<b.classBits | int64(class))
+	b.nextSeq++
 	cs := &b.classes[class]
 	if len(cs.consumers) == cap(cs.consumers) {
 		// The append below moves to a fresh array no snapshot has seen.
 		cs.published = 0
 	}
-	cs.consumers = append(cs.consumers, c)
+	cs.consumers = append(cs.consumers, consumer{filter: filter, handler: h})
+	cs.ids = append(cs.ids, id)
 	cs.counters.attached.Add(1)
 	b.attachedCount[class]++
-	b.byID[id] = c
 	if b.tel != nil {
 		b.tel.ObserveConsumers(b.consumerTotalsLocked())
 	}
 	return id, nil
+}
+
+// findLocked returns the class an ID names and the consumer's index in it,
+// or ErrUnknownConsumer when this broker holds no such consumer: a
+// negative ID, class bits past the class count, or a sequence the class
+// does not hold (never issued, issued to another class, or detached).
+// Callers must hold b.mu.
+func (b *Broker) findLocked(id ConsumerID) (*classState, model.ClassID, int, error) {
+	class := model.ClassID(id & (1<<b.classBits - 1))
+	if id >= 0 && int(class) < len(b.classes) {
+		cs := &b.classes[class]
+		if k, ok := slices.BinarySearch(cs.ids, id); ok {
+			return cs, class, k, nil
+		}
+	}
+	return nil, 0, 0, fmt.Errorf("%w: %d", ErrUnknownConsumer, id)
 }
 
 // attachedCounts copies every class's attached-consumer count into dst
@@ -307,13 +351,13 @@ func (b *Broker) attachedCounts(dst []int32) []int32 {
 }
 
 // consumerTotalsLocked returns the attached and admitted consumer counts
-// across all classes, summed from the dense admitted counts. Callers
-// must hold b.mu and should skip the call entirely when b.tel is nil —
+// across all classes, summed from the dense counts. Callers must hold
+// b.mu and should skip the call entirely when b.tel is nil —
 // it is telemetry-only, and even a dense O(classes) scan is measurable
 // inside the enact critical section.
 func (b *Broker) consumerTotalsLocked() (attached, admitted int) {
-	attached = len(b.byID)
-	for _, n := range b.admittedCount {
+	for j, n := range b.admittedCount {
+		attached += int(b.attachedCount[j])
 		admitted += int(n)
 	}
 	return attached, admitted
@@ -325,26 +369,24 @@ func (b *Broker) consumerTotalsLocked() (attached, admitted int) {
 func (b *Broker) DetachConsumer(id ConsumerID) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	c, ok := b.byID[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownConsumer, id)
+	cs, class, k, err := b.findLocked(id)
+	if err != nil {
+		return err
 	}
 	start := b.enactStartNanos()
 	classes := 0
-	delete(b.byID, id)
-	cs := &b.classes[c.class]
-	cs.removeAt(slices.Index(cs.consumers, c))
+	cs.removeAt(k)
 	cs.counters.attached.Add(-1)
-	b.attachedCount[c.class]--
-	if c.admitted {
+	b.attachedCount[class]--
+	if k < cs.admitted {
 		cs.admitted--
 		cs.counters.admitted.Add(-1)
-		b.admittedCount[c.class]--
+		b.admittedCount[class]--
 		// Only an admitted consumer is visible to the data plane; its
 		// departure dirties exactly its class's flow. Detaching a
 		// never-admitted consumer (the common case in attach/detach
 		// storms) publishes nothing.
-		b.dirtyClasses = append(b.dirtyClasses, c.class)
+		b.dirtyClasses = append(b.dirtyClasses, class)
 		classes = 1
 	}
 	mode, flows := b.republishLocked()
@@ -359,11 +401,11 @@ func (b *Broker) DetachConsumer(id ConsumerID) error {
 func (b *Broker) Admitted(id ConsumerID) (bool, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	c, ok := b.byID[id]
-	if !ok {
-		return false, fmt.Errorf("%w: %d", ErrUnknownConsumer, id)
+	cs, _, k, err := b.findLocked(id)
+	if err != nil {
+		return false, err
 	}
-	return c.admitted, nil
+	return k < cs.admitted, nil
 }
 
 // ApplyAllocation enacts an optimizer allocation: flow token buckets are
@@ -378,12 +420,13 @@ func (b *Broker) Admitted(id ConsumerID) (bool, error) {
 // The enact cost is proportional to the delta, not to broker size: flows
 // whose rate is unchanged keep their token buckets untouched, classes
 // whose admitted count is unchanged are skipped entirely, a class whose
-// count moved re-slices its consumer array instead of copying it, and the
-// new snapshot shares every clean class's entry and every clean flow's
-// entry list with its predecessor (see enact.go). An allocation identical
-// to the enacted one publishes no snapshot at all. What does grow with
-// the broker is the diff itself, one pass over the dense enacted arrays
-// under mu.
+// count moved only stores the new count (admission is position in attach
+// order, so no consumer is touched) and its entry re-slices the consumer
+// array instead of copying it, and the new snapshot shares every clean
+// class's entry and every clean flow's entry list with its predecessor
+// (see enact.go). An allocation identical to the enacted one publishes no
+// snapshot at all. What does grow with the broker is the diff itself, one
+// pass over the dense enacted arrays under mu.
 func (b *Broker) ApplyAllocation(a model.Allocation) error {
 	if len(a.Rates) != len(b.p.Flows) || len(a.Consumers) != len(b.p.Classes) {
 		return fmt.Errorf("broker: allocation shape %d/%d, want %d/%d",
@@ -420,21 +463,11 @@ func (b *Broker) ApplyAllocation(a model.Allocation) error {
 		want = min(max(want, 0), int(b.attachedCount[j]))
 		if want == int(b.admittedCount[j]) {
 			// The admitted set is always the first cs.admitted consumers in
-			// attach order (attach appends unadmitted; detach and the flips
-			// below preserve the prefix), so an equal count means identical
-			// membership.
+			// attach order (attach appends unadmitted, detach keeps the
+			// order), so an equal count means identical membership.
 			continue
 		}
 		cs := &b.classes[j]
-		if want > cs.admitted {
-			for _, c := range cs.consumers[cs.admitted:want] {
-				c.admitted = true
-			}
-		} else {
-			for _, c := range cs.consumers[want:cs.admitted] {
-				c.admitted = false
-			}
-		}
 		cs.admitted = want
 		cs.counters.admitted.Store(int64(want))
 		b.admittedCount[j] = int32(want)
@@ -505,9 +538,10 @@ func (b *Broker) Publish(flow model.FlowID, attrs map[string]float64, body strin
 		}
 		work++ // per-class transform work
 		var classDelivered, classFiltered uint64
-		for _, c := range cr.consumers {
-			work++ // per-consumer filter evaluation
-			if c.filter.Match(classMsg) {
+		for ci := range cr.consumers {
+			c := &cr.consumers[ci]
+			work++ // per-consumer filter evaluation, counted when MatchAll skips the call
+			if c.filter == nil || c.filter.Match(classMsg) {
 				work++ // per-consumer delivery
 				classDelivered++
 				if c.handler != nil {

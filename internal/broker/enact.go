@@ -29,12 +29,13 @@ import (
 //     entry per class it changed, not one per class of the flows it
 //     dirtied, and a dirty flow costs one pointer per deliverable class.
 //
-// No consumer pointer is copied either way: a classRoute's consumers is
-// the prefix cs.consumers[:cs.admitted] of the class's own attach-ordered
-// array (the admitted set is always that prefix; see ApplyAllocation), so
-// admitting and unadmitting re-slice. The data plane reads snapshots
-// lock-free with no grace period, so sharing is safe only under one rule:
-// an element any snapshot can reach is never overwritten. cs.published is
+// No consumer is copied either way: a classRoute's consumers is the
+// prefix cs.consumers[:cs.admitted] of the class's own attach-ordered
+// array of value entries (admission is position: the admitted set is
+// always that prefix; see ApplyAllocation), so admitting and unadmitting
+// store a count and re-slice. The data plane reads snapshots lock-free
+// with no grace period, so sharing is safe only under one rule: an
+// element any snapshot can reach is never overwritten. cs.published is
 // the longest prefix ever published from the array cs.consumers lives in,
 // and the control plane writes only at indices >= it: attach appends past
 // it (or append moves the class to a fresh array and old snapshots keep
@@ -45,7 +46,9 @@ import (
 // loads the table sees every write made before the store. The entry and
 // pointer slabs are never reused either; reuse is confined to
 // control-plane scratch (dirtyClasses, dirtyFlows, the epoch-marked
-// flowMark and blockMark), where the mutex makes it safe.
+// flowMark and blockMark), where the mutex makes it safe. The class's ids
+// array runs beside consumers entry for entry but is never published, so
+// it always shifts in place.
 
 // EnactStats is the cumulative accounting of the enact path, one counter
 // set per broker. Applies counts ApplyAllocation calls; NoopApplies the

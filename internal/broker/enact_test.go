@@ -264,7 +264,7 @@ func TestDetachAdmittedRebuildsOnlyItsFlow(t *testing.T) {
 	br, _ := enactedBroker(t, 16, 4)
 	var victim ConsumerID
 	br.mu.Lock()
-	victim = br.classes[7].consumers[3].id
+	victim = br.classes[7].ids[3]
 	br.mu.Unlock()
 	before := br.route.Load()
 	if err := br.DetachConsumer(victim); err != nil {
@@ -355,7 +355,8 @@ func routeTableFlows(rt *routeTable) int {
 
 // equalRouteTables asserts two snapshots are semantically identical:
 // same flows, and per flow the same classes with the same counters,
-// thinner, transform identity and the same consumers in the same order.
+// thinner, transform identity and the same consumers in the same order,
+// each known by its label filter.
 func equalRouteTables(t *testing.T, got, want *routeTable, op string) {
 	t.Helper()
 	if routeTableFlows(got) != routeTableFlows(want) {
@@ -381,8 +382,9 @@ func equalRouteTables(t *testing.T, got, want *routeTable, op string) {
 					op, i, k, len(g[k].consumers), len(w[k].consumers))
 			}
 			for c := range w[k].consumers {
-				if g[k].consumers[c] != w[k].consumers[c] {
-					t.Fatalf("%s: flow %d route %d consumer %d differs", op, i, k, c)
+				if g[k].consumers[c].filter != w[k].consumers[c].filter {
+					t.Fatalf("%s: flow %d route %d consumer %d is %v, want %v",
+						op, i, k, c, g[k].consumers[c].filter, w[k].consumers[c].filter)
 				}
 			}
 		}
@@ -413,7 +415,7 @@ func TestEnactIncrementalMatchesFullRebuild(t *testing.T) {
 	for step := 0; step < 400; step++ {
 		switch rng.Intn(4) {
 		case 0:
-			id, err := br.AttachConsumer(model.ClassID(rng.Intn(len(p.Classes))), nil, nil)
+			id, err := br.AttachConsumer(model.ClassID(rng.Intn(len(p.Classes))), label(step), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

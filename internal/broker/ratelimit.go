@@ -15,37 +15,35 @@ type TokenBucket struct {
 	burst  float64
 	tokens float64
 	last   time.Time
+	// coupled marks a defaulted burst: it is one second's worth of the
+	// current rate (minimum 1) and follows every SetRate.
+	coupled bool
 }
 
 // NewTokenBucket returns a bucket producing rate tokens/second with the
 // given burst capacity, initially full. burst <= 0 defaults to one
-// second's worth of tokens (minimum 1).
+// second's worth of tokens (minimum 1) and couples the burst to the rate.
 func NewTokenBucket(rate, burst float64, now time.Time) *TokenBucket {
-	if burst <= 0 {
-		burst = rate
-		if burst < 1 {
-			burst = 1
-		}
+	coupled := burst <= 0
+	if coupled {
+		burst = coupledBurst(rate)
 	}
-	return &TokenBucket{rate: rate, burst: burst, tokens: burst, last: now}
+	return &TokenBucket{rate: rate, burst: burst, tokens: burst, last: now, coupled: coupled}
 }
 
+// coupledBurst is one second's worth of tokens at rate, at least 1.
+func coupledBurst(rate float64) float64 { return max(rate, 1) }
+
 // SetRate changes the refill rate (enacting a new optimizer allocation).
-// Accumulated tokens are first settled at the old rate. The burst stays as
-// configured unless it was rate-coupled (burst == old rate), in which case
-// it follows the new rate.
+// Accumulated tokens are first settled at the old rate. An explicit burst
+// stays as configured; a defaulted one follows the new rate.
 func (tb *TokenBucket) SetRate(rate float64, now time.Time) {
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
 	tb.refill(now)
-	if tb.burst == tb.rate {
-		tb.burst = rate
-		if tb.burst < 1 {
-			tb.burst = 1
-		}
-		if tb.tokens > tb.burst {
-			tb.tokens = tb.burst
-		}
+	if tb.coupled {
+		tb.burst = coupledBurst(rate)
+		tb.tokens = min(tb.tokens, tb.burst)
 	}
 	tb.rate = rate
 }

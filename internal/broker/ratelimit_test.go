@@ -89,6 +89,38 @@ func TestTokenBucketMinimumBurst(t *testing.T) {
 	}
 }
 
+// TestTokenBucketSubUnitRateKeepsCoupling: a defaulted burst floors at 1
+// below 1 msg/s, and must still follow the rate back up. Inferring the
+// coupling from burst == rate lost it there and pinned the burst at 1.
+func TestTokenBucketSubUnitRateKeepsCoupling(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		rates []float64 // the first builds the bucket, the rest are SetRate
+	}{
+		{"born below 1", []float64{0.5, 100}},
+		{"dipped below 1", []float64{100, 0.5, 100}},
+		{"through zero", []float64{100, 0, 100}},
+	} {
+		tb := NewTokenBucket(c.rates[0], 0, t0)
+		for _, r := range c.rates[1:] {
+			tb.SetRate(r, t0)
+		}
+		if got := tb.Tokens(t0.Add(time.Second)); got != 100 {
+			t.Errorf("%s: %g tokens after 1 s at 100/s, want a burst of 100", c.name, got)
+		}
+	}
+}
+
+// TestTokenBucketExplicitBurstEqualToRate: a burst passed explicitly is
+// kept even when it equals the rate; only a defaulted burst follows.
+func TestTokenBucketExplicitBurstEqualToRate(t *testing.T) {
+	tb := NewTokenBucket(10, 10, t0)
+	tb.SetRate(50, t0)
+	if got := tb.Tokens(t0.Add(time.Hour)); got != 10 {
+		t.Errorf("explicit burst 10 after rate change = %g, want 10", got)
+	}
+}
+
 func TestTokenBucketTimeGoingBackwards(t *testing.T) {
 	tb := NewTokenBucket(10, 0, t0)
 	for i := 0; i < 10; i++ {

@@ -14,9 +14,11 @@ import (
 // The data plane (Publish) never takes the broker mutex: it reads an
 // immutable routing snapshot through an atomic pointer, admits the
 // message on its flow's own token bucket, and walks the flow's class
-// entries and their admitted-consumer lists, accumulating into atomic
+// entries and their admitted consumers (value entries in an array the
+// snapshot shares with the control plane), accumulating into atomic
 // counters. Per-flow state is sharded so publishes on distinct flows
-// share nothing but the snapshot pointer.
+// share nothing but the snapshot pointer. Consumer IDs never reach the
+// data plane.
 //
 // The control plane (AttachConsumer, DetachConsumer, ApplyAllocation,
 // SetClassRateCap) serializes on Broker.mu, mutates the authoritative
@@ -72,10 +74,10 @@ type classCounters struct {
 // classRoute is one class's routing entry in a snapshot: the compiled
 // transform, the shared thinner handle, the counter block, and the
 // admitted consumers in attach order — a prefix view of the class's
-// control-plane array, not a copy. An entry is immutable once published
-// and is shared, by pointer, by every snapshot until its class changes
-// (classState.route); snapshots only carry classes with at least one
-// admitted consumer.
+// control-plane array of value entries, not a copy. An entry is immutable
+// once published and is shared, by pointer, by every snapshot until its
+// class changes (classState.route); snapshots only carry classes with at
+// least one admitted consumer.
 type classRoute struct {
 	transform Transform
 	// identity marks the Transform as the Identity fast path: the
@@ -86,7 +88,7 @@ type classRoute struct {
 	// internally locked.
 	thinner   *TokenBucket
 	counters  *classCounters
-	consumers []*consumer
+	consumers []consumer
 }
 
 // routeTable is the immutable routing snapshot the data plane reads: for

@@ -3,6 +3,8 @@ package broker
 import (
 	"math/rand"
 	"runtime"
+	"slices"
+	"strconv"
 	"testing"
 	"unsafe"
 
@@ -11,6 +13,25 @@ import (
 
 // These tests pin the cost and the safety of prefix-shared route
 // snapshots (the rule at the top of enact.go) without reading a clock.
+
+// label is a filter that passes everything and names one consumer. A
+// snapshot entry carries no ID, so tests that must tell consumers apart
+// attach each with a distinct label and read it back from the entry's
+// filter.
+type label int
+
+func (label) Match(Message) bool { return true }
+
+func (l label) String() string { return "label " + strconv.Itoa(int(l)) }
+
+// labels returns the filters of entries, in order: who they are.
+func labels(entries []consumer) []Filter {
+	out := make([]Filter, len(entries))
+	for k := range entries {
+		out[k] = entries[k].filter
+	}
+	return out
+}
 
 // classRouteOf returns class j's entry in the published snapshot, nil when
 // the class is not deliverable.
@@ -93,7 +114,7 @@ func TestDetachCostIndependentOfFlowWidth(t *testing.T) {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		for k := 0; k < detaches; k++ {
-			if err := br.DetachConsumer(cs.consumers[0].id); err != nil {
+			if err := br.DetachConsumer(cs.ids[0]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -144,9 +165,10 @@ func TestGrowShrinkSharesConsumerArray(t *testing.T) {
 }
 
 // TestDetachClearsVacatedSlot: removing a consumer must not leave the
-// class's backing array holding a dead *consumer past its length,
-// whether the tail shifted in place (last-attached, never admitted) or
-// the class moved to a fresh array (detach inside a published prefix).
+// class's backing array holding a dead consumer's filter or handler past
+// its length, whether the tail shifted in place (last-attached, never
+// admitted) or the class moved to a fresh array (detach inside a
+// published prefix). Consumers are told apart by their labels.
 func TestDetachClearsVacatedSlot(t *testing.T) {
 	br, _ := gridBroker(t, 2, 2, 8, 4)
 	cs := &br.classes[1]
@@ -154,13 +176,13 @@ func TestDetachClearsVacatedSlot(t *testing.T) {
 		t.Helper()
 		full := cs.consumers[:cap(cs.consumers)]
 		for k := len(cs.consumers); k < len(full); k++ {
-			if full[k] != nil {
-				t.Errorf("%s: slot %d past len %d still holds consumer %d", op, k, len(cs.consumers), full[k].id)
+			if full[k].filter != nil || full[k].handler != nil {
+				t.Errorf("%s: slot %d past len %d still holds consumer %v", op, k, len(cs.consumers), full[k].filter)
 			}
 		}
 	}
 	array := &cs.consumers[0]
-	if err := br.DetachConsumer(cs.consumers[7].id); err != nil {
+	if err := br.DetachConsumer(cs.ids[7]); err != nil {
 		t.Fatal(err)
 	}
 	if &cs.consumers[0] != array {
@@ -168,7 +190,7 @@ func TestDetachClearsVacatedSlot(t *testing.T) {
 	}
 	assertTailNil("detach last-attached")
 
-	if err := br.DetachConsumer(cs.consumers[5].id); err != nil { // unadmitted, mid-tail
+	if err := br.DetachConsumer(cs.ids[5]); err != nil { // unadmitted, mid-tail
 		t.Fatal(err)
 	}
 	if &cs.consumers[0] != array {
@@ -177,21 +199,23 @@ func TestDetachClearsVacatedSlot(t *testing.T) {
 	assertTailNil("detach beyond prefix")
 
 	old := classRouteOf(br, 1).consumers
-	want := append([]*consumer(nil), old...)
-	if err := br.DetachConsumer(cs.consumers[1].id); err != nil { // admitted
+	want := labels(old)
+	if err := br.DetachConsumer(cs.ids[1]); err != nil { // admitted
 		t.Fatal(err)
 	}
 	if &cs.consumers[0] == array {
 		t.Error("detach inside the published prefix shifted the shared array in place")
 	}
 	assertTailNil("detach inside prefix")
-	for k := range want {
-		if old[k] != want[k] {
-			t.Errorf("detach inside the published prefix overwrote element %d of the predecessor snapshot", k)
-		}
+	if got := labels(old); !slices.Equal(got, want) {
+		t.Errorf("detach inside the published prefix overwrote the predecessor snapshot: %v, published as %v", got, want)
 	}
 	if cr := classRouteOf(br, 1); len(cr.consumers) != 3 || &cr.consumers[0] != &cs.consumers[0] {
 		t.Error("after the copy the published entry is not a prefix of the fresh array")
+	}
+	// Class 1's labels run 8..15 in attach order; 15, 13 and 9 left.
+	if got, want := labels(cs.consumers), []Filter{label(8), label(10), label(11), label(12), label(14)}; !slices.Equal(got, want) {
+		t.Errorf("class 1 holds %v after three detaches, want %v", got, want)
 	}
 }
 
@@ -202,26 +226,25 @@ func TestDetachBehindHighWaterCopies(t *testing.T) {
 	br, alloc := gridBroker(t, 2, 2, 8, 6)
 	cs := &br.classes[2]
 	old := classRouteOf(br, 2).consumers // 6 long
-	want := append([]*consumer(nil), old...)
+	want := labels(old)
 	alloc.Consumers[2] = 2
 	if err := br.ApplyAllocation(alloc); err != nil {
 		t.Fatal(err)
 	}
-	if err := br.DetachConsumer(cs.consumers[4].id); err != nil { // unadmitted now, published before
+	if err := br.DetachConsumer(cs.ids[4]); err != nil { // unadmitted now, published before
 		t.Fatal(err)
 	}
-	for k := range want {
-		if old[k] != want[k] {
-			t.Fatalf("detach at index 4 overwrote element %d of a snapshot published 6 long", k)
-		}
+	if got := labels(old); !slices.Equal(got, want) {
+		t.Fatalf("detach at index 4 overwrote a snapshot published 6 long: %v, published as %v", got, want)
 	}
 }
 
 // TestPublishedPrefixesNeverChange is the sharing rule's property test:
 // across random attach, detach, enact and rate-cap operations, every
 // snapshot ever published still lists exactly the consumers it listed
-// when it was stored, and after every operation each class's route is
-// the entry the latest snapshot carries for it.
+// when it was stored (each attached with a label of its own), and after
+// every operation each class's route is the entry the latest snapshot
+// carries for it.
 func TestPublishedPrefixesNeverChange(t *testing.T) {
 	p := stressProblem(4)
 	br, err := New(p)
@@ -230,13 +253,13 @@ func TestPublishedPrefixesNeverChange(t *testing.T) {
 	}
 	type frozen struct {
 		rt   *routeTable
-		want [][][]*consumer // [flow][route] → consumers at store time
+		want [][][]Filter // [flow][route] → consumer labels at store time
 	}
 	freeze := func(rt *routeTable) frozen {
-		f := frozen{rt: rt, want: make([][][]*consumer, len(p.Flows))}
+		f := frozen{rt: rt, want: make([][][]Filter, len(p.Flows))}
 		for i := range p.Flows {
 			for _, cr := range rt.flowRoutes(model.FlowID(i)) {
-				f.want[i] = append(f.want[i], append([]*consumer(nil), cr.consumers...))
+				f.want[i] = append(f.want[i], labels(cr.consumers))
 			}
 		}
 		return f
@@ -249,7 +272,7 @@ func TestPublishedPrefixesNeverChange(t *testing.T) {
 	for step := 0; step < 3000; step++ {
 		switch op := rng.Intn(10); {
 		case op < 4:
-			id, err := br.AttachConsumer(model.ClassID(rng.Intn(len(p.Classes))), nil, nil)
+			id, err := br.AttachConsumer(model.ClassID(rng.Intn(len(p.Classes))), label(step), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -296,8 +319,9 @@ func TestPublishedPrefixesNeverChange(t *testing.T) {
 					t.Fatalf("snapshot %d flow %d route %d: %d consumers, stored with %d", n, i, r, len(cr.consumers), len(f.want[i][r]))
 				}
 				for k, c := range cr.consumers {
-					if c != f.want[i][r][k] {
-						t.Fatalf("snapshot %d flow %d route %d: consumer %d was overwritten after publication", n, i, r, k)
+					if c.filter != f.want[i][r][k] {
+						t.Fatalf("snapshot %d flow %d route %d: consumer %d is %v, stored as %v",
+							n, i, r, k, c.filter, f.want[i][r][k])
 					}
 				}
 			}
