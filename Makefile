@@ -94,10 +94,13 @@ bench-e2e-smoke:
 bench-scaling:
 	bash scripts/bench-scaling.sh
 
-# Short fuzzing pass over the solver and utility-spec fuzz targets.
+# Short fuzzing pass over every fuzz target: the rate solver, utility
+# specs, the transport frame decoder and the dist payload decoders.
 fuzz:
-	$(GO) test -fuzz=FuzzBisectDecreasing -fuzztime=10s ./internal/solver/
-	$(GO) test -fuzz=FuzzSpecJSON -fuzztime=10s ./internal/utility/
+	$(GO) test -run='^$$' -fuzz=FuzzBisectDecreasing -fuzztime=10s ./internal/solver/
+	$(GO) test -run='^$$' -fuzz=FuzzSpecJSON -fuzztime=10s ./internal/utility/
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeMessage -fuzztime=10s ./internal/transport/
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeDistPayloads -fuzztime=10s ./internal/dist/
 
 # End-to-end scrape of lrgp-broker's -telemetry-addr surface (Prometheus
 # counters, pprof, expvar, snapshot). RACE=1 builds the binary with the

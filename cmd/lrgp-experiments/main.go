@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	lrgp-experiments [-run all|fig1|fig2|fig3|fig4|table2|table3|async|ablation|links|prune|overhead|gamma|multirate|sweep|scaling|churn]
+//	lrgp-experiments [-run all|none|fig1|fig2|fig3|fig4|table2|table3|async|ablation|links|prune|overhead|gamma|multirate|sweep|scaling|churn]
 //	                 [-iters 250] [-sa-steps 1000000] [-seed 1]
 //	                 [-workload metro-small] [-csv] [-chart] [-trace-out run.jsonl]
 //	                 [-topo-nodes 10000] [-fail-every 400] [-fail-kind link|node] [-short]
@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/experiments"
@@ -39,10 +40,13 @@ func main() {
 	}
 }
 
+// experimentNames are the names -run selects besides all and none.
+var experimentNames = []string{"fig1", "fig2", "fig3", "fig4", "table2", "table3", "async", "ablation", "links", "prune", "overhead", "gamma", "multirate", "sweep", "scaling", "churn"}
+
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("lrgp-experiments", flag.ContinueOnError)
 	var (
-		runSpec  = fs.String("run", "all", "experiments to run (comma-separated): all, fig1, fig2, fig3, fig4, table2, table3, async, ablation, links, prune, overhead, gamma, multirate, sweep, scaling, churn")
+		runSpec  = fs.String("run", "all", "experiments to run (comma-separated): all, none, "+strings.Join(experimentNames, ", "))
 		iters    = fs.Int("iters", 250, "LRGP iterations per run")
 		saSteps  = fs.Int("sa-steps", 1_000_000, "full-state annealing steps per start temperature")
 		seed     = fs.Int64("seed", 1, "random seed for stochastic baselines")
@@ -61,6 +65,17 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
+	want := make(map[string]bool)
+	for _, name := range strings.Split(*runSpec, ",") {
+		name = strings.TrimSpace(name)
+		if name != "all" && name != "none" && !slices.Contains(experimentNames, name) {
+			return fmt.Errorf("-run: unknown experiment %q; want all, none or any of %s", name, strings.Join(experimentNames, ", "))
+		}
+		want[name] = true
+	}
+	all := want["all"]
+	selected := func(name string) bool { return all || want[name] }
+
 	opts := experiments.Options{Iterations: *iters, SASteps: *saSteps, Seed: *seed, Workload: *wlSpec}
 
 	if *traceOut != "" {
@@ -68,13 +83,6 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 	}
-
-	want := make(map[string]bool)
-	for _, name := range strings.Split(*runSpec, ",") {
-		want[strings.TrimSpace(name)] = true
-	}
-	all := want["all"]
-	selected := func(name string) bool { return all || want[name] }
 
 	emitFig := func(fig *trace.SeriesSet) {
 		if *csv {
@@ -231,9 +239,6 @@ func run(args []string, out io.Writer) error {
 		emitTable(experiments.RenderDistRuntime(rt))
 	}
 	if selected("churn") {
-		if *failKind != "link" && *failKind != "node" {
-			return fmt.Errorf("-fail-kind %q: want link or node", *failKind)
-		}
 		cc := experiments.ChurnConfig{
 			TopoNodes: *topoNodes,
 			FailEvery: *failEvery,

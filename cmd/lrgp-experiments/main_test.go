@@ -146,6 +146,22 @@ func TestRunChurnExperiment(t *testing.T) {
 	}
 }
 
+// TestRunUnknownExperiment: a -run name that names no experiment is an
+// error listing the valid ones, alone or beside a valid name, and nothing
+// runs.
+func TestRunUnknownExperiment(t *testing.T) {
+	for _, spec := range []string{"fgi1", "fig1,fgi1", "all, x11"} {
+		var out bytes.Buffer
+		err := run([]string{"-run", spec, "-iters", "5", "-chart=false"}, &out)
+		if err == nil || !strings.Contains(err.Error(), "fig1, fig2") {
+			t.Errorf("-run %q: err = %v, want one listing the experiments", spec, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-run %q printed %q before refusing", spec, out.String())
+		}
+	}
+}
+
 func TestRunUnknownFlag(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-bogus"}, &out); err == nil {

@@ -67,8 +67,7 @@ func run(args []string, out io.Writer) error {
 
 	cfg := core.Config{Adaptive: *adaptive}
 	if !*adaptive {
-		cfg.Gamma1 = *gamma
-		cfg.Gamma2 = *gamma
+		cfg.Gamma = *gamma
 	}
 	var snap atomic.Pointer[core.Snapshot]
 	if *telAddr != "" {
@@ -201,7 +200,7 @@ func runMultirate(out io.Writer, p *model.Problem, cfg core.Config, iters int, s
 		fmt.Fprintf(out, "not converged within %d iterations\n", res.Iterations)
 	}
 	ix := model.NewIndex(p)
-	if err := multirate.CheckFeasible(p, ix, res.Allocation, 1e-6); err != nil {
+	if err := model.CheckFeasible(p, ix, res.Allocation, 1e-6); err != nil {
 		fmt.Fprintf(out, "feasible  no: %v\n", err)
 	} else {
 		fmt.Fprintln(out, "feasible  yes")
@@ -211,7 +210,7 @@ func runMultirate(out io.Writer, p *model.Problem, cfg core.Config, iters int, s
 		for j, c := range p.Classes {
 			tb.Add(c.Name,
 				fmt.Sprintf("%.1f", res.Allocation.Delivery[j]),
-				fmt.Sprintf("%.1f", res.Allocation.SourceRates[c.Flow]),
+				fmt.Sprintf("%.1f", res.Allocation.Rates[c.Flow]),
 				fmt.Sprintf("%d/%d", res.Allocation.Consumers[j], c.MaxConsumers))
 		}
 		tb.Render(out)

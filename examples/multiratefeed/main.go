@@ -42,7 +42,7 @@ func main() {
 		sres.Utility, sres.Allocation.Rates[0])
 	fmt.Printf("multirate:   utility %7.0f (%+.1f%%)\n",
 		mres.Utility, 100*(mres.Utility-sres.Utility)/sres.Utility)
-	fmt.Printf("  source rate      %6.0f msg/s\n", a.SourceRates[0])
+	fmt.Printf("  source rate      %6.0f msg/s\n", a.Rates[0])
 	fmt.Printf("  premium delivery %6.0f msg/s (%d/%d admitted)\n",
 		a.Delivery[0], a.Consumers[0], p.Classes[0].MaxConsumers)
 	fmt.Printf("  dashboards       %6.1f msg/s (%d/%d admitted)\n",
@@ -76,9 +76,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	interval := time.Duration(float64(time.Second) / a.SourceRates[0])
+	interval := time.Duration(float64(time.Second) / a.Rates[0])
 	published := 0
-	for i := 0; i < int(60*a.SourceRates[0]); i++ {
+	for i := 0; i < int(60*a.Rates[0]); i++ {
 		clock = clock.Add(interval)
 		if err := producer.Publish(map[string]float64{"v": float64(i)}, "tick"); err == nil {
 			published++

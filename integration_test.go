@@ -26,6 +26,7 @@ func TestSoakChurn(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(2026))
 
+	flowDown := -1 // the departed flow, or -1
 	settle := func(tag string) float64 {
 		res := e.Solve(600)
 		if !res.Converged {
@@ -35,10 +36,8 @@ func TestSoakChurn(t *testing.T) {
 		// relax the floor for departed flows on a checking copy (their
 		// zero rate contributes zero usage, which is exact).
 		check := p.Clone()
-		for i := range check.Flows {
-			if !e.FlowActive(model.FlowID(i)) {
-				check.Flows[i].RateMin = 0
-			}
+		if flowDown >= 0 {
+			check.Flows[flowDown].RateMin = 0
 		}
 		if err := model.CheckFeasible(check, model.NewIndex(check), res.Allocation, 1e-6); err != nil {
 			t.Fatalf("%s: %v", tag, err)
@@ -47,7 +46,6 @@ func TestSoakChurn(t *testing.T) {
 	}
 	settle("initial")
 
-	flowDown := -1
 	for event := 0; event < 25; event++ {
 		switch rng.Intn(4) {
 		case 0: // demand change on a random class
@@ -82,6 +80,7 @@ func TestSoakChurn(t *testing.T) {
 	// lands where a cold engine lands.
 	if flowDown >= 0 {
 		e.SetFlowActive(model.FlowID(flowDown), true)
+		flowDown = -1
 	}
 	for j := range p.Classes {
 		base := workload.Base()

@@ -171,10 +171,8 @@ type Broker struct {
 	classes []classState
 	// classBits is how many low bits of a ConsumerID hold its class;
 	// nextSeq is the attach sequence the next ID carries above them.
-	classBits    uint
-	nextSeq      int64
-	nextProducer int
-	producers    map[ProducerID]*Producer
+	classBits uint
+	nextSeq   int64
 
 	// tel, when non-nil, mirrors the broker's accounting into the
 	// telemetry registry (message counters, fan-out histogram, consumer
@@ -263,7 +261,6 @@ func New(p *model.Problem, opts ...Option) (*Broker, error) {
 		flows:         make([]flowState, len(p.Flows)),
 		classes:       make([]classState, len(p.Classes)),
 		classBits:     uint(bits.Len(uint(len(p.Classes)))),
-		producers:     make(map[ProducerID]*Producer),
 		flowMark:      make([]uint64, len(p.Flows)),
 		enactedRates:  make([]float64, len(p.Flows)),
 		attachedCount: make([]int32, len(p.Classes)),
@@ -395,17 +392,6 @@ func (b *Broker) DetachConsumer(id ConsumerID) error {
 		b.tel.ObserveConsumers(b.consumerTotalsLocked())
 	}
 	return nil
-}
-
-// Admitted reports whether a consumer is currently admitted.
-func (b *Broker) Admitted(id ConsumerID) (bool, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	cs, _, k, err := b.findLocked(id)
-	if err != nil {
-		return false, err
-	}
-	return k < cs.admitted, nil
 }
 
 // ApplyAllocation enacts an optimizer allocation: flow token buckets are

@@ -7,9 +7,6 @@ import (
 	"repro/internal/model"
 )
 
-// ProducerID identifies a registered producer.
-type ProducerID int
-
 // Producer is a registered publishing endpoint for one flow. All
 // producers of a flow share the flow's source node and rate limit (the
 // paper: "a producer publishes messages on one flow, and all the
@@ -18,13 +15,11 @@ type ProducerID int
 // for concurrent use and lock-free: concurrent Publish calls through the
 // same or different producers contend only on the flow's token bucket.
 type Producer struct {
-	id     ProducerID
 	flow   model.FlowID
 	broker *Broker
 
 	published atomic.Uint64
 	throttled atomic.Uint64
-	detached  atomic.Bool
 }
 
 // ProducerStats reports one producer's accounting.
@@ -38,28 +33,13 @@ func (b *Broker) RegisterProducer(flow model.FlowID) (*Producer, error) {
 	if flow < 0 || int(flow) >= len(b.p.Flows) {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownFlow, flow)
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	pr := &Producer{
-		id:     ProducerID(b.nextProducer),
-		flow:   flow,
-		broker: b,
-	}
-	b.nextProducer++
-	b.producers[pr.id] = pr
-	return pr, nil
+	return &Producer{flow: flow, broker: b}, nil
 }
-
-// Flow returns the producer's flow.
-func (p *Producer) Flow() model.FlowID { return p.flow }
 
 // Publish injects one message through the producer, applying the flow's
 // shared rate limit and recording per-producer stats. The attrs map must
 // not be mutated after publishing (see Broker.Publish).
 func (p *Producer) Publish(attrs map[string]float64, body string) error {
-	if p.detached.Load() {
-		return fmt.Errorf("broker: producer %d detached", p.id)
-	}
 	err := p.broker.Publish(p.flow, attrs, body)
 	switch {
 	case err == nil:
@@ -76,12 +56,4 @@ func (p *Producer) Stats() ProducerStats {
 		Published: p.published.Load(),
 		Throttled: p.throttled.Load(),
 	}
-}
-
-// Detach deregisters the producer; further Publish calls fail.
-func (p *Producer) Detach() {
-	p.detached.Store(true)
-	p.broker.mu.Lock()
-	delete(p.broker.producers, p.id)
-	p.broker.mu.Unlock()
 }

@@ -64,15 +64,6 @@ func TestTwoProducersShareTheFlowLimit(t *testing.T) {
 	}
 }
 
-func TestProducerDetach(t *testing.T) {
-	b, _ := New(brokerProblem())
-	pr, _ := b.RegisterProducer(0)
-	pr.Detach()
-	if err := pr.Publish(nil, ""); err == nil {
-		t.Error("detached producer published")
-	}
-}
-
 func TestRegisterProducerUnknownFlow(t *testing.T) {
 	b, _ := New(brokerProblem())
 	if _, err := b.RegisterProducer(9); !errors.Is(err, ErrUnknownFlow) {

@@ -48,13 +48,6 @@ func (tb *TokenBucket) SetRate(rate float64, now time.Time) {
 	tb.rate = rate
 }
 
-// Rate returns the current refill rate.
-func (tb *TokenBucket) Rate() float64 {
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	return tb.rate
-}
-
 // Allow consumes one token if available and reports whether the message
 // may pass.
 func (tb *TokenBucket) Allow(now time.Time) bool {
@@ -66,14 +59,6 @@ func (tb *TokenBucket) Allow(now time.Time) bool {
 	}
 	tb.tokens--
 	return true
-}
-
-// Tokens returns the currently available tokens (after settling).
-func (tb *TokenBucket) Tokens(now time.Time) float64 {
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	tb.refill(now)
-	return tb.tokens
 }
 
 func (tb *TokenBucket) refill(now time.Time) {

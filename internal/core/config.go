@@ -44,7 +44,7 @@ const (
 )
 
 // Config tunes an Engine. The zero value is normalized to the paper's
-// defaults: fixed gamma1 = gamma2 = 0.1, link gamma 0.001 and zero initial
+// defaults: fixed gamma = 0.1, link gamma 0.001 and zero initial
 // prices.
 //
 // How far a Step fans out is not configured: the shard budget is
@@ -56,18 +56,16 @@ const (
 // minParallelItems flows, nodes and links run one shard on the caller's
 // goroutine (DESIGN.md §5).
 type Config struct {
-	// Gamma1 is the damping stepsize toward the benefit-cost price when
-	// the node is within capacity (Equation 12, first branch). Default
-	// DefaultGamma.
-	Gamma1 float64
-	// Gamma2 scales the overload push when node usage exceeds capacity
-	// (Equation 12, second branch). Defaults to Gamma1; the paper sets
-	// gamma1 = gamma2 throughout its experiments.
-	Gamma2 float64
+	// Gamma is the fixed Equation 12 stepsize: it damps the price toward
+	// the benefit-cost price when the node is within capacity (the first
+	// branch's gamma1) and scales the overload push when usage exceeds
+	// capacity (the second branch's gamma2); the paper sets gamma1 =
+	// gamma2 throughout its experiments. Default DefaultGamma.
+	Gamma float64
 	// Adaptive enables the per-node adaptive gamma heuristic of Section
 	// 4.2: start at DefaultGammaMax, add DefaultGammaStep per iteration
 	// while the price is not fluctuating, halve on fluctuation, clamp to
-	// [DefaultGammaMin, DefaultGammaMax]. When set, Gamma1/Gamma2 are
+	// [DefaultGammaMin, DefaultGammaMax]. When set, Gamma is
 	// ignored.
 	Adaptive bool
 	// GammaLiteral selects the paper's Section 4.2 heuristic exactly as
@@ -122,11 +120,8 @@ func (c Config) normalized() Config {
 	if c.workers <= 0 {
 		c.workers = shardBudget(runtime.GOMAXPROCS(0))
 	}
-	if c.Gamma1 <= 0 {
-		c.Gamma1 = DefaultGamma
-	}
-	if c.Gamma2 <= 0 {
-		c.Gamma2 = c.Gamma1
+	if c.Gamma <= 0 {
+		c.Gamma = DefaultGamma
 	}
 	if c.LinkGamma <= 0 {
 		c.LinkGamma = DefaultLinkGamma

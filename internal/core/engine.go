@@ -594,7 +594,7 @@ func (e *Engine) nodePriceList(ids []int32) float64 {
 		for _, b := range ids {
 			u, cp, prev := used[b], caps[b], prices[b]
 			g := e.gamma.val[b]
-			next := nodePriceUpdate(prev, best[b], u, cp, g, g)
+			next := nodePriceUpdate(prev, best[b], u, cp, g)
 			e.gamma.observe(int(b), priceGap(prev, best[b], u, cp), prev)
 			if next != prev {
 				e.nodePriceEpoch[b] = t
@@ -606,10 +606,10 @@ func (e *Engine) nodePriceList(ids []int32) float64 {
 		}
 		return over
 	}
-	g1, g2 := e.cfg.Gamma1, e.cfg.Gamma2
+	g := e.cfg.Gamma
 	for _, b := range ids {
 		u, cp, prev := used[b], caps[b], prices[b]
-		next := nodePriceUpdate(prev, best[b], u, cp, g1, g2)
+		next := nodePriceUpdate(prev, best[b], u, cp, g)
 		if next != prev {
 			e.nodePriceEpoch[b] = t
 		}
@@ -850,9 +850,6 @@ func (e *Engine) SetFlowActive(i model.FlowID, active bool) {
 	}
 	e.utilStale = true
 }
-
-// FlowActive reports whether flow i participates in iterations.
-func (e *Engine) FlowActive(i model.FlowID) bool { return e.active[i] }
 
 // SetClassDemand changes a class's n^max mid-run, modeling consumers
 // arriving at or leaving the system (the engine "runs all the time,
@@ -1263,9 +1260,6 @@ func slack(crossing []model.FlowID, costs []float64, flows []model.Flow, capacit
 	}
 	return bound <= capacity && capacity < math.Inf(1)
 }
-
-// Iteration returns the number of completed iterations.
-func (e *Engine) Iteration() int { return e.iteration }
 
 // Problem returns the engine's problem.
 func (e *Engine) Problem() *model.Problem { return e.p }

@@ -39,8 +39,7 @@ func TestFusedStepBitIdentical(t *testing.T) {
 		p := fusedTestProblem(8, 2, trial%2 == 1)
 		cfg := Config{Adaptive: trial%2 == 0}
 		if !cfg.Adaptive {
-			cfg.Gamma1 = 0.01 + rng.Float64()*0.2
-			cfg.Gamma2 = cfg.Gamma1
+			cfg.Gamma = 0.01 + rng.Float64()*0.2
 		}
 		serialCfg := cfg
 		serialCfg.workers = 1

@@ -89,8 +89,7 @@ func TestParallelStepBitIdentical(t *testing.T) {
 		p := parallelTestProblem(rng, trial%2 == 1)
 		cfg := Config{Adaptive: trial%2 == 0}
 		if !cfg.Adaptive {
-			cfg.Gamma1 = 0.01 + rng.Float64()*0.2
-			cfg.Gamma2 = cfg.Gamma1
+			cfg.Gamma = 0.01 + rng.Float64()*0.2
 		}
 
 		serialCfg := cfg
@@ -289,7 +288,7 @@ func TestEngineCloseIdempotent(t *testing.T) {
 func TestStepSerialNoAllocs(t *testing.T) {
 	for _, cfg := range []Config{
 		{workers: 1, Adaptive: true},
-		{workers: 1, Gamma1: 0.1},
+		{workers: 1, Gamma: 0.1},
 	} {
 		e, err := NewEngine(workload.Base(), cfg)
 		if err != nil {

@@ -129,7 +129,7 @@ func TestEngineDampingMatters(t *testing.T) {
 	// Figure 1: gamma = 1 oscillates with large amplitude; gamma = 0.1
 	// settles. Compare tail amplitudes.
 	tail := func(gamma float64) float64 {
-		e, err := NewEngine(workload.Base(), Config{Gamma1: gamma, Gamma2: gamma})
+		e, err := NewEngine(workload.Base(), Config{Gamma: gamma})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func TestEngineDampingMatters(t *testing.T) {
 
 func TestEngineAdaptiveConvergesFasterThanSlowFixed(t *testing.T) {
 	// Figure 2: adaptive gamma converges faster than a small fixed gamma.
-	fixed, err := NewEngine(workload.Base(), Config{Gamma1: 0.01})
+	fixed, err := NewEngine(workload.Base(), Config{Gamma: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestEngineRandomWorkloadsStayFeasible(t *testing.T) {
 }
 
 func TestSolveStopsAtMaxIter(t *testing.T) {
-	e, err := NewEngine(workload.Base(), Config{Gamma1: 1, Gamma2: 1})
+	e, err := NewEngine(workload.Base(), Config{Gamma: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

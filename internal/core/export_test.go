@@ -154,3 +154,9 @@ func CheckIdleCaches(e *Engine) error {
 	}
 	return nil
 }
+
+// FlowActive reports whether flow i participates in iterations.
+func (e *Engine) FlowActive(i model.FlowID) bool { return e.active[i] }
+
+// Iteration returns the number of completed iterations.
+func (e *Engine) Iteration() int { return e.iteration }

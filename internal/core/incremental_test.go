@@ -99,8 +99,7 @@ func TestIncrementalStepBitIdentical(t *testing.T) {
 		}
 		cfg := Config{Adaptive: trial%2 == 0}
 		if !cfg.Adaptive {
-			cfg.Gamma1 = 0.01 + rng.Float64()*0.2
-			cfg.Gamma2 = cfg.Gamma1
+			cfg.Gamma = 0.01 + rng.Float64()*0.2
 		}
 		for _, workers := range []int{1, 4} {
 			cfg.workers = workers

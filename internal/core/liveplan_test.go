@@ -156,7 +156,7 @@ func TestLivePlanBitIdentical(t *testing.T) {
 		{entangled, core.Config{}, 4, false},
 		// γ = ¾ only shortens a slack node's decay to 0, so that the
 		// decay phase below sees nodes re-park.
-		{entangled, core.Config{Gamma1: 0.75}, 1, false},
+		{entangled, core.Config{Gamma: 0.75}, 1, false},
 		{scattered, core.Config{Adaptive: true}, 4, true},
 		{scattered, core.Config{}, 4, true},
 	} {
@@ -403,7 +403,7 @@ func TestLivePlanBitIdentical(t *testing.T) {
 			// priced and armed. Every Step is compared; the re-arm
 			// afterwards parks what has reached 0.
 			decaySteps := 150
-			if cfg.Gamma1 > 0.5 {
+			if cfg.Gamma > 0.5 {
 				decaySteps = 600
 			}
 			for n := 0; n < decaySteps; n++ {
@@ -425,7 +425,7 @@ func TestLivePlanBitIdentical(t *testing.T) {
 			}
 			steps("after the decay", linkfailSteps)
 			if did.woke == 0 || did.lifted == 0 || did.unparkedLink == 0 || did.slackPriced == 0 || did.reparkedLinks == 0 ||
-				(did.reparkedNodes > 0) != (cfg.Gamma1 > 0.5) {
+				(did.reparkedNodes > 0) != (cfg.Gamma > 0.5) {
 				t.Errorf("%+v: the script misses an event kind: %+v", cfg, did)
 			}
 			full.Close()
@@ -504,7 +504,7 @@ func TestSparseShapeArmsWhatCanBind(t *testing.T) {
 // equality with the full scan after each of the 48 events.
 func TestReplanFromListedAndDelta(t *testing.T) {
 	r := linkfailRouter(t, 20061)
-	e, err := core.NewEngine(r.Problem(), core.WithWorkers(core.Config{Gamma1: 1}, 1))
+	e, err := core.NewEngine(r.Problem(), core.WithWorkers(core.Config{Gamma: 1}, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -462,7 +462,7 @@ func TestClimbingGammaStaysArmed(t *testing.T) {
 func TestWakeClearsAStaleEpoch(t *testing.T) {
 	p := parkProblem([]float64{2, 3}, []float64{10, 10}, 30)
 	p.Links[0].Capacity = 1e6
-	cfg := Config{Gamma1: 0.75, workers: 1}
+	cfg := Config{Gamma: 0.75, workers: 1}
 	live, err := NewEngine(p, cfg)
 	if err != nil {
 		t.Fatal(err)

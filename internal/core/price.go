@@ -127,17 +127,18 @@ func abs(x float64) float64 {
 	return x
 }
 
-// nodePriceUpdate applies Equation 12 and returns the new price.
+// nodePriceUpdate applies Equation 12, with the paper's gamma1 = gamma2 =
+// gamma, and returns the new price.
 //
-//	p(t+1) = p(t) + gamma1*(BC(b,t) - p(t))   if used <= capacity
-//	p(t+1) = p(t) + gamma2*(used - capacity)  if used >  capacity
+//	p(t+1) = p(t) + gamma*(BC(b,t) - p(t))   if used <= capacity
+//	p(t+1) = p(t) + gamma*(used - capacity)  if used >  capacity
 //
 // Prices are projected by project.
-func nodePriceUpdate(price, bestBC, used, capacity, gamma1, gamma2 float64) float64 {
+func nodePriceUpdate(price, bestBC, used, capacity, gamma float64) float64 {
 	if used <= capacity {
-		return project(price + gamma1*(bestBC-price))
+		return project(price + gamma*(bestBC-price))
 	}
-	return project(price + gamma2*(used-capacity))
+	return project(price + gamma*(used-capacity))
 }
 
 // minNormal is the smallest normal float64, 2^-1022.

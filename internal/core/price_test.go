@@ -6,21 +6,21 @@ import (
 )
 
 func TestNodePriceDampensTowardBC(t *testing.T) {
-	// Underloaded: p <- p + gamma1*(BC - p).
-	got := nodePriceUpdate(1.0, 2.0, 500, 1000, 0.1, 0.5)
+	// Underloaded: p <- p + gamma*(BC - p).
+	got := nodePriceUpdate(1.0, 2.0, 500, 1000, 0.1)
 	if math.Abs(got-1.1) > 1e-12 {
 		t.Errorf("price = %g, want 1.1", got)
 	}
 	// Moves down when BC < p.
-	got = nodePriceUpdate(1.0, 0.0, 500, 1000, 0.1, 0.5)
+	got = nodePriceUpdate(1.0, 0.0, 500, 1000, 0.1)
 	if math.Abs(got-0.9) > 1e-12 {
 		t.Errorf("price = %g, want 0.9", got)
 	}
 }
 
 func TestNodePriceOverloadBranch(t *testing.T) {
-	// Overloaded: p <- p + gamma2*(used - capacity).
-	got := nodePriceUpdate(1.0, 99.0, 1500, 1000, 0.1, 0.01)
+	// Overloaded: p <- p + gamma*(used - capacity).
+	got := nodePriceUpdate(1.0, 99.0, 1500, 1000, 0.01)
 	if math.Abs(got-6.0) > 1e-12 {
 		t.Errorf("price = %g, want 6 (1 + 0.01*500)", got)
 	}
@@ -28,15 +28,15 @@ func TestNodePriceOverloadBranch(t *testing.T) {
 
 func TestNodePriceExactCapacityUsesBCBranch(t *testing.T) {
 	// used == capacity takes the first branch per Equation 12.
-	got := nodePriceUpdate(2.0, 4.0, 1000, 1000, 0.5, 99)
+	got := nodePriceUpdate(2.0, 4.0, 1000, 1000, 0.5)
 	if math.Abs(got-3.0) > 1e-12 {
 		t.Errorf("price = %g, want 3", got)
 	}
 }
 
 func TestNodePriceNonNegative(t *testing.T) {
-	// gamma1 > 1 could overshoot below zero; projection clamps.
-	got := nodePriceUpdate(1.0, 0.0, 500, 1000, 1.5, 1)
+	// gamma > 1 could overshoot below zero; projection clamps.
+	got := nodePriceUpdate(1.0, 0.0, 500, 1000, 1.5)
 	if got != 0 {
 		t.Errorf("price = %g, want 0", got)
 	}
@@ -69,8 +69,8 @@ func TestProjectFloorsAtSmallestNormal(t *testing.T) {
 			name string
 			got  float64
 		}{
-			{"node within capacity", nodePriceUpdate(0, c.x, 1, 2, 1, 1)},
-			{"node overloaded", nodePriceUpdate(c.x, 0, 2, 1, 1, 0)},
+			{"node within capacity", nodePriceUpdate(0, c.x, 1, 2, 1)},
+			{"node overloaded", nodePriceUpdate(c.x, 0, 2, 1, 0)},
 			{"link", linkPriceUpdate(c.x, 1, 1, 1)},
 		} {
 			if u.got != c.want && !(math.IsNaN(u.got) && math.IsNaN(c.want)) {
@@ -236,8 +236,8 @@ func TestPriceGap(t *testing.T) {
 
 func TestConfigNormalized(t *testing.T) {
 	c := Config{}.normalized()
-	if c.Gamma1 != DefaultGamma || c.Gamma2 != DefaultGamma {
-		t.Errorf("gammas = %g/%g", c.Gamma1, c.Gamma2)
+	if c.Gamma != DefaultGamma {
+		t.Errorf("gamma = %g", c.Gamma)
 	}
 	if c.LinkGamma != DefaultLinkGamma {
 		t.Errorf("link gamma = %g", c.LinkGamma)
@@ -248,10 +248,6 @@ func TestConfigNormalized(t *testing.T) {
 	}
 	if g := newGammaBank(true, 1); g.deadband != 0 || g.surge <= 1 {
 		t.Errorf("literal controller = %+v, want no dead band and an unreachable surge", g)
-	}
-	c = Config{Gamma1: 0.3}.normalized()
-	if c.Gamma2 != 0.3 {
-		t.Errorf("Gamma2 = %g, want to follow Gamma1", c.Gamma2)
 	}
 }
 

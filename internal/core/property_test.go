@@ -114,8 +114,7 @@ func TestPropertyEngineInvariants(t *testing.T) {
 		})
 		cfg := Config{Adaptive: rng.Intn(2) == 0}
 		if !cfg.Adaptive {
-			cfg.Gamma1 = 0.01 + rng.Float64()
-			cfg.Gamma2 = cfg.Gamma1
+			cfg.Gamma = 0.01 + rng.Float64()
 		}
 		e, err := NewEngine(p, cfg)
 		if err != nil {

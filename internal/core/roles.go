@@ -85,22 +85,22 @@ func (na *NodeAllocator) Allocate(rates, delivery []float64, consumers []int) No
 }
 
 // NodePricer is the price half of Algorithm 2 for one node: the node's
-// Equation 12 price and the stepsize that moves it — Config.Gamma1/Gamma2,
+// Equation 12 price and the stepsize that moves it — Config.Gamma,
 // or under Config.Adaptive the Section 4.2 heuristic on a one-node
 // gammaBank, the state and transition the Engine's price sweep runs for
 // every node. The distributed node agent and the multirate engine own one
 // per node.
 type NodePricer struct {
-	price          float64
-	gamma1, gamma2 float64
-	adaptive       *gammaBank // nil for fixed stepsizes
+	price    float64
+	gamma    float64
+	adaptive *gammaBank // nil for a fixed stepsize
 }
 
 // NewNodePricer starts a node at price zero under cfg, normalized as
 // NewEngine normalizes it.
 func NewNodePricer(cfg Config) *NodePricer {
 	c := cfg.normalized()
-	np := &NodePricer{gamma1: c.Gamma1, gamma2: c.Gamma2}
+	np := &NodePricer{gamma: c.Gamma}
 	if c.Adaptive {
 		np.adaptive = newGammaBank(c.GammaLiteral, 1)
 	}
@@ -111,13 +111,12 @@ func NewNodePricer(cfg Config) *NodePricer {
 // capacity, folds the update's gap into the adaptive stepsize, and returns
 // the new price.
 func (np *NodePricer) Update(out NodeAllocation, capacity float64) float64 {
-	prev, g1, g2 := np.price, np.gamma1, np.gamma2
+	prev, gamma := np.price, np.gamma
 	if g := np.adaptive; g != nil {
-		g1 = g.val[0]
-		g2 = g1
+		gamma = g.val[0]
 		g.observe(0, priceGap(prev, out.BestUnsatisfied, out.Used, capacity), prev)
 	}
-	np.price = nodePriceUpdate(prev, out.BestUnsatisfied, out.Used, capacity, g1, g2)
+	np.price = nodePriceUpdate(prev, out.BestUnsatisfied, out.Used, capacity, gamma)
 	return np.price
 }
 

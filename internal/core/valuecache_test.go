@@ -113,8 +113,7 @@ func TestValueCacheBitIdentical(t *testing.T) {
 		q := swapAtUnchangedBounds(p)
 		cfg := Config{Adaptive: trial < 4}
 		if !cfg.Adaptive {
-			cfg.Gamma1 = 0.01 + rng.Float64()*0.1
-			cfg.Gamma2 = cfg.Gamma1
+			cfg.Gamma = 0.01 + rng.Float64()*0.1
 		}
 		for _, workers := range []int{1, 4} {
 			cfg.workers = workers

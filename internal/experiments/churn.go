@@ -74,9 +74,6 @@ func (c ChurnConfig) normalized() ChurnConfig {
 	if c.FailKind == "" {
 		c.FailKind = "link"
 	}
-	if c.FailKind != "link" && c.FailKind != "node" {
-		c.FailKind = "link"
-	}
 	if c.ColdBudget <= 0 {
 		c.ColdBudget = 4000
 	}
@@ -185,6 +182,9 @@ func churnWorkload(rng *rand.Rand, cc ChurnConfig) (*overlay.Topology, []float64
 func ChurnExperiment(opts Options, cc ChurnConfig) (*ChurnResult, error) {
 	o := opts.normalized()
 	cc = cc.normalized()
+	if cc.FailKind != "link" && cc.FailKind != "node" {
+		return nil, fmt.Errorf("churn: fail kind %q: want link or node", cc.FailKind)
+	}
 	rng := rand.New(rand.NewSource(o.Seed))
 	cfg := core.Config{Adaptive: true}
 

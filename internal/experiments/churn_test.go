@@ -62,3 +62,14 @@ func TestChurnExperimentNode(t *testing.T) {
 		t.Fatalf("event kinds = %q, %q", res.Events[0].Kind, res.Events[1].Kind)
 	}
 }
+
+// TestChurnRejectsUnknownFailKind: a fail kind other than link or node is
+// an error, not a link run under another name.
+func TestChurnRejectsUnknownFailKind(t *testing.T) {
+	for _, kind := range []string{"disk", "Link", "nodes"} {
+		res, err := ChurnExperiment(Options{}, ChurnConfig{TopoNodes: 300, Flows: 6, Events: 2, FailEvery: 200, FailKind: kind})
+		if err == nil || !strings.Contains(err.Error(), "want link or node") {
+			t.Errorf("FailKind %q: result %v, err = %v, want an error naming link and node", kind, res != nil, err)
+		}
+	}
+}

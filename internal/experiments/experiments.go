@@ -68,7 +68,7 @@ func runTrace(e *core.Engine, n int) []float64 {
 }
 
 // Figure1Damping reproduces Figure 1: utility over 250 iterations on the
-// base workload for gamma in {1, 0.1, 0.01} (fixed gamma1 = gamma2).
+// base workload for gamma in {1, 0.1, 0.01} (fixed gamma).
 func Figure1Damping(opts Options) (*trace.SeriesSet, error) {
 	o := opts.normalized()
 	fig := trace.NewSeriesSet("Figure 1: the effect of damping (base workload, rank*log(1+r))", "iteration")
@@ -76,7 +76,7 @@ func Figure1Damping(opts Options) (*trace.SeriesSet, error) {
 		fig.X = append(fig.X, float64(i+1))
 	}
 	for _, gamma := range []float64{1, 0.1, 0.01} {
-		e, err := core.NewEngine(workload.Base(), core.Config{Gamma1: gamma, Gamma2: gamma})
+		e, err := core.NewEngine(workload.Base(), core.Config{Gamma: gamma})
 		if err != nil {
 			return nil, err
 		}
@@ -94,7 +94,7 @@ func Figure2AdaptiveGamma(opts Options) (*trace.SeriesSet, error) {
 		fig.X = append(fig.X, float64(i+1))
 	}
 
-	fixed, err := core.NewEngine(workload.Base(), core.Config{Gamma1: 0.01})
+	fixed, err := core.NewEngine(workload.Base(), core.Config{Gamma: 0.01})
 	if err != nil {
 		return nil, err
 	}
@@ -176,7 +176,7 @@ func Figure3Recovery(opts Options) (*RecoveryResult, error) {
 		return nil
 	}
 
-	if err := run("fixed gamma=0.01", core.Config{Gamma1: 0.01}); err != nil {
+	if err := run("fixed gamma=0.01", core.Config{Gamma: 0.01}); err != nil {
 		return nil, err
 	}
 	if err := run("adaptive gamma", core.Config{Adaptive: true}); err != nil {

@@ -41,8 +41,8 @@ func GammaControllerAblation(opts Options) ([]GammaRow, error) {
 		name string
 		cfg  core.Config
 	}{
-		{"fixed 0.01", core.Config{Gamma1: 0.01}},
-		{"fixed 0.1", core.Config{Gamma1: 0.1}},
+		{"fixed 0.01", core.Config{Gamma: 0.01}},
+		{"fixed 0.1", core.Config{Gamma: 0.1}},
 		{"literal", core.Config{Adaptive: true, GammaLiteral: true}},
 		{"refined", core.Config{Adaptive: true}},
 	}

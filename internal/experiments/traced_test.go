@@ -59,8 +59,8 @@ func TestTracedRunRoundTrip(t *testing.T) {
 	// convergence iteration.
 	det := metrics.NewConvergenceDetector(0, 0)
 	replayedAt := -1
-	for _, u := range telemetry.UtilitySeries(recs) {
-		if det.Observe(u) && replayedAt < 0 {
+	for _, r := range recs {
+		if det.Observe(r.Utility) && replayedAt < 0 {
 			replayedAt = det.ConvergedAt()
 		}
 	}

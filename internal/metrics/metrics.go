@@ -96,10 +96,3 @@ func (d *ConvergenceDetector) ConvergedAt() int { return d.at }
 func (d *ConvergenceDetector) Rearm() {
 	d.converged, d.at = false, -1
 }
-
-// Reset clears all state, e.g. after a workload change mid-run, so recovery
-// time can be measured with the same rule.
-func (d *ConvergenceDetector) Reset() {
-	d.next, d.count, d.iteration = 0, 0, 0
-	d.converged, d.at = false, -1
-}

@@ -13,11 +13,17 @@
 //     class j, per admitted consumer, per unit rate (Class.CostPerConsumer).
 //
 // An Allocation assigns a rate to every flow and an admitted-consumer count
-// to every class; the model package evaluates total utility, per-resource
-// usage and feasibility of allocations, and (de)serializes problems.
+// to every class, and in the multirate formulation of Section 5 a delivery
+// rate to every class; the model package evaluates total utility,
+// per-resource usage and feasibility of allocations, and (de)serializes
+// problems.
 package model
 
-import "repro/internal/utility"
+import (
+	"slices"
+
+	"repro/internal/utility"
+)
 
 // Typed identifiers. IDs double as indices: a valid Problem numbers its
 // flows, classes, nodes and links 0..len-1 (enforced by Validate).
@@ -115,9 +121,22 @@ type Problem struct {
 
 // Allocation is a candidate solution: a rate per flow and an admitted
 // consumer count per class, indexed by FlowID and ClassID respectively.
+// Delivery, indexed by ClassID, is the multirate formulation's (Section 5)
+// rate d_j at which class j receives its flow, r^min <= d_j <= r_i; nil
+// means d_j = r_i for every class, which is the single-rate problem.
 type Allocation struct {
 	Rates     []float64 `json:"rates"`
 	Consumers []int     `json:"consumers"`
+	Delivery  []float64 `json:"delivery,omitempty"`
+}
+
+// delivered is the rate at which class c receives its flow: d_j when a
+// carries delivery rates, r_i otherwise.
+func (a Allocation) delivered(c *Class) float64 {
+	if a.Delivery != nil {
+		return a.Delivery[c.ID]
+	}
+	return a.Rates[c.Flow]
 }
 
 // NewAllocation returns an allocation with every rate at its flow's RateMin
@@ -141,6 +160,7 @@ func (a Allocation) Clone() Allocation {
 	}
 	copy(out.Rates, a.Rates)
 	copy(out.Consumers, a.Consumers)
+	out.Delivery = slices.Clone(a.Delivery)
 	return out
 }
 

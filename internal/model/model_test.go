@@ -169,6 +169,14 @@ func TestCheckFeasibleViolations(t *testing.T) {
 		{"population above max", func(a *Allocation) { a.Consumers[0] = 11 }},
 		{"link overload", func(a *Allocation) { a.Rates = []float64{100, 50} }},
 		{"node overload", func(a *Allocation) { a.Consumers[2] = 30; a.Rates[1] = 50 }},
+		{"delivery below floor", func(a *Allocation) { a.Delivery = []float64{0.5, 10, 20} }},
+		{"delivery above source", func(a *Allocation) { a.Delivery = []float64{10, 15, 20} }},
+		{"delivery length", func(a *Allocation) { a.Delivery = []float64{10, 10} }},
+		{"node overload at delivery rates", func(a *Allocation) {
+			a.Rates[1] = 50
+			a.Consumers[2] = 30
+			a.Delivery = []float64{10, 10, 50}
+		}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -207,12 +215,54 @@ func TestNewAllocation(t *testing.T) {
 }
 
 func TestAllocationClone(t *testing.T) {
-	a := Allocation{Rates: []float64{1, 2}, Consumers: []int{3, 4}}
+	a := Allocation{Rates: []float64{1, 2}, Consumers: []int{3, 4}, Delivery: []float64{1, 1.5}}
 	b := a.Clone()
 	b.Rates[0] = 99
 	b.Consumers[0] = 99
-	if a.Rates[0] != 1 || a.Consumers[0] != 3 {
+	b.Delivery[0] = 99
+	if a.Rates[0] != 1 || a.Consumers[0] != 3 || a.Delivery[0] != 1 {
 		t.Error("Clone aliases underlying arrays")
+	}
+	if c := (Allocation{Rates: a.Rates, Consumers: a.Consumers}).Clone(); c.Delivery != nil {
+		t.Errorf("Clone of a single-rate allocation has Delivery %v, want nil", c.Delivery)
+	}
+}
+
+// TestDeliveryRates evaluates a multirate allocation by hand: the class
+// terms of the objective and of the node constraint read d_j, while links
+// and flow-node costs read r_i, so thinning one class makes a node that
+// overflows at the source rate fit.
+func TestDeliveryRates(t *testing.T) {
+	p := twoNodeProblem()
+	ix := NewIndex(p)
+	a := Allocation{Rates: []float64{100, 20}, Consumers: []int{1, 20, 3}}
+	// Node 1 at the source rates: 3*100 + 4*20 + 6*20*100 + 7*3*20.
+	if got := NodeUsage(p, ix, a, 1); got != 12800 {
+		t.Fatalf("single-rate NodeUsage(1) = %g, want 12800", got)
+	}
+	if err := CheckFeasible(p, ix, a, 0); !errors.Is(err, ErrInfeasible) {
+		t.Fatalf("single-rate CheckFeasible = %v, want ErrInfeasible", err)
+	}
+
+	a.Delivery = []float64{100, 1, 20}
+	// Node 1: 3*100 + 4*20 + 6*20*1 + 7*3*20 = 300+80+120+420.
+	if got := NodeUsage(p, ix, a, 1); got != 920 {
+		t.Errorf("NodeUsage(1) = %g, want 920", got)
+	}
+	// Node 0: 2*100 + 5*1*100.
+	if got := NodeUsage(p, ix, a, 0); got != 700 {
+		t.Errorf("NodeUsage(0) = %g, want 700", got)
+	}
+	// Link 0 carries the source rates: 1*100 + 2*20.
+	if got := LinkUsage(p, ix, a, 0); got != 140 {
+		t.Errorf("LinkUsage(0) = %g, want 140", got)
+	}
+	want := 1*p.Classes[0].Utility.Value(100) + 20*p.Classes[1].Utility.Value(1) + 3*p.Classes[2].Utility.Value(20)
+	if got := TotalUtility(p, a); got != want {
+		t.Errorf("TotalUtility = %g, want %g", got, want)
+	}
+	if err := CheckFeasible(p, ix, a, 0); err != nil {
+		t.Errorf("CheckFeasible = %v, want nil", err)
 	}
 }
 

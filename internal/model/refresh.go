@@ -17,11 +17,6 @@ type RoutingDelta struct {
 	Links []LinkID
 }
 
-// Empty reports whether the delta names nothing.
-func (d RoutingDelta) Empty() bool {
-	return len(d.Flows) == 0 && len(d.Nodes) == 0 && len(d.Links) == 0
-}
-
 // RefreshRouting re-targets the index at p after a routing change confined
 // to d: membership lists and cost views are rebuilt for exactly the dirty
 // flows/nodes/links, everything else keeps its slices (so views handed out

@@ -10,22 +10,19 @@ import (
 // Enact applies a multirate allocation to a broker: source token buckets
 // get the source rates, classes get their admitted populations, and each
 // class whose delivery rate is below its flow's source rate gets a
-// per-class delivery cap (the broker thins its stream).
-func Enact(b *broker.Broker, a Allocation) error {
+// per-class delivery cap (the broker thins its stream). A nil Delivery is
+// d_j = r_i and clears every cap.
+func Enact(b *broker.Broker, a model.Allocation) error {
 	p := b.Problem()
-	if len(a.SourceRates) != len(p.Flows) || len(a.Consumers) != len(p.Classes) ||
-		len(a.Delivery) != len(p.Classes) {
-		return fmt.Errorf("multirate: allocation shape mismatch")
+	if a.Delivery != nil && len(a.Delivery) != len(p.Classes) {
+		return fmt.Errorf("multirate: %d delivery rates for %d classes", len(a.Delivery), len(p.Classes))
 	}
-	if err := b.ApplyAllocation(model.Allocation{
-		Rates:     a.SourceRates,
-		Consumers: a.Consumers,
-	}); err != nil {
+	if err := b.ApplyAllocation(a); err != nil {
 		return err
 	}
 	for j := range p.Classes {
 		cap := 0.0 // no cap: deliver at the source rate
-		if a.Delivery[j] < a.SourceRates[p.Classes[j].Flow] {
+		if a.Delivery != nil && a.Delivery[j] < a.Rates[p.Classes[j].Flow] {
 			cap = a.Delivery[j]
 		}
 		if err := b.SetClassRateCap(model.ClassID(j), cap); err != nil {

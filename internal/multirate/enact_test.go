@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/broker"
 	"repro/internal/core"
+	"repro/internal/model"
 )
 
 func TestEnactThinsSlowClass(t *testing.T) {
@@ -44,7 +45,7 @@ func TestEnactThinsSlowClass(t *testing.T) {
 	}
 
 	// Publish at the source rate for 10 simulated seconds.
-	srcRate := alloc.SourceRates[0]
+	srcRate := alloc.Rates[0]
 	interval := time.Duration(float64(time.Second) / srcRate)
 	published := 0
 	for i := 0; i < int(10*srcRate); i++ {
@@ -81,7 +82,7 @@ func TestEnactShapeMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Enact(b, Allocation{}); err == nil {
+	if err := Enact(b, model.Allocation{}); err == nil {
 		t.Error("accepted malformed allocation")
 	}
 }

@@ -31,7 +31,7 @@ func Example() {
 	res := e.Solve(600)
 	a := res.Allocation
 	fmt.Printf("source %g, fast delivery %g, slow delivery %g\n",
-		a.SourceRates[0], a.Delivery[0], a.Delivery[1])
+		a.Rates[0], a.Delivery[0], a.Delivery[1])
 	// Output:
 	// source 1000, fast delivery 1000, slow delivery 10
 }

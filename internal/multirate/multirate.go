@@ -14,7 +14,9 @@
 //	bounds:     r_i in [r^min, r^max],  d_j in [r^min, r_i]
 //
 // Single-rate LRGP is the special case d_j = r_i, so the multirate
-// optimum dominates the single-rate optimum on every instance.
+// optimum dominates the single-rate optimum on every instance. A solution
+// is a model.Allocation whose Delivery holds the d_j, and model's
+// TotalUtility, NodeUsage and CheckFeasible evaluate it.
 //
 // The algorithm mirrors LRGP's structure:
 //
@@ -42,90 +44,6 @@ import (
 	"repro/internal/solver"
 	"repro/internal/utility"
 )
-
-// Allocation is a multirate solution: a source rate per flow, a delivery
-// rate per class, and an admitted population per class.
-type Allocation struct {
-	SourceRates []float64 `json:"sourceRates"`
-	Delivery    []float64 `json:"delivery"`
-	Consumers   []int     `json:"consumers"`
-}
-
-// Clone deep-copies the allocation.
-func (a Allocation) Clone() Allocation {
-	out := Allocation{
-		SourceRates: make([]float64, len(a.SourceRates)),
-		Delivery:    make([]float64, len(a.Delivery)),
-		Consumers:   make([]int, len(a.Consumers)),
-	}
-	copy(out.SourceRates, a.SourceRates)
-	copy(out.Delivery, a.Delivery)
-	copy(out.Consumers, a.Consumers)
-	return out
-}
-
-// TotalUtility evaluates sum_j n_j U_j(d_j).
-func TotalUtility(p *model.Problem, a Allocation) float64 {
-	total := 0.0
-	for j := range p.Classes {
-		if n := a.Consumers[j]; n > 0 {
-			total += float64(n) * p.Classes[j].Utility.Value(a.Delivery[j])
-		}
-	}
-	return total
-}
-
-// NodeUsage evaluates the multirate node constraint's left side.
-func NodeUsage(p *model.Problem, ix *model.Index, a Allocation, b model.NodeID) float64 {
-	used := 0.0
-	node := &p.Nodes[b]
-	for _, i := range ix.FlowsByNode(b) {
-		used += node.FlowCost[i] * a.SourceRates[i]
-	}
-	for _, cid := range ix.ClassesByNode(b) {
-		c := &p.Classes[cid]
-		used += c.CostPerConsumer * float64(a.Consumers[cid]) * a.Delivery[cid]
-	}
-	return used
-}
-
-// CheckFeasible verifies all multirate constraints with absolute slack
-// tol.
-func CheckFeasible(p *model.Problem, ix *model.Index, a Allocation, tol float64) error {
-	for _, f := range p.Flows {
-		r := a.SourceRates[f.ID]
-		if r < f.RateMin-tol || r > f.RateMax+tol {
-			return fmt.Errorf("%w: flow %d source rate %g outside [%g, %g]",
-				model.ErrInfeasible, f.ID, r, f.RateMin, f.RateMax)
-		}
-	}
-	for _, c := range p.Classes {
-		d := a.Delivery[c.ID]
-		f := p.Flows[c.Flow]
-		if d < f.RateMin-tol || d > a.SourceRates[c.Flow]+tol {
-			return fmt.Errorf("%w: class %d delivery %g outside [%g, %g]",
-				model.ErrInfeasible, c.ID, d, f.RateMin, a.SourceRates[c.Flow])
-		}
-		if n := a.Consumers[c.ID]; n < 0 || n > c.MaxConsumers {
-			return fmt.Errorf("%w: class %d population %d", model.ErrInfeasible, c.ID, n)
-		}
-	}
-	for _, l := range p.Links {
-		used := 0.0
-		for _, i := range ix.FlowsByLink(l.ID) {
-			used += l.FlowCost[i] * a.SourceRates[i]
-		}
-		if used > l.Capacity+tol {
-			return fmt.Errorf("%w: link %d usage %g > %g", model.ErrInfeasible, l.ID, used, l.Capacity)
-		}
-	}
-	for _, n := range p.Nodes {
-		if used := NodeUsage(p, ix, a, n.ID); used > n.Capacity+tol {
-			return fmt.Errorf("%w: node %d usage %g > %g", model.ErrInfeasible, n.ID, used, n.Capacity)
-		}
-	}
-	return nil
-}
 
 // Engine runs synchronous multirate-LRGP iterations.
 type Engine struct {
@@ -273,26 +191,17 @@ func (e *Engine) pathPrice(i model.FlowID) float64 {
 
 // Utility returns the current objective value.
 func (e *Engine) Utility() float64 {
-	total := 0.0
-	for j := range e.p.Classes {
-		if n := e.consumers[j]; n > 0 {
-			total += float64(n) * e.p.Classes[j].Utility.Value(e.delivery[j])
-		}
-	}
-	return total
+	return model.TotalUtility(e.p, e.state())
 }
 
 // Allocation snapshots the current state.
-func (e *Engine) Allocation() Allocation {
-	a := Allocation{
-		SourceRates: make([]float64, len(e.sourceRates)),
-		Delivery:    make([]float64, len(e.delivery)),
-		Consumers:   make([]int, len(e.consumers)),
-	}
-	copy(a.SourceRates, e.sourceRates)
-	copy(a.Delivery, e.delivery)
-	copy(a.Consumers, e.consumers)
-	return a
+func (e *Engine) Allocation() model.Allocation {
+	return e.state().Clone()
+}
+
+// state is the engine's current allocation, sharing its slices.
+func (e *Engine) state() model.Allocation {
+	return model.Allocation{Rates: e.sourceRates, Consumers: e.consumers, Delivery: e.delivery}
 }
 
 // Result mirrors core.Result for the multirate engine.
@@ -301,7 +210,7 @@ type Result struct {
 	Iterations  int
 	Converged   bool
 	ConvergedAt int
-	Allocation  Allocation
+	Allocation  model.Allocation
 	Trace       []float64
 }
 

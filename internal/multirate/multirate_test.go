@@ -51,10 +51,10 @@ func TestSolveFeasibleAndConverges(t *testing.T) {
 		t.Fatalf("did not converge; trace tail %v", res.Trace[len(res.Trace)-5:])
 	}
 	ix := model.NewIndex(p)
-	if err := CheckFeasible(p, ix, res.Allocation, 1e-6); err != nil {
+	if err := model.CheckFeasible(p, ix, res.Allocation, 1e-6); err != nil {
 		t.Errorf("infeasible: %v", err)
 	}
-	if got := TotalUtility(p, res.Allocation); math.Abs(got-res.Utility) > 1e-6*(1+res.Utility) {
+	if got := model.TotalUtility(p, res.Allocation); math.Abs(got-res.Utility) > 1e-6*(1+res.Utility) {
 		t.Errorf("utility mismatch: %g vs %g", res.Utility, got)
 	}
 }
@@ -69,9 +69,9 @@ func TestDeliveryNeverExceedsSourceRate(t *testing.T) {
 		e.Step()
 		a := e.Allocation()
 		for j, c := range p.Classes {
-			if a.Delivery[j] > a.SourceRates[c.Flow]+1e-12 {
+			if a.Delivery[j] > a.Rates[c.Flow]+1e-12 {
 				t.Fatalf("iter %d: delivery[%d]=%g above source %g",
-					i+1, j, a.Delivery[j], a.SourceRates[c.Flow])
+					i+1, j, a.Delivery[j], a.Rates[c.Flow])
 			}
 			if a.Delivery[j] < p.Flows[c.Flow].RateMin-1e-12 {
 				t.Fatalf("iter %d: delivery[%d]=%g below rate floor", i+1, j, a.Delivery[j])
@@ -142,21 +142,8 @@ func TestMultirateOnBaseWorkloadFeasible(t *testing.T) {
 	}
 	res := e.Solve(600)
 	ix := model.NewIndex(p)
-	if err := CheckFeasible(p, ix, res.Allocation, 1e-6); err != nil {
+	if err := model.CheckFeasible(p, ix, res.Allocation, 1e-6); err != nil {
 		t.Errorf("infeasible: %v", err)
-	}
-}
-
-func TestAllocationClone(t *testing.T) {
-	a := Allocation{
-		SourceRates: []float64{1},
-		Delivery:    []float64{2},
-		Consumers:   []int{3},
-	}
-	b := a.Clone()
-	b.SourceRates[0], b.Delivery[0], b.Consumers[0] = 9, 9, 9
-	if a.SourceRates[0] != 1 || a.Delivery[0] != 2 || a.Consumers[0] != 3 {
-		t.Error("Clone aliases storage")
 	}
 }
 
@@ -188,3 +175,11 @@ type fakeConcave struct{}
 func (fakeConcave) Value(r float64) float64 { return math.Sqrt(r) }
 func (fakeConcave) Deriv(r float64) float64 { return 0.5 / math.Sqrt(r) }
 func (fakeConcave) Name() string            { return "sqrt" }
+
+func TestDesiredDeliveryExported(t *testing.T) {
+	u := workload.ShapeLog.Utility(20) // 20*log(1+r), U'(r) = 20/(1+r)
+	// U'(d) = 0.5 => d = 39.
+	if got := DesiredDelivery(u, 0.5, 10, 1000); got != 39 {
+		t.Errorf("DesiredDelivery = %g, want 39", got)
+	}
+}

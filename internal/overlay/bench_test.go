@@ -25,16 +25,6 @@ func benchFlows(n int, subscribersPerFlow int, topoNodes int) []FlowSpec {
 	return flows
 }
 
-func BenchmarkShortestPathRing64(b *testing.B) {
-	t := Ring(64, 1000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := t.ShortestPath(0, model.NodeID(32)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkBuildProblem(b *testing.B) {
 	t := Ring(32, 1e6)
 	flows := benchFlows(16, 4, 32)

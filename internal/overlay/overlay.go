@@ -225,15 +225,6 @@ func Ring(n int, capacity float64) *Topology {
 	return t
 }
 
-// Star builds a hub-and-spoke topology with node 0 as the hub.
-func Star(n int, capacity float64) *Topology {
-	t := NewTopology(n)
-	for i := 1; i < n; i++ {
-		_, _, _ = t.AddBidirectional(0, model.NodeID(i), capacity)
-	}
-	return t
-}
-
 // Scratch holds the reusable state of breadth-first routing. One Scratch
 // serves any number of BuildTreeInto calls, and it caches the canonical
 // BFS from the latest source as a resumable prefix: every node within lvl
@@ -425,37 +416,6 @@ func (sc *Scratch) parent(b model.NodeID) int32 {
 	return sc.rprev[b]
 }
 
-// ShortestPath returns the link indices of a minimum-hop path from src to
-// dst (the canonical BFS path over the alive topology). An empty slice is
-// returned when src == dst.
-func (t *Topology) ShortestPath(src, dst model.NodeID) ([]int, error) {
-	if src < 0 || int(src) >= t.nodeCount || dst < 0 || int(dst) >= t.nodeCount {
-		return nil, fmt.Errorf("%w: %d -> %d", ErrNoPath, src, dst)
-	}
-	if src == dst {
-		if !t.NodeAlive(src) {
-			return nil, fmt.Errorf("%w: node %d removed", ErrNoPath, src)
-		}
-		return nil, nil
-	}
-	if !t.NodeAlive(src) || !t.NodeAlive(dst) {
-		return nil, fmt.Errorf("%w: %d -> %d (endpoint removed)", ErrNoPath, src, dst)
-	}
-	sc := NewScratch(t)
-	sc.bfs(t, src)
-	d, ok := sc.trace(t, dst)
-	if !ok {
-		return nil, fmt.Errorf("%w: %d -> %d", ErrNoPath, src, dst)
-	}
-	path := make([]int, d)
-	for k, at := d-1, dst; k >= 0; k-- {
-		li := sc.parent(at)
-		path[k] = int(li)
-		at = t.links[li].From
-	}
-	return path, nil
-}
-
 // Tree is a flow's dissemination tree: the union of shortest paths from
 // the source to every subscriber node.
 type Tree struct {
@@ -473,16 +433,6 @@ func (tr Tree) equal(o Tree) bool {
 	return tr.Source == o.Source &&
 		slices.Equal(tr.Links, o.Links) &&
 		slices.Equal(tr.Nodes, o.Nodes)
-}
-
-// BuildTree computes the dissemination tree for a flow from src to the
-// given subscriber nodes. Paths are minimum-hop over the alive topology;
-// shared prefixes are merged (each link appears once). For repeated or
-// bulk routing use BuildTreeInto with a reusable Scratch — BuildTree
-// allocates a fresh one per call.
-func (t *Topology) BuildTree(src model.NodeID, subscribers []model.NodeID) (Tree, error) {
-	tree, _, err := t.BuildTreeInto(NewScratch(t), src, subscribers, Tree{Source: -1})
-	return tree, err
 }
 
 // BuildTreeInto computes the dissemination tree for a flow using sc's

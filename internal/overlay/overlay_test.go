@@ -85,72 +85,11 @@ func TestNaNRefusedBeforeRouting(t *testing.T) {
 	}
 }
 
-func TestShortestPathLine(t *testing.T) {
-	tp := Line(4, 100)
-	path, err := tp.ShortestPath(0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(path) != 3 {
-		t.Fatalf("path length = %d, want 3", len(path))
-	}
-	links := tp.Links()
-	at := model.NodeID(0)
-	for _, li := range path {
-		if links[li].From != at {
-			t.Fatalf("discontinuous path at link %d", li)
-		}
-		at = links[li].To
-	}
-	if at != 3 {
-		t.Fatalf("path ends at %d, want 3", at)
-	}
-}
-
-func TestShortestPathRingPicksShortSide(t *testing.T) {
-	tp := Ring(6, 100)
-	path, err := tp.ShortestPath(0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Around the ring the short way is 1 hop (5->0 reversed: 0->5).
-	if len(path) != 1 {
-		t.Errorf("path length = %d, want 1 (direct ring link)", len(path))
-	}
-}
-
-func TestShortestPathSameNode(t *testing.T) {
-	tp := Line(3, 10)
-	path, err := tp.ShortestPath(1, 1)
-	if err != nil || len(path) != 0 {
-		t.Errorf("path = %v, err = %v", path, err)
-	}
-}
-
-func TestShortestPathNoPath(t *testing.T) {
-	tp := NewTopology(3)
-	_, _ = tp.AddLink(0, 1, 10) // node 2 unreachable
-	if _, err := tp.ShortestPath(0, 2); !errors.Is(err, ErrNoPath) {
-		t.Errorf("error = %v, want ErrNoPath", err)
-	}
-	if _, err := tp.ShortestPath(0, 9); !errors.Is(err, ErrNoPath) {
-		t.Errorf("out-of-range error = %v, want ErrNoPath", err)
-	}
-}
-
-func TestShortestPathDirectionality(t *testing.T) {
-	tp := NewTopology(2)
-	_, _ = tp.AddLink(0, 1, 10)
-	if _, err := tp.ShortestPath(1, 0); !errors.Is(err, ErrNoPath) {
-		t.Errorf("reverse path over unidirectional link: %v", err)
-	}
-}
-
 func TestBuildTreeMergesSharedPrefix(t *testing.T) {
 	// Star: source at spoke 1; subscribers at spokes 2 and 3. Both paths
 	// cross the hub; the 1->0 link must appear once.
 	tp := Star(4, 100)
-	tree, err := tp.BuildTree(1, []model.NodeID{2, 3})
+	tree, err := buildTree(tp, 1, []model.NodeID{2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +103,7 @@ func TestBuildTreeMergesSharedPrefix(t *testing.T) {
 
 func TestBuildTreeSubscriberAtSource(t *testing.T) {
 	tp := Line(3, 100)
-	tree, err := tp.BuildTree(0, []model.NodeID{0})
+	tree, err := buildTree(tp, 0, []model.NodeID{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +254,7 @@ func TestScratchFollowsItsTopology(t *testing.T) {
 	}
 	sc := NewScratch(line)
 	for k, tp := range []*Topology{line, other, Ring(9, 1), line, other} {
-		want, err := tp.BuildTree(0, []model.NodeID{4})
+		want, err := buildTree(tp, 0, []model.NodeID{4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,7 +263,7 @@ func TestScratchFollowsItsTopology(t *testing.T) {
 			t.Fatalf("topology %d: reused scratch gave %+v (err %v), a fresh one %+v", k, got, err, want)
 		}
 	}
-	if got, err := other.BuildTree(0, []model.NodeID{4}); err != nil || !got.equal(Tree{Source: 0, Links: []int{0}, Nodes: []model.NodeID{0, 4}}) {
+	if got, err := buildTree(other, 0, []model.NodeID{4}); err != nil || !got.equal(Tree{Source: 0, Links: []int{0}, Nodes: []model.NodeID{0, 4}}) {
 		t.Fatalf("0 -> 4 over the direct link: %+v, %v", got, err)
 	}
 }
@@ -478,4 +417,19 @@ func TestTraceMatchesExhaustiveBFS(t *testing.T) {
 	if searched >= lazy || lazy >= full {
 		t.Fatal("the two-sided trace did not visit fewer nodes than the one-sided BFS")
 	}
+}
+
+// Star builds a hub-and-spoke topology with node 0 as the hub.
+func Star(n int, capacity float64) *Topology {
+	t := NewTopology(n)
+	for i := 1; i < n; i++ {
+		_, _, _ = t.AddBidirectional(0, model.NodeID(i), capacity)
+	}
+	return t
+}
+
+// buildTree routes one flow to subscribers on a fresh Scratch.
+func buildTree(t *Topology, src model.NodeID, subscribers []model.NodeID) (Tree, error) {
+	tree, _, err := t.BuildTreeInto(NewScratch(t), src, subscribers, Tree{Source: -1})
+	return tree, err
 }

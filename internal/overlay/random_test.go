@@ -18,12 +18,13 @@ func TestRandomTopologyConnected(t *testing.T) {
 			t.Fatalf("seed %d: nodes = %d, want %d", seed, topo.NodeCount(), n)
 		}
 		// Spanning-tree construction guarantees every pair is reachable.
+		sc := NewScratch(topo)
 		for a := 0; a < n; a++ {
 			for b := 0; b < n; b++ {
 				if a == b {
 					continue
 				}
-				if _, err := topo.ShortestPath(model.NodeID(a), model.NodeID(b)); err != nil {
+				if _, _, err := topo.BuildTreeInto(sc, model.NodeID(a), []model.NodeID{model.NodeID(b)}, Tree{Source: -1}); err != nil {
 					t.Fatalf("seed %d: no path %d -> %d: %v", seed, a, b, err)
 				}
 			}

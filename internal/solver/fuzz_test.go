@@ -36,29 +36,3 @@ func FuzzBisectDecreasing(f *testing.F) {
 		}
 	})
 }
-
-// FuzzNewtonBisect cross-checks the safeguarded Newton solver against
-// plain bisection on the same shape.
-func FuzzNewtonBisect(f *testing.F) {
-	f.Add(100.0, 1.0, 0.5)
-	f.Add(7.5, 3.0, 0.01)
-	f.Fuzz(func(t *testing.T, scale, shift, price float64) {
-		if !(scale > 0 && scale < 1e9) || !(shift > 0 && shift < 1e3) || !(price > 0 && price < 1e9) {
-			t.Skip()
-		}
-		fn := func(r float64) float64 { return scale/(shift+r) - price }
-		dfn := func(r float64) float64 { return -scale / ((shift + r) * (shift + r)) }
-		lo, hi := 0.0, 1e10
-		if fn(lo) <= 0 || fn(hi) >= 0 {
-			t.Skip()
-		}
-		a, errA := Bisect(fn, lo, hi, Options{})
-		b, errB := NewtonBisect(fn, dfn, lo, hi, Options{})
-		if errA != nil || errB != nil {
-			t.Fatalf("errors: %v / %v", errA, errB)
-		}
-		if math.Abs(a-b) > 1e-6*(1+math.Abs(a)) {
-			t.Fatalf("solvers disagree: %g vs %g", a, b)
-		}
-	})
-}

@@ -5,9 +5,7 @@
 //
 // is a root of a strictly decreasing function of r (each U_j is strictly
 // concave so each U_j' is strictly decreasing). Bisection on a bracketing
-// interval is therefore exact up to tolerance; Newton iteration with a
-// bisection safeguard is offered as a faster alternative when the caller
-// can supply the derivative.
+// interval is therefore exact up to tolerance.
 package solver
 
 import (
@@ -17,7 +15,7 @@ import (
 )
 
 // Default iteration limits and tolerances. 200 bisection steps reduce any
-// bracketing interval below double-precision resolution; the solvers stop
+// bracketing interval below double-precision resolution; Bisect stops
 // earlier once tolerances are met.
 const (
 	DefaultMaxIter = 200
@@ -25,7 +23,7 @@ const (
 	DefaultFTol    = 1e-12
 )
 
-// Errors reported by the solvers.
+// Errors reported by Bisect.
 var (
 	ErrNoBracket = errors.New("solver: interval does not bracket a root")
 	ErrBadRange  = errors.New("solver: invalid interval")
@@ -89,79 +87,4 @@ func Bisect(f func(float64) float64, lo, hi float64, opts Options) (float64, err
 		}
 	}
 	return lo + (hi-lo)/2, nil
-}
-
-// NewtonBisect finds a root of f in [lo, hi] using Newton steps safeguarded
-// by a shrinking bisection bracket: any Newton step that leaves the current
-// bracket, or that makes insufficient progress, is replaced by a bisection
-// step. df is the derivative of f. The same bracketing precondition as
-// Bisect applies.
-func NewtonBisect(f, df func(float64) float64, lo, hi float64, opts Options) (float64, error) {
-	o := opts.normalized()
-	if !(lo <= hi) || math.IsNaN(lo) || math.IsNaN(hi) {
-		return 0, fmt.Errorf("%w: [%g, %g]", ErrBadRange, lo, hi)
-	}
-
-	flo, fhi := f(lo), f(hi)
-	if math.Abs(flo) <= o.FTol {
-		return lo, nil
-	}
-	if math.Abs(fhi) <= o.FTol {
-		return hi, nil
-	}
-	if flo*fhi > 0 {
-		return 0, fmt.Errorf("%w: f(%g)=%g, f(%g)=%g", ErrNoBracket, lo, flo, hi, fhi)
-	}
-
-	x := lo + (hi-lo)/2
-	fx := f(x)
-	for i := 0; i < o.MaxIter; i++ {
-		if math.Abs(fx) <= o.FTol || hi-lo <= o.XTol {
-			return x, nil
-		}
-
-		// Maintain the bracket around the sign change.
-		if flo*fx < 0 {
-			hi = x
-		} else {
-			lo, flo = x, fx
-		}
-
-		// Try a Newton step from x; fall back to bisection if it exits
-		// the bracket or the derivative is unusable.
-		var next float64
-		d := df(x)
-		if d != 0 && !math.IsNaN(d) && !math.IsInf(d, 0) {
-			next = x - fx/d
-		} else {
-			next = math.NaN()
-		}
-		if math.IsNaN(next) || next <= lo || next >= hi {
-			next = lo + (hi-lo)/2
-		}
-		x = next
-		fx = f(x)
-	}
-	return x, nil
-}
-
-// BracketDecreasing expands an upper bound for a strictly decreasing f with
-// f(lo) > 0, returning hi >= lo with f(hi) <= 0, growing geometrically from
-// the given initial guess. It reports ErrNoBracket if no sign change is
-// found within maxExpand doublings.
-func BracketDecreasing(f func(float64) float64, lo, hint float64, maxExpand int) (float64, error) {
-	if maxExpand <= 0 {
-		maxExpand = 64
-	}
-	hi := hint
-	if hi <= lo {
-		hi = lo + 1
-	}
-	for i := 0; i < maxExpand; i++ {
-		if f(hi) <= 0 {
-			return hi, nil
-		}
-		hi *= 2
-	}
-	return 0, fmt.Errorf("%w: no sign change up to %g", ErrNoBracket, hi)
 }

@@ -66,69 +66,6 @@ func TestBisectBadRange(t *testing.T) {
 	}
 }
 
-func TestNewtonBisectQuadratic(t *testing.T) {
-	f := func(x float64) float64 { return x*x - 2 }
-	df := func(x float64) float64 { return 2 * x }
-	root, err := NewtonBisect(f, df, 0, 2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(root-math.Sqrt2) > 1e-9 {
-		t.Errorf("root = %g, want sqrt(2)", root)
-	}
-}
-
-func TestNewtonBisectSurvivesBadDerivative(t *testing.T) {
-	// Zero derivative everywhere forces pure bisection fallback.
-	f := func(x float64) float64 { return x - 3 }
-	df := func(float64) float64 { return 0 }
-	root, err := NewtonBisect(f, df, 0, 10, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(root-3) > 1e-9 {
-		t.Errorf("root = %g, want 3", root)
-	}
-}
-
-func TestNewtonBisectNoBracket(t *testing.T) {
-	f := func(x float64) float64 { return x + 10 }
-	df := func(float64) float64 { return 1 }
-	if _, err := NewtonBisect(f, df, 0, 1, Options{}); !errors.Is(err, ErrNoBracket) {
-		t.Errorf("error = %v, want ErrNoBracket", err)
-	}
-}
-
-func TestNewtonBisectEndpointRoot(t *testing.T) {
-	f := func(x float64) float64 { return x - 1 }
-	df := func(float64) float64 { return 1 }
-	root, err := NewtonBisect(f, df, 1, 5, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if root != 1 {
-		t.Errorf("root = %g, want 1", root)
-	}
-}
-
-func TestBracketDecreasing(t *testing.T) {
-	f := func(x float64) float64 { return 1000 - x }
-	hi, err := BracketDecreasing(f, 1, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f(hi) > 0 {
-		t.Errorf("f(%g) = %g, want <= 0", hi, f(hi))
-	}
-}
-
-func TestBracketDecreasingFailure(t *testing.T) {
-	f := func(float64) float64 { return 1 } // never crosses
-	if _, err := BracketDecreasing(f, 1, 2, 8); !errors.Is(err, ErrNoBracket) {
-		t.Errorf("error = %v, want ErrNoBracket", err)
-	}
-}
-
 // TestBisectPropertyRandomDecreasing solves randomized LRGP-like
 // stationarity equations and verifies the residual is tiny.
 func TestBisectPropertyRandomDecreasing(t *testing.T) {

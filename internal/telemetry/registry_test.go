@@ -17,9 +17,9 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 	g := reg.Gauge("t_gauge", "help")
 	g.Set(2.5)
-	g.Add(-0.5)
-	if got := g.Value(); got != 2 {
-		t.Errorf("gauge = %g, want 2", got)
+	g.Set(-0.5)
+	if got := g.Value(); got != -0.5 {
+		t.Errorf("gauge = %g, want -0.5", got)
 	}
 }
 
@@ -174,9 +174,10 @@ func TestSnapshotMap(t *testing.T) {
 }
 
 // TestConcurrentObservation exercises the lock-free paths under the race
-// detector: concurrent counter adds, gauge CAS loops and histogram
-// observes must neither race nor lose updates (counters/counts are
-// exact; the float sums are CAS loops so they are exact too).
+// detector: concurrent counter adds, gauge sets and histogram observes
+// must neither race nor lose updates (counters/counts are exact; the
+// float sums are CAS loops so they are exact too; a gauge holds one of
+// the values set).
 func TestConcurrentObservation(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("t_conc_total", "help")
@@ -191,7 +192,7 @@ func TestConcurrentObservation(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
-				g.Add(1)
+				g.Set(float64(w))
 				h.Observe(1e-4)
 			}
 		}()
@@ -200,8 +201,8 @@ func TestConcurrentObservation(t *testing.T) {
 	if got := c.Value(); got != workers*perWorker {
 		t.Errorf("counter = %d, want %d", got, workers*perWorker)
 	}
-	if got := g.Value(); got != workers*perWorker {
-		t.Errorf("gauge = %g, want %d", got, workers*perWorker)
+	if got := g.Value(); got != math.Trunc(got) || got < 0 || got >= workers {
+		t.Errorf("gauge = %g, want a worker's index", got)
 	}
 	count, sum := h.CountSum()
 	if count != workers*perWorker {
@@ -212,8 +213,8 @@ func TestConcurrentObservation(t *testing.T) {
 	}
 }
 
-// TestObservationDoesNotAllocate pins the lock-free claim: Observe, Inc,
-// Add and Set allocate nothing, which is what lets instrumented hot
+// TestObservationDoesNotAllocate pins the lock-free claim: Observe, Inc
+// and Set allocate nothing, which is what lets instrumented hot
 // paths keep their 0 allocs/op guarantee.
 func TestObservationDoesNotAllocate(t *testing.T) {
 	reg := NewRegistry()
@@ -223,7 +224,6 @@ func TestObservationDoesNotAllocate(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() {
 		c.Inc()
 		g.Set(3)
-		g.Add(1)
 		h.Observe(2e-3)
 		h.ObserveSeconds(1500)
 	}); allocs > 0 {

@@ -91,14 +91,3 @@ func ReadTrace(r io.Reader) ([]IterationRecord, error) {
 	}
 	return out, nil
 }
-
-// UtilitySeries extracts the per-iteration utility values from a decoded
-// trace — the exact series the convergence detector consumed while the
-// trace was recorded.
-func UtilitySeries(recs []IterationRecord) []float64 {
-	out := make([]float64, len(recs))
-	for i, r := range recs {
-		out[i] = r.Utility
-	}
-	return out
-}

@@ -50,10 +50,6 @@ func TestTraceRoundTrip(t *testing.T) {
 	if !got[1].Converged || got[1].Rates != nil {
 		t.Errorf("record 1 = %+v", got[1])
 	}
-
-	if series := UtilitySeries(got); series[0] != 1000.5 || series[1] != 1100 {
-		t.Errorf("utility series = %v", series)
-	}
 }
 
 func TestReadTraceSkipsBlankLines(t *testing.T) {

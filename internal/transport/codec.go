@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -102,15 +101,6 @@ func reuse(last *string, b []byte) string {
 		*last = string(b)
 	}
 	return *last
-}
-
-// DecodeMessage is Decode for a lone message whose buffer the caller goes
-// on to reuse: the returned strings and payload are copies.
-func DecodeMessage(data []byte) (Message, int, error) {
-	var d Decoder
-	msg, n, err := d.Decode(data)
-	msg.Payload = bytes.Clone(msg.Payload)
-	return msg, n, err
 }
 
 // slabChunk is what a Slab allocates at a time: some tens of dist frames,

@@ -19,12 +19,13 @@ func TestMessageBinaryRoundTrip(t *testing.T) {
 		{From: "n", To: "m", Kind: "blob", Payload: bytes.Repeat([]byte{0, 1, 0xff}, 100)},
 		{From: strings.Repeat("long", 100), To: "t", Kind: "", Payload: []byte{binaryTag}},
 	}
+	var d Decoder
 	for i, msg := range cases {
 		enc := AppendMessage(nil, &msg)
 		if len(enc) != BinarySize(&msg) {
 			t.Errorf("case %d: len(enc)=%d, BinarySize=%d", i, len(enc), BinarySize(&msg))
 		}
-		got, n, err := DecodeMessage(enc)
+		got, n, err := d.Decode(enc)
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
@@ -43,11 +44,12 @@ func TestDecodeMessageConcatenated(t *testing.T) {
 	b := Message{From: "b", To: "c", Kind: "two"}
 	enc := AppendMessage(AppendMessage(nil, &a), &b)
 
-	got1, n1, err := DecodeMessage(enc)
+	var d Decoder
+	got1, n1, err := d.Decode(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2, n2, err := DecodeMessage(enc[n1:])
+	got2, n2, err := d.Decode(enc[n1:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,36 +63,50 @@ func TestDecodeMessageConcatenated(t *testing.T) {
 
 func TestDecodeMessageRejectsCorrupt(t *testing.T) {
 	good := AppendMessage(nil, &Message{From: "a", To: "b", Kind: "k", Payload: []byte("xyz")})
+	var d Decoder
 
 	// Every truncation must error, never panic or over-read.
 	for n := 0; n < len(good); n++ {
-		if _, _, err := DecodeMessage(good[:n]); !errors.Is(err, ErrCorruptFrame) {
+		if _, _, err := d.Decode(good[:n]); !errors.Is(err, ErrCorruptFrame) {
 			t.Errorf("truncated at %d: err = %v, want ErrCorruptFrame", n, err)
 		}
 	}
 	// Wrong tag.
-	if _, _, err := DecodeMessage([]byte(`{"from":"a"}`)); !errors.Is(err, ErrCorruptFrame) {
+	if _, _, err := d.Decode([]byte(`{"from":"a"}`)); !errors.Is(err, ErrCorruptFrame) {
 		t.Errorf("JSON body: err = %v, want ErrCorruptFrame", err)
 	}
 	// Length field claiming far more bytes than present must not allocate
 	// or over-read.
 	huge := []byte{binaryTag, 0xff, 0xff, 0xff, 0xff, 0x7f}
-	if _, _, err := DecodeMessage(huge); !errors.Is(err, ErrCorruptFrame) {
+	if _, _, err := d.Decode(huge); !errors.Is(err, ErrCorruptFrame) {
 		t.Errorf("huge length: err = %v, want ErrCorruptFrame", err)
 	}
 }
 
 func TestDecodeMessageDoesNotAliasInput(t *testing.T) {
-	enc := AppendMessage(nil, &Message{From: "a", To: "b", Kind: "k", Payload: []byte("data")})
-	got, _, err := DecodeMessage(enc)
+	// The envelope strings are copies, including the ones a Decoder hands
+	// back again from an earlier frame; only the payload aliases the input.
+	var d Decoder
+	buf := AppendMessage(nil, &Message{From: "a", To: "b", Kind: "k", Payload: []byte("data")})
+	first, _, err := d.Decode(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range enc {
-		enc[i] = 0xee
+	buf = AppendMessage(buf[:0], &Message{From: "a", To: "b", Kind: "k", Payload: []byte("more")})
+	second, _, err := d.Decode(buf)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if string(got.Payload) != "data" || got.From != "a" {
-		t.Error("decoded message aliases the input buffer")
+	for i := range buf {
+		buf[i] = 0xee
+	}
+	for _, got := range []Message{first, second} {
+		if got.From != "a" || got.To != "b" || got.Kind != "k" {
+			t.Errorf("decoded envelope aliases the input buffer: %+v", got)
+		}
+	}
+	if second.Payload[0] != 0xee {
+		t.Error("payload was copied; Decode documents that it aliases the input")
 	}
 }
 
@@ -348,7 +364,8 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add(AppendMessage(nil, &Message{From: "a", To: "b", Kind: "k", Payload: []byte(`{"x":1}`)}))
 	f.Add([]byte{binaryTag, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, n, err := DecodeMessage(data)
+		var d Decoder
+		msg, n, err := d.Decode(data)
 		if err != nil {
 			if !errors.Is(err, ErrCorruptFrame) {
 				t.Fatalf("rejected with %v, want ErrCorruptFrame", err)
@@ -365,7 +382,7 @@ func FuzzDecodeMessage(f *testing.F) {
 		// (Byte equality is too strict: binary.Uvarint accepts
 		// non-canonical varint paddings that re-encode shorter.)
 		re := AppendMessage(nil, &msg)
-		msg2, n2, err := DecodeMessage(re)
+		msg2, n2, err := d.Decode(re)
 		if err != nil || n2 != len(re) {
 			t.Fatalf("re-decode failed: n=%d err=%v", n2, err)
 		}

@@ -158,9 +158,6 @@ func listenTCP(name, addr string, resolve func(string) (string, error), inbox in
 // Name implements Endpoint.
 func (e *tcpEndpoint) Name() string { return e.name }
 
-// Addr returns the listener address (useful for registries).
-func (e *tcpEndpoint) Addr() string { return e.listener.Addr().String() }
-
 // Send implements Endpoint: it lazily dials the destination, caches the
 // connection, and writes one frame — uvarint body length + AppendMessage
 // body, assembled in the connection's scratch buffer so the steady-state

@@ -59,7 +59,8 @@ type (
 	Node = model.Node
 	// Link is a unidirectional overlay link with finite capacity.
 	Link = model.Link
-	// Allocation is a candidate solution (rates + populations).
+	// Allocation is a candidate solution (rates + populations, and
+	// per-class delivery rates in the multirate extension).
 	Allocation = model.Allocation
 	// Index precomputes the problem's lookup maps.
 	Index = model.Index
@@ -127,10 +128,9 @@ type (
 
 // Multirate-extension types (see internal/multirate).
 type (
-	// MultirateEngine optimizes with per-class delivery rates.
+	// MultirateEngine optimizes with per-class delivery rates; its
+	// solutions are Allocations with Delivery set.
 	MultirateEngine = multirate.Engine
-	// MultirateAllocation holds source rates, deliveries, populations.
-	MultirateAllocation = multirate.Allocation
 )
 
 // Overlay types (see internal/overlay).
