@@ -92,6 +92,36 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Every flag is checked before anything starts; a bad value is refused
+	// with an error that names its flag.
+	switch {
+	case *optimizer != "colocated" && *optimizer != "dist":
+		return fmt.Errorf("-optimizer: unknown optimizer %q; want colocated or dist", *optimizer)
+	case *transportName != "memory" && *transportName != "tcp":
+		return fmt.Errorf("-transport: unknown transport %q; want memory or tcp", *transportName)
+	case *rounds < 1:
+		return fmt.Errorf("-rounds: %d; want at least 1", *rounds)
+	case !(*pubSeconds >= 0):
+		return fmt.Errorf("-publish-seconds: %g; want 0 or more", *pubSeconds)
+	case *producersN < 1:
+		return fmt.Errorf("-producers: %d; want at least 1", *producersN)
+	case *distHosts < 0:
+		return fmt.Errorf("-dist-hosts: %d; want 0 (one per node) or more", *distHosts)
+	case *distStaleness < 0:
+		return fmt.Errorf("-dist-staleness: %d; want 0 or more", *distStaleness)
+	case *distStall < 0:
+		return fmt.Errorf("-dist-stall-timeout: %v; want 0 (off) or more", *distStall)
+	case *autopilot && *optimizer != "colocated":
+		return fmt.Errorf("-autopilot requires -optimizer colocated (the dist formulation has no live re-optimization loop yet)")
+	case !(*apSeconds >= 0):
+		return fmt.Errorf("-autopilot-seconds: %g; want 0 or more", *apSeconds)
+	case *apInterval <= 0:
+		return fmt.Errorf("-autopilot-interval: %v; want a positive interval", *apInterval)
+	}
+	drivers, err := churnDrivers(*churnSpec)
+	if err != nil {
+		return err
+	}
 
 	p := workload.Base()
 
@@ -129,10 +159,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *autopilot {
-		if *optimizer != "colocated" {
-			return fmt.Errorf("-autopilot requires -optimizer colocated (the dist formulation has no live re-optimization loop yet)")
-		}
-		return runAutopilot(out, p, bm, enm, *apSeconds, *apInterval, *churnSpec)
+		return runAutopilot(out, p, bm, enm, *apSeconds, *apInterval, *churnSpec, drivers)
 	}
 
 	// -trace-out: one JSONL IterationRecord per optimizer step.
@@ -172,13 +199,10 @@ func run(args []string, out io.Writer) error {
 		e.Close()
 	case "dist":
 		var net transport.Network
-		switch *transportName {
-		case "memory":
-			net = transport.NewMemory()
-		case "tcp":
+		if *transportName == "tcp" {
 			net = transport.NewTCP()
-		default:
-			return fmt.Errorf("unknown -transport %q", *transportName)
+		} else {
+			net = transport.NewMemory()
 		}
 		defer net.Close()
 
@@ -199,7 +223,6 @@ func run(args []string, out io.Writer) error {
 			}
 			defer f.Close()
 			evFile = f
-			cfg.Record = true
 			cfg.Postmortem = f
 		}
 		cl, err := dist.New(p, cfg, net)
@@ -236,8 +259,6 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "  %d rounds in %v, final utility %.0f\n",
 			len(stats), time.Since(start).Round(time.Millisecond), stats[len(stats)-1].Utility)
-	default:
-		return fmt.Errorf("unknown -optimizer %q (want colocated or dist)", *optimizer)
 	}
 
 	// Stand up the broker, attach the full demand, enact the allocation.
@@ -270,9 +291,6 @@ func run(args []string, out io.Writer) error {
 	// robin; when producers outnumber flows, the sharers split their
 	// flow's target rate so the aggregate offered load is unchanged.
 	nProd := *producersN
-	if nProd < 1 {
-		nProd = 1
-	}
 	fmt.Fprintf(out, "publishing for %.1fs at allocated rates with %d concurrent producers (plus 2x over-publish on flow 0)...\n",
 		*pubSeconds, nProd)
 	assigned := make([][]model.FlowID, nProd)
@@ -371,7 +389,7 @@ func totalAttached(p *model.Problem) int {
 // the lrgp_enact_* family.
 func runAutopilot(out io.Writer, p *model.Problem, bm *telemetry.BrokerMetrics,
 	enm *telemetry.EnactMetrics, seconds float64, interval time.Duration,
-	churnSpec string) error {
+	churnSpec string, drivers []churnDriver) error {
 	b, err := broker.New(p, broker.WithTelemetry(bm), broker.WithEnactTelemetry(enm))
 	if err != nil {
 		return err
@@ -407,24 +425,7 @@ func runAutopilot(out io.Writer, p *model.Problem, bm *telemetry.BrokerMetrics,
 
 	var churnWG sync.WaitGroup
 	churnStop := make(chan struct{})
-	for _, name := range strings.Split(churnSpec, ",") {
-		var drive func(*broker.Broker, *model.Problem, time.Duration, <-chan struct{}, *sync.WaitGroup)
-		switch strings.TrimSpace(name) {
-		case "storm":
-			drive = stormChurn
-		case "flash":
-			drive = flashChurn
-		case "diurnal":
-			drive = diurnalChurn
-		case "":
-			continue
-		default:
-			close(churnStop)
-			churnWG.Wait()
-			close(stop)
-			<-loopDone
-			return fmt.Errorf("unknown -churn driver %q (want storm, flash, diurnal)", name)
-		}
+	for _, drive := range drivers {
 		churnWG.Add(1)
 		go drive(b, p, window, churnStop, &churnWG)
 	}
@@ -502,6 +503,30 @@ func runAutopilot(out io.Writer, p *model.Problem, bm *telemetry.BrokerMetrics,
 		return fmt.Errorf("autopilot completed no cycles in %v", window)
 	}
 	return loopErr
+}
+
+// churnDriver attaches and detaches consumers of b for the scenario's
+// window, until stop is closed, then marks wg done.
+type churnDriver func(b *broker.Broker, p *model.Problem, window time.Duration, stop <-chan struct{}, wg *sync.WaitGroup)
+
+// churnDrivers parses -churn: comma-separated names from storm, flash and
+// diurnal.
+func churnDrivers(spec string) ([]churnDriver, error) {
+	var drivers []churnDriver
+	for _, name := range strings.Split(spec, ",") {
+		switch strings.TrimSpace(name) {
+		case "storm":
+			drivers = append(drivers, stormChurn)
+		case "flash":
+			drivers = append(drivers, flashChurn)
+		case "diurnal":
+			drivers = append(drivers, diurnalChurn)
+		case "":
+		default:
+			return nil, fmt.Errorf("-churn: unknown driver %q; want storm, flash or diurnal", name)
+		}
+	}
+	return drivers, nil
 }
 
 // stormChurn is the attach/detach storm: short-lived consumers slam a

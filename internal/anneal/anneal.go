@@ -34,6 +34,16 @@ const (
 	DefaultMaxSteps = 1_000_000
 )
 
+// Move sizes: a rate move perturbs by up to rateStep of the flow's rate
+// range, a population move by up to popStep of the class's n^max (never
+// below one consumer), and a proposal is a rate move with probability
+// rateMoveProb.
+const (
+	rateStep     = 0.1
+	popStep      = 0.05
+	rateMoveProb = 0.5
+)
+
 // StartTemps are the four start temperatures the paper evaluates.
 var StartTemps = []float64{5, 10, 50, 100}
 
@@ -43,42 +53,21 @@ var StartTemps = []float64{5, 10, 50, 100}
 var ErrInfeasibleStart = errors.New("anneal: minimal state infeasible")
 
 // Config tunes a simulated-annealing run. The zero value is normalized to
-// the defaults above with seed 1.
+// the defaults above with seed 1; the schedule cools by DefaultCoolRate per
+// round down to DefaultMinTemp.
 type Config struct {
 	// StartTemp is the initial temperature (default DefaultStartTemp).
 	StartTemp float64
-	// CoolRate is the per-round multiplier (default DefaultCoolRate).
-	CoolRate float64
-	// MinTemp ends the schedule (default DefaultMinTemp).
-	MinTemp float64
 	// MaxSteps is the total step budget across all rounds (default
 	// DefaultMaxSteps).
 	MaxSteps int
 	// Seed seeds the move generator (default 1).
 	Seed int64
-	// RateStep is the maximum rate perturbation as a fraction of the
-	// flow's rate range (default 0.1).
-	RateStep float64
-	// PopStep is the maximum population perturbation as a fraction of the
-	// class's n^max, never below 1 consumer (default 0.05).
-	PopStep float64
-	// RateMoveProb is the probability a proposal perturbs a flow rate
-	// rather than a class population (default 0.5). Population-heavy
-	// mixes (e.g. 0.2) help the walk anchor populations before rates
-	// drift into the expensive high-rate region of the nonconvex
-	// landscape.
-	RateMoveProb float64
 }
 
 func (c Config) normalized() Config {
 	if c.StartTemp <= 0 {
 		c.StartTemp = DefaultStartTemp
-	}
-	if c.CoolRate <= 0 || c.CoolRate >= 1 {
-		c.CoolRate = DefaultCoolRate
-	}
-	if c.MinTemp <= 0 {
-		c.MinTemp = DefaultMinTemp
 	}
 	if c.MaxSteps <= 0 {
 		c.MaxSteps = DefaultMaxSteps
@@ -86,27 +75,18 @@ func (c Config) normalized() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.RateStep <= 0 {
-		c.RateStep = 0.1
-	}
-	if c.PopStep <= 0 {
-		c.PopStep = 0.05
-	}
-	if c.RateMoveProb <= 0 || c.RateMoveProb > 1 {
-		c.RateMoveProb = 0.5
-	}
 	return c
 }
 
 // Rounds returns the number of temperature rounds the schedule will run:
-// the count of multiplications by CoolRate needed to bring StartTemp to or
-// below MinTemp.
+// the count of multiplications by DefaultCoolRate needed to bring StartTemp
+// to or below DefaultMinTemp.
 func (c Config) Rounds() int {
 	cfg := c.normalized()
-	if cfg.StartTemp <= cfg.MinTemp {
+	if cfg.StartTemp <= DefaultMinTemp {
 		return 1
 	}
-	return int(math.Ceil(math.Log(cfg.MinTemp/cfg.StartTemp)/math.Log(cfg.CoolRate))) + 1
+	return int(math.Ceil(math.Log(DefaultMinTemp/cfg.StartTemp)/math.Log(DefaultCoolRate))) + 1
 }
 
 // Result reports a completed annealing run.
@@ -278,7 +258,7 @@ func Solve(p *model.Problem, cfg Config) (Result, error) {
 	for round := 0; round < rounds; round++ {
 		for step := 0; step < stepsPerRound; step++ {
 			res.Steps++
-			du, commit := s.propose(rng, c)
+			du, commit := s.propose(rng)
 			if commit == nil {
 				continue // infeasible proposal
 			}
@@ -294,7 +274,7 @@ func Solve(p *model.Problem, cfg Config) (Result, error) {
 				}
 			}
 		}
-		temp *= c.CoolRate
+		temp *= DefaultCoolRate
 	}
 
 	res.FinalUtility = s.utility
@@ -305,11 +285,11 @@ func Solve(p *model.Problem, cfg Config) (Result, error) {
 
 // propose draws one candidate move. It returns the utility delta and a
 // commit closure, or nil when the move is infeasible.
-func (s *state) propose(rng *rand.Rand, c Config) (float64, func()) {
-	if rng.Float64() < c.RateMoveProb {
+func (s *state) propose(rng *rand.Rand) (float64, func()) {
+	if rng.Float64() < rateMoveProb {
 		i := model.FlowID(rng.Intn(len(s.p.Flows)))
 		f := &s.p.Flows[i]
-		span := (f.RateMax - f.RateMin) * c.RateStep
+		span := (f.RateMax - f.RateMin) * rateStep
 		r := s.alloc.Rates[i] + (rng.Float64()*2-1)*span
 		if r < f.RateMin {
 			r = f.RateMin
@@ -326,7 +306,7 @@ func (s *state) propose(rng *rand.Rand, c Config) (float64, func()) {
 
 	j := model.ClassID(rng.Intn(len(s.p.Classes)))
 	cl := &s.p.Classes[j]
-	span := int(float64(cl.MaxConsumers) * c.PopStep)
+	span := int(float64(cl.MaxConsumers) * popStep)
 	if span < 1 {
 		span = 1
 	}

@@ -66,7 +66,7 @@ func SolveRatesGreedy(p *model.Problem, cfg Config) (Result, error) {
 
 			i := model.FlowID(rng.Intn(len(p.Flows)))
 			f := &p.Flows[i]
-			span := (f.RateMax - f.RateMin) * c.RateStep
+			span := (f.RateMax - f.RateMin) * rateStep
 			old := rates[i]
 			next := old + (rng.Float64()*2-1)*span
 			if next < f.RateMin {
@@ -113,7 +113,7 @@ func SolveRatesGreedy(p *model.Problem, cfg Config) (Result, error) {
 				rates[i] = old
 			}
 		}
-		temp *= c.CoolRate
+		temp *= DefaultCoolRate
 	}
 
 	res.FinalUtility = utility

@@ -344,7 +344,8 @@ func (a *Autopilot) Stats() AutopilotStats {
 }
 
 // Loop runs Cycle every interval until stop is closed, then reports via
-// done. Errors are delivered to errs (nil channel drops them).
+// done. Errors are delivered to errs (nil channel drops them). interval
+// must be positive: the loop's ticker panics on anything else.
 func (a *Autopilot) Loop(interval time.Duration, stop <-chan struct{}, errs chan<- error) <-chan struct{} {
 	done := make(chan struct{})
 	go func() {

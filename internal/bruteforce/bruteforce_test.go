@@ -181,7 +181,7 @@ func TestAnnealNearOptimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa, _, err := anneal.SolveBestOf(p, anneal.Config{MaxSteps: 200_000, Seed: 4, RateStep: 0.3}, nil)
+	sa, _, err := anneal.SolveBestOf(p, anneal.Config{MaxSteps: 200_000, Seed: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

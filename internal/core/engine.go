@@ -70,7 +70,7 @@ type Engine struct {
 	// deterministically instead of racing the pool shutdown.
 	closed bool
 
-	// Incremental dirty-set state (DESIGN.md §9). The epoch slices record
+	// Incremental dirty-set state (DESIGN.md §8). The epoch slices record
 	// the iteration at which each quantity last changed value; a stage
 	// consults them to decide whether its cached outputs are still exact.
 	// The forced flags are set by mutators and Reset to dirty items whose
@@ -129,7 +129,7 @@ type Engine struct {
 	workSteady bool
 	settled    bool
 
-	// vc is the flow-basis value cache (DESIGN.md §9): what the node and
+	// vc is the flow-basis value cache (DESIGN.md §8): what the node and
 	// utility stages read instead of calling Utility.Value per class.
 	vc valueCache
 	// rank carries each node's admission ranking from one recompute to the
@@ -375,7 +375,7 @@ func (e *Engine) Close() {
 // changed this iteration (or a mutator touched its inputs); a link re-sums
 // its usage under the same rule. Everything else reuses the previous
 // iteration's values verbatim, so results are bit-identical to a full
-// recompute (see DESIGN.md §9 for the invariants). The O(1) price updates
+// recompute (see DESIGN.md §8 for the invariants). The O(1) price updates
 // and adaptive-gamma observations run for every armed constraint — they
 // move every iteration until the exact fixpoint.
 func (e *Engine) Step() StepResult {
@@ -399,9 +399,9 @@ func (e *Engine) Step() StepResult {
 		e.pool.run(e.shardFn, e.plan.shards)
 	}
 	if tel != nil {
-		res.StageNanos[0] = e.stageMark[0].Sub(t0).Nanoseconds()
-		res.StageNanos[1] = e.stageMark[1].Sub(e.stageMark[0]).Nanoseconds()
-		res.StageNanos[2] = time.Since(e.stageMark[1]).Nanoseconds()
+		res.StageNanos[telemetry.StageRate] = e.stageMark[0].Sub(t0).Nanoseconds()
+		res.StageNanos[telemetry.StageAdmission] = e.stageMark[1].Sub(e.stageMark[0]).Nanoseconds()
+		res.StageNanos[telemetry.StagePrice] = time.Since(e.stageMark[1]).Nanoseconds()
 	}
 
 	var rateChanged, popChanged bool

@@ -171,7 +171,7 @@ func (rs *rateSolver) solve(consumers []int, price float64) float64 {
 			}
 		}
 		rs.bisectConsumers, rs.bisectPrice = consumers, price
-		r, err := solver.Bisect(rs.bisectFn, rmin, rmax, solver.Options{})
+		r, err := solver.Bisect(rs.bisectFn, rmin, rmax)
 		rs.bisectConsumers = nil
 		if err != nil {
 			// The bracketing checks above guarantee a sign change; this

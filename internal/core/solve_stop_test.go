@@ -34,7 +34,7 @@ func allocHash(a model.Allocation) uint64 {
 }
 
 // overloads returns the engine's current worst node and link overload from
-// its cached usage (exact by the DESIGN §9 invariants).
+// its cached usage (exact by the DESIGN §8 invariants).
 func overloads(e *Engine) (node, link float64) {
 	for b, u := range e.nodeUsed {
 		node = math.Max(node, u-e.nodeCap[b])

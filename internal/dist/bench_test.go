@@ -149,7 +149,7 @@ func BenchmarkDistRecorder(b *testing.B) {
 			cl, err := New(p, Config{
 				Core:      core.Config{Adaptive: true},
 				Staleness: 1,
-				Record:    on,
+				record:    on,
 			}, net)
 			if err != nil {
 				b.Fatal(err)

@@ -30,7 +30,7 @@ func TestChirpPolicy(t *testing.T) {
 		}
 		c.stop()
 	}
-	// Resend <= 0 disables the chirp: a nil channel never fires in a select,
+	// A resend interval <= 0 disables the chirp: a nil channel never fires in a select,
 	// and progress and stop are no-ops.
 	for _, base := range []time.Duration{0, -time.Millisecond} {
 		c := newChirp(base)

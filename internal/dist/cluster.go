@@ -43,36 +43,36 @@ type Config struct {
 	// the last few prices, which overlaps rounds and rides out message
 	// loss.
 	Staleness int
-	// Resend is the stall re-announce interval (default DefaultResend when
-	// Staleness > 0, so the default barrier arms no timer; < 0 disables).
-	Resend time.Duration
 
 	// Telemetry, when non-nil, streams runtime metrics (round progress,
 	// staleness, chirp repairs, gateway occupancy, stalls) into the
 	// lrgp_dist_* families. All observations are atomic-only; a nil handle
 	// costs a nil check per event.
 	Telemetry *telemetry.DistMetrics
-	// Record attaches a flight recorder to every agent: a fixed-size
-	// lock-free ring of the last RecordSize events, dumpable via
-	// WriteEvents or a stall post-mortem. Implied by Postmortem or
-	// StallTimeout.
-	Record bool
-	// RecordSize is the per-agent ring capacity in events (default
-	// DefaultRecordSize, rounded up to a power of two).
-	RecordSize int
 	// StallTimeout arms the stall detector: if rounds are pending and the
 	// collector absorbs nothing for this long, the cluster records a stall
-	// and dumps a post-mortem. 0 disables.
+	// and dumps a post-mortem. 0 disables. Arms the flight recorder.
 	StallTimeout time.Duration
 	// Postmortem receives one JSONL dump of every agent's ring the first
 	// time the cluster stalls (detector trip, Run timeout, or Close
-	// timeout). Implies Record.
+	// timeout). Arms the flight recorder, which WriteEvents also reads:
+	// every agent keeps a fixed-size lock-free ring of its last
+	// DefaultRecordSize events.
 	Postmortem io.Writer
-	// StopGrace bounds how long Close waits for agents to acknowledge
-	// their Stop (default 5s). Under fault injection a Stop frame can be
-	// lost, making the grace period the shutdown deadline.
-	StopGrace time.Duration
 
+	// resend is the stall re-announce interval (DefaultResend when
+	// Staleness > 0, so the default barrier arms no timer; < 0 disables).
+	// Tests shorten it.
+	resend time.Duration
+	// record arms the flight recorder without a Postmortem or a
+	// StallTimeout, and recordSize sizes its rings (DefaultRecordSize when
+	// 0, rounded up to a power of two); only tests set them.
+	record     bool
+	recordSize int
+	// stopGrace bounds how long Close waits for agents to acknowledge
+	// their Stop (default 5s); tests under fault injection, where a Stop
+	// frame can be lost, shorten it.
+	stopGrace time.Duration
 	// parkCollector, when non-nil, keeps the collector from reading its
 	// inbox until the channel is closed (used by tests to let the agents
 	// run as far ahead of it as Run allows).
@@ -87,14 +87,14 @@ func (c Config) normalized() Config {
 	if c.Staleness < 0 {
 		c.Staleness = 0
 	}
-	if c.Staleness > 0 && c.Resend == 0 {
-		c.Resend = DefaultResend
+	if c.Staleness > 0 && c.resend == 0 {
+		c.resend = DefaultResend
 	}
 	if c.Postmortem != nil || c.StallTimeout > 0 {
-		c.Record = true
+		c.record = true
 	}
-	if c.StopGrace <= 0 {
-		c.StopGrace = 5 * time.Second
+	if c.stopGrace <= 0 {
+		c.stopGrace = 5 * time.Second
 	}
 	return c
 }
@@ -151,7 +151,7 @@ func New(p *model.Problem, cfg Config, net transport.Network) (*Cluster, error) 
 	ix := model.NewIndex(p)
 
 	cl := &Cluster{p: p, cfg: c, epoch: time.Now()}
-	if c.Record {
+	if c.record {
 		cl.clk = newRecClock(cl.epoch)
 	}
 	ok := false
@@ -229,10 +229,10 @@ func New(p *model.Problem, cfg Config, net transport.Network) (*Cluster, error) 
 // newRec attaches one flight-recorder ring when recording is enabled and
 // registers it for snapshots. Returns nil (a no-op recorder) otherwise.
 func (cl *Cluster) newRec(name string) *recorder {
-	if !cl.cfg.Record {
+	if !cl.cfg.record {
 		return nil
 	}
-	r := newRecorder(name, cl.cfg.RecordSize, cl.clk)
+	r := newRecorder(name, cl.cfg.recordSize, cl.clk)
 	cl.recs = append(cl.recs, r)
 	return r
 }
@@ -247,12 +247,12 @@ func (cl *Cluster) snapshot() []Event {
 }
 
 // WriteEvents dumps every agent's flight-recorder ring as one merged JSONL
-// event log (the lrgp-trace input format). Requires Config.Record. Safe to
-// call while the cluster is running; in-flight writes are skipped, not
-// torn.
+// event log (the lrgp-trace input format). Requires the flight recorder,
+// which Config.Postmortem or Config.StallTimeout arms. Safe to call while
+// the cluster is running; in-flight writes are skipped, not torn.
 func (cl *Cluster) WriteEvents(w io.Writer) error {
-	if !cl.cfg.Record {
-		return errors.New("dist: flight recording disabled (set Config.Record)")
+	if !cl.cfg.record {
+		return errors.New("dist: flight recording disabled (set Config.Postmortem or Config.StallTimeout)")
 	}
 	return writeEvents(w, cl.snapshot())
 }
@@ -407,9 +407,9 @@ func (cl *Cluster) sendCtrl(body ctrlMsg, to ...string) error {
 	return failed
 }
 
-// Run advances the cluster by `rounds` rounds and returns the per-round
-// global utilities observed by the collector. With Staleness > 0 over a
-// lossy transport, a round that lost a frame, or that a later round
+// Run advances the cluster by `rounds` rounds, at least 1, and returns the
+// per-round global utilities observed by the collector. With Staleness > 0
+// over a lossy transport, a round that lost a frame, or that a later round
 // finalized ahead of, is absent from the result.
 //
 // The collector is in no agent's barrier, so agents told to run far ahead
@@ -422,6 +422,9 @@ func (cl *Cluster) sendCtrl(body ctrlMsg, to ...string) error {
 // With Staleness > 0 a lost round is skipped by design and the chirps
 // repair the final one, so there is nothing to protect.
 func (cl *Cluster) Run(rounds int, timeout time.Duration) ([]RoundStats, error) {
+	if rounds < 1 {
+		return nil, fmt.Errorf("dist: run %d rounds; want at least 1", rounds)
+	}
 	if timeout <= 0 {
 		timeout = 30 * time.Second
 	}
@@ -547,7 +550,7 @@ func (cl *Cluster) Close() error {
 	// fault injection, so an agent may legitimately never stop; once the
 	// deadline fires (time.After delivers exactly once) stop waiting on
 	// the rest instead of selecting on the drained channel forever.
-	deadline := time.After(cl.cfg.StopGrace)
+	deadline := time.After(cl.cfg.stopGrace)
 	timedOut := false
 	wait := func(done <-chan struct{}, what string) {
 		if timedOut {

@@ -25,7 +25,7 @@ func TestStaleCollectorForgetsLostRounds(t *testing.T) {
 	cl, err := New(workload.Base(), Config{
 		Core:      core.Config{Adaptive: true},
 		Staleness: 1,
-		Resend:    2 * time.Millisecond,
+		resend:    2 * time.Millisecond,
 	}, net)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func TestStaleCollectorForgetsLostRounds(t *testing.T) {
 // reasoning does not apply — repair depends entirely on the node's resend
 // chirp getting through after the heal. In the host case one node agent's
 // host is cut off both ways. The cluster must recover within the
-// chirp-backoff budget (the interval is capped at 16x Resend, so the first
+// chirp-backoff budget (the interval is capped at 16x resend, so the first
 // post-heal chirp lands within ~32ms; the 1s bound is that plus
 // round-processing slack, against a 30s deadlock horizon) and still
 // converge to the engine's optimum.
@@ -101,7 +101,7 @@ func TestStaleRepairsAsymmetricPartition(t *testing.T) {
 			cl, err := New(p, Config{
 				Core:      core.Config{Adaptive: true},
 				Staleness: 1,
-				Resend:    2 * time.Millisecond,
+				resend:    2 * time.Millisecond,
 				Telemetry: tel,
 				ownHost:   tc.own,
 			}, net)

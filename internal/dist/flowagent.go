@@ -121,7 +121,7 @@ func newFlowAgent(p *model.Problem, ix *model.Index, fid model.FlowID, c Config)
 		consumers: make([]int, len(p.Classes)),
 		round:     1,
 		staleness: c.Staleness,
-		resend:    c.Resend,
+		resend:    c.resend,
 		tel:       c.Telemetry,
 		done:      make(chan struct{}),
 	}

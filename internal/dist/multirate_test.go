@@ -170,7 +170,7 @@ func TestMultirateStalenessConvergesUnderLoss(t *testing.T) {
 	cl, err := New(p, Config{
 		Core:      core.Config{Adaptive: true},
 		Staleness: 1,
-		Resend:    2 * time.Millisecond,
+		resend:    2 * time.Millisecond,
 		Multirate: true,
 		ownHost:   flowName(0), // else the flow and its one node share a host, and no loss falls between them
 	}, net)

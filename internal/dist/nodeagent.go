@@ -74,7 +74,7 @@ func newNodeAgent(p *model.Problem, ix *model.Index, b model.NodeID, c Config) *
 		rates:     make([]float64, len(p.Flows)),
 		consumers: make([]int, len(p.Classes)),
 		staleness: c.Staleness,
-		resend:    c.Resend,
+		resend:    c.resend,
 		tel:       c.Telemetry,
 		done:      make(chan struct{}),
 	}

@@ -44,7 +44,7 @@ func TestWriteEventsRoundTrip(t *testing.T) {
 		Core:      core.Config{Adaptive: true},
 		Staleness: 1,
 		Telemetry: telemetry.NewDistMetrics(reg),
-		Record:    true,
+		record:    true,
 	}, net)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestWriteEventsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWriteEventsRequiresRecord: without Config.Record the dump must fail
+// TestWriteEventsRequiresRecord: without a flight recorder the dump must fail
 // loudly instead of returning an empty log.
 func TestWriteEventsRequiresRecord(t *testing.T) {
 	net := transport.NewMemory()
@@ -125,7 +125,7 @@ func TestStallPostmortemOnLostStop(t *testing.T) {
 		Staleness:  1,
 		Telemetry:  tel,
 		Postmortem: pm,
-		StopGrace:  200 * time.Millisecond,
+		stopGrace:  200 * time.Millisecond,
 	}, net)
 	if err != nil {
 		t.Fatal(err)
@@ -178,11 +178,11 @@ func TestStallDetectorTripsMidRun(t *testing.T) {
 	cl, err := New(p, Config{
 		Core:         core.Config{Adaptive: true},
 		Staleness:    1,
-		Resend:       2 * time.Millisecond,
+		resend:       2 * time.Millisecond,
 		Telemetry:    tel,
 		Postmortem:   pm,
 		StallTimeout: 100 * time.Millisecond,
-		StopGrace:    200 * time.Millisecond,
+		stopGrace:    200 * time.Millisecond,
 	}, net)
 	if err != nil {
 		t.Fatal(err)
@@ -234,9 +234,9 @@ func TestTraceAnalyzeThousandAgents(t *testing.T) {
 	cl, err := New(p, Config{
 		Core:       core.Config{Adaptive: true},
 		Staleness:  2,
-		Resend:     5 * time.Millisecond,
-		Record:     true,
-		RecordSize: 1024,
+		resend:     5 * time.Millisecond,
+		record:     true,
+		recordSize: 1024,
 		ownHost:    flowName(straggler),
 	}, net)
 	if err != nil {

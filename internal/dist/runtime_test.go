@@ -60,7 +60,7 @@ func frozenTrajectory(t *testing.T, name string) []RoundStats {
 // awaitChirps blocks until the flight recorders show as many resend
 // chirps as the cluster has reporting agents. With the resend timer armed,
 // idle agents — between Run calls all of them are — each chirp within one
-// Resend interval.
+// resend interval.
 func awaitChirps(t *testing.T, cl *Cluster) {
 	t.Helper()
 	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
@@ -107,7 +107,7 @@ func TestTrajectoryMatchesFrozenOracle(t *testing.T) {
 			{tag: "per-node hosts"},
 			{tag: "fewer hosts", cfg: Config{Hosts: shape.hosts}},
 			{tag: "over TCP", tcp: true},
-			{tag: "Resend armed at K=0", cfg: Config{Resend: DefaultResend, Record: true}},
+			{tag: "Resend armed at K=0", cfg: Config{resend: DefaultResend, record: true}},
 		} {
 			var net transport.Network = transport.NewMemory()
 			if run.tcp {
@@ -121,7 +121,7 @@ func TestTrajectoryMatchesFrozenOracle(t *testing.T) {
 			// With the resend timer armed the run pauses halfway: between
 			// Run calls every agent is idle, so the chirps are certain.
 			first := len(want)
-			if run.cfg.Resend > 0 {
+			if run.cfg.resend > 0 {
 				first /= 2
 			}
 			got, err := cl.Run(first, 2*time.Minute)
@@ -214,7 +214,7 @@ func TestStalenessConvergesUnderLoss(t *testing.T) {
 	cl, err := New(p, Config{
 		Core:      core.Config{Adaptive: true},
 		Staleness: 1,
-		Resend:    2 * time.Millisecond,
+		resend:    2 * time.Millisecond,
 	}, net)
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +262,7 @@ func TestClusterThousandAgents(t *testing.T) {
 		Core:      core.Config{Adaptive: true},
 		Hosts:     24,
 		Staleness: 2,
-		Resend:    5 * time.Millisecond,
+		resend:    5 * time.Millisecond,
 	}, net)
 	if err != nil {
 		t.Fatal(err)
@@ -335,6 +335,34 @@ func TestCloseSurfacesSendFailure(t *testing.T) {
 	net.Close() // control sends now fail with ErrClosed
 	if err := cl.Close(); err == nil {
 		t.Error("Close returned nil after the transport failed its control sends")
+	}
+}
+
+// TestRunRefusesFewerThanOneRound: a count below 1 is an error and moves
+// nothing, so the next Run still returns every round it asked for,
+// numbered on from the last one run.
+func TestRunRefusesFewerThanOneRound(t *testing.T) {
+	net := transport.NewMemory()
+	defer net.Close()
+	cl, err := New(workload.Base(), Config{Core: core.Config{Adaptive: true}}, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.Run(2, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, -3} {
+		if stats, err := cl.Run(n, time.Minute); err == nil {
+			t.Errorf("Run(%d) = %v, want an error", n, stats)
+		}
+	}
+	stats, err := cl.Run(3, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stats) != 3 || stats[0].Round != 3 || stats[2].Round != 5 {
+		t.Errorf("Run(3) after the refusals = %+v, want rounds 3..5", stats)
 	}
 }
 

@@ -25,17 +25,20 @@ import (
 // the repair cost, the utility dip after one post-repair iteration, and
 // iterations/wall-clock to re-convergence warm vs cold.
 
+// Shape of the X11 overlay: churnSubsPerFlow subscriber classes per flow,
+// and churnExtraDegree extra links per node on top of the spanning tree
+// that keeps the random topology connected.
+const (
+	churnSubsPerFlow = 3
+	churnExtraDegree = 2
+)
+
 // ChurnConfig sizes the X11 rolling-failure experiment.
 type ChurnConfig struct {
 	// TopoNodes is the overlay size (default 10_000).
 	TopoNodes int
 	// Flows is the flow population (default TopoNodes/100).
 	Flows int
-	// SubsPerFlow is the subscriber classes per flow (default 3).
-	SubsPerFlow int
-	// ExtraDegree is the per-node extra-link count of the random topology
-	// (default 2; the spanning tree guarantees connectivity).
-	ExtraDegree int
 	// Events is how many churn events to run (default 8). Odd events
 	// restore what the preceding event failed, so the experiment
 	// alternates fail/heal.
@@ -58,12 +61,6 @@ func (c ChurnConfig) normalized() ChurnConfig {
 		if c.Flows < 4 {
 			c.Flows = 4
 		}
-	}
-	if c.SubsPerFlow <= 0 {
-		c.SubsPerFlow = 3
-	}
-	if c.ExtraDegree <= 0 {
-		c.ExtraDegree = 2
 	}
 	if c.Events <= 0 {
 		c.Events = 8
@@ -148,7 +145,7 @@ type ChurnResult struct {
 
 // churnWorkload builds the heterogeneous overlay and flow population.
 func churnWorkload(rng *rand.Rand, cc ChurnConfig) (*overlay.Topology, []float64, []overlay.FlowSpec) {
-	tp := overlay.RandomTopologyHetero(rng, cc.TopoNodes, cc.ExtraDegree, 1e5, 1e6)
+	tp := overlay.RandomTopologyHetero(rng, cc.TopoNodes, churnExtraDegree, 1e5, 1e6)
 	caps := make([]float64, cc.TopoNodes)
 	for b := range caps {
 		caps[b] = 2000 + rng.Float64()*2000
@@ -163,7 +160,7 @@ func churnWorkload(rng *rand.Rand, cc ChurnConfig) (*overlay.Topology, []float64
 			LinkCost: 1,
 			NodeCost: 2,
 		}
-		for s := 0; s < cc.SubsPerFlow; s++ {
+		for s := 0; s < churnSubsPerFlow; s++ {
 			fs.Classes = append(fs.Classes, overlay.ClassSpec{
 				Name:            fmt.Sprintf("f%d-c%d", fi, s),
 				Node:            model.NodeID(rng.Intn(cc.TopoNodes)),

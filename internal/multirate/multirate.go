@@ -169,7 +169,7 @@ func desiredDelivery(u utility.Function, price, dmin, dmax float64) float64 {
 	}
 	d, err := solver.Bisect(func(x float64) float64 {
 		return u.Deriv(x) - price
-	}, dmin, dmax, solver.Options{})
+	}, dmin, dmax)
 	if err != nil {
 		return dmin
 	}

@@ -66,7 +66,7 @@ func (s *SourceRateSolver) Rate(consumers []int, desired []float64, price float6
 	// sign change remains valid.
 	r, err := solver.Bisect(func(x float64) float64 {
 		return marginal(x) - price
-	}, f.RateMin, f.RateMax, solver.Options{})
+	}, f.RateMin, f.RateMax)
 	if err != nil {
 		return f.RateMin
 	}

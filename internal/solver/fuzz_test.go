@@ -23,7 +23,7 @@ func FuzzBisectDecreasing(f *testing.F) {
 		if fn(lo) <= 0 || fn(hi) >= 0 {
 			t.Skip() // not bracketed
 		}
-		root, err := Bisect(fn, lo, hi, Options{})
+		root, err := Bisect(fn, lo, hi)
 		if err != nil {
 			t.Fatalf("Bisect(%g,%g,%g,[%g,%g]): %v", scale, shift, price, lo, hi, err)
 		}

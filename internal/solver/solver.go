@@ -14,9 +14,9 @@ import (
 	"math"
 )
 
-// Default iteration limits and tolerances. 200 bisection steps reduce any
-// bracketing interval below double-precision resolution; Bisect stops
-// earlier once tolerances are met.
+// Iteration limit and tolerances. 200 halvings shrink an interval by
+// 2^-200 (about 6e-61), which takes any rate bracket below DefaultXTol;
+// Bisect stops earlier once a tolerance is met.
 const (
 	DefaultMaxIter = 200
 	DefaultXTol    = 1e-12
@@ -27,58 +27,34 @@ const (
 var (
 	ErrNoBracket = errors.New("solver: interval does not bracket a root")
 	ErrBadRange  = errors.New("solver: invalid interval")
-	ErrMaxIter   = errors.New("solver: iteration limit exceeded")
 )
-
-// Options tunes a solve. The zero value selects the defaults above.
-type Options struct {
-	// MaxIter caps the iteration count (default DefaultMaxIter).
-	MaxIter int
-	// XTol is the absolute tolerance on the root position.
-	XTol float64
-	// FTol is the absolute tolerance on the function value.
-	FTol float64
-}
-
-func (o Options) normalized() Options {
-	if o.MaxIter <= 0 {
-		o.MaxIter = DefaultMaxIter
-	}
-	if o.XTol <= 0 {
-		o.XTol = DefaultXTol
-	}
-	if o.FTol <= 0 {
-		o.FTol = DefaultFTol
-	}
-	return o
-}
 
 // Bisect finds x in [lo, hi] with f(x) = 0 by bisection. f must be
 // continuous and f(lo), f(hi) must have opposite signs (or one endpoint may
-// itself be a root). The returned root satisfies either |f(x)| <= FTol or a
-// final interval width <= XTol.
-func Bisect(f func(float64) float64, lo, hi float64, opts Options) (float64, error) {
-	o := opts.normalized()
+// itself be a root). The returned root satisfies |f(x)| <= DefaultFTol or a
+// final interval width <= DefaultXTol; failing both after DefaultMaxIter
+// halvings, it is the midpoint of the interval left.
+func Bisect(f func(float64) float64, lo, hi float64) (float64, error) {
 	if !(lo <= hi) || math.IsNaN(lo) || math.IsNaN(hi) {
 		return 0, fmt.Errorf("%w: [%g, %g]", ErrBadRange, lo, hi)
 	}
 
 	flo, fhi := f(lo), f(hi)
-	if math.Abs(flo) <= o.FTol {
+	if math.Abs(flo) <= DefaultFTol {
 		return lo, nil
 	}
-	if math.Abs(fhi) <= o.FTol {
+	if math.Abs(fhi) <= DefaultFTol {
 		return hi, nil
 	}
 	if flo*fhi > 0 {
 		return 0, fmt.Errorf("%w: f(%g)=%g, f(%g)=%g", ErrNoBracket, lo, flo, hi, fhi)
 	}
 
-	for i := 0; i < o.MaxIter; i++ {
+	for i := 0; i < DefaultMaxIter; i++ {
 		mid := lo + (hi-lo)/2
 		fmid := f(mid)
 		switch {
-		case math.Abs(fmid) <= o.FTol, hi-lo <= o.XTol:
+		case math.Abs(fmid) <= DefaultFTol, hi-lo <= DefaultXTol:
 			return mid, nil
 		case flo*fmid < 0:
 			hi = mid

@@ -9,20 +9,30 @@ import (
 )
 
 func TestBisectLinear(t *testing.T) {
-	f := func(x float64) float64 { return 2*x - 4 }
-	root, err := Bisect(f, 0, 10, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(root-2) > 1e-9 {
-		t.Errorf("root = %g, want 2", root)
+	for _, tt := range []struct {
+		a, b, lo, hi, want, tol float64
+	}{
+		{2, -4, 0, 10, 2, 1e-9},
+		// No tolerance is met within DefaultMaxIter halvings: every
+		// midpoint lies above the root, so the interval left is
+		// [0, 1e300/2^DefaultMaxIter] and its midpoint comes back.
+		{1, -1, 0, 1e300, math.Ldexp(1e300, -(DefaultMaxIter + 1)), 0},
+	} {
+		f := func(x float64) float64 { return tt.a*x + tt.b }
+		root, err := Bisect(f, tt.lo, tt.hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(root-tt.want) > tt.tol {
+			t.Errorf("root of %gx%+g on [%g, %g] = %g, want %g", tt.a, tt.b, tt.lo, tt.hi, root, tt.want)
+		}
 	}
 }
 
 func TestBisectDecreasing(t *testing.T) {
 	// The LRGP stationarity shape: strictly decreasing marginal utility.
 	f := func(r float64) float64 { return 100/(1+r) - 5 }
-	root, err := Bisect(f, 0, 1000, Options{})
+	root, err := Bisect(f, 0, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,14 +43,14 @@ func TestBisectDecreasing(t *testing.T) {
 
 func TestBisectEndpointRoots(t *testing.T) {
 	f := func(x float64) float64 { return x }
-	root, err := Bisect(f, 0, 5, Options{})
+	root, err := Bisect(f, 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if root != 0 {
 		t.Errorf("root = %g, want 0 (endpoint)", root)
 	}
-	root, err = Bisect(func(x float64) float64 { return x - 5 }, 0, 5, Options{})
+	root, err = Bisect(func(x float64) float64 { return x - 5 }, 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,17 +61,17 @@ func TestBisectEndpointRoots(t *testing.T) {
 
 func TestBisectNoBracket(t *testing.T) {
 	f := func(x float64) float64 { return x*x + 1 }
-	if _, err := Bisect(f, -1, 1, Options{}); !errors.Is(err, ErrNoBracket) {
+	if _, err := Bisect(f, -1, 1); !errors.Is(err, ErrNoBracket) {
 		t.Errorf("error = %v, want ErrNoBracket", err)
 	}
 }
 
 func TestBisectBadRange(t *testing.T) {
 	f := func(x float64) float64 { return x }
-	if _, err := Bisect(f, 2, 1, Options{}); !errors.Is(err, ErrBadRange) {
+	if _, err := Bisect(f, 2, 1); !errors.Is(err, ErrBadRange) {
 		t.Errorf("error = %v, want ErrBadRange", err)
 	}
-	if _, err := Bisect(f, math.NaN(), 1, Options{}); !errors.Is(err, ErrBadRange) {
+	if _, err := Bisect(f, math.NaN(), 1); !errors.Is(err, ErrBadRange) {
 		t.Errorf("error = %v, want ErrBadRange for NaN", err)
 	}
 }
@@ -76,7 +86,7 @@ func TestBisectPropertyRandomDecreasing(t *testing.T) {
 		if f(0) <= 0 || f(1e9) >= 0 {
 			return true // not bracketed in test interval, skip
 		}
-		root, err := Bisect(f, 0, 1e9, Options{})
+		root, err := Bisect(f, 0, 1e9)
 		if err != nil {
 			return false
 		}
@@ -88,16 +98,5 @@ func TestBisectPropertyRandomDecreasing(t *testing.T) {
 		Rand:     rand.New(rand.NewSource(7)),
 	}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestOptionsNormalized(t *testing.T) {
-	o := Options{}.normalized()
-	if o.MaxIter != DefaultMaxIter || o.XTol != DefaultXTol || o.FTol != DefaultFTol {
-		t.Errorf("normalized zero Options = %+v", o)
-	}
-	o = Options{MaxIter: 5, XTol: 1e-3, FTol: 1e-4}.normalized()
-	if o.MaxIter != 5 || o.XTol != 1e-3 || o.FTol != 1e-4 {
-		t.Errorf("normalized custom Options = %+v", o)
 	}
 }

@@ -31,13 +31,15 @@ type MetroConfig struct {
 	// ClassesPerFlow is the number of consumer classes per flow
 	// (default 100).
 	ClassesPerFlow int
-	// HotEvery makes every HotEvery-th pod capacity-constrained
-	// (default 4: a quarter of the pods stay hot).
-	HotEvery int
-	// Seed seeds the generator; the same seed always produces the
-	// identical problem (default 1).
-	Seed int64
 }
+
+// Every metroHotEvery-th pod is capacity-constrained (a quarter of the pods
+// stay hot), and metroSeed seeds the generator, so one config always
+// produces the identical problem.
+const (
+	metroHotEvery = 4
+	metroSeed     = 1
+)
 
 func (c MetroConfig) normalized() MetroConfig {
 	if c.Pods <= 0 {
@@ -51,12 +53,6 @@ func (c MetroConfig) normalized() MetroConfig {
 	}
 	if c.ClassesPerFlow <= 0 {
 		c.ClassesPerFlow = 100
-	}
-	if c.HotEvery <= 0 {
-		c.HotEvery = 4
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	return c
 }
@@ -86,7 +82,7 @@ func MetroSmall() *model.Problem {
 // every run and under every GOMAXPROCS.
 func MetroSized(cfg MetroConfig) *model.Problem {
 	c := cfg.normalized()
-	rng := rand.New(rand.NewSource(c.Seed))
+	rng := rand.New(rand.NewSource(metroSeed))
 
 	nFlows := c.Pods * c.FlowsPerPod
 	nNodes := c.Pods * c.NodesPerPod
@@ -100,7 +96,7 @@ func MetroSized(cfg MetroConfig) *model.Problem {
 	}
 
 	for pod := 0; pod < c.Pods; pod++ {
-		hot := pod%c.HotEvery == 0
+		hot := pod%metroHotEvery == 0
 		nodeBase := pod * c.NodesPerPod
 		// Per-node capacity, heterogeneous: hot pods sit tight against the
 		// demand their classes generate (sustained price dynamics), cold

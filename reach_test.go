@@ -11,12 +11,13 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// uncalledAllowed names the exported functions and methods under
-// internal/ that may stay without a non-test caller, each with its reason.
-// Keys are "importpath.Func" or "importpath.Type.Method".
+// uncalledAllowed names the exports under internal/ that may stay without
+// a non-test reference, each with its reason. Keys are "importpath.Name"
+// or "importpath.Type.Method".
 var uncalledAllowed = map[string]string{
 	"repro/internal/transport.ListenTCP":              "one endpoint of a multi-process TCP deployment, outside the in-process network",
 	"repro/internal/transport.Memory.SetDropRate":     "fault hook: the lossy-network tests inject loss through it",
@@ -32,41 +33,70 @@ var uncalledAllowed = map[string]string{
 	"repro/internal/overlay.RandomTopology":           "the random graph the overlay and core property tests share",
 }
 
-// TestEveryExportHasACaller type-checks every non-test package of the
-// module and of bench/ and fails on each exported function or method under
-// internal/ that nothing outside a test calls. Methods that satisfy an
-// interface the program uses are exempt (they are called through it), and
-// so is what uncalledAllowed lists.
-func TestEveryExportHasACaller(t *testing.T) {
+// unsetAllowed names the options TestEveryOptionIsSet lets stand though
+// no program sets them, each with its reason. Keys are
+// "importpath.Type.Field", or "importpath.Type" for all of a type's fields.
+var unsetAllowed = map[string]string{
+	"repro/internal/dist.Config.Multirate":       "the agents' run of the multirate extension (Section 5), proved by multirate_40.bits and TestMultirateSyncMatchesEngine",
+	"repro/internal/experiments.Options.SATemps": "the tests and root benchmarks cut the annealing sweep to two temperatures; a constant would triple their annealing time",
+	"repro/internal/workload.RandomConfig":       "configures workload.Random, which uncalledAllowed keeps for the property tests",
+}
+
+// The checkout is type-checked once and shared by the tests below.
+var (
+	checkoutOnce  sync.Once
+	checkout      *loader
+	checkoutPaths []string
+	checkoutErr   error
+)
+
+// loadCheckout type-checks every non-test package of the module, of bench/
+// and of examples/, and returns the loader with the import paths it holds.
+func loadCheckout(t *testing.T) (*loader, []string) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("static analysis: the race detector has nothing to watch")
 	}
-	l := &loader{fset: token.NewFileSet(), pkgs: map[string]*loadedPkg{}}
-	l.std = importer.ForCompiler(l.fset, "source", nil)
-	var paths []string
-	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
+	checkoutOnce.Do(func() {
+		l := &loader{fset: token.NewFileSet(), pkgs: map[string]*loadedPkg{}}
+		l.std = importer.ForCompiler(l.fset, "source", nil)
+		var paths []string
+		err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			name := d.Name()
+			if dir != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			if bp, err := build.ImportDir(dir, 0); err == nil && len(bp.GoFiles) > 0 {
+				paths = append(paths, importPath(dir))
+			}
+			return nil
+		})
+		for _, p := range paths {
+			if err != nil {
+				break
+			}
+			_, err = l.Import(p)
 		}
-		name := d.Name()
-		if dir != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
-		}
-		if bp, err := build.ImportDir(dir, 0); err == nil && len(bp.GoFiles) > 0 {
-			paths = append(paths, importPath(dir))
-		}
-		return nil
+		checkout, checkoutPaths, checkoutErr = l, paths, err
 	})
-	if err != nil {
-		t.Fatal(err)
+	if checkoutErr != nil {
+		t.Fatal(checkoutErr)
 	}
-	for _, p := range paths {
-		if _, err := l.Import(p); err != nil {
-			t.Fatal(err)
-		}
-	}
+	return checkout, checkoutPaths
+}
 
-	called := map[*types.Func]bool{}
+// TestEveryExportHasACaller fails on each exported function, method,
+// package-level var, const or type under internal/ that nothing outside a
+// test refers to. A declaration's references to itself do not count, nor
+// do the receivers of a type's own methods. Methods that satisfy an
+// interface the program uses are exempt (they are called through it), and
+// so is what uncalledAllowed lists.
+func TestEveryExportHasACaller(t *testing.T) {
+	l, paths := loadCheckout(t)
+	used := map[types.Object]bool{}
 	ifaces := l.implicitInterfaces(t)
 	for _, lp := range l.pkgs {
 		for _, tv := range lp.info.Types {
@@ -74,23 +104,50 @@ func TestEveryExportHasACaller(t *testing.T) {
 				ifaces[iface] = true
 			}
 		}
+		// Each function and each spec of a declaration group is walked on
+		// its own, so that only what it declares counts as itself.
+		var units []ast.Node
 		for _, f := range lp.files {
 			for _, decl := range f.Decls {
-				var self types.Object
-				if fd, ok := decl.(*ast.FuncDecl); ok {
-					self = lp.info.Defs[fd.Name]
+				if gd, ok := decl.(*ast.GenDecl); ok {
+					for _, spec := range gd.Specs {
+						units = append(units, spec)
+					}
+				} else {
+					units = append(units, decl)
 				}
-				ast.Inspect(decl, func(n ast.Node) bool {
-					id, ok := n.(*ast.Ident)
-					if !ok {
-						return true
-					}
-					if fn, ok := lp.info.Uses[id].(*types.Func); ok && fn != self {
-						called[fn.Origin()] = true
-					}
-					return true
-				})
 			}
+		}
+		for _, unit := range units {
+			self := map[types.Object]bool{}
+			var recv *ast.FieldList
+			switch u := unit.(type) {
+			case *ast.FuncDecl:
+				self[lp.info.Defs[u.Name]], recv = true, u.Recv
+			case *ast.ValueSpec:
+				for _, name := range u.Names {
+					self[lp.info.Defs[name]] = true
+				}
+			case *ast.TypeSpec:
+				self[lp.info.Defs[u.Name]] = true
+			}
+			ast.Inspect(unit, func(n ast.Node) bool {
+				if recv != nil && n == ast.Node(recv) {
+					return false
+				}
+				id, ok := n.(*ast.Ident)
+				if !ok {
+					return true
+				}
+				obj := lp.info.Uses[id]
+				if fn, ok := obj.(*types.Func); ok {
+					obj = fn.Origin()
+				}
+				if obj != nil && !self[obj] {
+					used[obj] = true
+				}
+				return true
+			})
 		}
 	}
 
@@ -100,9 +157,12 @@ func TestEveryExportHasACaller(t *testing.T) {
 		if !strings.HasPrefix(p, "repro/internal/") {
 			continue
 		}
-		for _, fn := range exportedFuncs(l.pkgs[p].types) {
-			key := funcKey(fn)
-			if called[fn] || satisfiesInterface(fn, ifaces) {
+		for _, obj := range exportedObjects(l.pkgs[p].types) {
+			key := objectKey(obj)
+			if used[obj] {
+				continue
+			}
+			if fn, ok := obj.(*types.Func); ok && satisfiesInterface(fn, ifaces) {
 				continue
 			}
 			if uncalledAllowed[key] != "" {
@@ -114,13 +174,126 @@ func TestEveryExportHasACaller(t *testing.T) {
 	}
 	sort.Strings(missing)
 	for _, key := range missing {
-		t.Errorf("%s has no non-test caller: delete it, move it to a test file, or allowlist it with a reason", key)
+		t.Errorf("%s has no non-test reference: delete it, move it to a test file, or allowlist it with a reason", key)
 	}
 	for key := range uncalledAllowed {
 		if !allowed[key] {
-			t.Errorf("allowlist entry %s names nothing uncalled under internal/: drop it", key)
+			t.Errorf("allowlist entry %s names nothing unreferenced under internal/: drop it", key)
 		}
 	}
+}
+
+// TestEveryOptionIsSet fails on each exported field of an exported struct
+// named Options, Config or *Config under internal/ that no non-test file
+// writes: as a key of a composite literal, by assignment through a
+// selector, or by taking its address (a flag bound to it). A type's own
+// normalized and WithDefaults methods do not count; what unsetAllowed
+// lists is exempt.
+func TestEveryOptionIsSet(t *testing.T) {
+	l, paths := loadCheckout(t)
+	set := map[*types.Var]bool{}
+	for _, lp := range l.pkgs {
+		for _, f := range lp.files {
+			for _, decl := range f.Decls {
+				own := defaultedFields(lp.info, decl)
+				mark := func(e ast.Expr) {
+					if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+						if v, ok := lp.info.Uses[sel.Sel].(*types.Var); ok && v.IsField() && !own[v] {
+							set[v.Origin()] = true
+						}
+					}
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.KeyValueExpr:
+						if id, ok := n.Key.(*ast.Ident); ok {
+							if v, ok := lp.info.Uses[id].(*types.Var); ok && v.IsField() {
+								set[v.Origin()] = true
+							}
+						}
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							mark(lhs)
+						}
+					case *ast.IncDecStmt:
+						mark(n.X)
+					case *ast.UnaryExpr:
+						if n.Op == token.AND {
+							mark(n.X)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	var unset []string
+	allowed := map[string]bool{}
+	for _, p := range paths {
+		if !strings.HasPrefix(p, "repro/internal/") {
+			continue
+		}
+		scope := l.pkgs[p].types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !(name == "Options" || strings.HasSuffix(name, "Config")) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			typeKey := p + "." + name
+			for i := 0; i < st.NumFields(); i++ {
+				field := st.Field(i)
+				if !field.Exported() || set[field] {
+					continue
+				}
+				key := typeKey + "." + field.Name()
+				switch {
+				case unsetAllowed[key] != "":
+					allowed[key] = true
+				case unsetAllowed[typeKey] != "":
+					allowed[typeKey] = true
+				default:
+					unset = append(unset, key)
+				}
+			}
+		}
+	}
+	sort.Strings(unset)
+	for _, key := range unset {
+		t.Errorf("option %s is set by no program: make it a constant or an unexported field a test sets, or allowlist it with a reason", key)
+	}
+	for key := range unsetAllowed {
+		if !allowed[key] {
+			t.Errorf("allowlist entry %s names no unset option under internal/: drop it", key)
+		}
+	}
+}
+
+// defaultedFields is the set of fields decl may write without setting an
+// option: those of its receiver's struct when decl is that type's
+// normalized or WithDefaults method.
+func defaultedFields(info *types.Info, decl ast.Decl) map[*types.Var]bool {
+	fd, ok := decl.(*ast.FuncDecl)
+	if !ok || fd.Recv == nil || (fd.Name.Name != "normalized" && fd.Name.Name != "WithDefaults") {
+		return nil
+	}
+	fn, ok := info.Defs[fd.Name].(*types.Func)
+	if !ok {
+		return nil
+	}
+	st, ok := recvType(fn).Underlying().(*types.Struct)
+	if !ok {
+		return nil
+	}
+	own := map[*types.Var]bool{}
+	for i := 0; i < st.NumFields(); i++ {
+		own[st.Field(i)] = true
+	}
+	return own
 }
 
 // importPath maps a directory of this checkout to its import path; bench/
@@ -201,37 +374,41 @@ func (l *loader) implicitInterfaces(t *testing.T) map[*types.Interface]bool {
 	return out
 }
 
-// exportedFuncs lists pkg's exported functions and the exported methods of
-// its named types.
-func exportedFuncs(pkg *types.Package) []*types.Func {
-	var out []*types.Func
+// exportedObjects lists pkg's exported package-level objects and the
+// exported methods of its named types.
+func exportedObjects(pkg *types.Package) []types.Object {
+	var out []types.Object
 	scope := pkg.Scope()
 	for _, name := range scope.Names() {
-		switch obj := scope.Lookup(name).(type) {
-		case *types.Func:
-			if obj.Exported() {
-				out = append(out, obj)
-			}
-		case *types.TypeName:
-			named, ok := obj.Type().(*types.Named)
-			if !ok || obj.IsAlias() {
-				continue
-			}
-			for i := 0; i < named.NumMethods(); i++ {
-				if m := named.Method(i); m.Exported() {
-					out = append(out, m)
-				}
+		obj := scope.Lookup(name)
+		if obj.Exported() {
+			out = append(out, obj)
+		}
+		tn, ok := obj.(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue
+		}
+		named, ok := tn.Type().(*types.Named)
+		if !ok {
+			continue
+		}
+		for i := 0; i < named.NumMethods(); i++ {
+			if m := named.Method(i); m.Exported() {
+				out = append(out, m)
 			}
 		}
 	}
 	return out
 }
 
-func funcKey(fn *types.Func) string {
-	if n := recvType(fn); n != nil {
-		return fn.Pkg().Path() + "." + n.Obj().Name() + "." + fn.Name()
+// objectKey is "importpath.Name", or "importpath.Type.Method" for a method.
+func objectKey(obj types.Object) string {
+	if fn, ok := obj.(*types.Func); ok {
+		if n := recvType(fn); n != nil {
+			return fn.Pkg().Path() + "." + n.Obj().Name() + "." + fn.Name()
+		}
 	}
-	return fn.Pkg().Path() + "." + fn.Name()
+	return obj.Pkg().Path() + "." + obj.Name()
 }
 
 // recvType is the named type method fn is declared on, nil for a function.
