@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -92,6 +93,9 @@ func parseTemps(s string) ([]float64, error) {
 		v, err := strconv.ParseFloat(part, 64)
 		if err != nil {
 			return nil, fmt.Errorf("bad temperature %q: %w", part, err)
+		}
+		if !(v > 0 && v <= math.MaxFloat64) {
+			return nil, fmt.Errorf("bad temperature %q: want a finite temperature above 0", part)
 		}
 		out = append(out, v)
 	}

@@ -54,3 +54,20 @@ func TestParseTemps(t *testing.T) {
 		t.Errorf("parseTemps = %v", got)
 	}
 }
+
+// TestRunRefusesBadTemps: a temperature that is not finite and above 0 is
+// refused before anything runs. -temps NaN used to report "start temp
+// NaN", and -temps 0 reported "start temp 0" for a run made at the
+// default 5.
+func TestRunRefusesBadTemps(t *testing.T) {
+	for _, temps := range []string{"NaN", "0", "-3", "+Inf", "5,NaN"} {
+		var out bytes.Buffer
+		err := run([]string{"-steps", "100", "-temps", temps}, &out)
+		if err == nil || !strings.Contains(err.Error(), "bad temperature") {
+			t.Errorf("-temps %s: run = %v, want a bad temperature error", temps, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-temps %s printed %q before refusing", temps, out.String())
+		}
+	}
+}

@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sync/atomic"
 
@@ -54,6 +55,12 @@ func run(args []string, out io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if !(*gamma > 0 && *gamma <= math.MaxFloat64) {
+		return fmt.Errorf("-gamma %g: want a finite stepsize above 0", *gamma)
+	}
+	if *iters < 1 {
+		return fmt.Errorf("-iters %d: want at least 1", *iters)
 	}
 
 	shape, err := workload.ParseShape(*shapeName)

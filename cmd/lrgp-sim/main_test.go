@@ -63,6 +63,30 @@ func TestRunFixedGamma(t *testing.T) {
 	}
 }
 
+// TestRunRefusesBadFlags: a stepsize that is not finite and above 0, or
+// an iteration budget below 1, is refused with an error naming the flag,
+// instead of running (NaN), silently taking the default (-1) or running
+// to convergence (0, -5).
+func TestRunRefusesBadFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-adaptive=false", "-gamma", "NaN"},
+		{"-adaptive=false", "-gamma", "-1"},
+		{"-adaptive=false", "-gamma", "0"},
+		{"-gamma", "+Inf"},
+		{"-iters", "0"},
+		{"-iters", "-5"},
+	} {
+		var out bytes.Buffer
+		err := run(args, &out)
+		if err == nil || !strings.Contains(err.Error(), args[len(args)-2]) {
+			t.Errorf("run %q = %v, want an error naming %s", args, err, args[len(args)-2])
+		}
+		if out.Len() != 0 {
+			t.Errorf("run %q printed %q before refusing", args, out.String())
+		}
+	}
+}
+
 func TestRunMultirateFlag(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-multirate", "-iters", "100", "-alloc"}, &out); err != nil {

@@ -65,6 +65,15 @@ type Config struct {
 	Seed int64
 }
 
+// validate refuses a start temperature normalization would not repair:
+// NaN or ±Inf. Zero or below means DefaultStartTemp.
+func (c Config) validate() error {
+	if math.IsNaN(c.StartTemp) || math.IsInf(c.StartTemp, 0) {
+		return fmt.Errorf("anneal: %w: StartTemp %g", model.ErrInvalid, c.StartTemp)
+	}
+	return nil
+}
+
 func (c Config) normalized() Config {
 	if c.StartTemp <= 0 {
 		c.StartTemp = DefaultStartTemp
@@ -233,6 +242,9 @@ func (s *state) applyPop(j model.ClassID, n int, du float64) {
 func Solve(p *model.Problem, cfg Config) (Result, error) {
 	if err := model.Validate(p); err != nil {
 		return Result{}, fmt.Errorf("anneal: %w", err)
+	}
+	if err := cfg.validate(); err != nil {
+		return Result{}, err
 	}
 	c := cfg.normalized()
 	ix := model.NewIndex(p)

@@ -17,6 +17,22 @@ func TestSolveValidates(t *testing.T) {
 	}
 }
 
+// TestSolveRefusesNonFiniteStartTemp: both annealers refuse a NaN or
+// infinite StartTemp with model.ErrInvalid instead of carrying it through
+// the schedule.
+func TestSolveRefusesNonFiniteStartTemp(t *testing.T) {
+	p := workload.Base()
+	for _, temp := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := Config{StartTemp: temp, MaxSteps: 10}
+		if _, err := Solve(p, cfg); !errors.Is(err, model.ErrInvalid) {
+			t.Errorf("Solve at StartTemp %g = %v, want model.ErrInvalid", temp, err)
+		}
+		if _, err := SolveRatesGreedy(p, cfg); !errors.Is(err, model.ErrInvalid) {
+			t.Errorf("SolveRatesGreedy at StartTemp %g = %v, want model.ErrInvalid", temp, err)
+		}
+	}
+}
+
 func TestSolveResultFeasible(t *testing.T) {
 	p := workload.Base()
 	res, err := Solve(p, Config{MaxSteps: 50_000, Seed: 3})

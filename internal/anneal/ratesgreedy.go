@@ -24,6 +24,9 @@ func SolveRatesGreedy(p *model.Problem, cfg Config) (Result, error) {
 	if err := model.Validate(p); err != nil {
 		return Result{}, fmt.Errorf("anneal: %w", err)
 	}
+	if err := cfg.validate(); err != nil {
+		return Result{}, err
+	}
 	c := cfg.normalized()
 	ix := model.NewIndex(p)
 	rng := rand.New(rand.NewSource(c.Seed))

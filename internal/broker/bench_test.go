@@ -68,10 +68,11 @@ func gridProblem(flows, perFlow int) *model.Problem {
 // fanProblem is gridProblem with one class per flow.
 func fanProblem(flows int) *model.Problem { return gridProblem(flows, 1) }
 
-// gridBroker builds a gridProblem broker with `attached` handler-less
-// consumers on every class and `admitted` of them admitted at 1e9 msg/s,
-// and returns it with the enacted allocation. Each consumer's filter is
-// its own label, numbered in attach order. (The broker never holds
+// gridBroker builds a gridProblem broker with `attached` consumers on
+// every class and `admitted` of them admitted at 1e9 msg/s, and returns it
+// with the enacted allocation. Each consumer's handler is the tag of its
+// own label, numbered in attach order; on odd classes the label is its
+// filter too, and even classes have no filters. (The broker never holds
 // attachment to a class's MaxConsumers; that bound is the optimizer's.)
 func gridBroker(tb testing.TB, flows, perFlow, attached, admitted int) (*Broker, model.Allocation) {
 	tb.Helper()
@@ -83,7 +84,12 @@ func gridBroker(tb testing.TB, flows, perFlow, attached, admitted int) (*Broker,
 	alloc := model.NewAllocation(p)
 	for j := range p.Classes {
 		for k := 0; k < attached; k++ {
-			if _, err := br.AttachConsumer(model.ClassID(j), label(j*attached+k), nil); err != nil {
+			l := label(j*attached + k)
+			var f Filter
+			if j%2 == 1 {
+				f = l
+			}
+			if _, err := br.AttachConsumer(model.ClassID(j), f, tag(l)); err != nil {
 				tb.Fatal(err)
 			}
 		}

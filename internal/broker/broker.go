@@ -17,9 +17,10 @@ import (
 // This file holds the broker's control-plane state and its operations.
 //
 // A consumer is a slot in its class, not an object of its own: each
-// classState keeps two arrays in the same attach order, consumers (value
-// entries of filter and handler, which route snapshots share under the
-// published-prefix rule of enact.go) and ids (the control plane's alone).
+// classState keeps its handlers and ids in the same attach order, plus
+// filters beside them once the class has a filtered consumer. Route
+// snapshots share handlers and filters under the published-prefix rule of
+// enact.go; ids is the control plane's alone.
 // DetachConsumer and Admitted decode the class from the ConsumerID and
 // binary-search its ids, which ascend; there is no broker-wide map.
 // Admission is position: the first classState.admitted entries are
@@ -55,35 +56,33 @@ var (
 	ErrConsumerIDsExhausted = errors.New("broker: consumer IDs exhausted")
 )
 
-// consumer is one attached consumer, held by value in its class's
-// attach-ordered array and immutable once attached. A nil filter matches
-// everything (AttachConsumer stores MatchAll as nil, so Publish skips the
-// call). Whether it is admitted is its position: the first
-// classState.admitted entries are.
-type consumer struct {
-	filter  Filter
-	handler Handler
-}
-
 // classState is the authoritative (control-plane) state of one class.
-// The broker mutex guards transform, consumers, ids, admitted and thinner
-// installation; the counter block is updated with atomics from both
-// planes and shared by pointer with every route snapshot.
+// The broker mutex guards transform, handlers, ids, filters, admitted and
+// thinner installation; the counter block is updated with atomics from
+// both planes and shared by pointer with every route snapshot.
 type classState struct {
 	transform Transform
-	// consumers and ids are the attached consumers in attach order, entry
+	// handlers and ids are the attached consumers in attach order, entry
 	// for entry; admission follows this order (earliest attached admitted
 	// first, latest unadmitted first on shrink), so the admitted set is
-	// consumers[:admitted]. Snapshots share consumers' array under the
+	// handlers[:admitted]. Snapshots share handlers' array under the
 	// published rule; ids is the control plane's alone, ascending (IDs
 	// grow in attach order), and found by binary search.
-	consumers []consumer
-	ids       []ConsumerID
-	admitted  int
-	// published is the longest prefix of consumers' current backing array
-	// any route snapshot may still read (snapshots share the array rather
-	// than copy out of it; see enact.go). The control plane never writes
-	// an index below it; moving to a fresh array resets it to 0.
+	handlers []Handler
+	ids      []ConsumerID
+	// filters is nil until the class's first consumer with a filter
+	// attaches. From then on it runs entry for entry beside handlers, with
+	// the same capacity, grows and moves to a fresh array with it, and is
+	// shared by snapshots under the same rule; a nil entry matches
+	// everything (AttachConsumer stores MatchAll as nil, so Publish skips
+	// the call). A class keeps it once it has it.
+	filters  []Filter
+	admitted int
+	// published is the longest prefix of the current backing arrays of
+	// handlers and filters any route snapshot may still read (snapshots
+	// share the arrays rather than copy out of them; see enact.go). The
+	// control plane never writes an index below it in either; moving to
+	// fresh arrays resets it to 0.
 	published int
 	// thinner, when set, caps this class's delivery rate below the
 	// flow's source rate (multirate thinning: elastic consumers receive
@@ -99,22 +98,33 @@ type classState struct {
 
 // removeAt drops entry k, keeping attach order. ids is never published,
 // so it always shifts in place. At or past the published high-water mark
-// no snapshot can read what moves in consumers either, so its tail shifts
-// down in place too (slices.Delete also clears the vacated slot: the array
-// must not keep the departed consumer's filter and handler alive). Inside
-// it, a snapshot may still be walking the very entries a shift would
-// overwrite: they keep the old array and the class moves to a fresh one.
+// no snapshot can read what moves in handlers or filters either, so their
+// tails shift down in place too (slices.Delete also clears the vacated
+// slot: the arrays must not keep the departed consumer's handler and
+// filter alive). Inside it, a snapshot may still be walking the very
+// entries a shift would overwrite: they keep the old arrays and the class
+// moves to fresh ones.
 func (cs *classState) removeAt(k int) {
 	cs.ids = slices.Delete(cs.ids, k, k+1)
-	old := cs.consumers
-	if k >= cs.published {
-		cs.consumers = slices.Delete(old, k, k+1)
-		return
+	cs.handlers = removeShared(cs.handlers, k, cs.published)
+	if cs.filters != nil {
+		cs.filters = removeShared(cs.filters, k, cs.published)
 	}
-	fresh := make([]consumer, len(old)-1, cap(old))
-	copy(fresh, old[:k])
-	copy(fresh[k:], old[k+1:])
-	cs.consumers, cs.published = fresh, 0
+	if k < cs.published {
+		cs.published = 0
+	}
+}
+
+// removeShared drops entry k of s, in place when k is at or past the
+// published prefix, else into a fresh array of s's capacity.
+func removeShared[E any](s []E, k, published int) []E {
+	if k >= published {
+		return slices.Delete(s, k, k+1)
+	}
+	fresh := make([]E, len(s)-1, cap(s))
+	copy(fresh, s[:k])
+	copy(fresh[k:], s[k+1:])
+	return fresh
 }
 
 // FlowStats reports one flow's publish-side accounting.
@@ -197,10 +207,13 @@ type Broker struct {
 	// and admitted counts, guarded by mu like the state they copy.
 	// ApplyAllocation's diff streams these sequential arrays instead of
 	// dereferencing every padded flowState and classState (~20k scattered
-	// cache misses on a 10k-flow broker).
+	// cache misses on a 10k-flow broker). attachedTotal and admittedTotal
+	// are their sums, kept as they change, for the consumer gauges.
 	enactedRates  []float64
 	attachedCount []int32
 	admittedCount []int32
+	attachedTotal int
+	admittedTotal int
 }
 
 // Option configures a Broker.
@@ -308,17 +321,26 @@ func (b *Broker) AttachConsumer(class model.ClassID, filter Filter, h Handler) (
 	id := ConsumerID(b.nextSeq<<b.classBits | int64(class))
 	b.nextSeq++
 	cs := &b.classes[class]
-	if len(cs.consumers) == cap(cs.consumers) {
+	if len(cs.handlers) == cap(cs.handlers) {
 		// The append below moves to a fresh array no snapshot has seen.
 		cs.published = 0
 	}
-	cs.consumers = append(cs.consumers, consumer{filter: filter, handler: h})
+	cs.handlers = append(cs.handlers, h)
+	if filter != nil || cs.filters != nil {
+		if cap(cs.filters) != cap(cs.handlers) {
+			// The class's first filter, or handlers just moved: filters
+			// follow into a fresh array of the same capacity.
+			fresh := make([]Filter, len(cs.handlers)-1, cap(cs.handlers))
+			copy(fresh, cs.filters)
+			cs.filters = fresh
+		}
+		cs.filters = append(cs.filters, filter)
+	}
 	cs.ids = append(cs.ids, id)
 	cs.counters.attached.Add(1)
 	b.attachedCount[class]++
-	if b.tel != nil {
-		b.tel.ObserveConsumers(b.consumerTotalsLocked())
-	}
+	b.attachedTotal++
+	b.tel.ObserveConsumers(b.attachedTotal, b.admittedTotal)
 	return id, nil
 }
 
@@ -347,19 +369,6 @@ func (b *Broker) attachedCounts(dst []int32) []int32 {
 	return append(dst[:0], b.attachedCount...)
 }
 
-// consumerTotalsLocked returns the attached and admitted consumer counts
-// across all classes, summed from the dense counts. Callers must hold
-// b.mu and should skip the call entirely when b.tel is nil —
-// it is telemetry-only, and even a dense O(classes) scan is measurable
-// inside the enact critical section.
-func (b *Broker) consumerTotalsLocked() (attached, admitted int) {
-	for j, n := range b.admittedCount {
-		attached += int(b.attachedCount[j])
-		admitted += int(n)
-	}
-	return attached, admitted
-}
-
 // DetachConsumer removes a consumer entirely. In-flight publishes that
 // loaded the routing snapshot before the detach may still deliver to the
 // consumer's handler.
@@ -375,10 +384,12 @@ func (b *Broker) DetachConsumer(id ConsumerID) error {
 	cs.removeAt(k)
 	cs.counters.attached.Add(-1)
 	b.attachedCount[class]--
+	b.attachedTotal--
 	if k < cs.admitted {
 		cs.admitted--
 		cs.counters.admitted.Add(-1)
 		b.admittedCount[class]--
+		b.admittedTotal--
 		// Only an admitted consumer is visible to the data plane; its
 		// departure dirties exactly its class's flow. Detaching a
 		// never-admitted consumer (the common case in attach/detach
@@ -388,9 +399,7 @@ func (b *Broker) DetachConsumer(id ConsumerID) error {
 	}
 	mode, flows := b.republishLocked()
 	b.observeEnactLocked(start, mode, classes, flows, 0)
-	if b.tel != nil {
-		b.tel.ObserveConsumers(b.consumerTotalsLocked())
-	}
+	b.tel.ObserveConsumers(b.attachedTotal, b.admittedTotal)
 	return nil
 }
 
@@ -407,8 +416,8 @@ func (b *Broker) DetachConsumer(id ConsumerID) error {
 // whose rate is unchanged keep their token buckets untouched, classes
 // whose admitted count is unchanged are skipped entirely, a class whose
 // count moved only stores the new count (admission is position in attach
-// order, so no consumer is touched) and its entry re-slices the consumer
-// array instead of copying it, and the new snapshot shares every clean
+// order, so no consumer is touched) and its entry re-slices the class's
+// arrays instead of copying them, and the new snapshot shares every clean
 // class's entry and every clean flow's entry list with its predecessor
 // (see enact.go). An allocation identical to the enacted one publishes no
 // snapshot at all. What does grow with the broker is the diff itself, one
@@ -456,6 +465,7 @@ func (b *Broker) ApplyAllocation(a model.Allocation) error {
 		cs := &b.classes[j]
 		cs.admitted = want
 		cs.counters.admitted.Store(int64(want))
+		b.admittedTotal += want - int(b.admittedCount[j])
 		b.admittedCount[j] = int32(want)
 		b.dirtyClasses = append(b.dirtyClasses, model.ClassID(j))
 		classes++
@@ -467,8 +477,8 @@ func (b *Broker) ApplyAllocation(a model.Allocation) error {
 	}
 	b.observeEnactLocked(start, mode, classes, flows, rates)
 	b.tel.ObserveAllocation()
-	if classes != 0 && b.tel != nil {
-		b.tel.ObserveConsumers(b.consumerTotalsLocked())
+	if classes != 0 {
+		b.tel.ObserveConsumers(b.attachedTotal, b.admittedTotal)
 	}
 	return nil
 }
@@ -524,17 +534,17 @@ func (b *Broker) Publish(flow model.FlowID, attrs map[string]float64, body strin
 		}
 		work++ // per-class transform work
 		var classDelivered, classFiltered uint64
-		for ci := range cr.consumers {
-			c := &cr.consumers[ci]
+		filters := cr.filters
+		for ci, h := range cr.handlers {
 			work++ // per-consumer filter evaluation, counted when MatchAll skips the call
-			if c.filter == nil || c.filter.Match(classMsg) {
-				work++ // per-consumer delivery
-				classDelivered++
-				if c.handler != nil {
-					c.handler(classMsg)
-				}
-			} else {
+			if filters != nil && filters[ci] != nil && !filters[ci].Match(classMsg) {
 				classFiltered++
+				continue
+			}
+			work++ // per-consumer delivery
+			classDelivered++
+			if h != nil {
+				h(classMsg)
 			}
 		}
 		if classDelivered != 0 {

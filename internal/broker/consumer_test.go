@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/model"
@@ -219,7 +220,41 @@ func TestConsumerChurnCost(t *testing.T) {
 	}); detach != 0 {
 		t.Errorf("detaching a never-admitted consumer allocates %g objects, want 0", detach)
 	}
-	if cs.admitted != 4 || len(cs.ids) != 8 || len(cs.consumers) != 8 {
-		t.Errorf("class 1 holds %d consumers, %d ids and %d admitted, want 8, 8 and 4", len(cs.consumers), len(cs.ids), cs.admitted)
+	if cs.admitted != 4 || len(cs.ids) != 8 || len(cs.handlers) != 8 {
+		t.Errorf("class 1 holds %d handlers, %d ids and %d admitted, want 8, 8 and 4", len(cs.handlers), len(cs.ids), cs.admitted)
+	}
+}
+
+// TestConsumerFootprint: an unfiltered consumer costs its class one
+// handler word and one ID word, plus the arrays' spare capacity, and no
+// filter word: a few thousand of them hold at most 32 live heap bytes
+// each after a GC.
+func TestConsumerFootprint(t *testing.T) {
+	const consumers = 5000
+	br, err := New(fanProblem(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := func(Message) {}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	// Two collections: the first leaves sync.Pool victims behind.
+	live := func(m *runtime.MemStats) {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(m)
+	}
+	var m0, m1 runtime.MemStats
+	live(&m0)
+	for k := 0; k < consumers; k++ {
+		if _, err := br.AttachConsumer(model.ClassID(k%4), nil, h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live(&m1)
+	runtime.KeepAlive(br)
+	perConsumer := float64(int64(m1.HeapAlloc)-int64(m0.HeapAlloc)) / consumers
+	t.Logf("%.1f live heap bytes per unfiltered consumer", perConsumer)
+	if perConsumer > 32 {
+		t.Errorf("%d unfiltered consumers hold %.1f live heap bytes each, want at most 32", consumers, perConsumer)
 	}
 }

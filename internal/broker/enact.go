@@ -29,26 +29,28 @@ import (
 //     entry per class it changed, not one per class of the flows it
 //     dirtied, and a dirty flow costs one pointer per deliverable class.
 //
-// No consumer is copied either way: a classRoute's consumers is the
-// prefix cs.consumers[:cs.admitted] of the class's own attach-ordered
-// array of value entries (admission is position: the admitted set is
-// always that prefix; see ApplyAllocation), so admitting and unadmitting
-// store a count and re-slice. The data plane reads snapshots lock-free
-// with no grace period, so sharing is safe only under one rule: an
-// element any snapshot can reach is never overwritten. cs.published is
-// the longest prefix ever published from the array cs.consumers lives in,
-// and the control plane writes only at indices >= it: attach appends past
-// it (or append moves the class to a fresh array and old snapshots keep
-// the old one), a detach at or past it shifts the tail in place, a detach
-// inside it copies that one class to a fresh array (classState.removeAt).
-// What is written at such an index becomes reachable only through a later
-// snapshot, and route.Store is the publication point: a publisher that
-// loads the table sees every write made before the store. The entry and
-// pointer slabs are never reused either; reuse is confined to
-// control-plane scratch (dirtyClasses, dirtyFlows, the epoch-marked
-// flowMark and blockMark), where the mutex makes it safe. The class's ids
-// array runs beside consumers entry for entry but is never published, so
-// it always shifts in place.
+// No consumer is copied either way: a classRoute's handlers is the prefix
+// cs.handlers[:cs.admitted] of the class's own attach-ordered array, and
+// its filters the same prefix of cs.filters when the class has one
+// (admission is position: the admitted set is always that prefix; see
+// ApplyAllocation), so admitting and unadmitting store a count and
+// re-slice. The data plane reads snapshots lock-free with no grace period,
+// so sharing is safe only under one rule: an element any snapshot can
+// reach is never overwritten. cs.published is the longest prefix ever
+// published from the arrays cs.handlers and cs.filters live in, and the
+// control plane writes either only at indices >= it. The two grow together
+// and move to fresh arrays together: attach appends past it (or the append
+// moves the class to fresh arrays and old snapshots keep the old ones; a
+// class's first filter starts a fresh filters array), a detach at or past
+// it shifts both tails in place, a detach inside it copies that one class
+// to fresh arrays (classState.removeAt). What is written at such an index
+// becomes reachable only through a later snapshot, and route.Store is the
+// publication point: a publisher that loads the table sees every write
+// made before the store. The entry and pointer slabs are never reused
+// either; reuse is confined to control-plane scratch (dirtyClasses,
+// dirtyFlows, the epoch-marked flowMark and blockMark), where the mutex
+// makes it safe. The class's ids array runs beside handlers entry for
+// entry but is never published, so it always shifts in place.
 
 // EnactStats is the cumulative accounting of the enact path, one counter
 // set per broker. Applies counts ApplyAllocation calls; NoopApplies the

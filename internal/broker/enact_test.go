@@ -356,7 +356,7 @@ func routeTableFlows(rt *routeTable) int {
 // equalRouteTables asserts two snapshots are semantically identical:
 // same flows, and per flow the same classes with the same counters,
 // thinner, transform identity and the same consumers in the same order,
-// each known by its label filter.
+// each known by its tag and filter.
 func equalRouteTables(t *testing.T, got, want *routeTable, op string) {
 	t.Helper()
 	if routeTableFlows(got) != routeTableFlows(want) {
@@ -377,15 +377,8 @@ func equalRouteTables(t *testing.T, got, want *routeTable, op string) {
 			if g[k].identity != w[k].identity {
 				t.Fatalf("%s: flow %d route %d identity differs", op, i, k)
 			}
-			if len(g[k].consumers) != len(w[k].consumers) {
-				t.Fatalf("%s: flow %d route %d has %d consumers, want %d",
-					op, i, k, len(g[k].consumers), len(w[k].consumers))
-			}
-			for c := range w[k].consumers {
-				if g[k].consumers[c].filter != w[k].consumers[c].filter {
-					t.Fatalf("%s: flow %d route %d consumer %d is %v, want %v",
-						op, i, k, c, g[k].consumers[c].filter, w[k].consumers[c].filter)
-				}
+			if got, want := names(g[k].handlers, g[k].filters), names(w[k].handlers, w[k].filters); !slices.Equal(got, want) {
+				t.Fatalf("%s: flow %d route %d holds consumers %v, want %v", op, i, k, got, want)
 			}
 		}
 	}
@@ -395,7 +388,8 @@ func equalRouteTables(t *testing.T, got, want *routeTable, op string) {
 // property test: after every random control operation, the published
 // snapshot must be semantically identical to a from-scratch full build
 // of the authoritative state, and every class's route must be the entry
-// that snapshot carries for it.
+// that snapshot carries for it. Consumers are attached into the three
+// kinds of class of sideArrayCases.attach.
 func TestEnactIncrementalMatchesFullRebuild(t *testing.T) {
 	p := stressProblem(8)
 	br, err := New(p)
@@ -403,7 +397,10 @@ func TestEnactIncrementalMatchesFullRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(9))
-	var live []ConsumerID
+	var (
+		live  []ConsumerID
+		cases sideArrayCases
+	)
 	check := func(op string) {
 		t.Helper()
 		br.mu.Lock()
@@ -415,7 +412,7 @@ func TestEnactIncrementalMatchesFullRebuild(t *testing.T) {
 	for step := 0; step < 400; step++ {
 		switch rng.Intn(4) {
 		case 0:
-			id, err := br.AttachConsumer(model.ClassID(rng.Intn(len(p.Classes))), label(step), nil)
+			id, err := cases.attach(br, model.ClassID(rng.Intn(len(p.Classes))), label(step), 200)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -426,6 +423,7 @@ func TestEnactIncrementalMatchesFullRebuild(t *testing.T) {
 				continue
 			}
 			k := rng.Intn(len(live))
+			cases.detach(br, live[k])
 			if err := br.DetachConsumer(live[k]); err != nil {
 				t.Fatal(err)
 			}
@@ -459,6 +457,7 @@ func TestEnactIncrementalMatchesFullRebuild(t *testing.T) {
 	if s.RouteIncrementals == 0 || s.RouteNoops == 0 {
 		t.Errorf("op mix did not exercise both republish outcomes: %+v", s)
 	}
+	cases.check(t)
 }
 
 // TestAllClassStatsParity: the single-snapshot read matches the

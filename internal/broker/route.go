@@ -14,11 +14,11 @@ import (
 // The data plane (Publish) never takes the broker mutex: it reads an
 // immutable routing snapshot through an atomic pointer, admits the
 // message on its flow's own token bucket, and walks the flow's class
-// entries and their admitted consumers (value entries in an array the
-// snapshot shares with the control plane), accumulating into atomic
-// counters. Per-flow state is sharded so publishes on distinct flows
-// share nothing but the snapshot pointer. Consumer IDs never reach the
-// data plane.
+// entries and their admitted consumers (handlers, and filters where the
+// class has them, in arrays the snapshot shares with the control plane),
+// accumulating into atomic counters. Per-flow state is sharded so
+// publishes on distinct flows share nothing but the snapshot pointer.
+// Consumer IDs never reach the data plane.
 //
 // The control plane (AttachConsumer, DetachConsumer, ApplyAllocation,
 // SetClassRateCap) serializes on Broker.mu, mutates the authoritative
@@ -73,8 +73,8 @@ type classCounters struct {
 
 // classRoute is one class's routing entry in a snapshot: the compiled
 // transform, the shared thinner handle, the counter block, and the
-// admitted consumers in attach order — a prefix view of the class's
-// control-plane array of value entries, not a copy. An entry is immutable
+// admitted consumers in attach order — prefix views of the class's
+// control-plane handlers and filters, not copies. An entry is immutable
 // once published and is shared, by pointer, by every snapshot until its
 // class changes (classState.route); snapshots only carry classes with at
 // least one admitted consumer.
@@ -86,9 +86,12 @@ type classRoute struct {
 	// thinner, when non-nil, caps the class's delivery rate. The bucket
 	// is owned by the control plane and shared across snapshots; it is
 	// internally locked.
-	thinner   *TokenBucket
-	counters  *classCounters
-	consumers []consumer
+	thinner  *TokenBucket
+	counters *classCounters
+	handlers []Handler
+	// filters is nil when the class has never had a filtered consumer;
+	// otherwise it is as long as handlers and a nil entry matches all.
+	filters []Filter
 }
 
 // routeTable is the immutable routing snapshot the data plane reads: for
@@ -96,8 +99,8 @@ type classRoute struct {
 // class order, addressed as blocks[flow>>shift][flow&(1<<shift-1)].
 // Never mutated after publication; control-plane changes build and store
 // a new table, which shares blocks, per-flow lists and entries with its
-// predecessor and every consumer array with the control plane under the
-// rule at the top of enact.go.
+// predecessor and every handler and filter array with the control plane
+// under the rule at the top of enact.go.
 //
 // The blocks keep an incremental republish from copying one slice header
 // per flow. Both levels hold 24-byte headers, so a one-flow republish
@@ -114,9 +117,9 @@ func (rt *routeTable) flowRoutes(i model.FlowID) []*classRoute {
 }
 
 // routeLocked returns cs's routing entry as the state stands. Its
-// consumers is the admitted prefix of the class's own attach-ordered
-// array — a view, not a copy — and building it raises the class's
-// published high-water mark (see the sharing rule at the top of
+// handlers and filters are the admitted prefixes of the class's own
+// attach-ordered arrays — views, not copies — and building it raises the
+// class's published high-water mark (see the sharing rule at the top of
 // enact.go). Callers must hold b.mu and only call it for a class that
 // admits somebody.
 func (cs *classState) routeLocked() classRoute {
@@ -124,13 +127,17 @@ func (cs *classState) routeLocked() classRoute {
 		cs.published = cs.admitted
 	}
 	_, identity := cs.transform.(Identity)
-	return classRoute{
+	cr := classRoute{
 		transform: cs.transform,
 		identity:  identity,
 		thinner:   cs.thinner,
 		counters:  &cs.counters,
-		consumers: cs.consumers[:cs.admitted:cs.admitted],
+		handlers:  cs.handlers[:cs.admitted:cs.admitted],
 	}
+	if cs.filters != nil {
+		cr.filters = cs.filters[:cs.admitted:cs.admitted]
+	}
+	return cr
 }
 
 // buildRouteTableLocked builds a complete routing snapshot from the

@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -14,23 +15,51 @@ import (
 // These tests pin the cost and the safety of prefix-shared route
 // snapshots (the rule at the top of enact.go) without reading a clock.
 
-// label is a filter that passes everything and names one consumer. A
-// snapshot entry carries no ID, so tests that must tell consumers apart
-// attach each with a distinct label and read it back from the entry's
-// filter.
+// label is a filter that passes everything and names one consumer.
 type label int
 
 func (label) Match(Message) bool { return true }
 
 func (l label) String() string { return "label " + strconv.Itoa(int(l)) }
 
-// labels returns the filters of entries, in order: who they are.
-func labels(entries []consumer) []Filter {
-	out := make([]Filter, len(entries))
-	for k := range entries {
-		out[k] = entries[k].filter
+// tagged is where a tag handler writes its label when called.
+var tagged label
+
+// tag returns a handler that names one consumer: calling it stores l in
+// tagged. A snapshot entry carries no ID, so tests that must tell
+// consumers apart attach each with a tag of its own and call it back,
+// whether or not its class has filters.
+func tag(l label) Handler { return func(Message) { tagged = l } }
+
+// names returns who the consumers of handlers and filters are, in order:
+// each one's tag and its filter, if it has one. A consumer without a
+// filter reads the same whether its class has a filters array or not; an
+// array of the wrong length names itself.
+func names(handlers []Handler, filters []Filter) []string {
+	if filters != nil && len(filters) != len(handlers) {
+		return []string{fmt.Sprintf("%d filters beside %d handlers", len(filters), len(handlers))}
+	}
+	out := make([]string, len(handlers))
+	for k, h := range handlers {
+		tagged = -1
+		h(Message{})
+		out[k] = tagged.String()
+		if filters != nil && filters[k] != nil {
+			out[k] += fmt.Sprintf(" filtered by %v", filters[k])
+		}
 	}
 	return out
+}
+
+// named returns names of consumers ls as gridBroker attaches them to a
+// class with filters: tagged and filtered by their labels.
+func named(ls ...label) []string {
+	handlers := make([]Handler, len(ls))
+	filters := make([]Filter, len(ls))
+	for k, l := range ls {
+		handlers[k], filters[k] = tag(l), l
+	}
+	return names(handlers, filters)
 }
 
 // classRouteOf returns class j's entry in the published snapshot, nil when
@@ -52,8 +81,13 @@ func checkClassRoutes(t *testing.T, br *Broker, op string) {
 	br.mu.Lock()
 	defer br.mu.Unlock()
 	for j := range br.classes {
-		if got, want := br.classes[j].route, classRouteOf(br, model.ClassID(j)); got != want {
+		cs := &br.classes[j]
+		if got, want := cs.route, classRouteOf(br, model.ClassID(j)); got != want {
 			t.Fatalf("%s: class %d holds route %p, the snapshot carries %p", op, j, got, want)
+		}
+		if cs.filters != nil && (len(cs.filters) != len(cs.handlers) || cap(cs.filters) != cap(cs.handlers)) {
+			t.Fatalf("%s: class %d holds %d/%d filters beside %d/%d handlers (len/cap)",
+				op, j, len(cs.filters), cap(cs.filters), len(cs.handlers), cap(cs.handlers))
 		}
 	}
 }
@@ -135,116 +169,189 @@ func TestDetachCostIndependentOfFlowWidth(t *testing.T) {
 }
 
 // TestGrowShrinkSharesConsumerArray: growing and shrinking a class's
-// admission copies no consumer pointer — before and after, the published
-// entry is a prefix of the control plane's own array.
+// admission copies no consumer — before and after, the published entry's
+// handlers, and its filters when the class has them, are prefixes of the
+// control plane's own arrays.
 func TestGrowShrinkSharesConsumerArray(t *testing.T) {
 	br, alloc := gridBroker(t, 4, 3, 20, 10)
-	const j = 4
-	array := &br.classes[j].consumers[0]
-	for _, want := range []int{15, 20, 3, 11} {
-		alloc.Consumers[j] = want
-		if err := br.ApplyAllocation(alloc); err != nil {
-			t.Fatal(err)
-		}
-		cr := classRouteOf(br, j)
-		if cr == nil || len(cr.consumers) != want {
-			t.Fatalf("n=%d: published entry %+v, want %d consumers", want, cr, want)
-		}
-		if &cr.consumers[0] != array || &br.classes[j].consumers[0] != array {
-			t.Errorf("n=%d: the published prefix does not share the class's consumer array", want)
-		}
-		if cap(cr.consumers) != want {
-			t.Errorf("n=%d: published prefix has capacity %d; an append through it could reach past the prefix", want, cap(cr.consumers))
+	for _, j := range []model.ClassID{4, 5} { // without filters, with
+		cs := &br.classes[j]
+		handlers := &cs.handlers[0]
+		for _, want := range []int{15, 20, 3, 11} {
+			alloc.Consumers[j] = want
+			if err := br.ApplyAllocation(alloc); err != nil {
+				t.Fatal(err)
+			}
+			cr := classRouteOf(br, j)
+			if cr == nil || len(cr.handlers) != want {
+				t.Fatalf("class %d n=%d: published entry %+v, want %d consumers", j, want, cr, want)
+			}
+			if &cr.handlers[0] != handlers || &cs.handlers[0] != handlers {
+				t.Errorf("class %d n=%d: the published prefix does not share the class's handler array", j, want)
+			}
+			if cap(cr.handlers) != want {
+				t.Errorf("class %d n=%d: published prefix has capacity %d; an append through it could reach past the prefix", j, want, cap(cr.handlers))
+			}
+			switch {
+			case (cr.filters != nil) != (j%2 == 1):
+				t.Errorf("class %d n=%d: published filters %v, want them only on an odd class", j, want, cr.filters)
+			case cr.filters != nil && (&cr.filters[0] != &cs.filters[0] || cap(cr.filters) != want):
+				t.Errorf("class %d n=%d: published filters are not the %d-capacity prefix of the class's own", j, want, want)
+			}
 		}
 	}
 	// A clean class of the same (dirty) flow is republished as the same
-	// prefix of the same array.
-	if cr := classRouteOf(br, 3); len(cr.consumers) != 10 || &cr.consumers[0] != &br.classes[3].consumers[0] {
-		t.Error("clean class of a dirty flow lost its shared prefix")
+	// prefixes of the same arrays.
+	cs := &br.classes[3]
+	if cr := classRouteOf(br, 3); len(cr.handlers) != 10 || &cr.handlers[0] != &cs.handlers[0] || &cr.filters[0] != &cs.filters[0] {
+		t.Error("clean class of a dirty flow lost its shared prefixes")
 	}
 }
 
 // TestDetachClearsVacatedSlot: removing a consumer must not leave the
-// class's backing array holding a dead consumer's filter or handler past
-// its length, whether the tail shifted in place (last-attached, never
-// admitted) or the class moved to a fresh array (detach inside a
-// published prefix). Consumers are told apart by their labels.
+// class's backing arrays holding a dead consumer's handler or filter past
+// their length, whether the tails shifted in place (last-attached, never
+// admitted) or the class moved to fresh arrays (detach inside a published
+// prefix, with the filters array present). Consumers are told apart by
+// their tags.
 func TestDetachClearsVacatedSlot(t *testing.T) {
 	br, _ := gridBroker(t, 2, 2, 8, 4)
 	cs := &br.classes[1]
 	assertTailNil := func(op string) {
 		t.Helper()
-		full := cs.consumers[:cap(cs.consumers)]
-		for k := len(cs.consumers); k < len(full); k++ {
-			if full[k].filter != nil || full[k].handler != nil {
-				t.Errorf("%s: slot %d past len %d still holds consumer %v", op, k, len(cs.consumers), full[k].filter)
+		handlers, filters := cs.handlers[:cap(cs.handlers)], cs.filters[:cap(cs.filters)]
+		for k := len(cs.handlers); k < len(handlers); k++ {
+			if handlers[k] != nil || filters[k] != nil {
+				t.Errorf("%s: slot %d past len %d still holds a consumer filtered by %v", op, k, len(cs.handlers), filters[k])
 			}
 		}
 	}
-	array := &cs.consumers[0]
+	handlers, filters := &cs.handlers[0], &cs.filters[0]
+	stayed := func() bool { return &cs.handlers[0] == handlers && &cs.filters[0] == filters }
 	if err := br.DetachConsumer(cs.ids[7]); err != nil {
 		t.Fatal(err)
 	}
-	if &cs.consumers[0] != array {
-		t.Error("detach of the last-attached, never-admitted consumer moved the class to a new array")
+	if !stayed() {
+		t.Error("detach of the last-attached, never-admitted consumer moved the class to new arrays")
 	}
 	assertTailNil("detach last-attached")
 
 	if err := br.DetachConsumer(cs.ids[5]); err != nil { // unadmitted, mid-tail
 		t.Fatal(err)
 	}
-	if &cs.consumers[0] != array {
-		t.Error("detach beyond the published prefix moved the class to a new array")
+	if !stayed() {
+		t.Error("detach beyond the published prefix moved the class to new arrays")
 	}
 	assertTailNil("detach beyond prefix")
 
-	old := classRouteOf(br, 1).consumers
-	want := labels(old)
+	old := classRouteOf(br, 1)
+	want := names(old.handlers, old.filters)
 	if err := br.DetachConsumer(cs.ids[1]); err != nil { // admitted
 		t.Fatal(err)
 	}
-	if &cs.consumers[0] == array {
-		t.Error("detach inside the published prefix shifted the shared array in place")
+	if &cs.handlers[0] == handlers || &cs.filters[0] == filters {
+		t.Error("detach inside the published prefix shifted a shared array in place")
 	}
 	assertTailNil("detach inside prefix")
-	if got := labels(old); !slices.Equal(got, want) {
+	if got := names(old.handlers, old.filters); !slices.Equal(got, want) {
 		t.Errorf("detach inside the published prefix overwrote the predecessor snapshot: %v, published as %v", got, want)
 	}
-	if cr := classRouteOf(br, 1); len(cr.consumers) != 3 || &cr.consumers[0] != &cs.consumers[0] {
-		t.Error("after the copy the published entry is not a prefix of the fresh array")
+	if cr := classRouteOf(br, 1); len(cr.handlers) != 3 || &cr.handlers[0] != &cs.handlers[0] || &cr.filters[0] != &cs.filters[0] {
+		t.Error("after the copy the published entry is not a prefix of the fresh arrays")
 	}
 	// Class 1's labels run 8..15 in attach order; 15, 13 and 9 left.
-	if got, want := labels(cs.consumers), []Filter{label(8), label(10), label(11), label(12), label(14)}; !slices.Equal(got, want) {
+	if got, want := names(cs.handlers, cs.filters), named(8, 10, 11, 12, 14); !slices.Equal(got, want) {
 		t.Errorf("class 1 holds %v after three detaches, want %v", got, want)
 	}
 }
 
 // TestDetachBehindHighWaterCopies: after a shrink, an old snapshot still
 // reaches past the admitted count; a detach between the two must treat
-// the element as published.
+// the element as published, in a class without filters and in one with.
 func TestDetachBehindHighWaterCopies(t *testing.T) {
 	br, alloc := gridBroker(t, 2, 2, 8, 6)
-	cs := &br.classes[2]
-	old := classRouteOf(br, 2).consumers // 6 long
-	want := labels(old)
-	alloc.Consumers[2] = 2
-	if err := br.ApplyAllocation(alloc); err != nil {
-		t.Fatal(err)
+	for _, j := range []model.ClassID{2, 3} {
+		cs := &br.classes[j]
+		old := classRouteOf(br, j) // 6 long
+		want := names(old.handlers, old.filters)
+		alloc.Consumers[j] = 2
+		if err := br.ApplyAllocation(alloc); err != nil {
+			t.Fatal(err)
+		}
+		if err := br.DetachConsumer(cs.ids[4]); err != nil { // unadmitted now, published before
+			t.Fatal(err)
+		}
+		if got := names(old.handlers, old.filters); !slices.Equal(got, want) {
+			t.Fatalf("class %d: detach at index 4 overwrote a snapshot published 6 long: %v, published as %v", j, got, want)
+		}
 	}
-	if err := br.DetachConsumer(cs.ids[4]); err != nil { // unadmitted now, published before
-		t.Fatal(err)
+}
+
+// sideArrayCases counts how often the property tests reached the cases of
+// the filters side array that a random op mix could miss.
+type sideArrayCases struct {
+	// LateFilters counts first filtered consumers attached to a class
+	// whose handler array snapshots already share.
+	LateFilters int
+	// PrefixDetaches counts detaches inside a class's published prefix,
+	// [0] in a class without filters and [1] in one with both arrays.
+	PrefixDetaches [2]int
+}
+
+// attach attaches consumer l to class j with handler tag(l), into the
+// three kinds of class the layout has: j%3 == 0 filters every consumer by
+// its label, j%3 == 1 never filters (MatchAll, stored as nil), and
+// j%3 == 2 filters every even label from step late on. That class's first
+// filtered consumer waits until snapshots share the class's handler array
+// and the attach will not grow it, so its filters array starts beside an
+// array snapshots read.
+func (c *sideArrayCases) attach(br *Broker, j model.ClassID, l label, late int) (ConsumerID, error) {
+	br.mu.Lock()
+	cs := &br.classes[j]
+	var f Filter = MatchAll{}
+	switch {
+	case j%3 == 0:
+		f = l
+	case j%3 == 2 && int(l) >= late && l%2 == 0:
+		shared := cs.published > 0 && len(cs.handlers) < cap(cs.handlers)
+		if cs.filters == nil && shared {
+			c.LateFilters++
+		}
+		if cs.filters != nil || shared {
+			f = l
+		}
 	}
-	if got := labels(old); !slices.Equal(got, want) {
-		t.Fatalf("detach at index 4 overwrote a snapshot published 6 long: %v, published as %v", got, want)
+	br.mu.Unlock()
+	return br.AttachConsumer(j, f, tag(l))
+}
+
+// detach notes a consumer about to be detached.
+func (c *sideArrayCases) detach(br *Broker, id ConsumerID) {
+	br.mu.Lock()
+	defer br.mu.Unlock()
+	if cs, _, k, err := br.findLocked(id); err == nil && k < cs.published {
+		if cs.filters == nil {
+			c.PrefixDetaches[0]++
+		} else {
+			c.PrefixDetaches[1]++
+		}
+	}
+}
+
+func (c *sideArrayCases) check(t *testing.T) {
+	t.Helper()
+	t.Logf("side-array cases reached: %+v", *c)
+	if c.LateFilters == 0 || c.PrefixDetaches[0] == 0 || c.PrefixDetaches[1] == 0 {
+		t.Errorf("op mix reached %+v; want every case at least once", *c)
 	}
 }
 
 // TestPublishedPrefixesNeverChange is the sharing rule's property test:
 // across random attach, detach, enact and rate-cap operations, every
 // snapshot ever published still lists exactly the consumers it listed
-// when it was stored (each attached with a label of its own), and after
-// every operation each class's route is the entry the latest snapshot
-// carries for it.
+// when it was stored (each attached with a tag of its own, in the three
+// kinds of class of sideArrayCases.attach), and after every operation each class's
+// route is the entry the latest snapshot carries for it.
 func TestPublishedPrefixesNeverChange(t *testing.T) {
 	p := stressProblem(4)
 	br, err := New(p)
@@ -253,13 +360,13 @@ func TestPublishedPrefixesNeverChange(t *testing.T) {
 	}
 	type frozen struct {
 		rt   *routeTable
-		want [][][]Filter // [flow][route] → consumer labels at store time
+		want [][][]string // [flow][route] → consumer names at store time
 	}
 	freeze := func(rt *routeTable) frozen {
-		f := frozen{rt: rt, want: make([][][]Filter, len(p.Flows))}
+		f := frozen{rt: rt, want: make([][][]string, len(p.Flows))}
 		for i := range p.Flows {
 			for _, cr := range rt.flowRoutes(model.FlowID(i)) {
-				f.want[i] = append(f.want[i], labels(cr.consumers))
+				f.want[i] = append(f.want[i], names(cr.handlers, cr.filters))
 			}
 		}
 		return f
@@ -267,18 +374,20 @@ func TestPublishedPrefixesNeverChange(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	var (
 		live      []ConsumerID
+		cases     sideArrayCases
 		snapshots = []frozen{freeze(br.route.Load())}
 	)
 	for step := 0; step < 3000; step++ {
 		switch op := rng.Intn(10); {
 		case op < 4:
-			id, err := br.AttachConsumer(model.ClassID(rng.Intn(len(p.Classes))), label(step), nil)
+			id, err := cases.attach(br, model.ClassID(rng.Intn(len(p.Classes))), label(step), 1500)
 			if err != nil {
 				t.Fatal(err)
 			}
 			live = append(live, id)
 		case op < 7 && len(live) > 0:
 			k := rng.Intn(len(live))
+			cases.detach(br, live[k])
 			if err := br.DetachConsumer(live[k]); err != nil {
 				t.Fatal(err)
 			}
@@ -308,6 +417,7 @@ func TestPublishedPrefixesNeverChange(t *testing.T) {
 	if len(snapshots) < 500 {
 		t.Fatalf("only %d snapshots were published; the op mix is not exercising the enact path", len(snapshots))
 	}
+	cases.check(t)
 	for n, f := range snapshots {
 		for i := range p.Flows {
 			routes := f.rt.flowRoutes(model.FlowID(i))
@@ -315,14 +425,8 @@ func TestPublishedPrefixesNeverChange(t *testing.T) {
 				t.Fatalf("snapshot %d flow %d: %d routes, stored with %d", n, i, len(routes), len(f.want[i]))
 			}
 			for r, cr := range routes {
-				if len(cr.consumers) != len(f.want[i][r]) {
-					t.Fatalf("snapshot %d flow %d route %d: %d consumers, stored with %d", n, i, r, len(cr.consumers), len(f.want[i][r]))
-				}
-				for k, c := range cr.consumers {
-					if c.filter != f.want[i][r][k] {
-						t.Fatalf("snapshot %d flow %d route %d: consumer %d is %v, stored as %v",
-							n, i, r, k, c.filter, f.want[i][r][k])
-					}
+				if got := names(cr.handlers, cr.filters); !slices.Equal(got, f.want[i][r]) {
+					t.Fatalf("snapshot %d flow %d route %d: consumers %v, stored as %v", n, i, r, got, f.want[i][r])
 				}
 			}
 		}

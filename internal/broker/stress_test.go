@@ -261,10 +261,12 @@ func TestPublishStressConcurrent(t *testing.T) {
 }
 
 // TestPublishStressConcurrentChurn races publishers against every control
-// operation that moves the boundary of a shared consumer array: attach
+// operation that moves the boundary of the shared consumer arrays: attach
 // appending past the published prefix, detach inside it (the class moves
-// to a fresh array) and beyond it (the tail shifts in place), and enacts
-// that grow and shrink the admitted prefix. Under -race it is the memory-
+// to fresh arrays) and beyond it (the tails shift in place), and enacts
+// that grow and shrink the admitted prefix. Odd classes filter every
+// consumer with a pass-all label, so their filters array is shared and
+// moved beside the handlers. Under -race it is the memory-
 // safety proof of the sharing rule in enact.go. The assertion is exactly-
 // once delivery against the snapshot each publish loaded: the consumers a
 // message reached, in delivery order, must be one of the admitted
@@ -311,18 +313,22 @@ func TestPublishStressConcurrentChurn(t *testing.T) {
 	}
 	attach := func(j int) {
 		rc := &ref[j]
-		label := rc.next
+		name := rc.next
 		rc.next++
 		lg := &logs[j]
-		id, err := b.AttachConsumer(model.ClassID(j), nil, func(m Message) {
+		var f Filter
+		if j%2 == 1 {
+			f = label(name)
+		}
+		id, err := b.AttachConsumer(model.ClassID(j), f, func(m Message) {
 			lg.mu.Lock()
-			lg.seqs[m.Seq] = append(lg.seqs[m.Seq], label)
+			lg.seqs[m.Seq] = append(lg.seqs[m.Seq], name)
 			lg.mu.Unlock()
 		})
 		if err != nil {
 			t.Error(err)
 		}
-		rc.labels = append(rc.labels, label)
+		rc.labels = append(rc.labels, name)
 		rc.ids = append(rc.ids, id)
 	}
 	detach := func(j, k int) {

@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -142,5 +143,65 @@ func TestBrokerWithoutTelemetry(t *testing.T) {
 	}
 	if err := b.Publish(0, nil, "ok"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConsumerGaugesMatchClassStats: the consumer gauges are running
+// totals kept by the operations that move them, not a scan of the
+// classes. Across a seeded sequence of attaches, detaches and allocations
+// that grow and shrink classes, they equal a from-scratch sum of
+// AllClassStats after every operation.
+func TestConsumerGaugesMatchClassStats(t *testing.T) {
+	p := stressProblem(6)
+	bm := telemetry.NewBrokerMetrics(telemetry.NewRegistry())
+	br, err := New(p, WithTelemetry(bm))
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := model.NewAllocation(p)
+	for i := range alloc.Rates {
+		alloc.Rates[i] = 1e9
+	}
+	rng := rand.New(rand.NewSource(5))
+	var (
+		live  []ConsumerID
+		stats []ClassStats
+	)
+	for step := 0; step < 2000; step++ {
+		op := "attach"
+		switch r := rng.Intn(4); {
+		case r == 0 || len(live) == 0:
+			id, err := br.AttachConsumer(model.ClassID(rng.Intn(len(p.Classes))), nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, id)
+		case r == 1:
+			op = "detach"
+			k := rng.Intn(len(live))
+			if err := br.DetachConsumer(live[k]); err != nil {
+				t.Fatal(err)
+			}
+			live[k] = live[len(live)-1]
+			live = live[:len(live)-1]
+		default:
+			op = "grow/shrink"
+			for range 1 + rng.Intn(3) {
+				alloc.Consumers[rng.Intn(len(p.Classes))] = rng.Intn(10)
+			}
+			if err := br.ApplyAllocation(alloc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stats = br.AllClassStats(stats)
+		attached, admitted := 0, 0
+		for _, s := range stats {
+			attached += s.Attached
+			admitted += s.Admitted
+		}
+		if bm.Attached.Value() != float64(attached) || bm.Admitted.Value() != float64(admitted) {
+			t.Fatalf("step %d (%s): gauges read %g attached, %g admitted; the classes sum to %d, %d",
+				step, op, bm.Attached.Value(), bm.Admitted.Value(), attached, admitted)
+		}
 	}
 }

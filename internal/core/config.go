@@ -22,8 +22,11 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"runtime"
 
+	"repro/internal/model"
 	"repro/internal/telemetry"
 )
 
@@ -114,6 +117,20 @@ func shardBudget(procs int) int {
 // should normalize through this before use.
 func (c Config) WithDefaults() Config {
 	return c.normalized()
+}
+
+// validate refuses a stepsize normalization would not repair: NaN, ±Inf
+// or negative. 0 means the default.
+func (c Config) validate() error {
+	for _, g := range [...]struct {
+		name string
+		v    float64
+	}{{"Gamma", c.Gamma}, {"LinkGamma", c.LinkGamma}} {
+		if !(g.v >= 0 && g.v <= math.MaxFloat64) {
+			return fmt.Errorf("core: %w: Config.%s %g", model.ErrInvalid, g.name, g.v)
+		}
+	}
+	return nil
 }
 
 func (c Config) normalized() Config {

@@ -243,6 +243,9 @@ func NewEngine(p *model.Problem, cfg Config) (*Engine, error) {
 	if err := model.Validate(p); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	c := cfg.normalized()
 	ix := model.NewIndex(p)
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -14,6 +15,29 @@ func TestNewEngineValidates(t *testing.T) {
 	p.Flows[0].RateMin = 0
 	if _, err := NewEngine(p, Config{}); err == nil {
 		t.Error("NewEngine accepted an invalid problem")
+	}
+}
+
+// TestNewEngineRefusesBadStepsizes: a NaN, infinite or negative Gamma or
+// LinkGamma is refused with model.ErrInvalid instead of being carried
+// (NaN) or silently replaced by the default (negative); 0 still means
+// the default.
+func TestNewEngineRefusesBadStepsizes(t *testing.T) {
+	p := workload.Base()
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		for name, cfg := range map[string]Config{"Gamma": {Gamma: v}, "LinkGamma": {LinkGamma: v}} {
+			if _, err := NewEngine(p, cfg); !errors.Is(err, model.ErrInvalid) {
+				t.Errorf("%s %g: NewEngine = %v, want model.ErrInvalid", name, v, err)
+			}
+		}
+	}
+	e, err := NewEngine(p, Config{Gamma: 0, LinkGamma: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if e.cfg.Gamma != DefaultGamma || e.cfg.LinkGamma != DefaultLinkGamma {
+		t.Errorf("zero stepsizes became %g and %g, want the defaults", e.cfg.Gamma, e.cfg.LinkGamma)
 	}
 }
 
