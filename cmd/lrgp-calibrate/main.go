@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -41,6 +42,12 @@ func run(args []string, out io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if !(*unitCost > 0 && *unitCost <= math.MaxFloat64) {
+		return fmt.Errorf("-unit-cost %g: want a finite cost above 0", *unitCost)
+	}
+	if *msgs < 1 {
+		return fmt.Errorf("-msgs %d: want at least 1", *msgs)
 	}
 
 	points, err := parsePoints(*pointsFlag)

@@ -51,3 +51,28 @@ func TestRunErrors(t *testing.T) {
 		t.Error("zero unit cost accepted")
 	}
 }
+
+// TestRunRefusesBadFlags: a unit cost that is not finite and above 0, or
+// fewer than one probe message per point, is refused with an error naming
+// the flag before anything is measured or printed, instead of printing
+// NaN coefficients or silently measuring 100 messages per point.
+func TestRunRefusesBadFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-unit-cost", "NaN"},
+		{"-unit-cost", "+Inf"},
+		{"-unit-cost", "-Inf"},
+		{"-unit-cost", "-2"},
+		{"-unit-cost", "0"},
+		{"-msgs", "0"},
+		{"-msgs", "-3"},
+	} {
+		var out bytes.Buffer
+		err := run(args, &out)
+		if err == nil || !strings.Contains(err.Error(), args[0]) {
+			t.Errorf("run %q = %v, want an error naming %s", args, err, args[0])
+		}
+		if out.Len() != 0 {
+			t.Errorf("run %q printed %q before refusing", args, out.String())
+		}
+	}
+}

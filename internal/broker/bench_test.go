@@ -11,8 +11,24 @@ import (
 )
 
 // BenchmarkPublishFanout measures delivery cost per published message with
-// 1000 admitted filtered consumers on one class.
+// 1000 admitted filtered consumers on one class: the filtered loop, every
+// filter evaluated and passed.
 func BenchmarkPublishFanout(b *testing.B) {
+	benchPublishFanout(b, AttrFilter{Attr: "price", Op: CmpGT, Value: 50})
+}
+
+// BenchmarkPublishUnfiltered is BenchmarkPublishFanout without filters:
+// 1000 admitted consumers on one Identity class, the steady_fanout shape,
+// walk the unfiltered loop.
+func BenchmarkPublishUnfiltered(b *testing.B) {
+	benchPublishFanout(b, nil)
+}
+
+// benchPublishFanout publishes to 1000 admitted consumers of one class,
+// each attached with filter f and a counting handler, and reports
+// ns/delivery beside ns/op.
+func benchPublishFanout(b *testing.B, f Filter) {
+	const consumers = 1000
 	clock := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	br, err := New(brokerProblem(), WithClock(func() time.Time {
 		clock = clock.Add(time.Second) // keep the token bucket full
@@ -22,13 +38,12 @@ func BenchmarkPublishFanout(b *testing.B) {
 		b.Fatal(err)
 	}
 	sink := 0
-	for i := 0; i < 1000; i++ {
-		if _, err := br.AttachConsumer(0, AttrFilter{Attr: "price", Op: CmpGT, Value: 50},
-			func(Message) { sink++ }); err != nil {
+	for i := 0; i < consumers; i++ {
+		if _, err := br.AttachConsumer(0, f, func(Message) { sink++ }); err != nil {
 			b.Fatal(err)
 		}
 	}
-	if err := br.ApplyAllocation(model.Allocation{Rates: []float64{1000}, Consumers: []int{1000, 0}}); err != nil {
+	if err := br.ApplyAllocation(model.Allocation{Rates: []float64{1000}, Consumers: []int{consumers, 0}}); err != nil {
 		b.Fatal(err)
 	}
 	attrs := map[string]float64{"price": 80}
@@ -38,6 +53,11 @@ func BenchmarkPublishFanout(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	if sink != b.N*consumers {
+		b.Fatalf("%d deliveries, want %d", sink, b.N*consumers)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*consumers), "ns/delivery")
 }
 
 // gridProblem builds a problem with `flows` flows of `perFlow` Identity

@@ -488,6 +488,11 @@ func (b *Broker) ApplyAllocation(a model.Allocation) error {
 // applying the class transform and each consumer's filter. It returns
 // ErrThrottled when the rate limiter rejects the message.
 //
+// Each class takes one of two loops, chosen by whether its entry carries
+// a filters array: a class without one only calls its handlers, and only
+// the loop of a class with one evaluates filters. Both count the same
+// work per consumer.
+//
 // Publish is the broker's lock-free fast path: it reads the routing
 // snapshot through an atomic pointer and touches only its own flow's
 // sharded state, so concurrent publishes on distinct flows never contend.
@@ -534,17 +539,24 @@ func (b *Broker) Publish(flow model.FlowID, attrs map[string]float64, body strin
 		}
 		work++ // per-class transform work
 		var classDelivered, classFiltered uint64
-		filters := cr.filters
-		for ci, h := range cr.handlers {
-			work++ // per-consumer filter evaluation, counted when MatchAll skips the call
-			if filters != nil && filters[ci] != nil && !filters[ci].Match(classMsg) {
-				classFiltered++
-				continue
-			}
-			work++ // per-consumer delivery
-			classDelivered++
-			if h != nil {
-				h(classMsg)
+		if filters := cr.filters; filters == nil {
+			// No consumer of the class filters, so every one is delivered:
+			// the loop only calls handlers, and the counts are set once.
+			deliverAll(cr.handlers, classMsg)
+			classDelivered = uint64(len(cr.handlers))
+			work += 2 * classDelivered // per-consumer filter evaluation (MatchAll, never called) and delivery
+		} else {
+			for ci, h := range cr.handlers {
+				work++ // per-consumer filter evaluation, counted when MatchAll skips the call
+				if filters[ci] != nil && !filters[ci].Match(classMsg) {
+					classFiltered++
+					continue
+				}
+				work++ // per-consumer delivery
+				classDelivered++
+				if h != nil {
+					h(classMsg)
+				}
 			}
 		}
 		if classDelivered != 0 {
@@ -559,6 +571,22 @@ func (b *Broker) Publish(flow model.FlowID, attrs map[string]float64, body strin
 	f.work.Add(work)
 	b.tel.ObservePublish(delivered, filtered, work)
 	return nil
+}
+
+// deliverAll is the unfiltered class's loop: it calls every non-nil
+// handler with m, in order. It stays out of line on purpose: inlined into
+// Publish, the loop reloads Publish's own live values from the stack
+// after every handler call, and BenchmarkPublishUnfiltered took 6.6 ns
+// per delivery instead of 4.6 (medians of 12 alternating runs, -cpu 1,
+// 2-vCPU x86-64 host).
+//
+//go:noinline
+func deliverAll(handlers []Handler, m Message) {
+	for _, h := range handlers {
+		if h != nil {
+			h(m)
+		}
+	}
 }
 
 // WorkUnits returns the cumulative abstract work counter (see the field

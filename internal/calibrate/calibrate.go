@@ -88,10 +88,10 @@ func FitAffine(samples []Sample) (Fit, error) {
 // recording per-message work. The broker should be dedicated to the
 // measurement (its counters are global), the flow's rate is re-enacted to
 // rate for every point, and enough consumers must already be attached to
-// cover max(populations).
+// cover max(populations). A msgsPerPoint below 1 is refused.
 func MeasureBroker(b *broker.Broker, flow model.FlowID, class model.ClassID, rate float64, populations []int, msgsPerPoint int) ([]Sample, error) {
-	if msgsPerPoint <= 0 {
-		msgsPerPoint = 100
+	if msgsPerPoint < 1 {
+		return nil, fmt.Errorf("calibrate: %d messages per point, want at least 1", msgsPerPoint)
 	}
 	p := b.Problem()
 	var samples []Sample
@@ -135,10 +135,11 @@ func MeasureBroker(b *broker.Broker, flow model.FlowID, class model.ClassID, rat
 // coefficients: with utility defined over the message rate r, node
 // resource use is workPerMessage * r, so F and G carry over per unit rate
 // directly. unitCost scales abstract work units into the deployment's
-// resource units (pass 1 to keep work units).
+// resource units (pass 1 to keep work units); it must be finite and
+// above 0.
 func ProblemCoefficients(fit Fit, unitCost float64) (flowNodeCost, consumerCost float64, err error) {
-	if unitCost <= 0 {
-		return 0, 0, fmt.Errorf("calibrate: unit cost %g", unitCost)
+	if !(unitCost > 0 && unitCost <= math.MaxFloat64) {
+		return 0, 0, fmt.Errorf("calibrate: unit cost %g, want finite and above 0", unitCost)
 	}
 	if fit.F <= 0 || fit.G <= 0 {
 		return 0, 0, fmt.Errorf("%w: fitted F=%g G=%g must be positive", ErrDegenerate, fit.F, fit.G)

@@ -128,6 +128,34 @@ func TestMeasureBrokerInsufficientConsumers(t *testing.T) {
 	}
 }
 
+// TestMeasureBrokerRefusesNoMessages: fewer than one message per point is
+// refused before the broker is touched, instead of silently measuring 100.
+func TestMeasureBrokerRefusesNoMessages(t *testing.T) {
+	b := calibrationBroker(t, 10)
+	for _, msgs := range []int{0, -3} {
+		if s, err := MeasureBroker(b, 0, 0, 1000, []int{5, 10}, msgs); err == nil {
+			t.Errorf("msgsPerPoint %d: measured %v, want an error", msgs, s)
+		}
+	}
+	if w := b.WorkUnits(); w != 0 {
+		t.Errorf("refused sweeps published %d work units", w)
+	}
+	if st, _ := b.ClassStats(0); st.Admitted != 0 {
+		t.Errorf("refused sweeps admitted %d consumers", st.Admitted)
+	}
+}
+
+// TestProblemCoefficientsRefusesNonFiniteUnitCost: a NaN or infinite unit
+// cost is refused instead of scaling the fit into NaN or infinite
+// coefficients.
+func TestProblemCoefficientsRefusesNonFiniteUnitCost(t *testing.T) {
+	for _, c := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if f, g, err := ProblemCoefficients(Fit{F: 2, G: 2}, c); err == nil {
+			t.Errorf("unit cost %g: coefficients %g/%g, want an error", c, f, g)
+		}
+	}
+}
+
 func TestProblemCoefficients(t *testing.T) {
 	f, g, err := ProblemCoefficients(Fit{F: 2, G: 2}, 1.5)
 	if err != nil {

@@ -112,25 +112,21 @@ func shardBudget(procs int) int {
 }
 
 // WithDefaults returns the configuration with every unset field replaced
-// by its default, exactly as NewEngine applies them. Other packages that
-// drive the exported primitives directly (e.g. the distributed runtime)
-// should normalize through this before use.
-func (c Config) WithDefaults() Config {
-	return c.normalized()
-}
-
-// validate refuses a stepsize normalization would not repair: NaN, ±Inf
-// or negative. 0 means the default.
-func (c Config) validate() error {
+// by its default, exactly as NewEngine applies them. It refuses a
+// stepsize no default repairs — NaN, ±Inf or negative; 0 means the
+// default — with model.ErrInvalid. Other packages that drive the exported
+// primitives directly (e.g. the distributed runtime) must normalize
+// through this before use.
+func (c Config) WithDefaults() (Config, error) {
 	for _, g := range [...]struct {
 		name string
 		v    float64
 	}{{"Gamma", c.Gamma}, {"LinkGamma", c.LinkGamma}} {
 		if !(g.v >= 0 && g.v <= math.MaxFloat64) {
-			return fmt.Errorf("core: %w: Config.%s %g", model.ErrInvalid, g.name, g.v)
+			return Config{}, fmt.Errorf("core: %w: Config.%s %g", model.ErrInvalid, g.name, g.v)
 		}
 	}
-	return nil
+	return c.normalized(), nil
 }
 
 func (c Config) normalized() Config {

@@ -243,10 +243,10 @@ func NewEngine(p *model.Problem, cfg Config) (*Engine, error) {
 	if err := model.Validate(p); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	if err := cfg.validate(); err != nil {
+	c, err := cfg.WithDefaults()
+	if err != nil {
 		return nil, err
 	}
-	c := cfg.normalized()
 	ix := model.NewIndex(p)
 
 	e := &Engine{

@@ -182,11 +182,11 @@ func TestWorkersDefaultResolvesToShardBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	for procs, want := range map[int]int{1: 1, 2: 2 * shardsPerProc, 3: 3 * shardsPerProc} {
 		runtime.GOMAXPROCS(procs)
-		if got := (Config{}).WithDefaults().workers; got != want {
+		if got := (Config{}).normalized().workers; got != want {
 			t.Errorf("GOMAXPROCS %d: default budget = %d, want %d", procs, got, want)
 		}
 	}
-	if got := (Config{workers: 3}).WithDefaults().workers; got != 3 {
+	if got := (Config{workers: 3}).normalized().workers; got != 3 {
 		t.Errorf("budget 3 normalized to %d", got)
 	}
 	// The base workload (6 flows, 3 nodes) is below the parallel cutover:

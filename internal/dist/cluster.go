@@ -82,8 +82,12 @@ type Config struct {
 	ownHost string
 }
 
-func (c Config) normalized() Config {
-	c.Core = c.Core.WithDefaults()
+func (c Config) normalized() (Config, error) {
+	cc, err := c.Core.WithDefaults()
+	if err != nil {
+		return Config{}, fmt.Errorf("dist: %w", err)
+	}
+	c.Core = cc
 	if c.Staleness < 0 {
 		c.Staleness = 0
 	}
@@ -96,7 +100,7 @@ func (c Config) normalized() Config {
 	if c.stopGrace <= 0 {
 		c.stopGrace = 5 * time.Second
 	}
-	return c
+	return c, nil
 }
 
 // RoundStats is the collector's view of one completed round.
@@ -147,7 +151,10 @@ func New(p *model.Problem, cfg Config, net transport.Network) (*Cluster, error) 
 	if err := model.Validate(p); err != nil {
 		return nil, fmt.Errorf("dist: %w", err)
 	}
-	c := cfg.normalized()
+	c, err := cfg.normalized()
+	if err != nil {
+		return nil, err
+	}
 	ix := model.NewIndex(p)
 
 	cl := &Cluster{p: p, cfg: c, epoch: time.Now()}

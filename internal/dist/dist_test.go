@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -15,6 +16,34 @@ import (
 // hostOf is the network endpoint an agent's traffic goes through: what the
 // transport's fault injection has to name to reach the agent.
 func hostOf(cl *Cluster, agent string) string { return cl.route[agent] }
+
+// TestNewRefusesBadStepsizes: a NaN, infinite or negative Gamma or
+// LinkGamma is refused with model.ErrInvalid before any agent attaches to
+// the network, so the same network then takes a valid cluster; 0 still
+// means the default.
+func TestNewRefusesBadStepsizes(t *testing.T) {
+	p := workload.Base()
+	net := transport.NewMemory()
+	defer net.Close()
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		for name, cc := range map[string]core.Config{"Gamma": {Gamma: v}, "LinkGamma": {LinkGamma: v}} {
+			if cl, err := New(p, Config{Core: cc}, net); !errors.Is(err, model.ErrInvalid) {
+				t.Errorf("%s %g: New = %v, want model.ErrInvalid", name, v, err)
+				if cl != nil {
+					cl.Close()
+				}
+			}
+		}
+	}
+	cl, err := New(p, Config{Core: core.Config{Gamma: 0, LinkGamma: 0}}, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if cl.cfg.Core.Gamma != core.DefaultGamma || cl.cfg.Core.LinkGamma != core.DefaultLinkGamma {
+		t.Errorf("zero stepsizes became %g and %g, want the defaults", cl.cfg.Core.Gamma, cl.cfg.Core.LinkGamma)
+	}
+}
 
 func TestItoa(t *testing.T) {
 	tests := []struct {

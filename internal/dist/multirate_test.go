@@ -108,7 +108,11 @@ func TestMultirateNodeAgentSetFlowActive(t *testing.T) {
 	p := workload.Heterogeneous()
 	net := transport.NewMemory()
 	defer net.Close()
-	na := newNodeAgent(p, model.NewIndex(p), 0, Config{Multirate: true}.normalized())
+	cfg, err := Config{Multirate: true}.normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	na := newNodeAgent(p, model.NewIndex(p), 0, cfg)
 	_, ports := testGateway(t, net, hostName(0), map[string]string{nodeName(0): hostName(0), flowName(0): hostName(0)}, false)
 	na.ep = ports[nodeName(0)]
 

@@ -69,7 +69,10 @@ func NewEngine(p *model.Problem, cfg core.Config) (*Engine, error) {
 	if err := model.Validate(p); err != nil {
 		return nil, fmt.Errorf("multirate: %w", err)
 	}
-	c := cfg.WithDefaults()
+	c, err := cfg.WithDefaults()
+	if err != nil {
+		return nil, fmt.Errorf("multirate: %w", err)
+	}
 	e := &Engine{
 		p:           p,
 		ix:          model.NewIndex(p),

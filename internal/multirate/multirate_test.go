@@ -1,6 +1,7 @@
 package multirate
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -37,6 +38,28 @@ func TestNewEngineValidates(t *testing.T) {
 	p.Classes[0].Utility = nil
 	if _, err := NewEngine(p, core.Config{}); err == nil {
 		t.Error("accepted invalid problem")
+	}
+}
+
+// TestNewEngineRefusesBadStepsizes: a NaN, infinite or negative Gamma or
+// LinkGamma is refused with model.ErrInvalid, by the rule core.NewEngine
+// applies, instead of being carried (NaN, +Inf) or silently replaced by
+// the default (negative); 0 still means the default.
+func TestNewEngineRefusesBadStepsizes(t *testing.T) {
+	p := workload.Base()
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		for name, cfg := range map[string]core.Config{"Gamma": {Gamma: v}, "LinkGamma": {LinkGamma: v}} {
+			if _, err := NewEngine(p, cfg); !errors.Is(err, model.ErrInvalid) {
+				t.Errorf("%s %g: NewEngine = %v, want model.ErrInvalid", name, v, err)
+			}
+		}
+	}
+	e, err := NewEngine(p, core.Config{Gamma: 0, LinkGamma: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.cfg.Gamma != core.DefaultGamma || e.cfg.LinkGamma != core.DefaultLinkGamma {
+		t.Errorf("zero stepsizes became %g and %g, want the defaults", e.cfg.Gamma, e.cfg.LinkGamma)
 	}
 }
 
