@@ -42,6 +42,9 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *steps < 0 {
+		return fmt.Errorf("-steps %d: want 0 (the default) or more", *steps)
+	}
 
 	shape, err := workload.ParseShape(*shapeName)
 	if err != nil {

@@ -71,3 +71,22 @@ func TestRunRefusesBadTemps(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRefusesBadFlags: a negative -steps is refused with an error naming
+// it before anything runs, where it used to anneal the default 1,000,000
+// steps per temperature. The rows pick no -mode, so a flag that is not
+// refused fails on the mode without annealing.
+func TestRunRefusesBadFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-mode", "none", "-steps", "-1"},
+	} {
+		var out bytes.Buffer
+		flag := args[len(args)-2]
+		if err := run(args, &out); err == nil || !strings.Contains(err.Error(), flag) {
+			t.Errorf("run %q = %v, want an error naming %s", args, err, flag)
+		}
+		if out.Len() != 0 {
+			t.Errorf("run %q printed %q before refusing", args, out.String())
+		}
+	}
+}

@@ -64,6 +64,16 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	switch {
+	case *iters < 0:
+		return fmt.Errorf("-iters %d: want 0 (the default) or more", *iters)
+	case *saSteps < 0:
+		return fmt.Errorf("-sa-steps %d: want 0 (the default) or more", *saSteps)
+	case *topoNodes < 0:
+		return fmt.Errorf("-topo-nodes %d: want 0 (the default) or more", *topoNodes)
+	case *failEvery < 0:
+		return fmt.Errorf("-fail-every %d: want 0 (the default) or more", *failEvery)
+	}
 
 	want := make(map[string]bool)
 	for _, name := range strings.Split(*runSpec, ",") {

@@ -168,3 +168,25 @@ func TestRunUnknownFlag(t *testing.T) {
 		t.Error("unknown flag accepted")
 	}
 }
+
+// TestRunRefusesBadFlags: a negative count is refused with an error naming
+// the flag before anything runs. -iters -5 used to run 250 iterations, and
+// -topo-nodes -1 with -short built the full 10,000-node overlay. The rows
+// select no experiment, so a flag that is not refused returns nil at once.
+func TestRunRefusesBadFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-run", "none", "-iters", "-5"},
+		{"-run", "none", "-sa-steps", "-1"},
+		{"-run", "none", "-short", "-topo-nodes", "-1"},
+		{"-run", "none", "-short", "-fail-every", "-7"},
+	} {
+		var out bytes.Buffer
+		flag := args[len(args)-2]
+		if err := run(args, &out); err == nil || !strings.Contains(err.Error(), flag) {
+			t.Errorf("run %q = %v, want an error naming %s", args, err, flag)
+		}
+		if out.Len() != 0 {
+			t.Errorf("run %q printed %q before refusing", args, out.String())
+		}
+	}
+}

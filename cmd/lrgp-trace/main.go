@@ -45,6 +45,9 @@ func run(args []string, out io.Writer, stdin io.Reader) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *top < 0 {
+		return fmt.Errorf("-top %d: want 0 or more", *top)
+	}
 	if *events == "" {
 		return fmt.Errorf("-events is required (path to a JSONL event log, or - for stdin)")
 	}

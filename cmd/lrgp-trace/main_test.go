@@ -154,3 +154,19 @@ func TestRunErrors(t *testing.T) {
 		t.Errorf("empty log error = %v, want 'empty'", err)
 	}
 }
+
+// TestRunRefusesBadFlags: a negative -top is refused with an error naming
+// it before the log is read, where it used to print empty tables.
+func TestRunRefusesBadFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-top", "-1"},
+	} {
+		var out bytes.Buffer
+		if err := run(args, &out, nil); err == nil || !strings.Contains(err.Error(), args[0]) {
+			t.Errorf("run %q = %v, want an error naming %s", args, err, args[0])
+		}
+		if out.Len() != 0 {
+			t.Errorf("run %q printed %q before refusing", args, out.String())
+		}
+	}
+}

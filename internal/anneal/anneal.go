@@ -65,34 +65,30 @@ type Config struct {
 	Seed int64
 }
 
-// validate refuses a start temperature normalization would not repair:
-// NaN or ±Inf. Zero or below means DefaultStartTemp.
-func (c Config) validate() error {
-	if math.IsNaN(c.StartTemp) || math.IsInf(c.StartTemp, 0) {
-		return fmt.Errorf("anneal: %w: StartTemp %g", model.ErrInvalid, c.StartTemp)
-	}
-	return nil
-}
-
-func (c Config) normalized() Config {
-	if c.StartTemp <= 0 {
-		c.StartTemp = DefaultStartTemp
-	}
-	if c.MaxSteps <= 0 {
-		c.MaxSteps = DefaultMaxSteps
+// normalized replaces every unset field by its default; model.Option
+// refuses a StartTemp or MaxSteps that is NaN, ±Inf or negative.
+func (c Config) normalized() (Config, error) {
+	var errs [2]error
+	c.StartTemp, errs[0] = model.Option("Config.StartTemp", c.StartTemp, DefaultStartTemp)
+	c.MaxSteps, errs[1] = model.Option("Config.MaxSteps", c.MaxSteps, DefaultMaxSteps)
+	if err := errors.Join(errs[:]...); err != nil {
+		return Config{}, fmt.Errorf("anneal: %w", err)
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	return c
+	return c, nil
 }
 
 // Rounds returns the number of temperature rounds the schedule will run:
 // the count of multiplications by DefaultCoolRate needed to bring StartTemp
-// to or below DefaultMinTemp.
+// to or below DefaultMinTemp. A config Solve refuses has 0 rounds.
 func (c Config) Rounds() int {
-	cfg := c.normalized()
-	if cfg.StartTemp <= DefaultMinTemp {
+	cfg, err := c.normalized()
+	switch {
+	case err != nil:
+		return 0
+	case cfg.StartTemp <= DefaultMinTemp:
 		return 1
 	}
 	return int(math.Ceil(math.Log(DefaultMinTemp/cfg.StartTemp)/math.Log(DefaultCoolRate))) + 1
@@ -243,10 +239,10 @@ func Solve(p *model.Problem, cfg Config) (Result, error) {
 	if err := model.Validate(p); err != nil {
 		return Result{}, fmt.Errorf("anneal: %w", err)
 	}
-	if err := cfg.validate(); err != nil {
+	c, err := cfg.normalized()
+	if err != nil {
 		return Result{}, err
 	}
-	c := cfg.normalized()
 	ix := model.NewIndex(p)
 	s, err := newState(p, ix)
 	if err != nil {

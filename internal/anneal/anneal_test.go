@@ -3,6 +3,7 @@ package anneal
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/model"
@@ -30,6 +31,30 @@ func TestSolveRefusesNonFiniteStartTemp(t *testing.T) {
 		if _, err := SolveRatesGreedy(p, cfg); !errors.Is(err, model.ErrInvalid) {
 			t.Errorf("SolveRatesGreedy at StartTemp %g = %v, want model.ErrInvalid", temp, err)
 		}
+	}
+}
+
+// TestSolveRefusesNegativeOptions: a negative StartTemp or MaxSteps is
+// refused with model.ErrInvalid naming the field, where it used to run
+// the default schedule; 0 still means the default.
+func TestSolveRefusesNegativeOptions(t *testing.T) {
+	p := workload.Base()
+	for field, cfg := range map[string]Config{
+		"StartTemp": {StartTemp: -1, MaxSteps: 10},
+		"MaxSteps":  {MaxSteps: -1},
+	} {
+		if _, err := Solve(p, cfg); !errors.Is(err, model.ErrInvalid) || !strings.Contains(err.Error(), field) {
+			t.Errorf("Solve with %s -1 = %v, want model.ErrInvalid naming it", field, err)
+		}
+		if _, err := SolveRatesGreedy(p, cfg); !errors.Is(err, model.ErrInvalid) || !strings.Contains(err.Error(), field) {
+			t.Errorf("SolveRatesGreedy with %s -1 = %v, want model.ErrInvalid naming it", field, err)
+		}
+		if got := cfg.Rounds(); got != 0 {
+			t.Errorf("Rounds with %s -1 = %d, want 0", field, got)
+		}
+	}
+	if _, err := Solve(p, Config{StartTemp: 0, MaxSteps: 10}); err != nil {
+		t.Errorf("Solve at StartTemp 0 = %v, want the default temperature", err)
 	}
 }
 
@@ -155,7 +180,10 @@ func TestSolveBestOf(t *testing.T) {
 }
 
 func TestConfigNormalized(t *testing.T) {
-	c := Config{}.normalized()
+	c, err := Config{}.normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if c.StartTemp != DefaultStartTemp || c.MaxSteps != DefaultMaxSteps || c.Seed != 1 {
 		t.Errorf("normalized = %+v", c)
 	}

@@ -24,10 +24,10 @@ func SolveRatesGreedy(p *model.Problem, cfg Config) (Result, error) {
 	if err := model.Validate(p); err != nil {
 		return Result{}, fmt.Errorf("anneal: %w", err)
 	}
-	if err := cfg.validate(); err != nil {
+	c, err := cfg.normalized()
+	if err != nil {
 		return Result{}, err
 	}
-	c := cfg.normalized()
 	ix := model.NewIndex(p)
 	rng := rand.New(rand.NewSource(c.Seed))
 

@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -127,11 +128,11 @@ type AutopilotStats struct {
 // NewAutopilot builds an autopilot around a broker. The engine solves a
 // private clone of the broker's problem.
 func NewAutopilot(b *Broker, cfg AutopilotConfig) (*Autopilot, error) {
-	if cfg.EnactThreshold <= 0 {
-		cfg.EnactThreshold = 0.01
-	}
-	if cfg.ItersPerCycle <= 0 {
-		cfg.ItersPerCycle = 100
+	var errs [2]error
+	cfg.EnactThreshold, errs[0] = model.Option("AutopilotConfig.EnactThreshold", cfg.EnactThreshold, 0.01)
+	cfg.ItersPerCycle, errs[1] = model.Option("AutopilotConfig.ItersPerCycle", cfg.ItersPerCycle, 100)
+	if err := errors.Join(errs[:]...); err != nil {
+		return nil, fmt.Errorf("broker: autopilot: %w", err)
 	}
 	prob := b.Problem().Clone()
 	eng, err := core.NewEngine(prob, cfg.Core)

@@ -1,7 +1,9 @@
 package broker
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -27,6 +29,40 @@ func autopilotFixture(t *testing.T) (*Broker, *Autopilot, *fakeClock) {
 	}
 	t.Cleanup(a.Close)
 	return b, a, clock
+}
+
+// TestNewAutopilotRefusesBadNumbers: a NaN, infinite or negative
+// EnactThreshold, or a negative ItersPerCycle, is refused with
+// model.ErrInvalid naming the field. A NaN threshold used to be kept, and
+// since no delta is >= NaN the autopilot never enacted; −1 silently meant
+// the default. 0 still means the default.
+func TestNewAutopilotRefusesBadNumbers(t *testing.T) {
+	b, err := New(fanProblem(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for field, cfg := range map[string][]AutopilotConfig{
+		"EnactThreshold": {{EnactThreshold: math.NaN()}, {EnactThreshold: math.Inf(1)}, {EnactThreshold: -1}},
+		"ItersPerCycle":  {{ItersPerCycle: -3}},
+	} {
+		for _, c := range cfg {
+			a, err := NewAutopilot(b, c)
+			if !errors.Is(err, model.ErrInvalid) || !strings.Contains(err.Error(), field) {
+				t.Errorf("%+v: NewAutopilot = %v, want model.ErrInvalid naming %s", c, err, field)
+			}
+			if a != nil {
+				a.Close()
+			}
+		}
+	}
+	a, err := NewAutopilot(b, AutopilotConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	if a.enactThreshold != 0.01 || a.itersPerCycle != 100 {
+		t.Errorf("zero config became threshold %g, %d iterations; want 0.01 and 100", a.enactThreshold, a.itersPerCycle)
+	}
 }
 
 // TestAutopilotEnactsDemand: a cycle picks up attached demand, solves,

@@ -22,8 +22,8 @@
 package core
 
 import (
+	"errors"
 	"fmt"
-	"math"
 	"runtime"
 
 	"repro/internal/model"
@@ -112,32 +112,17 @@ func shardBudget(procs int) int {
 }
 
 // WithDefaults returns the configuration with every unset field replaced
-// by its default, exactly as NewEngine applies them. It refuses a
-// stepsize no default repairs — NaN, ±Inf or negative; 0 means the
-// default — with model.ErrInvalid. Other packages that drive the exported
-// primitives directly (e.g. the distributed runtime) must normalize
-// through this before use.
+// by its default, exactly as NewEngine applies them; model.Option decides
+// what each number means and refuses a stepsize that is NaN, ±Inf or
+// negative. Other packages that drive the exported primitives directly
+// (e.g. the distributed runtime) must normalize through this before use.
 func (c Config) WithDefaults() (Config, error) {
-	for _, g := range [...]struct {
-		name string
-		v    float64
-	}{{"Gamma", c.Gamma}, {"LinkGamma", c.LinkGamma}} {
-		if !(g.v >= 0 && g.v <= math.MaxFloat64) {
-			return Config{}, fmt.Errorf("core: %w: Config.%s %g", model.ErrInvalid, g.name, g.v)
-		}
+	var errs [3]error
+	c.Gamma, errs[0] = model.Option("Config.Gamma", c.Gamma, DefaultGamma)
+	c.LinkGamma, errs[1] = model.Option("Config.LinkGamma", c.LinkGamma, DefaultLinkGamma)
+	c.workers, errs[2] = model.Option("Config.workers", c.workers, shardBudget(runtime.GOMAXPROCS(0)))
+	if err := errors.Join(errs[:]...); err != nil {
+		return Config{}, fmt.Errorf("core: %w", err)
 	}
-	return c.normalized(), nil
-}
-
-func (c Config) normalized() Config {
-	if c.workers <= 0 {
-		c.workers = shardBudget(runtime.GOMAXPROCS(0))
-	}
-	if c.Gamma <= 0 {
-		c.Gamma = DefaultGamma
-	}
-	if c.LinkGamma <= 0 {
-		c.LinkGamma = DefaultLinkGamma
-	}
-	return c
+	return c, nil
 }

@@ -175,6 +175,16 @@ func TestParallelSolveMatchesSerial(t *testing.T) {
 	}
 }
 
+// mustDefaults is c.WithDefaults for a config the test knows is valid.
+func mustDefaults(t *testing.T, c Config) Config {
+	t.Helper()
+	c, err := c.WithDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // TestWorkersDefaultResolvesToShardBudget pins the shard budget:
 // shardsPerProc × GOMAXPROCS, one shard at GOMAXPROCS 1, unless a test set
 // one; and small problems stay one shard whatever it is.
@@ -182,11 +192,11 @@ func TestWorkersDefaultResolvesToShardBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	for procs, want := range map[int]int{1: 1, 2: 2 * shardsPerProc, 3: 3 * shardsPerProc} {
 		runtime.GOMAXPROCS(procs)
-		if got := (Config{}).normalized().workers; got != want {
+		if got := mustDefaults(t, Config{}).workers; got != want {
 			t.Errorf("GOMAXPROCS %d: default budget = %d, want %d", procs, got, want)
 		}
 	}
-	if got := (Config{workers: 3}).normalized().workers; got != 3 {
+	if got := mustDefaults(t, Config{workers: 3}).workers; got != 3 {
 		t.Errorf("budget 3 normalized to %d", got)
 	}
 	// The base workload (6 flows, 3 nodes) is below the parallel cutover:

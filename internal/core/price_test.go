@@ -235,7 +235,7 @@ func TestPriceGap(t *testing.T) {
 }
 
 func TestConfigNormalized(t *testing.T) {
-	c := Config{}.normalized()
+	c := mustDefaults(t, Config{})
 	if c.Gamma != DefaultGamma {
 		t.Errorf("gamma = %g", c.Gamma)
 	}

@@ -96,13 +96,12 @@ type NodePricer struct {
 	adaptive *gammaBank // nil for a fixed stepsize
 }
 
-// NewNodePricer starts a node at price zero under cfg, normalized as
-// NewEngine normalizes it.
+// NewNodePricer starts a node at price zero under cfg, which must come
+// from WithDefaults.
 func NewNodePricer(cfg Config) *NodePricer {
-	c := cfg.normalized()
-	np := &NodePricer{gamma: c.Gamma}
-	if c.Adaptive {
-		np.adaptive = newGammaBank(c.GammaLiteral, 1)
+	np := &NodePricer{gamma: cfg.Gamma}
+	if cfg.Adaptive {
+		np.adaptive = newGammaBank(cfg.GammaLiteral, 1)
 	}
 	return np
 }

@@ -82,23 +82,25 @@ type Config struct {
 	ownHost string
 }
 
-func (c Config) normalized() (Config, error) {
-	cc, err := c.Core.WithDefaults()
-	if err != nil {
+// normalized replaces every unset field by its default, with one host
+// per node of a problem with nodes nodes; model.Option refuses a Hosts,
+// Staleness or StallTimeout that is negative.
+func (c Config) normalized(nodes int) (Config, error) {
+	var errs [6]error
+	c.Core, errs[0] = c.Core.WithDefaults()
+	c.Hosts, errs[1] = model.Option("Config.Hosts", c.Hosts, nodes)
+	c.Staleness, errs[2] = model.Option("Config.Staleness", c.Staleness, 0)
+	c.StallTimeout, errs[3] = model.Option("Config.StallTimeout", c.StallTimeout, 0)
+	c.stopGrace, errs[4] = model.Option("Config.stopGrace", c.stopGrace, 5*time.Second)
+	c.recordSize, errs[5] = model.Option("Config.recordSize", c.recordSize, DefaultRecordSize)
+	if err := errors.Join(errs[:]...); err != nil {
 		return Config{}, fmt.Errorf("dist: %w", err)
-	}
-	c.Core = cc
-	if c.Staleness < 0 {
-		c.Staleness = 0
 	}
 	if c.Staleness > 0 && c.resend == 0 {
 		c.resend = DefaultResend
 	}
 	if c.Postmortem != nil || c.StallTimeout > 0 {
 		c.record = true
-	}
-	if c.stopGrace <= 0 {
-		c.stopGrace = 5 * time.Second
 	}
 	return c, nil
 }
@@ -151,7 +153,7 @@ func New(p *model.Problem, cfg Config, net transport.Network) (*Cluster, error) 
 	if err := model.Validate(p); err != nil {
 		return nil, fmt.Errorf("dist: %w", err)
 	}
-	c, err := cfg.normalized()
+	c, err := cfg.normalized(len(p.Nodes))
 	if err != nil {
 		return nil, err
 	}
@@ -334,10 +336,7 @@ const collectorInbox = 1024
 // with their source node, so source-local exchanges never touch the wire.
 func (cl *Cluster) buildHosts(net transport.Network) error {
 	p := cl.p
-	hosts := cl.cfg.Hosts
-	if hosts <= 0 || hosts > len(p.Nodes) {
-		hosts = len(p.Nodes)
-	}
+	hosts := min(cl.cfg.Hosts, len(p.Nodes))
 	cl.route = make(map[string]string, len(p.Flows)+len(p.Nodes)+2)
 	for b := range p.Nodes {
 		cl.route[nodeName(model.NodeID(b))] = hostName(b * hosts / len(p.Nodes))

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -42,6 +43,40 @@ func TestNewRefusesBadStepsizes(t *testing.T) {
 	defer cl.Close()
 	if cl.cfg.Core.Gamma != core.DefaultGamma || cl.cfg.Core.LinkGamma != core.DefaultLinkGamma {
 		t.Errorf("zero stepsizes became %g and %g, want the defaults", cl.cfg.Core.Gamma, cl.cfg.Core.LinkGamma)
+	}
+}
+
+// TestNewRefusesBadOptions: a negative Hosts, Staleness or StallTimeout is
+// refused with model.ErrInvalid naming the field before any agent
+// attaches, where it used to mean one host per node, the exact barrier
+// and no stall detector; the same network then takes a valid cluster.
+func TestNewRefusesBadOptions(t *testing.T) {
+	p := workload.Base()
+	net := transport.NewMemory()
+	defer net.Close()
+	for field, cfg := range map[string]Config{
+		"Hosts":        {Hosts: -1},
+		"Staleness":    {Staleness: -1},
+		"StallTimeout": {StallTimeout: -time.Second},
+	} {
+		if cl, err := New(p, cfg, net); !errors.Is(err, model.ErrInvalid) || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s: New = %v, want model.ErrInvalid naming it", field, err)
+			if cl != nil {
+				cl.Close()
+			}
+		}
+	}
+	cl, err := New(p, Config{}, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if cl.cfg.Hosts != len(p.Nodes) || cl.cfg.Staleness != 0 || cl.cfg.StallTimeout != 0 {
+		t.Errorf("zero options became Hosts %d, Staleness %d, StallTimeout %v; want one host per node, 0 and 0",
+			cl.cfg.Hosts, cl.cfg.Staleness, cl.cfg.StallTimeout)
+	}
+	if _, err := cl.Run(5, 10*time.Second); err != nil {
+		t.Fatal(err)
 	}
 }
 

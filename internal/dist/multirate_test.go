@@ -108,7 +108,7 @@ func TestMultirateNodeAgentSetFlowActive(t *testing.T) {
 	p := workload.Heterogeneous()
 	net := transport.NewMemory()
 	defer net.Close()
-	cfg, err := Config{Multirate: true}.normalized()
+	cfg, err := Config{Multirate: true}.normalized(len(p.Nodes))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -183,9 +183,6 @@ func sat32(v int64) uint64 {
 // newRecorder builds a ring of the given capacity rounded up to a power
 // of two (for mask indexing), stamping events from the shared clock.
 func newRecorder(agent string, size int, clk *recClock) *recorder {
-	if size <= 0 {
-		size = DefaultRecordSize
-	}
 	n := 1
 	for n < size {
 		n <<= 1

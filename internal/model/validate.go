@@ -5,7 +5,8 @@ import (
 	"fmt"
 )
 
-// ErrInvalid wraps all structural problems reported by Validate.
+// ErrInvalid wraps all structural problems reported by Validate, and every
+// numeric option Option refuses.
 var ErrInvalid = errors.New("model: invalid problem")
 
 // Validate checks structural well-formedness of a problem:

@@ -3,6 +3,7 @@ package repro_test
 import (
 	"go/ast"
 	"go/build"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -10,6 +11,7 @@ import (
 	"io/fs"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -40,6 +42,19 @@ var unsetAllowed = map[string]string{
 	"repro/internal/dist.Config.Multirate":       "the agents' run of the multirate extension (Section 5), proved by multirate_40.bits and TestMultirateSyncMatchesEngine",
 	"repro/internal/experiments.Options.SATemps": "the tests and root benchmarks cut the annealing sweep to two temperatures; a constant would triple their annealing time",
 	"repro/internal/workload.RandomConfig":       "configures workload.Random, which uncalledAllowed keeps for the property tests",
+}
+
+// numericExempt names the numeric options TestEveryNumericOptionHasARow
+// lets stand without a row in numericOptions, each with its reason. Keys
+// are "importpath.Type.Field", or "importpath.Type" for all of a type's
+// fields.
+var numericExempt = map[string]string{
+	"repro/internal/anneal.Config.Seed":      "every int64 is a seed; 0 means seed 1",
+	"repro/internal/workload.Config":         "Scaled has no error return, and bench/ calls it",
+	"repro/internal/workload.MetroConfig":    "MetroSized has no error return, and bench/ calls MetroSmall through it",
+	"repro/internal/workload.RandomConfig":   "Random has no error return; only property tests call it",
+	"repro/internal/experiments.Options":     "only lrgp-experiments and tests set it, and the command refuses its flags",
+	"repro/internal/experiments.ChurnConfig": "only lrgp-experiments and tests set it, and the command refuses its flags",
 }
 
 // The checkout is type-checked once and shared by the tests below.
@@ -230,6 +245,161 @@ func TestEveryOptionIsSet(t *testing.T) {
 
 	var unset []string
 	allowed := map[string]bool{}
+	for _, o := range configFields(l, paths) {
+		if set[o.field] {
+			continue
+		}
+		switch {
+		case unsetAllowed[o.key] != "":
+			allowed[o.key] = true
+		case unsetAllowed[o.typeKey] != "":
+			allowed[o.typeKey] = true
+		default:
+			unset = append(unset, o.key)
+		}
+	}
+	sort.Strings(unset)
+	for _, key := range unset {
+		t.Errorf("option %s is set by no program: make it a constant or an unexported field a test sets, or allowlist it with a reason", key)
+	}
+	for key := range unsetAllowed {
+		if !allowed[key] {
+			t.Errorf("allowlist entry %s names no unset option under internal/: drop it", key)
+		}
+	}
+}
+
+// TestEveryNumericOptionHasARow fails on each numeric field (a float, an
+// integer or a time.Duration) of a config under internal/ that has no row
+// in numericOptions (options_test.go), the table that feeds the field's
+// constructor bad values; what numericExempt lists is exempt.
+func TestEveryNumericOptionHasARow(t *testing.T) {
+	l, paths := loadCheckout(t)
+	rows := map[string]bool{}
+	for _, row := range numericOptions {
+		rows[optionKey(row.cfg, row.field)] = true
+	}
+	allowed := map[string]bool{}
+	for _, o := range configFields(l, paths) {
+		basic, ok := o.field.Type().Underlying().(*types.Basic)
+		if !ok || basic.Info()&types.IsNumeric == 0 || rows[o.key] {
+			continue
+		}
+		switch {
+		case numericExempt[o.key] != "":
+			allowed[o.key] = true
+		case numericExempt[o.typeKey] != "":
+			allowed[o.typeKey] = true
+		default:
+			t.Errorf("numeric option %s has no row in numericOptions: add one, or exempt it with a reason", o.key)
+		}
+	}
+	for key := range numericExempt {
+		if !allowed[key] {
+			t.Errorf("numericExempt entry %s exempts no numeric option without a row: drop it", key)
+		}
+	}
+}
+
+// numericFlagFuncs are the flag package's numeric flag constructors, with
+// the index of the argument that names the flag.
+var numericFlagFuncs = map[string]int{
+	"Float64": 0, "Int": 0, "Int64": 0, "Uint": 0, "Uint64": 0, "Duration": 0,
+	"Float64Var": 1, "IntVar": 1, "Int64Var": 1, "UintVar": 1, "Uint64Var": 1, "DurationVar": 1,
+}
+
+// TestEveryNumericFlagHasARow fails on each numeric flag a command under
+// cmd/ declares that no string literal of the command's
+// TestRunRefusesBadFlags names. A -seed flag is exempt: every int64 is a
+// seed.
+func TestEveryNumericFlagHasARow(t *testing.T) {
+	l, paths := loadCheckout(t)
+	for _, p := range paths {
+		if !strings.HasPrefix(p, "repro/cmd/") {
+			continue
+		}
+		lp := l.pkgs[p]
+		var flags []string
+		for _, f := range lp.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				fn, ok := lp.info.Uses[sel.Sel].(*types.Func)
+				if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "flag" {
+					return true
+				}
+				if i, ok := numericFlagFuncs[fn.Name()]; ok && i < len(call.Args) {
+					if v := lp.info.Types[call.Args[i]].Value; v != nil && v.Kind() == constant.String {
+						if name := constant.StringVal(v); name != "seed" {
+							flags = append(flags, "-"+name)
+						}
+					}
+				}
+				return true
+			})
+		}
+		if len(flags) == 0 {
+			continue
+		}
+		dir := strings.TrimPrefix(p, "repro/")
+		rows := refusalRows(t, dir)
+		for _, flag := range flags {
+			if !rows[flag] {
+				t.Errorf("%s: numeric flag %s has no row in TestRunRefusesBadFlags", dir, flag)
+			}
+		}
+	}
+}
+
+// refusalRows collects the flag names (a string literal "-name" or
+// "-name=value") TestRunRefusesBadFlags mentions in dir's test files.
+func refusalRows(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	tests, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]bool{}
+	for _, name := range tests {
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Name.Name != "TestRunRefusesBadFlags" {
+				continue
+			}
+			ast.Inspect(fd, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if s, err := strconv.Unquote(lit.Value); err == nil && strings.HasPrefix(s, "-") {
+						rows[strings.SplitN(s, "=", 2)[0]] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	return rows
+}
+
+// configField is one exported field of an exported struct named Options,
+// Config or *Config under internal/.
+type configField struct {
+	field        *types.Var
+	typeKey, key string // "importpath.Type" and "importpath.Type.Field"
+}
+
+// configFields lists the exported fields of every exported struct named
+// Options, Config or *Config under internal/.
+func configFields(l *loader, paths []string) []configField {
+	var out []configField
 	for _, p := range paths {
 		if !strings.HasPrefix(p, "repro/internal/") {
 			continue
@@ -246,31 +416,13 @@ func TestEveryOptionIsSet(t *testing.T) {
 			}
 			typeKey := p + "." + name
 			for i := 0; i < st.NumFields(); i++ {
-				field := st.Field(i)
-				if !field.Exported() || set[field] {
-					continue
-				}
-				key := typeKey + "." + field.Name()
-				switch {
-				case unsetAllowed[key] != "":
-					allowed[key] = true
-				case unsetAllowed[typeKey] != "":
-					allowed[typeKey] = true
-				default:
-					unset = append(unset, key)
+				if field := st.Field(i); field.Exported() {
+					out = append(out, configField{field, typeKey, typeKey + "." + field.Name()})
 				}
 			}
 		}
 	}
-	sort.Strings(unset)
-	for _, key := range unset {
-		t.Errorf("option %s is set by no program: make it a constant or an unexported field a test sets, or allowlist it with a reason", key)
-	}
-	for key := range unsetAllowed {
-		if !allowed[key] {
-			t.Errorf("allowlist entry %s names no unset option under internal/: drop it", key)
-		}
-	}
+	return out
 }
 
 // defaultedFields is the set of fields decl may write without setting an
