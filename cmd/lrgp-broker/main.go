@@ -126,20 +126,18 @@ func run(args []string, out io.Writer) error {
 	p := workload.Base()
 
 	// Telemetry is wired before any optimization so a scraper attached
-	// at startup observes the whole run. The handles stay nil without
-	// -telemetry-addr, which disables instrumentation entirely.
+	// at startup observes the whole run; the broker registers its own
+	// metrics on reg when it is built. The registry and handles stay nil
+	// without -telemetry-addr, which disables instrumentation entirely.
 	var (
+		reg  *telemetry.Registry
 		em   *telemetry.EngineMetrics
-		bm   *telemetry.BrokerMetrics
 		dm   *telemetry.DistMetrics
-		enm  *telemetry.EnactMetrics
 		snap atomic.Pointer[core.Snapshot]
 	)
 	if *telemetryAddr != "" {
-		reg := telemetry.NewRegistry()
+		reg = telemetry.NewRegistry()
 		em = telemetry.NewEngineMetrics(reg)
-		bm = telemetry.NewBrokerMetrics(reg)
-		enm = telemetry.NewEnactMetrics(reg)
 		if *optimizer == "dist" {
 			dm = telemetry.NewDistMetrics(reg)
 		}
@@ -159,7 +157,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *autopilot {
-		return runAutopilot(out, p, bm, enm, *apSeconds, *apInterval, *churnSpec, drivers)
+		return runAutopilot(out, p, reg, *apSeconds, *apInterval, *churnSpec, drivers)
 	}
 
 	// -trace-out: one JSONL IterationRecord per optimizer step.
@@ -262,7 +260,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	// Stand up the broker, attach the full demand, enact the allocation.
-	b, err := broker.New(p, broker.WithTelemetry(bm))
+	b, err := broker.New(p, broker.WithTelemetry(reg))
 	if err != nil {
 		return err
 	}
@@ -387,10 +385,9 @@ func totalAttached(p *model.Problem) int {
 // enactment flows through the broker's incremental route path; the
 // summary lines at the end mirror what -telemetry-addr exposes live as
 // the lrgp_enact_* family.
-func runAutopilot(out io.Writer, p *model.Problem, bm *telemetry.BrokerMetrics,
-	enm *telemetry.EnactMetrics, seconds float64, interval time.Duration,
-	churnSpec string, drivers []churnDriver) error {
-	b, err := broker.New(p, broker.WithTelemetry(bm), broker.WithEnactTelemetry(enm))
+func runAutopilot(out io.Writer, p *model.Problem, reg *telemetry.Registry,
+	seconds float64, interval time.Duration, churnSpec string, drivers []churnDriver) error {
+	b, err := broker.New(p, broker.WithTelemetry(reg))
 	if err != nil {
 		return err
 	}
@@ -406,10 +403,7 @@ func runAutopilot(out io.Writer, p *model.Problem, bm *telemetry.BrokerMetrics,
 			}
 		}
 	}
-	ap, err := broker.NewAutopilot(b, broker.AutopilotConfig{
-		Core:      core.Config{Adaptive: true},
-		Telemetry: enm,
-	})
+	ap, err := broker.NewAutopilot(b, broker.AutopilotConfig{Core: core.Config{Adaptive: true}})
 	if err != nil {
 		return err
 	}

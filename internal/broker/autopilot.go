@@ -80,7 +80,10 @@ type Autopilot struct {
 	lastDelta  float64
 	lastDemand int
 
-	tel *telemetry.EnactMetrics
+	// cycleSeconds, set when the broker has a telemetry registry, is the
+	// cycle's one instrument observed as it happens; the cycle counters
+	// and gauges read Stats when scraped.
+	cycleSeconds *telemetry.Histogram
 }
 
 // AutopilotConfig tunes an Autopilot. The zero value enacts every change
@@ -94,10 +97,6 @@ type AutopilotConfig struct {
 	// ItersPerCycle bounds the LRGP iterations of each cycle's warm
 	// re-solve (default 100).
 	ItersPerCycle int
-	// Telemetry, when non-nil, receives per-cycle observations (and is
-	// typically the same handle passed to WithEnactTelemetry so apply
-	// and cycle metrics land in one family).
-	Telemetry *telemetry.EnactMetrics
 }
 
 const (
@@ -126,7 +125,9 @@ type AutopilotStats struct {
 }
 
 // NewAutopilot builds an autopilot around a broker. The engine solves a
-// private clone of the broker's problem.
+// private clone of the broker's problem. When the broker has a telemetry
+// registry (WithTelemetry), the autopilot registers the lrgp_enact_cycle*
+// metrics on it; the registry exports the first autopilot built on it.
 func NewAutopilot(b *Broker, cfg AutopilotConfig) (*Autopilot, error) {
 	var errs [2]error
 	cfg.EnactThreshold, errs[0] = model.Option("AutopilotConfig.EnactThreshold", cfg.EnactThreshold, 0.01)
@@ -152,12 +153,43 @@ func NewAutopilot(b *Broker, cfg AutopilotConfig) (*Autopilot, error) {
 		lastSync:       b.now(),
 		lastDir:        make([]int8, len(prob.Classes)),
 		ring:           make([]int8, 0, oscillationWindow),
-		tel:            cfg.Telemetry,
 	}
 	for i := range prob.Flows {
 		a.rateMax0[i] = prob.Flows[i].RateMax
 	}
+	if b.reg != nil {
+		a.registerTelemetry(b.reg)
+	}
 	return a, nil
+}
+
+// registerTelemetry registers the cycle metrics on reg. The counters and
+// gauges read Stats, so a scrape waits for an in-flight cycle.
+func (a *Autopilot) registerTelemetry(reg *telemetry.Registry) {
+	stat := func(read func(s *AutopilotStats) float64) func() float64 {
+		return func() float64 {
+			s := a.Stats()
+			return read(&s)
+		}
+	}
+	const cycles = "Autopilot re-optimization cycles by outcome."
+	reg.CounterFunc("lrgp_enact_cycles_total", cycles,
+		func() uint64 { return uint64(a.Stats().Enacted) },
+		telemetry.Label{Key: "result", Value: "enacted"})
+	reg.CounterFunc("lrgp_enact_cycles_total", cycles,
+		func() uint64 { return uint64(a.Stats().Skipped) },
+		telemetry.Label{Key: "result", Value: "skipped"})
+	a.cycleSeconds = reg.Histogram("lrgp_enact_cycle_seconds",
+		"Wall time of one autopilot cycle (estimate + re-solve + enact).", telemetry.DurationBuckets())
+	reg.GaugeFunc("lrgp_enact_allocation_delta",
+		"Largest relative change of the latest re-solved allocation vs the last enacted one.",
+		stat(func(s *AutopilotStats) float64 { return s.LastDelta }))
+	reg.GaugeFunc("lrgp_enact_oscillation",
+		"Fraction of recent per-class admission changes that reversed direction (0 converged, 1 flapping).",
+		stat(func(s *AutopilotStats) float64 { return s.Oscillation }))
+	reg.GaugeFunc("lrgp_enact_demand_consumers",
+		"Attached-consumer demand observed by the most recent autopilot cycle.",
+		stat(func(s *AutopilotStats) float64 { return float64(s.DemandConsumers) }))
 }
 
 // Engine exposes the embedded engine (for snapshots between cycles; like
@@ -260,7 +292,9 @@ func (a *Autopilot) Cycle() (model.Allocation, bool, error) {
 	}
 	a.lastDelta = delta
 	a.lastDemand = demand
-	a.tel.ObserveCycle(enact, a.b.now().Sub(now).Nanoseconds(), delta, a.oscillationLocked(), demand)
+	if a.cycleSeconds != nil {
+		a.cycleSeconds.ObserveSeconds(a.b.now().Sub(now).Nanoseconds())
+	}
 	return res.Allocation, enact, nil
 }
 

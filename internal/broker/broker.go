@@ -184,12 +184,13 @@ type Broker struct {
 	classBits uint
 	nextSeq   int64
 
-	// tel, when non-nil, mirrors the broker's accounting into the
-	// telemetry registry (message counters, fan-out histogram, consumer
-	// gauges). All ObserveX methods are nil-safe and lock-free, so the
-	// uninstrumented broker pays one branch per call site and the
-	// instrumented data plane stays mutex-free.
-	tel *telemetry.BrokerMetrics
+	// reg, when set (WithTelemetry), exports the broker's own counters,
+	// read when scraped (see registerTelemetry). fanout and applySeconds
+	// are the only instruments observed as events happen, each behind a
+	// nil check: an uninstrumented publish pays one branch.
+	reg          *telemetry.Registry
+	fanout       *telemetry.Histogram
+	applySeconds *telemetry.Histogram
 
 	// Incremental-enact state (control-plane owned, guarded by mu; see
 	// enact.go). dirtyClasses and dirtyFlows are scratch reused across
@@ -201,19 +202,15 @@ type Broker struct {
 	blockMark    []uint64
 	markEpoch    uint64
 	enactStats   EnactStats
-	enactTel     *telemetry.EnactMetrics
 
 	// Dense copies of each flow's enacted rate and each class's attached
 	// and admitted counts, guarded by mu like the state they copy.
 	// ApplyAllocation's diff streams these sequential arrays instead of
 	// dereferencing every padded flowState and classState (~20k scattered
-	// cache misses on a 10k-flow broker). attachedTotal and admittedTotal
-	// are their sums, kept as they change, for the consumer gauges.
+	// cache misses on a 10k-flow broker).
 	enactedRates  []float64
 	attachedCount []int32
 	admittedCount []int32
-	attachedTotal int
-	admittedTotal int
 }
 
 // Option configures a Broker.
@@ -248,16 +245,101 @@ func WithTransform(class model.ClassID, tr Transform) Option {
 }
 
 type telemetryOption struct {
-	m *telemetry.BrokerMetrics
+	reg *telemetry.Registry
 }
 
-func (o telemetryOption) apply(b *Broker) { b.tel = o.m }
+func (o telemetryOption) apply(b *Broker) { b.reg = o.reg }
 
-// WithTelemetry mirrors the broker's accounting into m (see
-// telemetry.NewBrokerMetrics). A nil handle is valid and leaves the
-// broker uninstrumented.
-func WithTelemetry(m *telemetry.BrokerMetrics) Option {
-	return telemetryOption{m: m}
+// WithTelemetry exports the broker's accounting through reg: the
+// lrgp_broker_* family and the enact path's lrgp_enact_* metrics, which an
+// Autopilot built on the broker completes with its cycle metrics. Every
+// counter and gauge reads the broker's own stats when reg is scraped; only
+// the fan-out and enact wall-time histograms are observed as they happen.
+// A registry exports the first broker registered on it. A nil reg is valid
+// and leaves the broker uninstrumented.
+func WithTelemetry(reg *telemetry.Registry) Option {
+	return telemetryOption{reg: reg}
+}
+
+// registerTelemetry registers the broker's metrics on reg. Each counter
+// and gauge is a func over state the broker keeps anyway: the flow and
+// class atomics FlowStats and AllClassStats read (never blocking
+// publishers), WorkUnits, and EnactStats, which takes b.mu for the length
+// of a copy.
+func (b *Broker) registerTelemetry(reg *telemetry.Registry) {
+	flowTotal := func(read func(f *flowState) uint64) func() uint64 {
+		return func() (n uint64) {
+			for i := range b.flows {
+				n += read(&b.flows[i])
+			}
+			return n
+		}
+	}
+	classTotal := func(read func(c *classCounters) uint64) func() uint64 {
+		return func() (n uint64) {
+			for j := range b.classes {
+				n += read(&b.classes[j].counters)
+			}
+			return n
+		}
+	}
+	population := func(read func(c *classCounters) uint64) func() float64 {
+		total := classTotal(read)
+		return func() float64 { return float64(total()) }
+	}
+	enact := func(read func(s *EnactStats) uint64) func() uint64 {
+		return func() uint64 {
+			s := b.EnactStats()
+			return read(&s)
+		}
+	}
+	reg.CounterFunc("lrgp_broker_published_total",
+		"Messages accepted by the per-flow source rate limiter.",
+		flowTotal(func(f *flowState) uint64 { return f.published.Load() }))
+	reg.CounterFunc("lrgp_broker_throttled_total",
+		"Messages rejected by the per-flow source rate limiter.",
+		flowTotal(func(f *flowState) uint64 { return f.throttled.Load() }))
+	reg.CounterFunc("lrgp_broker_delivered_total",
+		"Per-consumer message deliveries.",
+		classTotal(func(c *classCounters) uint64 { return c.delivered.Load() }))
+	reg.CounterFunc("lrgp_broker_filtered_total",
+		"Messages dropped by consumer filters.",
+		classTotal(func(c *classCounters) uint64 { return c.filtered.Load() }))
+	reg.CounterFunc("lrgp_broker_thinned_total",
+		"Class streams subsampled by a multirate delivery-rate cap.",
+		classTotal(func(c *classCounters) uint64 { return c.thinned.Load() }))
+	b.fanout = reg.Histogram("lrgp_broker_fanout",
+		"Delivery queue depth per accepted publish.", telemetry.FanoutBuckets())
+	reg.GaugeFunc("lrgp_broker_consumers_attached",
+		"Consumers attached across all classes.",
+		population(func(c *classCounters) uint64 { return uint64(c.attached.Load()) }))
+	reg.GaugeFunc("lrgp_broker_consumers_admitted",
+		"Consumers currently admitted across all classes.",
+		population(func(c *classCounters) uint64 { return uint64(c.admitted.Load()) }))
+	reg.CounterFunc("lrgp_broker_allocations_total",
+		"Optimizer allocations enacted via ApplyAllocation.",
+		enact(func(s *EnactStats) uint64 { return s.Applies }))
+	reg.CounterFunc("lrgp_broker_work_units_total",
+		"Abstract broker work units (routing, transforms, filters, deliveries).",
+		b.WorkUnits)
+	b.applySeconds = reg.Histogram("lrgp_enact_apply_seconds",
+		"Wall time of one broker enact (diff + snapshot publication).", telemetry.DurationBuckets())
+	reg.CounterFunc("lrgp_enact_classes_touched_total",
+		"Classes whose admitted membership enacts changed.",
+		enact(func(s *EnactStats) uint64 { return s.ClassesTouched }))
+	reg.CounterFunc("lrgp_enact_flows_touched_total",
+		"Flows whose route slice enacts rebuilt.",
+		enact(func(s *EnactStats) uint64 { return s.FlowsTouched }))
+	reg.CounterFunc("lrgp_enact_rates_changed_total",
+		"Per-flow token-bucket re-ratings performed by enacts.",
+		enact(func(s *EnactStats) uint64 { return s.RatesChanged }))
+	const builds = "Broker enacts by route-snapshot build outcome."
+	reg.CounterFunc("lrgp_enact_route_builds_total", builds,
+		enact(func(s *EnactStats) uint64 { return s.RouteNoops }),
+		telemetry.Label{Key: "mode", Value: "noop"})
+	reg.CounterFunc("lrgp_enact_route_builds_total", builds,
+		enact(func(s *EnactStats) uint64 { return s.RouteIncrementals }),
+		telemetry.Label{Key: "mode", Value: "incremental"})
 }
 
 // New builds a broker for the problem. Flows start rate-limited at their
@@ -284,6 +366,9 @@ func New(p *model.Problem, opts ...Option) (*Broker, error) {
 	}
 	for _, opt := range opts {
 		opt.apply(b)
+	}
+	if b.reg != nil {
+		b.registerTelemetry(b.reg)
 	}
 	start := b.now()
 	for i, f := range p.Flows {
@@ -339,8 +424,6 @@ func (b *Broker) AttachConsumer(class model.ClassID, filter Filter, h Handler) (
 	cs.ids = append(cs.ids, id)
 	cs.counters.attached.Add(1)
 	b.attachedCount[class]++
-	b.attachedTotal++
-	b.tel.ObserveConsumers(b.attachedTotal, b.admittedTotal)
 	return id, nil
 }
 
@@ -384,12 +467,10 @@ func (b *Broker) DetachConsumer(id ConsumerID) error {
 	cs.removeAt(k)
 	cs.counters.attached.Add(-1)
 	b.attachedCount[class]--
-	b.attachedTotal--
 	if k < cs.admitted {
 		cs.admitted--
 		cs.counters.admitted.Add(-1)
 		b.admittedCount[class]--
-		b.admittedTotal--
 		// Only an admitted consumer is visible to the data plane; its
 		// departure dirties exactly its class's flow. Detaching a
 		// never-admitted consumer (the common case in attach/detach
@@ -397,9 +478,7 @@ func (b *Broker) DetachConsumer(id ConsumerID) error {
 		b.dirtyClasses = append(b.dirtyClasses, class)
 		classes = 1
 	}
-	mode, flows := b.republishLocked()
-	b.observeEnactLocked(start, mode, classes, flows, 0)
-	b.tel.ObserveConsumers(b.attachedTotal, b.admittedTotal)
+	b.observeEnactLocked(start, classes, b.republishLocked(), 0)
 	return nil
 }
 
@@ -465,21 +544,15 @@ func (b *Broker) ApplyAllocation(a model.Allocation) error {
 		cs := &b.classes[j]
 		cs.admitted = want
 		cs.counters.admitted.Store(int64(want))
-		b.admittedTotal += want - int(b.admittedCount[j])
 		b.admittedCount[j] = int32(want)
 		b.dirtyClasses = append(b.dirtyClasses, model.ClassID(j))
 		classes++
 	}
-	mode, flows := b.republishLocked()
 	b.enactStats.Applies++
 	if classes == 0 && rates == 0 {
 		b.enactStats.NoopApplies++
 	}
-	b.observeEnactLocked(start, mode, classes, flows, rates)
-	b.tel.ObserveAllocation()
-	if classes != 0 {
-		b.tel.ObserveConsumers(b.attachedTotal, b.admittedTotal)
-	}
+	b.observeEnactLocked(start, classes, b.republishLocked(), rates)
 	return nil
 }
 
@@ -508,7 +581,6 @@ func (b *Broker) Publish(flow model.FlowID, attrs map[string]float64, body strin
 	f := &b.flows[flow]
 	if !f.bucket.Allow(now) {
 		f.throttled.Add(1)
-		b.tel.ObserveThrottle()
 		return ErrThrottled
 	}
 	f.published.Add(1)
@@ -521,13 +593,12 @@ func (b *Broker) Publish(flow model.FlowID, attrs map[string]float64, body strin
 	}
 
 	work := uint64(1) // per-message routing work
-	delivered, filtered := 0, 0
+	delivered := 0
 	routes := b.route.Load().flowRoutes(flow)
 	for ri := range routes {
 		cr := routes[ri]
 		if cr.thinner != nil && !cr.thinner.Allow(now) {
 			cr.counters.thinned.Add(1)
-			b.tel.ObserveThinned()
 			continue
 		}
 		classMsg := msg
@@ -566,10 +637,11 @@ func (b *Broker) Publish(flow model.FlowID, attrs map[string]float64, body strin
 			cr.counters.filtered.Add(classFiltered)
 		}
 		delivered += int(classDelivered)
-		filtered += int(classFiltered)
 	}
 	f.work.Add(work)
-	b.tel.ObservePublish(delivered, filtered, work)
+	if b.fanout != nil {
+		b.fanout.Observe(float64(delivered))
+	}
 	return nil
 }
 
@@ -670,7 +742,6 @@ func (b *Broker) SetClassRateCap(class model.ClassID, rate float64) error {
 	// entry — republish just it.
 	start := b.enactStartNanos()
 	b.dirtyClasses = append(b.dirtyClasses, class)
-	mode, flows := b.republishLocked()
-	b.observeEnactLocked(start, mode, 1, flows, 0)
+	b.observeEnactLocked(start, 1, b.republishLocked(), 0)
 	return nil
 }

@@ -3,8 +3,6 @@ package broker
 import (
 	"slices"
 	"time"
-
-	"repro/internal/telemetry"
 )
 
 // This file holds the incremental enact path: the machinery that makes a
@@ -14,7 +12,8 @@ import (
 // Every control operation that can alter admitted membership (attach
 // never does; detach, ApplyAllocation and SetClassRateCap can) appends
 // the classes it dirtied to b.dirtyClasses and then calls
-// republishLocked, which has two outcomes:
+// republishLocked, which has two outcomes (counted by EnactStats and
+// labelled mode="noop" and mode="incremental" in telemetry):
 //
 //   - route noop: no class's deliverable membership moved, so the
 //     previous snapshot stays published. A rate-only ApplyAllocation
@@ -75,20 +74,6 @@ func (b *Broker) EnactStats() EnactStats {
 	return b.enactStats
 }
 
-type enactTelemetryOption struct {
-	m *telemetry.EnactMetrics
-}
-
-func (o enactTelemetryOption) apply(b *Broker) { b.enactTel = o.m }
-
-// WithEnactTelemetry mirrors the enact path's accounting into m (see
-// telemetry.NewEnactMetrics): per-operation wall time, route-build
-// outcome, and touch counts. A nil handle is valid and leaves the enact
-// path uninstrumented.
-func WithEnactTelemetry(m *telemetry.EnactMetrics) Option {
-	return enactTelemetryOption{m: m}
-}
-
 // AllClassStats returns a snapshot of every class's delivery-side
 // counters in one call, appending into dst (reused when capacity
 // suffices) and returning it: one scrape of thousands of classes without
@@ -117,11 +102,12 @@ func (b *Broker) AllClassStats(dst []ClassStats) []ClassStats {
 
 // republishLocked publishes the route-snapshot consequence of the dirty
 // classes accumulated since the last republish, consuming b.dirtyClasses.
-// Callers must hold b.mu. Returns the telemetry.EnactRoute* outcome and
-// the number of flows whose route list was rebuilt.
-func (b *Broker) republishLocked() (mode, flowsTouched int) {
+// Callers must hold b.mu. Returns the number of flows whose route list
+// was rebuilt: 0 for a route noop, at least 1 for an incremental republish
+// (every dirty class has a flow).
+func (b *Broker) republishLocked() (flowsTouched int) {
 	if len(b.dirtyClasses) == 0 {
-		return telemetry.EnactRouteNoop, 0
+		return 0
 	}
 	// Rebuild the dirty classes' entries, all in one slab, and map them to
 	// their flows, deduplicating with the epoch marker so several dirty
@@ -188,18 +174,17 @@ func (b *Broker) republishLocked() (mode, flowsTouched int) {
 		blocks[k][int(fid)&mask] = routes
 	}
 	b.route.Store(&routeTable{shift: old.shift, blocks: blocks})
-	return telemetry.EnactRouteIncremental, len(b.dirtyFlows)
+	return len(b.dirtyFlows)
 }
 
-// observeEnactLocked folds one control operation's enact outcome into the
-// cumulative EnactStats and, when enact telemetry is attached, records
-// its wall time and touch counts. startNanos is time.Now().UnixNano()
-// captured at operation entry when telemetry is attached, 0 otherwise
-// (the uninstrumented path never reads the real clock). Callers must
-// hold b.mu.
-func (b *Broker) observeEnactLocked(startNanos int64, mode, classes, flows, rates int) {
+// observeEnactLocked folds one control operation's enact outcome (flows
+// is republishLocked's result) into the cumulative EnactStats and, under
+// telemetry, observes its wall time. startNanos is time.Now().UnixNano()
+// captured at operation entry under telemetry, 0 otherwise (the
+// uninstrumented path never reads the real clock). Callers must hold b.mu.
+func (b *Broker) observeEnactLocked(startNanos int64, classes, flows, rates int) {
 	s := &b.enactStats
-	if mode == telemetry.EnactRouteNoop {
+	if flows == 0 {
 		s.RouteNoops++
 	} else {
 		s.RouteIncrementals++
@@ -207,16 +192,16 @@ func (b *Broker) observeEnactLocked(startNanos int64, mode, classes, flows, rate
 	s.ClassesTouched += uint64(classes)
 	s.FlowsTouched += uint64(flows)
 	s.RatesChanged += uint64(rates)
-	if b.enactTel != nil {
-		b.enactTel.ObserveApply(time.Now().UnixNano()-startNanos, mode, classes, flows, rates)
+	if b.applySeconds != nil {
+		b.applySeconds.ObserveSeconds(time.Now().UnixNano() - startNanos)
 	}
 }
 
 // enactStartNanos captures the wall-clock start of an enact, but only
-// when telemetry wants it. enactTel is immutable after New, so callers
-// may invoke this before taking b.mu.
+// under telemetry. applySeconds is immutable after New, so callers may
+// invoke this before taking b.mu.
 func (b *Broker) enactStartNanos() int64 {
-	if b.enactTel == nil {
+	if b.applySeconds == nil {
 		return 0
 	}
 	return time.Now().UnixNano()

@@ -73,8 +73,8 @@ func checkPublishLoops(t *testing.T, seed int64) {
 	ix := model.NewIndex(p)
 
 	now := time.Unix(0, 0)
-	bm := telemetry.NewBrokerMetrics(telemetry.NewRegistry())
-	br, err := New(p, WithClock(func() time.Time { return now }), WithTelemetry(bm))
+	reg := telemetry.NewRegistry()
+	br, err := New(p, WithClock(func() time.Time { return now }), WithTelemetry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,12 +229,15 @@ func checkPublishLoops(t *testing.T, seed int64) {
 					j, shapeOf(j), st.Delivered, st.Filtered, st.Thinned, rc.delivered, rc.filtered, rc.thinned)
 			}
 		}
-		if count, sum := bm.Fanout.CountSum(); bm.Published.Value() != published || bm.Delivered.Value() != delivered ||
-			bm.Filtered.Value() != filtered || bm.Thinned.Value() != thinned || bm.WorkUnits.Value() != work ||
+		m := scrapeOf(reg)
+		if count, sum := m.histogram("lrgp_broker_fanout"); m.counter("lrgp_broker_published_total") != published ||
+			m.counter("lrgp_broker_delivered_total") != delivered || m.counter("lrgp_broker_filtered_total") != filtered ||
+			m.counter("lrgp_broker_thinned_total") != thinned || m.counter("lrgp_broker_work_units_total") != work ||
 			count != published || sum != float64(delivered) {
 			t.Fatalf("telemetry published/delivered/filtered/thinned/work = %d/%d/%d/%d/%d, fanout %d/%g; want %d/%d/%d/%d/%d, %d/%d",
-				bm.Published.Value(), bm.Delivered.Value(), bm.Filtered.Value(), bm.Thinned.Value(), bm.WorkUnits.Value(),
-				count, sum, published, delivered, filtered, thinned, work, published, delivered)
+				m.counter("lrgp_broker_published_total"), m.counter("lrgp_broker_delivered_total"),
+				m.counter("lrgp_broker_filtered_total"), m.counter("lrgp_broker_thinned_total"),
+				m.counter("lrgp_broker_work_units_total"), count, sum, published, delivered, filtered, thinned, work, published, delivered)
 		}
 	}
 	// checkShapes fails unless every class still has the filters array its

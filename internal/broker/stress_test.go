@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"io"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -43,7 +44,9 @@ func stressProblem(flows int) *model.Problem {
 // plane's main memory-safety proof; the assertions check the snapshot
 // semantics: per-flow sequence numbers are dense and duplicate-free, no
 // single consumer sees the same (flow, seq) twice, and every counter
-// total is exact.
+// total is exact. A scraper renders the registry throughout (scrapeLoop;
+// TestScrapeDuringAutopilotCycles is the test that waits for scrapes to
+// overlap the run).
 func TestPublishStressConcurrent(t *testing.T) {
 	const (
 		flows      = 4
@@ -52,9 +55,8 @@ func TestPublishStressConcurrent(t *testing.T) {
 	)
 	p := stressProblem(flows)
 	reg := telemetry.NewRegistry()
-	bm := telemetry.NewBrokerMetrics(reg)
 	b, err := New(p,
-		WithTelemetry(bm),
+		WithTelemetry(reg),
 		WithTransform(model.ClassID(flows), Annotate{Attr: "tag", Value: 1}),
 	)
 	if err != nil {
@@ -149,6 +151,8 @@ func TestPublishStressConcurrent(t *testing.T) {
 		}
 	}()
 
+	scrapeLoop(t, reg, stop, &churnWG)
+
 	// Publishers: spread over flows, publishing with attrs on the shared
 	// map (read-only by contract).
 	attrs := map[string]float64{"price": 80}
@@ -222,7 +226,7 @@ func TestPublishStressConcurrent(t *testing.T) {
 	}
 
 	// Counter exactness: handler invocations, class counters, telemetry
-	// mirrors and WorkUnits must all agree. Every flow-0 message fans out
+	// and WorkUnits must all agree. Every flow-0 message fans out
 	// to 8 consumers (4 Identity + 4 annotated), other flows to 4.
 	var classDelivered uint64
 	for j := range p.Classes {
@@ -243,10 +247,11 @@ func TestPublishStressConcurrent(t *testing.T) {
 	if classDelivered != wantDelivered {
 		t.Errorf("sum of ClassStats.Delivered = %d, want %d", classDelivered, wantDelivered)
 	}
-	if got := bm.Delivered.Value(); got != wantDelivered {
+	m := scrapeOf(reg)
+	if got := m.counter("lrgp_broker_delivered_total"); got != wantDelivered {
 		t.Errorf("telemetry delivered = %d, want %d", got, wantDelivered)
 	}
-	if got := bm.Published.Value(); got != totalPublished {
+	if got := m.counter("lrgp_broker_published_total"); got != totalPublished {
 		t.Errorf("telemetry published = %d, want %d", got, totalPublished)
 	}
 	// WorkUnits: per message 1 routing + per class (1 transform + 4
@@ -255,8 +260,151 @@ func TestPublishStressConcurrent(t *testing.T) {
 	if got := b.WorkUnits(); got != wantWork {
 		t.Errorf("WorkUnits = %d, want %d", got, wantWork)
 	}
-	if got := bm.WorkUnits.Value(); got != wantWork {
+	if got := m.counter("lrgp_broker_work_units_total"); got != wantWork {
 		t.Errorf("telemetry work units = %d, want %d", got, wantWork)
+	}
+}
+
+// scrapeLoop starts a scraper on wg that renders reg in the Prometheus
+// format and takes a Snapshot, over and over until stop closes, and fails
+// the test if a counter ever reads less than the scrape before it: every
+// counter func sums monotonic state, so a scrape racing publishers and
+// control operations may straddle them but never goes back. It returns
+// the number of completed scrapes.
+func scrapeLoop(t *testing.T, reg *telemetry.Registry, stop <-chan struct{}, wg *sync.WaitGroup) *atomic.Uint64 {
+	var scrapes atomic.Uint64
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		prev := map[string]uint64{}
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := reg.WritePrometheus(io.Discard); err != nil {
+				t.Error(err)
+				return
+			}
+			for key, v := range reg.Snapshot() {
+				if c, ok := v.(uint64); ok {
+					if c < prev[key] {
+						t.Errorf("counter %s went back from %d to %d", key, prev[key], c)
+						return
+					}
+					prev[key] = c
+				}
+			}
+			scrapes.Add(1)
+		}
+	}()
+	return &scrapes
+}
+
+// TestScrapeDuringAutopilotCycles races a scraper against publishers, an
+// attach/detach churner and an autopilot cycling back to back on one
+// broker: a scrape reads the flow and class atomics beside publishers,
+// takes b.mu for EnactStats and waits out an in-flight cycle for the
+// autopilot's Stats. Under -race this is the proof that reading the
+// stats when scraped is safe; once everything stops, the counters equal
+// the stats they read.
+func TestScrapeDuringAutopilotCycles(t *testing.T) {
+	p := stressProblem(3)
+	reg := telemetry.NewRegistry()
+	b, err := New(p, WithTelemetry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewAutopilot(b, AutopilotConfig{ItersPerCycle: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	for j := range p.Classes {
+		for range 4 {
+			if _, err := b.AttachConsumer(model.ClassID(j), nil, func(Message) {}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	scrapes := scrapeLoop(t, reg, stop, &wg)
+	wg.Add(1 + len(p.Flows))
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(9))
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			id, err := b.AttachConsumer(model.ClassID(rng.Intn(len(p.Classes))), nil, nil)
+			if err == nil {
+				err = b.DetachConsumer(id)
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := range p.Flows {
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// Throttling is part of the mix, not a failure.
+				_ = b.Publish(model.FlowID(i), nil, "x")
+			}
+		}()
+	}
+	// Cycle at least 30 times, and on until 30 scrapes have completed
+	// beside the cycles; a scraper that failed stops counting, hence the
+	// cap.
+	cycles := 0
+	for ; (cycles < 30 || scrapes.Load() < 30) && cycles < 1e5; cycles++ {
+		if _, _, err := a.Cycle(); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if scrapes.Load() < 30 {
+		t.Fatalf("%d scrapes completed during %d cycles, want 30", scrapes.Load(), cycles)
+	}
+
+	m, es, as := scrapeOf(reg), b.EnactStats(), a.Stats()
+	var published uint64
+	for i := range p.Flows {
+		fs, err := b.FlowStats(model.FlowID(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		published += fs.Published
+	}
+	for key, want := range map[string]uint64{
+		"lrgp_broker_published_total":                published,
+		"lrgp_broker_allocations_total":              es.Applies,
+		`lrgp_enact_route_builds_total{mode="noop"}`: es.RouteNoops,
+		`lrgp_enact_cycles_total{result="enacted"}`:  uint64(as.Enacted),
+		`lrgp_enact_cycles_total{result="skipped"}`:  uint64(as.Skipped),
+		"lrgp_broker_work_units_total":               b.WorkUnits(),
+	} {
+		if got := m.counter(key); got != want {
+			t.Errorf("%s = %d after the run, the stats say %d", key, got, want)
+		}
+	}
+	if count, _ := m.histogram("lrgp_enact_cycle_seconds"); count != uint64(as.Cycles) {
+		t.Errorf("cycle histogram counted %d cycles, the autopilot ran %d", count, as.Cycles)
 	}
 }
 

@@ -80,6 +80,58 @@ func TestNewRefusesBadOptions(t *testing.T) {
 	}
 }
 
+// TestCloseFreesHostNames: Close closes every gateway's endpoint with the
+// gateway, so the same network takes a second cluster under the same host
+// names once the first is closed.
+func TestCloseFreesHostNames(t *testing.T) {
+	p := workload.Base()
+	net := transport.NewMemory()
+	defer net.Close()
+	for run := range 2 {
+		cl, err := New(p, Config{Hosts: 4}, net)
+		if err != nil {
+			t.Fatalf("cluster %d: %v", run, err)
+		}
+		if _, err := cl.Run(3, 10*time.Second); err != nil {
+			t.Fatalf("cluster %d: %v", run, err)
+		}
+		if err := cl.Close(); err != nil {
+			t.Fatalf("cluster %d: %v", run, err)
+		}
+	}
+}
+
+// TestFailedNewFreesHostNames: a New that fails part-way through building
+// its hosts (one host name is already taken on the network) closes the
+// endpoints it did open, so every other host name is free again. The hosts
+// are opened in map order, so the attempt repeats until earlier hosts have
+// been opened before the taken one.
+func TestFailedNewFreesHostNames(t *testing.T) {
+	p := workload.Base()
+	net := transport.NewMemory()
+	defer net.Close()
+	const hosts = 4
+	taken := hostName(2)
+	if _, err := net.Endpoint(taken); err != nil {
+		t.Fatal(err)
+	}
+	for attempt := range 10 {
+		if cl, err := New(p, Config{Hosts: hosts}, net); !errors.Is(err, transport.ErrDuplicate) {
+			if cl != nil {
+				cl.Close()
+			}
+			t.Fatalf("attempt %d: New = %v, want transport.ErrDuplicate for %s", attempt, err, taken)
+		}
+		for _, name := range []string{hostName(0), hostName(1), hostName(3), ctrlHost} {
+			ep, err := net.Endpoint(name)
+			if err != nil {
+				t.Fatalf("attempt %d: %s still registered after the failed New: %v", attempt, name, err)
+			}
+			ep.Close()
+		}
+	}
+}
+
 func TestItoa(t *testing.T) {
 	tests := []struct {
 		give int

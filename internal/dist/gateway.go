@@ -306,8 +306,8 @@ func (g *gateway) trafficNow() Traffic {
 	return g.traffic
 }
 
-// close stops the gateway's loops once what is staged has been flushed.
-// The underlying endpoint belongs to the network owner and is left open.
+// close stops the gateway's loops once what is staged has been flushed,
+// then closes its endpoint, which frees the host's name on the network.
 func (g *gateway) close() {
 	g.mu.Lock()
 	if g.closed {
@@ -321,6 +321,7 @@ func (g *gateway) close() {
 	g.mu.Unlock()
 	close(g.quit)
 	g.loops.Wait()
+	_ = g.ep.Close()
 }
 
 // closePorts closes every local port channel. All port sends happen under

@@ -109,7 +109,7 @@ func TestDefaultBuckets(t *testing.T) {
 	var def strings.Builder
 	reg := NewRegistry()
 	NewEngineMetrics(reg)
-	NewBrokerMetrics(reg)
+	reg.Histogram("lrgp_broker_fanout", "Delivery queue depth per accepted publish.", FanoutBuckets())
 	reg.WritePrometheus(&def)
 	if !strings.Contains(def.String(), `le="1e-06"`) {
 		t.Error("default engine stage buckets lost the 1µs bound")

@@ -167,108 +167,3 @@ func (m *EngineMetrics) ObserveSolveStop(r StopReason) {
 	}
 	m.SolveStops[r].Inc()
 }
-
-// BrokerMetrics instruments broker.Broker: message counters on the
-// publish/delivery path, the delivery fan-out histogram (the depth of
-// the per-publish work queue), and consumer-population gauges. Construct
-// with NewBrokerMetrics and pass via broker.WithTelemetry; a nil handle
-// disables everything. The observe methods are called concurrently from
-// the broker's lock-free publish path — they must stay atomic-only, no
-// locks, no allocation (the registry's instruments already are).
-type BrokerMetrics struct {
-	// Published counts messages accepted by the source rate limiter;
-	// Throttled counts messages it rejected.
-	Published *Counter
-	Throttled *Counter
-	// Delivered counts per-consumer deliveries; Filtered counts
-	// messages dropped by a consumer's filter; Thinned counts class
-	// streams subsampled by a delivery-rate cap.
-	Delivered *Counter
-	Filtered  *Counter
-	Thinned   *Counter
-	// Fanout is the per-publish delivery queue depth (consumers handed
-	// one message by a single Publish).
-	Fanout *Histogram
-	// Attached and Admitted track the consumer population across all
-	// classes.
-	Attached *Gauge
-	Admitted *Gauge
-	// Allocations counts enacted optimizer allocations
-	// (ApplyAllocation calls); WorkUnits mirrors the broker's abstract
-	// work counter.
-	Allocations *Counter
-	WorkUnits   *Counter
-}
-
-// NewBrokerMetrics registers the broker metric family in reg and returns
-// the handle, with the FanoutBuckets layout.
-func NewBrokerMetrics(reg *Registry) *BrokerMetrics {
-	return &BrokerMetrics{
-		Published: reg.Counter("lrgp_broker_published_total",
-			"Messages accepted by the per-flow source rate limiter."),
-		Throttled: reg.Counter("lrgp_broker_throttled_total",
-			"Messages rejected by the per-flow source rate limiter."),
-		Delivered: reg.Counter("lrgp_broker_delivered_total",
-			"Per-consumer message deliveries."),
-		Filtered: reg.Counter("lrgp_broker_filtered_total",
-			"Messages dropped by consumer filters."),
-		Thinned: reg.Counter("lrgp_broker_thinned_total",
-			"Class streams subsampled by a multirate delivery-rate cap."),
-		Fanout: reg.Histogram("lrgp_broker_fanout",
-			"Delivery queue depth per accepted publish.", FanoutBuckets()),
-		Attached: reg.Gauge("lrgp_broker_consumers_attached",
-			"Consumers attached across all classes."),
-		Admitted: reg.Gauge("lrgp_broker_consumers_admitted",
-			"Consumers currently admitted across all classes."),
-		Allocations: reg.Counter("lrgp_broker_allocations_total",
-			"Optimizer allocations enacted via ApplyAllocation."),
-		WorkUnits: reg.Counter("lrgp_broker_work_units_total",
-			"Abstract broker work units (routing, transforms, filters, deliveries)."),
-	}
-}
-
-// ObservePublish records one accepted publish: its delivery fan-out,
-// filter drops, and the work units it consumed.
-func (m *BrokerMetrics) ObservePublish(fanout, filtered int, work uint64) {
-	if m == nil {
-		return
-	}
-	m.Published.Inc()
-	m.Delivered.Add(uint64(fanout))
-	m.Filtered.Add(uint64(filtered))
-	m.Fanout.Observe(float64(fanout))
-	m.WorkUnits.Add(work)
-}
-
-// ObserveThrottle records one rate-limited publish.
-func (m *BrokerMetrics) ObserveThrottle() {
-	if m == nil {
-		return
-	}
-	m.Throttled.Inc()
-}
-
-// ObserveThinned records one class stream subsampled by its rate cap.
-func (m *BrokerMetrics) ObserveThinned() {
-	if m == nil {
-		return
-	}
-	m.Thinned.Inc()
-}
-
-// ObserveConsumers updates the attached/admitted population gauges.
-func (m *BrokerMetrics) ObserveConsumers(attached, admitted int) {
-	if m == nil {
-		return
-	}
-	m.Attached.Set(float64(attached))
-	m.Admitted.Set(float64(admitted))
-}
-
-// ObserveAllocation records one enacted allocation.
-func (m *BrokerMetrics) ObserveAllocation() {
-	if m == nil {
-		return
-	}
-	m.Allocations.Inc()
-}

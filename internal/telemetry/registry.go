@@ -1,15 +1,19 @@
 // Package telemetry is the repository's dependency-free observability
-// layer: a metrics registry of atomic counters, gauges and lock-free
-// fixed-bucket histograms rendered in the Prometheus text exposition
-// format, nil-safe instrumentation handles for the optimizer engine and
-// the event broker, a structured JSONL iteration-trace sink, and an HTTP
-// mux exposing /metrics, /debug/pprof/*, /debug/vars and /snapshot.
+// layer: a metrics registry of atomic counters, gauges, lock-free
+// fixed-bucket histograms and func-backed counters and gauges rendered in
+// the Prometheus text exposition format, nil-safe instrumentation handles
+// for the optimizer engine and the distributed runtime, a structured JSONL
+// iteration-trace sink, and an HTTP mux exposing /metrics, /debug/pprof/*,
+// /debug/vars and /snapshot.
 //
 // Design constraints (see DESIGN.md §6):
 //
 //   - Zero overhead when disabled: every instrumentation handle
-//     (EngineMetrics, BrokerMetrics) is nil-safe, so uninstrumented hot
+//     (EngineMetrics, DistMetrics) is nil-safe, so uninstrumented hot
 //     paths pay one nil check and allocate nothing.
+//   - Counted once: a component that already keeps a count (the broker's
+//     stats, the autopilot's) exports it through CounterFunc or GaugeFunc,
+//     read when scraped, instead of feeding a second copy as it goes.
 //   - Lock-free when enabled: observations are atomic adds and CAS loops
 //     on preallocated state; no observation path takes a lock or
 //     allocates, so instrumented Step/Publish stay 0 allocs/op.
@@ -42,21 +46,24 @@ const (
 	counterKind kind = iota
 	gaugeKind
 	histogramKind
+	counterFuncKind
+	gaugeFuncKind
 )
 
+// String names the kind in a mismatch panic: a func-backed metric and an
+// atomic one are different kinds even where they render the same TYPE.
 func (k kind) String() string {
-	switch k {
-	case counterKind:
-		return "counter"
-	case gaugeKind:
-		return "gauge"
-	default:
-		return "histogram"
-	}
+	return [...]string{"counter", "gauge", "histogram", "counter func", "gauge func"}[k]
 }
 
+// typ is the kind's exposition TYPE: a func-backed metric renders as the
+// counter or gauge it is.
+func (k kind) typ() string { return strings.TrimSuffix(k.String(), " func") }
+
 // entry is one registered metric: family name, preformatted label string
-// (`k1="v1",k2="v2"` or empty) and the collector itself.
+// (`k1="v1",k2="v2"` or empty) and the collector itself. Every counter and
+// gauge is read through cf or gf, which an atomic one points at its own
+// Value, so rendering has one path per TYPE.
 type entry struct {
 	name   string
 	labels string
@@ -65,13 +72,18 @@ type entry struct {
 	c      *Counter
 	g      *Gauge
 	h      *Histogram
+	cf     func() uint64
+	gf     func() float64
 }
 
 // Registry holds an ordered set of metrics. Registration takes a lock;
 // observation on the returned metrics is lock-free. Registering the same
 // name+labels twice returns the existing metric (idempotent) as long as
 // the kind matches, and panics otherwise — duplicate registration with a
-// different type is a programming error, not a runtime condition.
+// different type is a programming error, not a runtime condition. The
+// func kinds follow the same rule: a second CounterFunc or GaugeFunc under
+// a registered name+labels is ignored, so the series keeps reading the
+// first function it was given.
 type Registry struct {
 	mu      sync.Mutex
 	entries []*entry
@@ -142,12 +154,18 @@ func (r *Registry) register(name, help string, k kind, labels []Label, mk func(e
 // Counter registers (or returns the existing) monotonically increasing
 // counter under name with the given constant labels.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	return r.register(name, help, counterKind, labels, func(e *entry) { e.c = &Counter{} }).c
+	return r.register(name, help, counterKind, labels, func(e *entry) {
+		e.c = &Counter{}
+		e.cf = e.c.Value
+	}).c
 }
 
 // Gauge registers (or returns the existing) float64 gauge.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	return r.register(name, help, gaugeKind, labels, func(e *entry) { e.g = &Gauge{} }).g
+	return r.register(name, help, gaugeKind, labels, func(e *entry) {
+		e.g = &Gauge{}
+		e.gf = e.g.Value
+	}).g
 }
 
 // Histogram registers (or returns the existing) fixed-bucket histogram.
@@ -158,9 +176,25 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 	return r.register(name, help, histogramKind, labels, func(e *entry) { e.h = newHistogram(buckets) }).h
 }
 
+// CounterFunc registers a counter whose value is f's result, read when
+// the registry is rendered (WritePrometheus, Snapshot) and never on
+// registration. f must be safe for concurrent use and never decrease; it
+// runs outside the registry's lock, on the scraper's goroutine. A second
+// registration of name+labels keeps the first f.
+func (r *Registry) CounterFunc(name, help string, f func() uint64, labels ...Label) {
+	r.register(name, help, counterFuncKind, labels, func(e *entry) { e.cf = f })
+}
+
+// GaugeFunc registers a gauge whose value is f's result, read like
+// CounterFunc's.
+func (r *Registry) GaugeFunc(name, help string, f func() float64, labels ...Label) {
+	r.register(name, help, gaugeFuncKind, labels, func(e *entry) { e.gf = f })
+}
+
 // WritePrometheus renders every registered metric in the Prometheus text
 // exposition format (version 0.0.4). HELP/TYPE headers are emitted once
-// per metric family, on the family's first registered entry.
+// per metric family, on the family's first registered entry. Func-backed
+// metrics are evaluated here, after the registry's lock is released.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	entries := make([]*entry, len(r.entries))
@@ -183,13 +217,13 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, name := range families {
 		group := byFamily[name]
 		fmt.Fprintf(bw, "# HELP %s %s\n", name, group[0].help)
-		fmt.Fprintf(bw, "# TYPE %s %s\n", name, group[0].kind)
+		fmt.Fprintf(bw, "# TYPE %s %s\n", name, group[0].kind.typ())
 		for _, e := range group {
 			switch e.kind {
-			case counterKind:
-				writeSample(bw, e.name, e.labels, "", float64(e.c.Value()))
-			case gaugeKind:
-				writeSample(bw, e.name, e.labels, "", e.g.Value())
+			case counterKind, counterFuncKind:
+				writeSample(bw, e.name, e.labels, "", float64(e.cf()))
+			case gaugeKind, gaugeFuncKind:
+				writeSample(bw, e.name, e.labels, "", e.gf())
 			case histogramKind:
 				e.h.writePrometheus(bw, e.name, e.labels)
 			}
@@ -229,7 +263,8 @@ func formatValue(v float64) string {
 
 // Snapshot returns a point-in-time view of every metric keyed by
 // name{labels}: counters as uint64, gauges as float64, histograms as
-// {count, sum} maps. It backs the /debug/vars expvar export and tests.
+// {count, sum} maps; func-backed metrics are evaluated like counters and
+// gauges. It backs the /debug/vars expvar export and tests.
 func (r *Registry) Snapshot() map[string]any {
 	r.mu.Lock()
 	entries := make([]*entry, len(r.entries))
@@ -243,10 +278,10 @@ func (r *Registry) Snapshot() map[string]any {
 			key += "{" + e.labels + "}"
 		}
 		switch e.kind {
-		case counterKind:
-			out[key] = e.c.Value()
-		case gaugeKind:
-			out[key] = e.g.Value()
+		case counterKind, counterFuncKind:
+			out[key] = e.cf()
+		case gaugeKind, gaugeFuncKind:
+			out[key] = e.gf()
 		case histogramKind:
 			count, sum := e.h.CountSum()
 			out[key] = map[string]any{"count": count, "sum": sum}

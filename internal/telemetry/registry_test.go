@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"encoding/json"
+	"io"
 	"math"
 	"strings"
 	"sync"
@@ -242,12 +244,6 @@ func TestNilHandlesAreSafe(t *testing.T) {
 	}); allocs > 0 {
 		t.Errorf("nil-handle ObserveStep allocates %v per run, want 0", allocs)
 	}
-	var bm *BrokerMetrics
-	bm.ObservePublish(3, 1, 7)
-	bm.ObserveThrottle()
-	bm.ObserveThinned()
-	bm.ObserveConsumers(5, 2)
-	bm.ObserveAllocation()
 }
 
 func TestEngineMetricsObserveStep(t *testing.T) {
@@ -285,27 +281,131 @@ func TestEngineMetricsObserveStep(t *testing.T) {
 	}
 }
 
-func TestBrokerMetricsObserve(t *testing.T) {
+// TestFuncInstrumentsRender: a CounterFunc or GaugeFunc renders like the
+// counter or gauge it is — HELP and TYPE once per family, one sample per
+// label set — and reads its function's current value in WritePrometheus,
+// Snapshot and the JSON /debug/vars serves Snapshot as.
+func TestFuncInstrumentsRender(t *testing.T) {
 	reg := NewRegistry()
-	bm := NewBrokerMetrics(reg)
-	bm.ObservePublish(4, 2, 11)
-	bm.ObserveThrottle()
-	bm.ObserveThinned()
-	bm.ObserveConsumers(10, 4)
-	bm.ObserveAllocation()
-	if bm.Published.Value() != 1 || bm.Delivered.Value() != 4 ||
-		bm.Filtered.Value() != 2 || bm.WorkUnits.Value() != 11 {
-		t.Errorf("publish counters = %d/%d/%d/%d", bm.Published.Value(),
-			bm.Delivered.Value(), bm.Filtered.Value(), bm.WorkUnits.Value())
+	n := uint64(3)
+	reg.CounterFunc("t_fn_total", "Func counter.", func() uint64 { return n }, Label{Key: "k", Value: "a"})
+	reg.CounterFunc("t_fn_total", "Func counter.", func() uint64 { return 2 * n }, Label{Key: "k", Value: "b"})
+	reg.GaugeFunc("t_fn_gauge", "Func gauge.", func() float64 { return -float64(n) / 2 })
+	n = 7
+
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
 	}
-	if bm.Throttled.Value() != 1 || bm.Thinned.Value() != 1 || bm.Allocations.Value() != 1 {
-		t.Error("throttle/thin/allocation counters wrong")
+	want := `# HELP t_fn_total Func counter.
+# TYPE t_fn_total counter
+t_fn_total{k="a"} 7
+t_fn_total{k="b"} 14
+# HELP t_fn_gauge Func gauge.
+# TYPE t_fn_gauge gauge
+t_fn_gauge -3.5
+`
+	if got := sb.String(); got != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", got, want)
 	}
-	if bm.Attached.Value() != 10 || bm.Admitted.Value() != 4 {
-		t.Error("consumer gauges wrong")
+
+	snap := reg.Snapshot()
+	if got := snap[`t_fn_total{k="b"}`]; got != uint64(14) {
+		t.Errorf("counter func snapshot = %v (%T), want uint64 14", got, got)
 	}
-	count, _ := bm.Fanout.CountSum()
-	if count != 1 {
-		t.Errorf("fanout histogram count = %d, want 1", count)
+	if got := snap["t_fn_gauge"]; got != -3.5 {
+		t.Errorf("gauge func snapshot = %v, want -3.5", got)
+	}
+	js, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"t_fn_total{k=\"a\"}":7`, `"t_fn_gauge":-3.5`} {
+		if !strings.Contains(string(js), want) {
+			t.Errorf("/debug/vars JSON %s lacks %s", js, want)
+		}
+	}
+}
+
+// TestFuncKindMismatchPanics: a func-backed metric and an atomic one are
+// different kinds, even of one exposition TYPE, so registering either
+// where the other is, or a counter where a gauge is, panics.
+func TestFuncKindMismatchPanics(t *testing.T) {
+	one := func() uint64 { return 1 }
+	half := func() float64 { return 0.5 }
+	for name, pair := range map[string][2]func(r *Registry){
+		"counter func then gauge":      {func(r *Registry) { r.CounterFunc("t_m", "h", one) }, func(r *Registry) { r.Gauge("t_m", "h") }},
+		"gauge func then counter func": {func(r *Registry) { r.GaugeFunc("t_m", "h", half) }, func(r *Registry) { r.CounterFunc("t_m", "h", one) }},
+		"counter then counter func":    {func(r *Registry) { r.Counter("t_m", "h") }, func(r *Registry) { r.CounterFunc("t_m", "h", one) }},
+		"counter func then counter":    {func(r *Registry) { r.CounterFunc("t_m", "h", one) }, func(r *Registry) { r.Counter("t_m", "h") }},
+		"gauge then gauge func":        {func(r *Registry) { r.Gauge("t_m", "h") }, func(r *Registry) { r.GaugeFunc("t_m", "h", half) }},
+		"histogram then gauge func":    {func(r *Registry) { r.Histogram("t_m", "h", []float64{1}) }, func(r *Registry) { r.GaugeFunc("t_m", "h", half) }},
+	} {
+		t.Run(name, func(t *testing.T) {
+			reg := NewRegistry()
+			pair[0](reg)
+			defer func() {
+				if recover() == nil {
+					t.Error("kind mismatch did not panic")
+				}
+			}()
+			pair[1](reg)
+		})
+	}
+}
+
+// TestFuncRegisteredTwiceKeepsFirst: registration is idempotent for the
+// func kinds as for the atomic ones — a second CounterFunc or GaugeFunc
+// under a registered name+labels is ignored, and the series keeps reading
+// the first function.
+func TestFuncRegisteredTwiceKeepsFirst(t *testing.T) {
+	reg := NewRegistry()
+	secondCalled := false
+	reg.CounterFunc("t_twice_total", "First.", func() uint64 { return 1 })
+	reg.CounterFunc("t_twice_total", "Second.", func() uint64 { secondCalled = true; return 2 })
+	reg.GaugeFunc("t_twice", "First.", func() float64 { return 1.5 })
+	reg.GaugeFunc("t_twice", "Second.", func() float64 { secondCalled = true; return 2.5 })
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	if secondCalled {
+		t.Error("a second registration's function was called")
+	}
+	if snap["t_twice_total"] != uint64(1) || snap["t_twice"] != 1.5 {
+		t.Errorf("snapshot = %v, want the first functions' 1 and 1.5", snap)
+	}
+	out := sb.String()
+	if strings.Count(out, "t_twice_total 1\n") != 1 || strings.Count(out, "t_twice 1.5\n") != 1 ||
+		strings.Contains(out, "Second.") {
+		t.Errorf("exposition should hold each series once, as first registered:\n%s", out)
+	}
+}
+
+// TestFuncRunsOnlyWhenScraped: a func-backed metric costs nothing until a
+// scrape — its function runs neither on registration nor when the
+// registry's other instruments are observed, and once per series per
+// WritePrometheus or Snapshot.
+func TestFuncRunsOnlyWhenScraped(t *testing.T) {
+	reg := NewRegistry()
+	var counterCalls, gaugeCalls int
+	reg.CounterFunc("t_lazy_total", "Lazy.", func() uint64 { counterCalls++; return 0 })
+	reg.GaugeFunc("t_lazy", "Lazy.", func() float64 { gaugeCalls++; return 0 })
+	reg.Counter("t_eager_total", "Eager.").Inc()
+	reg.Gauge("t_eager", "Eager.").Set(1)
+	reg.Histogram("t_eager_seconds", "Eager.", DurationBuckets()).ObserveSeconds(1000)
+	if counterCalls != 0 || gaugeCalls != 0 {
+		t.Fatalf("before any scrape: %d counter and %d gauge calls, want 0", counterCalls, gaugeCalls)
+	}
+	if err := reg.WritePrometheus(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if counterCalls != 1 || gaugeCalls != 1 {
+		t.Errorf("after WritePrometheus: %d and %d calls, want 1 and 1", counterCalls, gaugeCalls)
+	}
+	reg.Snapshot()
+	if counterCalls != 2 || gaugeCalls != 2 {
+		t.Errorf("after Snapshot: %d and %d calls, want 2 and 2", counterCalls, gaugeCalls)
 	}
 }
