@@ -323,7 +323,7 @@ func BenchmarkApplyAllocationWide(b *testing.B) {
 		if i%12 == 0 {
 			n = 5
 		}
-		moved = append(moved, br.ix.ClassesByFlow(model.FlowID(i))[:n]...)
+		moved = append(moved, br.classesOf(model.FlowID(i))[:n]...)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -159,8 +159,12 @@ type ClassStats struct {
 // mutex and publish a rebuilt snapshot (copy-on-write); a publish racing
 // a control change delivers against whichever snapshot it loaded.
 type Broker struct {
-	p  *model.Problem
-	ix *model.Index
+	p *model.Problem
+	// classOff and classIDs hold the flow → classes incidence, the only
+	// lookup the broker needs: flow i's classes, in ascending ClassID
+	// order, are classIDs[classOff[i]:classOff[i+1]] (see classesOf).
+	classOff []int32
+	classIDs []model.ClassID
 
 	now func() time.Time
 
@@ -351,7 +355,6 @@ func New(p *model.Problem, opts ...Option) (*Broker, error) {
 	}
 	b := &Broker{
 		p:             p,
-		ix:            model.NewIndex(p),
 		now:           time.Now,
 		flows:         make([]flowState, len(p.Flows)),
 		classes:       make([]classState, len(p.Classes)),
@@ -361,6 +364,7 @@ func New(p *model.Problem, opts ...Option) (*Broker, error) {
 		attachedCount: make([]int32, len(p.Classes)),
 		admittedCount: make([]int32, len(p.Classes)),
 	}
+	b.classOff, b.classIDs = flowClasses(p)
 	for j := range b.classes {
 		b.classes[j].transform = Identity{}
 	}
@@ -382,6 +386,32 @@ func New(p *model.Problem, opts ...Option) (*Broker, error) {
 	b.blockMark = make([]uint64, len(rt.blocks))
 	b.route.Store(rt)
 	return b, nil
+}
+
+// flowClasses lays out p's flow → classes incidence as offsets into one
+// flat array, each flow's classes in ascending ClassID order (the order
+// model.Index.ClassesByFlow gives): a counting sort over the classes.
+func flowClasses(p *model.Problem) (off []int32, ids []model.ClassID) {
+	off = make([]int32, len(p.Flows)+1)
+	for _, c := range p.Classes {
+		off[c.Flow+1]++
+	}
+	for i := range p.Flows {
+		off[i+1] += off[i]
+	}
+	ids = make([]model.ClassID, len(p.Classes))
+	next := slices.Clone(off[:len(p.Flows)])
+	for _, c := range p.Classes {
+		ids[next[c.Flow]] = c.ID
+		next[c.Flow]++
+	}
+	return off, ids
+}
+
+// classesOf returns flow i's classes, ascending. The slice is the
+// broker's own and must not be mutated.
+func (b *Broker) classesOf(i model.FlowID) []model.ClassID {
+	return b.classIDs[b.classOff[i]:b.classOff[i+1]]
 }
 
 // Problem returns the broker's problem definition.

@@ -141,7 +141,7 @@ func (b *Broker) republishLocked() (flowsTouched int) {
 	// count dirties it.
 	n = 0
 	for _, fid := range b.dirtyFlows {
-		for _, cid := range b.ix.ClassesByFlow(fid) {
+		for _, cid := range b.classesOf(fid) {
 			if b.admittedCount[cid] > 0 {
 				n++
 			}
@@ -161,7 +161,7 @@ func (b *Broker) republishLocked() (flowsTouched int) {
 			blocks[k] = slices.Clone(old.blocks[k])
 		}
 		n = 0
-		for _, cid := range b.ix.ClassesByFlow(fid) {
+		for _, cid := range b.classesOf(fid) {
 			if r := b.classes[cid].route; r != nil {
 				ptrs[n] = r
 				n++

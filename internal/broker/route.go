@@ -95,8 +95,8 @@ type classRoute struct {
 }
 
 // routeTable is the immutable routing snapshot the data plane reads: for
-// every flow, pointers to its deliverable class entries in model.Index
-// class order, addressed as blocks[flow>>shift][flow&(1<<shift-1)].
+// every flow, pointers to its deliverable class entries in ascending
+// ClassID order, addressed as blocks[flow>>shift][flow&(1<<shift-1)].
 // Never mutated after publication; control-plane changes build and store
 // a new table, which shares blocks, per-flow lists and entries with its
 // predecessor and every handler and filter array with the control plane
@@ -163,7 +163,7 @@ func (b *Broker) buildRouteTableLocked() *routeTable {
 		block := make([][]*classRoute, min(size, flows-start))
 		for o := range block {
 			k := 0
-			for _, cid := range b.ix.ClassesByFlow(model.FlowID(start + o)) {
+			for _, cid := range b.classesOf(model.FlowID(start + o)) {
 				if cs := &b.classes[cid]; cs.admitted > 0 {
 					entries[0] = cs.routeLocked()
 					ptrs[k], entries = &entries[0], entries[1:]

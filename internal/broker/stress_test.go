@@ -3,6 +3,7 @@ package broker
 import (
 	"io"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -420,11 +421,15 @@ func TestScrapeDuringAutopilotCycles(t *testing.T) {
 // message reached, in delivery order, must be one of the admitted
 // prefixes the control plane actually published for that class — never a
 // list with a duplicate, a gap, or halves of two different states.
+// Publishers keep going, past perG messages each, until the churner has
+// seen every class through minPrefixes admitted prefixes, so the race
+// happens however the scheduler shares the CPU.
 func TestPublishStressConcurrentChurn(t *testing.T) {
 	const (
-		flows      = 2
-		publishers = 4
-		perG       = 1500
+		flows       = 2
+		publishers  = 4
+		perG        = 1500
+		minPrefixes = 10
 	)
 	p := stressProblem(flows)
 	b, err := New(p, WithTransform(model.ClassID(flows), Annotate{Attr: "tag", Value: 1}))
@@ -513,6 +518,10 @@ func TestPublishStressConcurrentChurn(t *testing.T) {
 		noteValid(j)
 	}
 
+	// churned is set once every class has had minPrefixes admitted
+	// prefixes; published counts the messages each flow accepted.
+	var churned atomic.Bool
+	var published [flows]atomic.Int64
 	var pubWG, churnWG sync.WaitGroup
 	stop := make(chan struct{})
 	churnWG.Add(1)
@@ -540,6 +549,9 @@ func TestPublishStressConcurrentChurn(t *testing.T) {
 				enact(j, 1+rng.Intn(rc.admitted-1)) // shrink, never to zero
 			}
 			noteValid(j)
+			if !churned.Load() && !slices.ContainsFunc(ref, func(rc refClass) bool { return len(rc.valid) < minPrefixes }) {
+				churned.Store(true)
+			}
 		}
 	}()
 
@@ -549,11 +561,12 @@ func TestPublishStressConcurrentChurn(t *testing.T) {
 		pubWG.Add(1)
 		go func() {
 			defer pubWG.Done()
-			for n := 0; n < perG; n++ {
+			for n := 0; n < perG || !churned.Load(); n++ {
 				if err := b.Publish(flow, attrs, "x"); err != nil {
 					t.Error(err)
 					return
 				}
+				published[flow].Add(1)
 			}
 		}()
 	}
@@ -570,10 +583,9 @@ func TestPublishStressConcurrentChurn(t *testing.T) {
 	// Every class keeps at least one admitted consumer throughout, so
 	// every message of its flow must have reached it, along one valid
 	// prefix.
-	const perFlow = publishers / flows * perG
 	for j := range ref {
-		if len(logs[j].seqs) != perFlow {
-			t.Errorf("class %d: %d of %d messages delivered", j, len(logs[j].seqs), perFlow)
+		if want := published[p.Classes[j].Flow].Load(); int64(len(logs[j].seqs)) != want {
+			t.Errorf("class %d: %d of %d messages delivered", j, len(logs[j].seqs), want)
 		}
 		bad := 0
 		for seq, got := range logs[j].seqs {
@@ -582,7 +594,7 @@ func TestPublishStressConcurrentChurn(t *testing.T) {
 				t.Errorf("class %d seq %d: delivered to %v, which is no admitted prefix this class ever published", j, seq, got)
 			}
 		}
-		if len(ref[j].valid) < 10 {
+		if len(ref[j].valid) < minPrefixes {
 			t.Errorf("class %d: only %d distinct admitted prefixes; the churn is not racing the publishers", j, len(ref[j].valid))
 		}
 	}

@@ -84,8 +84,17 @@ func TestNewRefusesBadOptions(t *testing.T) {
 // gateway, so the same network takes a second cluster under the same host
 // names once the first is closed.
 func TestCloseFreesHostNames(t *testing.T) {
+	checkCloseFreesHostNames(t, transport.NewMemory())
+}
+
+// TestCloseFreesHostNamesTCP is the same over one TCP network, whose
+// endpoints give their names back when they close.
+func TestCloseFreesHostNamesTCP(t *testing.T) {
+	checkCloseFreesHostNames(t, transport.NewTCP())
+}
+
+func checkCloseFreesHostNames(t *testing.T, net transport.Network) {
 	p := workload.Base()
-	net := transport.NewMemory()
 	defer net.Close()
 	for run := range 2 {
 		cl, err := New(p, Config{Hosts: 4}, net)

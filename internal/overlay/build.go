@@ -125,7 +125,9 @@ func uniformCaps(n int, c float64) []float64 {
 
 // assembleProblem emits the model.Problem for the given routing: every
 // topology node and link gets a slot (link IDs match topology indices),
-// and each flow's tree writes its L/F coefficients.
+// and each flow's tree writes its L/F coefficients. An element no tree
+// crosses keeps a nil cost map: the problem's size is its incidences, not
+// its graph.
 func assembleProblem(t *Topology, nodeCaps []float64, flows []FlowSpec, trees []Tree) *model.Problem {
 	p := &model.Problem{
 		Name:  fmt.Sprintf("overlay-%df-%dn", len(flows), t.NodeCount()),
@@ -136,7 +138,6 @@ func assembleProblem(t *Topology, nodeCaps []float64, flows []FlowSpec, trees []
 			ID:       model.NodeID(b),
 			Name:     fmt.Sprintf("S%d", b),
 			Capacity: nodeCaps[b],
-			FlowCost: make(map[model.FlowID]float64),
 		}
 	}
 	for li, tl := range t.links {
@@ -146,7 +147,6 @@ func assembleProblem(t *Topology, nodeCaps []float64, flows []FlowSpec, trees []
 			From:     tl.From,
 			To:       tl.To,
 			Capacity: tl.Capacity,
-			FlowCost: make(map[model.FlowID]float64),
 		})
 	}
 	for fi, fs := range flows {
@@ -159,10 +159,10 @@ func assembleProblem(t *Topology, nodeCaps []float64, flows []FlowSpec, trees []
 			RateMax: fs.RateMax,
 		})
 		for _, b := range trees[fi].Nodes {
-			p.Nodes[b].FlowCost[fid] = fs.NodeCost
+			setCost(&p.Nodes[b].FlowCost, fid, fs.NodeCost)
 		}
 		for _, li := range trees[fi].Links {
-			p.Links[li].FlowCost[fid] = fs.LinkCost
+			setCost(&p.Links[li].FlowCost, fid, fs.LinkCost)
 		}
 		for _, cs := range fs.Classes {
 			p.Classes = append(p.Classes, model.Class{
@@ -177,4 +177,22 @@ func assembleProblem(t *Topology, nodeCaps []float64, flows []FlowSpec, trees []
 		}
 	}
 	return p
+}
+
+// setCost writes flow i's coefficient c into an element's cost map,
+// allocating the map when i is the first flow to cross the element.
+func setCost(m *map[model.FlowID]float64, i model.FlowID, c float64) {
+	if *m == nil {
+		*m = make(map[model.FlowID]float64)
+	}
+	(*m)[i] = c
+}
+
+// dropCost deletes flow i from an element's cost map, and the map itself
+// with the element's last flow.
+func dropCost(m *map[model.FlowID]float64, i model.FlowID) {
+	delete(*m, i)
+	if len(*m) == 0 {
+		*m = nil
+	}
 }

@@ -1,7 +1,10 @@
 package overlay
 
 import (
+	"crypto/sha256"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -173,6 +176,25 @@ func TestBuildProblem(t *testing.T) {
 				t.Errorf("link %d flow %d cost %g, want %g", l.ID, fid, cost, want)
 			}
 		}
+	}
+}
+
+// TestBuildJSONPinned pins Build's pruned problem on the link_failure
+// shape, byte for byte as JSON: node and link IDs, names, capacities and
+// every cost map, an empty one omitted as a nil one is.
+func TestBuildJSONPinned(t *testing.T) {
+	const want = "ada25977c76e1fbe3ee0a55f190d1531aab30259f93c4019b5f2c6fd50bd86a9"
+	tp, _, flows := linkFailureShape(rand.New(rand.NewSource(1)))
+	p, err := Build(tp, 3000, flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+		t.Errorf("Build's problem JSON (%d bytes) hashes to %s, want %s", len(data), got, want)
 	}
 }
 

@@ -27,7 +27,7 @@ import (
 // elements is the supported churn; a grown topology needs a new Router.
 //
 // A Router is single-goroutine, like the Engine it feeds. The returned
-// *model.Problem is live: repairs mutate its cost maps in place, and the
+// *model.Problem is live: repairs rewrite its cost maps in place, and the
 // caller must not Step an engine bound to it between a repair and the
 // ResetRouting that republishes the index.
 type Router struct {
@@ -210,9 +210,11 @@ func (r *Router) indexTree(i model.FlowID, tree Tree) {
 
 // commitTree replaces flow i's tree, updating the problem's cost maps, the
 // reverse indexes, the routing delta and its classes' depths (from traced,
-// which noteDepths filled when the tree was traced). Old and new element
-// lists are ascending, so the symmetric difference is a two-pointer walk;
-// elements in both trees are untouched (their cost entry is already right).
+// which noteDepths filled when the tree was traced). An element's cost map
+// exists only while a flow crosses it (setCost, dropCost). Old and new
+// element lists are ascending, so the symmetric difference is a
+// two-pointer walk; elements in both trees are untouched (their cost entry
+// is already right).
 func (r *Router) commitTree(i model.FlowID, tree Tree) {
 	old := r.trees[i]
 	fs := &r.flows[i]
@@ -223,13 +225,13 @@ func (r *Router) commitTree(i model.FlowID, tree Tree) {
 		case b >= len(tree.Links) || (a < len(old.Links) && old.Links[a] < tree.Links[b]):
 			li := old.Links[a]
 			r.flowsByLink[li] = removeFlow(r.flowsByLink[li], int32(i))
-			delete(r.prob.Links[li].FlowCost, i)
+			dropCost(&r.prob.Links[li].FlowCost, i)
 			r.markLink(model.LinkID(li))
 			a++
 		case a >= len(old.Links) || tree.Links[b] < old.Links[a]:
 			li := tree.Links[b]
 			r.flowsByLink[li] = insertFlow(r.flowsByLink[li], int32(i))
-			r.prob.Links[li].FlowCost[i] = fs.LinkCost
+			setCost(&r.prob.Links[li].FlowCost, i, fs.LinkCost)
 			r.markLink(model.LinkID(li))
 			b++
 		default:
@@ -243,13 +245,13 @@ func (r *Router) commitTree(i model.FlowID, tree Tree) {
 		case b >= len(tree.Nodes) || (a < len(old.Nodes) && old.Nodes[a] < tree.Nodes[b]):
 			bn := old.Nodes[a]
 			r.flowsByNode[bn] = removeFlow(r.flowsByNode[bn], int32(i))
-			delete(r.prob.Nodes[bn].FlowCost, i)
+			dropCost(&r.prob.Nodes[bn].FlowCost, i)
 			r.markNode(bn)
 			a++
 		case a >= len(old.Nodes) || tree.Nodes[b] < old.Nodes[a]:
 			bn := tree.Nodes[b]
 			r.flowsByNode[bn] = insertFlow(r.flowsByNode[bn], int32(i))
-			r.prob.Nodes[bn].FlowCost[i] = fs.NodeCost
+			setCost(&r.prob.Nodes[bn].FlowCost, i, fs.NodeCost)
 			r.markNode(bn)
 			b++
 		default:

@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -1181,5 +1182,93 @@ func TestRouterRejectsGrownTopology(t *testing.T) {
 	}
 	if d := r.TakeDelta(); len(d.Flows)+len(d.Nodes)+len(d.Links) != 0 {
 		t.Fatalf("a refused call left a delta %+v", d)
+	}
+}
+
+// TestCostMapsFollowTheTrees: an element's cost map exists exactly while a
+// flow crosses it. On the link_failure shape, after NewRouter and after
+// every event of a seeded fail/heal sequence, FlowCost is nil on every node
+// and link no tree crosses, and elsewhere its keys are exactly the flows
+// FlowsThroughNode/FlowsThroughLink list. A failed tree link loses its last
+// flow, so the sequence also proves the map goes back to nil.
+func TestCostMapsFollowTheTrees(t *testing.T) {
+	tp, caps, flows := linkFailureShape(rand.New(rand.NewSource(1)))
+	r, err := NewRouter(tp, caps, flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keysAre := func(m map[model.FlowID]float64, through []int32) bool {
+		if len(through) == 0 {
+			return m == nil
+		}
+		if len(m) != len(through) {
+			return false
+		}
+		for _, i := range through {
+			if _, ok := m[model.FlowID(i)]; !ok {
+				return false
+			}
+		}
+		return true
+	}
+	check := func(when string) {
+		t.Helper()
+		p := r.Problem()
+		for li, l := range p.Links {
+			if !keysAre(l.FlowCost, r.FlowsThroughLink(li)) {
+				t.Fatalf("%s: link %d costs %v, flows through it %v", when, li, l.FlowCost, r.FlowsThroughLink(li))
+			}
+		}
+		for b, n := range p.Nodes {
+			if through := r.FlowsThroughNode(model.NodeID(b)); !keysAre(n.FlowCost, through) {
+				t.Fatalf("%s: node %d costs %v, flows through it %v", when, b, n.FlowCost, through)
+			}
+		}
+	}
+	check("NewRouter")
+
+	rng := rand.New(rand.NewSource(7))
+	var deadLinks []int
+	var deadNodes []model.NodeID
+	emptied := 0
+	for ev := 0; ev < 60; ev++ {
+		var st RepairStats
+		var err error
+		switch op := rng.Intn(10); {
+		case op < 4: // fail a link some tree uses
+			links := r.Tree(model.FlowID(rng.Intn(len(flows)))).Links
+			li := links[rng.Intn(len(links))]
+			if st, err = r.RepairLink(li); err == nil {
+				deadLinks = append(deadLinks, li)
+				emptied++
+			}
+		case op < 6: // fail a node some tree uses (anchors are refused)
+			nodes := r.Tree(model.FlowID(rng.Intn(len(flows)))).Nodes
+			b := nodes[rng.Intn(len(nodes))]
+			if st, err = r.RepairNode(b); err == nil {
+				deadNodes = append(deadNodes, b)
+			}
+		case op < 8 && len(deadLinks) > 0:
+			k := rng.Intn(len(deadLinks))
+			if st, err = r.RestoreLink(deadLinks[k]); err != nil {
+				t.Fatalf("event %d: %v", ev, err)
+			}
+			deadLinks = slices.Delete(deadLinks, k, k+1)
+		case len(deadNodes) > 0:
+			k := rng.Intn(len(deadNodes))
+			if st, err = r.RestoreNode(deadNodes[k]); err != nil {
+				t.Fatalf("event %d: %v", ev, err)
+			}
+			deadNodes = slices.Delete(deadNodes, k, k+1)
+		default:
+			continue
+		}
+		// A refused failure (an anchor, a bridge) changes nothing; the
+		// check holds either way.
+		r.TakeDelta()
+		check(fmt.Sprintf("event %d (%s %d)", ev, st.Kind, st.Element))
+	}
+	if emptied < 10 {
+		t.Errorf("only %d tree links failed; the sequence does not empty enough cost maps", emptied)
 	}
 }

@@ -12,10 +12,12 @@ import (
 
 // TCP is a Network whose endpoints live in (potentially) different
 // processes and exchange length-prefixed frames over TCP. Each endpoint
-// runs its own listener; a shared registry maps endpoint names to
-// addresses. Within one process, NewTCP gives every endpoint a listener on
-// 127.0.0.1 and fills the registry automatically; for multi-process
-// deployments, construct endpoints with ListenTCP/RegisterPeer directly.
+// runs its own listener; a registry maps endpoint names to addresses.
+// Within one process, NewTCP gives every endpoint a listener on 127.0.0.1
+// and keeps the registry itself: a name is registered while its endpoint
+// is open, so a closed endpoint's name can be taken again. For
+// multi-process deployments, construct endpoints with ListenTCP and a
+// resolver of your own.
 //
 // Every frame is a uvarint length followed by a binary message body (see
 // AppendMessage). A reader that meets anything else — an empty or oversized
@@ -23,8 +25,7 @@ import (
 // frame; it never trusts it.
 type TCP struct {
 	mu        sync.Mutex
-	registry  map[string]string // endpoint name -> host:port
-	endpoints []*tcpEndpoint
+	endpoints map[string]*tcpEndpoint // the open endpoints, by name
 	closed    bool
 	inbox     int // queue size of endpoints created from now on
 	meter     tcpMeter
@@ -37,7 +38,7 @@ var (
 
 // NewTCP returns an empty TCP network with an in-process registry.
 func NewTCP() *TCP {
-	return &TCP{registry: make(map[string]string), inbox: memoryBuffer}
+	return &TCP{endpoints: make(map[string]*tcpEndpoint), inbox: memoryBuffer}
 }
 
 // tcpMeter accumulates the counters of a TCP network's endpoints: frames
@@ -66,23 +67,25 @@ func (t *TCP) Endpoint(name string) (Endpoint, error) {
 	if t.closed {
 		return nil, ErrClosed
 	}
-	if _, ok := t.registry[name]; ok {
+	if _, ok := t.endpoints[name]; ok {
 		return nil, fmt.Errorf("%w: %q", ErrDuplicate, name)
 	}
 	ep, err := listenTCP(name, "127.0.0.1:0", t.lookup, t.inbox, &t.meter)
 	if err != nil {
 		return nil, err
 	}
-	t.registry[name] = ep.listener.Addr().String()
-	t.endpoints = append(t.endpoints, ep)
+	ep.release = func() { t.forget(ep) }
+	t.endpoints[name] = ep
 	return ep, nil
 }
 
 // Close implements Network.
 func (t *TCP) Close() error {
 	t.mu.Lock()
-	eps := t.endpoints
-	t.endpoints = nil
+	eps := make([]*tcpEndpoint, 0, len(t.endpoints))
+	for _, ep := range t.endpoints {
+		eps = append(eps, ep)
+	}
 	t.closed = true
 	t.mu.Unlock()
 	for _, ep := range eps {
@@ -95,11 +98,18 @@ func (t *TCP) Close() error {
 func (t *TCP) lookup(name string) (string, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	addr, ok := t.registry[name]
+	ep, ok := t.endpoints[name]
 	if !ok {
 		return "", fmt.Errorf("%w: %q", ErrUnknownDest, name)
 	}
-	return addr, nil
+	return ep.listener.Addr().String(), nil
+}
+
+// forget releases a closed endpoint's name.
+func (t *TCP) forget(ep *tcpEndpoint) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	delete(t.endpoints, ep.name)
 }
 
 // tcpEndpoint is one TCP attachment: a listener for inbound frames and a
@@ -109,6 +119,7 @@ type tcpEndpoint struct {
 	listener net.Listener
 	resolve  func(string) (string, error)
 	meter    *tcpMeter // the owning network's; a standalone endpoint has its own
+	release  func()    // frees the name in the owning network; nil when standalone
 
 	in      chan Message
 	closed  atomic.Bool // set under mu; read loops poll it without
@@ -208,6 +219,9 @@ func (e *tcpEndpoint) Close() error {
 	}
 	e.wg.Wait()
 	close(e.in)
+	if e.release != nil {
+		e.release()
+	}
 	return nil
 }
 
