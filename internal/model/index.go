@@ -18,28 +18,28 @@ import (
 // map keys. The cost views are copies taken at NewIndex time: mutating a
 // cost map afterwards does not update the index (capacities and class
 // demands are not cached and may change between iterations).
+//
+// The index's size follows the problem's incidences, not its graph: a node
+// or link no flow crosses holds a nil view (one word), and a node's classes
+// share one flat array.
 type Index struct {
 	p *Problem
 
 	// classesByFlow[i] lists the classes consuming flow i (C_i).
 	classesByFlow [][]ClassID
-	// classesByNode[b] lists the classes attached at node b
-	// (nodeClasses(b)).
-	classesByNode [][]ClassID
-	// flowsByNode[b] lists the flows reaching node b (nodeMap(b)), in
-	// ascending flow order.
-	flowsByNode [][]FlowID
-	// flowsByLink[l] lists the flows traversing link l (linkMap(l)).
-	flowsByLink [][]FlowID
+	// nodeClasses[nodeClassOff[b]:nodeClassOff[b+1]] lists the classes
+	// attached at node b (nodeClasses(b)), in ascending class order.
+	nodeClassOff []int32
+	nodeClasses  []ClassID
+	// nodes[b] holds nodeMap(b) and the F_{b,i} aligned with it; links[l]
+	// holds linkMap(l) and the L_{l,i}. Nil where no flow crosses.
+	nodes []*view
+	links []*view
 	// nodesByFlow[i] lists the nodes reached by flow i (B_i).
 	nodesByFlow [][]NodeID
 	// linksByFlow[i] lists the links traversed by flow i (L_i).
 	linksByFlow [][]LinkID
 
-	// flowCostByNode[b][k] is F_{b,i} for i = flowsByNode[b][k].
-	flowCostByNode [][]float64
-	// flowCostByLink[l][k] is L_{l,i} for i = flowsByLink[l][k].
-	flowCostByLink [][]float64
 	// nodeCostByFlow[i][k] is F_{b,i} for b = nodesByFlow[i][k].
 	nodeCostByFlow [][]float64
 	// linkCostByFlow[i][k] is L_{l,i} for l = linksByFlow[i][k].
@@ -51,73 +51,124 @@ type Index struct {
 	classesByFlowNode [][][]ClassID
 }
 
+// view is one resource's side of the index: the flows crossing it, in
+// ascending flow order, and costs[k], the coefficient of flows[k]. An
+// element no flow crosses has a nil *view, and both readers return nil.
+type view struct {
+	flows []FlowID
+	costs []float64
+}
+
+func (v *view) flowList() []FlowID {
+	if v == nil {
+		return nil
+	}
+	return v.flows
+}
+
+func (v *view) costList() []float64 {
+	if v == nil {
+		return nil
+	}
+	return v.costs
+}
+
+// newView builds the view of one resource's cost map; nil when the map is
+// empty.
+func newView(costMap map[FlowID]float64) *view {
+	if len(costMap) == 0 {
+		return nil
+	}
+	return new(view).fill(costMap, make([]FlowID, len(costMap)), make([]float64, len(costMap)))
+}
+
+// newViews builds the view of each of n resources' cost maps, nil where a
+// map is empty, carving the views and their arrays out of one allocation
+// each.
+func newViews(n int, costMap func(int) map[FlowID]float64) []*view {
+	out := make([]*view, n)
+	active, pairs := 0, 0
+	for k := range out {
+		if m := costMap(k); len(m) > 0 {
+			active++
+			pairs += len(m)
+		}
+	}
+	views := make([]view, active)
+	flows := make([]FlowID, pairs)
+	costs := make([]float64, pairs)
+	for k := range out {
+		m := costMap(k)
+		if len(m) == 0 {
+			continue
+		}
+		n := len(m)
+		out[k] = views[0].fill(m, flows[:n:n], costs[:n:n])
+		views, flows, costs = views[1:], flows[n:], costs[n:]
+	}
+	return out
+}
+
+// fill makes v the view of costMap, its keys sorted into flows and their
+// costs aligned in costs (both of the map's length), and returns v.
+func (v *view) fill(costMap map[FlowID]float64, flows []FlowID, costs []float64) *view {
+	flows = flows[:0]
+	for i := range costMap {
+		flows = append(flows, i)
+	}
+	slices.Sort(flows)
+	for k, i := range flows {
+		costs[k] = costMap[i]
+	}
+	*v = view{flows, costs}
+	return v
+}
+
 // NewIndex builds the index. The problem must already be valid (see
 // Validate); NewIndex does not re-check it.
 func NewIndex(p *Problem) *Index {
 	ix := &Index{
 		p:             p,
 		classesByFlow: make([][]ClassID, len(p.Flows)),
-		classesByNode: make([][]ClassID, len(p.Nodes)),
-		flowsByNode:   make([][]FlowID, len(p.Nodes)),
-		flowsByLink:   make([][]FlowID, len(p.Links)),
+		nodeClassOff:  make([]int32, len(p.Nodes)+1),
+		nodeClasses:   make([]ClassID, len(p.Classes)),
+		nodes:         newViews(len(p.Nodes), func(b int) map[FlowID]float64 { return p.Nodes[b].FlowCost }),
+		links:         newViews(len(p.Links), func(l int) map[FlowID]float64 { return p.Links[l].FlowCost }),
 		nodesByFlow:   make([][]NodeID, len(p.Flows)),
 		linksByFlow:   make([][]LinkID, len(p.Flows)),
 	}
+	// nodeClasses as a CSR array: count each node's classes, turn the
+	// counts into running ends, then place the classes back to front so
+	// each node's run keeps ascending class order and its end becomes its
+	// start.
 	for _, c := range p.Classes {
 		ix.classesByFlow[c.Flow] = append(ix.classesByFlow[c.Flow], c.ID)
-		ix.classesByNode[c.Node] = append(ix.classesByNode[c.Node], c.ID)
+		ix.nodeClassOff[c.Node]++
+	}
+	for b := 1; b < len(ix.nodeClassOff); b++ {
+		ix.nodeClassOff[b] += ix.nodeClassOff[b-1]
+	}
+	for j := len(p.Classes) - 1; j >= 0; j-- {
+		c := &p.Classes[j]
+		ix.nodeClassOff[c.Node]--
+		ix.nodeClasses[ix.nodeClassOff[c.Node]] = c.ID
 	}
 	// Membership lists come from the sparse cost maps directly — O(edges)
 	// rather than O(resources × flows), which matters once workloads reach
-	// metro scale (10^4 flows × 10^5 nodes). Sorting each key set keeps the
-	// lists in the same ascending order the dense scans produced.
-	for _, n := range p.Nodes {
-		flows := make([]FlowID, 0, len(n.FlowCost))
-		for i := range n.FlowCost {
-			flows = append(flows, i)
-		}
-		slices.Sort(flows)
-		ix.flowsByNode[n.ID] = flows
-	}
-	for b := range p.Nodes {
-		for _, i := range ix.flowsByNode[b] {
+	// metro scale (10^4 flows × 10^5 nodes).
+	for b, v := range ix.nodes {
+		for _, i := range v.flowList() {
 			ix.nodesByFlow[i] = append(ix.nodesByFlow[i], NodeID(b))
 		}
 	}
-	for _, l := range p.Links {
-		flows := make([]FlowID, 0, len(l.FlowCost))
-		for i := range l.FlowCost {
-			flows = append(flows, i)
-		}
-		slices.Sort(flows)
-		ix.flowsByLink[l.ID] = flows
-	}
-	for l := range p.Links {
-		for _, i := range ix.flowsByLink[l] {
+	for l, v := range ix.links {
+		for _, i := range v.flowList() {
 			ix.linksByFlow[i] = append(ix.linksByFlow[i], LinkID(l))
 		}
 	}
 
-	// Dense cost views, aligned element-for-element with the membership
-	// lists built above.
-	ix.flowCostByNode = make([][]float64, len(p.Nodes))
-	for b := range p.Nodes {
-		flows := ix.flowsByNode[b]
-		costs := make([]float64, len(flows))
-		for k, i := range flows {
-			costs[k] = p.Nodes[b].FlowCost[i]
-		}
-		ix.flowCostByNode[b] = costs
-	}
-	ix.flowCostByLink = make([][]float64, len(p.Links))
-	for l := range p.Links {
-		flows := ix.flowsByLink[l]
-		costs := make([]float64, len(flows))
-		for k, i := range flows {
-			costs[k] = p.Links[l].FlowCost[i]
-		}
-		ix.flowCostByLink[l] = costs
-	}
+	// Flow-side cost views, aligned element-for-element with the
+	// membership lists built above.
 	ix.nodeCostByFlow = make([][]float64, len(p.Flows))
 	ix.linkCostByFlow = make([][]float64, len(p.Flows))
 	ix.classesByFlowNode = make([][][]ClassID, len(p.Flows))
@@ -187,38 +238,38 @@ func (ix *Index) Refresh(p *Problem) error {
 		}
 	}
 	for b := range p.Nodes {
-		if len(p.Nodes[b].FlowCost) != len(ix.flowsByNode[b]) {
+		flows := ix.nodes[b].flowList()
+		if len(p.Nodes[b].FlowCost) != len(flows) {
 			return fmt.Errorf("model: refresh: node %d reaches %d flows, index has %d",
-				b, len(p.Nodes[b].FlowCost), len(ix.flowsByNode[b]))
+				b, len(p.Nodes[b].FlowCost), len(flows))
 		}
-		for _, i := range ix.flowsByNode[b] {
+		for _, i := range flows {
 			if _, ok := p.Nodes[b].FlowCost[i]; !ok {
 				return fmt.Errorf("model: refresh: node %d lost flow %d", b, i)
 			}
 		}
 	}
 	for l := range p.Links {
-		if len(p.Links[l].FlowCost) != len(ix.flowsByLink[l]) {
+		flows := ix.links[l].flowList()
+		if len(p.Links[l].FlowCost) != len(flows) {
 			return fmt.Errorf("model: refresh: link %d carries %d flows, index has %d",
-				l, len(p.Links[l].FlowCost), len(ix.flowsByLink[l]))
+				l, len(p.Links[l].FlowCost), len(flows))
 		}
-		for _, i := range ix.flowsByLink[l] {
+		for _, i := range flows {
 			if _, ok := p.Links[l].FlowCost[i]; !ok {
 				return fmt.Errorf("model: refresh: link %d lost flow %d", l, i)
 			}
 		}
 	}
 
-	for b := range p.Nodes {
-		costs := ix.flowCostByNode[b]
-		for k, i := range ix.flowsByNode[b] {
-			costs[k] = p.Nodes[b].FlowCost[i]
+	for b, v := range ix.nodes {
+		for k, i := range v.flowList() {
+			v.costs[k] = p.Nodes[b].FlowCost[i]
 		}
 	}
-	for l := range p.Links {
-		costs := ix.flowCostByLink[l]
-		for k, i := range ix.flowsByLink[l] {
-			costs[k] = p.Links[l].FlowCost[i]
+	for l, v := range ix.links {
+		for k, i := range v.flowList() {
+			v.costs[k] = p.Links[l].FlowCost[i]
 		}
 	}
 	for i := range p.Flows {
@@ -240,13 +291,16 @@ func (ix *Index) Refresh(p *Problem) error {
 func (ix *Index) ClassesByFlow(i FlowID) []ClassID { return ix.classesByFlow[i] }
 
 // ClassesByNode returns nodeClasses(b), the classes attached at node b.
-func (ix *Index) ClassesByNode(b NodeID) []ClassID { return ix.classesByNode[b] }
+func (ix *Index) ClassesByNode(b NodeID) []ClassID {
+	lo, hi := ix.nodeClassOff[b], ix.nodeClassOff[b+1]
+	return ix.nodeClasses[lo:hi:hi]
+}
 
 // FlowsByNode returns nodeMap(b), the flows reaching node b.
-func (ix *Index) FlowsByNode(b NodeID) []FlowID { return ix.flowsByNode[b] }
+func (ix *Index) FlowsByNode(b NodeID) []FlowID { return ix.nodes[b].flowList() }
 
 // FlowsByLink returns linkMap(l), the flows traversing link l.
-func (ix *Index) FlowsByLink(l LinkID) []FlowID { return ix.flowsByLink[l] }
+func (ix *Index) FlowsByLink(l LinkID) []FlowID { return ix.links[l].flowList() }
 
 // NodesByFlow returns B_i, the nodes reached by flow i.
 func (ix *Index) NodesByFlow(i FlowID) []NodeID { return ix.nodesByFlow[i] }
@@ -256,11 +310,11 @@ func (ix *Index) LinksByFlow(i FlowID) []LinkID { return ix.linksByFlow[i] }
 
 // FlowCostsByNode returns the F_{b,i} coefficients aligned with
 // FlowsByNode(b): FlowCostsByNode(b)[k] is the cost of FlowsByNode(b)[k].
-func (ix *Index) FlowCostsByNode(b NodeID) []float64 { return ix.flowCostByNode[b] }
+func (ix *Index) FlowCostsByNode(b NodeID) []float64 { return ix.nodes[b].costList() }
 
 // FlowCostsByLink returns the L_{l,i} coefficients aligned with
 // FlowsByLink(l).
-func (ix *Index) FlowCostsByLink(l LinkID) []float64 { return ix.flowCostByLink[l] }
+func (ix *Index) FlowCostsByLink(l LinkID) []float64 { return ix.links[l].costList() }
 
 // NodeCostsByFlow returns the F_{b,i} coefficients aligned with
 // NodesByFlow(i).

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/utility"
@@ -70,10 +71,13 @@ func randomIndexProblem(rng *rand.Rand) *Problem {
 }
 
 // TestIndexDenseViewsMatchMaps checks every dense cost view against the
-// sparse maps it denormalizes, and the per-(flow, node) class lists
-// against a direct filter of ClassesByNode.
+// sparse maps it denormalizes — each node's and link's flow list is its
+// map's key set in strictly ascending order, and each cost the map's value
+// — and the per-(flow, node) class lists against a direct filter of
+// ClassesByNode. The random problems leave some nodes without a flow.
 func TestIndexDenseViewsMatchMaps(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	idle := 0
 	for trial := 0; trial < 50; trial++ {
 		p := randomIndexProblem(rng)
 		if err := Validate(p); err != nil {
@@ -83,7 +87,22 @@ func TestIndexDenseViewsMatchMaps(t *testing.T) {
 
 		for b := range p.Nodes {
 			bid := NodeID(b)
+			var attached []ClassID
+			for _, c := range p.Classes {
+				if c.Node == bid {
+					attached = append(attached, c.ID)
+				}
+			}
+			if got := ix.ClassesByNode(bid); !slices.Equal(got, attached) {
+				t.Fatalf("node %d: classes %v, want %v", b, got, attached)
+			}
 			flows, costs := ix.FlowsByNode(bid), ix.FlowCostsByNode(bid)
+			if len(flows) == 0 {
+				idle++
+			}
+			if !isKeySet(flows, p.Nodes[b].FlowCost) {
+				t.Fatalf("node %d: flows %v, cost map %v", b, flows, p.Nodes[b].FlowCost)
+			}
 			if len(flows) != len(costs) {
 				t.Fatalf("node %d: %d flows vs %d costs", b, len(flows), len(costs))
 			}
@@ -96,6 +115,9 @@ func TestIndexDenseViewsMatchMaps(t *testing.T) {
 		for l := range p.Links {
 			lid := LinkID(l)
 			flows, costs := ix.FlowsByLink(lid), ix.FlowCostsByLink(lid)
+			if !isKeySet(flows, p.Links[l].FlowCost) {
+				t.Fatalf("link %d: flows %v, cost map %v", l, flows, p.Links[l].FlowCost)
+			}
 			if len(flows) != len(costs) {
 				t.Fatalf("link %d: %d flows vs %d costs", l, len(flows), len(costs))
 			}
@@ -144,6 +166,23 @@ func TestIndexDenseViewsMatchMaps(t *testing.T) {
 			}
 		}
 	}
+	if idle == 0 {
+		t.Fatal("no trial left a node without a flow")
+	}
+}
+
+// isKeySet reports whether flows lists exactly the keys of m, strictly
+// ascending.
+func isKeySet(flows []FlowID, m map[FlowID]float64) bool {
+	if len(flows) != len(m) {
+		return false
+	}
+	for k, i := range flows {
+		if _, ok := m[i]; !ok || (k > 0 && flows[k-1] >= i) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestRefreshRoutingRefusesWithoutMutating: a delta that RefreshRouting

@@ -19,12 +19,13 @@ type RoutingDelta struct {
 
 // RefreshRouting re-targets the index at p after a routing change confined
 // to d: membership lists and cost views are rebuilt for exactly the dirty
-// flows/nodes/links, everything else keeps its slices (so views handed out
-// for untouched elements remain valid and shared). It generalizes Refresh,
-// which requires identical cost-map sparsity: here dirty elements may gain
-// and lose (resource, flow) pairs, as long as the member sets themselves —
-// flow, node, link and class counts, and every class's (flow, node)
-// attachment — are unchanged.
+// flows/nodes/links (a dirty element left with no flow goes back to the
+// nil view of an idle one), everything else keeps its slices (so views
+// handed out for untouched elements remain valid and shared). It
+// generalizes Refresh, which requires identical cost-map sparsity: here
+// dirty elements may gain and lose (resource, flow) pairs, as long as the
+// member sets themselves — flow, node, link and class counts, and every
+// class's (flow, node) attachment — are unchanged.
 //
 // Only what d names may differ from the problem the index last saw. The
 // delta must be complete: a node or link whose FlowCost changed but is not
@@ -96,37 +97,32 @@ func (ix *Index) RefreshRouting(p *Problem, d RoutingDelta) error {
 		}
 	}
 
-	// Resource side: rebuild each dirty node's and link's membership list
-	// and cost view from its map, guarding that any flow entering or
-	// leaving is a dirty flow. The views are staged and committed together:
-	// the guard is the last thing that can fail.
-	type view struct {
-		flows []FlowID
-		costs []float64
-	}
-	views := make([]view, 0, len(dirtyNodes)+len(dirtyLinks))
+	// Resource side: rebuild each dirty node's and link's view from its
+	// map, guarding that any flow entering or leaving is a dirty flow. The
+	// views are staged and committed together: the guard is the last thing
+	// that can fail.
+	views := make([]*view, 0, len(dirtyNodes)+len(dirtyLinks))
 	for _, b := range dirtyNodes {
-		flows, costs, err := rebuildMembership(p.Nodes[b].FlowCost, ix.flowsByNode[b], dirtyFlow,
+		v, err := rebuildView(p.Nodes[b].FlowCost, ix.nodes[b].flowList(), dirtyFlow,
 			func(i FlowID) string { return fmt.Sprintf("node %d flow %d", b, i) })
 		if err != nil {
 			return err
 		}
-		views = append(views, view{flows, costs})
+		views = append(views, v)
 	}
 	for _, l := range dirtyLinks {
-		flows, costs, err := rebuildMembership(p.Links[l].FlowCost, ix.flowsByLink[l], dirtyFlow,
+		v, err := rebuildView(p.Links[l].FlowCost, ix.links[l].flowList(), dirtyFlow,
 			func(i FlowID) string { return fmt.Sprintf("link %d flow %d", l, i) })
 		if err != nil {
 			return err
 		}
-		views = append(views, view{flows, costs})
+		views = append(views, v)
 	}
 	for k, b := range dirtyNodes {
-		ix.flowsByNode[b], ix.flowCostByNode[b] = views[k].flows, views[k].costs
+		ix.nodes[b] = views[k]
 	}
 	for k, l := range dirtyLinks {
-		v := views[len(dirtyNodes)+k]
-		ix.flowsByLink[l], ix.flowCostByLink[l] = v.flows, v.costs
+		ix.links[l] = views[len(dirtyNodes)+k]
 	}
 
 	// Flow side: a dirty flow's node (and link) list changes only at dirty
@@ -175,14 +171,11 @@ func (ix *Index) RefreshRouting(p *Problem, d RoutingDelta) error {
 	return nil
 }
 
-// rebuildMembership rebuilds one resource's (flows, costs) view from its
-// cost map, verifying every membership change against the dirty-flow set.
-func rebuildMembership(costMap map[FlowID]float64, oldFlows []FlowID, dirtyFlow map[FlowID]bool, what func(FlowID) string) ([]FlowID, []float64, error) {
-	flows := make([]FlowID, 0, len(costMap))
-	for i := range costMap {
-		flows = append(flows, i)
-	}
-	slices.Sort(flows)
+// rebuildView rebuilds one resource's view from its cost map, verifying
+// every membership change against the dirty-flow set.
+func rebuildView(costMap map[FlowID]float64, oldFlows []FlowID, dirtyFlow map[FlowID]bool, what func(FlowID) string) (*view, error) {
+	v := newView(costMap)
+	flows := v.flowList()
 	// Two-pointer walk: a flow present in exactly one of (old, new) is a
 	// membership change and must be dirty.
 	a, b := 0, 0
@@ -190,12 +183,12 @@ func rebuildMembership(costMap map[FlowID]float64, oldFlows []FlowID, dirtyFlow 
 		switch {
 		case b >= len(flows) || (a < len(oldFlows) && oldFlows[a] < flows[b]):
 			if !dirtyFlow[oldFlows[a]] {
-				return nil, nil, fmt.Errorf("model: refresh-routing: %s left but flow not in delta", what(oldFlows[a]))
+				return nil, fmt.Errorf("model: refresh-routing: %s left but flow not in delta", what(oldFlows[a]))
 			}
 			a++
 		case a >= len(oldFlows) || flows[b] < oldFlows[a]:
 			if !dirtyFlow[flows[b]] {
-				return nil, nil, fmt.Errorf("model: refresh-routing: %s appeared but flow not in delta", what(flows[b]))
+				return nil, fmt.Errorf("model: refresh-routing: %s appeared but flow not in delta", what(flows[b]))
 			}
 			b++
 		default:
@@ -203,11 +196,7 @@ func rebuildMembership(costMap map[FlowID]float64, oldFlows []FlowID, dirtyFlow 
 			b++
 		}
 	}
-	costs := make([]float64, len(flows))
-	for k, i := range flows {
-		costs[k] = costMap[i]
-	}
-	return flows, costs, nil
+	return v, nil
 }
 
 // mergeMembership merges the clean part of a flow's old membership list

@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/model"
 	"repro/internal/utility"
@@ -129,26 +130,38 @@ func uniformCaps(n int, c float64) []float64 {
 // crosses keeps a nil cost map: the problem's size is its incidences, not
 // its graph.
 func assembleProblem(t *Topology, nodeCaps []float64, flows []FlowSpec, trees []Tree) *model.Problem {
+	nClasses := 0
+	for _, fs := range flows {
+		nClasses += len(fs.Classes)
+	}
 	p := &model.Problem{
-		Name:  fmt.Sprintf("overlay-%df-%dn", len(flows), t.NodeCount()),
-		Nodes: make([]model.Node, t.NodeCount()),
+		Name:    fmt.Sprintf("overlay-%df-%dn", len(flows), t.NodeCount()),
+		Flows:   make([]model.Flow, 0, len(flows)),
+		Nodes:   make([]model.Node, t.NodeCount()),
+		Links:   make([]model.Link, len(t.links)),
+		Classes: make([]model.Class, 0, nClasses),
 	}
 	for b := range p.Nodes {
 		p.Nodes[b] = model.Node{
 			ID:       model.NodeID(b),
-			Name:     fmt.Sprintf("S%d", b),
 			Capacity: nodeCaps[b],
 		}
 	}
+	nameAll(len(p.Nodes), func(buf []byte, b int) []byte {
+		return strconv.AppendInt(append(buf, 'S'), int64(b), 10)
+	}, func(b int, name string) { p.Nodes[b].Name = name })
 	for li, tl := range t.links {
-		p.Links = append(p.Links, model.Link{
+		p.Links[li] = model.Link{
 			ID:       model.LinkID(li),
-			Name:     fmt.Sprintf("l%d-%d", tl.From, tl.To),
 			From:     tl.From,
 			To:       tl.To,
 			Capacity: tl.Capacity,
-		})
+		}
 	}
+	nameAll(len(p.Links), func(buf []byte, li int) []byte {
+		buf = strconv.AppendInt(append(buf, 'l'), int64(t.links[li].From), 10)
+		return strconv.AppendInt(append(buf, '-'), int64(t.links[li].To), 10)
+	}, func(li int, name string) { p.Links[li].Name = name })
 	for fi, fs := range flows {
 		fid := model.FlowID(fi)
 		p.Flows = append(p.Flows, model.Flow{
@@ -177,6 +190,23 @@ func assembleProblem(t *Topology, nodeCaps []float64, flows []FlowSpec, trees []
 		}
 	}
 	return p
+}
+
+// nameAll names n elements: label appends element k's name to buf, and
+// set receives it as a substring of one string holding every name, so the
+// problem keeps one backing array of names rather than one per element.
+func nameAll(n int, label func(buf []byte, k int) []byte, set func(k int, name string)) {
+	buf := make([]byte, 0, 12*n)
+	ends := make([]int, n)
+	for k := range ends {
+		buf = label(buf, k)
+		ends[k] = len(buf)
+	}
+	all, start := string(buf), 0
+	for k, end := range ends {
+		set(k, all[start:end])
+		start = end
+	}
 }
 
 // setCost writes flow i's coefficient c into an element's cost map,

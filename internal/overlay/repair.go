@@ -9,8 +9,8 @@ import (
 )
 
 // RepairStats reports what one repair touched. The locality guarantee is
-// visible here: a failure's Affected count equals the reverse-index size
-// for the failed element, and a restore's the number of flows with a
+// visible here: a failure's Affected count equals the number of flows in
+// the failed element's cost map, and a restore's the number of flows with a
 // shortest path through the healed one — never the flow count.
 type RepairStats struct {
 	// Kind is "link-fail", "node-fail", "link-restore" or "node-restore".
@@ -34,8 +34,8 @@ type RepairStats struct {
 }
 
 // RepairLink marks link li failed and re-routes exactly the flows whose
-// dissemination trees used it (per the reverse index); every other tree is
-// untouched, slices shared. The repair is atomic: if any affected flow can
+// dissemination trees used it (the keys of its cost map); every other tree
+// is untouched, slices shared. The repair is atomic: if any affected flow can
 // no longer reach a subscriber, the link is restored, no state changes,
 // and the error wraps ErrNoPath with the flow context. On success the
 // topology, trees, problem coefficients and pending delta all reflect the
@@ -48,7 +48,7 @@ func (r *Router) RepairLink(li int) (RepairStats, error) {
 		return RepairStats{}, err
 	}
 	st := RepairStats{Kind: "link-fail", Element: li}
-	if err := r.rerouteAffected(&st, r.flowsByLink[li]); err != nil {
+	if err := r.rerouteAffected(&st, r.FlowsThroughLink(li)); err != nil {
 		// Rollback: the reroute committed nothing.
 		if rerr := r.topo.RestoreLink(li); rerr != nil {
 			panic(fmt.Sprintf("overlay: rollback of link %d failed: %v", li, rerr))
@@ -74,7 +74,8 @@ func (r *Router) RepairNode(b model.NodeID) (RepairStats, error) {
 			panic(fmt.Sprintf("overlay: rollback of node %d failed: %v", b, rerr))
 		}
 	}
-	for _, fi := range r.flowsByNode[b] {
+	affected := r.FlowsThroughNode(b)
+	for _, fi := range affected {
 		fs := &r.flows[fi]
 		if fs.Source == b {
 			rollback()
@@ -90,7 +91,7 @@ func (r *Router) RepairNode(b model.NodeID) (RepairStats, error) {
 		}
 	}
 	st := RepairStats{Kind: "node-fail", Element: int(b)}
-	if err := r.rerouteAffected(&st, r.flowsByNode[b]); err != nil {
+	if err := r.rerouteAffected(&st, affected); err != nil {
 		rollback()
 		return RepairStats{}, fmt.Errorf("overlay: repair node %d: %w", b, err)
 	}
@@ -325,12 +326,11 @@ func (s *levelSweep) beyond() int32 {
 }
 
 // checkFrozen rejects a repair once links were added to the topology after
-// NewRouter: the reverse indexes, delta marks and problem link slots are
-// sized at construction, and routing over a newer link would index past
-// them.
+// NewRouter: the delta marks and problem link slots are sized at
+// construction, and routing over a newer link would index past them.
 func (r *Router) checkFrozen() error {
-	if n := r.topo.LinkCount(); n != len(r.flowsByLink) {
-		return fmt.Errorf("%w: topology grew to %d links under a Router built for %d", ErrBadBuild, n, len(r.flowsByLink))
+	if n := r.topo.LinkCount(); n != len(r.prob.Links) {
+		return fmt.Errorf("%w: topology grew to %d links under a Router built for %d", ErrBadBuild, n, len(r.prob.Links))
 	}
 	return nil
 }
@@ -343,11 +343,9 @@ type pendingTree struct {
 
 // rerouteAffected recomputes the trees of the given flows over the mutated
 // topology, compute-then-commit: nothing is mutated unless every flow
-// routes. Flows are processed grouped by source so they share BFS runs.
-func (r *Router) rerouteAffected(st *RepairStats, affected []int32) error {
-	// The reverse-index slice is mutated by commits; iterate a copy, in
-	// source order for BFS cache hits.
-	order := slices.Clone(affected)
+// routes. Flows are processed grouped by source so they share BFS runs:
+// order is sorted in place, so it must not alias Router state.
+func (r *Router) rerouteAffected(st *RepairStats, order []int32) error {
 	slices.SortFunc(order, func(x, y int32) int {
 		if d := int(r.flows[x].Source) - int(r.flows[y].Source); d != 0 {
 			return d

@@ -14,17 +14,18 @@ import (
 // unused links included), so its shape survives re-routing and the engine
 // can warm-restart across failures via Engine.ResetRouting.
 //
-// A Router maintains reverse indexes (link → flows, node → flows routed
-// through it), so RepairLink/RepairNode re-route exactly the flows whose
-// trees touch the failed element; every other tree — and the problem
-// coefficients behind it — stays byte-identical, slices shared. Changes
-// accumulate into a model.RoutingDelta collected by TakeDelta.
+// An element's cost map is its reverse index: its keys are exactly the
+// flows whose trees contain the element, so RepairLink/RepairNode re-route
+// exactly the flows whose trees touch the failed element; every other tree
+// — and the problem coefficients behind it — stays byte-identical, slices
+// shared. Changes accumulate into a model.RoutingDelta collected by
+// TakeDelta.
 //
 // The topology's link set is frozen once a Router routes over it: the
-// reverse indexes, delta marks and problem link slots are sized by
-// NewRouter, so after a Topology.AddLink every repair and restore
-// returns ErrBadBuild with nothing changed. Failing and healing existing
-// elements is the supported churn; a grown topology needs a new Router.
+// delta marks and problem link slots are sized by NewRouter, so after a
+// Topology.AddLink every repair and restore returns ErrBadBuild with
+// nothing changed. Failing and healing existing elements is the supported
+// churn; a grown topology needs a new Router.
 //
 // A Router is single-goroutine, like the Engine it feeds. The returned
 // *model.Problem is live: repairs rewrite its cost maps in place, and the
@@ -36,13 +37,6 @@ type Router struct {
 	prob  *model.Problem
 	trees []Tree
 	sc    *Scratch
-
-	// Reverse indexes over tree membership, each list ascending:
-	// flowsByLink[li] / flowsByNode[b] are the flows whose tree contains
-	// the element. These are routing indexes — a node hosting only a
-	// flow's subscribers appears exactly when the tree reaches it.
-	flowsByLink [][]int32
-	flowsByNode [][]int32
 
 	// classOff[fi] is the global ID of flow fi's first class (classes are
 	// laid out flow-major, matching assembleProblem).
@@ -120,23 +114,18 @@ func NewRouter(t *Topology, nodeCaps []float64, flows []FlowSpec) (*Router, erro
 	}
 
 	r := &Router{
-		topo:        t,
-		flows:       specs,
-		prob:        p,
-		trees:       trees,
-		sc:          sc,
-		flowsByLink: make([][]int32, t.LinkCount()),
-		flowsByNode: make([][]int32, t.NodeCount()),
-		classOff:    classOff,
-		depth:       depth,
-		traced:      make([]int32, nClasses),
-		anchor:      anchor,
-		flowMark:    make([]bool, len(flows)),
-		nodeMark:    make([]bool, t.NodeCount()),
-		linkMark:    make([]bool, t.LinkCount()),
-	}
-	for fi := range trees {
-		r.indexTree(model.FlowID(fi), trees[fi])
+		topo:     t,
+		flows:    specs,
+		prob:     p,
+		trees:    trees,
+		sc:       sc,
+		classOff: classOff,
+		depth:    depth,
+		traced:   make([]int32, nClasses),
+		anchor:   anchor,
+		flowMark: make([]bool, len(flows)),
+		nodeMark: make([]bool, t.NodeCount()),
+		linkMark: make([]bool, t.LinkCount()),
 	}
 	return r, nil
 }
@@ -151,13 +140,29 @@ func (r *Router) Topology() *Topology { return r.topo }
 // by the Router and must not be mutated.
 func (r *Router) Tree(i model.FlowID) Tree { return r.trees[i] }
 
-// FlowsThroughLink returns the flows whose trees use link li, ascending.
-// The slice is owned by the Router.
-func (r *Router) FlowsThroughLink(li int) []int32 { return r.flowsByLink[li] }
+// FlowsThroughLink returns the flows whose trees use link li, ascending:
+// the keys of its cost map, in a new slice (nil when none does).
+func (r *Router) FlowsThroughLink(li int) []int32 {
+	return sortedFlows(r.prob.Links[li].FlowCost)
+}
 
-// FlowsThroughNode returns the flows whose trees touch node b, ascending.
-// The slice is owned by the Router.
-func (r *Router) FlowsThroughNode(b model.NodeID) []int32 { return r.flowsByNode[b] }
+// FlowsThroughNode returns the flows whose trees touch node b, ascending:
+// the keys of its cost map, in a new slice (nil when none does).
+func (r *Router) FlowsThroughNode(b model.NodeID) []int32 {
+	return sortedFlows(r.prob.Nodes[b].FlowCost)
+}
+
+func sortedFlows(costs map[model.FlowID]float64) []int32 {
+	if len(costs) == 0 {
+		return nil
+	}
+	fl := make([]int32, 0, len(costs))
+	for i := range costs {
+		fl = append(fl, int32(i))
+	}
+	slices.Sort(fl)
+	return fl
+}
 
 // TakeDelta returns the routing delta accumulated since the previous call
 // and resets it. Feed the result to Engine.ResetRouting (or
@@ -198,19 +203,9 @@ func (r *Router) noteDepths(fi int) {
 	copy(r.traced[off:off+len(r.flows[fi].Classes)], r.sc.depth)
 }
 
-// indexTree adds flow i to the reverse indexes for every element of tree.
-func (r *Router) indexTree(i model.FlowID, tree Tree) {
-	for _, li := range tree.Links {
-		r.flowsByLink[li] = insertFlow(r.flowsByLink[li], int32(i))
-	}
-	for _, b := range tree.Nodes {
-		r.flowsByNode[b] = insertFlow(r.flowsByNode[b], int32(i))
-	}
-}
-
 // commitTree replaces flow i's tree, updating the problem's cost maps, the
-// reverse indexes, the routing delta and its classes' depths (from traced,
-// which noteDepths filled when the tree was traced). An element's cost map
+// routing delta and its classes' depths (from traced, which noteDepths
+// filled when the tree was traced). An element's cost map
 // exists only while a flow crosses it (setCost, dropCost). Old and new
 // element lists are ascending, so the symmetric difference is a
 // two-pointer walk; elements in both trees are untouched (their cost entry
@@ -224,13 +219,11 @@ func (r *Router) commitTree(i model.FlowID, tree Tree) {
 		switch {
 		case b >= len(tree.Links) || (a < len(old.Links) && old.Links[a] < tree.Links[b]):
 			li := old.Links[a]
-			r.flowsByLink[li] = removeFlow(r.flowsByLink[li], int32(i))
 			dropCost(&r.prob.Links[li].FlowCost, i)
 			r.markLink(model.LinkID(li))
 			a++
 		case a >= len(old.Links) || tree.Links[b] < old.Links[a]:
 			li := tree.Links[b]
-			r.flowsByLink[li] = insertFlow(r.flowsByLink[li], int32(i))
 			setCost(&r.prob.Links[li].FlowCost, i, fs.LinkCost)
 			r.markLink(model.LinkID(li))
 			b++
@@ -244,13 +237,11 @@ func (r *Router) commitTree(i model.FlowID, tree Tree) {
 		switch {
 		case b >= len(tree.Nodes) || (a < len(old.Nodes) && old.Nodes[a] < tree.Nodes[b]):
 			bn := old.Nodes[a]
-			r.flowsByNode[bn] = removeFlow(r.flowsByNode[bn], int32(i))
 			dropCost(&r.prob.Nodes[bn].FlowCost, i)
 			r.markNode(bn)
 			a++
 		case a >= len(old.Nodes) || tree.Nodes[b] < old.Nodes[a]:
 			bn := tree.Nodes[b]
-			r.flowsByNode[bn] = insertFlow(r.flowsByNode[bn], int32(i))
 			setCost(&r.prob.Nodes[bn].FlowCost, i, fs.NodeCost)
 			r.markNode(bn)
 			b++
@@ -285,22 +276,4 @@ func (r *Router) markLink(l model.LinkID) {
 		r.linkMark[l] = true
 		r.dirtyLinks = append(r.dirtyLinks, l)
 	}
-}
-
-// insertFlow inserts i into ascending list fl (no-op when present).
-func insertFlow(fl []int32, i int32) []int32 {
-	k, ok := slices.BinarySearch(fl, i)
-	if ok {
-		return fl
-	}
-	return slices.Insert(fl, k, i)
-}
-
-// removeFlow removes i from ascending list fl (no-op when absent).
-func removeFlow(fl []int32, i int32) []int32 {
-	k, ok := slices.BinarySearch(fl, i)
-	if !ok {
-		return fl
-	}
-	return slices.Delete(fl, k, k+1)
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -85,19 +86,13 @@ func checkRouterInvariants(t *testing.T, r *Router) {
 			}
 		}
 	}
-	// No stray coefficients or index entries beyond the trees.
+	// No stray coefficients beyond the trees.
 	nLink, nNode := 0, 0
 	for li := range p.Links {
 		nLink += len(p.Links[li].FlowCost)
-		if len(p.Links[li].FlowCost) != len(r.FlowsThroughLink(li)) {
-			t.Fatalf("link %d: %d coefficients vs %d indexed flows", li, len(p.Links[li].FlowCost), len(r.FlowsThroughLink(li)))
-		}
 	}
 	for b := range p.Nodes {
 		nNode += len(p.Nodes[b].FlowCost)
-		if len(p.Nodes[b].FlowCost) != len(r.FlowsThroughNode(model.NodeID(b))) {
-			t.Fatalf("node %d: %d coefficients vs %d indexed flows", b, len(p.Nodes[b].FlowCost), len(r.FlowsThroughNode(model.NodeID(b))))
-		}
 	}
 	wantLink, wantNode := 0, 0
 	for fi := range p.Flows {
@@ -714,14 +709,14 @@ func TestRestoreFilterMatchesFullSweep(t *testing.T) {
 				if !slices.Equal(d.Flows, od.Flows) || !slices.Equal(d.Nodes, od.Nodes) || !slices.Equal(d.Links, od.Links) {
 					t.Fatalf("%s seed %d event %d: delta %+v, oracle %+v", c.shape, seed, ev, d, od)
 				}
-				for li := range rs[0].flowsByLink {
-					if !slices.Equal(rs[0].flowsByLink[li], rs[1].flowsByLink[li]) {
-						t.Fatalf("%s seed %d event %d: link %d index %v, oracle %v", c.shape, seed, ev, li, rs[0].flowsByLink[li], rs[1].flowsByLink[li])
+				for li := range rs[0].prob.Links {
+					if got, want := rs[0].FlowsThroughLink(li), rs[1].FlowsThroughLink(li); !slices.Equal(got, want) {
+						t.Fatalf("%s seed %d event %d: link %d carries %v, oracle %v", c.shape, seed, ev, li, got, want)
 					}
 				}
-				for b := range rs[0].flowsByNode {
-					if !slices.Equal(rs[0].flowsByNode[b], rs[1].flowsByNode[b]) {
-						t.Fatalf("%s seed %d event %d: node %d index %v, oracle %v", c.shape, seed, ev, b, rs[0].flowsByNode[b], rs[1].flowsByNode[b])
+				for b := range rs[0].prob.Nodes {
+					if got, want := rs[0].FlowsThroughNode(model.NodeID(b)), rs[1].FlowsThroughNode(model.NodeID(b)); !slices.Equal(got, want) {
+						t.Fatalf("%s seed %d event %d: node %d carries %v, oracle %v", c.shape, seed, ev, b, got, want)
 					}
 				}
 			}
@@ -1187,9 +1182,9 @@ func TestRouterRejectsGrownTopology(t *testing.T) {
 
 // TestCostMapsFollowTheTrees: an element's cost map exists exactly while a
 // flow crosses it. On the link_failure shape, after NewRouter and after
-// every event of a seeded fail/heal sequence, FlowCost is nil on every node
-// and link no tree crosses, and elsewhere its keys are exactly the flows
-// FlowsThroughNode/FlowsThroughLink list. A failed tree link loses its last
+// every event of a seeded fail/heal sequence, each node's and link's
+// FlowCost keys are exactly the flows whose Tree contains the element, and
+// FlowCost is nil where no tree does. A failed tree link loses its last
 // flow, so the sequence also proves the map goes back to nil.
 func TestCostMapsFollowTheTrees(t *testing.T) {
 	tp, caps, flows := linkFailureShape(rand.New(rand.NewSource(1)))
@@ -1197,15 +1192,15 @@ func TestCostMapsFollowTheTrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keysAre := func(m map[model.FlowID]float64, through []int32) bool {
-		if len(through) == 0 {
+	keysAre := func(m map[model.FlowID]float64, want []model.FlowID) bool {
+		if len(want) == 0 {
 			return m == nil
 		}
-		if len(m) != len(through) {
+		if len(m) != len(want) {
 			return false
 		}
-		for _, i := range through {
-			if _, ok := m[model.FlowID(i)]; !ok {
+		for _, i := range want {
+			if _, ok := m[i]; !ok {
 				return false
 			}
 		}
@@ -1214,14 +1209,26 @@ func TestCostMapsFollowTheTrees(t *testing.T) {
 	check := func(when string) {
 		t.Helper()
 		p := r.Problem()
+		// The oracle: who crosses what, read off the trees alone.
+		linkFlows := make([][]model.FlowID, len(p.Links))
+		nodeFlows := make([][]model.FlowID, len(p.Nodes))
+		for i := range p.Flows {
+			tree := r.Tree(model.FlowID(i))
+			for _, li := range tree.Links {
+				linkFlows[li] = append(linkFlows[li], model.FlowID(i))
+			}
+			for _, b := range tree.Nodes {
+				nodeFlows[b] = append(nodeFlows[b], model.FlowID(i))
+			}
+		}
 		for li, l := range p.Links {
-			if !keysAre(l.FlowCost, r.FlowsThroughLink(li)) {
-				t.Fatalf("%s: link %d costs %v, flows through it %v", when, li, l.FlowCost, r.FlowsThroughLink(li))
+			if !keysAre(l.FlowCost, linkFlows[li]) {
+				t.Fatalf("%s: link %d costs %v, trees through it %v", when, li, l.FlowCost, linkFlows[li])
 			}
 		}
 		for b, n := range p.Nodes {
-			if through := r.FlowsThroughNode(model.NodeID(b)); !keysAre(n.FlowCost, through) {
-				t.Fatalf("%s: node %d costs %v, flows through it %v", when, b, n.FlowCost, through)
+			if !keysAre(n.FlowCost, nodeFlows[b]) {
+				t.Fatalf("%s: node %d costs %v, trees through it %v", when, b, n.FlowCost, nodeFlows[b])
 			}
 		}
 	}
@@ -1270,5 +1277,33 @@ func TestCostMapsFollowTheTrees(t *testing.T) {
 	}
 	if emptied < 10 {
 		t.Errorf("only %d tree links failed; the sequence does not empty enough cost maps", emptied)
+	}
+}
+
+// TestNewRouterFootprint: what a Router keeps besides its topology follows
+// the flows' trees, not the graph. On the link_failure shape NewRouter
+// holds at most 7.0 MB of live heap after a GC: the problem's node and
+// link slots and their names, the cost maps where a tree crosses, the
+// trees, the delta marks and the routing scratch, and no reverse index.
+func TestNewRouterFootprint(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	tp, caps, flows := linkFailureShape(rand.New(rand.NewSource(1)))
+	// Two collections: the first leaves sync.Pool victims behind.
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	r, err := NewRouter(tp, caps, flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	runtime.KeepAlive(r)
+	held := int64(m1.HeapAlloc) - int64(m0.HeapAlloc)
+	t.Logf("NewRouter holds %.3f MB over %d nodes and %d links", float64(held)/1e6, tp.NodeCount(), tp.LinkCount())
+	if held > 7_000_000 {
+		t.Errorf("NewRouter on the link_failure shape holds %d live heap bytes, want at most 7,000,000", held)
 	}
 }
