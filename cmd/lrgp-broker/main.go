@@ -126,21 +126,16 @@ func run(args []string, out io.Writer) error {
 	p := workload.Base()
 
 	// Telemetry is wired before any optimization so a scraper attached
-	// at startup observes the whole run; the broker registers its own
-	// metrics on reg when it is built. The registry and handles stay nil
-	// without -telemetry-addr, which disables instrumentation entirely.
+	// at startup observes the whole run; the engine, the cluster and the
+	// broker each register their own metrics on reg when they are built.
+	// The registry stays nil without -telemetry-addr, which disables
+	// instrumentation entirely.
 	var (
 		reg  *telemetry.Registry
-		em   *telemetry.EngineMetrics
-		dm   *telemetry.DistMetrics
 		snap atomic.Pointer[core.Snapshot]
 	)
 	if *telemetryAddr != "" {
 		reg = telemetry.NewRegistry()
-		em = telemetry.NewEngineMetrics(reg)
-		if *optimizer == "dist" {
-			dm = telemetry.NewDistMetrics(reg)
-		}
 		mux := telemetry.NewMux(reg, func() (any, bool) {
 			s := snap.Load()
 			if s == nil {
@@ -177,7 +172,7 @@ func run(args []string, out io.Writer) error {
 	switch *optimizer {
 	case "colocated":
 		fmt.Fprintf(out, "optimizing %s with the colocated engine...\n", p.Name)
-		e, err := core.NewEngine(p, core.Config{Adaptive: true, Telemetry: em})
+		e, err := core.NewEngine(p, core.Config{Adaptive: true, Telemetry: reg})
 		if err != nil {
 			return err
 		}
@@ -210,7 +205,7 @@ func run(args []string, out io.Writer) error {
 			Core:         core.Config{Adaptive: true},
 			Hosts:        *distHosts,
 			Staleness:    *distStaleness,
-			Telemetry:    dm,
+			Telemetry:    reg,
 			StallTimeout: *distStall,
 		}
 		var evFile *os.File
@@ -238,15 +233,6 @@ func run(args []string, out io.Writer) error {
 				if werr := tw.Write(&telemetry.IterationRecord{Iteration: s.Round, Utility: s.Utility}); werr != nil {
 					return werr
 				}
-			}
-		}
-		// Mirror the transport's traffic counters into the lrgp_dist_net
-		// gauges so a scraper sees frames, bytes and drops — on the wire
-		// and at the agents' inboxes.
-		if dm != nil {
-			if m, ok := net.(transport.Meter); ok {
-				st := m.NetStats()
-				dm.ObserveNet(st.Delivered, st.Bytes, st.Dropped+cl.Traffic().Dropped)
 			}
 		}
 		if evFile != nil {

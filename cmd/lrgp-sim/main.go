@@ -79,7 +79,7 @@ func run(args []string, out io.Writer) error {
 	var snap atomic.Pointer[core.Snapshot]
 	if *telAddr != "" {
 		reg := telemetry.NewRegistry()
-		cfg.Telemetry = telemetry.NewEngineMetrics(reg)
+		cfg.Telemetry = reg
 		srv, err := telemetry.ListenAndServe(*telAddr, telemetry.NewMux(reg, func() (any, bool) {
 			s := snap.Load()
 			if s == nil {

@@ -79,8 +79,7 @@ func BenchmarkEngineStepTelemetryOff(b *testing.B) {
 
 func BenchmarkEngineStepTelemetryOn(b *testing.B) {
 	p := workload.Scaled(workload.Config{FlowCopies: 8, NodeSetCopies: 4})
-	em := telemetry.NewEngineMetrics(telemetry.NewRegistry())
-	e, err := NewEngine(p, Config{Adaptive: true, Telemetry: em})
+	e, err := NewEngine(p, Config{Adaptive: true, Telemetry: telemetry.NewRegistry()})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -81,14 +81,15 @@ type Config struct {
 	// LinkGamma is the gradient-projection stepsize for link prices
 	// (Equation 13). Default DefaultLinkGamma.
 	LinkGamma float64
-	// Telemetry, when non-nil, receives per-Step instrumentation: stage
-	// wall times, utility, overloads, price-update counts and (from
-	// Solve) convergence state. The default nil keeps Step free of all
-	// timing calls and observation work — the disabled path is a few
-	// predictable branches and preserves the 0 allocs/op guarantee. The
-	// enabled path is lock-free and also allocation-free; its only cost
-	// is the clock reads and atomic updates.
-	Telemetry *telemetry.EngineMetrics
+	// Telemetry, when non-nil, is the registry NewEngine registers the
+	// lrgp_engine_* and lrgp_solve_stop_total families on: stage wall
+	// times, utility, overloads, price-update counts and (from Solve)
+	// convergence state. The default nil keeps Step free of all timing
+	// calls and observation work — the disabled path is one predictable
+	// branch and preserves the 0 allocs/op guarantee. The enabled path is
+	// lock-free and also allocation-free; its only cost is the clock
+	// reads and atomic updates.
+	Telemetry *telemetry.Registry
 
 	// workers is the shard budget — the widest plan Step may run — 0
 	// until normalized resolves it (shardBudget). Only tests set it

@@ -63,8 +63,10 @@ type Engine struct {
 	// shardFn is stepShard bound once, so dispatching a Step allocates
 	// nothing.
 	shardFn func(shard int)
+	// tel is the engine's metrics, nil without Config.Telemetry.
 	// stageMark holds shard 0's clock readings after its rate and node
-	// lists, written only when Config.Telemetry is set.
+	// lists, written only when tel is set.
+	tel       *engineMetrics
 	stageMark [2]time.Time
 	// closed is set by Close; stepping a closed engine panics
 	// deterministically instead of racing the pool shutdown.
@@ -211,9 +213,9 @@ type StepResult struct {
 	// MaxLinkOverload is the largest link usage minus capacity.
 	MaxLinkOverload float64
 	// StageNanos holds the wall time of the rate, admission and
-	// link-price stages (indexed by telemetry.StageRate/StageAdmission/
-	// StagePrice) as the caller's goroutine ran them; the price slot also
-	// holds the wait for the other shards. Populated only when
+	// link-price stages (indexed by StageRate/StageAdmission/StagePrice)
+	// as the caller's goroutine ran them; the price slot also holds the
+	// wait for the other shards. Populated only when
 	// Config.Telemetry is set; all zero otherwise, so the untelemetered
 	// Step never reads the clock.
 	StageNanos [3]int64
@@ -290,6 +292,9 @@ func NewEngine(p *model.Problem, cfg Config) (*Engine, error) {
 	}
 	for j := range e.rank.order {
 		e.rank.order[j] = model.ClassID(j)
+	}
+	if c.Telemetry != nil {
+		e.tel = newEngineMetrics(c.Telemetry)
 	}
 	e.shardFn = e.stepShard
 	e.adoptPlan(newStagePlan(ix, e.nodePrices, e.linkPrices, c.workers, nil, model.RoutingDelta{}))
@@ -390,7 +395,7 @@ func (e *Engine) Step() StepResult {
 
 	// Stage timing exists only on the telemetry path: the tel == nil
 	// branches keep the disabled Step free of clock reads entirely.
-	tel := e.cfg.Telemetry
+	tel := e.tel
 	var t0 time.Time
 	if tel != nil {
 		t0 = time.Now()
@@ -402,9 +407,9 @@ func (e *Engine) Step() StepResult {
 		e.pool.run(e.shardFn, e.plan.shards)
 	}
 	if tel != nil {
-		res.StageNanos[telemetry.StageRate] = e.stageMark[0].Sub(t0).Nanoseconds()
-		res.StageNanos[telemetry.StageAdmission] = e.stageMark[1].Sub(e.stageMark[0]).Nanoseconds()
-		res.StageNanos[telemetry.StagePrice] = time.Since(e.stageMark[1]).Nanoseconds()
+		res.StageNanos[StageRate] = e.stageMark[0].Sub(t0).Nanoseconds()
+		res.StageNanos[StageAdmission] = e.stageMark[1].Sub(e.stageMark[0]).Nanoseconds()
+		res.StageNanos[StagePrice] = time.Since(e.stageMark[1]).Nanoseconds()
 	}
 
 	var rateChanged, popChanged bool
@@ -449,10 +454,7 @@ func (e *Engine) Step() StepResult {
 	e.settled = false
 
 	if tel != nil {
-		tel.ObserveStep(res.StageNanos, res.Utility,
-			res.MaxNodeOverload, res.MaxLinkOverload,
-			armedNodes, armedLinks,
-			res.DirtyFlows, res.SkippedNodes+res.SkippedLinks)
+		tel.observeStep(&res, armedNodes, armedLinks)
 	}
 	return res
 }
@@ -711,7 +713,7 @@ func (e *Engine) linkList(ids []int32, sh *shardState) {
 // so it is the one that stamps the stage boundaries for telemetry.
 func (e *Engine) stepShard(s int) {
 	sh := &e.sh[s]
-	timed := s == 0 && e.cfg.Telemetry != nil
+	timed := s == 0 && e.tel != nil
 	flows := e.plan.flows[s]
 	e.rateList(flows, sh)
 	if timed {
@@ -1319,7 +1321,7 @@ type Result struct {
 	// was needed, -1 when the rule was not met.
 	ConvergedAt int
 	// Stop says why the Solve returned.
-	Stop telemetry.StopReason
+	Stop StopReason
 	// Allocation is the final allocation.
 	Allocation model.Allocation
 	// Trace is the utility after each iteration of this Solve.
@@ -1400,19 +1402,17 @@ func (e *Engine) solve(maxIter int, each func(t int, r StepResult, converged boo
 	if maxIter <= 0 {
 		maxIter = 250
 	}
-	tel := e.cfg.Telemetry
 	if e.settled {
-		tel.ObserveConvergence(true, 0)
-		tel.ObserveSolveStop(telemetry.StopSettled)
+		e.tel.observeSolve(StopSettled, 0)
 		return Result{
 			Utility:    e.util,
 			Converged:  true,
-			Stop:       telemetry.StopSettled,
+			Stop:       StopSettled,
 			Allocation: e.Allocation(),
 		}, nil
 	}
 	e.det.Rearm()
-	stop, at := telemetry.StopBudget, -1
+	stop, at := StopBudget, -1
 	trace := make([]float64, 0, maxIter)
 	for t := 0; t < maxIter; t++ {
 		r := e.Step()
@@ -1420,16 +1420,16 @@ func (e *Engine) solve(maxIter int, each func(t int, r StepResult, converged boo
 		if e.det.Observe(r.Utility) {
 			switch {
 			case t+1 >= metrics.DefaultWindow:
-				stop = telemetry.StopWindow
+				stop = StopWindow
 			case e.workSteady:
-				stop = telemetry.StopDrained
+				stop = StopDrained
 			default:
 				// The carried window is flat but the dirty set is still
 				// changing size: look again next iteration.
 				e.det.Rearm()
 			}
 		}
-		done := stop != telemetry.StopBudget
+		done := stop != StopBudget
 		if each != nil {
 			if err := each(t, r, done); err != nil {
 				return Result{}, err
@@ -1440,10 +1440,9 @@ func (e *Engine) solve(maxIter int, each func(t int, r StepResult, converged boo
 			break
 		}
 	}
-	converged := stop != telemetry.StopBudget
+	converged := stop != StopBudget
 	e.settled = converged
-	tel.ObserveConvergence(converged, at)
-	tel.ObserveSolveStop(stop)
+	e.tel.observeSolve(stop, at)
 	return Result{
 		Utility:     trace[len(trace)-1],
 		Iterations:  len(trace),

@@ -70,7 +70,7 @@ func TestSolveFirstSolveMatchesParent(t *testing.T) {
 		}
 		r := e.Solve(4000)
 		e.Close()
-		if r.Iterations != c.iters || r.ConvergedAt != c.iters || !r.Converged || r.Stop != telemetry.StopWindow {
+		if r.Iterations != c.iters || r.ConvergedAt != c.iters || !r.Converged || r.Stop != StopWindow {
 			t.Errorf("%s: iterations %d, converged %v at %d, stop %v; want %d, true at %d, window",
 				c.name, r.Iterations, r.Converged, r.ConvergedAt, r.Stop, c.iters, c.iters)
 		}
@@ -103,7 +103,7 @@ func TestSolveStopsOnceDrained(t *testing.T) {
 		full.batch(t, 200)
 
 		r := early.Solve(100)
-		if r.Iterations >= metrics.DefaultWindow || r.Stop != telemetry.StopDrained || !r.Converged || r.ConvergedAt != r.Iterations {
+		if r.Iterations >= metrics.DefaultWindow || r.Stop != StopDrained || !r.Converged || r.ConvergedAt != r.Iterations {
 			t.Errorf("cycle %d: %d iterations, stop %v, converged %v at %d; want a drained stop inside the window",
 				cycles, r.Iterations, r.Stop, r.Converged, r.ConvergedAt)
 		}
@@ -149,13 +149,13 @@ func TestSolveSettledIsNoOp(t *testing.T) {
 	settle := func(what string) Result {
 		t.Helper()
 		first := e.Solve(250)
-		if !first.Converged || first.Iterations == 0 || first.Stop == telemetry.StopSettled {
+		if !first.Converged || first.Iterations == 0 || first.Stop == StopSettled {
 			t.Fatalf("after %s: Solve ran %d iterations, converged %v, stop %v; want a real solve",
 				what, first.Iterations, first.Converged, first.Stop)
 		}
 		at := e.Iteration()
 		again := e.Solve(250)
-		if again.Iterations != 0 || again.Stop != telemetry.StopSettled || !again.Converged ||
+		if again.Iterations != 0 || again.Stop != StopSettled || !again.Converged ||
 			again.ConvergedAt != 0 || len(again.Trace) != 0 {
 			t.Fatalf("after %s: second Solve = %d iterations, stop %v, converged %v at %d, %d trace entries; want a settled no-op",
 				what, again.Iterations, again.Stop, again.Converged, again.ConvergedAt, len(again.Trace))
@@ -190,7 +190,7 @@ func TestSolveSettledIsNoOp(t *testing.T) {
 
 	// A solve that ran out of budget is not settled.
 	e.SetFlowActive(5, true)
-	if r := e.Solve(2); r.Converged || r.Stop != telemetry.StopBudget || r.ConvergedAt != -1 {
+	if r := e.Solve(2); r.Converged || r.Stop != StopBudget || r.ConvergedAt != -1 {
 		t.Fatalf("2-iteration solve after rejoin: %+v", r)
 	}
 	if r := e.Solve(250); r.Iterations == 0 {
@@ -231,7 +231,7 @@ func TestSolveTracedSettledWritesNothing(t *testing.T) {
 		t.Errorf("settled traced solve wrote %d bytes", buf.Len())
 	}
 	plain := e.Solve(250)
-	if again.Stop != telemetry.StopSettled || again.Iterations != 0 ||
+	if again.Stop != StopSettled || again.Iterations != 0 ||
 		again.Utility != plain.Utility || allocHash(again.Allocation) != allocHash(plain.Allocation) ||
 		again.Utility != first.Utility || allocHash(again.Allocation) != allocHash(first.Allocation) {
 		t.Errorf("settled traced solve = %+v, plain settled Solve %+v", again, plain)
@@ -244,7 +244,7 @@ func TestSolveTracedSettledWritesNothing(t *testing.T) {
 func TestSolveStopIdenticalAcrossWorkers(t *testing.T) {
 	type cycle struct {
 		iters   int
-		stop    telemetry.StopReason
+		stop    StopReason
 		utility uint64
 		alloc   uint64
 	}
@@ -267,7 +267,7 @@ func TestSolveStopIdenticalAcrossWorkers(t *testing.T) {
 	want := run(1)
 	settled := 0
 	for _, c := range want {
-		if c.stop == telemetry.StopSettled {
+		if c.stop == StopSettled {
 			settled++
 		}
 	}
@@ -302,7 +302,7 @@ func TestSolveLargePerturbationRunsItsWindow(t *testing.T) {
 	if rel := math.Abs(after.Utility-before.Utility) / before.Utility; rel <= metrics.DefaultRelAmplitude {
 		t.Fatalf("halving node 0 moved utility by %.3g; the case needs more than the band", rel)
 	}
-	if after.Iterations < metrics.DefaultWindow || after.Stop != telemetry.StopWindow {
+	if after.Iterations < metrics.DefaultWindow || after.Stop != StopWindow {
 		t.Errorf("re-solve ran %d iterations, stop %v; want a full window of its own",
 			after.Iterations, after.Stop)
 	}

@@ -44,11 +44,12 @@ type Config struct {
 	// loss.
 	Staleness int
 
-	// Telemetry, when non-nil, streams runtime metrics (round progress,
-	// staleness, chirp repairs, gateway occupancy, stalls) into the
-	// lrgp_dist_* families. All observations are atomic-only; a nil handle
-	// costs a nil check per event.
-	Telemetry *telemetry.DistMetrics
+	// Telemetry, when non-nil, is the registry New registers the
+	// lrgp_dist_* families on: round progress, staleness, chirp repairs,
+	// gateway occupancy and stalls as they happen, and the transport's
+	// traffic when scraped. All observations are atomic-only; without a
+	// registry or a flight recorder an event costs one nil check.
+	Telemetry *telemetry.Registry
 	// StallTimeout arms the stall detector: if rounds are pending and the
 	// collector absorbs nothing for this long, the cluster records a stall
 	// and dumps a post-mortem. 0 disables. Arms the flight recorder.
@@ -131,13 +132,15 @@ type Cluster struct {
 
 	// Observability: the shared monotonic epoch every recorder stamps
 	// against (via the coarse shared clock), all rings (for snapshots),
-	// and the cluster-level ring (detector events).
-	epoch      time.Time
-	clk        *recClock
-	recs       []*recorder
-	clusterRec *recorder
-	stallQuit  chan struct{}
-	stallDone  chan struct{}
+	// the metrics every sink feeds (nil without Config.Telemetry), and the
+	// cluster's own sink (detector events).
+	epoch     time.Time
+	clk       *recClock
+	recs      []*recorder
+	m         *metrics
+	obs       *sink
+	stallQuit chan struct{}
+	stallDone chan struct{}
 
 	pmMu     sync.Mutex
 	pmDumped bool
@@ -163,6 +166,9 @@ func New(p *model.Problem, cfg Config, net transport.Network) (*Cluster, error) 
 	if c.record {
 		cl.clk = newRecClock(cl.epoch)
 	}
+	if c.Telemetry != nil {
+		cl.m = newMetrics(c.Telemetry)
+	}
 	ok := false
 	defer func() {
 		if ok {
@@ -175,7 +181,7 @@ func New(p *model.Problem, cfg Config, net transport.Network) (*Cluster, error) 
 			cl.clk.stop()
 		}
 	}()
-	cl.clusterRec = cl.newRec("cluster")
+	cl.obs = cl.newSink("cluster", 0)
 	if err := cl.buildHosts(net); err != nil {
 		return nil, err
 	}
@@ -196,24 +202,24 @@ func New(p *model.Problem, cfg Config, net transport.Network) (*Cluster, error) 
 		}
 	}
 	control := cl.hosts[ctrlHost]
-	cl.coll = newCollector(p, control.portDepth(collectorName, collectorInbox), reporting, c.Staleness == 0, c.Telemetry, cl.newRec(collectorName), cl.epoch)
+	cl.coll = newCollector(p, control.portDepth(collectorName, collectorInbox), reporting, c.Staleness == 0, cl.newSink(collectorName, 0), cl.epoch)
 	cl.coll.parked = c.parkCollector
 	// The control endpoint's peers are whoever acknowledges a JoinFlow:
 	// at most every node agent and the collector.
 	cl.ctrl = control.port(ctrlName, c.Staleness, len(p.Nodes)+1)
 
-	attach := func(name string, peers int) (*hostPort, *recorder) {
+	attach := func(name string, peers, kind int) (*hostPort, *sink) {
 		cl.agents = append(cl.agents, name)
-		return cl.hosts[cl.route[name]].port(name, c.Staleness, peers), cl.newRec(name)
+		return cl.hosts[cl.route[name]].port(name, c.Staleness, peers), cl.newSink(name, kind)
 	}
 	for i := range p.Flows {
 		fa := newFlowAgent(p, ix, model.FlowID(i), c)
-		fa.ep, fa.rec = attach(flowName(fa.flow), len(fa.peerNames))
+		fa.ep, fa.obs = attach(flowName(fa.flow), len(fa.peerNames), flowKind)
 		cl.flows = append(cl.flows, fa)
 	}
 	for b := range p.Nodes {
 		na := newNodeAgent(p, ix, model.NodeID(b), c)
-		na.ep, na.rec = attach(nodeName(na.node), len(na.peerNames))
+		na.ep, na.obs = attach(nodeName(na.node), len(na.peerNames), nodeKind)
 		cl.nodes = append(cl.nodes, na)
 	}
 	cl.agents = append(cl.agents, collectorName)
@@ -231,19 +237,27 @@ func New(p *model.Problem, cfg Config, net transport.Network) (*Cluster, error) 
 		cl.stallDone = make(chan struct{})
 		go cl.stallWatch()
 	}
+	if c.Telemetry != nil {
+		cl.registerNet(c.Telemetry, net)
+	}
 	ok = true
 	return cl, nil
 }
 
-// newRec attaches one flight-recorder ring when recording is enabled and
-// registers it for snapshots. Returns nil (a no-op recorder) otherwise.
-func (cl *Cluster) newRec(name string) *recorder {
-	if !cl.cfg.record {
+// newSink builds the named component's sink: a flight-recorder ring,
+// registered for snapshots, when recording is enabled, and the cluster's
+// metrics, with kind the agent label of the by-kind counters. Nil when
+// neither is armed.
+func (cl *Cluster) newSink(name string, kind int) *sink {
+	var ring *recorder
+	if cl.cfg.record {
+		ring = newRecorder(name, cl.cfg.recordSize, cl.clk)
+		cl.recs = append(cl.recs, ring)
+	}
+	if ring == nil && cl.m == nil {
 		return nil
 	}
-	r := newRecorder(name, cl.cfg.recordSize, cl.clk)
-	cl.recs = append(cl.recs, r)
-	return r
+	return &sink{ring: ring, m: cl.m, kind: kind}
 }
 
 // snapshot collects every ring's currently readable events.
@@ -317,8 +331,7 @@ func (cl *Cluster) postmortem() {
 		return
 	}
 	cl.pmDumped = true
-	cl.cfg.Telemetry.ObserveStall()
-	cl.clusterRec.record(EvStall, int(cl.coll.lastFinal.Load()), 0, 0)
+	cl.obs.stall(int(cl.coll.lastFinal.Load()))
 	if cl.cfg.Postmortem != nil {
 		_ = writeEvents(cl.cfg.Postmortem, cl.snapshot())
 	}
@@ -360,7 +373,7 @@ func (cl *Cluster) buildHosts(net transport.Network) error {
 		if err != nil {
 			return fmt.Errorf("dist: host endpoint %s: %w", host, err)
 		}
-		cl.hosts[host] = newGateway(ep, cl.route, names, host == ctrlHost, cl.cfg.Telemetry, cl.newRec(host))
+		cl.hosts[host] = newGateway(ep, cl.route, names, host == ctrlHost, cl.newSink(host, 0))
 	}
 	return nil
 }
@@ -377,8 +390,8 @@ type Traffic struct {
 	// crossed hosts.
 	Frames uint64
 	// Dropped counts messages discarded because the receiving agent's
-	// inbox was full; the transport's Meter counts what was lost on the
-	// wire.
+	// inbox was full; the transport's NetStats counts what was lost on
+	// the wire.
 	Dropped uint64
 }
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/model"
-	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
@@ -17,8 +16,7 @@ import (
 type collector struct {
 	p     *model.Problem
 	ep    transport.Endpoint
-	tel   *telemetry.DistMetrics
-	rec   *recorder
+	obs   *sink
 	epoch time.Time
 
 	// progress counts every absorbed message and lastFinal holds the
@@ -90,12 +88,11 @@ type roundWaiter struct {
 // node agents that actually report each round: nodes reached by at least
 // one flow or owning at least one link with flows (a node with neither
 // never computes).
-func newCollector(p *model.Problem, ep transport.Endpoint, nodesTotal int, inOrder bool, tel *telemetry.DistMetrics, rec *recorder, epoch time.Time) *collector {
+func newCollector(p *model.Problem, ep transport.Endpoint, nodesTotal int, inOrder bool, obs *sink, epoch time.Time) *collector {
 	c := &collector{
 		p:           p,
 		ep:          ep,
-		tel:         tel,
-		rec:         rec,
+		obs:         obs,
 		epoch:       epoch,
 		latestFlow:  make([]int, len(p.Flows)),
 		latestNode:  make([]int, len(p.Nodes)),
@@ -325,7 +322,7 @@ func (c *collector) finalizeLocked(round int) bool {
 	// O(flows+nodes) slowest-agent scan runs once per finalized round,
 	// not per message, so it stays off the absorb hot path.
 	c.lastFinal.Store(int64(round))
-	if c.tel != nil || c.rec != nil {
+	if c.obs != nil {
 		slowest := c.frontier
 		for i, r := range c.latestFlow {
 			if c.active[i] && r < slowest {
@@ -338,8 +335,7 @@ func (c *collector) finalizeLocked(round int) bool {
 			}
 		}
 		assembly := int64(time.Since(c.epoch)) - a.first
-		c.tel.ObserveFinalize(c.frontier-slowest, c.frontier-round, assembly)
-		c.rec.record(EvRound, round, int64(c.frontier-slowest), assembly)
+		c.obs.finalize(round, c.frontier-slowest, c.frontier-round, assembly)
 	}
 	delete(c.pending, round)
 	c.free = append(c.free, a)

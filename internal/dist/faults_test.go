@@ -96,13 +96,11 @@ func TestStaleRepairsAsymmetricPartition(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			net := transport.NewMemory()
 			defer net.Close()
-			reg := telemetry.NewRegistry()
-			tel := telemetry.NewDistMetrics(reg)
 			cl, err := New(p, Config{
 				Core:      core.Config{Adaptive: true},
 				Staleness: 1,
 				resend:    2 * time.Millisecond,
-				Telemetry: tel,
+				Telemetry: telemetry.NewRegistry(),
 				ownHost:   tc.own,
 			}, net)
 			if err != nil {
@@ -157,10 +155,10 @@ func TestStaleRepairsAsymmetricPartition(t *testing.T) {
 			if net.NetStats().Dropped == 0 {
 				t.Error("the cut dropped nothing")
 			}
-			if tel.NodeChirps.Value() == 0 {
+			if cl.m.chirps[nodeKind].Value() == 0 {
 				t.Error("no node chirps recorded during the stall")
 			}
-			if tel.FlowRepairs.Value()+tel.NodeRepairs.Value() == 0 {
+			if cl.m.repairs[flowKind].Value()+cl.m.repairs[nodeKind].Value() == 0 {
 				t.Error("no chirp-credited repairs recorded")
 			}
 		})

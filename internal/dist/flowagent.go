@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/multirate"
-	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
@@ -56,9 +55,7 @@ type flowAgent struct {
 	staleness int           // how many rounds behind a peer's report may be
 	resend    time.Duration // stalled re-announce interval; <= 0 disables
 
-	rec     *recorder              // flight recorder (nil = off)
-	tel     *telemetry.DistMetrics // dist telemetry (nil = off)
-	chirped bool                   // a chirp fired since the last progress
+	obs *sink // flight recorder and metrics (nil = both off)
 
 	done chan struct{}
 }
@@ -122,7 +119,6 @@ func newFlowAgent(p *model.Problem, ix *model.Index, fid model.FlowID, c Config)
 		round:     1,
 		staleness: c.Staleness,
 		resend:    c.resend,
-		tel:       c.Telemetry,
 		done:      make(chan struct{}),
 	}
 	fa.peerNodes = slices.Clone(fa.nodes)
@@ -210,11 +206,11 @@ func (fa *flowAgent) absorb(payload []byte) {
 	}
 	peer, ok := slices.BinarySearch(fa.peerNodes, rm.Node)
 	if !ok || rm.Round <= fa.latest[peer] {
-		fa.rec.record(EvRecv, rm.Round, int64(rm.Node), 0)
+		fa.obs.record(EvRecv, rm.Round, int64(rm.Node))
 		return
 	}
 	fa.latest[peer] = rm.Round
-	fa.rec.record(EvAbsorb, rm.Round, int64(rm.Node), 0)
+	fa.obs.record(EvAbsorb, rm.Round, int64(rm.Node))
 	if k, ok := slices.BinarySearch(fa.nodes, rm.Node); ok {
 		fa.nodePrice[k].push(rm.Price)
 	}
@@ -285,7 +281,7 @@ func (fa *flowAgent) run() {
 			if err := fa.announce(fa.round, rate, true); err != nil {
 				return
 			}
-			fa.recordProgress(fa.round, fa.observedLag())
+			fa.obs.progress(fa.round, fa.observedLag(), len(fa.peerNames))
 			lastRound, lastRate = fa.round, rate
 			fa.round++
 			announced = true
@@ -316,12 +312,10 @@ func (fa *flowAgent) run() {
 				if err := fa.announce(lastRound, lastRate, true); err != nil {
 					return
 				}
-				fa.rec.record(EvResend, lastRound, int64(resend.wait), 0)
-				fa.tel.ObserveChirp(true)
-				fa.chirped = true
+				fa.obs.resend(lastRound, resend.wait)
 			}
 			if resend.stalled() {
-				fa.tel.ObserveBackoff(true)
+				fa.obs.backoff()
 			}
 		}
 	}
@@ -367,18 +361,6 @@ func (fa *flowAgent) handle(m transport.Message) bool {
 		fa.absorb(m.Payload)
 	}
 	return true
-}
-
-// recordProgress logs one successful announce (the send plus the round
-// advance) and credits a pending chirp with the repair: progress right
-// after a chirp means the re-announce plausibly replaced a lost frame.
-func (fa *flowAgent) recordProgress(round, lag int) {
-	fa.rec.record(EvSend, round, int64(lag), int64(len(fa.peerNames)))
-	fa.rec.record(EvRound, round, 0, 0)
-	if fa.chirped {
-		fa.chirped = false
-		fa.tel.ObserveRepair(true)
-	}
 }
 
 // observedLag is the effective staleness of the inputs used for fa.round:

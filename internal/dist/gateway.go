@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
@@ -37,8 +36,7 @@ type gateway struct {
 	ep    transport.Endpoint
 	route map[string]string // agent endpoint name -> host endpoint name
 	names map[string]string // every name and kind an envelope can carry, for demux
-	tel   *telemetry.DistMetrics
-	rec   *recorder
+	obs   *sink
 
 	mu      sync.Mutex
 	ports   map[string]*hostPort
@@ -76,13 +74,12 @@ type staged struct {
 // its own: a send through one of its ports flushes before it returns and
 // reports what the transport said, which is what the control endpoint
 // needs (Close, Run and JoinFlow surface control-plane failures).
-func newGateway(ep transport.Endpoint, route, names map[string]string, inline bool, tel *telemetry.DistMetrics, rec *recorder) *gateway {
+func newGateway(ep transport.Endpoint, route, names map[string]string, inline bool, obs *sink) *gateway {
 	g := &gateway{
 		ep:    ep,
 		route: route,
 		names: names,
-		tel:   tel,
-		rec:   rec,
+		obs:   obs,
 		ports: make(map[string]*hostPort),
 		out:   make(map[string]*staged),
 		quit:  make(chan struct{}),
@@ -194,7 +191,7 @@ func (g *gateway) flush() error {
 		// hands the receiver this very slice, and st.buf is about to be
 		// written again.
 		g.frames = append(g.frames, transport.Message{To: st.host, Kind: batchKind, Payload: g.slab.Copy(st.buf)})
-		g.tel.ObserveFlushFrame(st.msgs)
+		g.obs.frame(st.msgs)
 		total += st.msgs
 		st.buf, st.msgs = st.buf[:0], 0
 	}
@@ -210,8 +207,7 @@ func (g *gateway) flush() error {
 			failed = fmt.Errorf("dist: frame to %s: %w", f.To, err)
 		}
 	}
-	g.tel.ObserveFlush(total)
-	g.rec.record(EvFlush, 0, int64(total), int64(len(g.frames)))
+	g.obs.flush(total, len(g.frames))
 	clear(g.frames) // drop the payload references
 	g.frames = g.frames[:0]
 	return failed

@@ -21,7 +21,7 @@ func testGateway(t testing.TB, net transport.Network, host string, route map[str
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := newGateway(ep, route, internTable(route), inline, nil, nil)
+	g := newGateway(ep, route, internTable(route), inline, nil)
 	t.Cleanup(g.close)
 	ports := make(map[string]*hostPort)
 	for name, h := range route {

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/multirate"
-	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
@@ -54,9 +53,7 @@ type nodeAgent struct {
 	staleness int           // how many rounds behind a flow's rate may be
 	resend    time.Duration // stalled re-broadcast interval; <= 0 disables
 
-	rec     *recorder              // flight recorder (nil = off)
-	tel     *telemetry.DistMetrics // dist telemetry (nil = off)
-	chirped bool                   // a chirp fired since the last progress
+	obs *sink // flight recorder and metrics (nil = both off)
 
 	done chan struct{}
 }
@@ -75,7 +72,6 @@ func newNodeAgent(p *model.Problem, ix *model.Index, b model.NodeID, c Config) *
 		consumers: make([]int, len(p.Classes)),
 		staleness: c.Staleness,
 		resend:    c.resend,
-		tel:       c.Telemetry,
 		done:      make(chan struct{}),
 	}
 	for l := range p.Links {
@@ -173,21 +169,14 @@ func (na *nodeAgent) broadcast() error {
 	return nil
 }
 
-// step computes and broadcasts one round and logs it (the report
-// broadcast plus the round advance), crediting a pending chirp with the
-// repair.
+// step computes, broadcasts and observes one round.
 func (na *nodeAgent) step(round, lag int) error {
 	na.compute(round)
 	if err := na.broadcast(); err != nil {
 		return err
 	}
 	na.ep.stepped()
-	na.rec.record(EvSend, round, int64(lag), int64(len(na.peerNames)))
-	na.rec.record(EvRound, round, 0, 0)
-	if na.chirped {
-		na.chirped = false
-		na.tel.ObserveRepair(false)
-	}
+	na.obs.progress(round, lag, len(na.peerNames))
 	return nil
 }
 
@@ -209,9 +198,9 @@ func (na *nodeAgent) absorbRate(payload []byte) {
 	if rm.Active && rm.Round >= na.latest[k] {
 		na.latest[k] = rm.Round
 		na.rates[rm.Flow] = rm.Rate
-		na.rec.record(EvAbsorb, rm.Round, int64(rm.Flow), 0)
+		na.obs.record(EvAbsorb, rm.Round, int64(rm.Flow))
 	} else {
-		na.rec.record(EvRecv, rm.Round, int64(rm.Flow), 0)
+		na.obs.record(EvRecv, rm.Round, int64(rm.Flow))
 	}
 }
 
@@ -319,12 +308,10 @@ func (na *nodeAgent) run() {
 				if err := na.broadcast(); err != nil {
 					return
 				}
-				na.rec.record(EvResend, na.report.Round, int64(resend.wait), 0)
-				na.tel.ObserveChirp(false)
-				na.chirped = true
+				na.obs.resend(na.report.Round, resend.wait)
 			}
 			if resend.stalled() {
-				na.tel.ObserveBackoff(false)
+				na.obs.backoff()
 			}
 			continue
 		}

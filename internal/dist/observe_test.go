@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -39,11 +40,10 @@ func TestWriteEventsRoundTrip(t *testing.T) {
 	p := workload.Base()
 	net := transport.NewMemory()
 	defer net.Close()
-	reg := telemetry.NewRegistry()
 	cl, err := New(p, Config{
 		Core:      core.Config{Adaptive: true},
 		Staleness: 1,
-		Telemetry: telemetry.NewDistMetrics(reg),
+		Telemetry: telemetry.NewRegistry(),
 		record:    true,
 	}, net)
 	if err != nil {
@@ -88,7 +88,7 @@ func TestWriteEventsRoundTrip(t *testing.T) {
 	if total == 0 {
 		t.Error("empty staleness distribution")
 	}
-	if got := int(cl.cfg.Telemetry.RoundsFinalized.Value()); got < rounds {
+	if got := int(cl.m.roundsFinalized.Value()); got < rounds {
 		t.Errorf("telemetry finalized %d rounds, want >= %d", got, rounds)
 	}
 }
@@ -117,13 +117,11 @@ func TestStallPostmortemOnLostStop(t *testing.T) {
 	p := workload.Base()
 	net := transport.NewMemory()
 	defer net.Close()
-	reg := telemetry.NewRegistry()
-	tel := telemetry.NewDistMetrics(reg)
 	pm := &syncWriter{}
 	cl, err := New(p, Config{
 		Core:       core.Config{Adaptive: true},
 		Staleness:  1,
-		Telemetry:  tel,
+		Telemetry:  telemetry.NewRegistry(),
 		Postmortem: pm,
 		stopGrace:  200 * time.Millisecond,
 	}, net)
@@ -158,8 +156,8 @@ func TestStallPostmortemOnLostStop(t *testing.T) {
 	if a.MaxRound < 10 {
 		t.Errorf("post-mortem reaches round %d, want >= 10", a.MaxRound)
 	}
-	if tel.Stalls.Value() != 1 {
-		t.Errorf("stall counter = %d, want 1", tel.Stalls.Value())
+	if cl.m.stalls.Value() != 1 {
+		t.Errorf("stall counter = %d, want 1", cl.m.stalls.Value())
 	}
 }
 
@@ -172,14 +170,12 @@ func TestStallDetectorTripsMidRun(t *testing.T) {
 	net := transport.NewMemory()
 	defer net.Close()
 	net.SetDropExempt(ctrlHost)
-	reg := telemetry.NewRegistry()
-	tel := telemetry.NewDistMetrics(reg)
 	pm := &syncWriter{}
 	cl, err := New(p, Config{
 		Core:         core.Config{Adaptive: true},
 		Staleness:    1,
 		resend:       2 * time.Millisecond,
-		Telemetry:    tel,
+		Telemetry:    telemetry.NewRegistry(),
 		Postmortem:   pm,
 		StallTimeout: 100 * time.Millisecond,
 		stopGrace:    200 * time.Millisecond,
@@ -196,8 +192,8 @@ func TestStallDetectorTripsMidRun(t *testing.T) {
 	if runErr == nil {
 		t.Fatal("Run succeeded with a fully lossy transport")
 	}
-	if tel.Stalls.Value() != 1 {
-		t.Errorf("stall counter = %d, want 1", tel.Stalls.Value())
+	if cl.m.stalls.Value() != 1 {
+		t.Errorf("stall counter = %d, want 1", cl.m.stalls.Value())
 	}
 	recs, perr := ReadEventLog(bytes.NewReader(pm.bytes()))
 	if perr != nil {
@@ -340,5 +336,315 @@ func TestTraceAnalyzeThousandAgents(t *testing.T) {
 	}
 	if lossRounds == 0 {
 		t.Error("no per-round loss (resend) attribution")
+	}
+}
+
+// pinnedDistExposition is what a cluster's registry renders, sample values
+// cut off: the families, help text, types, label sets and bucket bounds
+// the runtime has exported since its metrics had their own schema in
+// package telemetry.
+const pinnedDistExposition = `# HELP lrgp_dist_rounds_finalized_total Rounds fully assembled and finalized by the collector.
+# TYPE lrgp_dist_rounds_finalized_total counter
+lrgp_dist_rounds_finalized_total
+# HELP lrgp_dist_staleness_lag Frontier round minus the slowest active agent's round at the last finalize.
+# TYPE lrgp_dist_staleness_lag gauge
+lrgp_dist_staleness_lag
+# HELP lrgp_dist_collector_finalize_lag Frontier round minus the most recently finalized round.
+# TYPE lrgp_dist_collector_finalize_lag gauge
+lrgp_dist_collector_finalize_lag
+# HELP lrgp_dist_round_assembly_seconds Time from a round's first absorbed input to its finalize.
+# TYPE lrgp_dist_round_assembly_seconds histogram
+lrgp_dist_round_assembly_seconds_bucket{le="1e-07"}
+lrgp_dist_round_assembly_seconds_bucket{le="5e-07"}
+lrgp_dist_round_assembly_seconds_bucket{le="1e-06"}
+lrgp_dist_round_assembly_seconds_bucket{le="5e-06"}
+lrgp_dist_round_assembly_seconds_bucket{le="1e-05"}
+lrgp_dist_round_assembly_seconds_bucket{le="5e-05"}
+lrgp_dist_round_assembly_seconds_bucket{le="0.0001"}
+lrgp_dist_round_assembly_seconds_bucket{le="0.0005"}
+lrgp_dist_round_assembly_seconds_bucket{le="0.001"}
+lrgp_dist_round_assembly_seconds_bucket{le="0.005"}
+lrgp_dist_round_assembly_seconds_bucket{le="0.01"}
+lrgp_dist_round_assembly_seconds_bucket{le="0.05"}
+lrgp_dist_round_assembly_seconds_bucket{le="+Inf"}
+lrgp_dist_round_assembly_seconds_sum
+lrgp_dist_round_assembly_seconds_count
+# HELP lrgp_dist_resend_chirps_total Stall re-announces by agent kind.
+# TYPE lrgp_dist_resend_chirps_total counter
+lrgp_dist_resend_chirps_total{agent="flow"}
+lrgp_dist_resend_chirps_total{agent="node"}
+# HELP lrgp_dist_resend_backoffs_total Chirp-interval escalations by agent kind.
+# TYPE lrgp_dist_resend_backoffs_total counter
+lrgp_dist_resend_backoffs_total{agent="flow"}
+lrgp_dist_resend_backoffs_total{agent="node"}
+# HELP lrgp_dist_repairs_total Stalls that resumed after at least one chirp, by agent kind.
+# TYPE lrgp_dist_repairs_total counter
+lrgp_dist_repairs_total{agent="flow"}
+lrgp_dist_repairs_total{agent="node"}
+# HELP lrgp_dist_gateway_flushes_total Gateway flush epochs that carried staged traffic.
+# TYPE lrgp_dist_gateway_flushes_total counter
+lrgp_dist_gateway_flushes_total
+# HELP lrgp_dist_gateway_queue_depth Staged messages at the most recent gateway flush.
+# TYPE lrgp_dist_gateway_queue_depth gauge
+lrgp_dist_gateway_queue_depth
+# HELP lrgp_dist_gateway_flush_occupancy Messages per flushed gateway batch frame.
+# TYPE lrgp_dist_gateway_flush_occupancy histogram
+lrgp_dist_gateway_flush_occupancy_bucket{le="1"}
+lrgp_dist_gateway_flush_occupancy_bucket{le="2"}
+lrgp_dist_gateway_flush_occupancy_bucket{le="5"}
+lrgp_dist_gateway_flush_occupancy_bucket{le="10"}
+lrgp_dist_gateway_flush_occupancy_bucket{le="20"}
+lrgp_dist_gateway_flush_occupancy_bucket{le="50"}
+lrgp_dist_gateway_flush_occupancy_bucket{le="100"}
+lrgp_dist_gateway_flush_occupancy_bucket{le="200"}
+lrgp_dist_gateway_flush_occupancy_bucket{le="500"}
+lrgp_dist_gateway_flush_occupancy_bucket{le="1000"}
+lrgp_dist_gateway_flush_occupancy_bucket{le="+Inf"}
+lrgp_dist_gateway_flush_occupancy_sum
+lrgp_dist_gateway_flush_occupancy_count
+# HELP lrgp_dist_stalls_total Stall-detector trips (no collector progress within the deadline).
+# TYPE lrgp_dist_stalls_total counter
+lrgp_dist_stalls_total
+# HELP lrgp_dist_net_frames Transport frames delivered.
+# TYPE lrgp_dist_net_frames gauge
+lrgp_dist_net_frames
+# HELP lrgp_dist_net_bytes Bytes the delivered transport frames carried.
+# TYPE lrgp_dist_net_bytes gauge
+lrgp_dist_net_bytes
+# HELP lrgp_dist_net_dropped Messages lost to fault injection, partitions or a full inbox.
+# TYPE lrgp_dist_net_dropped gauge
+lrgp_dist_net_dropped
+`
+
+// families splits a Prometheus exposition by family, with each sample's
+// value cut off.
+func families(expo string) map[string]string {
+	out := make(map[string]string)
+	var name string
+	for _, line := range strings.SplitAfter(expo, "\n") {
+		if line == "" {
+			continue
+		}
+		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
+			name, _, _ = strings.Cut(rest, " ")
+		} else if cut := strings.LastIndexByte(line, ' '); cut >= 0 && !strings.HasPrefix(line, "#") {
+			line = line[:cut] + "\n"
+		}
+		out[name] += line
+	}
+	return out
+}
+
+// TestDistTelemetryExposition pins what a cluster exports. Its families
+// equal pinnedDistExposition, and after a barrier run of the base
+// workload with the stall detector armed every sample equals what the
+// run says: one finalize per round, with the lag and assembly time the
+// collector's ring holds for it; no chirp, repair or stall; one flush
+// frame per frame the gateways wrote; and the net gauges read the
+// transport and the gateways.
+func TestDistTelemetryExposition(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	net := transport.NewMemory()
+	defer net.Close()
+	cl, err := New(workload.Base(), Config{
+		Core:         core.Config{Adaptive: true},
+		Telemetry:    reg,
+		StallTimeout: time.Minute,
+	}, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	got, want := families(sb.String()), families(pinnedDistExposition)
+	for name, w := range want {
+		if got[name] != w {
+			t.Errorf("family %s:\n%s\nwant:\n%s", name, got[name], w)
+		}
+	}
+	for name := range got {
+		if want[name] == "" {
+			t.Errorf("unexpected family %s", name)
+		}
+	}
+
+	const rounds = 20
+	stats, err := cl.Run(rounds, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(stats) != rounds {
+		t.Fatalf("%d rounds finalized, want %d", len(stats), rounds)
+	}
+	var lastLag, assembly int64
+	for _, ev := range cl.snapshot() {
+		if ev.Agent == collectorName && ev.Type == EvRound {
+			assembly += ev.B
+			if ev.Round == rounds {
+				lastLag = ev.A
+			}
+		}
+	}
+	tr, st := cl.Traffic(), net.NetStats()
+	samples := map[string]any{
+		"lrgp_dist_rounds_finalized_total":              uint64(rounds),
+		"lrgp_dist_staleness_lag":                       float64(lastLag),
+		"lrgp_dist_collector_finalize_lag":              0.0, // nothing runs past the last round
+		`lrgp_dist_resend_chirps_total{agent="flow"}`:   uint64(0),
+		`lrgp_dist_resend_chirps_total{agent="node"}`:   uint64(0),
+		`lrgp_dist_resend_backoffs_total{agent="flow"}`: uint64(0),
+		`lrgp_dist_resend_backoffs_total{agent="node"}`: uint64(0),
+		`lrgp_dist_repairs_total{agent="flow"}`:         uint64(0),
+		`lrgp_dist_repairs_total{agent="node"}`:         uint64(0),
+		"lrgp_dist_stalls_total":                        uint64(0),
+		"lrgp_dist_net_frames":                          float64(st.Delivered),
+		"lrgp_dist_net_bytes":                           float64(st.Bytes),
+		"lrgp_dist_net_dropped":                         float64(st.Dropped + tr.Dropped),
+	}
+	snap := reg.Snapshot()
+	if len(snap) != len(samples)+4 {
+		t.Errorf("the registry holds %d series, want %d", len(snap), len(samples)+4)
+	}
+	for key, w := range samples {
+		if snap[key] != w {
+			t.Errorf("%s = %v, want %v", key, snap[key], w)
+		}
+	}
+	if h := snap["lrgp_dist_round_assembly_seconds"].(map[string]any); h["count"] != uint64(rounds) ||
+		math.Abs(h["sum"].(float64)-float64(assembly)/1e9) > 1e-9 {
+		t.Errorf("assembly histogram = %v, want %d observations summing to the ring's %dns", h, rounds, assembly)
+	}
+	if h := snap["lrgp_dist_gateway_flush_occupancy"].(map[string]any); h["count"] != tr.Frames {
+		t.Errorf("occupancy histogram counted %v frames, the gateways wrote %d", h["count"], tr.Frames)
+	}
+	if n := snap["lrgp_dist_gateway_flushes_total"].(uint64); n == 0 || n > tr.Frames {
+		t.Errorf("%d gateway flushes for %d frames, want between 1 and the frames", n, tr.Frames)
+	}
+	if d := snap["lrgp_dist_gateway_queue_depth"].(float64); d < 1 {
+		t.Errorf("gateway queue depth %g after flushes that carried traffic", d)
+	}
+}
+
+// TestMetricsMatchTheEventLog: every event the flight recorder and the
+// metrics both see is one observation, so under 10% loss, with chirps
+// on, the counters equal the events in a ring that did not wrap: chirps
+// by agent kind the resend events of that kind, gateway flushes the flush
+// events, finalized rounds the collector's round events, stalls the stall
+// events.
+func TestMetricsMatchTheEventLog(t *testing.T) {
+	net := transport.NewMemory()
+	defer net.Close()
+	net.SetDropRate(0.10, 1)
+	net.SetDropExempt(ctrlHost)
+	cl, err := New(workload.Base(), Config{
+		Core:       core.Config{Adaptive: true},
+		Staleness:  1,
+		resend:     2 * time.Millisecond,
+		Telemetry:  telemetry.NewRegistry(),
+		record:     true,
+		recordSize: 1 << 12,
+	}, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.Run(30, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range cl.recs {
+		if n := r.next.Load(); n > uint64(len(r.slots)) {
+			t.Fatalf("%s recorded %d events into %d slots", r.agent, n, len(r.slots))
+		}
+	}
+
+	var resends [2]uint64
+	var flushes, rounds, stalls uint64
+	for _, ev := range cl.snapshot() {
+		switch {
+		case ev.Type == EvResend && strings.HasPrefix(ev.Agent, "flow/"):
+			resends[flowKind]++
+		case ev.Type == EvResend:
+			resends[nodeKind]++
+		case ev.Type == EvFlush:
+			flushes++
+		case ev.Type == EvRound && ev.Agent == collectorName:
+			rounds++
+		case ev.Type == EvStall:
+			stalls++
+		}
+	}
+	if resends[flowKind]+resends[nodeKind] == 0 {
+		t.Error("no chirp under 10% loss")
+	}
+	m := cl.m
+	for _, c := range []struct {
+		what        string
+		metric, log uint64
+	}{
+		{"flow chirps", m.chirps[flowKind].Value(), resends[flowKind]},
+		{"node chirps", m.chirps[nodeKind].Value(), resends[nodeKind]},
+		{"gateway flushes", m.flushes.Value(), flushes},
+		{"finalized rounds", m.roundsFinalized.Value(), rounds},
+		{"stalls", m.stalls.Value(), stalls},
+	} {
+		if c.metric != c.log {
+			t.Errorf("%s: the metrics count %d, the event log %d", c.what, c.metric, c.log)
+		}
+	}
+}
+
+// TestDistMetricsNilSafeAndZeroAlloc: a component's sink is nil when
+// neither the flight recorder nor the metrics are armed, and observing
+// every kind of event allocates nothing in any of the four arming
+// combinations; with the metrics armed, each event moved its counter.
+func TestDistMetricsNilSafeAndZeroAlloc(t *testing.T) {
+	clk := testClock(t)
+	for _, ring := range []bool{false, true} {
+		for _, armed := range []bool{false, true} {
+			cl := &Cluster{cfg: Config{record: ring, recordSize: 64}, clk: clk}
+			if armed {
+				cl.m = newMetrics(telemetry.NewRegistry())
+			}
+			s := cl.newSink(flowName(0), flowKind)
+			if (s == nil) != (!ring && !armed) {
+				t.Fatalf("ring %v, metrics %v: sink %v", ring, armed, s)
+			}
+			const runs = 100
+			if allocs := testing.AllocsPerRun(runs, func() {
+				s.record(EvAbsorb, 3, 1)
+				s.resend(3, time.Millisecond)
+				s.backoff()
+				s.progress(4, 1, 2)
+				s.frame(5)
+				s.flush(8, 2)
+				s.finalize(4, 1, 0, 1500)
+				s.stall(4)
+			}); allocs > 0 {
+				t.Errorf("ring %v, metrics %v: observing allocates %v per run, want 0", ring, armed, allocs)
+			}
+			if !armed {
+				continue
+			}
+			// AllocsPerRun runs the function once more to warm up.
+			for _, c := range []*telemetry.Counter{cl.m.chirps[flowKind], cl.m.backoffs[flowKind], cl.m.repairs[flowKind],
+				cl.m.flushes, cl.m.roundsFinalized, cl.m.stalls} {
+				if c.Value() != runs+1 {
+					t.Errorf("ring %v: a counter reads %d after %d runs", ring, c.Value(), runs+1)
+				}
+			}
+			if n, _ := cl.m.occupancy.CountSum(); n != runs+1 {
+				t.Errorf("ring %v: %d flush frames observed after %d runs", ring, n, runs+1)
+			}
+		}
 	}
 }

@@ -11,8 +11,7 @@ import (
 // The caller owns tw and must Flush it.
 func TracedRun(opts Options, tw *telemetry.TraceWriter) (core.Result, error) {
 	o := opts.normalized()
-	em := telemetry.NewEngineMetrics(telemetry.NewRegistry())
-	e, err := core.NewEngine(workload.Base(), core.Config{Adaptive: true, Telemetry: em})
+	e, err := core.NewEngine(workload.Base(), core.Config{Adaptive: true, Telemetry: telemetry.NewRegistry()})
 	if err != nil {
 		return core.Result{}, err
 	}

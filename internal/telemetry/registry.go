@@ -1,19 +1,21 @@
 // Package telemetry is the repository's dependency-free observability
-// layer: a metrics registry of atomic counters, gauges, lock-free
+// library: a metrics registry of atomic counters, gauges, lock-free
 // fixed-bucket histograms and func-backed counters and gauges rendered in
-// the Prometheus text exposition format, nil-safe instrumentation handles
-// for the optimizer engine and the distributed runtime, a structured JSONL
-// iteration-trace sink, and an HTTP mux exposing /metrics, /debug/pprof/*,
-// /debug/vars and /snapshot.
+// the Prometheus text exposition format, a structured JSONL
+// iteration-trace sink, and an HTTP mux exposing /metrics,
+// /debug/pprof/*, /debug/vars and /snapshot. It knows no layer: the
+// engine, the distributed runtime and the broker each register their own
+// families on a Registry they are handed.
 //
 // Design constraints (see DESIGN.md §6):
 //
-//   - Zero overhead when disabled: every instrumentation handle
-//     (EngineMetrics, DistMetrics) is nil-safe, so uninstrumented hot
-//     paths pay one nil check and allocate nothing.
+//   - Zero overhead when disabled: a layer handed no registry builds no
+//     instruments, so its hot paths pay one nil check and allocate
+//     nothing.
 //   - Counted once: a component that already keeps a count (the broker's
-//     stats, the autopilot's) exports it through CounterFunc or GaugeFunc,
-//     read when scraped, instead of feeding a second copy as it goes.
+//     stats, the autopilot's, the transport's) exports it through
+//     CounterFunc or GaugeFunc, read when scraped, instead of feeding a
+//     second copy as it goes.
 //   - Lock-free when enabled: observations are atomic adds and CAS loops
 //     on preallocated state; no observation path takes a lock or
 //     allocates, so instrumented Step/Publish stay 0 allocs/op.

@@ -233,51 +233,23 @@ func TestObservationDoesNotAllocate(t *testing.T) {
 	}
 }
 
-func TestNilHandlesAreSafe(t *testing.T) {
-	var em *EngineMetrics
-	em.ObserveStep([3]int64{1, 2, 3}, 10, 0, 0, 3, 2, 1, 4)
-	em.ObserveConvergence(true, 42)
-	// The disabled path must stay one predictable branch: no allocations
-	// even with the dirty-set arguments threaded through.
-	if allocs := testing.AllocsPerRun(100, func() {
-		em.ObserveStep([3]int64{1, 2, 3}, 10, 0, 0, 3, 2, 1, 4)
-	}); allocs > 0 {
-		t.Errorf("nil-handle ObserveStep allocates %v per run, want 0", allocs)
-	}
-}
-
-func TestEngineMetricsObserveStep(t *testing.T) {
+// TestDefaultBuckets: the layouts keep their historical bounds, and the
+// µs-scale layout resolves sub-µs latencies that DurationBuckets flattens
+// into its first bucket.
+func TestDefaultBuckets(t *testing.T) {
+	var def strings.Builder
 	reg := NewRegistry()
-	em := NewEngineMetrics(reg)
-	em.ObserveStep([3]int64{1000, 2000, 3000}, 123.5, 0.25, -1, 3, 2, 6, 0)
-	em.ObserveStep([3]int64{1000, 2000, 3000}, 130, 0, -2, 3, 2, 2, 3)
-	if got := em.Steps.Value(); got != 2 {
-		t.Errorf("steps = %d, want 2", got)
+	reg.Histogram("t_stage_seconds", "Stage wall time.", DurationBuckets())
+	reg.Histogram("t_fanout", "Fan-out.", FanoutBuckets())
+	reg.WritePrometheus(&def)
+	if !strings.Contains(def.String(), `t_stage_seconds_bucket{le="1e-06"}`) {
+		t.Error("DurationBuckets lost the 1µs bound")
 	}
-	if got := em.Utility.Value(); got != 130 {
-		t.Errorf("utility gauge = %g, want 130 (last write wins)", got)
+	if !strings.Contains(def.String(), `t_fanout_bucket{le="1000"}`) {
+		t.Error("FanoutBuckets lost the 1000 bound")
 	}
-	if got := em.NodePriceUpdates.Value(); got != 6 {
-		t.Errorf("node price updates = %d, want 6", got)
-	}
-	if got := em.LinkPriceUpdates.Value(); got != 4 {
-		t.Errorf("link price updates = %d, want 4", got)
-	}
-	count, sum := em.StageSeconds[StageRate].CountSum()
-	if count != 2 || math.Abs(sum-2e-6) > 1e-12 {
-		t.Errorf("rate stage histogram = (%d, %g), want (2, 2e-6)", count, sum)
-	}
-	if got := em.ConvergedIteration.Value(); got != -1 {
-		t.Errorf("converged iteration starts at %g, want -1", got)
-	}
-	if em.DirtyFlows.Value() != 2 || em.SkippedConstraints.Value() != 3 {
-		t.Errorf("dirty-set gauges = (%g, %g), want (2, 3) (last write wins)",
-			em.DirtyFlows.Value(), em.SkippedConstraints.Value())
-	}
-	em.ObserveConvergence(true, 37)
-	if em.Converged.Value() != 1 || em.ConvergedIteration.Value() != 37 {
-		t.Errorf("convergence gauges = (%g, %g), want (1, 37)",
-			em.Converged.Value(), em.ConvergedIteration.Value())
+	if MicroDurationBuckets()[0] >= DurationBuckets()[0] {
+		t.Error("MicroDurationBuckets does not extend below DurationBuckets")
 	}
 }
 

@@ -23,7 +23,7 @@ type IterationRecord struct {
 	MaxNodeOverload float64 `json:"maxNodeOverload"`
 	MaxLinkOverload float64 `json:"maxLinkOverload"`
 	// StageNanos holds the rate/admission/price stage wall times,
-	// indexed by StageRate/StageAdmission/StagePrice. All zero when the
+	// as in core.StepResult.StageNanos. All zero when the
 	// recording engine ran without telemetry.
 	StageNanos [3]int64 `json:"stageNanos"`
 	// Rates and Consumers are the post-iteration allocation.

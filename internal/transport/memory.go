@@ -43,10 +43,7 @@ type Memory struct {
 	stats  Stats
 }
 
-var (
-	_ Network = (*Memory)(nil)
-	_ Meter   = (*Memory)(nil)
-)
+var _ Network = (*Memory)(nil)
 
 // NewMemory returns an empty in-memory network with no fault injection.
 func NewMemory() *Memory {
@@ -228,7 +225,7 @@ func (m *Memory) enqueueLocked(msg Message) error {
 	}
 }
 
-// NetStats implements Meter.
+// NetStats implements Network.
 func (m *Memory) NetStats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -11,10 +11,7 @@ import (
 // end-to-end benchmark divide by rounds.
 func TestNetStatsCountFramesAndBytes(t *testing.T) {
 	payloads := [][]byte{[]byte(`{"round":1}`), {0x01, 0x02, 0x03}, nil}
-	for name, net := range map[string]interface {
-		Network
-		Meter
-	}{"memory": NewMemory(), "tcp": NewTCP()} {
+	for name, net := range map[string]Network{"memory": NewMemory(), "tcp": NewTCP()} {
 		a, _ := net.Endpoint("a")
 		b, _ := net.Endpoint("b")
 		var want uint64
@@ -45,10 +42,7 @@ func TestNetStatsCountFramesAndBytes(t *testing.T) {
 func TestFullInboxCountsDropped(t *testing.T) {
 	mem, tcp := NewMemory(), NewTCP()
 	mem.inbox, tcp.inbox = 1, 1
-	for name, net := range map[string]interface {
-		Network
-		Meter
-	}{"memory": mem, "tcp": tcp} {
+	for name, net := range map[string]Network{"memory": mem, "tcp": tcp} {
 		a, _ := net.Endpoint("a")
 		b, _ := net.Endpoint("b")
 		for i := 0; i < 3; i++ {

@@ -31,10 +31,7 @@ type TCP struct {
 	meter     tcpMeter
 }
 
-var (
-	_ Network = (*TCP)(nil)
-	_ Meter   = (*TCP)(nil)
-)
+var _ Network = (*TCP)(nil)
 
 // NewTCP returns an empty TCP network with an in-process registry.
 func NewTCP() *TCP {
@@ -47,7 +44,7 @@ type tcpMeter struct {
 	frames, bytes, dropped atomic.Uint64
 }
 
-// NetStats implements Meter. Delivered counts frames written to a peer
+// NetStats implements Network. Delivered counts frames written to a peer
 // socket (the transport is reliable, so written means delivered unless the
 // peer dies, which shows up as a send error); Bytes totals frame body
 // bytes; Dropped counts frames a reader discarded at a full inbox.

@@ -44,6 +44,8 @@ type Endpoint interface {
 type Network interface {
 	// Endpoint attaches a new endpoint with the given unique name.
 	Endpoint(name string) (Endpoint, error)
+	// NetStats returns a snapshot of the network's traffic counters.
+	NetStats() Stats
 	// Close shuts the whole network down.
 	Close() error
 }
@@ -66,10 +68,4 @@ type Stats struct {
 	Dropped uint64
 	// Bytes totals the payload bytes of delivered messages.
 	Bytes uint64
-}
-
-// Meter is implemented by networks that count their traffic.
-type Meter interface {
-	// NetStats returns a snapshot of the counters.
-	NetStats() Stats
 }
