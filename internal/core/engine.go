@@ -39,12 +39,19 @@ type Engine struct {
 	consumers []int
 	active    []bool
 
+	// Per-constraint state lives in slots (DESIGN.md §5): nodeSlots and
+	// linkSlots give each node and link the plan lists a dense slot, and
+	// every per-node and per-link array below, the gamma bank and the
+	// bitsets are indexed by slot, not by id. A constraint the plan does
+	// not list holds no slot and no state: no flow crosses it and its
+	// price is 0.
+	nodeSlots, linkSlots slots
 	// nodePrices/linkPrices and the capacity mirrors below are the SoA
-	// operands of the Eq. 12/13 price sweeps: flat float64 arrays indexed
-	// by node/link, so the per-iteration sweep is a branch-light pass over
-	// contiguous memory. nodeCap/linkCap mirror the Problem capacities of
-	// the armed constraints, written by rearm (NewEngine, Reset*) and
-	// SetNodeCapacity, the only supported mutation points.
+	// operands of the Eq. 12/13 price sweeps: flat float64 arrays, so the
+	// per-iteration sweep is a branch-light pass over contiguous memory.
+	// nodeCap/linkCap mirror the Problem capacities of the armed
+	// constraints, written by rearm (NewEngine, Reset*) and SetNodeCapacity,
+	// the only supported mutation points.
 	nodePrices []float64
 	linkPrices []float64
 	nodeCap    []float64
@@ -82,15 +89,15 @@ type Engine struct {
 	nodeForced []bool
 	linkForced []bool
 	// rateEpoch[i]: iteration e.rates[i] last changed; popEpoch[j]:
-	// iteration e.consumers[j] last changed; nodePriceEpoch[b] /
-	// linkPriceEpoch[l]: iteration the price last moved.
+	// iteration e.consumers[j] last changed; nodePriceEpoch/linkPriceEpoch:
+	// iteration the slot's price last moved.
 	rateEpoch      []int
 	popEpoch       []int
 	nodePriceEpoch []int
 	linkPriceEpoch []int
 	// views[i] is flow i's armed path view: the armed nodes and links on
 	// its path, in path order (see pathView). nodeArmed/linkArmed hold a bit
-	// per node/link, set iff some shard's armed list holds it. candNodes,
+	// per slot, set iff some shard's armed list holds it. candNodes,
 	// candLinks and flowMark are rearm's scratch marks, all clear between
 	// calls; rearmTested is the number of constraints the last re-arm tested.
 	views                []pathView
@@ -98,8 +105,8 @@ type Engine struct {
 	candNodes, candLinks bitset
 	flowMark             bitset
 	rearmTested          int
-	// nodeUsed/nodeBest cache admitNode's outputs per node; linkUsed
-	// caches each link's usage sum. A skipped constraint reuses these
+	// nodeUsed/nodeBest cache admitNode's outputs per node slot; linkUsed
+	// caches each link slot's usage sum. A skipped constraint reuses these
 	// verbatim — they are the exact floats the skipped recomputation
 	// would have produced.
 	nodeUsed []float64
@@ -179,8 +186,9 @@ func (vc *valueCache) value(c *model.Class, cid model.ClassID, r float64) float6
 // serial scan.
 type shardState struct {
 	// nodes and links are the armed sublists of the shard's plan lists —
-	// what Step sweeps (see rearm); each keeps the capacity to hold its whole
-	// plan list, so a wake's sorted insert allocates nothing.
+	// what Step sweeps (see rearm) — as ascending slots; each keeps the
+	// capacity to hold its whole plan list, so a wake's sorted insert
+	// allocates nothing.
 	nodes, links []int32
 	// scratch is the admission sort buffer, sized by the widest node, not
 	// the class count.
@@ -252,38 +260,24 @@ func NewEngine(p *model.Problem, cfg Config) (*Engine, error) {
 	ix := model.NewIndex(p)
 
 	e := &Engine{
-		p:          p,
-		ix:         ix,
-		cfg:        c,
-		rates:      make([]float64, len(p.Flows)),
-		consumers:  make([]int, len(p.Classes)),
-		active:     make([]bool, len(p.Flows)),
-		nodePrices: make([]float64, len(p.Nodes)),
-		linkPrices: make([]float64, len(p.Links)),
-		nodeCap:    make([]float64, len(p.Nodes)),
-		linkCap:    make([]float64, len(p.Links)),
-		gamma:      newGammaBank(c.GammaLiteral, len(p.Nodes)),
-		solvers:    make([]*rateSolver, len(p.Flows)),
+		p:         p,
+		ix:        ix,
+		cfg:       c,
+		rates:     make([]float64, len(p.Flows)),
+		consumers: make([]int, len(p.Classes)),
+		active:    make([]bool, len(p.Flows)),
+		nodeSlots: newSlots(len(p.Nodes)),
+		linkSlots: newSlots(len(p.Links)),
+		solvers:   make([]*rateSolver, len(p.Flows)),
 
-		flowForced:     make([]bool, len(p.Flows)),
-		nodeForced:     make([]bool, len(p.Nodes)),
-		linkForced:     make([]bool, len(p.Links)),
-		rateEpoch:      make([]int, len(p.Flows)),
-		popEpoch:       make([]int, len(p.Classes)),
-		nodePriceEpoch: make([]int, len(p.Nodes)),
-		linkPriceEpoch: make([]int, len(p.Links)),
-		nodeUsed:       make([]float64, len(p.Nodes)),
-		nodeBest:       make([]float64, len(p.Nodes)),
-		linkUsed:       make([]float64, len(p.Links)),
-		det:            metrics.NewConvergenceDetector(0, 0),
-		flowUtil:       make([]float64, len(p.Flows)),
-		flowUtilEpoch:  make([]int, len(p.Flows)),
-		views:          make([]pathView, len(p.Flows)),
-		nodeArmed:      newBitset(len(p.Nodes)),
-		linkArmed:      newBitset(len(p.Links)),
-		candNodes:      newBitset(len(p.Nodes)),
-		candLinks:      newBitset(len(p.Links)),
-		flowMark:       newBitset(len(p.Flows)),
+		flowForced:    make([]bool, len(p.Flows)),
+		rateEpoch:     make([]int, len(p.Flows)),
+		popEpoch:      make([]int, len(p.Classes)),
+		det:           metrics.NewConvergenceDetector(0, 0),
+		flowUtil:      make([]float64, len(p.Flows)),
+		flowUtilEpoch: make([]int, len(p.Flows)),
+		views:         make([]pathView, len(p.Flows)),
+		flowMark:      newBitset(len(p.Flows)),
 		vc: valueCache{
 			basis: make([]float64, len(p.Flows)),
 			scale: make([]float64, len(p.Classes)),
@@ -297,7 +291,29 @@ func NewEngine(p *model.Problem, cfg Config) (*Engine, error) {
 		e.tel = newEngineMetrics(c.Telemetry)
 	}
 	e.shardFn = e.stepShard
-	e.adoptPlan(newStagePlan(ix, e.nodePrices, e.linkPrices, c.workers, nil, model.RoutingDelta{}))
+	// Nothing holds a price yet: the plan lists what a flow crosses, and
+	// each of those takes the next slot, shard by shard in plan order.
+	e.adoptPlan(newStagePlan(ix, e.nodePriced, e.linkPriced, c.workers, nil, model.RoutingDelta{}))
+	n, m := listed(e.plan.nodes), listed(e.plan.links)
+	e.nodeSlots.ids, e.linkSlots.ids = make([]int32, 0, n), make([]int32, 0, m)
+	for _, ids := range e.plan.nodes {
+		for _, b := range ids {
+			e.nodeSlots.take(b)
+		}
+	}
+	for _, ids := range e.plan.links {
+		for _, l := range ids {
+			e.linkSlots.take(l)
+		}
+	}
+	e.nodePrices, e.nodeCap = make([]float64, n), make([]float64, n)
+	e.nodeUsed, e.nodeBest = make([]float64, n), make([]float64, n)
+	e.nodeForced, e.nodePriceEpoch = make([]bool, n), make([]int, n)
+	e.gamma = newGammaBank(c.GammaLiteral, n)
+	e.nodeArmed, e.candNodes = newBitset(n), newBitset(n)
+	e.linkPrices, e.linkCap, e.linkUsed = make([]float64, m), make([]float64, m), make([]float64, m)
+	e.linkForced, e.linkPriceEpoch = make([]bool, m), make([]int, m)
+	e.linkArmed, e.candLinks = newBitset(m), newBitset(m)
 	for i := range p.Flows {
 		e.rates[i] = p.Flows[i].RateMin
 		e.active[i] = true
@@ -372,10 +388,10 @@ func (e *Engine) Close() {
 // that, half of it, down to GOMAXPROCS — the plan has that many shards,
 // fanned out over the worker pool; otherwise it has one, run on the
 // caller's goroutine. Either way Step performs exactly the serial
-// arithmetic: within a shard the stages run in serial order over ascending
-// lists, and every cross-shard reduction (max overload, counter sums,
-// changed flags) is order-independent, so results are bit-identical for
-// any shard count.
+// arithmetic: within a shard the stages run in serial order, no item of a
+// stage reads another's output (so the order of a list is immaterial), and
+// every cross-shard reduction (max overload, counter sums, changed flags)
+// is order-independent, so results are bit-identical for any shard count.
 //
 // Step is incremental: a flow re-solves its rate problem only when some
 // price on its path or some consuming class's population changed last
@@ -480,12 +496,12 @@ func (e *Engine) shardImbalance() float64 {
 func (e *Engine) flowDirty(i int, prev int) bool {
 	v := &e.views[i]
 	for _, a := range v.links {
-		if e.linkPriceEpoch[a.id] == prev {
+		if e.linkPriceEpoch[a.slot] == prev {
 			return true
 		}
 	}
 	for _, a := range v.nodes {
-		if e.nodePriceEpoch[a.id] == prev {
+		if e.nodePriceEpoch[a.slot] == prev {
 			return true
 		}
 	}
@@ -536,14 +552,14 @@ func (e *Engine) rateList(ids []int32, sh *shardState) {
 	sh.rateChanged = changed
 }
 
-// admitItem runs the admission half of the node stage for node b:
-// Algorithm 2 when a crossing flow's rate changed this iteration (or a
+// admitItem runs the admission half of the node stage for the node in slot
+// s: Algorithm 2 when a crossing flow's rate changed this iteration (or a
 // mutator forced the node), cache reuse otherwise. Population changes mark
 // the node's crossing flows in the shard's touch list so the flow-utility
 // cache refresh knows what moved.
-func (e *Engine) admitItem(b int, sh *shardState, skipped *int, popChanged *bool) {
-	bid := model.NodeID(b)
-	recompute := e.nodeForced[b]
+func (e *Engine) admitItem(s int32, sh *shardState, skipped *int, popChanged *bool) {
+	bid := model.NodeID(e.nodeSlots.ids[s])
+	recompute := e.nodeForced[s]
 	if !recompute {
 		t := e.iteration
 		for _, i := range e.ix.FlowsByNode(bid) {
@@ -557,10 +573,10 @@ func (e *Engine) admitItem(b int, sh *shardState, skipped *int, popChanged *bool
 		*skipped++
 		return
 	}
-	e.nodeForced[b] = false
+	e.nodeForced[s] = false
 	out := admitNode(e.p, e.ix, bid, e.rates, nil, e.active, e.consumers, sh.scratch,
 		&e.rank, &e.vc, e.popEpoch, e.iteration)
-	e.nodeUsed[b], e.nodeBest[b] = out.used, out.bestUnsatisfied
+	e.nodeUsed[s], e.nodeBest[s] = out.used, out.bestUnsatisfied
 	if out.popChanged {
 		*popChanged = true
 		sh.touchFlows(e.ix.FlowsByNode(bid), e.iteration)
@@ -584,7 +600,7 @@ func (sh *shardState) touchFlows(flows []model.FlowID, t int) {
 	sh.touchIDs = ids
 }
 
-// nodePriceList is the price half of the node stage over a shard's nodes:
+// nodePriceList is the price half of the node stage over a shard's node slots:
 // the Equation 12 sweep as a branch-light pass over the flat
 // price/used/best/capacity arrays, returning the list's max overload.
 // It is split from admission so the sweep reads SoA state the admission
@@ -596,15 +612,15 @@ func (e *Engine) nodePriceList(ids []int32) float64 {
 	t := e.iteration
 	prices, used, best, caps := e.nodePrices, e.nodeUsed, e.nodeBest, e.nodeCap
 	if e.cfg.Adaptive {
-		for _, b := range ids {
-			u, cp, prev := used[b], caps[b], prices[b]
-			g := e.gamma.val[b]
-			next := nodePriceUpdate(prev, best[b], u, cp, g)
-			e.gamma.observe(int(b), priceGap(prev, best[b], u, cp), prev)
+		for _, s := range ids {
+			u, cp, prev := used[s], caps[s], prices[s]
+			g := e.gamma.val[s]
+			next := nodePriceUpdate(prev, best[s], u, cp, g)
+			e.gamma.observe(int(s), priceGap(prev, best[s], u, cp), prev)
 			if next != prev {
-				e.nodePriceEpoch[b] = t
+				e.nodePriceEpoch[s] = t
 			}
-			prices[b] = next
+			prices[s] = next
 			if o := u - cp; o > over {
 				over = o
 			}
@@ -612,13 +628,13 @@ func (e *Engine) nodePriceList(ids []int32) float64 {
 		return over
 	}
 	g := e.cfg.Gamma
-	for _, b := range ids {
-		u, cp, prev := used[b], caps[b], prices[b]
-		next := nodePriceUpdate(prev, best[b], u, cp, g)
+	for _, s := range ids {
+		u, cp, prev := used[s], caps[s], prices[s]
+		next := nodePriceUpdate(prev, best[s], u, cp, g)
 		if next != prev {
-			e.nodePriceEpoch[b] = t
+			e.nodePriceEpoch[s] = t
 		}
-		prices[b] = next
+		prices[s] = next
 		if o := u - cp; o > over {
 			over = o
 		}
@@ -626,27 +642,27 @@ func (e *Engine) nodePriceList(ids []int32) float64 {
 	return over
 }
 
-// nodeList runs the node stage over a shard's nodes — all admissions, then
-// the price sweep.
+// nodeList runs the node stage over a shard's node slots — all admissions,
+// then the price sweep.
 func (e *Engine) nodeList(ids []int32, sh *shardState) {
 	skipped, popChanged := 0, false
-	for _, b := range ids {
-		e.admitItem(int(b), sh, &skipped, &popChanged)
+	for _, s := range ids {
+		e.admitItem(s, sh, &skipped, &popChanged)
 	}
 	sh.overNode = e.nodePriceList(ids)
 	sh.skippedNodes = skipped
 	sh.popChanged = popChanged
 }
 
-// linkUsageItem is the usage half of the link stage for link l: re-sum
-// when a traversing flow's rate changed this iteration (or a mutator
+// linkUsageItem is the usage half of the link stage for the link in slot s:
+// re-sum when a traversing flow's rate changed this iteration (or a mutator
 // forced the link), cache reuse otherwise. The sum drops the per-flow
 // active check the old inner loop carried: an inactive flow's rate is
 // identically zero (rateOne and SetFlowActive both pin it), and since
 // every term is non-negative, adding its exact 0.0 cannot perturb the sum.
-func (e *Engine) linkUsageItem(l int, skipped *int) {
-	lid := model.LinkID(l)
-	recompute := e.linkForced[l]
+func (e *Engine) linkUsageItem(s int32, skipped *int) {
+	lid := model.LinkID(e.linkSlots.ids[s])
+	recompute := e.linkForced[s]
 	if !recompute {
 		t := e.iteration
 		for _, i := range e.ix.FlowsByLink(lid) {
@@ -660,16 +676,16 @@ func (e *Engine) linkUsageItem(l int, skipped *int) {
 		*skipped++
 		return
 	}
-	e.linkForced[l] = false
+	e.linkForced[s] = false
 	used := 0.0
 	costs := e.ix.FlowCostsByLink(lid)
 	for k, i := range e.ix.FlowsByLink(lid) {
 		used += costs[k] * e.rates[i]
 	}
-	e.linkUsed[l] = used
+	e.linkUsed[s] = used
 }
 
-// linkPriceList is the Equation 13 sweep over a shard's links as a
+// linkPriceList is the Equation 13 sweep over a shard's link slots as a
 // branch-light pass over the flat price/used/capacity arrays, returning
 // the list's max overload.
 func (e *Engine) linkPriceList(ids []int32) float64 {
@@ -677,13 +693,13 @@ func (e *Engine) linkPriceList(ids []int32) float64 {
 	t := e.iteration
 	g := e.cfg.LinkGamma
 	prices, used, caps := e.linkPrices, e.linkUsed, e.linkCap
-	for _, l := range ids {
-		u, cp, prev := used[l], caps[l], prices[l]
+	for _, s := range ids {
+		u, cp, prev := used[s], caps[s], prices[s]
 		next := linkPriceUpdate(prev, u, cp, g)
 		if next != prev {
-			e.linkPriceEpoch[l] = t
+			e.linkPriceEpoch[s] = t
 		}
-		prices[l] = next
+		prices[s] = next
 		if o := u - cp; o > over {
 			over = o
 		}
@@ -691,12 +707,12 @@ func (e *Engine) linkPriceList(ids []int32) float64 {
 	return over
 }
 
-// linkList runs the link stage over a shard's links — all usage re-sums,
-// then the price sweep.
+// linkList runs the link stage over a shard's link slots — all usage
+// re-sums, then the price sweep.
 func (e *Engine) linkList(ids []int32, sh *shardState) {
 	skipped := 0
-	for _, l := range ids {
-		e.linkUsageItem(int(l), &skipped)
+	for _, s := range ids {
+		e.linkUsageItem(s, &skipped)
 	}
 	sh.overLink = e.linkPriceList(ids)
 	sh.skippedLinks = skipped
@@ -788,7 +804,7 @@ func (e *Engine) flowPrice(i model.FlowID) float64 {
 	v := &e.views[i]
 	lcosts := e.ix.LinkCostsByFlow(i)
 	for _, a := range v.links {
-		price += lcosts[a.k] * e.linkPrices[a.id]
+		price += lcosts[a.k] * e.linkPrices[a.slot]
 	}
 	ncosts := e.ix.NodeCostsByFlow(i)
 	classes := e.ix.ClassesByFlowNode(i)
@@ -797,7 +813,7 @@ func (e *Engine) flowPrice(i model.FlowID) float64 {
 		for _, cid := range classes[a.k] {
 			coeff += e.p.Classes[cid].CostPerConsumer * float64(e.consumers[cid])
 		}
-		price += coeff * e.nodePrices[a.id]
+		price += coeff * e.nodePrices[a.slot]
 	}
 	return price
 }
@@ -836,7 +852,7 @@ func (e *Engine) SetFlowActive(i model.FlowID, active bool) {
 		e.rates[i] = 0
 		for _, cid := range e.ix.ClassesByFlow(i) {
 			e.consumers[cid] = 0
-			e.nodeForced[e.p.Classes[cid].Node] = true
+			e.forceNode(e.p.Classes[cid].Node)
 		}
 	} else {
 		e.rates[i] = e.p.Flows[i].RateMin
@@ -848,12 +864,20 @@ func (e *Engine) SetFlowActive(i model.FlowID, active bool) {
 	// (stale usage sums). The objective moved too.
 	e.flowForced[i] = true
 	for _, b := range e.ix.NodesByFlow(i) {
-		e.nodeForced[b] = true
+		e.forceNode(b)
 	}
 	for _, l := range e.ix.LinksByFlow(i) {
-		e.linkForced[l] = true
+		e.linkForced[e.linkSlots.at(int32(l))] = true
 	}
 	e.utilStale = true
+}
+
+// forceNode forces node b's next admission, if the plan lists it: a node
+// without a slot is not swept, and the re-arm that gives it one forces it.
+func (e *Engine) forceNode(b model.NodeID) {
+	if s := e.nodeSlots.at(int32(b)); s >= 0 {
+		e.nodeForced[s] = true
+	}
 }
 
 // SetClassDemand changes a class's n^max mid-run, modeling consumers
@@ -891,7 +915,7 @@ func (e *Engine) SetClassDemand(j model.ClassID, maxConsumers int) error {
 	}
 	// Whether or not the population was truncated, the node's greedy
 	// admission may now admit a different mix.
-	e.nodeForced[c.Node] = true
+	e.forceNode(c.Node)
 	return nil
 }
 
@@ -911,27 +935,26 @@ func (e *Engine) SetNodeCapacity(b model.NodeID, capacity float64) error {
 	e.settled = false
 	// A node the plan does not list is not swept: the re-arm that first arms
 	// it reads its capacity.
-	for s := range e.sh[:e.plan.shards] {
-		if _, listed := slices.BinarySearch(e.plan.nodes[s], int32(b)); !listed {
-			continue
-		}
-		// The admission budget changed; the cached used/bestUnsatisfied are
-		// stale. (The price sweep reads the capacity mirror each iteration.)
-		e.nodeCap[b] = capacity
-		e.nodeForced[b] = true
-		sh := &e.sh[s]
-		if k, armed := slices.BinarySearch(sh.nodes, int32(b)); !armed &&
-			!slack(e.ix.FlowsByNode(b), e.ix.FlowCostsByNode(b), e.p.Flows, capacity) {
-			// The node can bind now: rearm parked it, so it wakes — with no
-			// epoch of its own yet, and on the views of the flows crossing it.
-			sh.nodes = slices.Insert(sh.nodes, k, int32(b))
-			e.nodePriceEpoch[b] = 0
-			e.nodeArmed.set(int32(b))
-			for _, i := range e.ix.FlowsByNode(b) {
-				e.buildView(int(i))
-			}
-		}
-		break
+	slot := e.nodeSlots.at(int32(b))
+	if slot < 0 {
+		return nil
+	}
+	// The admission budget changed; the cached used/bestUnsatisfied are
+	// stale. (The price sweep reads the capacity mirror each iteration.)
+	e.nodeCap[slot] = capacity
+	e.nodeForced[slot] = true
+	if e.nodeArmed.has(slot) || slack(e.ix.FlowsByNode(b), e.ix.FlowCostsByNode(b), e.p.Flows, capacity) {
+		return nil
+	}
+	// The node can bind now: rearm parked it, so it wakes — with no epoch of
+	// its own yet, and on the views of the flows crossing it.
+	sh := &e.sh[e.plan.shardOf(e.plan.nodes, int32(b), e.ix.FlowsByNode(b))]
+	k, _ := slices.BinarySearch(sh.nodes, slot)
+	sh.nodes = slices.Insert(sh.nodes, k, slot)
+	e.nodePriceEpoch[slot] = 0
+	e.nodeArmed.set(slot)
+	for _, i := range e.ix.FlowsByNode(b) {
+		e.buildView(int(i))
 	}
 	return nil
 }
@@ -987,18 +1010,29 @@ func (e *Engine) ResetRouting(p *model.Problem, d model.RoutingDelta) error {
 	if err := e.ix.RefreshRouting(p, d); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	e.adoptPlan(newStagePlan(e.ix, e.nodePrices, e.linkPrices, e.cfg.workers, e.plan, d))
-	// A dirty constraint that no flow crosses any more and that holds no
-	// price has left the plan: nothing will refresh what it cached, so it
-	// goes back to the state of a constraint no flow ever crossed.
+	e.adoptPlan(newStagePlan(e.ix, e.nodePriced, e.linkPriced, e.cfg.workers, e.plan, d))
+	// The slots follow the plan, at the cost of the delta: a constraint that
+	// left it frees its slot first, then one that entered — d names it, it
+	// had no slot and a flow crosses it now — takes a slot, a freed one
+	// before a new one.
+	for _, b := range e.plan.droppedNodes {
+		if e.nodeSlots.at(b) >= 0 {
+			e.dropNode(b)
+		}
+	}
+	for _, l := range e.plan.droppedLinks {
+		if e.linkSlots.at(l) >= 0 {
+			e.dropLink(l)
+		}
+	}
 	for _, b := range d.Nodes {
-		if len(e.ix.FlowsByNode(b)) == 0 && e.nodePrices[b] == 0 {
-			e.nodeUsed[b], e.nodeBest[b], e.nodeForced[b] = 0, 0, false
+		if e.nodeSlots.at(int32(b)) < 0 && len(e.ix.FlowsByNode(b)) != 0 {
+			e.addNode(int32(b))
 		}
 	}
 	for _, l := range d.Links {
-		if len(e.ix.FlowsByLink(l)) == 0 && e.linkPrices[l] == 0 {
-			e.linkUsed[l], e.linkForced[l] = 0, false
+		if e.linkSlots.at(int32(l)) < 0 && len(e.ix.FlowsByLink(l)) != 0 {
+			e.addLink(int32(l))
 		}
 	}
 	if e.cfg.Adaptive {
@@ -1009,18 +1043,27 @@ func (e *Engine) ResetRouting(p *model.Problem, d model.RoutingDelta) error {
 		// deep into an equilibrium dead band can sustain a limit cycle
 		// the fresh heuristic would damp. Restart the controllers on the
 		// damage footprint (reseed is idempotent; untouched nodes keep
-		// their tuning, preserving warm-start locality).
+		// their tuning, preserving warm-start locality). A node without a
+		// slot holds the initial state already.
 		for _, b := range d.Nodes {
-			e.gamma.reseed(int(b))
+			e.reseedNode(b)
 		}
 		for _, i := range d.Flows {
 			for _, b := range e.ix.NodesByFlow(i) {
-				e.gamma.reseed(int(b))
+				e.reseedNode(b)
 			}
 		}
 	}
 	e.warmRestart(p, &d)
 	return nil
+}
+
+// reseedNode returns node b's stepsize controller to its initial state, if
+// b holds a slot.
+func (e *Engine) reseedNode(b model.NodeID) {
+	if s := e.nodeSlots.at(int32(b)); s >= 0 {
+		e.gamma.reseed(int(s))
+	}
 }
 
 // warmRestart is the shared tail of Reset and ResetRouting: re-targets
@@ -1065,8 +1108,9 @@ func (e *Engine) warmRestart(p *model.Problem, d *model.RoutingDelta) {
 // With d nil (NewEngine, Reset, which may change capacities and RateMax
 // anywhere) the rule is tested on every listed constraint. With
 // ResetRouting's delta it is tested on what was armed, what d names and
-// what d's flows cross: only those may differ from the problem the last
-// re-arm saw, so nothing else can change status. A constraint is written
+// what d's flows cross, and rearm visits nothing else: only those may
+// differ from the problem the last re-arm saw, so nothing else can change
+// status, and what was not armed stays parked. A constraint is written
 // only when it is armed — its epoch cleared, its capacity mirror read, its
 // force set; a parked one's are not read until a re-arm or a wake arms it
 // again. The path views of the flows crossing a constraint whose status
@@ -1080,91 +1124,46 @@ func (e *Engine) rearm(d *model.RoutingDelta) {
 		e.rateEpoch[i] = 0
 		e.flowUtilEpoch[i] = 0
 	}
+	e.rearmTested = 0
+	for k := range e.sh[:e.plan.shards] {
+		sh := &e.sh[k]
+		sh.nodes = slices.Grow(sh.nodes[:0], len(e.plan.nodes[k]))
+		sh.links = slices.Grow(sh.links[:0], len(e.plan.links[k]))
+	}
 	if d == nil {
-		e.candNodes.fill()
-		e.candLinks.fill()
+		for s, b := range e.nodeSlots.ids {
+			if b >= 0 {
+				e.rearmNode(int32(s))
+			}
+		}
+		for s, l := range e.linkSlots.ids {
+			if l >= 0 {
+				e.rearmLink(int32(s))
+			}
+		}
 	} else {
 		copy(e.candNodes, e.nodeArmed)
 		copy(e.candLinks, e.linkArmed)
 		for _, b := range d.Nodes {
-			e.candNodes.set(int32(b))
+			e.markNode(b)
 		}
 		for _, l := range d.Links {
-			e.candLinks.set(int32(l))
+			e.markLink(l)
 		}
 		for _, i := range d.Flows {
 			e.flowMark.set(int32(i))
 			for _, b := range e.ix.NodesByFlow(i) {
-				e.candNodes.set(int32(b))
+				e.markNode(b)
 			}
 			for _, l := range e.ix.LinksByFlow(i) {
-				e.candLinks.set(int32(l))
+				e.markLink(l)
 			}
 		}
+		// Every armed slot is marked, so one that is not stays parked.
+		e.candNodes.drain(e.rearmNode)
+		e.candLinks.drain(e.rearmLink)
 	}
-	e.rearmTested = 0
-	flows := e.p.Flows
-	for s := 0; s < e.plan.shards; s++ {
-		sh := &e.sh[s]
-		sh.nodes = slices.Grow(sh.nodes[:0], len(e.plan.nodes[s]))
-		for _, b := range e.plan.nodes[s] {
-			if !e.candNodes.take(b) {
-				if e.nodeArmed.has(b) {
-					sh.nodes = append(sh.nodes, b)
-				}
-				continue
-			}
-			e.rearmTested++
-			bid := model.NodeID(b)
-			capacity := e.p.Nodes[b].Capacity
-			armed := e.nodePrices[b] != 0 || len(e.ix.ClassesByNode(bid)) != 0 ||
-				(e.cfg.Adaptive && e.gamma.val[b] != e.gamma.max) ||
-				!slack(e.ix.FlowsByNode(bid), e.ix.FlowCostsByNode(bid), flows, capacity)
-			if armed {
-				e.nodePriceEpoch[b], e.nodeCap[b], e.nodeForced[b] = 0, capacity, true
-				sh.nodes = append(sh.nodes, b)
-			}
-			if armed != e.nodeArmed.has(b) {
-				e.nodeArmed.flip(b)
-				e.markFlows(e.ix.FlowsByNode(bid))
-			}
-		}
-		sh.links = slices.Grow(sh.links[:0], len(e.plan.links[s]))
-		for _, l := range e.plan.links[s] {
-			if !e.candLinks.take(l) {
-				if e.linkArmed.has(l) {
-					sh.links = append(sh.links, l)
-				}
-				continue
-			}
-			e.rearmTested++
-			lid := model.LinkID(l)
-			capacity := e.p.Links[l].Capacity
-			armed := e.linkPrices[l] != 0 ||
-				!slack(e.ix.FlowsByLink(lid), e.ix.FlowCostsByLink(lid), flows, capacity)
-			if armed {
-				e.linkPriceEpoch[l], e.linkCap[l], e.linkForced[l] = 0, capacity, true
-				sh.links = append(sh.links, l)
-			}
-			if armed != e.linkArmed.has(l) {
-				e.linkArmed.flip(l)
-				e.markFlows(e.ix.FlowsByLink(lid))
-			}
-		}
-	}
-	// A marked constraint the plan does not list has no flow and no price:
-	// it is parked like one no flow ever crossed, and the flows that left it
-	// are d's.
-	e.nodeArmed.andNot(e.candNodes)
-	e.linkArmed.andNot(e.candLinks)
-	clear(e.candNodes)
-	clear(e.candLinks)
-	for w, word := range e.flowMark {
-		for ; word != 0; word &= word - 1 {
-			e.buildView(w<<6 + bits.TrailingZeros64(word))
-		}
-		e.flowMark[w] = 0
-	}
+	e.flowMark.drain(func(i int32) { e.buildView(int(i)) })
 	for j := range e.popEpoch {
 		e.popEpoch[j] = 0
 	}
@@ -1177,6 +1176,62 @@ func (e *Engine) rearm(d *model.RoutingDelta) {
 	}
 }
 
+// rearmNode tests the parking rule on the node in slot s and, if it is
+// armed, appends s to its shard's list — so each list is ascending when
+// rearm visits the slots in order.
+func (e *Engine) rearmNode(s int32) {
+	e.rearmTested++
+	b := e.nodeSlots.ids[s]
+	bid := model.NodeID(b)
+	crossing := e.ix.FlowsByNode(bid)
+	capacity := e.p.Nodes[b].Capacity
+	armed := e.nodePrices[s] != 0 || len(e.ix.ClassesByNode(bid)) != 0 ||
+		(e.cfg.Adaptive && e.gamma.val[s] != e.gamma.max) ||
+		!slack(crossing, e.ix.FlowCostsByNode(bid), e.p.Flows, capacity)
+	if armed {
+		e.nodePriceEpoch[s], e.nodeCap[s], e.nodeForced[s] = 0, capacity, true
+		sh := &e.sh[e.plan.shardOf(e.plan.nodes, b, crossing)]
+		sh.nodes = append(sh.nodes, s)
+	}
+	if armed != e.nodeArmed.has(s) {
+		e.nodeArmed.flip(s)
+		e.markFlows(crossing)
+	}
+}
+
+// rearmLink is rearmNode for the link in slot s.
+func (e *Engine) rearmLink(s int32) {
+	e.rearmTested++
+	l := e.linkSlots.ids[s]
+	lid := model.LinkID(l)
+	crossing := e.ix.FlowsByLink(lid)
+	capacity := e.p.Links[l].Capacity
+	armed := e.linkPrices[s] != 0 || !slack(crossing, e.ix.FlowCostsByLink(lid), e.p.Flows, capacity)
+	if armed {
+		e.linkPriceEpoch[s], e.linkCap[s], e.linkForced[s] = 0, capacity, true
+		sh := &e.sh[e.plan.shardOf(e.plan.links, l, crossing)]
+		sh.links = append(sh.links, s)
+	}
+	if armed != e.linkArmed.has(s) {
+		e.linkArmed.flip(s)
+		e.markFlows(crossing)
+	}
+}
+
+// markNode and markLink mark a constraint's slot, if it holds one, as a
+// candidate of rearm's test.
+func (e *Engine) markNode(b model.NodeID) {
+	if s := e.nodeSlots.at(int32(b)); s >= 0 {
+		e.candNodes.set(s)
+	}
+}
+
+func (e *Engine) markLink(l model.LinkID) {
+	if s := e.linkSlots.at(int32(l)); s >= 0 {
+		e.candLinks.set(s)
+	}
+}
+
 // markFlows marks flows for rearm's view rebuild.
 func (e *Engine) markFlows(flows []model.FlowID) {
 	for _, i := range flows {
@@ -1185,7 +1240,7 @@ func (e *Engine) markFlows(flows []model.FlowID) {
 }
 
 // pathView is a flow's armed path view: the armed links and nodes on its
-// path, each as its id and its position in the index's per-flow lists
+// path, each as its slot and its position in the index's per-flow lists
 // (LinksByFlow and LinkCostsByFlow; NodesByFlow, NodeCostsByFlow and
 // ClassesByFlowNode), in path order. flowPrice and flowDirty walk it instead
 // of the whole path. That is exact: a parked constraint sits at price
@@ -1199,7 +1254,7 @@ type pathView struct {
 
 // armedAt is one entry of a pathView.
 type armedAt struct {
-	id, k int32
+	slot, k int32
 }
 
 // buildView rebuilds flow i's path view from its index path and the armed
@@ -1209,14 +1264,14 @@ func (e *Engine) buildView(i int) {
 	v := &e.views[i]
 	v.links = v.links[:0]
 	for k, l := range e.ix.LinksByFlow(fid) {
-		if e.linkArmed.has(int32(l)) {
-			v.links = append(v.links, armedAt{int32(l), int32(k)})
+		if s := e.linkSlots.at(int32(l)); e.linkArmed.has(s) {
+			v.links = append(v.links, armedAt{s, int32(k)})
 		}
 	}
 	v.nodes = v.nodes[:0]
 	for k, b := range e.ix.NodesByFlow(fid) {
-		if e.nodeArmed.has(int32(b)) {
-			v.nodes = append(v.nodes, armedAt{int32(b), int32(k)})
+		if s := e.nodeSlots.at(int32(b)); e.nodeArmed.has(s) {
+			v.nodes = append(v.nodes, armedAt{s, int32(k)})
 		}
 	}
 }
@@ -1225,6 +1280,14 @@ func (e *Engine) buildView(i int) {
 type bitset []uint64
 
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+// grow returns s with room for n bits, the new ones clear.
+func (s bitset) grow(n int) bitset {
+	for len(s)*64 < n {
+		s = append(s, 0)
+	}
+	return s
+}
 
 func (s bitset) has(id int32) bool { return s[id>>6]&(1<<(id&63)) != 0 }
 func (s bitset) set(id int32)      { s[id>>6] |= 1 << (id & 63) }
@@ -1238,16 +1301,13 @@ func (s bitset) take(id int32) bool {
 	return had
 }
 
-// andNot clears in s every bit set in t.
-func (s bitset) andNot(t bitset) {
-	for w := range s {
-		s[w] &^= t[w]
-	}
-}
-
-func (s bitset) fill() {
-	for w := range s {
-		s[w] = ^uint64(0)
+// drain calls fn with each id whose bit is set, ascending, and clears s.
+func (s bitset) drain(fn func(id int32)) {
+	for w, word := range s {
+		for ; word != 0; word &= word - 1 {
+			fn(int32(w<<6 + bits.TrailingZeros64(word)))
+		}
+		s[w] = 0
 	}
 }
 
@@ -1285,23 +1345,33 @@ func (e *Engine) Allocation() model.Allocation {
 
 // NodePrices returns a copy of the node price vector.
 func (e *Engine) NodePrices() []float64 {
-	out := make([]float64, len(e.nodePrices))
-	copy(out, e.nodePrices)
-	return out
+	return expand(make([]float64, len(e.p.Nodes)), &e.nodeSlots, e.nodePrices)
 }
 
 // LinkPrices returns a copy of the link price vector.
 func (e *Engine) LinkPrices() []float64 {
-	out := make([]float64, len(e.linkPrices))
-	copy(out, e.linkPrices)
-	return out
+	return expand(make([]float64, len(e.p.Links)), &e.linkSlots, e.linkPrices)
 }
 
 // Gammas returns a copy of the per-node adaptive stepsizes (meaningful only
 // with Config.Adaptive).
 func (e *Engine) Gammas() []float64 {
-	out := make([]float64, len(e.gamma.val))
-	copy(out, e.gamma.val)
+	out := make([]float64, len(e.p.Nodes))
+	for b := range out {
+		out[b] = e.gamma.init
+	}
+	return expand(out, &e.nodeSlots, e.gamma.val)
+}
+
+// expand writes the slot values vals into out, indexed by id, and returns
+// out: what a constraint without a slot holds — price 0, the initial γ — is
+// the caller's to fill in.
+func expand(out []float64, m *slots, vals []float64) []float64 {
+	for s, id := range m.ids {
+		if id >= 0 {
+			out[id] = vals[s]
+		}
+	}
 	return out
 }
 

@@ -221,8 +221,8 @@ func TestStagePlanPartition(t *testing.T) {
 		{"entangled", entangled, 4, 1, 1},
 	} {
 		ix := model.NewIndex(c.p)
-		nodePrices, linkPrices := make([]float64, len(c.p.Nodes)), make([]float64, len(c.p.Links))
-		plan := newStagePlan(ix, nodePrices, linkPrices, c.workers, nil, model.RoutingDelta{})
+		unpriced := func(int32) bool { return false }
+		plan := newStagePlan(ix, unpriced, unpriced, c.workers, nil, model.RoutingDelta{})
 		if plan.shards != c.shards || plan.components != c.components {
 			t.Fatalf("%s: %d shards, %d components; want %d, %d",
 				c.name, plan.shards, plan.components, c.shards, c.components)
@@ -253,7 +253,7 @@ func TestStagePlanPartition(t *testing.T) {
 		check("node", plan.nodes, len(c.p.Nodes), loadedNode(ix))
 		check("link", plan.links, len(c.p.Links), loadedLink(ix))
 
-		again := newStagePlan(model.NewIndex(c.p), nodePrices, linkPrices, c.workers, nil, model.RoutingDelta{})
+		again := newStagePlan(model.NewIndex(c.p), unpriced, unpriced, c.workers, nil, model.RoutingDelta{})
 		if !reflect.DeepEqual(plan, again) {
 			t.Errorf("%s: plan not deterministic across rebuilds", c.name)
 		}

@@ -27,11 +27,11 @@ func forceFull(e *Engine) {
 	for i := range e.flowForced {
 		e.flowForced[i] = true
 	}
-	for b := range e.nodeForced {
-		e.nodeForced[b] = true
+	for s, b := range e.nodeSlots.ids {
+		e.nodeForced[s] = b >= 0
 	}
-	for l := range e.linkForced {
-		e.linkForced[l] = true
+	for s, l := range e.linkSlots.ids {
+		e.linkForced[s] = l >= 0
 	}
 	e.utilStale = true
 }

@@ -132,9 +132,16 @@ func (ev linkfailEvent) apply(t testing.TB, r *overlay.Router) (ok bool) {
 // 1-based number once r holds its routing and its pending delta.
 func runLinkfailSequence(t testing.TB, r *overlay.Router, after func(n int, ev linkfailEvent)) {
 	t.Helper()
+	runLinkfailEvents(t, r, linkfailEvents, after)
+}
+
+// runLinkfailEvents is runLinkfailSequence for the first events events of
+// the seeded sequence.
+func runLinkfailEvents(t testing.TB, r *overlay.Router, events int, after func(n int, ev linkfailEvent)) {
+	t.Helper()
 	var dead []int
 	rng := rand.New(rand.NewSource(20062))
-	for n := 0; n < linkfailEvents; {
+	for n := 0; n < events; {
 		ev := nextLinkfailEvent(rng, r, dead)
 		if !ev.apply(t, r) {
 			continue
@@ -176,18 +183,27 @@ func stateLine(e *core.Engine, utility float64) string {
 }
 
 // linkfailKinds counts what the sequence exercised: constraints that lost
-// their last flow while priced, and ones that gained their first.
+// their last flow while priced, and ones that gained their first; links
+// that left the plan unnamed, their price decayed since a delta emptied
+// them, and nodes likewise; constraints that gained their first flow in a
+// slot a constraint leaving the plan had freed; and nodes whose γ was off
+// its initial value as they left the plan unnamed.
 type linkfailKinds struct {
 	pricedNodeEmptied, pricedLinkEmptied int
 	nodeFirstFlow, linkFirstFlow         int
+	linkDecayedOut, nodeDecayedOut       int
+	slotReused, nodeLeftOffInit          int
 }
 
 // loadedBefore notes, for the constraints d names, whether a flow crossed
 // them under e's current (pre-ResetRouting) index and whether they hold a
-// price.
+// price; and what the plan lists, which slots are free and every γ.
 type loadedBefore struct {
-	nodeHad, nodePriced []bool
-	linkHad, linkPriced []bool
+	nodeHad, nodePriced          []bool
+	linkHad, linkPriced          []bool
+	listedNodes, listedLinks     []int32
+	freeNodeSlots, freeLinkSlots map[int32]bool
+	gammas                       []float64
 }
 
 func noteBefore(e *core.Engine, d model.RoutingDelta) loadedBefore {
@@ -201,7 +217,25 @@ func noteBefore(e *core.Engine, d model.RoutingDelta) loadedBefore {
 		lb.linkHad = append(lb.linkHad, len(ix.FlowsByLink(l)) > 0)
 		lb.linkPriced = append(lb.linkPriced, lp[l] != 0)
 	}
+	lb.listedNodes, lb.listedLinks = core.ListedIDs(e)
+	nodeSlots, linkSlots := core.Slots(e)
+	lb.freeNodeSlots = freeSlots(nodeSlots, lb.listedNodes, func(b int32) int32 { return core.NodeSlot(e, model.NodeID(b)) })
+	lb.freeLinkSlots = freeSlots(linkSlots, lb.listedLinks, func(l int32) int32 { return core.LinkSlot(e, model.LinkID(l)) })
+	lb.gammas = e.Gammas()
 	return lb
+}
+
+// freeSlots returns the slots of storage n that none of the listed ids
+// holds.
+func freeSlots(n int, listed []int32, slot func(int32) int32) map[int32]bool {
+	free := make(map[int32]bool)
+	for s := int32(0); int(s) < n; s++ {
+		free[s] = true
+	}
+	for _, id := range listed {
+		delete(free, slot(id))
+	}
+	return free
 }
 
 func (k *linkfailKinds) noteAfter(e *core.Engine, d model.RoutingDelta, lb loadedBefore) {
@@ -213,6 +247,9 @@ func (k *linkfailKinds) noteAfter(e *core.Engine, d model.RoutingDelta, lb loade
 		}
 		if !lb.nodeHad[n] && has {
 			k.nodeFirstFlow++
+			if lb.freeNodeSlots[core.NodeSlot(e, b)] {
+				k.slotReused++
+			}
 		}
 	}
 	for n, l := range d.Links {
@@ -222,6 +259,23 @@ func (k *linkfailKinds) noteAfter(e *core.Engine, d model.RoutingDelta, lb loade
 		}
 		if !lb.linkHad[n] && has {
 			k.linkFirstFlow++
+			if lb.freeLinkSlots[core.LinkSlot(e, l)] {
+				k.slotReused++
+			}
+		}
+	}
+	nowNodes, nowLinks := core.ListedIDs(e)
+	for _, l := range lb.listedLinks {
+		if _, listed := slices.BinarySearch(nowLinks, l); !listed && !slices.Contains(d.Links, model.LinkID(l)) {
+			k.linkDecayedOut++
+		}
+	}
+	for _, b := range lb.listedNodes {
+		if _, listed := slices.BinarySearch(nowNodes, b); !listed && !slices.Contains(d.Nodes, model.NodeID(b)) {
+			k.nodeDecayedOut++
+			if lb.gammas[b] != core.DefaultGammaMax {
+				k.nodeLeftOffInit++
+			}
 		}
 	}
 }

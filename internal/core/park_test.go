@@ -51,10 +51,11 @@ func sweptUsage(e *Engine, rates []float64, active []bool) (node, link float64) 
 	copy(e.rates, rates)
 	copy(e.active, active)
 	out := admitNode(e.p, e.ix, 1, e.rates, nil, e.active, e.consumers, e.sh[0].scratch, &e.rank, &e.vc, e.popEpoch, 1)
-	e.linkForced[0] = true
+	l0 := e.linkSlots.at(0)
+	e.linkForced[l0] = true
 	skipped := 0
-	e.linkUsageItem(0, &skipped)
-	return out.used, e.linkUsed[0]
+	e.linkUsageItem(l0, &skipped)
+	return out.used, e.linkUsed[l0]
 }
 
 // TestParkedMeansTheSweepCannotBind: the arming rule compares capacity with
@@ -123,8 +124,8 @@ func TestParkedMeansTheSweepCannotBind(t *testing.T) {
 				if !exactFits {
 					parkedOverExact++
 				}
-				if e.nodeForced[1] || e.linkForced[0] {
-					t.Fatalf("a parked constraint is left forced: node %v, link %v", e.nodeForced[1], e.linkForced[0])
+				if n1, l0 := e.nodeSlots.at(1), e.linkSlots.at(0); e.nodeForced[n1] || e.linkForced[l0] {
+					t.Fatalf("a parked constraint is left forced: node %v, link %v", e.nodeForced[n1], e.linkForced[l0])
 				}
 				// Parking was safe: no rates of the box, with any flows
 				// inactive (pinned to 0), make the sweep compute more.
@@ -352,25 +353,26 @@ func TestWakeForcesARecompute(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		e.Step()
 	}
+	n1, l0 := e.nodeSlots.at(1), e.linkSlots.at(0)
 	nodes, links := Armed(e)
-	if isArmed(nodes, 1) || isArmed(links, 0) || e.nodeForced[1] || e.linkForced[0] {
+	if isArmed(nodes, 1) || isArmed(links, 0) || e.nodeForced[n1] || e.linkForced[l0] {
 		t.Fatalf("armed nodes %v links %v, forced %v %v; node 1 and link 0 should be parked and clean",
-			nodes, links, e.nodeForced[1], e.linkForced[0])
+			nodes, links, e.nodeForced[n1], e.linkForced[l0])
 	}
-	if e.nodePrices[1] != 0 || e.linkPrices[0] != 0 || e.gamma.val[1] != e.gamma.max {
-		t.Fatalf("a parked constraint moved: prices %v %v, gamma %v", e.nodePrices[1], e.linkPrices[0], e.gamma.val[1])
+	if e.nodePrices[n1] != 0 || e.linkPrices[l0] != 0 || e.gamma.val[n1] != e.gamma.max {
+		t.Fatalf("a parked constraint moved: prices %v %v, gamma %v", e.nodePrices[n1], e.linkPrices[l0], e.gamma.val[n1])
 	}
 	// Whatever the cache holds from before, the wake must not trust it.
-	e.nodeUsed[1] = 12345
+	e.nodeUsed[n1] = 12345
 	if err := e.SetNodeCapacity(1, 30); err != nil { // bound 2·10 + 3·10 = 50
 		t.Fatal(err)
 	}
-	if nodes, _ := Armed(e); !isArmed(nodes, 1) || !e.nodeForced[1] {
-		t.Fatalf("capacity 30 under bound 50: armed nodes %v, forced %v", nodes, e.nodeForced[1])
+	if nodes, _ := Armed(e); !isArmed(nodes, 1) || !e.nodeForced[n1] {
+		t.Fatalf("capacity 30 under bound 50: armed nodes %v, forced %v", nodes, e.nodeForced[n1])
 	}
 	e.Step()
-	if want := 2*e.rates[0] + 3*e.rates[1]; e.nodeUsed[1] != want || e.nodeForced[1] {
-		t.Fatalf("after the wake's Step node 1 caches usage %v (forced %v), its flows use %v", e.nodeUsed[1], e.nodeForced[1], want)
+	if want := 2*e.rates[0] + 3*e.rates[1]; e.nodeUsed[n1] != want || e.nodeForced[n1] {
+		t.Fatalf("after the wake's Step node 1 caches usage %v (forced %v), its flows use %v", e.nodeUsed[n1], e.nodeForced[n1], want)
 	}
 
 	if err := e.SetNodeCapacity(1, 1000); err != nil {
@@ -387,15 +389,16 @@ func TestWakeForcesARecompute(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
+	fresh1 := fresh.nodeSlots.at(1)
 	if allocs := testing.AllocsPerRun(20, func() {
 		fresh.rearm(nil)
-		if isArmed(fresh.sh[0].nodes, 1) {
+		if slices.Contains(fresh.sh[0].nodes, fresh1) {
 			t.Fatal("the re-arm left node 1 armed")
 		}
 		if err := fresh.SetNodeCapacity(1, 30); err != nil {
 			t.Fatal(err)
 		}
-		if !isArmed(fresh.sh[0].nodes, 1) {
+		if !slices.Contains(fresh.sh[0].nodes, fresh1) {
 			t.Fatal("capacity 30 left node 1 parked")
 		}
 		if err := fresh.SetNodeCapacity(1, 1000); err != nil {
@@ -428,7 +431,7 @@ func TestClimbingGammaStaysArmed(t *testing.T) {
 		t.Fatal("node 1 starts at the ceiling and should be parked")
 	}
 	const below = DefaultGammaMax / 2
-	live.gamma.val[1], full.gamma.val[1] = below, below
+	live.gamma.val[live.nodeSlots.at(1)], full.gamma.val[full.nodeSlots.at(1)] = below, below
 	live.rearm(nil)
 	SweepAll(full)
 	if nodes, _ := Armed(live); !isArmed(nodes, 1) {
@@ -436,14 +439,14 @@ func TestClimbingGammaStaysArmed(t *testing.T) {
 	}
 	for i := 0; i < 80; i++ {
 		rf, rl := full.Step(), live.Step()
-		if rf.Utility != rl.Utility || !slices.Equal(full.gamma.val, live.gamma.val) ||
-			!slices.Equal(full.nodePrices, live.nodePrices) {
+		if rf.Utility != rl.Utility || !slices.Equal(full.Gammas(), live.Gammas()) ||
+			!slices.Equal(full.NodePrices(), live.NodePrices()) {
 			t.Fatalf("Step %d: γ %v prices %v utility %v; oracle %v %v %v",
-				i+1, live.gamma.val, live.nodePrices, rl.Utility, full.gamma.val, full.nodePrices, rf.Utility)
+				i+1, live.Gammas(), live.NodePrices(), rl.Utility, full.Gammas(), full.NodePrices(), rf.Utility)
 		}
 	}
-	if live.gamma.val[1] != live.gamma.max {
-		t.Fatalf("γ of node 1 is %v after 80 Steps, want the ceiling", live.gamma.val[1])
+	if g := live.Gammas()[1]; g != live.gamma.max {
+		t.Fatalf("γ of node 1 is %v after 80 Steps, want the ceiling", g)
 	}
 	if err := live.Reset(p); err != nil {
 		t.Fatal(err)
@@ -494,20 +497,21 @@ func TestWakeClearsAStaleEpoch(t *testing.T) {
 		}
 		SweepAll(full)
 	}
+	n1 := live.nodeSlots.at(1)
 	steps("overloaded", 40)
-	if live.nodePrices[1] == 0 {
+	if live.nodePrices[n1] == 0 {
 		t.Fatal("node 1 holds no price at capacity 30")
 	}
 	// Room for everything: armed while its price decays to 0.
 	p.Nodes[1].Capacity = 1000
 	reset()
-	for live.nodePrices[1] != 0 {
+	for live.nodePrices[n1] != 0 {
 		if live.iteration > 5000 {
-			t.Fatalf("node 1's price %g has not reached 0", live.nodePrices[1])
+			t.Fatalf("node 1's price %g has not reached 0", live.nodePrices[n1])
 		}
 		steps("decaying", 1)
 	}
-	k := live.nodePriceEpoch[1]
+	k := live.nodePriceEpoch[n1]
 	steps("decayed", 5)
 	reset()
 	if nodes, _ := Armed(live); isArmed(nodes, 1) {
@@ -525,7 +529,7 @@ func TestWakeClearsAStaleEpoch(t *testing.T) {
 		t.Fatal("capacity 30 under the bound 50 left node 1 parked")
 	}
 	steps("woken", k+5)
-	if live.nodePrices[1] != 0 {
-		t.Fatalf("node 1 is priced %g after the wake; the test needs it at 0", live.nodePrices[1])
+	if live.nodePrices[n1] != 0 {
+		t.Fatalf("node 1 is priced %g after the wake; the test needs it at 0", live.nodePrices[n1])
 	}
 }

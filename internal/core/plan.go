@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 
@@ -29,11 +30,13 @@ import (
 // price has decayed to exactly 0; one that gains a flow is named by the
 // routing delta that rebuilds the plan. Which of the listed constraints a
 // Step sweeps is not the plan's business: rearm parks those that cannot bind.
+// The engine keeps state, in slots, for exactly the constraints the plan
+// lists (see slots).
 //
 // The analysis runs once per topology (NewEngine and ResetRouting; Reset
 // keeps the topology, so the plan survives it) over the index's dense
-// membership views and the two price vectors; it never consults costs or
-// capacities, which may change.
+// membership views and which constraints hold a price; it never consults
+// costs or capacities, which may change.
 
 // minParallelItems is the smallest item count (the largest of flows, live
 // nodes and live links) worth fanning out over the worker pool; below it a
@@ -59,6 +62,12 @@ type stagePlan struct {
 	flows  [][]int32
 	nodes  [][]int32
 	links  [][]int32
+	// flowShard is each flow's shard, nil on a one-shard plan.
+	flowShard []int32
+	// droppedNodes and droppedLinks are the ids a re-plan tested and found
+	// idle, ascending: what left the plan, and what d named that did not
+	// enter it. nil without a previous plan.
+	droppedNodes, droppedLinks []int32
 }
 
 // newStagePlan builds Step's schedule for the indexed problem at the given
@@ -73,9 +82,11 @@ type stagePlan struct {
 // the routing delta d names, and finds the same lists: a constraint neither
 // listed nor named had no flow and price 0 when prev was built, no delta
 // since gave it a flow and no Step has swept it. A re-plan then costs
-// listed + delta, never the size of the overlay.
-func newStagePlan(ix *model.Index, nodePrices, linkPrices []float64, workers int, prev *stagePlan, d model.RoutingDelta) *stagePlan {
-	flows := make([]int32, len(ix.Problem().Flows))
+// listed + delta, never the size of the overlay. nodePriced and linkPriced
+// report whether a node or link holds a price.
+func newStagePlan(ix *model.Index, nodePriced, linkPriced func(int32) bool, workers int, prev *stagePlan, d model.RoutingDelta) *stagePlan {
+	p := ix.Problem()
+	flows := make([]int32, len(p.Flows))
 	for i := range flows {
 		flows[i] = int32(i)
 	}
@@ -83,12 +94,14 @@ func newStagePlan(ix *model.Index, nodePrices, linkPrices []float64, workers int
 	var prevNodes, prevLinks [][]int32
 	if prev != nil {
 		prevNodes, prevLinks = prev.nodes, prev.links
+		// prev's dropped lists are spent: reuse their storage.
+		plan.droppedNodes, plan.droppedLinks = prev.droppedNodes[:0], prev.droppedLinks[:0]
 	}
-	nodes := liveIDs(len(nodePrices), prevNodes, d.Nodes, &plan.tested, func(b int32) bool {
-		return len(ix.FlowsByNode(model.NodeID(b))) == 0 && nodePrices[b] == 0
+	nodes := liveIDs(len(p.Nodes), prevNodes, d.Nodes, &plan.tested, &plan.droppedNodes, func(b int32) bool {
+		return len(ix.FlowsByNode(model.NodeID(b))) == 0 && !nodePriced(b)
 	})
-	links := liveIDs(len(linkPrices), prevLinks, d.Links, &plan.tested, func(l int32) bool {
-		return len(ix.FlowsByLink(model.LinkID(l))) == 0 && linkPrices[l] == 0
+	links := liveIDs(len(p.Links), prevLinks, d.Links, &plan.tested, &plan.droppedLinks, func(l int32) bool {
+		return len(ix.FlowsByLink(model.LinkID(l))) == 0 && !linkPriced(l)
 	})
 	plan.nodes, plan.links = [][]int32{nodes}, [][]int32{links}
 	if workers > 1 && max(len(flows), len(nodes), len(links)) >= minParallelItems {
@@ -98,9 +111,10 @@ func newStagePlan(ix *model.Index, nodePrices, linkPrices []float64, workers int
 }
 
 // liveIDs returns in ascending order the ids that are not idle: of all n
-// when prev is nil, otherwise of those prev lists and those named. tested
-// grows by the number of ids it looked at.
-func liveIDs[ID ~int](n int, prev [][]int32, named []ID, tested *int, idle func(int32) bool) []int32 {
+// when prev is nil, otherwise of those prev lists and those named, with the
+// idle ones of those in dropped. tested grows by the number of ids it looked
+// at.
+func liveIDs[ID ~int](n int, prev [][]int32, named []ID, tested *int, dropped *[]int32, idle func(int32) bool) []int32 {
 	var ids []int32
 	if prev == nil {
 		*tested += n
@@ -124,7 +138,20 @@ func liveIDs[ID ~int](n int, prev [][]int32, named []ID, tested *int, idle func(
 		}
 	}
 	*tested += len(ids)
-	return slices.DeleteFunc(ids, idle)
+	// Compact from the first idle id on; usually none is.
+	k := slices.IndexFunc(ids, idle)
+	if k < 0 {
+		return ids
+	}
+	live := ids[:k]
+	for _, id := range ids[k:] {
+		if idle(id) {
+			*dropped = append(*dropped, id)
+		} else {
+			live = append(live, id)
+		}
+	}
+	return live
 }
 
 // listed is the number of ids a plan's per-shard lists hold.
@@ -245,8 +272,31 @@ func (plan *stagePlan) pack(ix *model.Index, budget int) {
 		}
 		plan.shards = shards
 		plan.flows, plan.nodes, plan.links = split(flows, flowComp), split(nodes, nodeComp), split(links, linkComp)
+		plan.flowShard = make([]int32, len(flows))
+		for v, c := range flowComp {
+			plan.flowShard[v] = shardOf[c]
+		}
 		return
 	}
+}
+
+// shardOf returns the shard whose list — of lists, the plan's node or link
+// lists — holds constraint id, which the given flows cross: the shard of the
+// first of them, as pack puts a constraint in its flows' component, or, for
+// a priced one no flow crosses, the one whose list holds it.
+func (plan *stagePlan) shardOf(lists [][]int32, id int32, crossing []model.FlowID) int {
+	if plan.shards == 1 {
+		return 0
+	}
+	if len(crossing) > 0 {
+		return int(plan.flowShard[crossing[0]])
+	}
+	for k, ids := range lists {
+		if _, found := slices.BinarySearch(ids, id); found {
+			return k
+		}
+	}
+	panic(fmt.Sprintf("core: the plan does not list constraint %d", id))
 }
 
 // assign packs components of the given weights onto shards, returning each

@@ -7,10 +7,11 @@ package core
 // node with the Section 4.2 heuristic. Link prices follow the gradient
 // projection of Low & Lapsley (Equation 13).
 
-// gammaBank holds the Section 4.2 adaptive stepsize state for every node in
-// structure-of-arrays layout: the engine's price sweep reads val[b] with a
-// plain indexed load, and the controller-state arrays are touched only on
-// the observe path. A NodePricer keeps a bank of one.
+// gammaBank holds the Section 4.2 adaptive stepsize state of a set of nodes
+// in structure-of-arrays layout — the Engine's, one entry per node slot:
+// its price sweep reads val[s] with a plain indexed load, and the
+// controller-state arrays are touched only on the observe path. A
+// NodePricer keeps a bank of one.
 //
 // While the node's price is not fluctuating, gamma grows additively; when
 // a fluctuation is detected it is halved; it is clamped to [min, max]. The
@@ -75,6 +76,14 @@ func newGammaBank(literal bool, n int) *gammaBank {
 		g.val[b] = g.init
 	}
 	return g
+}
+
+// add appends one node at its initial state.
+func (g *gammaBank) add() {
+	g.val = append(g.val, g.init)
+	g.prevGap = append(g.prevGap, 0)
+	g.sameRun = append(g.sameRun, 0)
+	g.havePrev = append(g.havePrev, false)
 }
 
 // reseed returns node b's controller to its initial state. A routing

@@ -264,10 +264,11 @@ func TestNodePriceReachesZero(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 50 && e.nodePrices[1] == 0; i++ {
+		n1 := e.nodeSlots.at(1)
+		for i := 0; i < 50 && e.nodePrices[n1] == 0; i++ {
 			e.Step()
 		}
-		start := e.nodePrices[1]
+		start := e.nodePrices[n1]
 		if start == 0 {
 			t.Fatalf("adaptive %v: node 1 never got a price", adaptive)
 		}
@@ -282,9 +283,9 @@ func TestNodePriceReachesZero(t *testing.T) {
 		// constant share of its price surges to it, so both decay by 0.9.
 		want := int(math.Ceil(math.Log(minNormal/start) / math.Log(1-DefaultGamma)))
 		steps := 0
-		for ; e.nodePrices[1] != 0; steps++ {
+		for ; e.nodePrices[n1] != 0; steps++ {
 			if steps > want+10 {
-				t.Fatalf("adaptive %v: node 1 still at %v after %d Steps, want 0 after ≈%d", adaptive, e.nodePrices[1], steps, want)
+				t.Fatalf("adaptive %v: node 1 still at %v after %d Steps, want 0 after ≈%d", adaptive, e.nodePrices[n1], steps, want)
 			}
 			e.Step()
 			for name, vs := range map[string][]float64{"node price": e.NodePrices(), "link price": e.LinkPrices(), "gamma": e.Gammas()} {
@@ -303,7 +304,7 @@ func TestNodePriceReachesZero(t *testing.T) {
 			t.Fatal(err)
 		}
 		if nodes, _ := Armed(e); isArmed(nodes, 1) {
-			t.Errorf("adaptive %v: node 1 reached price 0 and γ %v, and the re-arm did not park it", adaptive, e.gamma.val[1])
+			t.Errorf("adaptive %v: node 1 reached price 0 and γ %v, and the re-arm did not park it", adaptive, e.gamma.val[n1])
 		}
 		e.Close()
 	}

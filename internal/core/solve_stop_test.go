@@ -34,13 +34,14 @@ func allocHash(a model.Allocation) uint64 {
 }
 
 // overloads returns the engine's current worst node and link overload from
-// its cached usage (exact by the DESIGN §8 invariants).
+// its cached usage (exact by the DESIGN §8 invariants), over the slots; a
+// constraint without one has usage 0 and no overload.
 func overloads(e *Engine) (node, link float64) {
-	for b, u := range e.nodeUsed {
-		node = math.Max(node, u-e.nodeCap[b])
+	for s, u := range e.nodeUsed {
+		node = math.Max(node, u-e.nodeCap[s])
 	}
-	for l, u := range e.linkUsed {
-		link = math.Max(link, u-e.linkCap[l])
+	for s, u := range e.linkUsed {
+		link = math.Max(link, u-e.linkCap[s])
 	}
 	return node, link
 }

@@ -171,11 +171,16 @@ func TestValueCacheBitIdentical(t *testing.T) {
 						trial, workers, it, rc, ro)
 				}
 				assertEnginesEqual(t, it, workers, oracle, cached)
-				for b := range oracle.nodeBest {
-					if oracle.nodeBest[b] != cached.nodeBest[b] || oracle.nodeUsed[b] != cached.nodeUsed[b] {
+				for b := range oracle.p.Nodes {
+					so, sc := oracle.nodeSlots.at(int32(b)), cached.nodeSlots.at(int32(b))
+					if (so < 0) != (sc < 0) {
+						t.Fatalf("trial %d workers %d iter %d: node %d holds slot %d, oracle %d",
+							trial, workers, it, b, sc, so)
+					}
+					if so >= 0 && (oracle.nodeBest[so] != cached.nodeBest[sc] || oracle.nodeUsed[so] != cached.nodeUsed[sc]) {
 						t.Fatalf("trial %d workers %d iter %d: node %d best/used %v/%v, oracle %v/%v",
-							trial, workers, it, b, cached.nodeBest[b], cached.nodeUsed[b],
-							oracle.nodeBest[b], oracle.nodeUsed[b])
+							trial, workers, it, b, cached.nodeBest[sc], cached.nodeUsed[sc],
+							oracle.nodeBest[so], oracle.nodeUsed[so])
 					}
 				}
 				for i, rs := range cached.solvers {
