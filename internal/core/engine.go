@@ -179,16 +179,15 @@ func (vc *valueCache) value(c *model.Class, cid model.ClassID, r float64) float6
 }
 
 // shardState is one plan shard's private working state; everything else a
-// shard writes is indexed by the flows, nodes and links its plan lists
-// hold. The accumulators are reduced by the caller after the
+// shard writes is indexed by its flows and by the node and link slots
+// stamped with it. The accumulators are reduced by the caller after the
 // barrier: max (overloads), integer sum (counters) and boolean OR (changed
 // flags) are all order-independent, so the result is bit-identical to the
 // serial scan.
 type shardState struct {
-	// nodes and links are the armed sublists of the shard's plan lists —
-	// what Step sweeps (see rearm) — as ascending slots; each keeps the
-	// capacity to hold its whole plan list, so a wake's sorted insert
-	// allocates nothing.
+	// nodes and links are the shard's armed slots — what Step sweeps (see
+	// rearm) — ascending; a re-arm keeps their storage, so a wake's sorted
+	// insert allocates only past the most ever armed.
 	nodes, links []int32
 	// scratch is the admission sort buffer, sized by the widest node, not
 	// the class count.
@@ -291,29 +290,12 @@ func NewEngine(p *model.Problem, cfg Config) (*Engine, error) {
 		e.tel = newEngineMetrics(c.Telemetry)
 	}
 	e.shardFn = e.stepShard
-	// Nothing holds a price yet: the plan lists what a flow crosses, and
-	// each of those takes the next slot, shard by shard in plan order.
-	e.adoptPlan(newStagePlan(ix, e.nodePriced, e.linkPriced, c.workers, nil, model.RoutingDelta{}))
-	n, m := listed(e.plan.nodes), listed(e.plan.links)
-	e.nodeSlots.ids, e.linkSlots.ids = make([]int32, 0, n), make([]int32, 0, m)
-	for _, ids := range e.plan.nodes {
-		for _, b := range ids {
-			e.nodeSlots.take(b)
-		}
-	}
-	for _, ids := range e.plan.links {
-		for _, l := range ids {
-			e.linkSlots.take(l)
-		}
-	}
-	e.nodePrices, e.nodeCap = make([]float64, n), make([]float64, n)
-	e.nodeUsed, e.nodeBest = make([]float64, n), make([]float64, n)
-	e.nodeForced, e.nodePriceEpoch = make([]bool, n), make([]int, n)
-	e.gamma = newGammaBank(c.GammaLiteral, n)
-	e.nodeArmed, e.candNodes = newBitset(n), newBitset(n)
-	e.linkPrices, e.linkCap, e.linkUsed = make([]float64, m), make([]float64, m), make([]float64, m)
-	e.linkForced, e.linkPriceEpoch = make([]bool, m), make([]int, m)
-	e.linkArmed, e.candLinks = newBitset(m), newBitset(m)
+	e.gamma = newGammaBank(c.GammaLiteral, 0)
+	// Nothing holds a price yet: the plan lists what a flow crosses, its
+	// slots numbered shard by shard.
+	e.replan(nil)
+	e.nodeSlots.group()
+	e.linkSlots.group()
 	for i := range p.Flows {
 		e.rates[i] = p.Flows[i].RateMin
 		e.active[i] = true
@@ -943,18 +925,12 @@ func (e *Engine) SetNodeCapacity(b model.NodeID, capacity float64) error {
 	// stale. (The price sweep reads the capacity mirror each iteration.)
 	e.nodeCap[slot] = capacity
 	e.nodeForced[slot] = true
-	if e.nodeArmed.has(slot) || slack(e.ix.FlowsByNode(b), e.ix.FlowCostsByNode(b), e.p.Flows, capacity) {
-		return nil
-	}
-	// The node can bind now: rearm parked it, so it wakes — with no epoch of
-	// its own yet, and on the views of the flows crossing it.
-	sh := &e.sh[e.plan.shardOf(e.plan.nodes, int32(b), e.ix.FlowsByNode(b))]
-	k, _ := slices.BinarySearch(sh.nodes, slot)
-	sh.nodes = slices.Insert(sh.nodes, k, slot)
-	e.nodePriceEpoch[slot] = 0
-	e.nodeArmed.set(slot)
-	for _, i := range e.ix.FlowsByNode(b) {
-		e.buildView(int(i))
+	if !e.nodeArmed.has(slot) {
+		// rearm parked the node, so the rule holds it at price 0, with no
+		// class and γ at the ceiling: the new capacity alone decides whether
+		// it wakes, and re-testing it does what rearm would.
+		e.rearmNode(slot)
+		e.flowMark.drain(e.buildView)
 	}
 	return nil
 }
@@ -1010,31 +986,7 @@ func (e *Engine) ResetRouting(p *model.Problem, d model.RoutingDelta) error {
 	if err := e.ix.RefreshRouting(p, d); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	e.adoptPlan(newStagePlan(e.ix, e.nodePriced, e.linkPriced, e.cfg.workers, e.plan, d))
-	// The slots follow the plan, at the cost of the delta: a constraint that
-	// left it frees its slot first, then one that entered — d names it, it
-	// had no slot and a flow crosses it now — takes a slot, a freed one
-	// before a new one.
-	for _, b := range e.plan.droppedNodes {
-		if e.nodeSlots.at(b) >= 0 {
-			e.dropNode(b)
-		}
-	}
-	for _, l := range e.plan.droppedLinks {
-		if e.linkSlots.at(l) >= 0 {
-			e.dropLink(l)
-		}
-	}
-	for _, b := range d.Nodes {
-		if e.nodeSlots.at(int32(b)) < 0 && len(e.ix.FlowsByNode(b)) != 0 {
-			e.addNode(int32(b))
-		}
-	}
-	for _, l := range d.Links {
-		if e.linkSlots.at(int32(l)) < 0 && len(e.ix.FlowsByLink(l)) != 0 {
-			e.addLink(int32(l))
-		}
-	}
+	e.replan(&d)
 	if e.cfg.Adaptive {
 		// Re-routing changes the load composition on every node a dirty
 		// flow now crosses, not just the nodes whose membership changed:
@@ -1105,16 +1057,16 @@ func (e *Engine) warmRestart(p *model.Problem, d *model.RoutingDelta) {
 // priced stays armed until its price has decayed to exactly 0 and a later
 // rearm parks it.
 //
-// With d nil (NewEngine, Reset, which may change capacities and RateMax
-// anywhere) the rule is tested on every listed constraint. With
-// ResetRouting's delta it is tested on what was armed, what d names and
-// what d's flows cross, and rearm visits nothing else: only those may
-// differ from the problem the last re-arm saw, so nothing else can change
-// status, and what was not armed stays parked. A constraint is written
-// only when it is armed — its epoch cleared, its capacity mirror read, its
-// force set; a parked one's are not read until a re-arm or a wake arms it
-// again. The path views of the flows crossing a constraint whose status
-// changed, and of d's flows, are rebuilt; the others are still exact.
+// The rule is tested on the candidates, ascending: with d nil (NewEngine,
+// Reset, which may change capacities and RateMax anywhere) every listed
+// constraint; with ResetRouting's delta what was armed, what d names and
+// what d's flows cross — only those may differ from the problem the last
+// re-arm saw, so nothing else can change status, and what was not armed
+// stays parked. A constraint is written only when it is armed (fileNode,
+// fileLink); a parked one's epoch, capacity mirror and force are not read
+// until a re-arm or a wake arms it again. The path views of the flows
+// crossing a constraint whose status changed, and of d's flows, are
+// rebuilt; the others are still exact.
 func (e *Engine) rearm(d *model.RoutingDelta) {
 	e.iteration = 0
 	e.util, e.utilStale = 0, true
@@ -1124,24 +1076,14 @@ func (e *Engine) rearm(d *model.RoutingDelta) {
 		e.rateEpoch[i] = 0
 		e.flowUtilEpoch[i] = 0
 	}
-	e.rearmTested = 0
-	for k := range e.sh[:e.plan.shards] {
-		sh := &e.sh[k]
-		sh.nodes = slices.Grow(sh.nodes[:0], len(e.plan.nodes[k]))
-		sh.links = slices.Grow(sh.links[:0], len(e.plan.links[k]))
+	for k := range e.sh {
+		e.sh[k].nodes, e.sh[k].links = e.sh[k].nodes[:0], e.sh[k].links[:0]
 	}
 	if d == nil {
-		for s, b := range e.nodeSlots.ids {
-			if b >= 0 {
-				e.rearmNode(int32(s))
-			}
-		}
-		for s, l := range e.linkSlots.ids {
-			if l >= 0 {
-				e.rearmLink(int32(s))
-			}
-		}
+		e.nodeSlots.mark(e.candNodes)
+		e.linkSlots.mark(e.candLinks)
 	} else {
+		// Every armed slot is marked, so one that is not stays parked.
 		copy(e.candNodes, e.nodeArmed)
 		copy(e.candLinks, e.linkArmed)
 		for _, b := range d.Nodes {
@@ -1159,11 +1101,9 @@ func (e *Engine) rearm(d *model.RoutingDelta) {
 				e.markLink(l)
 			}
 		}
-		// Every armed slot is marked, so one that is not stays parked.
-		e.candNodes.drain(e.rearmNode)
-		e.candLinks.drain(e.rearmLink)
 	}
-	e.flowMark.drain(func(i int32) { e.buildView(int(i)) })
+	e.rearmTested = e.candNodes.drain(e.rearmNode) + e.candLinks.drain(e.rearmLink)
+	e.flowMark.drain(e.buildView)
 	for j := range e.popEpoch {
 		e.popEpoch[j] = 0
 	}
@@ -1176,22 +1116,17 @@ func (e *Engine) rearm(d *model.RoutingDelta) {
 	}
 }
 
-// rearmNode tests the parking rule on the node in slot s and, if it is
-// armed, appends s to its shard's list — so each list is ascending when
-// rearm visits the slots in order.
+// rearmNode tests the parking rule on the node in slot s, files it if it is
+// armed, and marks the flows crossing it for a view rebuild if its status
+// changed.
 func (e *Engine) rearmNode(s int32) {
-	e.rearmTested++
-	b := e.nodeSlots.ids[s]
-	bid := model.NodeID(b)
+	bid := model.NodeID(e.nodeSlots.ids[s])
 	crossing := e.ix.FlowsByNode(bid)
-	capacity := e.p.Nodes[b].Capacity
 	armed := e.nodePrices[s] != 0 || len(e.ix.ClassesByNode(bid)) != 0 ||
 		(e.cfg.Adaptive && e.gamma.val[s] != e.gamma.max) ||
-		!slack(crossing, e.ix.FlowCostsByNode(bid), e.p.Flows, capacity)
+		!slack(crossing, e.ix.FlowCostsByNode(bid), e.p.Flows, e.p.Nodes[bid].Capacity)
 	if armed {
-		e.nodePriceEpoch[s], e.nodeCap[s], e.nodeForced[s] = 0, capacity, true
-		sh := &e.sh[e.plan.shardOf(e.plan.nodes, b, crossing)]
-		sh.nodes = append(sh.nodes, s)
+		e.fileNode(s)
 	}
 	if armed != e.nodeArmed.has(s) {
 		e.nodeArmed.flip(s)
@@ -1201,21 +1136,43 @@ func (e *Engine) rearmNode(s int32) {
 
 // rearmLink is rearmNode for the link in slot s.
 func (e *Engine) rearmLink(s int32) {
-	e.rearmTested++
-	l := e.linkSlots.ids[s]
-	lid := model.LinkID(l)
+	lid := model.LinkID(e.linkSlots.ids[s])
 	crossing := e.ix.FlowsByLink(lid)
-	capacity := e.p.Links[l].Capacity
-	armed := e.linkPrices[s] != 0 || !slack(crossing, e.ix.FlowCostsByLink(lid), e.p.Flows, capacity)
+	armed := e.linkPrices[s] != 0 || !slack(crossing, e.ix.FlowCostsByLink(lid), e.p.Flows, e.p.Links[lid].Capacity)
 	if armed {
-		e.linkPriceEpoch[s], e.linkCap[s], e.linkForced[s] = 0, capacity, true
-		sh := &e.sh[e.plan.shardOf(e.plan.links, l, crossing)]
-		sh.links = append(sh.links, s)
+		e.fileLink(s)
 	}
 	if armed != e.linkArmed.has(s) {
 		e.linkArmed.flip(s)
 		e.markFlows(crossing)
 	}
+}
+
+// fileNode readies the node in slot s for the next Step — no epoch of its
+// own yet, its capacity mirror read, its admission forced — and files s in
+// the armed list of its shard, which stays ascending.
+func (e *Engine) fileNode(s int32) {
+	e.nodePriceEpoch[s], e.nodeCap[s], e.nodeForced[s] = 0, e.p.Nodes[e.nodeSlots.ids[s]].Capacity, true
+	sh := &e.sh[e.nodeSlots.shard[s]]
+	sh.nodes = insertSorted(sh.nodes, s)
+}
+
+// fileLink is fileNode for the link in slot s.
+func (e *Engine) fileLink(s int32) {
+	e.linkPriceEpoch[s], e.linkCap[s], e.linkForced[s] = 0, e.p.Links[e.linkSlots.ids[s]].Capacity, true
+	sh := &e.sh[e.linkSlots.shard[s]]
+	sh.links = insertSorted(sh.links, s)
+}
+
+// insertSorted inserts s into the ascending list, which does not hold it —
+// at the end without a search when s is the largest, as it is for every slot
+// rearm's ascending drain files.
+func insertSorted(list []int32, s int32) []int32 {
+	if n := len(list); n == 0 || list[n-1] < s {
+		return append(list, s)
+	}
+	k, _ := slices.BinarySearch(list, s)
+	return slices.Insert(list, k, s)
 }
 
 // markNode and markLink mark a constraint's slot, if it holds one, as a
@@ -1259,7 +1216,7 @@ type armedAt struct {
 
 // buildView rebuilds flow i's path view from its index path and the armed
 // marks, reusing the view's storage.
-func (e *Engine) buildView(i int) {
+func (e *Engine) buildView(i int32) {
 	fid := model.FlowID(i)
 	v := &e.views[i]
 	v.links = v.links[:0]
@@ -1283,8 +1240,8 @@ func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
 // grow returns s with room for n bits, the new ones clear.
 func (s bitset) grow(n int) bitset {
-	for len(s)*64 < n {
-		s = append(s, 0)
+	if k := (n+63)/64 - len(s); k > 0 {
+		s = append(s, make(bitset, k)...)
 	}
 	return s
 }
@@ -1301,14 +1258,17 @@ func (s bitset) take(id int32) bool {
 	return had
 }
 
-// drain calls fn with each id whose bit is set, ascending, and clears s.
-func (s bitset) drain(fn func(id int32)) {
+// drain calls fn with each id whose bit is set, ascending, clears s and
+// returns how many ids it called fn with.
+func (s bitset) drain(fn func(id int32)) (n int) {
 	for w, word := range s {
 		for ; word != 0; word &= word - 1 {
 			fn(int32(w<<6 + bits.TrailingZeros64(word)))
+			n++
 		}
 		s[w] = 0
 	}
+	return n
 }
 
 // slack reports whether no rates in the box can fill a constraint of the

@@ -185,12 +185,13 @@ func TestStagePlanFallsBackOnEntangledTopology(t *testing.T) {
 	if e.plan.shards != 1 {
 		t.Fatalf("entangled workload got %d shards, want 1", e.plan.shards)
 	}
+	nodes, links := ListedIDs(e)
 	if !oneShardLists(e.plan.flows, len(p.Flows), func(int) bool { return true }) ||
-		!oneShardLists(e.plan.nodes, len(p.Nodes), loadedNode(e.ix)) ||
-		!oneShardLists(e.plan.links, len(p.Links), loadedLink(e.ix)) {
+		!oneShardLists([][]int32{nodes}, len(p.Nodes), loadedNode(e.ix)) ||
+		!oneShardLists([][]int32{links}, len(p.Links), loadedLink(e.ix)) {
 		t.Errorf("one-shard plan lists are not the live ids in order: %+v", e.plan)
 	}
-	if len(e.plan.nodes[0]) == len(p.Nodes) {
+	if len(nodes) == len(p.Nodes) {
 		t.Error("fixture has no unloaded node; the test no longer shows one being left out")
 	}
 	if e.pool != nil {
@@ -202,9 +203,10 @@ func TestStagePlanFallsBackOnEntangledTopology(t *testing.T) {
 }
 
 // TestStagePlanPartition: every plan — packed components or the one-shard
-// fallback — must place every flow and every live node and link (at
-// NewEngine prices: the ones a flow crosses) in exactly one shard, in
-// ascending order, list nothing else, and be deterministic across rebuilds.
+// fallback — must place every flow in exactly one shard, in ascending order,
+// and every live node and link (at NewEngine prices: the ones a flow
+// crosses) on the shard of the flows crossing it, and be deterministic
+// across rebuilds.
 func TestStagePlanPartition(t *testing.T) {
 	componentized := fusedTestProblem(16, 1, true)
 	entangled := parallelTestProblem(rand.New(rand.NewSource(7)), true)
@@ -221,8 +223,20 @@ func TestStagePlanPartition(t *testing.T) {
 		{"entangled", entangled, 4, 1, 1},
 	} {
 		ix := model.NewIndex(c.p)
-		unpriced := func(int32) bool { return false }
-		plan := newStagePlan(ix, unpriced, unpriced, c.workers, nil, model.RoutingDelta{})
+		live := func(n int, loaded func(int) bool) slots {
+			m := newSlots(n)
+			for id := 0; id < n; id++ {
+				if loaded(id) {
+					m.take(int32(id))
+				}
+			}
+			return m
+		}
+		build := func(ix *model.Index) (*stagePlan, slots, slots) {
+			nodes, links := live(len(c.p.Nodes), loadedNode(ix)), live(len(c.p.Links), loadedLink(ix))
+			return newStagePlan(ix, &nodes, &links, c.workers), nodes, links
+		}
+		plan, nodes, links := build(ix)
 		if plan.shards != c.shards || plan.components != c.components {
 			t.Fatalf("%s: %d shards, %d components; want %d, %d",
 				c.name, plan.shards, plan.components, c.shards, c.components)
@@ -250,11 +264,29 @@ func TestStagePlanPartition(t *testing.T) {
 			}
 		}
 		check("flow", plan.flows, len(c.p.Flows), func(int) bool { return true })
-		check("node", plan.nodes, len(c.p.Nodes), loadedNode(ix))
-		check("link", plan.links, len(c.p.Links), loadedLink(ix))
+		flowShard := make([]int32, len(c.p.Flows))
+		for k, ids := range plan.flows {
+			for _, i := range ids {
+				flowShard[i] = int32(k)
+			}
+		}
+		for _, kind := range []struct {
+			name     string
+			m        slots
+			crossing func(int32) []model.FlowID
+		}{
+			{"node", nodes, func(b int32) []model.FlowID { return ix.FlowsByNode(model.NodeID(b)) }},
+			{"link", links, func(l int32) []model.FlowID { return ix.FlowsByLink(model.LinkID(l)) }},
+		} {
+			for s, id := range kind.m.ids {
+				if first := flowShard[kind.crossing(id)[0]]; kind.m.shard[s] != first {
+					t.Fatalf("%s: %s %d is on shard %d, its first flow on %d", c.name, kind.name, id, kind.m.shard[s], first)
+				}
+			}
+		}
 
-		again := newStagePlan(model.NewIndex(c.p), unpriced, unpriced, c.workers, nil, model.RoutingDelta{})
-		if !reflect.DeepEqual(plan, again) {
+		again, againNodes, againLinks := build(model.NewIndex(c.p))
+		if !reflect.DeepEqual(plan, again) || !reflect.DeepEqual(nodes, againNodes) || !reflect.DeepEqual(links, againLinks) {
 			t.Errorf("%s: plan not deterministic across rebuilds", c.name)
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/model"
@@ -19,54 +20,49 @@ func WithWorkers(cfg Config, n int) Config {
 }
 
 // SweepAll makes e the full-sweep oracle: it replaces e's plan with one
-// shard listing every flow, node and link of the problem — what every Step
-// swept before the plan listed live constraints only — gives every node and
-// link a slot (which leaves none free), re-arms the engine over it and then
-// arms what rearm parked, whatever the bound says, so that
-// every Step sweeps every constraint and every path view holds the whole
-// path. Reset and ResetRouting re-arm by the rule again (and ResetRouting
-// adopts a live plan), so the oracle calls SweepAll after NewEngine and
-// after every Reset*, before the next Step. Production code has no such plan
-// and no such switch.
+// shard holding every flow, gives every node and link a slot on it (which
+// leaves none free) — what every Step swept before the plan listed live
+// constraints only — re-arms the engine over it and then arms what rearm
+// parked, whatever the bound says, so that every Step sweeps every
+// constraint and every path view holds the whole path. Reset and
+// ResetRouting re-arm by the rule again (and ResetRouting re-plans), so the
+// oracle calls SweepAll after NewEngine and after every Reset*, before the
+// next Step. Production code has no such plan and no such switch.
 func SweepAll(e *Engine) {
-	identity := func(n int) [][]int32 {
-		ids := make([]int32, n)
-		for i := range ids {
-			ids[i] = int32(i)
-		}
-		return [][]int32{ids}
+	flows := make([]int32, len(e.p.Flows))
+	for i := range flows {
+		flows[i] = int32(i)
 	}
-	e.plan = &stagePlan{
-		shards: 1,
-		flows:  identity(len(e.p.Flows)),
-		nodes:  identity(len(e.p.Nodes)),
-		links:  identity(len(e.p.Links)),
-	}
-	for _, b := range e.plan.nodes[0] {
-		if e.nodeSlots.at(b) < 0 {
-			e.addNode(b)
+	e.plan = &stagePlan{shards: 1, flows: [][]int32{flows}}
+	for b := range e.p.Nodes {
+		if e.nodeSlots.at(int32(b)) < 0 {
+			e.nodeSlots.take(int32(b))
 		}
 	}
-	for _, l := range e.plan.links[0] {
-		if e.linkSlots.at(l) < 0 {
-			e.addLink(l)
+	for l := range e.p.Links {
+		if e.linkSlots.at(int32(l)) < 0 {
+			e.linkSlots.take(int32(l))
 		}
 	}
+	e.fitNodes()
+	e.fitLinks()
+	clear(e.nodeSlots.shard)
+	clear(e.linkSlots.shard)
 	e.rearm(nil)
-	sh := &e.sh[0]
-	sh.nodes, sh.links = sh.nodes[:0], sh.links[:0]
-	for s, b := range e.nodeSlots.ids {
-		sh.nodes = append(sh.nodes, int32(s))
-		e.nodePriceEpoch[s], e.nodeCap[s], e.nodeForced[s] = 0, e.p.Nodes[b].Capacity, true
-		e.nodeArmed.set(int32(s))
+	for s := range e.nodeSlots.ids {
+		if !e.nodeArmed.has(int32(s)) {
+			e.nodeArmed.set(int32(s))
+			e.fileNode(int32(s))
+		}
 	}
-	for s, l := range e.linkSlots.ids {
-		sh.links = append(sh.links, int32(s))
-		e.linkPriceEpoch[s], e.linkCap[s], e.linkForced[s] = 0, e.p.Links[l].Capacity, true
-		e.linkArmed.set(int32(s))
+	for s := range e.linkSlots.ids {
+		if !e.linkArmed.has(int32(s)) {
+			e.linkArmed.set(int32(s))
+			e.fileLink(int32(s))
+		}
 	}
 	for i := range e.views {
-		e.buildView(i)
+		e.buildView(int32(i))
 	}
 }
 
@@ -85,13 +81,22 @@ func Armed(e *Engine) (nodes, links []int32) {
 	return nodes, links
 }
 
-// ListedIDs returns the nodes and links e's plan lists, each ascending.
+// ListedIDs returns the nodes and links e's plan lists — what its slot
+// tables hold — each ascending.
 func ListedIDs(e *Engine) (nodes, links []int32) {
-	nodes = slices.Concat(e.plan.nodes...)
-	links = slices.Concat(e.plan.links...)
-	slices.Sort(nodes)
-	slices.Sort(links)
-	return nodes, links
+	return heldIDs(&e.nodeSlots), heldIDs(&e.linkSlots)
+}
+
+// heldIDs returns the ids m holds a slot for, ascending.
+func heldIDs(m *slots) []int32 {
+	var ids []int32
+	for _, id := range m.ids {
+		if id >= 0 {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // PlanTested returns how many node and link ids the live test looked at to
@@ -117,48 +122,106 @@ func PathView(e *Engine, i model.FlowID) (nodes, links [][2]int32) {
 
 // Listed returns how many shards, nodes and links e's plan has.
 func Listed(e *Engine) (shards, nodes, links int) {
-	return e.plan.shards, listed(e.plan.nodes), listed(e.plan.links)
+	return e.plan.shards, e.nodeSlots.held(), e.linkSlots.held()
 }
 
 // CheckPlanFresh reports how e's plan differs from one built from scratch —
-// a fresh index of e's problem, e's current prices, no previous plan.
+// a fresh index of e's problem, slot tables holding what the live test
+// passes at e's current prices, no previous plan: its shard and component
+// counts and flow lists, the ids it lists and the shard of each.
 func CheckPlanFresh(e *Engine) error {
-	want := newStagePlan(model.NewIndex(e.p), e.nodePriced, e.linkPriced, e.cfg.workers, nil, model.RoutingDelta{})
+	ix := model.NewIndex(e.p)
+	nodes, links := newSlots(len(e.p.Nodes)), newSlots(len(e.p.Links))
+	for b := range e.p.Nodes {
+		if s := e.nodeSlots.at(int32(b)); len(ix.FlowsByNode(model.NodeID(b))) > 0 || s >= 0 && e.nodePrices[s] != 0 {
+			nodes.take(int32(b))
+		}
+	}
+	for l := range e.p.Links {
+		if s := e.linkSlots.at(int32(l)); len(ix.FlowsByLink(model.LinkID(l))) > 0 || s >= 0 && e.linkPrices[s] != 0 {
+			links.take(int32(l))
+		}
+	}
+	want := newStagePlan(ix, &nodes, &links, e.cfg.workers)
 	got := e.plan
 	if got.shards != want.shards || got.components != want.components {
 		return fmt.Errorf("plan has %d shards, %d components; from scratch %d, %d",
 			got.shards, got.components, want.shards, want.components)
 	}
+	for s := range want.flows {
+		if !slices.Equal(got.flows[s], want.flows[s]) {
+			return fmt.Errorf("shard %d flow list %v, from scratch %v", s, got.flows[s], want.flows[s])
+		}
+	}
 	for _, kind := range []struct {
 		name      string
-		got, want [][]int32
-	}{
-		{"flow", got.flows, want.flows},
-		{"node", got.nodes, want.nodes},
-		{"link", got.links, want.links},
-	} {
-		for s := range kind.want {
-			if !slices.Equal(kind.got[s], kind.want[s]) {
-				return fmt.Errorf("shard %d %s list %v, from scratch %v", s, kind.name, kind.got[s], kind.want[s])
+		got, want *slots
+	}{{"node", &e.nodeSlots, &nodes}, {"link", &e.linkSlots, &links}} {
+		for id := range kind.want.of {
+			gs, ws := kind.got.at(int32(id)), kind.want.at(int32(id))
+			switch {
+			case (gs >= 0) != (ws >= 0):
+				return fmt.Errorf("%s %d holds slot %d; from scratch %d", kind.name, id, gs, ws)
+			case gs >= 0 && kind.got.shard[gs] != kind.want.shard[ws]:
+				return fmt.Errorf("%s %d is on shard %d; from scratch %d", kind.name, id, kind.got.shard[gs], kind.want.shard[ws])
 			}
 		}
 	}
 	return nil
 }
 
-// CheckIdleCaches reports the first node or link whose slot does not follow
-// the plan — a listed one without a slot, an unlisted one with a slot, a
-// slot and its id that disagree — and the first one outside the plan's
-// reach — no flow crosses it and its price is 0 — that still holds a cached
-// usage, a cached benefit-cost ratio or a pending force, in its slot or in
-// a free slot: what a constraint no flow ever crossed holds is zeros, and a
-// free slot holds price 0, the initial γ and no armed mark too.
+// CheckFiled reports the first shard armed list that is not ascending or
+// holds a slot that is not armed or is stamped with another shard, and any
+// difference between the slots armed and the slots the lists hold: Step
+// sweeps exactly the armed slots, each in the list of the shard it carries.
+func CheckFiled(e *Engine) error {
+	armedNodes, armedLinks := 0, 0
+	for k := range e.sh[:e.plan.shards] {
+		for _, kind := range []struct {
+			name  string
+			list  []int32
+			m     *slots
+			armed bitset
+			count *int
+		}{{"node", e.sh[k].nodes, &e.nodeSlots, e.nodeArmed, &armedNodes}, {"link", e.sh[k].links, &e.linkSlots, e.linkArmed, &armedLinks}} {
+			for i, s := range kind.list {
+				switch {
+				case i > 0 && kind.list[i-1] >= s:
+					return fmt.Errorf("shard %d %s list %v is not ascending", k, kind.name, kind.list)
+				case !kind.armed.has(s):
+					return fmt.Errorf("shard %d lists %s slot %d, which is not armed", k, kind.name, s)
+				case kind.m.shard[s] != int32(k):
+					return fmt.Errorf("shard %d lists %s slot %d, which carries shard %d", k, kind.name, s, kind.m.shard[s])
+				}
+			}
+			*kind.count += len(kind.list)
+		}
+	}
+	count := func(b bitset) int {
+		n := 0
+		for _, w := range b {
+			n += bits.OnesCount64(w)
+		}
+		return n
+	}
+	if n, m := count(e.nodeArmed), count(e.linkArmed); n != armedNodes || m != armedLinks {
+		return fmt.Errorf("%d nodes and %d links armed, the shards list %d and %d", n, m, armedNodes, armedLinks)
+	}
+	return nil
+}
+
+// CheckIdleCaches reports the first slot table entry that does not name its
+// id back, the first free slot not on the free list, and the first node or
+// link outside the plan's reach — no flow crosses it and its price is 0 —
+// that still holds a cached usage, a cached benefit-cost ratio or a pending
+// force, in its slot or in a free slot: what a constraint no flow ever
+// crossed holds is zeros, and a free slot holds price 0, the initial γ and
+// no armed mark too.
 func CheckIdleCaches(e *Engine) error {
-	listedNodes, listedLinks := ListedIDs(e)
-	if err := checkSlots("node", &e.nodeSlots, listedNodes); err != nil {
+	if err := checkSlots("node", &e.nodeSlots); err != nil {
 		return err
 	}
-	if err := checkSlots("link", &e.linkSlots, listedLinks); err != nil {
+	if err := checkSlots("link", &e.linkSlots); err != nil {
 		return err
 	}
 	for s, b := range e.nodeSlots.ids {
@@ -188,22 +251,16 @@ func CheckIdleCaches(e *Engine) error {
 	return nil
 }
 
-// checkSlots reports how m differs from a slot for exactly the listed ids
-// (ascending): each listed id's slot names it back, no other id holds one,
-// and every other slot is on the free list and names no id.
-func checkSlots(kind string, m *slots, listed []int32) error {
+// checkSlots reports how m's two maps disagree: an id whose slot names
+// another id, or a slot held by no id that is not on the free list, or a
+// free slot that names an id.
+func checkSlots(kind string, m *slots) error {
 	held := 0
 	for id := range m.of {
-		s := m.at(int32(id))
-		_, isListed := slices.BinarySearch(listed, int32(id))
-		switch {
-		case isListed && s < 0:
-			return fmt.Errorf("listed %s %d holds no slot", kind, id)
-		case !isListed && s >= 0:
-			return fmt.Errorf("%s %d outside the plan holds slot %d", kind, id, s)
-		case s >= 0 && m.ids[s] != int32(id):
-			return fmt.Errorf("%s %d holds slot %d, which names %d", kind, id, s, m.ids[s])
-		case s >= 0:
+		if s := m.at(int32(id)); s >= 0 {
+			if m.ids[s] != int32(id) {
+				return fmt.Errorf("%s %d holds slot %d, which names %d", kind, id, s, m.ids[s])
+			}
 			held++
 		}
 	}

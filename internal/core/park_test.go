@@ -326,7 +326,7 @@ func TestMutatorsRefuseWhatValidateRefuses(t *testing.T) {
 	e, twin := twins()
 	defer e.Close()
 	defer twin.Close()
-	if _, listed := slices.BinarySearch(e.plan.nodes[0], 3); listed {
+	if e.nodeSlots.at(3) >= 0 {
 		t.Fatal("the plan lists node 3, which no flow reaches")
 	}
 	if err := e.SetNodeCapacity(3, 50); err != nil {

@@ -66,7 +66,10 @@ var pathViewShapes = []struct {
 // change — NewEngine, Reset, ResetRouting through the seeded fail/heal
 // sequence, a SetNodeCapacity that wakes a parked node and SetFlowActive —
 // and after each holds every flow's path view to its path filtered by the
-// armed set, at one shard and at four. The full-sweep oracle, which arms
+// armed set, at one shard and at four. After each wake every armed slot must
+// also sit, in ascending order, in the armed list of the shard it carries
+// (core.CheckFiled); the scattered shape wakes nodes on multi-shard plans,
+// where a wrong shard would show. The full-sweep oracle, which arms
 // everything, must view every flow's whole path.
 func TestPathViewsMatchTheRule(t *testing.T) {
 	for _, c := range pathViewShapes {
@@ -114,35 +117,45 @@ func TestPathViewsMatchTheRule(t *testing.T) {
 		requireViewsByTheRule(t, c.name+": Reset", e)
 
 		rng := rand.New(rand.NewSource(20065))
-		woke, maxShards := 0, 1
+		woke, wokeSharded, maxShards := 0, 0, 1
 		runLinkfailSequence(t, r, func(n int, ev linkfailEvent) {
 			tag := fmt.Sprintf("%s: event %d", c.name, n)
 			if err := e.ResetRouting(p, r.TakeDelta()); err != nil {
 				t.Fatalf("%s: %v", tag, err)
 			}
-			if shards, _, _ := core.Listed(e); shards > maxShards {
-				maxShards = shards
-			}
+			shards, _, _ := core.Listed(e)
+			maxShards = max(maxShards, shards)
 			requireArmedByTheRule(t, tag, e, true)
 			requireViewsByTheRule(t, tag, e)
 			for i := 0; i < linkfailSteps/2; i++ {
 				e.Step()
 			}
-			// Wake a parked node under its flows' load, then lift it back:
-			// it stays armed until a re-arm, and stays in the views.
+			// Lower a parked node's capacity until it wakes, then lift it
+			// back: it stays armed until a re-arm, and stays in the views.
 			if nodes, _ := parkedIDs(e); len(nodes) > 0 {
 				b := model.NodeID(nodes[rng.Intn(len(nodes))])
 				old := p.Nodes[b].Capacity
-				used := model.NodeUsage(p, e.Index(), e.Allocation(), b)
-				if err := e.SetNodeCapacity(b, used/2); err != nil {
-					t.Fatal(err)
+				for capacity := old; ; {
+					if armed, _ := core.Armed(e); slices.Contains(armed, int32(b)) {
+						break
+					}
+					capacity /= 2
+					if err := e.SetNodeCapacity(b, capacity); err != nil {
+						t.Fatalf("%s: node %d: %v", tag, b, err)
+					}
 				}
 				requireViewsByTheRule(t, tag+", wake", e)
+				if err := core.CheckFiled(e); err != nil {
+					t.Fatalf("%s, wake of node %d: %v", tag, b, err)
+				}
 				if err := e.SetNodeCapacity(b, old); err != nil {
 					t.Fatal(err)
 				}
 				requireViewsByTheRule(t, tag+", lift", e)
 				woke++
+				if shards > 1 {
+					wokeSharded++
+				}
 			}
 			i := model.FlowID(rng.Intn(len(p.Flows)))
 			e.SetFlowActive(i, false)
@@ -156,8 +169,9 @@ func TestPathViewsMatchTheRule(t *testing.T) {
 		if woke == 0 {
 			t.Errorf("%s: no parked node to wake; the test is vacuous there", c.name)
 		}
-		if c.workers > 1 && maxShards == 1 {
-			t.Errorf("%s: every plan of the sequence was one shard", c.name)
+		if c.workers > 1 && (maxShards == 1 || wokeSharded == 0) {
+			t.Errorf("%s: %d wakes on a plan of more than one shard, at most %d shards; the test is vacuous there",
+				c.name, wokeSharded, maxShards)
 		}
 		e.Close()
 	}

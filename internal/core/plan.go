@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 
@@ -21,22 +20,22 @@ import (
 // serial arithmetic on exactly the serial values. A topology that does not
 // split that way runs as one shard on the caller's goroutine.
 //
-// The plan lists every flow but only the live nodes and links: those some
-// flow crosses, and those still holding a price. A constraint no flow
-// crosses has usage 0 and no unsatisfied class (a class with demand sits on
-// its flow's tree, model.Validate), so at price 0 Equations 12 and 13 leave
-// it at 0 — p + γ(0 − p) and [p + γ(0 − c)]⁺ — and sweeping it computes
-// nothing. One that loses its last flow while priced stays listed until its
-// price has decayed to exactly 0; one that gains a flow is named by the
-// routing delta that rebuilds the plan. Which of the listed constraints a
-// Step sweeps is not the plan's business: rearm parks those that cannot bind.
-// The engine keeps state, in slots, for exactly the constraints the plan
-// lists (see slots).
+// The plan partitions every flow; the nodes and links it lists are the ones
+// the engine's slot tables hold (see slots), each slot carrying its shard.
+// Those are the live ones: some flow crosses them, or they still hold a
+// price. A constraint no flow crosses has usage 0 and no unsatisfied class
+// (a class with demand sits on its flow's tree, model.Validate), so at
+// price 0 Equations 12 and 13 leave it at 0 — p + γ(0 − p) and
+// [p + γ(0 − c)]⁺ — and sweeping it computes nothing. One that loses its
+// last flow while priced stays listed until its price has decayed to
+// exactly 0; one that gains a flow is named by the routing delta that
+// rebuilds the plan (relist). Which of the listed constraints a Step sweeps
+// is not the plan's business: rearm parks those that cannot bind.
 //
 // The analysis runs once per topology (NewEngine and ResetRouting; Reset
 // keeps the topology, so the plan survives it) over the index's dense
-// membership views and which constraints hold a price; it never consults
-// costs or capacities, which may change.
+// membership views and the slot tables; it never consults costs or
+// capacities, which may change.
 
 // minParallelItems is the smallest item count (the largest of flows, live
 // nodes and live links) worth fanning out over the worker pool; below it a
@@ -45,9 +44,10 @@ import (
 // purely a performance decision.
 const minParallelItems = 16
 
-// stagePlan is Step's schedule: a fixed assignment of every flow and every
-// live node and link to a shard. Either whole connected components packed
-// onto the requested number of shards, or one shard holding everything.
+// stagePlan is Step's schedule: a fixed assignment of every flow to a shard,
+// and through the slot tables' stamps of every live node and link. Either
+// whole connected components packed onto the requested number of shards, or
+// one shard holding everything.
 type stagePlan struct {
 	// components is the number of connected components found
 	// (informational; 0 when the analysis did not run).
@@ -55,123 +55,66 @@ type stagePlan struct {
 	// tested is the number of node and link ids the live test ran on to
 	// build the plan (informational).
 	tested int
-	// shards is Step's fan-out; flows/nodes/links are indexed by shard,
-	// each list ascending so per-shard iteration order matches the serial
-	// scan order.
+	// shards is Step's fan-out; flows is indexed by shard, each list
+	// ascending so per-shard iteration order matches the serial scan order.
 	shards int
 	flows  [][]int32
-	nodes  [][]int32
-	links  [][]int32
-	// flowShard is each flow's shard, nil on a one-shard plan.
-	flowShard []int32
-	// droppedNodes and droppedLinks are the ids a re-plan tested and found
-	// idle, ascending: what left the plan, and what d named that did not
-	// enter it. nil without a previous plan.
-	droppedNodes, droppedLinks []int32
 }
 
-// newStagePlan builds Step's schedule for the indexed problem at the given
-// prices: the component packing over at most workers shards when the
-// topology allows it (pack), otherwise — a budget of 1, fewer than
-// minParallelItems items, or a topology pack rejects — one shard whose lists
-// are every flow and the live constraints in ascending order, i.e. the
-// serial scan.
-//
-// With prev nil the live test runs on every node and link of the problem.
-// With prev, the plan being replaced, it runs on what prev lists and what
-// the routing delta d names, and finds the same lists: a constraint neither
-// listed nor named had no flow and price 0 when prev was built, no delta
-// since gave it a flow and no Step has swept it. A re-plan then costs
-// listed + delta, never the size of the overlay. nodePriced and linkPriced
-// report whether a node or link holds a price.
-func newStagePlan(ix *model.Index, nodePriced, linkPriced func(int32) bool, workers int, prev *stagePlan, d model.RoutingDelta) *stagePlan {
-	p := ix.Problem()
-	flows := make([]int32, len(p.Flows))
+// replan rebuilds Step's plan for the engine's index: relist brings the slot
+// tables up to the live test — every id when d is nil (NewEngine), else what
+// they hold and what d names, so a re-plan costs listed + delta, never the
+// size of the overlay — and newStagePlan stamps each slot's shard.
+func (e *Engine) replan(d *model.RoutingDelta) {
+	var named model.RoutingDelta
+	if d != nil {
+		named = *d
+	}
+	ix := e.ix
+	tested := relist(&e.nodeSlots, named.Nodes, d == nil,
+		func(b int32) bool { return len(ix.FlowsByNode(model.NodeID(b))) != 0 },
+		func(s int32) bool { return e.nodePrices[s] != 0 }, e.dropNode)
+	tested += relist(&e.linkSlots, named.Links, d == nil,
+		func(l int32) bool { return len(ix.FlowsByLink(model.LinkID(l))) != 0 },
+		func(s int32) bool { return e.linkPrices[s] != 0 }, e.dropLink)
+	e.fitNodes()
+	e.fitLinks()
+	plan := newStagePlan(ix, &e.nodeSlots, &e.linkSlots, e.cfg.workers)
+	plan.tested = tested
+	e.adoptPlan(plan)
+}
+
+// newStagePlan builds Step's schedule for the indexed problem over the nodes
+// and links the slot tables hold and stamps each slot's shard: the component
+// packing over at most workers shards when the topology allows it (pack),
+// otherwise — a budget of 1, fewer than minParallelItems items, or a
+// topology pack rejects — one shard holding every flow in ascending order,
+// i.e. the serial scan, and every stamp 0.
+func newStagePlan(ix *model.Index, nodes, links *slots, workers int) *stagePlan {
+	flows := make([]int32, len(ix.Problem().Flows))
 	for i := range flows {
 		flows[i] = int32(i)
 	}
 	plan := &stagePlan{shards: 1, flows: [][]int32{flows}}
-	var prevNodes, prevLinks [][]int32
-	if prev != nil {
-		prevNodes, prevLinks = prev.nodes, prev.links
-		// prev's dropped lists are spent: reuse their storage.
-		plan.droppedNodes, plan.droppedLinks = prev.droppedNodes[:0], prev.droppedLinks[:0]
-	}
-	nodes := liveIDs(len(p.Nodes), prevNodes, d.Nodes, &plan.tested, &plan.droppedNodes, func(b int32) bool {
-		return len(ix.FlowsByNode(model.NodeID(b))) == 0 && !nodePriced(b)
-	})
-	links := liveIDs(len(p.Links), prevLinks, d.Links, &plan.tested, &plan.droppedLinks, func(l int32) bool {
-		return len(ix.FlowsByLink(model.LinkID(l))) == 0 && !linkPriced(l)
-	})
-	plan.nodes, plan.links = [][]int32{nodes}, [][]int32{links}
-	if workers > 1 && max(len(flows), len(nodes), len(links)) >= minParallelItems {
-		plan.pack(ix, workers)
+	clear(nodes.shard)
+	clear(links.shard)
+	if workers > 1 && max(len(flows), nodes.held(), links.held()) >= minParallelItems {
+		plan.pack(ix, workers, nodes, links)
 	}
 	return plan
 }
 
-// liveIDs returns in ascending order the ids that are not idle: of all n
-// when prev is nil, otherwise of those prev lists and those named, with the
-// idle ones of those in dropped. tested grows by the number of ids it looked
-// at.
-func liveIDs[ID ~int](n int, prev [][]int32, named []ID, tested *int, dropped *[]int32, idle func(int32) bool) []int32 {
-	var ids []int32
-	if prev == nil {
-		*tested += n
-		for id := int32(0); int(id) < n; id++ {
-			if !idle(id) {
-				ids = append(ids, id)
-			}
-		}
-		return ids
-	}
-	ids = make([]int32, 0, listed(prev)+len(named))
-	for _, list := range prev {
-		ids = append(ids, list...)
-	}
-	if len(prev) > 1 {
-		slices.Sort(ids)
-	}
-	for _, id := range named {
-		if k, found := slices.BinarySearch(ids, int32(id)); !found {
-			ids = slices.Insert(ids, k, int32(id))
-		}
-	}
-	*tested += len(ids)
-	// Compact from the first idle id on; usually none is.
-	k := slices.IndexFunc(ids, idle)
-	if k < 0 {
-		return ids
-	}
-	live := ids[:k]
-	for _, id := range ids[k:] {
-		if idle(id) {
-			*dropped = append(*dropped, id)
-		} else {
-			live = append(live, id)
-		}
-	}
-	return live
-}
-
-// listed is the number of ids a plan's per-shard lists hold.
-func listed(lists [][]int32) int {
-	n := 0
-	for _, ids := range lists {
-		n += len(ids)
-	}
-	return n
-}
-
 // pack runs the crossing-writes analysis on a one-shard plan: it finds the
-// connected components of the flow/node/link incidence graph, packs them
-// onto the widest shard count within budget that assign accepts and splits
-// the lists accordingly. The plan stays one shard when the topology does
+// connected components of the flow/node/link incidence graph over the flows
+// and the slotted nodes and links, packs them onto the widest shard count
+// within budget that assign accepts, splits the flow list and stamps each
+// slot's shard accordingly. The plan stays one shard when the topology does
 // not split at any of them. Deterministic: union-find roots, component
 // order and the greedy assignment depend only on the topology and on which
-// unloaded constraints hold a price, never on scheduling or map iteration.
-func (plan *stagePlan) pack(ix *model.Index, budget int) {
-	flows, nodes, links := plan.flows[0], plan.nodes[0], plan.links[0]
+// unloaded constraints hold a price, never on scheduling, map iteration or
+// slot numbers.
+func (plan *stagePlan) pack(ix *model.Index, budget int, nodes, links *slots) {
+	flows := plan.flows[0]
 
 	// Two flows share a component iff a chain of shared nodes and links
 	// joins them, so the union-find runs over flows alone. Union-by-minimum
@@ -198,24 +141,31 @@ func (plan *stagePlan) pack(ix *model.Index, budget int) {
 			}
 		}
 	}
-	for _, b := range nodes {
-		if fl := ix.FlowsByNode(model.NodeID(b)); len(fl) > 1 {
-			join(fl)
+	nodeFlows := func(b int32) []model.FlowID { return ix.FlowsByNode(model.NodeID(b)) }
+	linkFlows := func(l int32) []model.FlowID { return ix.FlowsByLink(model.LinkID(l)) }
+	for _, b := range nodes.ids {
+		if b >= 0 {
+			if fl := nodeFlows(b); len(fl) > 1 {
+				join(fl)
+			}
 		}
 	}
-	for _, l := range links {
-		if fl := ix.FlowsByLink(model.LinkID(l)); len(fl) > 1 {
-			join(fl)
+	for _, l := range links.ids {
+		if l >= 0 {
+			if fl := linkFlows(l); len(fl) > 1 {
+				join(fl)
+			}
 		}
 	}
 	// Classes add no edges: a class's node is required (model.Validate) to
 	// carry the class's flow, so that flow-node pair is already united.
 
 	// Components in root order — flow components by smallest flow, then
-	// each priced constraint no flow crosses as a component of its own —
-	// with their balancing weights: classes dominate both the rate solve
-	// (per-flow class scan) and the admission sort (per-node class scan),
-	// so flows and nodes count their attached classes on top of themselves.
+	// each priced constraint no flow crosses as a component of its own, in
+	// ascending id order — with their balancing weights: classes dominate
+	// both the rate solve (per-flow class scan) and the admission sort
+	// (per-node class scan), so flows and nodes count their attached
+	// classes on top of themselves.
 	var weight []int
 	flowComp := make([]int32, len(flows))
 	for v := range flows {
@@ -227,25 +177,27 @@ func (plan *stagePlan) pack(ix *model.Index, budget int) {
 		}
 		weight[flowComp[v]] += 1 + len(ix.ClassesByFlow(model.FlowID(v)))
 	}
-	place := func(ids []int32, crossing func(int32) []model.FlowID, w func(int32) int) []int32 {
-		comp := make([]int32, len(ids))
-		for k, id := range ids {
-			if fl := crossing(id); len(fl) > 0 {
-				comp[k] = flowComp[fl[0]]
-			} else {
-				comp[k] = int32(len(weight))
-				weight = append(weight, 0)
+	// place returns each slot's component, -1 for a free one and for one no
+	// flow crosses, which alone then gives a component of its own.
+	place := func(m *slots, crossing func(int32) []model.FlowID, w func(int32) int) []int32 {
+		comp := make([]int32, len(m.ids))
+		for s, id := range m.ids {
+			comp[s] = -1
+			if id < 0 {
+				continue
 			}
-			weight[comp[k]] += w(id)
+			if fl := crossing(id); len(fl) > 0 {
+				comp[s] = flowComp[fl[0]]
+				weight[comp[s]] += w(id)
+			}
 		}
 		return comp
 	}
-	nodeComp := place(nodes,
-		func(b int32) []model.FlowID { return ix.FlowsByNode(model.NodeID(b)) },
-		func(b int32) int { return 1 + len(ix.ClassesByNode(model.NodeID(b))) })
-	linkComp := place(links,
-		func(l int32) []model.FlowID { return ix.FlowsByLink(model.LinkID(l)) },
-		func(int32) int { return 1 })
+	nodeWeight := func(b int32) int { return 1 + len(ix.ClassesByNode(model.NodeID(b))) }
+	linkWeight := func(int32) int { return 1 }
+	nodeComp, linkComp := place(nodes, nodeFlows, nodeWeight), place(links, linkFlows, linkWeight)
+	weight = alone(nodes, nodeComp, weight, nodeWeight)
+	weight = alone(links, linkComp, weight, linkWeight)
 	plan.components = len(weight)
 
 	// The widest plan the budget allows: the budget itself, then halves of
@@ -262,41 +214,43 @@ func (plan *stagePlan) pack(ix *model.Index, budget int) {
 		if shardOf == nil {
 			continue
 		}
-		split := func(ids, comp []int32) [][]int32 {
-			lists := make([][]int32, shards)
-			for k, id := range ids {
-				s := shardOf[comp[k]]
-				lists[s] = append(lists[s], id)
-			}
-			return lists
-		}
 		plan.shards = shards
-		plan.flows, plan.nodes, plan.links = split(flows, flowComp), split(nodes, nodeComp), split(links, linkComp)
-		plan.flowShard = make([]int32, len(flows))
+		plan.flows = make([][]int32, shards)
 		for v, c := range flowComp {
-			plan.flowShard[v] = shardOf[c]
+			plan.flows[shardOf[c]] = append(plan.flows[shardOf[c]], int32(v))
 		}
+		stamp := func(m *slots, comp []int32) {
+			for s, c := range comp {
+				if c >= 0 {
+					m.shard[s] = shardOf[c]
+				}
+			}
+		}
+		stamp(nodes, nodeComp)
+		stamp(links, linkComp)
 		return
 	}
 }
 
-// shardOf returns the shard whose list — of lists, the plan's node or link
-// lists — holds constraint id, which the given flows cross: the shard of the
-// first of them, as pack puts a constraint in its flows' component, or, for
-// a priced one no flow crosses, the one whose list holds it.
-func (plan *stagePlan) shardOf(lists [][]int32, id int32, crossing []model.FlowID) int {
-	if plan.shards == 1 {
-		return 0
-	}
-	if len(crossing) > 0 {
-		return int(plan.flowShard[crossing[0]])
-	}
-	for k, ids := range lists {
-		if _, found := slices.BinarySearch(ids, id); found {
-			return k
+// alone gives each held slot of m without a component in comp — a priced
+// constraint no flow crosses — a component of its own, in ascending id
+// order, appending its weight w to weight, which it returns. It is a
+// function of its own, not a closure of pack: inlined there it pushes pack
+// past the inliner's budget for the union-find's find, which then costs a
+// call per join.
+func alone(m *slots, comp []int32, weight []int, w func(int32) int) []int {
+	var ids []int32
+	for s, c := range comp {
+		if c < 0 && m.ids[s] >= 0 {
+			ids = append(ids, m.ids[s])
 		}
 	}
-	panic(fmt.Sprintf("core: the plan does not list constraint %d", id))
+	slices.Sort(ids)
+	for _, id := range ids {
+		comp[m.at(id)] = int32(len(weight))
+		weight = append(weight, w(id))
+	}
+	return weight
 }
 
 // assign packs components of the given weights onto shards, returning each

@@ -54,10 +54,6 @@ const surgeRuns = 3
 // bound; literal selects Config.GammaLiteral's behaviour.
 func newGammaBank(literal bool, n int) *gammaBank {
 	g := &gammaBank{
-		val:      make([]float64, n),
-		prevGap:  make([]float64, n),
-		sameRun:  make([]int32, n),
-		havePrev: make([]bool, n),
 		init:     DefaultGammaMax,
 		min:      DefaultGammaMin,
 		max:      DefaultGammaMax,
@@ -72,18 +68,20 @@ func newGammaBank(literal bool, n int) *gammaBank {
 		g.deadband = 0
 		g.surge = 2
 	}
-	for b := range g.val {
-		g.val[b] = g.init
-	}
+	g.grow(n)
 	return g
 }
 
-// add appends one node at its initial state.
-func (g *gammaBank) add() {
-	g.val = append(g.val, g.init)
-	g.prevGap = append(g.prevGap, 0)
-	g.sameRun = append(g.sameRun, 0)
-	g.havePrev = append(g.havePrev, false)
+// grow appends n nodes at their initial state.
+func (g *gammaBank) grow(n int) {
+	k := len(g.val)
+	g.val = append(g.val, make([]float64, n)...)
+	for b := k; b < len(g.val); b++ {
+		g.val[b] = g.init
+	}
+	g.prevGap = append(g.prevGap, make([]float64, n)...)
+	g.sameRun = append(g.sameRun, make([]int32, n)...)
+	g.havePrev = append(g.havePrev, make([]bool, n)...)
 }
 
 // reseed returns node b's controller to its initial state. A routing

@@ -9,10 +9,11 @@ import (
 )
 
 // TestEngineSlotsFollowThePlan: the engine keeps state only for the
-// constraints its plan lists. Over 240 events of the seeded fail/heal
-// sequence, a dozen Steps after each, the engine holds a slot for exactly
-// the nodes and links the plan lists after every ResetRouting, a free slot
-// holds what a constraint no flow ever crossed holds (core.CheckIdleCaches),
+// constraints its plan lists, and its slot tables are that list. Over 240
+// events of the seeded fail/heal sequence, a dozen Steps after each, the
+// tables hold exactly the nodes and links, each on the shard, that a plan
+// built from scratch lists after every ResetRouting (core.CheckPlanFresh),
+// a free slot holds what a constraint no flow ever crossed holds (core.CheckIdleCaches),
 // and the slot storage never outgrows the most constraints the plan has
 // listed at once. The run covers priced links emptied by a delta, priced
 // links that left the plan unnamed once their price decayed, and slots
@@ -34,6 +35,9 @@ func TestEngineSlotsFollowThePlan(t *testing.T) {
 	check := func(tag string) {
 		t.Helper()
 		if err := core.CheckIdleCaches(e); err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		if err := core.CheckPlanFresh(e); err != nil {
 			t.Fatalf("%s: %v", tag, err)
 		}
 		_, nodes, links := core.Listed(e)

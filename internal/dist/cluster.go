@@ -476,6 +476,9 @@ func (cl *Cluster) Run(rounds int, timeout time.Duration) ([]RoundStats, error) 
 // invoke it between Run calls. A removed flow's agent idles
 // and can rejoin via JoinFlow.
 func (cl *Cluster) RemoveFlow(i model.FlowID) error {
+	if i < 0 || int(i) >= len(cl.flows) {
+		return fmt.Errorf("dist: remove: unknown flow %d", i)
+	}
 	return cl.sendCtrl(ctrlMsg{Leave: true}, flowName(i))
 }
 

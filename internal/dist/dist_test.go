@@ -2,6 +2,7 @@ package dist
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -427,6 +428,31 @@ func TestSyncWithLinks(t *testing.T) {
 		if rel := math.Abs(s.Utility-engineTrace[i]) / math.Max(1, engineTrace[i]); rel > 1e-9 {
 			t.Fatalf("round %d: dist %g vs engine %g (link pricing diverged)", i+1, s.Utility, engineTrace[i])
 		}
+	}
+}
+
+// TestUnknownFlowIsRefused: RemoveFlow and JoinFlow refuse a flow id the
+// cluster does not have, each with its own message naming the id, and send
+// nothing: the cluster's traffic stays as it was.
+func TestUnknownFlowIsRefused(t *testing.T) {
+	net := transport.NewMemory()
+	defer net.Close()
+	cl, err := New(workload.Base(), Config{}, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	before := cl.Traffic()
+	for _, i := range []model.FlowID{999, -1} {
+		for op, call := range map[string]func(model.FlowID) error{"remove": cl.RemoveFlow, "join": cl.JoinFlow} {
+			want := fmt.Sprintf("dist: %s: unknown flow %d", op, i)
+			if err := call(i); err == nil || err.Error() != want {
+				t.Errorf("%s of flow %d: %v, want %q", op, i, err, want)
+			}
+		}
+	}
+	if after := cl.Traffic(); after != before {
+		t.Errorf("refused calls moved the traffic from %+v to %+v", before, after)
 	}
 }
 

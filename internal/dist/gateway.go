@@ -131,15 +131,16 @@ func (p *hostPort) stage(msg transport.Message) error {
 	if g.closed {
 		return transport.ErrClosed
 	}
-	g.traffic.Messages++
-	g.traffic.Bytes += uint64(len(msg.Payload))
+	// A message counts as sent once it is routed.
 	if q, ok := g.ports[msg.To]; ok {
+		g.countLocked(&msg)
 		return g.enqueueLocked(q, msg)
 	}
 	host, ok := g.route[msg.To]
 	if !ok {
 		return fmt.Errorf("%w: %q", transport.ErrUnknownDest, msg.To)
 	}
+	g.countLocked(&msg)
 	st := g.out[host]
 	if st == nil {
 		st = &staged{host: host}
@@ -154,6 +155,12 @@ func (p *hostPort) stage(msg transport.Message) error {
 		g.wakeLocked()
 	}
 	return nil
+}
+
+// countLocked adds msg to the gateway's traffic. Callers hold g.mu.
+func (g *gateway) countLocked(msg *transport.Message) {
+	g.traffic.Messages++
+	g.traffic.Bytes += uint64(len(msg.Payload))
 }
 
 // wakeLocked wakes the flusher. Callers hold g.mu, under which close

@@ -99,6 +99,29 @@ func seq(from, to string, k int) transport.Message {
 	return transport.Message{From: from, To: to, Kind: rateKind, Payload: []byte{byte(k)}}
 }
 
+// TestRefusedSendCountsNothing: a message to a destination the gateway
+// cannot route is refused with transport.ErrUnknownDest and leaves the
+// gateway's traffic as it was; a routed one, local or remote, counts.
+func TestRefusedSendCountsNothing(t *testing.T) {
+	net := transport.NewMemory()
+	defer net.Close()
+	g, ports := heldGateway(t, net, "host/0", map[string]string{"flow/0": "host/0", "node/0": "host/0", "node/1": "host/1"})
+	if err := ports["flow/0"].Send(seq("", "flow/999", 0)); !errors.Is(err, transport.ErrUnknownDest) {
+		t.Fatalf("send to flow/999: %v, want transport.ErrUnknownDest", err)
+	}
+	if tr := g.trafficNow(); tr != (Traffic{}) {
+		t.Errorf("a refused send left the traffic at %+v", tr)
+	}
+	for _, to := range []string{"node/0", "node/1"} {
+		if err := ports["flow/0"].Send(seq("", to, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tr := g.trafficNow(); tr.Messages != 2 || tr.Bytes != 2 {
+		t.Errorf("two routed one-byte sends counted as %+v", tr)
+	}
+}
+
 // TestGatewayContract pins what the agents rely on, against bare gateways
 // on the in-memory network: no cluster, and nothing waits on a clock.
 func TestGatewayContract(t *testing.T) {

@@ -219,23 +219,8 @@ func (ix *Index) Problem() *Problem { return ix.p }
 // remain valid, while the cost views pick up p's values. It must not run
 // concurrently with readers.
 func (ix *Index) Refresh(p *Problem) error {
-	old := ix.p
-	switch {
-	case len(p.Flows) != len(old.Flows):
-		return fmt.Errorf("model: refresh: flow count %d != %d", len(p.Flows), len(old.Flows))
-	case len(p.Nodes) != len(old.Nodes):
-		return fmt.Errorf("model: refresh: node count %d != %d", len(p.Nodes), len(old.Nodes))
-	case len(p.Links) != len(old.Links):
-		return fmt.Errorf("model: refresh: link count %d != %d", len(p.Links), len(old.Links))
-	case len(p.Classes) != len(old.Classes):
-		return fmt.Errorf("model: refresh: class count %d != %d", len(p.Classes), len(old.Classes))
-	}
-	for j := range p.Classes {
-		c, oc := &p.Classes[j], &old.Classes[j]
-		if c.Flow != oc.Flow || c.Node != oc.Node {
-			return fmt.Errorf("model: refresh: class %d moved (flow %d→%d, node %d→%d)",
-				j, oc.Flow, c.Flow, oc.Node, c.Node)
-		}
+	if err := sameShape("model: refresh", ix.p, p); err != nil {
+		return err
 	}
 	for b := range p.Nodes {
 		flows := ix.nodes[b].flowList()

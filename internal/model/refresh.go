@@ -17,6 +17,30 @@ type RoutingDelta struct {
 	Links []LinkID
 }
 
+// sameShape reports, prefixed by op, how p's member sets differ from old's:
+// the flow, node, link and class counts, and every class's (flow, node)
+// attachment — what Refresh and RefreshRouting both require unchanged.
+func sameShape(op string, old, p *Problem) error {
+	switch {
+	case len(p.Flows) != len(old.Flows):
+		return fmt.Errorf("%s: flow count %d != %d", op, len(p.Flows), len(old.Flows))
+	case len(p.Nodes) != len(old.Nodes):
+		return fmt.Errorf("%s: node count %d != %d", op, len(p.Nodes), len(old.Nodes))
+	case len(p.Links) != len(old.Links):
+		return fmt.Errorf("%s: link count %d != %d", op, len(p.Links), len(old.Links))
+	case len(p.Classes) != len(old.Classes):
+		return fmt.Errorf("%s: class count %d != %d", op, len(p.Classes), len(old.Classes))
+	}
+	for j := range p.Classes {
+		c, oc := &p.Classes[j], &old.Classes[j]
+		if c.Flow != oc.Flow || c.Node != oc.Node {
+			return fmt.Errorf("%s: class %d moved (flow %d→%d, node %d→%d)",
+				op, j, oc.Flow, c.Flow, oc.Node, c.Node)
+		}
+	}
+	return nil
+}
+
 // RefreshRouting re-targets the index at p after a routing change confined
 // to d: membership lists and cost views are rebuilt for exactly the dirty
 // flows/nodes/links (a dirty element left with no flow goes back to the
@@ -38,23 +62,8 @@ type RoutingDelta struct {
 // valid stays valid without a sweep, and on error the index is unchanged.
 // It must not run concurrently with readers.
 func (ix *Index) RefreshRouting(p *Problem, d RoutingDelta) error {
-	old := ix.p
-	switch {
-	case len(p.Flows) != len(old.Flows):
-		return fmt.Errorf("model: refresh-routing: flow count %d != %d", len(p.Flows), len(old.Flows))
-	case len(p.Nodes) != len(old.Nodes):
-		return fmt.Errorf("model: refresh-routing: node count %d != %d", len(p.Nodes), len(old.Nodes))
-	case len(p.Links) != len(old.Links):
-		return fmt.Errorf("model: refresh-routing: link count %d != %d", len(p.Links), len(old.Links))
-	case len(p.Classes) != len(old.Classes):
-		return fmt.Errorf("model: refresh-routing: class count %d != %d", len(p.Classes), len(old.Classes))
-	}
-	for j := range p.Classes {
-		c, oc := &p.Classes[j], &old.Classes[j]
-		if c.Flow != oc.Flow || c.Node != oc.Node {
-			return fmt.Errorf("model: refresh-routing: class %d moved (flow %d→%d, node %d→%d)",
-				j, oc.Flow, c.Flow, oc.Node, c.Node)
-		}
+	if err := sameShape("model: refresh-routing", ix.p, p); err != nil {
+		return err
 	}
 	// Sorted, deduplicated dirty sets. The flow mark set doubles as the
 	// membership-change guard below.
