@@ -1019,26 +1019,39 @@ func (e *Engine) reseedNode(b model.NodeID) {
 }
 
 // warmRestart is the shared tail of Reset and ResetRouting: re-targets
-// solvers at p, clamps the carried-over rates and populations into p's
-// bounds, and restarts the incremental machinery so the first Step
-// recomputes everything. d is ResetRouting's delta, nil for Reset (see
-// rearm).
+// flows at p (retarget) and restarts the incremental machinery so the
+// first Step recomputes everything. d is ResetRouting's delta, nil for
+// Reset (see rearm). Under a delta only d's flows are re-targeted: the
+// contract of ResetRouting is that nothing else differs from the problem
+// the engine last saw, so every other flow's solver, clamped rate,
+// populations and value-cache basis are already p's.
 func (e *Engine) warmRestart(p *model.Problem, d *model.RoutingDelta) {
 	e.p = p
-	for i := range p.Flows {
-		e.solvers[i].bind(p)
-		if e.active[i] {
-			e.rates[i] = clamp(e.rates[i], p.Flows[i].RateMin, p.Flows[i].RateMax)
+	if d == nil {
+		for i := range p.Flows {
+			e.retarget(i)
 		}
-		e.rebase(i)
-	}
-	for j := range p.Classes {
-		if e.consumers[j] > p.Classes[j].MaxConsumers {
-			e.consumers[j] = p.Classes[j].MaxConsumers
+	} else {
+		for _, i := range d.Flows {
+			e.retarget(int(i))
 		}
 	}
-
 	e.rearm(d)
+}
+
+// retarget re-binds flow i's solver to e.p, clamps its carried-over rate
+// (when active) and its classes' populations into e.p's bounds, and
+// recomputes its value-cache basis.
+func (e *Engine) retarget(i int) {
+	p, rs := e.p, e.solvers[i]
+	rs.bind(p)
+	if e.active[i] {
+		e.rates[i] = clamp(e.rates[i], p.Flows[i].RateMin, p.Flows[i].RateMax)
+	}
+	e.rebase(i)
+	for _, j := range rs.classes {
+		e.consumers[j] = min(e.consumers[j], p.Classes[j].MaxConsumers)
+	}
 }
 
 // rearm restarts the incremental machinery so that the next Step recomputes

@@ -196,14 +196,12 @@ func (t *Topology) NodeAlive(b model.NodeID) bool {
 	return t.deadNode == nil || !t.deadNode[b]
 }
 
-// linkUsable is LinkAlive without the bounds re-checks, for the BFS inner
-// loop (li always comes from an adjacency list).
-func (t *Topology) linkUsable(li int32) bool {
-	if t.deadLink != nil && t.deadLink[li] {
-		return false
-	}
-	// From is alive (BFS only dequeues alive nodes), so only To matters.
-	return t.deadNode == nil || !t.deadNode[t.links[li].To]
+// usable reports whether a traversal that reached one end of link li alive
+// may cross it to next, the other end: LinkAlive without the bounds checks
+// and the liveness of the end already reached, for the sweeps' inner loops
+// (li always comes from an adjacency list).
+func (t *Topology) usable(li int32, next model.NodeID) bool {
+	return (t.deadLink == nil || !t.deadLink[li]) && (t.deadNode == nil || !t.deadNode[next])
 }
 
 // Line builds a path topology 0-1-...-n-1 with bidirectional links.
@@ -227,26 +225,19 @@ func Ring(n int, capacity float64) *Topology {
 
 // Scratch holds the reusable state of breadth-first routing. One Scratch
 // serves any number of BuildTreeInto calls, and it caches the canonical
-// BFS from the latest source as a resumable prefix: every node within lvl
+// BFS from the latest source as a resumable prefix: every node within k
 // hops, with the parent the full FIFO BFS gives it. A subscriber past the
 // prefix is traced by a search from both ends (trace), so a re-trace costs
 // the balls around its endpoints rather than the BFS up to its deepest
 // subscriber, and consecutive flows sharing a source (or repeated traces
 // after one failure) share the prefix. A Scratch belongs to one goroutine.
 type Scratch struct {
-	// prev[b] is the link that first reached b in the cached BFS and
-	// dist[b] its hop distance, valid when seen[b] == epoch; the BFS tree
-	// is a function of (source, alive topology) only, so every flow from
-	// the same source shares it. The queue holds the prefix in BFS order
-	// and queue[head:] is exactly level lvl, the last complete one: the
-	// cached BFS resumes there.
-	prev  []int32
-	dist  []int32
-	seen  []int32
-	queue []int32
-	head  int
-	lvl   int32
-	epoch int32
+	// fwd is the cached BFS prefix: a forward level sweep from the source
+	// that records each node's discovering link (via). The BFS tree is a
+	// function of (source, alive topology) only, so every flow from the
+	// same source shares it; fwd.queue[fwd.lo:] is exactly level fwd.k,
+	// the last complete one, and the BFS resumes there.
+	fwd levelSweep
 
 	// The subscriber's side of a trace past the prefix: a reverse level
 	// sweep from it, then the restricted pass's queue and the parents it
@@ -279,15 +270,13 @@ func NewScratch(t *Topology) *Scratch {
 	return sc
 }
 
-// ensure sizes the scratch arrays for t. Every mark is epoch-stamped, so
-// arrays sized for a larger topology serve a smaller one as they are.
+// ensure sizes the scratch arrays the sweeps do not size themselves for t.
+// Every mark is epoch-stamped, so arrays sized for a larger topology serve a
+// smaller one as they are.
 func (sc *Scratch) ensure(t *Topology) {
-	if len(sc.seen) < t.nodeCount {
-		sc.prev = make([]int32, t.nodeCount)
-		sc.dist = make([]int32, t.nodeCount)
-		sc.seen = make([]int32, t.nodeCount)
+	if len(sc.nodeSeen) < t.nodeCount {
 		sc.nodeSeen = make([]int32, t.nodeCount)
-		sc.queue = make([]int32, 0, t.nodeCount)
+		sc.fwd.via = make([]int32, t.nodeCount)
 	}
 }
 
@@ -299,49 +288,25 @@ func (sc *Scratch) cached(t *Topology, src model.NodeID) bool {
 
 // bfs starts the breadth-first parent tree from src over the alive
 // topology, or keeps the cached one; trace expands it. Traversal order is
-// deterministic: FIFO queue, adjacency lists in insertion order, dead
+// deterministic: FIFO by level, adjacency lists in insertion order, dead
 // elements skipped in place — so the tree is a pure function of (src,
 // alive sets) and repairs that re-run it reproduce from-scratch routing
-// exactly.
+// exactly. A FIFO BFS never rewrites a parent, so every node of the prefix
+// has the parent a traversal run to exhaustion gives it: stopping after a
+// whole level changes no tree.
 func (sc *Scratch) bfs(t *Topology, src model.NodeID) {
 	sc.ensure(t)
 	if sc.cached(t, src) {
 		return
 	}
-	sc.epoch++
-	if sc.epoch <= 0 { // wrapped: reset marks
-		sc.epoch = 1
-		clear(sc.seen)
-	}
-	sc.queue = append(sc.queue[:0], int32(src))
-	sc.head, sc.lvl = 0, 0
-	sc.seen[src], sc.prev[src], sc.dist[src] = sc.epoch, -1, 0
+	sc.fwd.start(t, src, false)
 	sc.bfsTopo, sc.bfsEpoch, sc.bfsSrc = t, t.epoch, int32(src)
-}
-
-// grow expands the prefix by one whole level. A FIFO BFS never rewrites a
-// prev, so every node of the prefix has the parent a traversal run to
-// exhaustion gives it: stopping at a level changes no tree.
-func (sc *Scratch) grow(t *Topology) {
-	e, hi := sc.epoch, len(sc.queue)
-	sc.lvl++
-	for _, at := range sc.queue[sc.head:hi] {
-		for _, li := range t.out[at] {
-			to := t.links[li].To
-			if sc.seen[to] == e || !t.linkUsable(li) {
-				continue
-			}
-			sc.seen[to], sc.prev[to], sc.dist[to] = e, li, sc.lvl
-			sc.queue = append(sc.queue, int32(to))
-		}
-	}
-	sc.head = hi
 }
 
 // trace finds the canonical path to dst — the one the full FIFO BFS from
 // the cached source gives it — and returns its hop count, or false when
 // dst is unreachable; parent then walks it. Inside the prefix the path is
-// read off prev. Past it, a reverse level sweep from dst and the prefix
+// read off via. Past it, a reverse level sweep from dst and the prefix
 // grow one whole level at a time, the smaller frontier first, until a node
 // is found by both; a side that drains first proves dst unreachable. At
 // the first meeting, with radii a and b, d(src, dst) = a+b: no shorter path
@@ -358,21 +323,20 @@ func (sc *Scratch) grow(t *Topology) {
 // full BFS's relative order. The pass writes nothing of the prefix, which
 // stays resumable.
 func (sc *Scratch) trace(t *Topology, dst model.NodeID) (int32, bool) {
-	e := sc.epoch
-	if sc.seen[dst] == e {
-		return sc.dist[dst], true
+	fwd, back := &sc.fwd, &sc.back
+	if fwd.found(dst) {
+		return fwd.dist[dst], true
 	}
-	back := &sc.back
 	back.start(t, dst, true)
-	inPrefix := func(x int32) bool { return sc.seen[x] == e }
+	inPrefix := func(x int32) bool { return fwd.found(model.NodeID(x)) }
 	inBack := func(x int32) bool { return back.found(model.NodeID(x)) }
 	for met := false; !met; {
-		if sc.head == len(sc.queue) || back.drained() {
+		if fwd.drained() || back.drained() {
 			return 0, false
 		}
-		if len(sc.queue)-sc.head <= back.frontier() {
-			sc.grow(t)
-			met = slices.ContainsFunc(sc.queue[sc.head:], inBack)
+		if fwd.frontier() <= back.frontier() {
+			fwd.grow(t)
+			met = slices.ContainsFunc(fwd.queue[fwd.lo:], inBack)
 		} else {
 			back.grow(t)
 			met = slices.ContainsFunc(back.queue[back.lo:], inPrefix)
@@ -381,7 +345,7 @@ func (sc *Scratch) trace(t *Topology, dst model.NodeID) (int32, bool) {
 
 	b := back.k
 	sc.rq = sc.rq[:0]
-	for _, x := range sc.queue[sc.head:] {
+	for _, x := range fwd.queue[fwd.lo:] {
 		if inBack(x) && back.dist[x] == b {
 			sc.rq = append(sc.rq, x)
 		}
@@ -394,7 +358,7 @@ func (sc *Scratch) trace(t *Topology, dst model.NodeID) (int32, bool) {
 		for _, at := range sc.rq[lo:hi] {
 			for _, li := range t.out[at] {
 				to := t.links[li].To
-				if !back.found(to) || back.dist[to] != j || !t.linkUsable(li) {
+				if !back.found(to) || back.dist[to] != j || !t.usable(li, to) {
 					continue
 				}
 				back.dist[to] = -1 // claimed: the first discovery is the parent
@@ -404,17 +368,95 @@ func (sc *Scratch) trace(t *Topology, dst model.NodeID) (int32, bool) {
 		}
 		lo = hi
 	}
-	return sc.lvl + b, true
+	return fwd.k + b, true
 }
 
 // parent returns the link into b on the path the latest trace found: the
 // prefix's parent inside it, the restricted pass's past it.
 func (sc *Scratch) parent(b model.NodeID) int32 {
-	if sc.seen[b] == sc.epoch {
-		return sc.prev[b]
+	if sc.fwd.found(b) {
+		return sc.fwd.via[b]
 	}
 	return sc.rprev[b]
 }
+
+// levelSweep is a breadth-first sweep of hop distances over the alive
+// topology from root, along the links or (reverse) against them, grown one
+// whole level at a time so its radius — every node within k hops found —
+// is known between steps. A dead root reaches nothing. Marks are stamped
+// with the sweep's epoch, so a start costs nothing per node, and each
+// sweep owns its queue. Scratch's cached BFS prefix is a forward sweep
+// that also records each node's discovering link in via; a trace's
+// subscriber side and a restore's two sides leave via nil.
+type levelSweep struct {
+	reverse bool
+	dist    []int32 // valid where seen == epoch
+	via     []int32 // nil, or the link that found each node (-1 at root)
+	seen    []int32
+	queue   []int32
+	epoch   int32
+	lo      int   // queue[lo:] is the frontier, the nodes k hops away
+	k       int32 // the radius
+}
+
+// start begins a sweep from root.
+func (s *levelSweep) start(t *Topology, root model.NodeID, reverse bool) {
+	if len(s.seen) < t.nodeCount {
+		s.dist = make([]int32, t.nodeCount)
+		s.seen = make([]int32, t.nodeCount)
+		s.queue = make([]int32, 0, t.nodeCount)
+	}
+	s.epoch++
+	if s.epoch <= 0 { // wrapped: reset marks
+		s.epoch = 1
+		clear(s.seen)
+	}
+	s.reverse, s.queue, s.lo, s.k = reverse, s.queue[:0], 0, 0
+	if t.NodeAlive(root) {
+		s.seen[root], s.dist[root] = s.epoch, 0
+		if s.via != nil {
+			s.via[root] = -1
+		}
+		s.queue = append(s.queue, int32(root))
+	}
+}
+
+// grow finds the next level: the alive nodes one usable link beyond the
+// frontier, in frontier order and adjacency order, the first discovery of
+// each kept. The arrays, epoch and radius are held in locals: this is the
+// inner loop of every trace and every restore.
+func (s *levelSweep) grow(t *Topology) {
+	adj, rev := t.out, s.reverse
+	if rev {
+		adj = t.in
+	}
+	seen, dist, via, queue, e := s.seen, s.dist, s.via, s.queue, s.epoch
+	hi, k := len(queue), s.k+1
+	for _, b := range queue[s.lo:hi] {
+		for _, li := range adj[b] {
+			next := t.links[li].To
+			if rev {
+				next = t.links[li].From
+			}
+			if seen[next] == e || !t.usable(li, next) {
+				continue
+			}
+			seen[next], dist[next] = e, k
+			if via != nil {
+				via[next] = li
+			}
+			queue = append(queue, int32(next))
+		}
+	}
+	s.queue, s.lo, s.k = queue, hi, k
+}
+
+func (s *levelSweep) found(b model.NodeID) bool { return s.seen[b] == s.epoch }
+
+// drained reports whether the sweep has found every node it can reach.
+func (s *levelSweep) drained() bool { return s.lo == len(s.queue) }
+
+func (s *levelSweep) frontier() int { return len(s.queue) - s.lo }
 
 // Tree is a flow's dissemination tree: the union of shortest paths from
 // the source to every subscriber node.

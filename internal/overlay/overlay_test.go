@@ -424,7 +424,7 @@ func TestTraceMatchesExhaustiveBFS(t *testing.T) {
 			if !ok || d != dist[cs.Node] || sc.parent(cs.Node) != prev[cs.Node] {
 				t.Fatalf("link_failure %d -> %d: trace %d, %v; full BFS %d", fs.Source, cs.Node, d, ok, dist[cs.Node])
 			}
-			searched += len(sc.queue)
+			searched += len(sc.fwd.queue)
 			for _, e := range sc.back.seen {
 				if e == sc.back.epoch {
 					searched++

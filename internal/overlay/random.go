@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -12,20 +13,17 @@ import (
 // spanning tree guarantees connectivity, and extra bidirectional links are
 // added between pairs with probability alpha * exp(-distance/(beta*L))
 // where L is the maximum possible distance. All links share one capacity.
-// The generator is deterministic for a given rand source.
+// The generator is deterministic for a given rand source. An alpha, beta
+// or capacity of 0 takes its default (0.4, 0.3, 1e6); a NaN, ±Inf or
+// negative one panics, naming the argument.
 func RandomTopology(rng *rand.Rand, n int, alpha, beta, capacity float64) *Topology {
 	if n < 1 {
 		n = 1
 	}
-	if alpha <= 0 {
-		alpha = 0.4
-	}
-	if beta <= 0 {
-		beta = 0.3
-	}
-	if capacity <= 0 {
-		capacity = 1e6
-	}
+	const gen = "RandomTopology"
+	alpha = mustOption(gen, "alpha", alpha, 0.4)
+	beta = mustOption(gen, "beta", beta, 0.3)
+	capacity = mustOption(gen, "capacity", capacity, 1e6)
 
 	t := NewTopology(n)
 	xs := make([]float64, n)
@@ -45,8 +43,7 @@ func RandomTopology(rng *rand.Rand, n int, alpha, beta, capacity float64) *Topol
 	for k := 1; k < n; k++ {
 		a := order[k]
 		b := order[rng.Intn(k)]
-		// Construction guarantees valid distinct endpoints.
-		_, _, _ = t.AddBidirectional(model.NodeID(a), model.NodeID(b), capacity)
+		addPair(t, a, b, capacity)
 	}
 
 	// Waxman extras.
@@ -62,7 +59,7 @@ func RandomTopology(rng *rand.Rand, n int, alpha, beta, capacity float64) *Topol
 			}
 			p := alpha * math.Exp(-dist(a, b)/(beta*maxDist))
 			if rng.Float64() < p {
-				_, _, _ = t.AddBidirectional(model.NodeID(a), model.NodeID(b), capacity)
+				addPair(t, a, b, capacity)
 			}
 		}
 	}
@@ -77,7 +74,9 @@ func RandomTopology(rng *rand.Rand, n int, alpha, beta, capacity float64) *Topol
 // heterogeneous, drawn log-uniformly from [capMin, capMax] per
 // bidirectional pair (both directions share one capacity), modeling the
 // capacity-diverse substrates of the MON / node+link-constrained papers.
-// Deterministic for a given rand source.
+// Deterministic for a given rand source. A capMin of 0 means 1e3 and a
+// capMax of 0 (or one below capMin) means capMin; a NaN, ±Inf or negative
+// capacity panics, naming the argument.
 func RandomTopologyHetero(rng *rand.Rand, n, extraPerNode int, capMin, capMax float64) *Topology {
 	if n < 1 {
 		n = 1
@@ -85,17 +84,18 @@ func RandomTopologyHetero(rng *rand.Rand, n, extraPerNode int, capMin, capMax fl
 	if extraPerNode < 0 {
 		extraPerNode = 0
 	}
-	if capMin <= 0 {
-		capMin = 1e3
-	}
-	if capMax < capMin {
-		capMax = capMin
-	}
+	const gen = "RandomTopologyHetero"
+	capMin = mustOption(gen, "capMin", capMin, 1e3)
+	capMax = max(mustOption(gen, "capMax", capMax, capMin), capMin)
 
 	t := NewTopology(n)
 	logMin, logMax := math.Log(capMin), math.Log(capMax)
 	drawCap := func() float64 {
-		return math.Exp(logMin + rng.Float64()*(logMax-logMin))
+		c := math.Exp(logMin + rng.Float64()*(logMax-logMin))
+		if math.IsInf(c, 1) { // exp(log(capMax)) overflows near MaxFloat64
+			c = capMax
+		}
+		return c
 	}
 
 	// Random spanning tree, as in RandomTopology.
@@ -103,7 +103,7 @@ func RandomTopologyHetero(rng *rand.Rand, n, extraPerNode int, capMin, capMax fl
 	for k := 1; k < n; k++ {
 		a := order[k]
 		b := order[rng.Intn(k)]
-		_, _, _ = t.AddBidirectional(model.NodeID(a), model.NodeID(b), drawCap())
+		addPair(t, a, b, drawCap())
 	}
 
 	// Per-node sampled extras; duplicates are skipped, not retried, so the
@@ -130,8 +130,29 @@ func RandomTopologyHetero(rng *rand.Rand, n, extraPerNode int, capMin, capMax fl
 				continue
 			}
 			connected[[2]int{lo, hi}] = true
-			_, _, _ = t.AddBidirectional(model.NodeID(a), model.NodeID(b), drawCap())
+			addPair(t, a, b, drawCap())
 		}
 	}
 	return t
+}
+
+// mustOption is model.Option for a generator argument: 0 takes def, and a
+// NaN, ±Inf or negative value panics naming the argument — the generators
+// return no error, and such a value would otherwise leave every link out
+// (NaN), make every link infinite (+Inf) or drop every extra (NaN alpha).
+func mustOption(gen, name string, v, def float64) float64 {
+	v, err := model.Option(name, v, def)
+	if err != nil {
+		panic(fmt.Errorf("overlay: %s: %w", gen, err))
+	}
+	return v
+}
+
+// addPair adds the bidirectional link a<->b. The generators pass distinct
+// in-range endpoints and a finite capacity above 0, so an error here is a
+// bug in them.
+func addPair(t *Topology, a, b int, capacity float64) {
+	if _, _, err := t.AddBidirectional(model.NodeID(a), model.NodeID(b), capacity); err != nil {
+		panic(err)
+	}
 }

@@ -1,7 +1,12 @@
 package overlay
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -50,6 +55,57 @@ func TestRandomTopologyDefaults(t *testing.T) {
 	topo := RandomTopology(rand.New(rand.NewSource(1)), 0, 0, 0, 0)
 	if topo.NodeCount() != 1 {
 		t.Errorf("degenerate topology nodes = %d", topo.NodeCount())
+	}
+}
+
+// TestRandomTopologyRefusesBadArguments: a NaN, ±Inf or negative
+// capacity, alpha or beta panics with model.ErrInvalid naming the
+// argument, where it used to build a "connected" overlay with no links
+// (NaN capacity), infinite links (+Inf) or no Waxman extras (NaN alpha).
+// A 0 still takes the default, with the same draws as passing it.
+func TestRandomTopologyRefusesBadArguments(t *testing.T) {
+	gen := map[string]func(v float64) *Topology{
+		"capacity": func(v float64) *Topology { return RandomTopology(rand.New(rand.NewSource(1)), 50, 0.4, 0.3, v) },
+		"alpha":    func(v float64) *Topology { return RandomTopology(rand.New(rand.NewSource(1)), 50, v, 0.3, 1e6) },
+		"beta":     func(v float64) *Topology { return RandomTopology(rand.New(rand.NewSource(1)), 50, 0.4, v, 1e6) },
+		"capMin":   func(v float64) *Topology { return RandomTopologyHetero(rand.New(rand.NewSource(1)), 50, 2, v, 1e6) },
+		"capMax":   func(v float64) *Topology { return RandomTopologyHetero(rand.New(rand.NewSource(1)), 50, 2, 1e5, v) },
+	}
+	for name, build := range gen {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+			err := func() (err error) {
+				defer func() {
+					if p := recover(); p != nil {
+						err, _ = p.(error)
+						if err == nil {
+							err = fmt.Errorf("panic %v", p)
+						}
+					}
+				}()
+				tp := build(v)
+				return fmt.Errorf("built %d links", tp.LinkCount())
+			}()
+			if !errors.Is(err, model.ErrInvalid) || !strings.Contains(err.Error(), name+" ") {
+				t.Errorf("%s = %v: %v, want a panic with model.ErrInvalid naming %s", name, v, err, name)
+			}
+		}
+	}
+
+	// The largest finite capMax is accepted and draws finite capacities:
+	// exp(log(capMax)) overflows there.
+	for _, l := range RandomTopologyHetero(rand.New(rand.NewSource(1)), 50, 2, 1e300, math.MaxFloat64).Links() {
+		if math.IsInf(l.Capacity, 0) || !(l.Capacity > 0) {
+			t.Fatalf("capMax = MaxFloat64 drew capacity %g", l.Capacity)
+		}
+	}
+
+	links := func(tp *Topology) []TopoLink { return tp.Links() }
+	rng := func() *rand.Rand { return rand.New(rand.NewSource(3)) }
+	if !slices.Equal(links(RandomTopology(rng(), 50, 0, 0, 0)), links(RandomTopology(rng(), 50, 0.4, 0.3, 1e6))) {
+		t.Error("RandomTopology: 0 arguments do not build the default overlay")
+	}
+	if !slices.Equal(links(RandomTopologyHetero(rng(), 50, 2, 0, 0)), links(RandomTopologyHetero(rng(), 50, 2, 1e3, 1e3))) {
+		t.Error("RandomTopologyHetero: 0 capacities do not build the default overlay")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 
 	"repro/internal/model"
 )
@@ -41,21 +42,9 @@ type RepairStats struct {
 // topology, trees, problem coefficients and pending delta all reflect the
 // failure; republish via TakeDelta + Engine.ResetRouting.
 func (r *Router) RepairLink(li int) (RepairStats, error) {
-	if err := r.checkFrozen(); err != nil {
-		return RepairStats{}, err
-	}
-	if err := r.topo.RemoveLink(li); err != nil {
-		return RepairStats{}, err
-	}
-	st := RepairStats{Kind: "link-fail", Element: li}
-	if err := r.rerouteAffected(&st, r.FlowsThroughLink(li)); err != nil {
-		// Rollback: the reroute committed nothing.
-		if rerr := r.topo.RestoreLink(li); rerr != nil {
-			panic(fmt.Sprintf("overlay: rollback of link %d failed: %v", li, rerr))
-		}
-		return RepairStats{}, fmt.Errorf("overlay: repair link %d: %w", li, err)
-	}
-	return st, nil
+	return repair(r, "link-fail", li, r.topo.RemoveLink, r.topo.RestoreLink, func() ([]int32, error) {
+		return r.FlowsThroughLink(li), nil
+	})
 }
 
 // RepairNode marks node b failed and re-routes exactly the flows whose
@@ -63,39 +52,22 @@ func (r *Router) RepairLink(li int) (RepairStats, error) {
 // cannot be repaired — the repair fails atomically (accept a full rebuild).
 // Restore/republish semantics match RepairLink.
 func (r *Router) RepairNode(b model.NodeID) (RepairStats, error) {
-	if err := r.checkFrozen(); err != nil {
-		return RepairStats{}, err
-	}
-	if err := r.topo.RemoveNode(b); err != nil {
-		return RepairStats{}, err
-	}
-	rollback := func() {
-		if rerr := r.topo.RestoreNode(b); rerr != nil {
-			panic(fmt.Sprintf("overlay: rollback of node %d failed: %v", b, rerr))
-		}
-	}
-	affected := r.FlowsThroughNode(b)
-	for _, fi := range affected {
-		fs := &r.flows[fi]
-		if fs.Source == b {
-			rollback()
-			return RepairStats{}, fmt.Errorf("overlay: repair node %d: flow %d (%s) is sourced there", b, fi, fs.Name)
-		}
-		off := r.classOff[fi]
-		for k, cs := range fs.Classes {
-			if cs.Node == b {
-				rollback()
-				return RepairStats{}, fmt.Errorf("overlay: repair node %d: flow %d (%s) class %d (%s) subscribes there",
-					b, fi, fs.Name, off+k, cs.Name)
+	return repair(r, "node-fail", b, r.topo.RemoveNode, r.topo.RestoreNode, func() ([]int32, error) {
+		affected := r.FlowsThroughNode(b)
+		for _, fi := range affected {
+			fs := &r.flows[fi]
+			if fs.Source == b {
+				return nil, fmt.Errorf("flow %d (%s) is sourced there", fi, fs.Name)
+			}
+			off := r.classOff[fi]
+			for k, cs := range fs.Classes {
+				if cs.Node == b {
+					return nil, fmt.Errorf("flow %d (%s) class %d (%s) subscribes there", fi, fs.Name, off+k, cs.Name)
+				}
 			}
 		}
-	}
-	st := RepairStats{Kind: "node-fail", Element: int(b)}
-	if err := r.rerouteAffected(&st, affected); err != nil {
-		rollback()
-		return RepairStats{}, fmt.Errorf("overlay: repair node %d: %w", b, err)
-	}
-	return st, nil
+		return affected, nil
+	})
 }
 
 // RestoreLink brings link li back and re-optimizes routing wherever the
@@ -106,38 +78,51 @@ func (r *Router) RepairNode(b model.NodeID) (RepairStats, error) {
 // candidate whose tree comes back identical keeps its old slices and
 // contributes nothing to the delta.
 func (r *Router) RestoreLink(li int) (RepairStats, error) {
-	if err := r.checkFrozen(); err != nil {
-		return RepairStats{}, err
-	}
-	if err := r.topo.RestoreLink(li); err != nil {
-		return RepairStats{}, err
-	}
-	st := RepairStats{Kind: "link-restore", Element: li}
-	l := r.topo.links[li]
-	if err := r.rerouteAffected(&st, r.restoreCandidates(&st, l.From, l.To, 1)); err != nil {
-		if rerr := r.topo.RemoveLink(li); rerr != nil {
-			panic(fmt.Sprintf("overlay: rollback of link %d restore failed: %v", li, rerr))
-		}
-		return RepairStats{}, fmt.Errorf("overlay: restore link %d: %w", li, err)
-	}
-	return st, nil
+	return repair(r, "link-restore", li, r.topo.RestoreLink, r.topo.RemoveLink, func() ([]int32, error) {
+		l := r.topo.links[li]
+		return r.restoreCandidates(l.From, l.To, 1), nil
+	})
 }
 
 // RestoreNode brings node b back; semantics match RestoreLink, with the
 // sweeps run toward and from b itself.
 func (r *Router) RestoreNode(b model.NodeID) (RepairStats, error) {
+	return repair(r, "node-restore", b, r.topo.RestoreNode, r.topo.RemoveNode, func() ([]int32, error) {
+		return r.restoreCandidates(b, b, 0), nil
+	})
+}
+
+// repair is the one body of the four public repairs; kind is the
+// RepairStats.Kind it reports, e the element it changes. It refuses on a
+// grown topology, applies the change (an error there is returned as it
+// is), asks affected for the flows to re-route, which may refuse, and
+// re-routes them. A refusal after apply undoes the change — the re-route
+// commits nothing unless every flow routes — so trees, problem and delta
+// are as before; the error names the call ("overlay: restore node 3: …").
+// An undo that fails panics, since the topology would be left changed.
+func repair[E int | model.NodeID](r *Router, kind string, e E, apply, undo func(E) error, affected func() ([]int32, error)) (RepairStats, error) {
 	if err := r.checkFrozen(); err != nil {
 		return RepairStats{}, err
 	}
-	if err := r.topo.RestoreNode(b); err != nil {
+	if err := apply(e); err != nil {
 		return RepairStats{}, err
 	}
-	st := RepairStats{Kind: "node-restore", Element: int(b)}
-	if err := r.rerouteAffected(&st, r.restoreCandidates(&st, b, b, 0)); err != nil {
-		if rerr := r.topo.RemoveNode(b); rerr != nil {
-			panic(fmt.Sprintf("overlay: rollback of node %d restore failed: %v", b, rerr))
+	st := RepairStats{Kind: kind, Element: int(e)}
+	noun, action, _ := strings.Cut(kind, "-")
+	op, undone := "repair", ""
+	if action == "restore" {
+		op, undone = "restore", " restore"
+		st.BFSRuns = 2 // restoreCandidates' two distance sweeps
+	}
+	flows, err := affected()
+	if err == nil {
+		err = r.rerouteAffected(&st, flows)
+	}
+	if err != nil {
+		if rerr := undo(e); rerr != nil {
+			panic(fmt.Sprintf("overlay: rollback of %s %d%s failed: %v", noun, e, undone, rerr))
 		}
-		return RepairStats{}, fmt.Errorf("overlay: restore node %d: %w", b, err)
+		return RepairStats{}, fmt.Errorf("overlay: %s %s %d: %w", op, noun, e, err)
 	}
 	return st, nil
 }
@@ -168,8 +153,7 @@ func (r *Router) RestoreNode(b model.NodeID) (RepairStats, error) {
 // global bound would combine the deepest depth of any flow with the
 // smallest b of any subscriber — 0 whenever out is one — and sweep nearly
 // everything.
-func (r *Router) restoreCandidates(st *RepairStats, in, out model.NodeID, hop int32) []int32 {
-	st.BFSRuns += 2
+func (r *Router) restoreCandidates(in, out model.NodeID, hop int32) []int32 {
 	a, b := &r.toIn, &r.fromOut
 	a.start(r.topo, in, true)
 	b.start(r.topo, out, false)
@@ -247,74 +231,6 @@ func (r *Router) stopTerms(hop int32) (foundA, foundB, open int32) {
 // unreachable bounds the distance of a node a drained sweep did not find;
 // depth minus it stays inside int32.
 const unreachable = math.MaxInt32 / 4
-
-// levelSweep is one side of a restore's search: a breadth-first sweep of
-// hop distances over the alive topology from root, along the links or
-// (reverse) against them, grown one whole level at a time so its radius —
-// every node within k hops found — is known between steps. A dead root
-// reaches nothing. Distances are stamped with the sweep's epoch, so a
-// start costs nothing per node, and the queue is its own: the cached
-// canonical BFS keeps its half-expanded queue across a restore.
-type levelSweep struct {
-	reverse bool
-	dist    []int32 // valid where seen == epoch
-	seen    []int32
-	queue   []int32
-	epoch   int32
-	lo      int   // queue[lo:] is the frontier, the nodes k hops away
-	k       int32 // the radius
-}
-
-// start begins a sweep from root.
-func (s *levelSweep) start(t *Topology, root model.NodeID, reverse bool) {
-	if len(s.seen) < t.nodeCount {
-		s.dist = make([]int32, t.nodeCount)
-		s.seen = make([]int32, t.nodeCount)
-		s.queue = make([]int32, 0, t.nodeCount)
-	}
-	s.epoch++
-	if s.epoch <= 0 { // wrapped: reset marks
-		s.epoch = 1
-		clear(s.seen)
-	}
-	s.reverse, s.queue, s.lo, s.k = reverse, s.queue[:0], 0, 0
-	if t.NodeAlive(root) {
-		s.seen[root], s.dist[root] = s.epoch, 0
-		s.queue = append(s.queue, int32(root))
-	}
-}
-
-// grow finds the next level: the alive nodes one usable link beyond the
-// frontier.
-func (s *levelSweep) grow(t *Topology) {
-	adj := t.out
-	if s.reverse {
-		adj = t.in
-	}
-	hi := len(s.queue)
-	s.k++
-	for _, b := range s.queue[s.lo:hi] {
-		for _, li := range adj[b] {
-			next := t.links[li].To
-			if s.reverse {
-				next = t.links[li].From
-			}
-			if s.seen[next] == s.epoch || !t.NodeAlive(next) || (t.deadLink != nil && t.deadLink[li]) {
-				continue
-			}
-			s.seen[next], s.dist[next] = s.epoch, s.k
-			s.queue = append(s.queue, int32(next))
-		}
-	}
-	s.lo = hi
-}
-
-func (s *levelSweep) found(b model.NodeID) bool { return s.seen[b] == s.epoch }
-
-// drained reports whether the sweep has found every node it can reach.
-func (s *levelSweep) drained() bool { return s.lo == len(s.queue) }
-
-func (s *levelSweep) frontier() int { return len(s.queue) - s.lo }
 
 // beyond returns a lower bound on the distance of every node the sweep has
 // not found: k+1 while it can still grow, unreachable once it has drained.

@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -57,12 +58,9 @@ type Router struct {
 	anchor        []uint8
 
 	// Accumulated routing delta since the last TakeDelta.
-	flowMark   []bool
-	nodeMark   []bool
-	linkMark   []bool
-	dirtyFlows []model.FlowID
-	dirtyNodes []model.NodeID
-	dirtyLinks []model.LinkID
+	flowMarks marks[model.FlowID]
+	nodeMarks marks[model.NodeID]
+	linkMarks marks[model.LinkID]
 }
 
 // Router.anchor bits.
@@ -114,18 +112,18 @@ func NewRouter(t *Topology, nodeCaps []float64, flows []FlowSpec) (*Router, erro
 	}
 
 	r := &Router{
-		topo:     t,
-		flows:    specs,
-		prob:     p,
-		trees:    trees,
-		sc:       sc,
-		classOff: classOff,
-		depth:    depth,
-		traced:   make([]int32, nClasses),
-		anchor:   anchor,
-		flowMark: make([]bool, len(flows)),
-		nodeMark: make([]bool, t.NodeCount()),
-		linkMark: make([]bool, t.LinkCount()),
+		topo:      t,
+		flows:     specs,
+		prob:      p,
+		trees:     trees,
+		sc:        sc,
+		classOff:  classOff,
+		depth:     depth,
+		traced:    make([]int32, nClasses),
+		anchor:    anchor,
+		flowMarks: newMarks[model.FlowID](len(flows)),
+		nodeMarks: newMarks[model.NodeID](t.NodeCount()),
+		linkMarks: newMarks[model.LinkID](t.LinkCount()),
 	}
 	return r, nil
 }
@@ -168,22 +166,7 @@ func sortedFlows(costs map[model.FlowID]float64) []int32 {
 // and resets it. Feed the result to Engine.ResetRouting (or
 // model.Index.RefreshRouting) to republish the mutated problem.
 func (r *Router) TakeDelta() model.RoutingDelta {
-	d := model.RoutingDelta{
-		Flows: r.dirtyFlows,
-		Nodes: r.dirtyNodes,
-		Links: r.dirtyLinks,
-	}
-	for _, i := range d.Flows {
-		r.flowMark[i] = false
-	}
-	for _, b := range d.Nodes {
-		r.nodeMark[b] = false
-	}
-	for _, l := range d.Links {
-		r.linkMark[l] = false
-	}
-	r.dirtyFlows, r.dirtyNodes, r.dirtyLinks = nil, nil, nil
-	return d
+	return model.RoutingDelta{Flows: r.flowMarks.take(), Nodes: r.nodeMarks.take(), Links: r.linkMarks.take()}
 }
 
 // subscribers appends flow fi's routing anchors — the nodes of its
@@ -206,74 +189,76 @@ func (r *Router) noteDepths(fi int) {
 // commitTree replaces flow i's tree, updating the problem's cost maps, the
 // routing delta and its classes' depths (from traced, which noteDepths
 // filled when the tree was traced). An element's cost map
-// exists only while a flow crosses it (setCost, dropCost). Old and new
-// element lists are ascending, so the symmetric difference is a
-// two-pointer walk; elements in both trees are untouched (their cost entry
-// is already right).
+// exists only while a flow crosses it (setCost, dropCost). Elements in
+// both trees are untouched (their cost entry is already right).
 func (r *Router) commitTree(i model.FlowID, tree Tree) {
 	old := r.trees[i]
 	fs := &r.flows[i]
-
-	a, b := 0, 0
-	for a < len(old.Links) || b < len(tree.Links) {
-		switch {
-		case b >= len(tree.Links) || (a < len(old.Links) && old.Links[a] < tree.Links[b]):
-			li := old.Links[a]
-			dropCost(&r.prob.Links[li].FlowCost, i)
-			r.markLink(model.LinkID(li))
-			a++
-		case a >= len(old.Links) || tree.Links[b] < old.Links[a]:
-			li := tree.Links[b]
+	diffSorted(old.Links, tree.Links, func(li int, added bool) {
+		if added {
 			setCost(&r.prob.Links[li].FlowCost, i, fs.LinkCost)
-			r.markLink(model.LinkID(li))
-			b++
-		default:
-			a++
-			b++
+		} else {
+			dropCost(&r.prob.Links[li].FlowCost, i)
 		}
-	}
-	a, b = 0, 0
-	for a < len(old.Nodes) || b < len(tree.Nodes) {
-		switch {
-		case b >= len(tree.Nodes) || (a < len(old.Nodes) && old.Nodes[a] < tree.Nodes[b]):
-			bn := old.Nodes[a]
-			dropCost(&r.prob.Nodes[bn].FlowCost, i)
-			r.markNode(bn)
-			a++
-		case a >= len(old.Nodes) || tree.Nodes[b] < old.Nodes[a]:
-			bn := tree.Nodes[b]
-			setCost(&r.prob.Nodes[bn].FlowCost, i, fs.NodeCost)
-			r.markNode(bn)
-			b++
-		default:
-			a++
-			b++
+		r.linkMarks.mark(model.LinkID(li))
+	})
+	diffSorted(old.Nodes, tree.Nodes, func(b model.NodeID, added bool) {
+		if added {
+			setCost(&r.prob.Nodes[b].FlowCost, i, fs.NodeCost)
+		} else {
+			dropCost(&r.prob.Nodes[b].FlowCost, i)
 		}
-	}
+		r.nodeMarks.mark(b)
+	})
 
 	off := r.classOff[i]
 	copy(r.depth[off:off+len(fs.Classes)], r.traced[off:])
 	r.trees[i] = tree
-	r.markFlow(i)
+	r.flowMarks.mark(i)
 }
 
-func (r *Router) markFlow(i model.FlowID) {
-	if !r.flowMark[i] {
-		r.flowMark[i] = true
-		r.dirtyFlows = append(r.dirtyFlows, i)
+// diffSorted walks the symmetric difference of two ascending lists in
+// ascending order, a two-pointer merge: visit sees each element of only
+// one list, with added set when it is cur's.
+func diffSorted[E cmp.Ordered](old, cur []E, visit func(e E, added bool)) {
+	a, b := 0, 0
+	for a < len(old) || b < len(cur) {
+		switch {
+		case b >= len(cur) || (a < len(old) && old[a] < cur[b]):
+			visit(old[a], false)
+			a++
+		case a >= len(old) || cur[b] < old[a]:
+			visit(cur[b], true)
+			b++
+		default:
+			a++
+			b++
+		}
 	}
 }
 
-func (r *Router) markNode(b model.NodeID) {
-	if !r.nodeMark[b] {
-		r.nodeMark[b] = true
-		r.dirtyNodes = append(r.dirtyNodes, b)
+// marks is a set of ids that remembers the order they were first marked
+// in: the routing delta's flows, nodes and links.
+type marks[T ~int] struct {
+	on  []bool
+	ids []T
+}
+
+func newMarks[T ~int](n int) marks[T] { return marks[T]{on: make([]bool, n)} }
+
+func (m *marks[T]) mark(id T) {
+	if !m.on[id] {
+		m.on[id] = true
+		m.ids = append(m.ids, id)
 	}
 }
 
-func (r *Router) markLink(l model.LinkID) {
-	if !r.linkMark[l] {
-		r.linkMark[l] = true
-		r.dirtyLinks = append(r.dirtyLinks, l)
+// take returns the marked ids in first-marked order and empties the set.
+func (m *marks[T]) take() []T {
+	ids := m.ids
+	for _, id := range ids {
+		m.on[id] = false
 	}
+	m.ids = nil
+	return ids
 }

@@ -369,6 +369,99 @@ func TestRepairNodeRejectsAnchors(t *testing.T) {
 	}
 }
 
+// TestRepairRefusalsPinned: every way a repair or restore refuses — a
+// failure that cuts a subscriber off, a node that anchors a flow, a
+// topology mutation the topology itself rejects, a topology grown under the
+// Router — returns exactly the error text below and leaves the topology
+// epoch, every tree (same slices) and the pending delta as they were. The
+// Router under test has a pending delta: link 1->2 of a 4-ring failed and
+// flow f0 was re-routed around it. A refusal after the mutation was applied
+// undoes it, so the alive sets are as before but the epoch has moved by
+// two: a cache taken of the transient state must not match a later one.
+func TestRepairRefusalsPinned(t *testing.T) {
+	setup := func() *Router {
+		r, err := NewRouter(Ring(4, 1000), uniformCaps(4, 1000), buildSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.RepairLink(2); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	alive := func(tp *Topology) (up []bool) {
+		for li := range tp.LinkCount() {
+			up = append(up, tp.LinkAlive(li))
+		}
+		for b := range tp.NodeCount() {
+			up = append(up, tp.NodeAlive(model.NodeID(b)))
+		}
+		return up
+	}
+	grow := func(r *Router) {
+		if _, err := r.topo.AddLink(0, 2, 1000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		name  string
+		prep  func(*Router)
+		call  func(*Router) error
+		epoch int64
+		want  string
+	}{
+		{"link bridge", nil, func(r *Router) error { _, err := r.RepairLink(7); return err }, 2,
+			"overlay: repair link 7: flow 0 (f0): subscriber 2: overlay: no path: 0 -> 2"},
+		{"node source", nil, func(r *Router) error { _, err := r.RepairNode(0); return err }, 2,
+			"overlay: repair node 0: flow 0 (f0) is sourced there"},
+		{"node subscriber", nil, func(r *Router) error { _, err := r.RepairNode(2); return err }, 2,
+			"overlay: repair node 2: flow 0 (f0) class 0 (c0) subscribes there"},
+		{"fail a dead link", nil, func(r *Router) error { _, err := r.RepairLink(2); return err }, 0,
+			"overlay: invalid link: link 2 already removed"},
+		{"fail an unknown node", nil, func(r *Router) error { _, err := r.RepairNode(9); return err }, 0,
+			"overlay: invalid node: node 9 of 4"},
+		{"restore a live link", nil, func(r *Router) error { _, err := r.RestoreLink(0); return err }, 0,
+			"overlay: invalid link: link 0 not removed"},
+		{"restore a live node", nil, func(r *Router) error { _, err := r.RestoreNode(1); return err }, 0,
+			"overlay: invalid node: node 1 not removed"},
+		{"grown RepairLink", grow, func(r *Router) error { _, err := r.RepairLink(0); return err }, 0,
+			"overlay: invalid build spec: topology grew to 9 links under a Router built for 8"},
+		{"grown RepairNode", grow, func(r *Router) error { _, err := r.RepairNode(1); return err }, 0,
+			"overlay: invalid build spec: topology grew to 9 links under a Router built for 8"},
+		{"grown RestoreLink", grow, func(r *Router) error { _, err := r.RestoreLink(2); return err }, 0,
+			"overlay: invalid build spec: topology grew to 9 links under a Router built for 8"},
+		{"grown RestoreNode", grow, func(r *Router) error { _, err := r.RestoreNode(1); return err }, 0,
+			"overlay: invalid build spec: topology grew to 9 links under a Router built for 8"},
+	}
+	want := setup().TakeDelta()
+	for _, c := range cases {
+		r := setup()
+		if c.prep != nil {
+			c.prep(r)
+		}
+		epoch, trees := r.topo.epoch, slices.Clone(r.trees)
+		dead := alive(r.topo)
+		err := c.call(r)
+		if err == nil || err.Error() != c.want {
+			t.Fatalf("%s: err = %v\nwant %s", c.name, err, c.want)
+		}
+		if r.topo.epoch != epoch+c.epoch || !slices.Equal(alive(r.topo), dead) {
+			t.Fatalf("%s: topology epoch %d -> %d (want +%d), alive %v -> %v", c.name, epoch, r.topo.epoch, c.epoch, dead, alive(r.topo))
+		}
+		for fi := range trees {
+			if trees[fi].Source != r.trees[fi].Source || !sameSlice(trees[fi].Links, r.trees[fi].Links) || !sameSlice(trees[fi].Nodes, r.trees[fi].Nodes) {
+				t.Fatalf("%s: flow %d's tree changed", c.name, fi)
+			}
+		}
+		if d := r.TakeDelta(); !slices.Equal(d.Flows, want.Flows) || !slices.Equal(d.Nodes, want.Nodes) || !slices.Equal(d.Links, want.Links) {
+			t.Fatalf("%s: pending delta %+v, want %+v", c.name, d, want)
+		}
+	}
+	if len(want.Flows) == 0 || len(want.Links) == 0 {
+		t.Fatalf("the set-up left no pending delta: %+v", want)
+	}
+}
+
 // retraceAll is the restore path RestoreLink/RestoreNode used before the
 // candidate filter — re-trace every flow, keep what comes back identical —
 // kept as the oracle the filter is checked against.
@@ -477,7 +570,7 @@ type healOracle struct {
 // heal records both candidate lists for an element r has just restored,
 // then re-traces every flow.
 func (h *healOracle) heal(r *Router, st *RepairStats, in, out model.NodeID, hop int32) error {
-	h.bounded = r.restoreCandidates(&RepairStats{}, in, out, hop)
+	h.bounded = r.restoreCandidates(in, out, hop)
 	h.boundedVisited = len(r.toIn.queue) + len(r.fromOut.queue)
 	h.full, h.fullVisited = fullSweepCandidates(r, in, out, hop)
 	return r.retraceAll(st)
@@ -778,7 +871,7 @@ func TestRestoreSearchMatchesFullSweepEverywhere(t *testing.T) {
 			_, _ = r.RepairNode(model.NodeID(rng.Intn(in.tp.NodeCount())))
 		}
 		check := func(u, v model.NodeID, hop int32) {
-			got := r.restoreCandidates(&RepairStats{}, u, v, hop)
+			got := r.restoreCandidates(u, v, hop)
 			want, _ := fullSweepCandidates(r, u, v, hop)
 			if !slices.Equal(got, want) {
 				t.Fatalf("instance %d: heal %d->%d (hop %d): bounded search %v, full sweep %v", i, u, v, hop, got, want)
@@ -821,14 +914,14 @@ func TestRestoreSweepsLeaveBFSCacheAlone(t *testing.T) {
 	// Routing the near flow last left its BFS half-expanded: node 1 is one
 	// hop from the source, so the prefix stopped at that level.
 	sc := r.sc
-	if !sc.cached(tp, 0) || sc.head >= len(sc.queue) {
-		t.Fatalf("no half-expanded BFS cached: source %d, head %d of %d", sc.bfsSrc, sc.head, len(sc.queue))
+	if !sc.cached(tp, 0) || sc.fwd.lo >= len(sc.fwd.queue) {
+		t.Fatalf("no half-expanded BFS cached: source %d, head %d of %d", sc.bfsSrc, sc.fwd.lo, len(sc.fwd.queue))
 	}
 	before := prefixOf(sc)
 
 	// A node heal at 8, opposite the source: both sides of the search grow
 	// (the deep flow's path 4 -> 8 -> 12 ties its tree, so it is a candidate).
-	if cands := r.restoreCandidates(&RepairStats{}, 8, 8, 0); !slices.Equal(cands, []int32{0}) {
+	if cands := r.restoreCandidates(8, 8, 0); !slices.Equal(cands, []int32{0}) {
 		t.Fatalf("candidates %v, want [0]", cands)
 	}
 	if r.toIn.k == 0 || r.fromOut.k == 0 {
@@ -845,8 +938,8 @@ func TestRestoreSweepsLeaveBFSCacheAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _, err := tp.BuildTreeInto(sc, 0, subs, r.trees[1])
-	if err != nil || sc.epoch != before.epoch || !got.equal(want) {
-		t.Fatalf("resumed trace: err=%v bfs epoch %d -> %d, tree %+v want %+v", err, before.epoch, sc.epoch, got, want)
+	if err != nil || sc.fwd.epoch != before.epoch || !got.equal(want) {
+		t.Fatalf("resumed trace: err=%v bfs epoch %d -> %d, tree %+v want %+v", err, before.epoch, sc.fwd.epoch, got, want)
 	}
 
 	// A trace's own search past the prefix leaves it alone too. Node 0 fans
@@ -884,8 +977,8 @@ func TestRestoreSweepsLeaveBFSCacheAlone(t *testing.T) {
 	if want, err = buildTree(fan, 0, subs); err != nil {
 		t.Fatal(err)
 	}
-	if got, _, err = fan.BuildTreeInto(sc, 0, subs, Tree{Source: -1}); err != nil || sc.epoch != before.epoch || !got.equal(want) {
-		t.Fatalf("resumed fan trace: err=%v bfs epoch %d -> %d, tree %+v want %+v", err, before.epoch, sc.epoch, got, want)
+	if got, _, err = fan.BuildTreeInto(sc, 0, subs, Tree{Source: -1}); err != nil || sc.fwd.epoch != before.epoch || !got.equal(want) {
+		t.Fatalf("resumed fan trace: err=%v bfs epoch %d -> %d, tree %+v want %+v", err, before.epoch, sc.fwd.epoch, got, want)
 	}
 
 	// Directionality and dead elements: on a one-way line 0->1->2 node 2 is
@@ -956,7 +1049,8 @@ func fullBFS(t *Topology, src model.NodeID) (prev, dist []int32, order []model.N
 }
 
 // prefix is a copy of the BFS prefix a Scratch caches: what a search past
-// it must leave as it was.
+// it must leave as it was. lvl is the sweep's radius, head its lo and
+// prev the via of each queued node.
 type prefix struct {
 	epoch, lvl  int32
 	head        int
@@ -964,9 +1058,10 @@ type prefix struct {
 }
 
 func prefixOf(sc *Scratch) prefix {
-	p := prefix{epoch: sc.epoch, lvl: sc.lvl, head: sc.head, queue: slices.Clone(sc.queue)}
-	for _, b := range sc.queue {
-		p.prev = append(p.prev, sc.prev[b])
+	f := &sc.fwd
+	p := prefix{epoch: f.epoch, lvl: f.k, head: f.lo, queue: slices.Clone(f.queue)}
+	for _, b := range f.queue {
+		p.prev = append(p.prev, f.via[b])
 	}
 	return p
 }
@@ -977,36 +1072,37 @@ func (p prefix) equal(o prefix) bool {
 }
 
 // checkPrefix holds the prefix sc caches to the full BFS from its source:
-// the queue is the full BFS order cut after level lvl, queue[head:] is
-// exactly level lvl, every queued node has the full BFS's parent and
+// the queue is the full BFS order cut after level k, queue[lo:] is
+// exactly level k, every queued node has the full BFS's parent (via) and
 // distance, and no other node is marked seen.
 func checkPrefix(t *testing.T, sc *Scratch, prev, dist []int32, order []model.NodeID) {
 	t.Helper()
+	f := &sc.fwd
 	n, head := 0, 0
 	for _, b := range order {
-		if dist[b] <= sc.lvl {
+		if dist[b] <= f.k {
 			n++
 		}
-		if dist[b] < sc.lvl {
+		if dist[b] < f.k {
 			head++
 		}
 	}
-	if len(sc.queue) != n || sc.head != head {
-		t.Fatalf("prefix at level %d: %d queued, head %d; the full BFS has %d within it, %d before it", sc.lvl, len(sc.queue), sc.head, n, head)
+	if len(f.queue) != n || f.lo != head {
+		t.Fatalf("prefix at level %d: %d queued, head %d; the full BFS has %d within it, %d before it", f.k, len(f.queue), f.lo, n, head)
 	}
 	seen := 0
-	for _, b := range sc.seen {
-		if b == sc.epoch {
+	for _, b := range f.seen {
+		if b == f.epoch {
 			seen++
 		}
 	}
 	if seen != n {
 		t.Fatalf("prefix of %d nodes marks %d seen", n, seen)
 	}
-	for k, b := range sc.queue {
-		if b != int32(order[k]) || sc.prev[b] != prev[b] || sc.dist[b] != dist[b] {
+	for k, b := range f.queue {
+		if b != int32(order[k]) || f.via[b] != prev[b] || f.dist[b] != dist[b] {
 			t.Fatalf("prefix position %d: node %d prev %d dist %d, full BFS node %d prev %d dist %d",
-				k, b, sc.prev[b], sc.dist[b], order[k], prev[order[k]], dist[order[k]])
+				k, b, f.via[b], f.dist[b], order[k], prev[order[k]], dist[order[k]])
 		}
 	}
 }
@@ -1039,7 +1135,7 @@ func TestLazyBFSMatchesFullBFS(t *testing.T) {
 			}
 			prev, dist, order := fullBFS(tp, src)
 			sc.bfs(tp, src)
-			runs := sc.epoch
+			runs := sc.fwd.epoch
 			for q := 0; q < 6; q++ {
 				b := model.NodeID(rng.Intn(n))
 				d, ok := sc.trace(tp, b)
@@ -1055,7 +1151,7 @@ func TestLazyBFSMatchesFullBFS(t *testing.T) {
 				}
 				checkPrefix(t, sc, prev, dist, order)
 				sc.bfs(tp, src)
-				if sc.epoch != runs {
+				if sc.fwd.epoch != runs {
 					t.Fatalf("seed %d: a same-source resume started a new BFS", seed)
 				}
 			}
@@ -1064,7 +1160,7 @@ func TestLazyBFSMatchesFullBFS(t *testing.T) {
 				_ = tp.RestoreLink(li)
 			}
 			sc.bfs(tp, src)
-			if sc.epoch == runs {
+			if sc.fwd.epoch == runs {
 				t.Fatalf("seed %d: a topology mutation left the BFS cached", seed)
 			}
 		}
@@ -1078,8 +1174,8 @@ func TestLazyBFSMatchesFullBFS(t *testing.T) {
 	if _, _, err := tp.BuildTreeInto(sc, 0, []model.NodeID{1, 4}, Tree{Source: -1}); !errors.Is(err, ErrNoPath) {
 		t.Fatalf("BuildTreeInto past a dead relay: err = %v, want ErrNoPath", err)
 	}
-	if sc.head != len(sc.queue) || len(sc.queue) != 3 {
-		t.Fatalf("unreachable subscriber: %d of %d queued nodes expanded, want all 3", sc.head, len(sc.queue))
+	if sc.fwd.lo != len(sc.fwd.queue) || len(sc.fwd.queue) != 3 {
+		t.Fatalf("unreachable subscriber: %d of %d queued nodes expanded, want all 3", sc.fwd.lo, len(sc.fwd.queue))
 	}
 }
 
