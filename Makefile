@@ -95,12 +95,14 @@ bench-scaling:
 	bash scripts/bench-scaling.sh
 
 # Short fuzzing pass over every fuzz target: the rate solver, utility
-# specs, the transport frame decoder and the dist payload decoders.
+# specs, the transport frame decoder, the dist payload decoders and the
+# index's incremental routing refresh.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzBisectDecreasing -fuzztime=10s ./internal/solver/
 	$(GO) test -run='^$$' -fuzz=FuzzSpecJSON -fuzztime=10s ./internal/utility/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeMessage -fuzztime=10s ./internal/transport/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeDistPayloads -fuzztime=10s ./internal/dist/
+	$(GO) test -run='^$$' -fuzz=FuzzRefreshRouting -fuzztime=10s ./internal/model/
 
 # End-to-end scrape of lrgp-broker's -telemetry-addr surface (Prometheus
 # counters, pprof, expvar, snapshot). RACE=1 builds the binary with the

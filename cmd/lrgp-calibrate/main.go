@@ -69,7 +69,7 @@ func run(args []string, out io.Writer) error {
 			{ID: 0, Name: "probe", Source: 0, RateMin: 1, RateMax: 1e6},
 		},
 		Nodes: []model.Node{
-			{ID: 0, Name: "rig", Capacity: 1e12, FlowCost: map[model.FlowID]float64{0: 1}},
+			{ID: 0, Name: "rig", Capacity: 1e12, FlowCost: model.CostsOf(map[model.FlowID]float64{0: 1})},
 		},
 		Classes: []model.Class{
 			{ID: 0, Name: "subjects", Flow: 0, Node: 0, MaxConsumers: maxPop,

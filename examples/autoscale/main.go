@@ -30,8 +30,8 @@ func buildProblem() *model.Problem {
 			{ID: 1, Name: "telemetry", Source: 1, RateMin: 10, RateMax: 500},
 		},
 		Nodes: []model.Node{
-			{ID: 0, Name: "east", Capacity: 400_000, FlowCost: map[model.FlowID]float64{0: 3, 1: 3}},
-			{ID: 1, Name: "west", Capacity: 400_000, FlowCost: map[model.FlowID]float64{0: 3, 1: 3}},
+			{ID: 0, Name: "east", Capacity: 400_000, FlowCost: model.CostsOf(map[model.FlowID]float64{0: 3, 1: 3})},
+			{ID: 1, Name: "west", Capacity: 400_000, FlowCost: model.CostsOf(map[model.FlowID]float64{0: 3, 1: 3})},
 		},
 		Classes: []model.Class{
 			// MaxConsumers values here are placeholders; the autopilot

@@ -31,7 +31,7 @@ func buildProblem(demand int) *model.Problem {
 			{ID: 0, Name: "ibm-px", Source: 0, RateMin: 1, RateMax: 200},
 		},
 		Nodes: []model.Node{
-			{ID: 0, Name: "edge", Capacity: 300_000, FlowCost: map[model.FlowID]float64{0: 3}},
+			{ID: 0, Name: "edge", Capacity: 300_000, FlowCost: model.CostsOf(map[model.FlowID]float64{0: 3})},
 		},
 		Classes: []model.Class{
 			// Chart watchers: want every tick they can get (elastic log).

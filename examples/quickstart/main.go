@@ -24,7 +24,7 @@ func main() {
 			{ID: 0, Name: "ticker", Source: 0, RateMin: 10, RateMax: 1000},
 		},
 		Nodes: []model.Node{
-			{ID: 0, Name: "S0", Capacity: 450_000, FlowCost: map[model.FlowID]float64{0: 3}},
+			{ID: 0, Name: "S0", Capacity: 450_000, FlowCost: model.CostsOf(map[model.FlowID]float64{0: 3})},
 		},
 		Classes: []model.Class{
 			// 200 premium consumers, each valuing rate as 40*log(1+r).

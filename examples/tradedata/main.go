@@ -30,7 +30,7 @@ func buildProblem(capacity float64) *model.Problem {
 		Nodes: []model.Node{
 			// One shared hub node serves both tiers, so admission control
 			// genuinely trades gold against public consumers.
-			{ID: 0, Name: "hub", Capacity: capacity, FlowCost: map[model.FlowID]float64{0: 3}},
+			{ID: 0, Name: "hub", Capacity: capacity, FlowCost: model.CostsOf(map[model.FlowID]float64{0: 3})},
 		},
 		Classes: []model.Class{
 			// Gold: nearly inelastic — utility saturates only close to

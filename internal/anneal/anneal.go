@@ -162,13 +162,15 @@ func (s *state) tryRate(i model.FlowID, r float64) (du float64, feasible bool) {
 	}
 	dr := r - old
 
-	for _, l := range s.ix.LinksByFlow(i) {
-		if s.linkUsed[l]+s.p.Links[l].FlowCost[i]*dr > s.p.Links[l].Capacity {
+	lcosts := s.ix.LinkCostsByFlow(i)
+	for k, l := range s.ix.LinksByFlow(i) {
+		if s.linkUsed[l]+lcosts[k]*dr > s.p.Links[l].Capacity {
 			return 0, false
 		}
 	}
-	for _, b := range s.ix.NodesByFlow(i) {
-		if s.nodeUsed[b]+s.nodeRateCoeff(b, i)*dr > s.p.Nodes[b].Capacity {
+	ncosts := s.ix.NodeCostsByFlow(i)
+	for k, b := range s.ix.NodesByFlow(i) {
+		if s.nodeUsed[b]+s.nodeRateCoeff(b, i, ncosts[k])*dr > s.p.Nodes[b].Capacity {
 			return 0, false
 		}
 	}
@@ -185,20 +187,22 @@ func (s *state) tryRate(i model.FlowID, r float64) (du float64, feasible bool) {
 func (s *state) applyRate(i model.FlowID, r, du float64) {
 	old := s.alloc.Rates[i]
 	dr := r - old
-	for _, l := range s.ix.LinksByFlow(i) {
-		s.linkUsed[l] += s.p.Links[l].FlowCost[i] * dr
+	lcosts := s.ix.LinkCostsByFlow(i)
+	for k, l := range s.ix.LinksByFlow(i) {
+		s.linkUsed[l] += lcosts[k] * dr
 	}
-	for _, b := range s.ix.NodesByFlow(i) {
-		s.nodeUsed[b] += s.nodeRateCoeff(b, i) * dr
+	ncosts := s.ix.NodeCostsByFlow(i)
+	for k, b := range s.ix.NodesByFlow(i) {
+		s.nodeUsed[b] += s.nodeRateCoeff(b, i, ncosts[k]) * dr
 	}
 	s.alloc.Rates[i] = r
 	s.utility += du
 }
 
-// nodeRateCoeff is d(nodeUsage_b)/d(r_i): F_{b,i} plus the consumer terms
-// of flow i's classes at b.
-func (s *state) nodeRateCoeff(b model.NodeID, i model.FlowID) float64 {
-	coeff := s.p.Nodes[b].FlowCost[i]
+// nodeRateCoeff is d(nodeUsage_b)/d(r_i): F_{b,i} (given as f) plus the
+// consumer terms of flow i's classes at b.
+func (s *state) nodeRateCoeff(b model.NodeID, i model.FlowID, f float64) float64 {
+	coeff := f
 	for _, cid := range s.ix.ClassesByNode(b) {
 		c := &s.p.Classes[cid]
 		if c.Flow == i {

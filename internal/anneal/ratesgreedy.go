@@ -82,8 +82,9 @@ func SolveRatesGreedy(p *model.Problem, cfg Config) (Result, error) {
 			// Reject link overload before paying for a greedy pass.
 			dr := next - old
 			feasible := true
-			for _, l := range ix.LinksByFlow(i) {
-				if linkUsed[l]+p.Links[l].FlowCost[i]*dr > p.Links[l].Capacity {
+			lcosts := ix.LinkCostsByFlow(i)
+			for k, l := range ix.LinksByFlow(i) {
+				if linkUsed[l]+lcosts[k]*dr > p.Links[l].Capacity {
 					feasible = false
 					break
 				}
@@ -102,8 +103,8 @@ func SolveRatesGreedy(p *model.Problem, cfg Config) (Result, error) {
 				}
 				utility = candUtility
 				consumers = candConsumers
-				for _, l := range ix.LinksByFlow(i) {
-					linkUsed[l] += p.Links[l].FlowCost[i] * dr
+				for k, l := range ix.LinksByFlow(i) {
+					linkUsed[l] += lcosts[k] * dr
 				}
 				if utility > res.BestUtility {
 					res.BestUtility = utility

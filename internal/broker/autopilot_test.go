@@ -413,8 +413,8 @@ func TestAutopilotAutoscaleScenario(t *testing.T) {
 			{ID: 1, Name: "telemetry", Source: 1, RateMin: 10, RateMax: 500},
 		},
 		Nodes: []model.Node{
-			{ID: 0, Name: "east", Capacity: 400_000, FlowCost: map[model.FlowID]float64{0: 3, 1: 3}},
-			{ID: 1, Name: "west", Capacity: 400_000, FlowCost: map[model.FlowID]float64{0: 3, 1: 3}},
+			{ID: 0, Name: "east", Capacity: 400_000, FlowCost: model.CostsOf(map[model.FlowID]float64{0: 3, 1: 3})},
+			{ID: 1, Name: "west", Capacity: 400_000, FlowCost: model.CostsOf(map[model.FlowID]float64{0: 3, 1: 3})},
 		},
 		// orders-east, orders-west, telemetry-east, telemetry-west.
 		Classes: []model.Class{class(0, 0, 0, 30), class(1, 0, 1, 30), class(2, 1, 0, 5), class(3, 1, 1, 5)},

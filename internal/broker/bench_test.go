@@ -73,7 +73,7 @@ func gridProblem(flows, perFlow int) *model.Problem {
 		})
 		p.Nodes = append(p.Nodes, model.Node{
 			ID: model.NodeID(i), Capacity: 9e9,
-			FlowCost: map[model.FlowID]float64{model.FlowID(i): 1},
+			FlowCost: model.CostsOf(map[model.FlowID]float64{model.FlowID(i): 1}),
 		})
 		for k := 0; k < perFlow; k++ {
 			p.Classes = append(p.Classes, model.Class{

@@ -38,8 +38,8 @@ func brokerProblem() *model.Problem {
 			{ID: 0, Name: "trades", Source: 0, RateMin: 10, RateMax: 1000},
 		},
 		Nodes: []model.Node{
-			{ID: 0, Capacity: 9e5, FlowCost: map[model.FlowID]float64{0: 3}},
-			{ID: 1, Capacity: 9e5, FlowCost: map[model.FlowID]float64{0: 3}},
+			{ID: 0, Capacity: 9e5, FlowCost: model.CostsOf(map[model.FlowID]float64{0: 3})},
+			{ID: 1, Capacity: 9e5, FlowCost: model.CostsOf(map[model.FlowID]float64{0: 3})},
 		},
 		Classes: []model.Class{
 			{ID: 0, Name: "gold", Flow: 0, Node: 0, MaxConsumers: 10, CostPerConsumer: 19, Utility: utility.NewLog(100)},

@@ -15,7 +15,7 @@ import (
 func Example() {
 	problem := &model.Problem{
 		Flows: []model.Flow{{ID: 0, Name: "prices", Source: 0, RateMin: 10, RateMax: 1000}},
-		Nodes: []model.Node{{ID: 0, Capacity: 1e6, FlowCost: map[model.FlowID]float64{0: 3}}},
+		Nodes: []model.Node{{ID: 0, Capacity: 1e6, FlowCost: model.CostsOf(map[model.FlowID]float64{0: 3})}},
 		Classes: []model.Class{
 			{ID: 0, Name: "watchers", Flow: 0, Node: 0, MaxConsumers: 10,
 				CostPerConsumer: 19, Utility: utility.NewLog(10)},

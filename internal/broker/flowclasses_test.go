@@ -63,9 +63,9 @@ func idleLinkProblem(links int) *model.Problem {
 		fid, src, sub := model.FlowID(i), model.NodeID(2*i), model.NodeID(2*i+1)
 		p.Flows = append(p.Flows, model.Flow{ID: fid, Source: src, RateMin: 1, RateMax: 100})
 		for _, b := range []model.NodeID{src, sub} {
-			p.Nodes[b].FlowCost = map[model.FlowID]float64{fid: 2}
+			p.Nodes[b].FlowCost = model.CostsOf(map[model.FlowID]float64{fid: 2})
 		}
-		p.Links[2*i].FlowCost = map[model.FlowID]float64{fid: 1} // src → sub
+		p.Links[2*i].FlowCost = model.CostsOf(map[model.FlowID]float64{fid: 1}) // src → sub
 		for k := 0; k < perFlow; k++ {
 			p.Classes = append(p.Classes, model.Class{
 				ID: model.ClassID(len(p.Classes)), Flow: fid, Node: sub,

@@ -36,8 +36,8 @@ func goldenProblem() *model.Problem {
 			{ID: 1, Name: "quotes", Source: 1, RateMin: 5, RateMax: 1000},
 		},
 		Nodes: []model.Node{
-			{ID: 0, Capacity: 9e5, FlowCost: map[model.FlowID]float64{0: 3, 1: 2}},
-			{ID: 1, Capacity: 9e5, FlowCost: map[model.FlowID]float64{0: 3, 1: 2}},
+			{ID: 0, Capacity: 9e5, FlowCost: model.CostsOf(map[model.FlowID]float64{0: 3, 1: 2})},
+			{ID: 1, Capacity: 9e5, FlowCost: model.CostsOf(map[model.FlowID]float64{0: 3, 1: 2})},
 		},
 		Classes: []model.Class{
 			{ID: 0, Name: "gold", Flow: 0, Node: 0, MaxConsumers: 10, CostPerConsumer: 19, Utility: utility.NewLog(100)},

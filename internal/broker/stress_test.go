@@ -25,7 +25,7 @@ func stressProblem(flows int) *model.Problem {
 		})
 		p.Nodes = append(p.Nodes, model.Node{
 			ID: model.NodeID(i), Capacity: 9e9,
-			FlowCost: map[model.FlowID]float64{model.FlowID(i): 1},
+			FlowCost: model.CostsOf(map[model.FlowID]float64{model.FlowID(i): 1}),
 		})
 		p.Classes = append(p.Classes, model.Class{
 			ID: model.ClassID(i), Name: "c", Flow: model.FlowID(i), Node: model.NodeID(i),

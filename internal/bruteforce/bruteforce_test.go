@@ -42,7 +42,7 @@ func TestSolveSingleKnapsackExact(t *testing.T) {
 	// with a hand-computable answer.
 	p := &model.Problem{
 		Flows: []model.Flow{{ID: 0, Source: 0, RateMin: 10, RateMax: 10}},
-		Nodes: []model.Node{{ID: 0, Capacity: 130, FlowCost: map[model.FlowID]float64{0: 1}}},
+		Nodes: []model.Node{{ID: 0, Capacity: 130, FlowCost: model.CostsOf(map[model.FlowID]float64{0: 1})}},
 		Classes: []model.Class{
 			// Unit cost 2*10 = 20; U = 100*log(11) ~ 239.8 each.
 			{ID: 0, Flow: 0, Node: 0, MaxConsumers: 3, CostPerConsumer: 2, Utility: utility.NewLog(100)},
@@ -138,9 +138,9 @@ func TestLRGPNearOptimalRandomTiny(t *testing.T) {
 			},
 			Nodes: []model.Node{
 				{ID: 0, Capacity: 2000 + rng.Float64()*4000,
-					FlowCost: map[model.FlowID]float64{0: 1 + rng.Float64()*4, 1: 1 + rng.Float64()*4}},
+					FlowCost: model.CostsOf(map[model.FlowID]float64{0: 1 + rng.Float64()*4, 1: 1 + rng.Float64()*4})},
 				{ID: 1, Capacity: 2000 + rng.Float64()*4000,
-					FlowCost: map[model.FlowID]float64{0: 1 + rng.Float64()*4, 1: 1 + rng.Float64()*4}},
+					FlowCost: model.CostsOf(map[model.FlowID]float64{0: 1 + rng.Float64()*4, 1: 1 + rng.Float64()*4})},
 			},
 		}
 		for j := 0; j < 4; j++ {

@@ -73,7 +73,7 @@ func calibrationBroker(t *testing.T, maxConsumers int) *broker.Broker {
 			{ID: 0, Name: "probe", Source: 0, RateMin: 1, RateMax: 1e6},
 		},
 		Nodes: []model.Node{
-			{ID: 0, Capacity: 1e12, FlowCost: map[model.FlowID]float64{0: 1}},
+			{ID: 0, Capacity: 1e12, FlowCost: model.CostsOf(map[model.FlowID]float64{0: 1})},
 		},
 		Classes: []model.Class{
 			{ID: 0, Name: "subjects", Flow: 0, Node: 0, MaxConsumers: maxConsumers,
@@ -198,7 +198,7 @@ func TestCalibrationClosesTheLoop(t *testing.T) {
 		Name:  "calibrated",
 		Flows: []model.Flow{{ID: 0, Source: 0, RateMin: 10, RateMax: 1000}},
 		Nodes: []model.Node{{ID: 0, Capacity: 50_000,
-			FlowCost: map[model.FlowID]float64{0: fCost}}},
+			FlowCost: model.CostsOf(map[model.FlowID]float64{0: fCost})}},
 		Classes: []model.Class{
 			{ID: 0, Flow: 0, Node: 0, MaxConsumers: 5000,
 				CostPerConsumer: gCost, Utility: utility.NewLog(10)},

@@ -20,7 +20,7 @@ func admitProblem() (*model.Problem, *model.Index) {
 		},
 		Nodes: []model.Node{{
 			ID: 0, Capacity: 1000,
-			FlowCost: map[model.FlowID]float64{0: 2, 1: 3},
+			FlowCost: model.CostsOf(map[model.FlowID]float64{0: 2, 1: 3}),
 		}},
 		Classes: []model.Class{
 			// At r=10: U = 100*log(11) ~ 239.8, unit cost 10 => BC ~ 23.98.
@@ -138,7 +138,7 @@ func TestAdmitDeterministicTieBreak(t *testing.T) {
 	// Two identical classes: the lower ID must be filled first.
 	p := &model.Problem{
 		Flows: []model.Flow{{ID: 0, Source: 0, RateMin: 1, RateMax: 100}},
-		Nodes: []model.Node{{ID: 0, Capacity: 100, FlowCost: map[model.FlowID]float64{0: 1}}},
+		Nodes: []model.Node{{ID: 0, Capacity: 100, FlowCost: model.CostsOf(map[model.FlowID]float64{0: 1})}},
 		Classes: []model.Class{
 			{ID: 0, Flow: 0, Node: 0, MaxConsumers: 10, CostPerConsumer: 3, Utility: utility.NewLog(10)},
 			{ID: 1, Flow: 0, Node: 0, MaxConsumers: 10, CostPerConsumer: 3, Utility: utility.NewLog(10)},
@@ -158,7 +158,7 @@ func TestAdmitSkipsNonPositiveUtility(t *testing.T) {
 	// it would consume resource for no objective gain.
 	p := &model.Problem{
 		Flows: []model.Flow{{ID: 0, Source: 0, RateMin: 1, RateMax: 100}},
-		Nodes: []model.Node{{ID: 0, Capacity: 1000, FlowCost: map[model.FlowID]float64{0: 1}}},
+		Nodes: []model.Node{{ID: 0, Capacity: 1000, FlowCost: model.CostsOf(map[model.FlowID]float64{0: 1})}},
 		Classes: []model.Class{
 			// Hyperbolic value at r is tiny but positive; LinearCap at
 			// r=0... instead use a shifted log that is zero at r=1:
@@ -208,7 +208,7 @@ func TestAdmitHugeQuotientClampsToDemand(t *testing.T) {
 	problem := func() *model.Problem {
 		return &model.Problem{
 			Flows: []model.Flow{{ID: 0, Source: 0, RateMin: 1e-12, RateMax: 1e-12}},
-			Nodes: []model.Node{{ID: 0, Capacity: 1e9, FlowCost: map[model.FlowID]float64{0: 1}}},
+			Nodes: []model.Node{{ID: 0, Capacity: 1e9, FlowCost: model.CostsOf(map[model.FlowID]float64{0: 1})}},
 			Classes: []model.Class{
 				{ID: 0, Flow: 0, Node: 0, MaxConsumers: 5, CostPerConsumer: 1e-9, Utility: utility.NewLog(10)},
 			},
@@ -278,7 +278,7 @@ func TestCarriedRankingMatchesIndexOrder(t *testing.T) {
 			for i := 0; i < nFlows; i++ {
 				costs[model.FlowID(i)] = float64(rng.Intn(3))
 			}
-			p.Nodes = append(p.Nodes, model.Node{ID: model.NodeID(b), Capacity: 50 + 500*rng.Float64(), FlowCost: costs})
+			p.Nodes = append(p.Nodes, model.Node{ID: model.NodeID(b), Capacity: 50 + 500*rng.Float64(), FlowCost: model.CostsOf(costs)})
 		}
 		nClasses := 1 + rng.Intn(30)
 		nanClass := -1

@@ -882,7 +882,7 @@ func (e *Engine) SetClassDemand(j model.ClassID, maxConsumers int) error {
 	if maxConsumers < 0 {
 		return fmt.Errorf("core: %w: class %d demand %d < 0", model.ErrInvalid, j, maxConsumers)
 	}
-	if _, reaches := e.p.Nodes[c.Node].FlowCost[c.Flow]; !reaches && maxConsumers > 0 {
+	if _, reaches := e.p.Nodes[c.Node].FlowCost.Get(c.Flow); !reaches && maxConsumers > 0 {
 		return fmt.Errorf("core: %w: class %d demand %d at node %d, which flow %d does not reach",
 			model.ErrInvalid, j, maxConsumers, c.Node, c.Flow)
 	}
@@ -941,7 +941,7 @@ func (e *Engine) SetNodeCapacity(b model.NodeID, capacity float64) error {
 // over, while the dense index views, worker pool, solvers and scratch are
 // reused without reallocating. p must be topology-compatible with the
 // original problem — same flows, nodes, links and classes, with the same
-// class attachments and the same cost-map sparsity; only cost values,
+// class attachments and records listing the same flows; only cost values,
 // capacities, rate bounds, demands and utility functions may differ (see
 // model.Index.Refresh). On error the engine still runs the old problem.
 //

@@ -322,7 +322,7 @@ func TestResetRoutingChangesShardCount(t *testing.T) {
 	var delta model.RoutingDelta
 	delta.Links = []model.LinkID{0}
 	for i := range joined.Flows {
-		joined.Links[0].FlowCost[model.FlowID(i)] = 1
+		joined.Links[0].FlowCost = joined.Links[0].FlowCost.With(model.FlowID(i), 1)
 		delta.Flows = append(delta.Flows, model.FlowID(i))
 	}
 	joined.Links[0].Capacity *= float64(len(joined.Flows))

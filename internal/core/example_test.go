@@ -15,7 +15,7 @@ func ExampleEngine_Solve() {
 	p := &model.Problem{
 		Flows: []model.Flow{{ID: 0, Source: 0, RateMin: 10, RateMax: 1000}},
 		Nodes: []model.Node{{ID: 0, Capacity: 450_000,
-			FlowCost: map[model.FlowID]float64{0: 3}}},
+			FlowCost: model.CostsOf(map[model.FlowID]float64{0: 3})}},
 		Classes: []model.Class{
 			{ID: 0, Flow: 0, Node: 0, MaxConsumers: 200,
 				CostPerConsumer: 19, Utility: utility.NewLog(40)},

@@ -704,11 +704,11 @@ func TestResetRoutingValidatesTheDelta(t *testing.T) {
 			return model.RoutingDelta{Nodes: []model.NodeID{nid}}
 		}, true, "capacity 0"},
 		{"dirty link with a negative cost", func(q *model.Problem) model.RoutingDelta {
-			q.Links[lid].FlowCost[fid] = -1
+			q.Links[lid].FlowCost = q.Links[lid].FlowCost.With(fid, -1)
 			return model.RoutingDelta{Links: []model.LinkID{lid}}
 		}, true, "cost -1"},
 		{"dirty link with an unknown flow", func(q *model.Problem) model.RoutingDelta {
-			q.Links[lid].FlowCost[model.FlowID(len(q.Flows)+3)] = 1
+			q.Links[lid].FlowCost = q.Links[lid].FlowCost.With(model.FlowID(len(q.Flows)+3), 1)
 			return model.RoutingDelta{Links: []model.LinkID{lid}}
 		}, true, "unknown flow"},
 		{"dirty link that is a self-loop", func(q *model.Problem) model.RoutingDelta {
@@ -720,11 +720,11 @@ func TestResetRoutingValidatesTheDelta(t *testing.T) {
 			return model.RoutingDelta{Flows: []model.FlowID{fid}}
 		}, true, "rate bounds"},
 		{"class with demand whose node left the tree", func(q *model.Problem) model.RoutingDelta {
-			delete(q.Nodes[nid].FlowCost, fid)
+			q.Nodes[nid].FlowCost = q.Nodes[nid].FlowCost.Without(fid)
 			return model.RoutingDelta{Flows: []model.FlowID{fid}, Nodes: []model.NodeID{nid}}
 		}, true, "does not reach it"},
 		{"membership change of a flow the delta does not name", func(q *model.Problem) model.RoutingDelta {
-			delete(q.Links[lid].FlowCost, fid)
+			q.Links[lid].FlowCost = q.Links[lid].FlowCost.Without(fid)
 			return model.RoutingDelta{Links: []model.LinkID{lid}}
 		}, false, "flow not in delta"},
 	} {

@@ -21,19 +21,19 @@ import (
 func parkProblem(costs, rateMax []float64, capacity float64) *model.Problem {
 	p := &model.Problem{
 		Nodes: []model.Node{
-			{ID: 0, Capacity: 1e300, FlowCost: map[model.FlowID]float64{}},
-			{ID: 1, Capacity: capacity, FlowCost: map[model.FlowID]float64{}},
-			{ID: 2, Capacity: 1e300, FlowCost: map[model.FlowID]float64{}},
+			{ID: 0, Capacity: 1e300},
+			{ID: 1, Capacity: capacity},
+			{ID: 2, Capacity: 1e300},
 		},
-		Links: []model.Link{{ID: 0, From: 1, To: 2, Capacity: capacity, FlowCost: map[model.FlowID]float64{}}},
+		Links: []model.Link{{ID: 0, From: 1, To: 2, Capacity: capacity}},
 	}
 	for i, c := range costs {
 		fid := model.FlowID(i)
 		p.Flows = append(p.Flows, model.Flow{ID: fid, Source: 0, RateMin: rateMax[i] / 4, RateMax: rateMax[i]})
 		p.Classes = append(p.Classes, model.Class{ID: model.ClassID(i), Flow: fid, Node: 2,
 			MaxConsumers: 5, CostPerConsumer: 1, Utility: utility.NewLog(10)})
-		p.Nodes[0].FlowCost[fid], p.Nodes[2].FlowCost[fid] = 1, 1
-		p.Nodes[1].FlowCost[fid], p.Links[0].FlowCost[fid] = c, c
+		p.Nodes[0].FlowCost, p.Nodes[2].FlowCost = p.Nodes[0].FlowCost.With(fid, 1), p.Nodes[2].FlowCost.With(fid, 1)
+		p.Nodes[1].FlowCost, p.Links[0].FlowCost = p.Nodes[1].FlowCost.With(fid, c), p.Links[0].FlowCost.With(fid, c)
 	}
 	return p
 }
@@ -247,7 +247,7 @@ func TestNonFiniteNeverParks(t *testing.T) {
 // 0, the off-tree shape two-stage pruning leaves.
 func mutatorProblem() *model.Problem {
 	p := parkProblem([]float64{2, 3}, []float64{10, 10}, 30)
-	p.Nodes = append(p.Nodes, model.Node{ID: 3, Capacity: 100, FlowCost: map[model.FlowID]float64{}})
+	p.Nodes = append(p.Nodes, model.Node{ID: 3, Capacity: 100})
 	p.Classes = append(p.Classes, model.Class{ID: 2, Flow: 0, Node: 3,
 		CostPerConsumer: 1, Utility: utility.NewLog(10)})
 	return p

@@ -15,7 +15,7 @@ func rateProblem(rmin, rmax float64, utilities ...utility.Function) (*model.Prob
 		Flows: []model.Flow{{ID: 0, Source: 0, RateMin: rmin, RateMax: rmax}},
 		Nodes: []model.Node{{
 			ID: 0, Capacity: 1e9,
-			FlowCost: map[model.FlowID]float64{0: 1},
+			FlowCost: model.CostsOf(map[model.FlowID]float64{0: 1}),
 		}},
 	}
 	for k, u := range utilities {

@@ -70,7 +70,7 @@ func TestMultirateAdmitHugeQuotientClampsToDemand(t *testing.T) {
 	problem := func() *model.Problem {
 		return &model.Problem{
 			Flows: []model.Flow{{ID: 0, Source: 0, RateMin: 1e-12, RateMax: 1e-12}},
-			Nodes: []model.Node{{ID: 0, Capacity: 1e9, FlowCost: map[model.FlowID]float64{0: 1}}},
+			Nodes: []model.Node{{ID: 0, Capacity: 1e9, FlowCost: model.CostsOf(map[model.FlowID]float64{0: 1})}},
 			Classes: []model.Class{
 				{ID: 0, Flow: 0, Node: 0, MaxConsumers: 5, CostPerConsumer: 1e-9, Utility: utility.NewLog(10)},
 			},

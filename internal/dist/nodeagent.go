@@ -30,9 +30,9 @@ type nodeAgent struct {
 
 	// classes attached at this node, ascending.
 	classes []model.ClassID
-	// ownedLinks, ascending, with the flows on each and its price.
+	// ownedLinks, ascending, with each one's price; the flows on a link
+	// and their costs are its record in p.
 	ownedLinks []model.LinkID
-	linkFlows  [][]model.FlowID
 	linkPrices []float64
 
 	// flows is the ascending set of flows whose rates this agent needs
@@ -80,7 +80,6 @@ func newNodeAgent(p *model.Problem, ix *model.Index, b model.NodeID, c Config) *
 		}
 		lid := model.LinkID(l)
 		na.ownedLinks = append(na.ownedLinks, lid)
-		na.linkFlows = append(na.linkFlows, ix.FlowsByLink(lid))
 		na.linkPrices = append(na.linkPrices, 0) // prices start at zero, as the engine's do
 		na.flows = append(na.flows, ix.FlowsByLink(lid)...)
 	}
@@ -118,8 +117,9 @@ func (na *nodeAgent) compute(round int) {
 	for k, lid := range na.ownedLinks {
 		link := &na.p.Links[lid]
 		used := 0.0
-		for _, i := range na.linkFlows[k] {
-			used += link.FlowCost[i] * na.rates[i]
+		costs := link.FlowCost.Values()
+		for n, i := range link.FlowCost.Flows() {
+			used += costs[n] * na.rates[i]
 		}
 		na.linkPrices[k] = core.LinkPriceStep(na.linkPrices[k], used, link.Capacity, na.cfg.LinkGamma)
 		rm.LinkPrices = append(rm.LinkPrices, keyed[float64]{int(lid), na.linkPrices[k]})

@@ -294,13 +294,13 @@ func churnEvent(r *overlay.Router, rng *rand.Rand, kind string, healing bool, fa
 		st, err := r.RestoreLink(failedElem)
 		return st, failedElem, err
 	}
-	// Pick a loaded element (its cost map holds the flows crossing it) whose
+	// Pick a loaded element (its cost record holds the flows crossing it) whose
 	// failure is survivable, trying candidates in shuffled order — a repair that fails with ErrNoPath (the element
 	// was a bridge for some flow) rolls back cleanly, so keep trying.
 	if kind == "node" {
 		var cand []int
 		for b := 0; b < tp.NodeCount(); b++ {
-			if !anchored[b] && tp.NodeAlive(model.NodeID(b)) && len(p.Nodes[b].FlowCost) > 0 {
+			if !anchored[b] && tp.NodeAlive(model.NodeID(b)) && p.Nodes[b].FlowCost.Len() > 0 {
 				cand = append(cand, b)
 			}
 		}
@@ -314,7 +314,7 @@ func churnEvent(r *overlay.Router, rng *rand.Rand, kind string, healing bool, fa
 	}
 	var cand []int
 	for li := 0; li < tp.LinkCount(); li++ {
-		if tp.LinkAlive(li) && len(p.Links[li].FlowCost) > 0 {
+		if tp.LinkAlive(li) && p.Links[li].FlowCost.Len() > 0 {
 			cand = append(cand, li)
 		}
 	}

@@ -100,3 +100,50 @@ func TestNewIndexFootprint(t *testing.T) {
 		t.Errorf("each idle node adds %.2f live heap bytes to an index, want at most 16", perNode)
 	}
 }
+
+// TestCostRecordFootprint: on the link_failure problem, the cost records
+// of the 5,681 elements a flow crosses (6,398 (element, flow) pairs) hold
+// at most 96 live heap bytes per crossed element — a 48-byte record plus
+// 16 bytes per pair, where a map per element held ≈187 — and NewIndex,
+// which adopts the records instead of copying them, holds at most 0.95 MB.
+func TestCostRecordFootprint(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	p := linkFailureProblem(t)
+	crossed, pairs := 0, 0
+	for _, n := range p.Nodes {
+		if n.FlowCost != nil {
+			crossed++
+			pairs += n.FlowCost.Len()
+		}
+	}
+	for _, l := range p.Links {
+		if l.FlowCost != nil {
+			crossed++
+			pairs += l.FlowCost.Len()
+		}
+	}
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	for b := range p.Nodes {
+		p.Nodes[b].FlowCost = nil
+	}
+	for l := range p.Links {
+		p.Links[l].FlowCost = nil
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	runtime.KeepAlive(p)
+	per := float64(int64(m0.HeapAlloc)-int64(m1.HeapAlloc)) / float64(crossed)
+	t.Logf("cost records hold %.1f B per crossed element (%d elements, %d pairs)", per, crossed, pairs)
+	if per > 96 {
+		t.Errorf("cost records hold %.1f live heap bytes per crossed element, want at most 96", per)
+	}
+
+	p = linkFailureProblem(t)
+	if held := indexHeld(p); held > 950_000 {
+		t.Errorf("NewIndex on the link_failure problem holds %d live heap bytes, want at most 950,000", held)
+	}
+}

@@ -9,19 +9,19 @@ import (
 // (flowMap, attachMap, nodeClasses, linkMap, nodeMap and their inverses) so
 // the optimizer's inner loops avoid repeated scans. Build it once per
 // Problem with NewIndex; apart from Refresh (a warm-restart rebind to a
-// topology-compatible problem) it is immutable and safe for concurrent
-// reads.
+// topology-compatible problem) and RefreshRouting it is immutable and safe
+// for concurrent reads.
 //
-// Beyond the membership lists, the index denormalizes the sparse cost maps
-// (Node.FlowCost, Link.FlowCost) into slices aligned with those lists, so
-// the optimizer's hot loops read contiguous float64s instead of hashing
-// map keys. The cost views are copies taken at NewIndex time: mutating a
-// cost map afterwards does not update the index (capacities and class
-// demands are not cached and may change between iterations).
+// The element side of the index is the problem's own cost records
+// (Node.FlowCost, Link.FlowCost), adopted rather than copied: they are
+// immutable and already sorted by flow, so FlowsByNode and FlowCostsByNode
+// hand out the record's slices. The flow side (NodesByFlow and the costs
+// aligned with it) is the index's own. Capacities and class demands are
+// not cached and may change between iterations.
 //
 // The index's size follows the problem's incidences, not its graph: a node
-// or link no flow crosses holds a nil view (one word), and a node's classes
-// share one flat array.
+// or link no flow crosses holds a nil record (one word), and a node's
+// classes share one flat array.
 type Index struct {
 	p *Problem
 
@@ -31,10 +31,11 @@ type Index struct {
 	// attached at node b (nodeClasses(b)), in ascending class order.
 	nodeClassOff []int32
 	nodeClasses  []ClassID
-	// nodes[b] holds nodeMap(b) and the F_{b,i} aligned with it; links[l]
-	// holds linkMap(l) and the L_{l,i}. Nil where no flow crosses.
-	nodes []*view
-	links []*view
+	// nodes[b] is node b's cost record, nodeMap(b) with the F_{b,i};
+	// links[l] is link l's, linkMap(l) with the L_{l,i}. Nil where no
+	// flow crosses.
+	nodes []*Costs
+	links []*Costs
 	// nodesByFlow[i] lists the nodes reached by flow i (B_i).
 	nodesByFlow [][]NodeID
 	// linksByFlow[i] lists the links traversed by flow i (L_i).
@@ -51,91 +52,17 @@ type Index struct {
 	classesByFlowNode [][][]ClassID
 }
 
-// view is one resource's side of the index: the flows crossing it, in
-// ascending flow order, and costs[k], the coefficient of flows[k]. An
-// element no flow crosses has a nil *view, and both readers return nil.
-type view struct {
-	flows []FlowID
-	costs []float64
-}
-
-func (v *view) flowList() []FlowID {
-	if v == nil {
-		return nil
-	}
-	return v.flows
-}
-
-func (v *view) costList() []float64 {
-	if v == nil {
-		return nil
-	}
-	return v.costs
-}
-
-// newView builds the view of one resource's cost map; nil when the map is
-// empty.
-func newView(costMap map[FlowID]float64) *view {
-	if len(costMap) == 0 {
-		return nil
-	}
-	return new(view).fill(costMap, make([]FlowID, len(costMap)), make([]float64, len(costMap)))
-}
-
-// newViews builds the view of each of n resources' cost maps, nil where a
-// map is empty, carving the views and their arrays out of one allocation
-// each.
-func newViews(n int, costMap func(int) map[FlowID]float64) []*view {
-	out := make([]*view, n)
-	active, pairs := 0, 0
-	for k := range out {
-		if m := costMap(k); len(m) > 0 {
-			active++
-			pairs += len(m)
-		}
-	}
-	views := make([]view, active)
-	flows := make([]FlowID, pairs)
-	costs := make([]float64, pairs)
-	for k := range out {
-		m := costMap(k)
-		if len(m) == 0 {
-			continue
-		}
-		n := len(m)
-		out[k] = views[0].fill(m, flows[:n:n], costs[:n:n])
-		views, flows, costs = views[1:], flows[n:], costs[n:]
-	}
-	return out
-}
-
-// fill makes v the view of costMap, its keys sorted into flows and their
-// costs aligned in costs (both of the map's length), and returns v.
-func (v *view) fill(costMap map[FlowID]float64, flows []FlowID, costs []float64) *view {
-	flows = flows[:0]
-	for i := range costMap {
-		flows = append(flows, i)
-	}
-	slices.Sort(flows)
-	for k, i := range flows {
-		costs[k] = costMap[i]
-	}
-	*v = view{flows, costs}
-	return v
-}
-
 // NewIndex builds the index. The problem must already be valid (see
 // Validate); NewIndex does not re-check it.
 func NewIndex(p *Problem) *Index {
 	ix := &Index{
-		p:             p,
-		classesByFlow: make([][]ClassID, len(p.Flows)),
-		nodeClassOff:  make([]int32, len(p.Nodes)+1),
-		nodeClasses:   make([]ClassID, len(p.Classes)),
-		nodes:         newViews(len(p.Nodes), func(b int) map[FlowID]float64 { return p.Nodes[b].FlowCost }),
-		links:         newViews(len(p.Links), func(l int) map[FlowID]float64 { return p.Links[l].FlowCost }),
-		nodesByFlow:   make([][]NodeID, len(p.Flows)),
-		linksByFlow:   make([][]LinkID, len(p.Flows)),
+		p:                 p,
+		classesByFlow:     make([][]ClassID, len(p.Flows)),
+		nodeClassOff:      make([]int32, len(p.Nodes)+1),
+		nodeClasses:       make([]ClassID, len(p.Classes)),
+		nodes:             make([]*Costs, len(p.Nodes)),
+		links:             make([]*Costs, len(p.Links)),
+		classesByFlowNode: make([][][]ClassID, len(p.Flows)),
 	}
 	// nodeClasses as a CSR array: count each node's classes, turn the
 	// counts into running ends, then place the classes back to front so
@@ -153,123 +80,120 @@ func NewIndex(p *Problem) *Index {
 		ix.nodeClassOff[c.Node]--
 		ix.nodeClasses[ix.nodeClassOff[c.Node]] = c.ID
 	}
-	// Membership lists come from the sparse cost maps directly — O(edges)
-	// rather than O(resources × flows), which matters once workloads reach
-	// metro scale (10^4 flows × 10^5 nodes).
-	for b, v := range ix.nodes {
-		for _, i := range v.flowList() {
-			ix.nodesByFlow[i] = append(ix.nodesByFlow[i], NodeID(b))
-		}
+	for b := range p.Nodes {
+		ix.nodes[b] = p.Nodes[b].FlowCost
 	}
-	for l, v := range ix.links {
-		for _, i := range v.flowList() {
-			ix.linksByFlow[i] = append(ix.linksByFlow[i], LinkID(l))
-		}
+	for l := range p.Links {
+		ix.links[l] = p.Links[l].FlowCost
 	}
-
-	// Flow-side cost views, aligned element-for-element with the
-	// membership lists built above.
-	ix.nodeCostByFlow = make([][]float64, len(p.Flows))
-	ix.linkCostByFlow = make([][]float64, len(p.Flows))
-	ix.classesByFlowNode = make([][][]ClassID, len(p.Flows))
+	// The flow side comes from the records directly — O(edges) rather
+	// than O(resources × flows), which matters once workloads reach metro
+	// scale (10^4 flows × 10^5 nodes). Elements are walked in ascending
+	// order, so each flow's lists come out ascending.
+	ix.nodesByFlow, ix.nodeCostByFlow = transpose[NodeID](ix.nodes, len(p.Flows))
+	ix.linksByFlow, ix.linkCostByFlow = transpose[LinkID](ix.links, len(p.Flows))
 	for i := range p.Flows {
-		fid := FlowID(i)
-		nodes := ix.nodesByFlow[i]
-		ncosts := make([]float64, len(nodes))
-		lists := make([][]ClassID, len(nodes))
-		for k, b := range nodes {
-			ncosts[k] = p.Nodes[b].FlowCost[fid]
-		}
-		// One pass over the flow's classes, binary-searching each class's
-		// node in the (sorted) nodesByFlow list: classesByFlow[i] is in
-		// ascending class order, so each lists[k] comes out ascending too.
-		for _, cid := range ix.classesByFlow[i] {
-			k, ok := slices.BinarySearch(nodes, p.Classes[cid].Node)
-			if ok {
-				lists[k] = append(lists[k], cid)
-			}
-		}
-		ix.nodeCostByFlow[i] = ncosts
-		ix.classesByFlowNode[i] = lists
-
-		links := ix.linksByFlow[i]
-		lcosts := make([]float64, len(links))
-		for k, l := range links {
-			lcosts[k] = p.Links[l].FlowCost[fid]
-		}
-		ix.linkCostByFlow[i] = lcosts
+		ix.classesByFlowNode[i] = ix.classesAt(FlowID(i), ix.nodesByFlow[i])
 	}
 	return ix
+}
+
+// transpose turns per-element records into per-flow lists: the elements
+// flow i crosses, ascending, and its coefficient at each, every list sized
+// exactly.
+func transpose[E ~int](recs []*Costs, nFlows int) ([][]E, [][]float64) {
+	count := make([]int, nFlows)
+	for _, c := range recs {
+		for _, i := range c.Flows() {
+			count[i]++
+		}
+	}
+	elems := make([][]E, nFlows)
+	costs := make([][]float64, nFlows)
+	for i, n := range count {
+		elems[i] = make([]E, 0, n)
+		costs[i] = make([]float64, 0, n)
+	}
+	for e, c := range recs {
+		vals := c.Values()
+		for k, i := range c.Flows() {
+			elems[i] = append(elems[i], E(e))
+			costs[i] = append(costs[i], vals[k])
+		}
+	}
+	return elems, costs
+}
+
+// classesAt lists, aligned with nodes (flow i's node list), the classes
+// of flow i attached at each node. One pass over the flow's classes,
+// binary-searching each class's node in the sorted list: classesByFlow[i]
+// is in ascending class order, so each list comes out ascending too. A
+// class whose node is off the tree (a demand-less one) is in no list.
+func (ix *Index) classesAt(i FlowID, nodes []NodeID) [][]ClassID {
+	lists := make([][]ClassID, len(nodes))
+	for _, cid := range ix.classesByFlow[i] {
+		if k, ok := slices.BinarySearch(nodes, ix.p.Classes[cid].Node); ok {
+			lists[k] = append(lists[k], cid)
+		}
+	}
+	return lists
 }
 
 // Problem returns the indexed problem.
 func (ix *Index) Problem() *Problem { return ix.p }
 
-// Refresh re-targets the index at p, rewriting the dense cost views in
-// place. p must be topology-compatible with the indexed problem: the same
+// Refresh re-targets the index at p, adopting p's cost records and
+// rewriting the flow-side cost lists in place. p must be
+// topology-compatible with the indexed problem: the same
 // flow/node/link/class counts, every class consuming the same flow and
-// attached at the same node, and every cost map defined on exactly the
-// same (resource, flow) pairs — only cost values, capacities, rate bounds,
-// demands and utilities may differ. Refresh validates compatibility before
-// mutating anything, so on error the index is unchanged and still
-// describes the old problem.
+// attached at the same node, and every record listing exactly the same
+// flows — only cost values, capacities, rate bounds, demands and utilities
+// may differ. Refresh validates compatibility before mutating anything, so
+// on error the index is unchanged and still describes the old problem.
 //
 // Refresh exists for warm restarts (core.Engine.Reset): the membership
 // lists survive untouched, so slices handed out by the accessor methods
-// remain valid, while the cost views pick up p's values. It must not run
-// concurrently with readers.
+// remain valid (an old record keeps the old values), while the cost views
+// pick up p's values. It must not run concurrently with readers.
 func (ix *Index) Refresh(p *Problem) error {
 	if err := sameShape("model: refresh", ix.p, p); err != nil {
 		return err
 	}
 	for b := range p.Nodes {
-		flows := ix.nodes[b].flowList()
-		if len(p.Nodes[b].FlowCost) != len(flows) {
-			return fmt.Errorf("model: refresh: node %d reaches %d flows, index has %d",
-				b, len(p.Nodes[b].FlowCost), len(flows))
-		}
-		for _, i := range flows {
-			if _, ok := p.Nodes[b].FlowCost[i]; !ok {
-				return fmt.Errorf("model: refresh: node %d lost flow %d", b, i)
-			}
+		if !slices.Equal(p.Nodes[b].FlowCost.Flows(), ix.nodes[b].Flows()) {
+			return fmt.Errorf("model: refresh: node %d reaches other flows than the index has", b)
 		}
 	}
 	for l := range p.Links {
-		flows := ix.links[l].flowList()
-		if len(p.Links[l].FlowCost) != len(flows) {
-			return fmt.Errorf("model: refresh: link %d carries %d flows, index has %d",
-				l, len(p.Links[l].FlowCost), len(flows))
-		}
-		for _, i := range flows {
-			if _, ok := p.Links[l].FlowCost[i]; !ok {
-				return fmt.Errorf("model: refresh: link %d lost flow %d", l, i)
-			}
+		if !slices.Equal(p.Links[l].FlowCost.Flows(), ix.links[l].Flows()) {
+			return fmt.Errorf("model: refresh: link %d carries other flows than the index has", l)
 		}
 	}
 
-	for b, v := range ix.nodes {
-		for k, i := range v.flowList() {
-			v.costs[k] = p.Nodes[b].FlowCost[i]
-		}
+	for b := range p.Nodes {
+		ix.nodes[b] = p.Nodes[b].FlowCost
 	}
-	for l, v := range ix.links {
-		for k, i := range v.flowList() {
-			v.costs[k] = p.Links[l].FlowCost[i]
-		}
+	for l := range p.Links {
+		ix.links[l] = p.Links[l].FlowCost
 	}
-	for i := range p.Flows {
-		fid := FlowID(i)
-		ncosts := ix.nodeCostByFlow[i]
-		for k, b := range ix.nodesByFlow[i] {
-			ncosts[k] = p.Nodes[b].FlowCost[fid]
-		}
-		lcosts := ix.linkCostByFlow[i]
-		for k, l := range ix.linksByFlow[i] {
-			lcosts[k] = p.Links[l].FlowCost[fid]
-		}
-	}
+	refill(ix.nodes, ix.nodeCostByFlow)
+	refill(ix.links, ix.linkCostByFlow)
 	ix.p = p
 	return nil
+}
+
+// refill rewrites the flow-side cost lists from the records they were
+// transposed from: walking elements in ascending order meets each flow's
+// elements in its list's order, so next[i] is the position of the next.
+func refill(recs []*Costs, costs [][]float64) {
+	next := make([]int, len(costs))
+	for _, c := range recs {
+		vals := c.Values()
+		for k, i := range c.Flows() {
+			costs[i][next[i]] = vals[k]
+			next[i]++
+		}
+	}
 }
 
 // ClassesByFlow returns C_i, the classes consuming flow i.
@@ -282,10 +206,10 @@ func (ix *Index) ClassesByNode(b NodeID) []ClassID {
 }
 
 // FlowsByNode returns nodeMap(b), the flows reaching node b.
-func (ix *Index) FlowsByNode(b NodeID) []FlowID { return ix.nodes[b].flowList() }
+func (ix *Index) FlowsByNode(b NodeID) []FlowID { return ix.nodes[b].Flows() }
 
 // FlowsByLink returns linkMap(l), the flows traversing link l.
-func (ix *Index) FlowsByLink(l LinkID) []FlowID { return ix.links[l].flowList() }
+func (ix *Index) FlowsByLink(l LinkID) []FlowID { return ix.links[l].Flows() }
 
 // NodesByFlow returns B_i, the nodes reached by flow i.
 func (ix *Index) NodesByFlow(i FlowID) []NodeID { return ix.nodesByFlow[i] }
@@ -295,11 +219,11 @@ func (ix *Index) LinksByFlow(i FlowID) []LinkID { return ix.linksByFlow[i] }
 
 // FlowCostsByNode returns the F_{b,i} coefficients aligned with
 // FlowsByNode(b): FlowCostsByNode(b)[k] is the cost of FlowsByNode(b)[k].
-func (ix *Index) FlowCostsByNode(b NodeID) []float64 { return ix.nodes[b].costList() }
+func (ix *Index) FlowCostsByNode(b NodeID) []float64 { return ix.nodes[b].Values() }
 
 // FlowCostsByLink returns the L_{l,i} coefficients aligned with
 // FlowsByLink(l).
-func (ix *Index) FlowCostsByLink(l LinkID) []float64 { return ix.links[l].costList() }
+func (ix *Index) FlowCostsByLink(l LinkID) []float64 { return ix.links[l].Values() }
 
 // NodeCostsByFlow returns the F_{b,i} coefficients aligned with
 // NodesByFlow(i).

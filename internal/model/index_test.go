@@ -21,22 +21,22 @@ func randomIndexProblem(rng *rand.Rand) *Problem {
 		Nodes: make([]Node, nNodes),
 	}
 	for b := range p.Nodes {
-		p.Nodes[b] = Node{ID: NodeID(b), Capacity: 1e5, FlowCost: map[FlowID]float64{}}
+		p.Nodes[b] = Node{ID: NodeID(b), Capacity: 1e5}
 	}
 	for i := range p.Flows {
 		p.Flows[i] = Flow{ID: FlowID(i), RateMin: 1, RateMax: 100}
 		// Reach a random nonempty node subset.
 		for b := range p.Nodes {
 			if rng.Intn(2) == 0 {
-				p.Nodes[b].FlowCost[FlowID(i)] = 1 + rng.Float64()
+				p.Nodes[b].FlowCost = p.Nodes[b].FlowCost.With(FlowID(i), 1+rng.Float64())
 			}
 		}
 		src := NodeID(rng.Intn(nNodes))
-		p.Nodes[src].FlowCost[FlowID(i)] = 1 + rng.Float64()
+		p.Nodes[src].FlowCost = p.Nodes[src].FlowCost.With(FlowID(i), 1+rng.Float64())
 		p.Flows[i].Source = src
 		// Classes at the nodes the flow reaches.
 		for b := range p.Nodes {
-			if _, ok := p.Nodes[b].FlowCost[FlowID(i)]; !ok {
+			if _, ok := p.Nodes[b].FlowCost.Get(FlowID(i)); !ok {
 				continue
 			}
 			for k := 0; k < 1+rng.Intn(2); k++ {
@@ -64,17 +64,17 @@ func randomIndexProblem(rng *rand.Rand) *Problem {
 			costs[FlowID(rng.Intn(nFlows))] = 1
 		}
 		p.Links = append(p.Links, Link{
-			ID: LinkID(l), From: from, To: to, Capacity: 1e4, FlowCost: costs,
+			ID: LinkID(l), From: from, To: to, Capacity: 1e4, FlowCost: CostsOf(costs),
 		})
 	}
 	return p
 }
 
-// TestIndexDenseViewsMatchMaps checks every dense cost view against the
-// sparse maps it denormalizes — each node's and link's flow list is its
-// map's key set in strictly ascending order, and each cost the map's value
-// — and the per-(flow, node) class lists against a direct filter of
-// ClassesByNode. The random problems leave some nodes without a flow.
+// TestIndexDenseViewsMatchMaps checks every cost view against the records
+// it is built from — each node's and link's flow and cost lists are its
+// record's own, flows strictly ascending, and each flow's costs are the
+// records' — and the per-(flow, node) class lists against a direct filter
+// of ClassesByNode. The random problems leave some nodes without a flow.
 func TestIndexDenseViewsMatchMaps(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	idle := 0
@@ -100,31 +100,15 @@ func TestIndexDenseViewsMatchMaps(t *testing.T) {
 			if len(flows) == 0 {
 				idle++
 			}
-			if !isKeySet(flows, p.Nodes[b].FlowCost) {
-				t.Fatalf("node %d: flows %v, cost map %v", b, flows, p.Nodes[b].FlowCost)
-			}
-			if len(flows) != len(costs) {
-				t.Fatalf("node %d: %d flows vs %d costs", b, len(flows), len(costs))
-			}
-			for k, i := range flows {
-				if want := p.Nodes[b].FlowCost[i]; costs[k] != want {
-					t.Errorf("node %d flow %d: cost %g, want %g", b, i, costs[k], want)
-				}
+			if !isRecord(flows, costs, p.Nodes[b].FlowCost) {
+				t.Fatalf("node %d: flows %v costs %v, record %v", b, flows, costs, p.Nodes[b].FlowCost)
 			}
 		}
 		for l := range p.Links {
 			lid := LinkID(l)
 			flows, costs := ix.FlowsByLink(lid), ix.FlowCostsByLink(lid)
-			if !isKeySet(flows, p.Links[l].FlowCost) {
-				t.Fatalf("link %d: flows %v, cost map %v", l, flows, p.Links[l].FlowCost)
-			}
-			if len(flows) != len(costs) {
-				t.Fatalf("link %d: %d flows vs %d costs", l, len(flows), len(costs))
-			}
-			for k, i := range flows {
-				if want := p.Links[l].FlowCost[i]; costs[k] != want {
-					t.Errorf("link %d flow %d: cost %g, want %g", l, i, costs[k], want)
-				}
+			if !isRecord(flows, costs, p.Links[l].FlowCost) {
+				t.Fatalf("link %d: flows %v costs %v, record %v", l, flows, costs, p.Links[l].FlowCost)
 			}
 		}
 		for i := range p.Flows {
@@ -136,7 +120,7 @@ func TestIndexDenseViewsMatchMaps(t *testing.T) {
 					i, len(nodes), len(ncosts), len(classes))
 			}
 			for k, b := range nodes {
-				if want := p.Nodes[b].FlowCost[fid]; ncosts[k] != want {
+				if want, _ := p.Nodes[b].FlowCost.Get(fid); ncosts[k] != want {
 					t.Errorf("flow %d node %d: cost %g, want %g", i, b, ncosts[k], want)
 				}
 				var want []ClassID
@@ -160,7 +144,7 @@ func TestIndexDenseViewsMatchMaps(t *testing.T) {
 				t.Fatalf("flow %d: %d links vs %d costs", i, len(links), len(lcosts))
 			}
 			for k, l := range links {
-				if want := p.Links[l].FlowCost[fid]; lcosts[k] != want {
+				if want, _ := p.Links[l].FlowCost.Get(fid); lcosts[k] != want {
 					t.Errorf("flow %d link %d: cost %g, want %g", i, l, lcosts[k], want)
 				}
 			}
@@ -171,14 +155,18 @@ func TestIndexDenseViewsMatchMaps(t *testing.T) {
 	}
 }
 
-// isKeySet reports whether flows lists exactly the keys of m, strictly
-// ascending.
-func isKeySet(flows []FlowID, m map[FlowID]float64) bool {
-	if len(flows) != len(m) {
+// isRecord reports whether flows and costs are the record's own lists,
+// flows strictly ascending: the index hands out the problem's records, it
+// does not copy them.
+func isRecord(flows []FlowID, costs []float64, c *Costs) bool {
+	if len(flows) != c.Len() || len(costs) != c.Len() {
 		return false
 	}
-	for k, i := range flows {
-		if _, ok := m[i]; !ok || (k > 0 && flows[k-1] >= i) {
+	if c.Len() > 0 && (&flows[0] != &c.Flows()[0] || &costs[0] != &c.Values()[0]) {
+		return false
+	}
+	for k := 1; k < len(flows); k++ {
+		if flows[k-1] >= flows[k] {
 			return false
 		}
 	}
@@ -208,7 +196,7 @@ func TestRefreshRoutingRefusesWithoutMutating(t *testing.T) {
 		}
 		other := (leave + 1) % NodeID(len(p.Nodes))
 		q := p.Clone()
-		delete(q.Nodes[leave].FlowCost, 0)
+		q.Nodes[leave].FlowCost = q.Nodes[leave].FlowCost.Without(0)
 		for _, j := range ix.ClassesByFlow(0) {
 			if q.Classes[j].Node == leave {
 				q.Classes[j].MaxConsumers = 0

@@ -81,6 +81,18 @@ func (p *Problem) UnmarshalJSON(data []byte) error {
 			Utility:         fn,
 		}
 	}
+	// An empty cost object decodes to the nil record, which is what an
+	// empty map was: omitted when the problem is encoded again.
+	for b := range in.Nodes {
+		if in.Nodes[b].FlowCost.Len() == 0 {
+			in.Nodes[b].FlowCost = nil
+		}
+	}
+	for l := range in.Links {
+		if in.Links[l].FlowCost.Len() == 0 {
+			in.Links[l].FlowCost = nil
+		}
+	}
 	*p = Problem{
 		Name:    in.Name,
 		Flows:   in.Flows,

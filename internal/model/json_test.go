@@ -82,7 +82,6 @@ func TestProblemJSONRoundTripProperty(t *testing.T) {
 		for b := 0; b < nNodes; b++ {
 			p.Nodes = append(p.Nodes, Node{
 				ID: NodeID(b), Capacity: 1000 + rng.Float64()*1e6,
-				FlowCost: make(map[FlowID]float64),
 			})
 		}
 		for i := 0; i < nFlows; i++ {
@@ -94,7 +93,7 @@ func TestProblemJSONRoundTripProperty(t *testing.T) {
 			nClasses := 1 + rng.Intn(3)
 			for k := 0; k < nClasses; k++ {
 				b := NodeID(rng.Intn(nNodes))
-				p.Nodes[b].FlowCost[FlowID(i)] = 1 + rng.Float64()*5
+				p.Nodes[b].FlowCost = p.Nodes[b].FlowCost.With(FlowID(i), 1+rng.Float64()*5)
 				var fn utility.Function
 				switch rng.Intn(3) {
 				case 0:
@@ -111,8 +110,8 @@ func TestProblemJSONRoundTripProperty(t *testing.T) {
 				})
 			}
 			// The flow must reach its source.
-			if _, ok := p.Nodes[p.Flows[i].Source].FlowCost[FlowID(i)]; !ok {
-				p.Nodes[p.Flows[i].Source].FlowCost[FlowID(i)] = 1
+			if _, ok := p.Nodes[p.Flows[i].Source].FlowCost.Get(FlowID(i)); !ok {
+				p.Nodes[p.Flows[i].Source].FlowCost = p.Nodes[p.Flows[i].Source].FlowCost.With(FlowID(i), 1)
 			}
 		}
 		if err := Validate(p); err != nil {

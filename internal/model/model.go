@@ -9,6 +9,9 @@
 //     (Link.FlowCost).
 //   - Flow-node cost F_{b,i}: resource used at node b per unit rate of flow
 //     i, independent of consumers (Node.FlowCost).
+//
+// L and F are sparse — a coefficient exists only where a flow crosses the
+// element — and each element holds its share as one immutable Costs record.
 //   - Consumer-node cost G_{b,j}: resource used at the attachment node of
 //     class j, per admitted consumer, per unit rate (Class.CostPerConsumer).
 //
@@ -84,10 +87,10 @@ type Node struct {
 	Name string `json:"name,omitempty"`
 	// Capacity is c_b.
 	Capacity float64 `json:"capacity"`
-	// FlowCost maps each flow that reaches this node to F_{b,i}, the
-	// per-unit-rate processing cost that is independent of consumers.
-	// Flows absent from the map do not reach the node.
-	FlowCost map[FlowID]float64 `json:"flowCost,omitempty"`
+	// FlowCost holds F_{b,i}, the per-unit-rate processing cost that is
+	// independent of consumers, for each flow that reaches this node.
+	// Flows absent from it do not reach the node; nil when none does.
+	FlowCost *Costs `json:"flowCost,omitempty"`
 }
 
 // Link is a unidirectional overlay link with a finite capacity (network
@@ -103,9 +106,9 @@ type Link struct {
 	To   NodeID `json:"to"`
 	// Capacity is c_l.
 	Capacity float64 `json:"capacity"`
-	// FlowCost maps each flow that traverses this link to L_{l,i}. Flows
-	// absent from the map do not traverse the link.
-	FlowCost map[FlowID]float64 `json:"flowCost,omitempty"`
+	// FlowCost holds L_{l,i} for each flow that traverses this link.
+	// Flows absent from it do not traverse the link; nil when none does.
+	FlowCost *Costs `json:"flowCost,omitempty"`
 }
 
 // Problem is a complete instance of the optimization problem.
@@ -164,8 +167,9 @@ func (a Allocation) Clone() Allocation {
 	return out
 }
 
-// Clone returns a deep copy of the problem. Utility functions are shared
-// (they are immutable values).
+// Clone returns a copy of the problem that can be changed without
+// changing p. Utility functions and cost records are shared (they are
+// immutable values).
 func (p *Problem) Clone() *Problem {
 	out := &Problem{
 		Name:    p.Name,
@@ -176,26 +180,7 @@ func (p *Problem) Clone() *Problem {
 	}
 	copy(out.Flows, p.Flows)
 	copy(out.Classes, p.Classes)
-	for i, n := range p.Nodes {
-		cp := n
-		cp.FlowCost = cloneCost(n.FlowCost)
-		out.Nodes[i] = cp
-	}
-	for i, l := range p.Links {
-		cp := l
-		cp.FlowCost = cloneCost(l.FlowCost)
-		out.Links[i] = cp
-	}
-	return out
-}
-
-func cloneCost(m map[FlowID]float64) map[FlowID]float64 {
-	if m == nil {
-		return nil
-	}
-	out := make(map[FlowID]float64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
+	copy(out.Nodes, p.Nodes)
+	copy(out.Links, p.Links)
 	return out
 }

@@ -20,11 +20,11 @@ func twoNodeProblem() *Problem {
 			{ID: 1, Source: 1, RateMin: 2, RateMax: 50},
 		},
 		Nodes: []Node{
-			{ID: 0, Capacity: 1000, FlowCost: map[FlowID]float64{0: 2}},
-			{ID: 1, Capacity: 2000, FlowCost: map[FlowID]float64{0: 3, 1: 4}},
+			{ID: 0, Capacity: 1000, FlowCost: CostsOf(map[FlowID]float64{0: 2})},
+			{ID: 1, Capacity: 2000, FlowCost: CostsOf(map[FlowID]float64{0: 3, 1: 4})},
 		},
 		Links: []Link{
-			{ID: 0, From: 0, To: 1, Capacity: 500, FlowCost: map[FlowID]float64{0: 1, 1: 2}},
+			{ID: 0, From: 0, To: 1, Capacity: 500, FlowCost: CostsOf(map[FlowID]float64{0: 1, 1: 2})},
 		},
 		Classes: []Class{
 			{ID: 0, Flow: 0, Node: 0, MaxConsumers: 10, CostPerConsumer: 5, Utility: utility.NewLog(10)},
@@ -61,14 +61,14 @@ func TestValidateRejections(t *testing.T) {
 		{"class where flow absent", func(p *Problem) { p.Classes[2].Node = 0 }},
 		{"node id mismatch", func(p *Problem) { p.Nodes[1].ID = 0 }},
 		{"zero node capacity", func(p *Problem) { p.Nodes[0].Capacity = 0 }},
-		{"node cost unknown flow", func(p *Problem) { p.Nodes[0].FlowCost[9] = 1 }},
-		{"node cost non-positive", func(p *Problem) { p.Nodes[0].FlowCost[0] = 0 }},
+		{"node cost unknown flow", func(p *Problem) { p.Nodes[0].FlowCost = p.Nodes[0].FlowCost.With(9, 1) }},
+		{"node cost non-positive", func(p *Problem) { p.Nodes[0].FlowCost = p.Nodes[0].FlowCost.With(0, 0) }},
 		{"link id mismatch", func(p *Problem) { p.Links[0].ID = 3 }},
 		{"link endpoint out of range", func(p *Problem) { p.Links[0].To = 9 }},
 		{"link self loop", func(p *Problem) { p.Links[0].To = p.Links[0].From }},
 		{"zero link capacity", func(p *Problem) { p.Links[0].Capacity = 0 }},
-		{"link cost unknown flow", func(p *Problem) { p.Links[0].FlowCost[9] = 1 }},
-		{"link cost non-positive", func(p *Problem) { p.Links[0].FlowCost[0] = -1 }},
+		{"link cost unknown flow", func(p *Problem) { p.Links[0].FlowCost = p.Links[0].FlowCost.With(9, 1) }},
+		{"link cost non-positive", func(p *Problem) { p.Links[0].FlowCost = p.Links[0].FlowCost.With(0, -1) }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -269,11 +269,13 @@ func TestDeliveryRates(t *testing.T) {
 func TestProblemClone(t *testing.T) {
 	p := twoNodeProblem()
 	q := p.Clone()
-	q.Nodes[0].FlowCost[0] = 99
-	q.Links[0].FlowCost[0] = 99
+	q.Nodes[0].FlowCost = q.Nodes[0].FlowCost.With(0, 99)
+	q.Links[0].FlowCost = q.Links[0].FlowCost.With(0, 99)
 	q.Flows[0].RateMax = 7
-	if p.Nodes[0].FlowCost[0] == 99 || p.Links[0].FlowCost[0] == 99 || p.Flows[0].RateMax == 7 {
-		t.Error("Clone aliases underlying maps or slices")
+	nodeCost, _ := p.Nodes[0].FlowCost.Get(0)
+	linkCost, _ := p.Links[0].FlowCost.Get(0)
+	if nodeCost == 99 || linkCost == 99 || p.Flows[0].RateMax == 7 {
+		t.Error("Clone aliases underlying records or slices")
 	}
 	if err := Validate(q); err != nil {
 		t.Errorf("clone does not validate: %v", err)

@@ -7,10 +7,9 @@ import (
 
 // RoutingDelta names the parts of a problem whose routing changed since an
 // Index last saw it: the flows whose dissemination trees moved, and every
-// node and link whose FlowCost map gained or lost an entry (listing
-// unchanged elements is harmless — they rebuild to identical views).
-// Overlay repairs produce deltas (overlay.Router.TakeDelta); RefreshRouting
-// consumes them.
+// node and link whose cost record gained or lost a flow (listing unchanged
+// elements is harmless — they adopt the same record). Overlay repairs
+// produce deltas (overlay.Router.TakeDelta); RefreshRouting consumes them.
 type RoutingDelta struct {
 	Flows []FlowID
 	Nodes []NodeID
@@ -42,25 +41,25 @@ func sameShape(op string, old, p *Problem) error {
 }
 
 // RefreshRouting re-targets the index at p after a routing change confined
-// to d: membership lists and cost views are rebuilt for exactly the dirty
-// flows/nodes/links (a dirty element left with no flow goes back to the
-// nil view of an idle one), everything else keeps its slices (so views
-// handed out for untouched elements remain valid and shared). It
-// generalizes Refresh, which requires identical cost-map sparsity: here
-// dirty elements may gain and lose (resource, flow) pairs, as long as the
-// member sets themselves — flow, node, link and class counts, and every
-// class's (flow, node) attachment — are unchanged.
+// to d: each dirty node and link adopts p's record, and the membership
+// lists and cost lists of exactly the dirty flows are rebuilt; everything
+// else keeps its slices (so views handed out for untouched elements remain
+// valid and shared). It generalizes Refresh, which requires every record
+// to list the same flows: here dirty elements may gain and lose flows, as
+// long as the member sets themselves — flow, node, link and class counts,
+// and every class's (flow, node) attachment — are unchanged.
 //
-// Only what d names may differ from the problem the index last saw. The
-// delta must be complete: a node or link whose FlowCost changed but is not
-// listed keeps a stale view, and cost values, capacities and bounds of
-// clean elements are not re-read (use Refresh for value-only changes).
-// What d does name is checked before anything is rebuilt — Validate's
-// per-element rules on the dirty flows, their classes, the dirty nodes and
-// the dirty links (errors wrap ErrInvalid), and that every membership
-// change at a dirty element involves a dirty flow — so a problem that was
-// valid stays valid without a sweep, and on error the index is unchanged.
-// It must not run concurrently with readers.
+// Only what d names may differ from the problem the index last saw;
+// capacities and bounds of clean elements are not re-read (use Refresh for
+// value-only changes). What d does name is checked before anything is
+// rebuilt — Validate's per-element rules on the dirty flows, their
+// classes, the dirty nodes and the dirty links (errors wrap ErrInvalid),
+// that every flow entering, leaving or changing its cost at a dirty
+// element is a dirty flow, and that every clean element a dirty flow
+// crossed keeps its record — so a problem that was valid stays valid
+// without a sweep, and on error the index is unchanged. An element left
+// out of d that only gained dirty flows is not found: that would take a
+// sweep of every element. It must not run concurrently with readers.
 func (ix *Index) RefreshRouting(p *Problem, d RoutingDelta) error {
 	if err := sameShape("model: refresh-routing", ix.p, p); err != nil {
 		return err
@@ -96,6 +95,9 @@ func (ix *Index) RefreshRouting(p *Problem, d RoutingDelta) error {
 		if err := validateNode(p, int(b)); err != nil {
 			return err
 		}
+		if err := guardMembership(ix.nodes[b], p.Nodes[b].FlowCost, dirtyFlow, "node", int(b)); err != nil {
+			return err
+		}
 	}
 	for _, l := range dirtyLinks {
 		if l < 0 || int(l) >= len(p.Links) {
@@ -104,41 +106,10 @@ func (ix *Index) RefreshRouting(p *Problem, d RoutingDelta) error {
 		if err := validateLink(p, int(l)); err != nil {
 			return err
 		}
-	}
-
-	// Resource side: rebuild each dirty node's and link's view from its
-	// map, guarding that any flow entering or leaving is a dirty flow. The
-	// views are staged and committed together: the guard is the last thing
-	// that can fail.
-	views := make([]*view, 0, len(dirtyNodes)+len(dirtyLinks))
-	for _, b := range dirtyNodes {
-		v, err := rebuildView(p.Nodes[b].FlowCost, ix.nodes[b].flowList(), dirtyFlow,
-			func(i FlowID) string { return fmt.Sprintf("node %d flow %d", b, i) })
-		if err != nil {
+		if err := guardMembership(ix.links[l], p.Links[l].FlowCost, dirtyFlow, "link", int(l)); err != nil {
 			return err
 		}
-		views = append(views, v)
 	}
-	for _, l := range dirtyLinks {
-		v, err := rebuildView(p.Links[l].FlowCost, ix.links[l].flowList(), dirtyFlow,
-			func(i FlowID) string { return fmt.Sprintf("link %d flow %d", l, i) })
-		if err != nil {
-			return err
-		}
-		views = append(views, v)
-	}
-	for k, b := range dirtyNodes {
-		ix.nodes[b] = views[k]
-	}
-	for k, l := range dirtyLinks {
-		ix.links[l] = views[len(dirtyNodes)+k]
-	}
-
-	// Flow side: a dirty flow's node (and link) list changes only at dirty
-	// nodes (links), so the new list is the old one with dirty elements
-	// filtered out, merged with the dirty elements that now carry the flow.
-	// Both streams are ascending, so the merge preserves the index's
-	// ordering invariant.
 	nodeDirtyAt := func(b NodeID) bool {
 		_, ok := slices.BinarySearch(dirtyNodes, b)
 		return ok
@@ -147,96 +118,118 @@ func (ix *Index) RefreshRouting(p *Problem, d RoutingDelta) error {
 		_, ok := slices.BinarySearch(dirtyLinks, l)
 		return ok
 	}
+	// A dirty flow's clean elements must be as the index has them: one
+	// that lost or re-costed the flow but is missing from d is caught here.
 	for _, i := range d.Flows {
-		fid := i
-		nodes := mergeMembership(ix.nodesByFlow[i], dirtyNodes, nodeDirtyAt,
-			func(b NodeID) bool { _, ok := p.Nodes[b].FlowCost[fid]; return ok })
-		ncosts := make([]float64, len(nodes))
-		for k, b := range nodes {
-			ncosts[k] = p.Nodes[b].FlowCost[fid]
-		}
-		links := mergeMembership(ix.linksByFlow[i], dirtyLinks, linkDirtyAt,
-			func(l LinkID) bool { _, ok := p.Links[l].FlowCost[fid]; return ok })
-		lcosts := make([]float64, len(links))
-		for k, l := range links {
-			lcosts[k] = p.Links[l].FlowCost[fid]
-		}
-
-		// Classes stay attached where they were; ones whose node left the
-		// tree (demand-less, or validateClass refused them above) drop out
-		// of the per-node lists.
-		lists := make([][]ClassID, len(nodes))
-		for _, cid := range ix.classesByFlow[i] {
-			if k, ok := slices.BinarySearch(nodes, p.Classes[cid].Node); ok {
-				lists[k] = append(lists[k], cid)
+		for _, b := range ix.nodesByFlow[i] {
+			if !nodeDirtyAt(b) && !sameCosts(ix.nodes[b], p.Nodes[b].FlowCost) {
+				return fmt.Errorf("model: refresh-routing: node %d of flow %d changed but is not in the delta", b, i)
 			}
 		}
+		for _, l := range ix.linksByFlow[i] {
+			if !linkDirtyAt(l) && !sameCosts(ix.links[l], p.Links[l].FlowCost) {
+				return fmt.Errorf("model: refresh-routing: link %d of flow %d changed but is not in the delta", l, i)
+			}
+		}
+	}
 
-		ix.nodesByFlow[i], ix.nodeCostByFlow[i] = nodes, ncosts
-		ix.linksByFlow[i], ix.linkCostByFlow[i] = links, lcosts
-		ix.classesByFlowNode[i] = lists
+	// Nothing below can fail. Resource side: the dirty elements adopt p's
+	// records.
+	for _, b := range dirtyNodes {
+		ix.nodes[b] = p.Nodes[b].FlowCost
+	}
+	for _, l := range dirtyLinks {
+		ix.links[l] = p.Links[l].FlowCost
+	}
+
+	// Flow side: a dirty flow's node (and link) list changes only at dirty
+	// nodes (links), so the new list is the old one with dirty elements
+	// filtered out, merged with the dirty elements that now carry the flow.
+	// Both streams are ascending, so the merge preserves the index's
+	// ordering invariant. Classes stay attached where they were; ones whose
+	// node left the tree (demand-less, or validateClass refused them above)
+	// drop out of the per-node lists.
+	for _, i := range d.Flows {
+		ix.nodesByFlow[i], ix.nodeCostByFlow[i] = mergeMembership(ix.nodesByFlow[i], dirtyNodes, nodeDirtyAt, i, ix.nodes)
+		ix.linksByFlow[i], ix.linkCostByFlow[i] = mergeMembership(ix.linksByFlow[i], dirtyLinks, linkDirtyAt, i, ix.links)
+		ix.classesByFlowNode[i] = ix.classesAt(i, ix.nodesByFlow[i])
 	}
 	ix.p = p
 	return nil
 }
 
-// rebuildView rebuilds one resource's view from its cost map, verifying
-// every membership change against the dirty-flow set.
-func rebuildView(costMap map[FlowID]float64, oldFlows []FlowID, dirtyFlow map[FlowID]bool, what func(FlowID) string) (*view, error) {
-	v := newView(costMap)
-	flows := v.flowList()
-	// Two-pointer walk: a flow present in exactly one of (old, new) is a
-	// membership change and must be dirty.
+// guardMembership refuses a dirty element's new record if a flow that is
+// not dirty entered it, left it or changed its cost there: a two-pointer
+// walk over the old and new records.
+func guardMembership(old, cur *Costs, dirtyFlow map[FlowID]bool, kind string, e int) error {
+	was, is := old.Flows(), cur.Flows()
 	a, b := 0, 0
-	for a < len(oldFlows) || b < len(flows) {
+	for a < len(was) || b < len(is) {
+		var i FlowID
+		how := ""
 		switch {
-		case b >= len(flows) || (a < len(oldFlows) && oldFlows[a] < flows[b]):
-			if !dirtyFlow[oldFlows[a]] {
-				return nil, fmt.Errorf("model: refresh-routing: %s left but flow not in delta", what(oldFlows[a]))
-			}
+		case b >= len(is) || (a < len(was) && was[a] < is[b]):
+			i, how = was[a], "left"
 			a++
-		case a >= len(oldFlows) || flows[b] < oldFlows[a]:
-			if !dirtyFlow[flows[b]] {
-				return nil, fmt.Errorf("model: refresh-routing: %s appeared but flow not in delta", what(flows[b]))
-			}
+		case a >= len(was) || is[b] < was[a]:
+			i, how = is[b], "appeared"
 			b++
 		default:
+			if i = was[a]; old.costs[a] != cur.costs[b] {
+				how = "changed its cost"
+			}
 			a++
 			b++
 		}
+		if how != "" && !dirtyFlow[i] {
+			return fmt.Errorf("model: refresh-routing: %s %d flow %d %s but flow not in delta", kind, e, i, how)
+		}
 	}
-	return v, nil
+	return nil
 }
 
-// mergeMembership merges the clean part of a flow's old membership list
-// (old entries at non-dirty elements) with the dirty elements that carry
-// the flow now. Both inputs ascending; output ascending.
-func mergeMembership[T ~int](old []T, dirty []T, isDirty func(T) bool, hasFlow func(T) bool) []T {
+// sameCosts reports whether two records list the same flows at the same
+// costs.
+func sameCosts(a, b *Costs) bool {
+	return a == b || slices.Equal(a.Flows(), b.Flows()) && slices.Equal(a.Values(), b.Values())
+}
+
+// mergeMembership merges the clean part of flow i's old membership list
+// (old entries at non-dirty elements) with the dirty elements whose record
+// in recs now carries i, and returns it with i's cost at each. Both inputs
+// ascending; output ascending.
+func mergeMembership[T ~int](old []T, dirty []T, isDirty func(T) bool, i FlowID, recs []*Costs) ([]T, []float64) {
 	out := make([]T, 0, len(old)+len(dirty))
+	costs := make([]float64, 0, len(old)+len(dirty))
 	a, b := 0, 0
-	for a < len(old) || b < len(dirty) {
+	for {
 		// Advance past dirty old entries (they re-qualify via the dirty
 		// stream) and dirty elements without the flow.
 		if a < len(old) && isDirty(old[a]) {
 			a++
 			continue
 		}
-		if b < len(dirty) && !hasFlow(dirty[b]) {
-			b++
-			continue
+		if b < len(dirty) {
+			if _, ok := recs[dirty[b]].Get(i); !ok {
+				b++
+				continue
+			}
 		}
+		var e T
 		switch {
 		case a >= len(old) && b >= len(dirty):
-			return out
+			return out, costs
 		case b >= len(dirty) || (a < len(old) && old[a] < dirty[b]):
-			out = append(out, old[a])
+			e = old[a]
 			a++
 		default:
-			out = append(out, dirty[b])
+			e = dirty[b]
 			b++
 		}
+		c, _ := recs[e].Get(i)
+		out = append(out, e)
+		costs = append(costs, c)
 	}
-	return out
 }
 
 func sortedDedup[T ~int](in []T) []T {

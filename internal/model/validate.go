@@ -88,7 +88,7 @@ func validateClass(p *Problem, j int) error {
 	if c.Utility == nil {
 		return fmt.Errorf("%w: class %d has no utility function", ErrInvalid, j)
 	}
-	if _, ok := p.Nodes[c.Node].FlowCost[c.Flow]; !ok && c.MaxConsumers > 0 {
+	if _, ok := p.Nodes[c.Node].FlowCost.Get(c.Flow); !ok && c.MaxConsumers > 0 {
 		// A demand-less class may sit off its flow's tree: two-stage
 		// pruning zeroes MaxConsumers instead of dropping classes so the
 		// member set stays Refresh-compatible, and a zero-demand class
@@ -127,14 +127,17 @@ func validateLink(p *Problem, li int) error {
 	return validateCosts(p, l.FlowCost, "link", li)
 }
 
-// validateCosts checks one resource's cost map: known flows, positive costs.
-func validateCosts(p *Problem, costs map[FlowID]float64, kind string, id int) error {
-	for i, cost := range costs {
+// validateCosts checks one resource's cost record: known flows, positive
+// costs. The record is sorted, so a record with several bad entries reports
+// its lowest flow.
+func validateCosts(p *Problem, costs *Costs, kind string, id int) error {
+	vals := costs.Values()
+	for k, i := range costs.Flows() {
 		if i < 0 || int(i) >= len(p.Flows) {
 			return fmt.Errorf("%w: %s %d has cost for unknown flow %d", ErrInvalid, kind, id, i)
 		}
-		if !(cost > 0) {
-			return fmt.Errorf("%w: %s %d flow %d cost %g", ErrInvalid, kind, id, i, cost)
+		if !(vals[k] > 0) {
+			return fmt.Errorf("%w: %s %d flow %d cost %g", ErrInvalid, kind, id, i, vals[k])
 		}
 	}
 	return nil

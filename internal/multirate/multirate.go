@@ -133,8 +133,9 @@ func (e *Engine) Step() float64 {
 	for l := range e.p.Links {
 		lid := model.LinkID(l)
 		used := 0.0
-		for _, i := range e.ix.FlowsByLink(lid) {
-			used += e.p.Links[l].FlowCost[i] * e.sourceRates[i]
+		costs := e.ix.FlowCostsByLink(lid)
+		for k, i := range e.ix.FlowsByLink(lid) {
+			used += costs[k] * e.sourceRates[i]
 		}
 		e.linkPrices[l] = core.LinkPriceStep(e.linkPrices[l], used, e.p.Links[l].Capacity, e.cfg.LinkGamma)
 	}
@@ -183,11 +184,13 @@ func desiredDelivery(u utility.Function, price, dmin, dmax float64) float64 {
 // sum L*p_l over its links plus sum F*p_b over its nodes.
 func (e *Engine) pathPrice(i model.FlowID) float64 {
 	price := 0.0
-	for _, l := range e.ix.LinksByFlow(i) {
-		price += e.p.Links[l].FlowCost[i] * e.linkPrices[l]
+	lcosts := e.ix.LinkCostsByFlow(i)
+	for k, l := range e.ix.LinksByFlow(i) {
+		price += lcosts[k] * e.linkPrices[l]
 	}
-	for _, b := range e.ix.NodesByFlow(i) {
-		price += e.p.Nodes[b].FlowCost[i] * e.pricers[b].Price()
+	ncosts := e.ix.NodeCostsByFlow(i)
+	for k, b := range e.ix.NodesByFlow(i) {
+		price += ncosts[k] * e.pricers[b].Price()
 	}
 	return price
 }

@@ -22,7 +22,7 @@ func heteroProblem() *model.Problem {
 			{ID: 0, Source: 0, RateMin: 10, RateMax: 1000},
 		},
 		Nodes: []model.Node{
-			{ID: 0, Capacity: 1_000_000, FlowCost: map[model.FlowID]float64{0: 3}},
+			{ID: 0, Capacity: 1_000_000, FlowCost: model.CostsOf(map[model.FlowID]float64{0: 3})},
 		},
 		Classes: []model.Class{
 			{ID: 0, Name: "fast", Flow: 0, Node: 0, MaxConsumers: 20,

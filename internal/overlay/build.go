@@ -102,7 +102,7 @@ func Build(t *Topology, nodeCapacity float64, flows []FlowSpec) (*model.Problem,
 	// problems small. Link IDs are re-numbered.
 	pruned := p.Links[:0]
 	for _, l := range p.Links {
-		if len(l.FlowCost) == 0 {
+		if l.FlowCost.Len() == 0 {
 			continue
 		}
 		l.ID = model.LinkID(len(pruned))
@@ -127,8 +127,8 @@ func uniformCaps(n int, c float64) []float64 {
 // assembleProblem emits the model.Problem for the given routing: every
 // topology node and link gets a slot (link IDs match topology indices),
 // and each flow's tree writes its L/F coefficients. An element no tree
-// crosses keeps a nil cost map: the problem's size is its incidences, not
-// its graph.
+// crosses keeps a nil cost record: the problem's size is its incidences,
+// not its graph.
 func assembleProblem(t *Topology, nodeCaps []float64, flows []FlowSpec, trees []Tree) *model.Problem {
 	nClasses := 0
 	for _, fs := range flows {
@@ -171,12 +171,6 @@ func assembleProblem(t *Topology, nodeCaps []float64, flows []FlowSpec, trees []
 			RateMin: fs.RateMin,
 			RateMax: fs.RateMax,
 		})
-		for _, b := range trees[fi].Nodes {
-			setCost(&p.Nodes[b].FlowCost, fid, fs.NodeCost)
-		}
-		for _, li := range trees[fi].Links {
-			setCost(&p.Links[li].FlowCost, fid, fs.LinkCost)
-		}
 		for _, cs := range fs.Classes {
 			p.Classes = append(p.Classes, model.Class{
 				ID:              model.ClassID(len(p.Classes)),
@@ -189,7 +183,49 @@ func assembleProblem(t *Topology, nodeCaps []float64, flows []FlowSpec, trees []
 			})
 		}
 	}
+	setRecords(len(p.Nodes), flows, func(fi int) []model.NodeID { return trees[fi].Nodes },
+		func(fs *FlowSpec) float64 { return fs.NodeCost },
+		func(b model.NodeID, c *model.Costs) { p.Nodes[b].FlowCost = c })
+	setRecords(len(p.Links), flows, func(fi int) []int { return trees[fi].Links },
+		func(fs *FlowSpec) float64 { return fs.LinkCost },
+		func(li int, c *model.Costs) { p.Links[li].FlowCost = c })
 	return p
+}
+
+// setRecords gives each of n elements the cost record of the trees that
+// hold it: members(fi) lists the elements of flow fi's tree and cost is
+// its coefficient there. The records' lists are carved out of one
+// allocation each; set is not called for an element no tree holds.
+func setRecords[E int | model.NodeID](n int, flows []FlowSpec, members func(fi int) []E, cost func(fs *FlowSpec) float64, set func(e E, c *model.Costs)) {
+	// next[e] counts element e's pairs, then becomes the start of its run,
+	// then (as the runs fill in flow order, so ascending) its end.
+	next := make([]int32, n)
+	for fi := range flows {
+		for _, e := range members(fi) {
+			next[e]++
+		}
+	}
+	total := int32(0)
+	for e, c := range next {
+		next[e] = total
+		total += c
+	}
+	allFlows := make([]model.FlowID, total)
+	allCosts := make([]float64, total)
+	for fi := range flows {
+		v := cost(&flows[fi])
+		for _, e := range members(fi) {
+			allFlows[next[e]], allCosts[next[e]] = model.FlowID(fi), v
+			next[e]++
+		}
+	}
+	start := int32(0)
+	for e, end := range next {
+		if end > start {
+			set(E(e), model.NewCosts(allFlows[start:end:end], allCosts[start:end:end]))
+		}
+		start = end
+	}
 }
 
 // nameAll names n elements: label appends element k's name to buf, and
@@ -206,23 +242,5 @@ func nameAll(n int, label func(buf []byte, k int) []byte, set func(k int, name s
 	for k, end := range ends {
 		set(k, all[start:end])
 		start = end
-	}
-}
-
-// setCost writes flow i's coefficient c into an element's cost map,
-// allocating the map when i is the first flow to cross the element.
-func setCost(m *map[model.FlowID]float64, i model.FlowID, c float64) {
-	if *m == nil {
-		*m = make(map[model.FlowID]float64)
-	}
-	(*m)[i] = c
-}
-
-// dropCost deletes flow i from an element's cost map, and the map itself
-// with the element's last flow.
-func dropCost(m *map[model.FlowID]float64, i model.FlowID) {
-	delete(*m, i)
-	if len(*m) == 0 {
-		*m = nil
 	}
 }

@@ -167,7 +167,8 @@ func TestBuildProblem(t *testing.T) {
 	}
 	// Link costs follow the specs.
 	for _, l := range p.Links {
-		for fid, cost := range l.FlowCost {
+		for k, fid := range l.FlowCost.Flows() {
+			cost := l.FlowCost.Values()[k]
 			want := 1.0
 			if fid == 1 {
 				want = 2.0
@@ -181,7 +182,7 @@ func TestBuildProblem(t *testing.T) {
 
 // TestBuildJSONPinned pins Build's pruned problem on the link_failure
 // shape, byte for byte as JSON: node and link IDs, names, capacities and
-// every cost map, an empty one omitted as a nil one is.
+// every cost record, an empty one omitted.
 func TestBuildJSONPinned(t *testing.T) {
 	const want = "ada25977c76e1fbe3ee0a55f190d1531aab30259f93c4019b5f2c6fd50bd86a9"
 	tp, _, flows := linkFailureShape(rand.New(rand.NewSource(1)))

@@ -124,7 +124,7 @@ func TwoStageSolve(t *Topology, nodeCapacity float64, flows []FlowSpec, cfg core
 func routingEntries(p *model.Problem) int {
 	n := 0
 	for _, node := range p.Nodes {
-		n += len(node.FlowCost)
+		n += node.FlowCost.Len()
 	}
 	return n
 }
@@ -132,7 +132,7 @@ func routingEntries(p *model.Problem) int {
 func linkEntries(p *model.Problem) int {
 	n := 0
 	for _, l := range p.Links {
-		n += len(l.FlowCost)
+		n += l.FlowCost.Len()
 	}
 	return n
 }

@@ -11,7 +11,7 @@ import (
 
 // RepairStats reports what one repair touched. The locality guarantee is
 // visible here: a failure's Affected count equals the number of flows in
-// the failed element's cost map, and a restore's the number of flows with a
+// the failed element's cost record, and a restore's the number of flows with a
 // shortest path through the healed one — never the flow count.
 type RepairStats struct {
 	// Kind is "link-fail", "node-fail", "link-restore" or "node-restore".
@@ -35,7 +35,7 @@ type RepairStats struct {
 }
 
 // RepairLink marks link li failed and re-routes exactly the flows whose
-// dissemination trees used it (the keys of its cost map); every other tree
+// dissemination trees used it (the flows of its cost record); every other tree
 // is untouched, slices shared. The repair is atomic: if any affected flow can
 // no longer reach a subscriber, the link is restored, no state changes,
 // and the error wraps ErrNoPath with the flow context. On success the
@@ -289,9 +289,7 @@ func (r *Router) rerouteAffected(st *RepairStats, order []int32) error {
 			st.Unchanged++
 		}
 	}
-	for _, pt := range pending {
-		r.commitTree(pt.flow, pt.tree)
-	}
+	r.commitTrees(pending)
 	st.Rerouted = len(pending)
 	return nil
 }

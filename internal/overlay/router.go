@@ -15,7 +15,7 @@ import (
 // unused links included), so its shape survives re-routing and the engine
 // can warm-restart across failures via Engine.ResetRouting.
 //
-// An element's cost map is its reverse index: its keys are exactly the
+// An element's cost record is its reverse index: it lists exactly the
 // flows whose trees contain the element, so RepairLink/RepairNode re-route
 // exactly the flows whose trees touch the failed element; every other tree
 // — and the problem coefficients behind it — stays byte-identical, slices
@@ -29,7 +29,7 @@ import (
 // churn; a grown topology needs a new Router.
 //
 // A Router is single-goroutine, like the Engine it feeds. The returned
-// *model.Problem is live: repairs rewrite its cost maps in place, and the
+// *model.Problem is live: repairs replace its cost records in place, and the
 // caller must not Step an engine bound to it between a repair and the
 // ResetRouting that republishes the index.
 type Router struct {
@@ -139,26 +139,25 @@ func (r *Router) Topology() *Topology { return r.topo }
 func (r *Router) Tree(i model.FlowID) Tree { return r.trees[i] }
 
 // FlowsThroughLink returns the flows whose trees use link li, ascending:
-// the keys of its cost map, in a new slice (nil when none does).
+// its cost record's flows, in a new slice (nil when none does).
 func (r *Router) FlowsThroughLink(li int) []int32 {
-	return sortedFlows(r.prob.Links[li].FlowCost)
+	return flowList(r.prob.Links[li].FlowCost)
 }
 
 // FlowsThroughNode returns the flows whose trees touch node b, ascending:
-// the keys of its cost map, in a new slice (nil when none does).
+// its cost record's flows, in a new slice (nil when none does).
 func (r *Router) FlowsThroughNode(b model.NodeID) []int32 {
-	return sortedFlows(r.prob.Nodes[b].FlowCost)
+	return flowList(r.prob.Nodes[b].FlowCost)
 }
 
-func sortedFlows(costs map[model.FlowID]float64) []int32 {
-	if len(costs) == 0 {
+func flowList(c *model.Costs) []int32 {
+	if c == nil {
 		return nil
 	}
-	fl := make([]int32, 0, len(costs))
-	for i := range costs {
-		fl = append(fl, int32(i))
+	fl := make([]int32, c.Len())
+	for k, i := range c.Flows() {
+		fl[k] = int32(i)
 	}
-	slices.Sort(fl)
 	return fl
 }
 
@@ -186,35 +185,82 @@ func (r *Router) noteDepths(fi int) {
 	copy(r.traced[off:off+len(r.flows[fi].Classes)], r.sc.depth)
 }
 
-// commitTree replaces flow i's tree, updating the problem's cost maps, the
-// routing delta and its classes' depths (from traced, which noteDepths
-// filled when the tree was traced). An element's cost map
-// exists only while a flow crosses it (setCost, dropCost). Elements in
-// both trees are untouched (their cost entry is already right).
-func (r *Router) commitTree(i model.FlowID, tree Tree) {
-	old := r.trees[i]
-	fs := &r.flows[i]
-	diffSorted(old.Links, tree.Links, func(li int, added bool) {
-		if added {
-			setCost(&r.prob.Links[li].FlowCost, i, fs.LinkCost)
-		} else {
-			dropCost(&r.prob.Links[li].FlowCost, i)
-		}
-		r.linkMarks.mark(model.LinkID(li))
-	})
-	diffSorted(old.Nodes, tree.Nodes, func(b model.NodeID, added bool) {
-		if added {
-			setCost(&r.prob.Nodes[b].FlowCost, i, fs.NodeCost)
-		} else {
-			dropCost(&r.prob.Nodes[b].FlowCost, i)
-		}
-		r.nodeMarks.mark(b)
-	})
+// commitTrees replaces the pending flows' trees, updating the problem's
+// cost records, the routing delta and the classes' depths (from traced,
+// which noteDepths filled when each tree was traced). An element a flow
+// enters or leaves is marked in the delta, and once all flows are walked
+// it gets one new record, however many of them moved through it; elements
+// in both of a flow's trees keep its entry.
+func (r *Router) commitTrees(pending []pendingTree) {
+	var nodeEdits, linkEdits []costEdit
+	for _, pt := range pending {
+		i := pt.flow
+		old := r.trees[i]
+		diffSorted(old.Links, pt.tree.Links, func(li int, added bool) {
+			linkEdits = append(linkEdits, costEdit{li, i, added})
+			r.linkMarks.mark(model.LinkID(li))
+		})
+		diffSorted(old.Nodes, pt.tree.Nodes, func(b model.NodeID, added bool) {
+			nodeEdits = append(nodeEdits, costEdit{int(b), i, added})
+			r.nodeMarks.mark(b)
+		})
+		off := r.classOff[i]
+		copy(r.depth[off:off+len(r.flows[i].Classes)], r.traced[off:])
+		r.trees[i] = pt.tree
+		r.flowMarks.mark(i)
+	}
+	r.applyEdits(linkEdits, func(e int) **model.Costs { return &r.prob.Links[e].FlowCost },
+		func(fs *FlowSpec) float64 { return fs.LinkCost })
+	r.applyEdits(nodeEdits, func(e int) **model.Costs { return &r.prob.Nodes[e].FlowCost },
+		func(fs *FlowSpec) float64 { return fs.NodeCost })
+}
 
-	off := r.classOff[i]
-	copy(r.depth[off:off+len(fs.Classes)], r.traced[off:])
-	r.trees[i] = tree
-	r.flowMarks.mark(i)
+// costEdit is one flow entering (add) or leaving an element's record.
+type costEdit struct {
+	elem int
+	flow model.FlowID
+	add  bool
+}
+
+// applyEdits rebuilds the record of each element the edits name, once,
+// merging its old flows with all of its edits; rec locates an element's
+// record and cost gives a flow's coefficient on this kind of element.
+func (r *Router) applyEdits(edits []costEdit, rec func(e int) **model.Costs, cost func(fs *FlowSpec) float64) {
+	slices.SortFunc(edits, func(a, b costEdit) int {
+		return cmp.Or(cmp.Compare(a.elem, b.elem), cmp.Compare(a.flow, b.flow))
+	})
+	for len(edits) > 0 {
+		run := 1
+		for run < len(edits) && edits[run].elem == edits[0].elem {
+			run++
+		}
+		at := rec(edits[0].elem)
+		old, vals := (*at).Flows(), (*at).Values()
+		n := len(old)
+		for _, ed := range edits[:run] {
+			if ed.add {
+				n++
+			} else {
+				n--
+			}
+		}
+		flows := make([]model.FlowID, 0, n)
+		costs := make([]float64, 0, n)
+		k := 0
+		for _, ed := range edits[:run] {
+			for k < len(old) && old[k] < ed.flow {
+				flows, costs = append(flows, old[k]), append(costs, vals[k])
+				k++
+			}
+			if ed.add {
+				flows, costs = append(flows, ed.flow), append(costs, cost(&r.flows[ed.flow]))
+			} else {
+				k++ // old[k] is the flow leaving
+			}
+		}
+		*at = model.NewCosts(append(flows, old[k:]...), append(costs, vals[k:]...))
+		edits = edits[run:]
+	}
 }
 
 // diffSorted walks the symmetric difference of two ascending lists in

@@ -76,12 +76,12 @@ func checkRouterInvariants(t *testing.T, r *Router) {
 		}
 		// Coefficients mirror the tree.
 		for _, li := range got.Links {
-			if p.Links[li].FlowCost[model.FlowID(fi)] != r.flows[fi].LinkCost {
+			if c, _ := p.Links[li].FlowCost.Get(model.FlowID(fi)); c != r.flows[fi].LinkCost {
 				t.Fatalf("flow %d link %d missing/incorrect cost", fi, li)
 			}
 		}
 		for _, b := range got.Nodes {
-			if p.Nodes[b].FlowCost[model.FlowID(fi)] != r.flows[fi].NodeCost {
+			if c, _ := p.Nodes[b].FlowCost.Get(model.FlowID(fi)); c != r.flows[fi].NodeCost {
 				t.Fatalf("flow %d node %d missing/incorrect cost", fi, b)
 			}
 		}
@@ -89,10 +89,10 @@ func checkRouterInvariants(t *testing.T, r *Router) {
 	// No stray coefficients beyond the trees.
 	nLink, nNode := 0, 0
 	for li := range p.Links {
-		nLink += len(p.Links[li].FlowCost)
+		nLink += p.Links[li].FlowCost.Len()
 	}
 	for b := range p.Nodes {
-		nNode += len(p.Nodes[b].FlowCost)
+		nNode += p.Nodes[b].FlowCost.Len()
 	}
 	wantLink, wantNode := 0, 0
 	for fi := range p.Flows {
@@ -1276,27 +1276,28 @@ func TestRouterRejectsGrownTopology(t *testing.T) {
 	}
 }
 
-// TestCostMapsFollowTheTrees: an element's cost map exists exactly while a
-// flow crosses it. On the link_failure shape, after NewRouter and after
-// every event of a seeded fail/heal sequence, each node's and link's
-// FlowCost keys are exactly the flows whose Tree contains the element, and
-// FlowCost is nil where no tree does. A failed tree link loses its last
-// flow, so the sequence also proves the map goes back to nil.
+// TestCostMapsFollowTheTrees: an element's cost record exists exactly
+// while a flow crosses it. On the link_failure shape, after NewRouter and
+// after every event of a seeded fail/heal sequence, each node's and link's
+// FlowCost lists exactly the flows whose Tree contains the element, at
+// each flow's spec cost, and FlowCost is nil where no tree does. A failed
+// tree link loses its last flow, so the sequence also proves the record
+// goes back to nil.
 func TestCostMapsFollowTheTrees(t *testing.T) {
 	tp, caps, flows := linkFailureShape(rand.New(rand.NewSource(1)))
 	r, err := NewRouter(tp, caps, flows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	keysAre := func(m map[model.FlowID]float64, want []model.FlowID) bool {
+	keysAre := func(c *model.Costs, want []model.FlowID, cost func(fs *FlowSpec) float64) bool {
 		if len(want) == 0 {
-			return m == nil
+			return c == nil
 		}
-		if len(m) != len(want) {
+		if !slices.Equal(c.Flows(), want) {
 			return false
 		}
-		for _, i := range want {
-			if _, ok := m[i]; !ok {
+		for k, i := range want {
+			if c.Values()[k] != cost(&flows[i]) {
 				return false
 			}
 		}
@@ -1318,12 +1319,12 @@ func TestCostMapsFollowTheTrees(t *testing.T) {
 			}
 		}
 		for li, l := range p.Links {
-			if !keysAre(l.FlowCost, linkFlows[li]) {
+			if !keysAre(l.FlowCost, linkFlows[li], func(fs *FlowSpec) float64 { return fs.LinkCost }) {
 				t.Fatalf("%s: link %d costs %v, trees through it %v", when, li, l.FlowCost, linkFlows[li])
 			}
 		}
 		for b, n := range p.Nodes {
-			if !keysAre(n.FlowCost, nodeFlows[b]) {
+			if !keysAre(n.FlowCost, nodeFlows[b], func(fs *FlowSpec) float64 { return fs.NodeCost }) {
 				t.Fatalf("%s: node %d costs %v, trees through it %v", when, b, n.FlowCost, nodeFlows[b])
 			}
 		}
@@ -1372,14 +1373,14 @@ func TestCostMapsFollowTheTrees(t *testing.T) {
 		check(fmt.Sprintf("event %d (%s %d)", ev, st.Kind, st.Element))
 	}
 	if emptied < 10 {
-		t.Errorf("only %d tree links failed; the sequence does not empty enough cost maps", emptied)
+		t.Errorf("only %d tree links failed; the sequence does not empty enough cost records", emptied)
 	}
 }
 
 // TestNewRouterFootprint: what a Router keeps besides its topology follows
 // the flows' trees, not the graph. On the link_failure shape NewRouter
 // holds at most 7.0 MB of live heap after a GC: the problem's node and
-// link slots and their names, the cost maps where a tree crosses, the
+// link slots and their names, the cost records where a tree crosses, the
 // trees, the delta marks and the routing scratch, and no reverse index.
 func TestNewRouterFootprint(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))

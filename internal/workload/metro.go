@@ -109,7 +109,6 @@ func MetroSized(cfg MetroConfig) *model.Problem {
 			p.Nodes = append(p.Nodes, model.Node{
 				ID:       model.NodeID(nodeBase + k),
 				Capacity: scale * NodeCapacity,
-				FlowCost: make(map[model.FlowID]float64),
 			})
 		}
 		for f := 0; f < c.FlowsPerPod; f++ {
@@ -137,7 +136,7 @@ func MetroSized(cfg MetroConfig) *model.Problem {
 			}
 			for k := 0; k < reach; k++ {
 				b := nodeBase + start + k
-				p.Nodes[b].FlowCost[fid] = FlowNodeCost * (0.5 + rng.Float64())
+				p.Nodes[b].FlowCost = p.Nodes[b].FlowCost.With(fid, FlowNodeCost*(0.5+rng.Float64()))
 			}
 			src := model.NodeID(nodeBase + start)
 			p.Flows[fid].Source = src
@@ -187,9 +186,29 @@ func MetroSized(cfg MetroConfig) *model.Problem {
 				From:     src,
 				To:       to,
 				Capacity: utilization * RateMax,
-				FlowCost: map[model.FlowID]float64{fid: 1},
+				FlowCost: model.NewCosts([]model.FlowID{fid}, []float64{1}),
 			})
 		}
 	}
+	packCosts(p.Nodes)
 	return p
+}
+
+// packCosts re-cuts the nodes' cost records, built one flow at a time,
+// out of one array each in node order, so an engine sweeping the nodes
+// reads their cost lists from contiguous memory.
+func packCosts(nodes []model.Node) {
+	pairs := 0
+	for _, n := range nodes {
+		pairs += n.FlowCost.Len()
+	}
+	flows := make([]model.FlowID, 0, pairs)
+	costs := make([]float64, 0, pairs)
+	for b := range nodes {
+		c := nodes[b].FlowCost
+		start, end := len(flows), len(flows)+c.Len()
+		flows = append(flows, c.Flows()...)
+		costs = append(costs, c.Values()...)
+		nodes[b].FlowCost = model.NewCosts(flows[start:end:end], costs[start:end:end])
+	}
 }

@@ -22,7 +22,7 @@ func TradeData(capacity float64) *model.Problem {
 			{ID: 0, Name: "trades", Source: 0, RateMin: 50, RateMax: 500},
 		},
 		Nodes: []model.Node{
-			{ID: 0, Name: "hub", Capacity: capacity, FlowCost: map[model.FlowID]float64{0: 3}},
+			{ID: 0, Name: "hub", Capacity: capacity, FlowCost: model.CostsOf(map[model.FlowID]float64{0: 3})},
 		},
 		Classes: []model.Class{
 			{ID: 0, Name: "gold", Flow: 0, Node: 0, MaxConsumers: 60,
@@ -47,7 +47,7 @@ func LatestPrice(demand int) *model.Problem {
 			{ID: 0, Name: "ibm-px", Source: 0, RateMin: 1, RateMax: 200},
 		},
 		Nodes: []model.Node{
-			{ID: 0, Name: "edge", Capacity: 300_000, FlowCost: map[model.FlowID]float64{0: 3}},
+			{ID: 0, Name: "edge", Capacity: 300_000, FlowCost: model.CostsOf(map[model.FlowID]float64{0: 3})},
 		},
 		Classes: []model.Class{
 			{ID: 0, Name: "chart", Flow: 0, Node: 0, MaxConsumers: demand,
@@ -69,7 +69,7 @@ func Heterogeneous() *model.Problem {
 			{ID: 0, Name: "feed", Source: 0, RateMin: 10, RateMax: 1000},
 		},
 		Nodes: []model.Node{
-			{ID: 0, Name: "hub", Capacity: 1_000_000, FlowCost: map[model.FlowID]float64{0: 3}},
+			{ID: 0, Name: "hub", Capacity: 1_000_000, FlowCost: model.CostsOf(map[model.FlowID]float64{0: 3})},
 		},
 		Classes: []model.Class{
 			{ID: 0, Name: "fast", Flow: 0, Node: 0, MaxConsumers: 20,

@@ -66,7 +66,6 @@ func Random(rng *rand.Rand, cfg RandomConfig) *model.Problem {
 			ID:       model.NodeID(b),
 			Name:     fmt.Sprintf("S%d", b),
 			Capacity: c.Capacity,
-			FlowCost: make(map[model.FlowID]float64),
 		}
 	}
 	for i := 0; i < c.Flows; i++ {
@@ -88,15 +87,15 @@ func Random(rng *rand.Rand, cfg RandomConfig) *model.Problem {
 				CostPerConsumer: ConsumerCost * (0.5 + rng.Float64()),
 				Utility:         c.Shape.Utility(rank),
 			})
-			if _, ok := p.Nodes[b].FlowCost[model.FlowID(i)]; !ok {
-				p.Nodes[b].FlowCost[model.FlowID(i)] = FlowNodeCost * (0.5 + rng.Float64())
+			if _, ok := p.Nodes[b].FlowCost.Get(model.FlowID(i)); !ok {
+				p.Nodes[b].FlowCost = p.Nodes[b].FlowCost.With(model.FlowID(i), FlowNodeCost*(0.5+rng.Float64()))
 			}
 		}
 	}
 	for i := range p.Flows {
 		src := model.NodeID(0)
 		for b := range p.Nodes {
-			if _, ok := p.Nodes[b].FlowCost[model.FlowID(i)]; ok {
+			if _, ok := p.Nodes[b].FlowCost.Get(model.FlowID(i)); ok {
 				src = model.NodeID(b)
 				break
 			}
@@ -104,8 +103,8 @@ func Random(rng *rand.Rand, cfg RandomConfig) *model.Problem {
 		p.Flows[i].Source = src
 		// Guarantee the flow reaches its source so the problem validates
 		// even if no class references it.
-		if _, ok := p.Nodes[src].FlowCost[model.FlowID(i)]; !ok {
-			p.Nodes[src].FlowCost[model.FlowID(i)] = FlowNodeCost
+		if _, ok := p.Nodes[src].FlowCost.Get(model.FlowID(i)); !ok {
+			p.Nodes[src].FlowCost = p.Nodes[src].FlowCost.With(model.FlowID(i), FlowNodeCost)
 		}
 	}
 	return p
@@ -151,7 +150,7 @@ func WithLinkBottlenecks(p *model.Problem, utilization float64) *model.Problem {
 			From:     from,
 			To:       to,
 			Capacity: utilization * out.Flows[i].RateMax,
-			FlowCost: map[model.FlowID]float64{fid: 1},
+			FlowCost: model.NewCosts([]model.FlowID{fid}, []float64{1}),
 		})
 	}
 	return out
@@ -168,8 +167,8 @@ func Tiny() *model.Problem {
 			{ID: 1, Name: "flow1", Source: 1, RateMin: 1, RateMax: 100},
 		},
 		Nodes: []model.Node{
-			{ID: 0, Name: "S0", Capacity: 5000, FlowCost: map[model.FlowID]float64{0: 3, 1: 3}},
-			{ID: 1, Name: "S1", Capacity: 5000, FlowCost: map[model.FlowID]float64{0: 3, 1: 3}},
+			{ID: 0, Name: "S0", Capacity: 5000, FlowCost: model.CostsOf(map[model.FlowID]float64{0: 3, 1: 3})},
+			{ID: 1, Name: "S1", Capacity: 5000, FlowCost: model.CostsOf(map[model.FlowID]float64{0: 3, 1: 3})},
 		},
 		Classes: []model.Class{
 			{ID: 0, Flow: 0, Node: 0, MaxConsumers: 8, CostPerConsumer: 19, Utility: utility.NewLog(20)},

@@ -162,7 +162,6 @@ func Scaled(cfg Config) *model.Problem {
 			ID:       model.NodeID(b),
 			Name:     fmt.Sprintf("S%d", b),
 			Capacity: NodeCapacity,
-			FlowCost: make(map[model.FlowID]float64),
 		})
 	}
 
@@ -190,7 +189,7 @@ func Scaled(cfg Config) *model.Problem {
 						CostPerConsumer: ConsumerCost,
 						Utility:         c.Shape.Utility(spec.rank),
 					})
-					p.Nodes[b].FlowCost[fid] = FlowNodeCost
+					p.Nodes[b].FlowCost = p.Nodes[b].FlowCost.With(fid, FlowNodeCost)
 				}
 			}
 		}
@@ -203,7 +202,7 @@ func Scaled(cfg Config) *model.Problem {
 	for i := range p.Flows {
 		src := model.NodeID(-1)
 		for b := range p.Nodes {
-			if _, ok := p.Nodes[b].FlowCost[model.FlowID(i)]; ok {
+			if _, ok := p.Nodes[b].FlowCost.Get(model.FlowID(i)); ok {
 				src = model.NodeID(b)
 				break
 			}

@@ -59,8 +59,8 @@ func TestBaseMatchesTable1(t *testing.T) {
 		if n.Capacity != NodeCapacity {
 			t.Errorf("node %d capacity = %g, want %g", n.ID, n.Capacity, float64(NodeCapacity))
 		}
-		for fid, cost := range n.FlowCost {
-			if cost != FlowNodeCost {
+		for k, fid := range n.FlowCost.Flows() {
+			if cost := n.FlowCost.Values()[k]; cost != FlowNodeCost {
 				t.Errorf("node %d flow %d F = %g, want %d", n.ID, fid, cost, FlowNodeCost)
 			}
 		}
@@ -231,8 +231,8 @@ func TestWithLinkBottlenecks(t *testing.T) {
 		if l.Capacity != 0.5*RateMax {
 			t.Errorf("link %d capacity = %g, want %g", l.ID, l.Capacity, 0.5*RateMax)
 		}
-		if len(l.FlowCost) != 1 {
-			t.Errorf("link %d carries %d flows, want 1", l.ID, len(l.FlowCost))
+		if l.FlowCost.Len() != 1 {
+			t.Errorf("link %d carries %d flows, want 1", l.ID, l.FlowCost.Len())
 		}
 	}
 	// The original problem must not be mutated.

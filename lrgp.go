@@ -8,7 +8,7 @@
 //	problem := &repro.Problem{
 //	    Flows: []repro.Flow{{ID: 0, Source: 0, RateMin: 10, RateMax: 1000}},
 //	    Nodes: []repro.Node{{ID: 0, Capacity: 450_000,
-//	        FlowCost: map[repro.FlowID]float64{0: 3}}},
+//	        FlowCost: repro.CostsOf(map[repro.FlowID]float64{0: 3})}},
 //	    Classes: []repro.Class{
 //	        {ID: 0, Flow: 0, Node: 0, MaxConsumers: 200,
 //	            CostPerConsumer: 19, Utility: repro.NewLogUtility(40)},
@@ -59,6 +59,8 @@ type (
 	Node = model.Node
 	// Link is a unidirectional overlay link with finite capacity.
 	Link = model.Link
+	// Costs is a node's or link's immutable per-flow cost record.
+	Costs = model.Costs
 	// Allocation is a candidate solution (rates + populations, and
 	// per-class delivery rates in the multirate extension).
 	Allocation = model.Allocation
@@ -150,6 +152,8 @@ var (
 	// GreedyPopulations runs only the admission half of LRGP.
 	GreedyPopulations = core.GreedyPopulations
 
+	// CostsOf builds a cost record from a map of flow to cost.
+	CostsOf = model.CostsOf
 	// Validate checks a problem's structural well-formedness.
 	Validate = model.Validate
 	// NewIndex precomputes a problem's lookup maps.

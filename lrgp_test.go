@@ -16,7 +16,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 			{ID: 0, Source: 0, RateMin: 10, RateMax: 1000},
 		},
 		Nodes: []repro.Node{
-			{ID: 0, Capacity: 450_000, FlowCost: map[repro.FlowID]float64{0: 3}},
+			{ID: 0, Capacity: 450_000, FlowCost: repro.CostsOf(map[repro.FlowID]float64{0: 3})},
 		},
 		Classes: []repro.Class{
 			{ID: 0, Flow: 0, Node: 0, MaxConsumers: 200,

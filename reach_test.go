@@ -33,6 +33,7 @@ var uncalledAllowed = map[string]string{
 	"repro/internal/telemetry.ReadTrace":              "README documents it as the decoder of -trace-out files",
 	"repro/internal/workload.Random":                  "the entangled random workload the property tests of several packages share",
 	"repro/internal/overlay.RandomTopology":           "the random graph the overlay and core property tests share",
+	"repro/internal/model.Costs.Without":              "With's inverse, through which FuzzRefreshRouting and the record tests edit records; the Router merges a commit's edits into one new record instead",
 }
 
 // unsetAllowed names the options TestEveryOptionIsSet lets stand though
