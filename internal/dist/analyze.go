@@ -110,14 +110,14 @@ type agentTrack struct {
 // Analyze merges a flight-recorder event log into the per-round timeline
 // and straggler ranking. Rings that wrapped are handled conservatively:
 // each agent is only judged over the window its events cover.
-func Analyze(recs []EventRecord) *Analysis {
+func Analyze(recs []Event) *Analysis {
 	a := &Analysis{StalenessDist: make(map[int]int)}
 	if len(recs) == 0 {
 		return a
 	}
-	sorted := make([]EventRecord, len(recs))
+	sorted := make([]Event, len(recs))
 	copy(sorted, recs)
-	slices.SortFunc(sorted, func(x, y EventRecord) int {
+	slices.SortFunc(sorted, func(x, y Event) int {
 		if x.Nanos != y.Nanos {
 			if x.Nanos < y.Nanos {
 				return -1
@@ -149,7 +149,7 @@ func Analyze(recs []EventRecord) *Analysis {
 	}
 	// peerOf names the sender of a recv event: flows hear from nodes
 	// (A = node id), nodes hear from flows (A = flow id).
-	peerOf := func(rec EventRecord) string {
+	peerOf := func(rec Event) string {
 		if strings.HasPrefix(rec.Agent, "flow/") {
 			return nodeName(model.NodeID(rec.A))
 		}
@@ -167,7 +167,7 @@ func Analyze(recs []EventRecord) *Analysis {
 			}
 			tr.lastNanos = rec.Nanos
 		}
-		switch parseEventType(rec.Ev) {
+		switch rec.Type {
 		case EvSend:
 			rs := touchRound(rec.Round, rec.Nanos)
 			rs.Sends++
@@ -206,7 +206,7 @@ func Analyze(recs []EventRecord) *Analysis {
 	frontiers := make(map[string][]frontierStep)
 	maxSeen := make(map[string]int)
 	for _, rec := range sorted {
-		if parseEventType(rec.Ev) != EvRound || !isAgent(rec.Agent) {
+		if rec.Type != EvRound || !isAgent(rec.Agent) {
 			continue
 		}
 		root := comps.find(rec.Agent)

@@ -190,16 +190,13 @@ func New(p *model.Problem, cfg Config, net transport.Network) (*Cluster, error) 
 	// link) ever compute and report; the collector must not wait for the
 	// silent ones.
 	reporting := 0
+	owned := ownedLinks(p)
 	for b := range p.Nodes {
-		n := len(ix.FlowsByNode(model.NodeID(b)))
-		for l := range p.Links {
-			if p.Links[l].To == model.NodeID(b) {
-				n += len(ix.FlowsByLink(model.LinkID(l)))
-			}
-		}
-		if n > 0 {
+		na := newNodeAgent(p, ix, model.NodeID(b), owned[b], c)
+		if len(na.flows) > 0 {
 			reporting++
 		}
+		cl.nodes = append(cl.nodes, na)
 	}
 	control := cl.hosts[ctrlHost]
 	cl.coll = newCollector(p, control.portDepth(collectorName, collectorInbox), reporting, c.Staleness == 0, cl.newSink(collectorName, 0), cl.epoch)
@@ -214,23 +211,21 @@ func New(p *model.Problem, cfg Config, net transport.Network) (*Cluster, error) 
 	}
 	for i := range p.Flows {
 		fa := newFlowAgent(p, ix, model.FlowID(i), c)
-		fa.ep, fa.obs = attach(flowName(fa.flow), len(fa.peerNames), flowKind)
+		fa.ep, fa.obs = attach(flowName(fa.flow), len(fa.peers.names), flowKind)
 		cl.flows = append(cl.flows, fa)
 	}
-	for b := range p.Nodes {
-		na := newNodeAgent(p, ix, model.NodeID(b), c)
-		na.ep, na.obs = attach(nodeName(na.node), len(na.peerNames), nodeKind)
-		cl.nodes = append(cl.nodes, na)
+	for _, na := range cl.nodes {
+		na.ep, na.obs = attach(nodeName(na.node), len(na.peers.names), nodeKind)
 	}
 	cl.agents = append(cl.agents, collectorName)
 
 	// Launch all agents; flow agents idle until a RunUntil control arrives.
 	go cl.coll.run()
 	for _, fa := range cl.flows {
-		go fa.run()
+		go loop(fa, fa.ep, fa.obs, c.resend, fa.done)
 	}
 	for _, na := range cl.nodes {
-		go na.run()
+		go loop(na, na.ep, na.obs, c.resend, na.done)
 	}
 	if c.StallTimeout > 0 {
 		cl.stallQuit = make(chan struct{})
@@ -499,7 +494,7 @@ func (cl *Cluster) JoinFlow(i model.FlowID) error {
 	if i < 0 || int(i) >= len(cl.flows) {
 		return fmt.Errorf("dist: join: unknown flow %d", i)
 	}
-	silent := append([]string{collectorName}, cl.flows[i].peerNames...)
+	silent := append([]string{collectorName}, cl.flows[i].peers.names...)
 	notify := func() error {
 		if err := cl.sendCtrl(ctrlMsg{Expect: true, Flow: i}, silent...); err != nil && !errors.Is(err, transport.ErrDropped) {
 			return fmt.Errorf("dist: join ctrl: %w", err)

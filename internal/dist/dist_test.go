@@ -606,7 +606,7 @@ func TestJoinFlowRepairsLostAcknowledgement(t *testing.T) {
 	if _, err := cl.Run(10, time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	deaf := cl.flows[5].peerNames[0]
+	deaf := cl.flows[5].peers.names[0]
 	net.SetOneWay(hostOf(cl, deaf), ctrlHost, true)
 	dropped := net.NetStats().Dropped
 	joined := make(chan error, 1)

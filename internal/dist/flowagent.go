@@ -1,11 +1,7 @@
 package dist
 
 import (
-	"errors"
-	"fmt"
-	"math"
 	"slices"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/model"
@@ -35,25 +31,26 @@ type flowAgent struct {
 	links     []model.LinkID
 	linkCost  []float64
 	// peerNodes are the node agents to exchange with — B_i plus the owners
-	// of L_i, ascending — and peerNames their endpoints.
+	// of L_i, ascending — and peers their tally, position for position.
 	peerNodes []model.NodeID
-	peerNames []string
+	peers     peers
 
-	// Dynamic state. nodePrice and linkPrice follow nodes and links,
-	// latest follows peerNodes: the round of each peer's freshest absorbed
-	// report. report is the decode scratch every inbound report lands in.
+	// Dynamic state. nodePrice and linkPrice follow nodes and links.
+	// report is the decode scratch every inbound report lands in. round is
+	// the next round to announce; lastRound and lastRate are the freshest
+	// active announcement, which a chirp repeats.
 	consumers []int
 	nodePrice []priceWindow
 	linkPrice []priceWindow
-	latest    []int
 	report    reportMsg
 	out       outbox
 	round     int
 	runUntil  int
+	lastRound int
+	lastRate  float64
 	leaving   bool
-	idle      bool          // departed but able to rejoin
-	staleness int           // how many rounds behind a peer's report may be
-	resend    time.Duration // stalled re-announce interval; <= 0 disables
+	idle      bool // departed but able to rejoin
+	staleness int  // how many rounds behind a peer's report may be
 
 	obs *sink // flight recorder and metrics (nil = both off)
 
@@ -118,7 +115,6 @@ func newFlowAgent(p *model.Problem, ix *model.Index, fid model.FlowID, c Config)
 		consumers: make([]int, len(p.Classes)),
 		round:     1,
 		staleness: c.Staleness,
-		resend:    c.resend,
 		done:      make(chan struct{}),
 	}
 	fa.peerNodes = slices.Clone(fa.nodes)
@@ -140,10 +136,11 @@ func newFlowAgent(p *model.Problem, ix *model.Index, fid model.FlowID, c Config)
 	}
 	slices.Sort(fa.peerNodes)
 	fa.peerNodes = slices.Compact(fa.peerNodes)
-	for _, b := range fa.peerNodes {
-		fa.peerNames = append(fa.peerNames, nodeName(b))
+	names := make([]string, len(fa.peerNodes))
+	for k, b := range fa.peerNodes {
+		names[k] = nodeName(b)
 	}
-	fa.latest = make([]int, len(fa.peerNodes))
+	fa.peers = newPeers(names)
 	if c.Multirate {
 		fa.mr = multirate.NewSourceRateSolver(p, ix, fid)
 		fa.desired = make([]float64, len(p.Classes))
@@ -205,11 +202,11 @@ func (fa *flowAgent) absorb(payload []byte) {
 		return
 	}
 	peer, ok := slices.BinarySearch(fa.peerNodes, rm.Node)
-	if !ok || rm.Round <= fa.latest[peer] {
+	if !ok || rm.Round <= fa.peers.latest[peer] {
 		fa.obs.record(EvRecv, rm.Round, int64(rm.Node))
 		return
 	}
-	fa.latest[peer] = rm.Round
+	fa.peers.latest[peer] = rm.Round
 	fa.obs.record(EvAbsorb, rm.Round, int64(rm.Node))
 	if k, ok := slices.BinarySearch(fa.nodes, rm.Node); ok {
 		fa.nodePrice[k].push(rm.Price)
@@ -227,115 +224,64 @@ func (fa *flowAgent) absorb(payload []byte) {
 }
 
 // announce sends the flow's rate for the given round to every peer node
-// agent and the collector. The body is encoded once and the payload shared
-// across all peer messages (receivers treat payloads as read-only).
-// Lossy-transport failures (drops, partitions) are tolerated — bounded
-// staleness is designed for them, and the barrier schedule runs on
-// lossless transports; only a closed transport is fatal.
+// agent and the collector, the body encoded once.
 func (fa *flowAgent) announce(round int, rate float64, active bool) error {
 	body := rateMsg{Round: round, Flow: fa.flow, Rate: rate, Active: active}
 	msg := transport.Message{From: fa.ep.Name(), Kind: rateKind, Payload: fa.out.seal(body.appendBinary(fa.out.enc[:0]))}
-	for _, peer := range fa.peerNames {
-		msg.To = peer
-		if err := fa.ep.Send(msg); errors.Is(err, transport.ErrClosed) {
-			return fmt.Errorf("dist: flow %d announce to %s: %w", fa.flow, peer, err)
-		}
-	}
-	msg.To = collectorName
-	if err := fa.ep.Send(msg); errors.Is(err, transport.ErrClosed) {
+	if err := fa.peers.send(fa.ep, msg); err != nil {
 		return err
 	}
 	fa.ep.stepped()
 	return nil
 }
 
-// depart announces a pending departure and idles the agent.
-func (fa *flowAgent) depart() {
-	fa.leaving = false
-	if !fa.idle {
-		_ = fa.announce(fa.round, 0, false) // a closed transport ends the loop at its next receive
-		fa.idle = true
+// advance announces every round the staleness bound permits: round t as
+// soon as every peer's freshest report is at most `staleness` rounds
+// behind round t-1 — at staleness 0 the barrier, the full round t-1 report
+// set. A Leave control makes it announce departure and idle; an idle agent
+// tracks the cluster's round counter passively, so that a later Join
+// resumes it at the right round, where each peer node sends it the report
+// of the round before (nodeAgent.setActive).
+func (fa *flowAgent) advance() (bool, error) {
+	announced := false
+	for !fa.idle && fa.round <= fa.runUntil && fa.canAnnounce() {
+		rate := fa.computeRate()
+		if err := fa.announce(fa.round, rate, true); err != nil {
+			return announced, err
+		}
+		fa.obs.progress(fa.round, fa.peers.lag(fa.round-1), len(fa.peers.names))
+		fa.lastRound, fa.lastRate = fa.round, rate
+		fa.round++
+		announced = true
 	}
+	if fa.leaving {
+		fa.leaving = false
+		if !fa.idle {
+			_ = fa.announce(fa.round, 0, false) // a closed transport ends the loop at its next receive
+			fa.idle = true
+		}
+	}
+	if fa.idle {
+		fa.round = max(fa.round, fa.runUntil+1)
+	}
+	return announced, nil
 }
 
-// run is the round loop. It blocks until a Stop control or transport
-// shutdown. The agent announces round t as soon as every peer's freshest
-// report is at most `staleness` rounds behind round t-1; at staleness 0
-// that is the barrier-synchronous schedule — the full round t-1 report
-// set. A Leave control makes the agent announce departure and idle; a later
-// Join control re-announces it at the cluster's current round (the cluster
-// calls both only between Run invocations). While stalled, the chirp
-// re-announces the latest rate.
-func (fa *flowAgent) run() {
-	defer close(fa.done)
-	defer fa.ep.detach()
-	lastRound, lastRate := 0, 0.0
-	resend := newChirp(fa.resend)
-	defer resend.stop()
-
-	for {
-		// Announce every round currently permitted by the staleness bound.
-		announced := false
-		for !fa.idle && fa.round <= fa.runUntil && fa.canAnnounce() {
-			rate := fa.computeRate()
-			if err := fa.announce(fa.round, rate, true); err != nil {
-				return
-			}
-			fa.obs.progress(fa.round, fa.observedLag(), len(fa.peerNames))
-			lastRound, lastRate = fa.round, rate
-			fa.round++
-			announced = true
-		}
-		if announced {
-			resend.progress()
-		}
-		if fa.leaving {
-			fa.depart()
-		}
-		if fa.idle {
-			// Track the cluster's round counter passively so a later Join
-			// resumes at the right round; each peer node then sends the
-			// report of the round before it (nodeAgent.setActive).
-			fa.round = max(fa.round, fa.runUntil+1)
-		}
-
-		fa.ep.idle()
-		select {
-		case m, ok := <-fa.ep.Recv():
-			if !ok || !fa.handle(m) {
-				return
-			}
-		case <-resend.C:
-			// Stalled: re-announce the freshest rate so peers (and the
-			// collector) that lost the original frame can catch up.
-			if lastRound > 0 && !fa.idle {
-				if err := fa.announce(lastRound, lastRate, true); err != nil {
-					return
-				}
-				fa.obs.resend(lastRound, resend.wait)
-			}
-			if resend.stalled() {
-				fa.obs.backoff()
-			}
-		}
+// chirp re-announces the freshest rate, so that peers (and the collector)
+// that lost the original frame can catch up.
+func (fa *flowAgent) chirp() (int, error) {
+	if fa.lastRound == 0 || fa.idle {
+		return 0, nil
 	}
+	return fa.lastRound, fa.announce(fa.lastRound, fa.lastRate, true)
 }
 
 // canAnnounce reports whether the staleness bound permits announcing
 // fa.round: every peer node's freshest absorbed report must be no older
 // than round-1-staleness. Round 1 is unconditional (there is nothing to
-// be stale against).
+// be stale against), and a flow without peers waits for nobody.
 func (fa *flowAgent) canAnnounce() bool {
-	return fa.round == 1 || fa.reported() >= max(fa.round-1-fa.staleness, 1)
-}
-
-// reported is the round every peer has reported through. A flow without
-// peers waits for nobody.
-func (fa *flowAgent) reported() int {
-	if len(fa.latest) == 0 {
-		return math.MaxInt
-	}
-	return slices.Min(fa.latest)
+	return fa.round == 1 || fa.peers.oldest() >= max(fa.round-1-fa.staleness, 1)
 }
 
 // handle processes one inbound message, returning false on Stop.
@@ -361,11 +307,4 @@ func (fa *flowAgent) handle(m transport.Message) bool {
 		fa.absorb(m.Payload)
 	}
 	return true
-}
-
-// observedLag is the effective staleness of the inputs used for fa.round:
-// the gap between the newest report the round could use (round-1) and the
-// oldest peer report actually absorbed.
-func (fa *flowAgent) observedLag() int {
-	return max(fa.round-1-fa.reported(), 0)
 }

@@ -112,7 +112,7 @@ func TestMultirateNodeAgentSetFlowActive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	na := newNodeAgent(p, model.NewIndex(p), 0, cfg)
+	na := newNodeAgent(p, model.NewIndex(p), 0, ownedLinks(p)[0], cfg)
 	_, ports := testGateway(t, net, hostName(0), map[string]string{nodeName(0): hostName(0), flowName(0): hostName(0)}, false)
 	na.ep = ports[nodeName(0)]
 

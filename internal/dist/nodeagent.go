@@ -1,10 +1,7 @@
 package dist
 
 import (
-	"errors"
-	"fmt"
 	"slices"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/model"
@@ -37,59 +34,63 @@ type nodeAgent struct {
 
 	// flows is the ascending set of flows whose rates this agent needs
 	// each round — flows through the node plus flows of owned links — and
-	// peerNames their agents' endpoints. inactive and latest (the freshest
-	// round each flow announced) follow it.
-	flows     []model.FlowID
-	peerNames []string
-	inactive  []bool
-	latest    []int
+	// peers their tally, position for position.
+	flows []model.FlowID
+	peers peers
 
 	// Dynamic state. report is what compute fills and broadcast sends: the
-	// node's latest report, kept for the resend chirp.
+	// node's latest report, kept for the resend chirp; its round is the
+	// last one computed, so the next is one past it.
 	rates     []float64
 	consumers []int
 	report    reportMsg
 	out       outbox
-	staleness int           // how many rounds behind a flow's rate may be
-	resend    time.Duration // stalled re-broadcast interval; <= 0 disables
+	staleness int // how many rounds behind a flow's rate may be
 
 	obs *sink // flight recorder and metrics (nil = both off)
 
 	done chan struct{}
 }
 
-func newNodeAgent(p *model.Problem, ix *model.Index, b model.NodeID, c Config) *nodeAgent {
+// ownedLinks lists the links each node owns, ascending: those whose To
+// endpoint it is.
+func ownedLinks(p *model.Problem) [][]model.LinkID {
+	owned := make([][]model.LinkID, len(p.Nodes))
+	for l := range p.Links {
+		to := p.Links[l].To
+		owned[to] = append(owned[to], model.LinkID(l))
+	}
+	return owned
+}
+
+// newNodeAgent builds node b's agent, which owns the links owned.
+func newNodeAgent(p *model.Problem, ix *model.Index, b model.NodeID, owned []model.LinkID, c Config) *nodeAgent {
 	cfg := c.Core
 	na := &nodeAgent{
-		p:         p,
-		node:      b,
-		cfg:       cfg,
-		alloc:     core.NewNodeAllocator(p, ix, b),
-		pricer:    core.NewNodePricer(cfg),
-		classes:   ix.ClassesByNode(b),
-		flows:     slices.Clone(ix.FlowsByNode(b)),
-		rates:     make([]float64, len(p.Flows)),
-		consumers: make([]int, len(p.Classes)),
-		staleness: c.Staleness,
-		resend:    c.resend,
-		done:      make(chan struct{}),
+		p:          p,
+		node:       b,
+		cfg:        cfg,
+		alloc:      core.NewNodeAllocator(p, ix, b),
+		pricer:     core.NewNodePricer(cfg),
+		classes:    ix.ClassesByNode(b),
+		ownedLinks: owned,
+		linkPrices: make([]float64, len(owned)), // prices start at zero, as the engine's do
+		flows:      slices.Clone(ix.FlowsByNode(b)),
+		rates:      make([]float64, len(p.Flows)),
+		consumers:  make([]int, len(p.Classes)),
+		staleness:  c.Staleness,
+		done:       make(chan struct{}),
 	}
-	for l := range p.Links {
-		if p.Links[l].To != b {
-			continue
-		}
-		lid := model.LinkID(l)
-		na.ownedLinks = append(na.ownedLinks, lid)
-		na.linkPrices = append(na.linkPrices, 0) // prices start at zero, as the engine's do
-		na.flows = append(na.flows, ix.FlowsByLink(lid)...)
+	for _, l := range owned {
+		na.flows = append(na.flows, ix.FlowsByLink(l)...)
 	}
 	slices.Sort(na.flows)
 	na.flows = slices.Compact(na.flows)
-	for _, i := range na.flows {
-		na.peerNames = append(na.peerNames, flowName(i))
+	names := make([]string, len(na.flows))
+	for k, i := range na.flows {
+		names[k] = flowName(i)
 	}
-	na.inactive = make([]bool, len(na.flows))
-	na.latest = make([]int, len(na.flows))
+	na.peers = newPeers(names)
 	if c.Multirate {
 		na.deliveries = make([]float64, len(p.Classes))
 	}
@@ -142,42 +143,37 @@ func (na *nodeAgent) deliver() {
 	}
 }
 
-// broadcast sends na.report to every active flow agent and the collector.
-// The body is encoded once and the payload shared across all peer messages
-// (receivers treat payloads as read-only). As in flowAgent.announce, only a
-// closed transport is fatal; lossy-delivery failures are tolerated.
-//
-// A departed flow is told nothing: the node does not wait for it, so
-// nothing would bound what piles up in its inbox, and the one report it
-// needs — the latest, to pass its barrier when it rejoins — is what
-// setActive sends it then.
+// broadcast sends na.report to every active flow agent and the
+// collector, the body encoded once.
 func (na *nodeAgent) broadcast() error {
-	msg := na.sealReport()
-	for k, peer := range na.peerNames {
-		if na.inactive[k] {
-			continue
-		}
-		msg.To = peer
-		if err := na.ep.Send(msg); errors.Is(err, transport.ErrClosed) {
-			return fmt.Errorf("dist: node %d report to %s: %w", na.node, peer, err)
-		}
-	}
-	msg.To = collectorName
-	if err := na.ep.Send(msg); errors.Is(err, transport.ErrClosed) {
-		return err
-	}
-	return nil
+	return na.peers.send(na.ep, na.sealReport())
 }
 
-// step computes, broadcasts and observes one round.
-func (na *nodeAgent) step(round, lag int) error {
-	na.compute(round)
-	if err := na.broadcast(); err != nil {
-		return err
+// advance computes every round whose inputs satisfy the staleness bound,
+// using the latest absorbed rate of each flow, and broadcasts each
+// round's report. Price updates are sequential state, so rounds are
+// computed in order; the bound only relaxes which inputs each one needs.
+func (na *nodeAgent) advance() (bool, error) {
+	computed := false
+	for t := na.report.Round + 1; na.canCompute(t); t++ {
+		na.compute(t)
+		if err := na.broadcast(); err != nil {
+			return computed, err
+		}
+		na.ep.stepped()
+		na.obs.progress(t, na.peers.lag(t), len(na.peers.names))
+		computed = true
 	}
-	na.ep.stepped()
-	na.obs.progress(round, lag, len(na.peerNames))
-	return nil
+	return computed, nil
+}
+
+// chirp re-broadcasts the latest report, so that dropped report frames
+// cannot deadlock flows or starve the collector.
+func (na *nodeAgent) chirp() (int, error) {
+	if na.report.Round == 0 {
+		return 0, nil
+	}
+	return na.report.Round, na.broadcast()
 }
 
 // absorbRate folds one rate announcement into the node's state: a
@@ -192,11 +188,11 @@ func (na *nodeAgent) absorbRate(payload []byte) {
 	if err != nil || !ok {
 		return
 	}
-	if rm.Active == na.inactive[k] {
+	if rm.Active == na.peers.inactive[k] {
 		na.setActive(k, rm.Active)
 	}
-	if rm.Active && rm.Round >= na.latest[k] {
-		na.latest[k] = rm.Round
+	if rm.Active && rm.Round >= na.peers.latest[k] {
+		na.peers.latest[k] = rm.Round
 		na.rates[rm.Flow] = rm.Rate
 		na.obs.record(EvAbsorb, rm.Round, int64(rm.Flow))
 	} else {
@@ -209,14 +205,14 @@ func (na *nodeAgent) absorbRate(payload []byte) {
 // node's latest report, which it did not get while it was away.
 func (na *nodeAgent) setActive(k int, on bool) {
 	i := na.flows[k]
-	na.inactive[k] = !on
+	na.peers.inactive[k] = !on
 	if !on {
 		na.rates[i] = 0
 	}
 	na.alloc.SetFlowActive(i, on)
 	if on && na.report.Round > 0 {
 		msg := na.sealReport()
-		msg.To = na.peerNames[k]
+		msg.To = na.peers.names[k]
 		_ = na.ep.Send(msg) // a closed transport ends the loop at its next receive
 	}
 }
@@ -227,18 +223,6 @@ func (na *nodeAgent) sealReport() transport.Message {
 	return transport.Message{From: na.ep.Name(), Kind: reportKind, Payload: na.out.seal(na.report.appendBinary(na.out.enc[:0]))}
 }
 
-// observedLag is the effective staleness of round t's inputs: the gap
-// between t and the oldest absorbed rate among active flows.
-func (na *nodeAgent) observedLag(t int) int {
-	oldest := t
-	for k, r := range na.latest {
-		if !na.inactive[k] {
-			oldest = min(oldest, r)
-		}
-	}
-	return t - oldest
-}
-
 // canCompute reports whether round t's inputs satisfy the staleness bound:
 // some active flow has reached round t, and no active flow is more than
 // `staleness` rounds behind it. At staleness 0 that is the barrier: every
@@ -246,18 +230,7 @@ func (na *nodeAgent) observedLag(t int) int {
 // round-t rate, since a flow waits for this node's round-t report before
 // it announces t+1.
 func (na *nodeAgent) canCompute(t int) bool {
-	need := max(t-na.staleness, 1)
-	reached := false
-	for k, r := range na.latest {
-		if na.inactive[k] {
-			continue
-		}
-		if r < need {
-			return false
-		}
-		reached = reached || r >= t
-	}
-	return reached
+	return na.peers.newest() >= t && na.peers.oldest() >= max(t-na.staleness, 1)
 }
 
 // handle processes one inbound message, returning false on Stop.
@@ -266,7 +239,7 @@ func (na *nodeAgent) handle(m transport.Message) bool {
 	case ctrlKind:
 		cm, err := decodeCtrl(m.Payload)
 		if err == nil && cm.Expect {
-			if k, ok := slices.BinarySearch(na.flows, cm.Flow); ok && na.inactive[k] {
+			if k, ok := slices.BinarySearch(na.flows, cm.Flow); ok && na.peers.inactive[k] {
 				na.setActive(k, true)
 			}
 			echoExpect(na.ep, m)
@@ -282,53 +255,4 @@ func (na *nodeAgent) handle(m transport.Message) bool {
 // effect. A lost echo is the sender's to repair (it asks again).
 func echoExpect(ep transport.Endpoint, m transport.Message) {
 	_ = ep.Send(transport.Message{From: ep.Name(), To: m.From, Kind: ctrlKind, Payload: m.Payload})
-}
-
-// run is the round loop: the node computes round t as soon as canCompute
-// allows, using the latest absorbed rate for each flow, and broadcasts its
-// round-t report; a departure may complete pending rounds. While stalled,
-// the chirp re-broadcasts the latest report so dropped report frames cannot
-// deadlock flows or starve the collector.
-func (na *nodeAgent) run() {
-	defer close(na.done)
-	defer na.ep.detach()
-	nextRound := 1
-	resend := newChirp(na.resend)
-	defer resend.stop()
-
-	for {
-		na.ep.idle()
-		select {
-		case m, ok := <-na.ep.Recv():
-			if !ok || !na.handle(m) {
-				return
-			}
-		case <-resend.C:
-			if nextRound > 1 {
-				if err := na.broadcast(); err != nil {
-					return
-				}
-				na.obs.resend(na.report.Round, resend.wait)
-			}
-			if resend.stalled() {
-				na.obs.backoff()
-			}
-			continue
-		}
-
-		// Price updates are sequential state, so rounds are computed in
-		// order; the staleness bound only relaxes which inputs each one
-		// needs.
-		computed := false
-		for na.canCompute(nextRound) {
-			if na.step(nextRound, na.observedLag(nextRound)) != nil {
-				return
-			}
-			nextRound++
-			computed = true
-		}
-		if computed {
-			resend.progress()
-		}
-	}
 }

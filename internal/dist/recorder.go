@@ -1,8 +1,16 @@
 package dist
 
 import (
+	"bufio"
+	"encoding/json"
+	"fmt"
+	"io"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // The flight recorder: a fixed-size, lock-free ring of binary-packed
@@ -66,14 +74,13 @@ func (t EventType) String() string {
 	return "unknown"
 }
 
-// parseEventType inverts String; unknown names return 0.
-func parseEventType(s string) EventType {
-	for t, name := range evNames {
-		if name == s {
-			return EventType(t)
-		}
-	}
-	return 0
+// MarshalText writes the type's JSONL schema name, String.
+func (t EventType) MarshalText() ([]byte, error) { return []byte(t.String()), nil }
+
+// UnmarshalText inverts MarshalText; an unknown name reads as 0.
+func (t *EventType) UnmarshalText(b []byte) error {
+	*t = EventType(max(slices.Index(evNames[:], string(b)), 0))
+	return nil
 }
 
 // DefaultRecordSize is the per-agent ring capacity (events). At 32 bytes
@@ -81,24 +88,61 @@ func parseEventType(s string) EventType {
 // allocation-free regardless of run length.
 const DefaultRecordSize = 256
 
-// Event is one decoded flight-recorder entry.
+// Event is one decoded flight-recorder entry, and one line of the JSONL
+// event log that Cluster.WriteEvents and the stall detector's post-mortem
+// dumps write and ReadEventLog and the lrgp-trace analyzer read.
 type Event struct {
-	// Agent is the recording agent's endpoint name.
-	Agent string
+	// Agent is the recording agent's endpoint name ("flow/3", "node/7",
+	// "collector", "host/2", or "cluster" for detector-level events).
+	Agent string `json:"agent"`
 	// Seq is the agent-local sequence number (monotonic, gap-free per
 	// agent; gaps after a dump mean the ring wrapped).
-	Seq uint64
+	Seq uint64 `json:"seq"`
 	// Nanos is time since the cluster's shared monotonic epoch, at the
 	// recorder clock's coarse resolution.
-	Nanos int64
-	// Type is the event type; Round the causal correlation key.
-	Type  EventType
-	Round int
+	Nanos int64 `json:"ns"`
+	// Type is the event type, written by name; Round the causal
+	// correlation key (0 for round-less events).
+	Type  EventType `json:"ev"`
+	Round int       `json:"round"`
 	// A and B are per-type arguments (see the EventType docs). The ring
 	// stores them as unsigned 32-bit halves of one word, saturating at
 	// 2^32-1 — every recorded quantity (ids, counts, lags, sub-second
 	// backoff nanos) fits far below that.
-	A, B int64
+	A int64 `json:"a,omitempty"`
+	B int64 `json:"b,omitempty"`
+}
+
+// writeEvents renders events as JSONL, sorted by timestamp (ties broken
+// by agent and sequence, so output is deterministic).
+func writeEvents(w io.Writer, events []Event) error {
+	slices.SortFunc(events, func(a, b Event) int {
+		if a.Nanos != b.Nanos {
+			if a.Nanos < b.Nanos {
+				return -1
+			}
+			return 1
+		}
+		if c := strings.Compare(a.Agent, b.Agent); c != 0 {
+			return c
+		}
+		return int(a.Seq) - int(b.Seq)
+	})
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	for i := range events {
+		if err := enc.Encode(&events[i]); err != nil {
+			return fmt.Errorf("dist: write events: %w", err)
+		}
+	}
+	return bw.Flush()
+}
+
+// ReadEventLog parses a JSONL event log produced by Cluster.WriteEvents
+// or a stall post-mortem. Blank lines are skipped; a malformed line fails
+// with its line number.
+func ReadEventLog(r io.Reader) ([]Event, error) {
+	return telemetry.ReadJSONL[Event](r, "dist: event log")
 }
 
 // recClock is the recorders' shared coarse timestamp source: one atomic

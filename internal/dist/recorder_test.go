@@ -143,9 +143,9 @@ func TestEventLogRoundTrip(t *testing.T) {
 	}
 	byEv := map[string]int{}
 	for _, rec := range recs {
-		byEv[rec.Ev]++
-		if parseEventType(rec.Ev) == 0 {
-			t.Errorf("unparseable event name %q", rec.Ev)
+		byEv[rec.Type.String()]++
+		if rec.Type == 0 {
+			t.Errorf("unknown event type in %+v", rec)
 		}
 	}
 	for _, ev := range []string{"send", "recv", "round", "resend"} {
@@ -167,9 +167,11 @@ func TestReadEventLogRejectsGarbage(t *testing.T) {
 // must rank it first with the matching lag integral.
 func TestAnalyzeFindsStraggler(t *testing.T) {
 	const us = int64(1000)
-	var recs []EventRecord
+	var recs []Event
 	add := func(agent string, ns int64, ev string, round int, a, b int64) {
-		recs = append(recs, EventRecord{Agent: agent, Seq: uint64(len(recs)), Nanos: ns, Ev: ev, Round: round, A: a, B: b})
+		var typ EventType
+		_ = typ.UnmarshalText([]byte(ev))
+		recs = append(recs, Event{Agent: agent, Seq: uint64(len(recs)), Nanos: ns, Type: typ, Round: round, A: a, B: b})
 	}
 	// flow/0 and node/0 advance one round per 10µs through round 10. The
 	// recv events carry the sender ids that join all three agents into
@@ -244,5 +246,49 @@ func TestAnalyzeEmpty(t *testing.T) {
 	a := Analyze(nil)
 	if a.MaxRound != 0 || len(a.Agents) != 0 || len(a.Rounds) != 0 {
 		t.Errorf("non-empty analysis from empty log: %+v", a)
+	}
+}
+
+// TestWriteEventsGolden pins writeEvents' bytes: every event type, type 0
+// (an unknown type, written "unknown"), A and B omitted where zero, and the
+// order by time, then agent, then sequence.
+func TestWriteEventsGolden(t *testing.T) {
+	events := []Event{
+		{Agent: "node/1", Seq: 4, Nanos: 300, Type: EvRound, Round: 2},
+		{Agent: "flow/0", Seq: 1, Nanos: 100, Type: EvSend, Round: 1, B: 2},
+		{Agent: "flow/0", Seq: 0, Nanos: 100, Type: EvRecv, Round: 1, A: 7},
+		{Agent: "collector", Seq: 9, Nanos: 100, Type: EvAbsorb, Round: 1, A: 3},
+		{Agent: "node/1", Seq: 5, Nanos: 450, Type: EvResend, Round: 2, A: 10000000},
+		{Agent: "host/0", Seq: 2, Nanos: 200, Type: EvFlush, A: 5, B: 1},
+		{Agent: "cluster", Seq: 0, Nanos: 900, Type: EvStall, Round: 2},
+		{Agent: "flow/2", Seq: 3, Nanos: 200, Type: 0, Round: 0, A: 1, B: 4294967295},
+	}
+	const want = `{"agent":"collector","seq":9,"ns":100,"ev":"absorb","round":1,"a":3}
+{"agent":"flow/0","seq":0,"ns":100,"ev":"recv","round":1,"a":7}
+{"agent":"flow/0","seq":1,"ns":100,"ev":"send","round":1,"b":2}
+{"agent":"flow/2","seq":3,"ns":200,"ev":"unknown","round":0,"a":1,"b":4294967295}
+{"agent":"host/0","seq":2,"ns":200,"ev":"flush","round":0,"a":5,"b":1}
+{"agent":"node/1","seq":4,"ns":300,"ev":"round","round":2}
+{"agent":"node/1","seq":5,"ns":450,"ev":"resend","round":2,"a":10000000}
+{"agent":"cluster","seq":0,"ns":900,"ev":"stall","round":2}
+`
+	var buf bytes.Buffer
+	if err := writeEvents(&buf, events); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != want {
+		t.Errorf("writeEvents wrote\n%s\nwant\n%s", got, want)
+	}
+}
+
+// An event type the reader does not know reads as 0, whatever its name,
+// and a blank line is no event.
+func TestReadEventLogUnknownTypeIsZero(t *testing.T) {
+	recs, err := ReadEventLog(bytes.NewBufferString("{\"agent\":\"a\",\"ev\":\"unknown\"}\n\n{\"agent\":\"b\",\"ev\":\"warp\",\"round\":3}\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || recs[0].Type != 0 || recs[1].Type != 0 || recs[1].Round != 3 {
+		t.Errorf("read %+v", recs)
 	}
 }

@@ -338,6 +338,86 @@ func TestCloseSurfacesSendFailure(t *testing.T) {
 	}
 }
 
+// TestEveryLoopExitDetaches: however the round loop ends — a Stop, a closed
+// inbox, or a send that finds the transport closed — it closes the agent's
+// done and detaches its port, so that no gateway is left counting a busy
+// port that nobody will read.
+func TestEveryLoopExitDetaches(t *testing.T) {
+	for _, exit := range []string{"stop", "closed inbox", "fatal send"} {
+		t.Run(exit, func(t *testing.T) {
+			net := transport.NewMemory()
+			defer net.Close()
+			cl, err := New(workload.Base(), Config{Hosts: 2, resend: time.Millisecond}, net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cl.coll.nodesTotal != len(cl.nodes) {
+				t.Fatalf("%d of %d nodes report: a fatal send needs every agent to chirp", cl.coll.nodesTotal, len(cl.nodes))
+			}
+			if _, err := cl.Run(5, time.Minute); err != nil {
+				t.Fatal(err)
+			}
+			agentHosts := func(closed bool) {
+				for host, gw := range cl.hosts {
+					if host != ctrlHost {
+						gw.mu.Lock()
+						gw.closed = closed
+						gw.mu.Unlock()
+					}
+				}
+			}
+			switch exit {
+			case "stop":
+				if err := cl.Close(); err != nil {
+					t.Fatal(err)
+				}
+			case "closed inbox":
+				net.Close()
+			case "fatal send":
+				// The agent hosts refuse every send, as a closing gateway
+				// does before it closes its ports: the next chirp of every
+				// agent finds the transport closed.
+				agentHosts(true)
+			}
+			timeout := time.After(10 * time.Second)
+			exited := func(done chan struct{}, port *hostPort) {
+				select {
+				case <-done:
+				case <-timeout:
+					t.Fatalf("%s still running", port.name)
+				}
+				port.gw.mu.Lock()
+				defer port.gw.mu.Unlock()
+				if !port.detached {
+					t.Errorf("%s returned without detaching its port", port.name)
+				}
+			}
+			for _, fa := range cl.flows {
+				exited(fa.done, fa.ep)
+			}
+			for _, na := range cl.nodes {
+				exited(na.done, na.ep)
+			}
+			// The control host's ports are the collector's and the control
+			// endpoint's, which no round loop drives; it has no flusher
+			// for a busy port to hold back.
+			for host, gw := range cl.hosts {
+				gw.mu.Lock()
+				if host != ctrlHost && gw.busy != 0 {
+					t.Errorf("%s counts %d busy ports", host, gw.busy)
+				}
+				gw.mu.Unlock()
+			}
+			if exit == "fatal send" {
+				agentHosts(false) // so that Close closes the gateways
+			}
+			if err := cl.Close(); err != nil && exit != "closed inbox" {
+				t.Error(err)
+			}
+		})
+	}
+}
+
 // TestRunRefusesFewerThanOneRound: a count below 1 is an error and moves
 // nothing, so the next Run still returns every round it asked for,
 // numbered on from the last one run.

@@ -70,9 +70,16 @@ func (t *TraceWriter) Flush() error {
 // order. Blank lines are skipped; a malformed line fails with its line
 // number.
 func ReadTrace(r io.Reader) ([]IterationRecord, error) {
-	var out []IterationRecord
+	return ReadJSONL[IterationRecord](r, "telemetry: trace")
+}
+
+// ReadJSONL decodes one JSON value of type T per line of r, in order.
+// Blank lines are skipped; a line that does not decode, or that the
+// reader fails on, fails the read with its line number after prefix.
+func ReadJSONL[T any](r io.Reader, prefix string) ([]T, error) {
+	var out []T
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
+	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
 	line := 0
 	for sc.Scan() {
 		line++
@@ -80,14 +87,14 @@ func ReadTrace(r io.Reader) ([]IterationRecord, error) {
 		if len(raw) == 0 {
 			continue
 		}
-		var rec IterationRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return nil, fmt.Errorf("telemetry: trace line %d: %w", line, err)
+		var v T
+		if err := json.Unmarshal(raw, &v); err != nil {
+			return nil, fmt.Errorf("%s line %d: %w", prefix, line, err)
 		}
-		out = append(out, rec)
+		out = append(out, v)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("telemetry: trace line %d: %w", line, err)
+		return nil, fmt.Errorf("%s line %d: %w", prefix, line+1, err)
 	}
 	return out, nil
 }
