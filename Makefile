@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race cover bench bench-core bench-broker bench-dist bench-overlay bench-scaling bench-e2e-smoke fuzz experiments examples telemetry-smoke trace-analyze clean
+.PHONY: all build vet lint test race cover loc bench bench-core bench-broker bench-dist bench-overlay bench-scaling bench-e2e-smoke fuzz experiments examples telemetry-smoke trace-analyze clean
 
 all: build vet lint test
 
@@ -32,6 +32,13 @@ race:
 cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
+
+# The size measure ROADMAP tracks: non-test Go lines outside bench/, per
+# package (directory) and in total.
+loc:
+	@find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print \
+		| sort | xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; all += $$1 } \
+			END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", all }' | sort -k2
 
 # One benchmark per paper table/figure (plus micro-benchmarks).
 bench:

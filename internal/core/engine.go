@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
-	"slices"
 	"time"
 
 	"repro/internal/metrics"
@@ -39,24 +38,14 @@ type Engine struct {
 	consumers []int
 	active    []bool
 
-	// Per-constraint state lives in slots (DESIGN.md §5): nodeSlots and
-	// linkSlots give each node and link the plan lists a dense slot, and
-	// every per-node and per-link array below, the gamma bank and the
-	// bitsets are indexed by slot, not by id. A constraint the plan does
-	// not list holds no slot and no state: no flow crosses it and its
-	// price is 0.
-	nodeSlots, linkSlots slots
-	// nodePrices/linkPrices and the capacity mirrors below are the SoA
-	// operands of the Eq. 12/13 price sweeps: flat float64 arrays, so the
-	// per-iteration sweep is a branch-light pass over contiguous memory.
-	// nodeCap/linkCap mirror the Problem capacities of the armed
-	// constraints, written by rearm (NewEngine, Reset*) and SetNodeCapacity,
-	// the only supported mutation points.
-	nodePrices []float64
-	linkPrices []float64
-	nodeCap    []float64
-	linkCap    []float64
-	gamma      *gammaBank
+	// Per-constraint state lives in one table per kind (constraintTable,
+	// DESIGN.md §5). Beside the node table, and indexed by its slots, is
+	// the state links do not have: nodeBest caches admitNode's best
+	// unsatisfied benefit-cost ratio, and gamma is the adaptive stepsize
+	// bank.
+	nodes, links constraintTable
+	nodeBest     []float64
+	gamma        *gammaBank
 
 	solvers []*rateSolver
 
@@ -79,39 +68,24 @@ type Engine struct {
 	// deterministically instead of racing the pool shutdown.
 	closed bool
 
-	// Incremental dirty-set state (DESIGN.md §8). The epoch slices record
-	// the iteration at which each quantity last changed value; a stage
-	// consults them to decide whether its cached outputs are still exact.
-	// The forced flags are set by mutators and Reset to dirty items whose
-	// inputs changed outside Step, and cleared by the recompute they
-	// trigger.
+	// Incremental dirty-set state (DESIGN.md §8), the flow side; the
+	// tables keep the constraint side. The epoch slices record the
+	// iteration at which each quantity last changed value; a stage consults
+	// them to decide whether its cached outputs are still exact.
+	// flowForced is set by mutators and Reset to dirty a flow whose inputs
+	// changed outside Step, and cleared by the recompute it triggers.
 	flowForced []bool
-	nodeForced []bool
-	linkForced []bool
 	// rateEpoch[i]: iteration e.rates[i] last changed; popEpoch[j]:
-	// iteration e.consumers[j] last changed; nodePriceEpoch/linkPriceEpoch:
-	// iteration the slot's price last moved.
-	rateEpoch      []int
-	popEpoch       []int
-	nodePriceEpoch []int
-	linkPriceEpoch []int
+	// iteration e.consumers[j] last changed.
+	rateEpoch []int
+	popEpoch  []int
 	// views[i] is flow i's armed path view: the armed nodes and links on
-	// its path, in path order (see pathView). nodeArmed/linkArmed hold a bit
-	// per slot, set iff some shard's armed list holds it. candNodes,
-	// candLinks and flowMark are rearm's scratch marks, all clear between
-	// calls; rearmTested is the number of constraints the last re-arm tested.
-	views                []pathView
-	nodeArmed, linkArmed bitset
-	candNodes, candLinks bitset
-	flowMark             bitset
-	rearmTested          int
-	// nodeUsed/nodeBest cache admitNode's outputs per node slot; linkUsed
-	// caches each link slot's usage sum. A skipped constraint reuses these
-	// verbatim — they are the exact floats the skipped recomputation
-	// would have produced.
-	nodeUsed []float64
-	nodeBest []float64
-	linkUsed []float64
+	// its path, in path order (see pathView). flowMark is rearm's scratch
+	// mark of the flows whose views it rebuilds, clear between calls;
+	// rearmTested is the number of constraints the last re-arm tested.
+	views       []pathView
+	flowMark    bitset
+	rearmTested int
 	// util caches the last computed objective; utilStale forces a full
 	// recomputation (set by mutators and Reset).
 	util      float64
@@ -180,15 +154,11 @@ func (vc *valueCache) value(c *model.Class, cid model.ClassID, r float64) float6
 
 // shardState is one plan shard's private working state; everything else a
 // shard writes is indexed by its flows and by the node and link slots
-// stamped with it. The accumulators are reduced by the caller after the
+// stamped with it, which the tables' lists[shard] hold. The accumulators are reduced by the caller after the
 // barrier: max (overloads), integer sum (counters) and boolean OR (changed
 // flags) are all order-independent, so the result is bit-identical to the
 // serial scan.
 type shardState struct {
-	// nodes and links are the shard's armed slots — what Step sweeps (see
-	// rearm) — ascending; a re-arm keeps their storage, so a wake's sorted
-	// insert allocates only past the most ever armed.
-	nodes, links []int32
 	// scratch is the admission sort buffer, sized by the widest node, not
 	// the class count.
 	scratch []classBC
@@ -265,8 +235,8 @@ func NewEngine(p *model.Problem, cfg Config) (*Engine, error) {
 		rates:     make([]float64, len(p.Flows)),
 		consumers: make([]int, len(p.Classes)),
 		active:    make([]bool, len(p.Flows)),
-		nodeSlots: newSlots(len(p.Nodes)),
-		linkSlots: newSlots(len(p.Links)),
+		nodes:     newTable(len(p.Nodes), false),
+		links:     newTable(len(p.Links), true),
 		solvers:   make([]*rateSolver, len(p.Flows)),
 
 		flowForced:    make([]bool, len(p.Flows)),
@@ -294,8 +264,9 @@ func NewEngine(p *model.Problem, cfg Config) (*Engine, error) {
 	// Nothing holds a price yet: the plan lists what a flow crosses, its
 	// slots numbered shard by shard.
 	e.replan(nil)
-	e.nodeSlots.group()
-	e.linkSlots.group()
+	for _, t := range e.tables() {
+		t.group()
+	}
 	for i := range p.Flows {
 		e.rates[i] = p.Flows[i].RateMin
 		e.active[i] = true
@@ -306,11 +277,14 @@ func NewEngine(p *model.Problem, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// adoptPlan installs plan as Step's schedule, adding the shard states and
-// starting the worker pool it needs beyond what earlier plans left.
+// adoptPlan installs plan as Step's schedule, adding the shard states, the
+// tables' armed lists and the worker pool it needs beyond earlier plans'.
 func (e *Engine) adoptPlan(plan *stagePlan) {
 	e.plan = plan
-	if len(e.sh) < plan.shards {
+	if k := plan.shards - len(e.sh); k > 0 {
+		for _, t := range e.tables() {
+			t.lists = append(t.lists, make([][]int32, k)...)
+		}
 		// The admission sort never sees more candidates than the widest
 		// node has classes; sizing scratch by that (not the total class
 		// count) keeps per-shard scratch bounded on metro-scale problems
@@ -414,9 +388,10 @@ func (e *Engine) Step() StepResult {
 	armedNodes, armedLinks := 0, 0
 	for s := range e.sh[:e.plan.shards] {
 		sh := &e.sh[s]
-		sh.work = sh.dirtyFlows + len(sh.nodes) - sh.skippedNodes + len(sh.links) - sh.skippedLinks
-		armedNodes += len(sh.nodes)
-		armedLinks += len(sh.links)
+		nodes, links := len(e.nodes.lists[s]), len(e.links.lists[s])
+		sh.work = sh.dirtyFlows + nodes - sh.skippedNodes + links - sh.skippedLinks
+		armedNodes += nodes
+		armedLinks += links
 		res.DirtyFlows += sh.dirtyFlows
 		rateChanged = rateChanged || sh.rateChanged
 		if sh.overNode > res.MaxNodeOverload {
@@ -478,12 +453,12 @@ func (e *Engine) shardImbalance() float64 {
 func (e *Engine) flowDirty(i int, prev int) bool {
 	v := &e.views[i]
 	for _, a := range v.links {
-		if e.linkPriceEpoch[a.slot] == prev {
+		if e.links.epochs[a.slot] == prev {
 			return true
 		}
 	}
 	for _, a := range v.nodes {
-		if e.nodePriceEpoch[a.slot] == prev {
+		if e.nodes.epochs[a.slot] == prev {
 			return true
 		}
 	}
@@ -540,28 +515,18 @@ func (e *Engine) rateList(ids []int32, sh *shardState) {
 // the node's crossing flows in the shard's touch list so the flow-utility
 // cache refresh knows what moved.
 func (e *Engine) admitItem(s int32, sh *shardState, skipped *int, popChanged *bool) {
-	bid := model.NodeID(e.nodeSlots.ids[s])
-	recompute := e.nodeForced[s]
-	if !recompute {
-		t := e.iteration
-		for _, i := range e.ix.FlowsByNode(bid) {
-			if e.rateEpoch[i] == t {
-				recompute = true
-				break
-			}
-		}
-	}
-	if !recompute {
+	bid := model.NodeID(e.nodes.ids[s])
+	flows := e.ix.FlowsByNode(bid)
+	if !e.nodes.due(s, flows, e.rateEpoch, e.iteration) {
 		*skipped++
 		return
 	}
-	e.nodeForced[s] = false
 	out := admitNode(e.p, e.ix, bid, e.rates, nil, e.active, e.consumers, sh.scratch,
 		&e.rank, &e.vc, e.popEpoch, e.iteration)
-	e.nodeUsed[s], e.nodeBest[s] = out.used, out.bestUnsatisfied
+	e.nodes.used[s], e.nodeBest[s] = out.used, out.bestUnsatisfied
 	if out.popChanged {
 		*popChanged = true
-		sh.touchFlows(e.ix.FlowsByNode(bid), e.iteration)
+		sh.touchFlows(flows, e.iteration)
 	}
 }
 
@@ -592,7 +557,7 @@ func (sh *shardState) touchFlows(flows []model.FlowID, t int) {
 func (e *Engine) nodePriceList(ids []int32) float64 {
 	over := 0.0
 	t := e.iteration
-	prices, used, best, caps := e.nodePrices, e.nodeUsed, e.nodeBest, e.nodeCap
+	prices, used, best, caps := e.nodes.prices, e.nodes.used, e.nodeBest, e.nodes.caps
 	if e.cfg.Adaptive {
 		for _, s := range ids {
 			u, cp, prev := used[s], caps[s], prices[s]
@@ -600,7 +565,7 @@ func (e *Engine) nodePriceList(ids []int32) float64 {
 			next := nodePriceUpdate(prev, best[s], u, cp, g)
 			e.gamma.observe(int(s), priceGap(prev, best[s], u, cp), prev)
 			if next != prev {
-				e.nodePriceEpoch[s] = t
+				e.nodes.epochs[s] = t
 			}
 			prices[s] = next
 			if o := u - cp; o > over {
@@ -614,7 +579,7 @@ func (e *Engine) nodePriceList(ids []int32) float64 {
 		u, cp, prev := used[s], caps[s], prices[s]
 		next := nodePriceUpdate(prev, best[s], u, cp, g)
 		if next != prev {
-			e.nodePriceEpoch[s] = t
+			e.nodes.epochs[s] = t
 		}
 		prices[s] = next
 		if o := u - cp; o > over {
@@ -643,28 +608,18 @@ func (e *Engine) nodeList(ids []int32, sh *shardState) {
 // identically zero (rateOne and SetFlowActive both pin it), and since
 // every term is non-negative, adding its exact 0.0 cannot perturb the sum.
 func (e *Engine) linkUsageItem(s int32, skipped *int) {
-	lid := model.LinkID(e.linkSlots.ids[s])
-	recompute := e.linkForced[s]
-	if !recompute {
-		t := e.iteration
-		for _, i := range e.ix.FlowsByLink(lid) {
-			if e.rateEpoch[i] == t {
-				recompute = true
-				break
-			}
-		}
-	}
-	if !recompute {
+	lid := model.LinkID(e.links.ids[s])
+	flows := e.ix.FlowsByLink(lid)
+	if !e.links.due(s, flows, e.rateEpoch, e.iteration) {
 		*skipped++
 		return
 	}
-	e.linkForced[s] = false
 	used := 0.0
 	costs := e.ix.FlowCostsByLink(lid)
-	for k, i := range e.ix.FlowsByLink(lid) {
+	for k, i := range flows {
 		used += costs[k] * e.rates[i]
 	}
-	e.linkUsed[s] = used
+	e.links.used[s] = used
 }
 
 // linkPriceList is the Equation 13 sweep over a shard's link slots as a
@@ -674,12 +629,12 @@ func (e *Engine) linkPriceList(ids []int32) float64 {
 	over := 0.0
 	t := e.iteration
 	g := e.cfg.LinkGamma
-	prices, used, caps := e.linkPrices, e.linkUsed, e.linkCap
+	prices, used, caps := e.links.prices, e.links.used, e.links.caps
 	for _, s := range ids {
 		u, cp, prev := used[s], caps[s], prices[s]
 		next := linkPriceUpdate(prev, u, cp, g)
 		if next != prev {
-			e.linkPriceEpoch[s] = t
+			e.links.epochs[s] = t
 		}
 		prices[s] = next
 		if o := u - cp; o > over {
@@ -717,11 +672,11 @@ func (e *Engine) stepShard(s int) {
 	if timed {
 		e.stageMark[0] = time.Now()
 	}
-	e.nodeList(sh.nodes, sh)
+	e.nodeList(e.nodes.lists[s], sh)
 	if timed {
 		e.stageMark[1] = time.Now()
 	}
-	e.linkList(sh.links, sh)
+	e.linkList(e.links.lists[s], sh)
 
 	t := e.iteration
 	if e.utilStale {
@@ -786,7 +741,7 @@ func (e *Engine) flowPrice(i model.FlowID) float64 {
 	v := &e.views[i]
 	lcosts := e.ix.LinkCostsByFlow(i)
 	for _, a := range v.links {
-		price += lcosts[a.k] * e.linkPrices[a.slot]
+		price += lcosts[a.k] * e.links.prices[a.slot]
 	}
 	ncosts := e.ix.NodeCostsByFlow(i)
 	classes := e.ix.ClassesByFlowNode(i)
@@ -795,7 +750,7 @@ func (e *Engine) flowPrice(i model.FlowID) float64 {
 		for _, cid := range classes[a.k] {
 			coeff += e.p.Classes[cid].CostPerConsumer * float64(e.consumers[cid])
 		}
-		price += coeff * e.nodePrices[a.slot]
+		price += coeff * e.nodes.prices[a.slot]
 	}
 	return price
 }
@@ -834,7 +789,7 @@ func (e *Engine) SetFlowActive(i model.FlowID, active bool) {
 		e.rates[i] = 0
 		for _, cid := range e.ix.ClassesByFlow(i) {
 			e.consumers[cid] = 0
-			e.forceNode(e.p.Classes[cid].Node)
+			e.nodes.force(int32(e.p.Classes[cid].Node))
 		}
 	} else {
 		e.rates[i] = e.p.Flows[i].RateMin
@@ -846,20 +801,12 @@ func (e *Engine) SetFlowActive(i model.FlowID, active bool) {
 	// (stale usage sums). The objective moved too.
 	e.flowForced[i] = true
 	for _, b := range e.ix.NodesByFlow(i) {
-		e.forceNode(b)
+		e.nodes.force(int32(b))
 	}
 	for _, l := range e.ix.LinksByFlow(i) {
-		e.linkForced[e.linkSlots.at(int32(l))] = true
+		e.links.force(int32(l))
 	}
 	e.utilStale = true
-}
-
-// forceNode forces node b's next admission, if the plan lists it: a node
-// without a slot is not swept, and the re-arm that gives it one forces it.
-func (e *Engine) forceNode(b model.NodeID) {
-	if s := e.nodeSlots.at(int32(b)); s >= 0 {
-		e.nodeForced[s] = true
-	}
 }
 
 // SetClassDemand changes a class's n^max mid-run, modeling consumers
@@ -897,7 +844,7 @@ func (e *Engine) SetClassDemand(j model.ClassID, maxConsumers int) error {
 	}
 	// Whether or not the population was truncated, the node's greedy
 	// admission may now admit a different mix.
-	e.forceNode(c.Node)
+	e.nodes.force(int32(c.Node))
 	return nil
 }
 
@@ -917,19 +864,19 @@ func (e *Engine) SetNodeCapacity(b model.NodeID, capacity float64) error {
 	e.settled = false
 	// A node the plan does not list is not swept: the re-arm that first arms
 	// it reads its capacity.
-	slot := e.nodeSlots.at(int32(b))
+	slot := e.nodes.at(int32(b))
 	if slot < 0 {
 		return nil
 	}
 	// The admission budget changed; the cached used/bestUnsatisfied are
 	// stale. (The price sweep reads the capacity mirror each iteration.)
-	e.nodeCap[slot] = capacity
-	e.nodeForced[slot] = true
-	if !e.nodeArmed.has(slot) {
+	e.nodes.caps[slot] = capacity
+	e.nodes.forced[slot] = true
+	if !e.nodes.armed.has(slot) {
 		// rearm parked the node, so the rule holds it at price 0, with no
 		// class and γ at the ceiling: the new capacity alone decides whether
 		// it wakes, and re-testing it does what rearm would.
-		e.rearmNode(slot)
+		e.rearmSlot(&e.nodes, slot)
 		e.flowMark.drain(e.buildView)
 	}
 	return nil
@@ -1013,7 +960,7 @@ func (e *Engine) ResetRouting(p *model.Problem, d model.RoutingDelta) error {
 // reseedNode returns node b's stepsize controller to its initial state, if
 // b holds a slot.
 func (e *Engine) reseedNode(b model.NodeID) {
-	if s := e.nodeSlots.at(int32(b)); s >= 0 {
+	if s := e.nodes.at(int32(b)); s >= 0 {
 		e.gamma.reseed(int(s))
 	}
 }
@@ -1075,8 +1022,8 @@ func (e *Engine) retarget(i int) {
 // constraint; with ResetRouting's delta what was armed, what d names and
 // what d's flows cross — only those may differ from the problem the last
 // re-arm saw, so nothing else can change status, and what was not armed
-// stays parked. A constraint is written only when it is armed (fileNode,
-// fileLink); a parked one's epoch, capacity mirror and force are not read
+// stays parked. A constraint is written only when it is armed (file); a
+// parked one's epoch, capacity mirror and force are not read
 // until a re-arm or a wake arms it again. The path views of the flows
 // crossing a constraint whose status changed, and of d's flows, are
 // rebuilt; the others are still exact.
@@ -1089,33 +1036,34 @@ func (e *Engine) rearm(d *model.RoutingDelta) {
 		e.rateEpoch[i] = 0
 		e.flowUtilEpoch[i] = 0
 	}
-	for k := range e.sh {
-		e.sh[k].nodes, e.sh[k].links = e.sh[k].nodes[:0], e.sh[k].links[:0]
+	for _, t := range e.tables() {
+		for k := range t.lists {
+			t.lists[k] = t.lists[k][:0]
+		}
+		if d == nil {
+			for s, id := range t.ids {
+				if id >= 0 {
+					t.cand.set(int32(s))
+				}
+			}
+		} else {
+			// Every armed slot is marked, so one that is not stays parked.
+			copy(t.cand, t.armed)
+		}
 	}
-	if d == nil {
-		e.nodeSlots.mark(e.candNodes)
-		e.linkSlots.mark(e.candLinks)
-	} else {
-		// Every armed slot is marked, so one that is not stays parked.
-		copy(e.candNodes, e.nodeArmed)
-		copy(e.candLinks, e.linkArmed)
-		for _, b := range d.Nodes {
-			e.markNode(b)
-		}
-		for _, l := range d.Links {
-			e.markLink(l)
-		}
+	if d != nil {
+		mark(&e.nodes, d.Nodes)
+		mark(&e.links, d.Links)
 		for _, i := range d.Flows {
 			e.flowMark.set(int32(i))
-			for _, b := range e.ix.NodesByFlow(i) {
-				e.markNode(b)
-			}
-			for _, l := range e.ix.LinksByFlow(i) {
-				e.markLink(l)
-			}
+			mark(&e.nodes, e.ix.NodesByFlow(i))
+			mark(&e.links, e.ix.LinksByFlow(i))
 		}
 	}
-	e.rearmTested = e.candNodes.drain(e.rearmNode) + e.candLinks.drain(e.rearmLink)
+	e.rearmTested = 0
+	for _, t := range e.tables() {
+		e.rearmTested += t.cand.drain(func(s int32) { e.rearmSlot(t, s) })
+	}
 	e.flowMark.drain(e.buildView)
 	for j := range e.popEpoch {
 		e.popEpoch[j] = 0
@@ -1129,83 +1077,25 @@ func (e *Engine) rearm(d *model.RoutingDelta) {
 	}
 }
 
-// rearmNode tests the parking rule on the node in slot s, files it if it is
-// armed, and marks the flows crossing it for a view rebuild if its status
-// changed.
-func (e *Engine) rearmNode(s int32) {
-	bid := model.NodeID(e.nodeSlots.ids[s])
-	crossing := e.ix.FlowsByNode(bid)
-	armed := e.nodePrices[s] != 0 || len(e.ix.ClassesByNode(bid)) != 0 ||
-		(e.cfg.Adaptive && e.gamma.val[s] != e.gamma.max) ||
-		!slack(crossing, e.ix.FlowCostsByNode(bid), e.p.Flows, e.p.Nodes[bid].Capacity)
+// rearmSlot tests the parking rule on slot s of t — armed when priced,
+// when some rates in the box can fill it, and for a node when it carries a
+// class or its γ is off the ceiling — files it if it is armed, and marks
+// the flows crossing it for a view rebuild if its status changed.
+func (e *Engine) rearmSlot(t *constraintTable, s int32) {
+	id := t.ids[s]
+	crossing := t.flows(e.ix, id)
+	capacity := t.capacity(e.p, id)
+	armed := t.prices[s] != 0 ||
+		(t == &e.nodes && (len(e.ix.ClassesByNode(model.NodeID(id))) != 0 || (e.cfg.Adaptive && e.gamma.val[s] != e.gamma.max))) ||
+		!slack(crossing, t.costs(e.ix, id), e.p.Flows, capacity)
 	if armed {
-		e.fileNode(s)
+		t.file(s, capacity)
 	}
-	if armed != e.nodeArmed.has(s) {
-		e.nodeArmed.flip(s)
-		e.markFlows(crossing)
-	}
-}
-
-// rearmLink is rearmNode for the link in slot s.
-func (e *Engine) rearmLink(s int32) {
-	lid := model.LinkID(e.linkSlots.ids[s])
-	crossing := e.ix.FlowsByLink(lid)
-	armed := e.linkPrices[s] != 0 || !slack(crossing, e.ix.FlowCostsByLink(lid), e.p.Flows, e.p.Links[lid].Capacity)
-	if armed {
-		e.fileLink(s)
-	}
-	if armed != e.linkArmed.has(s) {
-		e.linkArmed.flip(s)
-		e.markFlows(crossing)
-	}
-}
-
-// fileNode readies the node in slot s for the next Step — no epoch of its
-// own yet, its capacity mirror read, its admission forced — and files s in
-// the armed list of its shard, which stays ascending.
-func (e *Engine) fileNode(s int32) {
-	e.nodePriceEpoch[s], e.nodeCap[s], e.nodeForced[s] = 0, e.p.Nodes[e.nodeSlots.ids[s]].Capacity, true
-	sh := &e.sh[e.nodeSlots.shard[s]]
-	sh.nodes = insertSorted(sh.nodes, s)
-}
-
-// fileLink is fileNode for the link in slot s.
-func (e *Engine) fileLink(s int32) {
-	e.linkPriceEpoch[s], e.linkCap[s], e.linkForced[s] = 0, e.p.Links[e.linkSlots.ids[s]].Capacity, true
-	sh := &e.sh[e.linkSlots.shard[s]]
-	sh.links = insertSorted(sh.links, s)
-}
-
-// insertSorted inserts s into the ascending list, which does not hold it —
-// at the end without a search when s is the largest, as it is for every slot
-// rearm's ascending drain files.
-func insertSorted(list []int32, s int32) []int32 {
-	if n := len(list); n == 0 || list[n-1] < s {
-		return append(list, s)
-	}
-	k, _ := slices.BinarySearch(list, s)
-	return slices.Insert(list, k, s)
-}
-
-// markNode and markLink mark a constraint's slot, if it holds one, as a
-// candidate of rearm's test.
-func (e *Engine) markNode(b model.NodeID) {
-	if s := e.nodeSlots.at(int32(b)); s >= 0 {
-		e.candNodes.set(s)
-	}
-}
-
-func (e *Engine) markLink(l model.LinkID) {
-	if s := e.linkSlots.at(int32(l)); s >= 0 {
-		e.candLinks.set(s)
-	}
-}
-
-// markFlows marks flows for rearm's view rebuild.
-func (e *Engine) markFlows(flows []model.FlowID) {
-	for _, i := range flows {
-		e.flowMark.set(int32(i))
+	if armed != t.armed.has(s) {
+		t.armed.flip(s)
+		for _, i := range crossing {
+			e.flowMark.set(int32(i))
+		}
 	}
 }
 
@@ -1232,18 +1122,19 @@ type armedAt struct {
 func (e *Engine) buildView(i int32) {
 	fid := model.FlowID(i)
 	v := &e.views[i]
-	v.links = v.links[:0]
-	for k, l := range e.ix.LinksByFlow(fid) {
-		if s := e.linkSlots.at(int32(l)); e.linkArmed.has(s) {
-			v.links = append(v.links, armedAt{s, int32(k)})
+	v.links = armedOn(v.links[:0], &e.links, e.ix.LinksByFlow(fid))
+	v.nodes = armedOn(v.nodes[:0], &e.nodes, e.ix.NodesByFlow(fid))
+}
+
+// armedOn appends to v the armed constraints of t on path, each with its
+// position on the path.
+func armedOn[ID ~int](v []armedAt, t *constraintTable, path []ID) []armedAt {
+	for k, id := range path {
+		if s := t.at(int32(id)); t.armed.has(s) {
+			v = append(v, armedAt{s, int32(k)})
 		}
 	}
-	v.nodes = v.nodes[:0]
-	for k, b := range e.ix.NodesByFlow(fid) {
-		if s := e.nodeSlots.at(int32(b)); e.nodeArmed.has(s) {
-			v.nodes = append(v.nodes, armedAt{s, int32(k)})
-		}
-	}
+	return v
 }
 
 // bitset is one bit per id.
@@ -1317,14 +1208,10 @@ func (e *Engine) Allocation() model.Allocation {
 }
 
 // NodePrices returns a copy of the node price vector.
-func (e *Engine) NodePrices() []float64 {
-	return expand(make([]float64, len(e.p.Nodes)), &e.nodeSlots, e.nodePrices)
-}
+func (e *Engine) NodePrices() []float64 { return e.nodes.priceVector() }
 
 // LinkPrices returns a copy of the link price vector.
-func (e *Engine) LinkPrices() []float64 {
-	return expand(make([]float64, len(e.p.Links)), &e.linkSlots, e.linkPrices)
-}
+func (e *Engine) LinkPrices() []float64 { return e.links.priceVector() }
 
 // Gammas returns a copy of the per-node adaptive stepsizes (meaningful only
 // with Config.Adaptive).
@@ -1333,7 +1220,7 @@ func (e *Engine) Gammas() []float64 {
 	for b := range out {
 		out[b] = e.gamma.init
 	}
-	return expand(out, &e.nodeSlots, e.gamma.val)
+	return expand(out, &e.nodes.slots, e.gamma.val)
 }
 
 // expand writes the slot values vals into out, indexed by id, and returns

@@ -223,8 +223,8 @@ func TestStagePlanPartition(t *testing.T) {
 		{"entangled", entangled, 4, 1, 1},
 	} {
 		ix := model.NewIndex(c.p)
-		live := func(n int, loaded func(int) bool) slots {
-			m := newSlots(n)
+		live := func(n int, link bool, loaded func(int) bool) constraintTable {
+			m := newTable(n, link)
 			for id := 0; id < n; id++ {
 				if loaded(id) {
 					m.take(int32(id))
@@ -232,9 +232,9 @@ func TestStagePlanPartition(t *testing.T) {
 			}
 			return m
 		}
-		build := func(ix *model.Index) (*stagePlan, slots, slots) {
-			nodes, links := live(len(c.p.Nodes), loadedNode(ix)), live(len(c.p.Links), loadedLink(ix))
-			return newStagePlan(ix, &nodes, &links, c.workers), nodes, links
+		build := func(ix *model.Index) (*stagePlan, constraintTable, constraintTable) {
+			nodes, links := live(len(c.p.Nodes), false, loadedNode(ix)), live(len(c.p.Links), true, loadedLink(ix))
+			return newStagePlan(ix, [2]*constraintTable{&nodes, &links}, c.workers), nodes, links
 		}
 		plan, nodes, links := build(ix)
 		if plan.shards != c.shards || plan.components != c.components {
@@ -270,17 +270,10 @@ func TestStagePlanPartition(t *testing.T) {
 				flowShard[i] = int32(k)
 			}
 		}
-		for _, kind := range []struct {
-			name     string
-			m        slots
-			crossing func(int32) []model.FlowID
-		}{
-			{"node", nodes, func(b int32) []model.FlowID { return ix.FlowsByNode(model.NodeID(b)) }},
-			{"link", links, func(l int32) []model.FlowID { return ix.FlowsByLink(model.LinkID(l)) }},
-		} {
-			for s, id := range kind.m.ids {
-				if first := flowShard[kind.crossing(id)[0]]; kind.m.shard[s] != first {
-					t.Fatalf("%s: %s %d is on shard %d, its first flow on %d", c.name, kind.name, id, kind.m.shard[s], first)
+		for _, m := range []*constraintTable{&nodes, &links} {
+			for s, id := range m.ids {
+				if crossing := m.flows(ix, id); flowShard[crossing[0]] != m.shard[s] {
+					t.Fatalf("%s: %s %d is on shard %d, its first flow on %d", c.name, kindName(m), id, m.shard[s], flowShard[crossing[0]])
 				}
 			}
 		}

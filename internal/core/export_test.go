@@ -34,31 +34,22 @@ func SweepAll(e *Engine) {
 		flows[i] = int32(i)
 	}
 	e.plan = &stagePlan{shards: 1, flows: [][]int32{flows}}
-	for b := range e.p.Nodes {
-		if e.nodeSlots.at(int32(b)) < 0 {
-			e.nodeSlots.take(int32(b))
+	for _, t := range e.tables() {
+		for id := range t.of {
+			if t.at(int32(id)) < 0 {
+				t.take(int32(id))
+			}
 		}
+		clear(t.shard)
 	}
-	for l := range e.p.Links {
-		if e.linkSlots.at(int32(l)) < 0 {
-			e.linkSlots.take(int32(l))
-		}
-	}
-	e.fitNodes()
-	e.fitLinks()
-	clear(e.nodeSlots.shard)
-	clear(e.linkSlots.shard)
+	e.fit()
 	e.rearm(nil)
-	for s := range e.nodeSlots.ids {
-		if !e.nodeArmed.has(int32(s)) {
-			e.nodeArmed.set(int32(s))
-			e.fileNode(int32(s))
-		}
-	}
-	for s := range e.linkSlots.ids {
-		if !e.linkArmed.has(int32(s)) {
-			e.linkArmed.set(int32(s))
-			e.fileLink(int32(s))
+	for _, t := range e.tables() {
+		for s, id := range t.ids {
+			if !t.armed.has(int32(s)) {
+				t.armed.set(int32(s))
+				t.file(int32(s), t.capacity(e.p, id))
+			}
 		}
 	}
 	for i := range e.views {
@@ -68,23 +59,23 @@ func SweepAll(e *Engine) {
 
 // Armed returns the nodes and links e's Step sweeps, each ascending.
 func Armed(e *Engine) (nodes, links []int32) {
-	for k := range e.sh[:e.plan.shards] {
-		for _, s := range e.sh[k].nodes {
-			nodes = append(nodes, e.nodeSlots.ids[s])
+	armed := func(t *constraintTable) []int32 {
+		var ids []int32
+		for _, list := range t.lists[:e.plan.shards] {
+			for _, s := range list {
+				ids = append(ids, t.ids[s])
+			}
 		}
-		for _, s := range e.sh[k].links {
-			links = append(links, e.linkSlots.ids[s])
-		}
+		slices.Sort(ids)
+		return ids
 	}
-	slices.Sort(nodes)
-	slices.Sort(links)
-	return nodes, links
+	return armed(&e.nodes), armed(&e.links)
 }
 
 // ListedIDs returns the nodes and links e's plan lists — what its slot
 // tables hold — each ascending.
 func ListedIDs(e *Engine) (nodes, links []int32) {
-	return heldIDs(&e.nodeSlots), heldIDs(&e.linkSlots)
+	return heldIDs(&e.nodes.slots), heldIDs(&e.links.slots)
 }
 
 // heldIDs returns the ids m holds a slot for, ascending.
@@ -112,17 +103,17 @@ func RearmTested(e *Engine) int { return e.rearmTested }
 func PathView(e *Engine, i model.FlowID) (nodes, links [][2]int32) {
 	v := &e.views[i]
 	for _, a := range v.nodes {
-		nodes = append(nodes, [2]int32{e.nodeSlots.ids[a.slot], a.k})
+		nodes = append(nodes, [2]int32{e.nodes.ids[a.slot], a.k})
 	}
 	for _, a := range v.links {
-		links = append(links, [2]int32{e.linkSlots.ids[a.slot], a.k})
+		links = append(links, [2]int32{e.links.ids[a.slot], a.k})
 	}
 	return nodes, links
 }
 
 // Listed returns how many shards, nodes and links e's plan has.
 func Listed(e *Engine) (shards, nodes, links int) {
-	return e.plan.shards, e.nodeSlots.held(), e.linkSlots.held()
+	return e.plan.shards, e.nodes.held(), e.links.held()
 }
 
 // CheckPlanFresh reports how e's plan differs from one built from scratch —
@@ -131,18 +122,17 @@ func Listed(e *Engine) (shards, nodes, links int) {
 // counts and flow lists, the ids it lists and the shard of each.
 func CheckPlanFresh(e *Engine) error {
 	ix := model.NewIndex(e.p)
-	nodes, links := newSlots(len(e.p.Nodes)), newSlots(len(e.p.Links))
-	for b := range e.p.Nodes {
-		if s := e.nodeSlots.at(int32(b)); len(ix.FlowsByNode(model.NodeID(b))) > 0 || s >= 0 && e.nodePrices[s] != 0 {
-			nodes.take(int32(b))
+	nodes, links := newTable(len(e.p.Nodes), false), newTable(len(e.p.Links), true)
+	fresh := [2]*constraintTable{&nodes, &links}
+	for k, t := range e.tables() {
+		for id := range t.of {
+			s := t.at(int32(id))
+			if len(t.flows(ix, int32(id))) > 0 || s >= 0 && t.prices[s] != 0 {
+				fresh[k].take(int32(id))
+			}
 		}
 	}
-	for l := range e.p.Links {
-		if s := e.linkSlots.at(int32(l)); len(ix.FlowsByLink(model.LinkID(l))) > 0 || s >= 0 && e.linkPrices[s] != 0 {
-			links.take(int32(l))
-		}
-	}
-	want := newStagePlan(ix, &nodes, &links, e.cfg.workers)
+	want := newStagePlan(ix, fresh, e.cfg.workers)
 	got := e.plan
 	if got.shards != want.shards || got.components != want.components {
 		return fmt.Errorf("plan has %d shards, %d components; from scratch %d, %d",
@@ -153,21 +143,26 @@ func CheckPlanFresh(e *Engine) error {
 			return fmt.Errorf("shard %d flow list %v, from scratch %v", s, got.flows[s], want.flows[s])
 		}
 	}
-	for _, kind := range []struct {
-		name      string
-		got, want *slots
-	}{{"node", &e.nodeSlots, &nodes}, {"link", &e.linkSlots, &links}} {
-		for id := range kind.want.of {
-			gs, ws := kind.got.at(int32(id)), kind.want.at(int32(id))
+	for k, t := range e.tables() {
+		for id := range t.of {
+			gs, ws := t.at(int32(id)), fresh[k].at(int32(id))
 			switch {
 			case (gs >= 0) != (ws >= 0):
-				return fmt.Errorf("%s %d holds slot %d; from scratch %d", kind.name, id, gs, ws)
-			case gs >= 0 && kind.got.shard[gs] != kind.want.shard[ws]:
-				return fmt.Errorf("%s %d is on shard %d; from scratch %d", kind.name, id, kind.got.shard[gs], kind.want.shard[ws])
+				return fmt.Errorf("%s %d holds slot %d; from scratch %d", kindName(t), id, gs, ws)
+			case gs >= 0 && t.shard[gs] != fresh[k].shard[ws]:
+				return fmt.Errorf("%s %d is on shard %d; from scratch %d", kindName(t), id, t.shard[gs], fresh[k].shard[ws])
 			}
 		}
 	}
 	return nil
+}
+
+// kindName names t's kind in messages.
+func kindName(t *constraintTable) string {
+	if t.link {
+		return "link"
+	}
+	return "node"
 }
 
 // CheckFiled reports the first shard armed list that is not ascending or
@@ -175,80 +170,97 @@ func CheckPlanFresh(e *Engine) error {
 // difference between the slots armed and the slots the lists hold: Step
 // sweeps exactly the armed slots, each in the list of the shard it carries.
 func CheckFiled(e *Engine) error {
-	armedNodes, armedLinks := 0, 0
-	for k := range e.sh[:e.plan.shards] {
-		for _, kind := range []struct {
-			name  string
-			list  []int32
-			m     *slots
-			armed bitset
-			count *int
-		}{{"node", e.sh[k].nodes, &e.nodeSlots, e.nodeArmed, &armedNodes}, {"link", e.sh[k].links, &e.linkSlots, e.linkArmed, &armedLinks}} {
-			for i, s := range kind.list {
+	for _, t := range e.tables() {
+		filed := 0
+		for k, list := range t.lists[:e.plan.shards] {
+			for i, s := range list {
 				switch {
-				case i > 0 && kind.list[i-1] >= s:
-					return fmt.Errorf("shard %d %s list %v is not ascending", k, kind.name, kind.list)
-				case !kind.armed.has(s):
-					return fmt.Errorf("shard %d lists %s slot %d, which is not armed", k, kind.name, s)
-				case kind.m.shard[s] != int32(k):
-					return fmt.Errorf("shard %d lists %s slot %d, which carries shard %d", k, kind.name, s, kind.m.shard[s])
+				case i > 0 && list[i-1] >= s:
+					return fmt.Errorf("shard %d %s list %v is not ascending", k, kindName(t), list)
+				case !t.armed.has(s):
+					return fmt.Errorf("shard %d lists %s slot %d, which is not armed", k, kindName(t), s)
+				case t.shard[s] != int32(k):
+					return fmt.Errorf("shard %d lists %s slot %d, which carries shard %d", k, kindName(t), s, t.shard[s])
 				}
 			}
-			*kind.count += len(kind.list)
+			filed += len(list)
 		}
-	}
-	count := func(b bitset) int {
-		n := 0
-		for _, w := range b {
-			n += bits.OnesCount64(w)
+		armed := 0
+		for _, w := range t.armed {
+			armed += bits.OnesCount64(w)
 		}
-		return n
-	}
-	if n, m := count(e.nodeArmed), count(e.linkArmed); n != armedNodes || m != armedLinks {
-		return fmt.Errorf("%d nodes and %d links armed, the shards list %d and %d", n, m, armedNodes, armedLinks)
+		if armed != filed {
+			return fmt.Errorf("%d %ss armed, the shards list %d", armed, kindName(t), filed)
+		}
 	}
 	return nil
 }
 
 // CheckIdleCaches reports the first slot table entry that does not name its
-// id back, the first free slot not on the free list, and the first node or
-// link outside the plan's reach — no flow crosses it and its price is 0 —
-// that still holds a cached usage, a cached benefit-cost ratio or a pending
-// force, in its slot or in a free slot: what a constraint no flow ever
-// crossed holds is zeros, and a free slot holds price 0, the initial γ and
-// no armed mark too.
+// id back, the first free slot not on the free list, the first node or link
+// outside the plan's reach — no flow crosses it and its price is 0 — that
+// still holds a cached usage, a cached benefit-cost ratio or a pending
+// force, and the first free slot whose state, in any per-slot array of its
+// table or, for a node, in nodeBest and the gamma bank, differs from a
+// freshly fitted slot's: a free slot holds what an untouched constraint
+// holds.
 func CheckIdleCaches(e *Engine) error {
-	if err := checkSlots("node", &e.nodeSlots); err != nil {
-		return err
+	// fresh is an engine of one node and one link slot, each just fitted.
+	fresh := &Engine{nodes: newTable(1, false), links: newTable(1, true), gamma: newGammaBank(e.cfg.GammaLiteral, 0)}
+	for _, t := range fresh.tables() {
+		t.take(0)
 	}
-	if err := checkSlots("link", &e.linkSlots); err != nil {
-		return err
-	}
-	for s, b := range e.nodeSlots.ids {
-		if b >= 0 && (len(e.ix.FlowsByNode(model.NodeID(b))) > 0 || e.nodePrices[s] != 0) {
-			continue
+	fresh.fit()
+	for k, t := range e.tables() {
+		if err := checkSlots(kindName(t), &t.slots); err != nil {
+			return err
 		}
-		if e.nodeUsed[s] != 0 || e.nodeBest[s] != 0 || e.nodeForced[s] {
-			return fmt.Errorf("idle node %d (slot %d) holds used %g, best %g, forced %v",
-				b, s, e.nodeUsed[s], e.nodeBest[s], e.nodeForced[s])
-		}
-		if b < 0 && (e.nodePrices[s] != 0 || e.gamma.val[s] != e.gamma.init || e.nodeArmed.has(int32(s))) {
-			return fmt.Errorf("free node slot %d holds price %g, γ %g, armed %v",
-				s, e.nodePrices[s], e.gamma.val[s], e.nodeArmed.has(int32(s)))
-		}
-	}
-	for s, l := range e.linkSlots.ids {
-		if l >= 0 && (len(e.ix.FlowsByLink(model.LinkID(l))) > 0 || e.linkPrices[s] != 0) {
-			continue
-		}
-		if e.linkUsed[s] != 0 || e.linkForced[s] {
-			return fmt.Errorf("idle link %d (slot %d) holds used %g, forced %v", l, s, e.linkUsed[s], e.linkForced[s])
-		}
-		if l < 0 && (e.linkPrices[s] != 0 || e.linkArmed.has(int32(s))) {
-			return fmt.Errorf("free link slot %d holds price %g, armed %v", s, e.linkPrices[s], e.linkArmed.has(int32(s)))
+		want := fresh.slotState(fresh.tables()[k], 0)
+		for s, id := range t.ids {
+			if id >= 0 {
+				if len(t.flows(e.ix, id)) > 0 || t.prices[s] != 0 {
+					continue
+				}
+			}
+			got := e.slotState(t, int32(s))
+			if got.used != 0 || got.best != 0 || got.forced {
+				return fmt.Errorf("idle %s %d (slot %d) holds used %g, best %g, forced %v",
+					kindName(t), id, s, got.used, got.best, got.forced)
+			}
+			if id < 0 && got != want {
+				return fmt.Errorf("free %s slot %d holds %+v, a fresh slot %+v", kindName(t), s, got, want)
+			}
 		}
 	}
 	return nil
+}
+
+// slotState is everything the engine keeps for one slot.
+type slotState struct {
+	price, capacity, used float64
+	forced                bool
+	epoch                 int
+	armed, cand           bool
+	best                  float64
+	gamma, prevGap        float64
+	sameRun               int32
+	havePrev              bool
+}
+
+// slotState returns what slot s of t holds, nodeBest and the gamma bank's
+// entry included for a node.
+func (e *Engine) slotState(t *constraintTable, s int32) slotState {
+	st := slotState{
+		price: t.prices[s], capacity: t.caps[s], used: t.used[s],
+		forced: t.forced[s], epoch: t.epochs[s],
+		armed: t.armed.has(s), cand: t.cand.has(s),
+	}
+	if t == &e.nodes {
+		g := e.gamma
+		st.best = e.nodeBest[s]
+		st.gamma, st.prevGap, st.sameRun, st.havePrev = g.val[s], g.prevGap[s], g.sameRun[s], g.havePrev[s]
+	}
+	return st
 }
 
 // checkSlots reports how m's two maps disagree: an id whose slot names
@@ -277,12 +289,12 @@ func checkSlots(kind string, m *slots) error {
 
 // Slots returns how many node and link slots e's storage holds, free ones
 // included.
-func Slots(e *Engine) (nodes, links int) { return len(e.nodeSlots.ids), len(e.linkSlots.ids) }
+func Slots(e *Engine) (nodes, links int) { return len(e.nodes.ids), len(e.links.ids) }
 
 // NodeSlot and LinkSlot return the slot of a node or link, -1 when it holds
 // none.
-func NodeSlot(e *Engine, b model.NodeID) int32 { return e.nodeSlots.at(int32(b)) }
-func LinkSlot(e *Engine, l model.LinkID) int32 { return e.linkSlots.at(int32(l)) }
+func NodeSlot(e *Engine, b model.NodeID) int32 { return e.nodes.at(int32(b)) }
+func LinkSlot(e *Engine, l model.LinkID) int32 { return e.links.at(int32(l)) }
 
 // FlowActive reports whether flow i participates in iterations.
 func (e *Engine) FlowActive(i model.FlowID) bool { return e.active[i] }

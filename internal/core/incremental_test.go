@@ -27,11 +27,11 @@ func forceFull(e *Engine) {
 	for i := range e.flowForced {
 		e.flowForced[i] = true
 	}
-	for s, b := range e.nodeSlots.ids {
-		e.nodeForced[s] = b >= 0
+	for s, b := range e.nodes.ids {
+		e.nodes.forced[s] = b >= 0
 	}
-	for s, l := range e.linkSlots.ids {
-		e.linkForced[s] = l >= 0
+	for s, l := range e.links.ids {
+		e.links.forced[s] = l >= 0
 	}
 	e.utilStale = true
 }
@@ -192,7 +192,7 @@ func TestIncrementalSteadyStateQuiesces(t *testing.T) {
 	}
 	// SkippedNodes counts armed nodes — the ones Step sweeps. Every node of
 	// the base workload carries a flow and a class, so that is all of them.
-	live := len(e.sh[0].nodes)
+	live := len(e.nodes.lists[0])
 	if live != len(p.Nodes) {
 		t.Fatalf("Step sweeps %d of %d nodes; the base workload loads every node", live, len(p.Nodes))
 	}

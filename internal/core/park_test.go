@@ -51,11 +51,11 @@ func sweptUsage(e *Engine, rates []float64, active []bool) (node, link float64) 
 	copy(e.rates, rates)
 	copy(e.active, active)
 	out := admitNode(e.p, e.ix, 1, e.rates, nil, e.active, e.consumers, e.sh[0].scratch, &e.rank, &e.vc, e.popEpoch, 1)
-	l0 := e.linkSlots.at(0)
-	e.linkForced[l0] = true
+	l0 := e.links.at(0)
+	e.links.forced[l0] = true
 	skipped := 0
 	e.linkUsageItem(l0, &skipped)
-	return out.used, e.linkUsed[l0]
+	return out.used, e.links.used[l0]
 }
 
 // TestParkedMeansTheSweepCannotBind: the arming rule compares capacity with
@@ -124,8 +124,8 @@ func TestParkedMeansTheSweepCannotBind(t *testing.T) {
 				if !exactFits {
 					parkedOverExact++
 				}
-				if n1, l0 := e.nodeSlots.at(1), e.linkSlots.at(0); e.nodeForced[n1] || e.linkForced[l0] {
-					t.Fatalf("a parked constraint is left forced: node %v, link %v", e.nodeForced[n1], e.linkForced[l0])
+				if n1, l0 := e.nodes.at(1), e.links.at(0); e.nodes.forced[n1] || e.links.forced[l0] {
+					t.Fatalf("a parked constraint is left forced: node %v, link %v", e.nodes.forced[n1], e.links.forced[l0])
 				}
 				// Parking was safe: no rates of the box, with any flows
 				// inactive (pinned to 0), make the sweep compute more.
@@ -269,8 +269,8 @@ func TestMutatorsRefuseWhatValidateRefuses(t *testing.T) {
 	}
 	stateOf := func(e *Engine) state {
 		return state{e.p.Nodes[1].Capacity, e.p.Classes[2].MaxConsumers,
-			slices.Clone(e.flowForced), slices.Clone(e.nodeForced), slices.Clone(e.linkForced),
-			slices.Clone(e.sh[0].nodes), slices.Clone(e.sh[0].links), e.settled}
+			slices.Clone(e.flowForced), slices.Clone(e.nodes.forced), slices.Clone(e.links.forced),
+			slices.Clone(e.nodes.lists[0]), slices.Clone(e.links.lists[0]), e.settled}
 	}
 	// twins returns two engines solved to the same settled state.
 	twins := func() (e, twin *Engine) {
@@ -326,7 +326,7 @@ func TestMutatorsRefuseWhatValidateRefuses(t *testing.T) {
 	e, twin := twins()
 	defer e.Close()
 	defer twin.Close()
-	if e.nodeSlots.at(3) >= 0 {
+	if e.nodes.at(3) >= 0 {
 		t.Fatal("the plan lists node 3, which no flow reaches")
 	}
 	if err := e.SetNodeCapacity(3, 50); err != nil {
@@ -353,26 +353,26 @@ func TestWakeForcesARecompute(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		e.Step()
 	}
-	n1, l0 := e.nodeSlots.at(1), e.linkSlots.at(0)
+	n1, l0 := e.nodes.at(1), e.links.at(0)
 	nodes, links := Armed(e)
-	if isArmed(nodes, 1) || isArmed(links, 0) || e.nodeForced[n1] || e.linkForced[l0] {
+	if isArmed(nodes, 1) || isArmed(links, 0) || e.nodes.forced[n1] || e.links.forced[l0] {
 		t.Fatalf("armed nodes %v links %v, forced %v %v; node 1 and link 0 should be parked and clean",
-			nodes, links, e.nodeForced[n1], e.linkForced[l0])
+			nodes, links, e.nodes.forced[n1], e.links.forced[l0])
 	}
-	if e.nodePrices[n1] != 0 || e.linkPrices[l0] != 0 || e.gamma.val[n1] != e.gamma.max {
-		t.Fatalf("a parked constraint moved: prices %v %v, gamma %v", e.nodePrices[n1], e.linkPrices[l0], e.gamma.val[n1])
+	if e.nodes.prices[n1] != 0 || e.links.prices[l0] != 0 || e.gamma.val[n1] != e.gamma.max {
+		t.Fatalf("a parked constraint moved: prices %v %v, gamma %v", e.nodes.prices[n1], e.links.prices[l0], e.gamma.val[n1])
 	}
 	// Whatever the cache holds from before, the wake must not trust it.
-	e.nodeUsed[n1] = 12345
+	e.nodes.used[n1] = 12345
 	if err := e.SetNodeCapacity(1, 30); err != nil { // bound 2·10 + 3·10 = 50
 		t.Fatal(err)
 	}
-	if nodes, _ := Armed(e); !isArmed(nodes, 1) || !e.nodeForced[n1] {
-		t.Fatalf("capacity 30 under bound 50: armed nodes %v, forced %v", nodes, e.nodeForced[n1])
+	if nodes, _ := Armed(e); !isArmed(nodes, 1) || !e.nodes.forced[n1] {
+		t.Fatalf("capacity 30 under bound 50: armed nodes %v, forced %v", nodes, e.nodes.forced[n1])
 	}
 	e.Step()
-	if want := 2*e.rates[0] + 3*e.rates[1]; e.nodeUsed[n1] != want || e.nodeForced[n1] {
-		t.Fatalf("after the wake's Step node 1 caches usage %v (forced %v), its flows use %v", e.nodeUsed[n1], e.nodeForced[n1], want)
+	if want := 2*e.rates[0] + 3*e.rates[1]; e.nodes.used[n1] != want || e.nodes.forced[n1] {
+		t.Fatalf("after the wake's Step node 1 caches usage %v (forced %v), its flows use %v", e.nodes.used[n1], e.nodes.forced[n1], want)
 	}
 
 	if err := e.SetNodeCapacity(1, 1000); err != nil {
@@ -389,16 +389,16 @@ func TestWakeForcesARecompute(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
-	fresh1 := fresh.nodeSlots.at(1)
+	fresh1 := fresh.nodes.at(1)
 	if allocs := testing.AllocsPerRun(20, func() {
 		fresh.rearm(nil)
-		if slices.Contains(fresh.sh[0].nodes, fresh1) {
+		if slices.Contains(fresh.nodes.lists[0], fresh1) {
 			t.Fatal("the re-arm left node 1 armed")
 		}
 		if err := fresh.SetNodeCapacity(1, 30); err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Contains(fresh.sh[0].nodes, fresh1) {
+		if !slices.Contains(fresh.nodes.lists[0], fresh1) {
 			t.Fatal("capacity 30 left node 1 parked")
 		}
 		if err := fresh.SetNodeCapacity(1, 1000); err != nil {
@@ -431,7 +431,7 @@ func TestClimbingGammaStaysArmed(t *testing.T) {
 		t.Fatal("node 1 starts at the ceiling and should be parked")
 	}
 	const below = DefaultGammaMax / 2
-	live.gamma.val[live.nodeSlots.at(1)], full.gamma.val[full.nodeSlots.at(1)] = below, below
+	live.gamma.val[live.nodes.at(1)], full.gamma.val[full.nodes.at(1)] = below, below
 	live.rearm(nil)
 	SweepAll(full)
 	if nodes, _ := Armed(live); !isArmed(nodes, 1) {
@@ -497,21 +497,21 @@ func TestWakeClearsAStaleEpoch(t *testing.T) {
 		}
 		SweepAll(full)
 	}
-	n1 := live.nodeSlots.at(1)
+	n1 := live.nodes.at(1)
 	steps("overloaded", 40)
-	if live.nodePrices[n1] == 0 {
+	if live.nodes.prices[n1] == 0 {
 		t.Fatal("node 1 holds no price at capacity 30")
 	}
 	// Room for everything: armed while its price decays to 0.
 	p.Nodes[1].Capacity = 1000
 	reset()
-	for live.nodePrices[n1] != 0 {
+	for live.nodes.prices[n1] != 0 {
 		if live.iteration > 5000 {
-			t.Fatalf("node 1's price %g has not reached 0", live.nodePrices[n1])
+			t.Fatalf("node 1's price %g has not reached 0", live.nodes.prices[n1])
 		}
 		steps("decaying", 1)
 	}
-	k := live.nodePriceEpoch[n1]
+	k := live.nodes.epochs[n1]
 	steps("decayed", 5)
 	reset()
 	if nodes, _ := Armed(live); isArmed(nodes, 1) {
@@ -529,7 +529,7 @@ func TestWakeClearsAStaleEpoch(t *testing.T) {
 		t.Fatal("capacity 30 under the bound 50 left node 1 parked")
 	}
 	steps("woken", k+5)
-	if live.nodePrices[n1] != 0 {
-		t.Fatalf("node 1 is priced %g after the wake; the test needs it at 0", live.nodePrices[n1])
+	if live.nodes.prices[n1] != 0 {
+		t.Fatalf("node 1 is priced %g after the wake; the test needs it at 0", live.nodes.prices[n1])
 	}
 }

@@ -21,9 +21,9 @@ import (
 // split that way runs as one shard on the caller's goroutine.
 //
 // The plan partitions every flow; the nodes and links it lists are the ones
-// the engine's slot tables hold (see slots), each slot carrying its shard.
-// Those are the live ones: some flow crosses them, or they still hold a
-// price. A constraint no flow crosses has usage 0 and no unsatisfied class
+// the engine's tables hold (see constraintTable), each slot carrying its
+// shard. Those are the live ones: some flow crosses them, or they still
+// hold a price. A constraint no flow crosses has usage 0 and no unsatisfied class
 // (a class with demand sits on its flow's tree, model.Validate), so at
 // price 0 Equations 12 and 13 leave it at 0 — p + γ(0 − p) and
 // [p + γ(0 − c)]⁺ — and sweeping it computes nothing. One that loses its
@@ -70,36 +70,32 @@ func (e *Engine) replan(d *model.RoutingDelta) {
 	if d != nil {
 		named = *d
 	}
-	ix := e.ix
-	tested := relist(&e.nodeSlots, named.Nodes, d == nil,
-		func(b int32) bool { return len(ix.FlowsByNode(model.NodeID(b))) != 0 },
-		func(s int32) bool { return e.nodePrices[s] != 0 }, e.dropNode)
-	tested += relist(&e.linkSlots, named.Links, d == nil,
-		func(l int32) bool { return len(ix.FlowsByLink(model.LinkID(l))) != 0 },
-		func(s int32) bool { return e.linkPrices[s] != 0 }, e.dropLink)
-	e.fitNodes()
-	e.fitLinks()
-	plan := newStagePlan(ix, &e.nodeSlots, &e.linkSlots, e.cfg.workers)
+	tested := relist(e, &e.nodes, named.Nodes, d == nil) + relist(e, &e.links, named.Links, d == nil)
+	e.fit()
+	plan := newStagePlan(e.ix, e.tables(), e.cfg.workers)
 	plan.tested = tested
 	e.adoptPlan(plan)
 }
 
 // newStagePlan builds Step's schedule for the indexed problem over the nodes
-// and links the slot tables hold and stamps each slot's shard: the component
+// and links the tables hold and stamps each slot's shard: the component
 // packing over at most workers shards when the topology allows it (pack),
 // otherwise — a budget of 1, fewer than minParallelItems items, or a
 // topology pack rejects — one shard holding every flow in ascending order,
 // i.e. the serial scan, and every stamp 0.
-func newStagePlan(ix *model.Index, nodes, links *slots, workers int) *stagePlan {
+func newStagePlan(ix *model.Index, tables [2]*constraintTable, workers int) *stagePlan {
 	flows := make([]int32, len(ix.Problem().Flows))
 	for i := range flows {
 		flows[i] = int32(i)
 	}
 	plan := &stagePlan{shards: 1, flows: [][]int32{flows}}
-	clear(nodes.shard)
-	clear(links.shard)
-	if workers > 1 && max(len(flows), nodes.held(), links.held()) >= minParallelItems {
-		plan.pack(ix, workers, nodes, links)
+	items := len(flows)
+	for _, t := range tables {
+		clear(t.shard)
+		items = max(items, t.held())
+	}
+	if workers > 1 && items >= minParallelItems {
+		plan.pack(ix, workers, tables)
 	}
 	return plan
 }
@@ -113,7 +109,7 @@ func newStagePlan(ix *model.Index, nodes, links *slots, workers int) *stagePlan 
 // order and the greedy assignment depend only on the topology and on which
 // unloaded constraints hold a price, never on scheduling, map iteration or
 // slot numbers.
-func (plan *stagePlan) pack(ix *model.Index, budget int, nodes, links *slots) {
+func (plan *stagePlan) pack(ix *model.Index, budget int, tables [2]*constraintTable) {
 	flows := plan.flows[0]
 
 	// Two flows share a component iff a chain of shared nodes and links
@@ -141,19 +137,12 @@ func (plan *stagePlan) pack(ix *model.Index, budget int, nodes, links *slots) {
 			}
 		}
 	}
-	nodeFlows := func(b int32) []model.FlowID { return ix.FlowsByNode(model.NodeID(b)) }
-	linkFlows := func(l int32) []model.FlowID { return ix.FlowsByLink(model.LinkID(l)) }
-	for _, b := range nodes.ids {
-		if b >= 0 {
-			if fl := nodeFlows(b); len(fl) > 1 {
-				join(fl)
-			}
-		}
-	}
-	for _, l := range links.ids {
-		if l >= 0 {
-			if fl := linkFlows(l); len(fl) > 1 {
-				join(fl)
+	for _, t := range tables {
+		for _, id := range t.ids {
+			if id >= 0 {
+				if fl := t.flows(ix, id); len(fl) > 1 {
+					join(fl)
+				}
 			}
 		}
 	}
@@ -177,27 +166,27 @@ func (plan *stagePlan) pack(ix *model.Index, budget int, nodes, links *slots) {
 		}
 		weight[flowComp[v]] += 1 + len(ix.ClassesByFlow(model.FlowID(v)))
 	}
-	// place returns each slot's component, -1 for a free one and for one no
-	// flow crosses, which alone then gives a component of its own.
-	place := func(m *slots, crossing func(int32) []model.FlowID, w func(int32) int) []int32 {
-		comp := make([]int32, len(m.ids))
-		for s, id := range m.ids {
+	// comps[k][s] is slot s of tables[k]'s component, -1 for a free slot
+	// and for one no flow crosses, which alone then gives a component of
+	// its own.
+	var comps [2][]int32
+	for k, t := range tables {
+		comp := make([]int32, len(t.ids))
+		for s, id := range t.ids {
 			comp[s] = -1
 			if id < 0 {
 				continue
 			}
-			if fl := crossing(id); len(fl) > 0 {
+			if fl := t.flows(ix, id); len(fl) > 0 {
 				comp[s] = flowComp[fl[0]]
-				weight[comp[s]] += w(id)
+				weight[comp[s]] += slotWeight(ix, t, id)
 			}
 		}
-		return comp
+		comps[k] = comp
 	}
-	nodeWeight := func(b int32) int { return 1 + len(ix.ClassesByNode(model.NodeID(b))) }
-	linkWeight := func(int32) int { return 1 }
-	nodeComp, linkComp := place(nodes, nodeFlows, nodeWeight), place(links, linkFlows, linkWeight)
-	weight = alone(nodes, nodeComp, weight, nodeWeight)
-	weight = alone(links, linkComp, weight, linkWeight)
+	for k, t := range tables {
+		weight = alone(ix, t, comps[k], weight)
+	}
 	plan.components = len(weight)
 
 	// The widest plan the budget allows: the budget itself, then halves of
@@ -219,38 +208,45 @@ func (plan *stagePlan) pack(ix *model.Index, budget int, nodes, links *slots) {
 		for v, c := range flowComp {
 			plan.flows[shardOf[c]] = append(plan.flows[shardOf[c]], int32(v))
 		}
-		stamp := func(m *slots, comp []int32) {
-			for s, c := range comp {
+		for k, t := range tables {
+			for s, c := range comps[k] {
 				if c >= 0 {
-					m.shard[s] = shardOf[c]
+					t.shard[s] = shardOf[c]
 				}
 			}
 		}
-		stamp(nodes, nodeComp)
-		stamp(links, linkComp)
 		return
 	}
 }
 
-// alone gives each held slot of m without a component in comp — a priced
+// alone gives each held slot of t without a component in comp — a priced
 // constraint no flow crosses — a component of its own, in ascending id
-// order, appending its weight w to weight, which it returns. It is a
+// order, appending its weight to weight, which it returns. It is a
 // function of its own, not a closure of pack: inlined there it pushes pack
 // past the inliner's budget for the union-find's find, which then costs a
 // call per join.
-func alone(m *slots, comp []int32, weight []int, w func(int32) int) []int {
+func alone(ix *model.Index, t *constraintTable, comp []int32, weight []int) []int {
 	var ids []int32
 	for s, c := range comp {
-		if c < 0 && m.ids[s] >= 0 {
-			ids = append(ids, m.ids[s])
+		if c < 0 && t.ids[s] >= 0 {
+			ids = append(ids, t.ids[s])
 		}
 	}
 	slices.Sort(ids)
 	for _, id := range ids {
-		comp[m.at(id)] = int32(len(weight))
-		weight = append(weight, w(id))
+		comp[t.at(id)] = int32(len(weight))
+		weight = append(weight, slotWeight(ix, t, id))
 	}
 	return weight
+}
+
+// slotWeight is constraint id's balancing weight: 1, and a node's attached
+// classes on top (see pack).
+func slotWeight(ix *model.Index, t *constraintTable, id int32) int {
+	if t.link {
+		return 1
+	}
+	return 1 + len(ix.ClassesByNode(model.NodeID(id)))
 }
 
 // assign packs components of the given weights onto shards, returning each

@@ -264,11 +264,11 @@ func TestNodePriceReachesZero(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n1 := e.nodeSlots.at(1)
-		for i := 0; i < 50 && e.nodePrices[n1] == 0; i++ {
+		n1 := e.nodes.at(1)
+		for i := 0; i < 50 && e.nodes.prices[n1] == 0; i++ {
 			e.Step()
 		}
-		start := e.nodePrices[n1]
+		start := e.nodes.prices[n1]
 		if start == 0 {
 			t.Fatalf("adaptive %v: node 1 never got a price", adaptive)
 		}
@@ -283,9 +283,9 @@ func TestNodePriceReachesZero(t *testing.T) {
 		// constant share of its price surges to it, so both decay by 0.9.
 		want := int(math.Ceil(math.Log(minNormal/start) / math.Log(1-DefaultGamma)))
 		steps := 0
-		for ; e.nodePrices[n1] != 0; steps++ {
+		for ; e.nodes.prices[n1] != 0; steps++ {
 			if steps > want+10 {
-				t.Fatalf("adaptive %v: node 1 still at %v after %d Steps, want 0 after ≈%d", adaptive, e.nodePrices[n1], steps, want)
+				t.Fatalf("adaptive %v: node 1 still at %v after %d Steps, want 0 after ≈%d", adaptive, e.nodes.prices[n1], steps, want)
 			}
 			e.Step()
 			for name, vs := range map[string][]float64{"node price": e.NodePrices(), "link price": e.LinkPrices(), "gamma": e.Gammas()} {

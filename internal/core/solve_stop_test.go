@@ -37,11 +37,11 @@ func allocHash(a model.Allocation) uint64 {
 // its cached usage (exact by the DESIGN §8 invariants), over the slots; a
 // constraint without one has usage 0 and no overload.
 func overloads(e *Engine) (node, link float64) {
-	for s, u := range e.nodeUsed {
-		node = math.Max(node, u-e.nodeCap[s])
+	for s, u := range e.nodes.used {
+		node = math.Max(node, u-e.nodes.caps[s])
 	}
-	for s, u := range e.linkUsed {
-		link = math.Max(link, u-e.linkCap[s])
+	for s, u := range e.links.used {
+		link = math.Max(link, u-e.links.caps[s])
 	}
 	return node, link
 }

@@ -252,8 +252,8 @@ func TestShardImbalance(t *testing.T) {
 		defer e.Close()
 		// Shard 0's nodes get headroom and its components go quiet, so the
 		// shards end up with different amounts to recompute.
-		for s, b := range e.nodeSlots.ids {
-			if e.nodeSlots.shard[s] != 0 {
+		for s, b := range e.nodes.ids {
+			if e.nodes.shard[s] != 0 {
 				continue
 			}
 			if err := e.SetNodeCapacity(model.NodeID(b), 250*e.p.Nodes[b].Capacity); err != nil {

@@ -172,15 +172,15 @@ func TestValueCacheBitIdentical(t *testing.T) {
 				}
 				assertEnginesEqual(t, it, workers, oracle, cached)
 				for b := range oracle.p.Nodes {
-					so, sc := oracle.nodeSlots.at(int32(b)), cached.nodeSlots.at(int32(b))
+					so, sc := oracle.nodes.at(int32(b)), cached.nodes.at(int32(b))
 					if (so < 0) != (sc < 0) {
 						t.Fatalf("trial %d workers %d iter %d: node %d holds slot %d, oracle %d",
 							trial, workers, it, b, sc, so)
 					}
-					if so >= 0 && (oracle.nodeBest[so] != cached.nodeBest[sc] || oracle.nodeUsed[so] != cached.nodeUsed[sc]) {
+					if so >= 0 && (oracle.nodeBest[so] != cached.nodeBest[sc] || oracle.nodes.used[so] != cached.nodes.used[sc]) {
 						t.Fatalf("trial %d workers %d iter %d: node %d best/used %v/%v, oracle %v/%v",
-							trial, workers, it, b, cached.nodeBest[sc], cached.nodeUsed[sc],
-							oracle.nodeBest[so], oracle.nodeUsed[so])
+							trial, workers, it, b, cached.nodeBest[sc], cached.nodes.used[sc],
+							oracle.nodeBest[so], oracle.nodes.used[so])
 					}
 				}
 				for i, rs := range cached.solvers {
