@@ -18,6 +18,13 @@ import (
 // subnormal-prices counts the node and link prices left there after the
 // timed Steps. The aged warm-up takes under a second on 2 vCPUs, so -short
 // runs it as is.
+//
+// Each sub-benchmark continues one engine's trajectory across the harness's
+// b.N rounds, so ns/op depends on which b.N a run lands on (at the default
+// benchtime, runs that landed on b.N ≈ 10,000 read 102–115 µs/op against
+// ≈65–95 µs for the rest). Compare it over a fixed window: `make
+// bench-core` records it alone at -benchtime=12000x, and leaves it out of
+// its -bench=. pass.
 func BenchmarkEngineStepSparse(b *testing.B) {
 	r := sparseRouter(b, 1, 10_000, 200, 1e5, 1e6,
 		func(rng *rand.Rand) float64 { return 2000 + rng.Float64()*2000 })

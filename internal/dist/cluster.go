@@ -50,9 +50,9 @@ type Config struct {
 	// traffic when scraped. All observations are atomic-only; without a
 	// registry or a flight recorder an event costs one nil check.
 	Telemetry *telemetry.Registry
-	// StallTimeout arms the stall detector: if rounds are pending and the
-	// collector absorbs nothing for this long, the cluster records a stall
-	// and dumps a post-mortem. 0 disables. Arms the flight recorder.
+	// StallTimeout arms the stall detector: if, while Run waits for rounds,
+	// the collector absorbs nothing for this long, the cluster records a
+	// stall and dumps a post-mortem. 0 disables. Arms the flight recorder.
 	StallTimeout time.Duration
 	// Postmortem receives one JSONL dump of every agent's ring the first
 	// time the cluster stalls (detector trip, Run timeout, or Close
@@ -134,13 +134,11 @@ type Cluster struct {
 	// against (via the coarse shared clock), all rings (for snapshots),
 	// the metrics every sink feeds (nil without Config.Telemetry), and the
 	// cluster's own sink (detector events).
-	epoch     time.Time
-	clk       *recClock
-	recs      []*recorder
-	m         *metrics
-	obs       *sink
-	stallQuit chan struct{}
-	stallDone chan struct{}
+	epoch time.Time
+	clk   *recClock
+	recs  []*recorder
+	m     *metrics
+	obs   *sink
 
 	pmMu     sync.Mutex
 	pmDumped bool
@@ -200,7 +198,6 @@ func New(p *model.Problem, cfg Config, net transport.Network) (*Cluster, error) 
 	}
 	control := cl.hosts[ctrlHost]
 	cl.coll = newCollector(p, control.portDepth(collectorName, collectorInbox), reporting, c.Staleness == 0, cl.newSink(collectorName, 0), cl.epoch)
-	cl.coll.parked = c.parkCollector
 	// The control endpoint's peers are whoever acknowledges a JoinFlow:
 	// at most every node agent and the collector.
 	cl.ctrl = control.port(ctrlName, c.Staleness, len(p.Nodes)+1)
@@ -220,17 +217,18 @@ func New(p *model.Problem, cfg Config, net transport.Network) (*Cluster, error) 
 	cl.agents = append(cl.agents, collectorName)
 
 	// Launch all agents; flow agents idle until a RunUntil control arrives.
-	go cl.coll.run()
+	// The collector sends nothing to chirp, so its loop arms no timer.
+	go func(co *collector) {
+		if c.parkCollector != nil {
+			<-c.parkCollector
+		}
+		loop(co, co.ep, co.obs, 0, co.done)
+	}(cl.coll)
 	for _, fa := range cl.flows {
 		go loop(fa, fa.ep, fa.obs, c.resend, fa.done)
 	}
 	for _, na := range cl.nodes {
 		go loop(na, na.ep, na.obs, c.resend, na.done)
-	}
-	if c.StallTimeout > 0 {
-		cl.stallQuit = make(chan struct{})
-		cl.stallDone = make(chan struct{})
-		go cl.stallWatch()
 	}
 	if c.Telemetry != nil {
 		cl.registerNet(c.Telemetry, net)
@@ -275,49 +273,8 @@ func (cl *Cluster) WriteEvents(w io.Writer) error {
 	return writeEvents(w, cl.snapshot())
 }
 
-// stallWatch polls the collector's progress counter and trips when rounds
-// are pending but nothing has been absorbed for StallTimeout: the
-// signature of the cluster deadlocking (lost Stop/announce frames, a hung
-// agent) rather than merely running slowly.
-func (cl *Cluster) stallWatch() {
-	defer close(cl.stallDone)
-	interval := cl.cfg.StallTimeout / 4
-	if interval < time.Millisecond {
-		interval = time.Millisecond
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	last := cl.coll.progress.Load()
-	frozen := time.Duration(0)
-	for {
-		select {
-		case <-cl.stallQuit:
-			return
-		case <-ticker.C:
-			p := cl.coll.progress.Load()
-			if p != last {
-				last = p
-				frozen = 0
-				continue
-			}
-			cl.mu.Lock()
-			pending := int(cl.coll.lastFinal.Load()) < cl.ran
-			cl.mu.Unlock()
-			if !pending {
-				frozen = 0
-				continue
-			}
-			frozen += interval
-			if frozen >= cl.cfg.StallTimeout {
-				cl.postmortem()
-				return
-			}
-		}
-	}
-}
-
 // postmortem records a stall and, once per cluster, dumps every ring to
-// the configured Postmortem writer. Reached from the stall detector, a Run
+// the configured Postmortem writer. Reached from Run's stall check, a Run
 // timeout, and a Close timeout — whichever notices first wins.
 func (cl *Cluster) postmortem() {
 	cl.pmMu.Lock()
@@ -326,7 +283,8 @@ func (cl *Cluster) postmortem() {
 		return
 	}
 	cl.pmDumped = true
-	cl.obs.stall(int(cl.coll.lastFinal.Load()))
+	lastFinal, _ := cl.coll.mark()
+	cl.obs.stall(lastFinal)
 	if cl.cfg.Postmortem != nil {
 		_ = writeEvents(cl.cfg.Postmortem, cl.snapshot())
 	}
@@ -424,7 +382,8 @@ func (cl *Cluster) sendCtrl(body ctrlMsg, to ...string) error {
 // Run advances the cluster by `rounds` rounds, at least 1, and returns the
 // per-round global utilities observed by the collector. With Staleness > 0
 // over a lossy transport, a round that lost a frame, or that a later round
-// finalized ahead of, is absent from the result.
+// finalized ahead of, is absent from the result. Calls to Run are
+// sequential: rounds are pending only while a Run waits for them.
 //
 // The collector is in no agent's barrier, so agents told to run far ahead
 // leave it behind, and what they send it while it catches up has to fit
@@ -435,6 +394,11 @@ func (cl *Cluster) sendCtrl(body ctrlMsg, to ...string) error {
 // per round), and the next once the collector has finalized the last.
 // With Staleness > 0 a lost round is skipped by design and the chirps
 // repair the final one, so there is nothing to protect.
+//
+// Run waits in one place: for the collector to finalize a window's last
+// round or a later one, to stop, or for the timeout of the whole call. The
+// stall detector looks there, every quarter StallTimeout, for the collector
+// absorbing nothing while rounds are pending: a deadlock, not mere slowness.
 func (cl *Cluster) Run(rounds int, timeout time.Duration) ([]RoundStats, error) {
 	if rounds < 1 {
 		return nil, fmt.Errorf("dist: run %d rounds; want at least 1", rounds)
@@ -442,28 +406,58 @@ func (cl *Cluster) Run(rounds int, timeout time.Duration) ([]RoundStats, error) 
 	if timeout <= 0 {
 		timeout = 30 * time.Second
 	}
-	deadline := time.Now().Add(timeout)
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
 	cl.mu.Lock()
 	from := cl.ran + 1
 	cl.ran += rounds
 	until := cl.ran
 	cl.mu.Unlock()
 
+	co := cl.coll
+	var stall <-chan time.Time
+	every := max(cl.cfg.StallTimeout/4, time.Millisecond)
+	if cl.cfg.StallTimeout > 0 {
+		ticker := time.NewTicker(every)
+		defer ticker.Stop()
+		stall = ticker.C
+	}
+	_, last := co.mark()
+	frozen := time.Duration(0)
+
 	window := rounds
-	if cl.coll.inOrder {
-		window = max(1, cap(cl.coll.ep.Recv())/(len(cl.flows)+cl.coll.nodesTotal))
+	if co.inOrder {
+		window = max(1, cap(co.ep.Recv())/(len(cl.flows)+co.nodesTotal))
 	}
 	for next := from - 1; next < until; {
 		next = min(next+window, until)
 		if err := cl.sendCtrl(ctrlMsg{RunUntil: next}, cl.agents[:len(cl.flows)]...); err != nil {
 			return nil, fmt.Errorf("dist: run ctrl: %w", err)
 		}
-		if err := cl.coll.waitRound(next, time.Until(deadline)); err != nil {
-			cl.postmortem()
-			return nil, err
+		for {
+			lastFinal, absorbed := co.mark()
+			if lastFinal >= next {
+				break
+			}
+			select {
+			case <-co.final:
+			case <-co.done:
+				cl.postmortem()
+				return nil, fmt.Errorf("dist: collector stopped before round %d", next)
+			case <-deadline.C:
+				cl.postmortem()
+				return nil, fmt.Errorf("dist: timeout waiting for round %d", next)
+			case <-stall:
+				if absorbed != last {
+					last, frozen = absorbed, 0
+				} else if frozen += every; frozen >= cl.cfg.StallTimeout {
+					cl.postmortem()
+					stall = nil
+				}
+			}
 		}
 	}
-	return cl.coll.rounds(from, until), nil
+	return co.rounds(from, until), nil
 }
 
 // RemoveFlow announces a flow's departure (the Figure 3 experiment). The
@@ -552,11 +546,6 @@ func (cl *Cluster) Close() error {
 	}
 	cl.closed = true
 	cl.mu.Unlock()
-
-	if cl.stallQuit != nil {
-		close(cl.stallQuit)
-		<-cl.stallDone
-	}
 
 	var errs []error
 	if err := cl.sendCtrl(ctrlMsg{Stop: true}, cl.agents...); err != nil && !errors.Is(err, transport.ErrDropped) {

@@ -1,10 +1,8 @@
 package dist
 
 import (
-	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/model"
@@ -12,20 +10,23 @@ import (
 )
 
 // collector aggregates rate announcements and node reports into per-round
-// global utilities and the latest global allocation.
+// global utilities and the latest global allocation. The round loop drives
+// it as it drives every agent, but it only observes: it sends no round value.
 type collector struct {
 	p     *model.Problem
-	ep    transport.Endpoint
+	ep    *hostPort
 	obs   *sink
 	epoch time.Time
-
-	// progress counts every absorbed message and lastFinal holds the
-	// highest finalized round; the stall detector polls both without
-	// taking mu. No round at or below lastFinal is assembled again.
-	progress  atomic.Uint64
-	lastFinal atomic.Int64
+	// final is signalled whenever a round finalizes; Run waits on it.
+	final chan struct{}
+	done  chan struct{}
 
 	mu sync.Mutex
+	// absorbed counts every absorbed message (Run's stall check reads it)
+	// and lastFinal holds the highest finalized round. No round at or
+	// below lastFinal is assembled again.
+	absorbed  int
+	lastFinal int
 	// latest state. deliveries[j] < 0 means "no per-class delivery
 	// reported": the class receives at its flow's rate.
 	rates      []float64
@@ -49,8 +50,8 @@ type collector struct {
 	latestFlow []int
 	latestNode []int
 	stats      []RoundStats
-	// report is the decode scratch inbound reports land in; only run's
-	// goroutine touches it.
+	// report is the decode scratch inbound reports land in; only the
+	// loop's goroutine touches it.
 	report reportMsg
 	// inOrder finalizes rounds strictly sequentially (the lossless
 	// barrier protocol). When false (bounded-staleness mode over lossy
@@ -58,12 +59,6 @@ type collector struct {
 	// frames were lost are simply skipped: freed once a later round
 	// finalizes.
 	inOrder bool
-	waiters []roundWaiter
-
-	// parked, when non-nil, holds run back until it is closed: tests use
-	// it to let the agents get as far ahead of the collector as they can.
-	parked chan struct{}
-	done   chan struct{}
 }
 
 // roundAsm assembles one round's inputs in arrays indexed by id, so a
@@ -79,16 +74,11 @@ type roundAsm struct {
 	first    int64     // when the first input arrived, since the epoch
 }
 
-type roundWaiter struct {
-	round int
-	ch    chan struct{}
-}
-
 // newCollector builds the collector. nodesTotal must be the number of
 // node agents that actually report each round: nodes reached by at least
 // one flow or owning at least one link with flows (a node with neither
 // never computes).
-func newCollector(p *model.Problem, ep transport.Endpoint, nodesTotal int, inOrder bool, obs *sink, epoch time.Time) *collector {
+func newCollector(p *model.Problem, ep *hostPort, nodesTotal int, inOrder bool, obs *sink, epoch time.Time) *collector {
 	c := &collector{
 		p:           p,
 		ep:          ep,
@@ -104,6 +94,7 @@ func newCollector(p *model.Problem, ep transport.Endpoint, nodesTotal int, inOrd
 		activeCount: len(p.Flows),
 		nodesTotal:  nodesTotal,
 		inOrder:     inOrder,
+		final:       make(chan struct{}, 1),
 		done:        make(chan struct{}),
 	}
 	for i := range c.active {
@@ -113,18 +104,6 @@ func newCollector(p *model.Problem, ep transport.Endpoint, nodesTotal int, inOrd
 		c.deliveries[j] = -1
 	}
 	return c
-}
-
-func (c *collector) run() {
-	defer close(c.done)
-	if c.parked != nil {
-		<-c.parked
-	}
-	for m := range c.ep.Recv() {
-		if !c.handle(m) {
-			return
-		}
-	}
 }
 
 // handle dispatches one message, returning false on Stop.
@@ -153,6 +132,19 @@ func (c *collector) handle(m transport.Message) bool {
 	return true
 }
 
+// advance and chirp have nothing to do: rounds finalize as handle absorbs
+// their inputs, and there is no value to re-send (the loop arms no timer).
+func (c *collector) advance() (bool, error) { return false, nil }
+func (c *collector) chirp() (int, error)    { return 0, nil }
+
+// mark is what Run's wait reads: the highest finalized round and how many
+// messages have been absorbed.
+func (c *collector) mark() (lastFinal, absorbed int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lastFinal, c.absorbed
+}
+
 // asmLocked returns the assembly record of a round with inputs still
 // outstanding, starting one when this is the round's first input, and
 // advances the frontier. A message for a round at or below the last
@@ -163,7 +155,7 @@ func (c *collector) asmLocked(round int) *roundAsm {
 	if a := c.pending[round]; a != nil {
 		return a
 	}
-	if round <= int(c.lastFinal.Load()) {
+	if round <= c.lastFinal {
 		return nil
 	}
 	var a *roundAsm
@@ -191,9 +183,9 @@ func (c *collector) asmLocked(round int) *roundAsm {
 }
 
 func (c *collector) absorbRate(rm rateMsg) {
-	c.progress.Add(1)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.absorbed++
 	c.latestFlow[rm.Flow] = max(c.latestFlow[rm.Flow], rm.Round)
 	a := c.asmLocked(rm.Round)
 	c.setActiveLocked(rm.Flow, rm.Active)
@@ -214,7 +206,7 @@ func (c *collector) absorbRate(rm rateMsg) {
 			}
 		}
 	}
-	c.completeRoundsLocked(rm.Round)
+	c.finalizeLocked(rm.Round)
 }
 
 // setActiveLocked records a flow's departure or its rejoin (announced by
@@ -248,9 +240,9 @@ func (c *collector) recountPendingLocked() {
 }
 
 func (c *collector) absorbReport(rm *reportMsg) {
-	c.progress.Add(1)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.absorbed++
 	c.latestNode[rm.Node] = max(c.latestNode[rm.Node], rm.Round)
 	a := c.asmLocked(rm.Round)
 	for _, e := range rm.Populations {
@@ -273,73 +265,75 @@ func (c *collector) absorbReport(rm *reportMsg) {
 		a.reported[rm.Node] = true
 		a.reports++
 	}
-	c.completeRoundsLocked(rm.Round)
+	c.finalizeLocked(rm.Round)
 }
 
-// completeRoundsLocked finalizes rounds whose full input set has arrived.
-// In inOrder mode rounds finalize strictly sequentially after lastFinal; in
-// skip mode (bounded staleness over lossy transports) the round just
-// touched finalizes independently, since earlier rounds may never
-// assemble.
-func (c *collector) completeRoundsLocked(touched int) {
-	if !c.inOrder {
-		c.finalizeLocked(touched)
-		return
+// finalizeLocked finalizes every round that an input to round touched
+// completed: a round whose rates from all active flows and reports from all
+// reporting nodes have arrived gets its utility computed and its stats
+// appended, and Run is signalled. Only the choice of rounds depends on the
+// schedule. At K=0 (inOrder) rounds finalize strictly after lastFinal, in
+// order, whichever round the input was for. At K>0 the touched round
+// finalizes on its own, since an earlier round may never assemble, and frees
+// every pending round below it.
+func (c *collector) finalizeLocked(touched int) {
+	round := touched
+	if c.inOrder {
+		round = c.lastFinal + 1
 	}
-	for c.finalizeLocked(int(c.lastFinal.Load()) + 1) {
-	}
-}
+	for ; ; round++ {
+		a := c.pending[round]
+		if a == nil || c.activeCount == 0 || a.got < c.activeCount || a.reports < c.nodesTotal {
+			return
+		}
 
-// finalizeLocked checks completeness of one round and, if complete,
-// computes its utility, appends stats, and wakes waiters. It reports
-// whether the round was finalized.
-func (c *collector) finalizeLocked(round int) bool {
-	a := c.pending[round]
-	if a == nil || c.activeCount == 0 || a.got < c.activeCount || a.reports < c.nodesTotal {
-		return false
-	}
+		// Utility of the completed round, from the round's own rates,
+		// populations and (in multirate mode) per-class deliveries; inactive
+		// flows contribute nothing.
+		util := 0.0
+		for j := range c.p.Classes {
+			cl := &c.p.Classes[j]
+			n := a.pops[j]
+			if n == 0 || !c.active[cl.Flow] {
+				continue
+			}
+			rate := a.rates[cl.Flow]
+			if a.dels[j] >= 0 {
+				rate = a.dels[j]
+			}
+			util += float64(n) * cl.Utility.Value(rate)
+		}
+		c.stats = append(c.stats, RoundStats{Round: round, Utility: util})
 
-	// Utility of the completed round, from the round's own rates,
-	// populations and (in multirate mode) per-class deliveries; inactive
-	// flows contribute nothing.
-	util := 0.0
-	for j := range c.p.Classes {
-		cl := &c.p.Classes[j]
-		n := a.pops[j]
-		if n == 0 || !c.active[cl.Flow] {
+		// Observability: effective staleness (frontier minus the slowest
+		// active agent), finalize lag, and the round's assembly time. The
+		// O(flows+nodes) slowest-agent scan runs once per finalized round,
+		// not per message, so it stays off the absorb hot path.
+		c.lastFinal = round
+		if c.obs != nil {
+			slowest := c.frontier
+			for i, r := range c.latestFlow {
+				if c.active[i] && r < slowest {
+					slowest = r
+				}
+			}
+			for _, r := range c.latestNode {
+				if r > 0 && r < slowest { // nodes at 0 never report (silent)
+					slowest = r
+				}
+			}
+			assembly := int64(time.Since(c.epoch)) - a.first
+			c.obs.finalize(round, c.frontier-slowest, c.frontier-round, assembly)
+		}
+		delete(c.pending, round)
+		c.free = append(c.free, a)
+		select {
+		case c.final <- struct{}{}:
+		default: // a signal is already pending
+		}
+		if c.inOrder {
 			continue
 		}
-		rate := a.rates[cl.Flow]
-		if a.dels[j] >= 0 {
-			rate = a.dels[j]
-		}
-		util += float64(n) * cl.Utility.Value(rate)
-	}
-	c.stats = append(c.stats, RoundStats{Round: round, Utility: util})
-
-	// Observability: effective staleness (frontier minus the slowest
-	// active agent), finalize lag, and the round's assembly time. The
-	// O(flows+nodes) slowest-agent scan runs once per finalized round,
-	// not per message, so it stays off the absorb hot path.
-	c.lastFinal.Store(int64(round))
-	if c.obs != nil {
-		slowest := c.frontier
-		for i, r := range c.latestFlow {
-			if c.active[i] && r < slowest {
-				slowest = r
-			}
-		}
-		for _, r := range c.latestNode {
-			if r > 0 && r < slowest { // nodes at 0 never report (silent)
-				slowest = r
-			}
-		}
-		assembly := int64(time.Since(c.epoch)) - a.first
-		c.obs.finalize(round, c.frontier-slowest, c.frontier-round, assembly)
-	}
-	delete(c.pending, round)
-	c.free = append(c.free, a)
-	if !c.inOrder {
 		// Every agent's input to this round has arrived, each sender's
 		// frames arrive in order, and a chirp resends only its sender's
 		// latest value: a round below this one still pending has lost a
@@ -350,39 +344,7 @@ func (c *collector) finalizeLocked(round int) bool {
 				c.free = append(c.free, a)
 			}
 		}
-	}
-
-	still := c.waiters[:0]
-	for _, w := range c.waiters {
-		if round >= w.round {
-			close(w.ch)
-		} else {
-			still = append(still, w)
-		}
-	}
-	c.waiters = still
-	return true
-}
-
-// waitRound blocks until the given round, or in skip mode a later one, has
-// been finalized.
-func (c *collector) waitRound(round int, timeout time.Duration) error {
-	c.mu.Lock()
-	if int(c.lastFinal.Load()) >= round {
-		c.mu.Unlock()
-		return nil
-	}
-	w := roundWaiter{round: round, ch: make(chan struct{})}
-	c.waiters = append(c.waiters, w)
-	c.mu.Unlock()
-
-	select {
-	case <-w.ch:
-		return nil
-	case <-c.done:
-		return fmt.Errorf("dist: collector stopped before round %d", round)
-	case <-time.After(timeout):
-		return fmt.Errorf("dist: timeout waiting for round %d", round)
+		return
 	}
 }
 
@@ -412,11 +374,5 @@ func (c *collector) rounds(from, to int) []RoundStats {
 func (c *collector) allocation() model.Allocation {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	a := model.Allocation{
-		Rates:     make([]float64, len(c.rates)),
-		Consumers: make([]int, len(c.consumers)),
-	}
-	copy(a.Rates, c.rates)
-	copy(a.Consumers, c.consumers)
-	return a
+	return model.Allocation{Rates: slices.Clone(c.rates), Consumers: slices.Clone(c.consumers)}
 }

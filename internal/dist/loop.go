@@ -8,8 +8,8 @@ import (
 	"repro/internal/transport"
 )
 
-// roundAgent is a flow or node agent as the round loop drives it: three
-// steps over the agent's own state, none of which blocks.
+// roundAgent is a flow or node agent, or the collector, as the round loop
+// drives it: three steps over the agent's own state, none of which blocks.
 type roundAgent interface {
 	// handle takes one inbound message and returns false on Stop.
 	handle(m transport.Message) bool
@@ -21,7 +21,7 @@ type roundAgent interface {
 	chirp() (round int, err error)
 }
 
-// loop is the round loop of every flow and node agent, at every staleness
+// loop is the round loop of every agent and the collector, at every staleness
 // bound: the agent advances as far as its inputs permit, then blocks on its
 // inbox. While stalled, the chirp re-sends its freshest value, so a dropped
 // frame cannot deadlock the cluster. It returns on a Stop, a closed inbox

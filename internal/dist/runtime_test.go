@@ -341,7 +341,9 @@ func TestCloseSurfacesSendFailure(t *testing.T) {
 // TestEveryLoopExitDetaches: however the round loop ends — a Stop, a closed
 // inbox, or a send that finds the transport closed — it closes the agent's
 // done and detaches its port, so that no gateway is left counting a busy
-// port that nobody will read.
+// port that nobody will read. The collector runs on the same loop and exits
+// the first two ways; it never sends a round value, so no send of its own
+// can find the transport closed, and the fatal-send case leaves it running.
 func TestEveryLoopExitDetaches(t *testing.T) {
 	for _, exit := range []string{"stop", "closed inbox", "fatal send"} {
 		t.Run(exit, func(t *testing.T) {
@@ -398,9 +400,12 @@ func TestEveryLoopExitDetaches(t *testing.T) {
 			for _, na := range cl.nodes {
 				exited(na.done, na.ep)
 			}
-			// The control host's ports are the collector's and the control
-			// endpoint's, which no round loop drives; it has no flusher
-			// for a busy port to hold back.
+			if exit != "fatal send" {
+				exited(cl.coll.done, cl.coll.ep)
+			}
+			// The control host is left out: no round loop drives the
+			// control endpoint's port, and the host has no flusher for a
+			// busy port to hold back.
 			for host, gw := range cl.hosts {
 				gw.mu.Lock()
 				if host != ctrlHost && gw.busy != 0 {
@@ -507,9 +512,8 @@ func TestRunSurvivesParkedCollector(t *testing.T) {
 // TestRoundAllocationBudget is the deterministic cost gate on the round's
 // steady state: heap objects allocated per round over Run(100) on the base
 // workload in memory. At commit 525a158 the binary wire allocated 143 per
-// round (BenchmarkDistWire/binary); the gate is a third of that. The
-// figure after this change: 0.4 (a timer and a waiter per Run call, a slab
-// chunk per agent every few dozen rounds).
+// round (BenchmarkDistWire/binary); the gate is a third of that, and the
+// test logs about 1.4.
 func TestRoundAllocationBudget(t *testing.T) {
 	net := transport.NewMemory()
 	defer net.Close()
